@@ -12,7 +12,6 @@ package reis
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"testing"
 
@@ -60,8 +59,9 @@ func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
 
 // BenchmarkSearchThroughput sweeps the admission batch size and
 // reports wall-clock queries/sec of the functional simulation plus the
-// timing model's batch QPS. Batch size 1 is the sequential baseline
-// (one Search call per query); larger batches go through SearchBatch.
+// timing model's batch QPS. Batch size 1 is the one-at-a-time baseline
+// (one Search call per query); larger batches go through SearchBatch —
+// the same controller either way.
 func BenchmarkSearchThroughput(b *testing.B) {
 	engine, db, queries := throughputSetup(b)
 	for _, batch := range []int{1, 8, 64} {
@@ -118,35 +118,17 @@ func BenchmarkQueueDepth(b *testing.B) {
 			}
 			defer queue.Close()
 			b.ResetTimer()
-			served := 0
-			for i := 0; i < b.N; i++ {
-				cmd := reis.HostCommand{
+			err = queue.SubmitDrain(context.Background(), ch, b.N, func(i int) reis.HostCommand {
+				return reis.HostCommand{
 					Opcode: reis.OpcodeSearch, DBID: 1,
 					Queries: [][]float32{queries[i%len(queries)]}, K: 10,
 				}
-				for {
-					_, err := queue.SubmitAsync(context.Background(), cmd)
-					if errors.Is(err, reis.ErrQueueFull) {
-						if c := <-ch; c.Err != nil {
-							b.Fatal(c.Err)
-						}
-						served++
-						continue
-					}
-					if err != nil {
-						b.Fatal(err)
-					}
-					break
-				}
-			}
-			for served < b.N {
-				if c := <-ch; c.Err != nil {
-					b.Fatal(c.Err)
-				}
-				served++
+			}, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(served)/b.Elapsed().Seconds(), "qps")
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "qps")
 			st := queue.Stats()
 			if st.Dispatches > 0 {
 				b.ReportMetric(float64(st.Submitted)/float64(st.Dispatches), "avg_batch")

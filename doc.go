@@ -11,17 +11,26 @@
 // weights), and the synchronous Engine.Submit is a thin submit+wait
 // wrapper over the engine's built-in pair. Batched admission and
 // queue-side coalescing keep the flash planes busy across queries
-// while results stay bit-identical to sequential execution. See
-// DESIGN.md ("Host queue model") for the architecture.
+// while a query's results and device stats stay bit-identical to its
+// one-query command. A completion is observable only after its queue
+// slot is free, whatever the sink. See DESIGN.md ("Host queue model")
+// for the architecture.
+//
+// Every search — flat or IVF, pruned or not, cached or not, one device
+// or many — is one round-driven controller (internal/reis/controller.go)
+// planning scan rounds from global state over a scan backend, ending in
+// the one controller tail; the exported Search / SearchBatch /
+// IVFSearch / IVFSearchBatch methods are one-command wrappers over it
+// that bypass the result cache (DESIGN.md, "Concurrency model").
 //
 // reis.NewSharded scales the engine out across N simulated devices: a
 // scatter-gather router page-stripes one globally planned layout over
-// the member devices, fans searches out through per-shard queue pairs
-// (the OpcodeScan scatter command), merges the per-shard TTL streams
-// in global position order, and runs the controller tail over the
-// merged stream — results and aggregated device stats are
-// bit-identical to a single device over the same data (DESIGN.md,
-// "Sharded topology").
+// the member devices and runs the same controller over the scatter
+// backend — each round fans out through per-shard queue pairs (the
+// OpcodeScan scatter command), the per-shard TTL streams merge in
+// global position order, and the tail runs over the merged stream —
+// so results and aggregated device stats are bit-identical to a single
+// device over the same data (DESIGN.md, "Sharded topology").
 //
 // Deployed databases are mutable online: OpcodeAppend writes new
 // items out-of-place into wear-leveled free rows (least-worn-first

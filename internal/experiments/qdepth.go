@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"strings"
@@ -88,46 +87,24 @@ func RunQDepth(scale int, datasets []string, depths []int) ([]QDepthRow, error) 
 			if err != nil {
 				return nil, err
 			}
-			var (
-				served int
-				m0, m1 runtime.MemStats
-			)
+			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			start := time.Now()
-			for _, query := range queries {
-				cmd := reis.HostCommand{
+			err = q.SubmitDrain(context.Background(), ch, len(queries), func(i int) reis.HostCommand {
+				return reis.HostCommand{
 					Opcode: reis.OpcodeIVFSearch, DBID: 1,
-					Queries: [][]float32{query}, K: 10, NProbe: nprobe,
+					Queries: [][]float32{queries[i]}, K: 10, NProbe: nprobe,
 				}
-				for {
-					_, err := q.SubmitAsync(context.Background(), cmd)
-					if errors.Is(err, reis.ErrQueueFull) {
-						if c := <-ch; c.Err != nil {
-							q.Close()
-							return nil, c.Err
-						}
-						served++
-						continue
-					}
-					if err != nil {
-						q.Close()
-						return nil, err
-					}
-					break
-				}
-			}
-			for served < len(queries) {
-				if c := <-ch; c.Err != nil {
-					q.Close()
-					return nil, c.Err
-				}
-				served++
+			}, nil)
+			if err != nil {
+				q.Close()
+				return nil, err
 			}
 			wall := time.Since(start)
 			runtime.ReadMemStats(&m1)
 			st := q.Stats()
 			q.Close()
-			n := float64(served)
+			n := float64(len(queries))
 			avg := 0.0
 			if st.Dispatches > 0 {
 				avg = float64(st.Submitted) / float64(st.Dispatches)

@@ -41,9 +41,9 @@ var ThroughputBatches = []int{1, 8, 64}
 
 // RunThroughput measures batched versus sequential query admission on
 // REIS-SSD1 for the given datasets. Every batch size serves the whole
-// workload query set, admitted in chunks of the batch size (batch 1 is
-// one Search call per query), so rows differ only in admission overlap
-// — never in which queries they serve.
+// workload query set, admitted as host commands of the batch size
+// (batch 1 is one one-query command per query), so rows differ only in
+// admission overlap — never in which queries they serve.
 func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow, error) {
 	if datasets == nil {
 		datasets = []string{"NQ", "wiki_en"}
@@ -84,26 +84,16 @@ func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow
 			start := time.Now()
 			for lo := 0; lo < len(queries); lo += batch {
 				hi := min(lo+batch, len(queries))
-				var sts []reis.QueryStats
-				if batch == 1 {
-					// Sequential baseline: one Search call per query.
-					_, st, err := s.Engine.IVFSearch(1, queries[lo], 10, reis.SearchOptions{NProbe: nprobe})
-					if err != nil {
-						return nil, err
-					}
-					sts = []reis.QueryStats{st}
-				} else {
-					// Batched admission goes through the host command
-					// interface, as the NVMe driver would submit it.
-					resp, err := s.Engine.Submit(reis.HostCommand{
-						Opcode: reis.OpcodeIVFSearch, DBID: 1,
-						Queries: queries[lo:hi], K: 10, NProbe: nprobe,
-					})
-					if err != nil {
-						return nil, err
-					}
-					sts = resp.QueryStats
+				// Every batch size, 1 included, goes through the host
+				// command interface, as the NVMe driver would submit it.
+				resp, err := s.Engine.Submit(reis.HostCommand{
+					Opcode: reis.OpcodeIVFSearch, DBID: 1,
+					Queries: queries[lo:hi], K: 10, NProbe: nprobe,
+				})
+				if err != nil {
+					return nil, err
 				}
+				sts := resp.QueryStats
 				bd := s.Engine.BatchLatency(s.DB, sts, sc)
 				makespan += bd.Makespan
 				serial += bd.Serial

@@ -391,23 +391,24 @@ func (e *Engine) Submit(cmd HostCommand) (HostResponse, error) {
 // execCmd serves one validated command, serializing on the execution
 // core — the Engine half of the host interface queue dispatchers use.
 func (e *Engine) execCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
+	if isSearchOp(cmd.Opcode) {
+		return execSearch(e, ctx, cmd)
+	}
 	e.execMu.Lock()
 	defer e.execMu.Unlock()
 	return e.executeCmd(ctx, cmd)
 }
 
-// execSearchGroup runs a coalesced dispatch group's concatenated Q
-// operands, serializing on the execution core (host interface). The
-// perShard return is always nil: a single device has no shards.
+// execSearchGroup runs one search command's queries, or a coalesced
+// dispatch group's concatenated Q operands, through the controller with
+// the result cache consulted (host interface). The perShard return is
+// always nil: a single device has no shards.
 func (e *Engine) execSearchGroup(ctx context.Context, cmd *HostCommand, queries [][]float32) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	results, sts, err := e.executeSearch(ctx, cmd, queries)
-	return results, sts, nil, err
+	return e.search(ctx, cmd, queries, true)
 }
 
-// executeCmd serves one validated command on the dispatcher goroutine.
-// The caller must hold e.execMu.
+// executeCmd serves one validated non-search command on the dispatcher
+// goroutine. The caller must hold e.execMu.
 func (e *Engine) executeCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
 	switch cmd.Opcode {
 	case OpcodeDBDeploy:
@@ -442,15 +443,7 @@ func (e *Engine) executeCmd(ctx context.Context, cmd *HostCommand) (HostResponse
 		}
 		return resp, err
 	default:
-		results, sts, err := e.executeSearch(ctx, cmd, cmd.Queries)
-		if err != nil {
-			return HostResponse{}, err
-		}
-		resp := HostResponse{Done: true, Results: results, QueryStats: sts}
-		for _, st := range sts {
-			resp.Stats.Add(st)
-		}
-		return resp, nil
+		return HostResponse{}, fmt.Errorf("%w %#x", ErrUnknownOpcode, cmd.Opcode)
 	}
 }
 
@@ -481,67 +474,4 @@ func executeMutation(m *mutState, t mutTarget, cmd *HostCommand) (HostResponse, 
 		}
 		return HostResponse{Done: true, Wear: wear}, nil
 	}
-}
-
-// executeSearch runs the batched scan pipeline for queries — the
-// command's own Q operand, or the concatenation of a coalesced dispatch
-// group's operands — under the command's parameters. The caller must
-// hold e.execMu.
-func (e *Engine) executeSearch(ctx context.Context, cmd *HostCommand, queries [][]float32) ([][]DocResult, []QueryStats, error) {
-	db, err := e.db(cmd.DBID)
-	if err != nil {
-		return nil, nil, err
-	}
-	opt, err := resolveSearchOptions(db.calib, db.ID, cmd)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.cachedSearch(ctx, db, cmd.Opcode, queries, cmd.K, opt)
-}
-
-// cachedSearch consults the result cache before dispatching the batch. Hits
-// are served as deep copies at controller cost (QueryStats records only
-// ResultCacheHits); the miss subset executes as one batch through the normal
-// path so its per-query stats are bit-identical to an uncached run, then each
-// miss result is inserted. Intra-batch duplicate queries all miss: lookups
-// happen before any insert, keeping hit patterns independent of batch order.
-func (e *Engine) cachedSearch(ctx context.Context, db *Database, op uint8, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	c := db.cache
-	if c == nil || c.resBudget <= 0 || len(queries) == 0 {
-		return e.dispatchSearch(ctx, db, op, queries, k, opt)
-	}
-	results := make([][]DocResult, len(queries))
-	stats := make([]QueryStats, len(queries))
-	keys := make([]string, len(queries))
-	var missIdx []int
-	var missQ [][]float32
-	for i, q := range queries {
-		keys[i] = resultKey(op, k, opt, q)
-		if r, ok := c.lookupResult(keys[i]); ok {
-			results[i] = r
-			stats[i] = QueryStats{ResultCacheHits: 1}
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missQ = append(missQ, q)
-	}
-	if len(missIdx) > 0 {
-		mres, msts, err := e.dispatchSearch(ctx, db, op, missQ, k, opt)
-		if err != nil {
-			return nil, nil, err
-		}
-		for j, i := range missIdx {
-			results[i] = mres[j]
-			stats[i] = msts[j]
-			c.storeResult(keys[i], mres[j])
-		}
-	}
-	return results, stats, nil
-}
-
-func (e *Engine) dispatchSearch(ctx context.Context, db *Database, op uint8, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	if op == OpcodeSearch {
-		return e.searchBatch(ctx, db, queries, k, opt)
-	}
-	return e.ivfSearchBatch(ctx, db, queries, k, opt)
 }

@@ -2,23 +2,17 @@ package reis
 
 import (
 	"context"
-	"fmt"
-	"slices"
 
 	"reis/internal/ssd"
 	"reis/internal/vecmath"
 )
 
-// This file implements batched query admission: the engine accepts a
-// slice of queries and schedules their per-plane scan tasks through
-// the same per-die worker pool single queries use. Two things make the
-// batch faster than one-query-at-a-time submission while keeping
-// results bit-identical:
+// This file is the single device's scan backend: one scan round of the
+// controller (controller.go) — or one OpcodeScan command of a shard
+// router — split into per-plane tasks on the per-die worker pool.
 //
 //   - A plane only receives an IBC broadcast for queries it actually
-//     scans, instead of every query flooding every plane. At small
-//     region sizes the all-plane broadcast dominates single-query
-//     service; the per-plane schedule eliminates it.
+//     scans, instead of every query flooding every plane.
 //   - Each plane processes its share of every query back to back
 //     (query-major order) with no global barrier per query, so device
 //     time is occupied continuously — the overlap BatchLatency costs
@@ -27,33 +21,17 @@ import (
 // Determinism: per-plane work lists are built in (query, segment)
 // order and executed in that order by the plane's die worker, and
 // per-query partial results are merged in segment order then position
-// order — the exact order the sequential path produces. Surviving
-// entries stay in the worker arenas until each query's controller tail
-// runs; the per-query merge then moves them straight into the pooled
-// entry buffer, so the whole scan phase performs no steady-state
-// allocation.
+// order. Surviving entries stay in the worker arenas until the round is
+// folded; the per-segment merge then moves them straight into the
+// caller's buffer, and every per-round structure is pooled, so the scan
+// phase performs no steady-state allocation.
 
-// scanSeg is one contiguous slot range [First, Last] of a region
-// scanned for one query (a whole flat region, or one IVF cluster).
-// lb is a proven lower bound on any distance the segment can produce
-// (0 = none): when a pruning bound is active and lb exceeds it, the
-// device aborts the whole segment without sensing a page.
-type scanSeg struct {
-	first, last int
-	lb          int
-	// pin, when non-nil, is the DRAM copy of the segment: the scan is
-	// served host-side by dbCache.scanPinned instead of plane tasks.
-	// Pinned segments ignore lb — the pages are already resident, so
-	// the scan always runs under the query's current bound.
-	pin *pinnedRange
-}
-
-// segScan is the outcome of one query's scan of one segment: the
-// per-plane arena windows (merged lazily, per query, after the whole
-// phase completes) plus the folded event counts. An aborted segment
-// has no scans; prunedPages/abortedWaves account the work it skipped.
+// segScan is the outcome of one query's scan of one segment: the window
+// of scanOut.scans holding its per-plane arena windows (merged lazily,
+// at fold time) plus the folded event counts. An aborted segment has an
+// empty window; prunedPages/abortedWaves account the work it skipped.
 type segScan struct {
-	scans        []planeScan
+	lo, hi       int
 	waves        int
 	pages        int
 	scanned      int
@@ -62,57 +40,56 @@ type segScan struct {
 	prunedPages  int
 	abortedWaves int
 	ttlBytes     int64
-	// A pinned segment was scanned from the DRAM hot-cluster cache:
-	// cached holds its surviving entries (ascending by Pos) and
-	// cachedPages/cachedSlots the work, kept apart from the flash
-	// counters above.
-	pinned      bool
-	cached      []TTLEntry
-	cachedPages int
-	cachedSlots int
 }
 
-// queryScan is one query's outcome of a batch scan phase.
-type queryScan struct {
-	segs []segScan
-	// ibcPlanes is the number of planes that received this query's
-	// broadcast during the phase.
-	ibcPlanes int
+// scanOut is the pooled outcome of the last batchScan: segs holds every
+// (query, segment) in query-major order, query qi's starting at off[qi];
+// ibc[qi] is the number of planes that received query qi's broadcast.
+type scanOut struct {
+	segs  []segScan
+	off   []int
+	scans []planeScan
+	ibc   []int
 }
 
-// batchItem is one plane's share of one query segment in a batch scan
-// phase. bound is the query's pruning threshold at dispatch (0 = none).
+func (o *scanOut) seg(qi, si int) *segScan { return &o.segs[o.off[qi]+si] }
+
+// batchItem is one plane's share of one query segment in a scan round:
+// slot indexes scanOut.scans, bound is the query's pruning threshold at
+// dispatch (0 = none).
 type batchItem struct {
-	qi, si, vi  int
+	qi, slot    int
 	span        ssd.PlaneSpan
 	first, last int
 	bound       int
 }
 
-// segPrune accounts one segment aborted whole under the pruning bound.
-type segPrune struct {
-	pages, waves int
-}
-
-// batchScan executes one scan phase (coarse or fine) for a whole query
-// batch: segs[qi] lists the slot ranges query qi must scan in region.
-// Work is split into per-plane tasks dispatched to the die worker
-// pool; each plane broadcasts a query's embedding into its cache latch
-// once and then scans all of that query's segments resident on the
-// plane before moving to the next query.
+// batchScan executes one scan round for a whole query batch into
+// e.scr.out: segs[qi] lists the slot ranges query qi scans in the
+// centroid region (coarse — no distance or metadata filtering: TTL-C
+// must rank every centroid, Sec 4.3.1) or the binary region. Work is
+// split into per-plane tasks dispatched to the die worker pool; each
+// plane broadcasts a query's embedding into its cache latch once and
+// then scans all of that query's segments resident on the plane before
+// moving to the next query. The empty sentinel (Last < First) is a
+// segment with no page on this device: no work, zero stats.
 // ctx is polled between per-plane work items (a cancelled command
-// aborts the phase at the next item boundary); the synchronous paths
-// pass context.Background(), whose Err is free.
+// aborts the round at the next item boundary).
 //
-// bounds, when non-nil, carries each query's current pruning threshold
-// (0 = none). A segment whose lower bound exceeds its query's bound is
-// aborted in place: no page is sensed, no plane task is queued, and
-// the pages/waves it would have cost are accounted as prunedPages/
+// bounds[qi] is query qi's pruning threshold and lbs[qi][si] a proven
+// lower bound on every distance of the segment (nil = all zero, i.e.
+// off). A segment whose lower bound exceeds its query's bound is
+// aborted in place: no page is sensed, no plane task is queued, and the
+// pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
-// global to the scatter, so every topology skips the same segments.
-func (e *Engine) batchScan(ctx context.Context, db *Database, region ssd.Region, packed [][]byte, segs [][]scanSeg, filter bool, metaTag *uint8, bounds []int) ([]queryScan, error) {
+// global to a scatter, so every topology skips the same segments.
+func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
+	}
+	region, filter := db.rec.Embeddings, e.Opts.DistanceFilter
+	if coarse {
+		region, filter, metaTag = db.rec.Centroids, false, nil
 	}
 	planes := e.SSD.Cfg.Geo.Planes()
 	e.pool.resetArenas()
@@ -123,56 +100,39 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, region ssd.Region,
 	for p := range planeWork {
 		planeWork[p] = planeWork[p][:0]
 	}
-	grid := make([][][]planeScan, len(packed)) // [query][segment][span]
-	out := make([]queryScan, len(packed))
-	// aborts[qi][si] records a segment skipped whole under the pruning
-	// bound: the pages (sum over planes) and waves (max on one plane)
-	// the abort saved. Only the pruned paths pay for it — the unpruned
-	// scan phase stays allocation-free in steady state.
-	var aborts [][]segPrune
-	if bounds != nil {
-		aborts = make([][]segPrune, len(packed))
-	}
+	out := &e.scr.out
+	out.segs, out.off, out.scans = out.segs[:0], out.off[:0], out.scans[:0]
+	out.ibc = resizeInts(out.ibc, len(packed))
 	for qi := range packed {
-		grid[qi] = make([][]planeScan, len(segs[qi]))
+		out.off = append(out.off, len(out.segs))
 		bound := 0
 		if bounds != nil {
-			aborts[qi] = make([]segPrune, len(segs[qi]))
 			bound = bounds[qi]
 		}
 		for si, sg := range segs[qi] {
-			if sg.pin != nil {
-				// Pinned segment: served from the DRAM copy at fold
-				// time — no plane task, no IBC, no page sensed.
-				continue
-			}
-			if sg.last < sg.first {
-				// Empty sentinel segment (a shard that owns no page of
-				// the global range): no work, zero stats.
-				continue
-			}
-			spans := region.AppendPlaneSpans(e.scr.spans[:0], planes, sg.first/db.embPerPage, sg.last/db.embPerPage)
-			e.scr.spans = spans
-			if bound > 0 && sg.lb > bound {
-				// Early-abort: even the segment's best possible distance
-				// cannot beat the query's current top-k threshold. Count
-				// the pages each plane would have sensed.
-				pruned, maxPlane := 0, 0
-				for _, v := range spans {
-					pruned += v.Count
-					if v.Count > maxPlane {
-						maxPlane = v.Count
+			seg := segScan{lo: len(out.scans)}
+			if sg.Last >= sg.First {
+				spans := region.AppendPlaneSpans(e.scr.spans[:0], planes, sg.First/db.embPerPage, sg.Last/db.embPerPage)
+				e.scr.spans = spans
+				if bound > 0 && lbs != nil && lbs[qi][si] > bound {
+					// Early-abort: even the segment's best possible distance
+					// cannot beat the query's current top-k threshold. Count
+					// the pages each plane would have sensed.
+					for _, v := range spans {
+						seg.prunedPages += v.Count
+						seg.abortedWaves = max(seg.abortedWaves, v.Count)
+					}
+				} else {
+					for _, v := range spans {
+						planeWork[v.Plane] = append(planeWork[v.Plane], batchItem{
+							qi: qi, slot: len(out.scans), span: v, first: sg.First, last: sg.Last, bound: bound,
+						})
+						out.scans = append(out.scans, planeScan{})
 					}
 				}
-				aborts[qi][si] = segPrune{pages: pruned, waves: maxPlane}
-				continue
 			}
-			grid[qi][si] = make([]planeScan, len(spans))
-			for vi, v := range spans {
-				planeWork[v.Plane] = append(planeWork[v.Plane], batchItem{
-					qi: qi, si: si, vi: vi, span: v, first: sg.first, last: sg.last, bound: bound,
-				})
-			}
+			seg.hi = len(out.scans)
+			out.segs = append(out.segs, seg)
 		}
 	}
 	// A plane issues one IBC per run of same-query items in its work
@@ -183,13 +143,14 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, region ssd.Region,
 		prev := -1
 		for _, it := range planeWork[p] {
 			if it.qi != prev {
-				out[it.qi].ibcPlanes++
+				out.ibc[it.qi]++
 				prev = it.qi
 			}
 		}
 	}
 
 	tasks := e.scr.tasks[:0]
+	scans := out.scans
 	run := func(sc *workerScratch, plane, _ int) error {
 		curQ := -1
 		for _, it := range planeWork[plane] {
@@ -208,7 +169,7 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, region ssd.Region,
 			if err != nil {
 				return err
 			}
-			grid[it.qi][it.si][it.vi] = ps
+			scans[it.slot] = ps
 		}
 		return nil
 	}
@@ -219,44 +180,44 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, region ssd.Region,
 		tasks = append(tasks, planeTask{plane: p, run: run})
 	}
 	if err := e.runTasks(tasks); err != nil {
-		return nil, err
+		return err
 	}
-
-	for qi := range packed {
-		out[qi].segs = make([]segScan, len(grid[qi]))
-		for si, scans := range grid[qi] {
-			s := &out[qi].segs[si]
-			if sg := segs[qi][si]; sg.pin != nil {
-				bound := 0
-				if bounds != nil {
-					bound = bounds[qi]
-				}
-				s.pinned = true
-				s.cached, s.cachedPages, s.cachedSlots = db.cache.scanPinned(
-					sg.pin, packed[qi], db.cachedParams(filter, metaTag, bound), nil)
-				continue
-			}
-			s.scans = scans
-			var acc QueryStats
-			s.waves, s.pages = mergeScanStats(scans, &acc)
-			s.scanned, s.survivors, s.ttlBytes = acc.EntriesScanned, acc.Survivors, acc.TTLBytes
-			s.prunedSlots = acc.PrunedSlots
-			if aborts != nil {
-				s.prunedPages = aborts[qi][si].pages
-				s.abortedWaves = aborts[qi][si].waves
-			}
+	for i := range out.segs {
+		s := &out.segs[i]
+		for _, ps := range scans[s.lo:s.hi] {
+			s.waves = max(s.waves, ps.pages)
+			s.pages += ps.pages
+			s.scanned += ps.scanned
+			s.survivors += ps.survivors
+			s.prunedSlots += ps.pruned
+			s.ttlBytes += ps.ttlBytes
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// packBatch validates the batch and binary-quantizes every query into
-// the pooled per-batch encoding arena (one backing buffer, one slot
-// per query).
-func (e *Engine) packBatch(db *Database, queries [][]float32, k int) ([][]byte, error) {
-	if len(queries) == 0 {
-		return nil, fmt.Errorf("reis: empty query batch")
+// addTo accumulates the segment's event counts into st, as coarse- or
+// fine-phase work. Waves sum segment by segment: segments of one query
+// run one after another on the planes.
+func (s *segScan) addTo(st *QueryStats, coarse bool) {
+	if coarse {
+		st.CoarseWaves += s.waves
+		st.CoarsePages += s.pages
+	} else {
+		st.FineWaves += s.waves
+		st.FinePages += s.pages
 	}
+	st.EntriesScanned += s.scanned
+	st.Survivors += s.survivors
+	st.PrunedSlots += s.prunedSlots
+	st.PrunedPages += s.prunedPages
+	st.AbortedWaves += s.abortedWaves
+	st.TTLBytes += s.ttlBytes
+}
+
+// packBatch binary-quantizes every query into the pooled per-batch
+// encoding arena (one backing buffer, one slot per query).
+func (e *Engine) packBatch(db *Database, queries [][]float32) [][]byte {
 	slot := db.slotBytes
 	need := len(queries) * slot
 	if cap(e.scr.packedBuf) < need {
@@ -265,211 +226,112 @@ func (e *Engine) packBatch(db *Database, queries [][]float32, k int) ([][]byte, 
 	buf := e.scr.packedBuf[:need]
 	packed := e.scr.packed[:0]
 	for i, q := range queries {
-		if err := db.checkQuery(q, k); err != nil {
-			return nil, err
-		}
 		e.scr.qbits = vecmath.BinaryQuantize(q, e.scr.qbits)
 		packed = append(packed, vecmath.PackBinaryBytes(e.scr.qbits, buf[i*slot:i*slot:(i+1)*slot]))
 	}
 	e.scr.packed = packed
-	return packed, nil
+	return packed
+}
+
+// localBackend is the controller's scan backend over the engine's own
+// planes: rounds run through batchScan, segments fold straight out of
+// the worker arenas, the tail reads the engine's own regions.
+type localBackend struct {
+	e      *Engine
+	db     *Database
+	packed [][]byte // the command's query encodings, packed at its first round
+}
+
+func (b *localBackend) shardRows(int) [][]QueryStats { return nil }
+
+// fetchPin reads a binary-region page for the hot-cluster cache. The
+// SLC-ESP partition has zero raw bit-error rate, so the pinned copy is
+// bit-identical to what the sensing latch would hold, and the read
+// consumes no error-injection randomness.
+func (b *localBackend) fetchPin(page int) ([]byte, []byte, error) {
+	addr, err := b.db.rec.Embeddings.AddressOf(b.e.SSD.Cfg.Geo, page)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.e.SSD.Dev.ReadPageInto(addr, nil, nil)
+}
+
+func (b *localBackend) scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, _ [][]QueryStats) error {
+	if b.packed == nil {
+		b.packed = b.e.packBatch(b.db, queries)
+	}
+	return b.e.batchScan(ctx, b.db, b.packed, coarse, segs, lbs, bounds, metaTag)
+}
+
+func (b *localBackend) ibc(qi int) int { return b.e.scr.out.ibc[qi] }
+
+func (b *localBackend) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
+	seg := b.e.scr.out.seg(qi, si)
+	seg.addTo(st, coarse)
+	return b.e.appendMergeByPos(dst, b.e.scr.out.scans[seg.lo:seg.hi])
+}
+
+func (b *localBackend) finish(query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+	e, db := b.e, b.db
+	e.scr.src = engineTailSource{e: e, db: db}
+	return runTail(&e.scr.src, &e.scr.tail, db.tailParams(e.SSD.Cfg.Geo.Planes()), query, entries, k, opt, st)
+}
+
+// search runs one command's queries — its own Q operand or a coalesced
+// group's concatenation — through the controller over the engine's own
+// planes (the searcher entry; execSearchGroup is the cached form).
+func (e *Engine) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+	e.execMu.Lock()
+	defer e.execMu.Unlock()
+	db, err := e.db(cmd.DBID)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	e.scr.local = localBackend{e: e, db: db}
+	c := controller{
+		b: &e.scr.local, scr: &e.scr.ctrl,
+		id: db.ID, dim: db.Dim, calib: db.calib, cache: db.cache, mut: db.mut,
+		flat: db.flatSegs(), nlist: len(db.rivf), planes: e.SSD.Cfg.Geo.Planes(),
+		pin: cachedScanParams{
+			slotBytes: db.slotBytes, embPerPage: db.embPerPage,
+			filter: e.Opts.DistanceFilter, threshold: db.filterThreshold,
+		},
+	}
+	return c.search(ctx, cmd, queries, useCache)
+}
+
+// Search implements the Search() API command (Table 1): brute-force
+// in-storage scan of the whole binary region, rerank, and document
+// retrieval. Like the three methods below it is a one-command wrapper
+// over the controller that bypasses the result cache.
+func (e *Engine) Search(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
+	return searchOne(e, OpcodeSearch, dbID, query, k, opt)
+}
+
+// IVFSearch implements the IVF_Search() API command (Table 1): coarse
+// centroid search, fine scan of the NProbe nearest clusters, rerank,
+// and document retrieval.
+func (e *Engine) IVFSearch(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
+	return searchOne(e, OpcodeIVFSearch, dbID, query, k, opt)
 }
 
 // SearchBatch implements the batched Q operand of the Search() API
-// command (Table 1): it admits a slice of queries and schedules their
-// brute-force scans concurrently across planes. Results[i] and
-// Stats[i] are bit-identical to what Search(dbID, queries[i], k, opt)
-// returns for the scan, rerank and document stages; only the IBC
-// broadcast count differs (the batch broadcasts a query only to planes
-// that scan it).
+// command (Table 1): the queries' brute-force scans are scheduled
+// concurrently across planes. Results[i] and Stats[i] are bit-identical
+// to what Search(dbID, queries[i], k, opt) returns — every QueryStats
+// field, IBCBroadcasts included: a plane broadcasts a query once if and
+// only if it scans it, whatever else rides in the batch.
 func (e *Engine) SearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(dbID)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.searchBatch(context.Background(), db, queries, k, opt)
-}
-
-// searchBatch is SearchBatch inside the execution core: the caller
-// holds execMu and has resolved the database; ctx carries the queue's
-// per-command cancellation (Background on the synchronous path).
-func (e *Engine) searchBatch(ctx context.Context, db *Database, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	packed, err := e.packBatch(db, queries, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opt.Prune {
-		return e.searchBatchPruned(ctx, db, queries, packed, k, opt)
-	}
-	segs := make([][]scanSeg, len(queries))
-	whole := e.scr.flatSegs[:0]
-	for _, r := range db.flatSegs() {
-		whole = append(whole, scanSeg{first: r.First, last: r.Last})
-	}
-	e.scr.flatSegs = whole
-	for i := range segs {
-		segs[i] = whole
-	}
-	scans, err := e.batchScan(ctx, db, db.rec.Embeddings, packed, segs, e.Opts.DistanceFilter, opt.MetaTag, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	results := make([][]DocResult, len(queries))
-	sts := make([]QueryStats, len(queries))
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		st := &sts[qi]
-		st.IBCBroadcasts += scans[qi].ibcPlanes
-		entries := e.foldSegs(scans[qi].segs, st)
-		res, err := e.finish(db, queries[qi], entries, k, opt, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[qi] = res
-	}
-	return results, sts, nil
+	return searchMany(e, OpcodeSearch, dbID, queries, k, opt)
 }
 
 // IVFSearchBatch implements the batched Q operand of IVF_Search(): a
-// coarse centroid phase for the whole batch, a controller-side cluster
-// selection per query, then a fine phase scanning every query's probed
-// clusters, all scheduled through the per-die worker pool. Results are
-// bit-identical to per-query IVFSearch calls.
+// coarse centroid round for the whole batch, a controller-side cluster
+// selection per query, then the fine round(s) over every query's probed
+// clusters. Results are bit-identical to per-query IVFSearch calls, and
+// so are the stats on an uncached database (the hot-cluster pins refresh
+// once per command, so a cached batch may serve from DRAM pages that
+// one-query commands sense from flash, and vice versa).
 func (e *Engine) IVFSearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(dbID)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.ivfSearchBatch(context.Background(), db, queries, k, opt)
-}
-
-// ivfSearchBatch is IVFSearchBatch inside the execution core (caller
-// holds execMu).
-func (e *Engine) ivfSearchBatch(ctx context.Context, db *Database, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	packed, err := e.packBatch(db, queries, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.ivfSearchBatchPacked(ctx, db, queries, packed, k, opt)
-}
-
-// ivfSearchBatchPacked is ivfSearchBatch after validation and query
-// encoding; CalibrateNProbe calls it directly so the packed encodings
-// are reused across sweep rounds instead of rebuilt per round.
-func (e *Engine) ivfSearchBatchPacked(ctx context.Context, db *Database, queries [][]float32, packed [][]byte, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	if db.rivf == nil {
-		return nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.ID)
-	}
-	nlist := len(db.rivf)
-	if opt.Prune {
-		return e.ivfSearchBatchPruned(ctx, db, queries, packed, k, opt)
-	}
-	if err := e.refreshCache(db); err != nil {
-		return nil, nil, err
-	}
-	nprobe := opt.NProbe
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-
-	// Coarse phase: every query ranks the whole centroid region.
-	// Distance filtering does not apply to the coarse scan (TTL-C must
-	// rank every centroid, Sec 4.3.1).
-	coarseSegs := make([][]scanSeg, len(queries))
-	wholeCent := []scanSeg{{first: 0, last: nlist - 1}}
-	for i := range coarseSegs {
-		coarseSegs[i] = wholeCent
-	}
-	coarse, err := e.batchScan(ctx, db, db.rec.Centroids, packed, coarseSegs, false, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Controller phase: per query, select the nprobe nearest clusters
-	// and derive the fine-scan segments. The merged centroid list
-	// lives in the pooled coarse buffer and is consumed before the
-	// next query's merge overwrites it.
-	sts := make([]QueryStats, len(queries))
-	fineSegs := make([][]scanSeg, len(queries))
-	for qi := range queries {
-		st := &sts[qi]
-		st.IBCBroadcasts += coarse[qi].ibcPlanes
-		seg := &coarse[qi].segs[0]
-		st.CoarseWaves = seg.waves
-		st.CoarsePages = seg.pages
-		st.EntriesScanned += seg.scanned
-		st.Survivors += seg.survivors
-		st.TTLBytes += seg.ttlBytes
-		cents := e.appendMergeByPos(e.scr.cents[:0], seg.scans)
-		e.scr.cents = cents
-		st.CoarseEntries = len(cents)
-		st.SelectInput += len(cents)
-		slices.SortFunc(cents, cmpTTLDistPos)
-		np := nprobe
-		if np > len(cents) {
-			np = len(cents)
-		}
-		for _, c := range cents[:np] {
-			db.cache.probe(c.Pos)
-			pc := db.cache.pinnedFor(c.Pos)
-			for ri, r := range db.clusterSegs(c.Pos) {
-				sg := scanSeg{first: r.First, last: r.Last}
-				if pc != nil {
-					sg.pin = &pc.ranges[ri]
-				}
-				fineSegs[qi] = append(fineSegs[qi], sg)
-			}
-		}
-	}
-
-	// Fine phase: scan every query's probed clusters. (This resets the
-	// worker arenas; the coarse windows were merged out above.)
-	fine, err := e.batchScan(ctx, db, db.rec.Embeddings, packed, fineSegs, e.Opts.DistanceFilter, opt.MetaTag, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	results := make([][]DocResult, len(queries))
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		st := &sts[qi]
-		st.IBCBroadcasts += fine[qi].ibcPlanes
-		entries := e.foldSegs(fine[qi].segs, st)
-		res, err := e.finish(db, queries[qi], entries, k, opt, st)
-		if err != nil {
-			return nil, nil, err
-		}
-		results[qi] = res
-	}
-	return results, sts, nil
-}
-
-// foldSegs accumulates a query's fine-phase segment outcomes into st
-// (mirroring the sequential per-cluster loop, which sums waves and
-// pages segment by segment) and merges each segment's arena windows
-// into the pooled entry buffer in segment order.
-func (e *Engine) foldSegs(segs []segScan, st *QueryStats) []TTLEntry {
-	entries := e.scr.entries[:0]
-	for i := range segs {
-		foldSegStats(&segs[i], st)
-		if segs[i].pinned {
-			entries = append(entries, segs[i].cached...)
-		} else {
-			entries = e.appendMergeByPos(entries, segs[i].scans)
-		}
-	}
-	e.scr.entries = entries
-	return entries
+	return searchMany(e, OpcodeIVFSearch, dbID, queries, k, opt)
 }

@@ -53,9 +53,9 @@ const (
 )
 
 // pinFetch reads one binary-region page (by global page number) into
-// freshly owned buffers. The engine reads its own region; the shard
-// router reads the owning shard's local page, which holds byte-
-// identical content (see deployShard).
+// freshly owned buffers — scanBackend.fetchPin. The engine reads its
+// own region; the shard router reads the owning shard's local page,
+// which holds byte-identical content (see deployShard).
 type pinFetch func(page int) (data, oob []byte, err error)
 
 // pinnedRange is the DRAM copy of one posting-list slot range.
@@ -226,8 +226,9 @@ func fillRange(first, last, embPerPage int, fetch pinFetch) (pinnedRange, error)
 	return pr, nil
 }
 
-// cachedScanParams carries the per-query predicates of a pinned scan —
-// the same predicates, in the same order, the in-plane scan applies.
+// cachedScanParams carries the layout constants and per-query
+// predicates of a pinned scan — the same predicates, in the same order,
+// the in-plane scan applies. The controller fills it.
 type cachedScanParams struct {
 	slotBytes  int
 	embPerPage int
@@ -427,73 +428,6 @@ func copyResults(res []DocResult) []DocResult {
 		}
 	}
 	return cp
-}
-
-// refreshCache runs the per-command pin refresh for a whole-layout IVF
-// database, reading binary-region pages from the engine's own device.
-// The SLC-ESP partition has zero raw bit-error rate, so the pinned copy
-// is bit-identical to what the sensing latch would hold, and the read
-// consumes no error-injection randomness.
-func (e *Engine) refreshCache(db *Database) error {
-	if db.cache == nil || db.mut == nil {
-		return nil
-	}
-	geo := e.SSD.Cfg.Geo
-	fetch := func(page int) ([]byte, []byte, error) {
-		addr, err := db.rec.Embeddings.AddressOf(geo, page)
-		if err != nil {
-			return nil, nil, err
-		}
-		return e.SSD.Dev.ReadPageInto(addr, nil, nil)
-	}
-	return db.cache.refresh(db.clusterSegs, db.embPerPage, fetch)
-}
-
-// cachedParams bundles a query's pinned-scan predicates.
-func (db *Database) cachedParams(filter bool, metaTag *uint8, bound int) cachedScanParams {
-	return cachedScanParams{
-		slotBytes:  db.slotBytes,
-		embPerPage: db.embPerPage,
-		filter:     filter,
-		threshold:  db.filterThreshold,
-		metaTag:    metaTag,
-		bound:      bound,
-	}
-}
-
-// refreshCache is the router-side pin refresh: global binary-region
-// pages are fetched from the shard that owns them (global page g lives
-// on shard g mod N as local page g / N), whose stripe holds content
-// byte-identical to the reference device's page — so the pinned copies,
-// and every scan over them, match the single-device cache exactly.
-func (sh *ShardedEngine) refreshCache(db *ShardedDatabase) error {
-	if db.cache == nil || db.mut == nil {
-		return nil
-	}
-	n := len(sh.shards)
-	fetch := func(page int) ([]byte, []byte, error) {
-		owner, local := page%n, page/n
-		dev := sh.shards[owner]
-		addr, err := db.locals[owner].rec.Embeddings.AddressOf(dev.e.SSD.Cfg.Geo, local)
-		if err != nil {
-			return nil, nil, err
-		}
-		return dev.e.SSD.Dev.ReadPageInto(addr, nil, nil)
-	}
-	return db.cache.refresh(func(c int) []SlotRange { return db.mut.buckets[c] }, db.lay.embPerPage, fetch)
-}
-
-// cachedParams bundles a query's pinned-scan predicates (router side —
-// the same layout values the single device reads from its Database).
-func (db *ShardedDatabase) cachedParams(filter bool, metaTag *uint8, bound int) cachedScanParams {
-	return cachedScanParams{
-		slotBytes:  db.lay.slotBytes,
-		embPerPage: db.lay.embPerPage,
-		filter:     filter,
-		threshold:  db.lay.filterThreshold,
-		metaTag:    metaTag,
-		bound:      bound,
-	}
 }
 
 func resultBytes(key string, res []DocResult) int64 {

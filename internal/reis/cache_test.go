@@ -167,10 +167,11 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestCachedSeqMatchesBatch checks the sequential IVFSearch entry point
-// (which refreshes and scans pins per query) against the batch path on
-// one cached engine: same pins, same results. Both bypass the result
-// cache (direct API), so the comparison isolates the hot-cluster tier.
+// TestCachedSeqMatchesBatch checks one-query IVFSearch commands (each
+// refreshes the pins and scans them itself) against whole batches (one
+// refresh per batch) on cached engines: the pin sets differ, the
+// results must not. Both bypass the result cache (direct API), so the
+// comparison isolates the hot-cluster tier.
 func TestCachedSeqMatchesBatch(t *testing.T) {
 	seq, err := New(cachedRefCfg(1, cacheSmallBudget), 64<<20, AllOptions())
 	if err != nil {

@@ -1,0 +1,420 @@
+package reis
+
+import (
+	"context"
+	"fmt"
+	"slices"
+
+	"reis/internal/vecmath"
+)
+
+// This file is the one search orchestration of the package: the paper's
+// query pipeline (Sec 4.3 — IBC broadcast → coarse TTL-C scan → cluster
+// selection → fine TTL-E scan → rerank → documents) driven as a
+// sequence of scan rounds by a controller that plans every round from
+// global state only. Every search variant is a case of it:
+//
+//   - flat is IVF without the coarse phase and with one segment list
+//     (the live scan plan) shared by every query;
+//   - unpruned is a single fine round whose bounds stay zero;
+//     SearchOptions.Prune splits the same work into geometric rounds
+//     (chunkFlatRounds / probeWindow) and tightens a per-query bound
+//     between them (see prune.go for the proof that results do not
+//     change);
+//   - a single device and a shard router differ only in the scanBackend
+//     that executes a round — local plane tasks, or an OpcodeScan
+//     scatter — and the controller never asks which one it has;
+//   - pinned clusters are scanned here, from the DRAM copies, in
+//     segment order, so a backend never sees them;
+//   - Submit, queue pairs and the direct Search* methods all enter
+//     through search; they differ only in whether the result cache
+//     wraps the run.
+//
+// Because rounds, bounds, lower bounds and the pin set are computed
+// once, from values that do not depend on the topology, the merged
+// entry stream — and with it results and aggregated QueryStats — is
+// bit-identical across backends by construction.
+
+// scanBackend executes the controller's scan rounds on one topology. It
+// hides coordinate translation, the per-plane or per-shard merge, and
+// the per-shard stats rows; positions it hands back are region-global.
+type scanBackend interface {
+	// shardRows allocates a command's [shard][query] PerShard rows (nil
+	// on a single device, which has no shards).
+	shardRows(nq int) [][]QueryStats
+	// fetchPin reads one binary-region page, by global page number, into
+	// freshly owned buffers — the hot-cluster cache's fill path.
+	fetchPin(page int) (data, oob []byte, err error)
+	// scan runs one round: segs[qi] are the slot ranges query qi scans in
+	// the centroid (coarse) or binary region, lbs mirrors segs with each
+	// segment's proven distance lower bound (nil = none), and bounds[qi]
+	// is the query's pruning threshold (0 = off). Each shard's share of
+	// the round's events is added to rows.
+	scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error
+	// ibc is query qi's broadcast count in the last round.
+	ibc(qi int) int
+	// fold adds segment (qi, si) of the last round to st and appends its
+	// surviving entries, ascending by position, to dst.
+	fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry
+	// finish runs the shared controller tail (runTail) over the topology's
+	// page source.
+	finish(query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error)
+}
+
+// controller is one search command's view of its database: the backend
+// that scans, the pooled scratch (owned by the execMu holder), and the
+// global state rounds are planned from — identical on a device and on
+// the router of its shards.
+type controller struct {
+	b   scanBackend
+	scr *ctrlScratch
+
+	id, dim int
+	calib   []recallPoint
+	cache   *dbCache
+	mut     *mutState   // posting lists and covering radii; nil on a shard slice
+	flat    []SlotRange // brute-force scan plan
+	nlist   int
+	planes  int // global plane count
+	// pin carries the layout constants and the distance-filter predicate
+	// of pinned scans; metaTag and bound are set per scan.
+	pin cachedScanParams
+}
+
+// ctrlScratch is the controller's pooled working state, embedded in
+// engineScratch and routerScratch. Per-query slices are indexed by the
+// query's position in the running batch and keep their buffers across
+// commands.
+type ctrlScratch struct {
+	accs     [][]TTLEntry // entries of the rounds before a query's last
+	entries  []TTLEntry   // the query's whole stream, handed to the tail
+	trackers []boundTracker
+	bounds   []int
+	sel      [][]prunedCluster // selected clusters in coarse rank order
+	cents    []TTLEntry
+	// The current round: segs[qi] is what the backend scans (a view of
+	// segBuf[qi], or of the shared flat plan), lbs[qi] its lower bounds,
+	// and pins[qi] — filled on cached databases only — the round's
+	// segments in order, nil standing for the next backend segment.
+	segs   [][]SlotRange
+	segBuf [][]SlotRange
+	lbs    [][]int
+	pins   [][]*pinnedRange
+	cent   [1]SlotRange
+	// Packed encodings of the queries that hit a pinned segment.
+	qbits     []uint64
+	packedBuf []byte
+	packed    [][]byte
+}
+
+// growTo resizes s to n elements, keeping the existing ones (and the
+// buffers they own).
+func growTo[T any](s []T, n int) []T {
+	if cap(s) < n {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// reset sizes the per-query state for a batch of nq queries whose
+// trackers hold pool distances (0 = pruning off: bound() stays 0).
+func (s *ctrlScratch) reset(nq, pool int) {
+	s.accs = growTo(s.accs, nq)
+	s.trackers = growTo(s.trackers, nq)
+	s.bounds = growTo(s.bounds, nq)
+	s.sel = growTo(s.sel, nq)
+	s.segs = growTo(s.segs, nq)
+	s.segBuf = growTo(s.segBuf, nq)
+	s.lbs = growTo(s.lbs, nq)
+	s.pins = growTo(s.pins, nq)
+	s.packed = growTo(s.packed, nq)
+	for qi := 0; qi < nq; qi++ {
+		s.accs[qi] = s.accs[qi][:0]
+		s.trackers[qi] = boundTracker{capacity: pool, heap: s.trackers[qi].heap[:0]}
+		s.bounds[qi] = 0
+		s.pins[qi] = s.pins[qi][:0]
+		s.packed[qi] = nil
+	}
+}
+
+// searcher is the entry both hosts expose to the wrappers below.
+type searcher interface {
+	search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error)
+}
+
+// searchOne and searchMany back the exported Search / IVFSearch /
+// SearchBatch / IVFSearchBatch methods of both hosts: one command
+// through the controller, bypassing the result cache (the hot-cluster
+// pins still apply).
+func searchOne(h searcher, op uint8, dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
+	results, sts, err := searchMany(h, op, dbID, [][]float32{query}, k, opt)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return results[0], sts[0], nil
+}
+
+func searchMany(h searcher, op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
+	results, sts, _, err := h.search(context.Background(),
+		&HostCommand{Opcode: op, DBID: dbID, K: k, Opt: opt}, queries, false)
+	return results, sts, err
+}
+
+// execSearch serves one search command on either host (the search case
+// of execCmd).
+func execSearch(h host, ctx context.Context, cmd *HostCommand) (HostResponse, error) {
+	results, sts, perShard, err := h.execSearchGroup(ctx, cmd, cmd.Queries)
+	if err != nil {
+		return HostResponse{}, err
+	}
+	resp := HostResponse{Done: true, Results: results, QueryStats: sts, PerShard: perShard}
+	for _, st := range sts {
+		resp.Stats.Add(st)
+	}
+	return resp, nil
+}
+
+// search resolves and validates one command's queries — its own Q
+// operand, or a coalesced group's concatenation — and runs them,
+// wrapped in the result cache when useCache is set (host commands; the
+// direct API methods and calibration bypass it). Hits are served as
+// deep copies at controller cost (QueryStats records only
+// ResultCacheHits, the per-shard rows stay zero); the miss subset runs
+// as one batch, so its per-query stats are bit-identical to an uncached
+// run, and is then inserted. Every lookup precedes every insert, so
+// intra-batch duplicates all miss and hit patterns do not depend on
+// batch order.
+func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+	opt, err := resolveSearchOptions(c.calib, c.id, cmd)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	if len(queries) == 0 {
+		return nil, nil, nil, fmt.Errorf("reis: empty query batch")
+	}
+	for _, q := range queries {
+		if err := checkQueryAgainst(c.dim, c.id, q, cmd.K); err != nil {
+			return nil, nil, nil, err
+		}
+	}
+	if cmd.Opcode == OpcodeIVFSearch && c.nlist == 0 {
+		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", c.id)
+	}
+	if !useCache || c.cache == nil || c.cache.resBudget <= 0 {
+		return c.run(ctx, cmd.Opcode, queries, cmd.K, opt)
+	}
+	nq := len(queries)
+	results := make([][]DocResult, nq)
+	sts := make([]QueryStats, nq)
+	keys := make([]string, nq)
+	var missIdx []int
+	var missQ [][]float32
+	for i, q := range queries {
+		keys[i] = resultKey(cmd.Opcode, cmd.K, opt, q)
+		if r, ok := c.cache.lookupResult(keys[i]); ok {
+			results[i] = r
+			sts[i] = QueryStats{ResultCacheHits: 1}
+			continue
+		}
+		missIdx = append(missIdx, i)
+		missQ = append(missQ, q)
+	}
+	rows := c.b.shardRows(nq)
+	if len(missIdx) > 0 {
+		mres, msts, mrows, err := c.run(ctx, cmd.Opcode, missQ, cmd.K, opt)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		for j, i := range missIdx {
+			results[i] = mres[j]
+			sts[i] = msts[j]
+			c.cache.storeResult(keys[i], mres[j])
+			for s := range rows {
+				rows[s][i] = mrows[s][j]
+			}
+		}
+	}
+	return results, sts, rows, nil
+}
+
+// run drives one validated batch through the pipeline: plan a round,
+// have the backend scan it, fold each query's segments — pinned ones
+// from DRAM — into its accumulator, tighten its bound, repeat; the
+// tail of a query runs as its last round is folded. ctx is polled
+// before every round and every tail.
+func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+	nq := len(queries)
+	s := c.scr
+	pool := 0
+	if opt.Prune {
+		pool = rerankPool(k)
+	}
+	s.reset(nq, pool)
+	sts := make([]QueryStats, nq)
+	rows := c.b.shardRows(nq)
+	var tomb []uint64
+	if c.mut != nil && c.mut.deadCount > 0 {
+		tomb = c.mut.tomb
+	}
+
+	// flatRounds is the brute-force round list (a compacted-away plan is
+	// one round of nothing); an IVF search's rounds are rank windows over
+	// each query's selection, maxSel being the longest.
+	var flatRounds [][]SlotRange
+	maxSel := 0
+	if op == OpcodeSearch {
+		flatRounds = [][]SlotRange{c.flat}
+		if opt.Prune && len(c.flat) > 0 {
+			flatRounds = chunkFlatRounds(c.flat, c.pin.embPerPage, c.planes)
+		}
+	} else {
+		// Pins refresh once per IVF command, before any probe of it counts.
+		err := c.cache.refresh(func(cl int) []SlotRange { return c.mut.buckets[cl] }, c.pin.embPerPage, c.b.fetchPin)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		// Coarse round: every query ranks the whole centroid region. No
+		// bound applies — TTL-C must rank every centroid (Sec 4.3.1).
+		s.cent[0] = SlotRange{First: 0, Last: c.nlist - 1}
+		for qi := range queries {
+			s.segs[qi] = s.cent[:]
+		}
+		if err := c.b.scan(ctx, queries, true, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
+			return nil, nil, nil, err
+		}
+		nprobe := min(max(opt.NProbe, 1), c.nlist)
+		for qi := range queries {
+			st := &sts[qi]
+			st.IBCBroadcasts += c.b.ibc(qi)
+			cents := c.b.fold(qi, 0, true, st, s.cents[:0])
+			s.cents = cents
+			st.CoarseEntries = len(cents)
+			st.SelectInput += len(cents)
+			slices.SortFunc(cents, cmpTTLDistPos)
+			sel := s.sel[qi][:0]
+			for _, cn := range cents[:min(nprobe, len(cents))] {
+				c.cache.probe(cn.Pos)
+				sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, c.mut.radius[cn.Pos])})
+			}
+			s.sel[qi] = sel
+			maxSel = max(maxSel, len(sel))
+		}
+	}
+
+	results := make([][]DocResult, nq)
+	for r, last := 0, false; !last; r++ {
+		if err := ctx.Err(); err != nil {
+			return nil, nil, nil, err
+		}
+		// Plan round r.
+		var lbs [][]int
+		if op == OpcodeSearch {
+			for qi := range queries {
+				s.segs[qi] = flatRounds[r]
+			}
+			last = r == len(flatRounds)-1
+		} else {
+			// Unpruned: one window over every selected cluster. Pruned:
+			// rank windows 1, 1, 2, 4, ... — the nearest cluster alone
+			// seeds the bound before wider windows scan under it.
+			start, size := 0, maxSel
+			last = true
+			if opt.Prune {
+				start, size = probeWindow(r)
+				next, _ := probeWindow(r + 1)
+				last = next >= maxSel
+			}
+			lbs = s.lbs
+			for qi := range queries {
+				segs, ql, pins := s.segBuf[qi][:0], s.lbs[qi][:0], s.pins[qi][:0]
+				sel := s.sel[qi]
+				for i := start; i < min(start+size, len(sel)); i++ {
+					pc := c.cache.pinnedFor(sel[i].cluster)
+					for ri, sr := range c.mut.buckets[sel[i].cluster] {
+						if pc != nil {
+							pins = append(pins, &pc.ranges[ri])
+							continue
+						}
+						if c.cache != nil {
+							pins = append(pins, nil)
+						}
+						segs = append(segs, sr)
+						ql = append(ql, sel[i].lb)
+					}
+				}
+				s.segBuf[qi], s.lbs[qi], s.pins[qi] = segs, ql, pins
+				s.segs[qi] = segs
+			}
+		}
+		for qi := range queries {
+			s.bounds[qi] = s.trackers[qi].bound()
+		}
+
+		if err := c.b.scan(ctx, queries, false, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
+			return nil, nil, nil, err
+		}
+		for qi := range queries {
+			st := &sts[qi]
+			st.IBCBroadcasts += c.b.ibc(qi)
+			// Earlier rounds wait in the query's accumulator; its final
+			// stream is assembled in the one shared buffer and consumed by
+			// the tail at once, so an unpruned batch holds one query's
+			// entries at a time, not the batch's.
+			acc := s.accs[qi]
+			if last {
+				acc = append(s.entries[:0], acc...)
+			}
+			mark := len(acc)
+			si := 0
+			for _, pr := range s.pins[qi] {
+				if pr == nil {
+					acc = c.b.fold(qi, si, false, st, acc)
+					si++
+					continue
+				}
+				// Pinned segment: the same kernel and predicates over the
+				// DRAM copy, under the round's bound. It is never
+				// lb-aborted — the pages are already resident.
+				p := c.pin
+				p.metaTag, p.bound = opt.MetaTag, s.bounds[qi]
+				var cp, cs int
+				acc, cp, cs = c.cache.scanPinned(pr, c.packedQuery(qi, queries), p, acc)
+				st.CachedPages += cp
+				st.CachedSlots += cs
+			}
+			for ; si < len(s.segs[qi]); si++ {
+				acc = c.b.fold(qi, si, false, st, acc)
+			}
+			if !last {
+				feedTracker(&s.trackers[qi], acc[mark:], tomb)
+				s.accs[qi] = acc
+				continue
+			}
+			s.entries = acc
+			if err := ctx.Err(); err != nil {
+				return nil, nil, nil, err
+			}
+			res, err := c.b.finish(queries[qi], acc, k, opt, st)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			results[qi] = res
+		}
+	}
+	return results, sts, rows, nil
+}
+
+// packedQuery returns query qi's packed binary encoding for a pinned
+// scan, quantizing it on first use.
+func (c *controller) packedQuery(qi int, queries [][]float32) []byte {
+	s := c.scr
+	if s.packed[qi] == nil {
+		slot := c.pin.slotBytes
+		if need := len(queries) * slot; cap(s.packedBuf) < need {
+			s.packedBuf = make([]byte, need)
+		}
+		s.qbits = vecmath.BinaryQuantize(queries[qi], s.qbits)
+		s.packed[qi] = vecmath.PackBinaryBytes(s.qbits, s.packedBuf[qi*slot:qi*slot:(qi+1)*slot])
+	}
+	return s.packed[qi]
+}

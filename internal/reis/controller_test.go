@@ -1,0 +1,146 @@
+package reis
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+)
+
+// scatterSlots sums the outstanding commands on a router's per-shard
+// scatter queues.
+func scatterSlots(sh *ShardedEngine) int {
+	n := 0
+	for _, d := range sh.shards {
+		n += d.q.Outstanding()
+	}
+	return n
+}
+
+// TestSearchCancelBetweenRounds cancels a pruned search's context at
+// every checkpoint it polls — the controller's own, between rounds and
+// before each tail, as well as the backend's — on each backend, and
+// asserts the run reports ctx.Err() without leaking a queue slot on any
+// shard. countdownCtx(p) cancels at the (p+1)-th poll, so sweeping p
+// until a run succeeds visits every checkpoint.
+func TestSearchCancelBetweenRounds(t *testing.T) {
+	type topo struct {
+		name  string
+		h     searcher
+		slots func() int
+	}
+	e, err := New(refCfg(1), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	deployBoth(t, e.Submit)
+	topos := []topo{{"device", e, func() int { return 0 }}}
+	for _, n := range []int{2, 4} {
+		sh := newSharded(t, n)
+		deployBoth(t, sh.Submit)
+		topos = append(topos, topo{fmt.Sprintf("shards=%d", n), sh, func() int { return scatterSlots(sh) }})
+	}
+	cmds := []HostCommand{
+		{Opcode: OpcodeSearch, DBID: 1, K: 2, Opt: SearchOptions{Prune: true}},
+		{Opcode: OpcodeIVFSearch, DBID: 2, K: 2, Opt: SearchOptions{Prune: true, NProbe: 8}},
+	}
+	queries := testData.Queries[:3]
+	for _, tp := range topos {
+		for _, cmd := range cmds {
+			want, _, _, err := tp.h.search(context.Background(), &cmd, queries, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			aborted := 0
+			for p := 0; ; p++ {
+				if p > 1<<14 {
+					t.Fatalf("%s op %#x: still cancelled after %d polls", tp.name, cmd.Opcode, p)
+				}
+				ctx := &countdownCtx{Context: context.Background(), polls: p}
+				got, _, _, err := tp.h.search(ctx, &cmd, queries, false)
+				if n := tp.slots(); n != 0 {
+					t.Fatalf("%s op %#x polls=%d: %d scatter-queue slots leaked", tp.name, cmd.Opcode, p, n)
+				}
+				if err == nil {
+					assertSameResults(t, "after aborts", want, got)
+					break
+				}
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("%s op %#x polls=%d: got %v, want ctx.Err()", tp.name, cmd.Opcode, p, err)
+				}
+				aborted++
+			}
+			// Several rounds, each with its own checkpoint, must have been
+			// cut — a one-poll run would not exercise the round loop.
+			if aborted < 4 {
+				t.Fatalf("%s op %#x: only %d cancellation points", tp.name, cmd.Opcode, aborted)
+			}
+		}
+	}
+}
+
+// TestPrunedSearchEmptyPlan searches a flat database whose every entry
+// was deleted and compacted away: the pruned round list is empty, no
+// scan runs, and the response still has its shape — [shard][query]
+// PerShard rows on a router, nil on a device.
+func TestPrunedSearchEmptyPlan(t *testing.T) {
+	c := newMutCorpus()
+	ids := make([]int, len(c.base))
+	for i := range ids {
+		ids[i] = i
+	}
+	search := HostCommand{
+		Opcode: OpcodeSearch, DBID: 1, K: 5, Queries: testData.Queries[:3],
+		Opt: SearchOptions{Prune: true},
+	}
+	empty := func(t *testing.T, h submitter) HostResponse {
+		t.Helper()
+		for _, cmd := range []HostCommand{
+			{Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{ID: 1, Vectors: c.base, Docs: c.baseDocs, DocSlotBytes: 256}},
+			{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: ids}},
+			{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 1}},
+		} {
+			if _, err := h.Submit(cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		resp, err := h.Submit(search)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, res := range resp.Results {
+			if len(res) != 0 || resp.QueryStats[qi] != (QueryStats{}) {
+				t.Fatalf("query %d of an empty database: %d results, stats %+v", qi, len(res), resp.QueryStats[qi])
+			}
+		}
+		return resp
+	}
+	e, err := New(mutRefCfg(1), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	if resp := empty(t, e); resp.PerShard != nil {
+		t.Fatalf("device response carries PerShard rows: %v", resp.PerShard)
+	}
+	if db, _ := e.DB(1); len(db.mut.flatPlan) != 0 {
+		t.Fatalf("scan plan not empty after compacting everything away: %v", db.mut.flatPlan)
+	}
+	for _, n := range []int{2, 4} {
+		sh, err := NewSharded(mutTestCfg(), n, 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.Close() })
+		resp := empty(t, sh)
+		if len(resp.PerShard) != n {
+			t.Fatalf("shards=%d: %d PerShard rows", n, len(resp.PerShard))
+		}
+		for s, row := range resp.PerShard {
+			if len(row) != len(search.Queries) {
+				t.Fatalf("shards=%d: shard %d row has %d queries, want %d", n, s, len(row), len(search.Queries))
+			}
+		}
+	}
+}

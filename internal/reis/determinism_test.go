@@ -10,7 +10,9 @@ import (
 // runAllSearches executes every search API over the shared test
 // workload and returns a deterministic fingerprint of results and
 // stats: flat Search, IVFSearch, SearchBatch and IVFSearchBatch must
-// each produce bit-identical output on every run at any GOMAXPROCS.
+// each produce bit-identical output on every run at any GOMAXPROCS —
+// and, batch composition being invisible to a query, the one-query
+// commands must equal the batches field for field.
 func runAllSearches(t *testing.T, e *Engine) ([][][]DocResult, [][]QueryStats) {
 	t.Helper()
 	queries := testData.Queries[:12]
@@ -49,7 +51,16 @@ func runAllSearches(t *testing.T, e *Engine) ([][][]DocResult, [][]QueryStats) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return append(allRes, ibRes), append(allSts, ibSts)
+	allRes, allSts = append(allRes, ibRes), append(allSts, ibSts)
+	for m, mode := range []string{"flat", "ivf"} {
+		assertSameResults(t, mode, allRes[m], allRes[m+2])
+		for qi := range queries {
+			if allSts[m][qi] != allSts[m+2][qi] {
+				t.Fatalf("%s query %d: one-query stats %+v, batch stats %+v", mode, qi, allSts[m][qi], allSts[m+2][qi])
+			}
+		}
+	}
+	return allRes, allSts
 }
 
 func diffRuns(t *testing.T, label string, wantRes, gotRes [][][]DocResult, wantSts, gotSts [][]QueryStats) {

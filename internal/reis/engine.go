@@ -25,15 +25,18 @@
 // transfer of slots that cannot reach the rerank pool and abort whole
 // cluster segments whose triangle-inequality lower bound exceeds it —
 // with results bit-identical to the unpruned scan on every topology
-// (see DESIGN.md, "Threshold propagation and pruning").
+// (see DESIGN.md, "Threshold propagation and pruning"). Pruned or not,
+// on one device or a shard router, a search is the same round-driven
+// controller (controller.go) over a scan backend.
 //
 // A DRAM caching tier (ssd.Config.CacheDRAMBytes, off by default)
 // serves repeated work at controller cost without ever changing
 // results: the binary pages of the most-probed IVF clusters are pinned
 // in controller DRAM and scanned there (reported as CachedPages/
 // CachedSlots, partitioning exactly against the flash FinePages), and
-// an LRU result cache keyed on the packed query and search options
-// serves exact repeats on the Submit/queue path (ResultCacheHits).
+// an LRU result cache keyed on the query and search options serves
+// exact repeats of host commands — Submit and queue pairs; the direct
+// Search* methods bypass it (ResultCacheHits).
 // Appends, deletes and compactions invalidate both tiers atomically.
 // `reisbench -exp skew` measures the tier under Zipfian query skew
 // (see DESIGN.md, "DRAM caching tier").

@@ -2,7 +2,6 @@ package reis
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -269,41 +268,18 @@ func collectLoadStats(h loadHost, tmpl HostCommand, cfg LoadConfig) ([]QueryStat
 
 	sts := make([]QueryStats, cfg.Commands)
 	perShard := make([][][]QueryStats, cfg.Commands)
-	ids := make(map[CommandID]int, cfg.Commands)
-	served := 0
-	drain := func() error {
-		c := <-ch
-		if c.Err != nil {
-			return c.Err
-		}
-		i := ids[c.ID]
-		sts[i] = c.Resp.QueryStats[0]
-		perShard[i] = c.Resp.PerShard
-		served++
-		return nil
-	}
-	for i := 0; i < cfg.Commands; i++ {
-		cmd := tmpl
-		cmd.Queries = [][]float32{tmpl.Queries[i%len(tmpl.Queries)]}
-		for {
-			id, err := q.SubmitAsync(context.Background(), cmd)
-			if errors.Is(err, ErrQueueFull) {
-				if err := drain(); err != nil {
-					return nil, nil, err
-				}
-				continue
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			ids[id] = i
-			break
-		}
-	}
-	for served < cfg.Commands {
-		if err := drain(); err != nil {
-			return nil, nil, err
-		}
+	err = q.SubmitDrain(context.Background(), ch, cfg.Commands,
+		func(i int) HostCommand {
+			cmd := tmpl
+			cmd.Queries = [][]float32{tmpl.Queries[i%len(tmpl.Queries)]}
+			return cmd
+		},
+		func(i int, c Completion) {
+			sts[i] = c.Resp.QueryStats[0]
+			perShard[i] = c.Resp.PerShard
+		})
+	if err != nil {
+		return nil, nil, err
 	}
 	return sts, perShard, nil
 }

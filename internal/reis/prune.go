@@ -1,19 +1,14 @@
 package reis
 
-import (
-	"context"
-	"slices"
-)
-
-// This file implements threshold-propagated top-k pruning
-// (SearchOptions.Prune): the scan runs in controller-driven rounds, and
-// after each round the controller tightens a per-query distance bound —
-// the pool-th smallest live distance seen so far (pool = k ×
-// RerankFactor, the rerank-pool size) — that the next round's
-// GEN_DIST_PAGE commands carry. Planes drop the TTL transfer of any
-// slot whose distance is strictly above the bound, and whole segments
-// whose proven lower bound exceeds it are aborted before a page is
-// sensed.
+// This file holds the pieces of threshold-propagated top-k pruning
+// (SearchOptions.Prune) the controller (controller.go) is built from:
+// the scan runs in controller-driven rounds, and after each round the
+// controller tightens a per-query distance bound — the pool-th smallest
+// live distance seen so far (pool = k × RerankFactor, the rerank-pool
+// size) — that the next round's GEN_DIST_PAGE commands carry. Planes
+// drop the TTL transfer of any slot whose distance is strictly above
+// the bound, and whole segments whose proven lower bound exceeds it are
+// aborted before a page is sensed.
 //
 // Round structure (identical on every topology, which is what makes
 // pruned stats topology-equal):
@@ -177,210 +172,4 @@ func clusterLB(coarseDist, radius int) int {
 		return lb
 	}
 	return 0
-}
-
-// searchBatchPruned is the round-based brute-force path behind
-// SearchOptions.Prune: scan the flat plan in geometric page chunks,
-// tightening each query's bound between rounds. Results are
-// bit-identical to searchBatch; scan stats differ (fewer survivors,
-// extra per-round broadcasts) but are topology-equal among pruned runs.
-func (e *Engine) searchBatchPruned(ctx context.Context, db *Database, queries [][]float32, packed [][]byte, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	nq := len(queries)
-	rounds := chunkFlatRounds(db.flatSegs(), db.embPerPage, e.SSD.Cfg.Geo.Planes())
-	trackers := make([]boundTracker, nq)
-	for i := range trackers {
-		trackers[i].capacity = rerankPool(k)
-	}
-	accs := make([][]TTLEntry, nq)
-	sts := make([]QueryStats, nq)
-	bounds := make([]int, nq)
-	tomb := db.tombstones()
-	segs := make([][]scanSeg, nq)
-	for _, rd := range rounds {
-		rs := make([]scanSeg, len(rd))
-		for i, r := range rd {
-			rs[i] = scanSeg{first: r.First, last: r.Last}
-		}
-		for qi := range segs {
-			segs[qi] = rs
-			bounds[qi] = trackers[qi].bound()
-		}
-		scans, err := e.batchScan(ctx, db, db.rec.Embeddings, packed, segs, e.Opts.DistanceFilter, opt.MetaTag, bounds)
-		if err != nil {
-			return nil, nil, err
-		}
-		for qi := range queries {
-			st := &sts[qi]
-			st.IBCBroadcasts += scans[qi].ibcPlanes
-			mark := len(accs[qi])
-			for si := range scans[qi].segs {
-				seg := &scans[qi].segs[si]
-				foldSegStats(seg, st)
-				accs[qi] = e.appendMergeByPos(accs[qi], seg.scans)
-			}
-			feedTracker(&trackers[qi], accs[qi][mark:], tomb)
-		}
-	}
-	results := make([][]DocResult, nq)
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		res, err := e.finish(db, queries[qi], accs[qi], k, opt, &sts[qi])
-		if err != nil {
-			return nil, nil, err
-		}
-		results[qi] = res
-	}
-	return results, sts, nil
-}
-
-// ivfSearchBatchPruned is the round-based IVF path behind
-// SearchOptions.Prune: an unpruned coarse phase (TTL-C must rank every
-// centroid), then the selected clusters scanned in geometric rank
-// windows, each carrying its triangle-inequality lower bound so far
-// clusters abort whole once the bound tightens past them.
-func (e *Engine) ivfSearchBatchPruned(ctx context.Context, db *Database, queries [][]float32, packed [][]byte, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	nq := len(queries)
-	nlist := len(db.rivf)
-	nprobe := opt.NProbe
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-	if err := e.refreshCache(db); err != nil {
-		return nil, nil, err
-	}
-
-	// Coarse phase, identical to the unpruned batch path.
-	coarseSegs := make([][]scanSeg, nq)
-	wholeCent := []scanSeg{{first: 0, last: nlist - 1}}
-	for i := range coarseSegs {
-		coarseSegs[i] = wholeCent
-	}
-	coarse, err := e.batchScan(ctx, db, db.rec.Centroids, packed, coarseSegs, false, nil, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	var radius []int
-	if db.mut != nil {
-		radius = db.mut.radius
-	}
-	sts := make([]QueryStats, nq)
-	sel := make([][]prunedCluster, nq)
-	maxSel := 0
-	for qi := range queries {
-		st := &sts[qi]
-		st.IBCBroadcasts += coarse[qi].ibcPlanes
-		seg := &coarse[qi].segs[0]
-		st.CoarseWaves = seg.waves
-		st.CoarsePages = seg.pages
-		st.EntriesScanned += seg.scanned
-		st.Survivors += seg.survivors
-		st.TTLBytes += seg.ttlBytes
-		cents := e.appendMergeByPos(e.scr.cents[:0], seg.scans)
-		e.scr.cents = cents
-		st.CoarseEntries = len(cents)
-		st.SelectInput += len(cents)
-		slices.SortFunc(cents, cmpTTLDistPos)
-		np := nprobe
-		if np > len(cents) {
-			np = len(cents)
-		}
-		sel[qi] = make([]prunedCluster, np)
-		for i, c := range cents[:np] {
-			db.cache.probe(c.Pos)
-			pc := prunedCluster{cluster: c.Pos}
-			if radius != nil {
-				pc.lb = clusterLB(c.Dist, radius[c.Pos])
-			}
-			sel[qi][i] = pc
-		}
-		if np > maxSel {
-			maxSel = np
-		}
-	}
-
-	// Fine phase in cluster-rank windows.
-	trackers := make([]boundTracker, nq)
-	for i := range trackers {
-		trackers[i].capacity = rerankPool(k)
-	}
-	accs := make([][]TTLEntry, nq)
-	bounds := make([]int, nq)
-	tomb := db.tombstones()
-	segs := make([][]scanSeg, nq)
-	for r := 0; ; r++ {
-		start, size := probeWindow(r)
-		if start >= maxSel {
-			break
-		}
-		for qi := range segs {
-			segs[qi] = segs[qi][:0]
-			bounds[qi] = trackers[qi].bound()
-			list := sel[qi]
-			for i := start; i < start+size && i < len(list); i++ {
-				pc := db.cache.pinnedFor(list[i].cluster)
-				for ri, sr := range db.clusterSegs(list[i].cluster) {
-					sg := scanSeg{first: sr.First, last: sr.Last, lb: list[i].lb}
-					if pc != nil {
-						sg.pin = &pc.ranges[ri]
-					}
-					segs[qi] = append(segs[qi], sg)
-				}
-			}
-		}
-		scans, err := e.batchScan(ctx, db, db.rec.Embeddings, packed, segs, e.Opts.DistanceFilter, opt.MetaTag, bounds)
-		if err != nil {
-			return nil, nil, err
-		}
-		for qi := range queries {
-			st := &sts[qi]
-			st.IBCBroadcasts += scans[qi].ibcPlanes
-			mark := len(accs[qi])
-			for si := range scans[qi].segs {
-				seg := &scans[qi].segs[si]
-				foldSegStats(seg, st)
-				if seg.pinned {
-					accs[qi] = append(accs[qi], seg.cached...)
-				} else {
-					accs[qi] = e.appendMergeByPos(accs[qi], seg.scans)
-				}
-			}
-			feedTracker(&trackers[qi], accs[qi][mark:], tomb)
-		}
-	}
-
-	results := make([][]DocResult, nq)
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, err
-		}
-		res, err := e.finish(db, queries[qi], accs[qi], k, opt, &sts[qi])
-		if err != nil {
-			return nil, nil, err
-		}
-		results[qi] = res
-	}
-	return results, sts, nil
-}
-
-// foldSegStats accumulates one fine-phase segment outcome into st —
-// the per-segment half of foldSegs, shared with the round-based pruned
-// paths (which merge entries into per-query accumulators instead of the
-// pooled buffer).
-func foldSegStats(seg *segScan, st *QueryStats) {
-	st.FineWaves += seg.waves
-	st.FinePages += seg.pages
-	st.EntriesScanned += seg.scanned
-	st.Survivors += seg.survivors
-	st.PrunedSlots += seg.prunedSlots
-	st.PrunedPages += seg.prunedPages
-	st.AbortedWaves += seg.abortedWaves
-	st.TTLBytes += seg.ttlBytes
-	st.CachedPages += seg.cachedPages
-	st.CachedSlots += seg.cachedSlots
 }

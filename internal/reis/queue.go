@@ -3,6 +3,7 @@ package reis
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -19,8 +20,10 @@ import (
 // three delivery paths: a completion channel, a callback, or the
 // polled Reap buffer (the CQ). Like a hardware CQ slot, a command
 // occupies queue capacity from SubmitAsync until its completion is
-// consumed — reaped, received from the channel, returned by Wait, or
-// the callback returns.
+// handed over — reaped, returned by Wait, or pushed to the channel or
+// callback. The slot is always freed before the completion becomes
+// observable (see complete), so reacting to a completion by submitting
+// again cannot fail on the slot of the command just consumed.
 //
 // Three properties make the queue more than a goroutine + channel:
 //
@@ -203,11 +206,17 @@ type QueueConfig struct {
 	// completion order. Delivery blocks the dispatcher, so an undrained
 	// channel exerts backpressure on the whole pair; the channel must
 	// be drained until Close returns.
+	//
+	// Contract, for every sink (Wait, this channel, OnComplete, Reap): a
+	// completion is observable only after its queue slot is free. A
+	// receiver may submit again at once — at depth 1 too — without
+	// seeing ErrQueueFull for the command it just consumed
+	// (SubmitDrain relies on this).
 	Completions chan<- Completion
 
 	// OnComplete, when non-nil, is called for every completion from the
 	// dispatcher goroutine (before Completions delivery, if both are
-	// set).
+	// set), after the command's slot has been freed.
 	OnComplete func(Completion)
 
 	// NoCoalesce disables merging compatible pending commands into one
@@ -378,6 +387,61 @@ func (q *Queue) submit(ctx context.Context, cmd HostCommand, block bool) (Comman
 	q.stats.Submitted++
 	q.wake.Signal()
 	return id, nil
+}
+
+// SubmitDrain keeps the pair full with n commands — next(i) builds the
+// i-th — on a queue whose Completions channel is ch: whenever admission
+// control answers ErrQueueFull it consumes one completion from ch and
+// retries, and after the last submission it consumes the rest. done,
+// when non-nil, receives each successful completion with the index of
+// the command it answers. The first submission or completion error, or
+// ctx ending (it also governs every command), ends the run, leaving
+// commands still in flight to the caller's Close. The
+// caller must be the pair's only submitter and ch's only receiver for
+// the duration (indices are recovered from the contiguous CommandIDs).
+func (q *Queue) SubmitDrain(ctx context.Context, ch <-chan Completion, n int, next func(i int) HostCommand, done func(i int, c Completion)) error {
+	var first CommandID
+	served := 0
+	drain := func() error {
+		select {
+		case c := <-ch:
+			if c.Err != nil {
+				return c.Err
+			}
+			served++
+			if done != nil {
+				done(int(c.ID-first), c)
+			}
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	for i := 0; i < n; i++ {
+		cmd := next(i)
+		for {
+			id, err := q.SubmitAsync(ctx, cmd)
+			if errors.Is(err, ErrQueueFull) {
+				if err := drain(); err != nil {
+					return err
+				}
+				continue
+			}
+			if err != nil {
+				return err
+			}
+			if i == 0 {
+				first = id
+			}
+			break
+		}
+	}
+	for served < n {
+		if err := drain(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // minPassLocked returns the minimum pass among databases with pending
@@ -658,7 +722,8 @@ func (q *Queue) pickGroupLocked() []*qcmd {
 
 // coalescible reports whether b can ride in a's batched execution:
 // same opcode, database and K, identical nprobe/recall operands and
-// search options, and not already cancelled.
+// search options (every SearchOptions field — the group runs under the
+// head's), and not already cancelled.
 func coalescible(a, b *qcmd) bool {
 	if b.ctx.Err() != nil {
 		return false
@@ -666,7 +731,8 @@ func coalescible(a, b *qcmd) bool {
 	ca, cb := &a.cmd, &b.cmd
 	if ca.Opcode != cb.Opcode || ca.DBID != cb.DBID || ca.K != cb.K ||
 		ca.NProbe != cb.NProbe || ca.TargetRecall != cb.TargetRecall ||
-		ca.Opt.NProbe != cb.Opt.NProbe || ca.Opt.SkipDocs != cb.Opt.SkipDocs {
+		ca.Opt.NProbe != cb.Opt.NProbe || ca.Opt.SkipDocs != cb.Opt.SkipDocs ||
+		ca.Opt.Prune != cb.Opt.Prune {
 		return false
 	}
 	ta, tb := ca.Opt.MetaTag, cb.Opt.MetaTag
@@ -842,9 +908,14 @@ func (q *Queue) gcStepExec(qc *qcmd) {
 }
 
 // complete delivers one completion: to a registered waiter first,
-// otherwise to the configured sinks, otherwise to the Reap buffer. The
-// queue slot is freed when the completion is consumed (immediately for
-// waiters and sinks; at Reap time for the polled buffer).
+// otherwise to the configured sinks, otherwise to the Reap buffer.
+//
+// Slot contract: a completion is observable only after its slot is
+// free, for every sink — the waiter's channel, the Completions channel
+// and the OnComplete callback are fed after releaseSlotLocked, and Reap
+// releases under the same lock hold that hands the entry out. A caller
+// that reacts to a completion by submitting again therefore never sees
+// ErrQueueFull on account of the command it just consumed.
 func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 	c := Completion{ID: id, Resp: resp, Err: err}
 	q.mu.Lock()
@@ -865,6 +936,7 @@ func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 		q.mu.Unlock()
 		return
 	}
+	q.releaseSlotLocked()
 	q.mu.Unlock()
 	if q.cfg.OnComplete != nil {
 		q.cfg.OnComplete(c)
@@ -872,9 +944,6 @@ func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 	if q.cfg.Completions != nil {
 		q.cfg.Completions <- c
 	}
-	q.mu.Lock()
-	q.releaseSlotLocked()
-	q.mu.Unlock()
 }
 
 // mergeCtxs returns the context governing a coalesced execution: the

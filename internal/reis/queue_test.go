@@ -108,6 +108,33 @@ func TestQueueMatchesSubmit(t *testing.T) {
 	}
 }
 
+// TestQueueDoesNotCoalesceAcrossPrune: a pruned command's device stats
+// differ from an unpruned run's, so the two must never share a batched
+// execution (which runs under the head command's options).
+func TestQueueDoesNotCoalesceAcrossPrune(t *testing.T) {
+	e := newEngine(t, AllOptions())
+	deployIVF(t, e, 1, 16)
+	q, err := e.NewQueue(QueueConfig{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	q.pause()
+	for _, prune := range []bool{false, true, true} {
+		if _, err := q.SubmitAsync(context.Background(), HostCommand{
+			Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:1], K: 10, NProbe: 4,
+			Opt: SearchOptions{Prune: prune},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	q.resume()
+	reapAll(t, q, 3)
+	if st := q.Stats(); st.Dispatches != 2 || st.Coalesced != 2 {
+		t.Fatalf("want the unpruned command alone and the two pruned ones together, stats %+v", st)
+	}
+}
+
 // TestQueueOutOfOrderReap submits commands for two databases with
 // skewed QoS weights and verifies completions can be reaped out of
 // submission order while still matching their commands by ID.
@@ -348,12 +375,10 @@ func (c *countdownCtx) Err() error {
 // undisturbed engine's).
 func TestSearchBatchCancelMidBatch(t *testing.T) {
 	e := newEngine(t, AllOptions())
-	db := deployFlat(t, e, 1)
+	deployFlat(t, e, 1)
 	for _, polls := range []int{1, 3, 17} {
 		ctx := &countdownCtx{Context: context.Background(), polls: polls}
-		e.execMu.Lock()
-		_, _, err := e.searchBatch(ctx, db, testData.Queries[:8], 10, SearchOptions{})
-		e.execMu.Unlock()
+		_, _, _, err := e.search(ctx, &HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 10}, testData.Queries[:8], false)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("polls=%d: batch survived cancellation: %v", polls, err)
 		}
@@ -631,5 +656,86 @@ func TestQueueStressConcurrentSubmitters(t *testing.T) {
 	}
 	if st := q.Stats(); st.Completed != st.Submitted || st.Submitted == 0 {
 		t.Fatalf("queue leaked commands: %+v", st)
+	}
+}
+
+// TestQueueSlotFreeBeforeCompletionVisible pins the slot contract for
+// every sink — waiter, completion channel, callback, reap: once a
+// completion is observable its slot is free, so a depth-1 submitter
+// that consumes one completion and submits again never meets
+// ErrQueueFull. (Delivering to the channel or callback before releasing
+// the slot let exactly that submitter spin — or, draining on
+// ErrQueueFull, block forever on a channel nothing would write to.)
+// The command is a no-op compaction: the cheapest round trip through
+// complete().
+func TestQueueSlotFreeBeforeCompletionVisible(t *testing.T) {
+	const iters = 3000
+	e := newEngine(t, AllOptions())
+	deployFlat(t, e, 1)
+	cmd := HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{}}
+	ch := make(chan Completion, 1)
+	called := make(chan Completion, 1)
+	sinks := []struct {
+		name    string
+		cfg     QueueConfig
+		consume func(q *Queue, id CommandID) error
+	}{
+		{"waiter", QueueConfig{Depth: 1}, func(q *Queue, id CommandID) error {
+			_, err := q.Wait(context.Background(), id)
+			return err
+		}},
+		{"channel", QueueConfig{Depth: 1, Completions: ch}, func(*Queue, CommandID) error {
+			return (<-ch).Err
+		}},
+		{"callback", QueueConfig{Depth: 1, OnComplete: func(c Completion) { called <- c }}, func(*Queue, CommandID) error {
+			return (<-called).Err
+		}},
+		{"reap", QueueConfig{Depth: 1}, func(q *Queue, _ CommandID) error {
+			for {
+				if cs := q.Reap(1); len(cs) == 1 {
+					return cs[0].Err
+				}
+				runtime.Gosched()
+			}
+		}},
+	}
+	for _, sink := range sinks {
+		t.Run(sink.name, func(t *testing.T) {
+			q, err := e.NewQueue(sink.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			for i := 0; i < iters; i++ {
+				id, err := q.SubmitAsync(context.Background(), cmd)
+				if err != nil {
+					t.Fatalf("submit %d right after consuming completion %d: %v", i, i-1, err)
+				}
+				if err := sink.consume(q, id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := q.Outstanding(); n != 0 {
+				t.Fatalf("%d slots outstanding after every completion was consumed", n)
+			}
+		})
+	}
+	// The submit/drain idiom itself, through the shared helper.
+	q, err := e.NewQueue(QueueConfig{Depth: 1, Completions: ch})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	seen := make([]bool, iters)
+	err = q.SubmitDrain(context.Background(), ch, iters,
+		func(int) HostCommand { return cmd },
+		func(i int, _ Completion) { seen[i] = true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range seen {
+		if !ok {
+			t.Fatalf("command %d never completed", i)
+		}
 	}
 }

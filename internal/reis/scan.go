@@ -7,36 +7,28 @@ import (
 
 // executeScan serves one OpcodeScan command: a raw scatter scan of
 // explicit slot ranges — the per-device half of a sharded search. It
-// runs the same batchScan pipeline the Search/IVF_Search opcodes use,
+// is one batchScan round, exactly as the local search backend runs it,
 // but returns the surviving TTL entries per (query, segment) instead
-// of selecting and reranking: selection happens on the gather side,
-// over the merged streams of every shard, so it sees exactly what a
-// single device's controller would. The caller must hold e.execMu.
+// of folding them: accumulation, bounds and selection happen on the
+// gather side, in the router's controller, over the merged streams of
+// every shard — so it sees exactly what a single device's would. The
+// caller must hold e.execMu.
 func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
 	db, err := e.db(cmd.DBID)
 	if err != nil {
 		return HostResponse{}, err
 	}
 	sc := cmd.Scan
-	region, filter, metaTag := db.rec.Embeddings, e.Opts.DistanceFilter, cmd.Opt.MetaTag
 	slots := db.regionSlots
 	if sc.Coarse {
-		// Distance filtering does not apply to the coarse scan: TTL-C
-		// must rank every centroid so the nprobe nearest clusters are
-		// exact (Sec 4.3.1); metadata filtering is per-embedding.
-		region, filter, metaTag = db.rec.Centroids, false, nil
-		slots = region.Pages() * db.embPerPage
+		slots = db.rec.Centroids.Pages() * db.embPerPage
 	}
-	// K is not an operand of a scan (selection is the gather side's);
-	// packBatch only needs a positive k for its shared validation.
-	packed, err := e.packBatch(db, cmd.Queries, 1)
-	if err != nil {
-		return HostResponse{}, err
-	}
-	segs := make([][]scanSeg, len(cmd.Queries))
-	for qi, list := range sc.Segs {
-		ss := make([]scanSeg, len(list))
-		for si, r := range list {
+	for qi, q := range cmd.Queries {
+		// K is not an operand of a scan (selection is the gather side's).
+		if err := checkQueryAgainst(db.Dim, db.ID, q, 1); err != nil {
+			return HostResponse{}, err
+		}
+		for si, r := range sc.Segs[qi] {
 			// Out-of-region segments are rejected, not clamped: a
 			// range the device cannot serve in full would otherwise
 			// yield silently truncated results (validate() already
@@ -45,17 +37,13 @@ func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostRespons
 				return HostResponse{}, fmt.Errorf("%w (query %d segment %d: [%d, %d] of %d slots)",
 					ErrBadScanRange, qi, si, r.First, r.Last, slots)
 			}
-			ss[si] = scanSeg{first: r.First, last: r.Last}
-			if sc.MinDists != nil {
-				ss[si].lb = sc.MinDists[qi][si]
-			}
 		}
-		segs[qi] = ss
 	}
-	scans, err := e.batchScan(ctx, db, region, packed, segs, filter, metaTag, sc.Bounds)
-	if err != nil {
+	packed := e.packBatch(db, cmd.Queries)
+	if err := e.batchScan(ctx, db, packed, sc.Coarse, sc.Segs, sc.MinDists, sc.Bounds, cmd.Opt.MetaTag); err != nil {
 		return HostResponse{}, err
 	}
+	out := &e.scr.out
 
 	resp := HostResponse{
 		Done:       true,
@@ -64,10 +52,10 @@ func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostRespons
 	}
 	for qi := range cmd.Queries {
 		st := &resp.QueryStats[qi]
-		st.IBCBroadcasts = scans[qi].ibcPlanes
-		out := make([]ScanSegResult, len(scans[qi].segs))
-		for si := range scans[qi].segs {
-			seg := &scans[qi].segs[si]
+		st.IBCBroadcasts = out.ibc[qi]
+		segs := make([]ScanSegResult, len(sc.Segs[qi]))
+		for si := range segs {
+			seg := out.seg(qi, si)
 			r := ScanSegResult{
 				Waves: seg.waves, Pages: seg.pages,
 				Scanned: seg.scanned, Survivors: seg.survivors, TTLBytes: seg.ttlBytes,
@@ -78,12 +66,11 @@ func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostRespons
 				// The entries cross the completion boundary (and, in a
 				// sharded deployment, goroutines), so they move out of
 				// the worker arenas into response-owned memory here.
-				r.Entries = e.appendMergeByPos(make([]TTLEntry, 0, seg.survivors), seg.scans)
+				r.Entries = e.appendMergeByPos(make([]TTLEntry, 0, seg.survivors), out.scans[seg.lo:seg.hi])
 			}
-			out[si] = r
+			segs[si] = r
+			seg.addTo(st, sc.Coarse)
 			if sc.Coarse {
-				st.CoarseWaves += seg.waves
-				st.CoarsePages += seg.pages
 				// Every coarse survivor is a TTL-C entry; the per-query
 				// stats of a scan response feed the owning device's
 				// timing model, which costs coarse and fine TTL streams
@@ -91,27 +78,17 @@ func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostRespons
 				// aggregated CoarseEntries is computed centrally from
 				// the merged stream instead.)
 				st.CoarseEntries += seg.survivors
-			} else {
-				st.FineWaves += seg.waves
-				st.FinePages += seg.pages
 			}
-			st.EntriesScanned += seg.scanned
-			st.Survivors += seg.survivors
-			st.PrunedPages += seg.prunedPages
-			st.AbortedWaves += seg.abortedWaves
-			st.PrunedSlots += seg.prunedSlots
-			st.TTLBytes += seg.ttlBytes
 		}
-		resp.Scan[qi] = out
+		resp.Scan[qi] = segs
 		resp.Stats.Add(*st)
 	}
 	return resp, nil
 }
 
 // checkQueryAgainst validates one query against a database's
-// dimensionality — the single implementation behind Database.checkQuery
-// and the shard router's batch validation, so both fail with identical
-// sentinels.
+// dimensionality — the controller's batch validation and the scan
+// opcode's, so every host fails with identical sentinels.
 func checkQueryAgainst(dim, dbID int, query []float32, k int) error {
 	if len(query) != dim {
 		return fmt.Errorf("%w (query dim %d, database %d dim %d)",

@@ -1,13 +1,12 @@
 package reis
 
 import (
-	"context"
 	"fmt"
 	"slices"
+	"sync"
 
 	"reis/internal/flash"
 	"reis/internal/ssd"
-	"reis/internal/vecmath"
 )
 
 // TTLEntry is one Temporal Top List record (Sec 4.2.1, structure C in
@@ -167,20 +166,20 @@ type SearchOptions struct {
 type engineScratch struct {
 	// Query encoding.
 	qbits     []uint64
-	qpacked   []byte
 	packedBuf []byte
 	packed    [][]byte
-	// Scan dispatch and merge.
+	// Scan dispatch, the last round's outcome, and merge.
 	spans     []ssd.PlaneSpan
-	results   []planeScan
 	tasks     []planeTask
-	flatSegs  []scanSeg // pooled SlotRange→scanSeg conversion of the flat plan
-	lists     [][]TTLEntry
 	planeWork [][]batchItem
-	entries   []TTLEntry // merged fine-phase entries of the current query
-	cents     []TTLEntry // merged coarse-phase (centroid) entries
-	// Controller tail (finish): working sets and the page source
-	// adapter handed to the shared runTail.
+	out       scanOut
+	lists     [][]TTLEntry
+	// The search controller's per-query state and its backend over this
+	// engine (controller.go, batch.go).
+	ctrl  ctrlScratch
+	local localBackend
+	// Controller tail: working sets and the page source adapter handed
+	// to the shared runTail.
 	tail tailScratch
 	src  engineTailSource
 }
@@ -230,174 +229,6 @@ func (e *Engine) runTasks(tasks []planeTask) error {
 	clear(tasks)
 	e.scr.tasks = tasks[:0]
 	return err
-}
-
-// packQuery binary-quantizes and packs one query into the pooled
-// single-query encoding buffer.
-func (e *Engine) packQuery(query []float32) []byte {
-	e.scr.qbits = vecmath.BinaryQuantize(query, e.scr.qbits)
-	e.scr.qpacked = vecmath.PackBinaryBytes(e.scr.qbits, e.scr.qpacked)
-	return e.scr.qpacked
-}
-
-// Search implements the Search() API command (Table 1): brute-force
-// in-storage scan of the whole binary region, rerank, and document
-// retrieval.
-func (e *Engine) Search(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(dbID)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if opt.Prune {
-		// Threshold pruning is round-based and served by the batched
-		// scheduler (results are bit-identical; the IBC accounting
-		// follows the batch path's per-plane broadcast count).
-		results, sts, err := e.searchBatch(context.Background(), db, [][]float32{query}, k, opt)
-		if err != nil {
-			return nil, QueryStats{}, err
-		}
-		return results[0], sts[0], nil
-	}
-	var st QueryStats
-	qPacked := e.packQuery(query)
-	if err := e.broadcast(db, qPacked, &st); err != nil {
-		return nil, st, err
-	}
-	// The brute-force scan covers the live segment plan: one range for
-	// a freshly deployed database, one more per append batch.
-	entries := e.scr.entries[:0]
-	for _, r := range db.flatSegs() {
-		var waves, pages int
-		entries, waves, pages, err = e.scanRange(db, db.rec.Embeddings, r.First, r.Last, e.Opts.DistanceFilter, opt.MetaTag, &st, entries)
-		if err != nil {
-			e.scr.entries = entries
-			return nil, st, err
-		}
-		st.FineWaves += waves
-		st.FinePages += pages
-	}
-	e.scr.entries = entries
-	res, err := e.finish(db, query, entries, k, opt, &st)
-	return res, st, err
-}
-
-// IVFSearch implements the IVF_Search() API command (Table 1):
-// coarse centroid search, fine scan of the NProbe nearest clusters,
-// rerank, and document retrieval.
-func (e *Engine) IVFSearch(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(dbID)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	if db.rivf == nil {
-		return nil, QueryStats{}, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", dbID)
-	}
-	if err := db.checkQuery(query, k); err != nil {
-		return nil, QueryStats{}, err
-	}
-	if opt.Prune {
-		results, sts, err := e.ivfSearchBatch(context.Background(), db, [][]float32{query}, k, opt)
-		if err != nil {
-			return nil, QueryStats{}, err
-		}
-		return results[0], sts[0], nil
-	}
-	nprobe := opt.NProbe
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > len(db.rivf) {
-		nprobe = len(db.rivf)
-	}
-	if err := e.refreshCache(db); err != nil {
-		return nil, QueryStats{}, err
-	}
-	var st QueryStats
-	qPacked := e.packQuery(query)
-	if err := e.broadcast(db, qPacked, &st); err != nil {
-		return nil, st, err
-	}
-
-	// Coarse-grained search over the centroid region (TTL-C).
-	nlist := len(db.rivf)
-	// Distance filtering does not apply to the coarse scan: TTL-C must
-	// rank every centroid so the nprobe nearest clusters are exact
-	// (Sec 4.3.1 describes DF for database embeddings only).
-	cents, waves, pages, err := e.scanRange(db, db.rec.Centroids, 0, nlist-1, false, nil, &st, e.scr.cents[:0])
-	e.scr.cents = cents
-	if err != nil {
-		return nil, st, err
-	}
-	st.CoarseWaves = waves
-	st.CoarsePages = pages
-	st.CoarseEntries = len(cents)
-	st.SelectInput += len(cents)
-	slices.SortFunc(cents, cmpTTLDistPos)
-	if nprobe > len(cents) {
-		nprobe = len(cents)
-	}
-
-	// Fine-grained search inside the selected clusters (TTL-E): each
-	// cluster's posting list is one or more slot ranges (the deployed
-	// range plus any appended runs), scanned in list order.
-	entries := e.scr.entries[:0]
-	for _, c := range cents[:nprobe] {
-		db.cache.probe(c.Pos)
-		pc := db.cache.pinnedFor(c.Pos)
-		for ri, r := range db.clusterSegs(c.Pos) {
-			if pc != nil {
-				// Pinned cluster: scan the DRAM copy with the same
-				// kernel and predicates; no flash page is sensed.
-				var cp, cs int
-				entries, cp, cs = db.cache.scanPinned(&pc.ranges[ri], qPacked, db.cachedParams(e.Opts.DistanceFilter, opt.MetaTag, 0), entries)
-				st.CachedPages += cp
-				st.CachedSlots += cs
-				continue
-			}
-			var w, p int
-			entries, w, p, err = e.scanRange(db, db.rec.Embeddings, r.First, r.Last, e.Opts.DistanceFilter, opt.MetaTag, &st, entries)
-			if err != nil {
-				e.scr.entries = entries
-				return nil, st, err
-			}
-			st.FineWaves += w
-			st.FinePages += p
-		}
-	}
-	e.scr.entries = entries
-	res, err := e.finish(db, query, entries, k, opt, &st)
-	return res, st, err
-}
-
-func (db *Database) checkQuery(query []float32, k int) error {
-	return checkQueryAgainst(db.Dim, db.ID, query, k)
-}
-
-// broadcast performs Input Broadcasting: one IBC command per plane,
-// dispatched concurrently through the per-die worker pool (the MPIBC
-// timing optimization does not change the functional behaviour, only
-// the latency model).
-func (e *Engine) broadcast(db *Database, qPacked []byte, st *QueryStats) error {
-	planes := e.SSD.Cfg.Geo.Planes()
-	tasks := e.scr.tasks[:0]
-	run := func(_ *workerScratch, plane, _ int) error {
-		return e.ibcPlane(db, plane, qPacked)
-	}
-	for p := 0; p < planes; p++ {
-		tasks = append(tasks, planeTask{plane: p, run: run})
-	}
-	if err := e.runTasks(tasks); err != nil {
-		return err
-	}
-	st.IBCBroadcasts += planes
-	return nil
 }
 
 // ibcPlane broadcasts the packed query into one plane's cache latch.
@@ -524,58 +355,6 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 	return ps, nil
 }
 
-// scanRange scans embedding positions [first, last] of a slotted SLC
-// region by dispatching one scan task per plane of the stripe to the
-// worker pool and merging the partial results in position order — the
-// exact order the old sequential page loop produced, so results stay
-// bit-identical while independent planes execute concurrently. Merged
-// entries are appended to dst (a pooled buffer owned by the caller);
-// the function also returns the wave count (max pages on one plane)
-// and total pages sensed.
-func (e *Engine) scanRange(db *Database, region ssd.Region, first, last int, filter bool, metaTag *uint8, st *QueryStats, dst []TTLEntry) ([]TTLEntry, int, int, error) {
-	planes := e.SSD.Cfg.Geo.Planes()
-	e.pool.resetArenas()
-	spans := region.AppendPlaneSpans(e.scr.spans[:0], planes, first/db.embPerPage, last/db.embPerPage)
-	e.scr.spans = spans
-	if cap(e.scr.results) < len(spans) {
-		e.scr.results = make([]planeScan, len(spans))
-	}
-	results := e.scr.results[:len(spans)]
-	tasks := e.scr.tasks[:0]
-	run := func(sc *workerScratch, _, i int) error {
-		ps, err := e.scanPlane(db, region, sc, spans[i], first, last, filter, metaTag, 0)
-		if err != nil {
-			return err
-		}
-		results[i] = ps
-		return nil
-	}
-	for i, s := range spans {
-		tasks = append(tasks, planeTask{plane: s.Plane, arg: i, run: run})
-	}
-	if err := e.runTasks(tasks); err != nil {
-		return dst, 0, 0, err
-	}
-	waves, totalPages := mergeScanStats(results, st)
-	return e.appendMergeByPos(dst, results), waves, totalPages, nil
-}
-
-// mergeScanStats folds per-plane scan counts into st and returns the
-// wave count (max pages on any plane) and the total pages sensed.
-func mergeScanStats(results []planeScan, st *QueryStats) (waves, totalPages int) {
-	for _, ps := range results {
-		if ps.pages > waves {
-			waves = ps.pages
-		}
-		totalPages += ps.pages
-		st.EntriesScanned += ps.scanned
-		st.Survivors += ps.survivors
-		st.PrunedSlots += ps.pruned
-		st.TTLBytes += ps.ttlBytes
-	}
-	return waves, totalPages
-}
-
 // appendMergeByPos merges the per-plane entry windows (each ascending
 // by Pos, resident in the worker arenas) into dst in one k-way pass —
 // ascending by Pos overall, the deterministic order the sequential
@@ -660,15 +439,6 @@ func resizeInts(s []int, n int) []int {
 	return s
 }
 
-// finish runs the controller-side pipeline tail (steps 5-9 of Fig 6)
-// over the engine's own regions; the implementation is the shared
-// runTail (see tail.go). Working sets live in the engine scratch; only
-// the returned results (and their document bytes) are allocated.
-func (e *Engine) finish(db *Database, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
-	e.scr.src = engineTailSource{e: e, db: db}
-	return runTail(&e.scr.src, &e.scr.tail, db.tailParams(e.SSD.Cfg.Geo.Planes()), query, entries, k, opt, st)
-}
-
 // quickselectTTL partitions entries so the k smallest occupy
 // entries[:k] under the (Dist, DADR) total order — the quickselect
 // kernel the embedded core runs. Selecting under a total order (rather
@@ -738,45 +508,42 @@ func partitionTTL(es []TTLEntry, lo, hi int) int {
 
 // CalibrateNProbe finds the smallest nprobe meeting the Recall@k
 // target against ground truth, mirroring the paper's accuracy sweep.
-// The packed query encodings and the ground-truth membership sets are
-// identical across sweep rounds, so both are built once and reused.
+// The ground-truth membership sets are identical across sweep rounds,
+// so they are built once and reused.
 // A successful calibration is recorded on the database, so later host
 // commands can address the operating point by TargetRecall alone (the
 // accuracy operand R of Table 1; see resolveSearchOptions).
 func (e *Engine) CalibrateNProbe(dbID int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(dbID)
+	db, err := e.DB(dbID)
 	if err != nil {
 		return 0, err
 	}
-	nlist := len(db.rivf)
+	return calibrateNProbe(e, &e.execMu, &db.calib, dbID, len(db.rivf), queries, groundTruth, k, target)
+}
+
+// calibrateNProbe is the calibration shared by both hosts: sweep nprobe
+// over one cache-bypassing IVF batch per step (results are bit-identical
+// to per-query calls, but plane tasks overlap across queries), and
+// record a met target under the host's execution lock. Only the queried
+// rows of the ground truth enter the recall denominator.
+func calibrateNProbe(h searcher, mu *sync.Mutex, calib *[]recallPoint, dbID, nlist int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error) {
 	if nlist == 0 {
 		return 0, fmt.Errorf("reis: database %d is not IVF-deployed", dbID)
 	}
 	if len(queries) == 0 {
 		return 0, fmt.Errorf("reis: empty query set")
 	}
-	packed := make([][]byte, len(queries))
-	for i, q := range queries {
-		if err := db.checkQuery(q, k); err != nil {
-			return 0, err
-		}
-		packed[i] = vecmath.PackBinaryBytes(vecmath.BinaryQuantize(q, nil), nil)
-	}
-	// The sweep's queries are admitted as one batch per nprobe:
-	// results are bit-identical to per-query IVFSearch calls, but
-	// plane tasks overlap across queries. Only the queried rows of the
-	// ground truth enter the recall denominator.
 	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
-		results, _, err := e.ivfSearchBatchPacked(context.Background(), db, queries, packed, k, SearchOptions{NProbe: nprobe, SkipDocs: true})
+		results, _, err := searchMany(h, OpcodeIVFSearch, dbID, queries, k, SearchOptions{NProbe: nprobe, SkipDocs: true})
 		return results, err
 	})
 	if err != nil {
 		return 0, err
 	}
 	if ok {
-		db.calib = append(db.calib, recallPoint{target: target, nprobe: nprobe})
+		mu.Lock()
+		*calib = append(*calib, recallPoint{target: target, nprobe: nprobe})
+		mu.Unlock()
 	}
 	return nprobe, nil
 }

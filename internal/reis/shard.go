@@ -3,11 +3,9 @@ package reis
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"reis/internal/ssd"
-	"reis/internal/vecmath"
 )
 
 // This file implements the sharded topology: one database partitioned
@@ -96,11 +94,13 @@ type shardDev struct {
 // routerScratch is the gather side's pooled state; the execMu holder
 // owns it.
 type routerScratch struct {
-	tail    tailScratch
-	src     shardTailSource
-	entries []TTLEntry
-	cents   []TTLEntry
-	lists   [][]TTLEntry
+	tail  tailScratch
+	src   shardTailSource
+	lists [][]TTLEntry
+	// The search controller's per-query state (controller.go) and the
+	// pooled command ids of a scatter.
+	ctrl ctrlScratch
+	ids  []CommandID
 }
 
 // ShardedDatabase is the router's view of one database partitioned
@@ -316,15 +316,7 @@ func (sh *ShardedEngine) execCmd(ctx context.Context, cmd *HostCommand) (HostRes
 		_, err := sh.IVFDeploy(*cmd.Deploy)
 		return HostResponse{Done: err == nil}, err
 	case OpcodeSearch, OpcodeIVFSearch:
-		results, sts, perShard, err := sh.execSearchGroup(ctx, cmd, cmd.Queries)
-		if err != nil {
-			return HostResponse{}, err
-		}
-		resp := HostResponse{Done: true, Results: results, QueryStats: sts, PerShard: perShard}
-		for _, st := range sts {
-			resp.Stats.Add(st)
-		}
-		return resp, nil
+		return execSearch(sh, ctx, cmd)
 	case OpcodeAppend, OpcodeDelete, OpcodeCompact:
 		sh.execMu.Lock()
 		defer sh.execMu.Unlock()
@@ -419,19 +411,18 @@ func (sh *ShardedEngine) ReplayJournal(data []byte) error {
 	return replayJournal(sh, data)
 }
 
-// execSearchGroup runs the scatter-gather pipeline for queries — one
-// command's Q operand, or a coalesced group's concatenation (host
-// interface). Host commands consult the result cache.
+// execSearchGroup runs one search command's queries, or a coalesced
+// dispatch group's concatenated Q operands, through the controller with
+// the result cache consulted (host interface).
 func (sh *ShardedEngine) execSearchGroup(ctx context.Context, cmd *HostCommand, queries [][]float32) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	return sh.searchGroup(ctx, cmd, queries, true)
+	return sh.search(ctx, cmd, queries, true)
 }
 
-// searchGroup is the router's search execution core. useCache selects
-// the result-cache wrap: host commands (Submit and the queue pairs)
-// consult it, while the direct API methods and calibration bypass it —
-// the same split the single-device engine makes around cachedSearch, so
-// a sharded run and its reference hold identical cache state.
-func (sh *ShardedEngine) searchGroup(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+// search runs one command's queries through the controller over the
+// scatter backend — the same call, with the same global state, the
+// single-device engine makes over its planes, so a sharded run and its
+// reference plan identical rounds and hold identical cache state.
+func (sh *ShardedEngine) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
 	sh.execMu.Lock()
 	defer sh.execMu.Unlock()
 	if sh.closed {
@@ -441,77 +432,72 @@ func (sh *ShardedEngine) searchGroup(ctx context.Context, cmd *HostCommand, quer
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	opt, err := resolveSearchOptions(db.calib, db.ID, cmd)
-	if err != nil {
-		return nil, nil, nil, err
+	c := controller{
+		b: &shardBackend{sh: sh, db: db}, scr: &sh.scr.ctrl,
+		id: db.ID, dim: db.Dim, calib: db.calib, cache: db.cache, mut: db.mut,
+		flat: db.mut.flatPlan, nlist: len(db.lay.rivf), planes: sh.cfg.Geo.Planes(),
+		pin: cachedScanParams{
+			slotBytes: db.lay.slotBytes, embPerPage: db.lay.embPerPage,
+			filter: sh.opts.DistanceFilter, threshold: db.lay.filterThreshold,
+		},
 	}
-	if len(queries) == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: empty query batch")
-	}
-	for _, q := range queries {
-		if err := checkQueryAgainst(db.Dim, db.ID, q, cmd.K); err != nil {
-			return nil, nil, nil, err
-		}
-	}
-	if !useCache || db.cache == nil || db.cache.resBudget <= 0 {
-		return sh.dispatchGroup(ctx, db, cmd.Opcode, queries, cmd.K, opt)
-	}
-	// Result-cache wrap, mirroring Engine.cachedSearch: look every query
-	// up first (intra-batch duplicates all miss), execute the miss
-	// subset as one batch so its per-query stats are bit-identical to an
-	// uncached run, then insert. Hits carry zero per-shard rows — no
-	// shard did any work for them.
-	nq := len(queries)
-	results := make([][]DocResult, nq)
-	sts := make([]QueryStats, nq)
-	keys := make([]string, nq)
-	var missIdx []int
-	var missQ [][]float32
-	for i, q := range queries {
-		keys[i] = resultKey(cmd.Opcode, cmd.K, opt, q)
-		if r, ok := db.cache.lookupResult(keys[i]); ok {
-			results[i] = r
-			sts[i] = QueryStats{ResultCacheHits: 1}
-			continue
-		}
-		missIdx = append(missIdx, i)
-		missQ = append(missQ, q)
-	}
-	perShard := make([][]QueryStats, len(sh.shards))
-	for s := range perShard {
-		perShard[s] = make([]QueryStats, nq)
-	}
-	if len(missIdx) > 0 {
-		mres, msts, mper, err := sh.dispatchGroup(ctx, db, cmd.Opcode, missQ, cmd.K, opt)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		for j, i := range missIdx {
-			results[i] = mres[j]
-			sts[i] = msts[j]
-			db.cache.storeResult(keys[i], mres[j])
-		}
-		for s := range perShard {
-			for j, i := range missIdx {
-				perShard[s][i] = mper[s][j]
-			}
-		}
-	}
-	return results, sts, perShard, nil
+	return c.search(ctx, cmd, queries, useCache)
 }
 
-// dispatchGroup routes a resolved search batch to its pipeline.
-func (sh *ShardedEngine) dispatchGroup(ctx context.Context, db *ShardedDatabase, op uint8, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	if opt.Prune {
-		if op == OpcodeSearch {
-			return sh.searchFlatPruned(ctx, db, queries, k, opt)
+// shardBackend is the controller's scan backend over the member
+// devices: a round is one OpcodeScan scatter, segments fold by
+// remapping shard-local positions and merging the per-shard streams,
+// and the tail fetches each page from the shard that owns it.
+type shardBackend struct {
+	sh    *ShardedEngine
+	db    *ShardedDatabase
+	resps []HostResponse // the last round's completions, by shard
+}
+
+func (b *shardBackend) shardRows(nq int) [][]QueryStats {
+	rows := make([][]QueryStats, len(b.sh.shards))
+	for s := range rows {
+		rows[s] = make([]QueryStats, nq)
+	}
+	return rows
+}
+
+// fetchPin reads a global binary-region page from the shard that owns
+// it (global page g lives on shard g mod N as local page g / N), whose
+// stripe holds content byte-identical to the reference device's page —
+// so the pinned copies, and every scan over them, match the
+// single-device cache exactly.
+func (b *shardBackend) fetchPin(page int) ([]byte, []byte, error) {
+	n := len(b.sh.shards)
+	owner, local := page%n, page/n
+	dev := b.sh.shards[owner]
+	addr, err := b.db.locals[owner].rec.Embeddings.AddressOf(dev.e.SSD.Cfg.Geo, local)
+	if err != nil {
+		return nil, nil, err
+	}
+	return dev.e.SSD.Dev.ReadPageInto(addr, nil, nil)
+}
+
+func (b *shardBackend) scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
+	resps, err := b.sh.scatter(ctx, b.db, queries, coarse, segs, bounds, lbs, metaTag)
+	if err != nil {
+		return err
+	}
+	b.resps = resps
+	// A skipped shard's view of the round is all zero.
+	for s := range resps {
+		for qi, st := range resps[s].QueryStats {
+			rows[s][qi].Add(st)
 		}
-		return sh.searchIVFPruned(ctx, db, queries, k, opt)
 	}
-	if op == OpcodeSearch {
-		return sh.searchFlat(ctx, db, queries, k, opt)
-	}
-	return sh.searchIVF(ctx, db, queries, k, opt)
+	return nil
+}
+
+func (b *shardBackend) ibc(qi int) int { return gatherIBC(b.resps, qi) }
+
+func (b *shardBackend) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
+	gatherSegStats(b.resps, qi, si, coarse, st)
+	return b.sh.mergeSeg(dst, b.resps, qi, si, b.db.lay.embPerPage)
 }
 
 // scatter fans one scan phase out to the shards through their queue
@@ -524,17 +510,21 @@ func (sh *ShardedEngine) dispatchGroup(ctx context.Context, db *ShardedDatabase,
 // trip. All submitted commands are waited for even on error, so
 // scatter never leaks queue slots.
 //
-// bounds/minDists carry a pruned round's per-query thresholds and
-// per-segment lower bounds (nil on the unpruned paths). Both are
-// global values — bounds are query properties and a lower bound holds
-// for the whole global segment — so every shard receives the same
-// slices verbatim (localSegs preserves the (query, segment) shape) and
+// bounds/minDists carry the round's per-query thresholds (all zero
+// unless pruning) and per-segment lower bounds (nil on flat and coarse
+// rounds). Both are global values — bounds are query properties and a
+// lower bound holds for the whole global segment — so every shard
+// receives the same slices verbatim (localSegs preserves the (query, segment) shape) and
 // the shards' abort decisions match the reference device's exactly.
-func (sh *ShardedEngine) scatter(ctx context.Context, db *ShardedDatabase, queries [][]float32, coarse bool, segs [][]SlotRange, bounds []int, minDists [][]int, opt SearchOptions) ([]HostResponse, error) {
+func (sh *ShardedEngine) scatter(ctx context.Context, db *ShardedDatabase, queries [][]float32, coarse bool, segs [][]SlotRange, bounds []int, minDists [][]int, metaTag *uint8) ([]HostResponse, error) {
 	n := len(sh.shards)
+	// The responses own the round's entries, so they are the command's
+	// garbage, not pooled state.
 	resps := make([]HostResponse, n)
-	ids := make([]CommandID, n)
-	submitted := make([]bool, n)
+	// ids[s] stays 0 — never a CommandID — for a shard not submitted to.
+	sh.scr.ids = growTo(sh.scr.ids, n)
+	ids := sh.scr.ids
+	clear(ids)
 	var firstErr error
 	for s, dev := range sh.shards {
 		local := localSegs(segs, s, n, db.lay.embPerPage)
@@ -544,7 +534,7 @@ func (sh *ShardedEngine) scatter(ctx context.Context, db *ShardedDatabase, queri
 		cmd := HostCommand{
 			Opcode: OpcodeScan, DBID: db.ID, Queries: queries,
 			Scan: &ScanConfig{Coarse: coarse, Segs: local, Bounds: bounds, MinDists: minDists},
-			Opt:  SearchOptions{MetaTag: opt.MetaTag},
+			Opt:  SearchOptions{MetaTag: metaTag},
 		}
 		id, err := dev.q.SubmitAsync(ctx, cmd)
 		if err != nil {
@@ -553,13 +543,13 @@ func (sh *ShardedEngine) scatter(ctx context.Context, db *ShardedDatabase, queri
 			}
 			break
 		}
-		ids[s], submitted[s] = id, true
+		ids[s] = id
 	}
 	// Gather with a background context: a cancelled command context
 	// aborts execution inside the shard (the command carries ctx), and
 	// the completion must still be consumed to free the queue slot.
 	for s, dev := range sh.shards {
-		if !submitted[s] {
+		if ids[s] == 0 {
 			continue
 		}
 		resp, err := dev.q.Wait(context.Background(), ids[s])
@@ -723,185 +713,10 @@ func gatherIBC(resps []HostResponse, qi int) int {
 	return n
 }
 
-// perShardStats extracts the [shard][query] stats view of a scatter
-// round, adding it to prev (the coarse round) when non-nil. A skipped
-// shard's view is all zero.
-func perShardStats(resps []HostResponse, nq int, prev [][]QueryStats) [][]QueryStats {
-	out := make([][]QueryStats, len(resps))
-	for s := range resps {
-		merged := make([]QueryStats, nq)
-		if prev != nil {
-			copy(merged, prev[s])
-		}
-		for i, st := range resps[s].QueryStats {
-			merged[i].Add(st)
-		}
-		out[s] = merged
-	}
-	return out
-}
-
-// searchFlat is the sharded brute-force path: every query scans the
-// whole binary region, striped across the shards.
-func (sh *ShardedEngine) searchFlat(ctx context.Context, db *ShardedDatabase, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	segs := make([][]SlotRange, len(queries))
-	// The live segment plan of the (possibly mutated) database: one
-	// range per deployed-or-appended run, shared by every query.
-	whole := db.mut.flatPlan
-	for i := range segs {
-		segs[i] = whole
-	}
-	resps, err := sh.scatter(ctx, db, queries, false, segs, nil, nil, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	results := make([][]DocResult, len(queries))
-	sts := make([]QueryStats, len(queries))
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		st := &sts[qi]
-		st.IBCBroadcasts = gatherIBC(resps, qi)
-		entries := sh.scr.entries[:0]
-		for si := range whole {
-			gatherSegStats(resps, qi, si, false, st)
-			entries = sh.mergeSeg(entries, resps, qi, si, db.lay.embPerPage)
-		}
-		sh.scr.entries = entries
-		res, err := sh.finish(db, queries[qi], entries, k, opt, st)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		results[qi] = res
-	}
-	return results, sts, perShardStats(resps, len(queries), nil), nil
-}
-
-// searchIVF is the sharded IVF path: a coarse scatter over the striped
-// centroid region, gather-side cluster selection against the router's
-// global R-IVF table, then a fine scatter of every query's probed
-// clusters.
-func (sh *ShardedEngine) searchIVF(ctx context.Context, db *ShardedDatabase, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	nlist := len(db.lay.rivf)
-	if nlist == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.ID)
-	}
-	nprobe := opt.NProbe
-	if nprobe <= 0 {
-		nprobe = 1
-	}
-	if nprobe > nlist {
-		nprobe = nlist
-	}
-	// Refresh the hot-cluster pins at the same command boundary the
-	// single device does, so both topologies decay the probe counters
-	// and recompute the pin set in lockstep.
-	if err := sh.refreshCache(db); err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Coarse phase: every query ranks the whole centroid region.
-	coarseSegs := make([][]SlotRange, len(queries))
-	wholeCent := []SlotRange{{First: 0, Last: nlist - 1}}
-	for i := range coarseSegs {
-		coarseSegs[i] = wholeCent
-	}
-	cresps, err := sh.scatter(ctx, db, queries, true, coarseSegs, nil, nil, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-
-	// Gather-side controller phase: merge each query's centroid
-	// entries in global position order, select the nprobe nearest
-	// clusters, derive the fine segments from the global R-IVF table.
-	sts := make([]QueryStats, len(queries))
-	fineSegs := make([][]SlotRange, len(queries))
-	// pinSegs parallels fineSegs: a non-nil entry means that segment is
-	// served from the router's hot-cluster cache, and its fineSegs slot
-	// holds the empty sentinel so no shard scans it.
-	var pinSegs [][]*pinnedRange
-	var packed [][]byte
-	if db.cache != nil {
-		pinSegs = make([][]*pinnedRange, len(queries))
-		packed = make([][]byte, len(queries))
-	}
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		st := &sts[qi]
-		st.IBCBroadcasts = gatherIBC(cresps, qi)
-		gatherSegStats(cresps, qi, 0, true, st)
-		cents := sh.mergeSeg(sh.scr.cents[:0], cresps, qi, 0, db.lay.embPerPage)
-		sh.scr.cents = cents
-		st.CoarseEntries = len(cents)
-		st.SelectInput += len(cents)
-		slices.SortFunc(cents, cmpTTLDistPos)
-		np := nprobe
-		if np > len(cents) {
-			np = len(cents)
-		}
-		for _, c := range cents[:np] {
-			if db.cache == nil {
-				fineSegs[qi] = append(fineSegs[qi], db.mut.buckets[c.Pos]...)
-				continue
-			}
-			db.cache.probe(c.Pos)
-			pc := db.cache.pinnedFor(c.Pos)
-			for ri, sr := range db.mut.buckets[c.Pos] {
-				if pc != nil {
-					fineSegs[qi] = append(fineSegs[qi], SlotRange{First: 0, Last: -1})
-					pinSegs[qi] = append(pinSegs[qi], &pc.ranges[ri])
-				} else {
-					fineSegs[qi] = append(fineSegs[qi], sr)
-					pinSegs[qi] = append(pinSegs[qi], nil)
-				}
-			}
-		}
-	}
-
-	// Fine phase: scan every query's probed clusters.
-	fresps, err := sh.scatter(ctx, db, queries, false, fineSegs, nil, nil, opt)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	results := make([][]DocResult, len(queries))
-	for qi := range queries {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
-		}
-		st := &sts[qi]
-		st.IBCBroadcasts += gatherIBC(fresps, qi)
-		entries := sh.scr.entries[:0]
-		for si := range fineSegs[qi] {
-			if pinSegs != nil && pinSegs[qi][si] != nil {
-				if packed[qi] == nil {
-					packed[qi] = vecmath.PackBinaryBytes(vecmath.BinaryQuantize(queries[qi], nil), nil)
-				}
-				var cp, cs int
-				entries, cp, cs = db.cache.scanPinned(pinSegs[qi][si], packed[qi],
-					db.cachedParams(sh.opts.DistanceFilter, opt.MetaTag, 0), entries)
-				st.CachedPages += cp
-				st.CachedSlots += cs
-				continue
-			}
-			gatherSegStats(fresps, qi, si, false, st)
-			entries = sh.mergeSeg(entries, fresps, qi, si, db.lay.embPerPage)
-		}
-		sh.scr.entries = entries
-		res, err := sh.finish(db, queries[qi], entries, k, opt, st)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		results[qi] = res
-	}
-	return results, sts, perShardStats(fresps, len(queries), perShardStats(cresps, len(queries), nil)), nil
-}
-
 // finish runs the shared controller tail on the gather side, fetching
 // INT8 and document pages from the shards that own them.
-func (sh *ShardedEngine) finish(db *ShardedDatabase, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+func (b *shardBackend) finish(query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+	sh, db := b.sh, b.db
 	sh.scr.src = shardTailSource{sh: sh, db: db}
 	tp := tailParams{
 		int8Bytes:   db.lay.int8Bytes,
@@ -951,41 +766,27 @@ func (t *shardTailSource) readDocPage(ts *tailScratch, page int) ([]byte, int, e
 	return t.readPage(ts, func(db *Database) ssd.Region { return db.rec.Documents }, page)
 }
 
-// Search runs one brute-force query through the sharded path. Results
-// are bit-identical to Engine.Search over the same data; device stats
-// match the batch-admission path (a query is broadcast only to planes
-// that scan it).
+// Search runs one brute-force query through the sharded path. Like
+// the three methods below it is a one-command, cache-bypassing wrapper
+// over the controller; results are bit-identical to Engine.Search over
+// the same data.
 func (sh *ShardedEngine) Search(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	results, sts, _, err := sh.searchGroup(context.Background(),
-		&HostCommand{Opcode: OpcodeSearch, DBID: dbID, K: k, Opt: opt}, [][]float32{query}, false)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return results[0], sts[0], nil
+	return searchOne(sh, OpcodeSearch, dbID, query, k, opt)
 }
 
 // SearchBatch runs a query batch through the sharded path.
 func (sh *ShardedEngine) SearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	results, sts, _, err := sh.searchGroup(context.Background(),
-		&HostCommand{Opcode: OpcodeSearch, DBID: dbID, K: k, Opt: opt}, queries, false)
-	return results, sts, err
+	return searchMany(sh, OpcodeSearch, dbID, queries, k, opt)
 }
 
 // IVFSearch runs one IVF query through the sharded path.
 func (sh *ShardedEngine) IVFSearch(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	results, sts, _, err := sh.searchGroup(context.Background(),
-		&HostCommand{Opcode: OpcodeIVFSearch, DBID: dbID, K: k, Opt: opt}, [][]float32{query}, false)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return results[0], sts[0], nil
+	return searchOne(sh, OpcodeIVFSearch, dbID, query, k, opt)
 }
 
 // IVFSearchBatch runs an IVF query batch through the sharded path.
 func (sh *ShardedEngine) IVFSearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	results, sts, _, err := sh.searchGroup(context.Background(),
-		&HostCommand{Opcode: OpcodeIVFSearch, DBID: dbID, K: k, Opt: opt}, queries, false)
-	return results, sts, err
+	return searchMany(sh, OpcodeIVFSearch, dbID, queries, k, opt)
 }
 
 // Append implements the OpcodeAppend host command synchronously,
@@ -1012,24 +813,5 @@ func (sh *ShardedEngine) CalibrateNProbe(dbID int, queries [][]float32, groundTr
 	if err != nil {
 		return 0, err
 	}
-	nlist := len(db.lay.rivf)
-	if nlist == 0 {
-		return 0, fmt.Errorf("reis: database %d is not IVF-deployed", dbID)
-	}
-	if len(queries) == 0 {
-		return 0, fmt.Errorf("reis: empty query set")
-	}
-	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
-		results, _, err := sh.IVFSearchBatch(dbID, queries, k, SearchOptions{NProbe: nprobe, SkipDocs: true})
-		return results, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		sh.execMu.Lock()
-		db.calib = append(db.calib, recallPoint{target: target, nprobe: nprobe})
-		sh.execMu.Unlock()
-	}
-	return nprobe, nil
+	return calibrateNProbe(sh, &sh.execMu, &db.calib, dbID, len(db.lay.rivf), queries, groundTruth, k, target)
 }
