@@ -23,14 +23,19 @@
 // IVFSearch / IVFSearchBatch methods are one-command wrappers over it
 // that bypass the result cache (DESIGN.md, "Concurrency model").
 //
-// reis.NewSharded scales the engine out across N simulated devices: a
-// scatter-gather router page-stripes one globally planned layout over
-// the member devices and runs the same controller over the scatter
-// backend — each round fans out through per-shard queue pairs (the
-// OpcodeScan scatter command), the per-shard TTL streams merge in
-// global position order, and the tail runs over the merged stream —
-// so results and aggregated device stats are bit-identical to a single
-// device over the same data (DESIGN.md, "Sharded topology").
+// Both exported hosts are facades over one host core
+// (internal/reis/host.go) that owns the database table, the journal,
+// the queue registry and N ≥ 1 devices, and implements every host
+// operation once: reis.New is a device that is its own host (N = 1),
+// reis.NewSharded the same core over N member devices (DESIGN.md,
+// "Host core"). Sharding page-stripes one globally planned layout over
+// the members and runs the same controller over the scatter backend —
+// each round fans out through per-shard queue pairs (the OpcodeScan
+// scatter command), the per-shard TTL streams merge in global position
+// order, and the tail runs over the merged stream — so results and
+// aggregated device stats are bit-identical to a single device over
+// the same data, and one timing model prices both (DESIGN.md, "Sharded
+// topology").
 //
 // Deployed databases are mutable online: OpcodeAppend writes new
 // items out-of-place into wear-leveled free rows (least-worn-first
@@ -63,10 +68,10 @@
 // 503 + Retry-After backpressure, and graceful drain (DESIGN.md,
 // "Replicated serving and gateway").
 //
-// The timing model extends past averages into distributions:
-// Engine.RunLoad / ShardedEngine.RunLoad replay a deterministic
-// Poisson arrival schedule through a queue pair in virtual time and
-// accumulate per-command modeled latency into a streaming quantile
+// The timing model extends past averages into distributions: RunLoad
+// (on either host) replays a deterministic Poisson arrival schedule
+// through a queue pair in virtual time and accumulates per-command
+// modeled latency into a streaming quantile
 // sketch (reis.LatencySketch, DDSketch-style with a guaranteed
 // relative-error bound), so p50/p95/p99/p999 are bit-identical run to
 // run and gate CI: cmd/benchdiff fails when modeled p99 under the

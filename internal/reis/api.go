@@ -1,7 +1,6 @@
 package reis
 
 import (
-	"context"
 	"errors"
 	"fmt"
 )
@@ -305,8 +304,7 @@ func isMutationOp(op uint8) bool {
 //  4. otherwise the engine's nprobe=1 default applies downstream.
 //
 // calib are the database's recorded CalibrateNProbe points and dbID
-// its id (for the error message) — passed apart so the single-device
-// Database and the router's ShardedDatabase share the one resolver.
+// its id (for the error message).
 func resolveSearchOptions(calib []recallPoint, dbID int, cmd *HostCommand) (SearchOptions, error) {
 	opt := cmd.Opt
 	switch {
@@ -369,109 +367,4 @@ func (r *HostResponse) ShardStats(qi int) []QueryStats {
 		col[s] = r.PerShard[s][qi]
 	}
 	return col
-}
-
-// Submit executes one host command synchronously: a thin wrapper that
-// submits to the engine's built-in queue pair and waits for the
-// completion. Synchronous and asynchronous submission therefore share
-// one execution core, and Submit's results are bit-identical to the
-// same command served through SubmitAsync.
-func (e *Engine) Submit(cmd HostCommand) (HostResponse, error) {
-	q, err := e.reg.defaultQueue(func() (*Queue, error) { return e.NewQueue(QueueConfig{}) })
-	if err != nil {
-		return HostResponse{}, err
-	}
-	id, err := q.submit(context.Background(), cmd, true)
-	if err != nil {
-		return HostResponse{}, err
-	}
-	return q.Wait(context.Background(), id)
-}
-
-// execCmd serves one validated command, serializing on the execution
-// core — the Engine half of the host interface queue dispatchers use.
-func (e *Engine) execCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
-	if isSearchOp(cmd.Opcode) {
-		return execSearch(e, ctx, cmd)
-	}
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	return e.executeCmd(ctx, cmd)
-}
-
-// execSearchGroup runs one search command's queries, or a coalesced
-// dispatch group's concatenated Q operands, through the controller with
-// the result cache consulted (host interface). The perShard return is
-// always nil: a single device has no shards.
-func (e *Engine) execSearchGroup(ctx context.Context, cmd *HostCommand, queries [][]float32) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	return e.search(ctx, cmd, queries, true)
-}
-
-// executeCmd serves one validated non-search command on the dispatcher
-// goroutine. The caller must hold e.execMu.
-func (e *Engine) executeCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
-	switch cmd.Opcode {
-	case OpcodeDBDeploy:
-		cfg := *cmd.Deploy
-		cfg.Centroids, cfg.Assign = nil, nil
-		_, err := e.deploy(cfg)
-		return HostResponse{Done: err == nil}, err
-	case OpcodeIVFDeploy:
-		_, err := e.ivfDeploy(*cmd.Deploy)
-		return HostResponse{Done: err == nil}, err
-	case OpcodeScan:
-		return e.executeScan(ctx, cmd)
-	case OpcodeAppend, OpcodeDelete, OpcodeCompact:
-		db, err := e.db(cmd.DBID)
-		if err != nil {
-			return HostResponse{}, err
-		}
-		if db.mut == nil {
-			return HostResponse{}, fmt.Errorf("reis: database %d is a shard slice (mutate through its router)", cmd.DBID)
-		}
-		resp, err := executeMutation(db.mut, engineMutTarget{e: e, db: db}, cmd)
-		if err == nil {
-			// The scan bound follows the live extent, and recorded
-			// nprobe calibrations no longer cover the mutated corpus.
-			// The caching tier drops every pinned page and cached
-			// result before the mutation's completion is visible, so a
-			// stale hit is impossible by construction.
-			db.regionSlots = db.mut.tailSlots
-			db.calib = nil
-			db.cache.invalidate()
-			e.jl.logCmd(cmd)
-		}
-		return resp, err
-	default:
-		return HostResponse{}, fmt.Errorf("%w %#x", ErrUnknownOpcode, cmd.Opcode)
-	}
-}
-
-// executeMutation serves one validated mutation command against a
-// database's mutable ledger and physical target — shared by the
-// single-device engine and the sharded router, which is what makes
-// their outcomes bit-identical. The caller invalidates calibration on
-// success.
-func executeMutation(m *mutState, t mutTarget, cmd *HostCommand) (HostResponse, error) {
-	switch cmd.Opcode {
-	case OpcodeAppend:
-		ids, wear, err := mutAppend(m, t, cmd.Append)
-		if err != nil {
-			return HostResponse{}, err
-		}
-		return HostResponse{Done: true, AppendedIDs: ids, Wear: wear}, nil
-	case OpcodeDelete:
-		if err := mutDelete(m, cmd.Del.IDs); err != nil {
-			return HostResponse{}, err
-		}
-		wear := &WearStats{}
-		m.fillWear(wear, t)
-		return HostResponse{Done: true, Wear: wear}, nil
-	default: // OpcodeCompact
-		wear, err := mutCompact(m, t, cmd.Compact.MinLiveRatio)
-		if err != nil {
-			return HostResponse{}, err
-		}
-		return HostResponse{Done: true, Wear: wear}, nil
-	}
 }

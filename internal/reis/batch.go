@@ -7,9 +7,10 @@ import (
 	"reis/internal/vecmath"
 )
 
-// This file is the single device's scan backend: one scan round of the
-// controller (controller.go) — or one OpcodeScan command of a shard
-// router — split into per-plane tasks on the per-die worker pool.
+// This file is the device's scan path: one scan round of the controller
+// (controller.go) over a device scanned in place — or one OpcodeScan
+// command scattered to it by a host over several — split into per-plane
+// tasks on the per-die worker pool.
 //
 //   - A plane only receives an IBC broadcast for queries it actually
 //     scans, instead of every query flooding every plane.
@@ -233,34 +234,51 @@ func (e *Engine) packBatch(db *Database, queries [][]float32) [][]byte {
 	return packed
 }
 
-// localBackend is the controller's scan backend over the engine's own
-// planes: rounds run through batchScan, segments fold straight out of
-// the worker arenas, the tail reads the engine's own regions.
+// stats is query qi's view of the last round as the device reports it
+// to a host (an OpcodeScan response, a PerShard row): its broadcasts
+// and folded segment events. Every coarse survivor is a TTL-C entry;
+// the timing model costs coarse and fine TTL streams under different
+// scale factors, so the device's row carries the split. (The host's
+// aggregated CoarseEntries is computed centrally from the merged
+// stream instead.)
+func (o *scanOut) stats(qi int, coarse bool) QueryStats {
+	st := QueryStats{IBCBroadcasts: o.ibc[qi]}
+	end := len(o.segs)
+	if qi+1 < len(o.off) {
+		end = o.off[qi+1]
+	}
+	for i := o.off[qi]; i < end; i++ {
+		o.segs[i].addTo(&st, coarse)
+		if coarse {
+			st.CoarseEntries += o.segs[i].survivors
+		}
+	}
+	return st
+}
+
+// localBackend is the controller's scan backend over one device, scanned
+// in place: rounds run through batchScan on the plane pool and segments
+// fold straight out of the worker arenas. The host core holds the
+// device's lock for the command.
 type localBackend struct {
 	e      *Engine
 	db     *Database
 	packed [][]byte // the command's query encodings, packed at its first round
 }
 
-func (b *localBackend) shardRows(int) [][]QueryStats { return nil }
-
-// fetchPin reads a binary-region page for the hot-cluster cache. The
-// SLC-ESP partition has zero raw bit-error rate, so the pinned copy is
-// bit-identical to what the sensing latch would hold, and the read
-// consumes no error-injection randomness.
-func (b *localBackend) fetchPin(page int) ([]byte, []byte, error) {
-	addr, err := b.db.rec.Embeddings.AddressOf(b.e.SSD.Cfg.Geo, page)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b.e.SSD.Dev.ReadPageInto(addr, nil, nil)
-}
-
-func (b *localBackend) scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, _ [][]QueryStats) error {
+func (b *localBackend) scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
 	if b.packed == nil {
 		b.packed = b.e.packBatch(b.db, queries)
 	}
-	return b.e.batchScan(ctx, b.db, b.packed, coarse, segs, lbs, bounds, metaTag)
+	if err := b.e.batchScan(ctx, b.db, b.packed, coarse, segs, lbs, bounds, metaTag); err != nil {
+		return err
+	}
+	if rows != nil {
+		for qi := range queries {
+			rows[0][qi].Add(b.e.scr.out.stats(qi, coarse))
+		}
+	}
+	return nil
 }
 
 func (b *localBackend) ibc(qi int) int { return b.e.scr.out.ibc[qi] }
@@ -269,69 +287,4 @@ func (b *localBackend) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEn
 	seg := b.e.scr.out.seg(qi, si)
 	seg.addTo(st, coarse)
 	return b.e.appendMergeByPos(dst, b.e.scr.out.scans[seg.lo:seg.hi])
-}
-
-func (b *localBackend) finish(query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
-	e, db := b.e, b.db
-	e.scr.src = engineTailSource{e: e, db: db}
-	return runTail(&e.scr.src, &e.scr.tail, db.tailParams(e.SSD.Cfg.Geo.Planes()), query, entries, k, opt, st)
-}
-
-// search runs one command's queries — its own Q operand or a coalesced
-// group's concatenation — through the controller over the engine's own
-// planes (the searcher entry; execSearchGroup is the cached form).
-func (e *Engine) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(cmd.DBID)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	e.scr.local = localBackend{e: e, db: db}
-	c := controller{
-		b: &e.scr.local, scr: &e.scr.ctrl,
-		id: db.ID, dim: db.Dim, calib: db.calib, cache: db.cache, mut: db.mut,
-		flat: db.flatSegs(), nlist: len(db.rivf), planes: e.SSD.Cfg.Geo.Planes(),
-		pin: cachedScanParams{
-			slotBytes: db.slotBytes, embPerPage: db.embPerPage,
-			filter: e.Opts.DistanceFilter, threshold: db.filterThreshold,
-		},
-	}
-	return c.search(ctx, cmd, queries, useCache)
-}
-
-// Search implements the Search() API command (Table 1): brute-force
-// in-storage scan of the whole binary region, rerank, and document
-// retrieval. Like the three methods below it is a one-command wrapper
-// over the controller that bypasses the result cache.
-func (e *Engine) Search(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	return searchOne(e, OpcodeSearch, dbID, query, k, opt)
-}
-
-// IVFSearch implements the IVF_Search() API command (Table 1): coarse
-// centroid search, fine scan of the NProbe nearest clusters, rerank,
-// and document retrieval.
-func (e *Engine) IVFSearch(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	return searchOne(e, OpcodeIVFSearch, dbID, query, k, opt)
-}
-
-// SearchBatch implements the batched Q operand of the Search() API
-// command (Table 1): the queries' brute-force scans are scheduled
-// concurrently across planes. Results[i] and Stats[i] are bit-identical
-// to what Search(dbID, queries[i], k, opt) returns — every QueryStats
-// field, IBCBroadcasts included: a plane broadcasts a query once if and
-// only if it scans it, whatever else rides in the batch.
-func (e *Engine) SearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	return searchMany(e, OpcodeSearch, dbID, queries, k, opt)
-}
-
-// IVFSearchBatch implements the batched Q operand of IVF_Search(): a
-// coarse centroid round for the whole batch, a controller-side cluster
-// selection per query, then the fine round(s) over every query's probed
-// clusters. Results are bit-identical to per-query IVFSearch calls, and
-// so are the stats on an uncached database (the hot-cluster pins refresh
-// once per command, so a cached batch may serve from DRAM pages that
-// one-query commands sense from flash, and vice versa).
-func (e *Engine) IVFSearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	return searchMany(e, OpcodeIVFSearch, dbID, queries, k, opt)
 }

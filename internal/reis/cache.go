@@ -53,9 +53,9 @@ const (
 )
 
 // pinFetch reads one binary-region page (by global page number) into
-// freshly owned buffers — scanBackend.fetchPin. The engine reads its
-// own region; the shard router reads the owning shard's local page,
-// which holds byte-identical content (see deployShard).
+// freshly owned buffers — hostCore.fetchPin, from the device that owns
+// the page, whose local copy is byte-identical to the reference
+// device's (see Engine.install).
 type pinFetch func(page int) (data, oob []byte, err error)
 
 // pinnedRange is the DRAM copy of one posting-list slot range.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -320,5 +321,71 @@ func TestCloseAbortsBackgroundGC(t *testing.T) {
 	}
 	if !reflect.DeepEqual(again, before) {
 		t.Fatal("finishing compaction changed search results")
+	}
+}
+
+// TestDirectCallsAfterClose: every direct API call on a closed host —
+// single device, and one or several shards — fails with ErrQueueClosed
+// and starts nothing. (A closed Engine used to serve direct searches,
+// lazily restarting the plane workers Close had stopped and leaking
+// them; only the sharded router refused.)
+func TestDirectCallsAfterClose(t *testing.T) {
+	type closedHost interface {
+		submitter
+		Search(int, []float32, int, SearchOptions) ([]DocResult, QueryStats, error)
+		IVFSearchBatch(int, [][]float32, int, SearchOptions) ([][]DocResult, []QueryStats, error)
+		Append(int, AppendConfig) ([]int, error)
+		Close() error
+	}
+	redeploy := DeployConfig{ID: 3, Vectors: testData.Vectors[:64], Docs: testData.Docs[:64], DocSlotBytes: 256}
+	e, err := New(shardTestCfg(), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosts := map[string]closedHost{"device": e}
+	deploys := map[string]func() error{"device": func() error { _, err := e.Deploy(redeploy); return err }}
+	for _, n := range []int{1, 2} {
+		sh, err := NewSharded(shardTestCfg(), n, 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := map[int]string{1: "one-shard", 2: "two-shards"}[n]
+		hosts[name] = sh
+		deploys[name] = func() error { _, err := sh.Deploy(redeploy); return err }
+	}
+	queries := testData.Queries[:8]
+	for name, h := range hosts {
+		deployBoth(t, h.Submit)
+		// A multi-plane batch before Close, so the workers Close stops
+		// have been started.
+		if _, _, err := h.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if err := h.Close(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		before := runtime.NumGoroutine()
+		calls := map[string]func() error{
+			"Search": func() error { _, _, err := h.Search(1, queries[0], 10, SearchOptions{}); return err },
+			"IVFSearchBatch": func() error {
+				_, _, err := h.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4})
+				return err
+			},
+			"Deploy": deploys[name],
+			"Append": func() error {
+				_, err := h.Append(1, AppendConfig{Vectors: testData.Vectors[:2], Docs: testData.Docs[:2]})
+				return err
+			},
+		}
+		for call, f := range calls {
+			if err := f(); !errors.Is(err, ErrQueueClosed) {
+				t.Errorf("%s: %s after Close error = %v, want ErrQueueClosed", name, call, err)
+			}
+		}
+		// Goroutines stopped by Close may still be winding down, so the
+		// count can only fall — unless a call restarted something.
+		if after := runtime.NumGoroutine(); after > before {
+			t.Errorf("%s: %d goroutines after the refused calls, %d before", name, after, before)
+		}
 	}
 }

@@ -21,9 +21,10 @@ import (
 //     (chunkFlatRounds / probeWindow) and tightens a per-query bound
 //     between them (see prune.go for the proof that results do not
 //     change);
-//   - a single device and a shard router differ only in the scanBackend
-//     that executes a round — local plane tasks, or an OpcodeScan
-//     scatter — and the controller never asks which one it has;
+//   - one device and several differ only in the scanBackend that
+//     executes a round — plane tasks on the device scanned in place, or
+//     an OpcodeScan scatter — and the controller never asks which one it
+//     has;
 //   - pinned clusters are scanned here, from the DRAM copies, in
 //     segment order, so a backend never sees them;
 //   - Submit, queue pairs and the direct Search* methods all enter
@@ -36,53 +37,39 @@ import (
 // bit-identical across backends by construction.
 
 // scanBackend executes the controller's scan rounds on one topology. It
-// hides coordinate translation, the per-plane or per-shard merge, and
-// the per-shard stats rows; positions it hands back are region-global.
+// hides coordinate translation and the per-plane or per-shard merge;
+// positions it hands back are region-global.
 type scanBackend interface {
-	// shardRows allocates a command's [shard][query] PerShard rows (nil
-	// on a single device, which has no shards).
-	shardRows(nq int) [][]QueryStats
-	// fetchPin reads one binary-region page, by global page number, into
-	// freshly owned buffers — the hot-cluster cache's fill path.
-	fetchPin(page int) (data, oob []byte, err error)
 	// scan runs one round: segs[qi] are the slot ranges query qi scans in
 	// the centroid (coarse) or binary region, lbs mirrors segs with each
 	// segment's proven distance lower bound (nil = none), and bounds[qi]
-	// is the query's pruning threshold (0 = off). Each shard's share of
-	// the round's events is added to rows.
+	// is the query's pruning threshold (0 = off). Each device's share of
+	// the round's events is added to rows (nil when nobody asks).
 	scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error
 	// ibc is query qi's broadcast count in the last round.
 	ibc(qi int) int
 	// fold adds segment (qi, si) of the last round to st and appends its
 	// surviving entries, ascending by position, to dst.
 	fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry
-	// finish runs the shared controller tail (runTail) over the topology's
-	// page source.
-	finish(query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error)
 }
 
 // controller is one search command's view of its database: the backend
-// that scans, the pooled scratch (owned by the execMu holder), and the
-// global state rounds are planned from — identical on a device and on
-// the router of its shards.
+// that scans, the host core (pin fetches, the tail, the global plane
+// count), the pooled scratch (owned by the execMu holder), and the
+// host's database entry — the global state rounds are planned from,
+// identical whatever the device count.
 type controller struct {
 	b   scanBackend
+	h   *hostCore
+	db  *ShardedDatabase
 	scr *ctrlScratch
-
-	id, dim int
-	calib   []recallPoint
-	cache   *dbCache
-	mut     *mutState   // posting lists and covering radii; nil on a shard slice
-	flat    []SlotRange // brute-force scan plan
-	nlist   int
-	planes  int // global plane count
 	// pin carries the layout constants and the distance-filter predicate
 	// of pinned scans; metaTag and bound are set per scan.
 	pin cachedScanParams
 }
 
 // ctrlScratch is the controller's pooled working state, embedded in
-// engineScratch and routerScratch. Per-query slices are indexed by the
+// hostScratch. Per-query slices are indexed by the
 // query's position in the running batch and keep their buffers across
 // commands.
 type ctrlScratch struct {
@@ -137,43 +124,6 @@ func (s *ctrlScratch) reset(nq, pool int) {
 	}
 }
 
-// searcher is the entry both hosts expose to the wrappers below.
-type searcher interface {
-	search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error)
-}
-
-// searchOne and searchMany back the exported Search / IVFSearch /
-// SearchBatch / IVFSearchBatch methods of both hosts: one command
-// through the controller, bypassing the result cache (the hot-cluster
-// pins still apply).
-func searchOne(h searcher, op uint8, dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	results, sts, err := searchMany(h, op, dbID, [][]float32{query}, k, opt)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return results[0], sts[0], nil
-}
-
-func searchMany(h searcher, op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	results, sts, _, err := h.search(context.Background(),
-		&HostCommand{Opcode: op, DBID: dbID, K: k, Opt: opt}, queries, false)
-	return results, sts, err
-}
-
-// execSearch serves one search command on either host (the search case
-// of execCmd).
-func execSearch(h host, ctx context.Context, cmd *HostCommand) (HostResponse, error) {
-	results, sts, perShard, err := h.execSearchGroup(ctx, cmd, cmd.Queries)
-	if err != nil {
-		return HostResponse{}, err
-	}
-	resp := HostResponse{Done: true, Results: results, QueryStats: sts, PerShard: perShard}
-	for _, st := range sts {
-		resp.Stats.Add(st)
-	}
-	return resp, nil
-}
-
 // search resolves and validates one command's queries — its own Q
 // operand, or a coalesced group's concatenation — and runs them,
 // wrapped in the result cache when useCache is set (host commands; the
@@ -185,7 +135,8 @@ func execSearch(h host, ctx context.Context, cmd *HostCommand) (HostResponse, er
 // intra-batch duplicates all miss and hit patterns do not depend on
 // batch order.
 func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	opt, err := resolveSearchOptions(c.calib, c.id, cmd)
+	db, cache := c.db, c.db.cache
+	opt, err := resolveSearchOptions(db.calib, db.ID, cmd)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -193,14 +144,14 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		return nil, nil, nil, fmt.Errorf("reis: empty query batch")
 	}
 	for _, q := range queries {
-		if err := checkQueryAgainst(c.dim, c.id, q, cmd.K); err != nil {
+		if err := checkQueryAgainst(db.Dim, db.ID, q, cmd.K); err != nil {
 			return nil, nil, nil, err
 		}
 	}
-	if cmd.Opcode == OpcodeIVFSearch && c.nlist == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", c.id)
+	if cmd.Opcode == OpcodeIVFSearch && len(db.lay.rivf) == 0 {
+		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.ID)
 	}
-	if !useCache || c.cache == nil || c.cache.resBudget <= 0 {
+	if !useCache || cache == nil || cache.resBudget <= 0 {
 		return c.run(ctx, cmd.Opcode, queries, cmd.K, opt)
 	}
 	nq := len(queries)
@@ -211,7 +162,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	var missQ [][]float32
 	for i, q := range queries {
 		keys[i] = resultKey(cmd.Opcode, cmd.K, opt, q)
-		if r, ok := c.cache.lookupResult(keys[i]); ok {
+		if r, ok := cache.lookupResult(keys[i]); ok {
 			results[i] = r
 			sts[i] = QueryStats{ResultCacheHits: 1}
 			continue
@@ -219,7 +170,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		missIdx = append(missIdx, i)
 		missQ = append(missQ, q)
 	}
-	rows := c.b.shardRows(nq)
+	rows := c.h.shardRows(nq)
 	if len(missIdx) > 0 {
 		mres, msts, mrows, err := c.run(ctx, cmd.Opcode, missQ, cmd.K, opt)
 		if err != nil {
@@ -228,7 +179,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		for j, i := range missIdx {
 			results[i] = mres[j]
 			sts[i] = msts[j]
-			c.cache.storeResult(keys[i], mres[j])
+			cache.storeResult(keys[i], mres[j])
 			for s := range rows {
 				rows[s][i] = mrows[s][j]
 			}
@@ -251,10 +202,11 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	}
 	s.reset(nq, pool)
 	sts := make([]QueryStats, nq)
-	rows := c.b.shardRows(nq)
+	rows := c.h.shardRows(nq)
+	mut, cache, nlist := c.db.mut, c.db.cache, len(c.db.lay.rivf)
 	var tomb []uint64
-	if c.mut != nil && c.mut.deadCount > 0 {
-		tomb = c.mut.tomb
+	if mut.deadCount > 0 {
+		tomb = mut.tomb
 	}
 
 	// flatRounds is the brute-force round list (a compacted-away plan is
@@ -263,26 +215,27 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	var flatRounds [][]SlotRange
 	maxSel := 0
 	if op == OpcodeSearch {
-		flatRounds = [][]SlotRange{c.flat}
-		if opt.Prune && len(c.flat) > 0 {
-			flatRounds = chunkFlatRounds(c.flat, c.pin.embPerPage, c.planes)
+		flatRounds = [][]SlotRange{mut.flatPlan}
+		if opt.Prune && len(mut.flatPlan) > 0 {
+			flatRounds = chunkFlatRounds(mut.flatPlan, c.pin.embPerPage, c.h.cfg.Geo.Planes())
 		}
 	} else {
 		// Pins refresh once per IVF command, before any probe of it counts.
-		err := c.cache.refresh(func(cl int) []SlotRange { return c.mut.buckets[cl] }, c.pin.embPerPage, c.b.fetchPin)
+		err := cache.refresh(func(cl int) []SlotRange { return mut.buckets[cl] }, c.pin.embPerPage,
+			func(page int) ([]byte, []byte, error) { return c.h.fetchPin(c.db, page) })
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		// Coarse round: every query ranks the whole centroid region. No
 		// bound applies — TTL-C must rank every centroid (Sec 4.3.1).
-		s.cent[0] = SlotRange{First: 0, Last: c.nlist - 1}
+		s.cent[0] = SlotRange{First: 0, Last: nlist - 1}
 		for qi := range queries {
 			s.segs[qi] = s.cent[:]
 		}
 		if err := c.b.scan(ctx, queries, true, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
 			return nil, nil, nil, err
 		}
-		nprobe := min(max(opt.NProbe, 1), c.nlist)
+		nprobe := min(max(opt.NProbe, 1), nlist)
 		for qi := range queries {
 			st := &sts[qi]
 			st.IBCBroadcasts += c.b.ibc(qi)
@@ -293,8 +246,8 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			slices.SortFunc(cents, cmpTTLDistPos)
 			sel := s.sel[qi][:0]
 			for _, cn := range cents[:min(nprobe, len(cents))] {
-				c.cache.probe(cn.Pos)
-				sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, c.mut.radius[cn.Pos])})
+				cache.probe(cn.Pos)
+				sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, mut.radius[cn.Pos])})
 			}
 			s.sel[qi] = sel
 			maxSel = max(maxSel, len(sel))
@@ -329,13 +282,13 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				segs, ql, pins := s.segBuf[qi][:0], s.lbs[qi][:0], s.pins[qi][:0]
 				sel := s.sel[qi]
 				for i := start; i < min(start+size, len(sel)); i++ {
-					pc := c.cache.pinnedFor(sel[i].cluster)
-					for ri, sr := range c.mut.buckets[sel[i].cluster] {
+					pc := cache.pinnedFor(sel[i].cluster)
+					for ri, sr := range mut.buckets[sel[i].cluster] {
 						if pc != nil {
 							pins = append(pins, &pc.ranges[ri])
 							continue
 						}
-						if c.cache != nil {
+						if cache != nil {
 							pins = append(pins, nil)
 						}
 						segs = append(segs, sr)
@@ -378,7 +331,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				p := c.pin
 				p.metaTag, p.bound = opt.MetaTag, s.bounds[qi]
 				var cp, cs int
-				acc, cp, cs = c.cache.scanPinned(pr, c.packedQuery(qi, queries), p, acc)
+				acc, cp, cs = cache.scanPinned(pr, c.packedQuery(qi, queries), p, acc)
 				st.CachedPages += cp
 				st.CachedSlots += cs
 			}
@@ -394,7 +347,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			if err := ctx.Err(); err != nil {
 				return nil, nil, nil, err
 			}
-			res, err := c.b.finish(queries[qi], acc, k, opt, st)
+			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st)
 			if err != nil {
 				return nil, nil, nil, err
 			}

@@ -11,8 +11,8 @@ import (
 // scatter queues.
 func scatterSlots(sh *ShardedEngine) int {
 	n := 0
-	for _, d := range sh.shards {
-		n += d.q.Outstanding()
+	for _, q := range sh.qs {
+		n += q.Outstanding()
 	}
 	return n
 }

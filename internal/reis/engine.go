@@ -26,8 +26,9 @@
 // cluster segments whose triangle-inequality lower bound exceeds it —
 // with results bit-identical to the unpruned scan on every topology
 // (see DESIGN.md, "Threshold propagation and pruning"). Pruned or not,
-// on one device or a shard router, a search is the same round-driven
-// controller (controller.go) over a scan backend.
+// on one device or several, a search is the same round-driven controller
+// (controller.go) over a scan backend, run by the one host core
+// (host.go) that Engine and ShardedEngine are both facades of.
 //
 // A DRAM caching tier (ssd.Config.CacheDRAMBytes, off by default)
 // serves repeated work at controller cost without ever changing
@@ -82,11 +83,17 @@ func AllOptions() Options {
 	return Options{DistanceFilter: true, Pipelining: true, MPIBC: true}
 }
 
-// Engine is the in-storage retrieval system. Public API calls may be
-// issued from any goroutine: the execution core (one command or one
-// coalesced batch at a time, matching the single embedded controller
-// core) is serialized internally, and queue pairs created with NewQueue
-// provide the asynchronous, multi-tenant interface on top of it.
+// Engine is the in-storage retrieval system: one simulated device — the
+// SSD, its die command FSM and plane worker pool — that is also its own
+// host (the embedded core, over devs = [itself]), or a member device of
+// a ShardedEngine. Public API calls may be issued from any goroutine:
+// the host core serializes execution (one command or one coalesced batch
+// at a time, matching the single embedded controller core), and queue
+// pairs created with NewQueue provide the asynchronous, multi-tenant
+// interface on top of it. Submit, NewQueue, the Search family, Append /
+// Delete / Compact, CalibrateNProbe, RunLoad, the journal pair, Ready
+// and Close are the core's, promoted; the methods declared on Engine
+// are the ones whose shape is a single device's.
 type Engine struct {
 	SSD  *ssd.SSD
 	FSM  *flash.DieFSM
@@ -96,33 +103,21 @@ type Engine struct {
 	// mirroring the device's channel/die parallelism.
 	pool *planePool
 
-	// execMu serializes the execution core: the engine scratch and the
-	// pool worker arenas have exactly one running owner at a time
-	// (batched admission and queue coalescing are the concurrency
-	// mechanisms, not parallel API calls).
-	execMu sync.Mutex
+	// mu is the device lock: the regions and R-DB records, the device
+	// scratch and the pool worker arenas have exactly one running owner
+	// at a time. It nests inside a host core's execMu, never around it
+	// (see host.go).
+	mu sync.Mutex
 
-	// scr holds the engine-owned pooled buffers of the query pipeline;
+	// scr holds the device-owned pooled buffers of the scan pipeline;
 	// see engineScratch for the ownership rules.
 	scr engineScratch
 
+	// dbs is the device's database table: a whole layout when the device
+	// is its own host, a page-stride slice when it is a member.
 	dbs map[int]*Database
 
-	// jl is the append-only mutation journal: every committed append,
-	// delete and compact is recorded under execMu, so replaying any
-	// journal prefix on a fresh deploy reproduces the pre-crash state
-	// bit for bit (see journal.go and DESIGN.md, "Concurrent GC, wear
-	// leveling, and recovery").
-	jl journal
-
-	// testGCStepHook, when set, runs after each committed background GC
-	// step with no locks held — the interleaving tests' probe point.
-	testGCStepHook func()
-
-	// reg tracks the queue pairs created with NewQueue for Close-time
-	// teardown, plus the built-in pair behind the synchronous Submit
-	// wrapper.
-	reg queueRegistry
+	hostCore
 }
 
 // Database is the on-device representation of one deployed vector
@@ -145,33 +140,26 @@ type Database struct {
 	docBytes    int // document chunk slot size
 	docsPerPage int
 
-	// IVF structures; nil for flat (brute-force) databases.
+	// rivf is the database's R-IVF table (shared with the host's layout
+	// plan); nil for flat (brute-force) databases.
 	rivf []RIVFEntry
 
 	params vecmath.Int8Params
 	// filterThreshold is the calibrated distance-filter cutoff.
 	filterThreshold int
 
-	// calib records successful CalibrateNProbe outcomes so the
-	// TargetRecall operand of IVF_Search commands can be resolved to a
-	// concrete nprobe (see resolveSearchOptions). Any mutation
-	// invalidates it: recall targets are only guaranteed against the
-	// corpus they were calibrated on.
-	calib []recallPoint
-
-	// mut is the mutable-state ledger (posting-list segments, tombstone
-	// bitmap, GC row accounting) of a whole-layout deploy; nil for a
-	// shard slice, which is mutated through its router.
+	// mut is the host's mutable-state ledger when this device holds the
+	// whole layout (it is its own host, or the only member); nil for a
+	// page-stride slice.
 	mut *mutState
-
-	// cache is the DRAM caching tier (hot-cluster pins + result cache);
-	// nil unless the SSD config sets CacheDRAMBytes. A shard slice never
-	// owns one — its router does.
-	cache *dbCache
 }
 
 // recallPoint is one recorded calibration outcome: the smallest nprobe
-// found to meet a Recall@k target.
+// found to meet a Recall@k target. A host database records them so the
+// TargetRecall operand of IVF_Search commands can be resolved to a
+// concrete nprobe (see resolveSearchOptions); any mutation invalidates
+// them — recall targets are only guaranteed against the corpus they
+// were calibrated on.
 type recallPoint struct {
 	target float64
 	nprobe int
@@ -211,23 +199,27 @@ func New(cfg ssd.Config, capacityHint int64, opts Options) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{
+	e := &Engine{
 		SSD:  dev,
 		FSM:  flash.NewDieFSM(dev.Dev),
 		Opts: opts,
 		pool: newPlanePool(dev.Cfg.Geo),
 		dbs:  make(map[int]*Database),
-	}, nil
+	}
+	e.hostCore.init(dev.Cfg, opts, []*Engine{e})
+	return e, nil
 }
 
-// DB returns a deployed database by id.
+// DB returns a database deployed on this device by id: the whole layout
+// on an engine that is its own host, the device's page-stride slice on a
+// member of a ShardedEngine.
 func (e *Engine) DB(id int) (*Database, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.db(id)
 }
 
-// db is DB without the execution lock, for use inside the core.
+// db is DB without the device lock.
 func (e *Engine) db(id int) (*Database, error) {
 	db, ok := e.dbs[id]
 	if !ok {
@@ -236,42 +228,17 @@ func (e *Engine) db(id int) (*Database, error) {
 	return db, nil
 }
 
-// registry exposes the engine's queue bookkeeping to the shared queue
-// implementation (part of the host interface).
-func (e *Engine) registry() *queueRegistry { return &e.reg }
-
-// Ready reports whether the engine can accept commands: true from
-// construction until Close. Replica routers use it as the health
-// probe behind a serving group's liveness endpoint.
-func (e *Engine) Ready() bool { return !e.reg.isClosed() }
-
-// dropDB unregisters a database, making its id reusable — the shard
-// router's rollback when a multi-device deploy fails partway. The
-// allocator is a bump cursor, so the dropped regions' stripes are not
-// reclaimed; only the id and the R-DB record are.
+// dropDB unregisters a database, making its id reusable — the host's
+// rollback when a multi-device deploy fails partway. The allocator is a
+// bump cursor, so the dropped regions' stripes are not reclaimed; only
+// the id and the R-DB record are.
 func (e *Engine) dropDB(id int) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if _, ok := e.dbs[id]; ok {
 		delete(e.dbs, id)
 		e.SSD.RDB.Remove(id)
 	}
-}
-
-// Close shuts down the engine's background goroutines: every queue
-// pair created with NewQueue (pending commands complete with
-// ErrQueueClosed) and the plane worker pool. The engine must not be
-// closed while direct API calls are in flight; Close is idempotent —
-// concurrent and repeated calls are safe — and an engine that is never
-// closed simply parks its workers until process exit.
-func (e *Engine) Close() error {
-	for _, q := range e.reg.closeAll() {
-		q.Close()
-	}
-	e.execMu.Lock()
-	e.pool.stop()
-	e.execMu.Unlock()
-	return nil
 }
 
 // DeployConfig carries the host-provided deployment parameters.
@@ -297,65 +264,37 @@ type DeployConfig struct {
 // Deploy implements DB_Deploy (flat database). It reserves regions,
 // writes embeddings, rerank copies and documents, and registers the
 // database in the R-DB.
-func (e *Engine) Deploy(cfg DeployConfig) (*Database, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	cfg.Centroids, cfg.Assign = nil, nil
-	return e.deploy(cfg)
-}
+func (e *Engine) Deploy(cfg DeployConfig) (*Database, error) { return whole(e.deploy(cfg, false)) }
 
 // IVFDeploy implements IVF_Deploy: like Deploy but the binary region
 // is cluster-sorted and the R-IVF table is built.
-func (e *Engine) IVFDeploy(cfg DeployConfig) (*Database, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	return e.ivfDeploy(cfg)
-}
+func (e *Engine) IVFDeploy(cfg DeployConfig) (*Database, error) { return whole(e.deploy(cfg, true)) }
 
-// ivfDeploy is IVFDeploy without the execution lock, for the queue
-// dispatcher.
-func (e *Engine) ivfDeploy(cfg DeployConfig) (*Database, error) {
-	if len(cfg.Centroids) == 0 || len(cfg.Assign) != len(cfg.Vectors) {
-		return nil, fmt.Errorf("reis: IVFDeploy requires cluster info (centroids=%d assign=%d vectors=%d)",
-			len(cfg.Centroids), len(cfg.Assign), len(cfg.Vectors))
-	}
-	return e.deploy(cfg)
-}
-
-func (e *Engine) deploy(cfg DeployConfig) (*Database, error) {
-	if _, ok := e.dbs[cfg.ID]; ok {
-		return nil, fmt.Errorf("reis: database %d already deployed", cfg.ID)
-	}
-	lo, err := planLayout(&cfg, e.SSD.Cfg.Geo, e.SSD.Cfg.OverprovisionPct)
+// whole is a single-device host's view of a deploy: its one slice.
+func whole(db *ShardedDatabase, err error) (*Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return e.install(cfg.ID, lo, lo.buildItems(&cfg), 0, 1)
+	return db.locals[0], nil
 }
 
-// deployShard installs shard index s of nshards of a globally planned
-// layout: every region holds the global pages g ≡ s (mod nshards) as
-// local pages g / nshards, with unmodified page and OOB bytes. Because
-// region page i lives on plane i mod planes, the union of the shards'
-// planes reproduces, plane for plane, the placement a single device
-// with nshards times the channels would compute — global plane j of
-// that reference is shard j mod nshards, local plane j / nshards (see
-// DESIGN.md, "Sharded topology"). OOB linkage keeps global ids; the
-// shard never resolves DADR/RADR itself.
-func (e *Engine) deployShard(id int, lo *dbLayout, items *layoutItems, s, nshards int) (*Database, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
+// install allocates regions for the pages of a globally planned layout
+// that device (start, stride) owns, writes them, and registers the
+// database: every region holds the global pages g ≡ start (mod stride)
+// as local pages g / stride, with unmodified page and OOB bytes —
+// (0, 1) is the whole layout. Because region page i lives on plane
+// i mod planes, the union of the devices' planes reproduces, plane for
+// plane, the placement a single device with stride times the channels
+// would compute — global plane j of that reference is device
+// j mod stride, local plane j / stride (see DESIGN.md, "Sharded
+// topology"). OOB linkage keeps global ids; a device never resolves
+// DADR/RADR itself.
+func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride int) (*Database, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if _, ok := e.dbs[id]; ok {
 		return nil, fmt.Errorf("reis: database %d already deployed", id)
 	}
-	return e.install(id, lo, items, s, nshards)
-}
-
-// install allocates regions for the layout's pages owned by shard
-// (start, stride) — (0, 1) is the whole single-device layout — writes
-// them, and registers the database. The caller holds e.execMu and has
-// checked id uniqueness.
-func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride int) (*Database, error) {
 	db := &Database{
 		ID:              id,
 		Dim:             lo.dim,
@@ -368,6 +307,9 @@ func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride
 		docsPerPage:     lo.docsPerPage,
 		params:          lo.params,
 		filterThreshold: lo.filterThreshold,
+		rivf:            lo.rivf,
+		// The device serves explicit scan ranges over its owned pages only.
+		regionSlots: ownedSlots(lo.regionSlots, start, stride, lo.embPerPage),
 	}
 	// Every shard reserves capacity for the same number of stripes the
 	// single-device-equivalent extent spans, so growth and GC erase the
@@ -428,24 +370,6 @@ func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride
 			return nil, err
 		}
 	}
-	if stride == 1 {
-		// Whole-layout deploy: the engine owns the database end to end.
-		// (Metadata tags live only in the OOB linkage, where the scan
-		// reads them; the layout's metaTags exist for that encoding.)
-		db.rivf = lo.rivf
-		db.regionSlots = lo.regionSlots
-		db.mut = newMutState(lo, e.SSD.Cfg.Geo, e.Opts.FirstFitPlacement)
-		if cb := e.SSD.Cfg.CacheDRAMBytes; cb > 0 {
-			geo := e.SSD.Cfg.Geo
-			db.cache = newDBCache(cb, geo.PageBytes, geo.OOBBytes, len(lo.rivf))
-		}
-	} else {
-		// A shard serves explicit scan ranges from the router; its
-		// local slot count covers the owned pages only, and the global
-		// R-IVF table stays with the router.
-		db.regionSlots = embR.Pages() * db.embPerPage
-	}
-
 	// Page-level FTL metadata was needed for the writes above; flush
 	// it now that coarse-grained access takes over (Sec 4.1.4).
 	e.SSD.FTL.Drop(0, int64(e.SSD.Cfg.Geo.TotalPages()))
@@ -589,133 +513,6 @@ func (db *Database) Live() int {
 		return db.regionSlots
 	}
 	return db.mut.live
-}
-
-// flatSegs returns the brute-force scan plan: the database's live
-// slot ranges in scan order. A shard slice (no mutable ledger) serves
-// its whole local region.
-func (db *Database) flatSegs() []SlotRange {
-	if db.mut != nil {
-		return db.mut.flatPlan
-	}
-	return []SlotRange{{First: 0, Last: db.regionSlots - 1}}
-}
-
-// clusterSegs returns cluster c's posting list (nil when empty). Only
-// whole-layout IVF databases reach this path, so mut is non-nil.
-func (db *Database) clusterSegs(c int) []SlotRange { return db.mut.buckets[c] }
-
-// tomb returns the tombstone bitmap consulted by the controller tail,
-// or nil when nothing is deleted.
-func (db *Database) tombstones() []uint64 {
-	if db.mut == nil || db.mut.deadCount == 0 {
-		return nil
-	}
-	return db.mut.tomb
-}
-
-// Append implements the OpcodeAppend host command synchronously,
-// returning the assigned entry ids.
-func (e *Engine) Append(dbID int, cfg AppendConfig) ([]int, error) {
-	return submitAppend(e, dbID, cfg)
-}
-
-// Delete implements the OpcodeDelete host command synchronously.
-func (e *Engine) Delete(dbID int, ids ...int) error { return submitDelete(e, dbID, ids) }
-
-// Compact implements the OpcodeCompact host command: garbage
-// collection of under-occupied GC rows. Through a queue the collector
-// runs as a background activity, one copy-forward step per victim row
-// interleaved with foreground searches; this synchronous wrapper
-// blocks until the command completes either way.
-func (e *Engine) Compact(dbID int, minLiveRatio float64) (WearStats, error) {
-	return submitCompact(e, dbID, minLiveRatio)
-}
-
-// gcPlan, gcStep and gcFinish are the scheduler's view of one
-// background compaction (the host side of queue.go's GC flights):
-// plan the victim rows once, collect one row per step, then complete
-// the command. Each acquires the execution lock on its own, so
-// foreground searches run between any two steps.
-func (e *Engine) gcPlan(cmd *HostCommand) ([]int, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(cmd.DBID)
-	if err != nil {
-		return nil, err
-	}
-	if db.mut == nil {
-		return nil, fmt.Errorf("reis: database %d is a shard slice; mutate through its router", cmd.DBID)
-	}
-	return mutGCVictims(db.mut, cmd.Compact.MinLiveRatio), nil
-}
-
-func (e *Engine) gcStep(cmd *HostCommand, row int, acc *WearStats) error {
-	e.execMu.Lock()
-	db, err := e.db(cmd.DBID)
-	if err != nil {
-		e.execMu.Unlock()
-		return err
-	}
-	err = mutGCStep(db.mut, engineMutTarget{e, db}, row, acc)
-	if err == nil {
-		db.regionSlots = db.mut.tailSlots
-		db.calib = nil
-		db.cache.invalidate()
-	}
-	hook := e.testGCStepHook
-	e.execMu.Unlock()
-	if err == nil && hook != nil {
-		hook()
-	}
-	return err
-}
-
-func (e *Engine) gcFinish(cmd *HostCommand, acc *WearStats) (HostResponse, error) {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	db, err := e.db(cmd.DBID)
-	if err != nil {
-		return HostResponse{}, err
-	}
-	db.mut.fillWear(acc, engineMutTarget{e, db})
-	e.jl.logCompact(cmd.DBID, cmd.Compact.MinLiveRatio)
-	w := *acc
-	return HostResponse{Done: true, Wear: &w}, nil
-}
-
-// JournalBytes returns a copy of the mutation journal: the byte-exact
-// record of every committed append, delete and compact since the
-// engine started, in application order. Persist it (at any prefix
-// ending on a record boundary) and replay it on a freshly deployed
-// engine to reconstruct the pre-crash state.
-//
-// The wire format is a flat record sequence (integers little-endian,
-// uvarint as in encoding/binary):
-//
-//	record  := opcode:u8 dbid:uvarint body
-//	append  := n:uvarint dim:uvarint vec[n*dim]:f32bits
-//	           { doclen:uvarint docbytes }*n
-//	           nassign:uvarint { cluster:uvarint }*nassign
-//	           tags:u8 { tag:u8 }*n        (tags=1 iff MetaTags present)
-//	delete  := nids:uvarint { id:uvarint }*nids
-//	compact := minLiveRatio:f64bits
-//
-// Deploys are not journaled: recovery re-deploys from the immutable
-// deploy configuration first, then replays (see ReplayJournal).
-func (e *Engine) JournalBytes() []byte {
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	return append([]byte(nil), e.jl.buf...)
-}
-
-// ReplayJournal re-applies a journal (or any record-aligned prefix of
-// one) through the normal command path. The databases it names must be
-// deployed with the same deploy configuration as the journaling
-// engine's; replayed mutations are journaled again, so the rebuilt
-// engine's journal continues where the prefix ended.
-func (e *Engine) ReplayJournal(data []byte) error {
-	return replayJournal(e, data)
 }
 
 // Record exposes the R-DB record (for tests and tools).

@@ -2,6 +2,7 @@ package reis
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,6 +29,18 @@ var testData = dataset.Generate(dataset.Config{
 	Name: "reis-test", N: 1200, Dim: 128, Clusters: 16, Queries: 24, K: 10,
 	DocBytes: 256, Seed: 42,
 })
+
+// submitter and searcher are the two entries the cross-topology suites
+// drive a host through — both facades promote them from the host core,
+// so a suite written against either runs unchanged on an Engine and a
+// ShardedEngine.
+type submitter interface {
+	Submit(HostCommand) (HostResponse, error)
+}
+
+type searcher interface {
+	search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error)
+}
 
 func newEngine(t *testing.T, opts Options) *Engine {
 	t.Helper()

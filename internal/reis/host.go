@@ -1,0 +1,868 @@
+package reis
+
+import (
+	"context"
+	"fmt"
+	"sync"
+	"time"
+
+	"reis/internal/ssd"
+)
+
+// This file is the host core: the one controller over N ≥ 1 devices
+// that both exported hosts are facades of. The paper's device is one
+// controller owning the R-DB, the coarse-grained FTL and the R-IVF table
+// over planes it scans in place (Sec 4.1, 4.3); the scale-out tier
+// stripes that same planned layout page-round-robin over N devices
+// (global page g lives on device g mod N as local page g / N). A single
+// device is therefore the N = 1 case — the striping is the identity —
+// and every host operation is written once, for any N:
+//
+//   - Engine (New) is a device that is its own host: devs = [itself].
+//   - ShardedEngine (NewSharded) is a host over N member Engines, which
+//     it reaches as devices (page reads and programs, OpcodeScan).
+//
+// Only the scan backend differs with N, chosen from len(devs): one
+// device is scanned in place by its plane pool (batch.go), several are
+// scattered to through their queue pairs (shard.go).
+//
+// Locking. execMu serializes the host (one command or coalesced group at
+// a time, like the single embedded controller core) and guards the
+// database table, journal, scratch and closed flag. Each device has its
+// own lock (Engine.mu) for its regions, plane pool and arenas. The order
+// is host core → device, never the reverse: a device never calls into a
+// core. The core holds the device lock for the whole command when it
+// scans the device in place (N = 1), and per page operation when it
+// mutates (mutTarget) — so the two never nest. Tail and pin reads take
+// the conventional read path, which the flash device synchronizes per
+// plane; the core issues them only when no scan of its own is running.
+type hostCore struct {
+	cfg  ssd.Config // single-device-equivalent configuration: N× one device's channels
+	opts Options
+
+	devs []*Engine
+	// qs[s] is the scatter queue pair into devs[s]; nil for one device,
+	// which is scanned in place.
+	qs []*Queue
+	// perShard is set on a ShardedEngine: search responses carry the
+	// per-device stats rows (HostResponse.PerShard) its Latency shapes
+	// consume. An Engine's stay nil.
+	perShard bool
+
+	execMu sync.Mutex
+	closed bool
+	scr    hostScratch
+	dbs    map[int]*ShardedDatabase
+
+	// jl is the append-only mutation journal: every committed append,
+	// delete and compact is recorded under execMu, so replaying any
+	// journal prefix on a fresh deploy — of any topology — reproduces the
+	// pre-crash state bit for bit (see journal.go).
+	jl journal
+
+	// testGCStepHook, when set, runs after each committed background GC
+	// step with no locks held — the interleaving tests' probe point.
+	testGCStepHook func()
+
+	// reg tracks the queue pairs created with NewQueue for Close-time
+	// teardown, plus the built-in pair behind the synchronous Submit.
+	reg queueRegistry
+}
+
+// hostScratch is the core's pooled state; the execMu holder owns it.
+type hostScratch struct {
+	ctrl  ctrlScratch
+	local localBackend
+	tail  tailScratch
+	// Gather side of a scatter: the per-shard streams being merged and
+	// the pooled command ids.
+	lists [][]TTLEntry
+	ids   []CommandID
+}
+
+// ShardedDatabase is the host's view of one deployed database: the
+// global layout plan (R-IVF table, quantization parameters, filter
+// threshold), the mutable-state ledger, the caching tier, and the
+// per-device page-stride slices — one of them, the whole layout, on a
+// single device.
+type ShardedDatabase struct {
+	ID  int
+	Dim int
+	N   int
+
+	lay    *dbLayout
+	locals []*Database // locals[s] is device s's page-stride slice
+	calib  []recallPoint
+
+	// mut is the geometry-independent mutable-state ledger, evolved by
+	// the same code on every topology — which is what makes mutation
+	// outcomes bit-identical across device counts.
+	mut *mutState
+
+	// cache is the DRAM caching tier (nil unless the config sets
+	// CacheDRAMBytes), sized from the single-device-equivalent config.
+	// Pinned-cluster scans and result-cache hits are served by the host
+	// before any device is asked, so cached work appears only in the
+	// aggregate QueryStats, never in a per-device row.
+	cache *dbCache
+}
+
+// Live returns the number of live (not tombstoned) entries.
+func (db *ShardedDatabase) Live() int { return db.mut.live }
+
+// NList returns the number of IVF clusters (0 for flat databases).
+func (db *ShardedDatabase) NList() int { return len(db.lay.rivf) }
+
+// ThresholdFor reports the calibrated distance-filter threshold
+// (global: every device scans under the same threshold).
+func (db *ShardedDatabase) ThresholdFor() int { return db.lay.filterThreshold }
+
+// init binds the core to its devices. cfg is one device's configuration.
+func (c *hostCore) init(cfg ssd.Config, opts Options, devs []*Engine) {
+	cfg.Geo.Channels *= len(devs)
+	c.cfg, c.opts, c.devs = cfg, opts, devs
+	c.dbs = make(map[int]*ShardedDatabase)
+}
+
+// lock takes the execution lock for a command, refusing once the host
+// is closed: Close has stopped the plane workers and the scatter queues,
+// and a command served after it would restart (and leak) them.
+func (c *hostCore) lock() error {
+	c.execMu.Lock()
+	if c.closed {
+		c.execMu.Unlock()
+		return fmt.Errorf("reis: engine closed: %w", ErrQueueClosed)
+	}
+	return nil
+}
+
+// db looks a database up; the caller holds execMu.
+func (c *hostCore) db(id int) (*ShardedDatabase, error) {
+	db, ok := c.dbs[id]
+	if !ok {
+		return nil, fmt.Errorf("reis: unknown database %d", id)
+	}
+	return db, nil
+}
+
+// hostDB is db under the execution lock.
+func (c *hostCore) hostDB(id int) (*ShardedDatabase, error) {
+	c.execMu.Lock()
+	defer c.execMu.Unlock()
+	return c.db(id)
+}
+
+// NewQueue creates an asynchronous NVMe-style queue pair whose
+// dispatcher executes on this host and starts it. The queue must be
+// Closed when no longer needed (the host's Close closes any still open).
+func (c *hostCore) NewQueue(cfg QueueConfig) (*Queue, error) { return newQueue(c, cfg) }
+
+// Submit executes one host command synchronously: a thin wrapper that
+// submits to the host's built-in queue pair and waits for the
+// completion. Synchronous and asynchronous submission therefore share
+// one execution core, and Submit's results are bit-identical to the
+// same command served through SubmitAsync.
+func (c *hostCore) Submit(cmd HostCommand) (HostResponse, error) {
+	q, err := c.reg.defaultQueue(func() (*Queue, error) { return c.NewQueue(QueueConfig{}) })
+	if err != nil {
+		return HostResponse{}, err
+	}
+	id, err := q.submit(context.Background(), cmd, true)
+	if err != nil {
+		return HostResponse{}, err
+	}
+	return q.Wait(context.Background(), id)
+}
+
+// Ready reports whether the host can accept commands: true from
+// construction until Close, and only while every member device is still
+// ready (a closed member would fail any scatter that touches it).
+// Replica routers use it as the health probe behind a serving group's
+// liveness endpoint.
+func (c *hostCore) Ready() bool {
+	if c.reg.isClosed() {
+		return false
+	}
+	for _, d := range c.devs {
+		if c.member(d) && !d.Ready() {
+			return false
+		}
+	}
+	return true
+}
+
+// member reports whether d is a member Engine — a host of its own that
+// this core drives as a device — rather than the device the core is
+// embedded in.
+func (c *hostCore) member(d *Engine) bool { return &d.hostCore != c }
+
+// Close shuts down the host's background goroutines: every queue pair
+// created with NewQueue (pending commands complete with ErrQueueClosed),
+// then every device — a member Engine closes as a host of its own
+// (its scatter queue, then its workers); a device that is its own host
+// stops its plane workers. The host must not be closed while direct API
+// calls are in flight; Close is idempotent — concurrent and repeated
+// calls are safe — and every command after it fails with ErrQueueClosed.
+func (c *hostCore) Close() error {
+	for _, q := range c.reg.closeAll() {
+		q.Close()
+	}
+	c.execMu.Lock()
+	defer c.execMu.Unlock()
+	c.closed = true
+	for _, d := range c.devs {
+		if c.member(d) {
+			d.Close()
+			continue
+		}
+		d.mu.Lock()
+		d.pool.stop()
+		d.mu.Unlock()
+	}
+	return nil
+}
+
+// deploy plans the layout globally — exactly as one device with N times
+// the channels would (planLayout: same placement order, padding, page
+// counts) — and installs device s's page-stride share (s, N) on every
+// device. ivf selects IVF_Deploy (cluster-sorted placement plus the
+// R-IVF table, which stays in the host's controller DRAM) over DB_Deploy.
+func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) {
+	if !ivf {
+		cfg.Centroids, cfg.Assign = nil, nil
+	} else if len(cfg.Centroids) == 0 || len(cfg.Assign) != len(cfg.Vectors) {
+		return nil, fmt.Errorf("reis: IVFDeploy requires cluster info (centroids=%d assign=%d vectors=%d)",
+			len(cfg.Centroids), len(cfg.Assign), len(cfg.Vectors))
+	}
+	if err := c.lock(); err != nil {
+		return nil, err
+	}
+	defer c.execMu.Unlock()
+	if _, ok := c.dbs[cfg.ID]; ok {
+		return nil, fmt.Errorf("reis: database %d already deployed", cfg.ID)
+	}
+	geo := c.cfg.Geo
+	lo, err := planLayout(&cfg, geo, c.cfg.OverprovisionPct)
+	if err != nil {
+		return nil, err
+	}
+	items := lo.buildItems(&cfg)
+	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, geo, c.opts.FirstFitPlacement)}
+	if cb := c.cfg.CacheDRAMBytes; cb > 0 {
+		db.cache = newDBCache(cb, geo.PageBytes, geo.OOBBytes, len(lo.rivf))
+	}
+	for s, d := range c.devs {
+		local, err := d.install(cfg.ID, lo, items, s, len(c.devs))
+		if err != nil {
+			// Roll the id back off the devices that already succeeded, so
+			// a failed deploy does not poison it (the bump-cursor
+			// allocator cannot reclaim the written stripes, but the id
+			// and R-DB records are freed for a retry).
+			for _, done := range c.devs[:s] {
+				done.dropDB(cfg.ID)
+			}
+			return nil, fmt.Errorf("reis: device %d: %w", s, err)
+		}
+		db.locals = append(db.locals, local)
+	}
+	if len(c.devs) == 1 {
+		// The one device holds the whole layout: its Database reports
+		// the live count from the host's ledger.
+		db.locals[0].mut = db.mut
+	}
+	c.dbs[cfg.ID] = db
+	return db, nil
+}
+
+// execCmd serves one validated command — what a queue dispatcher calls.
+// OpcodeCompact never arrives here: the queue runs it as a GC flight
+// through gcPlan / gcStep / gcFinish.
+func (c *hostCore) execCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
+	switch cmd.Opcode {
+	case OpcodeDBDeploy, OpcodeIVFDeploy:
+		_, err := c.deploy(*cmd.Deploy, cmd.Opcode == OpcodeIVFDeploy)
+		return HostResponse{Done: err == nil}, err
+	case OpcodeSearch, OpcodeIVFSearch:
+		results, sts, rows, err := c.search(ctx, cmd, cmd.Queries, true)
+		if err != nil {
+			return HostResponse{}, err
+		}
+		resp := HostResponse{Done: true, Results: results, QueryStats: sts, PerShard: rows}
+		for _, st := range sts {
+			resp.Stats.Add(st)
+		}
+		return resp, nil
+	case OpcodeScan:
+		// The scatter operand addresses one device's own regions, in its
+		// local coordinates; a host over several has no such region.
+		if len(c.devs) > 1 {
+			return HostResponse{}, fmt.Errorf("%w %#x (not served by a sharded host)", ErrUnknownOpcode, cmd.Opcode)
+		}
+		if err := c.lock(); err != nil {
+			return HostResponse{}, err
+		}
+		defer c.execMu.Unlock()
+		return c.devs[0].executeScan(ctx, cmd)
+	case OpcodeAppend, OpcodeDelete:
+		if err := c.lock(); err != nil {
+			return HostResponse{}, err
+		}
+		defer c.execMu.Unlock()
+		db, err := c.db(cmd.DBID)
+		if err != nil {
+			return HostResponse{}, err
+		}
+		t := mutTarget{c, db}
+		resp := HostResponse{Done: true}
+		if cmd.Opcode == OpcodeAppend {
+			resp.AppendedIDs, resp.Wear, err = mutAppend(db.mut, t, cmd.Append)
+		} else if err = mutDelete(db.mut, cmd.Del.IDs); err == nil {
+			resp.Wear = &WearStats{}
+			db.mut.fillWear(resp.Wear, t)
+		}
+		if err != nil {
+			return HostResponse{}, err
+		}
+		c.committed(db)
+		c.jl.logCmd(cmd)
+		return resp, nil
+	default:
+		return HostResponse{}, fmt.Errorf("%w %#x", ErrUnknownOpcode, cmd.Opcode)
+	}
+}
+
+// committed follows a committed mutation or GC step: every device's
+// addressable slot bound tracks the live extent, recorded nprobe
+// calibrations no longer cover the corpus, and the caching tier drops
+// every pinned page and cached result before the command's completion
+// is visible — a stale hit is impossible by construction.
+func (c *hostCore) committed(db *ShardedDatabase) {
+	for s, d := range c.devs {
+		d.mu.Lock()
+		db.locals[s].regionSlots = ownedSlots(db.mut.tailSlots, s, len(c.devs), db.lay.embPerPage)
+		d.mu.Unlock()
+	}
+	db.calib = nil
+	db.cache.invalidate()
+}
+
+// gcPlan, gcStep and gcFinish are the scheduler's view of one background
+// compaction (the host side of queue.go's GC flights): plan the victim
+// rows once, collect one row per step, then complete the command. Each
+// acquires the execution lock on its own, so foreground searches run
+// between any two steps; all three evolve the shared mutState, so a
+// flight commits the same state and WearStats on every topology.
+func (c *hostCore) gcPlan(cmd *HostCommand) ([]int, error) {
+	if err := c.lock(); err != nil {
+		return nil, err
+	}
+	defer c.execMu.Unlock()
+	db, err := c.db(cmd.DBID)
+	if err != nil {
+		return nil, err
+	}
+	return mutGCVictims(db.mut, cmd.Compact.MinLiveRatio), nil
+}
+
+func (c *hostCore) gcStep(cmd *HostCommand, row int, acc *WearStats) error {
+	if err := c.lock(); err != nil {
+		return err
+	}
+	db, err := c.db(cmd.DBID)
+	if err == nil {
+		if err = mutGCStep(db.mut, mutTarget{c, db}, row, acc); err == nil {
+			c.committed(db)
+		}
+	}
+	hook := c.testGCStepHook
+	c.execMu.Unlock()
+	if err == nil && hook != nil {
+		hook()
+	}
+	return err
+}
+
+func (c *hostCore) gcFinish(cmd *HostCommand, acc *WearStats) (HostResponse, error) {
+	c.execMu.Lock()
+	defer c.execMu.Unlock()
+	db, err := c.db(cmd.DBID)
+	if err != nil {
+		return HostResponse{}, err
+	}
+	db.mut.fillWear(acc, mutTarget{c, db})
+	c.jl.logCompact(cmd.DBID, cmd.Compact.MinLiveRatio)
+	w := *acc
+	return HostResponse{Done: true, Wear: &w}, nil
+}
+
+// JournalBytes returns a copy of the mutation journal: the byte-exact
+// record of every committed append, delete and compact since the host
+// started, in application order. Persist it (at any prefix ending on a
+// record boundary) and replay it on a freshly deployed host to
+// reconstruct the pre-crash state. The byte stream is
+// topology-independent: a journal captured on a sharded host replays on
+// a single device and vice versa.
+//
+// The wire format is a flat record sequence (integers little-endian,
+// uvarint as in encoding/binary):
+//
+//	record  := opcode:u8 dbid:uvarint body
+//	append  := n:uvarint dim:uvarint vec[n*dim]:f32bits
+//	           { doclen:uvarint docbytes }*n
+//	           nassign:uvarint { cluster:uvarint }*nassign
+//	           tags:u8 { tag:u8 }*n        (tags=1 iff MetaTags present)
+//	delete  := nids:uvarint { id:uvarint }*nids
+//	compact := minLiveRatio:f64bits
+//
+// Deploys are not journaled: recovery re-deploys from the immutable
+// deploy configuration first, then replays (see ReplayJournal).
+func (c *hostCore) JournalBytes() []byte {
+	c.execMu.Lock()
+	defer c.execMu.Unlock()
+	return append([]byte(nil), c.jl.buf...)
+}
+
+// ReplayJournal re-applies a journal (or any record-aligned prefix of
+// one) through the normal command path — the recovery oracle's second
+// half: fresh deploy + replay(prefix) ≡ the journaling host's state when
+// the prefix was captured. The databases it names must be deployed with
+// the same deploy configuration as the journaling host's; replayed
+// mutations are journaled again, so the rebuilt host's journal continues
+// where the prefix ended.
+func (c *hostCore) ReplayJournal(data []byte) error {
+	r := &journalReader{data: data}
+	for r.pos < len(data) {
+		cmd, err := r.next()
+		if err != nil {
+			return err
+		}
+		if _, err := c.Submit(cmd); err != nil {
+			return fmt.Errorf("reis: journal replay at offset %d: %w", r.pos, err)
+		}
+	}
+	return nil
+}
+
+// search runs one command's queries — its own Q operand, or a coalesced
+// dispatch group's concatenation under the head command's parameters —
+// through the controller, with the result cache consulted when useCache
+// is set. The controller plans from the host's global state only, so
+// every topology plans identical rounds and holds identical cache state;
+// rows is the per-device stats view ([device][query]) of a
+// ShardedEngine, nil on an Engine.
+func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+	if err := c.lock(); err != nil {
+		return nil, nil, nil, err
+	}
+	defer c.execMu.Unlock()
+	db, err := c.db(cmd.DBID)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	var b scanBackend
+	if len(c.devs) == 1 {
+		// In place, on the device's own plane pool; its arenas hold the
+		// round's entries until they are folded, so the device stays
+		// locked for the whole command.
+		d := c.devs[0]
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		c.scr.local = localBackend{e: d, db: db.locals[0]}
+		b = &c.scr.local
+	} else {
+		b = &shardBackend{c: c, db: db}
+	}
+	ctl := controller{
+		b: b, h: c, db: db, scr: &c.scr.ctrl,
+		pin: cachedScanParams{
+			slotBytes: db.lay.slotBytes, embPerPage: db.lay.embPerPage,
+			filter: c.opts.DistanceFilter, threshold: db.lay.filterThreshold,
+		},
+	}
+	return ctl.search(ctx, cmd, queries, useCache)
+}
+
+// shardRows allocates a command's [device][query] PerShard rows.
+func (c *hostCore) shardRows(nq int) [][]QueryStats {
+	if !c.perShard {
+		return nil
+	}
+	rows := make([][]QueryStats, len(c.devs))
+	for s := range rows {
+		rows[s] = make([]QueryStats, nq)
+	}
+	return rows
+}
+
+// Search implements the Search() API command (Table 1): brute-force
+// in-storage scan of the whole binary region, rerank, and document
+// retrieval. Like the three methods below it is a one-command wrapper
+// over the controller that bypasses the result cache (the hot-cluster
+// pins still apply); results are bit-identical on every topology.
+func (c *hostCore) Search(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
+	return c.searchOne(OpcodeSearch, dbID, query, k, opt)
+}
+
+// IVFSearch implements the IVF_Search() API command (Table 1): coarse
+// centroid search, fine scan of the NProbe nearest clusters, rerank,
+// and document retrieval.
+func (c *hostCore) IVFSearch(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
+	return c.searchOne(OpcodeIVFSearch, dbID, query, k, opt)
+}
+
+// SearchBatch implements the batched Q operand of the Search() API
+// command (Table 1): the queries' brute-force scans are scheduled
+// concurrently across planes. Results[i] and Stats[i] are bit-identical
+// to what Search(dbID, queries[i], k, opt) returns — every QueryStats
+// field, IBCBroadcasts included: a plane broadcasts a query once if and
+// only if it scans it, whatever else rides in the batch.
+func (c *hostCore) SearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
+	return c.searchMany(OpcodeSearch, dbID, queries, k, opt)
+}
+
+// IVFSearchBatch implements the batched Q operand of IVF_Search(): a
+// coarse centroid round for the whole batch, a controller-side cluster
+// selection per query, then the fine round(s) over every query's probed
+// clusters. Results are bit-identical to per-query IVFSearch calls, and
+// so are the stats on an uncached database (the hot-cluster pins refresh
+// once per command, so a cached batch may serve from DRAM pages that
+// one-query commands sense from flash, and vice versa).
+func (c *hostCore) IVFSearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
+	return c.searchMany(OpcodeIVFSearch, dbID, queries, k, opt)
+}
+
+func (c *hostCore) searchOne(op uint8, dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
+	results, sts, err := c.searchMany(op, dbID, [][]float32{query}, k, opt)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return results[0], sts[0], nil
+}
+
+func (c *hostCore) searchMany(op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
+	results, sts, _, err := c.search(context.Background(),
+		&HostCommand{Opcode: op, DBID: dbID, K: k, Opt: opt}, queries, false)
+	return results, sts, err
+}
+
+// Append implements the OpcodeAppend host command synchronously,
+// returning the assigned entry ids (identical on every topology).
+func (c *hostCore) Append(dbID int, cfg AppendConfig) ([]int, error) {
+	resp, err := c.Submit(HostCommand{Opcode: OpcodeAppend, DBID: dbID, Append: &cfg})
+	return resp.AppendedIDs, err
+}
+
+// Delete implements the OpcodeDelete host command synchronously.
+func (c *hostCore) Delete(dbID int, ids ...int) error {
+	_, err := c.Submit(HostCommand{Opcode: OpcodeDelete, DBID: dbID, Del: &DeleteConfig{IDs: ids}})
+	return err
+}
+
+// Compact implements the OpcodeCompact host command: garbage collection
+// of under-occupied GC rows. The collector runs as a background
+// activity, one copy-forward step per victim row interleaved with
+// foreground searches; this synchronous wrapper blocks until the
+// command completes.
+func (c *hostCore) Compact(dbID int, minLiveRatio float64) (WearStats, error) {
+	resp, err := c.Submit(HostCommand{Opcode: OpcodeCompact, DBID: dbID, Compact: &CompactConfig{MinLiveRatio: minLiveRatio}})
+	if err != nil || resp.Wear == nil {
+		return WearStats{}, err
+	}
+	return *resp.Wear, err
+}
+
+// CalibrateNProbe finds the smallest nprobe meeting the Recall@k target
+// against ground truth, mirroring the paper's accuracy sweep: nprobe
+// grows over one cache-bypassing IVF batch per step, and only the
+// queried rows of the ground truth enter the recall denominator. A
+// successful calibration is recorded on the database, so later host
+// commands can address the operating point by TargetRecall alone (the
+// accuracy operand R of Table 1; see resolveSearchOptions). Results are
+// bit-identical across topologies, so the calibrated nprobe is too.
+func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error) {
+	db, err := c.hostDB(dbID)
+	if err != nil {
+		return 0, err
+	}
+	nlist := len(db.lay.rivf)
+	if nlist == 0 {
+		return 0, fmt.Errorf("reis: database %d is not IVF-deployed", dbID)
+	}
+	if len(queries) == 0 {
+		return 0, fmt.Errorf("reis: empty query set")
+	}
+	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
+		results, _, err := c.searchMany(OpcodeIVFSearch, dbID, queries, k, SearchOptions{NProbe: nprobe, SkipDocs: true})
+		return results, err
+	})
+	if err != nil {
+		return 0, err
+	}
+	if ok {
+		c.execMu.Lock()
+		db.calib = append(db.calib, recallPoint{target: target, nprobe: nprobe})
+		c.execMu.Unlock()
+	}
+	return nprobe, nil
+}
+
+// RunLoad runs the load generator against this host: cfg.Commands
+// single-query commands derived from the template (its queries cycled,
+// everything else kept) are driven through a fresh queue pair of
+// cfg.Depth to collect per-command device stats, then replayed under
+// the configured arrival schedule, each coalesced group costed with the
+// batch timing model. See loadgen.go for the determinism argument.
+func (c *hostCore) RunLoad(tmpl HostCommand, sc Scale, cfg LoadConfig) (LoadResult, error) {
+	if err := (&cfg).normalize(); err != nil {
+		return LoadResult{}, err
+	}
+	db, err := c.hostDB(tmpl.DBID)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	if len(tmpl.Queries) == 0 {
+		return LoadResult{}, fmt.Errorf("reis: load template carries no queries")
+	}
+	// Stats pass. Completion order may vary with scheduling, but the
+	// stats themselves are bit-identical to solo execution (the queue's
+	// coalescing contract), so the collected rows are deterministic.
+	ch := make(chan Completion, cfg.Depth)
+	q, err := c.NewQueue(QueueConfig{Depth: cfg.Depth, Completions: ch})
+	if err != nil {
+		return LoadResult{}, err
+	}
+	defer q.Close()
+	sts := make([]QueryStats, cfg.Commands)
+	// rows[s][i] is device s's scan events of command i; one device's are
+	// the command's own.
+	rows := [][]QueryStats{sts}
+	if c.perShard {
+		rows = c.shardRows(cfg.Commands)
+	}
+	err = q.SubmitDrain(context.Background(), ch, cfg.Commands,
+		func(i int) HostCommand {
+			cmd := tmpl
+			cmd.Queries = [][]float32{tmpl.Queries[i%len(tmpl.Queries)]}
+			return cmd
+		},
+		func(i int, comp Completion) {
+			sts[i] = comp.Resp.QueryStats[0]
+			for s := range comp.Resp.PerShard {
+				rows[s][i] = comp.Resp.PerShard[s][0]
+			}
+		})
+	if err != nil {
+		return LoadResult{}, err
+	}
+	group := make([][]QueryStats, len(rows))
+	return finishLoad(cfg, func(first, n int) time.Duration {
+		for s := range rows {
+			group[s] = rows[s][first : first+n]
+		}
+		// The shapes are built above; they cannot be malformed.
+		bb, _ := c.batchLatency(db.locals[0], sts[first:first+n], group, sc)
+		return bb.Makespan
+	})
+}
+
+// mutTarget is the physical half of a mutation: how pages of the
+// database's regions are read, programmed, grown and reclaimed. Page
+// and row indices are global (single-device-equivalent); each is routed
+// to the device that owns it — page g → device g mod N, local page
+// g / N, the deploy striping, and the identity on one device — under
+// that device's lock. The core's execMu holder owns it. Outcomes are
+// bit-identical across device counts because the logical plan
+// (mutState) is shared and GC rows are topology-aligned by
+// construction: one logical row is block b on every plane of every
+// device, so reclaiming row r erases the same block set the
+// N-times-channels reference device would.
+type mutTarget struct {
+	c  *hostCore
+	db *ShardedDatabase
+}
+
+// onOwner runs f on the device owning global page g, with its slice of
+// the database and the local page number.
+func (t mutTarget) onOwner(g int, f func(d *Engine, local *Database, l int) error) error {
+	d, local, l := t.c.owner(t.db, g)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return f(d, local, l)
+}
+
+// onAll runs f on every device in turn.
+func (t mutTarget) onAll(f func(s int, d *Engine, local *Database) error) error {
+	for s, d := range t.c.devs {
+		d.mu.Lock()
+		err := f(s, d, t.db.locals[s])
+		d.mu.Unlock()
+		if err != nil {
+			return fmt.Errorf("reis: device %d: %w", s, err)
+		}
+	}
+	return nil
+}
+
+// readBinPage senses global binary-region page g through the
+// conventional path (data and OOB are freshly allocated).
+func (t mutTarget) readBinPage(g int) (data, oob []byte, err error) {
+	err = t.onOwner(g, func(d *Engine, local *Database, l int) error {
+		data, oob, err = d.SSD.ReadRegionPage(local.rec.Embeddings, l)
+		return err
+	})
+	return data, oob, err
+}
+
+// writeBinPage / writeInt8Page / writeDocPage program one global page.
+// The page must be erased (out-of-place writes only).
+func (t mutTarget) writeBinPage(g int, data, oob []byte) error {
+	return t.onOwner(g, func(d *Engine, local *Database, l int) error {
+		return d.SSD.WriteRegionPage(local.rec.Embeddings, l, data, oob)
+	})
+}
+
+func (t mutTarget) writeInt8Page(g int, data []byte) error {
+	return t.onOwner(g, func(d *Engine, local *Database, l int) error {
+		return d.SSD.WriteRegionPage(local.rec.Int8s, l, data, nil)
+	})
+}
+
+func (t mutTarget) writeDocPage(g int, data []byte) error {
+	return t.onOwner(g, func(d *Engine, local *Database, l int) error {
+		return d.SSD.WriteRegionPage(local.rec.Documents, l, data, nil)
+	})
+}
+
+// growBin binds the given physical rows to the next logical rows of the
+// binary region's row map and commits the new live extent (global pages)
+// — the per-step coarse FTL remap (R-DB update), on every device.
+func (t mutTarget) growBin(binPages int, phys []int) error {
+	n := len(t.c.devs)
+	return t.onAll(func(s int, d *Engine, local *Database) error {
+		if len(phys) > 0 {
+			if err := d.SSD.MapRegionRows(&local.rec, &local.rec.Embeddings, phys); err != nil {
+				return err
+			}
+		}
+		return d.SSD.ResizeRegion(&local.rec, &local.rec.Embeddings, shardPages(binPages, s, n))
+	})
+}
+
+// growAux commits new live extents (global pages) for the INT8 and
+// document regions.
+func (t mutTarget) growAux(int8Pages, docPages int) error {
+	n := len(t.c.devs)
+	return t.onAll(func(s int, d *Engine, local *Database) error {
+		if err := d.SSD.ResizeRegion(&local.rec, &local.rec.Int8s, shardPages(int8Pages, s, n)); err != nil {
+			return err
+		}
+		return d.SSD.ResizeRegion(&local.rec, &local.rec.Documents, shardPages(docPages, s, n))
+	})
+}
+
+// reclaimBinRow erases logical GC row row of the binary region (one
+// block per plane on every device) and unmaps it, returning the number
+// of block erases performed — summed over the devices, equal to the
+// reference device's.
+func (t mutTarget) reclaimBinRow(row int) (erases int, err error) {
+	err = t.onAll(func(_ int, d *Engine, local *Database) error {
+		n, err := d.SSD.ReclaimRegionRow(&local.rec, &local.rec.Embeddings, row)
+		erases += n
+		return err
+	})
+	return erases, err
+}
+
+// rowWear reports the highest per-block erase count across the blocks
+// of physical binary-region row phys — the wear-aware placement key.
+func (t mutTarget) rowWear(phys int) int64 {
+	ppb := t.c.cfg.Geo.PagesPerBlock
+	var m int64
+	for s, d := range t.c.devs {
+		m = max(m, d.SSD.Dev.BlockMaxErase(t.db.locals[s].rec.Embeddings.StartStripe/ppb+phys))
+	}
+	return m
+}
+
+// maxWear reports the highest per-block erase count on any device.
+func (t mutTarget) maxWear() int64 {
+	var m int64
+	for _, d := range t.c.devs {
+		m = max(m, d.SSD.Dev.MaxEraseCount())
+	}
+	return m
+}
+
+// owner resolves global region page g under the page striping: device
+// g mod N holds it as local page g / N — the identity on one device.
+func (c *hostCore) owner(db *ShardedDatabase, g int) (d *Engine, local *Database, l int) {
+	n := len(c.devs)
+	return c.devs[g%n], db.locals[g%n], g / n
+}
+
+// readPage reads one global page of a region through the conventional
+// path, from the device that owns it, into data/oob (grown as needed).
+func (c *hostCore) readPage(db *ShardedDatabase, region func(*Database) ssd.Region, page int, data, oob []byte) ([]byte, []byte, error) {
+	d, local, l := c.owner(db, page)
+	addr, err := region(local).AddressOf(d.SSD.Cfg.Geo, l)
+	if err != nil {
+		return nil, nil, err
+	}
+	return d.SSD.Dev.ReadPageInto(addr, data, oob)
+}
+
+// fetchPin reads a global binary-region page for the hot-cluster cache
+// into freshly owned buffers. The SLC-ESP partition has zero raw
+// bit-error rate, so the pinned copy is bit-identical to what the
+// sensing latch would hold — and to the reference device's page — and
+// the read consumes no error-injection randomness.
+func (c *hostCore) fetchPin(db *ShardedDatabase, page int) ([]byte, []byte, error) {
+	return c.readPage(db, func(db *Database) ssd.Region { return db.rec.Embeddings }, page, nil, nil)
+}
+
+// tailSource senses one page of the INT8 (rerank) or document region
+// for the controller tail, using ts.pageBuf/ts.oobBuf as the backing
+// buffers (the returned slice is valid until the next read). The plane
+// index it reports is the *global* plane (page mod total planes) —
+// exactly the plane the page occupies on the single-device reference,
+// so rerank wave accounting matches bit for bit on every topology.
+type tailSource struct {
+	c  *hostCore
+	db *ShardedDatabase
+}
+
+func (t *tailSource) readPage(ts *tailScratch, region func(*Database) ssd.Region, page int) ([]byte, int, error) {
+	data, oob, err := t.c.readPage(t.db, region, page, ts.pageBuf, ts.oobBuf)
+	if err != nil {
+		return nil, 0, err
+	}
+	ts.pageBuf, ts.oobBuf = data, oob
+	return data, page % t.c.cfg.Geo.Planes(), nil
+}
+
+func (t *tailSource) readRerankPage(ts *tailScratch, page int) ([]byte, int, error) {
+	return t.readPage(ts, func(db *Database) ssd.Region { return db.rec.Int8s }, page)
+}
+
+func (t *tailSource) readDocPage(ts *tailScratch, page int) ([]byte, int, error) {
+	return t.readPage(ts, func(db *Database) ssd.Region { return db.rec.Documents }, page)
+}
+
+// tail runs the shared controller tail (runTail) over a query's merged
+// entry stream.
+func (c *hostCore) tail(db *ShardedDatabase, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+	src := tailSource{c, db}
+	lay := db.lay
+	tp := tailParams{
+		int8Bytes:   lay.int8Bytes,
+		int8PerPage: lay.int8PerPage,
+		docsPerPage: lay.docsPerPage,
+		docBytes:    lay.docBytes,
+		planes:      c.cfg.Geo.Planes(),
+		params:      lay.params,
+	}
+	if db.mut.deadCount > 0 {
+		tp.dead = db.mut.tomb
+	}
+	return runTail(&src, &c.scr.tail, tp, query, entries, k, opt, st)
+}

@@ -244,21 +244,3 @@ func journalOffsets(data []byte) ([]int, error) {
 	}
 	return offs, nil
 }
-
-// replayJournal re-applies a record-aligned journal prefix through a
-// host's normal command path. Replay is the recovery oracle's second
-// half: fresh deploy + replayJournal(prefix) ≡ the journaling host's
-// state when the prefix was captured.
-func replayJournal(h submitter, data []byte) error {
-	r := &journalReader{data: data}
-	for r.pos < len(data) {
-		cmd, err := r.next()
-		if err != nil {
-			return err
-		}
-		if _, err := h.Submit(cmd); err != nil {
-			return fmt.Errorf("reis: journal replay at offset %d: %w", r.pos, err)
-		}
-	}
-	return nil
-}

@@ -18,7 +18,8 @@ type journalHost interface {
 }
 
 // newJournalHost builds a host of the given shard count on the GC test
-// layout (multi-row compactions, so recovery crosses remapped rows).
+// layout (multi-row compactions, so recovery crosses remapped rows): a
+// plain Engine for 1, a ShardedEngine otherwise.
 func newJournalHost(t *testing.T, shards int) journalHost {
 	t.Helper()
 	if shards == 1 {
@@ -28,6 +29,13 @@ func newJournalHost(t *testing.T, shards int) journalHost {
 		}
 		return e
 	}
+	return newShardedJournalHost(t, shards)
+}
+
+// newShardedJournalHost builds a ShardedEngine of any member count —
+// one included, the topology newJournalHost(t, 1) does not produce.
+func newShardedJournalHost(t *testing.T, shards int) journalHost {
+	t.Helper()
 	sh, err := NewSharded(gcTestCfg(), shards, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -122,15 +130,17 @@ func TestJournalReplayAcrossTopologies(t *testing.T) {
 	jl := single.JournalBytes()
 	want := resps[len(resps)-1].Results
 
-	sharded := newJournalHost(t, 2)
-	t.Cleanup(func() { sharded.Close() })
-	runMutScript(t, sharded, c, true, 0.9)
-	if !bytes.Equal(sharded.JournalBytes(), jl) {
-		t.Fatal("sharded journal bytes differ from the single-device journal for the same history")
+	for _, shards := range []int{1, 2} {
+		sharded := newShardedJournalHost(t, shards)
+		t.Cleanup(func() { sharded.Close() })
+		runMutScript(t, sharded, c, true, 0.9)
+		if !bytes.Equal(sharded.JournalBytes(), jl) {
+			t.Fatalf("shards=%d: journal bytes differ from the single-device journal for the same history", shards)
+		}
 	}
 
-	for _, shards := range []int{2, 4} {
-		b := newJournalHost(t, shards)
+	for _, shards := range []int{1, 2, 4} {
+		b := newShardedJournalHost(t, shards)
 		if _, err := b.Submit(mutDeployCmd(c, true)); err != nil {
 			t.Fatal(err)
 		}

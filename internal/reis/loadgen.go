@@ -1,7 +1,6 @@
 package reis
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"time"
@@ -182,106 +181,6 @@ func SimulateLoad(arrivals []time.Duration, depth int, cost func(first, n int) t
 	res.P99 = sketch.Quantile(0.99)
 	res.P999 = sketch.Quantile(0.999)
 	return res
-}
-
-// RunLoad runs the load generator against this engine: cfg.Commands
-// single-query commands derived from the template (its queries cycled,
-// everything else kept) are driven through a fresh queue pair of
-// cfg.Depth to collect per-command device stats, then replayed under
-// the configured arrival schedule. See the file comment for the
-// determinism argument.
-func (e *Engine) RunLoad(tmpl HostCommand, sc Scale, cfg LoadConfig) (LoadResult, error) {
-	if err := (&cfg).normalize(); err != nil {
-		return LoadResult{}, err
-	}
-	db, err := e.DB(tmpl.DBID)
-	if err != nil {
-		return LoadResult{}, err
-	}
-	sts, _, err := collectLoadStats(e, tmpl, cfg)
-	if err != nil {
-		return LoadResult{}, err
-	}
-	cost := func(first, n int) time.Duration {
-		return e.BatchLatency(db, sts[first:first+n], sc).Makespan
-	}
-	return finishLoad(cfg, cost)
-}
-
-// RunLoad is the sharded counterpart of Engine.RunLoad: the stats pass
-// runs through a queue pair over the scatter-gather router, and the
-// replay costs each coalesced group with the sharded batch model
-// (per-shard occupancy bottleneck plus the gather tail).
-func (sh *ShardedEngine) RunLoad(tmpl HostCommand, sc Scale, cfg LoadConfig) (LoadResult, error) {
-	if err := (&cfg).normalize(); err != nil {
-		return LoadResult{}, err
-	}
-	sts, perShard, err := collectLoadStats(sh, tmpl, cfg)
-	if err != nil {
-		return LoadResult{}, err
-	}
-	shards := sh.Shards()
-	var costErr error
-	cost := func(first, n int) time.Duration {
-		group := make([][]QueryStats, shards)
-		for s := 0; s < shards; s++ {
-			group[s] = make([]QueryStats, n)
-			for k := 0; k < n; k++ {
-				group[s][k] = perShard[first+k][s][0]
-			}
-		}
-		bb, err := sh.BatchLatency(tmpl.DBID, sts[first:first+n], group, sc)
-		if err != nil && costErr == nil {
-			costErr = err
-		}
-		return bb.Makespan
-	}
-	res, err := finishLoad(cfg, cost)
-	if err == nil && costErr != nil {
-		err = costErr
-	}
-	return res, err
-}
-
-// loadHost is the queue-pair surface shared by Engine and
-// ShardedEngine that the stats pass needs.
-type loadHost interface {
-	NewQueue(cfg QueueConfig) (*Queue, error)
-}
-
-// collectLoadStats drives cfg.Commands single-query commands through a
-// fresh queue pair and returns their stats indexed by submission
-// order. perShard[i] is nil on a single-device host. Completion order
-// may vary with scheduling, but the stats themselves are bit-identical
-// to solo execution (the queue's coalescing contract), so the returned
-// slices are deterministic.
-func collectLoadStats(h loadHost, tmpl HostCommand, cfg LoadConfig) ([]QueryStats, [][][]QueryStats, error) {
-	if len(tmpl.Queries) == 0 {
-		return nil, nil, fmt.Errorf("reis: load template carries no queries")
-	}
-	ch := make(chan Completion, cfg.Depth)
-	q, err := h.NewQueue(QueueConfig{Depth: cfg.Depth, Completions: ch})
-	if err != nil {
-		return nil, nil, err
-	}
-	defer q.Close()
-
-	sts := make([]QueryStats, cfg.Commands)
-	perShard := make([][][]QueryStats, cfg.Commands)
-	err = q.SubmitDrain(context.Background(), ch, cfg.Commands,
-		func(i int) HostCommand {
-			cmd := tmpl
-			cmd.Queries = [][]float32{tmpl.Queries[i%len(tmpl.Queries)]}
-			return cmd
-		},
-		func(i int, c Completion) {
-			sts[i] = c.Resp.QueryStats[0]
-			perShard[i] = c.Resp.PerShard
-		})
-	if err != nil {
-		return nil, nil, err
-	}
-	return sts, perShard, nil
 }
 
 // finishLoad resolves the arrival rate (saturation probe, then

@@ -12,10 +12,9 @@ import (
 // items out-of-place into wear-selected free GC rows (extending the
 // layout's page plan through the region row map), OpcodeDelete
 // tombstones entries in a controller-DRAM bitmap consulted by the
-// controller tail, and OpcodeCompact is the garbage collector — run
-// either synchronously (replay, direct calls) or split by the queue
-// scheduler into per-GC-row copy-forward steps that interleave with
-// foreground searches (see queue.go). Each step copies the victim
+// controller tail, and OpcodeCompact is the garbage collector — split
+// by the queue scheduler into per-GC-row copy-forward steps that
+// interleave with foreground searches (see queue.go). Each step copies the victim
 // row's live entries forward to the region tail, erases the row via
 // flash.EraseBlock, returns its physical row to the append free pool,
 // and commits the coarse-grained FTL remap (region bounds plus the
@@ -39,13 +38,12 @@ import (
 //     step — is a pure function of this state plus the target's wear
 //     ledger, so the same mutation history yields the same logical
 //     outcome on every topology (single device or any shard count).
-//   - mutTarget is the physical half: page reads/programs, row-map
-//     growth, extent resizes and row reclaims. The single-device
-//     engine applies them to its own regions; the sharded router
-//     routes each global page to the shard that owns it (page g →
-//     shard g mod N, local page g / N), which makes sharded mutation
-//     bit-identical to the N-times-channels reference device by
-//     construction.
+//   - mutTarget (host.go) is the physical half: page reads/programs,
+//     row-map growth, extent resizes and row reclaims, each global page
+//     routed to the device that owns it (page g → device g mod N, local
+//     page g / N — the identity on one device), which makes mutation on
+//     N devices bit-identical to the N-times-channels reference device
+//     by construction.
 //
 // Scan order under GC. Appends allocate page-aligned slot runs at the
 // region tail, per cluster in ascending cluster order. A copy-forward
@@ -141,33 +139,6 @@ type WearStats struct {
 	// WriteAmp is BytesProgrammed / PayloadBytes — the write
 	// amplification factor (0 until the first append).
 	WriteAmp float64
-}
-
-// submitter is the synchronous command surface the convenience
-// wrappers build on; Engine and ShardedEngine both provide it.
-type submitter interface {
-	Submit(HostCommand) (HostResponse, error)
-}
-
-// submitAppend / submitDelete / submitCompact are the shared bodies of
-// the hosts' Append/Delete/Compact wrappers, so the wrapper shape
-// cannot drift between topologies.
-func submitAppend(h submitter, dbID int, cfg AppendConfig) ([]int, error) {
-	resp, err := h.Submit(HostCommand{Opcode: OpcodeAppend, DBID: dbID, Append: &cfg})
-	return resp.AppendedIDs, err
-}
-
-func submitDelete(h submitter, dbID int, ids []int) error {
-	_, err := h.Submit(HostCommand{Opcode: OpcodeDelete, DBID: dbID, Del: &DeleteConfig{IDs: ids}})
-	return err
-}
-
-func submitCompact(h submitter, dbID int, minLiveRatio float64) (WearStats, error) {
-	resp, err := h.Submit(HostCommand{Opcode: OpcodeCompact, DBID: dbID, Compact: &CompactConfig{MinLiveRatio: minLiveRatio}})
-	if err != nil || resp.Wear == nil {
-		return WearStats{}, err
-	}
-	return *resp.Wear, err
 }
 
 // mutLayout carries the layout constants mutation logic needs —
@@ -373,38 +344,6 @@ func bitsetClear(b []uint64, i int) {
 	if w := i >> 6; w < len(b) {
 		b[w] &^= 1 << (uint(i) & 63)
 	}
-}
-
-// mutTarget is the physical half of a mutation: how pages of the
-// database's regions are read, programmed, grown and reclaimed. Page
-// and row indices are global (single-device-equivalent).
-type mutTarget interface {
-	// readBinPage senses global binary-region page g through the
-	// conventional path (data and OOB are freshly allocated).
-	readBinPage(g int) (data, oob []byte, err error)
-	// writeBinPage / writeInt8Page / writeDocPage program one global
-	// page. The page must be erased (out-of-place writes only).
-	writeBinPage(g int, data, oob []byte) error
-	writeInt8Page(g int, data []byte) error
-	writeDocPage(g int, data []byte) error
-	// growBin binds the given physical rows to the next logical rows of
-	// the binary region's row map and commits the new live extent
-	// (global pages) — the per-step coarse FTL remap (R-DB update).
-	growBin(binPages int, phys []int) error
-	// growAux commits new live extents for the INT8 and document
-	// regions; -1 keeps a region unchanged.
-	growAux(int8Pages, docPages int) error
-	// reclaimBinRow erases logical GC row row of the binary region (one
-	// block per plane on every device) and unmaps it, returning the
-	// number of block erases performed.
-	reclaimBinRow(row int) (erases int, err error)
-	// rowWear reports the highest per-block erase count across the
-	// blocks of physical binary-region row phys — the wear-aware
-	// placement key.
-	rowWear(phys int) int64
-	// maxWear reports the device's (or shard set's) highest per-block
-	// erase count.
-	maxWear() int64
 }
 
 // fillWear completes a command's WearStats with the device wear skew
@@ -906,217 +845,4 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	wear.CopiedEntries += total
 	wear.FreedPages += lay.rowPages - stepProgrammed
 	return nil
-}
-
-// mutCompact runs a whole compaction synchronously: every victim row
-// is collected in ascending order, one copy-forward step each. The
-// queue scheduler runs the same steps interleaved with searches
-// (queue.go); both paths visit the same victims in the same order, so
-// they commit identical state and identical WearStats.
-func mutCompact(m *mutState, t mutTarget, minLiveRatio float64) (*WearStats, error) {
-	wear := &WearStats{}
-	for _, row := range mutGCVictims(m, minLiveRatio) {
-		if err := mutGCStep(m, t, row, wear); err != nil {
-			return nil, err
-		}
-	}
-	m.fillWear(wear, t)
-	return wear, nil
-}
-
-// engineMutTarget applies mutations to a single device's own regions.
-// The engine's execMu holder owns it.
-type engineMutTarget struct {
-	e  *Engine
-	db *Database
-}
-
-func (t engineMutTarget) readBinPage(g int) ([]byte, []byte, error) {
-	return t.e.SSD.ReadRegionPage(t.db.rec.Embeddings, g)
-}
-
-func (t engineMutTarget) writeBinPage(g int, data, oob []byte) error {
-	return t.e.SSD.WriteRegionPage(t.db.rec.Embeddings, g, data, oob)
-}
-
-func (t engineMutTarget) writeInt8Page(g int, data []byte) error {
-	return t.e.SSD.WriteRegionPage(t.db.rec.Int8s, g, data, nil)
-}
-
-func (t engineMutTarget) writeDocPage(g int, data []byte) error {
-	return t.e.SSD.WriteRegionPage(t.db.rec.Documents, g, data, nil)
-}
-
-func (t engineMutTarget) growBin(binPages int, phys []int) error {
-	if len(phys) > 0 {
-		if err := t.e.SSD.MapRegionRows(&t.db.rec, &t.db.rec.Embeddings, phys); err != nil {
-			return err
-		}
-	}
-	return t.e.SSD.ResizeRegion(&t.db.rec, &t.db.rec.Embeddings, binPages)
-}
-
-func (t engineMutTarget) growAux(int8Pages, docPages int) error {
-	if int8Pages >= 0 {
-		if err := t.e.SSD.ResizeRegion(&t.db.rec, &t.db.rec.Int8s, int8Pages); err != nil {
-			return err
-		}
-	}
-	if docPages >= 0 {
-		if err := t.e.SSD.ResizeRegion(&t.db.rec, &t.db.rec.Documents, docPages); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (t engineMutTarget) reclaimBinRow(row int) (int, error) {
-	return t.e.SSD.ReclaimRegionRow(&t.db.rec, &t.db.rec.Embeddings, row)
-}
-
-func (t engineMutTarget) rowWear(phys int) int64 {
-	ppb := t.e.SSD.Cfg.Geo.PagesPerBlock
-	return t.e.SSD.Dev.BlockMaxErase(t.db.rec.Embeddings.StartStripe/ppb + phys)
-}
-
-func (t engineMutTarget) maxWear() int64 { return t.e.SSD.Dev.MaxEraseCount() }
-
-// shardMutTarget routes each global page of a mutation to the shard
-// that owns it (page g → shard g mod N, local page g / N), taking the
-// owning engine's execution lock per call. The router's execMu holder
-// owns it; sharded outcomes are bit-identical to the single-device
-// reference because the logical plan is shared and the striping is the
-// deploy striping. GC rows are topology-aligned by construction: one
-// logical row is block b on every plane of every shard, so reclaiming
-// row r erases the same block set the reference device would.
-type shardMutTarget struct {
-	sh *ShardedEngine
-	db *ShardedDatabase
-}
-
-func (t shardMutTarget) onOwner(g int, f func(e *Engine, local *Database, l int) error) error {
-	n := len(t.sh.shards)
-	owner, l := g%n, g/n
-	e := t.sh.shards[owner].e
-	e.execMu.Lock()
-	defer e.execMu.Unlock()
-	return f(e, t.db.locals[owner], l)
-}
-
-func (t shardMutTarget) readBinPage(g int) (data, oob []byte, err error) {
-	err = t.onOwner(g, func(e *Engine, local *Database, l int) error {
-		data, oob, err = e.SSD.ReadRegionPage(local.rec.Embeddings, l)
-		return err
-	})
-	return data, oob, err
-}
-
-func (t shardMutTarget) writeBinPage(g int, data, oob []byte) error {
-	return t.onOwner(g, func(e *Engine, local *Database, l int) error {
-		return e.SSD.WriteRegionPage(local.rec.Embeddings, l, data, oob)
-	})
-}
-
-func (t shardMutTarget) writeInt8Page(g int, data []byte) error {
-	return t.onOwner(g, func(e *Engine, local *Database, l int) error {
-		return e.SSD.WriteRegionPage(local.rec.Int8s, l, data, nil)
-	})
-}
-
-func (t shardMutTarget) writeDocPage(g int, data []byte) error {
-	return t.onOwner(g, func(e *Engine, local *Database, l int) error {
-		return e.SSD.WriteRegionPage(local.rec.Documents, l, data, nil)
-	})
-}
-
-func (t shardMutTarget) growBin(binPages int, phys []int) error {
-	n := len(t.sh.shards)
-	for s, dev := range t.sh.shards {
-		local := t.db.locals[s]
-		dev.e.execMu.Lock()
-		err := func() error {
-			if len(phys) > 0 {
-				if err := dev.e.SSD.MapRegionRows(&local.rec, &local.rec.Embeddings, phys); err != nil {
-					return err
-				}
-			}
-			if err := dev.e.SSD.ResizeRegion(&local.rec, &local.rec.Embeddings, shardPages(binPages, s, n)); err != nil {
-				return err
-			}
-			// The shard serves explicit scan ranges over its owned
-			// pages; keep its addressable slot bound in step.
-			local.regionSlots = local.rec.Embeddings.Pages() * local.embPerPage
-			return nil
-		}()
-		dev.e.execMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("reis: shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-func (t shardMutTarget) growAux(int8Pages, docPages int) error {
-	n := len(t.sh.shards)
-	for s, dev := range t.sh.shards {
-		local := t.db.locals[s]
-		dev.e.execMu.Lock()
-		err := func() error {
-			if int8Pages >= 0 {
-				if err := dev.e.SSD.ResizeRegion(&local.rec, &local.rec.Int8s, shardPages(int8Pages, s, n)); err != nil {
-					return err
-				}
-			}
-			if docPages >= 0 {
-				if err := dev.e.SSD.ResizeRegion(&local.rec, &local.rec.Documents, shardPages(docPages, s, n)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}()
-		dev.e.execMu.Unlock()
-		if err != nil {
-			return fmt.Errorf("reis: shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
-func (t shardMutTarget) reclaimBinRow(row int) (int, error) {
-	erases := 0
-	for s, dev := range t.sh.shards {
-		local := t.db.locals[s]
-		dev.e.execMu.Lock()
-		n, err := dev.e.SSD.ReclaimRegionRow(&local.rec, &local.rec.Embeddings, row)
-		dev.e.execMu.Unlock()
-		erases += n
-		if err != nil {
-			return erases, fmt.Errorf("reis: shard %d: %w", s, err)
-		}
-	}
-	return erases, nil
-}
-
-func (t shardMutTarget) rowWear(phys int) int64 {
-	ppb := t.sh.cfg.Geo.PagesPerBlock
-	var m int64
-	for s, dev := range t.sh.shards {
-		blk := t.db.locals[s].rec.Embeddings.StartStripe/ppb + phys
-		if w := dev.e.SSD.Dev.BlockMaxErase(blk); w > m {
-			m = w
-		}
-	}
-	return m
-}
-
-func (t shardMutTarget) maxWear() int64 { return t.maxEraseCount() }
-
-func (t shardMutTarget) maxEraseCount() int64 {
-	var m int64
-	for _, dev := range t.sh.shards {
-		if n := dev.e.SSD.Dev.MaxEraseCount(); n > m {
-			m = n
-		}
-	}
-	return m
 }

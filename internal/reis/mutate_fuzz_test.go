@@ -1,6 +1,7 @@
 package reis
 
 import (
+	"bytes"
 	"reflect"
 	"sync"
 	"testing"
@@ -82,22 +83,27 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 2, 2, 0, 1, 3, 0, 4, 2, 0, 0})
 	f.Add([]byte{1, 3, 0, 3, 1, 3, 2, 4, 3, 0, 1, 2, 1, 4, 1, 0, 2})
 	f.Add([]byte{0, 2, 1, 0, 0, 3, 5, 4, 0, 0, 3})
+	// The same mixes through a one-member ShardedEngine (bit 1 of the
+	// first byte), whose reference is a plain Engine on the same config.
+	f.Add([]byte{3, 2, 3, 2, 2, 0, 1, 3, 0, 4, 2, 0, 0})
+	f.Add([]byte{2, 2, 1, 0, 0, 3, 5, 4, 0, 0, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 48 {
 			t.Skip()
 		}
 		w := fuzzWorldGet()
 		ivf := data[0]%2 == 1
+		shards := 2 - int(data[0]>>1)%2
 		ops := data[1:]
 
 		refCfg := fuzzCfg()
-		refCfg.Geo.Channels *= 2
+		refCfg.Geo.Channels *= shards
 		single, err := New(refCfg, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer single.Close()
-		sh, err := NewSharded(fuzzCfg(), 2, 0, AllOptions())
+		sh, err := NewSharded(fuzzCfg(), shards, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,6 +234,9 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 			if !reflect.DeepEqual(presp.Results, resp.Results) {
 				t.Fatalf("closing pruned search diverges from unpruned")
 			}
+		}
+		if !bytes.Equal(sh.JournalBytes(), single.JournalBytes()) {
+			t.Fatalf("journals diverge for the same history")
 		}
 	})
 }

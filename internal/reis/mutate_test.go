@@ -1,10 +1,13 @@
 package reis
 
 import (
+	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"reis/internal/ann"
@@ -206,6 +209,9 @@ func TestMutationShardedMatchesReference(t *testing.T) {
 							n, i, briefResp(got[i]), briefResp(want[i]))
 					}
 				}
+				if !bytes.Equal(sh.JournalBytes(), single.JournalBytes()) {
+					t.Fatalf("shards=%d: journal bytes differ from the reference's for the same history", n)
+				}
 				if first == nil {
 					first = got
 				} else {
@@ -218,6 +224,121 @@ func TestMutationShardedMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		})
+	}
+}
+
+// cmdRecorder records the commands a script submits, so the same history
+// can be replayed command by command on another host.
+type cmdRecorder struct {
+	submitter
+	cmds []HostCommand
+}
+
+func (r *cmdRecorder) Submit(cmd HostCommand) (HostResponse, error) {
+	r.cmds = append(r.cmds, cmd)
+	return r.submitter.Submit(cmd)
+}
+
+// TestOneDeviceMutateWhileSearching is the lock-order stress of the
+// host core over a single device (run under -race in CI): a host and
+// its only device each have a lock, a search holds both for the whole
+// command and a mutation takes the device's per page operation, so
+// mutating while searches are in flight would deadlock, or race, if
+// either path took them in the other order. The mutation history runs
+// on the test goroutine against concurrent direct, synchronous, pruned
+// and queued searches of the same database; every response of the
+// history must still equal the sequential reference's.
+func TestOneDeviceMutateWhileSearching(t *testing.T) {
+	type stressHost interface {
+		submitter
+		IVFSearchBatch(int, [][]float32, int, SearchOptions) ([][]DocResult, []QueryStats, error)
+		NewQueue(QueueConfig) (*Queue, error)
+	}
+	c := newMutCorpus()
+	ref, err := New(mutRefCfg(1), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
+	rec := &cmdRecorder{submitter: ref}
+	want := runMutScript(t, rec, c, true, 0.9)
+
+	e, err := New(mutRefCfg(1), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	sh, err := NewSharded(mutTestCfg(), 1, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	for name, h := range map[string]stressHost{"engine": e, "one-shard": sh} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := h.Submit(rec.cmds[0]); err != nil { // the deploy
+				t.Fatal(err)
+			}
+			q, err := h.NewQueue(QueueConfig{Depth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			queries := testData.Queries[:6]
+			search := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 10, NProbe: 4}
+			pruned := search
+			pruned.Opt.Prune = true
+			searchers := []func() error{
+				func() error { _, _, err := h.IVFSearchBatch(1, queries, 10, SearchOptions{NProbe: 4}); return err },
+				func() error { _, err := h.Submit(search); return err },
+				func() error { _, err := h.Submit(pruned); return err },
+				func() error {
+					id, err := q.SubmitAsync(context.Background(), search)
+					if err != nil {
+						return err
+					}
+					_, err = q.Wait(context.Background(), id)
+					return err
+				},
+			}
+			stop := make(chan struct{})
+			errs := make(chan error, len(searchers))
+			var wg sync.WaitGroup
+			for _, f := range searchers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						if err := f(); err != nil {
+							errs <- err
+							return
+						}
+					}
+				}()
+			}
+			for i, cmd := range rec.cmds[1:] {
+				got, err := h.Submit(cmd)
+				if err != nil {
+					t.Errorf("command %d (opcode %#x): %v", i+1, cmd.Opcode, err)
+					break
+				}
+				if !mutRespEqual(got, want[i+1]) {
+					t.Errorf("command %d (opcode %#x) differs from the sequential reference\n got %s\nwant %s",
+						i+1, cmd.Opcode, briefResp(got), briefResp(want[i+1]))
+					break
+				}
+			}
+			close(stop)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Errorf("concurrent search: %v", err)
 			}
 		})
 	}

@@ -54,37 +54,11 @@ import (
 //     completes (which also keeps the mutation journal in application
 //     order). The command completes when its last step lands.
 //
-// Determinism: the engine serializes execution under execMu and a
+// Determinism: the host core serializes execution under execMu and a
 // command's results and device events are independent of which group
 // it was coalesced into (a plane broadcasts each query once regardless
 // of batch composition), so completion *contents* are bit-identical
 // run to run; only completion *order* may vary with scheduling.
-
-// host is the execution backend a queue pair dispatches into: the
-// single-device Engine or the sharded scatter-gather router
-// (ShardedEngine). Both serialize their execution core internally, so
-// the queue only sequences and delivers.
-type host interface {
-	// execCmd serves one validated command.
-	execCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error)
-	// execSearchGroup runs the batched scan pipeline for a coalesced
-	// dispatch group: queries is the concatenation of the group's Q
-	// operands under the head command's parameters. perShard is the
-	// per-device stats view of a sharded host (nil for a single
-	// device), indexed [shard][query].
-	execSearchGroup(ctx context.Context, cmd *HostCommand, queries [][]float32) (results [][]DocResult, sts []QueryStats, perShard [][]QueryStats, err error)
-	// gcPlan / gcStep / gcFinish are the background garbage collector's
-	// command surface: plan the victim rows of an OpcodeCompact command,
-	// collect one row (accumulating wear into acc), and complete the
-	// command. Each takes the host's execution lock on its own, so
-	// searches dispatch between steps.
-	gcPlan(cmd *HostCommand) ([]int, error)
-	gcStep(cmd *HostCommand, row int, acc *WearStats) error
-	gcFinish(cmd *HostCommand, acc *WearStats) (HostResponse, error)
-	// registry is the host's queue-pair bookkeeping for Close-time
-	// teardown.
-	registry() *queueRegistry
-}
 
 // queueRegistry tracks a host's open queue pairs (for teardown) and
 // its lazily created built-in pair behind the synchronous Submit
@@ -274,11 +248,12 @@ type gcFlight struct {
 	acc     WearStats
 }
 
-// Queue is one NVMe-style submission/completion queue pair bound to an
-// engine. Create with Engine.NewQueue; all methods are safe for
-// concurrent use.
+// Queue is one NVMe-style submission/completion queue pair bound to a
+// host (an Engine or a ShardedEngine), which serializes its execution
+// core internally — the queue only sequences and delivers. Create with
+// the host's NewQueue; all methods are safe for concurrent use.
 type Queue struct {
-	h   host
+	h   *hostCore
 	cfg QueueConfig
 
 	mu      sync.Mutex
@@ -300,13 +275,9 @@ type Queue struct {
 	done chan struct{} // closed when the dispatcher has exited
 }
 
-// NewQueue creates a queue pair and starts its dispatcher. The queue
-// must be Closed when no longer needed (Engine.Close closes any still
-// open).
-func (e *Engine) NewQueue(cfg QueueConfig) (*Queue, error) { return newQueue(e, cfg) }
-
-// newQueue builds a queue pair over any host backend.
-func newQueue(h host, cfg QueueConfig) (*Queue, error) {
+// newQueue builds a queue pair over a host core and starts its
+// dispatcher.
+func newQueue(h *hostCore, cfg QueueConfig) (*Queue, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = DefaultQueueDepth
 	}
@@ -329,7 +300,7 @@ func newQueue(h host, cfg QueueConfig) (*Queue, error) {
 	}
 	q.wake = sync.NewCond(&q.mu)
 	q.capFree = sync.NewCond(&q.mu)
-	if err := h.registry().add(q); err != nil {
+	if err := h.reg.add(q); err != nil {
 		return nil, err
 	}
 	go q.dispatch()
@@ -564,7 +535,7 @@ func (q *Queue) Close() error {
 	}
 	q.mu.Unlock()
 	<-q.done
-	q.h.registry().remove(q)
+	q.h.reg.remove(q)
 	return nil
 }
 
@@ -788,7 +759,7 @@ func (q *Queue) execGroup(group []*qcmd) {
 		queries = append(queries, qc.cmd.Queries...)
 	}
 	ctx := mergeCtxs(live)
-	results, sts, perShard, err := q.h.execSearchGroup(ctx, &live[0].cmd, queries)
+	results, sts, perShard, err := q.h.search(ctx, &live[0].cmd, queries, true)
 	if err != nil {
 		// Group abort — a member's cancellation, or an execution error.
 		// Re-execute members individually so unaffected commands still

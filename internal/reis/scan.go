@@ -11,9 +11,10 @@ import (
 // but returns the surviving TTL entries per (query, segment) instead
 // of folding them: accumulation, bounds and selection happen on the
 // gather side, in the router's controller, over the merged streams of
-// every shard — so it sees exactly what a single device's would. The
-// caller must hold e.execMu.
+// every shard — so it sees exactly what a single device's would.
 func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	db, err := e.db(cmd.DBID)
 	if err != nil {
 		return HostResponse{}, err
@@ -51,8 +52,6 @@ func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostRespons
 		QueryStats: make([]QueryStats, len(cmd.Queries)),
 	}
 	for qi := range cmd.Queries {
-		st := &resp.QueryStats[qi]
-		st.IBCBroadcasts = out.ibc[qi]
 		segs := make([]ScanSegResult, len(sc.Segs[qi]))
 		for si := range segs {
 			seg := out.seg(qi, si)
@@ -69,19 +68,10 @@ func (e *Engine) executeScan(ctx context.Context, cmd *HostCommand) (HostRespons
 				r.Entries = e.appendMergeByPos(make([]TTLEntry, 0, seg.survivors), out.scans[seg.lo:seg.hi])
 			}
 			segs[si] = r
-			seg.addTo(st, sc.Coarse)
-			if sc.Coarse {
-				// Every coarse survivor is a TTL-C entry; the per-query
-				// stats of a scan response feed the owning device's
-				// timing model, which costs coarse and fine TTL streams
-				// under different scale factors. (The router's
-				// aggregated CoarseEntries is computed centrally from
-				// the merged stream instead.)
-				st.CoarseEntries += seg.survivors
-			}
 		}
 		resp.Scan[qi] = segs
-		resp.Stats.Add(*st)
+		resp.QueryStats[qi] = out.stats(qi, sc.Coarse)
+		resp.Stats.Add(resp.QueryStats[qi])
 	}
 	return resp, nil
 }

@@ -1,9 +1,7 @@
 package reis
 
 import (
-	"fmt"
 	"slices"
-	"sync"
 
 	"reis/internal/flash"
 	"reis/internal/ssd"
@@ -156,13 +154,12 @@ type SearchOptions struct {
 	Prune bool
 }
 
-// engineScratch holds the engine-owned pooled buffers of the query
-// pipeline: query encodings, merge outputs, and the controller-tail
-// working sets. The engine serves one top-level API call at a time
-// (batched admission is the concurrency mechanism; see DESIGN.md), so
-// these recycle across queries without locking. Everything handed back
-// to the caller (DocResult slices, document bytes) is freshly
-// allocated — scratch memory never escapes.
+// engineScratch holds the device-owned pooled buffers of the scan
+// pipeline: query encodings, the round's dispatch structures and
+// outcome, and merge inputs. The device serves one scan at a time (its
+// lock holder owns the scratch), so these recycle across rounds without
+// further locking, and scratch memory never escapes: entries leave
+// through a fold into the caller's buffer or into response-owned memory.
 type engineScratch struct {
 	// Query encoding.
 	qbits     []uint64
@@ -174,14 +171,6 @@ type engineScratch struct {
 	planeWork [][]batchItem
 	out       scanOut
 	lists     [][]TTLEntry
-	// The search controller's per-query state and its backend over this
-	// engine (controller.go, batch.go).
-	ctrl  ctrlScratch
-	local localBackend
-	// Controller tail: working sets and the page source adapter handed
-	// to the shared runTail.
-	tail tailScratch
-	src  engineTailSource
 }
 
 // pageIdx pairs a flash page with a candidate index; sorting a pooled
@@ -506,51 +495,10 @@ func partitionTTL(es []TTLEntry, lo, hi int) int {
 	}
 }
 
-// CalibrateNProbe finds the smallest nprobe meeting the Recall@k
-// target against ground truth, mirroring the paper's accuracy sweep.
-// The ground-truth membership sets are identical across sweep rounds,
-// so they are built once and reused.
-// A successful calibration is recorded on the database, so later host
-// commands can address the operating point by TargetRecall alone (the
-// accuracy operand R of Table 1; see resolveSearchOptions).
-func (e *Engine) CalibrateNProbe(dbID int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error) {
-	db, err := e.DB(dbID)
-	if err != nil {
-		return 0, err
-	}
-	return calibrateNProbe(e, &e.execMu, &db.calib, dbID, len(db.rivf), queries, groundTruth, k, target)
-}
-
-// calibrateNProbe is the calibration shared by both hosts: sweep nprobe
-// over one cache-bypassing IVF batch per step (results are bit-identical
-// to per-query calls, but plane tasks overlap across queries), and
-// record a met target under the host's execution lock. Only the queried
-// rows of the ground truth enter the recall denominator.
-func calibrateNProbe(h searcher, mu *sync.Mutex, calib *[]recallPoint, dbID, nlist int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error) {
-	if nlist == 0 {
-		return 0, fmt.Errorf("reis: database %d is not IVF-deployed", dbID)
-	}
-	if len(queries) == 0 {
-		return 0, fmt.Errorf("reis: empty query set")
-	}
-	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
-		results, _, err := searchMany(h, OpcodeIVFSearch, dbID, queries, k, SearchOptions{NProbe: nprobe, SkipDocs: true})
-		return results, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	if ok {
-		mu.Lock()
-		*calib = append(*calib, recallPoint{target: target, nprobe: nprobe})
-		mu.Unlock()
-	}
-	return nprobe, nil
-}
-
-// calibrateSweep is the nprobe sweep shared by the single-device and
-// sharded calibrations: it grows nprobe until run's Recall@k against
-// groundTruth meets target. groundTruth must hold exactly one row per
+// calibrateSweep is CalibrateNProbe's sweep: it grows nprobe until
+// run's Recall@k against groundTruth meets target. The ground-truth
+// membership sets are identical across sweep rounds, so they are built
+// once and reused. groundTruth must hold exactly one row per
 // swept query (callers slice it to the query count). ok reports
 // whether the target was met; the returned nprobe is nlist otherwise.
 func calibrateSweep(nlist int, groundTruth [][]int, k int, target float64, run func(nprobe int) ([][]DocResult, error)) (int, bool, error) {

@@ -147,6 +147,18 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 					pages != st.CoarsePages+st.FinePages || ibc != st.IBCBroadcasts {
 					t.Fatalf("shards=%d %s: per-shard stats do not sum to query %d's aggregate", n, tc.name, qi)
 				}
+				// One member: its row is the query's whole scan phase,
+				// wave counts included — the N=1 identity the timing
+				// model prices by.
+				if scan := (QueryStats{
+					CoarseWaves: st.CoarseWaves, FineWaves: st.FineWaves,
+					CoarsePages: st.CoarsePages, FinePages: st.FinePages,
+					EntriesScanned: st.EntriesScanned, Survivors: st.Survivors, TTLBytes: st.TTLBytes,
+					IBCBroadcasts: st.IBCBroadcasts, CoarseEntries: st.CoarseEntries,
+				}); n == 1 && got.PerShard[0][qi] != scan {
+					t.Fatalf("shards=1 %s: query %d's lone per-shard row %+v is not its scan phase %+v",
+						tc.name, qi, got.PerShard[0][qi], scan)
+				}
 			}
 		}
 

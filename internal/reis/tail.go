@@ -8,15 +8,14 @@ import (
 
 // This file is the controller-side pipeline tail (steps 5-9 of
 // Fig 6): quickselect to the rerank pool, INT8 rescoring, quicksort,
-// and document retrieval. The tail is shared by the single-device
-// engine (pages live in its own regions) and the sharded router (the
-// gather side fetches each page from the shard that owns it) — the
-// tailSource interface is the only difference, so sharded results are
-// bit-identical to single-device results by construction.
+// and document retrieval. The tail runs on the host core over a query's
+// merged entry stream, fetching each page from the device that owns it
+// (tailSource, host.go), so results are bit-identical across device
+// counts by construction.
 
 // tailScratch holds the tail's pooled working sets. Exactly one
-// goroutine owns a tailScratch at a time (the engine's execution lock
-// or the router's); everything handed back to the caller is freshly
+// goroutine owns a tailScratch at a time (the host core's execution
+// lock holder); everything handed back to the caller is freshly
 // allocated.
 type tailScratch struct {
 	q8         []int8
@@ -49,20 +48,10 @@ type tailParams struct {
 	dead []uint64
 }
 
-// tailSource senses one page of the INT8 (rerank) or document region
-// and returns its data plus the global plane index it was read from
-// (for wave accounting). Implementations use ts.pageBuf/ts.oobBuf as
-// the backing buffers; the returned slice is valid until the next
-// read.
-type tailSource interface {
-	readRerankPage(ts *tailScratch, page int) ([]byte, int, error)
-	readDocPage(ts *tailScratch, page int) ([]byte, int, error)
-}
-
 // runTail executes the controller tail over a merged entry stream.
 // Working sets live in ts; only the returned results (and their
 // document bytes) are allocated.
-func runTail(src tailSource, ts *tailScratch, tp tailParams, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+func runTail(src *tailSource, ts *tailScratch, tp tailParams, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
 	if tp.dead != nil {
 		entries = filterTombstoned(entries, tp.dead)
 	}
@@ -168,52 +157,4 @@ func filterTombstoned(es []TTLEntry, tomb []uint64) []TTLEntry {
 		}
 	}
 	return out
-}
-
-// engineTailSource reads tail pages from the engine's own regions.
-type engineTailSource struct {
-	e  *Engine
-	db *Database
-}
-
-func (s *engineTailSource) readRerankPage(ts *tailScratch, page int) ([]byte, int, error) {
-	geo := s.e.SSD.Cfg.Geo
-	addr, err := s.db.rec.Int8s.AddressOf(geo, page)
-	if err != nil {
-		return nil, 0, err
-	}
-	data, oob, err := s.e.SSD.Dev.ReadPageInto(addr, ts.pageBuf, ts.oobBuf)
-	if err != nil {
-		return nil, 0, err
-	}
-	ts.pageBuf, ts.oobBuf = data, oob
-	return data, addr.PlaneIndex(geo), nil
-}
-
-func (s *engineTailSource) readDocPage(ts *tailScratch, page int) ([]byte, int, error) {
-	geo := s.e.SSD.Cfg.Geo
-	addr, err := s.db.rec.Documents.AddressOf(geo, page)
-	if err != nil {
-		return nil, 0, err
-	}
-	data, oob, err := s.e.SSD.Dev.ReadPageInto(addr, ts.pageBuf, ts.oobBuf)
-	if err != nil {
-		return nil, 0, err
-	}
-	ts.pageBuf, ts.oobBuf = data, oob
-	return data, addr.PlaneIndex(geo), nil
-}
-
-// tailParams assembles the tail constants of a database under the
-// given global plane count.
-func (db *Database) tailParams(planes int) tailParams {
-	return tailParams{
-		int8Bytes:   db.int8Bytes,
-		int8PerPage: db.int8PerPage,
-		docsPerPage: db.docsPerPage,
-		docBytes:    db.docBytes,
-		planes:      planes,
-		params:      db.params,
-		dead:        db.tombstones(),
-	}
 }

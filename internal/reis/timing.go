@@ -1,6 +1,7 @@
 package reis
 
 import (
+	"fmt"
 	"time"
 
 	"reis/internal/flash"
@@ -46,50 +47,100 @@ type Breakdown struct {
 	AvgWatts float64 // EnergyJ / Total
 }
 
+// The model is written once, for a host over N ≥ 1 devices (host.go).
+// The scan phases run on the devices in parallel — a query's scan time
+// is the slowest device's, computed from that device's own events under
+// its own configuration (its waves are its local critical path), and TTL
+// handling (DRAM streaming + quickselect of a device's survivors) is
+// attributed to the device that produced the entries, mirroring where
+// the bytes move — while the controller tail (INT8 rerank, quicksort,
+// document retrieval) and the caching tier are costed once, on the
+// single-device-equivalent configuration. On one device the max and the
+// sums are over one term and the two configurations coincide: that case
+// is Engine.Latency.
+
 // Latency converts the event counts of one query into a latency and
-// energy estimate under the engine's options and the given scale.
+// energy estimate under the engine's options and the given scale — the
+// host's timing model over this one device, whose scan events are the
+// query's own.
 //
 // Waves are recomputed from scaled page counts (pages spread evenly
 // across planes by the parallelism-first layout), so wave quantization
 // at small functional scale does not distort full-scale estimates.
 func (e *Engine) Latency(db *Database, st QueryStats, sc Scale) Breakdown {
-	entryBytes := db.ttlEntryBytes()
+	b, _ := e.price(db, st, []QueryStats{st}, sc)
+	return b
+}
+
+// Latency converts one query's aggregated events (st) and per-shard
+// scan events (perShard[s], as returned in HostResponse.PerShard) into
+// a latency and energy estimate: max-over-shards scan time plus the
+// gather tail. The IBC/Coarse/Fine components report the critical
+// (slowest) shard's decomposition.
+func (sh *ShardedEngine) Latency(dbID int, st QueryStats, perShard []QueryStats, sc Scale) (Breakdown, error) {
+	db, err := sh.hostDB(dbID)
+	if err != nil {
+		return Breakdown{}, err
+	}
+	if len(perShard) != len(sh.devs) {
+		return Breakdown{}, fmt.Errorf("reis: %d per-shard stats for %d shards", len(perShard), len(sh.devs))
+	}
+	b, _ := sh.price(db.locals[0], st, perShard, sc)
+	return b, nil
+}
+
+// price is the per-query model: db is any device's slice of the
+// database (the layout constants agree on all of them), perDev[s] device
+// s's scan events of the query. Besides the Breakdown it returns the
+// query's per-event energy, without the idle draw BatchLatency pays once
+// per batch instead.
+func (c *hostCore) price(db *Database, st QueryStats, perDev []QueryStats, sc Scale) (b Breakdown, events float64) {
+	for s, d := range c.devs {
+		ibc, coarse, fine := d.scanTime(db, perDev[s], sc)
+		if ibc+coarse+fine > b.IBC+b.Coarse+b.Fine {
+			b.IBC, b.Coarse, b.Fine = ibc, coarse, fine
+		}
+		events += d.scanEnergy(db, perDev[s], sc)
+	}
+	// Cached work (pinned-cluster scans, result-cache hits) is served by
+	// the host, not any device; its stats appear only in the aggregate
+	// st, never in a per-device row.
+	b.Fine += cachedScanTime(c.cfg, db.slotBytes, st, sc)
+	b.Rerank = rerankTime(c.cfg, db.int8Bytes, db.Dim, st)
+	b.Docs = docsTime(c.cfg, st)
+	b.Total = b.IBC + b.Coarse + b.Fine + b.Rerank + b.Docs
+	events += tailEnergy(c.cfg, db.int8Bytes, st)
+	// Every device idles for the duration of the query.
+	b.EnergyJ = events + float64(len(c.devs))*c.cfg.IdlePower*b.Total.Seconds()
+	if b.Total > 0 {
+		b.AvgWatts = b.EnergyJ / b.Total.Seconds()
+	}
+	return b, events
+}
+
+// scanTime costs this device's share of one query's scan phases from
+// its own events. IBC is the query broadcast into the plane latches; a
+// query that scanned no flash pages here (a result-cache hit, a fully
+// pinned or compacted-away plan, a shard owning none of the pages)
+// never issued it.
+func (e *Engine) scanTime(db *Database, st QueryStats, sc Scale) (ibc, coarse, fine time.Duration) {
+	entryBytes := float64(db.ttlEntryBytes())
 	coarseEntries := float64(st.CoarseEntries) * sc.Coarse
 	fineSurvivors := e.fineSurvivors(st, sc)
-
-	// IBC is the query broadcast into the plane latches; a query that
-	// scanned no flash pages (a result-cache hit, or a fully pinned/
-	// compacted-away plan) never issued it.
-	var tIBC time.Duration
 	if st.CoarsePages+st.FinePages > 0 {
-		tIBC = e.ibcTime()
+		ibc = e.ibcTime()
 	}
-	tCoarse := e.scanPhaseTime(
+	coarse = e.scanPhaseTime(
 		scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage),
-		coarseEntries*float64(entryBytes),
+		coarseEntries*entryBytes,
 		coarseEntries,
 	)
-	tFine := e.scanPhaseTime(
+	fine = e.scanPhaseTime(
 		scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage),
-		fineSurvivors*float64(entryBytes),
+		fineSurvivors*entryBytes,
 		fineSurvivors,
 	)
-
-	tFine += cachedScanTime(e.SSD.Cfg, db.slotBytes, st, sc)
-
-	tRerank := e.rerankTime(db, st)
-	tDocs := e.docsTime(st)
-
-	total := tIBC + tCoarse + tFine + tRerank + tDocs
-	energy := e.energy(db, st, sc, total)
-	b := Breakdown{
-		IBC: tIBC, Coarse: tCoarse, Fine: tFine, Rerank: tRerank, Docs: tDocs,
-		Total: total, EnergyJ: energy,
-	}
-	if total > 0 {
-		b.AvgWatts = energy / total.Seconds()
-	}
-	return b
+	return ibc, coarse, fine
 }
 
 // scanPagesScaled converts a functional scan to full-scale pages. At
@@ -120,27 +171,16 @@ func (e *Engine) fineSurvivors(st QueryStats, sc Scale) float64 {
 	return float64(st.Survivors-st.CoarseEntries) * sc.Fine
 }
 
-func (e *Engine) rerankTime(db *Database, st QueryStats) time.Duration {
-	return rerankTimeFor(e.SSD.Cfg, db.int8Bytes, db.Dim, st)
-}
-
-// rerankTimeFor costs the INT8 fetch + rescore + quicksort stage under
-// an explicit device configuration (the sharded model costs the gather
-// tail with the single-device-equivalent config).
-func rerankTimeFor(cfg ssd.Config, int8Bytes, dim int, st QueryStats) time.Duration {
+// rerankTime costs the INT8 fetch + rescore + quicksort stage.
+func rerankTime(cfg ssd.Config, int8Bytes, dim int, st QueryStats) time.Duration {
 	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
 	xfer := bytesTime(float64(st.RerankCount*int8Bytes), cfg.Geo.InternalBandwidth())
 	return time.Duration(st.RerankWaves)*tTLC + xfer +
 		cfg.RerankTime(st.RerankCount, dim) + cfg.QuicksortTime(st.SortedEntries)
 }
 
-func (e *Engine) docsTime(st QueryStats) time.Duration {
-	return docsTimeFor(e.SSD.Cfg, st)
-}
-
-// docsTimeFor costs the document retrieval stage under an explicit
-// device configuration.
-func docsTimeFor(cfg ssd.Config, st QueryStats) time.Duration {
+// docsTime costs the document retrieval stage.
+func docsTime(cfg ssd.Config, st QueryStats) time.Duration {
 	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
 	docWaves := ceilDiv(st.DocPages, cfg.Geo.Planes())
 	return time.Duration(docWaves)*tTLC +
@@ -218,28 +258,28 @@ func cachedScanTime(cfg ssd.Config, slotBytes int, st QueryStats, sc Scale) time
 	return time.Duration(ns) * time.Nanosecond
 }
 
-// energy sums per-event energies plus background power over the query.
-func (e *Engine) energy(db *Database, st QueryStats, sc Scale, total time.Duration) float64 {
+// scanEnergy sums the per-event energies of this device's share of a
+// query's scan phases: SLC page senses with their latch compute, and
+// the channel traffic of the broadcast in and the TTL entries out.
+func (e *Engine) scanEnergy(db *Database, st QueryStats, sc Scale) float64 {
 	p := e.SSD.Cfg.Flash
 	geo := e.SSD.Cfg.Geo
-
 	slcPages := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage) +
 		scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
-	tlcPages := float64(st.RerankPages + st.DocPages)
-	entryBytes := float64(db.ttlEntryBytes())
-	ttlBytes := (float64(st.CoarseEntries)*sc.Coarse + e.fineSurvivors(st, sc)) * entryBytes
-	xferBytes := ttlBytes +
-		float64(st.RerankCount*db.int8Bytes) + float64(st.DocBytes)
+	xferBytes := (float64(st.CoarseEntries)*sc.Coarse + e.fineSurvivors(st, sc)) * float64(db.ttlEntryBytes())
 	if st.CoarsePages+st.FinePages > 0 {
 		xferBytes += float64(geo.Dies() * geo.PageBytes) // IBC broadcast
 	}
+	return slcPages*(p.EnergyReadPage+p.EnergyLatchXOR+p.EnergyBitCount) + xferBytes*p.EnergyXferPerByte
+}
 
-	j := slcPages*(p.EnergyReadPage+p.EnergyLatchXOR+p.EnergyBitCount) +
-		tlcPages*p.EnergyReadPage +
-		xferBytes*p.EnergyXferPerByte
-	// Controller and idle draw for the duration of the query.
-	j += e.SSD.Cfg.IdlePower * total.Seconds()
-	return j
+// tailEnergy sums the per-event energies of the controller tail: TLC
+// page reads plus the INT8/document channel traffic.
+func tailEnergy(cfg ssd.Config, int8Bytes int, st QueryStats) float64 {
+	p := cfg.Flash
+	tlcPages := float64(st.RerankPages + st.DocPages)
+	xferBytes := float64(st.RerankCount*int8Bytes) + float64(st.DocBytes)
+	return tlcPages*p.EnergyReadPage + xferBytes*p.EnergyXferPerByte
 }
 
 // BatchBreakdown is the timing model's view of a query batch admitted
@@ -274,59 +314,109 @@ type BatchBreakdown struct {
 // plus the first query's standalone latency as pipeline fill/drain,
 // clamped to never exceed serial execution.
 func (e *Engine) BatchLatency(db *Database, sts []QueryStats, sc Scale) BatchBreakdown {
+	// One device: its scan events are the queries' own, so the shapes
+	// cannot be malformed.
+	b, _ := e.batchLatency(db, sts, [][]QueryStats{sts}, sc)
+	return b
+}
+
+// BatchLatency models batch service on the sharded topology from the
+// batch's aggregated events (sts) and per-shard scan events
+// (perShard[s][i], as returned in HostResponse.PerShard): per-shard
+// occupancies accumulate independently (the shards are independent
+// devices), the gather tail accumulates on the router's resources, and
+// the makespan is the bottleneck total plus one pipeline fill, clamped
+// to serial execution.
+func (sh *ShardedEngine) BatchLatency(dbID int, sts []QueryStats, perShard [][]QueryStats, sc Scale) (BatchBreakdown, error) {
+	db, err := sh.hostDB(dbID)
+	if err != nil {
+		return BatchBreakdown{}, err
+	}
+	return sh.batchLatency(db.locals[0], sts, perShard, sc)
+}
+
+// batchLatency is the batch model: perDev[s][i] is device s's scan
+// events of query i. The busiest device bounds the scan side; the tail's
+// resources serialize on the host.
+func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]QueryStats, sc Scale) (BatchBreakdown, error) {
+	n := len(c.devs)
+	if len(perDev) != n {
+		return BatchBreakdown{}, fmt.Errorf("reis: %d per-shard stats for %d shards", len(perDev), n)
+	}
+	for s, row := range perDev {
+		if len(row) != len(sts) {
+			return BatchBreakdown{}, fmt.Errorf("reis: shard %d has stats for %d of %d queries", s, len(row), len(sts))
+		}
+	}
 	b := BatchBreakdown{Queries: len(sts)}
 	var fill time.Duration
+	// col is query i's column of perDev; a few devices' worth stays off
+	// the heap, so pricing a single device's batch allocates nothing.
+	var buf [4]QueryStats
+	col := buf[:min(n, len(buf))]
+	if n > len(buf) {
+		col = make([]QueryStats, n)
+	}
 	for i := range sts {
-		bd := e.Latency(db, sts[i], sc)
+		for s := range col {
+			col[s] = perDev[s][i]
+		}
+		bd, events := c.price(db, sts[i], col, sc)
 		b.Serial += bd.Total
 		if i == 0 {
 			fill = bd.Total
 		}
-		plane, channel, core := e.occupancy(db, sts[i], sc)
+		b.EnergyJ += events
+		plane, channel, core := tailOccupancy(c.cfg, db, sts[i], sc)
 		b.PlaneBusy += plane
 		b.ChannelBusy += channel
 		b.CoreBusy += core
-		b.EnergyJ += e.energy(db, sts[i], sc, 0)
 	}
-	b.Makespan = b.PlaneBusy
-	if b.ChannelBusy > b.Makespan {
-		b.Makespan = b.ChannelBusy
+	var scanPlane, scanChannel, scanCore time.Duration
+	for s, d := range c.devs {
+		var plane, channel, core time.Duration
+		for i := range sts {
+			p, ch, co := d.scanOccupancy(db, perDev[s][i], sc)
+			plane += p
+			channel += ch
+			core += co
+		}
+		scanPlane = max(scanPlane, plane)
+		scanChannel = max(scanChannel, channel)
+		scanCore = max(scanCore, core)
 	}
-	if b.CoreBusy > b.Makespan {
-		b.Makespan = b.CoreBusy
-	}
-	b.Makespan += fill
-	if b.Makespan > b.Serial {
-		b.Makespan = b.Serial
-	}
-	b.EnergyJ += e.SSD.Cfg.IdlePower * b.Makespan.Seconds()
+	b.PlaneBusy += scanPlane
+	b.ChannelBusy += scanChannel
+	b.CoreBusy += scanCore
+	b.Makespan = min(max(b.PlaneBusy, b.ChannelBusy, b.CoreBusy)+fill, b.Serial)
+	// Idle draw is paid once over the makespan, by every device.
+	b.EnergyJ += float64(n) * c.cfg.IdlePower * b.Makespan.Seconds()
 	if b.Makespan > 0 {
 		b.QPS = float64(b.Queries) / b.Makespan.Seconds()
 	}
-	return b
+	return b, nil
 }
 
-// occupancy decomposes one query's device events into busy time on the
-// three resources a batch contends for:
+// scanOccupancy and tailOccupancy decompose one query's device events
+// into busy time on the three resources a batch contends for:
 //
 //   - plane: array reads (the critical plane's waves) plus the
 //     in-plane latch compute, for the scan phases and the TLC
 //     rerank/document reads;
 //   - channel: the IBC broadcast in, TTL entries, rerank embeddings
 //     and document bytes out (internal), and the host transfer;
-//   - core: controller quickselect + TTL DRAM traffic, INT8 rerank
-//     and the final quicksort.
+//   - core: controller quickselect + TTL DRAM traffic, INT8 rerank,
+//     the final quicksort, and caching-tier work.
 //
-// The decomposition mirrors Latency's stage formulas at the same
-// scale, so summing occupancies across a batch is consistent with the
-// per-query model.
-func (e *Engine) occupancy(db *Database, st QueryStats, sc Scale) (plane, channel, core time.Duration) {
+// The scan terms are one device's, from its own events; the tail terms
+// are the host's. The decomposition mirrors price's stage formulas at
+// the same scale, so summing occupancies across a batch is consistent
+// with the per-query model.
+func (e *Engine) scanOccupancy(db *Database, st QueryStats, sc Scale) (plane, channel, core time.Duration) {
 	cfg := e.SSD.Cfg
-	geo := cfg.Geo
 	p := cfg.Flash
-	planes := float64(geo.Planes())
+	planes := float64(cfg.Geo.Planes())
 
-	entryBytes := float64(db.ttlEntryBytes())
 	coarseEntries := float64(st.CoarseEntries) * sc.Coarse
 	fineSurvivors := e.fineSurvivors(st, sc)
 	coarsePages := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage)
@@ -339,27 +429,26 @@ func (e *Engine) occupancy(db *Database, st QueryStats, sc Scale) (plane, channe
 	if finePages > 0 {
 		scanWaves += ceilF(finePages / planes)
 	}
-	tESP := p.ReadLatency(flash.ModeSLCESP)
-	tTLC := p.ReadLatency(flash.ModeTLC)
-	latchCompute := p.LatchXOR + p.BitCountPage + p.PassFailCheck
-	docWaves := ceilDiv(st.DocPages, geo.Planes())
-	plane = time.Duration(scanWaves)*(tESP+latchCompute) +
-		time.Duration(st.RerankWaves+docWaves)*tTLC
+	plane = time.Duration(scanWaves) * (p.ReadLatency(flash.ModeSLCESP) + p.LatchXOR + p.BitCountPage + p.PassFailCheck)
 
-	ttlBytes := (coarseEntries + fineSurvivors) * entryBytes
 	if st.CoarsePages+st.FinePages > 0 {
 		channel = e.ibcTime()
 	}
-	channel += bytesTime(ttlBytes, geo.InternalBandwidth()) +
-		bytesTime(float64(st.RerankCount*db.int8Bytes), geo.InternalBandwidth()) +
-		bytesTime(float64(st.DocBytes), geo.InternalBandwidth()) +
-		bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
-
 	selectInput := coarseEntries + fineSurvivors
+	channel += bytesTime(selectInput*float64(db.ttlEntryBytes()), cfg.Geo.InternalBandwidth())
 	core = cfg.QuickselectTime(int(selectInput)) +
-		time.Duration(selectInput*cfg.DRAMAccessNs)*time.Nanosecond +
-		cfg.RerankTime(st.RerankCount, db.Dim) +
-		cfg.QuicksortTime(st.SortedEntries) +
+		time.Duration(selectInput*cfg.DRAMAccessNs)*time.Nanosecond
+	return plane, channel, core
+}
+
+func tailOccupancy(cfg ssd.Config, db *Database, st QueryStats, sc Scale) (plane, channel, core time.Duration) {
+	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
+	docWaves := ceilDiv(st.DocPages, cfg.Geo.Planes())
+	plane = time.Duration(st.RerankWaves+docWaves) * tTLC
+	channel = bytesTime(float64(st.RerankCount*db.int8Bytes), cfg.Geo.InternalBandwidth()) +
+		bytesTime(float64(st.DocBytes), cfg.Geo.InternalBandwidth()) +
+		bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
+	core = cfg.RerankTime(st.RerankCount, db.Dim) + cfg.QuicksortTime(st.SortedEntries) +
 		cachedScanTime(cfg, db.slotBytes, st, sc)
 	return plane, channel, core
 }
@@ -387,8 +476,8 @@ func (e *Engine) ASICLatency(db *Database, st QueryStats, sc Scale) Breakdown {
 	}
 	scan += tR // pipeline fill
 
-	tRerank := e.rerankTime(db, st)
-	tDocs := e.docsTime(st)
+	tRerank := rerankTime(cfg, db.int8Bytes, db.Dim, st)
+	tDocs := docsTime(cfg, st)
 
 	total := e.ibcTime() + scan + tRerank + tDocs
 	j := scanPages*p.EnergyReadPage + scanPages*pageBytes*p.EnergyXferPerByte +

@@ -1,0 +1,253 @@
+package reis
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+	"time"
+)
+
+// This file pins the timing model of the sharded topology: a golden
+// table of Breakdown/BatchBreakdown values per (command, shard count),
+// and the N=1 identity — a 1-shard ShardedEngine prices a response
+// exactly as an Engine over the same config does.
+
+// timingCase is one command priced by the model tests. The cached case
+// runs on a host with the caching tier on, twice, so the priced response
+// mixes pinned-cluster scans with result-cache hits.
+type timingCase struct {
+	name   string
+	cached bool
+	sc     Scale
+	cmd    HostCommand
+}
+
+func timingCases() []timingCase {
+	q := testData.Queries[:8]
+	return []timingCase{
+		{"flat", false, paperScale, HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: q, K: 10}},
+		{"ivf", false, paperScale, HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: 4}},
+		{"pruned", false, UnitScale(), HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: 8, Opt: SearchOptions{Prune: true}}},
+		{"cached", true, UnitScale(), HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: 4}},
+	}
+}
+
+// timingResponse serves the case's command: once, or — cached — three
+// times with a different query set in between, so the last response
+// holds result-cache hits and misses scanned partly from pinned pages.
+func timingResponse(t *testing.T, submit func(HostCommand) (HostResponse, error), tc timingCase) HostResponse {
+	t.Helper()
+	cmd := tc.cmd
+	if tc.cached {
+		warm := cmd
+		warm.Queries = testData.Queries[4:12]
+		for _, c := range []HostCommand{warm, warm} {
+			if _, err := submit(c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	resp, err := submit(cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// timingGolden is one priced response: query 0's Breakdown and the whole
+// batch's BatchBreakdown. Durations are nanoseconds.
+type timingGolden struct {
+	ibc, coarse, fine, rerank, docs, total time.Duration
+	energyJ                                float64
+	serial, plane, channel, core, makespan time.Duration
+	batchEnergyJ                           float64
+}
+
+func goldenOf(b Breakdown, bb BatchBreakdown) timingGolden {
+	return timingGolden{
+		b.IBC, b.Coarse, b.Fine, b.Rerank, b.Docs, b.Total, b.EnergyJ,
+		bb.Serial, bb.PlaneBusy, bb.ChannelBusy, bb.CoreBusy, bb.Makespan, bb.EnergyJ,
+	}
+}
+
+// sameTiming compares two priced responses: every duration must be
+// bit-identical; energies may differ by float re-association only (the
+// model sums the same per-event terms, possibly in another order), so
+// they are held to 1e-12 relative.
+func sameTiming(a, b timingGolden) bool {
+	relEq := func(x, y float64) bool {
+		return x == y || math.Abs(x-y) <= 1e-12*math.Max(math.Abs(x), math.Abs(y))
+	}
+	ea, eb := a.energyJ, b.energyJ
+	ba, bb := a.batchEnergyJ, b.batchEnergyJ
+	a.energyJ, b.energyJ, a.batchEnergyJ, b.batchEnergyJ = 0, 0, 0, 0
+	return a == b && relEq(ea, eb) && relEq(ba, bb)
+}
+
+// shardedTimingGolden holds the values the parent of the host-core
+// refactor produced, keyed "<case>/<shards>".
+var shardedTimingGolden = map[string]timingGolden{
+	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
+		983960753, 1222872000, 5169248, 4415921, 983960753, 11.815563628650551},
+	"ivf/1": {6826, 1665000, 30105000, 437076, 171437, 32385339, 0.38581390924787257,
+		270440753, 334712000, 8169580, 6971025, 270440753, 3.2233457644777594},
+	"pruned/1": {6826, 45000, 67500, 437076, 171437, 727839, 0.004503357432,
+		5795753, 5376000, 97695, 96925, 5795753, 0.036230529328},
+	"cached/1": {6826, 45000, 46165, 437076, 171437, 706504, 0.004277873504,
+		5669896, 5208000, 93290, 102317, 5669896, 0.034591380902},
+	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
+		521104435, 647392000, 2761546, 2379361, 521104435, 12.106805000082549},
+	"ivf/2": {6826, 0, 18585000, 265796, 85904, 18943526, 0.4133225725518726,
+		174941935, 176488000, 7501982, 6416377, 174941935, 3.62056213590976},
+	"pruned/2": {6826, 45000, 45000, 265796, 85904, 448526, 0.005349520736,
+		3604435, 3168000, 78922, 94835, 3604435, 0.04329690076000001},
+	"cached/2": {6826, 45000, 46165, 265796, 85904, 449691, 0.0052423618079999994,
+		3613578, 3168000, 76300, 101745, 3613578, 0.042378172421999996},
+	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
+		278856273, 346104000, 1500552, 1312441, 278856273, 12.47288768294655},
+	"ivf/4": {6826, 0, 15637500, 180156, 85637, 15910119, 0.5420898891598726,
+		126733773, 110456000, 7130352, 6106859, 126366119, 4.398466345557759},
+	"pruned/4": {6826, 45000, 45000, 180156, 85637, 362619, 0.008116837344,
+		2871273, 2460000, 69210, 93515, 2822619, 0.063706503624},
+	"cached/4": {6826, 45000, 1165, 180156, 85637, 318784, 0.007121328416,
+		2700416, 2348000, 68138, 101745, 2666784, 0.059578957158000004},
+}
+
+func newTimingSharded(t *testing.T, n int, cached bool) *ShardedEngine {
+	t.Helper()
+	cfg := shardTestCfg()
+	if cached {
+		cfg.CacheDRAMBytes = cacheSmallBudget
+	}
+	sh, err := NewSharded(cfg, n, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sh.Close() })
+	deployBoth(t, sh.Submit)
+	return sh
+}
+
+// TestShardedTimingTable fixes the sharded latency/occupancy/energy
+// model: any change to what ShardedEngine.Latency or BatchLatency
+// return for these responses fails here.
+func TestShardedTimingTable(t *testing.T) {
+	var dump strings.Builder
+	for _, n := range shardCounts {
+		hosts := map[bool]*ShardedEngine{false: newTimingSharded(t, n, false), true: newTimingSharded(t, n, true)}
+		for _, tc := range timingCases() {
+			sh := hosts[tc.cached]
+			resp := timingResponse(t, sh.Submit, tc)
+			if len(resp.PerShard) != n {
+				t.Fatalf("%s shards=%d: %d per-shard rows", tc.name, n, len(resp.PerShard))
+			}
+			b, err := sh.Latency(tc.cmd.DBID, resp.QueryStats[0], resp.ShardStats(0), tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bb, err := sh.BatchLatency(tc.cmd.DBID, resp.QueryStats, resp.PerShard, tc.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := fmt.Sprintf("%s/%d", tc.name, n)
+			got := goldenOf(b, bb)
+			fmt.Fprintf(&dump, "\t%q: {%d, %d, %d, %d, %d, %d, %v,\n\t\t%d, %d, %d, %d, %d, %v},\n", key,
+				got.ibc, got.coarse, got.fine, got.rerank, got.docs, got.total, got.energyJ,
+				got.serial, got.plane, got.channel, got.core, got.makespan, got.batchEnergyJ)
+			if want, ok := shardedTimingGolden[key]; !ok || !sameTiming(got, want) {
+				t.Errorf("%s: model moved\n got %+v\nwant %+v", key, got, want)
+			}
+			if bb.Queries != len(resp.QueryStats) || bb.QPS != float64(bb.Queries)/bb.Makespan.Seconds() {
+				t.Errorf("%s: batch of %d reports %d queries at %v QPS over %v", key, len(resp.QueryStats), bb.Queries, bb.QPS, bb.Makespan)
+			}
+			if b.AvgWatts != b.EnergyJ/b.Total.Seconds() {
+				t.Errorf("%s: AvgWatts %v is not EnergyJ/Total", key, b.AvgWatts)
+			}
+		}
+	}
+	if t.Failed() {
+		t.Logf("observed table:\n%s", dump.String())
+	}
+}
+
+// TestShardedTimingRejectsMalformedShapes: the per-shard operands are
+// hand-built matrices in every caller, so the model validates them — a
+// wrong shard count or a row shorter (or longer) than the batch is an
+// error, not an index panic.
+func TestShardedTimingRejectsMalformedShapes(t *testing.T) {
+	sh := newTimingSharded(t, 2, false)
+	tc := timingCases()[1]
+	resp := timingResponse(t, sh.Submit, tc)
+	sts, rows := resp.QueryStats, resp.PerShard
+	if _, err := sh.BatchLatency(tc.cmd.DBID, sts, rows, tc.sc); err != nil {
+		t.Fatalf("well-formed batch: %v", err)
+	}
+	for name, bad := range map[string][][]QueryStats{
+		"no rows":      nil,
+		"one row":      rows[:1],
+		"three rows":   {rows[0], rows[1], rows[1]},
+		"short row":    {rows[0], rows[1][:len(sts)-1]},
+		"long row":     {append(rows[0][:len(sts):len(sts)], QueryStats{}), rows[1]},
+		"empty row":    {rows[0], nil},
+		"short column": {rows[0][:1], rows[1][:1]},
+	} {
+		if _, err := sh.BatchLatency(tc.cmd.DBID, sts, bad, tc.sc); err == nil {
+			t.Errorf("%s: BatchLatency accepted a malformed per-shard matrix", name)
+		}
+	}
+	if _, err := sh.Latency(tc.cmd.DBID, sts[0], resp.ShardStats(0)[:1], tc.sc); err == nil {
+		t.Error("Latency accepted one per-shard row for two shards")
+	}
+	if _, err := sh.BatchLatency(99, sts, rows, tc.sc); err == nil {
+		t.Error("BatchLatency priced an unknown database")
+	}
+}
+
+// TestOneShardPricesAsSingleDevice is the N=1 identity of the timing
+// model: the same response priced through a 1-shard ShardedEngine and
+// through an Engine over the same config.
+func TestOneShardPricesAsSingleDevice(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		cfg := shardTestCfg()
+		if cached {
+			cfg.CacheDRAMBytes = cacheSmallBudget
+		}
+		e, err := New(cfg, 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		deployBoth(t, e.Submit)
+		sh := newTimingSharded(t, 1, cached)
+		for _, tc := range timingCases() {
+			if tc.cached != cached {
+				continue
+			}
+			resp := timingResponse(t, sh.Submit, tc)
+			single := timingResponse(t, e.Submit, tc)
+			db, err := e.DB(tc.cmd.DBID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sc := range []Scale{UnitScale(), paperScale} {
+				bb, err := sh.BatchLatency(tc.cmd.DBID, resp.QueryStats, resp.PerShard, sc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantBB := e.BatchLatency(db, single.QueryStats, sc)
+				for qi := range resp.QueryStats {
+					b, err := sh.Latency(tc.cmd.DBID, resp.QueryStats[qi], resp.ShardStats(qi), sc)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := goldenOf(b, bb), goldenOf(e.Latency(db, single.QueryStats[qi], sc), wantBB)
+					if !sameTiming(got, want) {
+						t.Fatalf("%s q%d scale %+v: 1 shard and single device price differently\n got %+v\nwant %+v",
+							tc.name, qi, sc, got, want)
+					}
+				}
+			}
+		}
+	}
+}

@@ -43,8 +43,11 @@ import (
 	"reis/internal/xrand"
 )
 
-// Host is the engine surface one replica exposes to the group —
-// satisfied by both *reis.Engine and *reis.ShardedEngine.
+// Host is the engine surface one replica exposes to the group. Both
+// *reis.Engine and *reis.ShardedEngine satisfy it with the same four
+// methods — they are promoted from the one host core the two types are
+// facades of (internal/reis/host.go), so a replica behaves identically
+// whether it is one device or a router over several.
 type Host interface {
 	// Submit executes one command synchronously (blocking admission on
 	// the host's built-in queue pair) — the broadcast path mutations
