@@ -62,7 +62,7 @@ func main() {
 	nprobe := flag.Int("nprobe", 8, "IVF clusters probed")
 	device := flag.String("device", "ssd1", "device preset (ssd1|ssd2)")
 	qdepth := flag.Int("qdepth", 16, "submission queue depth")
-	shards := flag.Int("shards", 1, "simulated devices (scatter-gather when > 1)")
+	shards := flag.Int("shards", 1, "simulated devices the database is page-striped over (each scanned in place)")
 	replicas := flag.Int("replicas", 1, "replica hosts; searches route by queue occupancy when > 1")
 	churn := flag.Bool("churn", false, "demo online mutability: append, delete, compact")
 	flag.Parse()

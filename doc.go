@@ -18,8 +18,8 @@
 //
 // Every search — flat or IVF, pruned or not, cached or not, one device
 // or many — is one round-driven controller (internal/reis/controller.go)
-// planning scan rounds from global state over a scan backend, ending in
-// the one controller tail; the exported Search / SearchBatch /
+// planning scan rounds from global state and running each on every
+// device in place, ending in the one controller tail; the exported Search / SearchBatch /
 // IVFSearch / IVFSearchBatch methods are one-command wrappers over it
 // that bypass the result cache (DESIGN.md, "Concurrency model").
 //
@@ -29,10 +29,10 @@
 // operation once: reis.New is a device that is its own host (N = 1),
 // reis.NewSharded the same core over N member devices (DESIGN.md,
 // "Host core"). Sharding page-stripes one globally planned layout over
-// the members and runs the same controller over the scatter backend —
-// each round fans out through per-shard queue pairs (the OpcodeScan
-// scatter command), the per-shard TTL streams merge in global position
-// order, and the tail runs over the merged stream — so results and
+// the members and runs the same controller and the same scan round —
+// every member scans the pages it owns in place, the per-device TTL
+// streams merge in global position order straight out of the worker
+// arenas, and the tail runs over the merged stream — so results and
 // aggregated device stats are bit-identical to a single device over
 // the same data, and one timing model prices both (DESIGN.md, "Sharded
 // topology").

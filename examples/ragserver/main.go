@@ -3,7 +3,7 @@
 // now built on the internal/serve replica group and gateway.
 //
 // The corpus is deployed onto -replicas identical hosts (each a single
-// simulated device, or a -shards scatter-gather stripe-set). Every
+// simulated device, or a -shards page-striped set of them). Every
 // request is routed to one replica by power-of-two-choices over queue
 // occupancy, fails over when a replica's queue saturates, and mutation
 // commands would broadcast to all replicas — so responses are
@@ -46,7 +46,7 @@ func main() {
 	n := flag.Int("n", 8000, "corpus size")
 	qdepth := flag.Int("qdepth", 64, "per-replica queue depth (concurrent request budget)")
 	replicas := flag.Int("replicas", 1, "replica hosts (each holds the full corpus)")
-	shards := flag.Int("shards", 1, "simulated devices per replica (scatter-gather when > 1)")
+	shards := flag.Int("shards", 1, "simulated devices per replica (page-striped, each scanned in place)")
 	auth := flag.String("auth", "", "bearer token required on search routes (empty disables auth)")
 	rate := flag.Float64("rate", 0, "per-tenant request rate limit in req/s (0 disables)")
 	burst := flag.Int("burst", 0, "rate-limit burst (default: ceil(rate))")

@@ -14,7 +14,7 @@ import (
 // query set served by a ShardedEngine of the given device count.
 // Results are bit-identical across rows (the determinism contract of
 // the sharded topology); rows differ in wall-clock cost of the
-// functional simulation and in the modeled makespan, where the scatter
+// functional simulation and in the modeled makespan, where the scan
 // phases shrink with the per-shard critical path.
 type ShardRow struct {
 	Dataset string
@@ -26,7 +26,7 @@ type ShardRow struct {
 	// quantity.
 	WallQPS float64
 	// ModelQPS is the modeled batch throughput of the sharded topology
-	// (per-shard occupancy bottleneck + gather tail).
+	// (per-shard occupancy bottleneck + the host's tail).
 	ModelQPS float64
 	// ModelSpeedup is ModelQPS relative to the 1-shard row.
 	ModelSpeedup float64
@@ -130,10 +130,13 @@ func runShardRow(sh *reis.ShardedEngine, w *Workload, dataset, mode string, op u
 	// repeat is the steady state, reproducible enough for benchdiff to
 	// gate its allocs/op. No caching tier is configured, so the repeat
 	// does the same device work. The collection pins the one remaining
-	// variable: a GC cycle empties the runtime's per-P caches (sudogs
-	// for the scatter's channel waits), so whether one happened to land
-	// just before the measured command moved BF at 4 shards by ±3
-	// allocs/op; now it always has.
+	// variable, where the collector's next cycle falls: the deploy leaves
+	// the heap near its trigger, and a cycle that lands inside the
+	// measured command is charged to it. Measured without this line, the
+	// BF rows (the first command after each deploy) read 28 and ~26
+	// allocs/op at 2 and 4 shards instead of 13.25 and 14.875, and moved
+	// with what the process had run before; with it every row repeats to
+	// ±0.25.
 	if _, err := sh.Submit(cmd); err != nil {
 		return ShardRow{}, err
 	}

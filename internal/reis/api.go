@@ -7,8 +7,6 @@ import (
 
 // The NVM command set reserves opcodes 80h-FFh for vendor-specific
 // commands (Sec 4.4.1); REIS claims four of them for the Table 1 API.
-// OpcodeScan is this repository's extension for the sharded topology
-// (the scatter operand a shard router sends to each member device);
 // OpcodeAppend/OpcodeDelete/OpcodeCompact are the online-mutability
 // extension (out-of-place appends, tombstone deletes, and the
 // background garbage collector, which the queue scheduler interleaves
@@ -18,7 +16,6 @@ const (
 	OpcodeIVFDeploy uint8 = 0x81
 	OpcodeSearch    uint8 = 0x82
 	OpcodeIVFSearch uint8 = 0x83
-	OpcodeScan      uint8 = 0x84
 	OpcodeAppend    uint8 = 0x85
 	OpcodeDelete    uint8 = 0x86
 	OpcodeCompact   uint8 = 0x87
@@ -48,10 +45,6 @@ var (
 	// ErrNotCalibrated: a TargetRecall operand could not be resolved
 	// because the database has no CalibrateNProbe record covering it.
 	ErrNotCalibrated = errors.New("reis: no nprobe calibration for target recall")
-	// ErrBadScanRange: an OpcodeScan segment is malformed (negative
-	// start) or reaches beyond the addressed region. The empty
-	// sentinel (First 0, Last -1) is always valid.
-	ErrBadScanRange = errors.New("reis: scan segment out of range")
 	// ErrNoItems: an OpcodeAppend/OpcodeDelete command with an empty
 	// item list.
 	ErrNoItems = errors.New("reis: mutation command without items")
@@ -88,11 +81,6 @@ type HostCommand struct {
 	NProbe       int
 	Opt          SearchOptions
 
-	// Scan carries the per-query segment lists of an OpcodeScan
-	// command (K and NProbe are unused: selection happens on the
-	// gather side).
-	Scan *ScanConfig
-
 	// Append / Del / Compact carry the mutation payloads of the
 	// matching opcodes (DBID addresses the database).
 	Append  *AppendConfig
@@ -101,60 +89,10 @@ type HostCommand struct {
 }
 
 // SlotRange is one inclusive range of region slot positions. The empty
-// sentinel (First 0, Last -1) marks a segment with no work on the
-// addressed device; it keeps (query, segment) indices aligned across
-// the shards of a scatter.
+// sentinel (First 0, Last -1) is a range with no slot: what a global
+// range translates to on a device that owns none of its pages.
 type SlotRange struct {
 	First, Last int
-}
-
-// ScanConfig is the payload of an OpcodeScan command: which region to
-// scan and, per query, which slot ranges. The router translates global
-// ranges into each shard's local coordinates before submission.
-type ScanConfig struct {
-	// Coarse scans the centroid region (no distance filtering, no
-	// metadata filtering — TTL-C must rank every centroid, Sec 4.3.1);
-	// otherwise the binary embedding region is scanned under the
-	// engine's distance filter and the command's MetaTag option.
-	Coarse bool
-	// Segs[i] are the slot ranges Queries[i] scans; len(Segs) must
-	// equal len(Queries).
-	Segs [][]SlotRange
-	// Bounds[i], when non-nil, is Queries[i]'s top-k pruning threshold
-	// (0 = pruning disabled for that query): the device skips the TTL
-	// transfer of any slot whose distance is strictly above the bound,
-	// and aborts whole segments whose proven lower bound exceeds it
-	// (see MinDists). len(Bounds) must equal len(Queries).
-	Bounds []int
-	// MinDists[i][j], when non-nil, is a proven lower bound on every
-	// distance in Segs[i][j] (e.g. the triangle-inequality bound
-	// max(0, d_c - R_c) of an IVF cluster). A segment whose lower bound
-	// is strictly above the query's Bound is aborted before any page is
-	// sensed; the device accounts the saved pages/waves as PrunedPages /
-	// AbortedWaves. The shape must mirror Segs.
-	MinDists [][]int
-}
-
-// ScanSegResult is one (query, segment) outcome of an OpcodeScan
-// command: the surviving TTL entries in ascending position order plus
-// the segment's event counts. Waves is the per-segment parallel
-// critical path (max pages on one plane of this device), which the
-// gather side aggregates across shards by maximum, not sum.
-type ScanSegResult struct {
-	Entries      []TTLEntry
-	Waves, Pages int
-	Scanned      int
-	Survivors    int
-	TTLBytes     int64
-	// PrunedPages / AbortedWaves are the pages and wave slots this
-	// segment did NOT scan because its proven lower bound exceeded the
-	// query's pruning threshold; PrunedSlots counts computed distances
-	// above the threshold whose TTL transfer was skipped. They are
-	// reported apart from Pages/Waves so page-based gates keep their
-	// meaning (Pages counts sensed pages only).
-	PrunedPages  int
-	AbortedWaves int
-	PrunedSlots  int
 }
 
 // validate checks the host-side invariants of a command — opcode,
@@ -174,46 +112,6 @@ func (cmd *HostCommand) validate() error {
 		}
 		if cmd.K <= 0 {
 			return fmt.Errorf("%w (K=%d)", ErrBadK, cmd.K)
-		}
-		return cmd.checkQueryDims()
-	case OpcodeScan:
-		if cmd.Scan == nil {
-			return fmt.Errorf("%w (opcode %#x)", ErrMissingPayload, cmd.Opcode)
-		}
-		if len(cmd.Queries) == 0 {
-			return ErrNoQueries
-		}
-		if len(cmd.Scan.Segs) != len(cmd.Queries) {
-			return fmt.Errorf("%w (scan command with %d segment lists for %d queries)",
-				ErrMissingPayload, len(cmd.Scan.Segs), len(cmd.Queries))
-		}
-		for qi, list := range cmd.Scan.Segs {
-			for si, r := range list {
-				// Last < First is the empty sentinel; a non-empty
-				// segment must start at a valid slot. The upper bound
-				// is checked at execution, against the addressed
-				// region's size.
-				if r.Last >= r.First && r.First < 0 {
-					return fmt.Errorf("%w (query %d segment %d: [%d, %d])",
-						ErrBadScanRange, qi, si, r.First, r.Last)
-				}
-			}
-		}
-		if cmd.Scan.Bounds != nil && len(cmd.Scan.Bounds) != len(cmd.Queries) {
-			return fmt.Errorf("%w (scan command with %d pruning bounds for %d queries)",
-				ErrMissingPayload, len(cmd.Scan.Bounds), len(cmd.Queries))
-		}
-		if cmd.Scan.MinDists != nil {
-			if len(cmd.Scan.MinDists) != len(cmd.Scan.Segs) {
-				return fmt.Errorf("%w (scan command with %d lower-bound lists for %d segment lists)",
-					ErrMissingPayload, len(cmd.Scan.MinDists), len(cmd.Scan.Segs))
-			}
-			for qi, lbs := range cmd.Scan.MinDists {
-				if len(lbs) != len(cmd.Scan.Segs[qi]) {
-					return fmt.Errorf("%w (query %d: %d lower bounds for %d segments)",
-						ErrMissingPayload, qi, len(lbs), len(cmd.Scan.Segs[qi]))
-				}
-			}
 		}
 		return cmd.checkQueryDims()
 	case OpcodeAppend:
@@ -264,6 +162,19 @@ func (cmd *HostCommand) validate() error {
 	}
 }
 
+// checkQueryAgainst validates one query of a search command against its
+// database's dimensionality.
+func checkQueryAgainst(dim, dbID int, query []float32, k int) error {
+	if len(query) != dim {
+		return fmt.Errorf("%w (query dim %d, database %d dim %d)",
+			ErrQueryDims, len(query), dbID, dim)
+	}
+	if k <= 0 {
+		return fmt.Errorf("%w (K=%d)", ErrBadK, k)
+	}
+	return nil
+}
+
 // checkQueryDims verifies the batch's queries share one dimensionality.
 func (cmd *HostCommand) checkQueryDims() error {
 	dim := len(cmd.Queries[0])
@@ -276,9 +187,8 @@ func (cmd *HostCommand) checkQueryDims() error {
 	return nil
 }
 
-// isSearchOp reports whether the opcode is served by the batched scan
-// pipeline with gather-side selection (as opposed to a deploy or a
-// raw scatter scan).
+// isSearchOp reports whether the opcode is served by the search
+// controller (as opposed to a deploy or a mutation).
 func isSearchOp(op uint8) bool { return op == OpcodeSearch || op == OpcodeIVFSearch }
 
 // isDeployOp reports whether the opcode carries a DeployConfig payload.
@@ -335,13 +245,10 @@ type HostResponse struct {
 	QueryStats []QueryStats
 	// Stats aggregates the device events of the whole batch.
 	Stats QueryStats
-	// Scan carries the per-query, per-segment outcomes of an
-	// OpcodeScan command ([query][segment]); nil otherwise.
-	Scan [][]ScanSegResult
 	// PerShard, set by sharded hosts only, is each member device's own
 	// view of every query's scan-phase events (PerShard[s][i] is shard
 	// s's share of query i). The aggregated QueryStats derive from
-	// these plus the gather-side controller tail; feed both to
+	// these plus the host's controller tail; feed both to
 	// ShardedEngine.Latency / BatchLatency.
 	PerShard [][]QueryStats
 

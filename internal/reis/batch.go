@@ -2,15 +2,16 @@ package reis
 
 import (
 	"context"
+	"fmt"
 
 	"reis/internal/ssd"
-	"reis/internal/vecmath"
 )
 
-// This file is the device's scan path: one scan round of the controller
-// (controller.go) over a device scanned in place — or one OpcodeScan
-// command scattered to it by a host over several — split into per-plane
-// tasks on the per-die worker pool.
+// This file is the scan path: one scan round of the controller
+// (controller.go) run on every device of the host in place — device 0 on
+// the host's goroutine, the others beside it, joined per round — each
+// device's share split into per-plane tasks on its per-die worker pool
+// (batchScan), and the cross-device fold of a segment's outcome.
 //
 //   - A plane only receives an IBC broadcast for queries it actually
 //     scans, instead of every query flooding every plane.
@@ -72,10 +73,12 @@ type batchItem struct {
 // split into per-plane tasks dispatched to the die worker pool; each
 // plane broadcasts a query's embedding into its cache latch once and
 // then scans all of that query's segments resident on the plane before
-// moving to the next query. The empty sentinel (Last < First) is a
-// segment with no page on this device: no work, zero stats.
-// ctx is polled between per-plane work items (a cancelled command
-// aborts the round at the next item boundary).
+// moving to the next query. The ranges are global; the device scans the
+// part it owns (localRange — all of it on one device), and a segment
+// with no page here is no work and zero stats. Entry positions come back
+// global. ctx is polled between per-plane work items (a cancelled
+// command aborts the round at the next item boundary). A closed device
+// refuses the round: its plane workers are gone for good.
 //
 // bounds[qi] is query qi's pruning threshold and lbs[qi][si] a proven
 // lower bound on every distance of the segment (nil = all zero, i.e.
@@ -83,8 +86,11 @@ type batchItem struct {
 // aborted in place: no page is sensed, no plane task is queued, and the
 // pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
-// global to a scatter, so every topology skips the same segments.
+// global to the round, so every topology skips the same segments.
 func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
+	if e.pool.stopped {
+		return fmt.Errorf("reis: device closed: %w", ErrQueueClosed)
+	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -111,6 +117,7 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			bound = bounds[qi]
 		}
 		for si, sg := range segs[qi] {
+			sg = localRange(sg, db.start, db.stride, db.embPerPage)
 			seg := segScan{lo: len(out.scans)}
 			if sg.Last >= sg.First {
 				spans := region.AppendPlaneSpans(e.scr.spans[:0], planes, sg.First/db.embPerPage, sg.Last/db.embPerPage)
@@ -216,27 +223,9 @@ func (s *segScan) addTo(st *QueryStats, coarse bool) {
 	st.TTLBytes += s.ttlBytes
 }
 
-// packBatch binary-quantizes every query into the pooled per-batch
-// encoding arena (one backing buffer, one slot per query).
-func (e *Engine) packBatch(db *Database, queries [][]float32) [][]byte {
-	slot := db.slotBytes
-	need := len(queries) * slot
-	if cap(e.scr.packedBuf) < need {
-		e.scr.packedBuf = make([]byte, need)
-	}
-	buf := e.scr.packedBuf[:need]
-	packed := e.scr.packed[:0]
-	for i, q := range queries {
-		e.scr.qbits = vecmath.BinaryQuantize(q, e.scr.qbits)
-		packed = append(packed, vecmath.PackBinaryBytes(e.scr.qbits, buf[i*slot:i*slot:(i+1)*slot]))
-	}
-	e.scr.packed = packed
-	return packed
-}
-
 // stats is query qi's view of the last round as the device reports it
-// to a host (an OpcodeScan response, a PerShard row): its broadcasts
-// and folded segment events. Every coarse survivor is a TTL-C entry;
+// to its host (a PerShard row): its broadcasts and folded segment
+// events. Every coarse survivor is a TTL-C entry;
 // the timing model costs coarse and fine TTL streams under different
 // scale factors, so the device's row carries the split. (The host's
 // aggregated CoarseEntries is computed centrally from the merged
@@ -256,35 +245,101 @@ func (o *scanOut) stats(qi int, coarse bool) QueryStats {
 	return st
 }
 
-// localBackend is the controller's scan backend over one device, scanned
-// in place: rounds run through batchScan on the plane pool and segments
-// fold straight out of the worker arenas. The host core holds the
-// device's lock for the command.
-type localBackend struct {
-	e      *Engine
-	db     *Database
-	packed [][]byte // the command's query encodings, packed at its first round
-}
-
-func (b *localBackend) scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
-	if b.packed == nil {
-		b.packed = b.e.packBatch(b.db, queries)
+// scan runs one round on every device in place: segs[qi] are the global
+// slot ranges query qi scans in the centroid (coarse) or binary region,
+// lbs mirrors segs with each segment's proven distance lower bound (nil
+// = none), and bounds[qi] is the query's pruning threshold (0 = off).
+// Device 0 scans on this goroutine and the others beside it, joined
+// before the round returns; the host holds every device's lock for the
+// command, so each device's scratch and arenas are its scanner's alone.
+// Each device's share of the round's events is added to rows (nil when
+// nobody asks); a device that owns no page of the round adds zeros.
+func (c *controller) scan(ctx context.Context, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
+	// The goroutines capture the host and the slices, never c: the
+	// controller stays on the command's stack.
+	h, locals, packed, errs := c.h, c.db.locals, c.scr.packed, c.h.scr.errs
+	for s := 1; s < len(h.devs); s++ {
+		h.scr.wg.Add(1)
+		go func(s int) {
+			errs[s] = h.devs[s].batchScan(ctx, locals[s], packed, coarse, segs, lbs, bounds, metaTag)
+			h.scr.wg.Done()
+		}(s)
 	}
-	if err := b.e.batchScan(ctx, b.db, b.packed, coarse, segs, lbs, bounds, metaTag); err != nil {
-		return err
+	errs[0] = h.devs[0].batchScan(ctx, locals[0], packed, coarse, segs, lbs, bounds, metaTag)
+	h.scr.wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
 	}
 	if rows != nil {
-		for qi := range queries {
-			rows[0][qi].Add(b.e.scr.out.stats(qi, coarse))
+		for s, d := range h.devs {
+			for qi := range rows[s] {
+				rows[s][qi].Add(d.scr.out.stats(qi, coarse))
+			}
 		}
 	}
 	return nil
 }
 
-func (b *localBackend) ibc(qi int) int { return b.e.scr.out.ibc[qi] }
+// ibc is query qi's broadcast count in the last round: the devices'
+// planes partition the reference device's, so the counts sum.
+func (c *controller) ibc(qi int) int {
+	n := 0
+	for _, d := range c.h.devs {
+		n += d.scr.out.ibc[qi]
+	}
+	return n
+}
 
-func (b *localBackend) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
-	seg := b.e.scr.out.seg(qi, si)
-	seg.addTo(st, coarse)
-	return b.e.appendMergeByPos(dst, b.e.scr.out.scans[seg.lo:seg.hi])
+// fold adds segment (qi, si) of the last round to st and appends its
+// surviving entries, ascending by position, to dst. Count events sum
+// across devices; the wave counts — the segment's parallel critical
+// path, real or aborted — aggregate by maximum, which equals the
+// reference device's value because per-plane page loads match plane for
+// plane. Entries merge on two levels, straight out of the worker arenas:
+// each device's plane windows into its pooled stream, then the streams
+// into dst — N heads to compare per run, not planes × N. A segment whose
+// survivors sit on one device (always, on one device) skips the second
+// level.
+func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
+	h := c.h
+	var sum segScan
+	var holder *Engine
+	holders := 0
+	for _, d := range h.devs {
+		seg := d.scr.out.seg(qi, si)
+		sum.waves = max(sum.waves, seg.waves)
+		sum.abortedWaves = max(sum.abortedWaves, seg.abortedWaves)
+		sum.pages += seg.pages
+		sum.scanned += seg.scanned
+		sum.survivors += seg.survivors
+		sum.prunedSlots += seg.prunedSlots
+		sum.prunedPages += seg.prunedPages
+		sum.ttlBytes += seg.ttlBytes
+		if seg.survivors > 0 {
+			holder = d
+			holders++
+		}
+	}
+	sum.addTo(st, coarse)
+	if holders == 1 {
+		return holder.appendSeg(dst, qi, si)
+	}
+	streams, lists := h.scr.streams, h.scr.lists[:0]
+	for s, d := range h.devs {
+		if d.scr.out.seg(qi, si).survivors > 0 {
+			streams[s] = d.appendSeg(streams[s][:0], qi, si)
+			lists = append(lists, streams[s])
+		}
+	}
+	h.scr.lists = lists
+	return mergeEntryLists(dst, lists)
+}
+
+// appendSeg merges the plane windows of the last round's segment
+// (qi, si) on this device into dst, ascending by position.
+func (e *Engine) appendSeg(dst []TTLEntry, qi, si int) []TTLEntry {
+	seg := e.scr.out.seg(qi, si)
+	return e.appendMergeByPos(dst, e.scr.out.scans[seg.lo:seg.hi])
 }

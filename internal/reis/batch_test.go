@@ -2,6 +2,7 @@ package reis
 
 import (
 	"bytes"
+	"context"
 	"testing"
 )
 
@@ -193,5 +194,78 @@ func TestBatchLatencyOverlap(t *testing.T) {
 	}
 	if b.EnergyJ <= 0 {
 		t.Fatalf("non-positive energy: %v", b.EnergyJ)
+	}
+}
+
+// commandAllocs is the steady-state allocation count of one search
+// command on h: one warm-up run sizes every pooled buffer, then the mean
+// over repeated runs.
+func commandAllocs(t *testing.T, h searcher, cmd HostCommand, queries [][]float32) (allocs float64, survivors int) {
+	t.Helper()
+	_, sts, _, err := h.search(context.Background(), &cmd, queries, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range sts {
+		survivors += st.Survivors
+	}
+	return testing.AllocsPerRun(10, func() { h.search(context.Background(), &cmd, queries, false) }), survivors
+}
+
+// TestFoldAllocsIndependentOfSurvivors: the cross-device fold merges
+// entries straight out of the worker arenas into pooled streams, so a
+// 4-shard IVF batch allocates the same per command whether the distance
+// filter drops most of the scanned entries or lets every one through —
+// the survivors are nobody's garbage.
+func TestFoldAllocsIndependentOfSurvivors(t *testing.T) {
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 8}}
+	queries := testData.Queries[:8]
+	measure := func(opts Options) (float64, int) {
+		sh, err := NewSharded(shardTestCfg(), 4, 64<<20, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		deployBoth(t, sh.Submit)
+		return commandAllocs(t, sh, cmd, queries)
+	}
+	opts := AllOptions()
+	filtered, few := measure(opts)
+	opts.DistanceFilter = false
+	unfiltered, many := measure(opts)
+	if many < 2*few {
+		t.Fatalf("filter off left %d survivors against %d with it on: the corpus does not separate the cases", many, few)
+	}
+	if unfiltered > filtered {
+		t.Fatalf("%d survivors cost %.1f allocs/command, %d cost %.1f: the fold allocates per survivor",
+			many, unfiltered, few, filtered)
+	}
+}
+
+// TestOneDeviceCommandAllocs pins the one-device path's per-command
+// allocations at what they were before every device count shared one
+// scan round: the per-round join and the cross-device fold must cost a
+// lone device nothing.
+func TestOneDeviceCommandAllocs(t *testing.T) {
+	e, err := New(refCfg(1), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	deployBoth(t, e.Submit)
+	for _, tc := range []struct {
+		name string
+		cmd  HostCommand
+		nq   int
+		max  float64
+	}{
+		{"flat", HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 10}, 1, 15},
+		{"ivf", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}}, 1, 16},
+		{"ivf-pruned", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4, Prune: true}}, 1, 18},
+		{"ivf-batch", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}}, 8, 93},
+	} {
+		if got, _ := commandAllocs(t, e, tc.cmd, testData.Queries[:tc.nq]); got > tc.max {
+			t.Errorf("%s: %.1f allocs/command, at most %.0f before", tc.name, got, tc.max)
+		}
 	}
 }

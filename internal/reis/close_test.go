@@ -388,4 +388,30 @@ func TestDirectCallsAfterClose(t *testing.T) {
 			t.Errorf("%s: %d goroutines after the refused calls, %d before", name, after, before)
 		}
 	}
+
+	// A member closed underneath a live router: searches fail the same way
+	// and must not restart the member's plane workers.
+	sh, err := NewSharded(shardTestCfg(), 2, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	deployBoth(t, sh.Submit)
+	if _, _, err := sh.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4}); err != nil {
+		t.Fatal(err)
+	}
+	sh.Shard(1).Close()
+	before := runtime.NumGoroutine()
+	if _, _, err := sh.Search(1, queries[0], 10, SearchOptions{}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("closed member: Search error = %v, want ErrQueueClosed", err)
+	}
+	if _, _, err := sh.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("closed member: IVFSearchBatch error = %v, want ErrQueueClosed", err)
+	}
+	if _, err := sh.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10}); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("closed member: Submit error = %v, want ErrQueueClosed", err)
+	}
+	if after := settledGoroutines(before); after > before {
+		t.Errorf("closed member: %d goroutines after the refused searches, %d before", after, before)
+	}
 }

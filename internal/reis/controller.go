@@ -21,12 +21,12 @@ import (
 //     (chunkFlatRounds / probeWindow) and tightens a per-query bound
 //     between them (see prune.go for the proof that results do not
 //     change);
-//   - one device and several differ only in the scanBackend that
-//     executes a round — plane tasks on the device scanned in place, or
-//     an OpcodeScan scatter — and the controller never asks which one it
-//     has;
+//   - one device and several are the same round (batch.go): every
+//     device scans the part of each global range it owns, in place, and
+//     a segment folds across them — on one device the part is the whole
+//     and the fold a pass-through;
 //   - pinned clusters are scanned here, from the DRAM copies, in
-//     segment order, so a backend never sees them;
+//     segment order, so a device never sees them;
 //   - Submit, queue pairs and the direct Search* methods all enter
 //     through search; they differ only in whether the result cache
 //     wraps the run.
@@ -34,32 +34,14 @@ import (
 // Because rounds, bounds, lower bounds and the pin set are computed
 // once, from values that do not depend on the topology, the merged
 // entry stream — and with it results and aggregated QueryStats — is
-// bit-identical across backends by construction.
+// bit-identical across device counts by construction.
 
-// scanBackend executes the controller's scan rounds on one topology. It
-// hides coordinate translation and the per-plane or per-shard merge;
-// positions it hands back are region-global.
-type scanBackend interface {
-	// scan runs one round: segs[qi] are the slot ranges query qi scans in
-	// the centroid (coarse) or binary region, lbs mirrors segs with each
-	// segment's proven distance lower bound (nil = none), and bounds[qi]
-	// is the query's pruning threshold (0 = off). Each device's share of
-	// the round's events is added to rows (nil when nobody asks).
-	scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error
-	// ibc is query qi's broadcast count in the last round.
-	ibc(qi int) int
-	// fold adds segment (qi, si) of the last round to st and appends its
-	// surviving entries, ascending by position, to dst.
-	fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry
-}
-
-// controller is one search command's view of its database: the backend
-// that scans, the host core (pin fetches, the tail, the global plane
+// controller is one search command's view of its database: the host
+// core (the devices it scans, pin fetches, the tail, the global plane
 // count), the pooled scratch (owned by the execMu holder), and the
 // host's database entry — the global state rounds are planned from,
 // identical whatever the device count.
 type controller struct {
-	b   scanBackend
 	h   *hostCore
 	db  *ShardedDatabase
 	scr *ctrlScratch
@@ -79,16 +61,18 @@ type ctrlScratch struct {
 	bounds   []int
 	sel      [][]prunedCluster // selected clusters in coarse rank order
 	cents    []TTLEntry
-	// The current round: segs[qi] is what the backend scans (a view of
+	// The current round: segs[qi] is what the devices scan (a view of
 	// segBuf[qi], or of the shared flat plan), lbs[qi] its lower bounds,
 	// and pins[qi] — filled on cached databases only — the round's
-	// segments in order, nil standing for the next backend segment.
+	// segments in order, nil standing for the next device segment.
 	segs   [][]SlotRange
 	segBuf [][]SlotRange
 	lbs    [][]int
 	pins   [][]*pinnedRange
 	cent   [1]SlotRange
-	// Packed encodings of the queries that hit a pinned segment.
+	// The batch's packed binary encodings (one backing buffer, one slot
+	// per query), shared read-only by every device's broadcasts and by
+	// the pinned scans.
 	qbits     []uint64
 	packedBuf []byte
 	packed    [][]byte
@@ -103,9 +87,11 @@ func growTo[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// reset sizes the per-query state for a batch of nq queries whose
-// trackers hold pool distances (0 = pruning off: bound() stays 0).
-func (s *ctrlScratch) reset(nq, pool int) {
+// reset sizes the per-query state for a batch whose trackers hold pool
+// distances (0 = pruning off: bound() stays 0) and binary-quantizes the
+// queries into slotBytes-wide packed encodings.
+func (s *ctrlScratch) reset(queries [][]float32, pool, slotBytes int) {
+	nq := len(queries)
 	s.accs = growTo(s.accs, nq)
 	s.trackers = growTo(s.trackers, nq)
 	s.bounds = growTo(s.bounds, nq)
@@ -115,12 +101,16 @@ func (s *ctrlScratch) reset(nq, pool int) {
 	s.lbs = growTo(s.lbs, nq)
 	s.pins = growTo(s.pins, nq)
 	s.packed = growTo(s.packed, nq)
-	for qi := 0; qi < nq; qi++ {
+	if need := nq * slotBytes; cap(s.packedBuf) < need {
+		s.packedBuf = make([]byte, need)
+	}
+	for qi, q := range queries {
 		s.accs[qi] = s.accs[qi][:0]
 		s.trackers[qi] = boundTracker{capacity: pool, heap: s.trackers[qi].heap[:0]}
 		s.bounds[qi] = 0
 		s.pins[qi] = s.pins[qi][:0]
-		s.packed[qi] = nil
+		s.qbits = vecmath.BinaryQuantize(q, s.qbits)
+		s.packed[qi] = vecmath.PackBinaryBytes(s.qbits, s.packedBuf[qi*slotBytes:qi*slotBytes:(qi+1)*slotBytes])
 	}
 }
 
@@ -189,7 +179,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 }
 
 // run drives one validated batch through the pipeline: plan a round,
-// have the backend scan it, fold each query's segments — pinned ones
+// have the devices scan it, fold each query's segments — pinned ones
 // from DRAM — into its accumulator, tighten its bound, repeat; the
 // tail of a query runs as its last round is folded. ctx is polled
 // before every round and every tail.
@@ -200,7 +190,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	if opt.Prune {
 		pool = rerankPool(k)
 	}
-	s.reset(nq, pool)
+	s.reset(queries, pool, c.pin.slotBytes)
 	sts := make([]QueryStats, nq)
 	rows := c.h.shardRows(nq)
 	mut, cache, nlist := c.db.mut, c.db.cache, len(c.db.lay.rivf)
@@ -232,14 +222,14 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		for qi := range queries {
 			s.segs[qi] = s.cent[:]
 		}
-		if err := c.b.scan(ctx, queries, true, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
+		if err := c.scan(ctx, true, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
 			return nil, nil, nil, err
 		}
 		nprobe := min(max(opt.NProbe, 1), nlist)
 		for qi := range queries {
 			st := &sts[qi]
-			st.IBCBroadcasts += c.b.ibc(qi)
-			cents := c.b.fold(qi, 0, true, st, s.cents[:0])
+			st.IBCBroadcasts += c.ibc(qi)
+			cents := c.fold(qi, 0, true, st, s.cents[:0])
 			s.cents = cents
 			st.CoarseEntries = len(cents)
 			st.SelectInput += len(cents)
@@ -303,12 +293,12 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			s.bounds[qi] = s.trackers[qi].bound()
 		}
 
-		if err := c.b.scan(ctx, queries, false, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
+		if err := c.scan(ctx, false, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
 			return nil, nil, nil, err
 		}
 		for qi := range queries {
 			st := &sts[qi]
-			st.IBCBroadcasts += c.b.ibc(qi)
+			st.IBCBroadcasts += c.ibc(qi)
 			// Earlier rounds wait in the query's accumulator; its final
 			// stream is assembled in the one shared buffer and consumed by
 			// the tail at once, so an unpruned batch holds one query's
@@ -321,7 +311,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			si := 0
 			for _, pr := range s.pins[qi] {
 				if pr == nil {
-					acc = c.b.fold(qi, si, false, st, acc)
+					acc = c.fold(qi, si, false, st, acc)
 					si++
 					continue
 				}
@@ -331,12 +321,12 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				p := c.pin
 				p.metaTag, p.bound = opt.MetaTag, s.bounds[qi]
 				var cp, cs int
-				acc, cp, cs = cache.scanPinned(pr, c.packedQuery(qi, queries), p, acc)
+				acc, cp, cs = cache.scanPinned(pr, s.packed[qi], p, acc)
 				st.CachedPages += cp
 				st.CachedSlots += cs
 			}
 			for ; si < len(s.segs[qi]); si++ {
-				acc = c.b.fold(qi, si, false, st, acc)
+				acc = c.fold(qi, si, false, st, acc)
 			}
 			if !last {
 				feedTracker(&s.trackers[qi], acc[mark:], tomb)
@@ -355,19 +345,4 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		}
 	}
 	return results, sts, rows, nil
-}
-
-// packedQuery returns query qi's packed binary encoding for a pinned
-// scan, quantizing it on first use.
-func (c *controller) packedQuery(qi int, queries [][]float32) []byte {
-	s := c.scr
-	if s.packed[qi] == nil {
-		slot := c.pin.slotBytes
-		if need := len(queries) * slot; cap(s.packedBuf) < need {
-			s.packedBuf = make([]byte, need)
-		}
-		s.qbits = vecmath.BinaryQuantize(queries[qi], s.qbits)
-		s.packed[qi] = vecmath.PackBinaryBytes(s.qbits, s.packedBuf[qi*slot:qi*slot:(qi+1)*slot])
-	}
-	return s.packed[qi]
 }

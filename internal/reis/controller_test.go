@@ -4,30 +4,35 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
-// scatterSlots sums the outstanding commands on a router's per-shard
-// scatter queues.
-func scatterSlots(sh *ShardedEngine) int {
-	n := 0
-	for _, q := range sh.qs {
-		n += q.Outstanding()
+// settledGoroutines reports the goroutine count once it is no higher
+// than limit, or after a second of waiting: a scan round joins its
+// per-device goroutines before it returns, but a joined goroutine may
+// still be winding down when the count is read.
+func settledGoroutines(limit int) int {
+	for i := 0; i < 100 && runtime.NumGoroutine() > limit; i++ {
+		time.Sleep(10 * time.Millisecond)
 	}
-	return n
+	return runtime.NumGoroutine()
 }
 
 // TestSearchCancelBetweenRounds cancels a pruned search's context at
 // every checkpoint it polls — the controller's own, between rounds and
-// before each tail, as well as the backend's — on each backend, and
-// asserts the run reports ctx.Err() without leaking a queue slot on any
-// shard. countdownCtx(p) cancels at the (p+1)-th poll, so sweeping p
-// until a run succeeds visits every checkpoint.
+// before each tail, as well as every device's between plane work items —
+// on one device and on 2 and 4, and asserts the run reports ctx.Err()
+// and leaves the host whole: the next search succeeds with the
+// undisturbed results (no device lock left held) and no goroutine of a
+// round's join outlives the sweep. countdownCtx(p) cancels at the
+// (p+1)-th poll, so sweeping p until a run succeeds visits every
+// checkpoint.
 func TestSearchCancelBetweenRounds(t *testing.T) {
 	type topo struct {
-		name  string
-		h     searcher
-		slots func() int
+		name string
+		h    searcher
 	}
 	e, err := New(refCfg(1), 64<<20, AllOptions())
 	if err != nil {
@@ -35,11 +40,11 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 	}
 	t.Cleanup(func() { e.Close() })
 	deployBoth(t, e.Submit)
-	topos := []topo{{"device", e, func() int { return 0 }}}
+	topos := []topo{{"device", e}}
 	for _, n := range []int{2, 4} {
 		sh := newSharded(t, n)
 		deployBoth(t, sh.Submit)
-		topos = append(topos, topo{fmt.Sprintf("shards=%d", n), sh, func() int { return scatterSlots(sh) }})
+		topos = append(topos, topo{fmt.Sprintf("shards=%d", n), sh})
 	}
 	cmds := []HostCommand{
 		{Opcode: OpcodeSearch, DBID: 1, K: 2, Opt: SearchOptions{Prune: true}},
@@ -52,6 +57,8 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The plane workers are up; only a leaked join could add more.
+			goroutines := runtime.NumGoroutine()
 			aborted := 0
 			for p := 0; ; p++ {
 				if p > 1<<14 {
@@ -59,9 +66,6 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 				}
 				ctx := &countdownCtx{Context: context.Background(), polls: p}
 				got, _, _, err := tp.h.search(ctx, &cmd, queries, false)
-				if n := tp.slots(); n != 0 {
-					t.Fatalf("%s op %#x polls=%d: %d scatter-queue slots leaked", tp.name, cmd.Opcode, p, n)
-				}
 				if err == nil {
 					assertSameResults(t, "after aborts", want, got)
 					break
@@ -70,11 +74,19 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 					t.Fatalf("%s op %#x polls=%d: got %v, want ctx.Err()", tp.name, cmd.Opcode, p, err)
 				}
 				aborted++
+				next, _, _, err := tp.h.search(context.Background(), &cmd, queries, false)
+				if err != nil {
+					t.Fatalf("%s op %#x polls=%d: search after the cancelled one: %v", tp.name, cmd.Opcode, p, err)
+				}
+				assertSameResults(t, "after a cancelled search", want, next)
 			}
 			// Several rounds, each with its own checkpoint, must have been
 			// cut — a one-poll run would not exercise the round loop.
 			if aborted < 4 {
 				t.Fatalf("%s op %#x: only %d cancellation points", tp.name, cmd.Opcode, aborted)
+			}
+			if n := settledGoroutines(goroutines); n > goroutines {
+				t.Fatalf("%s op %#x: %d goroutines after the sweep, %d before", tp.name, cmd.Opcode, n, goroutines)
 			}
 		}
 	}

@@ -27,8 +27,9 @@
 // with results bit-identical to the unpruned scan on every topology
 // (see DESIGN.md, "Threshold propagation and pruning"). Pruned or not,
 // on one device or several, a search is the same round-driven controller
-// (controller.go) over a scan backend, run by the one host core
-// (host.go) that Engine and ShardedEngine are both facades of.
+// (controller.go) whose scan rounds run on every device in place
+// (batch.go), run by the one host core (host.go) that Engine and
+// ShardedEngine are both facades of.
 //
 // A DRAM caching tier (ssd.Config.CacheDRAMBytes, off by default)
 // serves repeated work at controller cost without ever changing
@@ -128,9 +129,9 @@ type Database struct {
 	N   int
 
 	rec ssd.DBRecord
-	// regionSlots is the total slot count of the binary region,
-	// including cluster-alignment padding (>= N).
-	regionSlots int
+	// The device holds global pages g ≡ start (mod stride) of every
+	// region as local pages g / stride; (0, 1) is the whole layout.
+	start, stride int
 
 	// Layout constants.
 	slotBytes   int // binary embedding bytes (dim/8)
@@ -308,8 +309,8 @@ func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride
 		params:          lo.params,
 		filterThreshold: lo.filterThreshold,
 		rivf:            lo.rivf,
-		// The device serves explicit scan ranges over its owned pages only.
-		regionSlots: ownedSlots(lo.regionSlots, start, stride, lo.embPerPage),
+		start:           start,
+		stride:          stride,
 	}
 	// Every shard reserves capacity for the same number of stripes the
 	// single-device-equivalent extent spans, so growth and GC erase the
@@ -506,11 +507,12 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // ThresholdFor reports the calibrated distance-filter threshold.
 func (db *Database) ThresholdFor() int { return db.filterThreshold }
 
-// Live returns the number of live (not tombstoned) entries; for a
-// shard slice it falls back to the local slot bound.
+// Live returns the number of live (not tombstoned) entries; a
+// page-stride slice keeps no ledger (ask the host's ShardedDatabase) and
+// falls back to the slot count of its live pages.
 func (db *Database) Live() int {
 	if db.mut == nil {
-		return db.regionSlots
+		return db.rec.Embeddings.Pages() * db.embPerPage
 	}
 	return db.mut.live
 }

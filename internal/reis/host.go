@@ -20,30 +20,27 @@ import (
 //
 //   - Engine (New) is a device that is its own host: devs = [itself].
 //   - ShardedEngine (NewSharded) is a host over N member Engines, which
-//     it reaches as devices (page reads and programs, OpcodeScan).
+//     it reaches as devices (scan rounds, page reads and programs).
 //
-// Only the scan backend differs with N, chosen from len(devs): one
-// device is scanned in place by its plane pool (batch.go), several are
-// scattered to through their queue pairs (shard.go).
+// Nothing about a command is chosen from N: a scan round runs on every
+// device in place (batch.go), and page g's owner is device g mod N.
 //
 // Locking. execMu serializes the host (one command or coalesced group at
 // a time, like the single embedded controller core) and guards the
 // database table, journal, scratch and closed flag. Each device has its
 // own lock (Engine.mu) for its regions, plane pool and arenas. The order
-// is host core → device, never the reverse: a device never calls into a
-// core. The core holds the device lock for the whole command when it
-// scans the device in place (N = 1), and per page operation when it
-// mutates (mutTarget) — so the two never nest. Tail and pin reads take
-// the conventional read path, which the flash device synchronizes per
-// plane; the core issues them only when no scan of its own is running.
+// is host core → every device in index order, never the reverse: a
+// device never calls into a core. The core holds every device lock for
+// the whole search command — the arenas keep a round's entries until
+// they are folded — and one device's per page operation when it mutates
+// (mutTarget), so the two never nest. Tail and pin reads take the
+// conventional read path, which the flash device synchronizes per plane;
+// the core issues them only when no scan round of its own is running.
 type hostCore struct {
 	cfg  ssd.Config // single-device-equivalent configuration: N× one device's channels
 	opts Options
 
 	devs []*Engine
-	// qs[s] is the scatter queue pair into devs[s]; nil for one device,
-	// which is scanned in place.
-	qs []*Queue
 	// perShard is set on a ShardedEngine: search responses carry the
 	// per-device stats rows (HostResponse.PerShard) its Latency shapes
 	// consume. An Engine's stay nil.
@@ -71,13 +68,15 @@ type hostCore struct {
 
 // hostScratch is the core's pooled state; the execMu holder owns it.
 type hostScratch struct {
-	ctrl  ctrlScratch
-	local localBackend
-	tail  tailScratch
-	// Gather side of a scatter: the per-shard streams being merged and
-	// the pooled command ids.
-	lists [][]TTLEntry
-	ids   []CommandID
+	ctrl ctrlScratch
+	tail tailScratch
+	// A scan round's join and per-device outcomes, and the cross-device
+	// fold: streams[s] is device s's share of the segment being folded,
+	// lists the non-empty ones being merged.
+	wg      sync.WaitGroup
+	errs    []error
+	streams [][]TTLEntry
+	lists   [][]TTLEntry
 }
 
 // ShardedDatabase is the host's view of one deployed database: the
@@ -122,11 +121,12 @@ func (c *hostCore) init(cfg ssd.Config, opts Options, devs []*Engine) {
 	cfg.Geo.Channels *= len(devs)
 	c.cfg, c.opts, c.devs = cfg, opts, devs
 	c.dbs = make(map[int]*ShardedDatabase)
+	c.scr.errs = make([]error, len(devs))
+	c.scr.streams = make([][]TTLEntry, len(devs))
 }
 
 // lock takes the execution lock for a command, refusing once the host
-// is closed: Close has stopped the plane workers and the scatter queues,
-// and a command served after it would restart (and leak) them.
+// is closed.
 func (c *hostCore) lock() error {
 	c.execMu.Lock()
 	if c.closed {
@@ -176,7 +176,7 @@ func (c *hostCore) Submit(cmd HostCommand) (HostResponse, error) {
 
 // Ready reports whether the host can accept commands: true from
 // construction until Close, and only while every member device is still
-// ready (a closed member would fail any scatter that touches it).
+// ready (a closed member refuses every scan round).
 // Replica routers use it as the health probe behind a serving group's
 // liveness endpoint.
 func (c *hostCore) Ready() bool {
@@ -198,11 +198,11 @@ func (c *hostCore) member(d *Engine) bool { return &d.hostCore != c }
 
 // Close shuts down the host's background goroutines: every queue pair
 // created with NewQueue (pending commands complete with ErrQueueClosed),
-// then every device — a member Engine closes as a host of its own
-// (its scatter queue, then its workers); a device that is its own host
-// stops its plane workers. The host must not be closed while direct API
-// calls are in flight; Close is idempotent — concurrent and repeated
-// calls are safe — and every command after it fails with ErrQueueClosed.
+// then every device — a member Engine closes as a host of its own; a
+// device that is its own host stops its plane workers for good. The host
+// must not be closed while direct API calls are in flight; Close is
+// idempotent — concurrent and repeated calls are safe — and every
+// command after it fails with ErrQueueClosed.
 func (c *hostCore) Close() error {
 	for _, q := range c.reg.closeAll() {
 		q.Close()
@@ -292,17 +292,6 @@ func (c *hostCore) execCmd(ctx context.Context, cmd *HostCommand) (HostResponse,
 			resp.Stats.Add(st)
 		}
 		return resp, nil
-	case OpcodeScan:
-		// The scatter operand addresses one device's own regions, in its
-		// local coordinates; a host over several has no such region.
-		if len(c.devs) > 1 {
-			return HostResponse{}, fmt.Errorf("%w %#x (not served by a sharded host)", ErrUnknownOpcode, cmd.Opcode)
-		}
-		if err := c.lock(); err != nil {
-			return HostResponse{}, err
-		}
-		defer c.execMu.Unlock()
-		return c.devs[0].executeScan(ctx, cmd)
 	case OpcodeAppend, OpcodeDelete:
 		if err := c.lock(); err != nil {
 			return HostResponse{}, err
@@ -331,17 +320,11 @@ func (c *hostCore) execCmd(ctx context.Context, cmd *HostCommand) (HostResponse,
 	}
 }
 
-// committed follows a committed mutation or GC step: every device's
-// addressable slot bound tracks the live extent, recorded nprobe
+// committed follows a committed mutation or GC step: recorded nprobe
 // calibrations no longer cover the corpus, and the caching tier drops
 // every pinned page and cached result before the command's completion
 // is visible — a stale hit is impossible by construction.
 func (c *hostCore) committed(db *ShardedDatabase) {
-	for s, d := range c.devs {
-		d.mu.Lock()
-		db.locals[s].regionSlots = ownedSlots(db.mut.tailSlots, s, len(c.devs), db.lay.embPerPage)
-		d.mu.Unlock()
-	}
 	db.calib = nil
 	db.cache.invalidate()
 }
@@ -459,27 +442,26 @@ func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]flo
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var b scanBackend
-	if len(c.devs) == 1 {
-		// In place, on the device's own plane pool; its arenas hold the
-		// round's entries until they are folded, so the device stays
-		// locked for the whole command.
-		d := c.devs[0]
+	// The devices' arenas hold a round's entries until they are folded, so
+	// every device stays locked for the whole command.
+	for _, d := range c.devs {
 		d.mu.Lock()
-		defer d.mu.Unlock()
-		c.scr.local = localBackend{e: d, db: db.locals[0]}
-		b = &c.scr.local
-	} else {
-		b = &shardBackend{c: c, db: db}
 	}
+	defer c.unlockDevs()
 	ctl := controller{
-		b: b, h: c, db: db, scr: &c.scr.ctrl,
+		h: c, db: db, scr: &c.scr.ctrl,
 		pin: cachedScanParams{
 			slotBytes: db.lay.slotBytes, embPerPage: db.lay.embPerPage,
 			filter: c.opts.DistanceFilter, threshold: db.lay.filterThreshold,
 		},
 	}
 	return ctl.search(ctx, cmd, queries, useCache)
+}
+
+func (c *hostCore) unlockDevs() {
+	for _, d := range c.devs {
+		d.mu.Unlock()
+	}
 }
 
 // shardRows allocates a command's [device][query] PerShard rows.

@@ -51,8 +51,8 @@ type planeTask struct {
 //
 // Workers are persistent goroutines draining per-worker channels (the
 // die's command queue), started lazily on the first multi-task run and
-// stopped by Engine.Close. A run enqueues each worker's task list and
-// waits; the pool is never invoked per task.
+// stopped for good by Engine.Close. A run enqueues each worker's task
+// list and waits; the pool is never invoked per task.
 //
 // Determinism: tasks that touch the same plane always map to the same
 // worker and are executed in submission order, so the per-plane
@@ -67,10 +67,13 @@ type planePool struct {
 	queues  [][]planeTask
 	errs    []error
 	// chans[w] feeds worker w's goroutine; nil until started. The pool
-	// has a single dispatching owner at a time (the engine's execution
-	// lock), so started/chans need no extra synchronization.
+	// has a single dispatching owner at a time (the device lock holder),
+	// so started/stopped/chans need no extra synchronization.
 	chans   []chan poolRun
 	started bool
+	// stopped is set by stop: the device is closed and refuses further
+	// scans instead of restarting (and leaking) its workers.
+	stopped bool
 }
 
 // poolRun is one run's share for one worker: the task list to execute
@@ -140,9 +143,10 @@ func (p *planePool) start() {
 	}
 }
 
-// stop terminates the persistent workers (Engine.Close). A stopped
-// pool restarts lazily if run again.
+// stop terminates the persistent workers (Engine.Close) and marks the
+// pool stopped; batchScan refuses to run on it from then on.
 func (p *planePool) stop() {
+	p.stopped = true
 	if !p.started {
 		return
 	}

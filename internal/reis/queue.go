@@ -46,9 +46,8 @@ import (
 //   - Background GC. An OpcodeCompact command never runs as one
 //     monolithic dispatch: the queue opens a GC flight that issues one
 //     internal copy-forward step per victim GC row, scheduled under the
-//     reserved gcSchedKey with its own stride weight (GCWeight), so
-//     foreground searches interleave between steps and share device
-//     time proportionally. Searches between steps are bit-identical to
+//     reserved gcSchedKey at stride weight 1, so foreground searches
+//     interleave between steps and share device time proportionally. Searches between steps are bit-identical to
 //     both the never-compacted and fully-compacted states; later
 //     mutations on the database are held back until the flight
 //     completes (which also keeps the mutation journal in application
@@ -197,13 +196,6 @@ type QueueConfig struct {
 	// batched execution. Results are identical either way; coalescing
 	// only changes how much plane-level overlap deep queues recover.
 	NoCoalesce bool
-
-	// GCWeight is the stride weight of background GC steps (the
-	// internal commands a compaction flight issues), arbitrated against
-	// the per-database Weights exactly like another tenant. Zero means
-	// 1; higher values let the collector reclaim faster under load,
-	// lower foreground weights do the opposite. Must not be negative.
-	GCWeight int
 }
 
 // QueueStats counts queue-pair events (monotonic since creation).
@@ -234,8 +226,13 @@ type qcmd struct {
 
 // gcSchedKey is the reserved stride-scheduling key background-GC steps
 // are queued under — far below any real database id, so it never
-// collides and wins exact pass ties deterministically.
-const gcSchedKey = -1 << 30
+// collides and wins exact pass ties deterministically. GC steps stride
+// at gcWeight, arbitrated against the per-database Weights exactly like
+// a tenant with no configured weight.
+const (
+	gcSchedKey = -1 << 30
+	gcWeight   = 1
+)
 
 // gcFlight is one in-progress background compaction: the original
 // OpcodeCompact command, its victim plan, the next step index and the
@@ -285,9 +282,6 @@ func newQueue(h *hostCore, cfg QueueConfig) (*Queue, error) {
 		if w <= 0 {
 			return nil, fmt.Errorf("reis: non-positive QoS weight %d for database %d", w, db)
 		}
-	}
-	if cfg.GCWeight < 0 {
-		return nil, fmt.Errorf("reis: negative GC weight %d", cfg.GCWeight)
 	}
 	q := &Queue{
 		h:       h,
@@ -677,9 +671,7 @@ func (q *Queue) pickGroupLocked() []*qcmd {
 	q.pendingN -= n
 	w := 1
 	if bestKey == gcSchedKey {
-		if q.cfg.GCWeight > 0 {
-			w = q.cfg.GCWeight
-		}
+		w = gcWeight
 	} else if cw, ok := q.cfg.Weights[bestKey]; ok {
 		w = cw
 	}

@@ -2,6 +2,7 @@ package reis
 
 import (
 	"context"
+	"errors"
 	"testing"
 )
 
@@ -83,10 +84,15 @@ func TestEngineReady(t *testing.T) {
 	if !sh.Ready() {
 		t.Fatal("new sharded router not Ready")
 	}
-	// A closed member fails any scatter, so the router must report it.
+	deployBoth(t, sh.Submit)
+	// A closed member refuses every scan round, so the router must report
+	// it — and a search through the router fails like one on a closed host.
 	sh.Shard(1).Close()
 	if sh.Ready() {
 		t.Fatal("router with a closed member still Ready")
+	}
+	if _, _, err := sh.Search(1, testData.Queries[0], 10, SearchOptions{}); !errors.Is(err, ErrQueueClosed) {
+		t.Fatalf("search over a closed member error = %v, want ErrQueueClosed", err)
 	}
 	sh.Close()
 	if sh.Ready() {

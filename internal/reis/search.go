@@ -155,17 +155,12 @@ type SearchOptions struct {
 }
 
 // engineScratch holds the device-owned pooled buffers of the scan
-// pipeline: query encodings, the round's dispatch structures and
-// outcome, and merge inputs. The device serves one scan at a time (its
-// lock holder owns the scratch), so these recycle across rounds without
-// further locking, and scratch memory never escapes: entries leave
-// through a fold into the caller's buffer or into response-owned memory.
+// pipeline: the round's dispatch structures and outcome, and merge
+// inputs. The device serves one scan at a time (its lock holder owns the
+// scratch), so these recycle across rounds without further locking, and
+// scratch memory never escapes: entries leave through a fold into the
+// host's buffers.
 type engineScratch struct {
-	// Query encoding.
-	qbits     []uint64
-	packedBuf []byte
-	packed    [][]byte
-	// Scan dispatch, the last round's outcome, and merge.
 	spans     []ssd.PlaneSpan
 	tasks     []planeTask
 	planeWork [][]batchItem
@@ -249,10 +244,10 @@ type planeScan struct {
 // GEN_DIST_PAGE wave per page (fused latch XOR + per-slot fail-bit
 // counts into the worker's distance buffer), optional pass/fail
 // distance filtering, and TTL transfer of survivors. first/last bound
-// the slot positions of the overall scan; only this plane's pages are
-// touched, so concurrent scanPlane calls on different planes share no
-// mutable device state. Survivors are appended to the worker's entry
-// arena.
+// the device-local slot positions of the overall scan; only this plane's
+// pages are touched, so concurrent scanPlane calls on different planes
+// share no mutable device state. Survivors are appended to the worker's
+// entry arena under their global positions.
 //
 // bound > 0 is the query's current top-k pruning threshold: it rides
 // the GEN_DIST_PAGE command into the plane, and slots strictly above
@@ -273,6 +268,9 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 
 	for pi := 0; pi < span.Count; pi++ {
 		p := span.First + pi*span.Stride
+		// Entries carry global positions: local page p is global page
+		// p*stride + start (itself, on one device).
+		basePos := (p*db.stride + db.start) * db.embPerPage
 		addr, err := region.AddressOf(geo, p)
 		if err != nil {
 			return ps, err
@@ -336,7 +334,7 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 			ps.survivors++
 			ps.ttlBytes += int64(entrySize)
 			sc.entries = append(sc.entries, TTLEntry{
-				Dist: dist, Pos: p*db.embPerPage + s, DADR: dadr, RADR: radr, Tag: tag,
+				Dist: dist, Pos: basePos + s, DADR: dadr, RADR: radr, Tag: tag,
 			})
 		}
 	}
@@ -365,9 +363,9 @@ func (e *Engine) appendMergeByPos(dst []TTLEntry, results []planeScan) []TTLEntr
 }
 
 // mergeEntryLists k-way merges entry lists — each ascending by Pos,
-// positions unique across lists — into dst in one pass. The shard
-// router reuses it to merge per-device streams at gather time (lists
-// is consumed: emptied slices remain in the backing array).
+// positions unique across lists — into dst in one pass. The fold reuses
+// it to merge the per-device streams (lists is consumed: emptied slices
+// remain in the backing array).
 func mergeEntryLists(dst []TTLEntry, lists [][]TTLEntry) []TTLEntry {
 	switch len(lists) {
 	case 0:

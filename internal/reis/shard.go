@@ -1,16 +1,15 @@
 package reis
 
 import (
-	"context"
 	"fmt"
 
 	"reis/internal/ssd"
 )
 
 // This file implements the sharded topology: one database partitioned
-// across N simulated SSD devices with scatter-gather search — the
-// ShardedEngine facade of the host core (host.go), and the core's scan
-// backend over several devices.
+// across N simulated SSD devices — the ShardedEngine facade of the host
+// core (host.go) and the page-striping arithmetic every device applies
+// to the global ranges it is asked to scan.
 //
 // Partitioning scheme. The host core plans the database layout exactly
 // as a single device would (planLayout: same placement order, padding,
@@ -26,17 +25,16 @@ import (
 // N devices carry N times the planes and channels of one — while the
 // equivalence target stays exact.
 //
-// Scatter-gather. A search fans out OpcodeScan commands through one
-// queue pair per shard (the router's "driver" view of each device):
-// per query, the global slot ranges are translated into each shard's
-// local coordinates; each shard runs the ordinary batched scan
-// pipeline over its pages and returns the surviving TTL entries per
-// (query, segment). The router remaps local positions to global ones,
-// k-way merges the per-shard streams in global position order
-// (mergeEntryLists — the same merge the engine uses across planes),
-// and runs the shared controller tail (runTail) over the merged
-// stream, fetching INT8 and document pages from whichever shard owns
-// them.
+// In-place scan and cross-device fold. A search is the host core's one
+// controller whatever N is: each round hands every device the same
+// global slot ranges, and each scans the part it owns (localRange) in
+// place, on its own plane pool, beside the others. A segment then folds
+// across the devices (controller.fold, batch.go): entries come back
+// under global positions, each device's plane windows merge into one
+// stream, and the N streams merge in global position order
+// (mergeEntryLists — the same merge a device uses across planes). The
+// shared controller tail (runTail) runs over the merged stream, fetching
+// INT8 and document pages from whichever device owns them.
 //
 // Determinism. Because the merged entry stream is element-identical to
 // what a single device's scan produces — same entries, same order,
@@ -50,8 +48,8 @@ import (
 // per-plane page loads match plane for plane. See DESIGN.md, "Sharded
 // topology".
 
-// ShardedEngine is a host over N member devices with scatter-gather
-// search: a facade over the same host core an Engine embeds (host.go),
+// ShardedEngine is a host over N member devices, each scanned in place:
+// a facade over the same host core an Engine embeds (host.go),
 // bound to N ≥ 1 devices instead of one. Submit, NewQueue (asynchronous
 // queue pairs dispatch into the host), the Search family, Append /
 // Delete / Compact, CalibrateNProbe, RunLoad, the journal pair, Ready
@@ -70,9 +68,7 @@ type ShardedEngine struct {
 // channels — the reference the determinism contract is pinned against
 // (results are bit-identical to ANY single device over the same data;
 // stats to that reference). capacityHint is the total data volume;
-// each shard is sized for its 1/n share. One member is scanned in
-// place, like an Engine's own device; several are scattered to, each
-// through a queue pair of its own.
+// each shard is sized for its 1/n share.
 func NewSharded(cfg ssd.Config, n int, capacityHint int64, opts Options) (*ShardedEngine, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("reis: shard count %d must be positive", n)
@@ -87,15 +83,6 @@ func NewSharded(cfg ssd.Config, n int, capacityHint int64, opts Options) (*Shard
 			return nil, fmt.Errorf("reis: shard %d: %w", s, err)
 		}
 		sh.devs = append(sh.devs, e)
-		if n == 1 {
-			break
-		}
-		q, err := e.NewQueue(QueueConfig{})
-		if err != nil {
-			sh.Close()
-			return nil, err
-		}
-		sh.qs = append(sh.qs, q)
 	}
 	sh.hostCore.init(sh.devs[0].SSD.Cfg, opts, sh.devs)
 	return sh, nil
@@ -122,133 +109,13 @@ func (sh *ShardedEngine) IVFDeploy(cfg DeployConfig) (*ShardedDatabase, error) {
 	return sh.deploy(cfg, true)
 }
 
-// shardBackend is the controller's scan backend over the member
-// devices: a round is one OpcodeScan scatter, segments fold by
-// remapping shard-local positions and merging the per-shard streams,
-// and the tail fetches each page from the shard that owns it.
-type shardBackend struct {
-	c     *hostCore
-	db    *ShardedDatabase
-	resps []HostResponse // the last round's completions, by shard
-}
-
-func (b *shardBackend) scan(ctx context.Context, queries [][]float32, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
-	resps, err := b.c.scatter(ctx, b.db, queries, coarse, segs, bounds, lbs, metaTag)
-	if err != nil {
-		return err
-	}
-	b.resps = resps
-	if rows != nil {
-		// A skipped shard's view of the round is all zero.
-		for s := range resps {
-			for qi, st := range resps[s].QueryStats {
-				rows[s][qi].Add(st)
-			}
-		}
-	}
-	return nil
-}
-
-func (b *shardBackend) ibc(qi int) int { return gatherIBC(b.resps, qi) }
-
-func (b *shardBackend) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
-	gatherSegStats(b.resps, qi, si, coarse, st)
-	return b.c.mergeSeg(dst, b.resps, qi, si, b.db.lay.embPerPage)
-}
-
-// scatter fans one scan phase out to the shards through their queue
-// pairs and gathers the completions in shard order. segs are global
-// per-query slot ranges; each shard receives its local translation
-// with (query, segment) indices preserved. A shard whose translation
-// is all empty sentinels (it owns no page of any requested range) is
-// skipped entirely — its zero-valued response is what it would have
-// reported — so idle shards pay no query encoding or queue round
-// trip. All submitted commands are waited for even on error, so
-// scatter never leaks queue slots.
-//
-// bounds/minDists carry the round's per-query thresholds (all zero
-// unless pruning) and per-segment lower bounds (nil on flat and coarse
-// rounds). Both are global values — bounds are query properties and a
-// lower bound holds for the whole global segment — so every shard
-// receives the same slices verbatim (localSegs preserves the (query, segment) shape) and
-// the shards' abort decisions match the reference device's exactly.
-func (c *hostCore) scatter(ctx context.Context, db *ShardedDatabase, queries [][]float32, coarse bool, segs [][]SlotRange, bounds []int, minDists [][]int, metaTag *uint8) ([]HostResponse, error) {
-	n := len(c.devs)
-	// The responses own the round's entries, so they are the command's
-	// garbage, not pooled state.
-	resps := make([]HostResponse, n)
-	// ids[s] stays 0 — never a CommandID — for a shard not submitted to.
-	c.scr.ids = growTo(c.scr.ids, n)
-	ids := c.scr.ids
-	clear(ids)
-	var firstErr error
-	for s, q := range c.qs {
-		local := localSegs(segs, s, n, db.lay.embPerPage)
-		if !hasWork(local) {
-			continue
-		}
-		cmd := HostCommand{
-			Opcode: OpcodeScan, DBID: db.ID, Queries: queries,
-			Scan: &ScanConfig{Coarse: coarse, Segs: local, Bounds: bounds, MinDists: minDists},
-			Opt:  SearchOptions{MetaTag: metaTag},
-		}
-		id, err := q.SubmitAsync(ctx, cmd)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			break
-		}
-		ids[s] = id
-	}
-	// Gather with a background context: a cancelled command context
-	// aborts execution inside the shard (the command carries ctx), and
-	// the completion must still be consumed to free the queue slot.
-	for s, q := range c.qs {
-		if ids[s] == 0 {
-			continue
-		}
-		resp, err := q.Wait(context.Background(), ids[s])
-		if err != nil && firstErr == nil {
-			firstErr = err
-		}
-		resps[s] = resp
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return resps, nil
-}
-
-// localSegs translates per-query global slot ranges into shard s's
-// local coordinates, preserving the (query, segment) shape; segments
-// with no owned page become the empty sentinel. The flat and coarse
-// phases hand every query the same underlying segment slice, so a
-// list identical to the previous query's reuses its translation (the
-// result is read-only downstream).
-func localSegs(segs [][]SlotRange, s, n, embPerPage int) [][]SlotRange {
-	out := make([][]SlotRange, len(segs))
-	var prev, prevOut []SlotRange
-	for qi, list := range segs {
-		if len(list) > 0 && len(prev) == len(list) && &prev[0] == &list[0] {
-			out[qi] = prevOut
-			continue
-		}
-		ls := make([]SlotRange, len(list))
-		for si, r := range list {
-			ls[si] = localRange(r, s, n, embPerPage)
-		}
-		out[qi] = ls
-		prev, prevOut = list, ls
-	}
-	return out
-}
-
 // localRange clips one global slot range to the pages shard s owns
-// (global pages ≡ s mod n) and rewrites it in local coordinates.
-// Because ownership is per page, the owned part of a contiguous global
-// range is a contiguous local range: partial-page slot bounds apply
-// only when the shard owns the range's first or last global page.
+// (global pages ≡ s mod n) and rewrites it in local coordinates — the
+// identity on one device; a range with no owned page becomes the empty
+// sentinel. Because ownership is per page, the owned part of a
+// contiguous global range is a contiguous local range: partial-page slot
+// bounds apply only when the shard owns the range's first or last global
+// page.
 func localRange(r SlotRange, s, n, embPerPage int) SlotRange {
 	gp0, gp1 := r.First/embPerPage, r.Last/embPerPage
 	g0 := gp0 + posMod(s-gp0, n) // first owned page >= gp0
@@ -267,114 +134,10 @@ func localRange(r SlotRange, s, n, embPerPage int) SlotRange {
 	return SlotRange{First: first, Last: last}
 }
 
-// ownedSlots is the number of local slots shard s addresses of a global
-// region holding slots slots: the end of the region's local translation.
-// On one device it is slots itself.
-func ownedSlots(slots, s, n, embPerPage int) int {
-	if slots == 0 {
-		return 0
-	}
-	return localRange(SlotRange{First: 0, Last: slots - 1}, s, n, embPerPage).Last + 1
-}
-
-// hasWork reports whether any translated segment is non-empty.
-func hasWork(segs [][]SlotRange) bool {
-	for _, list := range segs {
-		for _, r := range list {
-			if r.Last >= r.First {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 func posMod(a, n int) int {
 	m := a % n
 	if m < 0 {
 		m += n
 	}
 	return m
-}
-
-// globalPos maps a shard-local slot position back to its single-device
-// position: local page l of shard s is global page l*n + s.
-func globalPos(pos, s, n, embPerPage int) int {
-	return (pos/embPerPage*n+s)*embPerPage + pos%embPerPage
-}
-
-// mergeSeg remaps one (query, segment)'s shard-local entry positions
-// to global ones (in place: the response slices are owned by the
-// gather side) and k-way merges the per-shard streams in global
-// position order, appending to dst.
-func (c *hostCore) mergeSeg(dst []TTLEntry, resps []HostResponse, qi, si, embPerPage int) []TTLEntry {
-	n := len(c.devs)
-	lists := c.scr.lists[:0]
-	for s := range resps {
-		if resps[s].Scan == nil {
-			continue // shard skipped: no work in this phase
-		}
-		es := resps[s].Scan[qi][si].Entries
-		if len(es) == 0 {
-			continue
-		}
-		for i := range es {
-			es[i].Pos = globalPos(es[i].Pos, s, n, embPerPage)
-		}
-		lists = append(lists, es)
-	}
-	c.scr.lists = lists
-	return mergeEntryLists(dst, lists)
-}
-
-// gatherSegStats folds one (query, segment)'s shard outcomes into st:
-// count-type events sum across shards; the wave count — the parallel
-// critical path of the segment — aggregates by maximum, which equals
-// the single-device value because the shards' per-plane page loads are
-// identical to the single device's, plane for plane.
-func gatherSegStats(resps []HostResponse, qi, si int, coarse bool, st *QueryStats) {
-	waves, pages, aborted := 0, 0, 0
-	for s := range resps {
-		if resps[s].Scan == nil {
-			continue // shard skipped: no work in this phase
-		}
-		r := &resps[s].Scan[qi][si]
-		if r.Waves > waves {
-			waves = r.Waves
-		}
-		if r.AbortedWaves > aborted {
-			aborted = r.AbortedWaves
-		}
-		pages += r.Pages
-		st.EntriesScanned += r.Scanned
-		st.Survivors += r.Survivors
-		st.PrunedPages += r.PrunedPages
-		st.PrunedSlots += r.PrunedSlots
-		st.TTLBytes += r.TTLBytes
-	}
-	// Aborted waves aggregate like real waves: the segment's parallel
-	// critical path, max across shards (= the reference device's value,
-	// because the abort is decided from the same spans geometry).
-	st.AbortedWaves += aborted
-	if coarse {
-		st.CoarseWaves += waves
-		st.CoarsePages += pages
-	} else {
-		st.FineWaves += waves
-		st.FinePages += pages
-	}
-}
-
-// gatherIBC sums one query's broadcast counts across the shards (the
-// shard planes partition the single device's planes, so the sum equals
-// the single-device batch-path count).
-func gatherIBC(resps []HostResponse, qi int) int {
-	n := 0
-	for s := range resps {
-		if len(resps[s].QueryStats) == 0 {
-			continue // shard skipped: no work in this phase
-		}
-		n += resps[s].QueryStats[qi].IBCBroadcasts
-	}
-	return n
 }

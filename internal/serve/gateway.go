@@ -10,6 +10,7 @@ package serve
 
 import (
 	"context"
+	"crypto/subtle"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -88,16 +89,25 @@ type Gateway struct {
 	cfg   GatewayConfig
 
 	handler  http.Handler
-	draining atomic.Bool
 	inflight sync.WaitGroup
 	reqSeq   atomic.Uint64
 
-	mu      sync.Mutex
-	routes  map[string]*routeMetrics
+	mu sync.Mutex
+	// draining is set by Drain. A handler joins inflight under mu and only
+	// while draining is unset, so Drain's Wait covers every admitted
+	// request and none starts after it.
+	draining bool
+	routes   map[string]*routeMetrics
+	// buckets holds the tenants that are short of a full bucket; once
+	// len(buckets) reaches sweepAt the refilled ones are dropped.
 	buckets map[string]*bucket
+	sweepAt int
 	queries int64
 	device  reis.QueryStats
 }
+
+// minBucketSweep is the bucket count below which the map is never swept.
+const minBucketSweep = 16
 
 // bucket is one tenant's token bucket.
 type bucket struct {
@@ -151,14 +161,20 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 func (gw *Gateway) Handler() http.Handler { return gw.handler }
 
 // Draining reports whether Drain has been initiated.
-func (gw *Gateway) Draining() bool { return gw.draining.Load() }
+func (gw *Gateway) Draining() bool {
+	gw.mu.Lock()
+	defer gw.mu.Unlock()
+	return gw.draining
+}
 
 // Drain gracefully shuts the gateway down: stop admitting requests
 // (503 + Retry-After), wait for in-flight handlers bounded by ctx,
 // then Close the replica group. Safe to call once the HTTP listener
 // has stopped accepting or while it still runs.
 func (gw *Gateway) Drain(ctx context.Context) error {
-	gw.draining.Store(true)
+	gw.mu.Lock()
+	gw.draining = true
+	gw.mu.Unlock()
 	done := make(chan struct{})
 	go func() {
 		gw.inflight.Wait()
@@ -250,11 +266,16 @@ func (gw *Gateway) metrics(route string) Middleware {
 func (gw *Gateway) admit() Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if gw.draining.Load() {
+			gw.mu.Lock()
+			draining := gw.draining
+			if !draining {
+				gw.inflight.Add(1)
+			}
+			gw.mu.Unlock()
+			if draining {
 				gw.reject(w, "gateway draining")
 				return
 			}
-			gw.inflight.Add(1)
 			defer gw.inflight.Done()
 			next.ServeHTTP(w, r)
 		})
@@ -267,7 +288,7 @@ func (gw *Gateway) auth() Middleware {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if gw.cfg.AuthToken != "" {
 				got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
-				if !ok || got != gw.cfg.AuthToken {
+				if !ok || subtle.ConstantTimeCompare([]byte(got), []byte(gw.cfg.AuthToken)) != 1 {
 					http.Error(w, "missing or invalid bearer token", http.StatusUnauthorized)
 					return
 				}
@@ -303,18 +324,36 @@ func (gw *Gateway) rateLimit() Middleware {
 	}
 }
 
-// allow takes one token from the tenant's bucket, refilling it at
-// RateLimit tokens/s up to RateBurst.
+// refilled is the bucket's token count at now: RateLimit tokens/s since
+// its last request, up to RateBurst.
+func (gw *Gateway) refilled(b *bucket, now time.Time) float64 {
+	return min(float64(gw.cfg.RateBurst), b.tokens+now.Sub(b.last).Seconds()*gw.cfg.RateLimit)
+}
+
+// allow takes one token from the tenant's bucket. The tenant name is
+// the caller's choice, so the map must not keep one entry per name ever
+// seen: a bucket that has refilled to RateBurst is indistinguishable
+// from a fresh one and is dropped, in a sweep each time the map has
+// doubled since the last — which bounds it by the tenants seen within
+// one refill window at amortized constant cost.
 func (gw *Gateway) allow(tenant string) bool {
 	now := gw.cfg.now()
 	gw.mu.Lock()
 	defer gw.mu.Unlock()
 	b := gw.buckets[tenant]
 	if b == nil {
+		if len(gw.buckets) >= gw.sweepAt {
+			for t, old := range gw.buckets {
+				if gw.refilled(old, now) >= float64(gw.cfg.RateBurst) {
+					delete(gw.buckets, t)
+				}
+			}
+			gw.sweepAt = 2*len(gw.buckets) + minBucketSweep
+		}
 		b = &bucket{tokens: float64(gw.cfg.RateBurst), last: now}
 		gw.buckets[tenant] = b
 	}
-	b.tokens = min(float64(gw.cfg.RateBurst), b.tokens+now.Sub(b.last).Seconds()*gw.cfg.RateLimit)
+	b.tokens = gw.refilled(b, now)
 	b.last = now
 	if b.tokens < 1 {
 		return false
@@ -528,7 +567,7 @@ func (gw *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 // handleHealthz is the liveness probe: 200 while serving, 503 when
 // draining or when no replica is healthy.
 func (gw *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if gw.draining.Load() || !gw.group.Ready() {
+	if gw.Draining() || !gw.group.Ready() {
 		gw.reject(w, "not serving")
 		return
 	}

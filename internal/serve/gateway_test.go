@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -87,6 +90,13 @@ func TestGatewayAuth(t *testing.T) {
 	if w := get(gw, "/search?q=0", map[string]string{"Authorization": "Bearer wrong"}); w.Code != http.StatusUnauthorized {
 		t.Fatalf("wrong token: status %d, want 401", w.Code)
 	}
+	// The comparison is constant-time over the whole token: a proper
+	// prefix, an extension and the empty token are all refused.
+	for _, tok := range []string{"s3cre", "s3cret1", ""} {
+		if w := get(gw, "/search?q=0", map[string]string{"Authorization": "Bearer " + tok}); w.Code != http.StatusUnauthorized {
+			t.Fatalf("token %q: status %d, want 401", tok, w.Code)
+		}
+	}
 	if w := get(gw, "/search?q=0", map[string]string{"Authorization": "Bearer s3cret"}); w.Code != http.StatusOK {
 		t.Fatalf("right token: status %d, want 200", w.Code)
 	}
@@ -125,6 +135,49 @@ func TestGatewayRateLimit(t *testing.T) {
 	now = now.Add(time.Second)
 	if w := get(gw, "/search?q=0", tenantA); w.Code != http.StatusOK {
 		t.Fatalf("after refill: status %d", w.Code)
+	}
+}
+
+// TestGatewayRateLimitBucketsBounded: the tenant name is the caller's
+// choice, so the bucket map must not keep one entry per name ever seen.
+// A bucket back at RateBurst is dropped; one still short of it — a
+// throttled tenant — survives every sweep.
+func TestGatewayRateLimitBucketsBounded(t *testing.T) {
+	now := time.Unix(1000, 0)
+	gw, _ := newTestGateway(t, GatewayConfig{
+		RateLimit: 1, RateBurst: 2,
+		now: func() time.Time { return now },
+	}, Config{})
+	buckets := func() int {
+		gw.mu.Lock()
+		defer gw.mu.Unlock()
+		return len(gw.buckets)
+	}
+	hog := map[string]string{"X-Tenant": "hog"}
+	for i := 0; i < 2; i++ {
+		get(gw, "/search?q=0", hog)
+	}
+	// A crowd inside the hog's refill window: every name is live, the map
+	// may hold them all, and no sweep may forgive the hog.
+	for i := 0; i < 4*minBucketSweep; i++ {
+		get(gw, "/search?q=0", map[string]string{"X-Tenant": fmt.Sprintf("crowd-%d", i)})
+	}
+	if w := get(gw, "/search?q=0", hog); w.Code != http.StatusTooManyRequests {
+		t.Fatalf("throttled tenant after %d other tenants: status %d, want 429", 4*minBucketSweep, w.Code)
+	}
+	// One-off names, each a full refill window after the last: all but the
+	// newest are back at RateBurst. The map never exceeds twice the crowd
+	// that was live at once, and ends small however many names were seen.
+	peak := 2*(4*minBucketSweep+1) + minBucketSweep
+	for i := 0; i < 2000; i++ {
+		now = now.Add(2 * time.Second)
+		get(gw, "/search?q=0", map[string]string{"X-Tenant": fmt.Sprintf("once-%d", i)})
+		if n := buckets(); n > peak {
+			t.Fatalf("%d buckets after %d one-off tenants, bound %d", n, i+1, peak)
+		}
+	}
+	if n := buckets(); n > 2*minBucketSweep {
+		t.Fatalf("%d buckets left after 2000 one-off tenants", n)
 	}
 }
 
@@ -225,5 +278,49 @@ func TestGatewayDrain(t *testing.T) {
 		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: svData.Queries[:1], K: 3, NProbe: 4,
 	}); err != ErrGroupClosed {
 		t.Fatalf("group not closed after drain: %v", err)
+	}
+}
+
+// TestGatewayDrainAdmitsNothingLate: admission and Drain's flag share
+// one critical section, so no handler starts once Drain has returned and
+// closed the group. (admit used to read the flag, then join the
+// in-flight count: a request between the two ran after the drain.)
+func TestGatewayDrainAdmitsNothingLate(t *testing.T) {
+	req := httptest.NewRequest(http.MethodGet, "/search?q=0", nil)
+	for i := 0; i < 200; i++ {
+		g, err := NewGroup([]Host{newHost(t, 0, 1)}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw := NewGateway(g, GatewayConfig{})
+		var drained atomic.Bool
+		var late atomic.Int64
+		h := gw.admit()(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+			if drained.Load() {
+				late.Add(1)
+			}
+		}))
+		var wg sync.WaitGroup
+		for c := 0; c < 4; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					w := httptest.NewRecorder()
+					h.ServeHTTP(w, req)
+					if w.Code == http.StatusServiceUnavailable {
+						return
+					}
+				}
+			}()
+		}
+		if err := gw.Drain(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		drained.Store(true)
+		wg.Wait()
+		if n := late.Load(); n != 0 {
+			t.Fatalf("iteration %d: %d handlers started after Drain returned", i, n)
+		}
 	}
 }
