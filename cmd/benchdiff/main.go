@@ -10,7 +10,11 @@
 //     arrival schedule — deterministic like ModelQPS) increasing by
 //     more than -max-regress percent, or
 //   - AllocsPerOp (the zero-alloc query-path contract) increasing by
-//     more than -allocs-slack.
+//     more than -allocs-slack, or
+//   - any difference at all in the churn sweep's GC counts (CompactedRows,
+//     BlockErases, MaxBlockErase, WriteAmp): they are event counts of a
+//     deterministic mutation history, not timings, so there is no
+//     tolerance to allow.
 //
 // The remaining latency quantiles (ModelP50Ms, ModelP95Ms,
 // ModelP999Ms) and the frontier latencies are report-only, like the
@@ -58,8 +62,8 @@ var metricFields = map[string]bool{
 	"FinePages": true, "PrunedPages": true, "AbortedWaves": true,
 	"HitRate": true, "CachedPages": true, "BaseFinePages": true,
 	"Failovers": true, "Retirements": true,
-	// GC wear metrics (report-only): write amplification and erase
-	// skew from the churn experiment.
+	// GC wear metrics from the churn experiment (exactFields: gated on
+	// equality).
 	"WriteAmp": true, "MaxBlockErase": true, "CompactedRows": true,
 	"BlockErases": true,
 	// Latency-distribution metrics from the SLO sweep and the tail
@@ -86,6 +90,11 @@ var latencyFields = []struct {
 	{"ServeMs", false},
 	{"TotalMs", false},
 }
+
+// exactFields are event counts of the mutation path (GC rows collected,
+// blocks erased, erase skew, bytes programmed per payload byte): pure
+// functions of the command history, so any drift is a behaviour change.
+var exactFields = []string{"CompactedRows", "BlockErases", "MaxBlockErase", "WriteAmp"}
 
 // rowKey builds the match key of a row: the experiment id plus every
 // identity field, sorted for stability.
@@ -187,6 +196,15 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 			check("WallQPS", opt.gateWall)
 			for _, lf := range latencyFields {
 				checkRise(lf.name, lf.enforce)
+			}
+			for _, f := range exactFields {
+				cv, ok1 := num(row, f)
+				bv, ok2 := num(b, f)
+				if ok1 && ok2 && cv != bv {
+					violations = append(violations, fmt.Sprintf(
+						"%s: %s %v -> %v — GC event counts are deterministic; any difference is a behaviour change",
+						key, f, bv, cv))
+				}
 			}
 			if ca, ok1 := num(row, "AllocsPerOp"); ok1 {
 				if ba, ok2 := num(b, "AllocsPerOp"); ok2 && ca > ba+opt.allocsSlack {

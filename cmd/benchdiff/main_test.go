@@ -193,3 +193,35 @@ func TestDiffNotesMissingExperimentOnce(t *testing.T) {
 		t.Fatalf("notes: %v", notes)
 	}
 }
+
+// TestDiffChurnCountsGateOnEquality: the churn sweep's GC event counts
+// fail on any difference, in either direction — one fewer erase is as
+// much a behaviour change as one more — while identical rows pass.
+func TestDiffChurnCountsGateOnEquality(t *testing.T) {
+	mk := func(rows, erases, maxErase, writeAmp float64) *report {
+		var r report
+		r.Experiments = []struct {
+			ID   string           `json:"id"`
+			Rows []map[string]any `json:"rows"`
+		}{{ID: "churn", Rows: []map[string]any{{
+			"Dataset": "churn", "Placement": "wear-leveled", "Rounds": float64(20), "Batch": float64(63),
+			"CompactedRows": rows, "BlockErases": erases, "MaxBlockErase": maxErase, "WriteAmp": writeAmp,
+		}}}}
+		return &r
+	}
+	base := mk(46, 92, 2, 1.6981119465329992)
+	if v, _ := diff(base, mk(46, 92, 2, 1.6981119465329992), options{maxRegressPct: 25}); len(v) != 0 {
+		t.Fatalf("identical churn rows flagged: %v", v)
+	}
+	for field, cur := range map[string]*report{
+		"CompactedRows": mk(45, 92, 2, 1.6981119465329992),
+		"BlockErases":   mk(46, 94, 2, 1.6981119465329992),
+		"MaxBlockErase": mk(46, 92, 1, 1.6981119465329992),
+		"WriteAmp":      mk(46, 92, 2, 1.6981119465329990),
+	} {
+		v, _ := diff(base, cur, options{maxRegressPct: 25})
+		if len(v) != 1 || !strings.Contains(v[0], field) {
+			t.Fatalf("%s drift: violations %v", field, v)
+		}
+	}
+}

@@ -28,8 +28,14 @@
 // the queue registry and N ≥ 1 devices, and implements every host
 // operation once: reis.New is a device that is its own host (N = 1),
 // reis.NewSharded the same core over N member devices (DESIGN.md,
-// "Host core"). Sharding page-stripes one globally planned layout over
-// the members and runs the same controller and the same scan round —
+// "Host core"). The on-flash page format — binary slots linked through
+// a 9-byte OOB record to their INT8 copy and document — has one owner
+// (internal/reis/layout.go: the slot geometry, the one renderer, the one
+// parser), and the host is the one page writer: deploy, append and GC
+// copy-forward all render a global page once and program it on the
+// device that owns it (DESIGN.md, "Page format"). Sharding
+// page-stripes one globally planned layout over the members and runs
+// the same controller and the same scan round —
 // every member scans the pages it owns in place, the per-device TTL
 // streams merge in global position order straight out of the worker
 // arenas, and the tail runs over the merged stream — so results and

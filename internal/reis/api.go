@@ -3,6 +3,7 @@ package reis
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // The NVM command set reserves opcodes 80h-FFh for vendor-specific
@@ -31,8 +32,9 @@ var (
 	ErrMissingPayload = errors.New("reis: deploy command without payload")
 	// ErrNoQueries: a search command with an empty Q operand.
 	ErrNoQueries = errors.New("reis: search command without queries")
-	// ErrBadK: a search command with a non-positive K operand.
-	ErrBadK = errors.New("reis: non-positive K")
+	// ErrBadK: a search command whose K operand is non-positive or
+	// above maxK.
+	ErrBadK = errors.New("reis: K operand out of range")
 	// ErrQueryDims: query vectors of inconsistent dimensionality (within
 	// one command, or against the target database).
 	ErrQueryDims = errors.New("reis: query dimensionality mismatch")
@@ -110,8 +112,8 @@ func (cmd *HostCommand) validate() error {
 		if len(cmd.Queries) == 0 {
 			return ErrNoQueries
 		}
-		if cmd.K <= 0 {
-			return fmt.Errorf("%w (K=%d)", ErrBadK, cmd.K)
+		if err := checkK(cmd.K); err != nil {
+			return err
 		}
 		return cmd.checkQueryDims()
 	case OpcodeAppend:
@@ -169,8 +171,19 @@ func checkQueryAgainst(dim, dbID int, query []float32, k int) error {
 		return fmt.Errorf("%w (query dim %d, database %d dim %d)",
 			ErrQueryDims, len(query), dbID, dim)
 	}
-	if k <= 0 {
-		return fmt.Errorf("%w (K=%d)", ErrBadK, k)
+	return checkK(k)
+}
+
+// maxK bounds the K operand: more results per query than any device has
+// slots, and small enough that the rerank pool K × RerankFactor fits an
+// int on every platform.
+const maxK = math.MaxInt32 / RerankFactor
+
+// checkK validates a K operand — at submission (validate) and again on
+// the direct Search* methods, which bypass it.
+func checkK(k int) error {
+	if k <= 0 || k > maxK {
+		return fmt.Errorf("%w (K=%d, want 1..%d)", ErrBadK, k, maxK)
 	}
 	return nil
 }

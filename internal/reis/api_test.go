@@ -30,6 +30,12 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 		{"search-bad-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries}, ErrBadK},
 		{"search-negative-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: -3}, ErrBadK},
 		{"ivf-search-bad-k", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 0}, ErrBadK},
+		// K × RerankFactor overflows: this used to reach the tail (and,
+		// pruned, the bound tracker) and panic on the dispatcher goroutine.
+		{"search-huge-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581}, ErrBadK},
+		{"search-huge-k-pruned", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581,
+			Opt: SearchOptions{Prune: true}}, ErrBadK},
+		{"search-k-above-max", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: maxK + 1}, ErrBadK},
 		{"search-ragged-dims", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: raggedQueries, K: 5}, ErrQueryDims},
 		{"ivf-search-ragged-dims", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: raggedQueries, K: 5}, ErrQueryDims},
 		{"append-missing-payload", HostCommand{Opcode: OpcodeAppend, DBID: 1}, ErrMissingPayload},
@@ -77,6 +83,17 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 			if _, err := q.SubmitAsync(context.Background(), tc.cmd); !errors.Is(err, tc.want) {
 				t.Errorf("%s/%s: SubmitAsync error = %v, want %v", h.name, tc.name, err, tc.want)
 			}
+		}
+	}
+	// The direct Search* methods bypass submission; they refuse the same K,
+	// and the largest admitted K is served (the pool clamps to the stream).
+	for _, prune := range []bool{false, true} {
+		opt := SearchOptions{Prune: prune}
+		if _, _, err := e.Search(1, queries[0], 922337203685477581, opt); !errors.Is(err, ErrBadK) {
+			t.Errorf("Search(huge K, prune=%v) error = %v, want ErrBadK", prune, err)
+		}
+		if res, _, err := e.Search(1, queries[0], maxK, opt); err != nil || len(res) == 0 {
+			t.Errorf("Search(maxK, prune=%v) = %d results, %v", prune, len(res), err)
 		}
 	}
 }

@@ -226,16 +226,14 @@ func fillRange(first, last, embPerPage int, fetch pinFetch) (pinnedRange, error)
 	return pr, nil
 }
 
-// cachedScanParams carries the layout constants and per-query
-// predicates of a pinned scan — the same predicates, in the same order,
-// the in-plane scan applies. The controller fills it.
+// cachedScanParams carries the per-query predicates of a pinned scan —
+// the same predicates, in the same order, the in-plane scan applies. The
+// controller fills it.
 type cachedScanParams struct {
-	slotBytes  int
-	embPerPage int
-	filter     bool
-	threshold  int
-	metaTag    *uint8
-	bound      int
+	filter    bool
+	threshold int
+	metaTag   *uint8
+	bound     int
 }
 
 // scanPinned scans one pinned range from DRAM, mirroring scanPlane slot
@@ -249,51 +247,51 @@ type cachedScanParams struct {
 // keeps the surviving-entry stream a superset of what an aborted flash
 // segment would have contributed (and therefore the rerank pool
 // identical).
-func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots int) {
-	n := p.embPerPage * p.slotBytes
+func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots int) {
+	n := f.embPerPage * f.slotBytes
 	if cap(c.qRep) < n {
 		c.qRep = make([]byte, n)
 		c.xorDst = make([]byte, n)
 	}
 	qRep, xorDst := c.qRep[:n], c.xorDst[:n]
-	for off := 0; off < n; off += p.slotBytes {
-		copy(qRep[off:off+p.slotBytes], packed)
+	for off := 0; off < n; off += f.slotBytes {
+		copy(qRep[off:off+f.slotBytes], packed)
 	}
-	if cap(c.dists) < p.embPerPage {
-		c.dists = make([]int, p.embPerPage)
+	if cap(c.dists) < f.embPerPage {
+		c.dists = make([]int, f.embPerPage)
 	}
-	dists := c.dists[:p.embPerPage]
-	firstPage, lastPage := pr.first/p.embPerPage, pr.last/p.embPerPage
+	dists := c.dists[:f.embPerPage]
+	firstPage, lastPage := pr.first/f.embPerPage, pr.last/f.embPerPage
 	for pg := firstPage; pg <= lastPage; pg++ {
 		data := pr.pages[pg-pr.firstPage]
 		oob := pr.oobs[pg-pr.firstPage]
 		pages++
-		lo, hi := 0, p.embPerPage-1
+		lo, hi := 0, f.embPerPage-1
 		if pg == firstPage {
-			lo = pr.first % p.embPerPage
+			lo = pr.first % f.embPerPage
 		}
 		if pg == lastPage {
-			hi = pr.last % p.embPerPage
+			hi = pr.last % f.embPerPage
 		}
-		vecmath.XorPopCountSlots(xorDst, data[:n], qRep, p.slotBytes, lo, hi-lo+1, dists)
+		vecmath.XorPopCountSlots(xorDst, data[:n], qRep, f.slotBytes, lo, hi-lo+1, dists)
 		for s := lo; s <= hi; s++ {
 			dist := dists[s-lo]
-			dadr, radr, tag := decodeLinkage(oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot])
-			if dadr == InvalidDADR {
+			l, ok := parseLink(oob, s)
+			if !ok {
 				continue // cluster-alignment padding slot
 			}
 			slots++
 			if p.filter && dist > p.threshold {
 				continue
 			}
-			if p.metaTag != nil && tag != *p.metaTag {
+			if p.metaTag != nil && l.tag != *p.metaTag {
 				continue
 			}
 			if p.bound > 0 && dist > p.bound {
 				continue
 			}
 			dst = append(dst, TTLEntry{
-				Dist: dist, Pos: pg*p.embPerPage + s, DADR: dadr, RADR: radr, Tag: tag,
+				Dist: dist, Pos: pg*f.embPerPage + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 			})
 		}
 	}

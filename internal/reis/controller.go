@@ -45,8 +45,8 @@ type controller struct {
 	h   *hostCore
 	db  *ShardedDatabase
 	scr *ctrlScratch
-	// pin carries the layout constants and the distance-filter predicate
-	// of pinned scans; metaTag and bound are set per scan.
+	// pin carries the distance-filter predicate of pinned scans; metaTag
+	// and bound are set per scan.
 	pin cachedScanParams
 }
 
@@ -190,7 +190,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	if opt.Prune {
 		pool = rerankPool(k)
 	}
-	s.reset(queries, pool, c.pin.slotBytes)
+	s.reset(queries, pool, c.db.lay.slotBytes)
 	sts := make([]QueryStats, nq)
 	rows := c.h.shardRows(nq)
 	mut, cache, nlist := c.db.mut, c.db.cache, len(c.db.lay.rivf)
@@ -207,11 +207,11 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	if op == OpcodeSearch {
 		flatRounds = [][]SlotRange{mut.flatPlan}
 		if opt.Prune && len(mut.flatPlan) > 0 {
-			flatRounds = chunkFlatRounds(mut.flatPlan, c.pin.embPerPage, c.h.cfg.Geo.Planes())
+			flatRounds = chunkFlatRounds(mut.flatPlan, c.db.lay.embPerPage, c.h.cfg.Geo.Planes())
 		}
 	} else {
 		// Pins refresh once per IVF command, before any probe of it counts.
-		err := cache.refresh(func(cl int) []SlotRange { return mut.buckets[cl] }, c.pin.embPerPage,
+		err := cache.refresh(func(cl int) []SlotRange { return mut.buckets[cl] }, c.db.lay.embPerPage,
 			func(page int) ([]byte, []byte, error) { return c.h.fetchPin(c.db, page) })
 		if err != nil {
 			return nil, nil, nil, err
@@ -321,7 +321,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				p := c.pin
 				p.metaTag, p.bound = opt.MetaTag, s.bounds[qi]
 				var cp, cs int
-				acc, cp, cs = cache.scanPinned(pr, s.packed[qi], p, acc)
+				acc, cp, cs = cache.scanPinned(pr, s.packed[qi], &c.db.lay.pageFormat, p, acc)
 				st.CachedPages += cp
 				st.CachedSlots += cs
 			}

@@ -133,21 +133,10 @@ type Database struct {
 	// region as local pages g / stride; (0, 1) is the whole layout.
 	start, stride int
 
-	// Layout constants.
-	slotBytes   int // binary embedding bytes (dim/8)
-	embPerPage  int
-	int8Bytes   int // INT8 embedding bytes (dim)
-	int8PerPage int
-	docBytes    int // document chunk slot size
-	docsPerPage int
-
-	// rivf is the database's R-IVF table (shared with the host's layout
-	// plan); nil for flat (brute-force) databases.
-	rivf []RIVFEntry
-
-	params vecmath.Int8Params
-	// filterThreshold is the calibrated distance-filter cutoff.
-	filterThreshold int
+	// The host's layout plan, shared by every device: the page format,
+	// the R-IVF table (nil for flat databases) and the calibrated
+	// distance-filter cutoff are read through it.
+	*dbLayout
 
 	// mut is the host's mutable-state ledger when this device holds the
 	// whole layout (it is its own host, or the only member); nil for a
@@ -186,12 +175,6 @@ type RIVFEntry struct {
 	First, Last  int // embedding positions (inclusive) in the binary region
 	Tag          uint8
 }
-
-// OOB layout per embedding slot: DADR (4B) | RADR (4B) | meta tag (1B).
-const oobBytesPerSlot = 9
-
-// InvalidDADR marks a padding slot (no embedding stored).
-const InvalidDADR = ^uint32(0)
 
 // New creates an engine over a fresh SSD of the given configuration,
 // sized to hold capacityHint bytes (0 = preset size).
@@ -263,8 +246,8 @@ type DeployConfig struct {
 }
 
 // Deploy implements DB_Deploy (flat database). It reserves regions,
-// writes embeddings, rerank copies and documents, and registers the
-// database in the R-DB.
+// registers the database in the R-DB, and writes embeddings, rerank
+// copies and documents.
 func (e *Engine) Deploy(cfg DeployConfig) (*Database, error) { return whole(e.deploy(cfg, false)) }
 
 // IVFDeploy implements IVF_Deploy: like Deploy but the binary region
@@ -280,38 +263,22 @@ func whole(db *ShardedDatabase, err error) (*Database, error) {
 }
 
 // install allocates regions for the pages of a globally planned layout
-// that device (start, stride) owns, writes them, and registers the
-// database: every region holds the global pages g ≡ start (mod stride)
-// as local pages g / stride, with unmodified page and OOB bytes —
-// (0, 1) is the whole layout. Because region page i lives on plane
+// that device (start, stride) owns and registers the database; the host
+// then programs the pages (hostCore.deploy). Every region holds the
+// global pages g ≡ start (mod stride) as local pages g / stride — (0, 1)
+// is the whole layout. Because region page i lives on plane
 // i mod planes, the union of the devices' planes reproduces, plane for
 // plane, the placement a single device with stride times the channels
 // would compute — global plane j of that reference is device
 // j mod stride, local plane j / stride (see DESIGN.md, "Sharded
-// topology"). OOB linkage keeps global ids; a device never resolves
-// DADR/RADR itself.
-func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride int) (*Database, error) {
+// topology").
+func (e *Engine) install(id int, lo *dbLayout, start, stride int) (*Database, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if _, ok := e.dbs[id]; ok {
 		return nil, fmt.Errorf("reis: database %d already deployed", id)
 	}
-	db := &Database{
-		ID:              id,
-		Dim:             lo.dim,
-		N:               lo.n,
-		slotBytes:       lo.slotBytes,
-		embPerPage:      lo.embPerPage,
-		int8Bytes:       lo.int8Bytes,
-		int8PerPage:     lo.int8PerPage,
-		docBytes:        lo.docBytes,
-		docsPerPage:     lo.docsPerPage,
-		params:          lo.params,
-		filterThreshold: lo.filterThreshold,
-		rivf:            lo.rivf,
-		start:           start,
-		stride:          stride,
-	}
+	db := &Database{ID: id, Dim: lo.dim, N: lo.n, dbLayout: lo, start: start, stride: stride}
 	// Every shard reserves capacity for the same number of stripes the
 	// single-device-equivalent extent spans, so growth and GC erase the
 	// same block-rows on every topology (planes per global stripe =
@@ -356,84 +323,12 @@ func (e *Engine) install(id int, lo *dbLayout, items *layoutItems, start, stride
 	if err := e.SSD.RDB.Register(db.rec); err != nil {
 		return nil, err
 	}
-
-	if err := e.writeSlotted(docR, items.docs, db.docBytes, db.docsPerPage, nil, start, stride); err != nil {
-		return nil, err
-	}
-	if err := e.writeSlotted(int8R, items.int8s, db.int8Bytes, db.int8PerPage, nil, start, stride); err != nil {
-		return nil, err
-	}
-	if err := e.writeSlotted(embR, items.bins, db.slotBytes, db.embPerPage, items.oobs, start, stride); err != nil {
-		return nil, err
-	}
-	if items.cents != nil {
-		if err := e.writeSlotted(centR, items.cents, db.slotBytes, db.embPerPage, nil, start, stride); err != nil {
-			return nil, err
-		}
-	}
-	// Page-level FTL metadata was needed for the writes above; flush
-	// it now that coarse-grained access takes over (Sec 4.1.4).
+	// The database is addressed through its R-DB record alone: no
+	// page-level FTL entry outlives the deploy (Sec 4.1.4).
 	e.SSD.FTL.Drop(0, int64(e.SSD.Cfg.Geo.TotalPages()))
 
 	e.dbs[id] = db
 	return db, nil
-}
-
-// writeSlotted packs items (each at most slotBytes) into region pages,
-// slotsPerPage per page, with optional per-item OOB records. Local
-// page p of the region holds the items of global page start + p*stride
-// — (0, 1) writes the whole item list, a shard writes its page-stride
-// subset.
-func (e *Engine) writeSlotted(r ssd.Region, items [][]byte, slotBytes, slotsPerPage int, oobs [][]byte, start, stride int) error {
-	geo := e.SSD.Cfg.Geo
-	page := make([]byte, geo.PageBytes)
-	oob := make([]byte, geo.OOBBytes)
-	for p := 0; p < r.Pages(); p++ {
-		for i := range page {
-			page[i] = 0
-		}
-		for i := range oob {
-			oob[i] = 0
-		}
-		g := start + p*stride
-		for s := 0; s < slotsPerPage; s++ {
-			idx := g*slotsPerPage + s
-			if idx >= len(items) {
-				break
-			}
-			copy(page[s*slotBytes:(s+1)*slotBytes], items[idx])
-			if oobs != nil {
-				copy(oob[s*oobBytesPerSlot:(s+1)*oobBytesPerSlot], oobs[idx])
-			}
-		}
-		if err := e.SSD.WriteRegionPage(r, p, page, oob); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func encodeLinkage(dadr, radr uint32, tag uint8) []byte {
-	b := make([]byte, oobBytesPerSlot)
-	putU32(b[0:], dadr)
-	putU32(b[4:], radr)
-	b[8] = tag
-	return b
-}
-
-func decodeLinkage(b []byte) (dadr, radr uint32, tag uint8) {
-	return getU32(b[0:]), getU32(b[4:]), b[8]
-}
-
-func putU32(b []byte, v uint32) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 }
 
 // buildRIVF computes the per-cluster positional ranges of the

@@ -398,9 +398,9 @@ func TestChurnRecyclesFreedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.mut.binPages <= db.mut.capBin {
+	if db.mut.binPages <= db.embCap {
 		t.Fatalf("logical tail %d pages never exceeded the planned capacity %d: churn too light to prove recycling",
-			db.mut.binPages, db.mut.capBin)
+			db.mut.binPages, db.embCap)
 	}
 	if got, want := db.Live(), 900-15*rounds+batch; got != want {
 		t.Fatalf("Live() = %d, want %d", got, want)

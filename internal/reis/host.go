@@ -70,6 +70,10 @@ type hostCore struct {
 type hostScratch struct {
 	ctrl ctrlScratch
 	tail tailScratch
+	// page and oob are the one page writer's render buffers (writePages
+	// alone touches them): flash.Device.Program copies what it is handed,
+	// so one pair serves every page of every deploy, append and GC step.
+	page, oob []byte
 	// A scan round's join and per-device outcomes, and the cross-device
 	// fold: streams[s] is device s's share of the segment being folded,
 	// lists the non-empty ones being merged.
@@ -123,6 +127,8 @@ func (c *hostCore) init(cfg ssd.Config, opts Options, devs []*Engine) {
 	c.dbs = make(map[int]*ShardedDatabase)
 	c.scr.errs = make([]error, len(devs))
 	c.scr.streams = make([][]TTLEntry, len(devs))
+	c.scr.page = make([]byte, cfg.Geo.PageBytes)
+	c.scr.oob = make([]byte, cfg.Geo.OOBBytes)
 }
 
 // lock takes the execution lock for a command, refusing once the host
@@ -224,9 +230,11 @@ func (c *hostCore) Close() error {
 
 // deploy plans the layout globally — exactly as one device with N times
 // the channels would (planLayout: same placement order, padding, page
-// counts) — and installs device s's page-stride share (s, N) on every
-// device. ivf selects IVF_Deploy (cluster-sorted placement plus the
-// R-IVF table, which stays in the host's controller DRAM) over DB_Deploy.
+// counts) — has every device reserve and register its page-stride share
+// (s, N), then renders each global page once and programs it on its
+// owner through the one page writer mutations use. ivf selects
+// IVF_Deploy (cluster-sorted placement plus the R-IVF table, which stays
+// in the host's controller DRAM) over DB_Deploy.
 func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) {
 	if !ivf {
 		cfg.Centroids, cfg.Assign = nil, nil
@@ -241,29 +249,50 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) 
 	if _, ok := c.dbs[cfg.ID]; ok {
 		return nil, fmt.Errorf("reis: database %d already deployed", cfg.ID)
 	}
-	geo := c.cfg.Geo
-	lo, err := planLayout(&cfg, geo, c.cfg.OverprovisionPct)
+	lo, err := planLayout(&cfg, c.cfg.Geo, c.cfg.OverprovisionPct)
 	if err != nil {
 		return nil, err
 	}
-	items := lo.buildItems(&cfg)
-	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, geo, c.opts.FirstFitPlacement)}
+	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, c.opts.FirstFitPlacement)}
 	if cb := c.cfg.CacheDRAMBytes; cb > 0 {
-		db.cache = newDBCache(cb, geo.PageBytes, geo.OOBBytes, len(lo.rivf))
+		db.cache = newDBCache(cb, lo.pageBytes, lo.oobBytes, len(lo.rivf))
+	}
+	// A failed deploy rolls the id back off the devices that already
+	// registered it, so it is not poisoned (the bump-cursor allocator
+	// cannot reclaim the reserved stripes, but the id and R-DB records
+	// are freed for a retry).
+	rollback := func(n int) {
+		for _, done := range c.devs[:n] {
+			done.dropDB(cfg.ID)
+		}
 	}
 	for s, d := range c.devs {
-		local, err := d.install(cfg.ID, lo, items, s, len(c.devs))
+		local, err := d.install(cfg.ID, lo, s, len(c.devs))
 		if err != nil {
-			// Roll the id back off the devices that already succeeded, so
-			// a failed deploy does not poison it (the bump-cursor
-			// allocator cannot reclaim the written stripes, but the id
-			// and R-DB records are freed for a retry).
-			for _, done := range c.devs[:s] {
-				done.dropDB(cfg.ID)
-			}
+			rollback(s)
 			return nil, fmt.Errorf("reis: device %d: %w", s, err)
 		}
 		db.locals = append(db.locals, local)
+	}
+	// Documents and INT8 copies sit in original-id order from slot 0;
+	// their pages, like the centroids', are programmed under a zeroed
+	// OOB. Binary pages carry the linkage.
+	t := mutTarget{c, db}
+	bin := lo.binSlots(cfg.Vectors)
+	for _, w := range []struct {
+		region regionOf
+		pages  int
+		render func(page, oob []byte, g int)
+	}{
+		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderDocs(page, g, cfg.Docs, 0) }},
+		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderInt8(page, g, cfg.Vectors, 0) }},
+		{embRegion, lo.embPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, bin) }},
+		{centRegion, lo.centPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }},
+	} {
+		if err := t.writePages(w.region, 0, w.pages, true, w.render); err != nil {
+			rollback(len(c.devs))
+			return nil, err
+		}
 	}
 	if len(c.devs) == 1 {
 		// The one device holds the whole layout: its Database reports
@@ -450,10 +479,7 @@ func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]flo
 	defer c.unlockDevs()
 	ctl := controller{
 		h: c, db: db, scr: &c.scr.ctrl,
-		pin: cachedScanParams{
-			slotBytes: db.lay.slotBytes, embPerPage: db.lay.embPerPage,
-			filter: c.opts.DistanceFilter, threshold: db.lay.filterThreshold,
-		},
+		pin: cachedScanParams{filter: c.opts.DistanceFilter, threshold: db.lay.filterThreshold},
 	}
 	return ctl.search(ctx, cmd, queries, useCache)
 }
@@ -663,14 +689,13 @@ type mutTarget struct {
 	db *ShardedDatabase
 }
 
-// onOwner runs f on the device owning global page g, with its slice of
-// the database and the local page number.
-func (t mutTarget) onOwner(g int, f func(d *Engine, local *Database, l int) error) error {
-	d, local, l := t.c.owner(t.db, g)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return f(d, local, l)
-}
+// regionOf selects one region of a device's slice of the database.
+type regionOf func(*Database) ssd.Region
+
+func embRegion(db *Database) ssd.Region  { return db.rec.Embeddings }
+func centRegion(db *Database) ssd.Region { return db.rec.Centroids }
+func int8Region(db *Database) ssd.Region { return db.rec.Int8s }
+func docRegion(db *Database) ssd.Region  { return db.rec.Documents }
 
 // onAll runs f on every device in turn.
 func (t mutTarget) onAll(f func(s int, d *Engine, local *Database) error) error {
@@ -688,31 +713,36 @@ func (t mutTarget) onAll(f func(s int, d *Engine, local *Database) error) error 
 // readBinPage senses global binary-region page g through the
 // conventional path (data and OOB are freshly allocated).
 func (t mutTarget) readBinPage(g int) (data, oob []byte, err error) {
-	err = t.onOwner(g, func(d *Engine, local *Database, l int) error {
-		data, oob, err = d.SSD.ReadRegionPage(local.rec.Embeddings, l)
-		return err
-	})
-	return data, oob, err
+	d, local, l := t.c.owner(t.db, g)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.SSD.ReadRegionPage(local.rec.Embeddings, l)
 }
 
-// writeBinPage / writeInt8Page / writeDocPage program one global page.
-// The page must be erased (out-of-place writes only).
-func (t mutTarget) writeBinPage(g int, data, oob []byte) error {
-	return t.onOwner(g, func(d *Engine, local *Database, l int) error {
-		return d.SSD.WriteRegionPage(local.rec.Embeddings, l, data, oob)
-	})
-}
-
-func (t mutTarget) writeInt8Page(g int, data []byte) error {
-	return t.onOwner(g, func(d *Engine, local *Database, l int) error {
-		return d.SSD.WriteRegionPage(local.rec.Int8s, l, data, nil)
-	})
-}
-
-func (t mutTarget) writeDocPage(g int, data []byte) error {
-	return t.onOwner(g, func(d *Engine, local *Database, l int) error {
-		return d.SSD.WriteRegionPage(local.rec.Documents, l, data, nil)
-	})
+// writePages is the one page writer — deploy, append and GC copy-forward
+// all program through it. It renders global pages [from, to) of a region
+// one at a time into the host's page buffer and programs each on its
+// owner. With carryOOB the pages are programmed with the host's OOB
+// buffer, zeroed here and then whatever render makes of it; without, with
+// no OOB at all (render gets nil). The pages must be erased (out-of-place
+// writes only).
+func (t mutTarget) writePages(region regionOf, from, to int, carryOOB bool, render func(page, oob []byte, g int)) error {
+	page, oob := t.c.scr.page, []byte(nil)
+	if carryOOB {
+		oob = t.c.scr.oob
+		clear(oob)
+	}
+	for g := from; g < to; g++ {
+		render(page, oob, g)
+		d, local, l := t.c.owner(t.db, g)
+		d.mu.Lock()
+		err := d.SSD.WriteRegionPage(region(local), l, page, oob)
+		d.mu.Unlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // growBin binds the given physical rows to the next logical rows of the
@@ -784,7 +814,7 @@ func (c *hostCore) owner(db *ShardedDatabase, g int) (d *Engine, local *Database
 
 // readPage reads one global page of a region through the conventional
 // path, from the device that owns it, into data/oob (grown as needed).
-func (c *hostCore) readPage(db *ShardedDatabase, region func(*Database) ssd.Region, page int, data, oob []byte) ([]byte, []byte, error) {
+func (c *hostCore) readPage(db *ShardedDatabase, region regionOf, page int, data, oob []byte) ([]byte, []byte, error) {
 	d, local, l := c.owner(db, page)
 	addr, err := region(local).AddressOf(d.SSD.Cfg.Geo, l)
 	if err != nil {
@@ -799,52 +829,18 @@ func (c *hostCore) readPage(db *ShardedDatabase, region func(*Database) ssd.Regi
 // sensing latch would hold — and to the reference device's page — and
 // the read consumes no error-injection randomness.
 func (c *hostCore) fetchPin(db *ShardedDatabase, page int) ([]byte, []byte, error) {
-	return c.readPage(db, func(db *Database) ssd.Region { return db.rec.Embeddings }, page, nil, nil)
+	return c.readPage(db, embRegion, page, nil, nil)
 }
 
-// tailSource senses one page of the INT8 (rerank) or document region
-// for the controller tail, using ts.pageBuf/ts.oobBuf as the backing
-// buffers (the returned slice is valid until the next read). The plane
-// index it reports is the *global* plane (page mod total planes) —
-// exactly the plane the page occupies on the single-device reference,
-// so rerank wave accounting matches bit for bit on every topology.
-type tailSource struct {
-	c  *hostCore
-	db *ShardedDatabase
-}
-
-func (t *tailSource) readPage(ts *tailScratch, region func(*Database) ssd.Region, page int) ([]byte, int, error) {
-	data, oob, err := t.c.readPage(t.db, region, page, ts.pageBuf, ts.oobBuf)
+// readTailPage senses one page of the INT8 (rerank) or document region
+// for the controller tail, using the tail scratch's page buffers (the
+// returned slice is valid until the next read).
+func (c *hostCore) readTailPage(db *ShardedDatabase, region regionOf, page int) ([]byte, error) {
+	ts := &c.scr.tail
+	data, oob, err := c.readPage(db, region, page, ts.pageBuf, ts.oobBuf)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	ts.pageBuf, ts.oobBuf = data, oob
-	return data, page % t.c.cfg.Geo.Planes(), nil
-}
-
-func (t *tailSource) readRerankPage(ts *tailScratch, page int) ([]byte, int, error) {
-	return t.readPage(ts, func(db *Database) ssd.Region { return db.rec.Int8s }, page)
-}
-
-func (t *tailSource) readDocPage(ts *tailScratch, page int) ([]byte, int, error) {
-	return t.readPage(ts, func(db *Database) ssd.Region { return db.rec.Documents }, page)
-}
-
-// tail runs the shared controller tail (runTail) over a query's merged
-// entry stream.
-func (c *hostCore) tail(db *ShardedDatabase, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
-	src := tailSource{c, db}
-	lay := db.lay
-	tp := tailParams{
-		int8Bytes:   lay.int8Bytes,
-		int8PerPage: lay.int8PerPage,
-		docsPerPage: lay.docsPerPage,
-		docBytes:    lay.docBytes,
-		planes:      c.cfg.Geo.Planes(),
-		params:      lay.params,
-	}
-	if db.mut.deadCount > 0 {
-		tp.dead = db.mut.tomb
-	}
-	return runTail(&src, &c.scr.tail, tp, query, entries, k, opt, st)
+	return data, nil
 }

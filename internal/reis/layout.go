@@ -1,6 +1,7 @@
 package reis
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -8,32 +9,120 @@ import (
 	"reis/internal/vecmath"
 )
 
-// This file computes the on-device placement of one database
-// independently of which device (or devices) will hold it. planLayout
-// resolves the Sec 4.1 layout — slot geometry, cluster-sorted
-// placement order with page-alignment padding, region page counts, the
-// R-IVF table, INT8 quantization parameters and the distance-filter
-// threshold — and buildItems renders the per-slot page contents.
+// This file owns the database page format and computes the on-device
+// placement of one database independently of which device (or devices)
+// will hold it. pageFormat is the slot geometry plus the only code that
+// renders a binary, INT8 or document page from slots and the only code
+// that parses one back (see DESIGN.md, "Page format"); planLayout
+// resolves the Sec 4.1 layout — that geometry, cluster-sorted placement
+// order with page-alignment padding, region page counts, the R-IVF
+// table, INT8 quantization parameters and the distance-filter threshold.
 //
-// Both the single-device deploy and the sharded deploy consume the
-// same plan: a shard stores a page-stride subset of the globally
-// planned pages with unmodified bytes, which is what makes sharded
-// scans bit-identical to a single device (see DESIGN.md, "Sharded
-// topology").
+// Every topology consumes the same plan and the same rendered pages: the
+// host programs global page g on device g mod N with unmodified bytes,
+// which is what makes sharded scans bit-identical to a single device
+// (see DESIGN.md, "Sharded topology").
 
-// dbLayout is the device-independent placement plan of one database.
-type dbLayout struct {
-	dim int
-	n   int
-
-	// Slot geometry (identical on every device built from a shared
-	// config: it depends only on page and OOB sizes).
+// pageFormat is the slot geometry of one database: identical on every
+// device built from a shared config, since it depends only on the
+// dimensions and the page and OOB sizes. The layout plan, every device's
+// Database and the mutable-state ledger all read this one value.
+type pageFormat struct {
 	slotBytes   int // binary embedding bytes (dim/8)
 	embPerPage  int
 	int8Bytes   int // INT8 embedding bytes (dim)
 	int8PerPage int
 	docBytes    int // document chunk slot size
 	docsPerPage int
+	pageBytes   int
+	oobBytes    int
+	params      vecmath.Int8Params
+}
+
+// OOB layout per embedding slot: DADR (4B) | RADR (4B) | meta tag (1B),
+// little-endian.
+const oobBytesPerSlot = 9
+
+// InvalidDADR marks a padding slot (no embedding stored).
+const InvalidDADR = ^uint32(0)
+
+// slotLink is a binary slot's OOB record: the addresses of its document
+// (DADR) and INT8 rerank copy (RADR), and its metadata tag.
+type slotLink struct {
+	dadr, radr uint32
+	tag        uint8
+}
+
+// slotEntry is one stored binary embedding: its packed code and linkage.
+type slotEntry struct {
+	slotLink
+	code []byte
+}
+
+// renderBin renders global page g of a binary (embedding or centroid)
+// region into page and oob. Slot s holds what at reports for region
+// position g*embPerPage+s — at writes the packed code straight into the
+// slot it is handed — and a padding record over a zero code where at
+// reports false.
+func (f *pageFormat) renderBin(page, oob []byte, g int, at func(pos int, code []byte) (slotLink, bool)) {
+	clear(page)
+	clear(oob)
+	for s := 0; s < f.embPerPage; s++ {
+		l, ok := at(g*f.embPerPage+s, f.code(page, s))
+		if !ok {
+			l = slotLink{dadr: InvalidDADR}
+		}
+		rec := oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot]
+		binary.LittleEndian.PutUint32(rec[0:], l.dadr)
+		binary.LittleEndian.PutUint32(rec[4:], l.radr)
+		rec[8] = l.tag
+	}
+}
+
+// parseLink reads slot s's record out of a binary page's OOB area; ok is
+// false for a padding slot.
+func parseLink(oob []byte, s int) (l slotLink, ok bool) {
+	rec := oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot]
+	l = slotLink{binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]), rec[8]}
+	return l, l.dadr != InvalidDADR
+}
+
+// code is slot s's packed embedding within a binary page.
+func (f *pageFormat) code(page []byte, s int) []byte {
+	return page[s*f.slotBytes : (s+1)*f.slotBytes]
+}
+
+// renderInt8 renders global page g of the INT8 region, in which vecs[i]
+// occupies slot first+i quantized under the deployment's parameters;
+// every other slot of the page stays zero.
+func (f *pageFormat) renderInt8(page []byte, g int, vecs [][]float32, first int) {
+	clear(page)
+	var q8 []int8
+	for s := 0; s < f.int8PerPage; s++ {
+		if i := g*f.int8PerPage + s - first; i >= 0 && i < len(vecs) {
+			q8 = f.params.Int8Quantize(vecs[i], q8)
+			vecmath.PackInt8Bytes(q8, page[s*f.int8Bytes:(s+1)*f.int8Bytes])
+		}
+	}
+}
+
+// renderDocs renders global page g of the document region, in which
+// docs[i] occupies slot first+i (zero-padded to the slot size).
+func (f *pageFormat) renderDocs(page []byte, g int, docs [][]byte, first int) {
+	clear(page)
+	for s := 0; s < f.docsPerPage; s++ {
+		if i := g*f.docsPerPage + s - first; i >= 0 && i < len(docs) {
+			copy(page[s*f.docBytes:(s+1)*f.docBytes], docs[i])
+		}
+	}
+}
+
+// dbLayout is the device-independent placement plan of one database.
+type dbLayout struct {
+	dim int
+	n   int
+
+	pageFormat
 
 	// order[pos] is the original id at region position pos, or -1 for
 	// cluster-alignment padding; regionSlots == len(order).
@@ -51,13 +140,13 @@ type dbLayout struct {
 	embCap, int8Cap, docCap int
 
 	// ppb is the flash pages-per-block constant the layout was planned
-	// under: the garbage collector's row granularity (a GC row is ppb
-	// consecutive region pages, so victim selection is identical across
-	// topologies sharing the block shape).
-	ppb int
+	// under, and rowPages the garbage collector's row granularity:
+	// planes_global * ppb consecutive global binary-region pages — one
+	// block per plane on every device, so victim selection is identical
+	// across topologies sharing the block shape.
+	ppb, rowPages int
 
 	rivf            []RIVFEntry
-	params          vecmath.Int8Params
 	filterThreshold int
 	metaTags        []uint8
 
@@ -85,14 +174,14 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 		cfg.DocSlotBytes = 4096
 	}
 	dim := len(cfg.Vectors[0])
-	lo := &dbLayout{
-		dim:       dim,
-		n:         n,
+	lo := &dbLayout{dim: dim, n: n, pageFormat: pageFormat{
 		slotBytes: vecmath.WordsPerVector(dim) * 8,
 		int8Bytes: dim,
 		docBytes:  cfg.DocSlotBytes,
+		pageBytes: geo.PageBytes,
+		oobBytes:  geo.OOBBytes,
 		params:    vecmath.ComputeInt8Params(cfg.Vectors),
-	}
+	}}
 	// Embeddings per page are bounded both by the user-data area and by
 	// the OOB area, which must hold one linkage record per slot
 	// (Sec 4.1.3: linkage uses a small fraction of OOB at the paper's
@@ -152,6 +241,7 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 	lo.int8Cap = withHeadroom(lo.int8Pages, overprovisionPct)
 	lo.docCap = withHeadroom(lo.docPages, overprovisionPct)
 	lo.ppb = geo.PagesPerBlock
+	lo.rowPages = geo.Planes() * lo.ppb
 	// The binary region reclaims space at GC-row granularity (one block
 	// per plane), and copy-forward is strictly out-of-place: collecting
 	// a victim row needs a fresh row to relocate its survivors into. An
@@ -161,8 +251,7 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 	// Immutable deployments (no overprovisioning) reserve nothing, so
 	// exact-fit layouts on small devices still deploy.
 	if overprovisionPct > 0 {
-		rowPages := geo.Planes() * lo.ppb
-		if minCap := (ceilDiv(lo.embPages, rowPages) + 1) * rowPages; lo.embCap < minCap {
+		if minCap := (ceilDiv(lo.embPages, lo.rowPages) + 1) * lo.rowPages; lo.embCap < minCap {
 			lo.embCap = minCap
 		}
 	}
@@ -193,46 +282,35 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 	return lo, nil
 }
 
-// layoutItems are the rendered per-slot page contents of a plan: for
-// every region, the byte slice stored in each slot (global slot order).
-// A padding slot has a nil bins entry and an invalid-DADR OOB record.
-type layoutItems struct {
-	bins  [][]byte // binary region slots, placement order
-	oobs  [][]byte // OOB linkage per binary slot
-	int8s [][]byte // INT8 region slots, original-id order
-	docs  [][]byte // document region slots, original-id order
-	cents [][]byte // centroid region slots (nil for flat)
+// binSlots is the deployed binary region as renderBin reads it:
+// position pos holds the binary code of vectors[order[pos]], linked to
+// that id — documents and INT8 copies are stored in original-id order,
+// so DADR and RADR are both the id, resolvable by arithmetic — or padding.
+// Positions past the plan keep an all-zero record: no scan plan reaches
+// them.
+func (lo *dbLayout) binSlots(vectors [][]float32) func(pos int, code []byte) (slotLink, bool) {
+	var bits []uint64
+	return func(pos int, code []byte) (slotLink, bool) {
+		if pos >= len(lo.order) {
+			return slotLink{}, true
+		}
+		id := lo.order[pos]
+		if id < 0 {
+			return slotLink{}, false
+		}
+		bits = vecmath.BinaryQuantize(vectors[id], bits)
+		vecmath.PackBinaryBytes(bits, code)
+		return slotLink{uint32(id), uint32(id), lo.metaTags[pos]}, true
+	}
 }
 
-// buildItems renders the page contents of the plan. Documents and INT8
-// copies are stored in original-id order, so DADR and RADR are the
-// original id, resolvable by arithmetic; binary slots carry OOB
-// linkage.
-func (lo *dbLayout) buildItems(cfg *DeployConfig) *layoutItems {
-	it := &layoutItems{docs: cfg.Docs}
-	it.int8s = make([][]byte, lo.n)
-	for i, v := range cfg.Vectors {
-		it.int8s[i] = vecmath.PackInt8Bytes(lo.params.Int8Quantize(v, nil), nil)
+// centSlots is the centroid region: cluster c's code at position c under
+// an all-zero record (a coarse scan reads the cluster from the position).
+func (lo *dbLayout) centSlots(pos int, code []byte) (slotLink, bool) {
+	if pos < len(lo.centCodes) {
+		vecmath.PackBinaryBytes(lo.centCodes[pos], code)
 	}
-	it.bins = make([][]byte, len(lo.order))
-	it.oobs = make([][]byte, len(lo.order))
-	for pos, id := range lo.order {
-		if id < 0 {
-			it.bins[pos] = nil
-			it.oobs[pos] = encodeLinkage(InvalidDADR, 0, 0)
-			continue
-		}
-		code := vecmath.BinaryQuantize(cfg.Vectors[id], nil)
-		it.bins[pos] = vecmath.PackBinaryBytes(code, nil)
-		it.oobs[pos] = encodeLinkage(uint32(id), uint32(id), lo.metaTags[pos])
-	}
-	if len(cfg.Centroids) > 0 {
-		it.cents = make([][]byte, len(cfg.Centroids))
-		for c, v := range cfg.Centroids {
-			it.cents[c] = vecmath.PackBinaryBytes(vecmath.BinaryQuantize(v, nil), nil)
-		}
-	}
-	return it
+	return slotLink{}, true
 }
 
 // withHeadroom returns pages grown by pct percent (rounded up).

@@ -2,8 +2,8 @@ package reis
 
 import (
 	"fmt"
+	"slices"
 
-	"reis/internal/flash"
 	"reis/internal/ssd"
 	"reis/internal/vecmath"
 )
@@ -28,7 +28,10 @@ import (
 // on every shard of a sharded deployment, keeping wear accounting
 // bit-identical across topologies.
 //
-// Two-level split, mirroring planLayout/install:
+// Two-level split, mirroring planLayout/install. Appends and
+// copy-forward steps place and program their entries through one tail
+// allocator (writeTail / commitTail), and every page either of them
+// programs is rendered by the page format's owner (layout.go):
 //
 //   - mutState is the geometry-independent half: per-cluster segment
 //     lists (the scan plan), the tombstone bitmap, the id→position
@@ -141,43 +144,27 @@ type WearStats struct {
 	WriteAmp float64
 }
 
-// mutLayout carries the layout constants mutation logic needs —
-// identical on every topology deployed from the same plan.
-type mutLayout struct {
-	dim         int
-	slotBytes   int
-	embPerPage  int
-	int8Bytes   int
-	int8PerPage int
-	docBytes    int
-	docsPerPage int
-	pageBytes   int
-	oobBytes    int
-	ppb         int // flash pages per block
-	rowPages    int // GC row granularity: planes_global * ppb global pages
-	nlist       int // 0 for flat
-	params      vecmath.Int8Params
-}
-
 // mutState is the geometry-independent mutable metadata of one
 // deployed database. It lives in controller DRAM next to the R-IVF
 // table; the execMu holder of the owning host is its single writer.
 type mutState struct {
-	lay mutLayout
+	// lay is the database's layout plan: the page format, the GC row
+	// granularity and the cluster count — identical on every topology
+	// deployed from the same plan.
+	lay *dbLayout
 
 	// buckets[c] is cluster c's posting list: the binary-region slot
 	// ranges scanned for the cluster, in scan order. Nil for flat
 	// databases.
 	buckets [][]SlotRange
 
-	// centCodes[c] / radius[c] are cluster c's binary centroid code and
-	// its current binary covering radius (max Hamming distance from the
-	// code to any member, deployed or appended) — the lower-bound input
-	// of threshold pruning. Appends only grow a radius; compaction keeps
-	// it (conservative: a stale-large radius weakens pruning but never
+	// radius[c] is cluster c's current binary covering radius (max
+	// Hamming distance from its centroid code, lay.centCodes[c], to any
+	// member, deployed or appended) — the lower-bound input of threshold
+	// pruning. Appends only grow a radius; compaction keeps it
+	// (conservative: a stale-large radius weakens pruning but never
 	// threatens correctness). Nil for flat databases.
-	centCodes [][]uint64
-	radius    []int
+	radius []int
 
 	// flatPlan is the brute-force scan plan: the live slot ranges of
 	// the whole binary region in position order — the deployed extent
@@ -201,12 +188,6 @@ type mutState struct {
 	// batch.
 	int8Slots, int8Pages int
 	docSlots, docPages   int
-
-	// Planned capacities (global pages) from the layout. The aux
-	// regions gate appends against them (append-only address spaces);
-	// the binary region instead gates on free physical rows, since GC
-	// recycles its extent.
-	capBin, capInt8, capDoc int
 
 	// tomb is the tombstone bitmap, indexed by id; posOf maps ids to
 	// their binary slot position (-1: never issued or collected away
@@ -243,57 +224,38 @@ type mutState struct {
 	deadCount int // tombstoned, not yet collected
 }
 
-// newMutState derives the initial mutable metadata from a layout plan.
-// geo must be the global (single-device-equivalent) geometry.
-func newMutState(lo *dbLayout, geo flash.Geometry, firstFit bool) *mutState {
-	rowPages := geo.Planes() * lo.ppb
+// newMutState derives the initial mutable metadata from a layout plan
+// (planned under the global, single-device-equivalent geometry).
+func newMutState(lo *dbLayout, firstFit bool) *mutState {
 	m := &mutState{
-		lay: mutLayout{
-			dim:         lo.dim,
-			slotBytes:   lo.slotBytes,
-			embPerPage:  lo.embPerPage,
-			int8Bytes:   lo.int8Bytes,
-			int8PerPage: lo.int8PerPage,
-			docBytes:    lo.docBytes,
-			docsPerPage: lo.docsPerPage,
-			pageBytes:   geo.PageBytes,
-			oobBytes:    geo.OOBBytes,
-			ppb:         lo.ppb,
-			rowPages:    rowPages,
-			nlist:       len(lo.rivf),
-			params:      lo.params,
-		},
+		lay:       lo,
 		tailSlots: lo.regionSlots,
 		binPages:  lo.embPages,
 		int8Slots: lo.n,
 		int8Pages: lo.int8Pages,
 		docSlots:  lo.n,
 		docPages:  lo.docPages,
-		capBin:    lo.embCap,
-		capInt8:   lo.int8Cap,
-		capDoc:    lo.docCap,
 		firstFit:  firstFit,
 		live:      lo.n,
 	}
 	m.flatPlan = []SlotRange{{First: 0, Last: lo.regionSlots - 1}}
-	if m.lay.nlist > 0 {
-		m.buckets = make([][]SlotRange, m.lay.nlist)
+	if !m.flat() {
+		m.buckets = make([][]SlotRange, len(lo.rivf))
 		for c, ent := range lo.rivf {
 			if ent.First >= 0 {
 				m.buckets[c] = []SlotRange{{First: ent.First, Last: ent.Last}}
 			}
 		}
-		// The radius ledger is mutable (appends can grow it); the codes
-		// are immutable and shared with the layout.
-		m.centCodes = lo.centCodes
+		// The radius ledger is mutable (appends can grow it); the plan's
+		// is the deployed one.
 		m.radius = append([]int(nil), lo.radius...)
 	}
 	// Deployed rows are identity-mapped; the rest of the reserved
 	// extent is the free pool. Both counts are pure functions of the
 	// plan and the global geometry, so every topology starts with the
 	// same pool.
-	initRows := ceilDiv(lo.embPages, rowPages)
-	physRows := ceilDiv(lo.embCap, rowPages)
+	initRows := ceilDiv(lo.embPages, lo.rowPages)
+	physRows := ceilDiv(lo.embCap, lo.rowPages)
 	m.rowLive = make([]int, initRows)
 	m.rowDead = make([]int, initRows)
 	m.rowGone = make([]bool, initRows)
@@ -322,7 +284,7 @@ func (m *mutState) rowOf(pos int) int { return pos / m.lay.embPerPage / m.lay.ro
 func (m *mutState) Live() int { return m.live }
 
 // flat reports whether the database has no IVF structure.
-func (m *mutState) flat() bool { return m.lay.nlist == 0 }
+func (m *mutState) flat() bool { return len(m.lay.rivf) == 0 }
 
 func alignUp(x, a int) int { return (x + a - 1) / a * a }
 
@@ -386,13 +348,109 @@ func (m *mutState) takeFreeRows(t mutTarget, k int) []int {
 	return sel
 }
 
+// tailRun is one page-aligned slot run bound for the binary region's
+// tail: one bucket's share of an append batch or of a collected row's
+// survivors, in scan order.
+type tailRun struct {
+	bucket  int // cluster; 0 on a flat database
+	entries []slotEntry
+	start   int // first slot, assigned by writeTail
+}
+
+// at is the run as renderBin reads it: padding outside its entries.
+func (r *tailRun) at(pos int, code []byte) (slotLink, bool) {
+	if i := pos - r.start; i >= 0 && i < len(r.entries) {
+		copy(code, r.entries[i].code)
+		return r.entries[i].slotLink, true
+	}
+	return slotLink{}, false
+}
+
+// program renders and programs global pages [from, to) of a region
+// through the one page writer, charging them to the command's wear stats
+// and the database's flash-traffic ledger.
+func (m *mutState) program(t mutTarget, wear *WearStats, region regionOf, from, to int, carryOOB bool, render func(page, oob []byte, g int)) error {
+	if err := t.writePages(region, from, to, carryOOB, render); err != nil {
+		return err
+	}
+	wear.PagesProgrammed += to - from
+	m.bytesFlash += int64(to-from) * int64(m.lay.pageBytes)
+	return nil
+}
+
+// writeTail is the physical half of the one tail allocator, shared by
+// appends and GC copy-forward. It places the runs from cursor on, each
+// on a fresh page (so a bucket's scan never senses another bucket's
+// slots), binds wear-selected free rows for whatever the new extent
+// needs beyond the mapped rows, and programs the runs' pages
+// out-of-place. The row gate comes before any physical effect: the
+// binary region fills only when the free-row pool — which GC refills —
+// runs dry, never while live data fits. It returns the new tail; the
+// scan plans describe the old state until commitTail.
+func (m *mutState) writeTail(t mutTarget, runs []tailRun, cursor int, wear *WearStats) (int, error) {
+	lay := m.lay
+	for i := range runs {
+		runs[i].start = alignUp(cursor, lay.embPerPage)
+		cursor = runs[i].start + len(runs[i].entries)
+	}
+	binPages := ceilDiv(cursor, lay.embPerPage)
+	growth := ceilDiv(binPages, lay.rowPages) - len(m.rowPhys)
+	if growth > len(m.freeRows) {
+		return 0, fmt.Errorf("%w (embedding region: %d fresh GC rows needed, %d free)", ssd.ErrRegionFull, growth, len(m.freeRows))
+	}
+	var phys []int
+	if growth > 0 {
+		phys = m.takeFreeRows(t, growth)
+	}
+	if err := t.growBin(binPages, phys); err != nil {
+		return 0, err
+	}
+	for _, p := range phys {
+		m.rowPhys = append(m.rowPhys, p)
+		m.rowGone = append(m.rowGone, false)
+		m.rowLive = append(m.rowLive, 0)
+		m.rowDead = append(m.rowDead, 0)
+	}
+	for i := range runs {
+		r := &runs[i]
+		last := r.start + len(r.entries) - 1
+		err := m.program(t, wear, embRegion, r.start/lay.embPerPage, last/lay.embPerPage+1, true,
+			func(page, oob []byte, g int) { lay.renderBin(page, oob, g, r.at) })
+		if err != nil {
+			return 0, err
+		}
+	}
+	return cursor, nil
+}
+
+// commitTail is the allocator's logical half: the programmed runs join
+// their buckets' posting lists, the id→position map and the per-row live
+// counts, the brute-force plan gains one range bridging the inter-run
+// page padding (programmed as padding records), and the tail moves.
+func (m *mutState) commitTail(runs []tailRun, newTail int) {
+	for _, r := range runs {
+		if !m.flat() {
+			m.buckets[r.bucket] = append(m.buckets[r.bucket], SlotRange{First: r.start, Last: r.start + len(r.entries) - 1})
+		}
+		for j, e := range r.entries {
+			m.posOf[e.dadr] = int32(r.start + j)
+			m.rowLive[m.rowOf(r.start+j)]++
+		}
+	}
+	if len(runs) > 0 {
+		m.flatPlan = append(m.flatPlan, SlotRange{First: runs[0].start, Last: newTail - 1})
+	}
+	m.tailSlots = newTail
+	m.binPages = ceilDiv(newTail, m.lay.embPerPage)
+}
+
 // mutAppend executes one append: placement and metadata are computed
 // from the geometry-independent state, then the fresh pages are
 // programmed through the target. The whole command is validated before
 // any write, so a failed append leaves the database untouched.
 func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, error) {
-	lay := &m.lay
-	n := len(cfg.Vectors)
+	lay := m.lay
+	n, nlist := len(cfg.Vectors), len(lay.rivf)
 	for i, v := range cfg.Vectors {
 		if len(v) != lay.dim {
 			return nil, nil, fmt.Errorf("%w (append vector %d has dim %d, database dim %d)",
@@ -413,183 +471,102 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 			return nil, nil, fmt.Errorf("%w (%d assignments for %d vectors)", ErrBadAssign, len(cfg.Assign), n)
 		}
 		for i, c := range cfg.Assign {
-			if c < 0 || c >= lay.nlist {
-				return nil, nil, fmt.Errorf("%w (item %d assigned to cluster %d of %d)", ErrBadAssign, i, c, lay.nlist)
+			if c < 0 || c >= nlist {
+				return nil, nil, fmt.Errorf("%w (item %d assigned to cluster %d of %d)", ErrBadAssign, i, c, nlist)
 			}
 		}
 	}
 
 	// Ids continue the document region's slot addressing, page-aligned
-	// so the batch's doc and INT8 slots land on fresh pages.
+	// so the batch's doc and INT8 slots land on fresh pages. The aux
+	// regions are append-only address spaces and gate on their planned
+	// (geometry-independent) capacities; the binary region gates on free
+	// physical rows instead (writeTail), since GC recycles its extent.
 	idStart := alignUp(m.docSlots, lay.docsPerPage)
-	newDocSlots := idStart + n
-	newDocPages := ceilDiv(newDocSlots, lay.docsPerPage)
+	newDocPages := ceilDiv(idStart+n, lay.docsPerPage)
 	rStart := alignUp(m.int8Slots, lay.int8PerPage)
-	newInt8Slots := rStart + n
-	newInt8Pages := ceilDiv(newInt8Slots, lay.int8PerPage)
-
-	// Binary placement: one page-aligned slot run per cluster present
-	// in the batch, clusters ascending, items in batch (= ascending id)
-	// order.
-	type group struct {
-		cluster int
-		items   []int // batch indices
-		start   int   // first slot of the run
-	}
-	var groups []group
-	if m.flat() {
-		items := make([]int, n)
-		for i := range items {
-			items[i] = i
-		}
-		groups = []group{{cluster: 0, items: items}}
-	} else {
-		byCluster := make(map[int][]int, 8)
-		for i, c := range cfg.Assign {
-			byCluster[c] = append(byCluster[c], i)
-		}
-		for c := 0; c < lay.nlist; c++ {
-			if items, ok := byCluster[c]; ok {
-				groups = append(groups, group{cluster: c, items: items})
-			}
-		}
-	}
-	cursor := m.tailSlots
-	for gi := range groups {
-		groups[gi].start = alignUp(cursor, lay.embPerPage)
-		cursor = groups[gi].start + len(groups[gi].items)
-	}
-	newTail := cursor
-	newBinPages := ceilDiv(newTail, lay.embPerPage)
-
-	// Logical capacity gates — before any physical effect. The aux
-	// regions check their planned (geometry-independent) capacities;
-	// the binary region checks the free-row pool, which GC refills, so
-	// sustained churn never spuriously fills the region while live data
-	// fits.
-	neededRows := ceilDiv(newBinPages, lay.rowPages)
-	growth := neededRows - len(m.rowPhys)
+	newInt8Pages := ceilDiv(rStart+n, lay.int8PerPage)
 	switch {
-	case growth > len(m.freeRows):
-		return nil, nil, fmt.Errorf("%w (embedding region: %d fresh GC rows needed, %d free)", ssd.ErrRegionFull, growth, len(m.freeRows))
-	case newInt8Pages > m.capInt8:
-		return nil, nil, fmt.Errorf("%w (INT8 region: %d pages of %d planned)", ssd.ErrRegionFull, newInt8Pages, m.capInt8)
-	case newDocPages > m.capDoc:
-		return nil, nil, fmt.Errorf("%w (document region: %d pages of %d planned)", ssd.ErrRegionFull, newDocPages, m.capDoc)
+	case newInt8Pages > lay.int8Cap:
+		return nil, nil, fmt.Errorf("%w (INT8 region: %d pages of %d planned)", ssd.ErrRegionFull, newInt8Pages, lay.int8Cap)
+	case newDocPages > lay.docCap:
+		return nil, nil, fmt.Errorf("%w (document region: %d pages of %d planned)", ssd.ErrRegionFull, newDocPages, lay.docCap)
 	}
-	var physSel []int
-	if growth > 0 {
-		physSel = m.takeFreeRows(t, growth)
+
+	// Binary entries: one run per cluster present in the batch, clusters
+	// ascending, items in batch (= ascending id) order. radius[ri] is the
+	// largest distance from run ri's centroid code to one of its items.
+	ids := make([]int, n)
+	order := make([]int, n)
+	for i := range ids {
+		ids[i], order[i] = idStart+i, i
 	}
-	if err := t.growBin(newBinPages, physSel); err != nil {
+	if !m.flat() {
+		slices.SortStableFunc(order, func(a, b int) int { return cfg.Assign[a] - cfg.Assign[b] })
+	}
+	entries := make([]slotEntry, n)
+	codes := make([]byte, n*lay.slotBytes)
+	var bits []uint64
+	var runs []tailRun
+	var radius []int
+	for j, i := range order {
+		bits = vecmath.BinaryQuantize(cfg.Vectors[i], bits)
+		e := slotEntry{
+			slotLink: slotLink{dadr: uint32(idStart + i), radr: uint32(rStart + i)},
+			code:     vecmath.PackBinaryBytes(bits, codes[j*lay.slotBytes:(j+1)*lay.slotBytes]),
+		}
+		if cfg.MetaTags != nil {
+			e.tag = cfg.MetaTags[i]
+		}
+		entries[j] = e
+		c := 0
+		if !m.flat() {
+			c = cfg.Assign[i]
+		}
+		if len(runs) == 0 || runs[len(runs)-1].bucket != c {
+			runs = append(runs, tailRun{bucket: c, entries: entries[j:j]})
+			radius = append(radius, 0)
+		}
+		r := len(runs) - 1
+		runs[r].entries = runs[r].entries[:len(runs[r].entries)+1]
+		if !m.flat() {
+			radius[r] = max(radius[r], vecmath.Hamming(lay.centCodes[c], bits))
+		}
+	}
+
+	wear := &WearStats{}
+	newTail, err := m.writeTail(t, runs, m.tailSlots, wear)
+	if err != nil {
 		return nil, nil, err
 	}
 	if err := t.growAux(newInt8Pages, newDocPages); err != nil {
 		return nil, nil, err
 	}
-	for _, p := range physSel {
-		m.rowPhys = append(m.rowPhys, p)
-		m.rowGone = append(m.rowGone, false)
-		m.rowLive = append(m.rowLive, 0)
-		m.rowDead = append(m.rowDead, 0)
+	// Appended document and INT8 pages are programmed without an OOB.
+	err = m.program(t, wear, docRegion, m.docPages, newDocPages, false,
+		func(page, _ []byte, g int) { lay.renderDocs(page, g, cfg.Docs, idStart) })
+	if err == nil {
+		err = m.program(t, wear, int8Region, m.int8Pages, newInt8Pages, false,
+			func(page, _ []byte, g int) { lay.renderInt8(page, g, cfg.Vectors, rStart) })
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 
-	wear := &WearStats{}
-	program := func(write func() error) error {
-		if err := write(); err != nil {
-			return err
-		}
-		wear.PagesProgrammed++
-		m.bytesFlash += int64(lay.pageBytes)
-		return nil
-	}
-	// Document pages.
-	for p := m.docPages; p < newDocPages; p++ {
-		page := make([]byte, lay.pageBytes)
-		for s := 0; s < lay.docsPerPage; s++ {
-			slot := p*lay.docsPerPage + s
-			if slot >= idStart && slot < idStart+n {
-				copy(page[s*lay.docBytes:(s+1)*lay.docBytes], cfg.Docs[slot-idStart])
-			}
-		}
-		if err := program(func() error { return t.writeDocPage(p, page) }); err != nil {
-			return nil, nil, err
-		}
-	}
-	// INT8 rerank pages.
-	for p := m.int8Pages; p < newInt8Pages; p++ {
-		page := make([]byte, lay.pageBytes)
-		for s := 0; s < lay.int8PerPage; s++ {
-			slot := p*lay.int8PerPage + s
-			if slot >= rStart && slot < rStart+n {
-				q8 := lay.params.Int8Quantize(cfg.Vectors[slot-rStart], nil)
-				copy(page[s*lay.int8Bytes:(s+1)*lay.int8Bytes], vecmath.PackInt8Bytes(q8, nil))
-			}
-		}
-		if err := program(func() error { return t.writeInt8Page(p, page) }); err != nil {
-			return nil, nil, err
-		}
-	}
-	// Binary pages, one run per cluster group.
-	for _, g := range groups {
-		end := g.start + len(g.items)
-		for p := g.start / lay.embPerPage; p <= (end-1)/lay.embPerPage; p++ {
-			page := make([]byte, lay.pageBytes)
-			oob := make([]byte, lay.oobBytes)
-			for s := 0; s < lay.embPerPage; s++ {
-				pos := p*lay.embPerPage + s
-				link := encodeLinkage(InvalidDADR, 0, 0)
-				if pos >= g.start && pos < end {
-					i := g.items[pos-g.start]
-					code := vecmath.PackBinaryBytes(vecmath.BinaryQuantize(cfg.Vectors[i], nil), nil)
-					copy(page[s*lay.slotBytes:(s+1)*lay.slotBytes], code)
-					var tag uint8
-					if cfg.MetaTags != nil {
-						tag = cfg.MetaTags[i]
-					}
-					link = encodeLinkage(uint32(idStart+i), uint32(rStart+i), tag)
-				}
-				copy(oob[s*oobBytesPerSlot:(s+1)*oobBytesPerSlot], link)
-			}
-			if err := program(func() error { return t.writeBinPage(p, page, oob) }); err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-
-	// Commit the metadata: posting-list segments, id→position map,
-	// per-row live counts, extents, payload accounting.
-	for w := len(m.posOf); w < newDocSlots; w++ {
+	// Commit the metadata: the tail, the aux extents, payload accounting,
+	// and the clusters' covering radii, grown so the pruning lower bound
+	// stays sound for the appended members.
+	for len(m.posOf) < idStart+n {
 		m.posOf = append(m.posOf, -1)
 	}
-	ids := make([]int, n)
-	for _, g := range groups {
-		for j, i := range g.items {
-			pos := g.start + j
-			ids[i] = idStart + i
-			m.posOf[idStart+i] = int32(pos)
-			m.rowLive[m.rowOf(pos)]++
-		}
-		if !m.flat() {
-			m.buckets[g.cluster] = append(m.buckets[g.cluster], SlotRange{First: g.start, Last: g.start + len(g.items) - 1})
-			// Grow the cluster's covering radius so the pruning lower
-			// bound stays sound for the appended members.
-			for _, i := range g.items {
-				if d := vecmath.Hamming(m.centCodes[g.cluster], vecmath.BinaryQuantize(cfg.Vectors[i], nil)); d > m.radius[g.cluster] {
-					m.radius[g.cluster] = d
-				}
-			}
+	m.commitTail(runs, newTail)
+	for r, run := range runs {
+		if !m.flat() && radius[r] > m.radius[run.bucket] {
+			m.radius[run.bucket] = radius[r]
 		}
 	}
-	// The brute-force plan gains one range per batch, bridging the
-	// inter-cluster page padding (written as invalid-DADR slots above).
-	m.flatPlan = append(m.flatPlan, SlotRange{First: groups[0].start, Last: newTail - 1})
-	m.tailSlots = newTail
-	m.binPages = newBinPages
-	m.int8Slots = newInt8Slots
-	m.int8Pages = newInt8Pages
-	m.docSlots = newDocSlots
-	m.docPages = newDocPages
+	m.int8Slots, m.int8Pages = rStart+n, newInt8Pages
+	m.docSlots, m.docPages = idStart+n, newDocPages
 	m.live += n
 	for _, d := range cfg.Docs {
 		m.bytesUser += int64(len(d))
@@ -622,14 +599,6 @@ func mutDelete(m *mutState, ids []int) error {
 		m.deadCount++
 	}
 	return nil
-}
-
-// liveEntry is one live binary-region entry gathered by the collector.
-type liveEntry struct {
-	code []byte
-	id   uint32
-	radr uint32
-	tag  uint8
 }
 
 // mutGCVictims returns the GC rows whose live ratio is below the
@@ -678,7 +647,7 @@ func trimRanges(segs []SlotRange, first, last int) []SlotRange {
 // victim list named that have since become empty are skipped (nil
 // error, no stats).
 func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
-	lay := &m.lay
+	lay := m.lay
 	if row < 0 || row >= len(m.rowPhys) || m.rowGone[row] || m.rowDead[row] == 0 {
 		return nil
 	}
@@ -686,22 +655,18 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	rowFirst := row * slotsPerRow
 	rowLast := rowFirst + slotsPerRow - 1
 
-	// Gather the row's slots, bucket by bucket in scan order. A flat
-	// database has a single bucket: its brute-force plan. Runs are
+	// Gather the row's live entries, bucket by bucket in scan order. A
+	// flat database has a single bucket: its brute-force plan. Runs are
 	// page-aligned per cluster, so no page is read twice.
 	plans := m.buckets
 	if m.flat() {
 		plans = [][]SlotRange{m.flatPlan}
 	}
-	type gcGroup struct {
-		bucket  int
-		entries []liveEntry
-		start   int
-	}
-	var groups []gcGroup
+	var runs []tailRun
 	var deadIDs []uint32
+	codes := make([]byte, 0, m.rowLive[row]*lay.slotBytes)
 	for b, segs := range plans {
-		var es []liveEntry
+		var es []slotEntry
 		for _, sr := range segs {
 			if sr.Last < rowFirst || sr.First > rowLast {
 				continue
@@ -722,84 +687,36 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 					hi = last % lay.embPerPage
 				}
 				for s := lo; s <= hi; s++ {
-					dadr, radr, tag := decodeLinkage(oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot])
-					if dadr == InvalidDADR {
+					l, ok := parseLink(oob, s)
+					if !ok {
 						continue
 					}
-					if bitsetGet(m.tomb, int(dadr)) {
-						deadIDs = append(deadIDs, dadr)
+					if bitsetGet(m.tomb, int(l.dadr)) {
+						deadIDs = append(deadIDs, l.dadr)
 						continue
 					}
-					code := make([]byte, lay.slotBytes)
-					copy(code, data[s*lay.slotBytes:(s+1)*lay.slotBytes])
-					es = append(es, liveEntry{code: code, id: dadr, radr: radr, tag: tag})
+					codes = append(codes, lay.code(data, s)...)
+					es = append(es, slotEntry{l, codes[len(codes)-lay.slotBytes:]})
 				}
 			}
 		}
 		if len(es) > 0 {
-			groups = append(groups, gcGroup{bucket: b, entries: es})
+			runs = append(runs, tailRun{bucket: b, entries: es})
 		}
 	}
 
-	// Copy-forward placement at the tail. If the victim is the tail row
-	// itself, move the cursor past it: nothing may be programmed into
-	// (or subsequently appended to) the row about to be erased.
+	// Copy the survivors forward to the tail, then erase and unmap the
+	// victim row. If the victim is the tail row itself, the cursor moves
+	// past it first: nothing may be programmed into (or subsequently
+	// appended to) the row about to be erased.
 	cursor := m.tailSlots
 	if cursor > rowFirst && cursor <= rowLast+1 {
 		cursor = rowLast + 1
 	}
-	total := 0
-	for gi := range groups {
-		groups[gi].start = alignUp(cursor, lay.embPerPage)
-		cursor = groups[gi].start + len(groups[gi].entries)
-		total += len(groups[gi].entries)
-	}
-	newTail := cursor
-	newBinPages := ceilDiv(newTail, lay.embPerPage)
-	neededRows := ceilDiv(newBinPages, lay.rowPages)
-	growth := neededRows - len(m.rowPhys)
-	var physSel []int
-	if growth > 0 {
-		if growth > len(m.freeRows) {
-			return fmt.Errorf("%w (GC copy-forward needs %d fresh rows, %d free)", ssd.ErrRegionFull, growth, len(m.freeRows))
-		}
-		physSel = m.takeFreeRows(t, growth)
-	}
-	if err := t.growBin(newBinPages, physSel); err != nil {
+	programmed := wear.PagesProgrammed
+	newTail, err := m.writeTail(t, runs, cursor, wear)
+	if err != nil {
 		return err
-	}
-	for _, p := range physSel {
-		m.rowPhys = append(m.rowPhys, p)
-		m.rowGone = append(m.rowGone, false)
-		m.rowLive = append(m.rowLive, 0)
-		m.rowDead = append(m.rowDead, 0)
-	}
-
-	// Program the relocated runs (out-of-place: each starts on a fresh
-	// page past the old tail), then erase and unmap the victim row.
-	stepProgrammed := 0
-	for _, g := range groups {
-		end := g.start + len(g.entries)
-		for p := g.start / lay.embPerPage; p <= (end-1)/lay.embPerPage; p++ {
-			page := make([]byte, lay.pageBytes)
-			oob := make([]byte, lay.oobBytes)
-			for s := 0; s < lay.embPerPage; s++ {
-				pos := p*lay.embPerPage + s
-				link := encodeLinkage(InvalidDADR, 0, 0)
-				if pos >= g.start && pos < end {
-					e := g.entries[pos-g.start]
-					copy(page[s*lay.slotBytes:(s+1)*lay.slotBytes], e.code)
-					link = encodeLinkage(e.id, e.radr, e.tag)
-				}
-				copy(oob[s*oobBytesPerSlot:(s+1)*oobBytesPerSlot], link)
-			}
-			if err := t.writeBinPage(p, page, oob); err != nil {
-				return err
-			}
-			wear.PagesProgrammed++
-			stepProgrammed++
-			m.bytesFlash += int64(lay.pageBytes)
-		}
 	}
 	erases, err := t.reclaimBinRow(row)
 	wear.BlockErases += erases
@@ -807,27 +724,13 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 		return err
 	}
 
-	// Commit: trim the victim interval out of every scan plan, append
-	// the relocated runs, rebuild the touched position-map entries,
-	// drop the collected tombstones, return the physical row.
+	// Commit: the relocated runs join the scan plans, the victim interval
+	// is trimmed out of every one of them, the collected tombstones drop,
+	// and the physical row returns to the free pool.
+	m.commitTail(runs, newTail)
 	m.flatPlan = trimRanges(m.flatPlan, rowFirst, rowLast)
-	if !m.flat() {
-		for b := range m.buckets {
-			m.buckets[b] = trimRanges(m.buckets[b], rowFirst, rowLast)
-		}
-	}
-	for _, g := range groups {
-		if !m.flat() {
-			m.buckets[g.bucket] = append(m.buckets[g.bucket], SlotRange{First: g.start, Last: g.start + len(g.entries) - 1})
-		}
-		for j, e := range g.entries {
-			pos := g.start + j
-			m.posOf[e.id] = int32(pos)
-			m.rowLive[m.rowOf(pos)]++
-		}
-	}
-	if total > 0 {
-		m.flatPlan = append(m.flatPlan, SlotRange{First: groups[0].start, Last: newTail - 1})
+	for b := range m.buckets {
+		m.buckets[b] = trimRanges(m.buckets[b], rowFirst, rowLast)
 	}
 	for _, id := range deadIDs {
 		bitsetClear(m.tomb, int(id))
@@ -839,10 +742,10 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	m.rowGone[row] = true
 	m.freeRows = append(m.freeRows, m.rowPhys[row])
 	m.rowPhys[row] = -1
-	m.tailSlots = newTail
-	m.binPages = newBinPages
 	wear.CompactedRows++
-	wear.CopiedEntries += total
-	wear.FreedPages += lay.rowPages - stepProgrammed
+	for _, r := range runs {
+		wear.CopiedEntries += len(r.entries)
+	}
+	wear.FreedPages += lay.rowPages - (wear.PagesProgrammed - programmed)
 	return nil
 }

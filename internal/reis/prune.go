@@ -104,7 +104,8 @@ func feedTracker(t *boundTracker, entries []TTLEntry, tomb []uint64) {
 }
 
 // rerankPool is the selection-pool size of one query — the tracker
-// capacity threshold pruning pins its bound to.
+// capacity threshold pruning pins its bound to. Every search path bounds
+// k by maxK (checkK), so the product cannot overflow.
 func rerankPool(k int) int { return k * RerankFactor }
 
 // chunkFlatRounds splits a brute-force scan plan into rounds of

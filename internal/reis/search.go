@@ -307,15 +307,15 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 		}
 		for s := loSlot; s <= hiSlot; s++ {
 			dist := dists[s-loSlot]
-			dadr, radr, tag := decodeLinkage(sc.oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot])
-			if dadr == InvalidDADR {
+			l, ok := parseLink(sc.oob, s)
+			if !ok {
 				continue // cluster-alignment padding slot
 			}
 			ps.scanned++
 			if filter && !e.SSD.Dev.PassFail(dist, db.filterThreshold) {
 				continue
 			}
-			if metaTag != nil && tag != *metaTag {
+			if metaTag != nil && l.tag != *metaTag {
 				continue
 			}
 			if bound > 0 && dist > bound {
@@ -334,7 +334,7 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 			ps.survivors++
 			ps.ttlBytes += int64(entrySize)
 			sc.entries = append(sc.entries, TTLEntry{
-				Dist: dist, Pos: basePos + s, DADR: dadr, RADR: radr, Tag: tag,
+				Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 			})
 		}
 	}

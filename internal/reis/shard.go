@@ -33,8 +33,8 @@ import (
 // under global positions, each device's plane windows merge into one
 // stream, and the N streams merge in global position order
 // (mergeEntryLists — the same merge a device uses across planes). The
-// shared controller tail (runTail) runs over the merged stream, fetching
-// INT8 and document pages from whichever device owns them.
+// shared controller tail (hostCore.tail) runs over the merged stream,
+// fetching INT8 and document pages from whichever device owns them.
 //
 // Determinism. Because the merged entry stream is element-identical to
 // what a single device's scan produces — same entries, same order,

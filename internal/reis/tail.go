@@ -10,7 +10,7 @@ import (
 // Fig 6): quickselect to the rerank pool, INT8 rescoring, quicksort,
 // and document retrieval. The tail runs on the host core over a query's
 // merged entry stream, fetching each page from the device that owns it
-// (tailSource, host.go), so results are bit-identical across device
+// (readTailPage, host.go), so results are bit-identical across device
 // counts by construction.
 
 // tailScratch holds the tail's pooled working sets. Exactly one
@@ -27,38 +27,26 @@ type tailScratch struct {
 	oobBuf     []byte
 }
 
-// tailParams are the layout constants the tail needs; identical
-// between a single device and the shards built from the same plan.
-// planes is the *global* plane count — on a sharded host the union of
-// the member devices' planes — so wave accounting matches a single
-// device bit for bit.
-type tailParams struct {
-	int8Bytes   int
-	int8PerPage int
-	docsPerPage int
-	docBytes    int
-	planes      int
-	params      vecmath.Int8Params
-	// dead is the database's tombstone bitmap (indexed by DADR), or
-	// nil when nothing is deleted. The tail drops tombstoned entries
-	// from the merged stream before selection, so deleted documents
-	// never surface; the scan side stays tombstone-oblivious (dies
-	// have no DRAM for the bitmap), which keeps scan-phase stats
-	// equal across topologies.
-	dead []uint64
-}
-
-// runTail executes the controller tail over a merged entry stream.
-// Working sets live in ts; only the returned results (and their
-// document bytes) are allocated.
-func runTail(src *tailSource, ts *tailScratch, tp tailParams, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
-	if tp.dead != nil {
-		entries = filterTombstoned(entries, tp.dead)
+// tail executes the controller tail over a query's merged entry stream.
+// Working sets live in the tail scratch; only the returned results (and
+// their document bytes) are allocated. Tombstoned entries are dropped
+// from the stream before selection, so deleted documents never surface;
+// the scan side stays tombstone-oblivious (dies have no DRAM for the
+// bitmap), which keeps scan-phase stats equal across topologies. Rerank
+// waves are counted per *global* plane (page mod total planes) — exactly
+// the plane the page occupies on the single-device reference — so wave
+// accounting matches bit for bit on every topology.
+func (c *hostCore) tail(db *ShardedDatabase, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+	ts, f, planes := &c.scr.tail, &db.lay.pageFormat, c.cfg.Geo.Planes()
+	if db.mut.deadCount > 0 {
+		entries = filterTombstoned(entries, db.mut.tomb)
 	}
 	st.SelectInput += len(entries)
-	pool := k * RerankFactor
-	if pool > len(entries) {
-		pool = len(entries)
+	// min(k × RerankFactor, len(entries)): the product is formed only
+	// when it fits the stream, so no k can overflow it.
+	pool := len(entries)
+	if k <= pool/RerankFactor {
+		pool = rerankPool(k)
 	}
 	quickselectTTL(entries, pool)
 	cands := entries[:pool]
@@ -67,30 +55,30 @@ func runTail(src *tailSource, ts *tailScratch, tp tailParams, query []float32, e
 	// page is sensed once. Grouping sorts a pooled (page, index) slice
 	// instead of building a map: iteration order becomes deterministic
 	// and the grouping is allocation-free.
-	q8 := tp.params.Int8Quantize(query, ts.q8)
+	q8 := f.params.Int8Quantize(query, ts.q8)
 	ts.q8 = q8
 	groups := ts.groups[:0]
 	for i, c := range cands {
-		groups = append(groups, pageIdx{page: int(c.RADR) / tp.int8PerPage, idx: i})
+		groups = append(groups, pageIdx{page: int(c.RADR) / f.int8PerPage, idx: i})
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups
 
-	planePages := resizeInts(ts.planePages, tp.planes)
+	planePages := resizeInts(ts.planePages, planes)
 	ts.planePages = planePages
 	reranked := ts.reranked[:0]
 	for gi := 0; gi < len(groups); {
 		page := groups[gi].page
-		data, plane, err := src.readRerankPage(ts, page)
+		data, err := c.readTailPage(db, int8Region, page)
 		if err != nil {
 			return nil, err
 		}
 		st.RerankPages++
-		planePages[plane]++
+		planePages[page%planes]++
 		for ; gi < len(groups) && groups[gi].page == page; gi++ {
 			c := cands[groups[gi].idx]
-			slot := int(c.RADR) % tp.int8PerPage
-			emb := vecmath.UnpackInt8Bytes(data[slot*tp.int8Bytes:(slot+1)*tp.int8Bytes], ts.emb)
+			slot := int(c.RADR) % f.int8PerPage
+			emb := vecmath.UnpackInt8Bytes(data[slot*f.int8Bytes:(slot+1)*f.int8Bytes], ts.emb)
 			ts.emb = emb
 			d := vecmath.L2SquaredInt8(q8, emb)
 			reranked = append(reranked, DocResult{ID: int(c.DADR), Dist: float32(d)})
@@ -123,24 +111,24 @@ func runTail(src *tailSource, ts *tailScratch, tp tailParams, query []float32, e
 	// document page with the same sorted pooled grouping.
 	groups = groups[:0]
 	for i, r := range out {
-		groups = append(groups, pageIdx{page: r.ID / tp.docsPerPage, idx: i})
+		groups = append(groups, pageIdx{page: r.ID / f.docsPerPage, idx: i})
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups
 	for gi := 0; gi < len(groups); {
 		page := groups[gi].page
-		data, _, err := src.readDocPage(ts, page)
+		data, err := c.readTailPage(db, docRegion, page)
 		if err != nil {
 			return nil, err
 		}
 		st.DocPages++
 		for ; gi < len(groups) && groups[gi].page == page; gi++ {
 			i := groups[gi].idx
-			slot := out[i].ID % tp.docsPerPage
-			doc := make([]byte, tp.docBytes)
-			copy(doc, data[slot*tp.docBytes:(slot+1)*tp.docBytes])
+			slot := out[i].ID % f.docsPerPage
+			doc := make([]byte, f.docBytes)
+			copy(doc, data[slot*f.docBytes:(slot+1)*f.docBytes])
 			out[i].Doc = doc
-			st.DocBytes += int64(tp.docBytes)
+			st.DocBytes += int64(f.docBytes)
 		}
 	}
 	return out, nil

@@ -396,6 +396,9 @@ func (gw *Gateway) parseQueryIndexes(r *http.Request) ([]int, error) {
 	if raw == "" {
 		return nil, errors.New("q is required (sample-query index)")
 	}
+	if strings.Count(raw, ",") >= maxStreamBatch {
+		return nil, fmt.Errorf("q names more than %d queries", maxStreamBatch)
+	}
 	var idxs []int
 	for _, part := range strings.Split(raw, ",") {
 		i, err := strconv.Atoi(strings.TrimSpace(part))
@@ -407,12 +410,32 @@ func (gw *Gateway) parseQueryIndexes(r *http.Request) ([]int, error) {
 	return idxs, nil
 }
 
+// Request bounds: the queries one /search/stream request may name (each
+// is a goroutine and a routed command), and the hits one query may ask
+// for — far inside what the engine itself accepts (reis.ErrBadK), so a k
+// the gateway admits is never rejected downstream.
+const (
+	maxStreamBatch = 256
+	maxK           = 1024
+)
+
+// parseK reads the optional k parameter: DefaultK when absent, an error
+// for anything that is not an integer in [1, maxK].
+func (gw *Gateway) parseK(r *http.Request) (int, error) {
+	raw := r.URL.Query().Get("k")
+	if raw == "" {
+		return gw.cfg.DefaultK, nil
+	}
+	k, err := strconv.Atoi(raw)
+	if err != nil || k <= 0 || k > maxK {
+		return 0, fmt.Errorf("k must be an integer in [1, %d]", maxK)
+	}
+	return k, nil
+}
+
 // searchCmd builds the single-query IVF_Search command for sample
 // query qi.
 func (gw *Gateway) searchCmd(qi, k int) reis.HostCommand {
-	if k <= 0 {
-		k = gw.cfg.DefaultK
-	}
 	return reis.HostCommand{
 		Opcode: reis.OpcodeIVFSearch, DBID: gw.cfg.DBID,
 		Queries: [][]float32{gw.cfg.Queries[qi]}, K: k,
@@ -457,7 +480,11 @@ func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "q must be a single sample-query index (use /search/stream for batches)", http.StatusBadRequest)
 		return
 	}
-	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
+	k, err := gw.parseK(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	// One command per request, routed to the least-loaded replica and
 	// bounded by the request's own context: a dropped connection
 	// cancels the search, a saturated group is backpressure the client
@@ -502,7 +529,11 @@ func (gw *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	k, _ := strconv.Atoi(r.URL.Query().Get("k"))
+	k, err := gw.parseK(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
 	// Fan the batch out: each query is its own routed command, so the
 	// group spreads the batch across replicas and the fastest results
 	// stream back first.

@@ -324,3 +324,36 @@ func TestGatewayDrainAdmitsNothingLate(t *testing.T) {
 		}
 	}
 }
+
+// TestGatewayRejectsBadInput: request parameters are bounded at the
+// door. A k that is unparsable, non-positive or huge — the last used to
+// overflow the rerank pool and kill the process from a dispatcher
+// goroutine — and a stream batch past the cap all answer 400 on both
+// routes, and the gateway keeps serving.
+func TestGatewayRejectsBadInput(t *testing.T) {
+	gw, _ := newTestGateway(t, GatewayConfig{}, Config{})
+	batch := strings.TrimSuffix(strings.Repeat("0,", maxStreamBatch), ",")
+	for _, target := range []string{
+		"/search?q=0&k=922337203685477581",
+		"/search?q=0&k=-1",
+		"/search?q=0&k=0",
+		"/search?q=0&k=ten",
+		"/search?q=0&k=99999999999999999999",
+		fmt.Sprintf("/search?q=0&k=%d", maxK+1),
+		"/search/stream?q=0,1&k=922337203685477581",
+		"/search/stream?q=0,1&k=x",
+		"/search/stream?k=3&q=" + batch + ",0",
+	} {
+		if w := get(gw, target, nil); w.Code != http.StatusBadRequest {
+			t.Fatalf("%.60s: status %d, want 400: %s", target, w.Code, w.Body.String())
+		}
+	}
+	for _, target := range []string{
+		fmt.Sprintf("/search?q=0&k=%d", maxK),
+		"/search/stream?k=1&q=" + batch,
+	} {
+		if w := get(gw, target, nil); w.Code != http.StatusOK {
+			t.Fatalf("%.60s: status %d, want 200: %s", target, w.Code, w.Body.String())
+		}
+	}
+}
