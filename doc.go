@@ -72,7 +72,11 @@
 // middleware chain (request IDs, bearer auth, per-tenant rate
 // limiting, per-route metrics), NDJSON streaming for batches,
 // 503 + Retry-After backpressure, and graceful drain (DESIGN.md,
-// "Replicated serving and gateway").
+// "Replicated serving and gateway"). A GET /search costs the host four
+// allocations below net/http — the response's results, stats and one
+// block of document bytes — and its controller tail reads only the INT8
+// and document records it wants of a page, copied once (DESIGN.md,
+// "Host-clock cost of a request").
 //
 // The timing model extends past averages into distributions: RunLoad
 // (on either host) replays a deterministic Poisson arrival schedule

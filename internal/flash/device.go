@@ -2,7 +2,6 @@ package flash
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -80,24 +79,27 @@ type Device struct {
 
 	Stats Stats
 	// rng drives raw-bit-error injection; rngMu serializes draws so
-	// concurrent TLC reads on different planes stay race-free. flipBits
-	// is the pooled flip-position scratch of injectErrors, guarded by
-	// the same mutex.
+	// concurrent TLC reads on different planes stay race-free. flipSet (one
+	// bit per latch bit, all clear between senses) and flipBits (the
+	// positions drawn) are injectErrors' pooled scratch, guarded by the
+	// same mutex.
 	rng      *xrand.RNG
 	rngMu    sync.Mutex
+	flipSet  []uint64
 	flipBits []int
 }
 
-// Plane models one flash plane: its pages (lazily allocated), OOB
-// areas, and the three page-buffer latches. The mutex guards the maps
-// and the latch contents; every Device per-plane operation takes it,
-// so concurrent operations on distinct planes never share mutable
+// Plane models one flash plane: its programmed pages (lazily
+// allocated) and the three page-buffer latches. The mutex guards the
+// map and the latch contents; every Device per-plane operation takes
+// it, so concurrent operations on distinct planes never share mutable
 // state.
 type Plane struct {
-	mu    sync.Mutex
-	geo   Geometry
-	pages map[int][]byte // page index within plane -> user data
-	oobs  map[int][]byte // page index within plane -> OOB data
+	mu  sync.Mutex
+	geo Geometry
+	// pages maps a page index within the plane to its programmed content,
+	// which never changes between the program and the block's erase.
+	pages map[int]programmed
 
 	// Sensing, Data and Cache latches (Sec 2.3 items 10-12). Sized
 	// PageBytes+OOBBytes: a page read loads OOB alongside user data
@@ -105,12 +107,14 @@ type Plane struct {
 	Sensing []byte
 	Data    []byte
 	Cache   []byte
+}
 
-	// senseFlips is the number of bits of the sensing latch that
-	// differ from the programmed content after the last sense (raw
-	// errors flipped an odd number of times) — the correction count
-	// the controller ECC reports without re-diffing the page.
-	senseFlips int
+// programmed is the content a page was programmed with: PageBytes of user
+// data and OOBBytes of OOB, padded with the erased state. (Two
+// allocations, not one: the allocator rounds a 16 KiB + 2208 B object up
+// by 480 bytes, which is 2 % of a deployed corpus.)
+type programmed struct {
+	data, oob []byte
 }
 
 // NewDevice allocates a device with the given geometry and parameters.
@@ -127,11 +131,11 @@ func NewDevice(geo Geometry, params Params) (*Device, error) {
 	d.Stats.BytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.BytesIn = make([]atomic.Int64, geo.Channels)
 	latchLen := geo.PageBytes + geo.OOBBytes
+	d.flipSet = make([]uint64, (latchLen*8+63)/64)
 	for i := range d.planes {
 		d.planes[i] = &Plane{
 			geo:     geo,
-			pages:   make(map[int][]byte),
-			oobs:    make(map[int][]byte),
+			pages:   make(map[int]programmed),
 			Sensing: make([]byte, latchLen),
 			Data:    make([]byte, latchLen),
 			Cache:   make([]byte, latchLen),
@@ -185,19 +189,13 @@ func (d *Device) Program(a Address, data, oob []byte) error {
 	}
 	p := d.planes[a.PlaneIndex(d.Geo)]
 	idx := a.PageIndex(d.Geo)
-	page := make([]byte, d.Geo.PageBytes)
-	for i := range page {
-		page[i] = 0xFF
-	}
-	copy(page, data)
-	ob := make([]byte, d.Geo.OOBBytes)
-	for i := range ob {
-		ob[i] = 0xFF
-	}
-	copy(ob, oob)
+	page := programmed{data: make([]byte, d.Geo.PageBytes), oob: make([]byte, d.Geo.OOBBytes)}
+	fillErased(page.data)
+	copy(page.data, data)
+	fillErased(page.oob)
+	copy(page.oob, oob)
 	p.mu.Lock()
 	p.pages[idx] = page
-	p.oobs[idx] = ob
 	p.mu.Unlock()
 	d.Stats.PagePrograms.Add(1)
 	d.Stats.BytesIn[a.Channel].Add(int64(len(data) + len(oob)))
@@ -214,7 +212,6 @@ func (d *Device) EraseBlock(a Address) error {
 	p.mu.Lock()
 	for pg := 0; pg < d.Geo.PagesPerBlock; pg++ {
 		delete(p.pages, base+pg)
-		delete(p.oobs, base+pg)
 	}
 	p.mu.Unlock()
 	d.Stats.BlockErases.Add(1)
@@ -268,32 +265,16 @@ func (d *Device) ReadPage(a Address) error {
 	}
 	pl := d.planes[a.PlaneIndex(d.Geo)]
 	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	d.senseLocked(a, pl)
-	return nil
-}
-
-// senseLocked performs the array sense into pl's sensing latch; the
-// caller holds pl.mu.
-func (d *Device) senseLocked(a Address, pl *Plane) {
-	pl.senseFlips = 0
-	idx := a.PageIndex(d.Geo)
-	page, ok := pl.pages[idx]
-	if !ok {
-		// Erased page: all ones.
-		for i := range pl.Sensing {
-			pl.Sensing[i] = 0xFF
-		}
-		d.countRead(a)
-		return
+	if page, ok := pl.pages[a.PageIndex(d.Geo)]; ok {
+		copy(pl.Sensing, page.data)
+		copy(pl.Sensing[d.Geo.PageBytes:], page.oob)
+		d.rawErrors(a, pl.Sensing)
+	} else {
+		fillErased(pl.Sensing)
 	}
-	copy(pl.Sensing, page)
-	copy(pl.Sensing[d.Geo.PageBytes:], pl.oobs[idx])
-	mode := d.BlockMode(a)
-	if ber := d.Params.RawBER(mode); ber > 0 && !d.ECCBypass {
-		pl.senseFlips = d.injectErrors(pl.Sensing, ber)
-	}
+	pl.mu.Unlock()
 	d.countRead(a)
+	return nil
 }
 
 func (d *Device) countRead(a Address) {
@@ -301,39 +282,52 @@ func (d *Device) countRead(a Address) {
 	d.Stats.PageReadsByMode[d.BlockMode(a)].Add(1)
 }
 
-// injectErrors flips each bit with probability ber, using a binomial
-// draw over the buffer for efficiency at realistic BERs. It returns
-// the number of bits that ended up differing from the original
-// content (a bit hit an even number of times cancels physically).
-func (d *Device) injectErrors(buf []byte, ber float64) int {
-	bitsTotal := len(buf) * 8
+// rawErrors draws the raw bit errors of one sense of a programmed page
+// in a's block, if its cell mode has any, and returns how many latch
+// bits they leave wrong (see injectErrors for latch).
+func (d *Device) rawErrors(a Address, latch []byte) int {
+	ber := d.Params.RawBER(d.BlockMode(a))
+	if ber <= 0 || d.ECCBypass {
+		return 0
+	}
+	return d.injectErrors(latch, ber)
+}
+
+// injectErrors draws one sense's raw bit errors: ⌊λ⌋ flips plus one
+// Bernoulli draw for λ's fraction, λ = ber × latch bits, each at a
+// uniform position of the latch. It returns the number of bits that end
+// up differing from the programmed content — a bit hit an even number
+// of times cancels physically — counted by toggling a pooled bitset
+// that is then cleared through the position list. A non-nil latch (the
+// sensing latch, for in-plane computation) has the flips applied; the
+// conventional path passes nil, because its ECC restores the programmed
+// content and needs only the count.
+func (d *Device) injectErrors(latch []byte, ber float64) int {
+	bitsTotal := (d.Geo.PageBytes + d.Geo.OOBBytes) * 8
 	expected := ber * float64(bitsTotal)
 	d.rngMu.Lock()
-	// Poisson-approximate the flip count.
 	n := int(expected)
 	if d.rng.Float64() < expected-float64(n) {
 		n++
 	}
-	pos := d.flipBits[:0]
+	pos, set := d.flipBits[:0], d.flipSet
+	flipped := 0
 	for i := 0; i < n; i++ {
 		bit := d.rng.Intn(bitsTotal)
-		buf[bit>>3] ^= 1 << uint(bit&7)
 		pos = append(pos, bit)
-	}
-	// A bit hit an even number of times cancels physically: sort the
-	// pooled flip record and count positions with odd multiplicity
-	// (allocation-free, unlike a per-read set).
-	sort.Ints(pos)
-	flipped := 0
-	for i := 0; i < len(pos); {
-		j := i
-		for j < len(pos) && pos[j] == pos[i] {
-			j++
-		}
-		if (j-i)%2 == 1 {
+		w, m := bit>>6, uint64(1)<<uint(bit&63)
+		set[w] ^= m
+		if set[w]&m != 0 {
 			flipped++
+		} else {
+			flipped--
 		}
-		i = j
+		if latch != nil {
+			latch[bit>>3] ^= 1 << uint(bit&7)
+		}
+	}
+	for _, bit := range pos {
+		set[bit>>6] = 0
 	}
 	d.flipBits = pos
 	d.rngMu.Unlock()
@@ -341,41 +335,97 @@ func (d *Device) injectErrors(buf []byte, ber float64) int {
 	return flipped
 }
 
-// ReadPageInto reads a page through the conventional controller path:
-// sense, stream over the channel, then ECC-correct using the OOB parity
-// (Sec 2.3). Raw bit errors therefore never reach the caller — unlike
-// the in-latch computation path (ReadPage + latch ops), which is why
-// REIS needs the zero-BER SLC-ESP partition for embeddings. Corrected
-// flips are counted in Stats.ECCCorrections.
+// senseCorrected is the array sense of the conventional controller path
+// (Sec 2.3): the page streams over the channel and is ECC-corrected with
+// its OOB parity, so raw bit errors never reach the caller — unlike the
+// in-latch computation path (ReadPage + latch ops), which is why REIS
+// needs the zero-BER SLC-ESP partition for embeddings. It counts the read
+// and the flips the decoder fixed (Stats.ECCCorrections) and returns the
+// programmed content, or false for an erased page. What the ECC hands
+// over is that content, so the caller copies straight from it; the
+// plane's latches are left as they were (in-plane computation always
+// senses with ReadPage first, which DieFSM enforces). The caller holds
+// pl.mu and must not keep the slices past it.
+func (d *Device) senseCorrected(a Address, pl *Plane) (programmed, bool) {
+	page, ok := pl.pages[a.PageIndex(d.Geo)]
+	if ok {
+		if flips := d.rawErrors(a, nil); flips > 0 {
+			d.Stats.ECCCorrections.Add(int64(flips))
+		}
+	}
+	d.countRead(a)
+	return page, ok
+}
+
+// fillErased sets b to the erased state: all ones.
+func fillErased(b []byte) {
+	for i := range b {
+		b[i] = 0xFF
+	}
+}
+
+// ReadPageInto reads a whole page, user data and OOB, through the
+// conventional controller path (senseCorrected) into data and oob, grown
+// if needed.
 func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, error) {
 	if !a.Valid(d.Geo) {
 		return nil, nil, fmt.Errorf("flash: ReadPage invalid address %v", a)
 	}
-	pl := d.planes[a.PlaneIndex(d.Geo)]
-	pl.mu.Lock()
-	d.senseLocked(a, pl)
-	if cap(data) < d.Geo.PageBytes {
-		data = make([]byte, d.Geo.PageBytes)
+	n := d.Geo.PageBytes
+	if cap(data) < n {
+		data = make([]byte, n)
 	}
-	data = data[:d.Geo.PageBytes]
-	copy(data, pl.Sensing[:d.Geo.PageBytes])
+	data = data[:n]
 	if cap(oob) < d.Geo.OOBBytes {
 		oob = make([]byte, d.Geo.OOBBytes)
 	}
 	oob = oob[:d.Geo.OOBBytes]
-	copy(oob, pl.Sensing[d.Geo.PageBytes:])
-	// ECC correction: restore the programmed content, counting the
-	// raw flips the decoder had to fix (recorded at injection time, so
-	// the page need not be re-diffed).
-	idx := a.PageIndex(d.Geo)
-	if page, ok := pl.pages[idx]; ok && pl.senseFlips > 0 {
-		d.Stats.ECCCorrections.Add(int64(pl.senseFlips))
-		copy(data, page)
-		copy(oob, pl.oobs[idx])
+	pl := d.planes[a.PlaneIndex(d.Geo)]
+	pl.mu.Lock()
+	if page, ok := d.senseCorrected(a, pl); ok {
+		copy(data, page.data)
+		copy(oob, page.oob)
+	} else {
+		fillErased(data)
+		fillErased(oob)
 	}
 	pl.mu.Unlock()
-	d.Stats.BytesOut[a.Channel].Add(int64(d.Geo.PageBytes + d.Geo.OOBBytes))
+	d.Stats.BytesOut[a.Channel].Add(int64(n + d.Geo.OOBBytes))
 	return data, oob, nil
+}
+
+// ReadSlots reads records of a page's user data through the conventional
+// controller path (senseCorrected): record i is slot slots[i] of the page
+// cut into slotBytes-wide slots, copied to dst[i*slotBytes:]. The page is
+// sensed once whatever the record count, and only the records cross the
+// channel — what a controller that wants a few INT8 embeddings or
+// document chunks of a page moves, and what Stats.BytesOut counts.
+func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, dst []byte) error {
+	if !a.Valid(d.Geo) {
+		return fmt.Errorf("flash: ReadSlots invalid address %v", a)
+	}
+	if slotBytes <= 0 || len(dst) < len(slots)*slotBytes {
+		return fmt.Errorf("flash: ReadSlots buffer %dB short of %d slots of %dB", len(dst), len(slots), slotBytes)
+	}
+	for _, s := range slots {
+		if s < 0 || (s+1)*slotBytes > d.Geo.PageBytes {
+			return fmt.Errorf("flash: ReadSlots slot %d of %dB out of page", s, slotBytes)
+		}
+	}
+	pl := d.planes[a.PlaneIndex(d.Geo)]
+	pl.mu.Lock()
+	page, ok := d.senseCorrected(a, pl)
+	for i, s := range slots {
+		rec := dst[i*slotBytes : (i+1)*slotBytes]
+		if ok {
+			copy(rec, page.data[s*slotBytes:])
+		} else {
+			fillErased(rec)
+		}
+	}
+	pl.mu.Unlock()
+	d.Stats.BytesOut[a.Channel].Add(int64(len(slots) * slotBytes))
+	return nil
 }
 
 // LoadCache performs Input Broadcasting (IBC): fills the plane's cache

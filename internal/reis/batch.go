@@ -157,42 +157,22 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 		}
 	}
 
-	tasks := e.scr.tasks[:0]
-	scans := out.scans
-	run := func(sc *workerScratch, plane, _ int) error {
-		curQ := -1
-		for _, it := range planeWork[plane] {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if it.qi != curQ {
-				// One broadcast per query per plane: the cache
-				// latch must hold this query before its scans.
-				if err := e.ibcPlane(db, plane, packed[it.qi]); err != nil {
-					return err
-				}
-				curQ = it.qi
-			}
-			ps, err := e.scanPlane(db, region, sc, it.span, it.first, it.last, filter, metaTag, it.bound)
-			if err != nil {
-				return err
-			}
-			scans[it.slot] = ps
-		}
-		return nil
-	}
+	busy := e.scr.busy[:0]
 	for p, items := range planeWork {
-		if len(items) == 0 {
-			continue
+		if len(items) > 0 {
+			busy = append(busy, p)
 		}
-		tasks = append(tasks, planeTask{plane: p, run: run})
 	}
-	if err := e.runTasks(tasks); err != nil {
+	e.scr.busy = busy
+	e.scr.round = scanRound{ctx: ctx, e: e, db: db, region: region, packed: packed, filter: filter, metaTag: metaTag}
+	err := e.pool.run(&e.scr.round, busy)
+	e.scr.round = scanRound{} // the command's context and queries go with it
+	if err != nil {
 		return err
 	}
 	for i := range out.segs {
 		s := &out.segs[i]
-		for _, ps := range scans[s.lo:s.hi] {
+		for _, ps := range out.scans[s.lo:s.hi] {
 			s.waves = max(s.waves, ps.pages)
 			s.pages += ps.pages
 			s.scanned += ps.scanned
@@ -200,6 +180,47 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			s.prunedSlots += ps.pruned
 			s.ttlBytes += ps.ttlBytes
 		}
+	}
+	return nil
+}
+
+// scanRound is what the plane workers of a device share, read-only, while
+// they run one scan round: the round's operands. The work lists and the
+// outcome slots are the device scratch's (planeWork, out.scans). It lives
+// in the scratch too, so starting a round allocates nothing.
+type scanRound struct {
+	ctx     context.Context
+	e       *Engine
+	db      *Database
+	region  ssd.Region
+	packed  [][]byte
+	filter  bool
+	metaTag *uint8
+}
+
+// runPlane executes one plane's work list of the round on its die's
+// worker: the items in (query, segment) order, one IBC broadcast per run
+// of same-query items.
+func (r *scanRound) runPlane(sc *workerScratch, plane int) error {
+	e := r.e
+	curQ := -1
+	for _, it := range e.scr.planeWork[plane] {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		if it.qi != curQ {
+			// One broadcast per query per plane: the cache
+			// latch must hold this query before its scans.
+			if err := e.ibcPlane(r.db, plane, r.packed[it.qi]); err != nil {
+				return err
+			}
+			curQ = it.qi
+		}
+		ps, err := e.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.filter, r.metaTag, it.bound)
+		if err != nil {
+			return err
+		}
+		e.scr.out.scans[it.slot] = ps
 	}
 	return nil
 }

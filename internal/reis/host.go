@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"reis/internal/flash"
 	"reis/internal/ssd"
 )
 
@@ -812,15 +813,22 @@ func (c *hostCore) owner(db *ShardedDatabase, g int) (d *Engine, local *Database
 	return c.devs[g%n], db.locals[g%n], g / n
 }
 
+// pageAddr resolves one global page of a region to the flash device that
+// owns it and the page's address there.
+func (c *hostCore) pageAddr(db *ShardedDatabase, region regionOf, page int) (*flash.Device, flash.Address, error) {
+	d, local, l := c.owner(db, page)
+	addr, err := region(local).AddressOf(d.SSD.Cfg.Geo, l)
+	return d.SSD.Dev, addr, err
+}
+
 // readPage reads one global page of a region through the conventional
 // path, from the device that owns it, into data/oob (grown as needed).
 func (c *hostCore) readPage(db *ShardedDatabase, region regionOf, page int, data, oob []byte) ([]byte, []byte, error) {
-	d, local, l := c.owner(db, page)
-	addr, err := region(local).AddressOf(d.SSD.Cfg.Geo, l)
+	dev, addr, err := c.pageAddr(db, region, page)
 	if err != nil {
 		return nil, nil, err
 	}
-	return d.SSD.Dev.ReadPageInto(addr, data, oob)
+	return dev.ReadPageInto(addr, data, oob)
 }
 
 // fetchPin reads a global binary-region page for the hot-cluster cache
@@ -832,15 +840,23 @@ func (c *hostCore) fetchPin(db *ShardedDatabase, page int) ([]byte, []byte, erro
 	return c.readPage(db, embRegion, page, nil, nil)
 }
 
-// readTailPage senses one page of the INT8 (rerank) or document region
-// for the controller tail, using the tail scratch's page buffers (the
-// returned slice is valid until the next read).
-func (c *hostCore) readTailPage(db *ShardedDatabase, region regionOf, page int) ([]byte, error) {
-	ts := &c.scr.tail
-	data, oob, err := c.readPage(db, region, page, ts.pageBuf, ts.oobBuf)
-	if err != nil {
-		return nil, err
+// readTailSlots reads, for the controller tail, the records of one page
+// of the INT8 (rerank) or document region: the run of groups starting at
+// gi that shares groups[gi].page — groups is sorted by page — one
+// recBytes-wide record each, copied in run order to dst. The page is
+// sensed once and only the records move (flash.Device.ReadSlots). It
+// returns the end of the run.
+func (c *hostCore) readTailSlots(db *ShardedDatabase, region regionOf, groups []pageIdx, gi, recBytes int, dst []byte) (int, error) {
+	page := groups[gi].page
+	slots := c.scr.tail.slots[:0]
+	end := gi
+	for ; end < len(groups) && groups[end].page == page; end++ {
+		slots = append(slots, groups[end].slot)
 	}
-	ts.pageBuf, ts.oobBuf = data, oob
-	return data, nil
+	c.scr.tail.slots = slots
+	dev, addr, err := c.pageAddr(db, region, page)
+	if err != nil {
+		return 0, err
+	}
+	return end, dev.ReadSlots(addr, recBytes, slots, dst)
 }

@@ -32,40 +32,31 @@ type workerScratch struct {
 	dists []int
 }
 
-// planeTask is one unit of per-plane device work: an IBC broadcast, a
-// plane's share of a scan, or a whole per-query plane program in batch
-// mode. The plane index routes the task to its die's worker; arg is a
-// caller-defined index (e.g. into a span list) so many tasks can share
-// one closure instead of capturing per-task state.
-type planeTask struct {
-	plane int
-	arg   int
-	run   func(sc *workerScratch, plane, arg int) error
-}
-
-// planePool dispatches per-plane tasks onto one worker per simulated
+// planePool dispatches a scan round's per-plane work lists
+// (scanRound.runPlane) onto one worker per simulated
 // die (channels x dies/channel workers, sized from the SSD geometry).
 // That mirrors the hardware: planes of one die share control logic and
 // execute commands one at a time, while different dies run fully in
 // parallel.
 //
 // Workers are persistent goroutines draining per-worker channels (the
-// die's command queue), started lazily on the first multi-task run and
-// stopped for good by Engine.Close. A run enqueues each worker's task
-// list and waits; the pool is never invoked per task.
+// die's command queue), started lazily on the first multi-plane run and
+// stopped for good by Engine.Close. A run enqueues each worker's plane
+// list and waits; the pool is never invoked per plane.
 //
-// Determinism: tasks that touch the same plane always map to the same
-// worker and are executed in submission order, so the per-plane
+// Determinism: a plane always maps to the same worker, and a worker runs
+// its planes in submission order, so the per-plane
 // command sequence — and therefore every latch content, distance and
-// counter a task observes — is independent of goroutine scheduling.
+// counter a work item observes — is independent of goroutine scheduling.
 type planePool struct {
 	planesPerDie int
 	workers      int
-	// scratch[w] is worker w's arena; queues and errs are the pooled
+	// scratch[w] is worker w's arena; queues, errs and wg are the pooled
 	// per-run dispatch structures.
 	scratch []*workerScratch
-	queues  [][]planeTask
+	queues  [][]int
 	errs    []error
+	wg      sync.WaitGroup
 	// chans[w] feeds worker w's goroutine; nil until started. The pool
 	// has a single dispatching owner at a time (the device lock holder),
 	// so started/stopped/chans need no extra synchronization.
@@ -76,11 +67,11 @@ type planePool struct {
 	stopped bool
 }
 
-// poolRun is one run's share for one worker: the task list to execute
-// and the WaitGroup signalling the dispatcher.
+// poolRun is one run's share for one worker: the planes of the round
+// whose work lists it executes.
 type poolRun struct {
-	tasks []planeTask
-	wg    *sync.WaitGroup
+	round  *scanRound
+	planes []int
 }
 
 func newPlanePool(geo flash.Geometry) *planePool {
@@ -89,7 +80,7 @@ func newPlanePool(geo flash.Geometry) *planePool {
 		planesPerDie: geo.PlanesPerDie,
 		workers:      workers,
 		scratch:      make([]*workerScratch, workers),
-		queues:       make([][]planeTask, workers),
+		queues:       make([][]int, workers),
 		errs:         make([]error, workers),
 	}
 	for i := range p.scratch {
@@ -116,7 +107,7 @@ func (p *planePool) resetArenas() {
 }
 
 // start spins up the persistent die workers. Each worker loops on its
-// channel, executing one run's task list at a time; the channel
+// channel, executing one run's plane list at a time; the channel
 // send/receive and the run WaitGroup establish the happens-before
 // edges that keep the scratch ownership rule race-clean.
 func (p *planePool) start() {
@@ -131,13 +122,13 @@ func (p *planePool) start() {
 		go func(w int, ch chan poolRun) {
 			sc := p.scratch[w]
 			for r := range ch {
-				for _, t := range r.tasks {
-					if err := t.run(sc, t.plane, t.arg); err != nil {
+				for _, plane := range r.planes {
+					if err := r.round.runPlane(sc, plane); err != nil {
 						p.errs[w] = err
 						break
 					}
 				}
-				r.wg.Done()
+				p.wg.Done()
 			}
 		}(w, ch)
 	}
@@ -157,46 +148,37 @@ func (p *planePool) stop() {
 	p.started = false
 }
 
-// run executes the tasks and waits for completion. Tasks are grouped
-// by worker preserving submission order and enqueued onto the
-// persistent die workers' command queues. The first error of the
+// run executes the round's work on the given planes and waits for
+// completion. Planes are grouped by worker preserving submission order
+// and enqueued onto the persistent die workers' command queues; a lone
+// plane runs on the caller's goroutine. The first error of the
 // lowest-numbered worker is returned; a worker stops its run at its
 // first error.
-func (p *planePool) run(tasks []planeTask) error {
-	switch len(tasks) {
+func (p *planePool) run(round *scanRound, planes []int) error {
+	switch len(planes) {
 	case 0:
 		return nil
 	case 1:
-		t := tasks[0]
-		return t.run(p.scratchOf(t.plane), t.plane, t.arg)
+		return round.runPlane(p.scratchOf(planes[0]), planes[0])
 	}
 	p.start()
 	queues := p.queues
 	for w := range queues {
 		p.errs[w] = nil
+		queues[w] = queues[w][:0]
 	}
-	for _, t := range tasks {
-		w := p.workerOf(t.plane)
-		queues[w] = append(queues[w], t)
+	for _, plane := range planes {
+		w := p.workerOf(plane)
+		queues[w] = append(queues[w], plane)
 	}
-	// Zero the queues on the way out so stale task closures (and the
-	// per-call state they capture) don't stay reachable from the
-	// pooled backing arrays until the next run.
-	defer func() {
-		for w := range queues {
-			clear(queues[w])
-			queues[w] = queues[w][:0]
-		}
-	}()
-	var wg sync.WaitGroup
 	for w, q := range queues {
 		if len(q) == 0 {
 			continue
 		}
-		wg.Add(1)
-		p.chans[w] <- poolRun{tasks: q, wg: &wg}
+		p.wg.Add(1)
+		p.chans[w] <- poolRun{round: round, planes: q}
 	}
-	wg.Wait()
+	p.wg.Wait()
 	for _, err := range p.errs {
 		if err != nil {
 			return err

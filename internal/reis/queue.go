@@ -216,7 +216,9 @@ type QueueStats struct {
 // qcmd is one admitted command awaiting dispatch, or (gcf != nil) one
 // internal background-GC step of an active compaction flight — step
 // qcmds carry no CommandID and occupy no queue slot; the flight's
-// original command holds both until the flight completes.
+// original command holds both until the flight completes. Pending lists
+// and dispatch groups hold qcmds by value, in buffers that recycle, so
+// admitting and dispatching a command allocates nothing.
 type qcmd struct {
 	id  CommandID
 	ctx context.Context
@@ -239,7 +241,7 @@ const (
 // accumulated wear. The dispatcher goroutine is its single owner; the
 // queue mutex guards only its membership in Queue.gc.
 type gcFlight struct {
-	orig    *qcmd
+	orig    qcmd
 	victims []int
 	next    int
 	acc     WearStats
@@ -260,7 +262,7 @@ type Queue struct {
 	nextID      CommandID
 	outstanding int
 	pendingN    int
-	pending     map[int][]*qcmd   // per-database FIFO (gcSchedKey: GC steps)
+	pending     map[int][]qcmd    // per-database FIFO (gcSchedKey: GC steps)
 	pass        map[int]float64   // stride-scheduling pass per database
 	gc          map[int]*gcFlight // active compaction flight per database
 	completed   []Completion      // the polled CQ (Reap buffer)
@@ -269,8 +271,17 @@ type Queue struct {
 	closed      bool
 	stats       QueueStats
 
+	// group is the dispatcher goroutine's own: the dispatch group being
+	// executed.
+	group []qcmd
+
 	done chan struct{} // closed when the dispatcher has exited
 }
+
+// waiterPool recycles Wait's one-shot completion channels: a channel
+// goes back once its completion has been received, or once its wait was
+// abandoned before any sender could learn of it — empty either way.
+var waiterPool = sync.Pool{New: func() any { return make(chan Completion, 1) }}
 
 // newQueue builds a queue pair over a host core and starts its
 // dispatcher.
@@ -286,7 +297,7 @@ func newQueue(h *hostCore, cfg QueueConfig) (*Queue, error) {
 	q := &Queue{
 		h:       h,
 		cfg:     cfg,
-		pending: make(map[int][]*qcmd),
+		pending: make(map[int][]qcmd),
 		pass:    make(map[int]float64),
 		gc:      make(map[int]*gcFlight),
 		waiters: make(map[CommandID]chan Completion),
@@ -346,7 +357,7 @@ func (q *Queue) submit(ctx context.Context, cmd HostCommand, block bool) (Comman
 			q.pass[key] = m
 		}
 	}
-	q.pending[key] = append(q.pending[key], &qcmd{id: id, ctx: ctx, cmd: cmd})
+	q.pending[key] = append(q.pending[key], qcmd{id: id, ctx: ctx, cmd: cmd})
 	q.pendingN++
 	q.outstanding++
 	q.stats.Submitted++
@@ -463,7 +474,8 @@ func (q *Queue) Wait(ctx context.Context, id CommandID) (HostResponse, error) {
 			return c.Resp, c.Err
 		}
 	}
-	ch := make(chan Completion, 1)
+	ch := waiterPool.Get().(chan Completion)
+	defer waiterPool.Put(ch)
 	q.waiters[id] = ch
 	q.mu.Unlock()
 	select {
@@ -572,8 +584,8 @@ func (q *Queue) dispatch() {
 			}
 			q.gc = make(map[int]*gcFlight)
 			q.mu.Unlock()
-			for _, qc := range aborted {
-				q.complete(qc.id, HostResponse{}, ErrQueueClosed)
+			for i := range aborted {
+				q.complete(aborted[i].id, HostResponse{}, ErrQueueClosed)
 			}
 			// In-flight compactions abort deterministically too: the
 			// rows already collected stay collected (every step commits
@@ -587,9 +599,11 @@ func (q *Queue) dispatch() {
 			}
 			return
 		}
-		group := q.pickGroupLocked()
+		q.pickGroupLocked()
 		q.mu.Unlock()
-		q.execGroup(group)
+		q.execGroup()
+		// Drop the group's contexts, queries and payloads with it.
+		clear(q.group)
 	}
 }
 
@@ -616,7 +630,7 @@ func (q *Queue) blockedLocked(head *qcmd) bool {
 // not been enqueued yet.
 func (q *Queue) hasDispatchableLocked() bool {
 	for _, list := range q.pending {
-		if len(list) > 0 && !q.blockedLocked(list[0]) {
+		if len(list) > 0 && !q.blockedLocked(&list[0]) {
 			return true
 		}
 	}
@@ -626,8 +640,8 @@ func (q *Queue) hasDispatchableLocked() bool {
 // drainPendingLocked removes every pending command, in submission
 // order. Internal GC-step entries are dropped, not returned: their
 // flight's original command is completed by the close path.
-func (q *Queue) drainPendingLocked() []*qcmd {
-	var all []*qcmd
+func (q *Queue) drainPendingLocked() []qcmd {
+	var all []qcmd
 	for _, list := range q.pending {
 		for _, qc := range list {
 			if qc.gcf == nil {
@@ -635,21 +649,21 @@ func (q *Queue) drainPendingLocked() []*qcmd {
 			}
 		}
 	}
-	q.pending = make(map[int][]*qcmd)
+	q.pending = make(map[int][]qcmd)
 	q.pendingN = 0
 	// Submission order == CommandID order.
-	slices.SortFunc(all, func(a, b *qcmd) int { return cmp.Compare(a.id, b.id) })
+	slices.SortFunc(all, func(a, b qcmd) int { return cmp.Compare(a.id, b.id) })
 	return all
 }
 
 // pickGroupLocked selects the next database by stride scheduling
 // (lowest pass wins, ties to the lowest database id) and takes its FIFO
 // head plus, unless disabled, the adjacent commands that can coalesce
-// with it into one batched execution.
-func (q *Queue) pickGroupLocked() []*qcmd {
+// with it into one batched execution. The group is left in q.group.
+func (q *Queue) pickGroupLocked() {
 	bestKey, found := 0, false
 	for key, list := range q.pending {
-		if len(list) == 0 || q.blockedLocked(list[0]) {
+		if len(list) == 0 || q.blockedLocked(&list[0]) {
 			continue
 		}
 		if !found || q.pass[key] < q.pass[bestKey] ||
@@ -658,16 +672,17 @@ func (q *Queue) pickGroupLocked() []*qcmd {
 		}
 	}
 	list := q.pending[bestKey]
-	head := list[0]
+	head := &list[0]
 	n := 1
 	if !q.cfg.NoCoalesce && isSearchOp(head.cmd.Opcode) && head.ctx.Err() == nil {
-		for n < len(list) && coalescible(head, list[n]) {
+		for n < len(list) && coalescible(head, &list[n]) {
 			n++
 		}
 	}
-	group := make([]*qcmd, n)
-	copy(group, list[:n])
-	q.pending[bestKey] = append(list[:0], list[n:]...)
+	q.group = append(q.group[:0], list[:n]...)
+	rest := copy(list, list[n:])
+	clear(list[rest:])
+	q.pending[bestKey] = list[:rest]
 	q.pendingN -= n
 	w := 1
 	if bestKey == gcSchedKey {
@@ -680,7 +695,6 @@ func (q *Queue) pickGroupLocked() []*qcmd {
 	if n > 1 {
 		q.stats.Coalesced += uint64(n)
 	}
-	return group
 }
 
 // coalescible reports whether b can ride in a's batched execution:
@@ -705,11 +719,12 @@ func coalescible(a, b *qcmd) bool {
 	return true
 }
 
-// execGroup executes one dispatch group on the host and delivers its
-// completions.
-func (q *Queue) execGroup(group []*qcmd) {
-	live := make([]*qcmd, 0, len(group))
-	for _, qc := range group {
+// execGroup executes the dispatch group in q.group on the host and
+// delivers its completions.
+func (q *Queue) execGroup() {
+	// Members already cancelled complete now; the live ones close ranks.
+	live := q.group[:0]
+	for _, qc := range q.group {
 		// GC steps have no CommandID of their own; cancellation of the
 		// original command is handled inside gcStepExec, which must also
 		// retire the flight.
@@ -725,7 +740,7 @@ func (q *Queue) execGroup(group []*qcmd) {
 	case 0:
 		return
 	case 1:
-		qc := live[0]
+		qc := &live[0]
 		if qc.gcf != nil {
 			q.gcStepExec(qc)
 			return
@@ -743,12 +758,12 @@ func (q *Queue) execGroup(group []*qcmd) {
 	// operands. Batch results are bit-identical to per-command
 	// execution, so splitting the output per command is exact.
 	total := 0
-	for _, qc := range live {
-		total += len(qc.cmd.Queries)
+	for i := range live {
+		total += len(live[i].cmd.Queries)
 	}
 	queries := make([][]float32, 0, total)
-	for _, qc := range live {
-		queries = append(queries, qc.cmd.Queries...)
+	for i := range live {
+		queries = append(queries, live[i].cmd.Queries...)
 	}
 	ctx := mergeCtxs(live)
 	results, sts, perShard, err := q.h.search(ctx, &live[0].cmd, queries, true)
@@ -756,7 +771,8 @@ func (q *Queue) execGroup(group []*qcmd) {
 		// Group abort — a member's cancellation, or an execution error.
 		// Re-execute members individually so unaffected commands still
 		// complete with precise per-command outcomes.
-		for _, qc := range live {
+		for i := range live {
+			qc := &live[i]
 			if cerr := qc.ctx.Err(); cerr != nil {
 				q.complete(qc.id, HostResponse{}, cerr)
 				continue
@@ -767,7 +783,8 @@ func (q *Queue) execGroup(group []*qcmd) {
 		return
 	}
 	off := 0
-	for _, qc := range live {
+	for i := range live {
+		qc := &live[i]
 		n := len(qc.cmd.Queries)
 		resp := HostResponse{
 			Done:       true,
@@ -799,7 +816,7 @@ func (q *Queue) gcStart(qc *qcmd) {
 		q.complete(qc.id, HostResponse{}, err)
 		return
 	}
-	f := &gcFlight{orig: qc, victims: victims}
+	f := &gcFlight{orig: *qc, victims: victims}
 	if len(victims) == 0 {
 		resp, err := q.h.gcFinish(&qc.cmd, &f.acc)
 		q.complete(qc.id, resp, err)
@@ -820,7 +837,7 @@ func (q *Queue) gcStart(qc *qcmd) {
 // reserved GC scheduling key. Step entries carry no CommandID and no
 // queue slot — the flight's original command holds both.
 func (q *Queue) enqueueStepLocked(f *gcFlight) {
-	step := &qcmd{ctx: f.orig.ctx, cmd: f.orig.cmd, gcf: f}
+	step := qcmd{ctx: f.orig.ctx, cmd: f.orig.cmd, gcf: f}
 	if len(q.pending[gcSchedKey]) == 0 {
 		if m, ok := q.minPassLocked(); ok && q.pass[gcSchedKey] < m {
 			q.pass[gcSchedKey] = m
@@ -912,11 +929,11 @@ func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 // mergeCtxs returns the context governing a coalesced execution: the
 // shared context when every member carries the same one, otherwise a
 // groupCtx polling all of them.
-func mergeCtxs(group []*qcmd) context.Context {
+func mergeCtxs(group []qcmd) context.Context {
 	ctx := group[0].ctx
 	same := true
-	for _, qc := range group[1:] {
-		if qc.ctx != ctx {
+	for i := 1; i < len(group); i++ {
+		if group[i].ctx != ctx {
 			same = false
 			break
 		}
@@ -925,8 +942,8 @@ func mergeCtxs(group []*qcmd) context.Context {
 		return ctx
 	}
 	ctxs := make([]context.Context, len(group))
-	for i, qc := range group {
-		ctxs[i] = qc.ctx
+	for i := range group {
+		ctxs[i] = group[i].ctx
 	}
 	return groupCtx{ctxs: ctxs}
 }

@@ -162,17 +162,19 @@ type SearchOptions struct {
 // host's buffers.
 type engineScratch struct {
 	spans     []ssd.PlaneSpan
-	tasks     []planeTask
 	planeWork [][]batchItem
+	busy      []int // the planes with work this round
+	round     scanRound
 	out       scanOut
 	lists     [][]TTLEntry
 }
 
-// pageIdx pairs a flash page with a candidate index; sorting a pooled
-// []pageIdx replaces the map-based page grouping of the controller
-// tail (deterministic iteration order, no steady-state allocation).
+// pageIdx pairs a record's flash page and slot with a candidate index;
+// sorting a pooled []pageIdx replaces the map-based page grouping of the
+// controller tail (deterministic iteration order, no steady-state
+// allocation).
 type pageIdx struct {
-	page, idx int
+	page, slot, idx int
 }
 
 func cmpPageIdx(a, b pageIdx) int {
@@ -202,17 +204,6 @@ func cmpDocResult(a, b DocResult) int {
 		return 1
 	}
 	return a.ID - b.ID
-}
-
-// runTasks dispatches a pooled task list through the worker pool and
-// then zeroes it, so stale closures (and the per-call state they
-// capture) never stay reachable from the pooled backing array after
-// the call completes.
-func (e *Engine) runTasks(tasks []planeTask) error {
-	err := e.pool.run(tasks)
-	clear(tasks)
-	e.scr.tasks = tasks[:0]
-	return err
 }
 
 // ibcPlane broadcasts the packed query into one plane's cache latch.

@@ -9,9 +9,9 @@ import (
 // This file is the controller-side pipeline tail (steps 5-9 of
 // Fig 6): quickselect to the rerank pool, INT8 rescoring, quicksort,
 // and document retrieval. The tail runs on the host core over a query's
-// merged entry stream, fetching each page from the device that owns it
-// (readTailPage, host.go), so results are bit-identical across device
-// counts by construction.
+// merged entry stream, fetching the records it wants of each page from
+// the device that owns it (readTailSlots, host.go), so results are
+// bit-identical across device counts by construction.
 
 // tailScratch holds the tail's pooled working sets. Exactly one
 // goroutine owns a tailScratch at a time (the host core's execution
@@ -23,14 +23,17 @@ type tailScratch struct {
 	reranked   []DocResult
 	groups     []pageIdx
 	planePages []int
-	pageBuf    []byte
-	oobBuf     []byte
+	// One page's read: the slots wanted of it and, for the rerank, the
+	// INT8 records they hold.
+	slots []int
+	recs  []byte
 }
 
 // tail executes the controller tail over a query's merged entry stream.
-// Working sets live in the tail scratch; only the returned results (and
-// their document bytes) are allocated. Tombstoned entries are dropped
-// from the stream before selection, so deleted documents never surface;
+// Working sets live in the tail scratch; only the returned results and
+// one block holding their document bytes are allocated. Tombstoned
+// entries are dropped from the stream before selection, so deleted
+// documents never surface;
 // the scan side stays tombstone-oblivious (dies have no DRAM for the
 // bitmap), which keeps scan-phase stats equal across topologies. Rerank
 // waves are counted per *global* plane (page mod total planes) — exactly
@@ -59,26 +62,26 @@ func (c *hostCore) tail(db *ShardedDatabase, query []float32, entries []TTLEntry
 	ts.q8 = q8
 	groups := ts.groups[:0]
 	for i, c := range cands {
-		groups = append(groups, pageIdx{page: int(c.RADR) / f.int8PerPage, idx: i})
+		groups = append(groups, pageIdx{page: int(c.RADR) / f.int8PerPage, slot: int(c.RADR) % f.int8PerPage, idx: i})
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups
 
 	planePages := resizeInts(ts.planePages, planes)
 	ts.planePages = planePages
+	ts.recs = growTo(ts.recs, len(groups)*f.int8Bytes)
 	reranked := ts.reranked[:0]
 	for gi := 0; gi < len(groups); {
 		page := groups[gi].page
-		data, err := c.readTailPage(db, int8Region, page)
+		end, err := c.readTailSlots(db, int8Region, groups, gi, f.int8Bytes, ts.recs)
 		if err != nil {
 			return nil, err
 		}
 		st.RerankPages++
 		planePages[page%planes]++
-		for ; gi < len(groups) && groups[gi].page == page; gi++ {
+		for rec := ts.recs; gi < end; gi, rec = gi+1, rec[f.int8Bytes:] {
 			c := cands[groups[gi].idx]
-			slot := int(c.RADR) % f.int8PerPage
-			emb := vecmath.UnpackInt8Bytes(data[slot*f.int8Bytes:(slot+1)*f.int8Bytes], ts.emb)
+			emb := vecmath.UnpackInt8Bytes(rec[:f.int8Bytes], ts.emb)
 			ts.emb = emb
 			d := vecmath.L2SquaredInt8(q8, emb)
 			reranked = append(reranked, DocResult{ID: int(c.DADR), Dist: float32(d)})
@@ -108,26 +111,26 @@ func (c *hostCore) tail(db *ShardedDatabase, query []float32, entries []TTLEntry
 	}
 
 	// Document identification and retrieval (step 9): group DADRs by
-	// document page with the same sorted pooled grouping.
+	// document page with the same sorted pooled grouping. The documents
+	// land in one caller-owned block, in page order — each read copies a
+	// page's records from flash straight to their final place — and every
+	// result gets its own capacity-bounded window of it.
 	groups = groups[:0]
 	for i, r := range out {
-		groups = append(groups, pageIdx{page: r.ID / f.docsPerPage, idx: i})
+		groups = append(groups, pageIdx{page: r.ID / f.docsPerPage, slot: r.ID % f.docsPerPage, idx: i})
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups
+	docs := make([]byte, n*f.docBytes)
 	for gi := 0; gi < len(groups); {
-		page := groups[gi].page
-		data, err := c.readTailPage(db, docRegion, page)
+		end, err := c.readTailSlots(db, docRegion, groups, gi, f.docBytes, docs[gi*f.docBytes:])
 		if err != nil {
 			return nil, err
 		}
 		st.DocPages++
-		for ; gi < len(groups) && groups[gi].page == page; gi++ {
-			i := groups[gi].idx
-			slot := out[i].ID % f.docsPerPage
-			doc := make([]byte, f.docBytes)
-			copy(doc, data[slot*f.docBytes:(slot+1)*f.docBytes])
-			out[i].Doc = doc
+		for ; gi < end; gi++ {
+			lo, hi := gi*f.docBytes, (gi+1)*f.docBytes
+			out[groups[gi].idx].Doc = docs[lo:hi:hi]
 			st.DocBytes += int64(f.docBytes)
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -69,7 +70,7 @@ type GatewayConfig struct {
 	now func() time.Time
 }
 
-// routeMetrics accumulates one route's counters.
+// routeMetrics is one route's counters as /stats reports them.
 type routeMetrics struct {
 	Requests uint64 `json:"requests"`
 	// Status4xx / Status5xx count error responses; Rejected counts the
@@ -83,21 +84,39 @@ type routeMetrics struct {
 	MaxNs   int64 `json:"max_ns"`
 }
 
+// routeCounters accumulates one route's routeMetrics. Every request
+// updates them, so they are atomics, not fields under the gateway's lock.
+type routeCounters struct {
+	requests, status4xx, status5xx, rejected atomic.Uint64
+	totalNs, maxNs                           atomic.Int64
+}
+
+func (c *routeCounters) snapshot() routeMetrics {
+	return routeMetrics{
+		Requests: c.requests.Load(), Status4xx: c.status4xx.Load(), Status5xx: c.status5xx.Load(),
+		Rejected: c.rejected.Load(), TotalNs: c.totalNs.Load(), MaxNs: c.maxNs.Load(),
+	}
+}
+
 // Gateway is the HTTP front of a replica group.
 type Gateway struct {
 	group *Group
 	cfg   GatewayConfig
 
-	handler  http.Handler
-	inflight sync.WaitGroup
-	reqSeq   atomic.Uint64
+	handler http.Handler
+	reqSeq  atomic.Uint64
+	// routes holds every route's counters; the map is fixed at
+	// construction.
+	routes map[string]*routeCounters
+
+	// A handler holds drain's read side while it serves, and only once it
+	// has seen draining unset under it; Drain sets draining and then takes
+	// the write side. So Drain's wait covers every admitted request and
+	// none starts after it.
+	drain    sync.RWMutex
+	draining atomic.Bool
 
 	mu sync.Mutex
-	// draining is set by Drain. A handler joins inflight under mu and only
-	// while draining is unset, so Drain's Wait covers every admitted
-	// request and none starts after it.
-	draining bool
-	routes   map[string]*routeMetrics
 	// buckets holds the tenants that are short of a full bucket; once
 	// len(buckets) reaches sweepAt the refilled ones are dropped.
 	buckets map[string]*bucket
@@ -140,8 +159,11 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 	gw := &Gateway{
 		group:   g,
 		cfg:     cfg,
-		routes:  make(map[string]*routeMetrics),
+		routes:  make(map[string]*routeCounters),
 		buckets: make(map[string]*bucket),
+	}
+	for _, route := range []string{"/search", "/search/stream", "/stats", "/healthz"} {
+		gw.routes[route] = new(routeCounters)
 	}
 	protected := func(route string, h http.HandlerFunc) http.Handler {
 		return Chain(h, gw.requestID(), gw.metrics(route), gw.admit(), gw.auth(), gw.rateLimit())
@@ -161,23 +183,18 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 func (gw *Gateway) Handler() http.Handler { return gw.handler }
 
 // Draining reports whether Drain has been initiated.
-func (gw *Gateway) Draining() bool {
-	gw.mu.Lock()
-	defer gw.mu.Unlock()
-	return gw.draining
-}
+func (gw *Gateway) Draining() bool { return gw.draining.Load() }
 
 // Drain gracefully shuts the gateway down: stop admitting requests
 // (503 + Retry-After), wait for in-flight handlers bounded by ctx,
 // then Close the replica group. Safe to call once the HTTP listener
 // has stopped accepting or while it still runs.
 func (gw *Gateway) Drain(ctx context.Context) error {
-	gw.mu.Lock()
-	gw.draining = true
-	gw.mu.Unlock()
+	gw.draining.Store(true)
 	done := make(chan struct{})
 	go func() {
-		gw.inflight.Wait()
+		gw.drain.Lock() // granted when the last admitted handler has left
+		gw.drain.Unlock()
 		close(done)
 	}()
 	select {
@@ -190,11 +207,14 @@ func (gw *Gateway) Drain(ctx context.Context) error {
 
 // statusWriter records the response status for the metrics middleware
 // and forwards Flush so streaming handlers keep working underneath the
-// chain.
+// chain. One serves a request at a time; they recycle through
+// statusWriters.
 type statusWriter struct {
 	http.ResponseWriter
 	status int
 }
+
+var statusWriters = sync.Pool{New: func() any { return new(statusWriter) }}
 
 func (w *statusWriter) WriteHeader(code int) {
 	if w.status == 0 {
@@ -216,16 +236,25 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+// On the /search path response headers are set by map key, in canonical
+// form, to a value slice that is shared and never written to: Header.Set
+// would canonicalize the key and build a slice on every call.
+const headerRequestID = "X-Request-Id"
+
+var contentTypeJSON = []string{"application/json"}
+
 // requestID assigns every request an id (or propagates the client's)
 // and echoes it on the response.
 func (gw *Gateway) requestID() Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			id := r.Header.Get("X-Request-ID")
-			if id == "" {
-				id = fmt.Sprintf("req-%d", gw.reqSeq.Add(1))
+			// The client's own value slice is echoed, capped at its first
+			// entry; net/http stores request headers under canonical keys.
+			ids := r.Header[headerRequestID]
+			if len(ids) == 0 || ids[0] == "" {
+				ids = []string{"req-" + strconv.FormatUint(gw.reqSeq.Add(1), 10)}
 			}
-			w.Header().Set("X-Request-ID", id)
+			w.Header()[headerRequestID] = ids[:1:1]
 			next.ServeHTTP(w, r)
 		})
 	}
@@ -234,30 +263,31 @@ func (gw *Gateway) requestID() Middleware {
 // metrics records per-route request counts, error classes and handler
 // latency.
 func (gw *Gateway) metrics(route string) Middleware {
+	m := gw.routes[route]
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			sw := &statusWriter{ResponseWriter: w}
+			sw := statusWriters.Get().(*statusWriter)
+			sw.ResponseWriter, sw.status = w, 0
 			start := time.Now()
 			next.ServeHTTP(sw, r)
 			elapsed := time.Since(start).Nanoseconds()
-			gw.mu.Lock()
-			m := gw.routes[route]
-			if m == nil {
-				m = &routeMetrics{}
-				gw.routes[route] = m
-			}
-			m.Requests++
+			status := sw.status
+			sw.ResponseWriter = nil
+			statusWriters.Put(sw)
+			m.requests.Add(1)
 			switch {
-			case sw.status >= 500:
-				m.Status5xx++
-			case sw.status >= 400:
-				m.Status4xx++
+			case status >= 500:
+				m.status5xx.Add(1)
+			case status >= 400:
+				m.status4xx.Add(1)
 			}
-			m.TotalNs += elapsed
-			if elapsed > m.MaxNs {
-				m.MaxNs = elapsed
+			m.totalNs.Add(elapsed)
+			for {
+				old := m.maxNs.Load()
+				if elapsed <= old || m.maxNs.CompareAndSwap(old, elapsed) {
+					break
+				}
 			}
-			gw.mu.Unlock()
 		})
 	}
 }
@@ -266,17 +296,20 @@ func (gw *Gateway) metrics(route string) Middleware {
 func (gw *Gateway) admit() Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			gw.mu.Lock()
-			draining := gw.draining
-			if !draining {
-				gw.inflight.Add(1)
-			}
-			gw.mu.Unlock()
-			if draining {
+			// The flag is read before the lock so that a request arriving
+			// behind a waiting Drain is refused at once instead of queueing
+			// on it, and again under the lock, which is what orders it
+			// against Drain.
+			if gw.draining.Load() {
 				gw.reject(w, "gateway draining")
 				return
 			}
-			defer gw.inflight.Done()
+			gw.drain.RLock()
+			defer gw.drain.RUnlock()
+			if gw.draining.Load() {
+				gw.reject(w, "gateway draining")
+				return
+			}
 			next.ServeHTTP(w, r)
 		})
 	}
@@ -378,29 +411,44 @@ func (gw *Gateway) reject(w http.ResponseWriter, msg string) {
 
 // noteRejected bumps a route's saturation counter (the Retry-After
 // 503s satellite metric).
-func (gw *Gateway) noteRejected(route string) {
-	gw.mu.Lock()
-	m := gw.routes[route]
-	if m == nil {
-		m = &routeMetrics{}
-		gw.routes[route] = m
+func (gw *Gateway) noteRejected(route string) { gw.routes[route].rejected.Add(1) }
+
+// queryParam returns the first value of key in a raw query string —
+// what url.ParseQuery(raw) would file first under key, pair for pair
+// (pairs with a semicolon or a bad escape are dropped) — without
+// building the map of every pair. An unescaped value is a substring of
+// raw, so the common request allocates nothing.
+func queryParam(raw, key string) string {
+	for raw != "" {
+		var pair string
+		pair, raw, _ = strings.Cut(raw, "&")
+		if pair == "" || strings.Contains(pair, ";") {
+			continue
+		}
+		k, v, _ := strings.Cut(pair, "=")
+		if k, err := url.QueryUnescape(k); err != nil || k != key {
+			continue
+		}
+		if v, err := url.QueryUnescape(v); err == nil {
+			return v
+		}
 	}
-	m.Rejected++
-	gw.mu.Unlock()
+	return ""
 }
 
-// parseQueryIndexes parses the ?q= operand: one or more sample-query
-// indexes, comma-separated.
-func (gw *Gateway) parseQueryIndexes(r *http.Request) ([]int, error) {
-	raw := r.URL.Query().Get("q")
+// parseQueryIndexes parses the ?q= operand — one or more sample-query
+// indexes, comma-separated — appending them to idxs.
+func (gw *Gateway) parseQueryIndexes(r *http.Request, idxs []int) ([]int, error) {
+	raw := queryParam(r.URL.RawQuery, "q")
 	if raw == "" {
 		return nil, errors.New("q is required (sample-query index)")
 	}
 	if strings.Count(raw, ",") >= maxStreamBatch {
 		return nil, fmt.Errorf("q names more than %d queries", maxStreamBatch)
 	}
-	var idxs []int
-	for _, part := range strings.Split(raw, ",") {
+	for more := true; more; {
+		var part string
+		part, raw, more = strings.Cut(raw, ",")
 		i, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || i < 0 || i >= len(gw.cfg.Queries) {
 			return nil, fmt.Errorf("q must be sample-query indexes in [0, %d)", len(gw.cfg.Queries))
@@ -422,7 +470,7 @@ const (
 // parseK reads the optional k parameter: DefaultK when absent, an error
 // for anything that is not an integer in [1, maxK].
 func (gw *Gateway) parseK(r *http.Request) (int, error) {
-	raw := r.URL.Query().Get("k")
+	raw := queryParam(r.URL.RawQuery, "k")
 	if raw == "" {
 		return gw.cfg.DefaultK, nil
 	}
@@ -434,14 +482,17 @@ func (gw *Gateway) parseK(r *http.Request) (int, error) {
 }
 
 // searchCmd builds the single-query IVF_Search command for sample
-// query qi.
+// query qi; its Q operand is a window of the configured query set.
 func (gw *Gateway) searchCmd(qi, k int) reis.HostCommand {
 	return reis.HostCommand{
 		Opcode: reis.OpcodeIVFSearch, DBID: gw.cfg.DBID,
-		Queries: [][]float32{gw.cfg.Queries[qi]}, K: k,
+		Queries: gw.cfg.Queries[qi : qi+1 : qi+1], K: k,
 		Opt: reis.SearchOptions{NProbe: gw.cfg.NProbe},
 	}
 }
+
+// maxDocBytes is where a document body is cut for transport.
+const maxDocBytes = 64
 
 // hit is one retrieved document in a JSON response.
 type hit struct {
@@ -455,11 +506,7 @@ type hit struct {
 func hits(results []reis.DocResult) []hit {
 	out := make([]hit, 0, len(results))
 	for _, res := range results {
-		doc := res.Doc
-		if len(doc) > 64 {
-			doc = doc[:64]
-		}
-		out = append(out, hit{ID: res.ID, Dist: res.Dist, Doc: string(doc)})
+		out = append(out, hit{ID: res.ID, Dist: res.Dist, Doc: string(res.Doc[:min(len(res.Doc), maxDocBytes)])})
 	}
 	return out
 }
@@ -475,7 +522,8 @@ func (gw *Gateway) record(st reis.QueryStats) {
 
 // handleSearch serves one sample query: GET /search?q=17&k=3.
 func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
-	idxs, err := gw.parseQueryIndexes(r)
+	var one [1]int
+	idxs, err := gw.parseQueryIndexes(r, one[:0])
 	if err != nil || len(idxs) != 1 {
 		http.Error(w, "q must be a single sample-query index (use /search/stream for batches)", http.StatusBadRequest)
 		return
@@ -500,15 +548,15 @@ func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gw.record(resp.QueryStats[0])
-	out := struct {
-		Hits      []hit  `json:"hits"`
-		DeviceLat string `json:"device_latency,omitempty"`
-	}{Hits: hits(resp.Results[0])}
+	deviceLat := ""
 	if gw.cfg.Latency != nil {
-		out.DeviceLat = gw.cfg.Latency(resp)
+		deviceLat = gw.cfg.Latency(resp)
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(out)
+	buf := bodyBufs.Get().(*[]byte)
+	*buf = appendSearchBody((*buf)[:0], resp.Results[0], deviceLat)
+	w.Header()["Content-Type"] = contentTypeJSON
+	w.Write(*buf) // a failed write is the client's departure
+	bodyBufs.Put(buf)
 }
 
 // streamLine is one NDJSON line of a batch response.
@@ -524,7 +572,7 @@ type streamLine struct {
 // request order — every line carries its query index):
 // GET /search/stream?q=1,2,3&k=5.
 func (gw *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
-	idxs, err := gw.parseQueryIndexes(r)
+	idxs, err := gw.parseQueryIndexes(r, nil)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -581,11 +629,14 @@ func (gw *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 func (gw *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 	gw.mu.Lock()
 	queries, device := gw.queries, gw.device
-	routes := make(map[string]routeMetrics, len(gw.routes))
-	for k, m := range gw.routes {
-		routes[k] = *m
-	}
 	gw.mu.Unlock()
+	// A route appears once it has something to report.
+	routes := make(map[string]routeMetrics, len(gw.routes))
+	for route, c := range gw.routes {
+		if m := c.snapshot(); m != (routeMetrics{}) {
+			routes[route] = m
+		}
+	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(struct {
 		Queries int64                   `json:"queries"`

@@ -36,7 +36,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 
 	"reis/internal/reis"
@@ -307,7 +306,8 @@ func (g *Group) Do(ctx context.Context, cmd reis.HostCommand) (reis.HostResponse
 	}
 	g.barrier.RLock()
 	defer g.barrier.RUnlock()
-	order, err := g.route()
+	var buf [stackReplicas]int
+	order, err := g.route(buf[:0])
 	if err != nil {
 		return reis.HostResponse{}, err
 	}
@@ -328,24 +328,46 @@ func (g *Group) Do(ctx context.Context, cmd reis.HostCommand) (reis.HostResponse
 	return reis.HostResponse{}, fmt.Errorf("%w: %w", ErrAllSaturated, lastErr)
 }
 
-// route returns replica indexes in submission-preference order: the
-// power-of-two-choices winner among healthy replicas first, then the
-// remaining healthy replicas by ascending occupancy (the failover
-// chain), then retired replicas by ascending occupancy (last resort —
-// a command is only refused when literally every queue is full). It
-// also runs the readmission check: a retired replica whose queue has
-// drained to ReadmitBelow of its depth rejoins the healthy set.
-func (g *Group) route() ([]int, error) {
+// stackReplicas is the group size up to which routing a command
+// allocates nothing: the candidate list and the preference order of a
+// group this small live on the router's stack.
+const stackReplicas = 8
+
+// routeCand is one replica's routing snapshot.
+type routeCand struct {
+	i, out  int
+	retired bool
+}
+
+// before orders candidates by ascending occupancy, healthy before
+// retired, index breaking ties (deterministic given the occupancy
+// snapshot).
+func (a routeCand) before(b routeCand) bool {
+	if a.retired != b.retired {
+		return !a.retired
+	}
+	if a.out != b.out {
+		return a.out < b.out
+	}
+	return a.i < b.i
+}
+
+// route fills order (handed in empty) with the replica indexes in
+// submission-preference order: the power-of-two-choices winner among
+// healthy replicas first, then the remaining healthy replicas by
+// ascending occupancy (the failover chain), then retired replicas by
+// ascending occupancy (last resort — a command is only refused when
+// literally every queue is full). It also runs the readmission check: a
+// retired replica whose queue has drained to ReadmitBelow of its depth
+// rejoins the healthy set.
+func (g *Group) route(order []int) ([]int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
 		return nil, ErrGroupClosed
 	}
-	type cand struct {
-		i, out  int
-		retired bool
-	}
-	cands := make([]cand, len(g.reps))
+	var buf [stackReplicas]routeCand
+	cands := buf[:0]
 	healthy := 0
 	for i, r := range g.reps {
 		out := r.q.Outstanding()
@@ -354,26 +376,20 @@ func (g *Group) route() ([]int, error) {
 			r.streak = 0
 			g.stats.Readmissions++
 		}
-		cands[i] = cand{i: i, out: out, retired: r.retired}
+		// Insertion sort: a group is a handful of replicas.
+		c := routeCand{i: i, out: out, retired: r.retired}
+		cands = append(cands, c)
+		j := len(cands) - 1
+		for ; j > 0 && c.before(cands[j-1]); j-- {
+			cands[j] = cands[j-1]
+		}
+		cands[j] = c
 		if !r.retired {
 			healthy++
 		}
 	}
-	// Ascending occupancy, healthy before retired, index breaking ties
-	// (deterministic given the occupancy snapshot).
-	sort.Slice(cands, func(a, b int) bool {
-		ca, cb := cands[a], cands[b]
-		if ca.retired != cb.retired {
-			return !ca.retired
-		}
-		if ca.out != cb.out {
-			return ca.out < cb.out
-		}
-		return ca.i < cb.i
-	})
-	order := make([]int, len(cands))
-	for i, c := range cands {
-		order[i] = c.i
+	for _, c := range cands {
+		order = append(order, c.i)
 	}
 	if healthy >= 2 {
 		// Power-of-two-choices over the healthy prefix: sample two
@@ -386,7 +402,7 @@ func (g *Group) route() ([]int, error) {
 		if b >= a {
 			b++
 		}
-		if cands[b].out < cands[a].out || (cands[b].out == cands[a].out && cands[b].i < cands[a].i) {
+		if cands[b].before(cands[a]) {
 			a = b
 		}
 		order[0], order[a] = order[a], order[0]
