@@ -10,7 +10,9 @@
 //     arrival schedule — deterministic like ModelQPS) increasing by
 //     more than -max-regress percent, or
 //   - AllocsPerOp (the zero-alloc query-path contract) increasing by
-//     more than -allocs-slack, or
+//     more than -allocs-slack — compared only between reports generated
+//     at the same GOMAXPROCS (the pools behind it are per-P; a report
+//     that carries the column at a different setting fails instead), or
 //   - any difference at all in the churn sweep's GC counts (CompactedRows,
 //     BlockErases, MaxBlockErase, WriteAmp): they are event counts of a
 //     deterministic mutation history, not timings, so there is no
@@ -30,9 +32,12 @@
 //	go run ./cmd/benchdiff -baseline BENCH_2026-07-29.json -current /tmp/bench.json
 //
 // Rows are matched by experiment id plus their identity fields
-// (Dataset, Mode, Batch, Depth, Shards, ...); experiments or rows
-// missing from the current report are skipped, so a partial CI run
-// gates only what it measured.
+// (Dataset, Mode, Batch, Depth, Shards, ...). Experiments missing from
+// the current report are skipped, so a partial CI run gates only what it
+// measured — but an experiment both reports carry must match: a baseline
+// row with no counterpart in the current report fails, so a renamed or
+// added identity field cannot un-gate a section silently. Current rows
+// the baseline lacks (a new configuration) are noted, not gated.
 package main
 
 import (
@@ -47,6 +52,7 @@ import (
 // report mirrors reisbench's -json document, with rows kept generic so
 // every experiment's row shape works.
 type report struct {
+	GOMAXPROCS  int `json:"gomaxprocs"`
 	Experiments []struct {
 		ID   string           `json:"id"`
 		Rows []map[string]any `json:"rows"`
@@ -61,7 +67,6 @@ var metricFields = map[string]bool{
 	"BytesPerOp": true, "AvgBatch": true, "Speedup": true,
 	"FinePages": true, "PrunedPages": true, "AbortedWaves": true,
 	"HitRate": true, "CachedPages": true, "BaseFinePages": true,
-	"Failovers": true, "Retirements": true,
 	// GC wear metrics from the churn experiment (exactFields: gated on
 	// equality).
 	"WriteAmp": true, "MaxBlockErase": true, "CompactedRows": true,
@@ -135,12 +140,13 @@ type options struct {
 // (informational drift) between the two reports.
 func diff(baseline, current *report, opt options) (violations, notes []string) {
 	base := index(baseline)
-	baseExps := make(map[string]bool)
+	baseRows := make(map[string][]map[string]any)
 	for _, e := range baseline.Experiments {
-		baseExps[e.ID] = true
+		baseRows[e.ID] = e.Rows
 	}
+	allocsRefused := false
 	for _, e := range current.Experiments {
-		if !baseExps[e.ID] {
+		if _, ok := baseRows[e.ID]; !ok {
 			// A whole experiment section the baseline predates: one
 			// report-only note, not an error (and not one note per row) —
 			// the next baseline refresh starts gating it.
@@ -149,6 +155,7 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 				e.ID, len(e.Rows)))
 			continue
 		}
+		matched := make(map[string]bool, len(e.Rows))
 		for _, row := range e.Rows {
 			key := rowKey(e.ID, row)
 			b, ok := base[key]
@@ -156,6 +163,7 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 				notes = append(notes, fmt.Sprintf("%s: no baseline row (new configuration?)", key))
 				continue
 			}
+			matched[key] = true
 			check := func(field string, enforce bool) {
 				cv, ok1 := num(row, field)
 				bv, ok2 := num(b, field)
@@ -206,14 +214,38 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 						key, f, bv, cv))
 				}
 			}
-			if ca, ok1 := num(row, "AllocsPerOp"); ok1 {
-				if ba, ok2 := num(b, "AllocsPerOp"); ok2 && ca > ba+opt.allocsSlack {
-					violations = append(violations, fmt.Sprintf(
-						"%s: AllocsPerOp %.3f -> %.3f (+%.3f, slack %.3f) — zero-alloc path regression",
-						key, ba, ca, ca-ba, opt.allocsSlack))
-				}
+			ca, ok1 := num(row, "AllocsPerOp")
+			ba, ok2 := num(b, "AllocsPerOp")
+			switch {
+			case !ok1 || !ok2:
+			case baseline.GOMAXPROCS != current.GOMAXPROCS:
+				allocsRefused = true
+			case ca > ba+opt.allocsSlack:
+				violations = append(violations, fmt.Sprintf(
+					"%s: AllocsPerOp %.3f -> %.3f (+%.3f, slack %.3f) — zero-alloc path regression",
+					key, ba, ca, ca-ba, opt.allocsSlack))
 			}
 		}
+		// A section both reports carry must actually be compared: rows
+		// are matched on every non-metric field, so one renamed or added
+		// identity field would otherwise un-gate all of it silently.
+		if len(matched) == 0 {
+			violations = append(violations, fmt.Sprintf(
+				"%s: none of the %d current rows matches any of the %d baseline rows — nothing was gated (did an identity field change?)",
+				e.ID, len(e.Rows), len(baseRows[e.ID])))
+			continue
+		}
+		for _, row := range baseRows[e.ID] {
+			if key := rowKey(e.ID, row); !matched[key] {
+				violations = append(violations, fmt.Sprintf(
+					"%s: baseline row has no counterpart in the current report — it is not being gated", key))
+			}
+		}
+	}
+	if allocsRefused {
+		violations = append(violations, fmt.Sprintf(
+			"AllocsPerOp not compared: baseline generated at GOMAXPROCS=%d, current at GOMAXPROCS=%d — the allocation pools are per-P; regenerate at the baseline's setting",
+			baseline.GOMAXPROCS, current.GOMAXPROCS))
 	}
 	return violations, notes
 }

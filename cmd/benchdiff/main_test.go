@@ -58,12 +58,75 @@ func TestDiffWallGateOptIn(t *testing.T) {
 }
 
 func TestDiffSkipsUnmatchedRows(t *testing.T) {
+	// A current row the baseline lacks (a new configuration) is a note,
+	// as long as every baseline row of the section is still matched.
 	base := mkReport(1000, 2000, 24.5)
 	cur := mkReport(1000, 2000, 24.5)
-	cur.Experiments[0].Rows[0]["Batch"] = float64(64) // new configuration
+	extra := map[string]any{}
+	for k, v := range cur.Experiments[0].Rows[0] {
+		extra[k] = v
+	}
+	extra["Batch"] = float64(64)
+	cur.Experiments[0].Rows = append(cur.Experiments[0].Rows, extra)
 	v, notes := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 || len(notes) != 1 {
 		t.Fatalf("violations %v notes %v", v, notes)
+	}
+}
+
+// TestDiffFailsOnUngatedBaselineRows: a section both reports carry must
+// be compared row for row. A baseline row with no counterpart fails, and
+// so does a section where nothing matched — which is what renaming or
+// adding one identity field does to every row at once.
+func TestDiffFailsOnUngatedBaselineRows(t *testing.T) {
+	base := mkReport(1000, 2000, 24.5)
+	second := map[string]any{
+		"Dataset": "NQ", "Mode": "IVF@np2", "Batch": float64(1),
+		"ModelQPS": 800.0, "WallQPS": 1500.0, "AllocsPerOp": 6.0,
+	}
+	base.Experiments[0].Rows = append(base.Experiments[0].Rows, second)
+	// The Batch=1 row is gone from the current report.
+	v, _ := diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25})
+	if len(v) != 1 || !strings.Contains(v[0], "Batch=1") || !strings.Contains(v[0], "no counterpart") {
+		t.Fatalf("missing baseline row not flagged: %v", v)
+	}
+	// Every current row grew an identity field: nothing matches.
+	cur := mkReport(1000, 2000, 24.5)
+	cur.Experiments[0].Rows[0]["Topology"] = "1x"
+	v, _ = diff(base, cur, options{maxRegressPct: 25})
+	if len(v) != 1 || !strings.Contains(v[0], "none of the 1 current rows") {
+		t.Fatalf("fully unmatched section not flagged: %v", v)
+	}
+	// A section the current report does not carry at all is a partial
+	// run, not a failure.
+	cur = mkReport(1000, 2000, 24.5)
+	cur.Experiments[0].ID = "qdepth"
+	base.Experiments = append(base.Experiments, cur.Experiments...)
+	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
+		t.Fatalf("partial run flagged: %v", v)
+	}
+}
+
+// TestDiffRefusesAllocsAcrossGOMAXPROCS: allocs/op depends on the
+// per-P pools, so a comparison across settings is refused (one
+// violation, whatever the values), while the model columns are still
+// gated.
+func TestDiffRefusesAllocsAcrossGOMAXPROCS(t *testing.T) {
+	base, cur := mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 20)
+	base.GOMAXPROCS, cur.GOMAXPROCS = 1, 2
+	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	if len(v) != 1 || !strings.Contains(v[0], "GOMAXPROCS") {
+		t.Fatalf("cross-GOMAXPROCS allocs comparison not refused: %v", v)
+	}
+	cur.Experiments[0].Rows[0]["ModelQPS"] = 700.0
+	if v, _ = diff(base, cur, options{maxRegressPct: 25}); len(v) != 2 {
+		t.Fatalf("model regression must still gate: %v", v)
+	}
+	// Sections without the column (slo, churn) compare at any setting.
+	sb, sc := sloReport(10), sloReport(10)
+	sb.GOMAXPROCS, sc.GOMAXPROCS = 1, 4
+	if v, _ := diff(sb, sc, options{maxRegressPct: 25}); len(v) != 0 {
+		t.Fatalf("alloc-free section refused: %v", v)
 	}
 }
 

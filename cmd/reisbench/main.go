@@ -2,28 +2,12 @@
 // experiment is addressed by the paper artifact it reproduces:
 //
 //	reisbench -exp fig7 -scale 16
+//	reisbench -exp throughput,qdepth
 //	reisbench -exp all
 //
-// Experiments: fig2 (RAG breakdown, flat), fig3 (RAG breakdown, BQ),
-// table4 (end-to-end), fig5 (ANNS algorithms on CPU), fig7 (throughput
-// vs CPU-Real), fig8 (energy efficiency; printed with fig7), fig9
-// (optimization sensitivity), asic (Sec 6.3.1), fig10 (vs ICE), fig11
-// (vs NDSearch), throughput (batched vs sequential query admission),
-// qdepth (QPS vs submission-queue depth through the async host API),
-// shards (throughput vs device count through the sharded router),
-// prune (threshold-propagated top-k pruning vs the unpruned scan),
-// skew (the DRAM caching tier — hot-cluster pinning plus the result
-// cache — under Zipfian query skew and bursty append/delete churn),
-// replicas (the replicated serving tier: concurrent single-query
-// commands routed over a replica group, with and without one member
-// slowed by QoS-weighted ballast), churn (GC wear under sustained
-// append/delete/compact churn: wear-leveled vs first-fit placement of
-// recycled rows, with write amplification and max-erase skew), slo
-// (modeled latency quantiles p50/p95/p99/p999 under a deterministic
-// Poisson arrival schedule, swept over arrival rate x queue depth x
-// shard count), frontier (recall vs modeled latency: live HNSW/LSH/
-// PQ-IVF indexes served from host DRAM against the flash engine with
-// pruning, with and without the DRAM caching tier).
+// The experiments — ids, the other artifacts an id also reproduces, and
+// what each measures — are the table in this file; `reisbench -h` prints
+// it.
 //
 // Profiling and machine-readable output:
 //
@@ -42,6 +26,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -75,7 +60,12 @@ func main() {
 }
 
 func realMain() error {
-	exp := flag.String("exp", "all", "experiment id (fig2|fig3|table4|fig5|fig7|fig8|fig9|asic|fig10|fig11|throughput|qdepth|shards|prune|skew|replicas|churn|slo|frontier|all)")
+	var help strings.Builder
+	help.WriteString("comma-separated experiment ids, or all:")
+	for _, e := range experimentTable {
+		fmt.Fprintf(&help, "\n  %-10s %s", strings.Join(append([]string{e.id}, e.aliases...), "|"), e.about)
+	}
+	exp := flag.String("exp", "all", help.String())
 	scale := flag.Int("scale", 16, "workload scale divisor (larger = smaller functional datasets)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the run")
@@ -94,9 +84,9 @@ func realMain() error {
 		defer pprof.StopCPUProfile()
 	}
 
-	ids := strings.Split(*exp, ",")
-	if *exp == "all" {
-		ids = []string{"fig2", "fig5", "fig7", "fig9", "asic", "fig10", "fig11", "throughput", "qdepth", "shards", "prune", "skew", "replicas", "churn", "slo", "frontier"}
+	exps, err := resolve(*exp)
+	if err != nil {
+		return err
 	}
 	report := jsonReport{
 		Tool:        "reisbench",
@@ -104,17 +94,17 @@ func realMain() error {
 		Scale:       *scale,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
-	for _, id := range ids {
+	for _, e := range exps {
 		start := time.Now()
-		rows, err := run(id, *scale)
+		rows, err := e.run(*scale)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		elapsed := time.Since(start)
 		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID: id, ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6, Rows: rows,
+			ID: e.id, ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6, Rows: rows,
 		})
-		fmt.Printf("[%s completed in %v]\n\n", id, elapsed.Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n\n", e.id, elapsed.Round(time.Millisecond))
 	}
 
 	if *jsonOut != "" {
@@ -141,126 +131,89 @@ func realMain() error {
 	return nil
 }
 
-// run executes one experiment, prints its table, and returns its rows
-// for the machine-readable report.
-func run(id string, scale int) (any, error) {
-	switch id {
-	case "fig2", "fig3", "table4":
-		rows, err := experiments.RunRAGBreakdown(scale)
+// experiment is one row of the experiment table: the id it is addressed
+// by, the other paper artifacts the same run reproduces, what it
+// measures (the -exp help line), and the run itself, which prints the
+// experiment's table and returns its rows for the -json report.
+type experiment struct {
+	id      string
+	aliases []string
+	about   string
+	run     func(scale int) (any, error)
+}
+
+// of builds an experiment's run from its runner and its formatter.
+func of[R any](run func(scale int) (R, error), format func(R) string) func(int) (any, error) {
+	return func(scale int) (any, error) {
+		rows, err := run(scale)
 		if err != nil {
 			return nil, err
 		}
-		fmt.Print(experiments.FormatRAG(rows))
+		fmt.Print(format(rows))
 		return rows, nil
-	case "fig5":
-		pts, err := experiments.RunFig5(scale)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig5(pts))
-		return pts, nil
-	case "fig7", "fig8":
-		rows, err := experiments.RunFig7(scale, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig7(rows))
-		avg, maxS, avgW, maxW := experiments.SummarizeFig7(rows)
-		fmt.Printf("summary: speedup avg %.1fx max %.1fx (paper: 13x / 112x); QPS/W avg %.1fx max %.1fx (paper: 55x / 157x)\n",
-			avg, maxS, avgW, maxW)
-		return rows, nil
-	case "fig9":
-		rows, err := experiments.RunFig9(scale, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig9(rows))
-		return rows, nil
-	case "asic":
-		rows, err := experiments.RunASIC(scale, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatASIC(rows))
-		return rows, nil
-	case "fig10":
-		rows, err := experiments.RunFig10(scale, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig10(rows))
-		return rows, nil
-	case "fig11":
-		rows, err := experiments.RunFig11(scale)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFig11(rows))
-		return rows, nil
-	case "throughput":
-		rows, err := experiments.RunThroughput(scale, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatThroughput(rows))
-		return rows, nil
-	case "qdepth":
-		rows, err := experiments.RunQDepth(scale, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatQDepth(rows))
-		return rows, nil
-	case "shards":
-		rows, err := experiments.RunShards(scale, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatShards(rows))
-		return rows, nil
-	case "prune":
-		rows, err := experiments.RunPrune(nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatPrune(rows))
-		return rows, nil
-	case "skew":
-		rows, err := experiments.RunSkew(nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatSkew(rows))
-		return rows, nil
-	case "churn":
-		rows, err := experiments.RunChurn()
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatChurn(rows))
-		return rows, nil
-	case "replicas":
-		rows, err := experiments.RunReplicas(scale, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatReplicas(rows))
-		return rows, nil
-	case "slo":
-		rows, err := experiments.RunSLO(scale, nil, nil, nil)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatSLO(rows))
-		return rows, nil
-	case "frontier":
-		rows, err := experiments.RunFrontier(scale)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Print(experiments.FormatFrontier(rows))
-		return rows, nil
-	default:
-		return nil, fmt.Errorf("unknown experiment %q", id)
 	}
+}
+
+// experimentTable lists every experiment, in the order `-exp all` runs
+// them.
+var experimentTable = []experiment{
+	{"fig2", []string{"fig3", "table4"}, "RAG pipeline breakdown: CPU flat, CPU+BQ, REIS end to end",
+		of(experiments.RunRAGBreakdown, experiments.FormatRAG)},
+	{"fig5", nil, "ANNS algorithms on CPU (wall clock)",
+		of(experiments.RunFig5, experiments.FormatFig5)},
+	{"fig7", []string{"fig8"}, "throughput and energy efficiency vs CPU-Real",
+		of(func(scale int) ([]experiments.Fig7Row, error) { return experiments.RunFig7(scale, nil) }, formatFig7)},
+	{"fig9", nil, "optimization sensitivity",
+		of(func(scale int) ([]experiments.Fig9Row, error) { return experiments.RunFig9(scale, nil) }, experiments.FormatFig9)},
+	{"asic", nil, "REIS-ASIC slowdown (Sec 6.3.1)",
+		of(func(scale int) ([]experiments.ASICRow, error) { return experiments.RunASIC(scale, nil) }, experiments.FormatASIC)},
+	{"fig10", nil, "speedup over ICE",
+		of(func(scale int) ([]experiments.Fig10Row, error) { return experiments.RunFig10(scale, nil) }, experiments.FormatFig10)},
+	{"fig11", nil, "speedup over NDSearch",
+		of(experiments.RunFig11, experiments.FormatFig11)},
+	{"throughput", nil, "batched vs sequential query admission",
+		of(func(scale int) ([]experiments.ThroughputRow, error) {
+			return experiments.RunThroughput(scale, nil, nil)
+		}, experiments.FormatThroughput)},
+	{"qdepth", nil, "QPS and modeled tails vs submission-queue depth through the async host API",
+		of(func(scale int) ([]experiments.QDepthRow, error) { return experiments.RunQDepth(scale, nil, nil) }, experiments.FormatQDepth)},
+	{"shards", nil, "throughput and modeled tails vs device count",
+		of(func(scale int) ([]experiments.ShardRow, error) { return experiments.RunShards(scale, nil, nil) }, experiments.FormatShards)},
+	{"prune", nil, "threshold-propagated top-k pruning vs the unpruned scan (fixed corpus; -scale unused)",
+		of(func(int) ([]experiments.PruneRow, error) { return experiments.RunPrune(nil, nil) }, experiments.FormatPrune)},
+	{"skew", nil, "the DRAM caching tier under Zipfian query skew and bursty churn (fixed corpus)",
+		of(func(int) ([]experiments.SkewRow, error) { return experiments.RunSkew(nil, nil) }, experiments.FormatSkew)},
+	{"churn", nil, "GC wear under append/delete/compact: wear-leveled vs first-fit placement (fixed corpus)",
+		of(func(int) ([]experiments.ChurnRow, error) { return experiments.RunChurn() }, experiments.FormatChurn)},
+	{"slo", nil, "modeled p50/p95/p99/p999 under Poisson arrivals: arrival rate x queue depth x shard count",
+		of(func(scale int) ([]experiments.SLORow, error) { return experiments.RunSLO(scale, nil, nil, nil) }, experiments.FormatSLO)},
+	{"frontier", nil, "recall vs modeled latency: DRAM-side HNSW/LSH/PQ-IVF vs the flash engine, pruned and cached",
+		of(experiments.RunFrontier, experiments.FormatFrontier)},
+}
+
+// formatFig7 is Fig 7's table plus the aggregates the paper quotes.
+func formatFig7(rows []experiments.Fig7Row) string {
+	avg, maxS, avgW, maxW := experiments.SummarizeFig7(rows)
+	return experiments.FormatFig7(rows) + fmt.Sprintf(
+		"summary: speedup avg %.1fx max %.1fx (paper: 13x / 112x); QPS/W avg %.1fx max %.1fx (paper: 55x / 157x)\n",
+		avg, maxS, avgW, maxW)
+}
+
+// resolve turns the -exp value into experiments: "all" is the table, in
+// order; otherwise each comma-separated id or alias is looked up.
+func resolve(exp string) ([]experiment, error) {
+	if exp == "all" {
+		return experimentTable, nil
+	}
+	var exps []experiment
+	for _, id := range strings.Split(exp, ",") {
+		i := slices.IndexFunc(experimentTable, func(e experiment) bool {
+			return id == e.id || slices.Contains(e.aliases, id)
+		})
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q", id)
+		}
+		exps = append(exps, experimentTable[i])
+	}
+	return exps, nil
 }

@@ -78,12 +78,13 @@
 // and document records it wants of a page, copied once (DESIGN.md,
 // "Host-clock cost of a request").
 //
-// The timing model extends past averages into distributions: RunLoad
-// (on either host) replays a deterministic Poisson arrival schedule
-// through a queue pair in virtual time and accumulates per-command
-// modeled latency into a streaming quantile
-// sketch (reis.LatencySketch, DDSketch-style with a guaranteed
-// relative-error bound), so p50/p95/p99/p999 are bit-identical run to
+// The timing model extends past averages into distributions:
+// reis.SimulateLoad replays a deterministic Poisson arrival schedule
+// (reis.PoissonArrivals) through a queue pair in virtual time, pricing
+// each coalesced group from the per-query stats one batched command
+// returned, and accumulates per-command modeled latency into a
+// streaming quantile sketch (reis.LatencySketch, DDSketch-style with a
+// guaranteed relative-error bound), so p50/p95/p99/p999 are bit-identical run to
 // run and gate CI: cmd/benchdiff fails when modeled p99 under the
 // pinned arrival rate regresses against the committed BENCH_*.json
 // baseline (DESIGN.md, "Latency distributions and SLOs"). The
@@ -94,7 +95,7 @@
 //
 // Runnable entry points are cmd/reisbench (regenerates every table and
 // figure of the paper, plus the throughput, queue-depth, shard
-// scale-out, replicated-serving, SLO and frontier sweeps), cmd/reisctl
+// scale-out, pruning, caching, churn, SLO and frontier sweeps), cmd/reisctl
 // (deploy + async search against a simulated device, a -shards
 // topology, or a -replicas group), and the examples/ directory
 // (examples/ragserver is the gateway over a replica group). The

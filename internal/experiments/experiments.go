@@ -15,13 +15,11 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"reis/internal/ann"
 	"reis/internal/dataset"
 	"reis/internal/host"
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // PaperNList is the cluster count the paper uses for its IVF indexes
@@ -108,7 +106,7 @@ func (w *Workload) ScaleBF() reis.Scale {
 // extremes and matches how practitioners retune nprobe when nlist
 // grows (FAISS guidelines scale both with sqrt(N)).
 func (w *Workload) ScaleIVF() reis.Scale {
-	fine := w.ClusterRatio * sqrtF(w.ScaleCoarse)
+	fine := w.ClusterRatio * math.Sqrt(max(1, w.ScaleCoarse))
 	if w.Desc.DocBytes == 0 {
 		// Billion-scale pure-ANNS datasets (SIFT/DEEP): the functional
 		// run already probes a far larger fraction of cells (tens of
@@ -120,138 +118,15 @@ func (w *Workload) ScaleIVF() reis.Scale {
 	return reis.Scale{Fine: fine, Coarse: w.ScaleCoarse, SurvivorRate: SurvivorRate}
 }
 
-func sqrtF(x float64) float64 {
-	if x < 1 {
-		return 1
-	}
-	return math.Sqrt(x)
-}
-
 // PaperN returns the full-scale entry count.
 func (w *Workload) PaperN() int64 { return w.Desc.PaperEntries }
 
-// Setup is a deployed REIS engine over a workload.
-type Setup struct {
-	Engine *reis.Engine
-	DB     *reis.Database
-	W      *Workload
-}
-
-// Close releases the engine's background workers (the plane worker
-// pool and any queue pairs). Runners that build setups in a loop call
-// it as each setup goes out of scope.
-func (s *Setup) Close() { s.Engine.Close() }
-
-// NewSetup deploys the workload on a fresh engine of the given
-// configuration and options.
-func NewSetup(cfg ssd.Config, w *Workload, opts reis.Options) (*Setup, error) {
-	// Shrink per-plane capacity to what the workload needs (keeps the
-	// functional simulation light without touching parallelism). Eight
-	// blocks per plane leave room for the four block-aligned regions
-	// of a deployment; WithCapacityFor grows it if the data demands.
-	need := int64(w.Data.Len()) * int64(w.Data.Dim*3)
-	cfg.Geo.BlocksPerPlane = 8
-	cfg.Geo.PagesPerBlock = 16
-	e, err := reis.New(cfg, need*4+64<<20, opts)
-	if err != nil {
-		return nil, err
-	}
-	db, err := e.IVFDeploy(reis.DeployConfig{
-		ID: 1, Vectors: w.Data.Vectors, Docs: w.Data.Docs,
-		DocSlotBytes: docSlot(w.Data), Centroids: w.Centroids, Assign: w.Assign,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Setup{Engine: e, DB: db, W: w}, nil
-}
-
 func docSlot(d *dataset.Dataset) int {
 	slot := 256
-	for _, doc := range d.Docs[:1] {
-		for slot < len(doc) {
-			slot *= 2
-		}
+	for slot < len(d.Docs[0]) {
+		slot *= 2
 	}
 	return slot
-}
-
-// RunBF executes every workload query as an in-storage brute-force
-// search and returns the mean per-query latency breakdown at paper
-// scale plus the mean stats. Queries are admitted as one batched
-// Search host command — per-query results and device events are
-// bit-identical to sequential admission, so figure reproductions are
-// unchanged while the functional simulation runs concurrently across
-// planes.
-func (s *Setup) RunBF(k int) (reis.Breakdown, reis.QueryStats, error) {
-	return s.run(k, s.W.ScaleBF(), false, reis.SearchOptions{})
-}
-
-// RunIVF executes every query at the given nprobe, batched.
-func (s *Setup) RunIVF(k, nprobe int) (reis.Breakdown, reis.QueryStats, error) {
-	return s.run(k, s.W.ScaleIVF(), true, reis.SearchOptions{NProbe: nprobe})
-}
-
-func (s *Setup) run(k int, sc reis.Scale, ivf bool, opt reis.SearchOptions) (reis.Breakdown, reis.QueryStats, error) {
-	queries := s.W.Data.Queries
-	// The figure runners drive the device exactly as a host would:
-	// one vendor command through the submission-queue interface.
-	op := reis.OpcodeSearch
-	if ivf {
-		op = reis.OpcodeIVFSearch
-	}
-	resp, err := s.Engine.Submit(reis.HostCommand{
-		Opcode: op, DBID: 1, Queries: queries, K: k, NProbe: opt.NProbe, Opt: opt,
-	})
-	if err != nil {
-		return reis.Breakdown{}, reis.QueryStats{}, err
-	}
-	sts := resp.QueryStats
-	var totalSec float64
-	var b reis.Breakdown
-	var agg reis.QueryStats
-	for _, st := range sts {
-		bd := s.Engine.Latency(s.DB, st, sc)
-		totalSec += bd.Total.Seconds()
-		b = bd // keep the last breakdown's proportions
-		agg.Add(st)
-	}
-	b.Total = time.Duration(totalSec / float64(len(sts)) * float64(time.Second))
-	return b, meanStats(agg, len(sts)), nil
-}
-
-func meanStats(agg reis.QueryStats, n int) reis.QueryStats {
-	if n <= 1 {
-		return agg
-	}
-	agg.CoarseWaves /= n
-	agg.FineWaves /= n
-	agg.CoarsePages /= n
-	agg.FinePages /= n
-	agg.EntriesScanned /= n
-	agg.Survivors /= n
-	agg.TTLBytes /= int64(n)
-	agg.RerankCount /= n
-	agg.RerankPages /= n
-	agg.RerankWaves /= n
-	agg.DocPages /= n
-	agg.DocBytes /= int64(n)
-	agg.IBCBroadcasts /= n
-	agg.SelectInput /= n
-	agg.SortedEntries /= n
-	agg.CoarseEntries /= n
-	agg.PrunedPages /= n
-	agg.AbortedWaves /= n
-	agg.PrunedSlots /= n
-	agg.CachedPages /= n
-	agg.CachedSlots /= n
-	agg.ResultCacheHits /= n
-	return agg
-}
-
-// NProbeFor calibrates nprobe for a Recall@10 target on this setup.
-func (s *Setup) NProbeFor(target float64) (int, error) {
-	return s.Engine.CalibrateNProbe(1, s.W.Data.Queries, s.W.Data.GroundTruth, 10, target)
 }
 
 // CPUQPS returns the Fig 7 CPU-Real throughput for this workload:

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"reis/internal/reis"
+	"reis/internal/ssd"
 )
 
 // Tests run at heavy scale divisors so the functional workloads stay
@@ -22,6 +26,40 @@ func TestLoadWorkload(t *testing.T) {
 	}
 	if w.ScaleCoarse <= 1 {
 		t.Fatalf("ScaleCoarse = %v", w.ScaleCoarse)
+	}
+}
+
+// TestSetupsClosesEachSetup pins the lifetime the runners lean on: a
+// setup handed out by setups is closed before the next one is built, and
+// when the loop is left early.
+func TestSetupsClosesEachSetup(t *testing.T) {
+	w := LoadWorkload("NQ", testScale)
+	closed := func(s *Setup) bool {
+		_, err := s.Submit(reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 1, Queries: w.Data.Queries[:1], K: 1})
+		return errors.Is(err, reis.ErrQueueClosed)
+	}
+	var seen []*Setup
+	for s, err := range setups(w, reis.AllOptions(), paperSSDs, 1, 2) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closed(s) {
+			t.Fatalf("setup %d handed out closed", len(seen))
+		}
+		for i, prev := range seen {
+			if !closed(prev) {
+				t.Errorf("setup %d still open while setup %d is live", i, len(seen))
+			}
+		}
+		if seen = append(seen, s); len(seen) == 3 {
+			break // of 4: SSD1 x {1, 2}, SSD2 x {1, 2}
+		}
+	}
+	if len(seen) != 3 || seen[1].Devices != 2 || seen[2].Cfg.Name != paperSSDs[1].Name {
+		t.Fatalf("unexpected iteration order: %d setups", len(seen))
+	}
+	if !closed(seen[2]) {
+		t.Error("setup left open by an early exit from the loop")
 	}
 }
 
@@ -57,6 +95,30 @@ func TestRunFig7ShapeHolds(t *testing.T) {
 	out := FormatFig7(rows)
 	if !strings.Contains(out, "wiki_en") {
 		t.Error("formatted output missing dataset")
+	}
+	// What the rows were computed from: Setup.run's breakdown is a
+	// per-field mean over the queries, so its phases sum to its Total
+	// and its power is its energy over its time — not one query's.
+	s, err := NewSetup(ssd.SSD1(), 1, LoadWorkload("NQ", testScale), reis.AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	bf, _, err := s.RunBF(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivf, _, err := s.RunIVF(10, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for mode, b := range map[string]reis.Breakdown{"BF": bf, "IVF": ivf} {
+		if b.Total <= 0 || b.IBC+b.Coarse+b.Fine+b.Rerank+b.Docs != b.Total {
+			t.Errorf("%s: phases do not sum to Total: %+v", mode, b)
+		}
+		if b.AvgWatts != b.EnergyJ/b.Total.Seconds() {
+			t.Errorf("%s: AvgWatts %v is not EnergyJ/Total = %v", mode, b.AvgWatts, b.EnergyJ/b.Total.Seconds())
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"reis/internal/dataset"
 	"reis/internal/reis"
 	"reis/internal/rivals"
-	"reis/internal/ssd"
 )
 
 // Fig10Row is one bar of Fig 10: REIS speedup over ICE for one
@@ -31,53 +30,36 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 	var rows []Fig10Row
 	for _, name := range datasets {
 		w := LoadWorkload(name, scale)
-		for _, cfg := range []ssd.Config{ssd.SSD1(), ssd.SSD2()} {
-			s, err := NewSetup(cfg, w, reis.AllOptions())
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs, 1) {
 			if err != nil {
 				return nil, err
 			}
-			defer s.Close()
-			modes := []struct {
-				name string
-				run  func() (reis.Breakdown, reis.QueryStats, error)
-			}{
-				{"BF", func() (reis.Breakdown, reis.QueryStats, error) { return s.RunBF(10) }},
-			}
-			for _, target := range RecallTargets {
-				target := target
-				modes = append(modes, struct {
-					name string
-					run  func() (reis.Breakdown, reis.QueryStats, error)
-				}{fmt.Sprintf("IVF@%.2f", target), func() (reis.Breakdown, reis.QueryStats, error) {
-					nprobe, err := s.NProbeFor(target)
-					if err != nil {
-						return reis.Breakdown{}, reis.QueryStats{}, err
-					}
-					return s.RunIVF(10, nprobe)
-				}})
-			}
-			for _, m := range modes {
-				b, st, err := m.run()
-				if err != nil {
-					return nil, err
-				}
+			add := func(mode string, fineScale float64, b reis.Breakdown, st reis.QueryStats) {
 				// ICE scans the same logical embeddings; its pages are
 				// amplified inside the model. Candidates (no DF) are
 				// every scanned entry.
-				fineScale := w.ScaleIVF().Fine
-				if m.name == "BF" {
-					fineScale = w.ScaleFine
-				}
 				cands := FineCandidates(st, fineScale)
 				perPage := float64(s.DB.EmbPerPage())
 				scanPages := float64(st.CoarseEntries)*w.ScaleCoarse/perPage + cands/perPage
-				iceL := ice.Latency(cfg, scanPages, cands, 8)
-				espL := iceESP.Latency(cfg, scanPages, cands, 8)
+				iceL := ice.Latency(s.Cfg, scanPages, cands, 8)
+				espL := iceESP.Latency(s.Cfg, scanPages, cands, 8)
 				rows = append(rows, Fig10Row{
-					Dataset: name, Mode: m.name, SSD: cfg.Name,
+					Dataset: name, Mode: mode, SSD: s.Cfg.Name,
 					SpeedupICE:    float64(iceL) / float64(b.Total),
 					SpeedupICEESP: float64(espL) / float64(b.Total),
 				})
+			}
+			b, st, err := s.RunBF(10)
+			if err != nil {
+				return nil, err
+			}
+			add("BF", w.ScaleFine, b, st)
+			for _, target := range RecallTargets {
+				b, st, err := s.RunIVFAt(10, target)
+				if err != nil {
+					return nil, err
+				}
+				add(fmt.Sprintf("IVF@%.2f", target), w.ScaleIVF().Fine, b, st)
 			}
 		}
 	}
@@ -113,38 +95,32 @@ func RunFig11(scale int) ([]Fig11Row, error) {
 	targets := map[string]float64{"SIFT": 0.94, "DEEP": 0.93}
 	var rows []Fig11Row
 	for _, name := range []string{"SIFT", "DEEP"} {
-		w := LoadWorkload(name, scale)
-		s, err := NewSetup(ssd.SSD2(), w, reis.AllOptions())
-		if err != nil {
-			return nil, err
+		w, target := LoadWorkload(name, scale), targets[name]
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs[1:], 1) {
+			if err != nil {
+				return nil, err
+			}
+			nprobe, err := s.NProbeFor(target)
+			if err != nil {
+				return nil, err
+			}
+			// RunIVF without the document-retrieval stage: SIFT/DEEP are
+			// pure-ANNS benchmarks, as in NDSearch's evaluation.
+			b, _, err := s.run(10, w.ScaleIVF(), reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe, SkipDocs: true})
+			if err != nil {
+				return nil, err
+			}
+			hops := measureHNSWHops(w.Data, target)
+			// log-extrapolate path length to paper scale.
+			logRatio := math.Log(float64(w.PaperN())) / math.Log(float64(w.Data.Len()))
+			ndL := nd.Latency(s.Cfg, hops*logRatio)
+			rows = append(rows, Fig11Row{
+				Dataset: name, Recall: target,
+				SpeedupND: float64(ndL) / float64(b.Total),
+			})
 		}
-		defer s.Close()
-		target := targets[name]
-		nprobe, err := s.NProbeFor(target)
-		if err != nil {
-			return nil, err
-		}
-		b, _, err := s.runSkipDocs(10, nprobe)
-		if err != nil {
-			return nil, err
-		}
-
-		hops := measureHNSWHops(w.Data, target)
-		// log-extrapolate path length to paper scale.
-		logRatio := logf(float64(w.PaperN())) / logf(float64(w.Data.Len()))
-		ndL := nd.Latency(ssd.SSD2(), hops*logRatio)
-		rows = append(rows, Fig11Row{
-			Dataset: name, Recall: target,
-			SpeedupND: float64(ndL) / float64(b.Total),
-		})
 	}
 	return rows, nil
-}
-
-// runSkipDocs mirrors RunIVF without the document-retrieval stage
-// (SIFT/DEEP are pure-ANNS benchmarks, as in NDSearch's evaluation).
-func (s *Setup) runSkipDocs(k, nprobe int) (reis.Breakdown, reis.QueryStats, error) {
-	return s.run(k, s.W.ScaleIVF(), true, reis.SearchOptions{NProbe: nprobe, SkipDocs: true})
 }
 
 // measureHNSWHops builds an HNSW graph over the dataset and measures
@@ -170,8 +146,6 @@ func measureHNSWHops(d *dataset.Dataset, target float64) float64 {
 	}
 	return float64(h.HopCount) / float64(len(d.Queries))
 }
-
-func logf(x float64) float64 { return math.Log(x) }
 
 // FormatFig11 renders the NDSearch comparison.
 func FormatFig11(rows []Fig11Row) string {

@@ -6,7 +6,6 @@ import (
 
 	"reis/internal/host"
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // Fig7Row is one bar group of Fig 7 (throughput) and Fig 8 (energy
@@ -39,45 +38,55 @@ func RunFig7(scale int, datasets []string) ([]Fig7Row, error) {
 
 	var rows []Fig7Row
 	for _, name := range datasets {
-		w := LoadWorkload(name, scale)
-		s1, err := NewSetup(ssd.SSD1(), w, reis.AllOptions())
+		dsRows, err := fig7Rows(LoadWorkload(name, scale), cpu, noio)
 		if err != nil {
 			return nil, err
 		}
-		defer s1.Close()
-		s2, err := NewSetup(ssd.SSD2(), w, reis.AllOptions())
-		if err != nil {
-			return nil, err
-		}
-		defer s2.Close()
+		rows = append(rows, dsRows...)
+	}
+	return rows, nil
+}
 
-		// Brute force.
-		b1, st1, err := s1.RunBF(10)
-		if err != nil {
-			return nil, err
-		}
-		b2, _, err := s2.RunBF(10)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, makeRow(w, "BF", w.ScaleFine, cpu, noio, b1, b2, st1))
+// fig7Rows holds both devices at once: every row compares them on one
+// command, REIS-SSD2 at the nprobe REIS-SSD1 calibrated.
+func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
+	s1, err := NewSetup(paperSSDs[0], 1, w, reis.AllOptions())
+	if err != nil {
+		return nil, err
+	}
+	defer s1.Close()
+	s2, err := NewSetup(paperSSDs[1], 1, w, reis.AllOptions())
+	if err != nil {
+		return nil, err
+	}
+	defer s2.Close()
 
-		// IVF at each recall target.
-		for _, target := range RecallTargets {
-			nprobe, err := s1.NProbeFor(target)
-			if err != nil {
-				return nil, err
-			}
-			b1, st, err := s1.RunIVF(10, nprobe)
-			if err != nil {
-				return nil, err
-			}
-			b2, _, err := s2.RunIVF(10, nprobe)
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, makeRow(w, fmt.Sprintf("IVF@%.2f", target), w.ScaleIVF().Fine, cpu, noio, b1, b2, st))
+	// Brute force.
+	b1, st1, err := s1.RunBF(10)
+	if err != nil {
+		return nil, err
+	}
+	b2, _, err := s2.RunBF(10)
+	if err != nil {
+		return nil, err
+	}
+	rows := []Fig7Row{makeRow(w, "BF", w.ScaleFine, cpu, noio, b1, b2, st1)}
+
+	// IVF at each recall target.
+	for _, target := range RecallTargets {
+		nprobe, err := s1.NProbeFor(target)
+		if err != nil {
+			return nil, err
 		}
+		b1, st, err := s1.RunIVF(10, nprobe)
+		if err != nil {
+			return nil, err
+		}
+		b2, _, err := s2.RunIVF(10, nprobe)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, makeRow(w, fmt.Sprintf("IVF@%.2f", target), w.ScaleIVF().Fine, cpu, noio, b1, b2, st))
 	}
 	return rows, nil
 }

@@ -6,7 +6,6 @@ import (
 
 	"reis/internal/host"
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // Fig9Row is one point of the Fig 9 sensitivity study: normalized QPS
@@ -31,43 +30,36 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 	w := LoadWorkload("wiki_full", scale)
 	cpu := host.NewBaseline(host.CPUReal())
 
+	// The optimization stacks, each with the column it fills. One stack
+	// is deployed at a time, on each device in turn, and fills its column
+	// of every (device, recall) row.
 	stacks := []struct {
-		name string
 		opts reis.Options
+		col  func(*Fig9Row) *float64
 	}{
-		{"NoOpt", reis.Options{}},
-		{"DF", reis.Options{DistanceFilter: true}},
-		{"DFPL", reis.Options{DistanceFilter: true, Pipelining: true}},
-		{"Full", reis.AllOptions()},
+		{reis.Options{}, func(r *Fig9Row) *float64 { return &r.NoOpt }},
+		{reis.Options{DistanceFilter: true}, func(r *Fig9Row) *float64 { return &r.DF }},
+		{reis.Options{DistanceFilter: true, Pipelining: true}, func(r *Fig9Row) *float64 { return &r.DFPL }},
+		{reis.AllOptions(), func(r *Fig9Row) *float64 { return &r.Full }},
 	}
-
-	var rows []Fig9Row
-	for _, cfg := range []ssd.Config{ssd.SSD1(), ssd.SSD2()} {
-		setups := make([]*Setup, len(stacks))
-		for i, stk := range stacks {
-			s, err := NewSetup(cfg, w, stk.opts)
+	rows := make([]Fig9Row, len(paperSSDs)*len(recalls))
+	for _, stk := range stacks {
+		next := 0
+		for s, err := range setups(w, stk.opts, paperSSDs, 1) {
 			if err != nil {
 				return nil, err
 			}
-			defer s.Close()
-			setups[i] = s
-		}
-		for _, target := range recalls {
-			row := Fig9Row{SSD: cfg.Name, Recall: target}
-			vals := []*float64{&row.NoOpt, &row.DF, &row.DFPL, &row.Full}
-			for i, s := range setups {
-				nprobe, err := s.NProbeFor(target)
-				if err != nil {
-					return nil, err
-				}
-				b, st, err := s.RunIVF(10, nprobe)
+			for _, target := range recalls {
+				b, st, err := s.RunIVFAt(10, target)
 				if err != nil {
 					return nil, err
 				}
 				cpuQPS := CPUQPS(cpu, w, FineCandidates(st, w.ScaleIVF().Fine), float64(st.CoarseEntries)*w.ScaleCoarse)
-				*vals[i] = (1 / b.Total.Seconds()) / cpuQPS
+				row := &rows[next]
+				next++
+				row.SSD, row.Recall = s.Cfg.Name, target
+				*stk.col(row) = (1 / b.Total.Seconds()) / cpuQPS
 			}
-			rows = append(rows, row)
 		}
 	}
 	return rows, nil
@@ -102,26 +94,20 @@ func RunASIC(scale int, datasets []string) ([]ASICRow, error) {
 	var rows []ASICRow
 	for _, name := range datasets {
 		w := LoadWorkload(name, scale)
-		for _, cfg := range []ssd.Config{ssd.SSD1(), ssd.SSD2()} {
-			s, err := NewSetup(cfg, w, reis.AllOptions())
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs, 1) {
 			if err != nil {
 				return nil, err
 			}
-			defer s.Close()
 			for _, target := range RecallTargets {
-				nprobe, err := s.NProbeFor(target)
-				if err != nil {
-					return nil, err
-				}
-				_, st, err := s.RunIVF(10, nprobe)
+				_, st, err := s.RunIVFAt(10, target)
 				if err != nil {
 					return nil, err
 				}
 				sc := w.ScaleIVF()
-				reisL := s.Engine.Latency(s.DB, st, sc).Total
+				reisL := s.price(st, nil, sc).Total
 				asicL := s.Engine.ASICLatency(s.DB, st, sc).Total
 				rows = append(rows, ASICRow{
-					Dataset: name, SSD: cfg.Name, Recall: target,
+					Dataset: name, SSD: s.Cfg.Name, Recall: target,
 					Slowdown: float64(asicL) / float64(reisL),
 				})
 			}

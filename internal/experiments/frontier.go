@@ -140,73 +140,50 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 
 	// Flash configurations: the same corpus deployed on REIS-SSD1,
 	// searched with threshold pruning, without and with the DRAM
-	// caching tier.
-	for _, cached := range []bool{false, true} {
-		fr, err := frontierREIS(w, k, cached)
+	// caching tier. Recall comes from the functional results, latency
+	// from the occupancy timing model at ScaleIVF. With the cache, warm-up
+	// passes build the probe counters so the measured pass scans pinned
+	// clusters from DRAM. The measured pass uses the sequential IVFSearch
+	// API, which shares the scan path (including pins) but bypasses the
+	// Submit-side result cache — repeats must not be served for free.
+	cachedSSD := ssd.SSD1()
+	cachedSSD.CacheDRAMBytes = frontierCacheBudget
+	for s, err := range setups(w, reis.AllOptions(), []ssd.Config{ssd.SSD1(), cachedSSD}, 1) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, fr...)
-	}
-	return rows, nil
-}
-
-// frontierREIS measures the flash engine's frontier points: recall
-// from the functional results, latency from the occupancy timing
-// model at ScaleIVF. With cached set, the deployment carries a
-// controller-DRAM cache; warm-up passes build the probe counters so
-// the measured pass scans pinned clusters from DRAM. The measured
-// pass uses the sequential IVFSearch API, which shares the scan path
-// (including pins) but bypasses the Submit-side result cache — repeats
-// must not be served for free.
-func frontierREIS(w *Workload, k int, cached bool) ([]FrontierRow, error) {
-	cfg := ssd.SSD1()
-	if cached {
-		cfg.CacheDRAMBytes = frontierCacheBudget
-	}
-	s, err := NewSetup(cfg, w, reis.AllOptions())
-	if err != nil {
-		return nil, err
-	}
-	defer s.Close()
-	system := "REIS-pruned"
-	if cached {
-		system = "REIS-pruned+cached"
-	}
-	sc := w.ScaleIVF()
-	queries := w.Data.Queries
-	var rows []FrontierRow
-	for _, nprobe := range []int{1, 2, 4, 8} {
-		opt := reis.SearchOptions{NProbe: nprobe, Prune: true, SkipDocs: true}
+		system, cached := "REIS-pruned", s.Cfg.CacheDRAMBytes > 0
 		if cached {
-			for warm := 0; warm < 2; warm++ {
-				for _, q := range queries {
-					if _, _, err := s.Engine.IVFSearch(1, q, k, opt); err != nil {
-						return nil, err
+			system = "REIS-pruned+cached"
+		}
+		for _, nprobe := range []int{1, 2, 4, 8} {
+			opt := reis.SearchOptions{NProbe: nprobe, Prune: true, SkipDocs: true}
+			if cached {
+				for warm := 0; warm < 2; warm++ {
+					for _, q := range d.Queries {
+						if _, _, err := s.IVFSearch(1, q, k, opt); err != nil {
+							return nil, err
+						}
 					}
 				}
 			}
-		}
-		got := make([][]int, len(queries))
-		var serveSec float64
-		for qi, q := range queries {
-			res, st, err := s.Engine.IVFSearch(1, q, k, opt)
-			if err != nil {
-				return nil, err
+			got := make([][]int, len(d.Queries))
+			var serveSec float64
+			for qi, q := range d.Queries {
+				res, st, err := s.IVFSearch(1, q, k, opt)
+				if err != nil {
+					return nil, err
+				}
+				ids := make([]int, len(res))
+				for i, r := range res {
+					ids[i] = r.ID
+				}
+				got[qi] = ids
+				serveSec += s.price(st, nil, scIVF).Total.Seconds()
 			}
-			ids := make([]int, len(res))
-			for i, r := range res {
-				ids[i] = r.ID
-			}
-			got[qi] = ids
-			serveSec += s.Engine.Latency(s.DB, st, sc).Total.Seconds()
+			add(system, fmt.Sprintf("np=%d", nprobe), dataset.Recall(d.GroundTruth, got, k),
+				serveSec/float64(len(d.Queries)), false)
 		}
-		serveSec /= float64(len(queries))
-		rows = append(rows, FrontierRow{
-			Dataset: w.Name, System: system, Param: fmt.Sprintf("np=%d", nprobe),
-			Recall:  dataset.Recall(w.Data.GroundTruth, got, k),
-			ServeMs: serveSec * 1e3, TotalMs: serveSec * 1e3,
-		})
 	}
 	return rows, nil
 }

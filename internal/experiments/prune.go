@@ -2,9 +2,9 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
-	"time"
 
 	"reis/internal/reis"
 	"reis/internal/ssd"
@@ -63,7 +63,7 @@ func pruneScale() reis.Scale {
 	const paperN = 100e6
 	coarse := float64(PaperNList) / pruneNList
 	clusterRatio := (paperN / PaperNList) / prunePerCluster
-	return reis.Scale{Fine: clusterRatio * sqrtF(coarse), Coarse: coarse, SurvivorRate: SurvivorRate}
+	return reis.Scale{Fine: clusterRatio * math.Sqrt(max(1, coarse)), Coarse: coarse, SurvivorRate: SurvivorRate}
 }
 
 // prunedWorkload builds the separated corpus the sweep runs on:
@@ -121,29 +121,21 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 		nprobes = PruneNProbes
 	}
 	vecs, docs, cents, assign, queries := prunedWorkload()
-	cfg := ssd.SSD1()
-	cfg.Geo.BlocksPerPlane = 8
-	cfg.Geo.PagesPerBlock = 16
-	e, err := reis.New(cfg, int64(len(vecs)*len(vecs[0])*3)*4+64<<20, reis.AllOptions())
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	db, err := e.IVFDeploy(reis.DeployConfig{
+	s, err := deploy(ssd.SSD1(), 1, reis.AllOptions(), reis.DeployConfig{
 		ID: 1, Vectors: vecs, Docs: docs, DocSlotBytes: 64,
 		Centroids: cents, Assign: assign,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer s.Close()
 
 	var rows []PruneRow
 	for _, k := range ks {
 		for _, np := range nprobes {
 			var baseQPS float64
 			for _, prune := range []bool{false, true} {
-				start := time.Now()
-				resp, err := e.Submit(reis.HostCommand{
+				resp, cost, err := s.serve(reis.HostCommand{
 					Opcode: reis.OpcodeIVFSearch, DBID: 1,
 					Queries: queries, K: k, NProbe: np,
 					Opt: reis.SearchOptions{Prune: prune},
@@ -151,24 +143,19 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				wall := time.Since(start)
-				bd := e.BatchLatency(db, resp.QueryStats, pruneScale())
+				bd := s.priceBatch(passOf(resp), pruneScale())
 				n := float64(len(queries))
 				row := PruneRow{
 					Dataset: fmt.Sprintf("sep-%d", pruneNList),
 					Mode:    "base", K: k, NProbe: np,
-					WallQPS:  n / wall.Seconds(),
+					WallQPS:  cost.WallQPS,
 					ModelQPS: n / bd.Makespan.Seconds(),
-					Speedup:  1,
+					// resp.Stats is the batch's per-query stats, summed.
+					FinePages:    float64(resp.Stats.FinePages) / n,
+					PrunedPages:  float64(resp.Stats.PrunedPages) / n,
+					AbortedWaves: float64(resp.Stats.AbortedWaves) / n,
+					Speedup:      1,
 				}
-				for _, st := range resp.QueryStats {
-					row.FinePages += float64(st.FinePages)
-					row.PrunedPages += float64(st.PrunedPages)
-					row.AbortedWaves += float64(st.AbortedWaves)
-				}
-				row.FinePages /= n
-				row.PrunedPages /= n
-				row.AbortedWaves /= n
 				if prune {
 					row.Mode = "prune"
 					if baseQPS > 0 {

@@ -3,12 +3,9 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"time"
 
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // QDepthRow is one point of the queue-depth sweep: the whole workload
@@ -22,16 +19,10 @@ type QDepthRow struct {
 	Dataset string
 	Mode    string
 	Depth   int
-	// WallQPS is the functional simulation's wall-clock throughput.
-	WallQPS float64
+	HostCost
 	// AvgBatch is the mean commands per dispatch (the coalescing the
 	// queue achieved at this depth).
 	AvgBatch float64
-	// NsPerOp / AllocsPerOp / BytesPerOp are per served query, the
-	// quantities the BENCH_*.json trajectory tracks.
-	NsPerOp     float64
-	AllocsPerOp float64
-	BytesPerOp  float64
 	// ModelQPS is the modeled saturation throughput at this depth
 	// (every command arrived at once, dispatcher coalescing up to the
 	// depth bound) — deterministic, unlike WallQPS.
@@ -59,76 +50,54 @@ func RunQDepth(scale int, datasets []string, depths []int) ([]QDepthRow, error) 
 	var rows []QDepthRow
 	for _, name := range datasets {
 		w := LoadWorkload(name, scale)
-		s, err := NewSetup(ssd.SSD1(), w, reis.AllOptions())
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		nprobe, err := s.NProbeFor(0.94)
-		if err != nil {
-			return nil, err
-		}
-		queries := w.Data.Queries
-		// One batched pass collects the per-query device stats behind
-		// the modeled tail columns; queue coalescing never changes
-		// stats (the determinism contract), so these stand for every
-		// depth row below.
-		statsResp, err := s.Engine.Submit(reis.HostCommand{
-			Opcode: reis.OpcodeIVFSearch, DBID: 1,
-			Queries: queries, K: 10, NProbe: nprobe,
-		})
-		if err != nil {
-			return nil, err
-		}
-		sc := w.ScaleIVF()
-		for _, depth := range depths {
-			ch := make(chan reis.Completion, depth)
-			q, err := s.Engine.NewQueue(reis.QueueConfig{Depth: depth, Completions: ch})
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
 			if err != nil {
 				return nil, err
 			}
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			err = q.SubmitDrain(context.Background(), ch, len(queries), func(i int) reis.HostCommand {
-				return reis.HostCommand{
-					Opcode: reis.OpcodeIVFSearch, DBID: 1,
-					Queries: [][]float32{queries[i]}, K: 10, NProbe: nprobe,
-				}
-			}, nil)
+			cmd, mode, err := s.sweepIVF()
 			if err != nil {
+				return nil, err
+			}
+			// One batched pass collects the per-query device stats behind
+			// the modeled tail columns; queue coalescing never changes
+			// stats (the determinism contract), so these stand for every
+			// depth row below.
+			resp, err := s.Submit(cmd)
+			if err != nil {
+				return nil, err
+			}
+			queries := cmd.Queries
+			for _, depth := range depths {
+				ch := make(chan reis.Completion, depth)
+				q, err := s.NewQueue(reis.QueueConfig{Depth: depth, Completions: ch})
+				if err != nil {
+					return nil, err
+				}
+				cost, err := measure(len(queries), func() error {
+					return q.SubmitDrain(context.Background(), ch, len(queries), func(i int) reis.HostCommand {
+						single := cmd
+						single.Queries = queries[i : i+1]
+						return single
+					}, nil)
+				})
+				st := q.Stats()
 				q.Close()
-				return nil, err
-			}
-			wall := time.Since(start)
-			runtime.ReadMemStats(&m1)
-			st := q.Stats()
-			q.Close()
-			n := float64(len(queries))
-			avg := 0.0
-			if st.Dispatches > 0 {
-				avg = float64(st.Submitted) / float64(st.Dispatches)
-			}
-			cost := func(first, cn int) time.Duration {
-				window := make([]reis.QueryStats, cn)
-				for k := range window {
-					window[k] = statsResp.QueryStats[(first+k)%len(statsResp.QueryStats)]
+				if err != nil {
+					return nil, err
 				}
-				return s.Engine.BatchLatency(s.DB, window, sc).Makespan
+				tail := s.tail(passOf(resp), w.ScaleIVF(), depth, LoadUtilization)
+				row := QDepthRow{
+					Dataset: name, Mode: mode, Depth: depth, HostCost: cost,
+					ModelQPS:   tail.SaturationQPS,
+					ModelP50Ms: ms(tail.P50),
+					ModelP95Ms: ms(tail.P95),
+					ModelP99Ms: ms(tail.P99),
+				}
+				if st.Dispatches > 0 {
+					row.AvgBatch = float64(st.Submitted) / float64(st.Dispatches)
+				}
+				rows = append(rows, row)
 			}
-			tail := modelTail(cost, depth)
-			rows = append(rows, QDepthRow{
-				Dataset: name, Mode: fmt.Sprintf("IVF@np%d", nprobe), Depth: depth,
-				WallQPS:     n / wall.Seconds(),
-				AvgBatch:    avg,
-				NsPerOp:     float64(wall.Nanoseconds()) / n,
-				AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / n,
-				BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / n,
-				ModelQPS:    tail.SaturationQPS,
-				ModelP50Ms:  ms(tail.P50),
-				ModelP95Ms:  ms(tail.P95),
-				ModelP99Ms:  ms(tail.P99),
-			})
 		}
 	}
 	return rows, nil

@@ -7,7 +7,6 @@ import (
 	"reis/internal/host"
 	"reis/internal/ragpipe"
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // RAGRow is one bar of Figs 2/3 or one column of Table 4: a full RAG
@@ -46,21 +45,17 @@ func RunRAGBreakdown(scale int) ([]RAGRow, error) {
 			ragpipe.CPUPipeline(cpu, n, dim, doc, true, searchBQ)})
 
 		// Table 4: REIS (search + document retrieval in storage).
-		s, err := NewSetup(ssd.SSD1(), w, reis.AllOptions())
-		if err != nil {
-			return nil, err
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
+			if err != nil {
+				return nil, err
+			}
+			b, _, err := s.RunIVFAt(10, 0.94)
+			if err != nil {
+				return nil, err
+			}
+			rows = append(rows, RAGRow{name, "REIS-SSD1",
+				ragpipe.REISPipeline(b.Total.Seconds() * float64(RAGBatch))})
 		}
-		defer s.Close()
-		nprobe, err := s.NProbeFor(0.94)
-		if err != nil {
-			return nil, err
-		}
-		b, _, err := s.RunIVF(10, nprobe)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, RAGRow{name, "REIS-SSD1",
-			ragpipe.REISPipeline(b.Total.Seconds() * float64(RAGBatch))})
 	}
 	return rows, nil
 }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"time"
 
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // ShardRow is one point of the scale-out sweep: the whole workload
@@ -20,20 +18,12 @@ type ShardRow struct {
 	Dataset string
 	Mode    string
 	Shards  int
-	// WallQPS is the functional simulation's wall-clock throughput. On
-	// a single-CPU host it does not improve with shard count (the
-	// simulation does the same total work); ModelQPS is the scale-out
-	// quantity.
-	WallQPS float64
+	HostCost
 	// ModelQPS is the modeled batch throughput of the sharded topology
 	// (per-shard occupancy bottleneck + the host's tail).
 	ModelQPS float64
 	// ModelSpeedup is ModelQPS relative to the 1-shard row.
 	ModelSpeedup float64
-	// NsPerOp / AllocsPerOp / BytesPerOp are per served query.
-	NsPerOp     float64
-	AllocsPerOp float64
-	BytesPerOp  float64
 	// ModelP50Ms/P95/P99 are modeled per-command latency quantiles at
 	// LoadUtilization of the depth-DefaultQueueDepth saturation
 	// throughput of this topology (see slo.go).
@@ -63,66 +53,44 @@ func RunShards(scale int, datasets []string, counts []int) ([]ShardRow, error) {
 	var rows []ShardRow
 	for _, name := range datasets {
 		w := LoadWorkload(name, scale)
-		nprobe := 0
 		base := map[string]float64{}
-		for _, n := range counts {
-			cfg := ssd.SSD1()
-			cfg.Geo.BlocksPerPlane = 8
-			cfg.Geo.PagesPerBlock = 16
-			need := int64(w.Data.Len()) * int64(w.Data.Dim*3)
-			sh, err := reis.NewSharded(cfg, n, need*4+64<<20, reis.AllOptions())
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], counts...) {
 			if err != nil {
 				return nil, err
 			}
-			_, err = sh.IVFDeploy(reis.DeployConfig{
-				ID: 1, Vectors: w.Data.Vectors, Docs: w.Data.Docs,
-				DocSlotBytes: docSlot(w.Data), Centroids: w.Centroids, Assign: w.Assign,
-			})
+			// Every topology calibrates for itself and lands on the same
+			// nprobe: sharded results are bit-identical to a single
+			// device's (pinned by the equivalence tests).
+			ivf, mode, err := s.sweepIVF()
 			if err != nil {
-				sh.Close()
 				return nil, err
 			}
-			if nprobe == 0 {
-				// Calibrate once: sharded results are bit-identical to a
-				// single device's, so the calibrated nprobe is the same
-				// for every shard count (pinned by the equivalence tests).
-				if nprobe, err = sh.CalibrateNProbe(1, w.Data.Queries, w.Data.GroundTruth, 10, 0.94); err != nil {
-					sh.Close()
-					return nil, err
-				}
-			}
-			runs := []struct {
+			bf := ivf
+			bf.Opcode, bf.NProbe = reis.OpcodeSearch, 0
+			for _, r := range []struct {
 				mode string
-				op   uint8
-				np   int
+				cmd  reis.HostCommand
 				sc   reis.Scale
-			}{
-				{"BF", reis.OpcodeSearch, 0, w.ScaleBF()},
-				{fmt.Sprintf("IVF@np%d", nprobe), reis.OpcodeIVFSearch, nprobe, w.ScaleIVF()},
-			}
-			for _, r := range runs {
-				row, err := runShardRow(sh, w, name, r.mode, r.op, r.np, n, r.sc)
+			}{{"BF", bf, w.ScaleBF()}, {mode, ivf, w.ScaleIVF()}} {
+				row, err := shardRow(s, r.cmd, r.sc)
 				if err != nil {
-					sh.Close()
 					return nil, err
 				}
+				row.Mode = r.mode
 				if base[r.mode] == 0 {
 					base[r.mode] = row.ModelQPS
 				}
 				row.ModelSpeedup = row.ModelQPS / base[r.mode]
 				rows = append(rows, row)
 			}
-			sh.Close()
 		}
 	}
 	return rows, nil
 }
 
-// runShardRow serves the whole query set as one batched host command
-// and models the batch on the sharded topology.
-func runShardRow(sh *reis.ShardedEngine, w *Workload, dataset, mode string, op uint8, nprobe, shards int, sc reis.Scale) (ShardRow, error) {
-	queries := w.Data.Queries
-	cmd := reis.HostCommand{Opcode: op, DBID: 1, Queries: queries, K: 10, NProbe: nprobe}
+// shardRow serves the whole query set as one batched host command and
+// models the batch, and the loaded queue's tail, on the setup's topology.
+func shardRow(s *Setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
 	// Serve the command once unmeasured: the first one on a topology
 	// starts the built-in queue pair and every member's plane workers and
 	// grows the pooled buffers, and what that costs depends on what the
@@ -133,65 +101,24 @@ func runShardRow(sh *reis.ShardedEngine, w *Workload, dataset, mode string, op u
 	// variable, where the collector's next cycle falls: the deploy leaves
 	// the heap near its trigger, and a cycle that lands inside the
 	// measured command is charged to it. Measured without this line, the
-	// BF rows (the first command after each deploy) read 28 and ~26
-	// allocs/op at 2 and 4 shards instead of 13.25 and 14.875, and moved
-	// with what the process had run before; with it every row repeats to
-	// ±0.25.
-	if _, err := sh.Submit(cmd); err != nil {
+	// BF rows read 28 and ~26 allocs/op at 2 and 4 shards instead of 13.25
+	// and 14.875, and moved with what the process had run before; with it
+	// every row repeats to ±0.25.
+	if _, err := s.Submit(cmd); err != nil {
 		return ShardRow{}, err
 	}
 	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	resp, err := sh.Submit(cmd)
+	resp, cost, err := s.serve(cmd)
 	if err != nil {
 		return ShardRow{}, err
 	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	bb, err := sh.BatchLatency(1, resp.QueryStats, resp.PerShard, sc)
-	if err != nil {
-		return ShardRow{}, err
-	}
-	// Tail columns: replay the cycled query stats through the
-	// virtual-time dispatcher model over this topology.
-	n := len(resp.QueryStats)
-	var costErr error
-	cost := func(first, cn int) time.Duration {
-		sts := make([]reis.QueryStats, cn)
-		group := make([][]reis.QueryStats, shards)
-		for s := range group {
-			group[s] = make([]reis.QueryStats, cn)
-		}
-		for k := 0; k < cn; k++ {
-			qi := (first + k) % n
-			sts[k] = resp.QueryStats[qi]
-			for s := 0; s < shards; s++ {
-				group[s][k] = resp.PerShard[s][qi]
-			}
-		}
-		gb, err := sh.BatchLatency(1, sts, group, sc)
-		if err != nil && costErr == nil {
-			costErr = err
-		}
-		return gb.Makespan
-	}
-	tail := modelTail(cost, reis.DefaultQueueDepth)
-	if costErr != nil {
-		return ShardRow{}, costErr
-	}
-	nq := float64(len(queries))
+	tail := s.tail(passOf(resp), sc, reis.DefaultQueueDepth, LoadUtilization)
 	return ShardRow{
-		Dataset: dataset, Mode: mode, Shards: shards,
-		WallQPS:     nq / wall.Seconds(),
-		ModelQPS:    bb.QPS,
-		NsPerOp:     float64(wall.Nanoseconds()) / nq,
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / nq,
-		BytesPerOp:  float64(m1.TotalAlloc-m0.TotalAlloc) / nq,
-		ModelP50Ms:  ms(tail.P50),
-		ModelP95Ms:  ms(tail.P95),
-		ModelP99Ms:  ms(tail.P99),
+		Dataset: s.W.Name, Shards: s.Devices, HostCost: cost,
+		ModelQPS:   s.priceBatch(passOf(resp), sc).QPS,
+		ModelP50Ms: ms(tail.P50),
+		ModelP95Ms: ms(tail.P95),
+		ModelP99Ms: ms(tail.P99),
 	}, nil
 }
 

@@ -95,48 +95,25 @@ type skewRun struct {
 	modelSec float64
 }
 
-// nearestCentroid assigns an appended vector to its closest KMeans
-// centroid, the same rule the deployed assignment used.
-func nearestCentroid(v []float32, cents [][]float32) int {
-	best, bestD := 0, math.MaxFloat64
-	for c, cent := range cents {
-		var d float64
-		for j := range v {
-			diff := float64(v[j] - cent[j])
-			d += diff * diff
-		}
-		if d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
-}
-
-// runSkewScript executes the churn+search script on a fresh engine at
+// runSkewScript executes the churn+search script on a fresh device at
 // the given cache budget. The RNG seeds depend only on s, so every
 // budget of a sweep point sees the identical command sequence and the
 // runs are comparable command for command.
 func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float64, budget int64) (*skewRun, error) {
 	cfg := ssd.SSD1()
-	cfg.Geo.BlocksPerPlane = 8
-	cfg.Geo.PagesPerBlock = 16
 	// The churn bursts append into reserved tail capacity (deleted
 	// entries tombstone in place until a compaction), so the deployment
 	// needs overprovision headroom SSD1 does not default to.
 	cfg.OverprovisionPct = 200
 	cfg.CacheDRAMBytes = budget
-	e, err := reis.New(cfg, int64(skewBase*skewDim*3)*4+64<<20, reis.AllOptions())
-	if err != nil {
-		return nil, err
-	}
-	defer e.Close()
-	db, err := e.IVFDeploy(reis.DeployConfig{
+	rig, err := deploy(cfg, 1, reis.AllOptions(), reis.DeployConfig{
 		ID: 1, Vectors: d.Vectors[:skewBase], Docs: d.Docs[:skewBase],
 		DocSlotBytes: docSlot(d), Centroids: cents, Assign: assign,
 	})
 	if err != nil {
 		return nil, err
 	}
+	defer rig.Close()
 
 	qr := xrand.New(0x5eed ^ math.Float64bits(s))
 	cr := qr.Split()
@@ -157,9 +134,9 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float6
 				poolIdx++
 				vecs = append(vecs, d.Vectors[p])
 				docs = append(docs, d.Docs[p])
-				asg = append(asg, nearestCentroid(d.Vectors[p], cents))
+				asg = append(asg, ann.NearestCentroid(cents, d.Vectors[p]))
 			}
-			resp, err := e.Submit(reis.HostCommand{
+			resp, err := rig.Submit(reis.HostCommand{
 				Opcode: reis.OpcodeAppend, DBID: 1,
 				Append: &reis.AppendConfig{Vectors: vecs, Docs: docs, Assign: asg},
 			})
@@ -167,7 +144,7 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float6
 				return nil, err
 			}
 			if len(prevIDs) > 0 {
-				if _, err := e.Submit(reis.HostCommand{
+				if _, err := rig.Submit(reis.HostCommand{
 					Opcode: reis.OpcodeDelete, DBID: 1,
 					Del: &reis.DeleteConfig{IDs: prevIDs},
 				}); err != nil {
@@ -181,7 +158,7 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float6
 			for i := range queries {
 				queries[i] = d.Queries[qr.Zipf(skewQueries, s)]
 			}
-			resp, err := e.Submit(reis.HostCommand{
+			resp, err := rig.Submit(reis.HostCommand{
 				Opcode: reis.OpcodeIVFSearch, DBID: 1,
 				Queries: queries, K: skewK, NProbe: skewNProbe,
 				Opt: reis.SearchOptions{SkipDocs: true},
@@ -195,7 +172,7 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float6
 			run.hits += resp.Stats.ResultCacheHits
 			run.fine += resp.Stats.FinePages
 			run.cached += resp.Stats.CachedPages
-			run.modelSec += e.BatchLatency(db, resp.QueryStats, reis.UnitScale()).Makespan.Seconds()
+			run.modelSec += rig.priceBatch(passOf(resp), reis.UnitScale()).Makespan.Seconds()
 		}
 	}
 	return run, nil

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // This file runs the SLO sweep: per-command latency distributions
@@ -71,11 +69,11 @@ type SLORow struct {
 }
 
 // RunSLO sweeps arrival rate × queue depth × shard count on
-// REIS-SSD1-class devices. Every cell drives LoadCommands single-query
-// IVF commands (the workload's query set, cycled) through a real queue
-// pair of the given depth, then replays the seeded Poisson schedule
-// through the virtual-time dispatcher model. nil axes select the
-// defaults.
+// REIS-SSD1-class devices. Every topology serves the workload's query
+// set once, as one batched IVF command; every cell replays LoadCommands
+// single-query commands (those queries, cycled) under the seeded Poisson
+// schedule through the virtual-time dispatcher model (Setup.tail). nil
+// axes select the defaults.
 func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLORow, error) {
 	if datasets == nil {
 		datasets = []string{"NQ"}
@@ -89,49 +87,24 @@ func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLOR
 	var rows []SLORow
 	for _, name := range datasets {
 		w := LoadWorkload(name, scale)
-		nprobe := 0
-		for _, shards := range SLOShardCounts {
-			cfg := ssd.SSD1()
-			cfg.Geo.BlocksPerPlane = 8
-			cfg.Geo.PagesPerBlock = 16
-			need := int64(w.Data.Len()) * int64(w.Data.Dim*3)
-			sh, err := reis.NewSharded(cfg, shards, need*4+64<<20, reis.AllOptions())
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], SLOShardCounts...) {
 			if err != nil {
 				return nil, err
 			}
-			_, err = sh.IVFDeploy(reis.DeployConfig{
-				ID: 1, Vectors: w.Data.Vectors, Docs: w.Data.Docs,
-				DocSlotBytes: docSlot(w.Data), Centroids: w.Centroids, Assign: w.Assign,
-			})
+			cmd, mode, err := s.sweepIVF()
 			if err != nil {
-				sh.Close()
 				return nil, err
 			}
-			if nprobe == 0 {
-				// Sharded results are bit-identical to a single device's,
-				// so one calibration serves every shard count.
-				if nprobe, err = sh.CalibrateNProbe(1, w.Data.Queries, w.Data.GroundTruth, 10, 0.94); err != nil {
-					sh.Close()
-					return nil, err
-				}
-			}
-			tmpl := reis.HostCommand{
-				Opcode: reis.OpcodeIVFSearch, DBID: 1,
-				Queries: w.Data.Queries, K: 10, NProbe: nprobe,
+			resp, err := s.Submit(cmd)
+			if err != nil {
+				return nil, err
 			}
 			for _, depth := range depths {
 				for _, load := range loads {
-					res, err := sh.RunLoad(tmpl, w.ScaleIVF(), reis.LoadConfig{
-						Utilization: load, Commands: LoadCommands,
-						Depth: depth, Seed: loadSeed,
-					})
-					if err != nil {
-						sh.Close()
-						return nil, err
-					}
+					res := s.tail(passOf(resp), w.ScaleIVF(), depth, load)
 					rows = append(rows, SLORow{
-						Dataset: name, Mode: fmt.Sprintf("IVF@np%d", nprobe),
-						Shards: shards, Depth: depth, Load: fmt.Sprintf("%.2f", load),
+						Dataset: name, Mode: mode,
+						Shards: s.Devices, Depth: depth, Load: fmt.Sprintf("%.2f", load),
 						ArrivalQPS:  res.Rate,
 						ModelQPS:    res.SaturationQPS,
 						ModelP50Ms:  ms(res.P50),
@@ -143,27 +116,9 @@ func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLOR
 					})
 				}
 			}
-			sh.Close()
 		}
 	}
 	return rows, nil
-}
-
-// ms converts a modeled duration to milliseconds for row reporting.
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// modelTail computes the tail columns of a throughput-sweep row: the
-// saturation throughput of the cycled command stream at the given
-// depth, then the latency quantiles at LoadUtilization of that rate.
-// cost must be the timing model's makespan of commands [first,
-// first+n) — a pure function, so the result is deterministic.
-func modelTail(cost func(first, n int) time.Duration, depth int) reis.LoadResult {
-	sat := reis.SimulateLoad(make([]time.Duration, LoadCommands), depth, cost, 0)
-	rate := LoadUtilization * sat.ModelQPS
-	res := reis.SimulateLoad(reis.PoissonArrivals(LoadCommands, rate, loadSeed), depth, cost, 0)
-	res.Rate = rate
-	res.SaturationQPS = sat.ModelQPS
-	return res
 }
 
 // FormatSLO renders the SLO sweep.

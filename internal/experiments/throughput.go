@@ -2,12 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"time"
 
 	"reis/internal/reis"
-	"reis/internal/ssd"
 )
 
 // ThroughputRow is one point of the batched-admission throughput
@@ -18,22 +16,13 @@ type ThroughputRow struct {
 	Dataset string
 	Mode    string
 	Batch   int
-	// WallQPS is the functional simulation's wall-clock throughput
-	// (how fast this reproduction executes, not a paper quantity).
-	WallQPS float64
+	HostCost
 	// ModelQPS is the modeled device throughput of the batch under the
 	// channel-occupancy overlap model.
 	ModelQPS float64
 	// ModelSerialQPS is the modeled throughput of one-at-a-time
 	// admission (1 / mean standalone latency).
 	ModelSerialQPS float64
-	// NsPerOp, AllocsPerOp and BytesPerOp are wall-clock nanoseconds,
-	// heap allocations and heap bytes per served query of the
-	// functional simulation — the quantities the repo's BENCH_*.json
-	// perf trajectory tracks.
-	NsPerOp     float64
-	AllocsPerOp float64
-	BytesPerOp  float64
 }
 
 // ThroughputBatches is the default admission batch-size sweep.
@@ -54,62 +43,57 @@ func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow
 	var rows []ThroughputRow
 	for _, name := range datasets {
 		w := LoadWorkload(name, scale)
-		s, err := NewSetup(ssd.SSD1(), w, reis.AllOptions())
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		nprobe, err := s.NProbeFor(0.94)
-		if err != nil {
-			return nil, err
-		}
-		sc := w.ScaleIVF()
-		queries := w.Data.Queries
-		seen := make(map[int]bool)
-		for _, batch := range batches {
-			if batch > len(queries) {
-				batch = len(queries)
+		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
+			if err != nil {
+				return nil, err
 			}
-			// Small workloads clamp large batch sizes to the query
-			// count; skip duplicate rows.
-			if seen[batch] {
-				continue
+			cmd, mode, err := s.sweepIVF()
+			if err != nil {
+				return nil, err
 			}
-			seen[batch] = true
-			var (
-				makespan, serial time.Duration
-				m0, m1           runtime.MemStats
-			)
-			runtime.ReadMemStats(&m0)
-			start := time.Now()
-			for lo := 0; lo < len(queries); lo += batch {
-				hi := min(lo+batch, len(queries))
+			// One batched pass collects the per-query rows every batch
+			// size is priced from: admission never changes them.
+			resp, err := s.Submit(cmd)
+			if err != nil {
+				return nil, err
+			}
+			all, sc, queries := passOf(resp), w.ScaleIVF(), cmd.Queries
+			seen := make(map[int]bool)
+			for _, batch := range batches {
+				// Small workloads clamp large batch sizes to the query
+				// count; skip duplicate rows.
+				batch = min(batch, len(queries))
+				if seen[batch] {
+					continue
+				}
+				seen[batch] = true
 				// Every batch size, 1 included, goes through the host
 				// command interface, as the NVMe driver would submit it.
-				resp, err := s.Engine.Submit(reis.HostCommand{
-					Opcode: reis.OpcodeIVFSearch, DBID: 1,
-					Queries: queries[lo:hi], K: 10, NProbe: nprobe,
+				cost, err := measure(len(queries), func() error {
+					for lo := 0; lo < len(queries); lo += batch {
+						cmd.Queries = queries[lo:min(lo+batch, len(queries))]
+						if _, err := s.Submit(cmd); err != nil {
+							return err
+						}
+					}
+					return nil
 				})
 				if err != nil {
 					return nil, err
 				}
-				sts := resp.QueryStats
-				bd := s.Engine.BatchLatency(s.DB, sts, sc)
-				makespan += bd.Makespan
-				serial += bd.Serial
+				var makespan, serial time.Duration
+				for lo := 0; lo < len(queries); lo += batch {
+					bd := s.priceBatch(all.window(lo, min(lo+batch, len(queries))), sc)
+					makespan += bd.Makespan
+					serial += bd.Serial
+				}
+				n := float64(len(queries))
+				rows = append(rows, ThroughputRow{
+					Dataset: name, Mode: mode, Batch: batch, HostCost: cost,
+					ModelQPS:       n / makespan.Seconds(),
+					ModelSerialQPS: n / serial.Seconds(),
+				})
 			}
-			wall := time.Since(start)
-			runtime.ReadMemStats(&m1)
-			n := float64(len(queries))
-			rows = append(rows, ThroughputRow{
-				Dataset: name, Mode: fmt.Sprintf("IVF@np%d", nprobe), Batch: batch,
-				WallQPS:        n / wall.Seconds(),
-				ModelQPS:       n / makespan.Seconds(),
-				ModelSerialQPS: n / serial.Seconds(),
-				NsPerOp:        float64(wall.Nanoseconds()) / n,
-				AllocsPerOp:    float64(m1.Mallocs-m0.Mallocs) / n,
-				BytesPerOp:     float64(m1.TotalAlloc-m0.TotalAlloc) / n,
-			})
 		}
 	}
 	return rows, nil

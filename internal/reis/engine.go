@@ -92,9 +92,9 @@ func AllOptions() Options {
 // at a time, matching the single embedded controller core), and queue
 // pairs created with NewQueue provide the asynchronous, multi-tenant
 // interface on top of it. Submit, NewQueue, the Search family, Append /
-// Delete / Compact, CalibrateNProbe, RunLoad, the journal pair, Ready
-// and Close are the core's, promoted; the methods declared on Engine
-// are the ones whose shape is a single device's.
+// Delete / Compact, CalibrateNProbe, the journal pair, Ready and Close
+// are the core's, promoted; the methods declared on Engine are the ones
+// whose shape is a single device's.
 type Engine struct {
 	SSD  *ssd.SSD
 	FSM  *flash.DieFSM

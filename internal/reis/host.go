@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"reis/internal/flash"
 	"reis/internal/ssd"
@@ -613,65 +612,6 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 		c.execMu.Unlock()
 	}
 	return nprobe, nil
-}
-
-// RunLoad runs the load generator against this host: cfg.Commands
-// single-query commands derived from the template (its queries cycled,
-// everything else kept) are driven through a fresh queue pair of
-// cfg.Depth to collect per-command device stats, then replayed under
-// the configured arrival schedule, each coalesced group costed with the
-// batch timing model. See loadgen.go for the determinism argument.
-func (c *hostCore) RunLoad(tmpl HostCommand, sc Scale, cfg LoadConfig) (LoadResult, error) {
-	if err := (&cfg).normalize(); err != nil {
-		return LoadResult{}, err
-	}
-	db, err := c.hostDB(tmpl.DBID)
-	if err != nil {
-		return LoadResult{}, err
-	}
-	if len(tmpl.Queries) == 0 {
-		return LoadResult{}, fmt.Errorf("reis: load template carries no queries")
-	}
-	// Stats pass. Completion order may vary with scheduling, but the
-	// stats themselves are bit-identical to solo execution (the queue's
-	// coalescing contract), so the collected rows are deterministic.
-	ch := make(chan Completion, cfg.Depth)
-	q, err := c.NewQueue(QueueConfig{Depth: cfg.Depth, Completions: ch})
-	if err != nil {
-		return LoadResult{}, err
-	}
-	defer q.Close()
-	sts := make([]QueryStats, cfg.Commands)
-	// rows[s][i] is device s's scan events of command i; one device's are
-	// the command's own.
-	rows := [][]QueryStats{sts}
-	if c.perShard {
-		rows = c.shardRows(cfg.Commands)
-	}
-	err = q.SubmitDrain(context.Background(), ch, cfg.Commands,
-		func(i int) HostCommand {
-			cmd := tmpl
-			cmd.Queries = [][]float32{tmpl.Queries[i%len(tmpl.Queries)]}
-			return cmd
-		},
-		func(i int, comp Completion) {
-			sts[i] = comp.Resp.QueryStats[0]
-			for s := range comp.Resp.PerShard {
-				rows[s][i] = comp.Resp.PerShard[s][0]
-			}
-		})
-	if err != nil {
-		return LoadResult{}, err
-	}
-	group := make([][]QueryStats, len(rows))
-	return finishLoad(cfg, func(first, n int) time.Duration {
-		for s := range rows {
-			group[s] = rows[s][first : first+n]
-		}
-		// The shapes are built above; they cannot be malformed.
-		bb, _ := c.batchLatency(db.locals[0], sts[first:first+n], group, sc)
-		return bb.Makespan
-	})
 }
 
 // mutTarget is the physical half of a mutation: how pages of the

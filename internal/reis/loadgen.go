@@ -1,37 +1,29 @@
 package reis
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"reis/internal/xrand"
 )
 
-// This file implements the open-loop load generator of the
-// latency-distribution layer (DESIGN.md, "Latency distributions and
-// SLOs"). QPS summarizes a batch; what a user feels is the latency of
-// their own command while it queues behind everyone else's. RunLoad
-// measures that: it drives single-query commands through a real queue
-// pair to collect each command's bit-identical device stats, then
-// replays a deterministic arrival schedule through a virtual-time
-// model of the dispatcher — commands arrive at a configured rate,
-// coalesce up to the pair's depth exactly as the live dispatcher
-// would, and are served for the makespan the occupancy timing model
-// assigns the coalesced batch. Per-command latency (completion minus
-// arrival) streams into a LatencySketch for p50/p95/p99/p999.
+// This file holds the pure pieces of the latency-distribution layer
+// (DESIGN.md, "Latency distributions and SLOs"). QPS summarizes a batch;
+// what a user feels is the latency of their own command while it queues
+// behind everyone else's. A caller that has the per-query device stats
+// of a command stream (one batched command returns them, bit-identical
+// to any other admission of the same queries) replays a deterministic
+// arrival schedule through SimulateLoad's virtual-time model of the
+// dispatcher — commands arrive at a configured rate, coalesce up to the
+// pair's depth exactly as the live dispatcher would, and are served for
+// the makespan the occupancy timing model assigns the coalesced batch.
+// Per-command latency (completion minus arrival) streams into a
+// LatencySketch for p50/p95/p99/p999.
 //
-// Nothing in the pipeline consults a wall clock: the schedule is
-// SplitMix64-seeded, the per-command stats are bit-identical by the
-// engine's determinism contract, and the replay is a pure function of
-// both — so a load run's quantiles are identical across runs, hosts
-// and GOMAXPROCS settings, which is what lets cmd/benchdiff gate on
-// p99.
-
-// DefaultLoadCommands is the command-stream length of a load run when
-// LoadConfig.Commands is zero: long enough that p99 rests on real
-// samples, short enough for CI smoke runs.
-const DefaultLoadCommands = 256
+// Nothing here consults a wall clock: the schedule is SplitMix64-seeded
+// and the replay is a pure function of it and the cost function — so
+// the quantiles are identical across runs, hosts and GOMAXPROCS
+// settings, which is what lets cmd/benchdiff gate on p99.
 
 // PoissonArrivals returns n arrival offsets of a Poisson process with
 // the given mean rate (commands per second of modeled time):
@@ -54,54 +46,12 @@ func PoissonArrivals(n int, rate float64, seed uint64) []time.Duration {
 	return arrivals
 }
 
-// LoadConfig configures one load-generator run.
-type LoadConfig struct {
-	// Rate is the mean arrival rate in commands per second of modeled
-	// time. Zero selects Utilization-based pacing.
-	Rate float64
-	// Utilization, when Rate is zero, sets the arrival rate to this
-	// fraction of the run's saturation throughput (the modeled QPS of
-	// the same command stream with every arrival at t=0). Values
-	// around 0.8 probe the steady regime; near 1.0 the backlog grows
-	// and tails stretch.
-	Utilization float64
-	// Commands is the command-stream length (default
-	// DefaultLoadCommands). The template command's queries are cycled
-	// to fill the stream.
-	Commands int
-	// Depth is the queue-pair depth (default DefaultQueueDepth): both
-	// the admission bound of the functional pass and the coalescing
-	// bound of the virtual-time replay.
-	Depth int
-	// Seed seeds the arrival schedule.
-	Seed uint64
-	// Accuracy is the quantile sketch's relative-error bound (default
-	// DefaultSketchAccuracy).
-	Accuracy float64
-}
-
-func (cfg *LoadConfig) normalize() error {
-	if cfg.Commands <= 0 {
-		cfg.Commands = DefaultLoadCommands
-	}
-	if cfg.Depth <= 0 {
-		cfg.Depth = DefaultQueueDepth
-	}
-	if cfg.Accuracy <= 0 {
-		cfg.Accuracy = DefaultSketchAccuracy
-	}
-	if cfg.Rate <= 0 && (cfg.Utilization <= 0 || cfg.Utilization > 1) {
-		return fmt.Errorf("reis: load config needs Rate > 0 or Utilization in (0,1], got rate %v utilization %v", cfg.Rate, cfg.Utilization)
-	}
-	return nil
-}
-
 // LoadResult is the outcome of one load-generator run.
 type LoadResult struct {
 	// Commands is the served command count.
 	Commands int
-	// Rate is the effective arrival rate (resolved from Utilization
-	// when LoadConfig.Rate was zero).
+	// Rate is the arrival rate of the schedule, set by callers that
+	// resolved it from a utilization target.
 	Rate float64
 	// SaturationQPS is the modeled throughput ceiling of the same
 	// command stream at this depth: every arrival at t=0, dispatcher
@@ -181,23 +131,4 @@ func SimulateLoad(arrivals []time.Duration, depth int, cost func(first, n int) t
 	res.P99 = sketch.Quantile(0.99)
 	res.P999 = sketch.Quantile(0.999)
 	return res
-}
-
-// finishLoad resolves the arrival rate (saturation probe, then
-// Utilization if Rate was not pinned) and runs the paced replay.
-func finishLoad(cfg LoadConfig, cost func(first, n int) time.Duration) (LoadResult, error) {
-	// Saturation probe: the same commands, all arrived at t=0, served
-	// in full coalesced groups — the depth-d throughput ceiling.
-	sat := SimulateLoad(make([]time.Duration, cfg.Commands), cfg.Depth, cost, cfg.Accuracy)
-	rate := cfg.Rate
-	if rate <= 0 {
-		rate = cfg.Utilization * sat.ModelQPS
-	}
-	if rate <= 0 {
-		return LoadResult{}, fmt.Errorf("reis: load run resolved a non-positive arrival rate")
-	}
-	res := SimulateLoad(PoissonArrivals(cfg.Commands, rate, cfg.Seed), cfg.Depth, cost, cfg.Accuracy)
-	res.Rate = rate
-	res.SaturationQPS = sat.ModelQPS
-	return res, nil
 }

@@ -1,7 +1,6 @@
 package reis
 
 import (
-	"runtime"
 	"testing"
 	"time"
 )
@@ -55,95 +54,5 @@ func TestSimulateLoadShape(t *testing.T) {
 	}
 	if overload.MaxBacklog <= 8 {
 		t.Fatalf("overload max backlog %d, want > depth", overload.MaxBacklog)
-	}
-}
-
-// runLoadOnce builds a fresh engine + IVF deployment and runs one
-// fixed load configuration against it.
-func runLoadOnce(t *testing.T) LoadResult {
-	t.Helper()
-	e := newEngine(t, AllOptions())
-	deployIVF(t, e, 1, 16)
-	res, err := e.RunLoad(HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, NProbe: 4,
-	}, Scale{Fine: 100, Coarse: 10, SurvivorRate: 0.01}, LoadConfig{
-		Utilization: 0.8, Commands: 96, Depth: 8, Seed: 0x10ad,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestRunLoadDeterministicAcrossGOMAXPROCS pins the SLO sweep's
-// determinism contract: the load generator's quantiles, rates and
-// batch shape are bit-identical across repeated runs at GOMAXPROCS 1
-// and 4, because per-command device stats are independent of queue
-// scheduling and the replay is a pure function of the seeded schedule.
-func TestRunLoadDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	ref := runLoadOnce(t)
-	if ref.Commands != 96 || ref.Sketch.Count() != 96 {
-		t.Fatalf("served %d commands, sketch saw %d, want 96", ref.Commands, ref.Sketch.Count())
-	}
-	if ref.P50 <= 0 || ref.P99 < ref.P95 || ref.P95 < ref.P50 {
-		t.Fatalf("implausible quantiles: p50 %v p95 %v p99 %v", ref.P50, ref.P95, ref.P99)
-	}
-	if ref.Rate <= 0 || ref.SaturationQPS <= 0 || ref.Rate >= ref.SaturationQPS {
-		t.Fatalf("rate %v should sit below saturation %v", ref.Rate, ref.SaturationQPS)
-	}
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
-		for rep := 0; rep < 2; rep++ {
-			got := runLoadOnce(t)
-			ref.Sketch, got.Sketch = nil, nil
-			if got != ref {
-				t.Fatalf("GOMAXPROCS=%d rep=%d: load result diverged:\nwant %+v\ngot  %+v",
-					procs, rep, ref, got)
-			}
-		}
-	}
-}
-
-// TestShardedRunLoadMatchesShape pins the sharded load generator: the
-// run completes with per-shard costing and reports the same command
-// count and a deterministic result across repeats.
-func TestShardedRunLoadMatchesShape(t *testing.T) {
-	run := func() LoadResult {
-		sh := newSharded(t, 2)
-		deployBoth(t, sh.Submit)
-		res, err := sh.RunLoad(HostCommand{
-			Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, NProbe: 4,
-		}, Scale{Fine: 100, Coarse: 10, SurvivorRate: 0.01}, LoadConfig{
-			Utilization: 0.8, Commands: 64, Depth: 4, Seed: 0x10ad,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(), run()
-	if a.Commands != 64 || a.P99 <= 0 {
-		t.Fatalf("implausible sharded load result: %+v", a)
-	}
-	a.Sketch, b.Sketch = nil, nil
-	if a != b {
-		t.Fatalf("sharded load result diverged:\nwant %+v\ngot  %+v", a, b)
-	}
-}
-
-// TestRunLoadValidation pins the config errors: no pacing information
-// and an unknown database both fail fast.
-func TestRunLoadValidation(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	deployIVF(t, e, 1, 16)
-	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, NProbe: 4}
-	if _, err := e.RunLoad(cmd, UnitScale(), LoadConfig{}); err == nil {
-		t.Fatal("want error for a config with neither Rate nor Utilization")
-	}
-	bad := cmd
-	bad.DBID = 99
-	if _, err := e.RunLoad(bad, UnitScale(), LoadConfig{Rate: 100}); err == nil {
-		t.Fatal("want error for unknown database")
 	}
 }

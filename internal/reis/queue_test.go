@@ -108,6 +108,62 @@ func TestQueueMatchesSubmit(t *testing.T) {
 	}
 }
 
+// TestBatchedStatsMatchSingleCommands pins the contract the measuring
+// rig of internal/experiments leans on: the per-query QueryStats and
+// PerShard rows one batched command returns are, row for row, those of
+// the same queries submitted singly through a depth-8 queue pair —
+// whatever groups its dispatcher coalesced — on one and on two devices.
+func TestBatchedStatsMatchSingleCommands(t *testing.T) {
+	type queueHost interface {
+		submitter
+		NewQueue(QueueConfig) (*Queue, error)
+	}
+	for _, tc := range []struct {
+		name string
+		host queueHost
+	}{
+		{"1 device", newEngine(t, AllOptions())},
+		{"2 devices", newSharded(t, 2)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			deployBoth(t, tc.host.Submit)
+			cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, NProbe: 4}
+			batched, err := tc.host.Submit(cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ch := make(chan Completion, 8)
+			q, err := tc.host.NewQueue(QueueConfig{Depth: 8, Completions: ch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			err = q.SubmitDrain(context.Background(), ch, len(cmd.Queries),
+				func(i int) HostCommand {
+					single := cmd
+					single.Queries = cmd.Queries[i : i+1]
+					return single
+				},
+				func(i int, c Completion) {
+					if c.Resp.QueryStats[0] != batched.QueryStats[i] {
+						t.Errorf("query %d stats: single %+v, batched %+v", i, c.Resp.QueryStats[0], batched.QueryStats[i])
+					}
+					if len(c.Resp.PerShard) != len(batched.PerShard) {
+						t.Fatalf("query %d: %d per-shard rows single, %d batched", i, len(c.Resp.PerShard), len(batched.PerShard))
+					}
+					for s, row := range c.Resp.PerShard {
+						if row[0] != batched.PerShard[s][i] {
+							t.Errorf("query %d shard %d: single %+v, batched %+v", i, s, row[0], batched.PerShard[s][i])
+						}
+					}
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestQueueDoesNotCoalesceAcrossPrune: a pruned command's device stats
 // differ from an unpruned run's, so the two must never share a batched
 // execution (which runs under the head command's options).

@@ -52,8 +52,8 @@ import (
 // a facade over the same host core an Engine embeds (host.go),
 // bound to N ≥ 1 devices instead of one. Submit, NewQueue (asynchronous
 // queue pairs dispatch into the host), the Search family, Append /
-// Delete / Compact, CalibrateNProbe, RunLoad, the journal pair, Ready
-// and Close are the core's, promoted — the same methods Engine exposes,
+// Delete / Compact, CalibrateNProbe, the journal pair, Ready and
+// Close are the core's, promoted — the same methods Engine exposes,
 // with results bit-identical to a single device over the same data. The
 // methods declared here are the ones whose shape names the shards: the
 // ShardedDatabase return type, and the per-shard stats operands of

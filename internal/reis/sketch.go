@@ -24,8 +24,7 @@ import (
 // bit-identical JSON across runs and GOMAXPROCS.
 
 // DefaultSketchAccuracy is the relative-accuracy bound alpha used when
-// a LoadConfig does not override it: quantiles are within 1% of the
-// true value.
+// a caller passes none: quantiles are within 1% of the true value.
 const DefaultSketchAccuracy = 0.01
 
 // LatencySketch is a deterministic streaming quantile sketch over

@@ -80,10 +80,6 @@ type Config struct {
 	// QueueDepth is the per-replica routed queue depth (zero means
 	// reis.DefaultQueueDepth).
 	QueueDepth int
-	// QueueConfig, when non-nil, builds replica i's queue configuration
-	// instead of the uniform {Depth: QueueDepth} — the hook experiments
-	// use to slow one replica with QoS weights.
-	QueueConfig func(i int) reis.QueueConfig
 	// FailStreak is the consecutive-ErrQueueFull count that retires a
 	// replica (zero means 3).
 	FailStreak int
@@ -165,6 +161,13 @@ type Group struct {
 // identical data (or deploy through the group, whose deploy commands
 // broadcast).
 func NewGroup(hosts []Host, cfg Config) (*Group, error) {
+	return newGroup(hosts, cfg, func(int) int { return cfg.QueueDepth })
+}
+
+// newGroup is NewGroup with replica i's queue depth given by depth(i);
+// the failover test gives the members uneven depths to force a
+// retirement.
+func newGroup(hosts []Host, cfg Config, depth func(i int) int) (*Group, error) {
 	if len(hosts) == 0 {
 		return nil, ErrNoReplicas
 	}
@@ -182,11 +185,7 @@ func NewGroup(hosts []Host, cfg Config) (*Group, error) {
 	}
 	g := &Group{cfg: cfg, rng: xrand.New(cfg.Seed)}
 	for i, h := range hosts {
-		qc := reis.QueueConfig{Depth: cfg.QueueDepth}
-		if cfg.QueueConfig != nil {
-			qc = cfg.QueueConfig(i)
-		}
-		q, err := h.NewQueue(qc)
+		q, err := h.NewQueue(reis.QueueConfig{Depth: depth(i)})
 		if err != nil {
 			for _, r := range g.reps {
 				r.q.Close()

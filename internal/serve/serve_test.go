@@ -324,15 +324,7 @@ func TestReplicaGroupConcurrentFailover(t *testing.T) {
 // reis.ErrQueueFull.
 func TestGroupFailoverAndRetirement(t *testing.T) {
 	hosts := []Host{newHost(t, 0, 1), newHost(t, 0, 1)}
-	g, err := NewGroup(hosts, Config{
-		FailStreak: 2, Seed: 1,
-		QueueConfig: func(i int) reis.QueueConfig {
-			if i == 0 {
-				return reis.QueueConfig{Depth: 1}
-			}
-			return reis.QueueConfig{Depth: 4}
-		},
-	})
+	g, err := newGroup(hosts, Config{FailStreak: 2, Seed: 1}, func(i int) int { return []int{1, 4}[i] })
 	if err != nil {
 		t.Fatal(err)
 	}
