@@ -44,10 +44,10 @@ func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := engine.IVFDeploy(reis.DeployConfig{
+	if _, err := engine.Submit(reis.HostCommand{Opcode: reis.OpcodeIVFDeploy, Deploy: &reis.DeployConfig{
 		ID: 1, Vectors: data.Vectors, Docs: data.Docs, DocSlotBytes: 512,
 		Centroids: cents, Assign: assign,
-	}); err != nil {
+	}}); err != nil {
 		b.Fatal(err)
 	}
 	db, err := engine.DB(1)
@@ -59,9 +59,8 @@ func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
 
 // BenchmarkSearchThroughput sweeps the admission batch size and
 // reports wall-clock queries/sec of the functional simulation plus the
-// timing model's batch QPS. Batch size 1 is the one-at-a-time baseline
-// (one Search call per query); larger batches go through SearchBatch —
-// the same controller either way.
+// timing model's batch QPS: one Search command of batch queries per op,
+// through Submit. Batch size 1 is the one-at-a-time baseline.
 func BenchmarkSearchThroughput(b *testing.B) {
 	engine, db, queries := throughputSetup(b)
 	for _, batch := range []int{1, 8, 64} {
@@ -69,32 +68,21 @@ func BenchmarkSearchThroughput(b *testing.B) {
 			// Every sub-benchmark rotates through the same query list,
 			// so qps across batch sizes compares identical workloads.
 			qs := make([][]float32, batch)
-			var sts []reis.QueryStats
+			var resp reis.HostResponse
 			b.ResetTimer()
-			served := 0
 			for i := 0; i < b.N; i++ {
 				for j := range qs {
 					qs[j] = queries[(i*batch+j)%len(queries)]
 				}
-				if batch == 1 {
-					_, st, err := engine.Search(1, qs[0], 10, reis.SearchOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					sts = []reis.QueryStats{st}
-					served++
-				} else {
-					var err error
-					_, sts, err = engine.SearchBatch(1, qs, 10, reis.SearchOptions{})
-					if err != nil {
-						b.Fatal(err)
-					}
-					served += batch
+				var err error
+				resp, err = engine.Submit(reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 1, Queries: qs, K: 10})
+				if err != nil {
+					b.Fatal(err)
 				}
 			}
 			b.StopTimer()
-			b.ReportMetric(float64(served)/b.Elapsed().Seconds(), "qps")
-			bd := engine.BatchLatency(db, sts, reis.UnitScale())
+			b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "qps")
+			bd := engine.BatchLatency(db, resp.QueryStats, reis.UnitScale())
 			b.ReportMetric(bd.QPS, "model_qps")
 		})
 	}

@@ -6,9 +6,9 @@
 // The engine (internal/reis) exposes the Table 1 vendor command set
 // through an NVMe-style host interface: Engine.NewQueue creates an
 // asynchronous submission/completion queue pair (SubmitAsync, Reap,
-// Wait, completion channels/callbacks, per-command context
-// cancellation, depth-based admission control and per-database QoS
-// weights), and the synchronous Engine.Submit is a thin submit+wait
+// Wait, a completion channel, per-command context cancellation,
+// depth-based admission control and equal-share stride scheduling
+// across databases), and the synchronous Engine.Submit is a thin submit+wait
 // wrapper over the engine's built-in pair. Batched admission and
 // queue-side coalescing keep the flash planes busy across queries
 // while a query's results and device stats stay bit-identical to its
@@ -19,9 +19,9 @@
 // Every search — flat or IVF, pruned or not, cached or not, one device
 // or many — is one round-driven controller (internal/reis/controller.go)
 // planning scan rounds from global state and running each on every
-// device in place, ending in the one controller tail; the exported Search / SearchBatch /
-// IVFSearch / IVFSearchBatch methods are one-command wrappers over it
-// that bypass the result cache (DESIGN.md, "Concurrency model").
+// device in place, ending in the one controller tail; a command reaches
+// it through Submit or a queue pair's SubmitAsync and nowhere else
+// (DESIGN.md, "Concurrency model").
 //
 // Both exported hosts are facades over one host core
 // (internal/reis/host.go) that owns the database table, the journal,

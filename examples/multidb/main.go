@@ -43,10 +43,10 @@ func main() {
 		for j := range tags {
 			tags[j] = uint8(j % 4)
 		}
-		if _, err := engine.IVFDeploy(reis.DeployConfig{
+		if _, err := engine.Submit(reis.HostCommand{Opcode: reis.OpcodeIVFDeploy, Deploy: &reis.DeployConfig{
 			ID: i + 1, Vectors: data.Vectors, Docs: data.Docs, DocSlotBytes: 512,
 			Centroids: cents, Assign: assign, MetaTags: tags,
-		}); err != nil {
+		}}); err != nil {
 			log.Fatalf("deploy %s: %v", name, err)
 		}
 		fmt.Printf("deployed %-8s as database %d (%d entries)\n", name, i+1, data.Len())

@@ -36,19 +36,22 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if _, err := engine.IVFDeploy(reis.DeployConfig{
+	if _, err := engine.Submit(reis.HostCommand{Opcode: reis.OpcodeIVFDeploy, Deploy: &reis.DeployConfig{
 		ID: 1, Vectors: data.Vectors, Docs: data.Docs, DocSlotBytes: 512,
 		Centroids: centroids, Assign: assign,
-	}); err != nil {
+	}}); err != nil {
 		log.Fatal(err)
 	}
 
-	// 4. Search in storage: the query embedding goes to the device,
-	// relevant document chunks come back.
-	results, stats, err := engine.IVFSearch(1, data.Queries[0], 3, reis.SearchOptions{NProbe: 4})
+	// 4. Search in storage with the IVF_Search command: the query
+	// embedding goes to the device, relevant document chunks come back.
+	resp, err := engine.Submit(reis.HostCommand{
+		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: data.Queries[:1], K: 3, NProbe: 4,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	results, stats := resp.Results[0], resp.QueryStats[0]
 	fmt.Println("top documents:")
 	for i, r := range results {
 		fmt.Printf("  %d. id=%d dist=%.0f %q...\n", i+1, r.ID, r.Dist, r.Doc[:40])

@@ -33,10 +33,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := engine.IVFDeploy(reis.DeployConfig{
+	if _, err := engine.Submit(reis.HostCommand{Opcode: reis.OpcodeIVFDeploy, Deploy: &reis.DeployConfig{
 		ID: 1, Vectors: data.Vectors, Docs: data.Docs, DocSlotBytes: 256,
 		Centroids: cents, Assign: assign,
-	})
+	}}); err != nil {
+		log.Fatal(err)
+	}
+	db, err := engine.DB(1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -93,16 +93,16 @@ func RunChurn() ([]ChurnRow, error) {
 				del = append(del, id)
 			}
 			del = append(del, prev...)
-			if err := e.Delete(1, del...); err != nil {
+			if _, err := e.Submit(reis.HostCommand{Opcode: reis.OpcodeDelete, DBID: 1, Del: &reis.DeleteConfig{IDs: del}}); err != nil {
 				return ChurnRow{}, fmt.Errorf("round %d delete: %w", r, err)
 			}
-			wear, err := e.Compact(1, 0.9)
+			resp, err := e.Submit(reis.HostCommand{Opcode: reis.OpcodeCompact, DBID: 1, Compact: &reis.CompactConfig{MinLiveRatio: 0.9}})
 			if err != nil {
 				return ChurnRow{}, fmt.Errorf("round %d compact: %w", r, err)
 			}
-			row.CompactedRows += float64(wear.CompactedRows)
-			row.BlockErases += float64(wear.BlockErases)
-			lastWear = wear
+			lastWear = *resp.Wear
+			row.CompactedRows += float64(lastWear.CompactedRows)
+			row.BlockErases += float64(lastWear.BlockErases)
 			vecs := make([][]float32, churnBatch)
 			docs := make([][]byte, churnBatch)
 			for j := range vecs {
@@ -110,10 +110,11 @@ func RunChurn() ([]ChurnRow, error) {
 				docs[j] = poolDocs[(at+j)%len(poolDocs)]
 			}
 			at += churnBatch
-			prev, err = e.Append(1, reis.AppendConfig{Vectors: vecs, Docs: docs})
+			resp, err = e.Submit(reis.HostCommand{Opcode: reis.OpcodeAppend, DBID: 1, Append: &reis.AppendConfig{Vectors: vecs, Docs: docs}})
 			if err != nil {
 				return ChurnRow{}, fmt.Errorf("round %d append: %w", r, err)
 			}
+			prev = resp.AppendedIDs
 		}
 		row.MaxBlockErase = float64(e.SSD.Dev.MaxEraseCount())
 		row.WriteAmp = lastWear.WriteAmp

@@ -141,11 +141,17 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 	// Flash configurations: the same corpus deployed on REIS-SSD1,
 	// searched with threshold pruning, without and with the DRAM
 	// caching tier. Recall comes from the functional results, latency
-	// from the occupancy timing model at ScaleIVF. With the cache, warm-up
-	// passes build the probe counters so the measured pass scans pinned
-	// clusters from DRAM. The measured pass uses the sequential IVFSearch
-	// API, which shares the scan path (including pins) but bypasses the
-	// Submit-side result cache — repeats must not be served for free.
+	// from the occupancy timing model at ScaleIVF. With the cache, two
+	// warm-up passes build the probe counters so the measured pass scans
+	// pinned clusters from DRAM. The result cache serves an exact repeat of
+	// a command without running it, so no pass may repeat another's
+	// commands: a repeated warm-up would probe nothing, a repeated
+	// measurement would be served for free. The passes differ in operands
+	// the result key covers and the probes do not — the warm-ups return
+	// documents, pruned then unpruned; the measured pass skips them — and
+	// pins refresh once per IVF command from the probes of the commands
+	// before it, so the measured pass meets the pin sets two passes of its
+	// own form would have built.
 	cachedSSD := ssd.SSD1()
 	cachedSSD.CacheDRAMBytes = frontierCacheBudget
 	for s, err := range setups(w, reis.AllOptions(), []ssd.Config{ssd.SSD1(), cachedSSD}, 1) {
@@ -157,29 +163,33 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 			system = "REIS-pruned+cached"
 		}
 		for _, nprobe := range []int{1, 2, 4, 8} {
-			opt := reis.SearchOptions{NProbe: nprobe, Prune: true, SkipDocs: true}
+			cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, K: k, NProbe: nprobe}
 			if cached {
-				for warm := 0; warm < 2; warm++ {
-					for _, q := range d.Queries {
-						if _, _, err := s.IVFSearch(1, q, k, opt); err != nil {
+				for _, prune := range []bool{true, false} {
+					cmd.Opt = reis.SearchOptions{Prune: prune}
+					for qi := range d.Queries {
+						cmd.Queries = d.Queries[qi : qi+1]
+						if _, err := s.Submit(cmd); err != nil {
 							return nil, err
 						}
 					}
 				}
 			}
+			cmd.Opt = reis.SearchOptions{Prune: true, SkipDocs: true}
 			got := make([][]int, len(d.Queries))
 			var serveSec float64
-			for qi, q := range d.Queries {
-				res, st, err := s.IVFSearch(1, q, k, opt)
+			for qi := range d.Queries {
+				cmd.Queries = d.Queries[qi : qi+1]
+				resp, err := s.Submit(cmd)
 				if err != nil {
 					return nil, err
 				}
-				ids := make([]int, len(res))
-				for i, r := range res {
+				ids := make([]int, len(resp.Results[0]))
+				for i, r := range resp.Results[0] {
 					ids[i] = r.ID
 				}
 				got[qi] = ids
-				serveSec += s.price(st, nil, scIVF).Total.Seconds()
+				serveSec += s.price(resp.QueryStats[0], nil, scIVF).Total.Seconds()
 			}
 			add(system, fmt.Sprintf("np=%d", nprobe), dataset.Recall(d.GroundTruth, got, k),
 				serveSec/float64(len(d.Queries)), false)

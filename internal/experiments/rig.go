@@ -27,7 +27,6 @@ type reisHost interface {
 	Submit(reis.HostCommand) (reis.HostResponse, error)
 	NewQueue(reis.QueueConfig) (*reis.Queue, error)
 	CalibrateNProbe(dbID int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error)
-	IVFSearch(dbID int, query []float32, k int, opt reis.SearchOptions) ([]reis.DocResult, reis.QueryStats, error)
 	Close() error
 }
 

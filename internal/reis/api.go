@@ -164,23 +164,13 @@ func (cmd *HostCommand) validate() error {
 	}
 }
 
-// checkQueryAgainst validates one query of a search command against its
-// database's dimensionality.
-func checkQueryAgainst(dim, dbID int, query []float32, k int) error {
-	if len(query) != dim {
-		return fmt.Errorf("%w (query dim %d, database %d dim %d)",
-			ErrQueryDims, len(query), dbID, dim)
-	}
-	return checkK(k)
-}
-
 // maxK bounds the K operand: more results per query than any device has
 // slots, and small enough that the rerank pool K × RerankFactor fits an
 // int on every platform.
 const maxK = math.MaxInt32 / RerankFactor
 
-// checkK validates a K operand — at submission (validate) and again on
-// the direct Search* methods, which bypass it.
+// checkK validates a K operand: at submission (validate) for every
+// command, and for CalibrateNProbe, which is not one.
 func checkK(k int) error {
 	if k <= 0 || k > maxK {
 		return fmt.Errorf("%w (K=%d, want 1..%d)", ErrBadK, k, maxK)
@@ -216,8 +206,7 @@ func isMutationOp(op uint8) bool {
 
 // resolveSearchOptions folds a command's NProbe / TargetRecall operands
 // into the SearchOptions handed to the execution core — the single
-// normalization point shared by the synchronous Submit wrapper and the
-// asynchronous queue dispatcher. Precedence:
+// normalization point of every search. Precedence:
 //
 //  1. an explicit command-level NProbe operand wins;
 //  2. otherwise a non-zero Opt.NProbe is kept as-is;

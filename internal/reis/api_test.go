@@ -3,8 +3,48 @@ package reis
 import (
 	"context"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 )
+
+// TestHostSurface pins the exported surface of the two hosts and of a
+// queue pair's configuration against literal lists: a command enters a
+// host through Submit, or SubmitAsync on a NewQueue pair, and nowhere
+// else, so a re-added per-opcode wrapper or queue option fails here
+// instead of passing review.
+func TestHostSurface(t *testing.T) {
+	names := func(typ reflect.Type) []string {
+		var out []string
+		if typ.Kind() == reflect.Struct {
+			for i := 0; i < typ.NumField(); i++ {
+				out = append(out, typ.Field(i).Name)
+			}
+			return out
+		}
+		for i := 0; i < typ.NumMethod(); i++ { // exported methods, sorted by name
+			out = append(out, typ.Method(i).Name)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		what string
+		typ  reflect.Type
+		want []string
+	}{
+		{"*Engine methods", reflect.TypeOf(&Engine{}), []string{
+			"ASICLatency", "BatchLatency", "CalibrateNProbe", "Close", "DB", "JournalBytes",
+			"Latency", "NewQueue", "Ready", "ReplayJournal", "Submit"}},
+		{"*ShardedEngine methods", reflect.TypeOf(&ShardedEngine{}), []string{
+			"BatchLatency", "CalibrateNProbe", "Close", "DB", "JournalBytes",
+			"Latency", "NewQueue", "Ready", "ReplayJournal", "Shard", "Shards", "Submit"}},
+		{"QueueConfig fields", reflect.TypeOf(QueueConfig{}), []string{"Depth", "Completions"}},
+	} {
+		if got := names(tc.typ); !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.what, got, tc.want)
+		}
+	}
+}
 
 // TestHostCommandValidationSentinels pins every sentinel-error path of
 // the host-side command validation, through both the synchronous
@@ -85,16 +125,17 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 			}
 		}
 	}
-	// The direct Search* methods bypass submission; they refuse the same K,
-	// and the largest admitted K is served (the pool clamps to the stream).
+	// The largest admitted K is served (the pool clamps to the stream), and
+	// CalibrateNProbe — the one search entry that is not a command —
+	// refuses a K no command could carry.
 	for _, prune := range []bool{false, true} {
-		opt := SearchOptions{Prune: prune}
-		if _, _, err := e.Search(1, queries[0], 922337203685477581, opt); !errors.Is(err, ErrBadK) {
-			t.Errorf("Search(huge K, prune=%v) error = %v, want ErrBadK", prune, err)
+		if res, _ := searchOne(t, e, OpcodeSearch, 1, queries[0], maxK, SearchOptions{Prune: prune}); len(res) == 0 {
+			t.Errorf("Search(maxK, prune=%v) returned nothing", prune)
 		}
-		if res, _, err := e.Search(1, queries[0], maxK, opt); err != nil || len(res) == 0 {
-			t.Errorf("Search(maxK, prune=%v) = %d results, %v", prune, len(res), err)
-		}
+	}
+	deployIVF(t, e, 2, 16)
+	if _, err := e.CalibrateNProbe(2, queries, testData.GroundTruth, 922337203685477581, 0.9); !errors.Is(err, ErrBadK) {
+		t.Errorf("CalibrateNProbe(huge K) error = %v, want ErrBadK", err)
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// assertSameResults fails unless batch results equal the results of
-// one-query commands bit for bit (IDs, distances, document bytes) —
+// assertSameResults fails unless one N-query command's results equal the
+// results of N one-query commands bit for bit (IDs, distances, document bytes) —
 // batch-composition invariance: what rides along in a batch never
 // changes a query's outcome.
 func assertSameResults(t *testing.T, mode string, seq, batch [][]DocResult) {
@@ -35,19 +35,8 @@ func TestSearchBatchMatchesSequentialFlat(t *testing.T) {
 	queries := testData.Queries
 	opt := SearchOptions{}
 
-	seq := make([][]DocResult, len(queries))
-	seqStats := make([]QueryStats, len(queries))
-	for qi, q := range queries {
-		res, st, err := e.Search(1, q, 10, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[qi], seqStats[qi] = res, st
-	}
-	batch, sts, err := e.SearchBatch(1, queries, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, seqStats := searchEach(t, e, OpcodeSearch, 1, queries, 10, opt)
+	batch, sts := search(t, e, OpcodeSearch, 1, queries, 10, opt)
 	assertSameResults(t, "flat", seq, batch)
 
 	// Device event counts must match the one-query command field for
@@ -66,28 +55,16 @@ func TestSearchBatchMatchesSequentialFiltered(t *testing.T) {
 	for i := range tags {
 		tags[i] = uint8(testData.ClusterOf[i] % 4)
 	}
-	if _, err := e.Deploy(DeployConfig{
+	deployOn(t, e, OpcodeDBDeploy, DeployConfig{
 		ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
 		MetaTags: tags,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 	want := tags[testData.GroundTruth[0][0]]
 	opt := SearchOptions{MetaTag: &want, SkipDocs: true}
 	queries := testData.Queries[:8]
 
-	seq := make([][]DocResult, len(queries))
-	for qi, q := range queries {
-		res, _, err := e.Search(1, q, 10, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seq[qi] = res
-	}
-	batch, _, err := e.SearchBatch(1, queries, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq, _ := searchEach(t, e, OpcodeSearch, 1, queries, 10, opt)
+	batch, _ := search(t, e, OpcodeSearch, 1, queries, 10, opt)
 	assertSameResults(t, "filtered", seq, batch)
 	for qi := range batch {
 		for _, r := range batch[qi] {
@@ -104,19 +81,8 @@ func TestIVFSearchBatchMatchesSequential(t *testing.T) {
 	queries := testData.Queries
 	for _, nprobe := range []int{1, 4} {
 		opt := SearchOptions{NProbe: nprobe}
-		seq := make([][]DocResult, len(queries))
-		seqStats := make([]QueryStats, len(queries))
-		for qi, q := range queries {
-			res, st, err := e.IVFSearch(1, q, 10, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			seq[qi], seqStats[qi] = res, st
-		}
-		batch, sts, err := e.IVFSearchBatch(1, queries, 10, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		seq, seqStats := searchEach(t, e, OpcodeIVFSearch, 1, queries, 10, opt)
+		batch, sts := search(t, e, OpcodeIVFSearch, 1, queries, 10, opt)
 		assertSameResults(t, "ivf", seq, batch)
 		for qi := range queries {
 			if s, b := seqStats[qi], sts[qi]; s != b {
@@ -130,14 +96,8 @@ func TestSearchBatchDeterministic(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
 	opt := SearchOptions{NProbe: 4}
-	a, ast, err := e.IVFSearchBatch(1, testData.Queries, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, bst, err := e.IVFSearchBatch(1, testData.Queries, 10, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, ast := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, opt)
+	b, bst := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, opt)
 	assertSameResults(t, "repeat", a, b)
 	for qi := range ast {
 		if ast[qi] != bst[qi] {
@@ -149,27 +109,25 @@ func TestSearchBatchDeterministic(t *testing.T) {
 func TestSearchBatchValidation(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
-	if _, _, err := e.SearchBatch(1, nil, 10, SearchOptions{}); err == nil {
-		t.Fatal("empty batch accepted")
-	}
-	if _, _, err := e.SearchBatch(99, testData.Queries[:1], 10, SearchOptions{}); err == nil {
-		t.Fatal("unknown database accepted")
-	}
-	if _, _, err := e.SearchBatch(1, [][]float32{make([]float32, 7)}, 10, SearchOptions{}); err == nil {
-		t.Fatal("wrong-dim query accepted")
-	}
-	if _, _, err := e.IVFSearchBatch(1, testData.Queries[:1], 10, SearchOptions{}); err == nil {
-		t.Fatal("IVF batch on flat database accepted")
+	for _, tc := range []struct {
+		what string
+		cmd  HostCommand
+	}{
+		{"empty batch", HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 10}},
+		{"unknown database", HostCommand{Opcode: OpcodeSearch, DBID: 99, Queries: testData.Queries[:1], K: 10}},
+		{"wrong-dim query", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: [][]float32{make([]float32, 7)}, K: 10}},
+		{"IVF batch on flat database", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:1], K: 10}},
+	} {
+		if _, err := e.Submit(tc.cmd); err == nil {
+			t.Fatalf("%s accepted", tc.what)
+		}
 	}
 }
 
 func TestBatchLatencyOverlap(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	db := deployIVF(t, e, 1, 16)
-	_, sts, err := e.IVFSearchBatch(1, testData.Queries, 10, SearchOptions{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, sts := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, SearchOptions{NProbe: 4})
 	b := e.BatchLatency(db, sts, UnitScale())
 	if b.Queries != len(sts) {
 		t.Fatalf("Queries = %d", b.Queries)

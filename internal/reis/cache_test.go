@@ -167,11 +167,12 @@ func TestCachedMatchesUncached(t *testing.T) {
 	}
 }
 
-// TestCachedSeqMatchesBatch checks one-query IVFSearch commands (each
+// TestCachedSeqMatchesBatch checks one-query IVF_Search commands (each
 // refreshes the pins and scans them itself) against whole batches (one
 // refresh per batch) on cached engines: the pin sets differ, the
-// results must not. Both bypass the result cache (direct API), so the
-// comparison isolates the hot-cluster tier.
+// results must not. Every round probes one cluster more than the last,
+// so no command repeats an earlier one and the result cache serves
+// none of them: the comparison isolates the hot-cluster tier.
 func TestCachedSeqMatchesBatch(t *testing.T) {
 	seq, err := New(cachedRefCfg(1, cacheSmallBudget), 64<<20, AllOptions())
 	if err != nil {
@@ -186,19 +187,16 @@ func TestCachedSeqMatchesBatch(t *testing.T) {
 	t.Cleanup(func() { batch.Close() })
 	deployBoth(t, batch.Submit)
 
-	opt := SearchOptions{NProbe: 4}
 	for round := 0; round < 3; round++ {
-		want, _, err := batch.IVFSearchBatch(2, testData.Queries, 10, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+		opt := SearchOptions{NProbe: 4 + round}
+		want, wantSts := search(t, batch, OpcodeIVFSearch, 2, testData.Queries, 10, opt)
 		for qi, q := range testData.Queries {
-			got, _, err := seq.IVFSearch(2, q, 10, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got, st := searchOne(t, seq, OpcodeIVFSearch, 2, q, 10, opt)
 			if !reflect.DeepEqual(got, want[qi]) {
 				t.Fatalf("round %d q%d: sequential cached result diverges", round, qi)
+			}
+			if st.ResultCacheHits+wantSts[qi].ResultCacheHits != 0 {
+				t.Fatalf("round %d q%d: served from the result cache, the pins were not compared", round, qi)
 			}
 		}
 	}

@@ -68,11 +68,7 @@ func TestEngineCloseWithOpenQueues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Deploy(DeployConfig{
-		ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	deployFlat(t, e, 1)
 	q1, err := e.NewQueue(QueueConfig{})
 	if err != nil {
 		t.Fatal(err)
@@ -215,7 +211,7 @@ func TestCloseRejectsUndispatchedMutations(t *testing.T) {
 	}
 	liveBefore := db.Live()
 
-	q, err := e.NewQueue(QueueConfig{Depth: 8, NoCoalesce: true})
+	q, err := e.NewQueue(QueueConfig{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +268,7 @@ func TestCloseAbortsBackgroundGC(t *testing.T) {
 	resps := runMutScript(t, e, c, true, 0)
 	before := resps[len(resps)-1].Results
 
-	q, err := e.NewQueue(QueueConfig{Depth: 8, NoCoalesce: true})
+	q, err := e.NewQueue(QueueConfig{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,86 +297,68 @@ func TestCloseAbortsBackgroundGC(t *testing.T) {
 	if _, err := q.Wait(ctx, id); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("in-flight compaction: error %v, want ErrQueueClosed", err)
 	}
-	after, _, err := e.IVFSearchBatch(1, testData.Queries, 10, SearchOptions{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	after, _ := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, SearchOptions{NProbe: 4})
 	if !reflect.DeepEqual(after, before) {
 		t.Fatal("aborted compaction left an inconsistent state")
 	}
-	wear, err := e.Compact(1, 0.9)
-	if err != nil {
-		t.Fatalf("compaction after aborted flight: %v", err)
-	}
+	wear := mustSubmit(t, e, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}).Wear
 	if wear.CompactedRows == 0 {
 		t.Fatalf("nothing left to collect: the aborted flight ran to completion, %+v", wear)
 	}
-	again, _, err := e.IVFSearchBatch(1, testData.Queries, 10, SearchOptions{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, _ := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, SearchOptions{NProbe: 4})
 	if !reflect.DeepEqual(again, before) {
 		t.Fatal("finishing compaction changed search results")
 	}
 }
 
-// TestDirectCallsAfterClose: every direct API call on a closed host —
-// single device, and one or several shards — fails with ErrQueueClosed
-// and starts nothing. (A closed Engine used to serve direct searches,
-// lazily restarting the plane workers Close had stopped and leaking
-// them; only the sharded router refused.)
+// TestDirectCallsAfterClose: every call on a closed host — single
+// device, and one or several shards; a command of each kind through
+// Submit, and CalibrateNProbe, which searches outside any queue pair —
+// fails with ErrQueueClosed and starts nothing. (A closed Engine used to
+// serve direct searches, lazily restarting the plane workers Close had
+// stopped and leaking them; only the sharded router refused.)
 func TestDirectCallsAfterClose(t *testing.T) {
 	type closedHost interface {
 		submitter
-		Search(int, []float32, int, SearchOptions) ([]DocResult, QueryStats, error)
-		IVFSearchBatch(int, [][]float32, int, SearchOptions) ([][]DocResult, []QueryStats, error)
-		Append(int, AppendConfig) ([]int, error)
+		CalibrateNProbe(int, [][]float32, [][]int, int, float64) (int, error)
 		Close() error
 	}
-	redeploy := DeployConfig{ID: 3, Vectors: testData.Vectors[:64], Docs: testData.Docs[:64], DocSlotBytes: 256}
 	e, err := New(shardTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hosts := map[string]closedHost{"device": e}
-	deploys := map[string]func() error{"device": func() error { _, err := e.Deploy(redeploy); return err }}
 	for _, n := range []int{1, 2} {
 		sh, err := NewSharded(shardTestCfg(), n, 64<<20, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
-		name := map[int]string{1: "one-shard", 2: "two-shards"}[n]
-		hosts[name] = sh
-		deploys[name] = func() error { _, err := sh.Deploy(redeploy); return err }
+		hosts[map[int]string{1: "one-shard", 2: "two-shards"}[n]] = sh
 	}
 	queries := testData.Queries[:8]
+	ivfBatch := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 4}
 	for name, h := range hosts {
 		deployBoth(t, h.Submit)
 		// A multi-plane batch before Close, so the workers Close stops
 		// have been started.
-		if _, _, err := h.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4}); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+		mustSubmit(t, h, ivfBatch)
 		if err := h.Close(); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		before := runtime.NumGoroutine()
-		calls := map[string]func() error{
-			"Search": func() error { _, _, err := h.Search(1, queries[0], 10, SearchOptions{}); return err },
-			"IVFSearchBatch": func() error {
-				_, _, err := h.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4})
-				return err
-			},
-			"Deploy": deploys[name],
-			"Append": func() error {
-				_, err := h.Append(1, AppendConfig{Vectors: testData.Vectors[:2], Docs: testData.Docs[:2]})
-				return err
-			},
-		}
-		for call, f := range calls {
-			if err := f(); !errors.Is(err, ErrQueueClosed) {
+		for call, cmd := range map[string]HostCommand{
+			"Search":    {Opcode: OpcodeSearch, DBID: 1, Queries: queries[:1], K: 10},
+			"IVFSearch": ivfBatch,
+			"Deploy": {Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{
+				ID: 3, Vectors: testData.Vectors[:64], Docs: testData.Docs[:64], DocSlotBytes: 256}},
+			"Append": {Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{Vectors: testData.Vectors[:2], Docs: testData.Docs[:2]}},
+		} {
+			if _, err := h.Submit(cmd); !errors.Is(err, ErrQueueClosed) {
 				t.Errorf("%s: %s after Close error = %v, want ErrQueueClosed", name, call, err)
 			}
+		}
+		if _, err := h.CalibrateNProbe(2, queries, testData.GroundTruth, 10, 0.9); !errors.Is(err, ErrQueueClosed) {
+			t.Errorf("%s: CalibrateNProbe after Close error = %v, want ErrQueueClosed", name, err)
 		}
 		// Goroutines stopped by Close may still be winding down, so the
 		// count can only fall — unless a call restarted something.
@@ -397,19 +375,19 @@ func TestDirectCallsAfterClose(t *testing.T) {
 	}
 	defer sh.Close()
 	deployBoth(t, sh.Submit)
-	if _, _, err := sh.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4}); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, sh, ivfBatch)
 	sh.Shard(1).Close()
 	before := runtime.NumGoroutine()
-	if _, _, err := sh.Search(1, queries[0], 10, SearchOptions{}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("closed member: Search error = %v, want ErrQueueClosed", err)
+	for call, cmd := range map[string]HostCommand{
+		"Search":    {Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10},
+		"IVFSearch": ivfBatch,
+	} {
+		if _, err := sh.Submit(cmd); !errors.Is(err, ErrQueueClosed) {
+			t.Errorf("closed member: %s error = %v, want ErrQueueClosed", call, err)
+		}
 	}
-	if _, _, err := sh.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("closed member: IVFSearchBatch error = %v, want ErrQueueClosed", err)
-	}
-	if _, err := sh.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10}); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("closed member: Submit error = %v, want ErrQueueClosed", err)
+	if _, err := sh.CalibrateNProbe(2, queries, testData.GroundTruth, 10, 0.9); !errors.Is(err, ErrQueueClosed) {
+		t.Errorf("closed member: CalibrateNProbe error = %v, want ErrQueueClosed", err)
 	}
 	if after := settledGoroutines(before); after > before {
 		t.Errorf("closed member: %d goroutines after the refused searches, %d before", after, before)

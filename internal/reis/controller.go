@@ -27,9 +27,9 @@ import (
 //     and the fold a pass-through;
 //   - pinned clusters are scanned here, from the DRAM copies, in
 //     segment order, so a device never sees them;
-//   - Submit, queue pairs and the direct Search* methods all enter
-//     through search; they differ only in whether the result cache
-//     wraps the run.
+//   - a command, a coalesced dispatch group and a CalibrateNProbe step
+//     all enter through search; only the last runs past the result
+//     cache.
 //
 // Because rounds, bounds, lower bounds and the pin set are computed
 // once, from values that do not depend on the topology, the merged
@@ -114,10 +114,11 @@ func (s *ctrlScratch) reset(queries [][]float32, pool, slotBytes int) {
 	}
 }
 
-// search resolves and validates one command's queries — its own Q
-// operand, or a coalesced group's concatenation — and runs them,
-// wrapped in the result cache when useCache is set (host commands; the
-// direct API methods and calibration bypass it). Hits are served as
+// search resolves one command's queries — its own Q operand, or a
+// coalesced group's concatenation — against the database and runs them,
+// wrapped in the result cache when useCache is set (host commands;
+// calibration bypasses it). K, a non-empty Q and per-command uniform
+// dimensionality were checked at submission (validate). Hits are served as
 // deep copies at controller cost (QueryStats records only
 // ResultCacheHits, the per-shard rows stay zero); the miss subset runs
 // as one batch, so its per-query stats are bit-identical to an uncached
@@ -130,12 +131,10 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	if len(queries) == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: empty query batch")
-	}
 	for _, q := range queries {
-		if err := checkQueryAgainst(db.Dim, db.ID, q, cmd.K); err != nil {
-			return nil, nil, nil, err
+		if len(q) != db.Dim {
+			return nil, nil, nil, fmt.Errorf("%w (query dim %d, database %d dim %d)",
+				ErrQueryDims, len(q), db.ID, db.Dim)
 		}
 	}
 	if cmd.Opcode == OpcodeIVFSearch && len(db.lay.rivf) == 0 {

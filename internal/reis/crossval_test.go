@@ -22,10 +22,7 @@ func TestEngineMatchesHostReference(t *testing.T) {
 	ref := ann.NewBinaryFlat(testData.Vectors)
 
 	for qi, q := range testData.Queries {
-		engineRes, _, err := e.Search(1, q, 10, SearchOptions{SkipDocs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		engineRes, _ := searchOne(t, e, OpcodeSearch, 1, q, 10, SearchOptions{SkipDocs: true})
 		hostRes := ref.Search(q, 10)
 		hostIDs := make(map[int]bool, len(hostRes))
 		for _, r := range hostRes {
@@ -50,10 +47,7 @@ func TestEngineTopResultIsPlausible(t *testing.T) {
 	deployFlat(t, e, 1)
 	hits := 0
 	for qi, q := range testData.Queries {
-		res, _, err := e.Search(1, q, 1, SearchOptions{SkipDocs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := searchOne(t, e, OpcodeSearch, 1, q, 1, SearchOptions{SkipDocs: true})
 		if len(res) > 0 && res[0].ID == testData.GroundTruth[qi][0] {
 			hits++
 		}
@@ -71,10 +65,7 @@ func TestSearchResultProperties(t *testing.T) {
 	f := func(rawQ, rawK uint8) bool {
 		q := testData.Queries[int(rawQ)%len(testData.Queries)]
 		k := 1 + int(rawK)%20
-		res, _, err := e.Search(1, q, k, SearchOptions{SkipDocs: true})
-		if err != nil {
-			return false
-		}
+		res, _ := searchOne(t, e, OpcodeSearch, 1, q, k, SearchOptions{SkipDocs: true})
 		if len(res) > k {
 			return false
 		}
@@ -98,14 +89,8 @@ func TestSearchResultProperties(t *testing.T) {
 func TestIVFStatsScanLessThanBF(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
-	_, bfStats, err := e.Search(1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ivfStats, err := e.IVFSearch(1, testData.Queries[0], 10, SearchOptions{NProbe: 2, SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, bfStats := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
+	_, ivfStats := searchOne(t, e, OpcodeIVFSearch, 1, testData.Queries[0], 10, SearchOptions{NProbe: 2, SkipDocs: true})
 	if ivfStats.EntriesScanned >= bfStats.EntriesScanned {
 		t.Fatalf("IVF scanned %d >= BF %d", ivfStats.EntriesScanned, bfStats.EntriesScanned)
 	}
@@ -117,14 +102,8 @@ func TestIVFStatsScanLessThanBF(t *testing.T) {
 func TestRepeatedSearchesDeterministic(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
-	a, _, err := e.IVFSearch(1, testData.Queries[3], 10, SearchOptions{NProbe: 4, SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := e.IVFSearch(1, testData.Queries[3], 10, SearchOptions{NProbe: 4, SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, _ := searchOne(t, e, OpcodeIVFSearch, 1, testData.Queries[3], 10, SearchOptions{NProbe: 4, SkipDocs: true})
+	b, _ := searchOne(t, e, OpcodeIVFSearch, 1, testData.Queries[3], 10, SearchOptions{NProbe: 4, SkipDocs: true})
 	if len(a) != len(b) {
 		t.Fatal("result lengths differ across runs")
 	}
@@ -143,9 +122,7 @@ func TestECCCorrectionsAccumulateOnTLCReads(t *testing.T) {
 	deployFlat(t, e, 1)
 	e.SSD.Dev.ResetStats()
 	for _, q := range testData.Queries[:8] {
-		if _, _, err := e.Search(1, q, 10, SearchOptions{}); err != nil {
-			t.Fatal(err)
-		}
+		searchOne(t, e, OpcodeSearch, 1, q, 10, SearchOptions{})
 	}
 	if e.SSD.Dev.Stats.ECCCorrections.Load() == 0 {
 		t.Fatal("no ECC corrections recorded on TLC reads")
@@ -161,9 +138,7 @@ func TestSLCScanInjectsNoErrors(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
 	e.SSD.Dev.ResetStats()
-	if _, _, err := e.Search(1, testData.Queries[0], 10, SearchOptions{SkipDocs: true}); err != nil {
-		t.Fatal(err)
-	}
+	searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
 	// SkipDocs leaves only SLC scans plus TLC rerank reads; rerank
 	// reads go through ECC, so any injected errors must equal the
 	// corrected ones — none may have leaked into latch computation.

@@ -7,51 +7,24 @@ import (
 	"testing"
 )
 
-// runAllSearches executes every search API over the shared test
-// workload and returns a deterministic fingerprint of results and
-// stats: flat Search, IVFSearch, SearchBatch and IVFSearchBatch must
-// each produce bit-identical output on every run at any GOMAXPROCS —
-// and, batch composition being invisible to a query, the one-query
-// commands must equal the batches field for field.
+// runAllSearches executes every search command shape over the shared
+// test workload and returns a deterministic fingerprint of results and
+// stats: Search and IVF_Search, as one-query commands and as one batched
+// command, must each produce bit-identical output on every run at any
+// GOMAXPROCS — and, batch composition being invisible to a query, the
+// one-query commands must equal the batches field for field.
 func runAllSearches(t *testing.T, e *Engine) ([][][]DocResult, [][]QueryStats) {
 	t.Helper()
 	queries := testData.Queries[:12]
 	var allRes [][][]DocResult
 	var allSts [][]QueryStats
 
-	seqRes := make([][]DocResult, len(queries))
-	seqSts := make([]QueryStats, len(queries))
-	for qi, q := range queries {
-		res, st, err := e.Search(1, q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		seqRes[qi], seqSts[qi] = res, st
+	for _, run := range []func(testing.TB, submitter, uint8, int, [][]float32, int, SearchOptions) ([][]DocResult, []QueryStats){searchEach, search} {
+		res, sts := run(t, e, OpcodeSearch, 1, queries, 10, SearchOptions{})
+		allRes, allSts = append(allRes, res), append(allSts, sts)
+		res, sts = run(t, e, OpcodeIVFSearch, 2, queries, 10, SearchOptions{NProbe: 4})
+		allRes, allSts = append(allRes, res), append(allSts, sts)
 	}
-	allRes, allSts = append(allRes, seqRes), append(allSts, seqSts)
-
-	ivfRes := make([][]DocResult, len(queries))
-	ivfSts := make([]QueryStats, len(queries))
-	for qi, q := range queries {
-		res, st, err := e.IVFSearch(2, q, 10, SearchOptions{NProbe: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ivfRes[qi], ivfSts[qi] = res, st
-	}
-	allRes, allSts = append(allRes, ivfRes), append(allSts, ivfSts)
-
-	bRes, bSts, err := e.SearchBatch(1, queries, 10, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	allRes, allSts = append(allRes, bRes), append(allSts, bSts)
-
-	ibRes, ibSts, err := e.IVFSearchBatch(2, queries, 10, SearchOptions{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	allRes, allSts = append(allRes, ibRes), append(allSts, ibSts)
 	for m, mode := range []string{"flat", "ivf"} {
 		assertSameResults(t, mode, allRes[m], allRes[m+2])
 		for qi := range queries {
@@ -66,7 +39,7 @@ func runAllSearches(t *testing.T, e *Engine) ([][][]DocResult, [][]QueryStats) {
 func diffRuns(t *testing.T, label string, wantRes, gotRes [][][]DocResult, wantSts, gotSts [][]QueryStats) {
 	t.Helper()
 	for m := range wantRes {
-		mode := []string{"Search", "IVFSearch", "SearchBatch", "IVFSearchBatch"}[m]
+		mode := []string{"Search x1", "IVF_Search x1", "Search batch", "IVF_Search batch"}[m]
 		for qi := range wantRes[m] {
 			w, g := wantRes[m][qi], gotRes[m][qi]
 			if len(w) != len(g) {
@@ -87,7 +60,7 @@ func diffRuns(t *testing.T, label string, wantRes, gotRes [][][]DocResult, wantS
 }
 
 // TestSearchDeterministicAcrossRunsAndGOMAXPROCS asserts the hard
-// determinism contract: every search API returns bit-identical results
+// determinism contract: every search command returns bit-identical results
 // and stats on repeated runs, at GOMAXPROCS 1 and 4 — the per-die
 // worker ordering and position-ordered merges make the outcome
 // independent of goroutine scheduling.

@@ -37,8 +37,7 @@
 // in controller DRAM and scanned there (reported as CachedPages/
 // CachedSlots, partitioning exactly against the flash FinePages), and
 // an LRU result cache keyed on the query and search options serves
-// exact repeats of host commands — Submit and queue pairs; the direct
-// Search* methods bypass it (ResultCacheHits).
+// exact repeats of host commands (ResultCacheHits).
 // Appends, deletes and compactions invalidate both tiers atomically.
 // `reisbench -exp skew` measures the tier under Zipfian query skew
 // (see DESIGN.md, "DRAM caching tier").
@@ -87,14 +86,14 @@ func AllOptions() Options {
 // Engine is the in-storage retrieval system: one simulated device — the
 // SSD, its die command FSM and plane worker pool — that is also its own
 // host (the embedded core, over devs = [itself]), or a member device of
-// a ShardedEngine. Public API calls may be issued from any goroutine:
-// the host core serializes execution (one command or one coalesced batch
-// at a time, matching the single embedded controller core), and queue
-// pairs created with NewQueue provide the asynchronous, multi-tenant
-// interface on top of it. Submit, NewQueue, the Search family, Append /
-// Delete / Compact, CalibrateNProbe, the journal pair, Ready and Close
-// are the core's, promoted; the methods declared on Engine are the ones
-// whose shape is a single device's.
+// a ShardedEngine. A command enters through Submit, or SubmitAsync on a
+// queue pair created with NewQueue — the Table 1 command set and its
+// mutation extension, nothing beside them — from any goroutine: the host
+// core serializes execution (one command or one coalesced batch at a
+// time, matching the single embedded controller core). Submit, NewQueue,
+// CalibrateNProbe, the journal pair, Ready and Close are the core's,
+// promoted; the methods declared on Engine are the ones whose shape is a
+// single device's (DB and the timing model's Database operand).
 type Engine struct {
 	SSD  *ssd.SSD
 	FSM  *flash.DieFSM
@@ -245,23 +244,6 @@ type DeployConfig struct {
 	MetaTags []uint8
 }
 
-// Deploy implements DB_Deploy (flat database). It reserves regions,
-// registers the database in the R-DB, and writes embeddings, rerank
-// copies and documents.
-func (e *Engine) Deploy(cfg DeployConfig) (*Database, error) { return whole(e.deploy(cfg, false)) }
-
-// IVFDeploy implements IVF_Deploy: like Deploy but the binary region
-// is cluster-sorted and the R-IVF table is built.
-func (e *Engine) IVFDeploy(cfg DeployConfig) (*Database, error) { return whole(e.deploy(cfg, true)) }
-
-// whole is a single-device host's view of a deploy: its one slice.
-func whole(db *ShardedDatabase, err error) (*Database, error) {
-	if err != nil {
-		return nil, err
-	}
-	return db.locals[0], nil
-}
-
 // install allocates regions for the pages of a globally planned layout
 // that device (start, stride) owns and registers the database; the host
 // then programs the pages (hostCore.deploy). Every region holds the
@@ -399,9 +381,6 @@ func calibrateFilter(vectors [][]float32) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// ThresholdFor reports the calibrated distance-filter threshold.
-func (db *Database) ThresholdFor() int { return db.filterThreshold }
-
 // Live returns the number of live (not tombstoned) entries; a
 // page-stride slice keeps no ledger (ask the host's ShardedDatabase) and
 // falls back to the slot count of its live pages.
@@ -414,9 +393,6 @@ func (db *Database) Live() int {
 
 // Record exposes the R-DB record (for tests and tools).
 func (db *Database) Record() ssd.DBRecord { return db.rec }
-
-// NList returns the number of IVF clusters (0 for flat databases).
-func (db *Database) NList() int { return len(db.rivf) }
 
 // EmbPerPage returns the binary-embedding slots per flash page.
 func (db *Database) EmbPerPage() int { return db.embPerPage }

@@ -33,7 +33,8 @@ var testData = dataset.Generate(dataset.Config{
 // submitter and searcher are the two entries the cross-topology suites
 // drive a host through — both facades promote them from the host core,
 // so a suite written against either runs unchanged on an Engine and a
-// ShardedEngine.
+// ShardedEngine. search is the core's unexported entry: what a queue
+// dispatcher and CalibrateNProbe call.
 type submitter interface {
 	Submit(HostCommand) (HostResponse, error)
 }
@@ -52,24 +53,65 @@ func newEngine(t *testing.T, opts Options) *Engine {
 	return e
 }
 
+// mustSubmit is the tests' way into a host — the command path, like every
+// other caller's — for a command that has to succeed. Tests of a refusal
+// call Submit themselves.
+func mustSubmit(t testing.TB, h submitter, cmd HostCommand) HostResponse {
+	t.Helper()
+	resp, err := h.Submit(cmd)
+	if err != nil {
+		t.Fatalf("opcode %#x: %v", cmd.Opcode, err)
+	}
+	return resp
+}
+
+// search is one search command (op is OpcodeSearch or OpcodeIVFSearch)
+// over queries, searchOne its one-query form, and searchEach the same
+// queries as one one-query command each — what the batch-composition
+// tests hold a batched command against.
+func search(t testing.TB, h submitter, op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats) {
+	t.Helper()
+	resp := mustSubmit(t, h, HostCommand{Opcode: op, DBID: dbID, Queries: queries, K: k, Opt: opt})
+	return resp.Results, resp.QueryStats
+}
+
+func searchOne(t testing.TB, h submitter, op uint8, dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats) {
+	t.Helper()
+	res, sts := search(t, h, op, dbID, [][]float32{query}, k, opt)
+	return res[0], sts[0]
+}
+
+func searchEach(t testing.TB, h submitter, op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats) {
+	t.Helper()
+	res, sts := make([][]DocResult, len(queries)), make([]QueryStats, len(queries))
+	for qi, q := range queries {
+		res[qi], sts[qi] = searchOne(t, h, op, dbID, q, k, opt)
+	}
+	return res, sts
+}
+
+// deployFlat and deployIVF deploy the shared test dataset on a device
+// that is its own host and return the device's view of it.
 func deployFlat(t *testing.T, e *Engine, id int) *Database {
 	t.Helper()
-	db, err := e.Deploy(DeployConfig{
+	return deployOn(t, e, OpcodeDBDeploy, DeployConfig{
 		ID: id, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return db
 }
 
 func deployIVF(t *testing.T, e *Engine, id, nlist int) *Database {
 	t.Helper()
 	cents, assign := ann.KMeans(testData.Vectors, ann.KMeansConfig{K: nlist, Seed: 9})
-	db, err := e.IVFDeploy(DeployConfig{
+	return deployOn(t, e, OpcodeIVFDeploy, DeployConfig{
 		ID: id, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
 		Centroids: cents, Assign: assign,
 	})
+}
+
+func deployOn(t *testing.T, e *Engine, op uint8, cfg DeployConfig) *Database {
+	t.Helper()
+	mustSubmit(t, e, HostCommand{Opcode: op, Deploy: &cfg})
+	db, err := e.DB(cfg.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,25 +157,29 @@ func TestDeployLayout(t *testing.T) {
 
 func TestDeployRejectsBadInput(t *testing.T) {
 	e := newEngine(t, AllOptions())
-	if _, err := e.Deploy(DeployConfig{ID: 1}); err == nil {
+	deploy := func(cfg DeployConfig) error {
+		_, err := e.Submit(HostCommand{Opcode: OpcodeDBDeploy, Deploy: &cfg})
+		return err
+	}
+	if deploy(DeployConfig{ID: 1}) == nil {
 		t.Fatal("empty deploy accepted")
 	}
-	if _, err := e.Deploy(DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs[:5]}); err == nil {
+	if deploy(DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs[:5]}) == nil {
 		t.Fatal("mismatched docs accepted")
 	}
 	deployFlat(t, e, 1)
-	if _, err := e.Deploy(DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256}); err == nil {
+	if deploy(DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256}) == nil {
 		t.Fatal("duplicate id accepted")
 	}
 	big := [][]byte{bytes.Repeat([]byte{1}, 9000)}
-	if _, err := e.Deploy(DeployConfig{ID: 2, Vectors: testData.Vectors[:1], Docs: big, DocSlotBytes: 256}); err == nil {
+	if deploy(DeployConfig{ID: 2, Vectors: testData.Vectors[:1], Docs: big, DocSlotBytes: 256}) == nil {
 		t.Fatal("oversized doc accepted")
 	}
 }
 
 func TestIVFDeployRequiresClusterInfo(t *testing.T) {
 	e := newEngine(t, AllOptions())
-	if _, err := e.IVFDeploy(DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs}); err == nil {
+	if _, err := e.Submit(HostCommand{Opcode: OpcodeIVFDeploy, Deploy: &DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs}}); err == nil {
 		t.Fatal("IVF deploy without cluster info accepted")
 	}
 }
@@ -142,10 +188,7 @@ func TestBruteForceSearchRecall(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
 	r := recallOf(t, func(q []float32) []DocResult {
-		res, _, err := e.Search(1, q, 10, SearchOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		res, _ := searchOne(t, e, OpcodeSearch, 1, q, 10, SearchOptions{})
 		return res
 	})
 	if r < 0.85 {
@@ -157,10 +200,7 @@ func TestBruteForceSearchRecall(t *testing.T) {
 func TestSearchReturnsLinkedDocuments(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
-	res, _, err := e.Search(1, testData.Queries[0], 5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 5, SearchOptions{})
 	if len(res) != 5 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -187,10 +227,7 @@ func TestIVFSearchRecallIncreasesWithNProbe(t *testing.T) {
 	var prev float64
 	for _, nprobe := range []int{1, 4, 16} {
 		r := recallOf(t, func(q []float32) []DocResult {
-			res, _, err := e.IVFSearch(1, q, 10, SearchOptions{NProbe: nprobe, SkipDocs: true})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res, _ := searchOne(t, e, OpcodeIVFSearch, 1, q, 10, SearchOptions{NProbe: nprobe, SkipDocs: true})
 			return res
 		})
 		if r+1e-9 < prev {
@@ -209,14 +246,8 @@ func TestIVFSearchMatchesBruteForceAtFullProbe(t *testing.T) {
 	deployFlat(t, e, 1)
 	deployIVF(t, e, 2, 8)
 	for _, q := range testData.Queries[:4] {
-		bf, _, err := e.Search(1, q, 10, SearchOptions{SkipDocs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ivf, _, err := e.IVFSearch(2, q, 10, SearchOptions{NProbe: 8, SkipDocs: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		bf, _ := searchOne(t, e, OpcodeSearch, 1, q, 10, SearchOptions{SkipDocs: true})
+		ivf, _ := searchOne(t, e, OpcodeIVFSearch, 2, q, 10, SearchOptions{NProbe: 8, SkipDocs: true})
 		bfIDs := map[int]bool{}
 		for _, r := range bf {
 			bfIDs[r.ID] = true
@@ -241,11 +272,11 @@ func TestDistanceFilteringPreservesRecall(t *testing.T) {
 	off := newEngine(t, offOpts)
 	deployFlat(t, off, 1)
 	rOn := recallOf(t, func(q []float32) []DocResult {
-		res, _, _ := on.Search(1, q, 10, SearchOptions{SkipDocs: true})
+		res, _ := searchOne(t, on, OpcodeSearch, 1, q, 10, SearchOptions{SkipDocs: true})
 		return res
 	})
 	rOff := recallOf(t, func(q []float32) []DocResult {
-		res, _, _ := off.Search(1, q, 10, SearchOptions{SkipDocs: true})
+		res, _ := searchOne(t, off, OpcodeSearch, 1, q, 10, SearchOptions{SkipDocs: true})
 		return res
 	})
 	if rOff-rOn > 0.03 {
@@ -257,15 +288,9 @@ func TestDistanceFilteringPreservesRecall(t *testing.T) {
 func TestDistanceFilteringReducesSurvivors(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	db := deployFlat(t, e, 1)
-	_, stOn, err := e.Search(1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stOn := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
 	e.Opts.DistanceFilter = false
-	_, stOff, err := e.Search(1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stOff := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
 	if stOff.Survivors != db.N {
 		t.Fatalf("without DF survivors = %d, want %d", stOff.Survivors, db.N)
 	}
@@ -279,10 +304,7 @@ func TestDistanceFilteringReducesSurvivors(t *testing.T) {
 func TestQueryStatsShape(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
-	_, st, err := e.IVFSearch(1, testData.Queries[0], 10, SearchOptions{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := searchOne(t, e, OpcodeIVFSearch, 1, testData.Queries[0], 10, SearchOptions{NProbe: 4})
 	if st.CoarsePages == 0 || st.FinePages == 0 {
 		t.Fatalf("pages not counted: %+v", st)
 	}
@@ -311,10 +333,7 @@ func TestScanUsesAllPlanes(t *testing.T) {
 	// every plane nearly evenly: waves == ceil(pages/planes).
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
-	_, st, err := e.Search(1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
 	planes := e.SSD.Cfg.Geo.Planes()
 	wantWaves := (st.FinePages + planes - 1) / planes
 	if st.FineWaves != wantWaves {
@@ -329,21 +348,15 @@ func TestMetadataFiltering(t *testing.T) {
 	for i := range tags {
 		tags[i] = uint8(testData.ClusterOf[i] % 4)
 	}
-	_, err := e.Deploy(DeployConfig{
+	deployOn(t, e, OpcodeDBDeploy, DeployConfig{
 		ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
 		MetaTags: tags,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Request the tag of the query's true nearest neighbor so matching
 	// entries exist near the query (distance filtering removes far
 	// candidates regardless of tag).
 	want := tags[testData.GroundTruth[0][0]]
-	res, _, err := e.Search(1, testData.Queries[0], 10, SearchOptions{MetaTag: &want, SkipDocs: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{MetaTag: &want, SkipDocs: true})
 	if len(res) == 0 {
 		t.Fatal("filtered search returned nothing")
 	}
@@ -419,7 +432,7 @@ func TestHostAPIErrors(t *testing.T) {
 	if _, err := e.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1}); err == nil {
 		t.Fatal("search without queries accepted")
 	}
-	if _, _, err := e.Search(99, testData.Queries[0], 5, SearchOptions{}); err == nil {
+	if _, err := e.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 99, Queries: testData.Queries[:1], K: 5}); err == nil {
 		t.Fatal("search on unknown database accepted")
 	}
 }
@@ -427,13 +440,13 @@ func TestHostAPIErrors(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
-	if _, _, err := e.Search(1, make([]float32, 7), 5, SearchOptions{}); err == nil {
+	if _, err := e.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: [][]float32{make([]float32, 7)}, K: 5}); err == nil {
 		t.Fatal("wrong-dim query accepted")
 	}
-	if _, _, err := e.Search(1, testData.Queries[0], 0, SearchOptions{}); err == nil {
+	if _, err := e.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1]}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, _, err := e.IVFSearch(1, testData.Queries[0], 5, SearchOptions{}); err == nil {
+	if _, err := e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:1], K: 5}); err == nil {
 		t.Fatal("IVF search on flat database accepted")
 	}
 }
@@ -493,14 +506,8 @@ func TestMultipleDatabasesCoexist(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
 	deployIVF(t, e, 2, 8)
-	r1, _, err := e.Search(1, testData.Queries[0], 5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, _, err := e.IVFSearch(2, testData.Queries[0], 5, SearchOptions{NProbe: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r1, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 5, SearchOptions{})
+	r2, _ := searchOne(t, e, OpcodeIVFSearch, 2, testData.Queries[0], 5, SearchOptions{NProbe: 8})
 	// Same data deployed twice: top result should agree.
 	if r1[0].ID != r2[0].ID {
 		t.Fatalf("top results differ across databases: %d vs %d", r1[0].ID, r2[0].ID)

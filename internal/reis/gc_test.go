@@ -4,7 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
+	"slices"
 	"testing"
 
 	"reis/internal/ssd"
@@ -55,61 +55,52 @@ func TestBackgroundGCInterleavedSearches(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, n := range shardCounts {
 				t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-					var h submitter
-					var setHook func(func())
-					var direct func() ([][]DocResult, error)
+					// Either facade's core: the hook is its field.
+					var h *hostCore
 					if n == 1 {
 						e, err := New(gcRefCfg(1), 64<<20, AllOptions())
 						if err != nil {
 							t.Fatal(err)
 						}
-						t.Cleanup(func() { e.Close() })
-						h = e
-						setHook = func(fn func()) { e.testGCStepHook = fn }
-						direct = func() ([][]DocResult, error) {
-							if ivf {
-								r, _, err := e.IVFSearchBatch(1, testData.Queries, 10, SearchOptions{NProbe: 4})
-								return r, err
-							}
-							r, _, err := e.SearchBatch(1, testData.Queries, 10, SearchOptions{})
-							return r, err
-						}
+						h = &e.hostCore
 					} else {
 						sh, err := NewSharded(gcTestCfg(), n, 64<<20, AllOptions())
 						if err != nil {
 							t.Fatal(err)
 						}
-						t.Cleanup(func() { sh.Close() })
-						h = sh
-						setHook = func(fn func()) { sh.testGCStepHook = fn }
-						direct = func() ([][]DocResult, error) {
-							if ivf {
-								r, _, err := sh.IVFSearchBatch(1, testData.Queries, 10, SearchOptions{NProbe: 4})
-								return r, err
-							}
-							r, _, err := sh.SearchBatch(1, testData.Queries, 10, SearchOptions{})
-							return r, err
-						}
+						h = &sh.hostCore
 					}
+					t.Cleanup(func() { h.Close() })
 
 					resps := runMutScript(t, h, c, ivf, 0)
 					want := resps[len(resps)-1].Results
 
-					// The hook runs on the dispatcher goroutine right after
-					// each copy-forward step commits; the direct search path
-					// (not Submit — that would feed the queue we are inside
-					// of) observes the intermediate remapped state.
+					// The hook runs, with no lock held, on the goroutine of the
+					// dispatcher that committed the copy-forward step. The
+					// compaction therefore goes to a queue pair of its own and
+					// the hook probes through the host's built-in pair — on the
+					// compaction's pair Submit would wait on the very
+					// dispatcher it is standing on.
+					q, err := h.NewQueue(QueueConfig{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer q.Close()
+					compact := HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}
 					var steps [][][]DocResult
-					setHook(func() {
-						r, err := direct()
+					h.testGCStepHook = func() {
+						r, err := h.Submit(mutSearchCmd(ivf))
 						if err != nil {
 							t.Errorf("mid-GC search: %v", err)
 						}
-						steps = append(steps, r)
-					})
-					resp, err := h.Submit(HostCommand{Opcode: OpcodeCompact, DBID: 1,
-						Compact: &CompactConfig{MinLiveRatio: 0.9}})
-					setHook(nil)
+						steps = append(steps, r.Results)
+					}
+					id, err := q.SubmitAsync(context.Background(), compact)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp, err := q.Wait(context.Background(), id)
+					h.testGCStepHook = nil
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -124,18 +115,10 @@ func TestBackgroundGCInterleavedSearches(t *testing.T) {
 							t.Fatalf("search after GC step %d/%d differs from the never-compacted state", i+1, len(steps))
 						}
 					}
-					after, err := direct()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !reflect.DeepEqual(after, want) {
+					if after := mustSubmit(t, h, mutSearchCmd(ivf)).Results; !reflect.DeepEqual(after, want) {
 						t.Fatal("fully compacted state differs from the never-compacted state")
 					}
-					again, err := h.Submit(HostCommand{Opcode: OpcodeCompact, DBID: 1,
-						Compact: &CompactConfig{MinLiveRatio: 0.9}})
-					if err != nil {
-						t.Fatal(err)
-					}
+					again := mustSubmit(t, h, compact)
 					if again.Wear.CompactedRows != 0 || again.Wear.BlockErases != 0 || again.Wear.PagesProgrammed != 0 {
 						t.Fatalf("second compaction was not a no-op: %+v", again.Wear)
 					}
@@ -162,28 +145,18 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 	want := resps[len(resps)-1].Results
 
 	const nSearch = 3
-	var mu sync.Mutex
-	var order []CommandID
-	comps := map[CommandID]Completion{}
-	done := make(chan struct{})
-	q, err := e.NewQueue(QueueConfig{Depth: 16, NoCoalesce: true, OnComplete: func(cp Completion) {
-		mu.Lock()
-		order = append(order, cp.ID)
-		comps[cp.ID] = cp
-		n := len(order)
-		mu.Unlock()
-		if n == nSearch+1 {
-			close(done)
-		}
-	}})
+	ch := make(chan Completion, nSearch+1)
+	q, err := e.NewQueue(QueueConfig{Depth: 16, Completions: ch})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { q.Close() })
 
 	// Pause so the admission order is fixed before dispatch begins:
-	// the compaction first, then the searches it must not starve.
+	// the compaction first, then the searches it must not starve —
+	// each a dispatch of its own.
 	q.pause()
+	q.solo = true
 	ctx := context.Background()
 	compID, err := q.SubmitAsync(ctx, HostCommand{Opcode: OpcodeCompact, DBID: 1,
 		Compact: &CompactConfig{MinLiveRatio: 0.9}})
@@ -199,22 +172,14 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 		}
 	}
 	q.resume()
-	<-done
+	order, comps := drainOrder(ch, nSearch+1)
 
-	idxOf := func(id CommandID) int {
-		for i, x := range order {
-			if x == id {
-				return i
-			}
-		}
-		return -1
-	}
 	comp := comps[compID]
 	if comp.Err != nil {
 		t.Fatalf("compaction: %v", comp.Err)
 	}
-	if comp.Resp.Wear.CompactedRows < 2 {
-		t.Fatalf("compaction took %d steps; need >= 2 for an interleaving test", comp.Resp.Wear.CompactedRows)
+	if comp.Resp.Wear.CompactedRows <= nSearch {
+		t.Fatalf("compaction took %d steps; need more than the %d searches for an interleaving test", comp.Resp.Wear.CompactedRows, nSearch)
 	}
 	for i, id := range searchIDs {
 		cp := comps[id]
@@ -225,9 +190,26 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 			t.Fatalf("search %d results differ from the pre-compaction state", i)
 		}
 	}
-	if idxOf(searchIDs[0]) > idxOf(compID) {
-		t.Fatalf("no search completed before the background compaction (completion order %v, compact %d)", order, compID)
+	// A GC flight strides like one more tenant, at the searches' weight:
+	// one copy-forward step, one search, and so on — so a compaction of
+	// more rows than there are searches sees every search complete first.
+	if slices.Index(order, compID) != nSearch {
+		t.Fatalf("a %d-row compaction completed before %d searches did (completion order %v, compact %d)",
+			comp.Resp.Wear.CompactedRows, nSearch, order, compID)
 	}
+}
+
+// drainOrder receives n completions from a queue pair's channel and
+// returns their ids in completion order and the completions by id.
+func drainOrder(ch <-chan Completion, n int) ([]CommandID, map[CommandID]Completion) {
+	order := make([]CommandID, 0, n)
+	comps := make(map[CommandID]Completion, n)
+	for len(order) < n {
+		cp := <-ch
+		order = append(order, cp.ID)
+		comps[cp.ID] = cp
+	}
+	return order, comps
 }
 
 // TestGCHoldsBackMutationsDuringFlight: a mutation on a database with
@@ -244,20 +226,8 @@ func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 	runMutScript(t, e, c, true, 0)
 	jlBefore := len(e.JournalBytes())
 
-	var mu sync.Mutex
-	var order []CommandID
-	comps := map[CommandID]Completion{}
-	done := make(chan struct{})
-	q, err := e.NewQueue(QueueConfig{Depth: 16, NoCoalesce: true, OnComplete: func(cp Completion) {
-		mu.Lock()
-		order = append(order, cp.ID)
-		comps[cp.ID] = cp
-		n := len(order)
-		mu.Unlock()
-		if n == 3 {
-			close(done)
-		}
-	}})
+	ch := make(chan Completion, 3)
+	q, err := e.NewQueue(QueueConfig{Depth: 16, Completions: ch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,22 +252,14 @@ func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.resume()
-	<-done
+	order, comps := drainOrder(ch, 3)
 
 	for id, what := range map[CommandID]string{compID: "compact", appID: "append", srchID: "search"} {
 		if cp := comps[id]; cp.Err != nil {
 			t.Fatalf("%s: %v", what, cp.Err)
 		}
 	}
-	idxOf := func(id CommandID) int {
-		for i, x := range order {
-			if x == id {
-				return i
-			}
-		}
-		return -1
-	}
-	if idxOf(appID) < idxOf(compID) {
+	if slices.Index(order, appID) < slices.Index(order, compID) {
 		t.Fatalf("append completed before the in-flight compaction (order %v)", order)
 	}
 
@@ -330,11 +292,9 @@ func runChurn(t *testing.T, e *Engine, rounds, batch int) WearStats {
 	baseDocs := testData.Docs[:900]
 	pool := scaleInto(testData.Vectors[900:], maxAbs(base))
 	poolDocs := testData.Docs[900:]
-	if _, err := e.Submit(HostCommand{Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{
+	mustSubmit(t, e, HostCommand{Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{
 		ID: 1, Vectors: base, Docs: baseDocs, DocSlotBytes: 256,
-	}}); err != nil {
-		t.Fatal(err)
-	}
+	}})
 	var acc WearStats
 	var prev []int
 	at := 0
@@ -347,13 +307,8 @@ func runChurn(t *testing.T, e *Engine, rounds, batch int) WearStats {
 			del = append(del, id)
 		}
 		del = append(del, prev...)
-		if err := e.Delete(1, del...); err != nil {
-			t.Fatalf("round %d delete: %v", r, err)
-		}
-		wear, err := e.Compact(1, 0.9)
-		if err != nil {
-			t.Fatalf("round %d compact: %v", r, err)
-		}
+		mustSubmit(t, e, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: del}})
+		wear := mustSubmit(t, e, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}).Wear
 		acc.CompactedRows += wear.CompactedRows
 		acc.BlockErases += wear.BlockErases
 		acc.CopiedEntries += wear.CopiedEntries
@@ -365,11 +320,7 @@ func runChurn(t *testing.T, e *Engine, rounds, batch int) WearStats {
 			docs[j] = poolDocs[(at+j)%len(poolDocs)]
 		}
 		at += batch
-		ids, err := e.Append(1, AppendConfig{Vectors: vecs, Docs: docs})
-		if err != nil {
-			t.Fatalf("round %d append: %v", r, err)
-		}
-		prev = ids
+		prev = mustSubmit(t, e, HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{Vectors: vecs, Docs: docs}}).AppendedIDs
 	}
 	return acc
 }
@@ -405,10 +356,7 @@ func TestChurnRecyclesFreedRows(t *testing.T) {
 	if got, want := db.Live(), 900-15*rounds+batch; got != want {
 		t.Fatalf("Live() = %d, want %d", got, want)
 	}
-	res, _, err := e.Search(1, testData.Queries[0], 10, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{})
 	if len(res) != 10 {
 		t.Fatalf("search after churn returned %d results", len(res))
 	}

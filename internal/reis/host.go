@@ -113,13 +113,6 @@ type ShardedDatabase struct {
 // Live returns the number of live (not tombstoned) entries.
 func (db *ShardedDatabase) Live() int { return db.mut.live }
 
-// NList returns the number of IVF clusters (0 for flat databases).
-func (db *ShardedDatabase) NList() int { return len(db.lay.rivf) }
-
-// ThresholdFor reports the calibrated distance-filter threshold
-// (global: every device scans under the same threshold).
-func (db *ShardedDatabase) ThresholdFor() int { return db.lay.filterThreshold }
-
 // init binds the core to its devices. cfg is one device's configuration.
 func (c *hostCore) init(cfg ssd.Config, opts Options, devs []*Engine) {
 	cfg.Geo.Channels *= len(devs)
@@ -205,8 +198,7 @@ func (c *hostCore) member(d *Engine) bool { return &d.hostCore != c }
 // Close shuts down the host's background goroutines: every queue pair
 // created with NewQueue (pending commands complete with ErrQueueClosed),
 // then every device — a member Engine closes as a host of its own; a
-// device that is its own host stops its plane workers for good. The host
-// must not be closed while direct API calls are in flight; Close is
+// device that is its own host stops its plane workers for good. Close is
 // idempotent — concurrent and repeated calls are safe — and every
 // command after it fails with ErrQueueClosed.
 func (c *hostCore) Close() error {
@@ -235,23 +227,23 @@ func (c *hostCore) Close() error {
 // owner through the one page writer mutations use. ivf selects
 // IVF_Deploy (cluster-sorted placement plus the R-IVF table, which stays
 // in the host's controller DRAM) over DB_Deploy.
-func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) {
+func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if !ivf {
 		cfg.Centroids, cfg.Assign = nil, nil
 	} else if len(cfg.Centroids) == 0 || len(cfg.Assign) != len(cfg.Vectors) {
-		return nil, fmt.Errorf("reis: IVFDeploy requires cluster info (centroids=%d assign=%d vectors=%d)",
+		return fmt.Errorf("reis: IVF_Deploy requires cluster info (centroids=%d assign=%d vectors=%d)",
 			len(cfg.Centroids), len(cfg.Assign), len(cfg.Vectors))
 	}
 	if err := c.lock(); err != nil {
-		return nil, err
+		return err
 	}
 	defer c.execMu.Unlock()
 	if _, ok := c.dbs[cfg.ID]; ok {
-		return nil, fmt.Errorf("reis: database %d already deployed", cfg.ID)
+		return fmt.Errorf("reis: database %d already deployed", cfg.ID)
 	}
 	lo, err := planLayout(&cfg, c.cfg.Geo, c.cfg.OverprovisionPct)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, c.opts.FirstFitPlacement)}
 	if cb := c.cfg.CacheDRAMBytes; cb > 0 {
@@ -270,7 +262,7 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) 
 		local, err := d.install(cfg.ID, lo, s, len(c.devs))
 		if err != nil {
 			rollback(s)
-			return nil, fmt.Errorf("reis: device %d: %w", s, err)
+			return fmt.Errorf("reis: device %d: %w", s, err)
 		}
 		db.locals = append(db.locals, local)
 	}
@@ -291,7 +283,7 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) 
 	} {
 		if err := t.writePages(w.region, 0, w.pages, true, w.render); err != nil {
 			rollback(len(c.devs))
-			return nil, err
+			return err
 		}
 	}
 	if len(c.devs) == 1 {
@@ -300,27 +292,18 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) (*ShardedDatabase, error) 
 		db.locals[0].mut = db.mut
 	}
 	c.dbs[cfg.ID] = db
-	return db, nil
+	return nil
 }
 
-// execCmd serves one validated command — what a queue dispatcher calls.
-// OpcodeCompact never arrives here: the queue runs it as a GC flight
-// through gcPlan / gcStep / gcFinish.
-func (c *hostCore) execCmd(ctx context.Context, cmd *HostCommand) (HostResponse, error) {
+// execCmd serves one validated deploy, append or delete — what a queue
+// dispatcher calls for them. The other opcodes never arrive here: the
+// queue serves searches through search, a dispatch group at a time, and
+// runs OpcodeCompact as a GC flight through gcPlan / gcStep / gcFinish.
+func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 	switch cmd.Opcode {
 	case OpcodeDBDeploy, OpcodeIVFDeploy:
-		_, err := c.deploy(*cmd.Deploy, cmd.Opcode == OpcodeIVFDeploy)
+		err := c.deploy(*cmd.Deploy, cmd.Opcode == OpcodeIVFDeploy)
 		return HostResponse{Done: err == nil}, err
-	case OpcodeSearch, OpcodeIVFSearch:
-		results, sts, rows, err := c.search(ctx, cmd, cmd.Queries, true)
-		if err != nil {
-			return HostResponse{}, err
-		}
-		resp := HostResponse{Done: true, Results: results, QueryStats: sts, PerShard: rows}
-		for _, st := range sts {
-			resp.Stats.Add(st)
-		}
-		return resp, nil
 	case OpcodeAppend, OpcodeDelete:
 		if err := c.lock(); err != nil {
 			return HostResponse{}, err
@@ -502,83 +485,6 @@ func (c *hostCore) shardRows(nq int) [][]QueryStats {
 	return rows
 }
 
-// Search implements the Search() API command (Table 1): brute-force
-// in-storage scan of the whole binary region, rerank, and document
-// retrieval. Like the three methods below it is a one-command wrapper
-// over the controller that bypasses the result cache (the hot-cluster
-// pins still apply); results are bit-identical on every topology.
-func (c *hostCore) Search(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	return c.searchOne(OpcodeSearch, dbID, query, k, opt)
-}
-
-// IVFSearch implements the IVF_Search() API command (Table 1): coarse
-// centroid search, fine scan of the NProbe nearest clusters, rerank,
-// and document retrieval.
-func (c *hostCore) IVFSearch(dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	return c.searchOne(OpcodeIVFSearch, dbID, query, k, opt)
-}
-
-// SearchBatch implements the batched Q operand of the Search() API
-// command (Table 1): the queries' brute-force scans are scheduled
-// concurrently across planes. Results[i] and Stats[i] are bit-identical
-// to what Search(dbID, queries[i], k, opt) returns — every QueryStats
-// field, IBCBroadcasts included: a plane broadcasts a query once if and
-// only if it scans it, whatever else rides in the batch.
-func (c *hostCore) SearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	return c.searchMany(OpcodeSearch, dbID, queries, k, opt)
-}
-
-// IVFSearchBatch implements the batched Q operand of IVF_Search(): a
-// coarse centroid round for the whole batch, a controller-side cluster
-// selection per query, then the fine round(s) over every query's probed
-// clusters. Results are bit-identical to per-query IVFSearch calls, and
-// so are the stats on an uncached database (the hot-cluster pins refresh
-// once per command, so a cached batch may serve from DRAM pages that
-// one-query commands sense from flash, and vice versa).
-func (c *hostCore) IVFSearchBatch(dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	return c.searchMany(OpcodeIVFSearch, dbID, queries, k, opt)
-}
-
-func (c *hostCore) searchOne(op uint8, dbID int, query []float32, k int, opt SearchOptions) ([]DocResult, QueryStats, error) {
-	results, sts, err := c.searchMany(op, dbID, [][]float32{query}, k, opt)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	return results[0], sts[0], nil
-}
-
-func (c *hostCore) searchMany(op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, error) {
-	results, sts, _, err := c.search(context.Background(),
-		&HostCommand{Opcode: op, DBID: dbID, K: k, Opt: opt}, queries, false)
-	return results, sts, err
-}
-
-// Append implements the OpcodeAppend host command synchronously,
-// returning the assigned entry ids (identical on every topology).
-func (c *hostCore) Append(dbID int, cfg AppendConfig) ([]int, error) {
-	resp, err := c.Submit(HostCommand{Opcode: OpcodeAppend, DBID: dbID, Append: &cfg})
-	return resp.AppendedIDs, err
-}
-
-// Delete implements the OpcodeDelete host command synchronously.
-func (c *hostCore) Delete(dbID int, ids ...int) error {
-	_, err := c.Submit(HostCommand{Opcode: OpcodeDelete, DBID: dbID, Del: &DeleteConfig{IDs: ids}})
-	return err
-}
-
-// Compact implements the OpcodeCompact host command: garbage collection
-// of under-occupied GC rows. The collector runs as a background
-// activity, one copy-forward step per victim row interleaved with
-// foreground searches; this synchronous wrapper blocks until the
-// command completes.
-func (c *hostCore) Compact(dbID int, minLiveRatio float64) (WearStats, error) {
-	resp, err := c.Submit(HostCommand{Opcode: OpcodeCompact, DBID: dbID, Compact: &CompactConfig{MinLiveRatio: minLiveRatio}})
-	if err != nil || resp.Wear == nil {
-		return WearStats{}, err
-	}
-	return *resp.Wear, err
-}
-
 // CalibrateNProbe finds the smallest nprobe meeting the Recall@k target
 // against ground truth, mirroring the paper's accuracy sweep: nprobe
 // grows over one cache-bypassing IVF batch per step, and only the
@@ -599,8 +505,15 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 	if len(queries) == 0 {
 		return 0, fmt.Errorf("reis: empty query set")
 	}
+	if err := checkK(k); err != nil {
+		return 0, err
+	}
+	// The sweep is not a host command: each step runs outside any queue
+	// pair and past the result cache.
+	step := HostCommand{Opcode: OpcodeIVFSearch, DBID: dbID, K: k, Opt: SearchOptions{SkipDocs: true}}
 	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
-		results, _, err := c.searchMany(OpcodeIVFSearch, dbID, queries, k, SearchOptions{NProbe: nprobe, SkipDocs: true})
+		step.Opt.NProbe = nprobe
+		results, _, _, err := c.search(context.Background(), &step, queries, false)
 		return results, err
 	})
 	if err != nil {

@@ -137,9 +137,7 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 	}
 	t.Cleanup(func() { e.Close() })
 	const n = 100
-	if _, err := e.Deploy(DeployConfig{ID: 1, Vectors: testData.Vectors[:n], Docs: testData.Docs[:n], DocSlotBytes: 256}); err != nil {
-		t.Fatal(err)
-	}
+	deployOn(t, e, OpcodeDBDeploy, DeployConfig{ID: 1, Vectors: testData.Vectors[:n], Docs: testData.Docs[:n], DocSlotBytes: 256})
 	db, _ := e.hostDB(1)
 	m := db.mut
 	slotsPerRow := m.lay.embPerPage * m.lay.rowPages
@@ -156,14 +154,9 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 			del = append(del, id)
 		}
 	}
-	if err := e.Delete(1, del...); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, e, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: del}})
 	programsBefore := e.SSD.Dev.Stats.PagePrograms.Load()
-	wear, err := e.Compact(1, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wear := mustSubmit(t, e, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.5}}).Wear
 	if wear.CompactedRows != 1 || wear.CopiedEntries != len(survivors) || wear.PagesProgrammed != 1 {
 		t.Fatalf("compaction of the tail row: %+v", wear)
 	}
@@ -201,15 +194,13 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 	}
 	// Survivors stay retrievable, and an append lands after them.
 	for id := range survivors {
-		res, _, err := e.Search(1, testData.Vectors[id], 1, SearchOptions{})
-		if err != nil || len(res) != 1 || res[0].ID != id {
-			t.Fatalf("survivor %d after the step: %+v, %v", id, res, err)
+		res, _ := searchOne(t, e, OpcodeSearch, 1, testData.Vectors[id], 1, SearchOptions{})
+		if len(res) != 1 || res[0].ID != id {
+			t.Fatalf("survivor %d after the step: %+v", id, res)
 		}
 	}
-	ids, err := e.Append(1, AppendConfig{Vectors: testData.Vectors[n : n+2], Docs: testData.Docs[n : n+2]})
-	if err != nil {
-		t.Fatal(err)
-	}
+	ids := mustSubmit(t, e, HostCommand{Opcode: OpcodeAppend, DBID: 1,
+		Append: &AppendConfig{Vectors: testData.Vectors[n : n+2], Docs: testData.Docs[n : n+2]}}).AppendedIDs
 	if pos := int(m.posOf[ids[0]]); pos != alignUp(rowEnd+len(survivors), m.lay.embPerPage) {
 		t.Fatalf("append after the step placed at slot %d", pos)
 	}

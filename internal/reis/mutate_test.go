@@ -247,13 +247,14 @@ func (r *cmdRecorder) Submit(cmd HostCommand) (HostResponse, error) {
 // command and a mutation takes the device's per page operation, so
 // mutating while searches are in flight would deadlock, or race, if
 // either path took them in the other order. The mutation history runs
-// on the test goroutine against concurrent direct, synchronous, pruned
-// and queued searches of the same database; every response of the
+// on the test goroutine against concurrent searches of the same database
+// — synchronous, pruned, queued, and the cache-bypassing kind
+// CalibrateNProbe runs outside any queue pair; every response of the
 // history must still equal the sequential reference's.
 func TestOneDeviceMutateWhileSearching(t *testing.T) {
 	type stressHost interface {
 		submitter
-		IVFSearchBatch(int, [][]float32, int, SearchOptions) ([][]DocResult, []QueryStats, error)
+		searcher
 		NewQueue(QueueConfig) (*Queue, error)
 	}
 	c := newMutCorpus()
@@ -290,7 +291,10 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 			pruned := search
 			pruned.Opt.Prune = true
 			searchers := []func() error{
-				func() error { _, _, err := h.IVFSearchBatch(1, queries, 10, SearchOptions{NProbe: 4}); return err },
+				func() error {
+					_, _, _, err := h.search(context.Background(), &search, queries, false)
+					return err
+				},
 				func() error { _, err := h.Submit(search); return err },
 				func() error { _, err := h.Submit(pruned); return err },
 				func() error {
@@ -506,10 +510,8 @@ func TestCompactPreservesResults(t *testing.T) {
 	resps := runMutScript(t, e, c, true, 0)
 	before := resps[len(resps)-1]
 
-	wear, err := e.Compact(1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	compact := HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}
+	wear := mustSubmit(t, e, compact).Wear
 	if wear.CompactedRows == 0 || wear.BlockErases == 0 || wear.CopiedEntries == 0 {
 		t.Fatalf("compaction did not run: %+v", wear)
 	}
@@ -539,10 +541,7 @@ func TestCompactPreservesResults(t *testing.T) {
 		t.Fatalf("tombstones survive compaction: %d", db.mut.deadCount)
 	}
 
-	again, err := e.Compact(1, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	again := mustSubmit(t, e, compact).Wear
 	if again.CompactedRows != 0 || again.BlockErases != 0 || again.PagesProgrammed != 0 {
 		t.Fatalf("compaction of a clean database not a no-op: %+v", again)
 	}
@@ -620,17 +619,21 @@ func TestMutationErrors(t *testing.T) {
 	}
 
 	// Double delete across commands.
-	if err := e.Delete(1, 5); err != nil {
+	del := func(ids ...int) error {
+		_, err := e.Submit(HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: ids}})
+		return err
+	}
+	if err := del(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Delete(1, 5); !errors.Is(err, ErrUnknownID) {
+	if err := del(5); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("double delete: %v", err)
 	}
 	// A failed batch delete (one bad id) must apply nothing.
-	if err := e.Delete(1, 6, 5); !errors.Is(err, ErrUnknownID) {
+	if err := del(6, 5); !errors.Is(err, ErrUnknownID) {
 		t.Fatalf("partial delete: %v", err)
 	}
-	if err := e.Delete(1, 6); err != nil {
+	if err := del(6); err != nil {
 		t.Fatalf("id 6 was deleted by a failed batch: %v", err)
 	}
 }
@@ -645,18 +648,13 @@ func TestAppendFullSentinel(t *testing.T) {
 	}
 	t.Cleanup(func() { e.Close() })
 	deployFlat(t, e, 1)
-	before, _, err := e.Search(1, testData.Queries[0], 5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = e.Append(1, AppendConfig{Vectors: testData.Vectors[:1], Docs: testData.Docs[:1]})
+	before, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 5, SearchOptions{})
+	_, err = e.Submit(HostCommand{Opcode: OpcodeAppend, DBID: 1,
+		Append: &AppendConfig{Vectors: testData.Vectors[:1], Docs: testData.Docs[:1]}})
 	if !errors.Is(err, ssd.ErrRegionFull) {
 		t.Fatalf("append on full: %v", err)
 	}
-	after, _, err := e.Search(1, testData.Queries[0], 5, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	after, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 5, SearchOptions{})
 	if !reflect.DeepEqual(before, after) {
 		t.Fatal("failed append changed search results")
 	}
@@ -736,10 +734,7 @@ func TestDeletedNeverSurface(t *testing.T) {
 	t.Cleanup(func() { e.Close() })
 	deployIVF(t, e, 1, 16)
 	q := testData.Queries[0]
-	res, _, err := e.IVFSearch(1, q, 10, SearchOptions{NProbe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _ := searchOne(t, e, OpcodeIVFSearch, 1, q, 10, SearchOptions{NProbe: 16})
 	if len(res) == 0 {
 		t.Fatal("no results")
 	}
@@ -748,26 +743,18 @@ func TestDeletedNeverSurface(t *testing.T) {
 	for i, r := range res {
 		ids[i] = r.ID
 	}
-	if err := e.Delete(1, ids...); err != nil {
-		t.Fatal(err)
-	}
+	mustSubmit(t, e, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: ids}})
 	gone := make(map[int]bool, len(ids))
 	for _, id := range ids {
 		gone[id] = true
 	}
-	again, _, err := e.IVFSearch(1, q, 10, SearchOptions{NProbe: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	again, _ := searchOne(t, e, OpcodeIVFSearch, 1, q, 10, SearchOptions{NProbe: 16})
 	for _, r := range again {
 		if gone[r.ID] {
 			t.Fatalf("deleted id %d surfaced", r.ID)
 		}
 	}
-	batch, _, err := e.SearchBatch(1, [][]float32{q}, 10, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	batch, _ := search(t, e, OpcodeSearch, 1, [][]float32{q}, 10, SearchOptions{})
 	for _, r := range batch[0] {
 		if gone[r.ID] {
 			t.Fatalf("deleted id %d surfaced on the flat batch path", r.ID)

@@ -336,24 +336,19 @@ func separatedData() (vecs [][]float32, docs [][]byte, cents [][]float32, assign
 func TestPrunedScansFewerPages(t *testing.T) {
 	vecs, docs, cents, assign, queries := separatedData()
 	e := newEngine(t, AllOptions())
-	dbIVF, err := e.IVFDeploy(DeployConfig{
+	dbIVF := deployOn(t, e, OpcodeIVFDeploy, DeployConfig{
 		ID: 7, Vectors: vecs, Docs: docs, DocSlotBytes: 64,
 		Centroids: cents, Assign: assign,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The flat check runs with distance filtering off: the filter fires
 	// before the prune check and would itself discard every far slot on
 	// this corpus, leaving nothing for the bound to save.
 	noFilter := AllOptions()
 	noFilter.DistanceFilter = false
 	e2 := newEngine(t, noFilter)
-	if _, err := e2.Deploy(DeployConfig{
+	deployOn(t, e2, OpcodeDBDeploy, DeployConfig{
 		ID: 8, Vectors: vecs, Docs: docs, DocSlotBytes: 64,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	})
 
 	// IVF: a small k keeps the rerank pool below one cluster's
 	// population, so the bound is live after the first rank window and

@@ -17,26 +17,27 @@ import (
 // admitted with SubmitAsync under a configurable depth (admission
 // control returns ErrQueueFull when the pair is saturated), picked up
 // by the queue's dispatcher goroutine, and completed through one of
-// three delivery paths: a completion channel, a callback, or the
-// polled Reap buffer (the CQ). Like a hardware CQ slot, a command
+// three delivery paths: Wait on the command's id, a completion channel,
+// or the polled Reap buffer (the CQ). Like a hardware CQ slot, a command
 // occupies queue capacity from SubmitAsync until its completion is
-// handed over — reaped, returned by Wait, or pushed to the channel or
-// callback. The slot is always freed before the completion becomes
-// observable (see complete), so reacting to a completion by submitting
-// again cannot fail on the slot of the command just consumed.
+// handed over — reaped, returned by Wait, or pushed to the channel. The
+// slot is always freed before the completion becomes observable (see
+// complete), so reacting to a completion by submitting again cannot fail
+// on the slot of the command just consumed.
 //
-// Three properties make the queue more than a goroutine + channel:
+// Four properties make the queue more than a goroutine + channel:
 //
 //   - Coalescing. The dispatcher merges adjacent compatible search
 //     commands of one tenant (same opcode, database, K and resolved
 //     options) into a single batched execution, exactly as an NVMe
 //     controller fetches several SQ entries per doorbell. Deep queues
-//     therefore approach SearchBatch throughput even when every caller
-//     submits single-query commands; per-command results and device
-//     stats stay bit-identical to solo execution (pinned by tests).
-//   - QoS. Pending commands are scheduled across databases by stride
-//     scheduling on the per-DB Weights, so tenants share the plane
-//     workers proportionally instead of strictly FIFO.
+//     therefore approach the throughput of one batched command even when
+//     every caller submits single-query commands; per-command results
+//     and device stats stay bit-identical to solo execution (pinned by
+//     tests).
+//   - Fair shares. Pending commands are scheduled across databases by
+//     stride scheduling at equal weight, so tenants — and the background
+//     GC below — share the plane workers evenly instead of strictly FIFO.
 //   - Cancellation. Every command carries a context; cancellation is
 //     honored before dispatch and at checkpoints inside the batched
 //     scan pipeline (between plane work items and per-query tails).
@@ -46,12 +47,13 @@ import (
 //   - Background GC. An OpcodeCompact command never runs as one
 //     monolithic dispatch: the queue opens a GC flight that issues one
 //     internal copy-forward step per victim GC row, scheduled under the
-//     reserved gcSchedKey at stride weight 1, so foreground searches
-//     interleave between steps and share device time proportionally. Searches between steps are bit-identical to
-//     both the never-compacted and fully-compacted states; later
-//     mutations on the database are held back until the flight
-//     completes (which also keeps the mutation journal in application
-//     order). The command completes when its last step lands.
+//     reserved gcSchedKey like one more tenant, so foreground searches
+//     interleave between steps and share device time evenly. Searches
+//     between steps are bit-identical to both the never-compacted and
+//     fully-compacted states; later mutations on the database are held
+//     back until the flight completes (which also keeps the mutation
+//     journal in application order). The command completes when its last
+//     step lands.
 //
 // Determinism: the host core serializes execution under execMu and a
 // command's results and device events are independent of which group
@@ -169,33 +171,17 @@ type QueueConfig struct {
 	// Zero means DefaultQueueDepth.
 	Depth int
 
-	// Weights are per-database QoS weights for dispatch scheduling;
-	// databases without an entry weigh 1. A database with weight w
-	// receives w times the dispatch share of a weight-1 database while
-	// both have commands pending. Weights must be positive.
-	Weights map[int]int
-
 	// Completions, when non-nil, receives every completion in
 	// completion order. Delivery blocks the dispatcher, so an undrained
 	// channel exerts backpressure on the whole pair; the channel must
 	// be drained until Close returns.
 	//
-	// Contract, for every sink (Wait, this channel, OnComplete, Reap): a
+	// Contract, for every sink (Wait, this channel, Reap): a
 	// completion is observable only after its queue slot is free. A
 	// receiver may submit again at once — at depth 1 too — without
 	// seeing ErrQueueFull for the command it just consumed
 	// (SubmitDrain relies on this).
 	Completions chan<- Completion
-
-	// OnComplete, when non-nil, is called for every completion from the
-	// dispatcher goroutine (before Completions delivery, if both are
-	// set), after the command's slot has been freed.
-	OnComplete func(Completion)
-
-	// NoCoalesce disables merging compatible pending commands into one
-	// batched execution. Results are identical either way; coalescing
-	// only changes how much plane-level overlap deep queues recover.
-	NoCoalesce bool
 }
 
 // QueueStats counts queue-pair events (monotonic since creation).
@@ -229,12 +215,8 @@ type qcmd struct {
 // gcSchedKey is the reserved stride-scheduling key background-GC steps
 // are queued under — far below any real database id, so it never
 // collides and wins exact pass ties deterministically. GC steps stride
-// at gcWeight, arbitrated against the per-database Weights exactly like
-// a tenant with no configured weight.
-const (
-	gcSchedKey = -1 << 30
-	gcWeight   = 1
-)
+// exactly like one more tenant.
+const gcSchedKey = -1 << 30
 
 // gcFlight is one in-progress background compaction: the original
 // OpcodeCompact command, its victim plan, the next step index and the
@@ -263,11 +245,12 @@ type Queue struct {
 	outstanding int
 	pendingN    int
 	pending     map[int][]qcmd    // per-database FIFO (gcSchedKey: GC steps)
-	pass        map[int]float64   // stride-scheduling pass per database
+	pass        map[int]int       // stride-scheduling pass per database: commands dispatched
 	gc          map[int]*gcFlight // active compaction flight per database
 	completed   []Completion      // the polled CQ (Reap buffer)
 	waiters     map[CommandID]chan Completion
 	paused      bool // test hook: freeze dispatch to observe scheduling
+	solo        bool // test hook, set while paused: never coalesce
 	closed      bool
 	stats       QueueStats
 
@@ -289,16 +272,11 @@ func newQueue(h *hostCore, cfg QueueConfig) (*Queue, error) {
 	if cfg.Depth <= 0 {
 		cfg.Depth = DefaultQueueDepth
 	}
-	for db, w := range cfg.Weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("reis: non-positive QoS weight %d for database %d", w, db)
-		}
-	}
 	q := &Queue{
 		h:       h,
 		cfg:     cfg,
 		pending: make(map[int][]qcmd),
-		pass:    make(map[int]float64),
+		pass:    make(map[int]int),
 		gc:      make(map[int]*gcFlight),
 		waiters: make(map[CommandID]chan Completion),
 		done:    make(chan struct{}),
@@ -422,8 +400,8 @@ func (q *Queue) SubmitDrain(ctx context.Context, ch <-chan Completion, n int, ne
 
 // minPassLocked returns the minimum pass among databases with pending
 // commands.
-func (q *Queue) minPassLocked() (float64, bool) {
-	m, ok := 0.0, false
+func (q *Queue) minPassLocked() (int, bool) {
+	m, ok := 0, false
 	for key, list := range q.pending {
 		if len(list) > 0 && (!ok || q.pass[key] < m) {
 			m, ok = q.pass[key], true
@@ -434,8 +412,8 @@ func (q *Queue) minPassLocked() (float64, bool) {
 
 // Reap removes and returns up to max buffered completions in completion
 // order (all of them when max <= 0) — the polling half of the pair.
-// Reaping is what frees queue slots when no completion channel or
-// callback is configured.
+// Reaping is what frees queue slots when no completion channel is
+// configured and nobody Waits.
 func (q *Queue) Reap(max int) []Completion {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -460,12 +438,18 @@ func (q *Queue) Reap(max int) []Completion {
 // sinks). ctx bounds the wait only: a timed-out Wait leaves the
 // command running but abandons its completion — when it arrives it is
 // discarded and its queue slot freed, so a caller that gives up (e.g.
-// an HTTP handler whose request context ended) cannot leak slots.
+// an HTTP handler whose request context ended) cannot leak slots. An id
+// the pair never issued is an error at once, and once the pair is closed
+// a completion that will never come ends the wait with ErrQueueClosed.
 func (q *Queue) Wait(ctx context.Context, id CommandID) (HostResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	q.mu.Lock()
+	if id == 0 || id > q.nextID {
+		q.mu.Unlock()
+		return HostResponse{}, fmt.Errorf("reis: Wait on command %d, which this queue pair never issued", id)
+	}
 	for i, c := range q.completed {
 		if c.ID == id {
 			q.completed = append(q.completed[:i], q.completed[i+1:]...)
@@ -478,25 +462,35 @@ func (q *Queue) Wait(ctx context.Context, id CommandID) (HostResponse, error) {
 	defer waiterPool.Put(ch)
 	q.waiters[id] = ch
 	q.mu.Unlock()
+	var gaveUp error
 	select {
 	case c := <-ch:
 		return c.Resp, c.Err
 	case <-ctx.Done():
-		q.mu.Lock()
-		if w, ok := q.waiters[id]; ok && w != nil {
-			// Abandon the wait: a nil tombstone tells complete() to
-			// consume and discard the completion when it arrives, so
-			// the command's queue slot is still freed (it must not
-			// land in the Reap buffer nobody is polling).
-			q.waiters[id] = nil
-			q.mu.Unlock()
-			return HostResponse{}, ctx.Err()
-		}
+		gaveUp = ctx.Err()
+	case <-q.done:
+		gaveUp = ErrQueueClosed
+	}
+	q.mu.Lock()
+	if q.waiters[id] == nil {
 		q.mu.Unlock()
 		// The completion raced in while we were deregistering.
 		c := <-ch
 		return c.Resp, c.Err
 	}
+	if gaveUp == ErrQueueClosed {
+		// The dispatcher has exited and delivered everything it ever
+		// will: nothing is left to consume the entry.
+		delete(q.waiters, id)
+	} else {
+		// Abandon the wait: a nil tombstone tells complete() to consume
+		// and discard the completion when it arrives, so the command's
+		// queue slot is still freed (it must not land in the Reap buffer
+		// nobody is polling).
+		q.waiters[id] = nil
+	}
+	q.mu.Unlock()
+	return HostResponse{}, gaveUp
 }
 
 // Outstanding returns the commands currently occupying queue slots
@@ -546,8 +540,10 @@ func (q *Queue) Close() error {
 }
 
 // pause / resume freeze and thaw the dispatcher — test hooks that make
-// scheduling decisions (QoS order, coalescing extents) observable
-// deterministically: pause, submit a known set, resume.
+// scheduling decisions (stride order, coalescing extents) observable
+// deterministically: pause, submit a known set, resume. Setting solo in
+// between makes every command a dispatch of its own, so the order of
+// dispatches is the order of completions.
 func (q *Queue) pause() {
 	q.mu.Lock()
 	q.paused = true
@@ -658,8 +654,8 @@ func (q *Queue) drainPendingLocked() []qcmd {
 
 // pickGroupLocked selects the next database by stride scheduling
 // (lowest pass wins, ties to the lowest database id) and takes its FIFO
-// head plus, unless disabled, the adjacent commands that can coalesce
-// with it into one batched execution. The group is left in q.group.
+// head plus the adjacent commands that can coalesce with it into one
+// batched execution. The group is left in q.group.
 func (q *Queue) pickGroupLocked() {
 	bestKey, found := 0, false
 	for key, list := range q.pending {
@@ -674,7 +670,7 @@ func (q *Queue) pickGroupLocked() {
 	list := q.pending[bestKey]
 	head := &list[0]
 	n := 1
-	if !q.cfg.NoCoalesce && isSearchOp(head.cmd.Opcode) && head.ctx.Err() == nil {
+	if !q.solo && isSearchOp(head.cmd.Opcode) && head.ctx.Err() == nil {
 		for n < len(list) && coalescible(head, &list[n]) {
 			n++
 		}
@@ -684,13 +680,7 @@ func (q *Queue) pickGroupLocked() {
 	clear(list[rest:])
 	q.pending[bestKey] = list[:rest]
 	q.pendingN -= n
-	w := 1
-	if bestKey == gcSchedKey {
-		w = gcWeight
-	} else if cw, ok := q.cfg.Weights[bestKey]; ok {
-		w = cw
-	}
-	q.pass[bestKey] += float64(n) / float64(w)
+	q.pass[bestKey] += n
 	q.stats.Dispatches++
 	if n > 1 {
 		q.stats.Coalesced += uint64(n)
@@ -736,49 +726,57 @@ func (q *Queue) execGroup() {
 		}
 		live = append(live, qc)
 	}
-	switch len(live) {
-	case 0:
-		return
-	case 1:
-		qc := &live[0]
-		if qc.gcf != nil {
-			q.gcStepExec(qc)
-			return
-		}
-		if qc.cmd.Opcode == OpcodeCompact {
-			q.gcStart(qc)
-			return
-		}
-		resp, err := q.h.execCmd(qc.ctx, &qc.cmd)
-		q.complete(qc.id, resp, err)
+	if len(live) == 0 {
 		return
 	}
+	// Only searches coalesce: anything else is a group of one.
+	switch head := &live[0]; {
+	case head.gcf != nil:
+		q.gcStepExec(head)
+	case head.cmd.Opcode == OpcodeCompact:
+		q.gcStart(head)
+	case isSearchOp(head.cmd.Opcode):
+		q.execSearch(live)
+	default:
+		resp, err := q.h.execCmd(&head.cmd)
+		q.complete(head.id, resp, err)
+	}
+}
 
-	// Coalesced execution: one batched pass over the concatenated Q
-	// operands. Batch results are bit-identical to per-command
-	// execution, so splitting the output per command is exact.
-	total := 0
-	for i := range live {
-		total += len(live[i].cmd.Queries)
+// execSearch serves a dispatch group of search commands — one, or several
+// coalesced under the head's parameters — as one batched pass over their
+// concatenated Q operands, and completes each with its share. Batch
+// results are bit-identical to per-command execution, so splitting the
+// output per command is exact; a group of one hands the pass's slices on
+// as they are.
+func (q *Queue) execSearch(live []qcmd) {
+	head := &live[0]
+	queries := head.cmd.Queries
+	if len(live) > 1 {
+		total := 0
+		for i := range live {
+			total += len(live[i].cmd.Queries)
+		}
+		queries = make([][]float32, 0, total)
+		for i := range live {
+			queries = append(queries, live[i].cmd.Queries...)
+		}
 	}
-	queries := make([][]float32, 0, total)
-	for i := range live {
-		queries = append(queries, live[i].cmd.Queries...)
-	}
-	ctx := mergeCtxs(live)
-	results, sts, perShard, err := q.h.search(ctx, &live[0].cmd, queries, true)
+	results, sts, perShard, err := q.h.search(mergeCtxs(live), &head.cmd, queries, true)
 	if err != nil {
+		if len(live) == 1 {
+			q.complete(head.id, HostResponse{}, err)
+			return
+		}
 		// Group abort — a member's cancellation, or an execution error.
 		// Re-execute members individually so unaffected commands still
 		// complete with precise per-command outcomes.
 		for i := range live {
-			qc := &live[i]
-			if cerr := qc.ctx.Err(); cerr != nil {
-				q.complete(qc.id, HostResponse{}, cerr)
+			if cerr := live[i].ctx.Err(); cerr != nil {
+				q.complete(live[i].id, HostResponse{}, cerr)
 				continue
 			}
-			resp, err := q.h.execCmd(qc.ctx, &qc.cmd)
-			q.complete(qc.id, resp, err)
+			q.execSearch(live[i : i+1])
 		}
 		return
 	}
@@ -790,8 +788,9 @@ func (q *Queue) execGroup() {
 			Done:       true,
 			Results:    results[off : off+n : off+n],
 			QueryStats: sts[off : off+n : off+n],
+			PerShard:   perShard,
 		}
-		if perShard != nil {
+		if perShard != nil && len(live) > 1 {
 			resp.PerShard = make([][]QueryStats, len(perShard))
 			for s := range perShard {
 				resp.PerShard[s] = perShard[s][off : off+n : off+n]
@@ -888,14 +887,14 @@ func (q *Queue) gcStepExec(qc *qcmd) {
 }
 
 // complete delivers one completion: to a registered waiter first,
-// otherwise to the configured sinks, otherwise to the Reap buffer.
+// otherwise to the Completions channel, otherwise to the Reap buffer.
 //
 // Slot contract: a completion is observable only after its slot is
-// free, for every sink — the waiter's channel, the Completions channel
-// and the OnComplete callback are fed after releaseSlotLocked, and Reap
-// releases under the same lock hold that hands the entry out. A caller
-// that reacts to a completion by submitting again therefore never sees
-// ErrQueueFull on account of the command it just consumed.
+// free, for every sink — the waiter's channel and the Completions channel
+// are fed after releaseSlotLocked, and Reap releases under the same lock
+// hold that hands the entry out. A caller that reacts to a completion by
+// submitting again therefore never sees ErrQueueFull on account of the
+// command it just consumed.
 func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 	c := Completion{ID: id, Resp: resp, Err: err}
 	q.mu.Lock()
@@ -911,19 +910,14 @@ func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 		// the slot above is all that had to be released.
 		return
 	}
-	if q.cfg.Completions == nil && q.cfg.OnComplete == nil {
+	if q.cfg.Completions == nil {
 		q.completed = append(q.completed, c)
 		q.mu.Unlock()
 		return
 	}
 	q.releaseSlotLocked()
 	q.mu.Unlock()
-	if q.cfg.OnComplete != nil {
-		q.cfg.OnComplete(c)
-	}
-	if q.cfg.Completions != nil {
-		q.cfg.Completions <- c
-	}
+	q.cfg.Completions <- c
 }
 
 // mergeCtxs returns the context governing a coalesced execution: the

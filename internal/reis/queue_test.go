@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,24 +192,22 @@ func TestQueueDoesNotCoalesceAcrossPrune(t *testing.T) {
 	}
 }
 
-// TestQueueOutOfOrderReap submits commands for two databases with
-// skewed QoS weights and verifies completions can be reaped out of
-// submission order while still matching their commands by ID.
+// TestQueueOutOfOrderReap submits one database's backlog and then
+// another's and verifies the stride scheduler gives the two equal
+// shares — dispatches alternate between them, so completions are reaped
+// out of submission order — while each still matches its command by ID.
 func TestQueueOutOfOrderReap(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
 	deployIVF(t, e, 2, 16)
-	q, err := e.NewQueue(QueueConfig{
-		Depth:      8,
-		Weights:    map[int]int{1: 1, 2: 8},
-		NoCoalesce: true,
-	})
+	q, err := e.NewQueue(QueueConfig{Depth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
 
 	q.pause()
+	q.solo = true
 	type sub struct {
 		id CommandID
 		db int
@@ -236,9 +235,9 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 	q.resume()
 	comps := reapAll(t, q, len(subs))
 
-	// The weight-8 tenant (database 2) must finish its backlog before
-	// the weight-1 tenant despite submitting later — i.e. completions
-	// arrive out of submission order.
+	// Equal shares: database 2 submitted its whole backlog after
+	// database 1's, yet the two take turns — the lower id first on the
+	// pass tie — so completions arrive out of submission order.
 	pos := make(map[CommandID]int, len(comps))
 	for i, c := range comps {
 		pos[c.ID] = i
@@ -247,14 +246,9 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 		}
 	}
 	for _, s := range subs {
-		if s.db != 2 {
-			continue
-		}
-		for _, o := range subs {
-			if o.db == 1 && o.qi > 0 && pos[s.id] > pos[o.id] {
-				t.Fatalf("QoS weight 8 command %d completed after weight 1 command %d (order %v)",
-					s.id, o.id, comps)
-			}
+		if want := 2*s.qi + s.db - 1; pos[s.id] != want {
+			t.Fatalf("database %d's command %d completed at position %d, want %d: the two databases did not alternate (order %v)",
+				s.db, s.qi, pos[s.id], want, comps)
 		}
 	}
 	// Every completion matches the per-command sync reference
@@ -407,6 +401,108 @@ func TestQueueWaitAbandonReleasesSlot(t *testing.T) {
 	}
 }
 
+// TestQueueWaitNeverBlocksForGood: a Wait nothing can ever answer ends
+// at once instead of when its context does — on an id the pair never
+// issued (which used to block until ctx ended and leave a tombstone no
+// completion would ever delete), and, once the pair is closed, on an id
+// whose completion was already consumed.
+func TestQueueWaitNeverBlocksForGood(t *testing.T) {
+	e := newEngine(t, AllOptions())
+	deployFlat(t, e, 1)
+	cmd := HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1], K: 5}
+	for _, tc := range []struct {
+		name  string
+		id    func(q *Queue) CommandID
+		check func(error) bool
+	}{
+		{"never issued", func(*Queue) CommandID { return 999 },
+			func(err error) bool { return err != nil && !errors.Is(err, ErrQueueClosed) }},
+		{"zero id", func(*Queue) CommandID { return 0 },
+			func(err error) bool { return err != nil && !errors.Is(err, ErrQueueClosed) }},
+		{"consumed, then closed", func(q *Queue) CommandID {
+			id, err := q.SubmitAsync(nil, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+			q.Close()
+			return id
+		}, func(err error) bool { return errors.Is(err, ErrQueueClosed) }},
+		{"consumed, closed under the wait", func(q *Queue) CommandID {
+			id, err := q.SubmitAsync(nil, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+			go func() {
+				for registered := false; !registered; runtime.Gosched() {
+					q.mu.Lock()
+					registered = len(q.waiters) == 1
+					q.mu.Unlock()
+				}
+				q.Close()
+			}()
+			return id
+		}, func(err error) bool { return errors.Is(err, ErrQueueClosed) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, err := e.NewQueue(QueueConfig{Depth: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			id := tc.id(q)
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			_, err = q.Wait(ctx, id)
+			if ctx.Err() != nil {
+				t.Fatalf("Wait(%d) returned %v only when its context ended", id, err)
+			}
+			if !tc.check(err) {
+				t.Fatalf("Wait(%d) = %v", id, err)
+			}
+			q.mu.Lock()
+			leaked := len(q.waiters)
+			q.mu.Unlock()
+			if leaked != 0 {
+				t.Fatalf("Wait(%d) left %d waiter entries behind", id, leaked)
+			}
+		})
+	}
+}
+
+// TestQueueLoneSearchErrorCompletesOnce: a dispatch group of one search
+// whose execution fails — here it names a database that does not exist —
+// completes exactly once, with that error, in one dispatch: there is no
+// "re-execute the members individually" round for a group with nothing
+// to separate.
+func TestQueueLoneSearchErrorCompletesOnce(t *testing.T) {
+	e := newEngine(t, AllOptions())
+	deployFlat(t, e, 1)
+	q, err := e.NewQueue(QueueConfig{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	id, err := q.SubmitAsync(nil, HostCommand{Opcode: OpcodeSearch, DBID: 99, Queries: testData.Queries[:1], K: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Wait(context.Background(), id); err == nil || !strings.Contains(err.Error(), "unknown database 99") {
+		t.Fatalf("search on an unknown database completed with %v", err)
+	}
+	if st := q.Stats(); st.Completed != 1 || st.Dispatches != 1 {
+		t.Fatalf("want one completion from one dispatch, stats %+v", st)
+	}
+	if cs := q.Reap(0); len(cs) != 0 {
+		t.Fatalf("a second completion reached the reap buffer: %v", cs)
+	}
+}
+
 // countdownCtx cancels itself after a fixed number of Err() polls — a
 // deterministic way to hit the execution core's mid-batch checkpoints.
 type countdownCtx struct {
@@ -440,36 +536,19 @@ func TestSearchBatchCancelMidBatch(t *testing.T) {
 		}
 	}
 	// The aborted runs must not have corrupted pooled state.
-	want, _, err := e.Search(1, testData.Queries[0], 10, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{})
 	e2 := newEngine(t, AllOptions())
 	deployFlat(t, e2, 1)
-	fresh, _, err := e2.Search(1, testData.Queries[0], 10, SearchOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fresh, _ := searchOne(t, e2, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{})
 	assertSameResults(t, "post-abort", [][]DocResult{fresh}, [][]DocResult{want})
 }
 
-// TestQueueCompletionChannelAndCallback covers the push delivery
-// paths.
-func TestQueueCompletionChannelAndCallback(t *testing.T) {
+// TestQueueCompletionChannel covers the push delivery path.
+func TestQueueCompletionChannel(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
 	ch := make(chan Completion, 4)
-	var mu sync.Mutex
-	var called []CommandID
-	q, err := e.NewQueue(QueueConfig{
-		Depth:       4,
-		Completions: ch,
-		OnComplete: func(c Completion) {
-			mu.Lock()
-			called = append(called, c.ID)
-			mu.Unlock()
-		},
-	})
+	q, err := e.NewQueue(QueueConfig{Depth: 4, Completions: ch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,11 +575,6 @@ func TestQueueCompletionChannelAndCallback(t *testing.T) {
 		if !got[id] {
 			t.Fatalf("command %d never delivered", id)
 		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(called) != len(ids) {
-		t.Fatalf("callback saw %d completions, want %d", len(called), len(ids))
 	}
 }
 
@@ -619,7 +693,7 @@ func TestTargetRecallResolution(t *testing.T) {
 }
 
 // TestQueueStressConcurrentSubmitters is the -race stress test:
-// several goroutines hammer one queue pair (plus direct synchronous
+// several goroutines hammer one queue pair (plus synchronous Submit
 // calls) and every completion must match its per-command synchronous
 // reference bit for bit — the determinism contract under concurrent
 // multi-tenant submission.
@@ -645,7 +719,7 @@ func TestQueueStressConcurrentSubmitters(t *testing.T) {
 		}
 	}
 
-	q, err := e.NewQueue(QueueConfig{Depth: 16, Weights: map[int]int{1: 1, 2: 3}})
+	q, err := e.NewQueue(QueueConfig{Depth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -716,10 +790,10 @@ func TestQueueStressConcurrentSubmitters(t *testing.T) {
 }
 
 // TestQueueSlotFreeBeforeCompletionVisible pins the slot contract for
-// every sink — waiter, completion channel, callback, reap: once a
+// every sink — waiter, completion channel, reap: once a
 // completion is observable its slot is free, so a depth-1 submitter
 // that consumes one completion and submits again never meets
-// ErrQueueFull. (Delivering to the channel or callback before releasing
+// ErrQueueFull. (Delivering to the channel before releasing
 // the slot let exactly that submitter spin — or, draining on
 // ErrQueueFull, block forever on a channel nothing would write to.)
 // The command is a no-op compaction: the cheapest round trip through
@@ -730,7 +804,6 @@ func TestQueueSlotFreeBeforeCompletionVisible(t *testing.T) {
 	deployFlat(t, e, 1)
 	cmd := HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{}}
 	ch := make(chan Completion, 1)
-	called := make(chan Completion, 1)
 	sinks := []struct {
 		name    string
 		cfg     QueueConfig
@@ -742,9 +815,6 @@ func TestQueueSlotFreeBeforeCompletionVisible(t *testing.T) {
 		}},
 		{"channel", QueueConfig{Depth: 1, Completions: ch}, func(*Queue, CommandID) error {
 			return (<-ch).Err
-		}},
-		{"callback", QueueConfig{Depth: 1, OnComplete: func(c Completion) { called <- c }}, func(*Queue, CommandID) error {
-			return (<-called).Err
 		}},
 		{"reap", QueueConfig{Depth: 1}, func(q *Queue, _ CommandID) error {
 			for {

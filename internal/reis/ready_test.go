@@ -91,7 +91,7 @@ func TestEngineReady(t *testing.T) {
 	if sh.Ready() {
 		t.Fatal("router with a closed member still Ready")
 	}
-	if _, _, err := sh.Search(1, testData.Queries[0], 10, SearchOptions{}); !errors.Is(err, ErrQueueClosed) {
+	if _, err := sh.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1], K: 10}); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("search over a closed member error = %v, want ErrQueueClosed", err)
 	}
 	sh.Close()

@@ -51,13 +51,12 @@ import (
 // ShardedEngine is a host over N member devices, each scanned in place:
 // a facade over the same host core an Engine embeds (host.go),
 // bound to N ≥ 1 devices instead of one. Submit, NewQueue (asynchronous
-// queue pairs dispatch into the host), the Search family, Append /
-// Delete / Compact, CalibrateNProbe, the journal pair, Ready and
-// Close are the core's, promoted — the same methods Engine exposes,
-// with results bit-identical to a single device over the same data. The
-// methods declared here are the ones whose shape names the shards: the
-// ShardedDatabase return type, and the per-shard stats operands of
-// Latency / BatchLatency (timing.go).
+// queue pairs dispatch into the host), CalibrateNProbe, the journal
+// pair, Ready and Close are the core's, promoted — the same methods
+// Engine exposes, with results bit-identical to a single device over the
+// same data. The methods declared here are the ones whose shape names
+// the shards: DB's ShardedDatabase, Shards / Shard, and the per-shard
+// stats operands of Latency / BatchLatency (timing.go).
 type ShardedEngine struct {
 	hostCore
 }
@@ -96,18 +95,6 @@ func (sh *ShardedEngine) Shard(s int) *Engine { return sh.devs[s] }
 
 // DB returns a deployed database by id.
 func (sh *ShardedEngine) DB(id int) (*ShardedDatabase, error) { return sh.hostDB(id) }
-
-// Deploy implements DB_Deploy across the shards (flat database).
-func (sh *ShardedEngine) Deploy(cfg DeployConfig) (*ShardedDatabase, error) {
-	return sh.deploy(cfg, false)
-}
-
-// IVFDeploy implements IVF_Deploy across the shards: the cluster-
-// sorted placement and the R-IVF table are planned globally (the
-// host keeps the table in its controller DRAM), then page-striped.
-func (sh *ShardedEngine) IVFDeploy(cfg DeployConfig) (*ShardedDatabase, error) {
-	return sh.deploy(cfg, true)
-}
 
 // localRange clips one global slot range to the pages shard s owns
 // (global pages ≡ s mod n) and rewrites it in local coordinates — the

@@ -162,13 +162,10 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 			}
 		}
 
-		// Per-query entry points agree with the batch path on results.
-		res, _, err := sh.IVFSearch(2, queries[0], 10, SearchOptions{NProbe: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// A one-query command agrees with the batched one on results.
+		res, _ := searchOne(t, sh, OpcodeIVFSearch, 2, queries[0], 10, SearchOptions{NProbe: 3})
 		if !reflect.DeepEqual(res, firstResults[4][0]) {
-			t.Fatalf("shards=%d: IVFSearch differs from batch path", n)
+			t.Fatalf("shards=%d: one-query IVF_Search differs from the batched command", n)
 		}
 	}
 }

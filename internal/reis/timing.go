@@ -283,7 +283,7 @@ func tailEnergy(cfg ssd.Config, int8Bytes int, st QueryStats) float64 {
 }
 
 // BatchBreakdown is the timing model's view of a query batch admitted
-// through SearchBatch/IVFSearchBatch: instead of serializing whole
+// as one command or one coalesced group: instead of serializing whole
 // queries, the device keeps its three contended resources — flash
 // planes, channels, and the controller core — busy across queries, so
 // batch service time is bounded by the busiest resource plus one

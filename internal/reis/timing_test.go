@@ -24,10 +24,7 @@ func statsFor(t *testing.T, cfg ssd.Config, opts Options) (*Engine, *Database, Q
 		t.Fatal(err)
 	}
 	db := deployIVF(t, e, 1, 16)
-	_, st, err := e.IVFSearch(1, testData.Queries[0], 10, SearchOptions{NProbe: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := searchOne(t, e, OpcodeIVFSearch, 1, testData.Queries[0], 10, SearchOptions{NProbe: 4})
 	return e, db, st
 }
 
