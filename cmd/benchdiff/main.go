@@ -67,6 +67,9 @@ var metricFields = map[string]bool{
 	"BytesPerOp": true, "AvgBatch": true, "Speedup": true,
 	"FinePages": true, "PrunedPages": true, "AbortedWaves": true,
 	"HitRate": true, "CachedPages": true, "BaseFinePages": true,
+	// The skew sweep's per-half speedups (report-only, like Speedup; the
+	// rows' ModelQPS is what gates).
+	"PinsOnly": true, "ResultsOnly": true,
 	// GC wear metrics from the churn experiment (exactFields: gated on
 	// equality).
 	"WriteAmp": true, "MaxBlockErase": true, "CompactedRows": true,

@@ -134,14 +134,15 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 	// A baseline that predates the skew experiment must not fail the
 	// gate, and the skew metrics (HitRate, CachedPages, Speedup, ...)
 	// must be treated as metrics, not identity: a skew row whose
-	// baseline row exists matches on {Dataset, S, Budget} alone.
+	// baseline row exists matches on {Dataset, Device, S, Budget} alone.
 	base := mkReport(1000, 2000, 24.5)
 	cur := mkReport(1000, 2000, 24.5)
 	skewRow := func(qps, hitRate, cached float64) map[string]any {
 		return map[string]any{
-			"Dataset": "skew-3k", "S": 1.2, "Budget": float64(4 << 20),
+			"Dataset": "skew-3k", "Device": "SSD1/4p", "S": 1.2, "Budget": float64(4 << 20),
 			"HitRate": hitRate, "FinePages": 2.0, "CachedPages": cached,
 			"BaseFinePages": 9.0, "ModelQPS": qps, "Speedup": qps / 1000,
+			"PinsOnly": 1 + cached/50, "ResultsOnly": 1 + hitRate,
 		}
 	}
 	cur.Experiments = append(cur.Experiments, struct {

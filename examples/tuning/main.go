@@ -29,6 +29,8 @@ func main() {
 	cfg := ssd.SSD1()
 	cfg.Geo.BlocksPerPlane = 8
 	cfg.Geo.PagesPerBlock = 16
+	// The DRAM caching tier is on, so the run can show what it decided.
+	cfg.CacheDRAMBytes = 1 << 20
 	engine, err := reis.New(cfg, 512<<20, reis.AllOptions())
 	if err != nil {
 		log.Fatal(err)
@@ -70,6 +72,17 @@ func main() {
 		fmt.Printf("%5d %9.3f %8d %10d %14v\n",
 			nprobe, recall, resp.Stats.EntriesScanned/n, resp.Stats.Survivors/n, bb.Makespan)
 	}
+
+	// Why nothing was pinned: the tier admits a hot cluster only when the
+	// timing model says scanning it from DRAM beats the planes, and on
+	// SSD1's 256 planes even the 96-cluster probe — one page a cluster — is
+	// a single wave, which no pin can shorten.
+	cs, err := engine.CacheStats(1)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("caching tier: wave gate shut on %d of %d IVF commands; %d pages filled, %d evicted, %d bytes pinned\n",
+		cs.GateShut, cs.Refreshes, cs.PinFills, cs.PinEvictions, cs.PinnedBytes)
 
 	// The automatic calibration the experiments use, and the resulting
 	// TargetRecall operand: once calibrated, a host command can carry

@@ -36,14 +36,14 @@ const FrontierScale = 64
 
 // frontierCacheBudget is ssd.Config.CacheDRAMBytes for the cached
 // flash configuration: enough to pin the probed clusters' binary
-// pages at functional scale. The timing model charges the pinned
-// fraction at scaled serialized DRAM-scan cost, so on this uniform
-// single-pass query set the cached rows sit at or above the pruned
-// curve — in-flash scanning parallelizes across planes while the
-// controller core does not, and with no repeats the result cache
-// never fires. The cache's wins live in the skewed/repeating regime
-// the skew experiment sweeps; the frontier rows pin the other half of
-// that claim.
+// pages at functional scale, were any admitted. In-flash scanning
+// parallelizes across planes while the controller core does not, so on
+// SSD1 the tier admits none (see RunFrontier), and with no repeats on
+// this uniform single-pass query set the result cache never fires: the
+// cached rows coincide with the pruned curve. The cache's wins live in
+// the skewed/repeating, few-plane regime the skew experiment sweeps;
+// the frontier rows pin the other half of that claim — the tier costs
+// nothing where it cannot help.
 const frontierCacheBudget = 1 << 20
 
 // FrontierRow is one operating point of one system on the frontier.
@@ -142,16 +142,17 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 	// searched with threshold pruning, without and with the DRAM
 	// caching tier. Recall comes from the functional results, latency
 	// from the occupancy timing model at ScaleIVF. With the cache, two
-	// warm-up passes build the probe counters so the measured pass scans
-	// pinned clusters from DRAM. The result cache serves an exact repeat of
-	// a command without running it, so no pass may repeat another's
-	// commands: a repeated warm-up would probe nothing, a repeated
-	// measurement would be served for free. The passes differ in operands
-	// the result key covers and the probes do not — the warm-ups return
-	// documents, pruned then unpruned; the measured pass skips them — and
-	// pins refresh once per IVF command from the probes of the commands
-	// before it, so the measured pass meets the pin sets two passes of its
-	// own form would have built.
+	// warm-up passes build the probe counters, so the measured pass meets
+	// whatever the tier chose to pin. On SSD1 that is nothing: 1 to 8
+	// clusters are one wave on 256 planes, pin admission (reis
+	// dbCache.refresh) shuts, and the cached row lands on the pruned row —
+	// before admission it sat 6 to 14 times above it, serialising on the
+	// core scans the planes do in one wave. The result cache serves an
+	// exact repeat of a command without running it, so no pass may repeat
+	// another's commands: a repeated warm-up would probe nothing, a
+	// repeated measurement would be served for free. The passes differ in
+	// operands the result key covers and the probes do not — the warm-ups
+	// return documents, pruned then unpruned; the measured pass skips them.
 	cachedSSD := ssd.SSD1()
 	cachedSSD.CacheDRAMBytes = frontierCacheBudget
 	for s, err := range setups(w, reis.AllOptions(), []ssd.Config{ssd.SSD1(), cachedSSD}, 1) {

@@ -14,15 +14,20 @@ import (
 )
 
 // SkewRow is one point of the DRAM-caching-tier sweep: a Zipf query
-// skew s served at a cache budget, against the budget-0 baseline of
-// the same command script. HitRate counts result-cache hits over all
-// issued queries; FinePages/CachedPages split the mean per-query fine
-// scan between flash and pinned DRAM copies (on result-cache misses
-// they sum to BaseFinePages, the uncached run's mean — the page
-// partition the engine tests pin per query, re-checked per command by
-// RunSkew itself).
+// skew s served on a device at a cache budget, against the budget-0
+// baseline of the same command script. HitRate counts result-cache hits
+// over all issued queries; FinePages/CachedPages split the mean
+// per-query fine scan between flash and pinned DRAM copies (on
+// result-cache misses they sum to BaseFinePages, the uncached run's mean
+// — the page partition the engine tests pin per query, re-checked per
+// command by RunSkew itself).
 type SkewRow struct {
 	Dataset string
+	// Device names the device (skewDevices): REIS-SSD1, whose 256 planes
+	// take a whole probe in one wave, so the tier admits no pin there and
+	// the result cache is all of it; and its four-plane cut, where a probe
+	// is two waves and pins pay.
+	Device string
 	// S is the Zipf exponent of the query popularity distribution
 	// (0 = uniform).
 	S float64
@@ -39,6 +44,17 @@ type SkewRow struct {
 	// scale; Speedup is ModelQPS over the budget-0 row (1.0 there).
 	ModelQPS float64
 	Speedup  float64
+	// PinsOnly and ResultsOnly are what each half of the tier is worth
+	// alone, as Speedup is for both together. ResultsOnly prices the same
+	// run with every miss at its baseline cost: pins change neither
+	// results nor which queries hit, so that is exactly the run a tier
+	// without pins would serve. PinsOnly is a second run of the script
+	// with every issued query nudged by a distinct few ulps — no two
+	// queries repeat bit for bit, so the result cache serves none of them,
+	// while the clusters they probe, and with them the pins, are those of
+	// the exact script — against its own nudged baseline.
+	PinsOnly    float64
+	ResultsOnly float64
 }
 
 // SkewDefaultBudget is the default cache budget of the sweep: enough
@@ -83,8 +99,25 @@ func skewWorkload() (d *dataset.Dataset, cents [][]float32, assign []int) {
 	return d, cents, assign
 }
 
-// skewRun is one (s, budget) script execution: per-command stats and
-// results for the baseline cross-check, plus the accumulated totals.
+// skewDevice is one device of the sweep.
+type skewDevice struct {
+	name string
+	cfg  ssd.Config
+}
+
+// skewDevices are REIS-SSD1 and SSD1 cut to one channel of two dies —
+// four planes, every timing constant and the page unchanged — the
+// few-plane end of the Sec 3.2 asymmetry: the sweep's 8-cluster probe is
+// one wave on the first and two on the second.
+func skewDevices() []skewDevice {
+	few := ssd.SSD1()
+	few.Geo.Channels, few.Geo.DiesPerChannel = 1, 2
+	return []skewDevice{{"SSD1", ssd.SSD1()}, {fmt.Sprintf("SSD1/%dp", few.Geo.Planes()), few}}
+}
+
+// skewRun is one (device, s, budget) script execution: per-command
+// stats and results for the baseline cross-check, plus the accumulated
+// totals.
 type skewRun struct {
 	stats    [][]reis.QueryStats
 	results  [][][]reis.DocResult
@@ -93,14 +126,28 @@ type skewRun struct {
 	fine     int
 	cached   int
 	modelSec float64
+	// resultsOnlySec is modelSec with every result-cache miss priced at
+	// the baseline's stats for the same query.
+	resultsOnlySec float64
+}
+
+// nudged returns q moved by a distinct few ulps per issue: a different
+// result-cache key every time, the same binary code (a sign flip of a
+// near-zero first coordinate aside) and so the same probed clusters.
+func nudged(q []float32, issue int) []float32 {
+	out := append([]float32(nil), q...)
+	out[0] += float32(issue) * (1.0 / (1 << 22))
+	return out
 }
 
 // runSkewScript executes the churn+search script on a fresh device at
 // the given cache budget. The RNG seeds depend only on s, so every
-// budget of a sweep point sees the identical command sequence and the
-// runs are comparable command for command.
-func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float64, budget int64) (*skewRun, error) {
-	cfg := ssd.SSD1()
+// device and budget of a sweep point sees the identical command sequence
+// and the runs are comparable command for command. nudge issues every
+// query through nudged; base, when given, is the budget-0 run of the same
+// script, against which the run is checked (checkSkewPartition) and its
+// results-only makespan priced.
+func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, cfg ssd.Config, s float64, budget int64, nudge bool, base *skewRun) (*skewRun, error) {
 	// The churn bursts append into reserved tail capacity (deleted
 	// entries tombstone in place until a compaction), so the deployment
 	// needs overprovision headroom SSD1 does not default to.
@@ -157,6 +204,9 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float6
 			queries := make([][]float32, skewBatch)
 			for i := range queries {
 				queries[i] = d.Queries[qr.Zipf(skewQueries, s)]
+				if nudge {
+					queries[i] = nudged(queries[i], run.queries+i)
+				}
 			}
 			resp, err := rig.Submit(reis.HostCommand{
 				Opcode: reis.OpcodeIVFSearch, DBID: 1,
@@ -173,6 +223,21 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, s float6
 			run.fine += resp.Stats.FinePages
 			run.cached += resp.Stats.CachedPages
 			run.modelSec += rig.priceBatch(passOf(resp), reis.UnitScale()).Makespan.Seconds()
+			mix := resp.QueryStats
+			if base != nil {
+				mix = append([]reis.QueryStats(nil), mix...)
+				for qi := range mix {
+					if mix[qi].ResultCacheHits == 0 {
+						mix[qi] = base.stats[len(run.stats)-1][qi]
+					}
+				}
+			}
+			run.resultsOnlySec += rig.priceBatch(pass{mix}, reis.UnitScale()).Makespan.Seconds()
+		}
+	}
+	if base != nil {
+		if err := checkSkewPartition(run, base); err != nil {
+			return nil, err
 		}
 	}
 	return run, nil
@@ -208,13 +273,14 @@ func checkSkewPartition(cached, base *skewRun) error {
 }
 
 // RunSkew measures the DRAM caching tier under Zipfian query skew and
-// bursty churn on REIS-SSD1: for every skew exponent, the identical
-// command script runs at every cache budget (budget 0 is the
-// baseline), and each row reports the hit rate, the flash/DRAM page
-// split, and the modeled-throughput speedup. Like the prune sweep,
-// rows are costed at unit scale: the caching tier targets the
-// deployed (post-mutation) regime where the corpus fits the device,
-// not the paper-scale extrapolation.
+// bursty churn on REIS-SSD1 and on its four-plane cut: for every device
+// and skew exponent, the identical command script runs at every cache
+// budget (budget 0 is the baseline), and each row reports the hit rate,
+// the flash/DRAM page split, the modeled-throughput speedup and what
+// each half of the tier contributes to it. Like the prune sweep, rows
+// are costed at unit scale: the caching tier targets the deployed
+// (post-mutation) regime where the corpus fits the device, not the
+// paper-scale extrapolation.
 func RunSkew(ss []float64, budgets []int64) ([]SkewRow, error) {
 	if ss == nil {
 		ss = SkewS
@@ -225,34 +291,46 @@ func RunSkew(ss []float64, budgets []int64) ([]SkewRow, error) {
 	d, cents, assign := skewWorkload()
 	name := fmt.Sprintf("skew-%dk", skewBase/1000)
 	var rows []SkewRow
-	for _, s := range ss {
-		base, err := runSkewScript(d, cents, assign, s, 0)
-		if err != nil {
-			return nil, err
-		}
-		baseQPS := float64(base.queries) / base.modelSec
-		baseFine := float64(base.fine) / float64(base.queries)
-		for _, budget := range budgets {
-			run := base
-			if budget > 0 {
-				if run, err = runSkewScript(d, cents, assign, s, budget); err != nil {
-					return nil, err
-				}
-				if err := checkSkewPartition(run, base); err != nil {
-					return nil, err
-				}
+	for _, dev := range skewDevices() {
+		for _, s := range ss {
+			script := func(budget int64, nudge bool, base *skewRun) (*skewRun, error) {
+				return runSkewScript(d, cents, assign, dev.cfg, s, budget, nudge, base)
 			}
-			n := float64(run.queries)
-			qps := n / run.modelSec
-			rows = append(rows, SkewRow{
-				Dataset: name, S: s, Budget: budget,
-				HitRate:       float64(run.hits) / n,
-				FinePages:     float64(run.fine) / n,
-				CachedPages:   float64(run.cached) / n,
-				BaseFinePages: baseFine,
-				ModelQPS:      qps,
-				Speedup:       qps / baseQPS,
-			})
+			// The exact script and the nudged one, each with its baseline.
+			exact0, err := script(0, false, nil)
+			if err != nil {
+				return nil, err
+			}
+			nudged0, err := script(0, true, nil)
+			if err != nil {
+				return nil, err
+			}
+			n := float64(exact0.queries)
+			for _, budget := range budgets {
+				both, pins := exact0, nudged0
+				if budget > 0 {
+					if both, err = script(budget, false, exact0); err != nil {
+						return nil, err
+					}
+					if pins, err = script(budget, true, nudged0); err != nil {
+						return nil, err
+					}
+					if pins.hits != 0 {
+						return nil, fmt.Errorf("skew: %d result-cache hits in the nudged script", pins.hits)
+					}
+				}
+				rows = append(rows, SkewRow{
+					Dataset: name, Device: dev.name, S: s, Budget: budget,
+					HitRate:       float64(both.hits) / n,
+					FinePages:     float64(both.fine) / n,
+					CachedPages:   float64(both.cached) / n,
+					BaseFinePages: float64(exact0.fine) / n,
+					ModelQPS:      n / both.modelSec,
+					Speedup:       exact0.modelSec / both.modelSec,
+					PinsOnly:      nudged0.modelSec / pins.modelSec,
+					ResultsOnly:   exact0.modelSec / both.resultsOnlySec,
+				})
+			}
 		}
 	}
 	return rows, nil
@@ -261,12 +339,13 @@ func RunSkew(ss []float64, budgets []int64) ([]SkewRow, error) {
 // FormatSkew renders the caching-tier sweep.
 func FormatSkew(rows []SkewRow) string {
 	var sb strings.Builder
-	sb.WriteString("DRAM caching tier under Zipfian skew and bursty churn (REIS-SSD1)\n")
-	fmt.Fprintf(&sb, "%-10s %5s %10s %9s %11s %12s %10s %10s %8s\n",
-		"dataset", "s", "budget", "hit rate", "fine pages", "cached pages", "base fine", "model QPS", "speedup")
+	sb.WriteString("DRAM caching tier under Zipfian skew and bursty churn (REIS-SSD1 and its four-plane cut)\n")
+	fmt.Fprintf(&sb, "%-10s %-8s %5s %8s %9s %11s %12s %10s %10s %10s %13s %8s\n",
+		"dataset", "device", "s", "budget", "hit rate", "fine pages", "cached pages", "base fine", "model QPS", "pins only", "results only", "both")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %5.2f %9dK %8.1f%% %11.1f %12.1f %10.1f %10.1f %7.2fx\n",
-			r.Dataset, r.S, r.Budget>>10, r.HitRate*100, r.FinePages, r.CachedPages, r.BaseFinePages, r.ModelQPS, r.Speedup)
+		fmt.Fprintf(&sb, "%-10s %-8s %5.2f %7dK %8.1f%% %11.1f %12.1f %10.1f %10.1f %9.2fx %12.2fx %7.2fx\n",
+			r.Dataset, r.Device, r.S, r.Budget>>10, r.HitRate*100, r.FinePages, r.CachedPages, r.BaseFinePages, r.ModelQPS,
+			r.PinsOnly, r.ResultsOnly, r.Speedup)
 	}
 	return sb.String()
 }

@@ -33,10 +33,10 @@ func TestHostSurface(t *testing.T) {
 		want []string
 	}{
 		{"*Engine methods", reflect.TypeOf(&Engine{}), []string{
-			"ASICLatency", "BatchLatency", "CalibrateNProbe", "Close", "DB", "JournalBytes",
+			"ASICLatency", "BatchLatency", "CacheStats", "CalibrateNProbe", "Close", "DB", "JournalBytes",
 			"Latency", "NewQueue", "Ready", "ReplayJournal", "Submit"}},
 		{"*ShardedEngine methods", reflect.TypeOf(&ShardedEngine{}), []string{
-			"BatchLatency", "CalibrateNProbe", "Close", "DB", "JournalBytes",
+			"BatchLatency", "CacheStats", "CalibrateNProbe", "Close", "DB", "JournalBytes",
 			"Latency", "NewQueue", "Ready", "ReplayJournal", "Shard", "Shards", "Submit"}},
 		{"QueueConfig fields", reflect.TypeOf(QueueConfig{}), []string{"Depth", "Completions"}},
 	} {

@@ -2,8 +2,9 @@ package reis
 
 import (
 	"math"
-	"sort"
+	"slices"
 
+	"reis/internal/ssd"
 	"reis/internal/vecmath"
 )
 
@@ -13,12 +14,16 @@ import (
 // two levels:
 //
 //   - Hot-cluster cache: binary pages (data + OOB) of the most-probed
-//     IVF clusters are pinned in controller DRAM, selected by decayed
-//     probe-frequency counters, and scanned with the same
-//     XorPopCountSlots kernel the planes run — same distances, same
-//     filter and bound predicates, same (Dist, DADR) entry order — so
-//     results are bit-identical to the flash scan while the work is
-//     reported in the separate CachedPages/CachedSlots counters.
+//     IVF clusters are pinned in controller DRAM, ranked by decayed
+//     probe-frequency counters and admitted only where the timing model
+//     says a DRAM scan beats the flash one (refresh: on a device whose
+//     planes take a whole probe in one wave, nothing is), and scanned
+//     with the same XorPopCountSlots kernel the planes run — same
+//     distances, same filter and bound predicates, same (Dist, DADR)
+//     entry order — so results are bit-identical to the flash scan while
+//     the work is reported in the separate CachedPages/CachedSlots
+//     counters. Pinned pages live in an arena of recycled buffers, so a
+//     pin set that churns with popularity allocates nothing.
 //   - Result cache: a byte-accounted LRU over finished per-query
 //     results, keyed on the search opcode, resolved options, and the
 //     raw query bits, serving exact repeats at controller cost
@@ -27,14 +32,16 @@ import (
 // Determinism contract: every cache decision is a pure function of the
 // command stream. Counters decay by a fixed factor at the start of each
 // IVF search command and increment in cluster-selection order, the pin
-// set is a greedy first-fit over (count desc, id asc), and the result
-// LRU mutates only on lookups and inserts the single-device reference
-// performs identically — so a sharded topology and its N×channels
-// reference hold bit-identical cache state at every step. Any mutation
-// (append, delete, compact) atomically drops all pinned pages and all
-// cached results before the command returns, making a stale hit
-// impossible by construction; probe counters survive, so popularity
-// re-pins the same clusters from the mutated pages.
+// set is a greedy first-fit over (count desc, id asc) of the clusters
+// admission passes — decided from global pages and the host's global
+// plane count — and the result LRU mutates only on lookups and inserts
+// the single-device reference performs identically — so a sharded
+// topology and its N×channels reference hold bit-identical cache state
+// at every step. Any mutation (append, delete, compact) atomically drops
+// all pinned pages and all cached results before the command returns,
+// making a stale hit impossible by construction; probe counters and the
+// last command's probe width survive, so popularity re-pins the same
+// clusters from the mutated pages.
 const (
 	// cacheDecay multiplies every probe counter at each refresh; one
 	// refresh happens per IVF search command, so roughly the last few
@@ -52,25 +59,24 @@ const (
 	resultCacheHitAccesses = 400
 )
 
-// pinFetch reads one binary-region page (by global page number) into
-// freshly owned buffers — hostCore.fetchPin, from the device that owns
-// the page, whose local copy is byte-identical to the reference
-// device's (see Engine.install).
-type pinFetch func(page int) (data, oob []byte, err error)
+// pinFetch reads one binary-region page (by global page number) into buf
+// — the page's data followed by its OOB — hostCore.fetchPin, from the
+// device that owns the page, whose local copy is byte-identical to the
+// reference device's (see Engine.install).
+type pinFetch func(page int, buf []byte) error
 
 // pinnedRange is the DRAM copy of one posting-list slot range.
 type pinnedRange struct {
-	first, last int // slot positions [first, last], region-global
-	firstPage   int
-	pages       [][]byte
-	oobs        [][]byte
+	first, last int      // slot positions [first, last], region-global
+	pages       [][]byte // its pages in order, a window of the cluster's
 }
 
 // pinnedCluster is the DRAM copy of one cluster's posting list, one
-// pinnedRange per SlotRange, in posting-list order.
+// pinnedRange per SlotRange, in posting-list order. Each page is one
+// arena buffer: data, then OOB.
 type pinnedCluster struct {
 	ranges []pinnedRange
-	bytes  int64
+	pages  [][]byte
 }
 
 // resEntry is one result-cache record on the LRU list.
@@ -81,17 +87,45 @@ type resEntry struct {
 	prev, next *resEntry
 }
 
+// CacheStats is the caching tier's state and the history of its pin
+// decisions since deploy (hostCore.CacheStats): what "why is nothing
+// pinned" is answered from. Every field is a pure function of the
+// command stream, so replicas and topologies report identical values.
+type CacheStats struct {
+	// PinnedBytes is the controller DRAM pinned cluster pages hold now.
+	PinnedBytes int64
+	// PinFills and PinEvictions count pages read into pins and pages
+	// dropped from them (by a refresh or a mutation's invalidation).
+	PinFills, PinEvictions int64
+	// Refreshes counts IVF search commands — each re-decides the pin
+	// set — and GateShut those the wave gate kept from pinning anything.
+	Refreshes, GateShut int64
+}
+
 // dbCache is the per-database DRAM caching tier. All methods are
 // nil-receiver safe, so call sites stay unconditional; a nil cache
 // (CacheDRAMBytes == 0) behaves exactly like the uncached engine.
 type dbCache struct {
 	pinBudget int64
 	resBudget int64
-	pageCost  int64 // DRAM bytes per pinned page (page + OOB)
+	f         *pageFormat
 
-	counts    []float64 // per-cluster decayed probe counters
-	pins      map[int]*pinnedCluster
-	pinnedLen int64
+	// Admission operands (see refresh): the host's global plane count, the
+	// core time of one pinned slot and the time one page holds a plane —
+	// the timing model's own terms, at unit scale.
+	planes         int
+	slotNs, waveNs float64
+	// probePages is the largest per-query probe, in global pages, of the
+	// IVF command selecting now — by the next refresh, of the previous one.
+	probePages int
+
+	counts []float64        // per-cluster decayed probe counters
+	pins   []*pinnedCluster // per cluster; nil when not pinned
+	stats  CacheStats
+	// The arena: page buffers and cluster records released by eviction,
+	// which the next fills take before anything is allocated.
+	freePages [][]byte
+	freePins  []*pinnedCluster
 
 	res      map[string]*resEntry
 	resBytes int64
@@ -100,33 +134,51 @@ type dbCache struct {
 
 	// scratch
 	order  []int
+	want   []bool // refresh: clusters admitted this time
+	key    []byte
 	qRep   []byte
 	xorDst []byte
 	dists  []int
 }
 
-// newDBCache sizes the tier: 1/resultCacheDivisor of the budget goes to
-// the result cache, the rest pins cluster pages. nlist is 0 for flat
-// databases (result cache only).
-func newDBCache(budget int64, pageBytes, oobBytes, nlist int) *dbCache {
-	resBudget := budget / resultCacheDivisor
+// newDBCache sizes the tier from the host's single-device-equivalent
+// config: 1/resultCacheDivisor of the budget goes to the result cache,
+// the rest pins cluster pages. nlist is 0 for flat databases (result
+// cache only).
+func newDBCache(cfg ssd.Config, f *pageFormat, nlist int) *dbCache {
+	resBudget := cfg.CacheDRAMBytes / resultCacheDivisor
 	return &dbCache{
-		pinBudget: budget - resBudget,
+		pinBudget: cfg.CacheDRAMBytes - resBudget,
 		resBudget: resBudget,
-		pageCost:  int64(pageBytes + oobBytes),
+		f:         f,
+		planes:    cfg.Geo.Planes(),
+		slotNs:    pinnedSlotNs(cfg, f.slotBytes),
+		waveNs:    float64(planeWaveTime(cfg.Flash)),
 		counts:    make([]float64, nlist),
-		pins:      make(map[int]*pinnedCluster),
+		pins:      make([]*pinnedCluster, nlist),
+		want:      make([]bool, nlist),
 		res:       make(map[string]*resEntry),
 	}
 }
 
-// probe records one cluster selection. Called in per-query rank order,
-// queries in batch order — the same order on every topology.
-func (c *dbCache) probe(cluster int) {
+// probe records one cluster selection and returns the pages its posting
+// list spans, which the controller sums per query for probed. Called in
+// per-query rank order, queries in batch order — the same order on every
+// topology.
+func (c *dbCache) probe(cluster int, segs []SlotRange) int {
 	if c == nil || cluster < 0 || cluster >= len(c.counts) {
-		return
+		return 0
 	}
 	c.counts[cluster]++
+	pages, _ := c.extent(segs)
+	return pages
+}
+
+// probed closes one query's selection: pages is the sum of its probes.
+func (c *dbCache) probed(pages int) {
+	if c != nil {
+		c.probePages = max(c.probePages, pages)
+	}
 }
 
 // pinnedFor returns the pinned copy of a cluster, or nil.
@@ -138,13 +190,28 @@ func (c *dbCache) pinnedFor(cluster int) *pinnedCluster {
 }
 
 // refresh runs once at the start of each IVF search command: decay the
-// probe counters, recompute the pin set (greedy first-fit over clusters
-// by decayed count descending, id ascending, skipping clusters that do
-// not fit), drop stale pins and fill new ones through fetch. Pin
-// decisions therefore lag the command that makes a cluster hot by one
-// command — the fill is modeled as a background prefetch between
-// commands and costs nothing in the timing model.
-func (c *dbCache) refresh(segsOf func(cluster int) []SlotRange, embPerPage int, fetch pinFetch) error {
+// probe counters, re-decide the pin set, drop stale pins and fill new
+// ones through fetch. Pin decisions therefore lag the command that makes
+// a cluster hot by one command — the fill is modeled as a background
+// prefetch between commands and costs nothing in the timing model.
+//
+// Admission is the timing model's arithmetic (timing.go), at unit scale,
+// the only scale the engine knows:
+//
+//   - Wave gate. scanOccupancy charges a fine scan ceil(pages/planes)
+//     waves, and a pin cannot shorten one wave. While the previous
+//     command's largest per-query probe fits in one (probePages <=
+//     planes), nothing is pinned and nothing is ranked.
+//   - Share test. Past the gate, clusters are taken greedily by (decayed
+//     count desc, id asc) while they fit the budget, and only when
+//     scanning the cluster from DRAM holds the one controller core for
+//     less time than its pages hold their share of the planes:
+//     slots x pinnedSlotNs < pages x planeWaveTime / planes. Padding
+//     pages count — a padded page still costs a full sense.
+//
+// Pages and planes are global (the single-device-equivalent geometry), so
+// a sharded host and its N x channels reference hold the same pin set.
+func (c *dbCache) refresh(buckets [][]SlotRange, fetch pinFetch) error {
 	if c == nil || len(c.counts) == 0 || c.pinBudget <= 0 {
 		return nil
 	}
@@ -158,72 +225,127 @@ func (c *dbCache) refresh(segsOf func(cluster int) []SlotRange, embPerPage int, 
 		order = append(order, i)
 	}
 	c.order = order
-	sort.Slice(order, func(a, b int) bool {
-		ca, cb := c.counts[order[a]], c.counts[order[b]]
-		if ca != cb {
-			return ca > cb
+	c.stats.Refreshes++
+	probe := c.probePages
+	c.probePages = 0
+	if probe <= c.planes {
+		c.stats.GateShut++
+		c.dropPins()
+		return nil
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if ca, cb := c.counts[a], c.counts[b]; ca != cb {
+			if ca > cb {
+				return -1
+			}
+			return 1
 		}
-		return order[a] < order[b]
+		return a - b
 	})
-	desired := make(map[int]int64, len(order))
+	clear(c.want)
 	var used int64
 	for _, cl := range order {
-		cost := c.clusterCost(segsOf(cl), embPerPage)
-		if cost == 0 || used+cost > c.pinBudget {
+		pages, slots := c.extent(buckets[cl])
+		cost := int64(pages) * c.pageCost()
+		if pages == 0 || used+cost > c.pinBudget ||
+			float64(slots)*c.slotNs*float64(c.planes) >= float64(pages)*c.waveNs {
 			continue
 		}
-		desired[cl] = cost
+		c.want[cl] = true
 		used += cost
 	}
 	for cl, pc := range c.pins {
-		if _, ok := desired[cl]; !ok {
-			c.pinnedLen -= pc.bytes
-			delete(c.pins, cl)
+		if pc != nil && !c.want[cl] {
+			c.release(cl)
 		}
 	}
 	for _, cl := range order {
-		cost, ok := desired[cl]
-		if !ok {
+		if !c.want[cl] || c.pins[cl] != nil {
 			continue
 		}
-		if _, ok := c.pins[cl]; ok {
-			continue
+		if err := c.fill(cl, buckets[cl], fetch); err != nil {
+			return err
 		}
-		pc := &pinnedCluster{bytes: cost}
-		for _, r := range segsOf(cl) {
-			pr, err := fillRange(r.First, r.Last, embPerPage, fetch)
-			if err != nil {
-				return err
-			}
-			pc.ranges = append(pc.ranges, pr)
-		}
-		c.pins[cl] = pc
-		c.pinnedLen += cost
 	}
 	return nil
 }
 
-// clusterCost is the DRAM bytes pinning a cluster's posting list costs.
-func (c *dbCache) clusterCost(segs []SlotRange, embPerPage int) int64 {
-	var pages int64
-	for _, r := range segs {
-		pages += int64(r.Last/embPerPage - r.First/embPerPage + 1)
-	}
-	return pages * c.pageCost
+// pageCost is the DRAM bytes of one pinned page (data + OOB).
+func (c *dbCache) pageCost() int64 { return int64(c.f.pageBytes + c.f.oobBytes) }
+
+// span is the pages one slot range touches.
+func (c *dbCache) span(r SlotRange) int {
+	return r.Last/c.f.embPerPage - r.First/c.f.embPerPage + 1
 }
 
-func fillRange(first, last, embPerPage int, fetch pinFetch) (pinnedRange, error) {
-	fp, lp := first/embPerPage, last/embPerPage
-	pr := pinnedRange{first: first, last: last, firstPage: fp}
-	for p := fp; p <= lp; p++ {
-		data, oob, err := fetch(p)
-		if err != nil {
-			return pr, err
-		}
-		pr.pages = append(pr.pages, data)
-		pr.oobs = append(pr.oobs, oob)
+// extent is the pages a posting list spans and the slots it holds.
+func (c *dbCache) extent(segs []SlotRange) (pages, slots int) {
+	for _, r := range segs {
+		pages += c.span(r)
+		slots += r.Last - r.First + 1
 	}
-	return pr, nil
+	return pages, slots
+}
+
+// fill pins one cluster: a recycled record and recycled page buffers
+// where eviction left any, fresh ones otherwise.
+func (c *dbCache) fill(cl int, segs []SlotRange, fetch pinFetch) error {
+	var pc *pinnedCluster
+	if n := len(c.freePins); n > 0 {
+		pc, c.freePins = c.freePins[n-1], c.freePins[:n-1]
+	} else {
+		pc = &pinnedCluster{}
+	}
+	for _, r := range segs {
+		for p := r.First / c.f.embPerPage; p <= r.Last/c.f.embPerPage; p++ {
+			var buf []byte
+			if n := len(c.freePages); n > 0 {
+				buf, c.freePages = c.freePages[n-1], c.freePages[:n-1]
+			} else {
+				buf = make([]byte, c.pageCost())
+			}
+			pc.pages = append(pc.pages, buf)
+			if err := fetch(p, buf); err != nil {
+				c.recycle(pc)
+				return err
+			}
+		}
+	}
+	off := 0
+	for _, r := range segs {
+		n := c.span(r)
+		pc.ranges = append(pc.ranges, pinnedRange{first: r.First, last: r.Last, pages: pc.pages[off : off+n]})
+		off += n
+	}
+	c.pins[cl] = pc
+	c.stats.PinFills += int64(len(pc.pages))
+	c.stats.PinnedBytes += int64(len(pc.pages)) * c.pageCost()
+	return nil
+}
+
+// release unpins a cluster.
+func (c *dbCache) release(cl int) {
+	pc := c.pins[cl]
+	c.pins[cl] = nil
+	c.stats.PinEvictions += int64(len(pc.pages))
+	c.stats.PinnedBytes -= int64(len(pc.pages)) * c.pageCost()
+	c.recycle(pc)
+}
+
+// recycle returns a cluster record and its page buffers to the arena.
+func (c *dbCache) recycle(pc *pinnedCluster) {
+	c.freePages = append(c.freePages, pc.pages...)
+	pc.pages, pc.ranges = pc.pages[:0], pc.ranges[:0]
+	c.freePins = append(c.freePins, pc)
+}
+
+// dropPins releases every pinned cluster.
+func (c *dbCache) dropPins() {
+	for cl, pc := range c.pins {
+		if pc != nil {
+			c.release(cl)
+		}
+	}
 }
 
 // cachedScanParams carries the per-query predicates of a pinned scan —
@@ -263,8 +385,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 	dists := c.dists[:f.embPerPage]
 	firstPage, lastPage := pr.first/f.embPerPage, pr.last/f.embPerPage
 	for pg := firstPage; pg <= lastPage; pg++ {
-		data := pr.pages[pg-pr.firstPage]
-		oob := pr.oobs[pg-pr.firstPage]
+		data, oob := pr.pages[pg-firstPage][:f.pageBytes], pr.pages[pg-firstPage][f.pageBytes:]
 		pages++
 		lo, hi := 0, f.embPerPage-1
 		if pg == firstPage {
@@ -300,12 +421,14 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 
 // resultKey encodes everything a per-query result depends on: the
 // opcode kind, k, the resolved options, and the raw float32 bits of the
-// query. The cache is per-database, so the db id is implicit.
-func resultKey(op uint8, k int, opt SearchOptions, query []float32) string {
-	buf := make([]byte, 0, 12+4*len(query))
-	var flags uint8
+// query. The cache is per-database, so the db id is implicit. The key is
+// built in the cache's one buffer and is good until the next call;
+// lookups read it in place and only an insert makes a string of it.
+func (c *dbCache) resultKey(op uint8, k int, opt SearchOptions, query []float32) []byte {
+	var flags, tag uint8
 	if opt.MetaTag != nil {
 		flags |= 1
+		tag = *opt.MetaTag
 	}
 	if opt.SkipDocs {
 		flags |= 2
@@ -313,27 +436,21 @@ func resultKey(op uint8, k int, opt SearchOptions, query []float32) string {
 	if opt.Prune {
 		flags |= 4
 	}
-	tag := uint8(0)
-	if opt.MetaTag != nil {
-		tag = *opt.MetaTag
-	}
-	buf = append(buf, op, flags, tag,
+	buf := append(c.key[:0], op, flags, tag,
 		byte(k), byte(k>>8), byte(k>>16), byte(k>>24),
 		byte(opt.NProbe), byte(opt.NProbe>>8), byte(opt.NProbe>>16), byte(opt.NProbe>>24))
 	for _, f := range query {
 		v := math.Float32bits(f)
 		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
 	}
-	return string(buf)
+	c.key = buf
+	return buf
 }
 
 // lookupResult returns a deep copy of the cached results for key, if
 // present, and marks the entry most recently used.
-func (c *dbCache) lookupResult(key string) ([]DocResult, bool) {
-	if c == nil {
-		return nil, false
-	}
-	en, ok := c.res[key]
+func (c *dbCache) lookupResult(key []byte) ([]DocResult, bool) {
+	en, ok := c.res[string(key)]
 	if !ok {
 		return nil, false
 	}
@@ -343,22 +460,19 @@ func (c *dbCache) lookupResult(key string) ([]DocResult, bool) {
 
 // storeResult inserts a deep copy of res under key, evicting from the
 // LRU tail until the byte budget holds. Oversized entries are skipped.
-func (c *dbCache) storeResult(key string, res []DocResult) {
-	if c == nil || c.resBudget <= 0 {
-		return
-	}
+func (c *dbCache) storeResult(key []byte, res []DocResult) {
 	cp := copyResults(res)
-	bytes := resultBytes(key, cp)
+	bytes := resultBytes(len(key), cp)
 	if bytes > c.resBudget {
 		return
 	}
-	if en, ok := c.res[key]; ok {
+	if en, ok := c.res[string(key)]; ok {
 		c.resBytes += bytes - en.bytes
 		en.res, en.bytes = cp, bytes
 		c.moveFront(en)
 	} else {
-		en := &resEntry{key: key, res: cp, bytes: bytes}
-		c.res[key] = en
+		en := &resEntry{key: string(key), res: cp, bytes: bytes}
+		c.res[en.key] = en
 		c.resBytes += bytes
 		c.pushFront(en)
 	}
@@ -377,8 +491,7 @@ func (c *dbCache) invalidate() {
 	if c == nil {
 		return
 	}
-	clear(c.pins)
-	c.pinnedLen = 0
+	c.dropPins()
 	clear(c.res)
 	c.resBytes = 0
 	c.lruHead, c.lruTail = nil, nil
@@ -417,19 +530,31 @@ func (c *dbCache) moveFront(en *resEntry) {
 	c.pushFront(en)
 }
 
+// copyResults deep-copies a query's results: the records, and their
+// documents in one block, each result a capacity-bounded window of it —
+// the shape hostCore.tail builds them in.
 func copyResults(res []DocResult) []DocResult {
-	cp := make([]DocResult, len(res))
+	cp := slices.Clone(res)
+	n := 0
+	for _, r := range res {
+		n += len(r.Doc)
+	}
+	if n == 0 {
+		return cp
+	}
+	docs := make([]byte, 0, n)
 	for i, r := range res {
-		cp[i] = r
 		if r.Doc != nil {
-			cp[i].Doc = append([]byte(nil), r.Doc...)
+			lo := len(docs)
+			docs = append(docs, r.Doc...)
+			cp[i].Doc = docs[lo:len(docs):len(docs)]
 		}
 	}
 	return cp
 }
 
-func resultBytes(key string, res []DocResult) int64 {
-	b := int64(len(key))
+func resultBytes(keyLen int, res []DocResult) int64 {
+	b := int64(keyLen)
 	for _, r := range res {
 		b += 32 + int64(len(r.Doc))
 	}

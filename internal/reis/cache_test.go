@@ -1,19 +1,21 @@
 package reis
 
 import (
+	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"reis/internal/ssd"
 )
 
-// Cache test budgets. With the shard test geometry (4096B pages, 1024B
-// OOB) and the 128-dim test data (16B slots, 256 per page), each of the
-// 16 IVF clusters spans about one binary page, so:
+// Cache test budgets. On the pinned-scan geometry (pinGeo: 512B pages,
+// so the 128-dim test data's 16B slots sit 32 to a page and the 16 IVF
+// clusters span 45 pages, each 2 KiB of DRAM with its OOB):
 //
-//   - cacheSmallBudget pins only some of the hot clusters and holds only
-//     a few results — both tiers run mixed with the flash path;
+//   - cacheSmallBudget pins about half the clusters' pages and holds
+//     only a few results — both tiers run mixed with the flash path;
 //   - cacheBigBudget pins every cluster and holds every per-query result
 //     of the shared test query set — the all-cached extreme.
 const (
@@ -21,16 +23,46 @@ const (
 	cacheBigBudget   = 256 << 10
 )
 
-func cachedRefCfg(n int, budget int64) ssd.Config {
-	cfg := refCfg(n)
-	cfg.CacheDRAMBytes = budget
+// pinGeo re-homes a test config on the geometry the pinned-scan suites
+// run on: one channel of one two-plane die per shard (2, 4, 8 planes on
+// the 1-, 2-, 4-shard references) under 512-byte pages with a 1536-byte
+// OOB. Pin admission
+// (dbCache.refresh) pins nothing while the widest probe of a command
+// fits the planes in one wave; on shardTestCfg — 8 to 32 planes, one page
+// a cluster — no script of these suites ever would, and scanPinned would
+// go untested. Here the narrowest probe (nprobe 4, about 12 pages)
+// outgrows the widest device.
+func pinGeo(cfg ssd.Config) ssd.Config {
+	cfg.Geo.Channels = 1
+	cfg.Geo.DiesPerChannel = 1
+	cfg.Geo.BlocksPerPlane = 160
+	cfg.Geo.PageBytes = 512
+	cfg.Geo.OOBBytes = 1536
 	return cfg
 }
 
 func cachedShardCfg(budget int64) ssd.Config {
-	cfg := shardTestCfg()
+	cfg := pinGeo(shardTestCfg())
 	cfg.CacheDRAMBytes = budget
 	return cfg
+}
+
+// cachedRefCfg is the single-device equivalent of n shards of
+// cachedShardCfg.
+func cachedRefCfg(n int, budget int64) ssd.Config {
+	cfg := cachedShardCfg(budget)
+	cfg.Geo.Channels *= n
+	return cfg
+}
+
+// pinnedPages sums the pages a script's responses served from pins. The
+// pinned-scan suites assert it is positive: an equivalence that holds
+// because nothing was pinned proves nothing.
+func pinnedPages(resps []HostResponse) (n int) {
+	for _, r := range resps {
+		n += r.Stats.CachedPages
+	}
+	return n
 }
 
 // cacheInvariant checks the page-partition invariant per query: on the
@@ -107,7 +139,7 @@ func cacheScript(t *testing.T, h submitter) []HostResponse {
 func TestCachedMatchesUncached(t *testing.T) {
 	for _, budget := range []int64{cacheSmallBudget, cacheBigBudget} {
 		t.Run(fmt.Sprintf("budget=%dKiB", budget>>10), func(t *testing.T) {
-			uncached, err := New(refCfg(1), 64<<20, AllOptions())
+			uncached, err := New(cachedRefCfg(1, 0), 64<<20, AllOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,15 +180,14 @@ func TestCachedMatchesUncached(t *testing.T) {
 						cacheInvariant(t, name, got[i], base[i])
 					}
 				}
-				hits, cachedPages := 0, 0
+				hits := 0
 				for _, resp := range got {
 					hits += resp.Stats.ResultCacheHits
-					cachedPages += resp.Stats.CachedPages
 				}
 				// The script repeats the same hot query set, so the tier
 				// must actually engage: pinned pages served from DRAM,
 				// and (at the big budget) result-cache hits.
-				if cachedPages == 0 {
+				if pinnedPages(got) == 0 {
 					t.Errorf("n=%d: no pinned-cluster pages served across the script", n)
 				}
 				if budget == cacheBigBudget && hits == 0 {
@@ -187,6 +218,7 @@ func TestCachedSeqMatchesBatch(t *testing.T) {
 	t.Cleanup(func() { batch.Close() })
 	deployBoth(t, batch.Submit)
 
+	seqPinned, batchPinned := 0, 0
 	for round := 0; round < 3; round++ {
 		opt := SearchOptions{NProbe: 4 + round}
 		want, wantSts := search(t, batch, OpcodeIVFSearch, 2, testData.Queries, 10, opt)
@@ -198,7 +230,12 @@ func TestCachedSeqMatchesBatch(t *testing.T) {
 			if st.ResultCacheHits+wantSts[qi].ResultCacheHits != 0 {
 				t.Fatalf("round %d q%d: served from the result cache, the pins were not compared", round, qi)
 			}
+			seqPinned += st.CachedPages
+			batchPinned += wantSts[qi].CachedPages
 		}
+	}
+	if seqPinned == 0 || batchPinned == 0 {
+		t.Errorf("pinned pages served: %d sequential, %d batched — both hosts must scan pins", seqPinned, batchPinned)
 	}
 }
 
@@ -223,15 +260,20 @@ func TestCachedMatchesUncachedMutated(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			for _, n := range shardCounts {
-				plain, err := New(mutRefCfg(n), 64<<20, AllOptions())
+				// One shard's device, its n x channels reference, and — for
+				// the uncached baseline, whose results and global page counts
+				// do not depend on the plane count — the shard device again.
+				shCfg := pinGeo(mutTestCfg())
+				plain, err := New(shCfg, 64<<20, AllOptions())
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { plain.Close() })
 				base := runMutScript(t, plain, c, ivf, 0)
 
-				cachedCfg := mutRefCfg(n)
-				cachedCfg.CacheDRAMBytes = budget
+				shCfg.CacheDRAMBytes = budget
+				cachedCfg := shCfg
+				cachedCfg.Geo.Channels *= n
 				single, err := New(cachedCfg, 64<<20, AllOptions())
 				if err != nil {
 					t.Fatal(err)
@@ -239,8 +281,6 @@ func TestCachedMatchesUncachedMutated(t *testing.T) {
 				t.Cleanup(func() { single.Close() })
 				got := runMutScript(t, single, c, ivf, 0)
 
-				shCfg := mutTestCfg()
-				shCfg.CacheDRAMBytes = budget
 				sh, err := NewSharded(shCfg, n, 64<<20, AllOptions())
 				if err != nil {
 					t.Fatal(err)
@@ -258,6 +298,12 @@ func TestCachedMatchesUncachedMutated(t *testing.T) {
 							name, briefResp(gotSh[i]), briefResp(got[i]))
 					}
 					cacheInvariant(t, name, got[i], base[i])
+				}
+				// Every search of the script follows a mutation, which drops
+				// the pins; the probe counters and the last probe width
+				// survive it, so each re-pins and scans from DRAM.
+				if ivf && pinnedPages(got) == 0 {
+					t.Errorf("n=%d: no pinned-cluster pages served across the mutation script", n)
 				}
 
 				// Duplicate final search: no mutation in between, so the
@@ -288,5 +334,265 @@ func TestCachedMatchesUncachedMutated(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPinAdmission pins the two admission rules of dbCache.refresh to
+// their arithmetic. On SSD1's timing a wave holds a plane 28 µs (22.5 µs
+// SLC-ESP sense + 5.5 µs latch compute) and a pinned 32-byte slot holds
+// the core 10.33 ns (5 ns DRAM + 8 words at 1.5 GHz), so a one-page
+// cluster of s slots pays iff s x 10.33 ns < 28 µs / planes: under 339
+// slots on 8 planes, under 43 on 64, under 11 on 256 — and never while
+// the previous command's widest probe fits the planes in one wave.
+func TestPinAdmission(t *testing.T) {
+	geos := map[int][3]int{8: {2, 2, 2}, 64: {8, 4, 2}, 256: {8, 16, 2}}
+	f := &pageFormat{slotBytes: 32, embPerPage: 512, pageBytes: 16384, oobBytes: 512 * oobBytesPerSlot}
+	newCache := func(planes int) *dbCache {
+		cfg := ssd.SSD1()
+		g := geos[planes]
+		cfg.Geo.Channels, cfg.Geo.DiesPerChannel, cfg.Geo.PlanesPerDie = g[0], g[1], g[2]
+		cfg.CacheDRAMBytes = 1 << 20
+		if cfg.Geo.Planes() != planes {
+			t.Fatalf("geometry %v has %d planes, want %d", g, cfg.Geo.Planes(), planes)
+		}
+		return newDBCache(cfg, f, 2)
+	}
+	fetched := 0
+	fetch := func(page int, buf []byte) error {
+		if len(buf) != f.pageBytes+f.oobBytes {
+			t.Fatalf("fetch buffer of %d bytes", len(buf))
+		}
+		fetched++
+		return nil
+	}
+	// One cluster (id 0) of a single page holding `slots` slots, probed by
+	// a command whose widest probe spanned `probe` pages.
+	command := func(c *dbCache, buckets [][]SlotRange, probe int) {
+		c.probe(0, buckets[0])
+		c.probed(probe)
+	}
+	for _, tc := range []struct {
+		planes, slots int
+		admit         bool // past the gate, by the share test
+	}{
+		{8, 32, true}, {8, 128, true}, {8, 338, true}, {8, 339, false}, {8, 512, false},
+		{64, 32, true}, {64, 42, true}, {64, 43, false}, {64, 128, false}, {64, 512, false},
+		{256, 10, true}, {256, 11, false}, {256, 32, false}, {256, 128, false}, {256, 512, false},
+	} {
+		buckets := [][]SlotRange{{{First: 0, Last: tc.slots - 1}}, nil}
+		for _, probe := range []int{tc.planes - 1, tc.planes, tc.planes + 1} {
+			c := newCache(tc.planes)
+			command(c, buckets, probe)
+			if err := c.refresh(buckets, fetch); err != nil {
+				t.Fatal(err)
+			}
+			want := tc.admit && probe > tc.planes
+			if got := c.pinnedFor(0) != nil; got != want {
+				t.Errorf("%d planes, %d-slot page, probe of %d pages: pinned %v, want %v", tc.planes, tc.slots, probe, got, want)
+			}
+			if shut := c.stats.GateShut == 1; shut != (probe <= tc.planes) {
+				t.Errorf("%d planes, probe of %d pages: gate shut %v", tc.planes, probe, shut)
+			}
+		}
+	}
+
+	// The decision follows the command stream: nothing is pinned by the
+	// first command after deploy (no probe has been seen), a wide probe
+	// opens the gate for the next command, a narrow one shuts it and drops
+	// the pins, and a mutation drops them while the counters and the probe
+	// width survive — the next command re-pins without a warm-up.
+	c := newCache(8)
+	buckets := [][]SlotRange{{{First: 0, Last: 127}}, {{First: 512, Last: 639}, {First: 1024, Last: 1030}}}
+	step := func(what string, wantPinned int64, wantFetched int) {
+		t.Helper()
+		if err := c.refresh(buckets, fetch); err != nil {
+			t.Fatal(err)
+		}
+		if got := c.stats.PinnedBytes / c.pageCost(); got != wantPinned || fetched != wantFetched {
+			t.Fatalf("%s: %d pages pinned after %d fetches, want %d after %d", what, got, fetched, wantPinned, wantFetched)
+		}
+	}
+	fetched = 0
+	step("first command after deploy", 0, 0)
+	c.probe(0, buckets[0])
+	c.probe(1, buckets[1])
+	c.probed(9)
+	step("after a 9-page probe on 8 planes", 3, 3)
+	c.probe(1, buckets[1])
+	c.probed(9)
+	step("pins held", 3, 3)
+	c.probe(1, buckets[1])
+	c.probed(9)
+	c.invalidate()
+	if c.stats.PinnedBytes != 0 || c.pinnedFor(0) != nil || c.pinnedFor(1) != nil {
+		t.Fatalf("pins survived invalidate: %+v", c.stats)
+	}
+	step("first command after invalidate", 3, 6)
+	c.probe(1, buckets[1])
+	c.probed(8)
+	step("after an 8-page probe", 0, 6)
+	if want := (CacheStats{PinFills: 6, PinEvictions: 6, Refreshes: 5, GateShut: 2}); c.stats != want {
+		t.Fatalf("stats %+v, want %+v", c.stats, want)
+	}
+	if len(c.freePages) != 3 || len(c.freePins) != 2 {
+		t.Fatalf("arena holds %d pages and %d records, want the 3 and 2 ever pinned at once", len(c.freePages), len(c.freePins))
+	}
+}
+
+// pinTrace serves a command stream and records, after every command, the
+// database's pinned clusters and CacheStats.
+func pinTrace(t *testing.T, h submitter, core *hostCore, dbID int, cmds []HostCommand) (sets [][]int, stats []CacheStats) {
+	t.Helper()
+	for _, cmd := range cmds {
+		mustSubmit(t, h, cmd)
+		var set []int
+		for cl, pc := range core.dbs[dbID].cache.pins {
+			if pc != nil {
+				set = append(set, cl)
+			}
+		}
+		cs, err := core.CacheStats(dbID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sets, stats = append(sets, set), append(stats, cs)
+	}
+	return sets, stats
+}
+
+// TestPinSetsAcrossTopologies: pin admission reads global pages and the
+// host's global plane count, so a sharded host and its N x channels
+// reference hold identical pin sets and counters after every command —
+// across widening and narrowing probes, pruning, one-query commands and a
+// mutation — and so does every run at GOMAXPROCS 1 and 4.
+func TestPinSetsAcrossTopologies(t *testing.T) {
+	q := testData.Queries
+	ivf := func(queries [][]float32, nprobe int, prune bool) HostCommand {
+		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: nprobe,
+			Opt: SearchOptions{SkipDocs: true, Prune: prune}}
+	}
+	cmds := []HostCommand{
+		ivf(q[:8], 4, false), ivf(q[8:16], 4, false), ivf(q[:1], 6, false), ivf(q[1:2], 1, false),
+		ivf(q[2:3], 4, false), ivf(q[4:12], 8, true), ivf(q[12:], 2, true),
+		{Opcode: OpcodeDelete, DBID: 2, Del: &DeleteConfig{IDs: []int{3, 5}}},
+		ivf(q[:8], 5, false), ivf(q[8:16], 3, true),
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range shardCounts {
+		var wantSets [][]int
+		var wantStats []CacheStats
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
+			single, err := New(cachedRefCfg(n, cacheSmallBudget), 64<<20, AllOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			deployBoth(t, single.Submit)
+			sh, err := NewSharded(cachedShardCfg(cacheSmallBudget), n, 64<<20, AllOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			deployBoth(t, sh.Submit)
+			sets, stats := pinTrace(t, single, &single.hostCore, 2, cmds)
+			shSets, shStats := pinTrace(t, sh, &sh.hostCore, 2, cmds)
+			single.Close()
+			sh.Close()
+			if !reflect.DeepEqual(shSets, sets) || !reflect.DeepEqual(shStats, stats) {
+				t.Fatalf("shards=%d GOMAXPROCS=%d: sharded pin trace diverges from the reference\n got %v %+v\nwant %v %+v",
+					n, procs, shSets, shStats, sets, stats)
+			}
+			if wantSets == nil {
+				wantSets, wantStats = sets, stats
+			} else if !reflect.DeepEqual(sets, wantSets) || !reflect.DeepEqual(stats, wantStats) {
+				t.Fatalf("shards=%d: pin trace at GOMAXPROCS=%d differs from GOMAXPROCS=1", n, procs)
+			}
+		}
+		// Every reference pins and evicts; on the widest (8 planes at 4
+		// shards) the one- and two-cluster probes also shut the gate again.
+		last := wantStats[len(wantStats)-1]
+		if last.PinFills == 0 || last.PinEvictions == 0 || (n == 4 && last.GateShut < 2) {
+			t.Errorf("shards=%d: the stream did not exercise admission: %+v", n, last)
+		}
+	}
+}
+
+// TestResultCacheHitAllocs: a result-cache hit allocates the copy it
+// hands out — the records and one block for their documents — and
+// nothing for the lookup: the key is built in the cache's buffer and read
+// in place. A command of n hits costs 2n allocations plus its result and
+// stats slices (k+2 a hit, plus a key string and a keys slice, before).
+func TestResultCacheHitAllocs(t *testing.T) {
+	e, err := New(cachedRefCfg(1, cacheBigBudget), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	deployBoth(t, e.Submit)
+	for _, nq := range []int{1, 8} {
+		cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}}
+		queries := testData.Queries[:nq]
+		serve := func() []QueryStats {
+			_, sts, _, err := e.search(context.Background(), &cmd, queries, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return sts
+		}
+		serve()
+		for qi, st := range serve() {
+			if st.ResultCacheHits != 1 {
+				t.Fatalf("nq=%d q%d: not a result-cache hit: %+v", nq, qi, st)
+			}
+		}
+		if got, want := testing.AllocsPerRun(10, func() { serve() }), float64(2*nq+2); got > want {
+			t.Errorf("nq=%d: %.1f allocs for a command of hits, want at most %.0f", nq, got, want)
+		}
+	}
+}
+
+// TestPinChurnAllocs: pins live in a recycled arena and refresh ranks
+// and re-decides without allocating, so a pin set that changes with
+// every command — two queries of different topics alternating under a
+// budget that holds one cluster, each command evicting the pin the next
+// would have used — costs a command nothing over the same command on an
+// uncached device.
+func TestPinChurnAllocs(t *testing.T) {
+	topic := func(qi int) int { return testData.ClusterOf[testData.GroundTruth[qi][0]] }
+	other := 1
+	for topic(other) == topic(0) {
+		other++
+	}
+	pair := [][][]float32{testData.Queries[:1], testData.Queries[other:][:1]}
+	measure := func(budget int64) (allocs float64, fills int64) {
+		e, err := New(cachedRefCfg(1, budget), 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		deployBoth(t, e.Submit)
+		cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 1, SkipDocs: true}}
+		turn := 0
+		serve := func() {
+			// Past the result cache, like CalibrateNProbe: every command scans.
+			turn++
+			if _, _, _, err := e.search(context.Background(), &cmd, pair[turn%2], false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			serve()
+		}
+		before, _ := e.CacheStats(2)
+		allocs = testing.AllocsPerRun(20, serve)
+		after, _ := e.CacheStats(2)
+		return allocs, after.PinFills - before.PinFills
+	}
+	plain, _ := measure(0)
+	churn, fills := measure(10 << 10)
+	if fills < 21 {
+		t.Fatalf("%d pages filled over 21 commands: the pin set did not churn", fills)
+	}
+	if churn > plain {
+		t.Errorf("%.1f allocs/command while pins churn, %.1f uncached", churn, plain)
 	}
 }

@@ -146,12 +146,10 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	nq := len(queries)
 	results := make([][]DocResult, nq)
 	sts := make([]QueryStats, nq)
-	keys := make([]string, nq)
 	var missIdx []int
 	var missQ [][]float32
 	for i, q := range queries {
-		keys[i] = resultKey(cmd.Opcode, cmd.K, opt, q)
-		if r, ok := cache.lookupResult(keys[i]); ok {
+		if r, ok := cache.lookupResult(cache.resultKey(cmd.Opcode, cmd.K, opt, q)); ok {
 			results[i] = r
 			sts[i] = QueryStats{ResultCacheHits: 1}
 			continue
@@ -168,7 +166,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		for j, i := range missIdx {
 			results[i] = mres[j]
 			sts[i] = msts[j]
-			cache.storeResult(keys[i], mres[j])
+			cache.storeResult(cache.resultKey(cmd.Opcode, cmd.K, opt, queries[i]), mres[j])
 			for s := range rows {
 				rows[s][i] = mrows[s][j]
 			}
@@ -210,8 +208,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		}
 	} else {
 		// Pins refresh once per IVF command, before any probe of it counts.
-		err := cache.refresh(func(cl int) []SlotRange { return mut.buckets[cl] }, c.db.lay.embPerPage,
-			func(page int) ([]byte, []byte, error) { return c.h.fetchPin(c.db, page) })
+		err := cache.refresh(mut.buckets, func(page int, buf []byte) error { return c.h.fetchPin(c.db, page, buf) })
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -234,10 +231,14 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			st.SelectInput += len(cents)
 			slices.SortFunc(cents, cmpTTLDistPos)
 			sel := s.sel[qi][:0]
+			probePages := 0
 			for _, cn := range cents[:min(nprobe, len(cents))] {
-				cache.probe(cn.Pos)
+				probePages += cache.probe(cn.Pos, mut.buckets[cn.Pos])
 				sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, mut.radius[cn.Pos])})
 			}
+			// The widest probe of this command opens or shuts the next
+			// command's pin admission (dbCache.refresh).
+			cache.probed(probePages)
 			s.sel[qi] = sel
 			maxSel = max(maxSel, len(sel))
 		}

@@ -35,8 +35,10 @@
 // serves repeated work at controller cost without ever changing
 // results: the binary pages of the most-probed IVF clusters are pinned
 // in controller DRAM and scanned there (reported as CachedPages/
-// CachedSlots, partitioning exactly against the flash FinePages), and
-// an LRU result cache keyed on the query and search options serves
+// CachedSlots, partitioning exactly against the flash FinePages) where
+// the timing model says a DRAM scan on the one controller core beats the
+// planes — on a device that takes a whole probe in one wave, nowhere —
+// and an LRU result cache keyed on the query and search options serves
 // exact repeats of host commands (ResultCacheHits).
 // Appends, deletes and compactions invalidate both tiers atomically.
 // `reisbench -exp skew` measures the tier under Zipfian query skew

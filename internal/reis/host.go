@@ -246,8 +246,8 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 		return err
 	}
 	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, c.opts.FirstFitPlacement)}
-	if cb := c.cfg.CacheDRAMBytes; cb > 0 {
-		db.cache = newDBCache(cb, lo.pageBytes, lo.oobBytes, len(lo.rivf))
+	if c.cfg.CacheDRAMBytes > 0 {
+		db.cache = newDBCache(c.cfg, &lo.pageFormat, len(lo.rivf))
 	}
 	// A failed deploy rolls the id back off the devices that already
 	// registered it, so it is not poisoned (the bump-cursor allocator
@@ -415,6 +415,19 @@ func (c *hostCore) JournalBytes() []byte {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	return append([]byte(nil), c.jl.buf...)
+}
+
+// CacheStats reports a database's caching tier — what is pinned and what
+// pin admission has decided since deploy. A database without the tier
+// (CacheDRAMBytes == 0) reports zeros.
+func (c *hostCore) CacheStats(dbID int) (CacheStats, error) {
+	c.execMu.Lock()
+	defer c.execMu.Unlock()
+	db, err := c.db(dbID)
+	if err != nil || db.cache == nil {
+		return CacheStats{}, err
+	}
+	return db.cache.stats, nil
 }
 
 // ReplayJournal re-applies a journal (or any record-aligned prefix of
@@ -685,12 +698,15 @@ func (c *hostCore) readPage(db *ShardedDatabase, region regionOf, page int, data
 }
 
 // fetchPin reads a global binary-region page for the hot-cluster cache
-// into freshly owned buffers. The SLC-ESP partition has zero raw
-// bit-error rate, so the pinned copy is bit-identical to what the
-// sensing latch would hold — and to the reference device's page — and
-// the read consumes no error-injection randomness.
-func (c *hostCore) fetchPin(db *ShardedDatabase, page int) ([]byte, []byte, error) {
-	return c.readPage(db, embRegion, page, nil, nil)
+// into buf, an arena buffer of the cache's: the page's data, then its
+// OOB. The SLC-ESP partition has zero raw bit-error rate, so the pinned
+// copy is bit-identical to what the sensing latch would hold — and to
+// the reference device's page — and the read consumes no error-injection
+// randomness.
+func (c *hostCore) fetchPin(db *ShardedDatabase, page int, buf []byte) error {
+	n := db.lay.pageBytes
+	_, _, err := c.readPage(db, embRegion, page, buf[:0:n], buf[n:n])
+	return err
 }
 
 // readTailSlots reads, for the controller tail, the records of one page

@@ -76,6 +76,21 @@ func fuzzCfg() ssd.Config {
 	return cfg
 }
 
+// pinFuzzCfg is fuzzCfg cut to one channel — two planes a device — for
+// the fuzzers whose oracle covers pinned scans. Pin admission
+// (dbCache.refresh) pins nothing while a command's widest probe fits the
+// planes in one wave, and the fuzz world's clusters are a page each: an
+// IVF probe must be wider than the reference device has planes (2 for one
+// shard, 4 for two) or the hot-cluster half of the tier sits the fuzzing
+// out. pinFuzzNProbe clears both.
+func pinFuzzCfg() ssd.Config {
+	cfg := fuzzCfg()
+	cfg.Geo.Channels = 1
+	return cfg
+}
+
+const pinFuzzNProbe = 5
+
 func FuzzAppendDeleteSearch(f *testing.F) {
 	// Seeds: a search-only run, append-heavy, delete-then-compact, and
 	// a mixed flat-database script.
@@ -96,14 +111,14 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 		shards := 2 - int(data[0]>>1)%2
 		ops := data[1:]
 
-		refCfg := fuzzCfg()
+		refCfg := pinFuzzCfg()
 		refCfg.Geo.Channels *= shards
 		single, err := New(refCfg, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer single.Close()
-		sh, err := NewSharded(fuzzCfg(), shards, 0, AllOptions())
+		sh, err := NewSharded(pinFuzzCfg(), shards, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +131,7 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 			op = OpcodeIVFDeploy
 			deploy.Centroids = w.cents
 			deploy.Assign = w.assign[:len(w.base.Vectors)]
-			searchOp, nprobe = OpcodeIVFSearch, 3
+			searchOp, nprobe = OpcodeIVFSearch, pinFuzzNProbe
 		}
 		both := func(cmd HostCommand) (HostResponse, HostResponse, error) {
 			t.Helper()
@@ -350,126 +365,153 @@ func FuzzPrunedSearch(f *testing.F) {
 // engine's fine pages — and a result-cache hit must report zero scan
 // work. CI replays the committed seed corpus
 // (testdata/fuzz/FuzzCachedSearch) on every push; nightly fuzzes it.
+//
+// Both engines are pinFuzzCfg devices probing pinFuzzNProbe clusters, so
+// the scripts scan pinned pages; TestCachedFuzzServesPins holds the
+// fuzzer to that.
 func FuzzCachedSearch(f *testing.F) {
-	f.Add([]byte{1, 0, 0, 0, 0, 1, 0, 2})
-	f.Add([]byte{1, 1, 0, 0, 3, 2, 0, 1, 1, 4, 0, 0})
-	f.Add([]byte{0, 0, 0, 3, 2, 1, 4, 5, 0, 3})
-	f.Add([]byte{1, 0, 1, 7, 2, 2, 0, 4, 3, 1, 0, 5, 1, 2})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 2 || len(data) > 48 {
-			t.Skip()
-		}
-		w := fuzzWorldGet()
-		ivf := data[0]%2 == 1
-		budget := []int64{12 << 10, 64 << 10}[int(data[1])%2]
-		ops := data[2:]
+	for _, seed := range cachedFuzzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { cachedFuzz(t, data) })
+}
 
-		plainCfg := fuzzCfg()
-		plainCfg.CacheDRAMBytes = 0
-		plain, err := New(plainCfg, 0, AllOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer plain.Close()
-		cachedCfg := fuzzCfg()
-		cachedCfg.CacheDRAMBytes = budget
-		cached, err := New(cachedCfg, 0, AllOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cached.Close()
+var cachedFuzzSeeds = [][]byte{
+	{1, 0, 0, 0, 0, 1, 0, 2},
+	{1, 1, 0, 0, 3, 2, 0, 1, 1, 4, 0, 0},
+	{0, 0, 0, 3, 2, 1, 4, 5, 0, 3},
+	{1, 0, 1, 7, 2, 2, 0, 4, 3, 1, 0, 5, 1, 2},
+}
 
-		deploy := &DeployConfig{ID: 1, Vectors: w.base.Vectors, Docs: w.base.Docs, DocSlotBytes: 64}
-		op := OpcodeDBDeploy
-		searchOp, nprobe := OpcodeSearch, 0
-		if ivf {
-			op = OpcodeIVFDeploy
-			deploy.Centroids = w.cents
-			deploy.Assign = w.assign[:len(w.base.Vectors)]
-			searchOp, nprobe = OpcodeIVFSearch, 3
+// TestCachedFuzzServesPins: the IVF seeds of FuzzCachedSearch scan
+// pinned pages — its oracle compares DRAM scans with flash scans, not
+// flash with flash.
+func TestCachedFuzzServesPins(t *testing.T) {
+	for i, seed := range cachedFuzzSeeds {
+		if pinned := cachedFuzz(t, seed); seed[0]%2 == 1 && pinned == 0 {
+			t.Errorf("seed %d: an IVF script served no pinned page", i)
 		}
-		both := func(cmd HostCommand) (HostResponse, HostResponse, error) {
-			t.Helper()
-			a, errA := plain.Submit(cmd)
-			b, errB := cached.Submit(cmd)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("opcode %#x: plain err %v, cached err %v", cmd.Opcode, errA, errB)
-			}
-			if errA == nil && !reflect.DeepEqual(a.Results, b.Results) {
-				t.Fatalf("opcode %#x: cached results diverge from uncached", cmd.Opcode)
-			}
-			return a, b, errA
-		}
-		if _, _, err := both(HostCommand{Opcode: op, Deploy: deploy}); err != nil {
-			t.Fatal(err)
-		}
+	}
+}
 
-		liveIDs := make([]int, len(w.base.Vectors))
-		for i := range liveIDs {
-			liveIDs[i] = i
+// cachedFuzz is FuzzCachedSearch's body; it returns the pages the cached
+// engine served from pins.
+func cachedFuzz(t *testing.T, data []byte) (pinned int) {
+	if len(data) < 2 || len(data) > 48 {
+		t.Skip()
+	}
+	w := fuzzWorldGet()
+	ivf := data[0]%2 == 1
+	budget := []int64{12 << 10, 64 << 10}[int(data[1])%2]
+	ops := data[2:]
+
+	plainCfg := pinFuzzCfg()
+	plainCfg.CacheDRAMBytes = 0
+	plain, err := New(plainCfg, 0, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	cachedCfg := plainCfg
+	cachedCfg.CacheDRAMBytes = budget
+	cached, err := New(cachedCfg, 0, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cached.Close()
+
+	deploy := &DeployConfig{ID: 1, Vectors: w.base.Vectors, Docs: w.base.Docs, DocSlotBytes: 64}
+	op := OpcodeDBDeploy
+	searchOp, nprobe := OpcodeSearch, 0
+	if ivf {
+		op = OpcodeIVFDeploy
+		deploy.Centroids = w.cents
+		deploy.Assign = w.assign[:len(w.base.Vectors)]
+		searchOp, nprobe = OpcodeIVFSearch, pinFuzzNProbe
+	}
+	both := func(cmd HostCommand) (HostResponse, HostResponse, error) {
+		t.Helper()
+		a, errA := plain.Submit(cmd)
+		b, errB := cached.Submit(cmd)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("opcode %#x: plain err %v, cached err %v", cmd.Opcode, errA, errB)
 		}
-		deleted := map[int]bool{}
-		poolAt := 0
-		for i := 0; i+1 < len(ops); i += 2 {
-			b, arg := ops[i], int(ops[i+1])
-			switch b % 4 {
-			case 0, 1: // search (varying query, occasionally pruned)
-				q := w.base.Queries[arg%len(w.base.Queries)]
-				cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, NProbe: nprobe}
-				pruned := b%4 == 1 && arg%3 == 0
-				cmd.Opt.Prune = pruned
-				pr, cr, err := both(cmd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := cr.QueryStats[0]
-				if st.ResultCacheHits > 0 {
-					if st.FinePages != 0 || st.CachedPages != 0 || st.CoarsePages != 0 {
-						t.Fatalf("result-cache hit reports scan work: %+v", st)
-					}
-				} else if !pruned {
-					if got, want := st.FinePages+st.CachedPages, pr.QueryStats[0].FinePages; got != want {
-						t.Fatalf("page partition violated: %d+%d != %d",
-							st.FinePages, st.CachedPages, want)
-					}
-				}
-				for _, r := range cr.Results[0] {
-					if deleted[r.ID] {
-						t.Fatalf("deleted id %d surfaced from cached engine", r.ID)
-					}
-				}
-			case 2: // append 1-3 items from the pool (cycling)
-				n := 1 + arg%3
-				vecs := make([][]float32, n)
-				docs := make([][]byte, n)
-				var assign []int
-				for j := 0; j < n; j++ {
-					k := (poolAt + j) % len(w.pool)
-					vecs[j] = w.pool[k]
-					docs[j] = w.poolDoc[k]
-					if ivf {
-						assign = append(assign, w.assign[len(w.base.Vectors)+k])
-					}
-				}
-				poolAt += n
-				resp, _, err := both(HostCommand{Opcode: OpcodeAppend, DBID: 1,
-					Append: &AppendConfig{Vectors: vecs, Docs: docs, Assign: assign}})
-				if err != nil {
-					continue
-				}
-				liveIDs = append(liveIDs, resp.AppendedIDs...)
-			case 3: // delete one live id
-				if len(liveIDs) == 0 {
-					continue
-				}
-				k := arg % len(liveIDs)
-				id := liveIDs[k]
-				if _, _, err := both(HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{id}}}); err != nil {
-					t.Fatal(err)
-				}
-				liveIDs = append(liveIDs[:k], liveIDs[k+1:]...)
-				deleted[id] = true
+		if errA == nil && !reflect.DeepEqual(a.Results, b.Results) {
+			t.Fatalf("opcode %#x: cached results diverge from uncached", cmd.Opcode)
+		}
+		return a, b, errA
+	}
+	if _, _, err := both(HostCommand{Opcode: op, Deploy: deploy}); err != nil {
+		t.Fatal(err)
+	}
+
+	liveIDs := make([]int, len(w.base.Vectors))
+	for i := range liveIDs {
+		liveIDs[i] = i
+	}
+	deleted := map[int]bool{}
+	poolAt := 0
+	for i := 0; i+1 < len(ops); i += 2 {
+		b, arg := ops[i], int(ops[i+1])
+		switch b % 4 {
+		case 0, 1: // search (varying query, occasionally pruned)
+			q := w.base.Queries[arg%len(w.base.Queries)]
+			cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, NProbe: nprobe}
+			pruned := b%4 == 1 && arg%3 == 0
+			cmd.Opt.Prune = pruned
+			pr, cr, err := both(cmd)
+			if err != nil {
+				t.Fatal(err)
 			}
+			st := cr.QueryStats[0]
+			pinned += st.CachedPages
+			if st.ResultCacheHits > 0 {
+				if st.FinePages != 0 || st.CachedPages != 0 || st.CoarsePages != 0 {
+					t.Fatalf("result-cache hit reports scan work: %+v", st)
+				}
+			} else if !pruned {
+				if got, want := st.FinePages+st.CachedPages, pr.QueryStats[0].FinePages; got != want {
+					t.Fatalf("page partition violated: %d+%d != %d",
+						st.FinePages, st.CachedPages, want)
+				}
+			}
+			for _, r := range cr.Results[0] {
+				if deleted[r.ID] {
+					t.Fatalf("deleted id %d surfaced from cached engine", r.ID)
+				}
+			}
+		case 2: // append 1-3 items from the pool (cycling)
+			n := 1 + arg%3
+			vecs := make([][]float32, n)
+			docs := make([][]byte, n)
+			var assign []int
+			for j := 0; j < n; j++ {
+				k := (poolAt + j) % len(w.pool)
+				vecs[j] = w.pool[k]
+				docs[j] = w.poolDoc[k]
+				if ivf {
+					assign = append(assign, w.assign[len(w.base.Vectors)+k])
+				}
+			}
+			poolAt += n
+			resp, _, err := both(HostCommand{Opcode: OpcodeAppend, DBID: 1,
+				Append: &AppendConfig{Vectors: vecs, Docs: docs, Assign: assign}})
+			if err != nil {
+				continue
+			}
+			liveIDs = append(liveIDs, resp.AppendedIDs...)
+		case 3: // delete one live id
+			if len(liveIDs) == 0 {
+				continue
+			}
+			k := arg % len(liveIDs)
+			id := liveIDs[k]
+			if _, _, err := both(HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{id}}}); err != nil {
+				t.Fatal(err)
+			}
+			liveIDs = append(liveIDs[:k], liveIDs[k+1:]...)
+			deleted[id] = true
 		}
-	})
+	}
+	return pinned
 }

@@ -252,10 +252,24 @@ func cachedScanTime(cfg ssd.Config, slotBytes int, st QueryStats, sc Scale) time
 	if st.CachedSlots == 0 && st.ResultCacheHits == 0 {
 		return 0
 	}
-	perSlot := cfg.DRAMAccessNs + float64(slotBytes/4)*cfg.CoreCycleNs()
-	ns := float64(st.CachedSlots)*sc.Fine*perSlot +
+	ns := float64(st.CachedSlots)*sc.Fine*pinnedSlotNs(cfg, slotBytes) +
 		float64(st.ResultCacheHits*resultCacheHitAccesses)*cfg.DRAMAccessNs
 	return time.Duration(ns) * time.Nanosecond
+}
+
+// pinnedSlotNs is the core time of one slot of a pinned scan: one DRAM
+// access plus a word-at-a-time XOR+popcount. The model charges it per
+// cached slot (above) and pin admission weighs it against planeWaveTime
+// (cache.go), so the cache admits exactly what the model says pays.
+func pinnedSlotNs(cfg ssd.Config, slotBytes int) float64 {
+	return cfg.DRAMAccessNs + float64(slotBytes/4)*cfg.CoreCycleNs()
+}
+
+// planeWaveTime is what one scan wave holds a plane for: the SLC-ESP
+// sense plus the in-plane latch compute — scanOccupancy's plane term per
+// wave, and the flash side of pin admission.
+func planeWaveTime(p flash.Params) time.Duration {
+	return p.ReadLatency(flash.ModeSLCESP) + p.LatchXOR + p.BitCountPage + p.PassFailCheck
 }
 
 // scanEnergy sums the per-event energies of this device's share of a
@@ -414,7 +428,6 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 // with the per-query model.
 func (e *Engine) scanOccupancy(db *Database, st QueryStats, sc Scale) (plane, channel, core time.Duration) {
 	cfg := e.SSD.Cfg
-	p := cfg.Flash
 	planes := float64(cfg.Geo.Planes())
 
 	coarseEntries := float64(st.CoarseEntries) * sc.Coarse
@@ -429,7 +442,7 @@ func (e *Engine) scanOccupancy(db *Database, st QueryStats, sc Scale) (plane, ch
 	if finePages > 0 {
 		scanWaves += ceilF(finePages / planes)
 	}
-	plane = time.Duration(scanWaves) * (p.ReadLatency(flash.ModeSLCESP) + p.LatchXOR + p.BitCountPage + p.PassFailCheck)
+	plane = time.Duration(scanWaves) * planeWaveTime(cfg.Flash)
 
 	if st.CoarsePages+st.FinePages > 0 {
 		channel = e.ibcTime()

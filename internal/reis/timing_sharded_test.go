@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"reis/internal/ssd"
 )
 
 // This file pins the timing model of the sharded topology: a golden
@@ -14,8 +16,10 @@ import (
 // exactly as an Engine over the same config does.
 
 // timingCase is one command priced by the model tests. The cached case
-// runs on a host with the caching tier on, twice, so the priced response
-// mixes pinned-cluster scans with result-cache hits.
+// runs on a host with the caching tier on — on the pinned-scan geometry
+// (cachedShardCfg), where admission pins — after two warm-up commands,
+// so the priced response mixes pinned-cluster scans with result-cache
+// hits.
 type timingCase struct {
 	name   string
 	cached bool
@@ -86,7 +90,16 @@ func sameTiming(a, b timingGolden) bool {
 }
 
 // shardedTimingGolden holds the values the parent of the host-core
-// refactor produced, keyed "<case>/<shards>".
+// refactor produced, keyed "<case>/<shards>" — except the cached rows,
+// regenerated when pin admission became the model's arithmetic: on the
+// shard test geometry (8 to 32 planes, one page a cluster) a 4-cluster
+// probe is one wave, so the tier pins nothing there and the old rows'
+// pinned scans (fine = 45000 + 1165 ns of DRAM scan) no longer exist to
+// be priced. The case moved to the pinned-scan geometry (2 to 8 planes,
+// 512-byte pages) and a budget that also holds the warm-up's results:
+// query 0 scans 294 pinned slots (2254 ns of core time on top of one
+// flash wave) and queries 4-7 are result-cache hits. No model constant
+// or formula changed; flat, ivf and pruned are as they were.
 var shardedTimingGolden = map[string]timingGolden{
 	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
 		983960753, 1222872000, 5169248, 4415921, 983960753, 11.815563628650551},
@@ -94,33 +107,37 @@ var shardedTimingGolden = map[string]timingGolden{
 		270440753, 334712000, 8169580, 6971025, 270440753, 3.2233457644777594},
 	"pruned/1": {6826, 45000, 67500, 437076, 171437, 727839, 0.004503357432,
 		5795753, 5376000, 97695, 96925, 5795753, 0.036230529328},
-	"cached/1": {6826, 45000, 46165, 437076, 171437, 706504, 0.004277873504,
-		5669896, 5208000, 93290, 102317, 5669896, 0.034591380902},
+	"cached/1": {426, 45000, 47254, 2309636, 427504, 2829820, 0.015178758272,
+		11157102, 10963000, 35370, 59125, 11157102, 0.060080554026},
 	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
 		521104435, 647392000, 2761546, 2379361, 521104435, 12.106805000082549},
 	"ivf/2": {6826, 0, 18585000, 265796, 85904, 18943526, 0.4133225725518726,
 		174941935, 176488000, 7501982, 6416377, 174941935, 3.62056213590976},
 	"pruned/2": {6826, 45000, 45000, 265796, 85904, 448526, 0.005349520736,
 		3604435, 3168000, 78922, 94835, 3604435, 0.04329690076000001},
-	"cached/2": {6826, 45000, 46165, 265796, 85904, 449691, 0.0052423618079999994,
-		3613578, 3168000, 76300, 101745, 3613578, 0.042378172421999996},
+	"cached/2": {426, 45000, 47254, 1372076, 256437, 1721193, 0.018241588272000002,
+		6466847, 6288000, 20115, 59125, 6466847, 0.06896351402600001},
 	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
 		278856273, 346104000, 1500552, 1312441, 278856273, 12.47288768294655},
 	"ivf/4": {6826, 0, 15637500, 180156, 85637, 15910119, 0.5420898891598726,
 		126733773, 110456000, 7130352, 6106859, 126366119, 4.398466345557759},
 	"pruned/4": {6826, 45000, 45000, 180156, 85637, 362619, 0.008116837344,
 		2871273, 2460000, 69210, 93515, 2822619, 0.063706503624},
-	"cached/4": {6826, 45000, 1165, 180156, 85637, 318784, 0.007121328416,
-		2700416, 2348000, 68138, 101745, 2666784, 0.059578957158000004},
+	"cached/4": {426, 45000, 47254, 945796, 170904, 1209380, 0.025217258271999998,
+		4164222, 3993000, 12490, 59125, 4164222, 0.08757948402600002},
+}
+
+// timingCfg is one shard's device of the model tests.
+func timingCfg(cached bool) ssd.Config {
+	if cached {
+		return cachedShardCfg(cacheBigBudget)
+	}
+	return shardTestCfg()
 }
 
 func newTimingSharded(t *testing.T, n int, cached bool) *ShardedEngine {
 	t.Helper()
-	cfg := shardTestCfg()
-	if cached {
-		cfg.CacheDRAMBytes = cacheSmallBudget
-	}
-	sh, err := NewSharded(cfg, n, 64<<20, AllOptions())
+	sh, err := NewSharded(timingCfg(cached), n, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,11 +226,7 @@ func TestShardedTimingRejectsMalformedShapes(t *testing.T) {
 // through an Engine over the same config.
 func TestOneShardPricesAsSingleDevice(t *testing.T) {
 	for _, cached := range []bool{false, true} {
-		cfg := shardTestCfg()
-		if cached {
-			cfg.CacheDRAMBytes = cacheSmallBudget
-		}
-		e, err := New(cfg, 64<<20, AllOptions())
+		e, err := New(timingCfg(cached), 64<<20, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

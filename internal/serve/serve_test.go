@@ -26,7 +26,10 @@ const svBase = 600 // corpus entries deployed up front; the rest append
 
 // svCfg shrinks SSD1 the way the reis shard tests do, with append/GC
 // headroom for the mutation script. cacheBytes > 0 opts into the DRAM
-// caching tier.
+// caching tier — on one two-plane die: the tier pins clusters only when
+// a probe (here 4 clusters of a page each) outgrows the planes, and on
+// the 8-plane device it would pin nothing and the script would scan no
+// pinned page.
 func svCfg(cacheBytes int64) ssd.Config {
 	cfg := ssd.SSD1()
 	cfg.Geo.Channels = 2
@@ -38,6 +41,10 @@ func svCfg(cacheBytes int64) ssd.Config {
 	cfg.Geo.OOBBytes = 1024
 	cfg.OverprovisionPct = 200
 	cfg.CacheDRAMBytes = cacheBytes
+	if cacheBytes > 0 {
+		cfg.Geo.Channels, cfg.Geo.DiesPerChannel = 1, 1
+		cfg.Geo.BlocksPerPlane = 128
+	}
 	return cfg
 }
 
@@ -179,6 +186,15 @@ func TestReplicaGroupMatchesSingleReplica(t *testing.T) {
 		ref := newHost(t, tc.cache, tc.shards)
 		want := runScript(t, ref.Submit)
 		ref.Close()
+		if tc.cache > 0 {
+			pinned := 0
+			for _, resp := range want {
+				pinned += resp.Stats.CachedPages
+			}
+			if pinned == 0 {
+				t.Errorf("%s: the script served no pinned-cluster page", tc.name)
+			}
+		}
 		for _, n := range []int{1, 2, 3} {
 			t.Run(fmt.Sprintf("%s/replicas=%d", tc.name, n), func(t *testing.T) {
 				hosts := make([]Host, n)
