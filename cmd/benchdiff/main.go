@@ -29,7 +29,7 @@
 // Usage:
 //
 //	go run ./cmd/reisbench -exp throughput -json /tmp/bench.json
-//	go run ./cmd/benchdiff -baseline BENCH_2026-07-29.json -current /tmp/bench.json
+//	go run ./cmd/benchdiff -baseline BENCH_2026-10-03.json -current /tmp/bench.json
 //
 // Rows are matched by experiment id plus their identity fields
 // (Dataset, Mode, Batch, Depth, Shards, ...). Experiments missing from
@@ -83,6 +83,11 @@ var metricFields = map[string]bool{
 	// Frontier metrics (report-only): recall and modeled latency of
 	// the DRAM-side rivals and the flash configurations.
 	"Recall": true, "ServeMs": true, "TotalMs": true,
+	// Where the model clock went (experiments.ModelShares): report-only
+	// attribution, never part of a row's identity.
+	"IBCShare": true, "CoarseShare": true, "FineShare": true,
+	"RerankShare": true, "DocsShare": true, "PlaneBusyShare": true,
+	"ChannelBusyShare": true, "CoreBusyShare": true, "Bottleneck": true,
 }
 
 // latencyFields are metrics where an *increase* is the regression;

@@ -12,7 +12,7 @@
 // Profiling and machine-readable output:
 //
 //	reisbench -exp throughput -cpuprofile cpu.out -memprofile mem.out
-//	reisbench -exp throughput -json BENCH_2026-07-29.json
+//	reisbench -exp throughput -json /tmp/bench.json
 //
 // The -json report carries every experiment's rows (for throughput:
 // QPS, ns/op and allocs/op per batch size), starting the repository's

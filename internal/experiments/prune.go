@@ -35,6 +35,7 @@ type PruneRow struct {
 	// Speedup is this row's ModelQPS over the matching base row
 	// (1.0 on base rows).
 	Speedup float64
+	ModelShares
 }
 
 // PruneKs and PruneNProbes are the default sweep axes.
@@ -143,7 +144,8 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				bd := s.priceBatch(passOf(resp), pruneScale())
+				var use clockUse
+				bd := s.use(&use, passOf(resp), pruneScale())
 				n := float64(len(queries))
 				row := PruneRow{
 					Dataset: fmt.Sprintf("sep-%d", pruneNList),
@@ -155,6 +157,7 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 					PrunedPages:  float64(resp.Stats.PrunedPages) / n,
 					AbortedWaves: float64(resp.Stats.AbortedWaves) / n,
 					Speedup:      1,
+					ModelShares:  use.shares(),
 				}
 				if prune {
 					row.Mode = "prune"
@@ -175,11 +178,11 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 func FormatPrune(rows []PruneRow) string {
 	var sb strings.Builder
 	sb.WriteString("Threshold-propagated top-k pruning: base vs pruned scans (REIS-SSD1)\n")
-	fmt.Fprintf(&sb, "%-10s %-6s %4s %7s %10s %10s %11s %12s %13s %8s\n",
-		"dataset", "mode", "k", "nprobe", "wall QPS", "model QPS", "fine pages", "pruned pages", "aborted waves", "speedup")
+	fmt.Fprintf(&sb, "%-10s %-6s %4s %7s %10s %10s %11s %12s %13s %8s %5s %8s\n",
+		"dataset", "mode", "k", "nprobe", "wall QPS", "model QPS", "fine pages", "pruned pages", "aborted waves", "speedup", "ibc", "bound")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %-6s %4d %7d %10.1f %10.1f %11.1f %12.1f %13.1f %7.2fx\n",
-			r.Dataset, r.Mode, r.K, r.NProbe, r.WallQPS, r.ModelQPS, r.FinePages, r.PrunedPages, r.AbortedWaves, r.Speedup)
+		fmt.Fprintf(&sb, "%-10s %-6s %4d %7d %10.1f %10.1f %11.1f %12.1f %13.1f %7.2fx %5.2f %8s\n",
+			r.Dataset, r.Mode, r.K, r.NProbe, r.WallQPS, r.ModelQPS, r.FinePages, r.PrunedPages, r.AbortedWaves, r.Speedup, r.IBCShare, r.Bottleneck)
 	}
 	return sb.String()
 }

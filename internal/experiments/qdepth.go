@@ -32,6 +32,8 @@ type QDepthRow struct {
 	ModelP50Ms float64
 	ModelP95Ms float64
 	ModelP99Ms float64
+	// ModelShares is priced at saturation: groups of Depth commands.
+	ModelShares
 }
 
 // QDepthDepths is the default queue-depth sweep.
@@ -92,6 +94,8 @@ func RunQDepth(scale int, datasets []string, depths []int) ([]QDepthRow, error) 
 					ModelP50Ms: ms(tail.P50),
 					ModelP95Ms: ms(tail.P95),
 					ModelP99Ms: ms(tail.P99),
+
+					ModelShares: s.sharesAt(passOf(resp), w.ScaleIVF(), depth),
 				}
 				if st.Dispatches > 0 {
 					row.AvgBatch = float64(st.Submitted) / float64(st.Dispatches)
@@ -107,13 +111,13 @@ func RunQDepth(scale int, datasets []string, depths []int) ([]QDepthRow, error) 
 func FormatQDepth(rows []QDepthRow) string {
 	var sb strings.Builder
 	sb.WriteString("Queue-depth sweep: single-query commands through one async queue pair (REIS-SSD1)\n")
-	fmt.Fprintf(&sb, "%-10s %-10s %6s %10s %10s %10s %10s %10s %9s %9s %9s\n",
+	fmt.Fprintf(&sb, "%-10s %-10s %6s %10s %10s %10s %10s %10s %9s %9s %9s %5s %8s\n",
 		"dataset", "mode", "depth", "wall QPS", "avg batch", "ns/op", "allocs/op",
-		"model QPS", "p50 ms", "p95 ms", "p99 ms")
+		"model QPS", "p50 ms", "p95 ms", "p99 ms", "ibc", "bound")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %-10s %6d %10.1f %10.2f %10.0f %10.1f %10.1f %9.3f %9.3f %9.3f\n",
+		fmt.Fprintf(&sb, "%-10s %-10s %6d %10.1f %10.2f %10.0f %10.1f %10.1f %9.3f %9.3f %9.3f %5.2f %8s\n",
 			r.Dataset, r.Mode, r.Depth, r.WallQPS, r.AvgBatch, r.NsPerOp, r.AllocsPerOp,
-			r.ModelQPS, r.ModelP50Ms, r.ModelP95Ms, r.ModelP99Ms)
+			r.ModelQPS, r.ModelP50Ms, r.ModelP95Ms, r.ModelP99Ms, r.IBCShare, r.Bottleneck)
 	}
 	return sb.String()
 }

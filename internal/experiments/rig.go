@@ -231,6 +231,96 @@ func (s *Setup) priceBatch(p pass, sc reis.Scale) reis.BatchBreakdown {
 	return bb
 }
 
+// ModelShares says where a sweep row's model clock went — the columns
+// that name the phase and the resource a model change moved. The phase
+// shares split the summed standalone latency of the row's queries
+// (they sum to 1); the busy shares are each contended resource's
+// occupancy over the summed makespan of the row's batches, and
+// Bottleneck names the largest. Report-only in benchdiff.
+type ModelShares struct {
+	IBCShare    float64
+	CoarseShare float64
+	FineShare   float64
+	RerankShare float64
+	DocsShare   float64
+
+	PlaneBusyShare   float64
+	ChannelBusyShare float64
+	CoreBusyShare    float64
+	Bottleneck       string // "plane" | "channel" | "core"
+}
+
+// clockUse accumulates the priced batches behind a row's ModelShares.
+type clockUse struct {
+	phase reis.Breakdown
+	busy  reis.BatchBreakdown
+}
+
+// use prices the pass as one coalesced batch, like priceBatch, and adds
+// it and its queries' standalone breakdowns to u.
+func (s *Setup) use(u *clockUse, p pass, sc reis.Scale) reis.BatchBreakdown {
+	col := make([]reis.QueryStats, len(p)-1)
+	for qi, st := range p[0] {
+		for d := range col {
+			col[d] = p[1+d][qi]
+		}
+		addBreakdown(&u.phase, s.price(st, col, sc))
+	}
+	bb := s.priceBatch(p, sc)
+	u.busy.PlaneBusy += bb.PlaneBusy
+	u.busy.ChannelBusy += bb.ChannelBusy
+	u.busy.CoreBusy += bb.CoreBusy
+	u.busy.Makespan += bb.Makespan
+	return bb
+}
+
+// addBreakdown adds one query's phases, total and energy to sum.
+func addBreakdown(sum *reis.Breakdown, b reis.Breakdown) {
+	sum.IBC += b.IBC
+	sum.Coarse += b.Coarse
+	sum.Fine += b.Fine
+	sum.Rerank += b.Rerank
+	sum.Docs += b.Docs
+	sum.Total += b.Total
+	sum.EnergyJ += b.EnergyJ
+}
+
+func (u clockUse) shares() ModelShares {
+	of := func(part, whole time.Duration) float64 {
+		if whole <= 0 {
+			return 0
+		}
+		return float64(part) / float64(whole)
+	}
+	m := ModelShares{
+		IBCShare:         of(u.phase.IBC, u.phase.Total),
+		CoarseShare:      of(u.phase.Coarse, u.phase.Total),
+		FineShare:        of(u.phase.Fine, u.phase.Total),
+		RerankShare:      of(u.phase.Rerank, u.phase.Total),
+		DocsShare:        of(u.phase.Docs, u.phase.Total),
+		PlaneBusyShare:   of(u.busy.PlaneBusy, u.busy.Makespan),
+		ChannelBusyShare: of(u.busy.ChannelBusy, u.busy.Makespan),
+		CoreBusyShare:    of(u.busy.CoreBusy, u.busy.Makespan),
+		Bottleneck:       "plane",
+	}
+	if u.busy.ChannelBusy > max(u.busy.PlaneBusy, u.busy.CoreBusy) {
+		m.Bottleneck = "channel"
+	} else if u.busy.CoreBusy > u.busy.PlaneBusy {
+		m.Bottleneck = "core"
+	}
+	return m
+}
+
+// sharesAt is the ModelShares of the pass served in batches of batch
+// queries — the admission a row's ModelQPS was priced at.
+func (s *Setup) sharesAt(p pass, sc reis.Scale, batch int) ModelShares {
+	var u clockUse
+	for lo, n := 0, len(p[0]); lo < n; lo += batch {
+		s.use(&u, p.window(lo, min(lo+batch, n)), sc)
+	}
+	return u.shares()
+}
+
 // tail models what one command experiences while the queue is loaded:
 // LoadCommands single-query commands — the pass's queries, cycled — are
 // replayed through the virtual-time model of a depth-deep queue pair,
@@ -301,13 +391,7 @@ func (s *Setup) run(k int, sc reis.Scale, op uint8, opt reis.SearchOptions) (rei
 	}
 	var b reis.Breakdown
 	for qi, st := range resp.QueryStats {
-		bd := s.price(st, resp.ShardStats(qi), sc)
-		b.IBC += bd.IBC
-		b.Coarse += bd.Coarse
-		b.Fine += bd.Fine
-		b.Rerank += bd.Rerank
-		b.Docs += bd.Docs
-		b.EnergyJ += bd.EnergyJ
+		addBreakdown(&b, s.price(st, resp.ShardStats(qi), sc))
 	}
 	n := len(resp.QueryStats)
 	d := time.Duration(n)
@@ -336,6 +420,7 @@ func meanStats(agg reis.QueryStats, n int) reis.QueryStats {
 	agg.DocPages /= n
 	agg.DocBytes /= int64(n)
 	agg.IBCBroadcasts /= n
+	agg.IBCLoads /= n
 	agg.SelectInput /= n
 	agg.SortedEntries /= n
 	agg.CoarseEntries /= n

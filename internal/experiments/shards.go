@@ -30,6 +30,7 @@ type ShardRow struct {
 	ModelP50Ms float64
 	ModelP95Ms float64
 	ModelP99Ms float64
+	ModelShares
 }
 
 // ShardCounts is the default scale-out sweep; every count divides the
@@ -41,8 +42,9 @@ var ShardCounts = []int{1, 2, 4}
 // through the sharded router: as one batched brute-force Search
 // command (scan-bound — scale-out's best case: the fine-scan critical
 // path shrinks with the device count) and as one batched IVF_Search at
-// the calibrated nprobe (the broadcast floor bounds the speedup —
-// every device still latches the query into all of its dies).
+// the calibrated nprobe (each device loads the query into the dies its
+// share of the probe touches; the controller tail, which does not
+// shard, bounds the speedup).
 func RunShards(scale int, datasets []string, counts []int) ([]ShardRow, error) {
 	if datasets == nil {
 		datasets = []string{"NQ"}
@@ -113,12 +115,15 @@ func shardRow(s *Setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
 		return ShardRow{}, err
 	}
 	tail := s.tail(passOf(resp), sc, reis.DefaultQueueDepth, LoadUtilization)
+	var use clockUse
 	return ShardRow{
 		Dataset: s.W.Name, Shards: s.Devices, HostCost: cost,
-		ModelQPS:   s.priceBatch(passOf(resp), sc).QPS,
+		ModelQPS:   s.use(&use, passOf(resp), sc).QPS,
 		ModelP50Ms: ms(tail.P50),
 		ModelP95Ms: ms(tail.P95),
 		ModelP99Ms: ms(tail.P99),
+
+		ModelShares: use.shares(),
 	}, nil
 }
 
@@ -126,13 +131,13 @@ func shardRow(s *Setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
 func FormatShards(rows []ShardRow) string {
 	var sb strings.Builder
 	sb.WriteString("Shard scale-out: one batched command over N devices (REIS-SSD1 class)\n")
-	fmt.Fprintf(&sb, "%-10s %-10s %6s %10s %10s %8s %10s %10s %9s %9s %9s\n",
+	fmt.Fprintf(&sb, "%-10s %-10s %6s %10s %10s %8s %10s %10s %9s %9s %9s %5s %8s\n",
 		"dataset", "mode", "shards", "wall QPS", "model QPS", "speedup", "ns/op", "allocs/op",
-		"p50 ms", "p95 ms", "p99 ms")
+		"p50 ms", "p95 ms", "p99 ms", "ibc", "bound")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %-10s %6d %10.1f %10.1f %7.2fx %10.0f %10.1f %9.3f %9.3f %9.3f\n",
+		fmt.Fprintf(&sb, "%-10s %-10s %6d %10.1f %10.1f %7.2fx %10.0f %10.1f %9.3f %9.3f %9.3f %5.2f %8s\n",
 			r.Dataset, r.Mode, r.Shards, r.WallQPS, r.ModelQPS, r.ModelSpeedup, r.NsPerOp, r.AllocsPerOp,
-			r.ModelP50Ms, r.ModelP95Ms, r.ModelP99Ms)
+			r.ModelP50Ms, r.ModelP95Ms, r.ModelP99Ms, r.IBCShare, r.Bottleneck)
 	}
 	return sb.String()
 }

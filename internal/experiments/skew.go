@@ -55,6 +55,8 @@ type SkewRow struct {
 	// the exact script — against its own nudged baseline.
 	PinsOnly    float64
 	ResultsOnly float64
+	// ModelShares is the both-halves run's.
+	ModelShares
 }
 
 // SkewDefaultBudget is the default cache budget of the sweep: enough
@@ -125,6 +127,7 @@ type skewRun struct {
 	hits     int
 	fine     int
 	cached   int
+	use      clockUse
 	modelSec float64
 	// resultsOnlySec is modelSec with every result-cache miss priced at
 	// the baseline's stats for the same query.
@@ -222,7 +225,7 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, cfg ssd.
 			run.hits += resp.Stats.ResultCacheHits
 			run.fine += resp.Stats.FinePages
 			run.cached += resp.Stats.CachedPages
-			run.modelSec += rig.priceBatch(passOf(resp), reis.UnitScale()).Makespan.Seconds()
+			run.modelSec += rig.use(&run.use, passOf(resp), reis.UnitScale()).Makespan.Seconds()
 			mix := resp.QueryStats
 			if base != nil {
 				mix = append([]reis.QueryStats(nil), mix...)
@@ -329,6 +332,7 @@ func RunSkew(ss []float64, budgets []int64) ([]SkewRow, error) {
 					Speedup:       exact0.modelSec / both.modelSec,
 					PinsOnly:      nudged0.modelSec / pins.modelSec,
 					ResultsOnly:   exact0.modelSec / both.resultsOnlySec,
+					ModelShares:   both.use.shares(),
 				})
 			}
 		}
@@ -340,12 +344,12 @@ func RunSkew(ss []float64, budgets []int64) ([]SkewRow, error) {
 func FormatSkew(rows []SkewRow) string {
 	var sb strings.Builder
 	sb.WriteString("DRAM caching tier under Zipfian skew and bursty churn (REIS-SSD1 and its four-plane cut)\n")
-	fmt.Fprintf(&sb, "%-10s %-8s %5s %8s %9s %11s %12s %10s %10s %10s %13s %8s\n",
-		"dataset", "device", "s", "budget", "hit rate", "fine pages", "cached pages", "base fine", "model QPS", "pins only", "results only", "both")
+	fmt.Fprintf(&sb, "%-10s %-8s %5s %8s %9s %11s %12s %10s %10s %10s %13s %8s %5s %8s\n",
+		"dataset", "device", "s", "budget", "hit rate", "fine pages", "cached pages", "base fine", "model QPS", "pins only", "results only", "both", "ibc", "bound")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %-8s %5.2f %7dK %8.1f%% %11.1f %12.1f %10.1f %10.1f %9.2fx %12.2fx %7.2fx\n",
+		fmt.Fprintf(&sb, "%-10s %-8s %5.2f %7dK %8.1f%% %11.1f %12.1f %10.1f %10.1f %9.2fx %12.2fx %7.2fx %5.2f %8s\n",
 			r.Dataset, r.Device, r.S, r.Budget>>10, r.HitRate*100, r.FinePages, r.CachedPages, r.BaseFinePages, r.ModelQPS,
-			r.PinsOnly, r.ResultsOnly, r.Speedup)
+			r.PinsOnly, r.ResultsOnly, r.Speedup, r.IBCShare, r.Bottleneck)
 	}
 	return sb.String()
 }

@@ -66,6 +66,8 @@ type SLORow struct {
 	// MaxBacklog is the peak arrived-but-unserved command count.
 	MeanBatch  float64
 	MaxBacklog int
+	// ModelShares is priced at saturation: groups of Depth commands.
+	ModelShares
 }
 
 // RunSLO sweeps arrival rate × queue depth × shard count on
@@ -100,6 +102,7 @@ func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLOR
 				return nil, err
 			}
 			for _, depth := range depths {
+				shares := s.sharesAt(passOf(resp), w.ScaleIVF(), depth)
 				for _, load := range loads {
 					res := s.tail(passOf(resp), w.ScaleIVF(), depth, load)
 					rows = append(rows, SLORow{
@@ -113,6 +116,7 @@ func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLOR
 						ModelP999Ms: ms(res.P999),
 						MeanBatch:   res.MeanBatch,
 						MaxBacklog:  res.MaxBacklog,
+						ModelShares: shares,
 					})
 				}
 			}
@@ -125,13 +129,13 @@ func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLOR
 func FormatSLO(rows []SLORow) string {
 	var sb strings.Builder
 	sb.WriteString("SLO sweep: open-loop arrivals through one async queue pair (REIS-SSD1 class)\n")
-	fmt.Fprintf(&sb, "%-10s %-10s %6s %6s %5s %10s %10s %9s %9s %9s %9s %7s %8s\n",
+	fmt.Fprintf(&sb, "%-10s %-10s %6s %6s %5s %10s %10s %9s %9s %9s %9s %7s %8s %5s %8s\n",
 		"dataset", "mode", "shards", "depth", "load", "arrive/s", "sat QPS",
-		"p50 ms", "p95 ms", "p99 ms", "p999 ms", "batch", "backlog")
+		"p50 ms", "p95 ms", "p99 ms", "p999 ms", "batch", "backlog", "ibc", "bound")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-10s %-10s %6d %6d %5s %10.1f %10.1f %9.3f %9.3f %9.3f %9.3f %7.2f %8d\n",
+		fmt.Fprintf(&sb, "%-10s %-10s %6d %6d %5s %10.1f %10.1f %9.3f %9.3f %9.3f %9.3f %7.2f %8d %5.2f %8s\n",
 			r.Dataset, r.Mode, r.Shards, r.Depth, r.Load, r.ArrivalQPS, r.ModelQPS,
-			r.ModelP50Ms, r.ModelP95Ms, r.ModelP99Ms, r.ModelP999Ms, r.MeanBatch, r.MaxBacklog)
+			r.ModelP50Ms, r.ModelP95Ms, r.ModelP99Ms, r.ModelP999Ms, r.MeanBatch, r.MaxBacklog, r.IBCShare, r.Bottleneck)
 	}
 	return sb.String()
 }

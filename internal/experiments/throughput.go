@@ -23,6 +23,7 @@ type ThroughputRow struct {
 	// ModelSerialQPS is the modeled throughput of one-at-a-time
 	// admission (1 / mean standalone latency).
 	ModelSerialQPS float64
+	ModelShares
 }
 
 // ThroughputBatches is the default admission batch-size sweep.
@@ -81,17 +82,17 @@ func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow
 				if err != nil {
 					return nil, err
 				}
-				var makespan, serial time.Duration
+				var use clockUse
+				var serial time.Duration
 				for lo := 0; lo < len(queries); lo += batch {
-					bd := s.priceBatch(all.window(lo, min(lo+batch, len(queries))), sc)
-					makespan += bd.Makespan
-					serial += bd.Serial
+					serial += s.use(&use, all.window(lo, min(lo+batch, len(queries))), sc).Serial
 				}
 				n := float64(len(queries))
 				rows = append(rows, ThroughputRow{
 					Dataset: name, Mode: mode, Batch: batch, HostCost: cost,
-					ModelQPS:       n / makespan.Seconds(),
+					ModelQPS:       n / use.busy.Makespan.Seconds(),
 					ModelSerialQPS: n / serial.Seconds(),
+					ModelShares:    use.shares(),
 				})
 			}
 		}
@@ -103,15 +104,15 @@ func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow
 func FormatThroughput(rows []ThroughputRow) string {
 	var sb strings.Builder
 	sb.WriteString("Batched query admission: wall-clock and modeled QPS (REIS-SSD1)\n")
-	fmt.Fprintf(&sb, "%-10s %-10s %6s %10s %10s %12s %8s %10s %10s\n",
-		"dataset", "mode", "batch", "wall QPS", "model QPS", "model serial", "overlap", "ns/op", "allocs/op")
+	fmt.Fprintf(&sb, "%-10s %-10s %6s %10s %10s %12s %8s %10s %10s %5s %8s\n",
+		"dataset", "mode", "batch", "wall QPS", "model QPS", "model serial", "overlap", "ns/op", "allocs/op", "ibc", "bound")
 	for _, r := range rows {
 		gain := 0.0
 		if r.ModelSerialQPS > 0 {
 			gain = r.ModelQPS / r.ModelSerialQPS
 		}
-		fmt.Fprintf(&sb, "%-10s %-10s %6d %10.1f %10.1f %12.1f %7.2fx %10.0f %10.1f\n",
-			r.Dataset, r.Mode, r.Batch, r.WallQPS, r.ModelQPS, r.ModelSerialQPS, gain, r.NsPerOp, r.AllocsPerOp)
+		fmt.Fprintf(&sb, "%-10s %-10s %6d %10.1f %10.1f %12.1f %7.2fx %10.0f %10.1f %5.2f %8s\n",
+			r.Dataset, r.Mode, r.Batch, r.WallQPS, r.ModelQPS, r.ModelSerialQPS, gain, r.NsPerOp, r.AllocsPerOp, r.IBCShare, r.Bottleneck)
 	}
 	return sb.String()
 }

@@ -1,6 +1,9 @@
 package flash
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Opcode enumerates the NAND flash command-set extensions of Table 2,
 // plus the conventional read/program commands they extend. The die
@@ -60,9 +63,17 @@ type Command struct {
 	Addr  Address  // OpReadPage
 	Plane int      // OpXOR, OpGenDist, OpGenDistPage, OpReadTTL: global plane index
 	Mini  MiniPage // OpGenDist, OpReadTTL; for OpGenDistPage, Mini.Slot is the first slot
-	// Query and SlotBytes apply to OpIBC.
+	// Query and SlotBytes apply to OpIBC. With a zero PlaneMask the
+	// command loads Plane's cache latch alone; a non-zero PlaneMask makes
+	// it the multi-plane broadcast to global die index Die (MPIBC,
+	// Sec 4.3.4) — one load that the die's planes in the mask latch
+	// (bit i = plane-in-die i) — and Held marks a die that still holds
+	// this broadcast, where nothing is sent (Device.LoadCacheDie).
 	Query     []byte
 	SlotBytes int
+	Die       int
+	PlaneMask uint64
+	Held      bool
 	// EntryBytes applies to OpReadTTL: the size of the transferred TTL
 	// entry.
 	EntryBytes int
@@ -117,6 +128,17 @@ func (f *DieFSM) Execute(cmd Command) (int, error) {
 		f.haveXOR[p] = false
 		return 0, nil
 	case OpIBC:
+		if cmd.PlaneMask != 0 {
+			if err := f.dev.LoadCacheDie(cmd.Die, cmd.PlaneMask, cmd.Query, cmd.SlotBytes, cmd.Held); err != nil {
+				return 0, err
+			}
+			for m := cmd.PlaneMask; m != 0; m &= m - 1 {
+				p := f.dev.Geo.DiePlane(cmd.Die, bits.TrailingZeros64(m))
+				f.haveIBC[p] = true
+				f.haveXOR[p] = false
+			}
+			return 0, nil
+		}
 		if cmd.Plane < 0 || cmd.Plane >= f.dev.Geo.Planes() {
 			return 0, fmt.Errorf("flash: IBC invalid plane %d", cmd.Plane)
 		}

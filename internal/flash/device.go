@@ -2,6 +2,7 @@ package flash
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -428,17 +429,67 @@ func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, dst []byte) er
 	return nil
 }
 
-// LoadCache performs Input Broadcasting (IBC): fills the plane's cache
-// latch with repeated copies of pattern, aligned to slot boundaries of
+// LoadCache performs Input Broadcasting (IBC) into one plane: a load of
+// its own through the die's I/O port that fills the plane's cache latch
+// with repeated copies of pattern, aligned to slot boundaries of
 // slotBytes, so the subsequent XOR compares the query against every
 // embedding slot in a page (Sec 4.3.2 step 1).
 func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 	if planeIdx < 0 || planeIdx >= len(d.planes) {
 		return fmt.Errorf("flash: LoadCache invalid plane %d", planeIdx)
 	}
-	if slotBytes <= 0 || len(pattern) > slotBytes {
-		return fmt.Errorf("flash: LoadCache pattern %dB exceeds slot %dB", len(pattern), slotBytes)
+	if err := d.checkPattern(pattern, slotBytes); err != nil {
+		return err
 	}
+	d.fillCache(planeIdx, pattern, slotBytes)
+	d.countIBCLoad(d.Geo.ChannelOf(planeIdx))
+	return nil
+}
+
+// LoadCacheDie is the multi-plane broadcast (MPIBC, Sec 4.3.4): one load
+// through die's I/O port (a global die index, Geometry.DieOf) that every
+// plane of the die latches together. The simulator fills only the cache
+// latches of the planes named in mask (bit i = plane-in-die i) — the
+// ones the caller will XOR against before their next load.
+//
+// held says the die already received this pattern and nothing else
+// since: its planes latched it then, so nothing crosses the port now and
+// nothing is counted; the call only materialises the latches of planes
+// the earlier load's mask left unfilled.
+func (d *Device) LoadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
+	if die < 0 || die >= d.Geo.Dies() || mask == 0 || mask>>uint(d.Geo.PlanesPerDie) != 0 {
+		return fmt.Errorf("flash: LoadCacheDie invalid die %d mask %#x", die, mask)
+	}
+	if err := d.checkPattern(pattern, slotBytes); err != nil {
+		return err
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		d.fillCache(d.Geo.DiePlane(die, bits.TrailingZeros64(m)), pattern, slotBytes)
+	}
+	if !held {
+		d.countIBCLoad(d.Geo.DieChannel(die))
+	}
+	return nil
+}
+
+func (d *Device) checkPattern(pattern []byte, slotBytes int) error {
+	if slotBytes <= 0 || len(pattern) > slotBytes {
+		return fmt.Errorf("flash: IBC pattern %dB exceeds slot %dB", len(pattern), slotBytes)
+	}
+	return nil
+}
+
+// countIBCLoad accounts one broadcast load: whatever the pattern's
+// length, a full cache latch of query copies crosses the die port
+// (Sec 4.3.2) — the bytes the timing model charges per load.
+func (d *Device) countIBCLoad(channel int) {
+	d.Stats.IBCLoads.Add(1)
+	d.Stats.BytesIn[channel].Add(int64(d.Geo.PageBytes))
+}
+
+// fillCache fills one plane's cache latch with slot-aligned copies of
+// pattern.
+func (d *Device) fillCache(planeIdx int, pattern []byte, slotBytes int) {
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
 	// The slot fill overwrites [0, filled); only the page tail and the
@@ -458,9 +509,6 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 		copy(pl.Cache[off:off+slotBytes], pattern)
 	}
 	pl.mu.Unlock()
-	d.Stats.IBCLoads.Add(1)
-	d.Stats.BytesIn[planeIdx/(d.Geo.DiesPerChannel*d.Geo.PlanesPerDie)].Add(int64(len(pattern)))
-	return nil
 }
 
 // XORLatches computes Data = Sensing XOR Cache over the user-data
@@ -595,8 +643,7 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 // TransferOut accounts an outbound transfer of n bytes on the
 // channel serving planeIdx (TTL entries moving to controller DRAM).
 func (d *Device) TransferOut(planeIdx, n int) {
-	ch := planeIdx / (d.Geo.DiesPerChannel * d.Geo.PlanesPerDie)
-	d.Stats.BytesOut[ch].Add(int64(n))
+	d.Stats.BytesOut[d.Geo.ChannelOf(planeIdx)].Add(int64(n))
 }
 
 // SlotData returns a copy of the given slot of the plane's sensing

@@ -596,3 +596,76 @@ func TestSlotDataReturnsEmbedding(t *testing.T) {
 		t.Fatalf("slot 1 = %x", s1[0])
 	}
 }
+
+// TestIBCLoadCountsALatch: a broadcast load moves a full cache latch of
+// query copies through the die port, whatever the pattern's length —
+// the bytes the timing model charges per load — on the plane's channel.
+func TestIBCLoadCountsALatch(t *testing.T) {
+	d := testDevice(t)
+	g := d.Geo
+	plane := (Address{Channel: 1, Die: 1, Plane: 0}).PlaneIndex(g)
+	if err := d.LoadCache(plane, []byte{0xDE, 0xAD}, 4); err != nil {
+		t.Fatal(err)
+	}
+	if in0, in1 := d.Stats.BytesIn[0].Load(), d.Stats.BytesIn[1].Load(); in0 != 0 || in1 != int64(g.PageBytes) {
+		t.Fatalf("BytesIn = [%d %d], want [0 %d]", in0, in1, g.PageBytes)
+	}
+}
+
+// TestIBCDieBroadcast: the multi-plane broadcast is one load on the
+// die's channel that fills the cache latches of the planes it names and
+// no others; a held broadcast fills without counting; the FSM lets only
+// the named planes go on to XOR.
+func TestIBCDieBroadcast(t *testing.T) {
+	d := testDevice(t)
+	g := d.Geo
+	fsm := NewDieFSM(d)
+	die := g.DieOf((Address{Channel: 1, Die: 1}).PlaneIndex(g))
+	p0, p1 := g.DiePlane(die, 0), g.DiePlane(die, 1)
+	if g.ChannelOf(p0) != 1 || g.ChannelOf(p1) != 1 || g.DieOf(p1) != die || p0 == p1 {
+		t.Fatalf("die %d planes %d, %d", die, p0, p1)
+	}
+	for _, p := range []int{p0, p1} {
+		fillErased(d.Plane(p).Cache)
+	}
+	mustExec(t, fsm, Command{Op: OpIBC, Die: die, PlaneMask: 0b10, Query: []byte{0xA5}, SlotBytes: 2})
+	if c := d.Plane(p1).Cache; c[0] != 0xA5 || c[1] != 0 || c[2] != 0xA5 {
+		t.Fatalf("named plane's cache latch = % x", c[:4])
+	}
+	if c := d.Plane(p0).Cache; c[0] != 0xFF {
+		t.Fatalf("unnamed plane's cache latch was filled: % x", c[:4])
+	}
+	if n, in := d.Stats.IBCLoads.Load(), d.Stats.BytesIn[1].Load(); n != 1 || in != int64(g.PageBytes) || d.Stats.BytesIn[0].Load() != 0 {
+		t.Fatalf("one die load counted %d loads, %d bytes in on its channel", n, in)
+	}
+
+	// The die still holds the broadcast: latching its other plane moves
+	// nothing through the port.
+	mustExec(t, fsm, Command{Op: OpIBC, Die: die, PlaneMask: 0b01, Held: true, Query: []byte{0xA5}, SlotBytes: 2})
+	if c := d.Plane(p0).Cache; c[0] != 0xA5 {
+		t.Fatalf("held broadcast did not fill the plane: % x", c[:4])
+	}
+	if n, in := d.Stats.IBCLoads.Load(), d.Stats.BytesIn[1].Load(); n != 1 || in != int64(g.PageBytes) {
+		t.Fatalf("held broadcast counted: %d loads, %d bytes", n, in)
+	}
+
+	// Protocol: a plane of another die has seen no IBC.
+	other := g.DiePlane(g.DieOf((Address{Channel: 0, Die: 0}).PlaneIndex(g)), 0)
+	a := Address{Channel: 0, Die: 0, Plane: 0}
+	if other != a.PlaneIndex(g) {
+		t.Fatalf("plane %d != %d", other, a.PlaneIndex(g))
+	}
+	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
+	if _, err := fsm.Execute(Command{Op: OpXOR, Plane: other}); err == nil {
+		t.Fatal("XOR accepted on a plane no broadcast named")
+	}
+	for _, bad := range []Command{
+		{Op: OpIBC, Die: g.Dies(), PlaneMask: 1, Query: []byte{1}, SlotBytes: 2},
+		{Op: OpIBC, Die: 0, PlaneMask: 1 << uint(g.PlanesPerDie), Query: []byte{1}, SlotBytes: 2},
+		{Op: OpIBC, Die: 0, PlaneMask: 1, Query: []byte{1, 2, 3}, SlotBytes: 2},
+	} {
+		if _, err := fsm.Execute(bad); err == nil {
+			t.Fatalf("accepted %+v", bad)
+		}
+	}
+}

@@ -34,10 +34,11 @@ type Geometry struct {
 	ChannelBandwidth float64
 }
 
-// Validate reports whether every field is positive.
+// Validate reports whether every field is positive (and a die's planes
+// fit the 64-bit mask a multi-plane broadcast names them in).
 func (g Geometry) Validate() error {
 	switch {
-	case g.Channels <= 0, g.DiesPerChannel <= 0, g.PlanesPerDie <= 0,
+	case g.Channels <= 0, g.DiesPerChannel <= 0, g.PlanesPerDie <= 0, g.PlanesPerDie > 64,
 		g.BlocksPerPlane <= 0, g.PagesPerBlock <= 0, g.PageBytes <= 0,
 		g.OOBBytes < 0, g.ChannelBandwidth <= 0:
 		return fmt.Errorf("flash: invalid geometry %+v", g)
@@ -91,8 +92,34 @@ func (a Address) Valid(g Geometry) bool {
 }
 
 // PlaneIndex returns the global plane index of a in [0, g.Planes()).
+// The order is channel-first: index i is channel i mod Channels,
+// plane-in-die (i / Channels) mod PlanesPerDie, die i / (Channels ×
+// PlanesPerDie). A region stripes page i onto plane i mod Planes, so
+// Channels consecutive pages sit on Channels different channels and
+// Channels × PlanesPerDie consecutive pages fill exactly one die per
+// channel — the parallelism-first layout of Sec 4.1.1, which the timing
+// model's even spread over the aggregate channel bandwidth assumes.
 func (a Address) PlaneIndex(g Geometry) int {
-	return (a.Channel*g.DiesPerChannel+a.Die)*g.PlanesPerDie + a.Plane
+	return (a.Die*g.PlanesPerDie+a.Plane)*g.Channels + a.Channel
+}
+
+// ChannelOf returns the channel serving a global plane index.
+func (g Geometry) ChannelOf(plane int) int { return plane % g.Channels }
+
+// DieOf returns the global die index, in [0, g.Dies()), of a global
+// plane index. Dies are numbered channel-first like planes: die d is
+// channel d mod Channels, die-in-channel d / Channels.
+func (g Geometry) DieOf(plane int) int {
+	return plane/(g.Channels*g.PlanesPerDie)*g.Channels + plane%g.Channels
+}
+
+// DieChannel returns the channel serving a global die index.
+func (g Geometry) DieChannel(die int) int { return die % g.Channels }
+
+// DiePlane returns the global plane index of plane-in-die pl of global
+// die index die — the inverse of (DieOf, plane-in-die).
+func (g Geometry) DiePlane(die, pl int) int {
+	return (die/g.Channels*g.PlanesPerDie+pl)*g.Channels + die%g.Channels
 }
 
 // PageIndex returns the page offset within its plane.
@@ -113,9 +140,9 @@ func AddressFromLinear(g Geometry, idx int) Address {
 	plane := idx / perPlane
 	page := idx % perPlane
 	return Address{
-		Channel: plane / (g.DiesPerChannel * g.PlanesPerDie),
-		Die:     (plane / g.PlanesPerDie) % g.DiesPerChannel,
-		Plane:   plane % g.PlanesPerDie,
+		Channel: g.ChannelOf(plane),
+		Die:     plane / (g.Channels * g.PlanesPerDie),
+		Plane:   plane / g.Channels % g.PlanesPerDie,
 		Block:   page / g.PagesPerBlock,
 		Page:    page % g.PagesPerBlock,
 	}

@@ -3,7 +3,9 @@ package reis
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
+	"reis/internal/flash"
 	"reis/internal/ssd"
 )
 
@@ -13,9 +15,11 @@ import (
 // device's share split into per-plane tasks on its per-die worker pool
 // (batchScan), and the cross-device fold of a segment's outcome.
 //
-//   - A plane only receives an IBC broadcast for queries it actually
-//     scans, instead of every query flooding every plane.
-//   - Each plane processes its share of every query back to back
+//   - A die only receives an IBC broadcast for queries it actually
+//     scans, latched by the planes that scan them, instead of every
+//     query flooding every plane (planBroadcasts); the loads that cross
+//     a die port are what the timing model charges (ibcLedger).
+//   - Each die processes its share of every query back to back
 //     (query-major order) with no global barrier per query, so device
 //     time is occupied continuously — the overlap BatchLatency costs
 //     with the channel-occupancy model.
@@ -46,7 +50,7 @@ type segScan struct {
 
 // scanOut is the pooled outcome of the last batchScan: segs holds every
 // (query, segment) in query-major order, query qi's starting at off[qi];
-// ibc[qi] is the number of planes that received query qi's broadcast.
+// ibc[qi] is the number of planes that latched query qi's broadcast.
 type scanOut struct {
 	segs  []segScan
 	off   []int
@@ -143,27 +147,7 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			out.segs = append(out.segs, seg)
 		}
 	}
-	// A plane issues one IBC per run of same-query items in its work
-	// list; items are appended in ascending query order, so counting
-	// the query transitions per plane counts exactly the broadcasts
-	// the execution below performs.
-	for p := range planeWork {
-		prev := -1
-		for _, it := range planeWork[p] {
-			if it.qi != prev {
-				out.ibc[it.qi]++
-				prev = it.qi
-			}
-		}
-	}
-
-	busy := e.scr.busy[:0]
-	for p, items := range planeWork {
-		if len(items) > 0 {
-			busy = append(busy, p)
-		}
-	}
-	e.scr.busy = busy
+	busy := e.planBroadcasts()
 	e.scr.round = scanRound{ctx: ctx, e: e, db: db, region: region, packed: packed, filter: filter, metaTag: metaTag}
 	err := e.pool.run(&e.scr.round, busy)
 	e.scr.round = scanRound{} // the command's context and queries go with it
@@ -198,29 +182,193 @@ type scanRound struct {
 	metaTag *uint8
 }
 
-// runPlane executes one plane's work list of the round on its die's
-// worker: the items in (query, segment) order, one IBC broadcast per run
-// of same-query items.
-func (r *scanRound) runPlane(sc *workerScratch, plane int) error {
+// runDie executes one die's share of the round on its worker: the
+// planned broadcasts in ascending query order, each followed by that
+// query's items on the planes that latched it, in (query, segment) order
+// per plane.
+func (r *scanRound) runDie(sc *workerScratch, die int) error {
 	e := r.e
-	curQ := -1
-	for _, it := range e.scr.planeWork[plane] {
+	led := &e.scr.ibc
+	geo := led.geo
+	for pl := 0; pl < geo.PlanesPerDie; pl++ {
+		led.cursor[geo.DiePlane(die, pl)] = 0
+	}
+	for _, st := range led.steps[die] {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
-		if it.qi != curQ {
-			// One broadcast per query per plane: the cache
-			// latch must hold this query before its scans.
-			if err := e.ibcPlane(r.db, plane, r.packed[it.qi]); err != nil {
-				return err
-			}
-			curQ = it.qi
-		}
-		ps, err := e.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.filter, r.metaTag, it.bound)
-		if err != nil {
+		// The cache latches must hold this query before its scans.
+		if err := e.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
 			return err
 		}
-		e.scr.out.scans[it.slot] = ps
+		for m := st.mask; m != 0; m &= m - 1 {
+			plane := geo.DiePlane(die, bits.TrailingZeros64(m))
+			items := e.scr.planeWork[plane]
+			i := led.cursor[plane]
+			for ; i < len(items) && items[i].qi == st.qi; i++ {
+				if err := r.ctx.Err(); err != nil {
+					return err
+				}
+				it := items[i]
+				ps, err := e.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.filter, r.metaTag, it.bound)
+				if err != nil {
+					return err
+				}
+				e.scr.out.scans[it.slot] = ps
+			}
+			led.cursor[plane] = i
+		}
+	}
+	return nil
+}
+
+// ibcStep is one broadcast a die receives in a scan round: query qi,
+// latched by the die's planes in mask (bit i = plane-in-die i). sent
+// names the loads that cross the die's I/O port for it — with MPIBC one
+// for the whole die (sent == mask), without it one per plane named; where
+// sent is clear the latches still hold the query from an earlier round
+// of the command.
+type ibcStep struct {
+	qi         int
+	mask, sent uint64
+}
+
+// ibcLedger is a device's broadcast bookkeeping for one command. A unit
+// is what one load fills: a die with MPIBC (Sec 4.3.4), a plane without.
+// The controller remembers which query each unit holds, so a later round
+// of the command re-sends a query only where another query of a
+// coalesced group overwrote it, and which units each query has loaded:
+// loads[qi], the distinct units on the busiest channel, is what the
+// timing model charges (QueryStats.IBCLoads). It depends on the query's
+// own pages only — not on its batch, unlike the re-sends.
+type ibcLedger struct {
+	geo   flash.Geometry
+	mpibc bool
+	units int
+	// steps[die] is the die's broadcast plan of the current round;
+	// cursor[plane] walks the plane's work list while the plan is built
+	// and again while the die executes it.
+	steps  [][]ibcStep
+	cursor []int
+	holds  []int32  // holds[unit]: the query the unit's latches hold, -1 none
+	loaded []uint64 // bit qi*units+unit: query qi has loaded unit
+	perCh  []int32  // perCh[qi*Channels+ch]: units of channel ch in loaded[qi]
+	loads  []int
+}
+
+// begin opens the ledger for a command of nq queries: no latch is known
+// to hold any of them.
+func (l *ibcLedger) begin(geo flash.Geometry, mpibc bool, nq int) {
+	l.geo, l.mpibc, l.units = geo, mpibc, geo.Planes()
+	if mpibc {
+		l.units = geo.Dies()
+	}
+	l.steps = growTo(l.steps, geo.Dies())
+	l.cursor = growTo(l.cursor, geo.Planes())
+	l.holds = growTo(l.holds, l.units)
+	for u := range l.holds {
+		l.holds[u] = -1
+	}
+	l.loaded = growTo(l.loaded, (nq*l.units+63)/64)
+	clear(l.loaded)
+	l.perCh = growTo(l.perCh, nq*geo.Channels)
+	clear(l.perCh)
+	l.loads = resizeInts(l.loads, nq)
+}
+
+// send records that unit, on channel ch, must hold query qi and reports
+// whether a load has to cross the port for it.
+func (l *ibcLedger) send(qi, unit, ch int) bool {
+	if l.holds[unit] == int32(qi) {
+		return false
+	}
+	l.holds[unit] = int32(qi)
+	bit := qi*l.units + unit
+	if w, m := bit>>6, uint64(1)<<uint(bit&63); l.loaded[w]&m == 0 {
+		l.loaded[w] |= m
+		n := &l.perCh[qi*l.geo.Channels+ch]
+		*n++
+		l.loads[qi] = max(l.loads[qi], int(*n))
+	}
+	return true
+}
+
+// planBroadcasts turns the round's per-plane work lists into each die's
+// broadcast plan and returns the dies with work. A die receives a query
+// once per run of that query's items on its planes; items were appended
+// in ascending query order, so merging the planes' lists query-major
+// yields exactly the broadcasts runDie performs. It also counts the
+// planes each query is latched on (scanOut.ibc).
+func (e *Engine) planBroadcasts() []int {
+	led, work, out := &e.scr.ibc, e.scr.planeWork, &e.scr.out
+	geo := led.geo
+	busy := e.scr.busy[:0]
+	for die := range led.steps {
+		steps := led.steps[die][:0]
+		ch := geo.DieChannel(die)
+		for pl := 0; pl < geo.PlanesPerDie; pl++ {
+			led.cursor[geo.DiePlane(die, pl)] = 0
+		}
+		for {
+			qi := -1
+			for pl := 0; pl < geo.PlanesPerDie; pl++ {
+				p := geo.DiePlane(die, pl)
+				if c := led.cursor[p]; c < len(work[p]) && (qi < 0 || work[p][c].qi < qi) {
+					qi = work[p][c].qi
+				}
+			}
+			if qi < 0 {
+				break
+			}
+			st := ibcStep{qi: qi}
+			for pl := 0; pl < geo.PlanesPerDie; pl++ {
+				p := geo.DiePlane(die, pl)
+				c := led.cursor[p]
+				if c == len(work[p]) || work[p][c].qi != qi {
+					continue
+				}
+				for c < len(work[p]) && work[p][c].qi == qi {
+					c++
+				}
+				led.cursor[p] = c
+				st.mask |= 1 << uint(pl)
+				if !led.mpibc && led.send(qi, p, ch) {
+					st.sent |= 1 << uint(pl)
+				}
+			}
+			if led.mpibc && led.send(qi, die, ch) {
+				st.sent = st.mask
+			}
+			out.ibc[qi] += bits.OnesCount64(st.mask)
+			steps = append(steps, st)
+		}
+		led.steps[die] = steps
+		if len(steps) > 0 {
+			busy = append(busy, die)
+		}
+	}
+	e.scr.busy = busy
+	return busy
+}
+
+// broadcast issues one planned step to the die: with MPIBC a single
+// multi-plane IBC (held when nothing needs to cross the port), without
+// it one IBC per plane that does not hold the query yet.
+func (e *Engine) broadcast(db *Database, die int, st ibcStep, qPacked []byte) error {
+	if e.scr.ibc.mpibc {
+		_, err := e.FSM.Execute(flash.Command{
+			Op: flash.OpIBC, Die: die, PlaneMask: st.mask, Held: st.sent == 0,
+			Query: qPacked, SlotBytes: db.slotBytes,
+		})
+		return err
+	}
+	for m := st.sent; m != 0; m &= m - 1 {
+		plane := e.scr.ibc.geo.DiePlane(die, bits.TrailingZeros64(m))
+		if _, err := e.FSM.Execute(flash.Command{
+			Op: flash.OpIBC, Plane: plane, Query: qPacked, SlotBytes: db.slotBytes,
+		}); err != nil {
+			return err
+		}
 	}
 	return nil
 }
@@ -297,20 +445,22 @@ func (c *controller) scan(ctx context.Context, coarse bool, segs [][]SlotRange, 
 		for s, d := range h.devs {
 			for qi := range rows[s] {
 				rows[s][qi].Add(d.scr.out.stats(qi, coarse))
+				rows[s][qi].IBCLoads = d.scr.ibc.loads[qi]
 			}
 		}
 	}
 	return nil
 }
 
-// ibc is query qi's broadcast count in the last round: the devices'
-// planes partition the reference device's, so the counts sum.
-func (c *controller) ibc(qi int) int {
-	n := 0
+// ibc adds query qi's broadcasts of the last round to st. The devices'
+// planes partition the reference device's, so the planes latched sum;
+// device s's channel c is the reference's channel N·c+s, so the loads on
+// the reference's busiest channel are the largest device's.
+func (c *controller) ibc(qi int, st *QueryStats) {
 	for _, d := range c.h.devs {
-		n += d.scr.out.ibc[qi]
+		st.IBCBroadcasts += d.scr.out.ibc[qi]
+		st.IBCLoads = max(st.IBCLoads, d.scr.ibc.loads[qi])
 	}
-	return n
 }
 
 // fold adds segment (qi, si) of the last round to st and appends its

@@ -188,6 +188,9 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		pool = rerankPool(k)
 	}
 	s.reset(queries, pool, c.db.lay.slotBytes)
+	for _, d := range c.h.devs {
+		d.scr.ibc.begin(d.SSD.Cfg.Geo, d.Opts.MPIBC, nq)
+	}
 	sts := make([]QueryStats, nq)
 	rows := c.h.shardRows(nq)
 	mut, cache, nlist := c.db.mut, c.db.cache, len(c.db.lay.rivf)
@@ -224,7 +227,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		nprobe := min(max(opt.NProbe, 1), nlist)
 		for qi := range queries {
 			st := &sts[qi]
-			st.IBCBroadcasts += c.ibc(qi)
+			c.ibc(qi, st)
 			cents := c.fold(qi, 0, true, st, s.cents[:0])
 			s.cents = cents
 			st.CoarseEntries = len(cents)
@@ -298,7 +301,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		}
 		for qi := range queries {
 			st := &sts[qi]
-			st.IBCBroadcasts += c.ibc(qi)
+			c.ibc(qi, st)
 			// Earlier rounds wait in the query's accumulator; its final
 			// stream is assembled in the one shared buffer and consumed by
 			// the tail at once, so an unpruned batch holds one query's

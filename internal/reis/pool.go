@@ -32,56 +32,44 @@ type workerScratch struct {
 	dists []int
 }
 
-// planePool dispatches a scan round's per-plane work lists
-// (scanRound.runPlane) onto one worker per simulated
-// die (channels x dies/channel workers, sized from the SSD geometry).
-// That mirrors the hardware: planes of one die share control logic and
-// execute commands one at a time, while different dies run fully in
-// parallel.
+// planePool dispatches a scan round's per-die work (scanRound.runDie)
+// onto one worker per simulated die (worker w is global die index w,
+// flash.Geometry.DieOf). That mirrors the hardware: planes of one die
+// share control logic and an I/O port and execute commands one at a
+// time, while different dies run fully in parallel.
 //
 // Workers are persistent goroutines draining per-worker channels (the
-// die's command queue), started lazily on the first multi-plane run and
-// stopped for good by Engine.Close. A run enqueues each worker's plane
-// list and waits; the pool is never invoked per plane.
+// die's command queue), started lazily on the first multi-die run and
+// stopped for good by Engine.Close. A run hands each busy die the round
+// and waits; the pool is never invoked per plane.
 //
 // Determinism: a plane always maps to the same worker, and a worker runs
-// its planes in submission order, so the per-plane
+// its die's broadcasts and scans in the planned order, so the per-plane
 // command sequence — and therefore every latch content, distance and
 // counter a work item observes — is independent of goroutine scheduling.
 type planePool struct {
-	planesPerDie int
-	workers      int
-	// scratch[w] is worker w's arena; queues, errs and wg are the pooled
-	// per-run dispatch structures.
+	geo flash.Geometry
+	// scratch[w] is worker w's arena; errs and wg are the pooled per-run
+	// dispatch structures.
 	scratch []*workerScratch
-	queues  [][]int
 	errs    []error
 	wg      sync.WaitGroup
 	// chans[w] feeds worker w's goroutine; nil until started. The pool
 	// has a single dispatching owner at a time (the device lock holder),
 	// so started/stopped/chans need no extra synchronization.
-	chans   []chan poolRun
+	chans   []chan *scanRound
 	started bool
 	// stopped is set by stop: the device is closed and refuses further
 	// scans instead of restarting (and leaking) its workers.
 	stopped bool
 }
 
-// poolRun is one run's share for one worker: the planes of the round
-// whose work lists it executes.
-type poolRun struct {
-	round  *scanRound
-	planes []int
-}
-
 func newPlanePool(geo flash.Geometry) *planePool {
 	workers := geo.Dies()
 	p := &planePool{
-		planesPerDie: geo.PlanesPerDie,
-		workers:      workers,
-		scratch:      make([]*workerScratch, workers),
-		queues:       make([][]int, workers),
-		errs:         make([]error, workers),
+		geo:     geo,
+		scratch: make([]*workerScratch, workers),
+		errs:    make([]error, workers),
 	}
 	for i := range p.scratch {
 		p.scratch[i] = &workerScratch{}
@@ -89,13 +77,10 @@ func newPlanePool(geo flash.Geometry) *planePool {
 	return p
 }
 
-// workerOf returns the worker (die) index serving a global plane index.
-func (p *planePool) workerOf(plane int) int { return plane / p.planesPerDie }
-
 // scratchOf returns the arena of the worker serving a global plane
 // index — how the engine resolves a planeScan's entry window after a
 // run completes.
-func (p *planePool) scratchOf(plane int) *workerScratch { return p.scratch[p.workerOf(plane)] }
+func (p *planePool) scratchOf(plane int) *workerScratch { return p.scratch[p.geo.DieOf(plane)] }
 
 // resetArenas empties every worker's entry arena (keeping capacity).
 // The engine calls it at the start of each scan phase, once all windows
@@ -107,7 +92,7 @@ func (p *planePool) resetArenas() {
 }
 
 // start spins up the persistent die workers. Each worker loops on its
-// channel, executing one run's plane list at a time; the channel
+// channel, executing its die's share of one round at a time; the channel
 // send/receive and the run WaitGroup establish the happens-before
 // edges that keep the scratch ownership rule race-clean.
 func (p *planePool) start() {
@@ -115,19 +100,13 @@ func (p *planePool) start() {
 		return
 	}
 	p.started = true
-	p.chans = make([]chan poolRun, p.workers)
+	p.chans = make([]chan *scanRound, len(p.scratch))
 	for w := range p.chans {
-		ch := make(chan poolRun, 1)
+		ch := make(chan *scanRound, 1)
 		p.chans[w] = ch
-		go func(w int, ch chan poolRun) {
-			sc := p.scratch[w]
+		go func(w int, ch chan *scanRound) {
 			for r := range ch {
-				for _, plane := range r.planes {
-					if err := r.round.runPlane(sc, plane); err != nil {
-						p.errs[w] = err
-						break
-					}
-				}
+				p.errs[w] = r.runDie(p.scratch[w], w)
 				p.wg.Done()
 			}
 		}(w, ch)
@@ -148,39 +127,25 @@ func (p *planePool) stop() {
 	p.started = false
 }
 
-// run executes the round's work on the given planes and waits for
-// completion. Planes are grouped by worker preserving submission order
-// and enqueued onto the persistent die workers' command queues; a lone
-// plane runs on the caller's goroutine. The first error of the
-// lowest-numbered worker is returned; a worker stops its run at its
-// first error.
-func (p *planePool) run(round *scanRound, planes []int) error {
-	switch len(planes) {
+// run executes the round's work on the given dies, each on its
+// persistent worker, and waits for completion; a lone die runs on the
+// caller's goroutine. The error of the lowest-numbered die is returned;
+// a die stops at its first error.
+func (p *planePool) run(round *scanRound, dies []int) error {
+	switch len(dies) {
 	case 0:
 		return nil
 	case 1:
-		return round.runPlane(p.scratchOf(planes[0]), planes[0])
+		return round.runDie(p.scratch[dies[0]], dies[0])
 	}
 	p.start()
-	queues := p.queues
-	for w := range queues {
-		p.errs[w] = nil
-		queues[w] = queues[w][:0]
-	}
-	for _, plane := range planes {
-		w := p.workerOf(plane)
-		queues[w] = append(queues[w], plane)
-	}
-	for w, q := range queues {
-		if len(q) == 0 {
-			continue
-		}
-		p.wg.Add(1)
-		p.chans[w] <- poolRun{round: round, planes: q}
+	p.wg.Add(len(dies))
+	for _, die := range dies {
+		p.chans[die] <- round
 	}
 	p.wg.Wait()
-	for _, err := range p.errs {
-		if err != nil {
+	for _, die := range dies {
+		if err := p.errs[die]; err != nil {
 			return err
 		}
 	}

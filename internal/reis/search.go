@@ -49,10 +49,22 @@ type QueryStats struct {
 	// DocPages/DocBytes cover document retrieval.
 	DocPages int
 	DocBytes int64
-	// IBCBroadcasts counts query broadcasts (one per plane without
-	// MPIBC, one per die with it — timing handles the distinction;
-	// this is the functional count of LoadCache operations).
+	// IBCBroadcasts counts the plane cache latches the query was
+	// broadcast into, summed over the command's scan rounds (a plane that
+	// scans the query in two rounds counts twice). Reported only; the
+	// timing model charges IBCLoads.
 	IBCBroadcasts int
+	// IBCLoads is the number of latch loads the query's broadcast sends
+	// through the die ports of the busiest channel during the command:
+	// the distinct dies it scans there with MPIBC (one load, latched by
+	// all of a die's planes, Sec 4.3.4), the distinct planes without.
+	// Channels load in parallel, so this — not the total — is the
+	// broadcast's time. A per-device row carries that device's busiest
+	// channel and the aggregate the largest row, which is the N×-channels
+	// reference device's value. Re-sends forced when another query of a
+	// coalesced group overwrote a latch between rounds are not counted:
+	// like every other field, it depends on the query alone.
+	IBCLoads int
 	// SelectInput is the number of entries fed to quickselect.
 	SelectInput int
 	// SortedEntries is the number of entries quicksorted at the end.
@@ -103,6 +115,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.DocPages += o.DocPages
 	s.DocBytes += o.DocBytes
 	s.IBCBroadcasts += o.IBCBroadcasts
+	s.IBCLoads += o.IBCLoads
 	s.SelectInput += o.SelectInput
 	s.SortedEntries += o.SortedEntries
 	s.CoarseEntries += o.CoarseEntries
@@ -163,7 +176,8 @@ type SearchOptions struct {
 type engineScratch struct {
 	spans     []ssd.PlaneSpan
 	planeWork [][]batchItem
-	busy      []int // the planes with work this round
+	busy      []int // the dies with work this round
+	ibc       ibcLedger
 	round     scanRound
 	out       scanOut
 	lists     [][]TTLEntry
@@ -204,14 +218,6 @@ func cmpDocResult(a, b DocResult) int {
 		return 1
 	}
 	return a.ID - b.ID
-}
-
-// ibcPlane broadcasts the packed query into one plane's cache latch.
-func (e *Engine) ibcPlane(db *Database, plane int, qPacked []byte) error {
-	_, err := e.FSM.Execute(flash.Command{
-		Op: flash.OpIBC, Plane: plane, Query: qPacked, SlotBytes: db.slotBytes,
-	})
-	return err
 }
 
 // planeScan records one per-plane scan task's outcome: the window of

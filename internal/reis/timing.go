@@ -14,7 +14,9 @@ import (
 // bytes); Coarse applies to the centroid scan, whose size follows
 // nlist rather than N (the paper uses nlist = 16384 at 41M+ entries,
 // roughly sqrt-proportional). Quantities that do not grow with the
-// database (rerank pool, top-k documents, IBC) are never scaled.
+// database (rerank pool, top-k documents) are never scaled; the
+// broadcast follows the scaled page counts up to one full broadcast
+// (ibcLoads).
 type Scale struct {
 	Fine   float64
 	Coarse float64
@@ -127,9 +129,7 @@ func (e *Engine) scanTime(db *Database, st QueryStats, sc Scale) (ibc, coarse, f
 	entryBytes := float64(db.ttlEntryBytes())
 	coarseEntries := float64(st.CoarseEntries) * sc.Coarse
 	fineSurvivors := e.fineSurvivors(st, sc)
-	if st.CoarsePages+st.FinePages > 0 {
-		ibc = e.ibcTime()
-	}
+	ibc = e.ibcTime(e.ibcLoads(db, st, sc))
 	coarse = e.scanPhaseTime(
 		scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage),
 		coarseEntries*entryBytes,
@@ -188,18 +188,49 @@ func docsTime(cfg ssd.Config, st QueryStats) time.Duration {
 		bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
 }
 
-// ibcTime models Input Broadcasting: each die loads a full cache latch
-// worth of query copies through its I/O port; dies on a channel share
-// the channel. Without MPIBC every plane is loaded separately; with
-// MPIBC all planes of a die latch the broadcast together (Sec 4.3.4).
-func (e *Engine) ibcTime() time.Duration {
+// ibcTime models Input Broadcasting: every load sends a full cache latch
+// worth of query copies through a die's I/O port, and the dies of a
+// channel share the channel, so the broadcast takes as long as the
+// busiest channel's loads.
+func (e *Engine) ibcTime(loads int) time.Duration {
+	return time.Duration(loads) * bytesTime(float64(e.SSD.Cfg.Geo.PageBytes), e.SSD.Cfg.Flash.DieInputBandwidth)
+}
+
+// fullIBCLoads is the broadcast that reaches every plane of the device,
+// in loads per channel: without MPIBC every plane is loaded separately;
+// with MPIBC all planes of a die latch one load together (Sec 4.3.4).
+func (e *Engine) fullIBCLoads() int {
 	geo := e.SSD.Cfg.Geo
-	perLoad := bytesTime(float64(geo.PageBytes), e.SSD.Cfg.Flash.DieInputBandwidth)
-	loads := geo.DiesPerChannel
-	if !e.Opts.MPIBC {
-		loads *= geo.PlanesPerDie
+	if e.Opts.MPIBC {
+		return geo.DiesPerChannel
 	}
-	return time.Duration(loads) * perLoad
+	return geo.DiesPerChannel * geo.PlanesPerDie
+}
+
+// ibcLoads is the number of latch loads one query's broadcast puts on
+// this device's busiest channel — the one IBC quantity scanTime,
+// scanOccupancy and scanEnergy charge. As executed (no scale above 1) it
+// is the device's own count, QueryStats.IBCLoads: the distinct dies — or
+// planes, without MPIBC — the query scanned on that channel. At paper
+// scale the scan touches more pages than the functional run did, spread
+// the way the plane order stripes them (Channels consecutive pages on
+// Channels channels, Channels × PlanesPerDie on one die of each): a phase
+// of n pages loads ⌈n / (Channels × planes per load)⌉ units per channel,
+// the same even spread scanPhaseTime turns into waves. Never below the
+// functional count, never above the full broadcast.
+func (e *Engine) ibcLoads(db *Database, st QueryStats, sc Scale) int {
+	if sc.Coarse <= 1 && sc.Fine <= 1 {
+		return st.IBCLoads
+	}
+	geo := e.SSD.Cfg.Geo
+	perLoad := geo.Channels
+	if e.Opts.MPIBC {
+		perLoad *= geo.PlanesPerDie
+	}
+	coarse := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage)
+	fine := scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
+	spread := ceilF(coarse/float64(perLoad)) + ceilF(fine/float64(perLoad))
+	return min(max(st.IBCLoads, spread), e.fullIBCLoads())
 }
 
 // scanPhaseTime costs one scan phase (coarse or fine): pages spread
@@ -281,9 +312,8 @@ func (e *Engine) scanEnergy(db *Database, st QueryStats, sc Scale) float64 {
 	slcPages := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage) +
 		scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
 	xferBytes := (float64(st.CoarseEntries)*sc.Coarse + e.fineSurvivors(st, sc)) * float64(db.ttlEntryBytes())
-	if st.CoarsePages+st.FinePages > 0 {
-		xferBytes += float64(geo.Dies() * geo.PageBytes) // IBC broadcast
-	}
+	// IBC broadcast: every channel is charged the busiest one's loads.
+	xferBytes += float64(e.ibcLoads(db, st, sc) * geo.Channels * geo.PageBytes)
 	return slcPages*(p.EnergyReadPage+p.EnergyLatchXOR+p.EnergyBitCount) + xferBytes*p.EnergyXferPerByte
 }
 
@@ -444,9 +474,7 @@ func (e *Engine) scanOccupancy(db *Database, st QueryStats, sc Scale) (plane, ch
 	}
 	plane = time.Duration(scanWaves) * planeWaveTime(cfg.Flash)
 
-	if st.CoarsePages+st.FinePages > 0 {
-		channel = e.ibcTime()
-	}
+	channel = e.ibcTime(e.ibcLoads(db, st, sc))
 	selectInput := coarseEntries + fineSurvivors
 	channel += bytesTime(selectInput*float64(db.ttlEntryBytes()), cfg.Geo.InternalBandwidth())
 	core = cfg.QuickselectTime(int(selectInput)) +
@@ -492,10 +520,12 @@ func (e *Engine) ASICLatency(db *Database, st QueryStats, sc Scale) Breakdown {
 	tRerank := rerankTime(cfg, db.int8Bytes, db.Dim, st)
 	tDocs := docsTime(cfg, st)
 
-	total := e.ibcTime() + scan + tRerank + tDocs
+	// The comparison point keeps the full broadcast it was specified with.
+	ibc := e.ibcTime(e.fullIBCLoads())
+	total := ibc + scan + tRerank + tDocs
 	j := scanPages*p.EnergyReadPage + scanPages*pageBytes*p.EnergyXferPerByte +
 		cfg.IdlePower*total.Seconds()
-	b := Breakdown{IBC: e.ibcTime(), Fine: scan, Rerank: tRerank, Docs: tDocs, Total: total, EnergyJ: j}
+	b := Breakdown{IBC: ibc, Fine: scan, Rerank: tRerank, Docs: tDocs, Total: total, EnergyJ: j}
 	if total > 0 {
 		b.AvgWatts = j / total.Seconds()
 	}

@@ -472,3 +472,85 @@ func TestPlaneViewRangeClampsAndOrders(t *testing.T) {
 		t.Fatalf("plane 3 should be empty in [0,2], got %v", got.PageIdxs)
 	}
 }
+
+// TestPlaneOrderIsChannelFirst pins the plane numbering the region
+// striping and the timing model's even spread stand on, on the two
+// evaluated devices and the 2×2×2 test geometry: the linear index is a
+// bijection; C consecutive region pages sit on C distinct channels; C·P
+// consecutive pages fill exactly one die of every channel; and shard s
+// of N maps plane for plane onto channels N·c+s of the N×C reference
+// device (DESIGN.md, "Sharded topology": "per-plane page loads match
+// plane for plane").
+func TestPlaneOrderIsChannelFirst(t *testing.T) {
+	for _, cfg := range []Config{SSD1(), SSD2(), tinyCfg()} {
+		g := cfg.Geo
+		g.BlocksPerPlane, g.PagesPerBlock = 2, 4
+		C, P, planes := g.Channels, g.PlanesPerDie, g.Planes()
+
+		seen := make([]bool, g.TotalPages())
+		for idx := range seen {
+			a := flash.AddressFromLinear(g, idx)
+			if !a.Valid(g) || a.LinearIndex(g) != idx {
+				t.Fatalf("%s: linear index %d -> %v -> %d", cfg.Name, idx, a, a.LinearIndex(g))
+			}
+			p := a.PlaneIndex(g)
+			if g.ChannelOf(p) != a.Channel || g.DieOf(p) != a.Die*C+a.Channel || g.DieChannel(g.DieOf(p)) != a.Channel || g.DiePlane(g.DieOf(p), a.Plane) != p {
+				t.Fatalf("%s: plane %d of %v: ChannelOf %d DieOf %d DiePlane %d",
+					cfg.Name, p, a, g.ChannelOf(p), g.DieOf(p), g.DiePlane(g.DieOf(p), a.Plane))
+			}
+		}
+
+		r := Region{StartStripe: 1, PageCount: 2*planes + C*P}
+		for first := 0; first+C*P <= r.PageCount; first++ {
+			chans := make(map[int]bool)
+			dies := make(map[int]int) // global die -> pages
+			for i := first; i < first+C*P; i++ {
+				a, err := r.AddressOf(g, i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if i < first+C {
+					chans[a.Channel] = true
+				}
+				dies[g.DieOf(a.PlaneIndex(g))]++
+			}
+			if len(chans) != C {
+				t.Fatalf("%s: pages [%d,%d) hit %d of %d channels", cfg.Name, first, first+C, len(chans), C)
+			}
+			// A window aligned to a die row fills one die per channel;
+			// an unaligned one straddles two rows, still P pages a channel.
+			if first%(C*P) == 0 {
+				if len(dies) != C {
+					t.Fatalf("%s: pages [%d,%d) hit %d dies, want one per channel (%d)", cfg.Name, first, first+C*P, len(dies), C)
+				}
+				for die, n := range dies {
+					if n != P {
+						t.Fatalf("%s: die %d holds %d of the window's pages, want %d", cfg.Name, die, n, P)
+					}
+				}
+			}
+		}
+
+		for _, n := range []int{2, 4} {
+			ref := g
+			ref.Channels = n * C
+			global := Region{StartStripe: 1, PageCount: n * r.PageCount}
+			for gp := 0; gp < global.PageCount; gp++ {
+				s := gp % n
+				local, err := r.AddressOf(g, gp/n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := global.AddressOf(ref, gp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				local.Channel = n*local.Channel + s
+				if local != want {
+					t.Fatalf("%s: global page %d on shard %d of %d is %v on the reference, shard-mapped %v",
+						cfg.Name, gp, s, n, want, local)
+				}
+			}
+		}
+	}
+}
