@@ -75,6 +75,13 @@ func goldenOf(b Breakdown, bb BatchBreakdown) timingGolden {
 	}
 }
 
+// row prints g as a line of a golden table.
+func (g timingGolden) row(key string) string {
+	return fmt.Sprintf("\t%q: {%d, %d, %d, %d, %d, %d, %v,\n\t\t%d, %d, %d, %d, %d, %v},\n", key,
+		g.ibc, g.coarse, g.fine, g.rerank, g.docs, g.total, g.energyJ,
+		g.serial, g.plane, g.channel, g.core, g.makespan, g.batchEnergyJ)
+}
+
 // sameTiming compares two priced responses: every duration must be
 // bit-identical; energies may differ by float re-association only (the
 // model sums the same per-event terms, possibly in another order), so
@@ -176,9 +183,7 @@ func TestShardedTimingTable(t *testing.T) {
 			}
 			key := fmt.Sprintf("%s/%d", tc.name, n)
 			got := goldenOf(b, bb)
-			fmt.Fprintf(&dump, "\t%q: {%d, %d, %d, %d, %d, %d, %v,\n\t\t%d, %d, %d, %d, %d, %v},\n", key,
-				got.ibc, got.coarse, got.fine, got.rerank, got.docs, got.total, got.energyJ,
-				got.serial, got.plane, got.channel, got.core, got.makespan, got.batchEnergyJ)
+			dump.WriteString(got.row(key))
 			if want, ok := shardedTimingGolden[key]; !ok || !sameTiming(got, want) {
 				t.Errorf("%s: model moved\n got %+v\nwant %+v", key, got, want)
 			}
@@ -187,6 +192,98 @@ func TestShardedTimingTable(t *testing.T) {
 			}
 			if b.AvgWatts != b.EnergyJ/b.Total.Seconds() {
 				t.Errorf("%s: AvgWatts %v is not EnergyJ/Total", key, b.AvgWatts)
+			}
+		}
+	}
+	if t.Failed() {
+		t.Logf("observed table:\n%s", dump.String())
+	}
+}
+
+// ladderTimingGolden pins, on one device, what the AllOptions() rows
+// above cannot reach: the unpipelined sum of a phase's stages (noopt, df),
+// every scanned entry crossing the channel and linear survivor scaling
+// (noopt; df at the pruned case's unit scale), the per-plane broadcast
+// spread at paper scale (every rung below MPIBC), and the REIS-ASIC
+// comparison point (asic: Engine.ASICLatency under AllOptions(), which
+// has no batch form, so its batch half is zero). Keyed "<case>/<rung>";
+// recorded at the parent of the one-bill refactor of timing.go.
+var ladderTimingGolden = map[string]timingGolden{
+	"flat/noopt": {13652, 0, 269819200, 451008, 171437, 270455297, 2.2152664345963187,
+		2163642376, 1222872000, 508067376, 432703000, 1493327297, 14.37050208177055},
+	"ivf/noopt": {13652, 3611402, 66334986, 451008, 171437, 70582485, 0.5771662775326725,
+		589645739, 334712000, 137667799, 117265944, 405294485, 3.9003971988879997},
+	"pruned/noopt": {10239, 28382, 32400, 451008, 171437, 693466, 0.004455806816,
+		5685811, 5320000, 178671, 187147, 5685811, 0.03646678541},
+	"cached/noopt": {426, 28589, 30290, 3856341, 427504, 4343150, 0.023411448394,
+		18174903, 18018000, 56088, 100817, 18174903, 0.09790570820399999},
+	"flat/df": {13652, 0, 153439552, 437076, 171437, 154061717, 1.6322314097323187,
+		1232511777, 1222872000, 5223856, 4415921, 1232511777, 13.05831953508255},
+	"ivf/df": {13652, 3611402, 37724988, 437076, 171437, 41958555, 0.4336800875518726,
+		349907210, 334712000, 8224188, 6971025, 349907210, 3.62067883590976},
+	"pruned/df": {13652, 28382, 57148, 437076, 171437, 707695, 0.004402735736,
+		5621811, 5376000, 148890, 96925, 5621811, 0.035361556608},
+	"cached/df": {426, 28589, 30254, 2309636, 427504, 2796409, 0.015011703272,
+		11057494, 10963000, 35370, 59125, 11057494, 0.059582514026},
+	"flat/dfpl": {13652, 0, 122377500, 437076, 171437, 122999665, 1.4769211497323185,
+		984015361, 1222872000, 5223856, 4415921, 984015361, 11.81583745508255},
+	"ivf/dfpl": {13652, 1665000, 30105000, 437076, 171437, 32392165, 0.3858481375518725,
+		270495361, 334712000, 8224188, 6971025, 270495361, 3.22361959090976},
+	"pruned/dfpl": {13652, 45000, 67500, 437076, 171437, 734665, 0.004537585736,
+		5846948, 5376000, 148890, 96925, 5846948, 0.036487241608},
+	"cached/dfpl": {426, 45000, 47254, 2309636, 427504, 2829820, 0.015178758272,
+		11157102, 10963000, 35370, 59125, 11157102, 0.060080554026},
+	"flat/asic": {6826, 0, 135975000, 437076, 171437, 136590339, 1.4672401458318585,
+		0, 0, 0, 0, 0, 0},
+	"ivf/asic": {6826, 0, 35275000, 437076, 171437, 35890339, 0.3827131185072566,
+		0, 0, 0, 0, 0, 0},
+	"pruned/asic": {6826, 0, 75000, 437076, 171437, 690339, 0.0036320021999999997,
+		0, 0, 0, 0, 0, 0},
+	"cached/asic": {426, 0, 50000, 2309636, 427504, 2787566, 0.013973854576,
+		0, 0, 0, 0, 0, 0},
+}
+
+// TestOptionLadderTimingTable fixes the model below the top of Fig 9's
+// optimization ladder and ASICLatency by value, as TestShardedTimingTable
+// fixes the top.
+func TestOptionLadderTimingTable(t *testing.T) {
+	var dump strings.Builder
+	for _, rung := range []struct {
+		name string
+		opts Options
+	}{
+		{"noopt", Options{}},
+		{"df", Options{DistanceFilter: true}},
+		{"dfpl", Options{DistanceFilter: true, Pipelining: true}},
+		{"asic", AllOptions()},
+	} {
+		hosts := map[bool]*Engine{}
+		for _, cached := range []bool{false, true} {
+			e, err := New(timingCfg(cached), 64<<20, rung.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { e.Close() })
+			deployBoth(t, e.Submit)
+			hosts[cached] = e
+		}
+		for _, tc := range timingCases() {
+			e := hosts[tc.cached]
+			resp := timingResponse(t, e.Submit, tc)
+			db, err := e.DB(tc.cmd.DBID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got timingGolden
+			if rung.name == "asic" {
+				got = goldenOf(e.ASICLatency(db, resp.QueryStats[0], tc.sc), BatchBreakdown{})
+			} else {
+				got = goldenOf(e.Latency(db, resp.QueryStats[0], tc.sc), e.BatchLatency(db, resp.QueryStats, tc.sc))
+			}
+			key := tc.name + "/" + rung.name
+			dump.WriteString(got.row(key))
+			if want, ok := ladderTimingGolden[key]; !ok || !sameTiming(got, want) {
+				t.Errorf("%s: model moved\n got %+v\nwant %+v", key, got, want)
 			}
 		}
 	}
