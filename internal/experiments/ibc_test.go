@@ -7,6 +7,7 @@ import (
 
 	"reis/internal/ann"
 	"reis/internal/dataset"
+	"reis/internal/flash"
 	"reis/internal/reis"
 	"reis/internal/ssd"
 )
@@ -23,10 +24,18 @@ func (s *Setup) devices() []*reis.Engine {
 	return devs
 }
 
-// portCounts is one device's broadcast-side flash counters.
+// latchTime is what the model charges one latch load on the setup's
+// devices: a cache latch of query copies through a die's I/O port.
+func (s *Setup) latchTime() time.Duration {
+	cfg := s.devices()[0].SSD.Cfg
+	return time.Duration(float64(cfg.Geo.PageBytes) / cfg.Flash.DieInputBandwidth * float64(time.Second))
+}
+
+// portCounts is one device's broadcast-side and sense flash counters.
 type portCounts struct {
-	loads int64
-	in    []int64 // per channel
+	loads    int64
+	in       []int64 // per channel
+	slc, tlc int64   // page senses: SLC-ESP (the scan), TLC (the tail)
 }
 
 func portsOf(devs []*reis.Engine) []portCounts {
@@ -34,6 +43,8 @@ func portsOf(devs []*reis.Engine) []portCounts {
 	for i, e := range devs {
 		st := &e.SSD.Dev.Stats
 		out[i].loads = st.IBCLoads.Load()
+		out[i].slc = st.PageReadsByMode[flash.ModeSLCESP].Load()
+		out[i].tlc = st.PageReadsByMode[flash.ModeTLC].Load()
 		for ch := range st.BytesIn {
 			out[i].in = append(out[i].in, st.BytesIn[ch].Load())
 		}
@@ -41,7 +52,7 @@ func portsOf(devs []*reis.Engine) []portCounts {
 	return out
 }
 
-// TestIBCReconciliation is the broadcast and channel rows of the
+// TestIBCReconciliation is the broadcast, channel and senses rows of the
 // model-versus-device reconciliation (DESIGN.md, "Input broadcast"): on
 // the rig, for both evaluated devices on 1, 2 and 4 of them, what the
 // timing model charges at unit scale from the QueryStats it is handed
@@ -53,6 +64,11 @@ func portsOf(devs []*reis.Engine) []portCounts {
 //     moved one latch, the model's broadcast time is the critical device's
 //     loads, and the energy side — which charges every channel the
 //     busiest one's loads — never undercharges.
+//   - The pages the model charges a sense for — a device's row's
+//     CoarsePages + FinePages at SLC-ESP, the aggregate's RerankPages +
+//     DocPages at TLC — are the pages the devices sensed in that mode,
+//     for the single commands and the batched one alike (no topology here
+//     has a caching tier, whose pin fills are senses no query is charged).
 //   - The same queries as one batched command report the same rows, and
 //     the devices count more loads: the re-sends forced when a later
 //     query of the group overwrote a latch between the coarse and the
@@ -92,7 +108,7 @@ func TestIBCReconciliation(t *testing.T) {
 		devs := s.devices()
 		geo := devs[0].SSD.Cfg.Geo
 		latch := int64(geo.PageBytes)
-		perLoad := time.Duration(float64(latch) / devs[0].SSD.Cfg.Flash.DieInputBandwidth * float64(time.Second))
+		perLoad := s.latchTime()
 		name := s.Cfg.Name
 		if !tc.opts.MPIBC {
 			name += "/no-MPIBC"
@@ -113,11 +129,17 @@ func TestIBCReconciliation(t *testing.T) {
 			singles = append(singles, st)
 			hostLoads := 0
 			deviceLoads := make([]int, len(devs))
+			var tlc int64
 			for d := range devs {
 				row := st
 				if resp.PerShard != nil {
 					row = resp.PerShard[d][0]
 				}
+				if slc := after[d].slc - before[d].slc; slc != int64(row.CoarsePages+row.FinePages) {
+					t.Fatalf("%s x%d query %d device %d: model charges %d+%d SLC-ESP senses, device made %d",
+						name, s.Devices, qi, d, row.CoarsePages, row.FinePages, slc)
+				}
+				tlc += after[d].tlc - before[d].tlc
 				var busiest, total int64
 				for ch := range after[d].in {
 					in := after[d].in[ch] - before[d].in[ch]
@@ -143,6 +165,10 @@ func TestIBCReconciliation(t *testing.T) {
 				charged += int64(row.IBCLoads*geo.Channels) * latch
 				moved += total
 			}
+			if tlc != int64(st.RerankPages+st.DocPages) {
+				t.Fatalf("%s x%d query %d: model charges %d+%d TLC senses, devices made %d",
+					name, s.Devices, qi, st.RerankPages, st.DocPages, tlc)
+			}
 			if st.IBCLoads != hostLoads || hostLoads == 0 {
 				t.Fatalf("%s x%d query %d: aggregate IBCLoads %d, busiest device %d", name, s.Devices, qi, st.IBCLoads, hostLoads)
 			}
@@ -167,9 +193,19 @@ func TestIBCReconciliation(t *testing.T) {
 		if !reflect.DeepEqual(resp.QueryStats, singles) {
 			t.Fatalf("%s x%d: batched rows differ from the single commands'", name, s.Devices)
 		}
-		var batchLoads int64
+		var batchLoads, slc, tlc int64
 		for d := range devs {
 			batchLoads += after[d].loads - before[d].loads
+			slc += after[d].slc - before[d].slc
+			tlc += after[d].tlc - before[d].tlc
+		}
+		var sum reis.QueryStats
+		for _, st := range singles {
+			sum.Add(st)
+		}
+		if slc != int64(sum.CoarsePages+sum.FinePages) || tlc != int64(sum.RerankPages+sum.DocPages) {
+			t.Fatalf("%s x%d: batched command sensed %d SLC-ESP and %d TLC pages, its rows charge %d and %d",
+				name, s.Devices, slc, tlc, sum.CoarsePages+sum.FinePages, sum.RerankPages+sum.DocPages)
 		}
 		if batchLoads < singleLoads {
 			t.Fatalf("%s x%d: batched command loaded %d latches, the queries alone %d", name, s.Devices, batchLoads, singleLoads)
@@ -237,7 +273,7 @@ func TestIBCChargeNeverAboveFullBroadcast(t *testing.T) {
 			if !opts.MPIBC {
 				full *= geo.PlanesPerDie
 			}
-			perLoad := time.Duration(float64(geo.PageBytes) / s.Cfg.Flash.DieInputBandwidth * float64(time.Second))
+			perLoad := s.latchTime()
 			for _, cmd := range []reis.HostCommand{
 				{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: w.Data.Queries, K: 10, NProbe: 1},
 				{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: w.Data.Queries, K: 10, NProbe: 8, Opt: reis.SearchOptions{Prune: true}},

@@ -198,7 +198,7 @@ func (c *dbCache) pinnedFor(cluster int) *pinnedCluster {
 // Admission is the timing model's arithmetic (timing.go), at unit scale,
 // the only scale the engine knows:
 //
-//   - Wave gate. scanOccupancy charges a fine scan ceil(pages/planes)
+//   - Wave gate. scanCost charges a fine scan ceil(pages/planes)
 //     waves, and a pin cannot shorten one wave. While the previous
 //     command's largest per-query probe fits in one (probePages <=
 //     planes), nothing is pinned and nothing is ranked.

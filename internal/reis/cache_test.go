@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"reis/internal/flash"
 	"reis/internal/ssd"
 )
 
@@ -135,7 +136,10 @@ func cacheScript(t *testing.T, h submitter) []HostResponse {
 //     command, query for query;
 //   - on unpruned commands the page-partition invariant holds;
 //   - a cached sharded topology (1, 2, 4 shards) is bit-identical in
-//     results AND aggregated stats to the cached N×channels reference.
+//     results AND aggregated stats to the cached N×channels reference;
+//   - the device's SLC-ESP senses are the pages the queries' rows count
+//     (what the timing model charges) plus the pin fills, which it does
+//     not (DESIGN.md, "Input broadcast", Reconciliation).
 func TestCachedMatchesUncached(t *testing.T) {
 	for _, budget := range []int64{cacheSmallBudget, cacheBigBudget} {
 		t.Run(fmt.Sprintf("budget=%dKiB", budget>>10), func(t *testing.T) {
@@ -161,8 +165,19 @@ func TestCachedMatchesUncached(t *testing.T) {
 				t.Cleanup(func() { sh.Close() })
 				deployBoth(t, sh.Submit)
 
+				senses := &single.SSD.Dev.Stats.PageReadsByMode[flash.ModeSLCESP]
+				before := senses.Load()
 				got := cacheScript(t, single)
+				sensed := senses.Load() - before
 				gotSh := cacheScript(t, sh)
+				var charged int64
+				for _, resp := range got {
+					charged += int64(resp.Stats.CoarsePages + resp.Stats.FinePages)
+				}
+				if cs, err := single.CacheStats(2); err != nil || sensed != charged+cs.PinFills || cs.PinFills == 0 {
+					t.Errorf("n=%d: device sensed %d SLC-ESP pages, the rows count %d and the pins filled %d (%v)",
+						n, sensed, charged, cs.PinFills, err)
+				}
 				for i := range base {
 					name := fmt.Sprintf("n=%d cmd=%d", n, i)
 					if !reflect.DeepEqual(got[i].Results, base[i].Results) {

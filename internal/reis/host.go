@@ -518,6 +518,9 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 	if len(queries) == 0 {
 		return 0, fmt.Errorf("reis: empty query set")
 	}
+	if len(groundTruth) < len(queries) {
+		return 0, fmt.Errorf("reis: %d ground-truth rows for %d queries", len(groundTruth), len(queries))
+	}
 	if err := checkK(k); err != nil {
 		return 0, err
 	}

@@ -200,6 +200,12 @@ func TestShardedCalibrationMatchesSingleDevice(t *testing.T) {
 	}
 	t.Cleanup(func() { single.Close() })
 	deployBoth(t, single.Submit)
+	// A ground truth shorter than the query set is the caller's error,
+	// not an index panic.
+	short := testData.GroundTruth[:len(testData.Queries)-1]
+	if _, err := single.CalibrateNProbe(2, testData.Queries, short, 10, 0.9); err == nil {
+		t.Error("single device calibrated against a ground truth shorter than the query set")
+	}
 	npSingle, err := single.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9)
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +217,9 @@ func TestShardedCalibrationMatchesSingleDevice(t *testing.T) {
 	for _, n := range shardCounts[1:] {
 		sh := newSharded(t, n)
 		deployBoth(t, sh.Submit)
+		if _, err := sh.CalibrateNProbe(2, testData.Queries, short, 10, 0.9); err == nil {
+			t.Errorf("shards=%d: calibrated against a ground truth shorter than the query set", n)
+		}
 		np, err := sh.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9)
 		if err != nil {
 			t.Fatal(err)

@@ -70,7 +70,7 @@ type Breakdown struct {
 // across planes by the parallelism-first layout), so wave quantization
 // at small functional scale does not distort full-scale estimates.
 func (e *Engine) Latency(db *Database, st QueryStats, sc Scale) Breakdown {
-	b, _ := e.price(db, st, []QueryStats{st}, sc)
+	b, _, _ := e.price(db, st, []QueryStats{st}, sc, nil)
 	return b
 }
 
@@ -87,105 +87,178 @@ func (sh *ShardedEngine) Latency(dbID int, st QueryStats, perShard []QueryStats,
 	if len(perShard) != len(sh.devs) {
 		return Breakdown{}, fmt.Errorf("reis: %d per-shard stats for %d shards", len(perShard), len(sh.devs))
 	}
-	b, _ := sh.price(db.locals[0], st, perShard, sc)
+	b, _, _ := sh.price(db.locals[0], st, perShard, sc, nil)
 	return b, nil
+}
+
+// busy is the time one query holds each of the three resources a batch
+// contends for:
+//
+//   - plane: array reads (the critical plane's waves) plus the in-plane
+//     latch compute, for the scan phases and the TLC rerank/document reads;
+//   - channel: the IBC broadcast in, TTL entries, rerank embeddings and
+//     document bytes out (internal), and the host transfer;
+//   - core: controller quickselect + TTL DRAM traffic, INT8 rerank, the
+//     final quicksort, and caching-tier work.
+type busy struct{ plane, channel, core time.Duration }
+
+func (b *busy) add(o busy) {
+	b.plane += o.plane
+	b.channel += o.channel
+	b.core += o.core
 }
 
 // price is the per-query model: db is any device's slice of the
 // database (the layout constants agree on all of them), perDev[s] device
-// s's scan events of the query. Besides the Breakdown it returns the
-// query's per-event energy, without the idle draw BatchLatency pays once
-// per batch instead.
-func (c *hostCore) price(db *Database, st QueryStats, perDev []QueryStats, sc Scale) (b Breakdown, events float64) {
+// s's scan events of the query. Every device's share is extrapolated
+// once (scanEvents) and priced once (scanCost), the host's tail once
+// (tailCost); the Breakdown, the occupancies and the energy are readings
+// of those. Besides the Breakdown it returns the host's occupancy, adds
+// device s's to scan[s] (when the caller keeps them: a batch does), and
+// returns the query's per-event energy, without the idle draw
+// BatchLatency pays once per batch instead.
+func (c *hostCore) price(db *Database, st QueryStats, perDev []QueryStats, sc Scale, scan []busy) (b Breakdown, host busy, events float64) {
 	for s, d := range c.devs {
-		ibc, coarse, fine := d.scanTime(db, perDev[s], sc)
-		if ibc+coarse+fine > b.IBC+b.Coarse+b.Fine {
-			b.IBC, b.Coarse, b.Fine = ibc, coarse, fine
+		dev := d.scanCost(db, d.scanEvents(db, perDev[s], sc))
+		if dev.ibc+dev.coarse+dev.fine > b.IBC+b.Coarse+b.Fine {
+			b.IBC, b.Coarse, b.Fine = dev.ibc, dev.coarse, dev.fine
 		}
-		events += d.scanEnergy(db, perDev[s], sc)
+		if scan != nil {
+			scan[s].add(dev.busy)
+		}
+		events += dev.joules
 	}
 	// Cached work (pinned-cluster scans, result-cache hits) is served by
 	// the host, not any device; its stats appear only in the aggregate
 	// st, never in a per-device row.
-	b.Fine += cachedScanTime(c.cfg, db.slotBytes, st, sc)
-	b.Rerank = rerankTime(c.cfg, db.int8Bytes, db.Dim, st)
-	b.Docs = docsTime(c.cfg, st)
+	tail := tailCost(c.cfg, db, st, sc)
+	b.Fine += tail.cached
+	b.Rerank, b.Docs = tail.rerank, tail.docs
 	b.Total = b.IBC + b.Coarse + b.Fine + b.Rerank + b.Docs
-	events += tailEnergy(c.cfg, db.int8Bytes, st)
+	events += tail.joules
 	// Every device idles for the duration of the query.
 	b.EnergyJ = events + float64(len(c.devs))*c.cfg.IdlePower*b.Total.Seconds()
 	if b.Total > 0 {
 		b.AvgWatts = b.EnergyJ / b.Total.Seconds()
 	}
-	return b, events
+	return b, tail.busy, events
 }
 
-// scanTime costs this device's share of one query's scan phases from
-// its own events. IBC is the query broadcast into the plane latches; a
-// query that scanned no flash pages here (a result-cache hit, a fully
-// pinned or compacted-away plan, a shard owning none of the pages)
-// never issued it.
-func (e *Engine) scanTime(db *Database, st QueryStats, sc Scale) (ibc, coarse, fine time.Duration) {
-	entryBytes := float64(db.ttlEntryBytes())
-	coarseEntries := float64(st.CoarseEntries) * sc.Coarse
-	fineSurvivors := e.fineSurvivors(st, sc)
-	ibc = e.ibcTime(e.ibcLoads(db, st, sc))
-	coarse = e.scanPhaseTime(
-		scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage),
-		coarseEntries*entryBytes,
-		coarseEntries,
-	)
-	fine = e.scanPhaseTime(
-		scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage),
-		fineSurvivors*entryBytes,
-		fineSurvivors,
-	)
-	return ibc, coarse, fine
+// scanEvents is one device's share of one query's scan at the priced
+// scale: what scanCost charges, and all it charges.
+type scanEvents struct {
+	coarsePages, finePages float64 // SLC-ESP senses, per phase
+	coarseEntries          float64 // TTL-C entries: every centroid crosses the channel
+	fineSurvivors          float64 // TTL entries the fine scan sends to the controller
+	ibcLoads               int     // latch loads on the busiest channel
 }
 
-// scanPagesScaled converts a functional scan to full-scale pages. At
-// scale 1 the functional page count (which includes cluster-alignment
-// padding pages) is authoritative; at larger scales pages follow the
-// scaled entry count, because padding is a small-scale artifact (a
-// full-scale cluster of thousands of embeddings wastes at most one
-// partial page).
-func scanPagesScaled(pages, entries int, scale float64, perPage int) float64 {
-	if scale <= 1 {
-		return float64(pages)
+// scanEvents extrapolates the device's own events st to scale sc.
+//
+// Pages: at scale 1 the functional page count (which includes
+// cluster-alignment padding pages) is authoritative; at larger scales
+// pages follow the scaled entry count, because padding is a small-scale
+// artifact (a full-scale cluster of thousands of embeddings wastes at
+// most one partial page) — but never below the functional count: reads
+// that happened, happened.
+//
+// IBC loads: as executed (no scale above 1) the device's own count,
+// QueryStats.IBCLoads: the distinct dies — or planes, without MPIBC — the
+// query scanned on its busiest channel; zero for a query that scanned no
+// flash page here (a result-cache hit, a fully pinned or compacted-away
+// plan, a shard owning none of the pages), which never issued the
+// broadcast. At paper scale the scan touches more pages than the
+// functional run did, spread the way the plane order stripes them
+// (Channels consecutive pages on Channels channels, Channels ×
+// PlanesPerDie on one die of each): a phase of n pages loads ⌈n /
+// (Channels × planes per load)⌉ units per channel, the same even spread
+// scanCost turns into waves. Never below the functional count, never
+// above the full broadcast.
+func (e *Engine) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
+	pages := func(pages, entries int, scale float64) float64 {
+		if scale <= 1 {
+			return float64(pages)
+		}
+		return max(float64(pages), float64(entries)*scale/float64(db.embPerPage))
 	}
-	p := float64(entries) * scale / float64(perPage)
-	if p < float64(pages) {
-		// Never below the functional count: reads that happened,
-		// happened.
-		return float64(pages)
+	fineScanned := st.EntriesScanned - st.CoarseEntries
+	ev := scanEvents{
+		coarsePages:   pages(st.CoarsePages, st.CoarseEntries, sc.Coarse),
+		finePages:     pages(st.FinePages, fineScanned, sc.Fine),
+		coarseEntries: float64(st.CoarseEntries) * sc.Coarse,
+		fineSurvivors: float64(st.Survivors-st.CoarseEntries) * sc.Fine,
+		ibcLoads:      st.IBCLoads,
 	}
-	return p
-}
-
-// fineSurvivors returns the full-scale fine-phase survivor estimate.
-func (e *Engine) fineSurvivors(st QueryStats, sc Scale) float64 {
-	fineScanned := float64(st.EntriesScanned-st.CoarseEntries) * sc.Fine
 	if e.Opts.DistanceFilter && sc.SurvivorRate > 0 {
-		return fineScanned * sc.SurvivorRate
+		ev.fineSurvivors = float64(fineScanned) * sc.Fine * sc.SurvivorRate
 	}
-	return float64(st.Survivors-st.CoarseEntries) * sc.Fine
+	if sc.Coarse > 1 || sc.Fine > 1 {
+		geo := e.SSD.Cfg.Geo
+		perLoad := float64(geo.Channels)
+		if e.Opts.MPIBC {
+			perLoad *= float64(geo.PlanesPerDie)
+		}
+		spread := ceilF(ev.coarsePages/perLoad) + ceilF(ev.finePages/perLoad)
+		ev.ibcLoads = min(max(st.IBCLoads, spread), e.fullIBCLoads())
+	}
+	return ev
 }
 
-// rerankTime costs the INT8 fetch + rescore + quicksort stage.
-func rerankTime(cfg ssd.Config, int8Bytes, dim int, st QueryStats) time.Duration {
-	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
-	xfer := bytesTime(float64(st.RerankCount*int8Bytes), cfg.Geo.InternalBandwidth())
-	return time.Duration(st.RerankWaves)*tTLC + xfer +
-		cfg.RerankTime(st.RerankCount, dim) + cfg.QuicksortTime(st.SortedEntries)
+// scanBill is one device's scan of one query priced: the standalone
+// latency of the broadcast and the two phases, the occupancy of the
+// device's resources, and the per-event energy — all from the same stage
+// terms.
+type scanBill struct {
+	ibc, coarse, fine time.Duration
+	busy              busy
+	joules            float64
 }
 
-// docsTime costs the document retrieval stage.
-func docsTime(cfg ssd.Config, st QueryStats) time.Duration {
-	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
-	docWaves := ceilDiv(st.DocPages, cfg.Geo.Planes())
-	return time.Duration(docWaves)*tTLC +
-		bytesTime(float64(st.DocBytes), cfg.Geo.InternalBandwidth()) +
-		bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
+// scanCost prices ev on this device. A phase's pages spread evenly
+// across planes become ceil(pages/planes) parallel waves of page reads
+// with their in-plane compute; its TTL entries cross the channel; the
+// controller streams them through DRAM and quickselects. Without
+// pipelining the stages serialize; with the Read Page Cache Sequential
+// pipeline the phase is bound by its slowest stage plus one pipeline fill
+// (Sec 4.3.4). A batch keeps the resources busy across queries instead:
+// the planes for the waves, the channel and the core for both phases'
+// entries streamed back to back — so those two convert coarse + fine
+// entries to time together, the standalone phases each their own.
+func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
+	cfg := e.SSD.Cfg
+	p, geo := cfg.Flash, cfg.Geo
+	tR, wave := p.ReadLatency(flash.ModeSLCESP), planeWaveTime(p)
+	entryBytes := float64(db.ttlEntryBytes())
+	xfer := func(entries float64) time.Duration {
+		return bytesTime(entries*entryBytes, geo.InternalBandwidth())
+	}
+	sel := func(entries float64) time.Duration {
+		return cfg.QuickselectTime(int(entries)) + time.Duration(entries*cfg.DRAMAccessNs)*time.Nanosecond
+	}
+	var c scanBill
+	phase := func(pages, entries float64) time.Duration {
+		if pages <= 0 {
+			return 0
+		}
+		waves := time.Duration(ceilF(pages / float64(geo.Planes())))
+		c.busy.plane += waves * wave
+		read, compute := waves*tR, waves*(wave-tR)
+		if e.Opts.Pipelining {
+			return tR + max(read, compute+xfer(entries), sel(entries))
+		}
+		return read + compute + xfer(entries) + sel(entries)
+	}
+	c.ibc = e.ibcTime(ev.ibcLoads)
+	c.coarse = phase(ev.coarsePages, ev.coarseEntries)
+	c.fine = phase(ev.finePages, ev.fineSurvivors)
+	entries := ev.coarseEntries + ev.fineSurvivors
+	c.busy.channel = c.ibc + xfer(entries)
+	c.busy.core = sel(entries)
+	// The broadcast's energy charges every channel the busiest one's loads.
+	xferBytes := entries*entryBytes + float64(ev.ibcLoads*geo.Channels*geo.PageBytes)
+	c.joules = (ev.coarsePages+ev.finePages)*(p.EnergyReadPage+p.EnergyLatchXOR+p.EnergyBitCount) +
+		xferBytes*p.EnergyXferPerByte
+	return c
 }
 
 // ibcTime models Input Broadcasting: every load sends a full cache latch
@@ -207,123 +280,64 @@ func (e *Engine) fullIBCLoads() int {
 	return geo.DiesPerChannel * geo.PlanesPerDie
 }
 
-// ibcLoads is the number of latch loads one query's broadcast puts on
-// this device's busiest channel — the one IBC quantity scanTime,
-// scanOccupancy and scanEnergy charge. As executed (no scale above 1) it
-// is the device's own count, QueryStats.IBCLoads: the distinct dies — or
-// planes, without MPIBC — the query scanned on that channel. At paper
-// scale the scan touches more pages than the functional run did, spread
-// the way the plane order stripes them (Channels consecutive pages on
-// Channels channels, Channels × PlanesPerDie on one die of each): a phase
-// of n pages loads ⌈n / (Channels × planes per load)⌉ units per channel,
-// the same even spread scanPhaseTime turns into waves. Never below the
-// functional count, never above the full broadcast.
-func (e *Engine) ibcLoads(db *Database, st QueryStats, sc Scale) int {
-	if sc.Coarse <= 1 && sc.Fine <= 1 {
-		return st.IBCLoads
-	}
-	geo := e.SSD.Cfg.Geo
-	perLoad := geo.Channels
-	if e.Opts.MPIBC {
-		perLoad *= geo.PlanesPerDie
-	}
-	coarse := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage)
-	fine := scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
-	spread := ceilF(coarse/float64(perLoad)) + ceilF(fine/float64(perLoad))
-	return min(max(st.IBCLoads, spread), e.fullIBCLoads())
-}
-
-// scanPhaseTime costs one scan phase (coarse or fine): pages spread
-// evenly across planes become ceil(pages/planes) parallel waves of
-// page reads; in-plane compute; channel transfer of surviving TTL
-// entries; and controller quickselect.
-//
-// Without pipelining the components serialize; with the Read Page
-// Cache Sequential pipeline the phase is bound by its slowest stage
-// plus one pipeline fill (Sec 4.3.4).
-func (e *Engine) scanPhaseTime(pages, ttlBytes, selectInput float64) time.Duration {
-	if pages <= 0 {
-		return 0
-	}
-	cfg := e.SSD.Cfg
-	p := cfg.Flash
-	planes := float64(cfg.Geo.Planes())
-	waves := ceilF(pages / planes)
-	tR := p.ReadLatency(flash.ModeSLCESP)
-	compute := p.LatchXOR + p.BitCountPage + p.PassFailCheck
-
-	read := time.Duration(waves) * tR
-	computeTotal := time.Duration(waves) * compute
-	xfer := bytesTime(ttlBytes, cfg.Geo.InternalBandwidth())
-	sel := cfg.QuickselectTime(int(selectInput)) +
-		time.Duration(selectInput*cfg.DRAMAccessNs)*time.Nanosecond
-
-	if e.Opts.Pipelining {
-		steady := read
-		if computeTotal+xfer > steady {
-			steady = computeTotal + xfer
-		}
-		if sel > steady {
-			steady = sel
-		}
-		return tR + steady
-	}
-	return read + computeTotal + xfer + sel
-}
-
-// cachedScanTime costs host-side caching-tier work, which never touches
-// flash: pinned-cluster scans stream each slot out of controller DRAM
-// and XOR+popcount it word-at-a-time on the core, and result-cache hits
-// pay a fixed number of DRAM accesses for the lookup plus deep copy.
-// Cached slots are dataset-proportional, so they scale with sc.Fine;
-// the per-hit constant does not grow with the database. Energy is not
-// modeled for cached work (controller DRAM traffic is orders of
-// magnitude below a flash sense and is dominated by IdlePower).
-func cachedScanTime(cfg ssd.Config, slotBytes int, st QueryStats, sc Scale) time.Duration {
-	if st.CachedSlots == 0 && st.ResultCacheHits == 0 {
-		return 0
-	}
-	ns := float64(st.CachedSlots)*sc.Fine*pinnedSlotNs(cfg, slotBytes) +
-		float64(st.ResultCacheHits*resultCacheHitAccesses)*cfg.DRAMAccessNs
-	return time.Duration(ns) * time.Nanosecond
+// planeWaveTime is what one scan wave holds a plane for: the SLC-ESP
+// sense plus the in-plane latch compute — scanCost's plane term per wave,
+// and the flash side of pin admission.
+func planeWaveTime(p flash.Params) time.Duration {
+	return p.ReadLatency(flash.ModeSLCESP) + p.LatchXOR + p.BitCountPage + p.PassFailCheck
 }
 
 // pinnedSlotNs is the core time of one slot of a pinned scan: one DRAM
-// access plus a word-at-a-time XOR+popcount. The model charges it per
-// cached slot (above) and pin admission weighs it against planeWaveTime
+// access plus a word-at-a-time XOR+popcount. tailCost charges it per
+// cached slot and pin admission weighs it against planeWaveTime
 // (cache.go), so the cache admits exactly what the model says pays.
 func pinnedSlotNs(cfg ssd.Config, slotBytes int) float64 {
 	return cfg.DRAMAccessNs + float64(slotBytes/4)*cfg.CoreCycleNs()
 }
 
-// planeWaveTime is what one scan wave holds a plane for: the SLC-ESP
-// sense plus the in-plane latch compute — scanOccupancy's plane term per
-// wave, and the flash side of pin admission.
-func planeWaveTime(p flash.Params) time.Duration {
-	return p.ReadLatency(flash.ModeSLCESP) + p.LatchXOR + p.BitCountPage + p.PassFailCheck
+// tailBill is the host's share of one query priced — the controller
+// tail and the caching tier, costed once on the single-device-equivalent
+// configuration — read the same three ways as a scanBill.
+type tailBill struct {
+	cached, rerank, docs time.Duration
+	busy                 busy
+	joules               float64
 }
 
-// scanEnergy sums the per-event energies of this device's share of a
-// query's scan phases: SLC page senses with their latch compute, and
-// the channel traffic of the broadcast in and the TTL entries out.
-func (e *Engine) scanEnergy(db *Database, st QueryStats, sc Scale) float64 {
-	p := e.SSD.Cfg.Flash
-	geo := e.SSD.Cfg.Geo
-	slcPages := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage) +
-		scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
-	xferBytes := (float64(st.CoarseEntries)*sc.Coarse + e.fineSurvivors(st, sc)) * float64(db.ttlEntryBytes())
-	// IBC broadcast: every channel is charged the busiest one's loads.
-	xferBytes += float64(e.ibcLoads(db, st, sc) * geo.Channels * geo.PageBytes)
-	return slcPages*(p.EnergyReadPage+p.EnergyLatchXOR+p.EnergyBitCount) + xferBytes*p.EnergyXferPerByte
-}
-
-// tailEnergy sums the per-event energies of the controller tail: TLC
-// page reads plus the INT8/document channel traffic.
-func tailEnergy(cfg ssd.Config, int8Bytes int, st QueryStats) float64 {
-	p := cfg.Flash
-	tlcPages := float64(st.RerankPages + st.DocPages)
-	xferBytes := float64(st.RerankCount*int8Bytes) + float64(st.DocBytes)
-	return tlcPages*p.EnergyReadPage + xferBytes*p.EnergyXferPerByte
+// tailCost prices the stages after the scan. Rerank: the INT8 pages'
+// TLC waves, the embeddings' transfer, the rescore and the final
+// quicksort. Docs: the document pages' TLC waves and the bytes' internal
+// then host transfer. Cached: caching-tier work, which never touches
+// flash — pinned-cluster scans stream each slot out of controller DRAM
+// and XOR+popcount it on the core (pinnedSlotNs), and result-cache hits
+// pay a fixed number of DRAM accesses for the lookup plus deep copy.
+// Cached slots are dataset-proportional, so they scale with sc.Fine; the
+// per-hit constant does not grow with the database, nor does the rest of
+// the tail. Energy is the TLC senses and the channel traffic; none is
+// modeled for cached work (controller DRAM traffic is orders of magnitude
+// below a flash sense and is dominated by IdlePower).
+func tailCost(cfg ssd.Config, db *Database, st QueryStats, sc Scale) tailBill {
+	p, bw := cfg.Flash, cfg.Geo.InternalBandwidth()
+	tTLC := p.ReadLatency(flash.ModeTLC)
+	rerankRead := time.Duration(st.RerankWaves) * tTLC
+	rerankXfer := bytesTime(float64(st.RerankCount*db.int8Bytes), bw)
+	rerankCore := cfg.RerankTime(st.RerankCount, db.Dim) + cfg.QuicksortTime(st.SortedEntries)
+	docRead := time.Duration(ceilDiv(st.DocPages, cfg.Geo.Planes())) * tTLC
+	docXfer := bytesTime(float64(st.DocBytes), bw) + bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
+	cached := time.Duration(float64(st.CachedSlots)*sc.Fine*pinnedSlotNs(cfg, db.slotBytes)+
+		float64(st.ResultCacheHits*resultCacheHitAccesses)*cfg.DRAMAccessNs) * time.Nanosecond
+	xferBytes := float64(st.RerankCount*db.int8Bytes) + float64(st.DocBytes)
+	return tailBill{
+		cached: cached,
+		rerank: rerankRead + rerankXfer + rerankCore,
+		docs:   docRead + docXfer,
+		busy: busy{
+			plane:   rerankRead + docRead,
+			channel: rerankXfer + docXfer,
+			core:    rerankCore + cached,
+		},
+		joules: float64(st.RerankPages+st.DocPages)*p.EnergyReadPage + xferBytes*p.EnergyXferPerByte,
+	}
 }
 
 // BatchBreakdown is the timing model's view of a query batch admitted
@@ -394,44 +408,38 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 	}
 	b := BatchBreakdown{Queries: len(sts)}
 	var fill time.Duration
-	// col is query i's column of perDev; a few devices' worth stays off
-	// the heap, so pricing a single device's batch allocates nothing.
-	var buf [4]QueryStats
-	col := buf[:min(n, len(buf))]
-	if n > len(buf) {
-		col = make([]QueryStats, n)
+	// col is query i's column of perDev and scan[s] device s's occupancy
+	// over the batch; a few devices' worth stays off the heap, so pricing
+	// a single device's batch allocates nothing.
+	var colBuf [4]QueryStats
+	var scanBuf [4]busy
+	col, scan := colBuf[:min(n, len(colBuf))], scanBuf[:min(n, len(scanBuf))]
+	if n > len(colBuf) {
+		col, scan = make([]QueryStats, n), make([]busy, n)
 	}
+	var host busy
 	for i := range sts {
 		for s := range col {
 			col[s] = perDev[s][i]
 		}
-		bd, events := c.price(db, sts[i], col, sc)
+		bd, tail, events := c.price(db, sts[i], col, sc, scan)
 		b.Serial += bd.Total
 		if i == 0 {
 			fill = bd.Total
 		}
 		b.EnergyJ += events
-		plane, channel, core := tailOccupancy(c.cfg, db, sts[i], sc)
-		b.PlaneBusy += plane
-		b.ChannelBusy += channel
-		b.CoreBusy += core
+		host.add(tail)
 	}
-	var scanPlane, scanChannel, scanCore time.Duration
-	for s, d := range c.devs {
-		var plane, channel, core time.Duration
-		for i := range sts {
-			p, ch, co := d.scanOccupancy(db, perDev[s][i], sc)
-			plane += p
-			channel += ch
-			core += co
-		}
-		scanPlane = max(scanPlane, plane)
-		scanChannel = max(scanChannel, channel)
-		scanCore = max(scanCore, core)
+	// The devices scan in parallel — the busiest bounds each resource —
+	// and the tail's resources serialize on the host.
+	for _, d := range scan {
+		b.PlaneBusy = max(b.PlaneBusy, d.plane)
+		b.ChannelBusy = max(b.ChannelBusy, d.channel)
+		b.CoreBusy = max(b.CoreBusy, d.core)
 	}
-	b.PlaneBusy += scanPlane
-	b.ChannelBusy += scanChannel
-	b.CoreBusy += scanCore
+	b.PlaneBusy += host.plane
+	b.ChannelBusy += host.channel
+	b.CoreBusy += host.core
 	b.Makespan = min(max(b.PlaneBusy, b.ChannelBusy, b.CoreBusy)+fill, b.Serial)
 	// Idle draw is paid once over the makespan, by every device.
 	b.EnergyJ += float64(n) * c.cfg.IdlePower * b.Makespan.Seconds()
@@ -441,59 +449,6 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 	return b, nil
 }
 
-// scanOccupancy and tailOccupancy decompose one query's device events
-// into busy time on the three resources a batch contends for:
-//
-//   - plane: array reads (the critical plane's waves) plus the
-//     in-plane latch compute, for the scan phases and the TLC
-//     rerank/document reads;
-//   - channel: the IBC broadcast in, TTL entries, rerank embeddings
-//     and document bytes out (internal), and the host transfer;
-//   - core: controller quickselect + TTL DRAM traffic, INT8 rerank,
-//     the final quicksort, and caching-tier work.
-//
-// The scan terms are one device's, from its own events; the tail terms
-// are the host's. The decomposition mirrors price's stage formulas at
-// the same scale, so summing occupancies across a batch is consistent
-// with the per-query model.
-func (e *Engine) scanOccupancy(db *Database, st QueryStats, sc Scale) (plane, channel, core time.Duration) {
-	cfg := e.SSD.Cfg
-	planes := float64(cfg.Geo.Planes())
-
-	coarseEntries := float64(st.CoarseEntries) * sc.Coarse
-	fineSurvivors := e.fineSurvivors(st, sc)
-	coarsePages := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage)
-	finePages := scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
-
-	scanWaves := 0
-	if coarsePages > 0 {
-		scanWaves += ceilF(coarsePages / planes)
-	}
-	if finePages > 0 {
-		scanWaves += ceilF(finePages / planes)
-	}
-	plane = time.Duration(scanWaves) * planeWaveTime(cfg.Flash)
-
-	channel = e.ibcTime(e.ibcLoads(db, st, sc))
-	selectInput := coarseEntries + fineSurvivors
-	channel += bytesTime(selectInput*float64(db.ttlEntryBytes()), cfg.Geo.InternalBandwidth())
-	core = cfg.QuickselectTime(int(selectInput)) +
-		time.Duration(selectInput*cfg.DRAMAccessNs)*time.Nanosecond
-	return plane, channel, core
-}
-
-func tailOccupancy(cfg ssd.Config, db *Database, st QueryStats, sc Scale) (plane, channel, core time.Duration) {
-	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
-	docWaves := ceilDiv(st.DocPages, cfg.Geo.Planes())
-	plane = time.Duration(st.RerankWaves+docWaves) * tTLC
-	channel = bytesTime(float64(st.RerankCount*db.int8Bytes), cfg.Geo.InternalBandwidth()) +
-		bytesTime(float64(st.DocBytes), cfg.Geo.InternalBandwidth()) +
-		bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
-	core = cfg.RerankTime(st.RerankCount, db.Dim) + cfg.QuicksortTime(st.SortedEntries) +
-		cachedScanTime(cfg, db.slotBytes, st, sc)
-	return plane, channel, core
-}
-
 // ASICLatency models the REIS-ASIC comparison point of Sec 6.3.1: no
 // ESP, so every scanned page (data + OOB for ECC) must be transferred
 // to the controller, where an ideal zero-cost ASIC computes distances
@@ -501,33 +456,26 @@ func tailOccupancy(cfg ssd.Config, db *Database, st QueryStats, sc Scale) (plane
 // bottleneck.
 func (e *Engine) ASICLatency(db *Database, st QueryStats, sc Scale) Breakdown {
 	cfg := e.SSD.Cfg
-	geo := cfg.Geo
-	p := cfg.Flash
+	p, geo := cfg.Flash, cfg.Geo
 	tR := p.ReadLatency(flash.ModeSLC) // SLC without ESP
+	ev := e.scanEvents(db, st, sc)
+	tail := tailCost(cfg, db, st, sc)
 
-	scanPages := scanPagesScaled(st.CoarsePages, st.CoarseEntries, sc.Coarse, db.embPerPage) +
-		scanPagesScaled(st.FinePages, st.EntriesScanned-st.CoarseEntries, sc.Fine, db.embPerPage)
-	waves := ceilF(scanPages / float64(geo.Planes()))
+	scanPages := ev.coarsePages + ev.finePages
 	pageBytes := float64(geo.PageBytes + geo.OOBBytes)
-	xfer := bytesTime(scanPages*pageBytes, geo.InternalBandwidth())
-	read := time.Duration(waves) * tR
-	scan := xfer
-	if read > scan {
-		scan = read
+	read := time.Duration(ceilF(scanPages/float64(geo.Planes()))) * tR
+	b := Breakdown{
+		// The comparison point keeps the full broadcast it was specified with.
+		IBC:    e.ibcTime(e.fullIBCLoads()),
+		Fine:   tR + max(read, bytesTime(scanPages*pageBytes, geo.InternalBandwidth())), // one pipeline fill
+		Rerank: tail.rerank,
+		Docs:   tail.docs,
 	}
-	scan += tR // pipeline fill
-
-	tRerank := rerankTime(cfg, db.int8Bytes, db.Dim, st)
-	tDocs := docsTime(cfg, st)
-
-	// The comparison point keeps the full broadcast it was specified with.
-	ibc := e.ibcTime(e.fullIBCLoads())
-	total := ibc + scan + tRerank + tDocs
-	j := scanPages*p.EnergyReadPage + scanPages*pageBytes*p.EnergyXferPerByte +
-		cfg.IdlePower*total.Seconds()
-	b := Breakdown{IBC: ibc, Fine: scan, Rerank: tRerank, Docs: tDocs, Total: total, EnergyJ: j}
-	if total > 0 {
-		b.AvgWatts = j / total.Seconds()
+	b.Total = b.IBC + b.Fine + b.Rerank + b.Docs
+	b.EnergyJ = scanPages*p.EnergyReadPage + scanPages*pageBytes*p.EnergyXferPerByte +
+		cfg.IdlePower*b.Total.Seconds()
+	if b.Total > 0 {
+		b.AvgWatts = b.EnergyJ / b.Total.Seconds()
 	}
 	return b
 }

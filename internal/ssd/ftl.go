@@ -186,16 +186,6 @@ func (r Region) AddressOf(g flash.Geometry, i int) (flash.Address, error) {
 	return flash.AddressFromLinear(g, plane*g.PagesPerPlane()+off), nil
 }
 
-// PagesOnPlane returns how many of the region's pages live on the
-// given plane — the per-plane wave count the timing model uses.
-func (r Region) PagesOnPlane(planes, plane int) int {
-	full := r.PageCount / planes
-	if plane < r.PageCount%planes {
-		return full + 1
-	}
-	return full
-}
-
 // PlaneView is the portion of a region range resident on one plane: an
 // immutable list of region page indices. Because striping puts page i
 // on plane i mod planes, each view is disjoint from every other

@@ -13,7 +13,7 @@ import (
 var ErrRegionFull = errors.New("ssd: region append exceeds reserved capacity")
 
 // SSD combines the flash device with the controller-side structures:
-// FTL, R-DB, the region allocator, and maintenance bookkeeping.
+// FTL, R-DB and the region allocator.
 type SSD struct {
 	Cfg Config
 	Dev *flash.Device
@@ -24,11 +24,6 @@ type SSD struct {
 	// plane. Allocation is block-aligned so soft partitioning never
 	// mixes cell modes inside a block.
 	nextStripe int
-
-	// Maintenance counters (Sec 7.2).
-	GCRuns       int64
-	RefreshRuns  int64
-	WearLevelOps int64
 }
 
 // New builds an SSD with capacity grown to hold at least capacityHint
@@ -166,9 +161,6 @@ func (s *SSD) ReclaimRegionRow(rec *DBRecord, r *Region, row int) (int, error) {
 	return erases, s.RDB.Update(*rec)
 }
 
-// FreeStripes reports the number of unallocated stripes remaining.
-func (s *SSD) FreeStripes() int { return s.Cfg.Geo.PagesPerPlane() - s.nextStripe }
-
 // WriteRegionPage programs page i of a region with data and OOB bytes.
 func (s *SSD) WriteRegionPage(r Region, i int, data, oob []byte) error {
 	a, err := r.AddressOf(s.Cfg.Geo, i)
@@ -186,14 +178,4 @@ func (s *SSD) ReadRegionPage(r Region, i int) (data, oob []byte, err error) {
 		return nil, nil, err
 	}
 	return s.Dev.ReadPageInto(a, nil, nil)
-}
-
-// RunMaintenance models the background tasks of Sec 7.2 (GC, refresh,
-// wear leveling): it only bumps counters — REIS confines them to the
-// non-REIS cores, so they do not interact with query timing — but the
-// counters let tests assert the device stays manageable.
-func (s *SSD) RunMaintenance() {
-	s.GCRuns++
-	s.RefreshRuns++
-	s.WearLevelOps++
 }

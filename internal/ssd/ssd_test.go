@@ -182,21 +182,6 @@ func TestRegionAddressOfArithmetic(t *testing.T) {
 	}
 }
 
-func TestRegionPagesOnPlane(t *testing.T) {
-	r := Region{StartStripe: 0, PageCount: 10}
-	planes := 4
-	total := 0
-	for p := 0; p < planes; p++ {
-		total += r.PagesOnPlane(planes, p)
-	}
-	if total != 10 {
-		t.Fatalf("per-plane pages sum to %d", total)
-	}
-	if r.PagesOnPlane(planes, 0) != 3 || r.PagesOnPlane(planes, 3) != 2 {
-		t.Fatalf("wave distribution wrong: %d, %d", r.PagesOnPlane(planes, 0), r.PagesOnPlane(planes, 3))
-	}
-}
-
 func TestRDBRejectsOverlapAndDuplicates(t *testing.T) {
 	s := newTestSSD(t)
 	a := DBRecord{ID: 1, Embeddings: Region{StartStripe: 0, PageCount: 8}}
@@ -383,26 +368,6 @@ func TestWriteReadRegionPage(t *testing.T) {
 	}
 	if gotOOB[0] != 0xAA || gotOOB[1] != 0xBB {
 		t.Fatal("OOB mismatch")
-	}
-}
-
-func TestMaintenanceCounters(t *testing.T) {
-	s := newTestSSD(t)
-	s.RunMaintenance()
-	s.RunMaintenance()
-	if s.GCRuns != 2 || s.RefreshRuns != 2 || s.WearLevelOps != 2 {
-		t.Fatalf("maintenance counters: %d %d %d", s.GCRuns, s.RefreshRuns, s.WearLevelOps)
-	}
-}
-
-func TestFreeStripesDecreases(t *testing.T) {
-	s := newTestSSD(t)
-	before := s.FreeStripes()
-	if _, err := s.AllocateRegion(8, 0, flash.ModeTLC); err != nil {
-		t.Fatal(err)
-	}
-	if s.FreeStripes() >= before {
-		t.Fatal("FreeStripes did not decrease")
 	}
 }
 
