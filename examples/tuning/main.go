@@ -76,13 +76,16 @@ func main() {
 	// Why nothing was pinned: the tier admits a hot cluster only when the
 	// timing model says scanning it from DRAM beats the planes, and on
 	// SSD1's 256 planes even the 96-cluster probe — one page a cluster — is
-	// a single wave, which no pin can shorten.
+	// a single wave, which no pin can shorten. What the pins do not hold
+	// of CacheDRAMBytes — here all of it — is the result cache's.
 	cs, err := engine.CacheStats(1)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("caching tier: wave gate shut on %d of %d IVF commands; %d pages filled, %d evicted, %d bytes pinned\n",
 		cs.GateShut, cs.Refreshes, cs.PinFills, cs.PinEvictions, cs.PinnedBytes)
+	fmt.Printf("caching tier: %d results in %d of %d bytes; %d lookups hit, %d missed, %d evicted (%d by pins)\n",
+		cs.ResultEntries, cs.ResultBytes, cfg.CacheDRAMBytes, cs.ResultHits, cs.ResultMisses, cs.ResultEvictions, cs.ResultSqueezes)
 
 	// The automatic calibration the experiments use, and the resulting
 	// TargetRecall operand: once calibrated, a host command can carry

@@ -25,8 +25,8 @@ type SkewRow struct {
 	Dataset string
 	// Device names the device (skewDevices): REIS-SSD1, whose 256 planes
 	// take a whole probe in one wave, so the tier admits no pin there and
-	// the result cache is all of it; and its four-plane cut, where a probe
-	// is two waves and pins pay.
+	// the result cache has the whole budget; and its four-plane cut, where
+	// a probe is two waves, pins pay and results hold what they leave.
 	Device string
 	// S is the Zipf exponent of the query popularity distribution
 	// (0 = uniform).
@@ -46,9 +46,11 @@ type SkewRow struct {
 	Speedup  float64
 	// PinsOnly and ResultsOnly are what each half of the tier is worth
 	// alone, as Speedup is for both together. ResultsOnly prices the same
-	// run with every miss at its baseline cost: pins change neither
-	// results nor which queries hit, so that is exactly the run a tier
-	// without pins would serve. PinsOnly is a second run of the script
+	// run — its hits, from the DRAM its pins left the results — with every
+	// miss at its baseline cost: pins do not change results, so that is the
+	// run with its pins worth nothing (a tier that pinned nothing would
+	// hold more results and hit at least as often: the SSD1 rows at the
+	// same budget). PinsOnly is a second run of the script
 	// with every issued query nudged by a distinct few ulps — no two
 	// queries repeat bit for bit, so the result cache serves none of them,
 	// while the clusters they probe, and with them the pins, are those of

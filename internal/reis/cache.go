@@ -29,6 +29,13 @@ import (
 //     raw query bits, serving exact repeats at controller cost
 //     (ResultCacheHits).
 //
+// The two share one budget with a moving boundary: pins are admitted up
+// to pinBudget (7/8 of CacheDRAMBytes) and the result cache holds
+// whatever CacheDRAMBytes - PinnedBytes is now, so a database that pins
+// nothing gives its results the whole tier. A fill that grows PinnedBytes
+// trims the LRU tail (trim), and PinnedBytes + ResultBytes <=
+// CacheDRAMBytes holds after every fill and every insert.
+//
 // Determinism contract: every cache decision is a pure function of the
 // command stream. Counters decay by a fixed factor at the start of each
 // IVF search command and increment in cluster-selection order, the pin
@@ -50,8 +57,9 @@ const (
 	// cacheCountFloor zeroes fully-decayed counters so the ranking pass
 	// stays proportional to the working set, not the query history.
 	cacheCountFloor = 1e-6
-	// resultCacheDivisor is the fraction of CacheDRAMBytes reserved for
-	// the result cache; the rest pins cluster pages.
+	// resultCacheDivisor caps the pins at 1 - 1/resultCacheDivisor of
+	// CacheDRAMBytes; the rest is the floor no pin set takes from the
+	// result cache.
 	resultCacheDivisor = 8
 	// resultCacheHitAccesses is the controller DRAM access count charged
 	// per result-cache hit (hash probe plus copying the stored results
@@ -87,27 +95,37 @@ type resEntry struct {
 	prev, next *resEntry
 }
 
-// CacheStats is the caching tier's state and the history of its pin
+// CacheStats is the caching tier's state and the history of its
 // decisions since deploy (hostCore.CacheStats): what "why is nothing
-// pinned" is answered from. Every field is a pure function of the
-// command stream, so replicas and topologies report identical values.
+// pinned" and "why did that repeat miss" are answered from. Every field
+// is a pure function of the command stream, so replicas and topologies
+// report identical values.
 type CacheStats struct {
-	// PinnedBytes is the controller DRAM pinned cluster pages hold now.
-	PinnedBytes int64
+	// PinnedBytes and ResultBytes are the controller DRAM pinned cluster
+	// pages and the ResultEntries cached results hold now; their sum never
+	// exceeds CacheDRAMBytes.
+	PinnedBytes, ResultBytes int64
+	ResultEntries            int64 // filled by snapshot
 	// PinFills and PinEvictions count pages read into pins and pages
 	// dropped from them (by a refresh or a mutation's invalidation).
 	PinFills, PinEvictions int64
 	// Refreshes counts IVF search commands — each re-decides the pin
 	// set — and GateShut those the wave gate kept from pinning anything.
 	Refreshes, GateShut int64
+	// ResultHits and ResultMisses count result-cache lookups.
+	// ResultEvictions counts entries dropped — off the LRU tail, or all of
+	// them by a mutation's invalidation — and ResultSqueezes those of them
+	// a growing pin set pushed out.
+	ResultHits, ResultMisses        int64
+	ResultEvictions, ResultSqueezes int64
 }
 
 // dbCache is the per-database DRAM caching tier. All methods are
 // nil-receiver safe, so call sites stay unconditional; a nil cache
 // (CacheDRAMBytes == 0) behaves exactly like the uncached engine.
 type dbCache struct {
-	pinBudget int64
-	resBudget int64
+	budget    int64 // CacheDRAMBytes: what pins and results hold together
+	pinBudget int64 // the pins' cap
 	f         *pageFormat
 
 	// Admission operands (see refresh): the host's global plane count, the
@@ -127,10 +145,9 @@ type dbCache struct {
 	freePages [][]byte
 	freePins  []*pinnedCluster
 
-	res      map[string]*resEntry
-	resBytes int64
-	lruHead  *resEntry // most recently used
-	lruTail  *resEntry
+	res     map[string]*resEntry
+	lruHead *resEntry // most recently used
+	lruTail *resEntry
 
 	// scratch
 	order  []int
@@ -142,14 +159,13 @@ type dbCache struct {
 }
 
 // newDBCache sizes the tier from the host's single-device-equivalent
-// config: 1/resultCacheDivisor of the budget goes to the result cache,
-// the rest pins cluster pages. nlist is 0 for flat databases (result
+// config: pins may take all of the budget but 1/resultCacheDivisor, the
+// result cache what they leave. nlist is 0 for flat databases (result
 // cache only).
 func newDBCache(cfg ssd.Config, f *pageFormat, nlist int) *dbCache {
-	resBudget := cfg.CacheDRAMBytes / resultCacheDivisor
 	return &dbCache{
-		pinBudget: cfg.CacheDRAMBytes - resBudget,
-		resBudget: resBudget,
+		budget:    cfg.CacheDRAMBytes,
+		pinBudget: cfg.CacheDRAMBytes - cfg.CacheDRAMBytes/resultCacheDivisor,
 		f:         f,
 		planes:    cfg.Geo.Planes(),
 		slotNs:    pinnedSlotNs(cfg, f.slotBytes),
@@ -287,8 +303,9 @@ func (c *dbCache) extent(segs []SlotRange) (pages, slots int) {
 	return pages, slots
 }
 
-// fill pins one cluster: a recycled record and recycled page buffers
-// where eviction left any, fresh ones otherwise.
+// fill pins one cluster — a recycled record and recycled page buffers
+// where eviction left any, fresh ones otherwise — and takes the DRAM it
+// grew by from the result cache's tail.
 func (c *dbCache) fill(cl int, segs []SlotRange, fetch pinFetch) error {
 	var pc *pinnedCluster
 	if n := len(c.freePins); n > 0 {
@@ -320,6 +337,7 @@ func (c *dbCache) fill(cl int, segs []SlotRange, fetch pinFetch) error {
 	c.pins[cl] = pc
 	c.stats.PinFills += int64(len(pc.pages))
 	c.stats.PinnedBytes += int64(len(pc.pages)) * c.pageCost()
+	c.stats.ResultSqueezes += c.trim()
 	return nil
 }
 
@@ -452,36 +470,57 @@ func (c *dbCache) resultKey(op uint8, k int, opt SearchOptions, query []float32)
 func (c *dbCache) lookupResult(key []byte) ([]DocResult, bool) {
 	en, ok := c.res[string(key)]
 	if !ok {
+		c.stats.ResultMisses++
 		return nil, false
 	}
+	c.stats.ResultHits++
 	c.moveFront(en)
 	return copyResults(en.res), true
 }
 
-// storeResult inserts a deep copy of res under key, evicting from the
-// LRU tail until the byte budget holds. Oversized entries are skipped.
+// storeResult inserts a deep copy of res under key and trims the LRU. An
+// entry larger than the pins leave room for is skipped, uncopied.
 func (c *dbCache) storeResult(key []byte, res []DocResult) {
-	cp := copyResults(res)
-	bytes := resultBytes(len(key), cp)
-	if bytes > c.resBudget {
+	bytes := resultBytes(len(key), res)
+	if bytes > c.budget-c.stats.PinnedBytes {
 		return
 	}
 	if en, ok := c.res[string(key)]; ok {
-		c.resBytes += bytes - en.bytes
-		en.res, en.bytes = cp, bytes
+		c.stats.ResultBytes += bytes - en.bytes
+		en.res, en.bytes = copyResults(res), bytes
 		c.moveFront(en)
 	} else {
-		en := &resEntry{key: string(key), res: cp, bytes: bytes}
+		en := &resEntry{key: string(key), res: copyResults(res), bytes: bytes}
 		c.res[en.key] = en
-		c.resBytes += bytes
+		c.stats.ResultBytes += bytes
 		c.pushFront(en)
 	}
-	for c.resBytes > c.resBudget && c.lruTail != nil {
+	c.trim()
+}
+
+// trim evicts from the LRU tail until the results fit what the pins leave
+// of the budget — the one eviction path, run by every insert and every
+// pin fill — and returns the entries it evicted.
+func (c *dbCache) trim() (evicted int64) {
+	for c.stats.ResultBytes > c.budget-c.stats.PinnedBytes && c.lruTail != nil {
 		ev := c.lruTail
 		c.unlink(ev)
 		delete(c.res, ev.key)
-		c.resBytes -= ev.bytes
+		c.stats.ResultBytes -= ev.bytes
+		evicted++
 	}
+	c.stats.ResultEvictions += evicted
+	return evicted
+}
+
+// snapshot is the tier's CacheStats now; nil reports zeros.
+func (c *dbCache) snapshot() CacheStats {
+	if c == nil {
+		return CacheStats{}
+	}
+	s := c.stats
+	s.ResultEntries = int64(len(c.res))
+	return s
 }
 
 // invalidate atomically drops every pinned page and cached result; the
@@ -492,8 +531,9 @@ func (c *dbCache) invalidate() {
 		return
 	}
 	c.dropPins()
+	c.stats.ResultEvictions += int64(len(c.res))
 	clear(c.res)
-	c.resBytes = 0
+	c.stats.ResultBytes = 0
 	c.lruHead, c.lruTail = nil, nil
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"reis/internal/flash"
 	"reis/internal/ssd"
+	"reis/internal/xrand"
 )
 
 // Cache test budgets. On the pinned-scan geometry (pinGeo: 512B pages,
@@ -477,9 +478,11 @@ func pinTrace(t *testing.T, h submitter, core *hostCore, dbID int, cmds []HostCo
 
 // TestPinSetsAcrossTopologies: pin admission reads global pages and the
 // host's global plane count, so a sharded host and its N x channels
-// reference hold identical pin sets and counters after every command —
-// across widening and narrowing probes, pruning, one-query commands and a
-// mutation — and so does every run at GOMAXPROCS 1 and 4.
+// reference hold identical pin sets and an identical CacheStats — the
+// result side's bytes, entries, hits, misses and evictions with the pin
+// side's — after every command: across widening and narrowing probes,
+// pruning, one-query commands, a mutation and an exact repeat. So does
+// every run at GOMAXPROCS 1 and 4.
 func TestPinSetsAcrossTopologies(t *testing.T) {
 	q := testData.Queries
 	ivf := func(queries [][]float32, nprobe int, prune bool) HostCommand {
@@ -490,7 +493,7 @@ func TestPinSetsAcrossTopologies(t *testing.T) {
 		ivf(q[:8], 4, false), ivf(q[8:16], 4, false), ivf(q[:1], 6, false), ivf(q[1:2], 1, false),
 		ivf(q[2:3], 4, false), ivf(q[4:12], 8, true), ivf(q[12:], 2, true),
 		{Opcode: OpcodeDelete, DBID: 2, Del: &DeleteConfig{IDs: []int{3, 5}}},
-		ivf(q[:8], 5, false), ivf(q[8:16], 3, true),
+		ivf(q[:8], 5, false), ivf(q[8:16], 3, true), ivf(q[8:16], 3, true),
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range shardCounts {
@@ -527,6 +530,11 @@ func TestPinSetsAcrossTopologies(t *testing.T) {
 		last := wantStats[len(wantStats)-1]
 		if last.PinFills == 0 || last.PinEvictions == 0 || (n == 4 && last.GateShut < 2) {
 			t.Errorf("shards=%d: the stream did not exercise admission: %+v", n, last)
+		}
+		// Pins at their cap leave room for seven of the repeat's eight
+		// results: the boundary moved under this stream too.
+		if last.ResultHits == 0 || last.ResultSqueezes == 0 || last.ResultEntries == 0 {
+			t.Errorf("shards=%d: the stream did not exercise the result cache: %+v", n, last)
 		}
 	}
 }
@@ -609,5 +617,230 @@ func TestPinChurnAllocs(t *testing.T) {
 	}
 	if churn > plain {
 		t.Errorf("%.1f allocs/command while pins churn, %.1f uncached", churn, plain)
+	}
+}
+
+// budgetInvariant checks the one-budget accounting after a command: pins
+// and results together never exceed CacheDRAMBytes, and pins alone never
+// exceed their cap.
+func budgetInvariant(t testing.TB, what string, cs CacheStats, budget int64) {
+	t.Helper()
+	if pinCap := budget - budget/resultCacheDivisor; cs.PinnedBytes > pinCap {
+		t.Fatalf("%s: %d bytes pinned, the cap is %d", what, cs.PinnedBytes, pinCap)
+	}
+	if cs.PinnedBytes+cs.ResultBytes > budget {
+		t.Fatalf("%s: %d pinned + %d result bytes exceed the %d-byte budget", what, cs.PinnedBytes, cs.ResultBytes, budget)
+	}
+}
+
+// TestCacheBudgetUnderChurn drives the moving boundary from both sides: a
+// Zipf query script with append, delete and compact rounds on the
+// four-plane cached device, where nprobe 4 is three waves (pins grow with
+// popularity) under a budget the pins and a dozen results cannot share.
+// After every command the budget invariant holds, results are
+// bit-identical to an uncached host, and a two-shard host reports the same
+// response and the same CacheStats as the reference.
+func TestCacheBudgetUnderChurn(t *testing.T) {
+	const budget = 40 << 10
+	c := newMutCorpus()
+	shCfg := pinGeo(mutTestCfg())
+	refCfg := shCfg
+	refCfg.Geo.Channels *= 2
+	plain, err := New(refCfg, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer plain.Close()
+	shCfg.CacheDRAMBytes, refCfg.CacheDRAMBytes = budget, budget
+	single, err := New(refCfg, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	sh, err := NewSharded(shCfg, 2, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+
+	var last CacheStats
+	step := func(what string, cmd HostCommand) HostResponse {
+		t.Helper()
+		want, got, gotSh := mustSubmit(t, plain, cmd), mustSubmit(t, single, cmd), mustSubmit(t, sh, cmd)
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("%s: cached results diverge from uncached", what)
+		}
+		if !mutRespEqual(got, gotSh) {
+			t.Fatalf("%s: sharded diverges from reference: %s vs %s", what, briefResp(gotSh), briefResp(got))
+		}
+		cs, err := single.CacheStats(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if csSh, err := sh.CacheStats(1); err != nil || csSh != cs {
+			t.Fatalf("%s: sharded cache stats %+v, reference %+v (%v)", what, csSh, cs, err)
+		}
+		budgetInvariant(t, what, cs, budget)
+		last = cs
+		return got
+	}
+
+	step("deploy", HostCommand{Opcode: OpcodeIVFDeploy, Deploy: &DeployConfig{
+		ID: 1, Vectors: c.base, Docs: c.baseDocs, DocSlotBytes: 256,
+		Centroids: c.cents, Assign: c.assign[:len(c.base)],
+	}})
+	rng := xrand.New(7)
+	var appended []int
+	for round := 0; round < 6; round++ {
+		for i := 0; i < 16; i++ {
+			q := testData.Queries[rng.Zipf(len(testData.Queries), 1.1)]
+			step(fmt.Sprintf("round %d search %d", round, i), HostCommand{Opcode: OpcodeIVFSearch, DBID: 1,
+				Queries: [][]float32{q}, K: 10, NProbe: 4, Opt: SearchOptions{Prune: i%4 == 3}})
+		}
+		what := fmt.Sprintf("round %d mutation", round)
+		switch round % 3 {
+		case 0:
+			lo := round / 3 * 30
+			resp := step(what, HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{
+				Vectors: c.batch1[lo : lo+30], Docs: c.b1Docs[lo : lo+30],
+				Assign: c.assign[len(c.base)+lo : len(c.base)+lo+30],
+			}})
+			appended = append(appended, resp.AppendedIDs...)
+		case 1:
+			ids := append([]int{round, 40 + round, 80 + round}, appended[:10]...)
+			appended = appended[10:]
+			step(what, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: ids}})
+		case 2:
+			step(what, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 1}})
+		}
+	}
+	// The script must have worked the boundary: pins filled, repeats hit,
+	// inserts and growing pins both evicted.
+	if last.PinFills == 0 || last.ResultHits == 0 || last.ResultSqueezes == 0 || last.ResultEvictions <= last.ResultSqueezes {
+		t.Errorf("the script did not exercise the boundary: %+v", last)
+	}
+}
+
+// TestCacheBudgetUnpinnedHoldsWholeBudget: a database that pins nothing —
+// an IVF one on SSD1, whose 256 planes take every probe in one wave, and a
+// flat one, which has no clusters to pin — gives the result cache all of
+// CacheDRAMBytes: n distinct queries leave min(n, budget / entry bytes)
+// entries, eight times what the static 1/8 share held.
+func TestCacheBudgetUnpinnedHoldsWholeBudget(t *testing.T) {
+	const budget = 16 << 10
+	cfg := ssd.SSD1()
+	cfg.CacheDRAMBytes = budget
+	e, err := New(cfg, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	deployBoth(t, e.Submit)
+	for _, tc := range []struct {
+		name string
+		op   uint8
+		dbID int
+	}{{"flat", OpcodeSearch, 1}, {"ivf", OpcodeIVFSearch, 2}} {
+		cmd := HostCommand{Opcode: tc.op, DBID: tc.dbID, K: 10, Opt: SearchOptions{SkipDocs: true}}
+		var entry int64
+		for i, q := range testData.Queries {
+			cmd.Queries = [][]float32{q}
+			resp := mustSubmit(t, e, cmd)
+			cs, err := e.CacheStats(tc.dbID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i == 0 {
+				entry = cs.ResultBytes
+				if len(resp.Results[0]) != 10 || entry == 0 || budget/entry < 7*(budget/resultCacheDivisor/entry) ||
+					budget/entry >= int64(len(testData.Queries)) {
+					t.Fatalf("%s: a %d-byte entry does not size this test", tc.name, entry)
+				}
+			}
+			if want := min(int64(i+1), budget/entry); cs.ResultEntries != want || cs.ResultBytes != want*entry {
+				t.Fatalf("%s: %d entries (%d bytes) after %d distinct queries, want %d", tc.name, cs.ResultEntries, cs.ResultBytes, i+1, want)
+			}
+			if cs.PinnedBytes != 0 || cs.GateShut != cs.Refreshes || (tc.op == OpcodeIVFSearch && cs.Refreshes != int64(i+1)) {
+				t.Fatalf("%s: the tier was to pin nothing: %+v", tc.name, cs)
+			}
+			budgetInvariant(t, tc.name, cs, budget)
+		}
+	}
+}
+
+// TestCacheBudgetPinGrowthTrimsTail: when a pin set grows into DRAM the
+// results hold, fill evicts from the LRU tail exactly as many entries as
+// the new pages need — one fewer would not fit — and the most recently
+// used entries still hit.
+func TestCacheBudgetPinGrowthTrimsTail(t *testing.T) {
+	f := &pageFormat{slotBytes: 32, embPerPage: 16, pageBytes: 512, oobBytes: 16 * oobBytesPerSlot}
+	cfg := ssd.SSD1()
+	cfg.Geo.Channels, cfg.Geo.DiesPerChannel, cfg.Geo.PlanesPerDie = 2, 2, 2
+	c := newDBCache(cfg, f, 2)
+	c.budget, c.pinBudget = 8*c.pageCost(), 7*c.pageCost()
+	res := []DocResult{{ID: 1, Doc: make([]byte, 200)}}
+	key := func(i int) []byte { return []byte{byte(i)} }
+	entry := resultBytes(1, res)
+	n := int(c.budget / entry)
+	for i := 0; i < n+2; i++ {
+		c.storeResult(key(i), res)
+	}
+	if cs := c.snapshot(); cs.ResultEntries != int64(n) || cs.ResultEvictions != 2 || cs.ResultSqueezes != 0 {
+		t.Fatalf("before any pin: %+v, want %d entries after 2 evictions", cs, n)
+	}
+	// Two clusters of three and two pages; a 9-page probe on 8 planes opens
+	// the gate, and each refresh pins what the previous command made hot.
+	buckets := [][]SlotRange{{{First: 0, Last: 47}}, {{First: 48, Last: 79}}}
+	fetch := func(int, []byte) error { return nil }
+	for cl, wantPages := range []int64{3, 5} {
+		c.probe(cl, buckets[cl])
+		c.probed(9)
+		before := c.snapshot()
+		if err := c.refresh(buckets, fetch); err != nil {
+			t.Fatal(err)
+		}
+		room := c.budget - wantPages*c.pageCost()
+		keep := room / entry
+		evicted := before.ResultEntries - keep
+		cs := c.snapshot()
+		if cs.PinnedBytes != wantPages*c.pageCost() || cs.ResultEntries != keep || cs.ResultBytes != keep*entry ||
+			cs.ResultSqueezes-before.ResultSqueezes != evicted || cs.ResultEvictions-before.ResultEvictions != evicted {
+			t.Fatalf("%d pages pinned: %+v, want %d of %d entries kept in the %d bytes left", wantPages, cs, keep, before.ResultEntries, room)
+		}
+		budgetInvariant(t, "after fill", cs, c.budget)
+		// The survivors are the most recently used; looking them up oldest
+		// first keeps their order for the next round.
+		for i := n + 2 - int(keep); i < n+2; i++ {
+			if _, ok := c.lookupResult(key(i)); !ok {
+				t.Fatalf("%d pages pinned: entry %d of the hot head was evicted", wantPages, i)
+			}
+		}
+		if _, ok := c.lookupResult(key(n + 1 - int(keep))); ok {
+			t.Fatalf("%d pages pinned: the tail entry survived", wantPages)
+		}
+	}
+	// An insert the pins leave no room for is skipped, and one that fits
+	// evicts only results.
+	c.storeResult(key(200), []DocResult{{Doc: make([]byte, 3*c.pageCost())}})
+	c.storeResult(key(201), res)
+	if _, ok := c.lookupResult(key(200)); ok || c.stats.PinnedBytes != 5*c.pageCost() {
+		t.Fatalf("an insert displaced pins: %+v", c.stats)
+	}
+	budgetInvariant(t, "after inserts", c.stats, c.budget)
+}
+
+// TestCacheBudgetOversizeInsertAllocs: storeResult sizes an entry from the
+// caller's slice and copies only what it stores, so an insert that does
+// not fit allocates nothing.
+func TestCacheBudgetOversizeInsertAllocs(t *testing.T) {
+	cfg := ssd.SSD1()
+	cfg.CacheDRAMBytes = 1 << 10
+	c := newDBCache(cfg, &pageFormat{}, 0)
+	key, res := []byte("k"), []DocResult{{ID: 1, Doc: make([]byte, 2<<10)}}
+	if got := testing.AllocsPerRun(10, func() { c.storeResult(key, res) }); got != 0 {
+		t.Errorf("%.1f allocs for an insert that does not fit, want 0", got)
+	}
+	if cs := c.snapshot(); cs.ResultEntries != 0 || cs.ResultBytes != 0 {
+		t.Errorf("the oversize entry was stored: %+v", cs)
 	}
 }

@@ -140,7 +140,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	if cmd.Opcode == OpcodeIVFSearch && len(db.lay.rivf) == 0 {
 		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.ID)
 	}
-	if !useCache || cache == nil || cache.resBudget <= 0 {
+	if !useCache || cache == nil {
 		return c.run(ctx, cmd.Opcode, queries, cmd.K, opt)
 	}
 	nq := len(queries)

@@ -39,7 +39,8 @@
 // the timing model says a DRAM scan on the one controller core beats the
 // planes — on a device that takes a whole probe in one wave, nowhere —
 // and an LRU result cache keyed on the query and search options serves
-// exact repeats of host commands (ResultCacheHits).
+// exact repeats of host commands (ResultCacheHits) from the DRAM the pins
+// leave of the one budget.
 // Appends, deletes and compactions invalidate both tiers atomically.
 // `reisbench -exp skew` measures the tier under Zipfian query skew
 // (see DESIGN.md, "DRAM caching tier").

@@ -417,17 +417,18 @@ func (c *hostCore) JournalBytes() []byte {
 	return append([]byte(nil), c.jl.buf...)
 }
 
-// CacheStats reports a database's caching tier — what is pinned and what
-// pin admission has decided since deploy. A database without the tier
+// CacheStats reports a database's caching tier — what pins and results
+// hold of its budget, what pin admission has decided and what the result
+// cache has served and evicted since deploy. A database without the tier
 // (CacheDRAMBytes == 0) reports zeros.
 func (c *hostCore) CacheStats(dbID int) (CacheStats, error) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	db, err := c.db(dbID)
-	if err != nil || db.cache == nil {
+	if err != nil {
 		return CacheStats{}, err
 	}
-	return db.cache.stats, nil
+	return db.cache.snapshot(), nil
 }
 
 // ReplayJournal re-applies a journal (or any record-aligned prefix of

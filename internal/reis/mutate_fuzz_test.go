@@ -91,6 +91,10 @@ func pinFuzzCfg() ssd.Config {
 
 const pinFuzzNProbe = 5
 
+// pinFuzzNarrowNProbe is a probe that fits pinFuzzCfg's two planes in one
+// wave: the command after it finds the wave gate shut.
+const pinFuzzNarrowNProbe = 2
+
 func FuzzAppendDeleteSearch(f *testing.F) {
 	// Seeds: a search-only run, append-heavy, delete-then-compact, and
 	// a mixed flat-database script.
@@ -367,8 +371,12 @@ func FuzzPrunedSearch(f *testing.F) {
 // (testdata/fuzz/FuzzCachedSearch) on every push; nightly fuzzes it.
 //
 // Both engines are pinFuzzCfg devices probing pinFuzzNProbe clusters, so
-// the scripts scan pinned pages; TestCachedFuzzServesPins holds the
-// fuzzer to that.
+// the scripts scan pinned pages — or, where a search's operand byte has
+// its high bit set, two clusters: one wave of the two planes, which shuts
+// the wave gate for the command after it, drops the pins and leaves the
+// results the whole budget until the next wide probe's pins squeeze them
+// back. After every command PinnedBytes + ResultBytes <= CacheDRAMBytes.
+// TestCachedFuzzServesPins holds the seeds to both.
 func FuzzCachedSearch(f *testing.F) {
 	for _, seed := range cachedFuzzSeeds {
 		f.Add(seed)
@@ -381,22 +389,31 @@ var cachedFuzzSeeds = [][]byte{
 	{1, 1, 0, 0, 3, 2, 0, 1, 1, 4, 0, 0},
 	{0, 0, 0, 3, 2, 1, 4, 5, 0, 3},
 	{1, 0, 1, 7, 2, 2, 0, 4, 3, 1, 0, 5, 1, 2},
+	// Across the wave gate and back: four narrow probes fill the unpinned
+	// budget with results, two wide ones open the gate and the pins evict
+	// all but two; the newest still hits; then a mutation and a re-pin.
+	{1, 0, 0, 128, 0, 129, 0, 130, 0, 131, 0, 0, 0, 1, 0, 0, 2, 1, 0, 2, 0, 128},
 }
 
 // TestCachedFuzzServesPins: the IVF seeds of FuzzCachedSearch scan
 // pinned pages — its oracle compares DRAM scans with flash scans, not
-// flash with flash.
+// flash with flash — and the last one has a growing pin set evict results.
 func TestCachedFuzzServesPins(t *testing.T) {
+	var cs CacheStats
 	for i, seed := range cachedFuzzSeeds {
-		if pinned := cachedFuzz(t, seed); seed[0]%2 == 1 && pinned == 0 {
+		var pinned int
+		if pinned, cs = cachedFuzz(t, seed); seed[0]%2 == 1 && pinned == 0 {
 			t.Errorf("seed %d: an IVF script served no pinned page", i)
 		}
+	}
+	if cs.ResultSqueezes == 0 || cs.GateShut < 2 || cs.ResultHits == 0 {
+		t.Errorf("the last seed did not squeeze results across the wave gate: %+v", cs)
 	}
 }
 
 // cachedFuzz is FuzzCachedSearch's body; it returns the pages the cached
-// engine served from pins.
-func cachedFuzz(t *testing.T, data []byte) (pinned int) {
+// engine served from pins and the tier's final counters.
+func cachedFuzz(t *testing.T, data []byte) (pinned int, cs CacheStats) {
 	if len(data) < 2 || len(data) > 48 {
 		t.Skip()
 	}
@@ -439,6 +456,13 @@ func cachedFuzz(t *testing.T, data []byte) (pinned int) {
 		if errA == nil && !reflect.DeepEqual(a.Results, b.Results) {
 			t.Fatalf("opcode %#x: cached results diverge from uncached", cmd.Opcode)
 		}
+		if errA == nil {
+			var err error
+			if cs, err = cached.CacheStats(1); err != nil {
+				t.Fatal(err)
+			}
+			budgetInvariant(t, "after a fuzz command", cs, budget)
+		}
 		return a, b, errA
 	}
 	if _, _, err := both(HostCommand{Opcode: op, Deploy: deploy}); err != nil {
@@ -454,9 +478,12 @@ func cachedFuzz(t *testing.T, data []byte) (pinned int) {
 	for i := 0; i+1 < len(ops); i += 2 {
 		b, arg := ops[i], int(ops[i+1])
 		switch b % 4 {
-		case 0, 1: // search (varying query, occasionally pruned)
+		case 0, 1: // search (varying query, occasionally pruned or narrow)
 			q := w.base.Queries[arg%len(w.base.Queries)]
 			cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, NProbe: nprobe}
+			if ivf && arg >= 128 {
+				cmd.NProbe = pinFuzzNarrowNProbe
+			}
 			pruned := b%4 == 1 && arg%3 == 0
 			cmd.Opt.Prune = pruned
 			pr, cr, err := both(cmd)
@@ -513,5 +540,5 @@ func cachedFuzz(t *testing.T, data []byte) (pinned int) {
 			deleted[id] = true
 		}
 	}
-	return pinned
+	return pinned, cs
 }

@@ -36,12 +36,15 @@ type Config struct {
 	DRAMBytes int64
 
 	// CacheDRAMBytes is the slice of controller DRAM the engine may use
-	// as a caching tier above the flash scan path: binary pages of the
-	// most-probed IVF clusters are pinned there (page + OOB bytes per
-	// page) and scanned at DRAM cost, and a small result cache serves
-	// repeated queries at controller cost. 0 — the preset default —
-	// disables the tier entirely, preserving the uncached behavior of
-	// every path bit for bit.
+	// as a caching tier above the flash scan path, one budget for both of
+	// its halves: binary pages of the most-probed IVF clusters are pinned
+	// there (page + OOB bytes per page, up to 7/8 of the budget, where the
+	// timing model says a DRAM scan pays) and scanned at DRAM cost, and a
+	// result cache serves repeated queries at controller cost from
+	// whatever the pins do not hold now — all of it on a device or a
+	// database that pins nothing. 0 — the preset default — disables the
+	// tier entirely, preserving the uncached behavior of every path bit
+	// for bit.
 	CacheDRAMBytes int64
 
 	// OverprovisionPct reserves extra region capacity at deployment, as
