@@ -32,6 +32,10 @@ type Stats struct {
 	// BytesOut counts bytes transferred from dies to the controller,
 	// per channel.
 	BytesOut []atomic.Int64
+	// ReadBytesOut is the part of BytesOut the conventional read path
+	// moved — whole pages (ReadPageInto) and records of a page
+	// (ReadSlots) — per channel; the rest is the scan's TTL entries.
+	ReadBytesOut []atomic.Int64
 	// BytesIn counts bytes transferred into dies (programs, IBC), per
 	// channel.
 	BytesIn []atomic.Int64
@@ -130,6 +134,7 @@ func NewDevice(geo Geometry, params Params) (*Device, error) {
 		rng:    xrand.New(0xf1a5),
 	}
 	d.Stats.BytesOut = make([]atomic.Int64, geo.Channels)
+	d.Stats.ReadBytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.BytesIn = make([]atomic.Int64, geo.Channels)
 	latchLen := geo.PageBytes + geo.OOBBytes
 	d.flipSet = make([]uint64, (latchLen*8+63)/64)
@@ -392,6 +397,7 @@ func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, erro
 	}
 	pl.mu.Unlock()
 	d.Stats.BytesOut[a.Channel].Add(int64(n + d.Geo.OOBBytes))
+	d.Stats.ReadBytesOut[a.Channel].Add(int64(n + d.Geo.OOBBytes))
 	return data, oob, nil
 }
 
@@ -426,6 +432,7 @@ func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, dst []byte) er
 	}
 	pl.mu.Unlock()
 	d.Stats.BytesOut[a.Channel].Add(int64(len(slots) * slotBytes))
+	d.Stats.ReadBytesOut[a.Channel].Add(int64(len(slots) * slotBytes))
 	return nil
 }
 
@@ -677,6 +684,7 @@ func (d *Device) ResetStats() {
 	d.Stats.IBCLoads.Store(0)
 	for i := range d.Stats.BytesOut {
 		d.Stats.BytesOut[i].Store(0)
+		d.Stats.ReadBytesOut[i].Store(0)
 	}
 	for i := range d.Stats.BytesIn {
 		d.Stats.BytesIn[i].Store(0)

@@ -436,15 +436,16 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatalf("read counters wrong: reads=%d byMode=%d",
 			d.Stats.PageReads.Load(), d.Stats.PageReadsByMode[ModeSLCESP].Load())
 	}
-	if d.Stats.BytesOut[0].Load() == 0 {
+	if d.Stats.BytesOut[0].Load() == 0 || d.Stats.ReadBytesOut[0].Load() != d.Stats.BytesOut[0].Load() {
 		t.Fatal("BytesOut not counted")
 	}
+	read := d.Stats.ReadBytesOut[0].Load()
 	d.TransferOut(0, 100)
-	if d.Stats.BytesOut[0].Load() < 100 {
-		t.Fatal("TransferOut not counted")
+	if d.Stats.BytesOut[0].Load() < 100 || d.Stats.ReadBytesOut[0].Load() != read {
+		t.Fatal("TransferOut not counted, or counted as a conventional read")
 	}
 	d.ResetStats()
-	if d.Stats.PageReads.Load() != 0 || d.Stats.TotalBytesOut() != 0 {
+	if d.Stats.PageReads.Load() != 0 || d.Stats.TotalBytesOut() != 0 || d.Stats.ReadBytesOut[0].Load() != 0 {
 		t.Fatal("ResetStats incomplete")
 	}
 }

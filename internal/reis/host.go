@@ -266,18 +266,18 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 		}
 		db.locals = append(db.locals, local)
 	}
-	// Documents and INT8 copies sit in original-id order from slot 0;
-	// their pages, like the centroids', are programmed under a zeroed
-	// OOB. Binary pages carry the linkage.
+	// Documents sit in id order and INT8 copies in placement order, both
+	// from slot 0; their pages, like the centroids', are programmed under
+	// a zeroed OOB. Binary pages carry the linkage.
 	t := mutTarget{c, db}
-	bin := lo.binSlots(cfg.Vectors)
+	bin, int8s := lo.deploySlots(cfg.Vectors)
 	for _, w := range []struct {
 		region regionOf
 		pages  int
 		render func(page, oob []byte, g int)
 	}{
 		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderDocs(page, g, cfg.Docs, 0) }},
-		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderInt8(page, g, cfg.Vectors, 0) }},
+		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderInt8(page, g, int8s, 0) }},
 		{embRegion, lo.embPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, bin) }},
 		{centRegion, lo.centPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }},
 	} {

@@ -282,15 +282,27 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 	return lo, nil
 }
 
-// binSlots is the deployed binary region as renderBin reads it:
-// position pos holds the binary code of vectors[order[pos]], linked to
-// that id — documents and INT8 copies are stored in original-id order,
-// so DADR and RADR are both the id, resolvable by arithmetic — or padding.
-// Positions past the plan keep an all-zero record: no scan plan reaches
-// them.
-func (lo *dbLayout) binSlots(vectors [][]float32) func(pos int, code []byte) (slotLink, bool) {
+// deploySlots is the deployed database as the renderers read it. bin is
+// the binary region for renderBin: position pos holds the binary code of
+// vectors[order[pos]], or padding. int8s is the INT8 region for
+// renderInt8 from slot 0: the vectors in placement order without its
+// padding, so a cluster's rerank copies sit together and a query's
+// candidates — drawn from a few clusters — share a few TLC pages. Each
+// binary slot links its document by id (DADR: documents stay in id
+// order, since the id is what a result reports) and its INT8 copy by
+// that copy's slot (RADR). Positions past the plan keep an all-zero
+// record: no scan plan reaches them.
+func (lo *dbLayout) deploySlots(vectors [][]float32) (bin func(pos int, code []byte) (slotLink, bool), int8s [][]float32) {
+	int8s = make([][]float32, 0, lo.n)
+	radr := make([]uint32, len(lo.order))
+	for pos, id := range lo.order {
+		if id >= 0 {
+			radr[pos] = uint32(len(int8s))
+			int8s = append(int8s, vectors[id])
+		}
+	}
 	var bits []uint64
-	return func(pos int, code []byte) (slotLink, bool) {
+	bin = func(pos int, code []byte) (slotLink, bool) {
 		if pos >= len(lo.order) {
 			return slotLink{}, true
 		}
@@ -300,8 +312,9 @@ func (lo *dbLayout) binSlots(vectors [][]float32) func(pos int, code []byte) (sl
 		}
 		bits = vecmath.BinaryQuantize(vectors[id], bits)
 		vecmath.PackBinaryBytes(bits, code)
-		return slotLink{uint32(id), uint32(id), lo.metaTags[pos]}, true
+		return slotLink{uint32(id), radr[pos], lo.metaTags[pos]}, true
 	}
+	return bin, int8s
 }
 
 // centSlots is the centroid region: cluster c's code at position c under

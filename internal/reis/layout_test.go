@@ -2,8 +2,14 @@ package reis
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"reis/internal/ann"
+	"reis/internal/dataset"
+	"reis/internal/ssd"
+	"reis/internal/vecmath"
 )
 
 // TestPageCodecRoundTrip is the page format's property test: whatever
@@ -203,5 +209,231 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 		Append: &AppendConfig{Vectors: testData.Vectors[n : n+2], Docs: testData.Docs[n : n+2]}}).AppendedIDs
 	if pos := int(m.posOf[ids[0]]); pos != alignUp(rowEnd+len(survivors), m.lay.embPerPage) {
 		t.Fatalf("append after the step placed at slot %d", pos)
+	}
+}
+
+// placedLink is one entry slot of the binary region as read back from
+// flash: its position and its OOB record.
+type placedLink struct {
+	pos int
+	slotLink
+}
+
+// readPlacement reads every entry slot the brute-force scan plan covers
+// — the whole live binary region — from flash, in position order,
+// skipping padding.
+func readPlacement(t *testing.T, h *hostCore, db *ShardedDatabase) []placedLink {
+	t.Helper()
+	var out []placedLink
+	page, oob := -1, []byte(nil)
+	for _, sr := range db.mut.flatPlan {
+		for pos := sr.First; pos <= sr.Last; pos++ {
+			if g := pos / db.lay.embPerPage; g != page {
+				var err error
+				if _, oob, err = h.readPage(db, embRegion, g, nil, nil); err != nil {
+					t.Fatalf("binary page %d: %v", g, err)
+				}
+				page = g
+			}
+			if l, ok := parseLink(oob, pos%db.lay.embPerPage); ok {
+				out = append(out, placedLink{pos, l})
+			}
+		}
+	}
+	return out
+}
+
+// TestRerankCopiesFollowPlacement pins where the INT8 rerank copies
+// live. Deploy and append place them in the binary region's placement
+// order without its padding, and the RADR a binary slot carries is its
+// copy's slot; DADR stays the id. After every step of a deploy, two
+// appends spanning several clusters, a delete and a compaction, on 1, 2
+// and 4 devices, flat and IVF:
+//   - every entry slot's RADR resolves to the INT8 record of its own
+//     vector, Int8Quantize(vectors[DADR]);
+//   - until a compaction relocates entries, RADRs ascend in placement
+//     order and each batch's copies are one gap-free run — the deploy's
+//     from slot 0, where a flat database's RADR is its DADR;
+//   - after it, RADRs still ascend within every range of every posting
+//     list (a relocated run keeps its entries' copies where they were).
+func TestRerankCopiesFollowPlacement(t *testing.T) {
+	c := newMutCorpus()
+	nb := len(c.base)
+	spans := func(assign []int) int {
+		seen := map[int]bool{}
+		for _, a := range assign {
+			seen[a] = true
+		}
+		return len(seen)
+	}
+	if a1, a2 := c.assign[nb:nb+len(c.batch1)], c.assign[nb+len(c.batch1):]; spans(a1) < 3 || spans(a2) < 3 {
+		t.Fatalf("append batches span %d and %d clusters; the test needs several", spans(a1), spans(a2))
+	}
+	for _, ivf := range []bool{false, true} {
+		for _, n := range shardCounts {
+			name := fmt.Sprintf("flat/%d", n)
+			if ivf {
+				name = fmt.Sprintf("ivf/%d", n)
+			}
+			h, err := NewSharded(mutTestCfg(), n, 64<<20, AllOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { h.Close() })
+			vecOf := map[uint32][]float32{}
+			check := func(step string, batch []int, relocated bool) {
+				t.Helper()
+				db, _ := h.hostDB(1)
+				f := &db.lay.pageFormat
+				links := readPlacement(t, &h.hostCore, db)
+				recs := map[int][]byte{}
+				var q8 []int8
+				inBatch := map[uint32]bool{}
+				for _, id := range batch {
+					inBatch[uint32(id)] = true
+				}
+				var run []uint32
+				for i, l := range links {
+					page, slot := int(l.radr)/f.int8PerPage, int(l.radr)%f.int8PerPage
+					if recs[page] == nil {
+						data, _, err := h.readPage(db, int8Region, page, nil, nil)
+						if err != nil {
+							t.Fatalf("%s %s: INT8 page %d: %v", name, step, page, err)
+						}
+						recs[page] = data
+					}
+					q8 = f.params.Int8Quantize(vecOf[l.dadr], q8)
+					want := vecmath.PackInt8Bytes(q8, nil)
+					if got := recs[page][slot*f.int8Bytes : (slot+1)*f.int8Bytes]; !bytes.Equal(got, want) {
+						t.Fatalf("%s %s: slot %d (id %d) links RADR %d, which holds another record", name, step, l.pos, l.dadr, l.radr)
+					}
+					if !relocated && i > 0 && l.radr <= links[i-1].radr {
+						t.Fatalf("%s %s: RADR %d at slot %d follows RADR %d in placement order", name, step, l.radr, l.pos, links[i-1].radr)
+					}
+					if inBatch[l.dadr] {
+						run = append(run, l.radr)
+					}
+					if !ivf && int(l.dadr) < nb && l.radr != l.dadr {
+						t.Fatalf("%s %s: flat deployed id %d links RADR %d", name, step, l.dadr, l.radr)
+					}
+				}
+				if len(run) != len(batch) {
+					t.Fatalf("%s %s: %d of the batch's %d entries found", name, step, len(run), len(batch))
+				}
+				for i, r := range run {
+					if r != run[0]+uint32(i) || (step == "deploy" && run[0] != 0) {
+						t.Fatalf("%s %s: the batch's copies are not one run from its first slot: %v", name, step, run)
+					}
+				}
+				if !relocated {
+					return
+				}
+				plans := db.mut.buckets
+				if !ivf {
+					plans = [][]SlotRange{db.mut.flatPlan}
+				}
+				at := map[int]uint32{}
+				for _, l := range links {
+					at[l.pos] = l.radr
+				}
+				for b, segs := range plans {
+					for _, sr := range segs {
+						prev, seen := uint32(0), false
+						for pos := sr.First; pos <= sr.Last; pos++ {
+							r, ok := at[pos]
+							if !ok {
+								continue
+							}
+							if seen && r <= prev {
+								t.Fatalf("%s %s: bucket %d range %+v: RADR %d at slot %d follows %d", name, step, b, sr, r, pos, prev)
+							}
+							prev, seen = r, true
+						}
+					}
+				}
+			}
+
+			deploy := DeployConfig{ID: 1, Vectors: c.base, Docs: c.baseDocs, DocSlotBytes: 256}
+			op := OpcodeDBDeploy
+			var a1, a2 []int
+			if ivf {
+				op = OpcodeIVFDeploy
+				deploy.Centroids, deploy.Assign = c.cents, c.assign[:nb]
+				a1, a2 = c.assign[nb:nb+len(c.batch1)], c.assign[nb+len(c.batch1):]
+			}
+			mustSubmit(t, h, HostCommand{Opcode: op, Deploy: &deploy})
+			ids := make([]int, nb)
+			for i, v := range c.base {
+				ids[i] = i
+				vecOf[uint32(i)] = v
+			}
+			check("deploy", ids, false)
+			appendBatch := func(step string, vecs [][]float32, docs [][]byte, assign []int) []int {
+				ids := mustSubmit(t, h, HostCommand{Opcode: OpcodeAppend, DBID: 1,
+					Append: &AppendConfig{Vectors: vecs, Docs: docs, Assign: assign}}).AppendedIDs
+				for i, id := range ids {
+					vecOf[uint32(id)] = vecs[i]
+				}
+				check(step, ids, false)
+				return ids
+			}
+			ids1 := appendBatch("append 1", c.batch1, c.b1Docs, a1)
+			var del []int
+			for _, idx := range c.deleteIdx {
+				if idx < nb {
+					del = append(del, idx)
+				} else {
+					del = append(del, ids1[idx-nb])
+				}
+			}
+			mustSubmit(t, h, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: del}})
+			check("delete", nil, false)
+			appendBatch("append 2", c.batch2, c.b2Docs, a2)
+			wear := mustSubmit(t, h, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}).Wear
+			if wear.CopiedEntries == 0 {
+				t.Fatalf("%s: the compaction relocated nothing: %+v", name, wear)
+			}
+			check("compact", nil, true)
+		}
+	}
+}
+
+// TestRerankPagesOnBenchmarkShape measures what the INT8 placement is
+// for: on a corpus of the repo benchmark's shape (N 8192, dim 256, 64
+// clusters, one SSD1 with 16 KiB pages) an nprobe-8 query's 100 rerank
+// candidates come from a few clusters, so their copies share a few TLC
+// pages. In id order they spread over ~70 of the region's 128.
+func TestRerankPagesOnBenchmarkShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds an 8192-vector corpus")
+	}
+	data := dataset.Generate(dataset.Config{
+		Name: "bench-shape", N: 8192, Dim: 256, Clusters: 64, Queries: 64, K: 10,
+		DocBytes: 512, QueryNoise: 0.5, Seed: 3,
+	})
+	cents, assign := ann.KMeans(data.Vectors, ann.KMeansConfig{K: 64, Seed: 5, SampleLimit: 4096})
+	cfg := ssd.SSD1()
+	cfg.Geo.BlocksPerPlane = 8
+	cfg.Geo.PagesPerBlock = 16
+	e, err := New(cfg, 0, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	deployOn(t, e, OpcodeIVFDeploy, DeployConfig{ID: 1, Vectors: data.Vectors, Docs: data.Docs,
+		DocSlotBytes: 512, Centroids: cents, Assign: assign})
+	_, sts := search(t, e, OpcodeIVFSearch, 1, data.Queries, 10, SearchOptions{NProbe: 8, SkipDocs: true})
+	pages, cands := 0, 0
+	for _, st := range sts {
+		pages += st.RerankPages
+		cands += st.RerankCount
+	}
+	mean := float64(pages) / float64(len(sts))
+	t.Logf("%d queries: %.2f rerank pages and %.1f candidates per query", len(sts), mean, float64(cands)/float64(len(sts)))
+	if cands != 100*len(sts) {
+		t.Fatalf("%d rerank candidates over %d queries, want 100 each", cands, len(sts))
+	}
+	if mean > 10 {
+		t.Fatalf("%.2f rerank pages per query, want at most 10", mean)
 	}
 }

@@ -183,9 +183,10 @@ type mutState struct {
 	binPages  int
 
 	// int8Slots/docSlots are the next append positions of the rerank
-	// and document regions (RADR / DADR address spaces); ids are doc
-	// slots, so appended ids continue page-aligned after the last
-	// batch.
+	// and document regions (RADR / DADR address spaces), each continuing
+	// page-aligned after the last batch. Ids are doc slots; a batch's
+	// INT8 copies follow its binary runs' order, as deploy's follow the
+	// placement order.
 	int8Slots, int8Pages int
 	docSlots, docPages   int
 
@@ -494,8 +495,10 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	}
 
 	// Binary entries: one run per cluster present in the batch, clusters
-	// ascending, items in batch (= ascending id) order. radius[ri] is the
-	// largest distance from run ri's centroid code to one of its items.
+	// ascending, items in batch (= ascending id) order. The INT8 copies
+	// follow the same order without the runs' padding: entry j's copy is
+	// int8s[j], at RADR rStart+j. radius[ri] is the largest distance from
+	// run ri's centroid code to one of its items.
 	ids := make([]int, n)
 	order := make([]int, n)
 	for i := range ids {
@@ -505,14 +508,16 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		slices.SortStableFunc(order, func(a, b int) int { return cfg.Assign[a] - cfg.Assign[b] })
 	}
 	entries := make([]slotEntry, n)
+	int8s := make([][]float32, n)
 	codes := make([]byte, n*lay.slotBytes)
 	var bits []uint64
 	var runs []tailRun
 	var radius []int
 	for j, i := range order {
+		int8s[j] = cfg.Vectors[i]
 		bits = vecmath.BinaryQuantize(cfg.Vectors[i], bits)
 		e := slotEntry{
-			slotLink: slotLink{dadr: uint32(idStart + i), radr: uint32(rStart + i)},
+			slotLink: slotLink{dadr: uint32(idStart + i), radr: uint32(rStart + j)},
 			code:     vecmath.PackBinaryBytes(bits, codes[j*lay.slotBytes:(j+1)*lay.slotBytes]),
 		}
 		if cfg.MetaTags != nil {
@@ -547,7 +552,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		func(page, _ []byte, g int) { lay.renderDocs(page, g, cfg.Docs, idStart) })
 	if err == nil {
 		err = m.program(t, wear, int8Region, m.int8Pages, newInt8Pages, false,
-			func(page, _ []byte, g int) { lay.renderInt8(page, g, cfg.Vectors, rStart) })
+			func(page, _ []byte, g int) { lay.renderInt8(page, g, int8s, rStart) })
 	}
 	if err != nil {
 		return nil, nil, err

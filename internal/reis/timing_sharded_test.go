@@ -114,31 +114,37 @@ func sameTiming(a, b timingGolden) bool {
 // 0's critical device loads both dies (ibc 6826 as before; on four
 // devices another of its devices loads one, hence its energy), and every
 // paper-scale row reaches the full broadcast, so nothing else moved.
+// The ivf, pruned and cached rows' rerank, total, energy, serial, plane
+// and makespan columns were regenerated when the INT8 copies moved into
+// placement order: a query's candidates now share a few TLC pages (ivf/1:
+// rerank 437076 -> 97076 ns, five TLC waves -> one). The IBC, coarse,
+// fine, channel and core columns and every flat row (whose placement is
+// the id order) are the values from before.
 var shardedTimingGolden = map[string]timingGolden{
 	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
 		983960753, 1222872000, 5169248, 4415921, 983960753, 11.815563628650551},
-	"ivf/1": {6826, 1665000, 30105000, 437076, 171437, 32385339, 0.38581390924787257,
-		270440753, 334712000, 8169580, 6971025, 270440753, 3.2233457644777594},
-	"pruned/1": {6826, 45000, 67500, 437076, 171437, 727839, 0.004503357432,
-		5795753, 5376000, 97695, 96925, 5795753, 0.036230529328},
-	"cached/1": {426, 45000, 47254, 2309636, 427504, 2829820, 0.015178758272,
-		11157102, 10963000, 35370, 59125, 11157102, 0.060080554026},
+	"ivf/1": {6826, 1665000, 30105000, 97076, 171437, 32045339, 0.3836639092478725,
+		267720753, 331992000, 8169580, 6971025, 267720753, 3.2059117644777597},
+	"pruned/1": {6826, 45000, 67500, 97076, 171437, 387839, 0.002353357432,
+		3075753, 2656000, 97695, 96925, 3043839, 0.018636959328},
+	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485758272,
+		5377102, 5183000, 35370, 59125, 5377102, 0.029110554026},
 	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
 		521104435, 647392000, 2761546, 2379361, 521104435, 12.106805000082549},
-	"ivf/2": {6826, 0, 18585000, 265796, 85904, 18943526, 0.4133225725518726,
-		174941935, 176488000, 7501982, 6416377, 174941935, 3.62056213590976},
-	"pruned/2": {6826, 45000, 45000, 265796, 85904, 448526, 0.005349520736,
-		3601022, 3168000, 76343, 94835, 3601022, 0.043262721608},
-	"cached/2": {426, 45000, 47254, 1372076, 256437, 1721193, 0.018241588272000002,
-		6466847, 6288000, 20115, 59125, 6466847, 0.06896351402600001},
+	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41117257255187256,
+		173581935, 175128000, 7501982, 6416377, 173581935, 3.6031281359097598},
+	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.0031995207360000005,
+		2241022, 1808000, 76343, 94835, 2086526, 0.024283761608},
+	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008423588272,
+		3066847, 2888000, 20115, 59125, 3066847, 0.032893514026000006},
 	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
 		278856273, 346104000, 1500552, 1312441, 278856273, 12.47288768294655},
-	"ivf/4": {6826, 0, 15637500, 180156, 85637, 15910119, 0.5420898891598726,
-		126733773, 110456000, 7130352, 6106859, 126366119, 4.398466345557759},
-	"pruned/4": {6826, 45000, 45000, 180156, 85637, 362619, 0.008116689888,
-		2867860, 2460000, 62384, 93515, 2822619, 0.06370537312800001},
-	"cached/4": {426, 45000, 47254, 945796, 170904, 1209380, 0.025217258271999998,
-		4164222, 3993000, 12490, 59125, 4164222, 0.08757948402600002},
+	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5399398891598726,
+		126053773, 109776000, 7130352, 6106859, 125601119, 4.37933234555776},
+	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966689888,
+		2187860, 1780000, 62384, 93515, 2057619, 0.044571373128000004},
+	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011149258272,
+		2039222, 1868000, 12490, 59125, 2039222, 0.043009484025999994},
 }
 
 // timingCfg is one shard's device of the model tests.
@@ -207,39 +213,43 @@ func TestShardedTimingTable(t *testing.T) {
 // spread at paper scale (every rung below MPIBC), and the REIS-ASIC
 // comparison point (asic: Engine.ASICLatency under AllOptions(), which
 // has no batch form, so its batch half is zero). Keyed "<case>/<rung>";
-// recorded at the parent of the one-bill refactor of timing.go.
+// recorded at the parent of the one-bill refactor of timing.go. As above,
+// the ivf, pruned and cached rows' rerank, total, energy and batch
+// columns other than channel and core were regenerated when the INT8
+// copies moved into placement order; IBC, coarse, fine, channel, core and
+// every flat row are unchanged.
 var ladderTimingGolden = map[string]timingGolden{
 	"flat/noopt": {13652, 0, 269819200, 451008, 171437, 270455297, 2.2152664345963187,
 		2163642376, 1222872000, 508067376, 432703000, 1493327297, 14.37050208177055},
-	"ivf/noopt": {13652, 3611402, 66334986, 451008, 171437, 70582485, 0.5771662775326725,
-		589645739, 334712000, 137667799, 117265944, 405294485, 3.9003971988879997},
-	"pruned/noopt": {10239, 28382, 32400, 451008, 171437, 693466, 0.004455806816,
-		5685811, 5320000, 178671, 187147, 5685811, 0.03646678541},
-	"cached/noopt": {426, 28589, 30290, 3856341, 427504, 4343150, 0.023411448394,
-		18174903, 18018000, 56088, 100817, 18174903, 0.09790570820399999},
+	"ivf/noopt": {13652, 3611402, 66334986, 196008, 171437, 70327485, 0.5754412775326725,
+		587690739, 332757000, 137667799, 117265944, 403084485, 3.8855671988880003},
+	"pruned/noopt": {10239, 28382, 32400, 196008, 171437, 438466, 0.0027668068160000003,
+		3985811, 3620000, 178671, 187147, 3985811, 0.024618785409999996},
+	"cached/noopt": {426, 28589, 30290, 1816341, 427504, 2303150, 0.012437448394,
+		9419903, 9263000, 56088, 100817, 9419903, 0.050872708204},
 	"flat/df": {13652, 0, 153439552, 437076, 171437, 154061717, 1.6322314097323187,
 		1232511777, 1222872000, 5223856, 4415921, 1232511777, 13.05831953508255},
-	"ivf/df": {13652, 3611402, 37724988, 437076, 171437, 41958555, 0.4336800875518726,
-		349907210, 334712000, 8224188, 6971025, 349907210, 3.62067883590976},
-	"pruned/df": {13652, 28382, 57148, 437076, 171437, 707695, 0.004402735736,
-		5621811, 5376000, 148890, 96925, 5621811, 0.035361556608},
-	"cached/df": {426, 28589, 30254, 2309636, 427504, 2796409, 0.015011703272,
-		11057494, 10963000, 35370, 59125, 11057494, 0.059582514026},
+	"ivf/df": {13652, 3611402, 37724988, 97076, 171437, 41618555, 0.43153008755187255,
+		347187210, 331992000, 8224188, 6971025, 347187210, 3.60324483590976},
+	"pruned/df": {13652, 28382, 57148, 97076, 171437, 367695, 0.002252735736,
+		2901811, 2656000, 148890, 96925, 2901811, 0.017927556608000002},
+	"cached/df": {426, 28589, 30254, 864636, 427504, 1351409, 0.007318703272,
+		5277494, 5183000, 35370, 59125, 5277494, 0.028612514026},
 	"flat/dfpl": {13652, 0, 122377500, 437076, 171437, 122999665, 1.4769211497323185,
 		984015361, 1222872000, 5223856, 4415921, 984015361, 11.81583745508255},
-	"ivf/dfpl": {13652, 1665000, 30105000, 437076, 171437, 32392165, 0.3858481375518725,
-		270495361, 334712000, 8224188, 6971025, 270495361, 3.22361959090976},
-	"pruned/dfpl": {13652, 45000, 67500, 437076, 171437, 734665, 0.004537585736,
-		5846948, 5376000, 148890, 96925, 5846948, 0.036487241608},
-	"cached/dfpl": {426, 45000, 47254, 2309636, 427504, 2829820, 0.015178758272,
-		11157102, 10963000, 35370, 59125, 11157102, 0.060080554026},
+	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 171437, 32052165, 0.38369813755187254,
+		267775361, 331992000, 8224188, 6971025, 267775361, 3.20618559090976},
+	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.002387585736,
+		3126948, 2656000, 148890, 96925, 3050665, 0.018671826608},
+	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485758272,
+		5377102, 5183000, 35370, 59125, 5377102, 0.029110554026},
 	"flat/asic": {6826, 0, 135975000, 437076, 171437, 136590339, 1.4672401458318585,
 		0, 0, 0, 0, 0, 0},
-	"ivf/asic": {6826, 0, 35275000, 437076, 171437, 35890339, 0.3827131185072566,
+	"ivf/asic": {6826, 0, 35275000, 97076, 171437, 35550339, 0.3810131185072566,
 		0, 0, 0, 0, 0, 0},
-	"pruned/asic": {6826, 0, 75000, 437076, 171437, 690339, 0.0036320021999999997,
+	"pruned/asic": {6826, 0, 75000, 97076, 171437, 350339, 0.0019320022000000002,
 		0, 0, 0, 0, 0, 0},
-	"cached/asic": {426, 0, 50000, 2309636, 427504, 2787566, 0.013973854576,
+	"cached/asic": {426, 0, 50000, 864636, 427504, 1342566, 0.006748854576,
 		0, 0, 0, 0, 0, 0},
 }
 
