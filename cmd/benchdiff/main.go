@@ -20,7 +20,9 @@
 //
 // The remaining latency quantiles (ModelP50Ms, ModelP95Ms,
 // ModelP999Ms) and the frontier latencies are report-only, like the
-// other informational metrics.
+// other informational metrics. So is a busy share above 1 on any current
+// row: a note says the batch model's makespan clamp let the row finish
+// before that resource did.
 //
 // Wall-clock metrics (WallQPS, NsPerOp) are reported but not enforced
 // by default — shared CI runners make them noisy; pass -wall to gate
@@ -104,6 +106,11 @@ var latencyFields = []struct {
 	{"TotalMs", false},
 }
 
+// busyShareFields are the occupancy columns of experiments.ModelShares:
+// each resource's busy time over the row's makespan, which the timing
+// model's clamp to serial execution can push above 1.
+var busyShareFields = []string{"PlaneBusyShare", "ChannelBusyShare", "CoreBusyShare"}
+
 // exactFields are event counts of the mutation path (GC rows collected,
 // blocks erased, erase skew, bytes programmed per payload byte): pure
 // functions of the command history, so any drift is a behaviour change.
@@ -154,6 +161,15 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 	}
 	allocsRefused := false
 	for _, e := range current.Experiments {
+		for _, row := range e.Rows {
+			for _, f := range busyShareFields {
+				if v, ok := num(row, f); ok && v > 1 {
+					notes = append(notes, fmt.Sprintf(
+						"%s: %s %.3f > 1 — the makespan, clamped to serial execution, ends before this resource's occupancy does (report-only)",
+						rowKey(e.ID, row), f, v))
+				}
+			}
+		}
 		if _, ok := baseRows[e.ID]; !ok {
 			// A whole experiment section the baseline predates: one
 			// report-only note, not an error (and not one note per row) —

@@ -289,3 +289,32 @@ func TestDiffChurnCountsGateOnEquality(t *testing.T) {
 		}
 	}
 }
+
+// TestDiffNotesBusyShareAboveOne: a current row whose plane, channel or
+// core busy share exceeds 1 — the makespan clamp undercutting occupancy —
+// gets one report-only note per share, whether or not the baseline has
+// the row, and never a violation.
+func TestDiffNotesBusyShareAboveOne(t *testing.T) {
+	base := mkReport(1000, 2000, 24.5)
+	cur := mkReport(1000, 2000, 24.5)
+	row := cur.Experiments[0].Rows[0]
+	row["PlaneBusyShare"], row["ChannelBusyShare"], row["CoreBusyShare"] = 1.031, 0.9, 1.0
+	cur.Experiments = append(cur.Experiments, struct {
+		ID   string           `json:"id"`
+		Rows []map[string]any `json:"rows"`
+	}{ID: "prune", Rows: []map[string]any{{"Mode": "base", "ModelQPS": 1.0, "CoreBusyShare": 1.013}}})
+	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	if len(v) != 0 {
+		t.Fatalf("violations: %v", v)
+	}
+	var shares []string
+	for _, n := range notes {
+		if strings.Contains(n, "> 1") {
+			shares = append(shares, n)
+		}
+	}
+	if len(shares) != 2 || !strings.Contains(shares[0], "PlaneBusyShare 1.031") || !strings.Contains(shares[1], "prune{") ||
+		!strings.Contains(shares[1], "CoreBusyShare 1.013") {
+		t.Fatalf("busy-share notes %q (all notes %q)", shares, notes)
+	}
+}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"reis/internal/flash"
 	"reis/internal/reis"
 	"reis/internal/ssd"
+	"reis/internal/xrand"
 )
 
 // devices returns the setup's member devices in shard order.
@@ -66,8 +69,10 @@ func portsOf(devs []*reis.Engine) []portCounts {
 //     row reports (IBCLoads) times a latch are exactly the bytes that
 //     entered the device's busiest channel, every load the device counted
 //     moved one latch, the model's broadcast time is the critical device's
-//     loads, and the energy side — which charges every channel the
-//     busiest one's loads — never undercharges.
+//     loads, and the loads its energy side charges (IBCTotalLoads) are
+//     exactly the latches that entered the device. Charging every channel
+//     the busiest one's loads instead, as the model did before, is logged
+//     beside it.
 //   - The pages the model charges a sense for — a device's row's
 //     CoarsePages + FinePages at SLC-ESP, the aggregate's RerankPages +
 //     DocPages at TLC — are the pages the devices sensed in that mode,
@@ -89,13 +94,7 @@ func portsOf(devs []*reis.Engine) []portCounts {
 //     channels: max/mean at most 1.5 (3.4 on one SSD1 before that
 //     order). The tail's spread is logged as its own figure.
 func TestIBCReconciliation(t *testing.T) {
-	// A uniform corpus of the repo benchmark's shape (the catalog
-	// workloads carry eight queries).
-	d := dataset.Generate(dataset.Config{
-		Name: "uniform", N: 8192, Dim: 256, Clusters: 64, Queries: 512, K: 1, DocBytes: 64, Seed: 0x1bc,
-	})
-	cents, assign := ann.KMeans(d.Vectors, ann.KMeansConfig{K: 64, Seed: 3, SampleLimit: 4096})
-	dep := reis.DeployConfig{ID: 1, Vectors: d.Vectors, Docs: d.Docs, DocSlotBytes: docSlot(d), Centroids: cents, Assign: assign}
+	d, dep := benchCorpus()
 	// The reconciliation serves 64 of the queries; the outbound balance
 	// below takes all 512.
 	queries, int8Bytes := d.Queries[:64], int64(d.Dim)
@@ -128,7 +127,7 @@ func TestIBCReconciliation(t *testing.T) {
 		}
 
 		var singles []reis.QueryStats
-		var singleLoads, charged, moved int64
+		var singleLoads, busiestEverywhere, moved int64
 		// The tail's transfer: what the model charges over every channel of
 		// the host, and what the busiest channel carried, summed over the
 		// single commands.
@@ -180,14 +179,14 @@ func TestIBCReconciliation(t *testing.T) {
 					t.Fatalf("%s x%d query %d device %d: %d loads moved %d bytes, want a latch (%d) each",
 						name, s.Devices, qi, d, loads, total, latch)
 				}
-				if c := int64(row.IBCLoads*geo.Channels) * latch; c < total {
+				if c := int64(row.IBCTotalLoads) * latch; c != total {
 					t.Fatalf("%s x%d query %d device %d: energy side charges %d bytes, device moved %d",
 						name, s.Devices, qi, d, c, total)
 				}
 				hostLoads = max(hostLoads, row.IBCLoads)
 				deviceLoads[d] = row.IBCLoads
 				singleLoads += loads
-				charged += int64(row.IBCLoads*geo.Channels) * latch
+				busiestEverywhere += int64(row.IBCLoads*geo.Channels) * latch
 				moved += total
 			}
 			if tlc != int64(st.RerankPages+st.DocPages) {
@@ -243,9 +242,9 @@ func TestIBCReconciliation(t *testing.T) {
 		if batchLoads < singleLoads {
 			t.Fatalf("%s x%d: batched command loaded %d latches, the queries alone %d", name, s.Devices, batchLoads, singleLoads)
 		}
-		t.Logf("%s x%d: %d queries loaded %d latches alone, %d as one group (%d re-sends, %.2fx); energy side charges %.2fx the bytes moved",
+		t.Logf("%s x%d: %d queries loaded %d latches alone, %d as one group (%d re-sends, %.2fx); the busiest channel's loads on every channel would charge %.2fx the bytes moved",
 			name, s.Devices, len(queries), singleLoads, batchLoads, batchLoads-singleLoads,
-			float64(batchLoads)/float64(singleLoads), float64(charged)/float64(moved))
+			float64(batchLoads)/float64(singleLoads), float64(busiestEverywhere)/float64(moved))
 
 		nq := time.Duration(len(queries))
 		t.Logf("%s x%d: tail per query %v at all %d channels as charged, %v on its busiest channel (gap %v)",
@@ -293,6 +292,131 @@ func TestIBCReconciliation(t *testing.T) {
 			t.Fatalf("%s x%d: per-channel TTL bytes max/mean %.2f > 1.5: %v", name, s.Devices, r, out)
 		}
 		t.Logf("%s x%d: per-channel TTL bytes max/mean %.2f, tail reads %.2f", name, s.Devices, r, maxOverMean(tail))
+	}
+}
+
+// benchCorpus is a uniform corpus of the repo benchmark's shape (the
+// catalog workloads carry eight queries) and its IVF deployment.
+func benchCorpus() (*dataset.Dataset, reis.DeployConfig) {
+	d := dataset.Generate(dataset.Config{
+		Name: "uniform", N: 8192, Dim: 256, Clusters: 64, Queries: 512, K: 1, DocBytes: 64, Seed: 0x1bc,
+	})
+	cents, assign := ann.KMeans(d.Vectors, ann.KMeansConfig{K: 64, Seed: 3, SampleLimit: 4096})
+	return d, reis.DeployConfig{ID: 1, Vectors: d.Vectors, Docs: d.Docs, DocSlotBytes: docSlot(d), Centroids: cents, Assign: assign}
+}
+
+// TestPlaneReconciliation is the plane row of the reconciliation
+// (DESIGN.md): the model's batch plane column is the busiest plane's
+// senses, as the device's planes counted them. For a coalesced 32-query
+// batch it compares, per mode, the busiest plane's senses with the plane
+// time the model charges for them (busiestPlane) — the scan's SLC-ESP
+// pages at a wave each, the tail's TLC rerank and document pages at tTLC.
+// The charge may miss the busiest plane by at most the 1.5 balance bound
+// the scan's TTL stream is held to, either way. The batches: the
+// benchmark-shaped uniform corpus on the 8-plane churn geometry, where
+// the planes are the bottleneck, and on SSD1, where 256 planes share a
+// few hundred senses and the tail's regions cover half of them; and the
+// skew sweep's Zipf-drawn batches (s = 0 and 1.2, documents skipped) on
+// both of its devices, where a batch repeats queries and so re-senses
+// their pages.
+func TestPlaneReconciliation(t *testing.T) {
+	d, dep := benchCorpus()
+	eight := ssd.SSD1()
+	eight.Name = "SSD1/8p"
+	eight.Geo.Channels, eight.Geo.DiesPerChannel, eight.Geo.PlanesPerDie = 2, 2, 2
+	cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: d.Queries[:32], K: 10, NProbe: 8}
+	for _, cfg := range []ssd.Config{eight, ssd.SSD1()} {
+		reconcilePlanes(t, cfg.Name, cfg, dep, cmd)
+	}
+
+	sd, cents, assign := skewWorkload()
+	sdep := reis.DeployConfig{
+		ID: 1, Vectors: sd.Vectors[:skewBase], Docs: sd.Docs[:skewBase],
+		DocSlotBytes: docSlot(sd), Centroids: cents, Assign: assign,
+	}
+	for _, s := range []float64{0, 1.2} {
+		qr := xrand.New(0x5eed ^ math.Float64bits(s))
+		queries := make([][]float32, skewBatch)
+		for i := range queries {
+			queries[i] = sd.Queries[qr.Zipf(skewQueries, s)]
+		}
+		cmd := reis.HostCommand{
+			Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: queries, K: skewK, NProbe: skewNProbe,
+			Opt: reis.SearchOptions{SkipDocs: true},
+		}
+		for _, dev := range skewDevices() {
+			reconcilePlanes(t, fmt.Sprintf("skew s=%.1f %s", s, dev.name), dev.cfg, sdep, cmd)
+		}
+	}
+}
+
+// reconcilePlanes serves cmd on a fresh cfg device holding dep and
+// checks the scan's and the tail's plane charge against the busiest
+// plane's senses.
+func reconcilePlanes(t *testing.T, name string, cfg ssd.Config, dep reis.DeployConfig, cmd reis.HostCommand) {
+	t.Helper()
+	s, err := deploy(cfg, 1, reis.AllOptions(), dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	dev := s.Engine.SSD.Dev
+	senses := func(m flash.CellMode) []int64 {
+		n := make([]int64, dev.Geo.Planes())
+		for p := range n {
+			n[p] = dev.Plane(p).Senses(m)
+		}
+		return n
+	}
+	slc0, tlc0 := senses(flash.ModeSLCESP), senses(flash.ModeTLC)
+	resp, err := s.Submit(cmd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slc1, tlc1 := senses(flash.ModeSLCESP), senses(flash.ModeTLC)
+
+	// The tail's rows alone price its plane charge; the whole rows add
+	// the scan's.
+	tails := make([]reis.QueryStats, len(resp.QueryStats))
+	var scanPages, tailPages int64
+	for i, q := range resp.QueryStats {
+		tails[i] = reis.QueryStats{RerankPages: q.RerankPages, RerankWaves: q.RerankWaves, DocPages: q.DocPages}
+		scanPages += int64(q.CoarsePages + q.FinePages)
+		tailPages += int64(q.RerankPages + q.DocPages)
+	}
+	tail := s.Engine.BatchLatency(s.DB, tails, reis.UnitScale()).PlaneBusy
+	scan := s.Engine.BatchLatency(s.DB, resp.QueryStats, reis.UnitScale()).PlaneBusy - tail
+
+	p := cfg.Flash
+	for _, row := range []struct {
+		name        string
+		before, now []int64
+		pages       int64
+		unit        time.Duration
+		charged     time.Duration
+	}{
+		{"scan", slc0, slc1, scanPages, p.ReadLatency(flash.ModeSLCESP) + p.LatchXOR + p.BitCountPage + p.PassFailCheck, scan},
+		{"tail", tlc0, tlc1, tailPages, p.ReadLatency(flash.ModeTLC), tail},
+	} {
+		var busiest, sum int64
+		used := 0
+		for pl := range row.now {
+			n := row.now[pl] - row.before[pl]
+			busiest, sum = max(busiest, n), sum+n
+			if n > 0 {
+				used++
+			}
+		}
+		if sum != row.pages {
+			t.Fatalf("%s %s: the rows charge %d pages, the planes sensed %d", name, row.name, row.pages, sum)
+		}
+		measured := time.Duration(busiest) * row.unit
+		r := float64(measured) / float64(row.charged)
+		t.Logf("%s %s: %d senses on %d of %d planes; busiest plane %d = %v, charged %v (ratio %.2f)",
+			name, row.name, sum, used, len(row.now), busiest, measured, row.charged, r)
+		if r > 1.5 || r < 1/1.5 {
+			t.Errorf("%s %s: busiest plane is %.2fx the model's plane charge, bound 1.5", name, row.name, r)
+		}
 	}
 }
 

@@ -421,6 +421,7 @@ func meanStats(agg reis.QueryStats, n int) reis.QueryStats {
 	agg.DocBytes /= int64(n)
 	agg.IBCBroadcasts /= n
 	agg.IBCLoads /= n
+	agg.IBCTotalLoads /= n
 	agg.SelectInput /= n
 	agg.SortedEntries /= n
 	agg.CoarseEntries /= n

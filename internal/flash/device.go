@@ -112,6 +112,17 @@ type Plane struct {
 	Sensing []byte
 	Data    []byte
 	Cache   []byte
+
+	// senses counts the plane's page senses by cell mode; Senses reads it.
+	senses [3]int64
+}
+
+// Senses is the number of pages the plane has sensed in mode m since the
+// last ResetStats: the per-plane side of Stats.PageReadsByMode.
+func (p *Plane) Senses(m CellMode) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.senses[m]
 }
 
 // programmed is the content a page was programmed with: PageBytes of user
@@ -278,14 +289,18 @@ func (d *Device) ReadPage(a Address) error {
 	} else {
 		fillErased(pl.Sensing)
 	}
+	d.countRead(a, pl)
 	pl.mu.Unlock()
-	d.countRead(a)
 	return nil
 }
 
-func (d *Device) countRead(a Address) {
+// countRead counts a sense of a on its plane pl, whose lock the caller
+// holds.
+func (d *Device) countRead(a Address, pl *Plane) {
+	mode := d.BlockMode(a)
 	d.Stats.PageReads.Add(1)
-	d.Stats.PageReadsByMode[d.BlockMode(a)].Add(1)
+	d.Stats.PageReadsByMode[mode].Add(1)
+	pl.senses[mode]++
 }
 
 // rawErrors draws the raw bit errors of one sense of a programmed page
@@ -359,7 +374,7 @@ func (d *Device) senseCorrected(a Address, pl *Plane) (programmed, bool) {
 			d.Stats.ECCCorrections.Add(int64(flips))
 		}
 	}
-	d.countRead(a)
+	d.countRead(a, pl)
 	return page, ok
 }
 
@@ -688,6 +703,11 @@ func (d *Device) ResetStats() {
 	}
 	for i := range d.Stats.BytesIn {
 		d.Stats.BytesIn[i].Store(0)
+	}
+	for _, pl := range d.planes {
+		pl.mu.Lock()
+		pl.senses = [3]int64{}
+		pl.mu.Unlock()
 	}
 	d.Stats.BitErrorsInjected.Store(0)
 	d.Stats.ECCCorrections.Store(0)

@@ -239,8 +239,10 @@ type ibcStep struct {
 // of the command re-sends a query only where another query of a
 // coalesced group overwrote it, and which units each query has loaded:
 // loads[qi], the distinct units on the busiest channel, is what the
-// timing model charges (QueryStats.IBCLoads). It depends on the query's
-// own pages only — not on its batch, unlike the re-sends.
+// timing model charges (QueryStats.IBCLoads), and total[qi], the
+// distinct units on every channel, what its broadcast energy charges
+// (QueryStats.IBCTotalLoads). Both depend on the query's own pages only —
+// not on its batch, unlike the re-sends.
 type ibcLedger struct {
 	geo   flash.Geometry
 	mpibc bool
@@ -254,6 +256,7 @@ type ibcLedger struct {
 	loaded []uint64 // bit qi*units+unit: query qi has loaded unit
 	perCh  []int32  // perCh[qi*Channels+ch]: units of channel ch in loaded[qi]
 	loads  []int
+	total  []int
 }
 
 // begin opens the ledger for a command of nq queries: no latch is known
@@ -274,6 +277,7 @@ func (l *ibcLedger) begin(geo flash.Geometry, mpibc bool, nq int) {
 	l.perCh = growTo(l.perCh, nq*geo.Channels)
 	clear(l.perCh)
 	l.loads = resizeInts(l.loads, nq)
+	l.total = resizeInts(l.total, nq)
 }
 
 // send records that unit, on channel ch, must hold query qi and reports
@@ -289,6 +293,7 @@ func (l *ibcLedger) send(qi, unit, ch int) bool {
 		n := &l.perCh[qi*l.geo.Channels+ch]
 		*n++
 		l.loads[qi] = max(l.loads[qi], int(*n))
+		l.total[qi]++
 	}
 	return true
 }
@@ -446,6 +451,7 @@ func (c *controller) scan(ctx context.Context, coarse bool, segs [][]SlotRange, 
 			for qi := range rows[s] {
 				rows[s][qi].Add(d.scr.out.stats(qi, coarse))
 				rows[s][qi].IBCLoads = d.scr.ibc.loads[qi]
+				rows[s][qi].IBCTotalLoads = d.scr.ibc.total[qi]
 			}
 		}
 	}
@@ -453,13 +459,17 @@ func (c *controller) scan(ctx context.Context, coarse bool, segs [][]SlotRange, 
 }
 
 // ibc adds query qi's broadcasts of the last round to st. The devices'
-// planes partition the reference device's, so the planes latched sum;
-// device s's channel c is the reference's channel N·c+s, so the loads on
-// the reference's busiest channel are the largest device's.
+// planes partition the reference device's, so the planes latched and the
+// units loaded sum; device s's channel c is the reference's channel N·c+s,
+// so the loads on the reference's busiest channel are the largest
+// device's. The ledgers count the whole command so far, so the loads are
+// set, not added.
 func (c *controller) ibc(qi int, st *QueryStats) {
+	st.IBCTotalLoads = 0
 	for _, d := range c.h.devs {
 		st.IBCBroadcasts += d.scr.out.ibc[qi]
 		st.IBCLoads = max(st.IBCLoads, d.scr.ibc.loads[qi])
+		st.IBCTotalLoads += d.scr.ibc.total[qi]
 	}
 }
 

@@ -65,6 +65,11 @@ type QueryStats struct {
 	// coalesced group overwrote a latch between rounds are not counted:
 	// like every other field, it depends on the query alone.
 	IBCLoads int
+	// IBCTotalLoads is the same count over every channel: the distinct
+	// units the query loaded on the device, each a latch of bytes through
+	// a die port. It is the broadcast's energy, as IBCLoads is its time. A
+	// per-device row carries that device's, the aggregate their sum.
+	IBCTotalLoads int
 	// SelectInput is the number of entries fed to quickselect.
 	SelectInput int
 	// SortedEntries is the number of entries quicksorted at the end.
@@ -116,6 +121,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.DocBytes += o.DocBytes
 	s.IBCBroadcasts += o.IBCBroadcasts
 	s.IBCLoads += o.IBCLoads
+	s.IBCTotalLoads += o.IBCTotalLoads
 	s.SelectInput += o.SelectInput
 	s.SortedEntries += o.SortedEntries
 	s.CoarseEntries += o.CoarseEntries

@@ -134,7 +134,7 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 				t.Fatalf("shards=%d %s: PerShard has %d entries", n, tc.name, len(got.PerShard))
 			}
 			for qi := range got.QueryStats {
-				scanned, survivors, pages, ibc, loads := 0, 0, 0, 0, 0
+				scanned, survivors, pages, ibc, loads, total := 0, 0, 0, 0, 0, 0
 				for s := range got.PerShard {
 					ps := got.PerShard[s][qi]
 					scanned += ps.EntriesScanned
@@ -142,10 +142,11 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 					pages += ps.CoarsePages + ps.FinePages
 					ibc += ps.IBCBroadcasts
 					loads = max(loads, ps.IBCLoads)
+					total += ps.IBCTotalLoads
 				}
 				st := got.QueryStats[qi]
 				if scanned != st.EntriesScanned || survivors != st.Survivors ||
-					pages != st.CoarsePages+st.FinePages || ibc != st.IBCBroadcasts {
+					pages != st.CoarsePages+st.FinePages || ibc != st.IBCBroadcasts || total != st.IBCTotalLoads {
 					t.Fatalf("shards=%d %s: per-shard stats do not sum to query %d's aggregate", n, tc.name, qi)
 				}
 				// The busiest channel of the reference is the busiest
@@ -161,7 +162,8 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 					CoarseWaves: st.CoarseWaves, FineWaves: st.FineWaves,
 					CoarsePages: st.CoarsePages, FinePages: st.FinePages,
 					EntriesScanned: st.EntriesScanned, Survivors: st.Survivors, TTLBytes: st.TTLBytes,
-					IBCBroadcasts: st.IBCBroadcasts, IBCLoads: st.IBCLoads, CoarseEntries: st.CoarseEntries,
+					IBCBroadcasts: st.IBCBroadcasts, IBCLoads: st.IBCLoads, IBCTotalLoads: st.IBCTotalLoads,
+					CoarseEntries: st.CoarseEntries,
 				}); n == 1 && got.PerShard[0][qi] != scan {
 					t.Fatalf("shards=1 %s: query %d's lone per-shard row %+v is not its scan phase %+v",
 						tc.name, qi, got.PerShard[0][qi], scan)

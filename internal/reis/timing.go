@@ -2,6 +2,7 @@ package reis
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"reis/internal/flash"
@@ -94,18 +95,41 @@ func (sh *ShardedEngine) Latency(dbID int, st QueryStats, perShard []QueryStats,
 // busy is the time one query holds each of the three resources a batch
 // contends for:
 //
-//   - plane: array reads (the critical plane's waves) plus the in-plane
-//     latch compute, for the scan phases and the TLC rerank/document reads;
+//   - plane: array reads plus the in-plane latch compute, for the scan
+//     phases and the TLC rerank/document reads. Pages every query of a
+//     batch senses (an IVF scan's centroids, a flat scan's every page)
+//     hold the same planes for each, so their whole waves stack (plane).
+//     A query's own pages (an IVF fine scan, the tail) fall on planes
+//     other queries may leave idle: they are kept as plane-time over the
+//     planes they fall on, the mean plane's share (spread), and as whole
+//     waves, the query's own critical plane (waves). busiestPlane turns a
+//     batch's sums into its busiest plane;
 //   - channel: the IBC broadcast in, TTL entries, rerank embeddings and
 //     document bytes out (internal), and the host transfer;
 //   - core: controller quickselect + TTL DRAM traffic, INT8 rerank, the
 //     final quicksort, and caching-tier work.
-type busy struct{ plane, channel, core time.Duration }
+type busy struct{ plane, spread, waves, channel, core time.Duration }
 
 func (b *busy) add(o busy) {
 	b.plane += o.plane
+	b.spread += o.spread
+	b.waves += o.waves
 	b.channel += o.channel
 	b.core += o.core
+}
+
+// busiestPlane is a batch's plane column from its summed occupancy b on
+// n planes, where unit is one sense's plane time: the waves every query
+// stacks, plus its own pages' share of the busiest plane. b.spread puts
+// μ = b.spread/unit of those on every plane; they land on the planes by
+// page number, which across the queries of a batch is as good as at
+// random, so the busiest of the n planes carries about μ + √(2μ ln n).
+// It never carries more than b.waves, every query's critical plane
+// stacked on the same one.
+func busiestPlane(b busy, unit time.Duration, n float64) time.Duration {
+	mean := float64(b.spread)
+	excess := math.Sqrt(2 * mean * float64(unit) * math.Log(n))
+	return b.plane + min(time.Duration(mean+excess), b.waves)
 }
 
 // price is the per-query model: db is any device's slice of the
@@ -151,6 +175,7 @@ type scanEvents struct {
 	coarseEntries          float64 // TTL-C entries: every centroid crosses the channel
 	fineSurvivors          float64 // TTL entries the fine scan sends to the controller
 	ibcLoads               int     // latch loads on the busiest channel
+	ibcTotalLoads          int     // latch loads on every channel
 }
 
 // scanEvents extrapolates the device's own events st to scale sc.
@@ -173,7 +198,11 @@ type scanEvents struct {
 // PlanesPerDie on one die of each): a phase of n pages loads ⌈n /
 // (Channels × planes per load)⌉ units per channel, the same even spread
 // scanCost turns into waves. Never below the functional count, never
-// above the full broadcast.
+// above the full broadcast. The total over the channels — what the
+// broadcast's energy charges — is the device's own count as executed,
+// and at paper scale the units the same spread loads on all channels:
+// never below the functional count, never above the full broadcast on
+// every channel.
 func (e *Engine) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 	pages := func(pages, entries int, scale float64) float64 {
 		if scale <= 1 {
@@ -188,6 +217,7 @@ func (e *Engine) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 		coarseEntries: float64(st.CoarseEntries) * sc.Coarse,
 		fineSurvivors: float64(st.Survivors-st.CoarseEntries) * sc.Fine,
 		ibcLoads:      st.IBCLoads,
+		ibcTotalLoads: st.IBCTotalLoads,
 	}
 	if e.Opts.DistanceFilter && sc.SurvivorRate > 0 {
 		ev.fineSurvivors = float64(fineScanned) * sc.Fine * sc.SurvivorRate
@@ -199,7 +229,15 @@ func (e *Engine) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 			perLoad *= float64(geo.PlanesPerDie)
 		}
 		spread := ceilF(ev.coarsePages/perLoad) + ceilF(ev.finePages/perLoad)
-		ev.ibcLoads = min(max(st.IBCLoads, spread), e.fullIBCLoads())
+		full := e.fullIBCLoads()
+		ev.ibcLoads = min(max(st.IBCLoads, spread), full)
+		// Every whole round of perLoad pages loads a unit on each channel,
+		// a last round of m pages one on min(m, Channels) of them.
+		units := func(pages float64) int {
+			n, k := ceilF(pages), int(perLoad)
+			return n/k*geo.Channels + min(n%k, geo.Channels)
+		}
+		ev.ibcTotalLoads = max(st.IBCTotalLoads, min(units(ev.coarsePages)+units(ev.finePages), full*geo.Channels))
 	}
 	return ev
 }
@@ -220,14 +258,18 @@ type scanBill struct {
 // controller streams them through DRAM and quickselects. Without
 // pipelining the stages serialize; with the Read Page Cache Sequential
 // pipeline the phase is bound by its slowest stage plus one pipeline fill
-// (Sec 4.3.4). A batch keeps the resources busy across queries instead:
-// the planes for the waves, the channel and the core for both phases'
-// entries streamed back to back — so those two convert coarse + fine
-// entries to time together, the standalone phases each their own.
+// (Sec 4.3.4). Waves price the standalone latency, since one query cannot
+// run a fraction of one. A batch keeps the resources busy across queries
+// instead: the planes for the waves of the pages every query senses (the
+// centroids; a flat database's every page) and the plane-time of an IVF
+// fine scan's own pages, pages × planeWaveTime / planes on the same even
+// spread (busy); the channel and the core for both phases' entries
+// streamed back to back — so those two convert coarse + fine entries to
+// time together, the standalone phases each their own.
 func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
 	cfg := e.SSD.Cfg
 	p, geo := cfg.Flash, cfg.Geo
-	tR, wave := p.ReadLatency(flash.ModeSLCESP), planeWaveTime(p)
+	tR, wave, planes := p.ReadLatency(flash.ModeSLCESP), planeWaveTime(p), float64(geo.Planes())
 	entryBytes := float64(db.ttlEntryBytes())
 	xfer := func(entries float64) time.Duration {
 		return bytesTime(entries*entryBytes, geo.InternalBandwidth())
@@ -236,12 +278,17 @@ func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
 		return cfg.QuickselectTime(int(entries)) + time.Duration(entries*cfg.DRAMAccessNs)*time.Nanosecond
 	}
 	var c scanBill
-	phase := func(pages, entries float64) time.Duration {
+	phase := func(pages, entries float64, shared bool) time.Duration {
 		if pages <= 0 {
 			return 0
 		}
-		waves := time.Duration(ceilF(pages / float64(geo.Planes())))
-		c.busy.plane += waves * wave
+		waves := time.Duration(ceilF(pages / planes))
+		if shared {
+			c.busy.plane += waves * wave
+		} else {
+			c.busy.spread += time.Duration(pages * float64(wave) / planes)
+			c.busy.waves += waves * wave
+		}
 		read, compute := waves*tR, waves*(wave-tR)
 		if e.Opts.Pipelining {
 			return tR + max(read, compute+xfer(entries), sel(entries))
@@ -249,13 +296,14 @@ func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
 		return read + compute + xfer(entries) + sel(entries)
 	}
 	c.ibc = e.ibcTime(ev.ibcLoads)
-	c.coarse = phase(ev.coarsePages, ev.coarseEntries)
-	c.fine = phase(ev.finePages, ev.fineSurvivors)
+	c.coarse = phase(ev.coarsePages, ev.coarseEntries, true)
+	c.fine = phase(ev.finePages, ev.fineSurvivors, db.rivf == nil)
 	entries := ev.coarseEntries + ev.fineSurvivors
 	c.busy.channel = c.ibc + xfer(entries)
 	c.busy.core = sel(entries)
-	// The broadcast's energy charges every channel the busiest one's loads.
-	xferBytes := entries*entryBytes + float64(ev.ibcLoads*geo.Channels*geo.PageBytes)
+	// The broadcast's time is the busiest channel's loads, its energy
+	// every load's.
+	xferBytes := entries*entryBytes + float64(ev.ibcTotalLoads*geo.PageBytes)
 	c.joules = (ev.coarsePages+ev.finePages)*(p.EnergyReadPage+p.EnergyLatchXOR+p.EnergyBitCount) +
 		xferBytes*p.EnergyXferPerByte
 	return c
@@ -307,10 +355,13 @@ type tailBill struct {
 // tailCost prices the stages after the scan. Rerank: the INT8 pages'
 // TLC waves, the embeddings' transfer, the rescore and the final
 // quicksort. Docs: the document pages' TLC waves and the bytes' internal
-// then host transfer. Cached: caching-tier work, which never touches
-// flash — pinned-cluster scans stream each slot out of controller DRAM
-// and XOR+popcount it on the core (pinnedSlotNs), and result-cache hits
-// pay a fixed number of DRAM accesses for the lookup plus deep copy.
+// then host transfer. As in scanCost, waves price the latency; a batch's
+// occupancy spreads each page's tTLC over the planes its region spans
+// (regionPlanes), which other queries' reads can share. Cached:
+// caching-tier work, which never touches flash — pinned-cluster scans
+// stream each slot out of controller DRAM and XOR+popcount it on the core
+// (pinnedSlotNs), and result-cache hits pay a fixed number of DRAM
+// accesses for the lookup plus deep copy.
 // Cached slots are dataset-proportional, so they scale with sc.Fine; the
 // per-hit constant does not grow with the database, nor does the rest of
 // the tail. Energy is the TLC senses and the channel traffic; none is
@@ -327,17 +378,29 @@ func tailCost(cfg ssd.Config, db *Database, st QueryStats, sc Scale) tailBill {
 	cached := time.Duration(float64(st.CachedSlots)*sc.Fine*pinnedSlotNs(cfg, db.slotBytes)+
 		float64(st.ResultCacheHits*resultCacheHitAccesses)*cfg.DRAMAccessNs) * time.Nanosecond
 	xferBytes := float64(st.RerankCount*db.int8Bytes) + float64(st.DocBytes)
+	spread := float64(st.RerankPages)/regionPlanes(cfg.Geo, db.int8Pages) +
+		float64(st.DocPages)/regionPlanes(cfg.Geo, db.docPages)
 	return tailBill{
 		cached: cached,
 		rerank: rerankRead + rerankXfer + rerankCore,
 		docs:   docRead + docXfer,
 		busy: busy{
-			plane:   rerankRead + docRead,
+			spread:  time.Duration(spread * float64(tTLC)),
+			waves:   rerankRead + docRead,
 			channel: rerankXfer + docXfer,
 			core:    rerankCore + cached,
 		},
 		joules: float64(st.RerankPages+st.DocPages)*p.EnergyReadPage + xferBytes*p.EnergyXferPerByte,
 	}
+}
+
+// regionPlanes is the planes a TLC region of pages spans: the INT8 and
+// document regions each put page i on plane i mod Planes, so one shorter
+// than the device is wide covers only its first pages-many planes.
+// tailCost spreads each region's reads over its own; the tail's busiest
+// plane is one of the wider region's.
+func regionPlanes(geo flash.Geometry, pages int) float64 {
+	return float64(max(1, min(geo.Planes(), pages)))
 }
 
 // BatchBreakdown is the timing model's view of a query batch admitted
@@ -353,6 +416,9 @@ type BatchBreakdown struct {
 	Serial time.Duration
 	// PlaneBusy/ChannelBusy/CoreBusy are the per-resource occupancy
 	// sums across the batch; the largest is the batch bottleneck.
+	// PlaneBusy is the busiest plane's (busiestPlane), not every query's
+	// whole waves stacked: waves price a query's standalone latency
+	// (Serial), the busiest plane a batch's occupancy.
 	PlaneBusy   time.Duration
 	ChannelBusy time.Duration
 	CoreBusy    time.Duration
@@ -432,12 +498,13 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 	}
 	// The devices scan in parallel — the busiest bounds each resource —
 	// and the tail's resources serialize on the host.
-	for _, d := range scan {
-		b.PlaneBusy = max(b.PlaneBusy, d.plane)
+	for s, d := range scan {
+		cfg := c.devs[s].SSD.Cfg
+		b.PlaneBusy = max(b.PlaneBusy, busiestPlane(d, planeWaveTime(cfg.Flash), float64(cfg.Geo.Planes())))
 		b.ChannelBusy = max(b.ChannelBusy, d.channel)
 		b.CoreBusy = max(b.CoreBusy, d.core)
 	}
-	b.PlaneBusy += host.plane
+	b.PlaneBusy += busiestPlane(host, c.cfg.Flash.ReadLatency(flash.ModeTLC), regionPlanes(c.cfg.Geo, max(db.int8Pages, db.docPages)))
 	b.ChannelBusy += host.channel
 	b.CoreBusy += host.core
 	b.Makespan = min(max(b.PlaneBusy, b.ChannelBusy, b.CoreBusy)+fill, b.Serial)

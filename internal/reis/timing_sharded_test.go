@@ -120,29 +120,40 @@ func sameTiming(a, b timingGolden) bool {
 // rerank 437076 -> 97076 ns, five TLC waves -> one). The IBC, coarse,
 // fine, channel and core columns and every flat row (whose placement is
 // the id order) are the values from before.
+// Only the plane, makespan, QPS and batch-energy columns moved when a
+// batch's plane column became its busiest plane instead of every query's
+// whole waves stacked: the centroid pages every query senses, and a flat
+// scan's, still stack; a query's own pages spread, the busiest plane
+// carrying μ + √(2μ ln n) of a mean μ (pruned/1: plane 2656000 -> 2345998
+// ns, makespan 3043839 -> 2733837). The one other change is
+// the broadcast energy: it charges every latch the query loaded, not the
+// busiest channel's loads on every channel, so query 0's energy fell on
+// pruned/2 and pruned/4, the unit-scale rows where it loads channels
+// unevenly. Every Breakdown duration and the serial, channel and core
+// columns are the values from before.
 var shardedTimingGolden = map[string]timingGolden{
 	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
-		983960753, 1222872000, 5169248, 4415921, 983960753, 11.815563628650551},
+		983960753, 1222571293, 5169248, 4415921, 983960753, 11.815563628650551},
 	"ivf/1": {6826, 1665000, 30105000, 97076, 171437, 32045339, 0.3836639092478725,
-		267720753, 331992000, 8169580, 6971025, 267720753, 3.2059117644777597},
+		267720753, 331681998, 8169580, 6971025, 267720753, 3.2059117644777597},
 	"pruned/1": {6826, 45000, 67500, 97076, 171437, 387839, 0.002353357432,
-		3075753, 2656000, 97695, 96925, 3043839, 0.018636959328},
+		3075753, 2345998, 97695, 96925, 2733837, 0.017086900175999998},
 	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485758272,
 		5377102, 5183000, 35370, 59125, 5377102, 0.029110554026},
 	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
-		521104435, 647392000, 2761546, 2379361, 521104435, 12.106805000082549},
+		521104435, 647246996, 2761546, 2379361, 521104435, 12.106805000082549},
 	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41117257255187256,
-		173581935, 175128000, 7501982, 6416377, 173581935, 3.6031281359097598},
-	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.0031995207360000005,
-		2241022, 1808000, 76343, 94835, 2086526, 0.024283761608},
+		173581935, 174830804, 7501982, 6416377, 173581935, 3.6031281359097598},
+	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.0031994961600000003,
+		2241022, 1497021, 76343, 94835, 1775547, 0.021173799575999998},
 	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008423588272,
 		3066847, 2888000, 20115, 59125, 3066847, 0.032893514026000006},
 	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
-		278856273, 346104000, 1500552, 1312441, 278856273, 12.47288768294655},
+		278856273, 345610373, 1500552, 1312441, 278856273, 12.47288768294655},
 	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5399398891598726,
-		126053773, 109776000, 7130352, 6106859, 125601119, 4.37933234555776},
-	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966689888,
-		2187860, 1780000, 62384, 93515, 2057619, 0.044571373128000004},
+		126053773, 109095681, 7130352, 6106859, 124920800, 4.365725965557759},
+	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966640736,
+		2187860, 1040434, 62384, 93515, 1318053, 0.029779561608},
 	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011149258272,
 		2039222, 1868000, 12490, 59125, 2039222, 0.043009484025999994},
 }
@@ -218,29 +229,34 @@ func TestShardedTimingTable(t *testing.T) {
 // columns other than channel and core were regenerated when the INT8
 // copies moved into placement order; IBC, coarse, fine, channel, core and
 // every flat row are unchanged.
+// As above, only the plane, makespan, QPS and batch-energy columns moved
+// when a batch's plane column became its busiest plane, and query 0's
+// energy on the unit-scale pruned rows (df, dfpl) with the broadcast
+// energy's per-load charge. Every Breakdown duration, every asic row and
+// the serial, channel and core columns are unchanged.
 var ladderTimingGolden = map[string]timingGolden{
 	"flat/noopt": {13652, 0, 269819200, 451008, 171437, 270455297, 2.2152664345963187,
 		2163642376, 1222872000, 508067376, 432703000, 1493327297, 14.37050208177055},
 	"ivf/noopt": {13652, 3611402, 66334986, 196008, 171437, 70327485, 0.5754412775326725,
-		587690739, 332757000, 137667799, 117265944, 403084485, 3.8855671988880003},
+		587690739, 332401104, 137667799, 117265944, 402728589, 3.883787718888},
 	"pruned/noopt": {10239, 28382, 32400, 196008, 171437, 438466, 0.0027668068160000003,
-		3985811, 3620000, 178671, 187147, 3985811, 0.024618785409999996},
+		3985811, 3281827, 178671, 187147, 3720293, 0.023291023378},
 	"cached/noopt": {426, 28589, 30290, 1816341, 427504, 2303150, 0.012437448394,
 		9419903, 9263000, 56088, 100817, 9419903, 0.050872708204},
 	"flat/df": {13652, 0, 153439552, 437076, 171437, 154061717, 1.6322314097323187,
-		1232511777, 1222872000, 5223856, 4415921, 1232511777, 13.05831953508255},
+		1232511777, 1222571293, 5223856, 4415921, 1232511777, 13.05831953508255},
 	"ivf/df": {13652, 3611402, 37724988, 97076, 171437, 41618555, 0.43153008755187255,
-		347187210, 331992000, 8224188, 6971025, 347187210, 3.60324483590976},
-	"pruned/df": {13652, 28382, 57148, 97076, 171437, 367695, 0.002252735736,
-		2901811, 2656000, 148890, 96925, 2901811, 0.017927556608000002},
+		347187210, 331681998, 8224188, 6971025, 347187210, 3.60324483590976},
+	"pruned/df": {13652, 28382, 57148, 97076, 171437, 367695, 0.00225271116,
+		2901811, 2345998, 148890, 96925, 2713693, 0.016986745424},
 	"cached/df": {426, 28589, 30254, 864636, 427504, 1351409, 0.007318703272,
 		5277494, 5183000, 35370, 59125, 5277494, 0.028612514026},
 	"flat/dfpl": {13652, 0, 122377500, 437076, 171437, 122999665, 1.4769211497323185,
-		984015361, 1222872000, 5223856, 4415921, 984015361, 11.81583745508255},
+		984015361, 1222571293, 5223856, 4415921, 984015361, 11.81583745508255},
 	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 171437, 32052165, 0.38369813755187254,
-		267775361, 331992000, 8224188, 6971025, 267775361, 3.20618559090976},
-	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.002387585736,
-		3126948, 2656000, 148890, 96925, 3050665, 0.018671826608},
+		267775361, 331681998, 8224188, 6971025, 267775361, 3.20618559090976},
+	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.0023875611599999996,
+		3126948, 2345998, 148890, 96925, 2740663, 0.017121595424},
 	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485758272,
 		5377102, 5183000, 35370, 59125, 5377102, 0.029110554026},
 	"flat/asic": {6826, 0, 135975000, 437076, 171437, 136590339, 1.4672401458318585,

@@ -2,7 +2,9 @@ package reis
 
 import (
 	"testing"
+	"time"
 
+	"reis/internal/flash"
 	"reis/internal/ssd"
 )
 
@@ -178,6 +180,98 @@ func TestCeilF(t *testing.T) {
 	for in, want := range cases {
 		if got := ceilF(in); got != want {
 			t.Errorf("ceilF(%v) = %d, want %d", in, got, want)
+		}
+	}
+}
+
+// TestBatchPaysBusiestPlane pins what the two readings of one bill take
+// from it: a query's standalone latency counts whole waves, since one
+// query cannot run a fraction of a wave, while a batch's plane column is
+// its busiest plane. Pages every query senses (a flat scan's) hold the
+// same planes for each, so their waves stack. A query's own pages (an
+// IVF fine scan's, the tail's) fall on planes the others may leave idle:
+// the busiest plane carries more than the mean plane's share and less
+// than every query's waves stacked, and the closer to the mean the more
+// pages the batch spreads. A lone query's batch is still priced at its
+// standalone latency.
+func TestBatchPaysBusiestPlane(t *testing.T) {
+	cfg := shardTestCfg()
+	if cfg.Geo.Planes() != 8 {
+		t.Fatalf("shard test device has %d planes, the test assumes 8", cfg.Geo.Planes())
+	}
+	e, err := New(cfg, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	deployBoth(t, e.Submit)
+	flat, err := e.DB(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivf, err := e.DB(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := regionPlanes(cfg.Geo, ivf.docPages); n != 8 {
+		t.Fatalf("the document region covers %v of 8 planes", n)
+	}
+	batch := func(db *Database, st QueryStats, n int) time.Duration {
+		sts := make([]QueryStats, n)
+		for i := range sts {
+			sts[i] = st
+		}
+		return e.BatchLatency(db, sts, UnitScale()).PlaneBusy
+	}
+
+	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
+	doc := QueryStats{DocPages: 1, DocBytes: 256}
+	if got := e.Latency(ivf, doc, UnitScale()).Docs; got < tTLC {
+		t.Fatalf("a one-page document read costs %v standalone, below one TLC wave %v", got, tTLC)
+	}
+	// Eight one-page reads: one wave on every plane on average, eight if
+	// they all fell on one.
+	if got := batch(ivf, doc, 8); got <= tTLC || got >= 8*tTLC {
+		t.Fatalf("8 one-page reads on 8 planes hold the busiest %v, want between the mean's %v and the stacked %v", got, tTLC, 8*tTLC)
+	}
+	if got, mean := batch(ivf, doc, 2048), 256*tTLC; got <= mean || float64(got) > 1.25*float64(mean) {
+		t.Fatalf("2048 one-page reads on 8 planes hold the busiest %v, want within 1.25x of the mean's %v", got, mean)
+	}
+
+	// A scan of four pages: one wave a query, half a wave of the mean
+	// plane's. Sixteen flat queries sense the same four pages; sixteen IVF
+	// queries' own four spread.
+	wave := planeWaveTime(cfg.Flash)
+	scan := QueryStats{FinePages: 4}
+	if got := batch(flat, scan, 16); got != 16*wave {
+		t.Fatalf("16 flat scans of 4 pages hold the busiest plane %v, want the 16 stacked waves %v", got, 16*wave)
+	}
+	if got := batch(ivf, scan, 16); got <= 8*wave || got >= 16*wave {
+		t.Fatalf("16 IVF scans of 4 own pages hold the busiest plane %v, want between the mean's %v and the stacked %v", got, 8*wave, 16*wave)
+	}
+
+	// Every priced command: the batch's serial sum is its queries'
+	// standalone latencies, and each query alone is its own makespan.
+	for _, tc := range timingCases() {
+		if tc.cached {
+			continue
+		}
+		resp := timingResponse(t, e.Submit, tc)
+		db, err := e.DB(tc.cmd.DBID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var serial time.Duration
+		for qi, st := range resp.QueryStats {
+			b := e.Latency(db, st, tc.sc)
+			serial += b.Total
+			if one := e.BatchLatency(db, resp.QueryStats[qi:qi+1], tc.sc); one.Makespan != b.Total {
+				t.Fatalf("%s query %d: alone its makespan is %v, its latency %v", tc.name, qi, one.Makespan, b.Total)
+			}
+		}
+		bb := e.BatchLatency(db, resp.QueryStats, tc.sc)
+		if bb.Serial != serial {
+			t.Fatalf("%s: serial %v, the queries' latencies sum to %v", tc.name, bb.Serial, serial)
 		}
 	}
 }
