@@ -99,14 +99,13 @@ func BenchmarkQueueDepth(b *testing.B) {
 	defer engine.Close()
 	for _, depth := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			ch := make(chan reis.Completion, depth)
-			queue, err := engine.NewQueue(reis.QueueConfig{Depth: depth, Completions: ch})
+			queue, err := engine.NewQueue(reis.QueueConfig{Depth: depth})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer queue.Close()
 			b.ResetTimer()
-			err = queue.SubmitDrain(context.Background(), ch, b.N, func(i int) reis.HostCommand {
+			err = queue.SubmitDrain(context.Background(), b.N, func(i int) reis.HostCommand {
 				return reis.HostCommand{
 					Opcode: reis.OpcodeSearch, DBID: 1,
 					Queries: [][]float32{queries[i%len(queries)]}, K: 10,

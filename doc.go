@@ -5,16 +5,16 @@
 //
 // The engine (internal/reis) exposes the Table 1 vendor command set
 // through an NVMe-style host interface: Engine.NewQueue creates an
-// asynchronous submission/completion queue pair (SubmitAsync, Reap,
-// Wait, a completion channel, per-command context cancellation,
-// depth-based admission control and equal-share stride scheduling
-// across databases), and the synchronous Engine.Submit is a thin submit+wait
-// wrapper over the engine's built-in pair. Batched admission and
-// queue-side coalescing keep the flash planes busy across queries
-// while a query's results and device stats stay bit-identical to its
-// one-query command. A completion is observable only after its queue
-// slot is free, whatever the sink. See DESIGN.md ("Host queue model")
-// for the architecture.
+// asynchronous submission/completion queue pair (SubmitAsync in, Wait
+// out — the one way a completion leaves the pair — per-command context
+// cancellation, depth-based admission control and equal-share stride
+// scheduling across databases), and the synchronous Engine.Submit is a
+// thin submit+wait wrapper over the engine's built-in pair. Batched
+// admission and queue-side coalescing keep the flash planes busy across
+// queries while a query's results and device stats stay bit-identical
+// to its one-query command. Wait returns a completion only after its
+// queue slot is free. See DESIGN.md ("Host queue model") for the
+// architecture.
 //
 // Every search — flat or IVF, pruned or not, cached or not, one device
 // or many — is one round-driven controller (internal/reis/controller.go)
@@ -95,10 +95,9 @@
 //
 // Runnable entry points are cmd/reisbench (regenerates every table and
 // figure of the paper, plus the throughput, queue-depth, shard
-// scale-out, pruning, caching, churn, SLO and frontier sweeps), cmd/reisctl
-// (deploy + async search against a simulated device, a -shards
-// topology, or a -replicas group), and the examples/ directory
-// (examples/ragserver is the gateway over a replica group). The
+// scale-out, pruning, caching, churn, SLO and frontier sweeps) and the
+// examples/ directory (quickstart, tuning and multidb drive the library
+// directly; examples/ragserver is the gateway over a replica group). The
 // root-level benchmarks in bench_test.go drive the same experiment
 // runners through `go test -bench`. README.md has the quickstart and
 // the current results table.

@@ -70,13 +70,12 @@ func RunQDepth(scale int, datasets []string, depths []int) ([]QDepthRow, error) 
 			}
 			queries := cmd.Queries
 			for _, depth := range depths {
-				ch := make(chan reis.Completion, depth)
-				q, err := s.NewQueue(reis.QueueConfig{Depth: depth, Completions: ch})
+				q, err := s.NewQueue(reis.QueueConfig{Depth: depth})
 				if err != nil {
 					return nil, err
 				}
 				cost, err := measure(len(queries), func() error {
-					return q.SubmitDrain(context.Background(), ch, len(queries), func(i int) reis.HostCommand {
+					return q.SubmitDrain(context.Background(), len(queries), func(i int) reis.HostCommand {
 						single := cmd
 						single.Queries = queries[i : i+1]
 						return single

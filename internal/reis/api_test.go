@@ -9,10 +9,11 @@ import (
 )
 
 // TestHostSurface pins the exported surface of the two hosts and of a
-// queue pair's configuration against literal lists: a command enters a
-// host through Submit, or SubmitAsync on a NewQueue pair, and nowhere
-// else, so a re-added per-opcode wrapper or queue option fails here
-// instead of passing review.
+// queue pair and its configuration against literal lists: a command
+// enters a host through Submit, or SubmitAsync on a NewQueue pair, and
+// nowhere else, and its completion leaves a pair through Wait alone, so
+// a re-added per-opcode wrapper, completion sink or queue option fails
+// here instead of passing review.
 func TestHostSurface(t *testing.T) {
 	names := func(typ reflect.Type) []string {
 		var out []string
@@ -38,7 +39,9 @@ func TestHostSurface(t *testing.T) {
 		{"*ShardedEngine methods", reflect.TypeOf(&ShardedEngine{}), []string{
 			"BatchLatency", "CacheStats", "CalibrateNProbe", "Close", "DB", "JournalBytes",
 			"Latency", "NewQueue", "Ready", "ReplayJournal", "Shard", "Shards", "Submit"}},
-		{"QueueConfig fields", reflect.TypeOf(QueueConfig{}), []string{"Depth", "Completions"}},
+		{"*Queue methods", reflect.TypeOf(&Queue{}), []string{
+			"Close", "Depth", "Occupancy", "Outstanding", "Stats", "SubmitAsync", "SubmitDrain", "Wait"}},
+		{"QueueConfig fields", reflect.TypeOf(QueueConfig{}), []string{"Depth"}},
 	} {
 		if got := names(tc.typ); !slices.Equal(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.what, got, tc.want)

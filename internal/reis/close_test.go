@@ -42,12 +42,15 @@ func TestQueueConcurrentClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Keep the dispatcher busy while closers race.
+	var ids []CommandID
 	for i := 0; i < 4; i++ {
-		if _, err := q.SubmitAsync(context.Background(), HostCommand{
+		id, err := q.SubmitAsync(context.Background(), HostCommand{
 			Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1], K: 3,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -60,7 +63,14 @@ func TestQueueConcurrentClose(t *testing.T) {
 	wg.Wait()
 	// Pending commands completed (normally or with ErrQueueClosed) and
 	// their completions are still consumable.
-	q.Reap(0)
+	for _, id := range ids {
+		if _, err := q.Wait(context.Background(), id); err != nil && !errors.Is(err, ErrQueueClosed) {
+			t.Fatalf("command %d after concurrent Close: %v", id, err)
+		}
+	}
+	if n := q.Outstanding(); n != 0 {
+		t.Fatalf("%d slots outstanding after every completion was consumed", n)
+	}
 }
 
 func TestEngineCloseWithOpenQueues(t *testing.T) {

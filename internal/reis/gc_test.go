@@ -145,8 +145,7 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 	want := resps[len(resps)-1].Results
 
 	const nSearch = 3
-	ch := make(chan Completion, nSearch+1)
-	q, err := e.NewQueue(QueueConfig{Depth: 16, Completions: ch})
+	q, err := e.NewQueue(QueueConfig{Depth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,21 +171,14 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 		}
 	}
 	q.resume()
-	order, comps := drainOrder(ch, nSearch+1)
+	order := parkedOrder(t, q, nSearch+1)
 
-	comp := comps[compID]
-	if comp.Err != nil {
-		t.Fatalf("compaction: %v", comp.Err)
-	}
-	if comp.Resp.Wear.CompactedRows <= nSearch {
-		t.Fatalf("compaction took %d steps; need more than the %d searches for an interleaving test", comp.Resp.Wear.CompactedRows, nSearch)
+	comp := waitOK(t, q, compID)
+	if comp.Wear.CompactedRows <= nSearch {
+		t.Fatalf("compaction took %d steps; need more than the %d searches for an interleaving test", comp.Wear.CompactedRows, nSearch)
 	}
 	for i, id := range searchIDs {
-		cp := comps[id]
-		if cp.Err != nil {
-			t.Fatalf("search %d: %v", i, cp.Err)
-		}
-		if !reflect.DeepEqual(cp.Resp.Results, want) {
+		if !reflect.DeepEqual(waitOK(t, q, id).Results, want) {
 			t.Fatalf("search %d results differ from the pre-compaction state", i)
 		}
 	}
@@ -195,21 +187,8 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 	// more rows than there are searches sees every search complete first.
 	if slices.Index(order, compID) != nSearch {
 		t.Fatalf("a %d-row compaction completed before %d searches did (completion order %v, compact %d)",
-			comp.Resp.Wear.CompactedRows, nSearch, order, compID)
+			comp.Wear.CompactedRows, nSearch, order, compID)
 	}
-}
-
-// drainOrder receives n completions from a queue pair's channel and
-// returns their ids in completion order and the completions by id.
-func drainOrder(ch <-chan Completion, n int) ([]CommandID, map[CommandID]Completion) {
-	order := make([]CommandID, 0, n)
-	comps := make(map[CommandID]Completion, n)
-	for len(order) < n {
-		cp := <-ch
-		order = append(order, cp.ID)
-		comps[cp.ID] = cp
-	}
-	return order, comps
 }
 
 // TestGCHoldsBackMutationsDuringFlight: a mutation on a database with
@@ -226,8 +205,7 @@ func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 	runMutScript(t, e, c, true, 0)
 	jlBefore := len(e.JournalBytes())
 
-	ch := make(chan Completion, 3)
-	q, err := e.NewQueue(QueueConfig{Depth: 16, Completions: ch})
+	q, err := e.NewQueue(QueueConfig{Depth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +230,11 @@ func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.resume()
-	order, comps := drainOrder(ch, 3)
+	order := parkedOrder(t, q, 3)
 
 	for id, what := range map[CommandID]string{compID: "compact", appID: "append", srchID: "search"} {
-		if cp := comps[id]; cp.Err != nil {
-			t.Fatalf("%s: %v", what, cp.Err)
+		if _, err := q.Wait(ctx, id); err != nil {
+			t.Fatalf("%s: %v", what, err)
 		}
 	}
 	if slices.Index(order, appID) < slices.Index(order, compID) {

@@ -41,10 +41,6 @@ type hostCore struct {
 	opts Options
 
 	devs []*Engine
-	// perShard is set on a ShardedEngine: search responses carry the
-	// per-device stats rows (HostResponse.PerShard) its Latency shapes
-	// consume. An Engine's stay nil.
-	perShard bool
 
 	execMu sync.Mutex
 	closed bool
@@ -487,9 +483,11 @@ func (c *hostCore) unlockDevs() {
 	}
 }
 
-// shardRows allocates a command's [device][query] PerShard rows.
+// shardRows allocates a command's [device][query] PerShard rows — the
+// per-device stats a ShardedEngine's Latency shapes consume. A core over
+// member hosts emits them (a 1-shard router too); an Engine's stay nil.
 func (c *hostCore) shardRows(nq int) [][]QueryStats {
-	if !c.perShard {
+	if !c.member(c.devs[0]) {
 		return nil
 	}
 	rows := make([][]QueryStats, len(c.devs))

@@ -16,12 +16,10 @@ import (
 // A Queue models one SQ/CQ pair of the REIS host driver. Commands are
 // admitted with SubmitAsync under a configurable depth (admission
 // control returns ErrQueueFull when the pair is saturated), picked up
-// by the queue's dispatcher goroutine, and completed through one of
-// three delivery paths: Wait on the command's id, a completion channel,
-// or the polled Reap buffer (the CQ). Like a hardware CQ slot, a command
-// occupies queue capacity from SubmitAsync until its completion is
-// handed over — reaped, returned by Wait, or pushed to the channel. The
-// slot is always freed before the completion becomes observable (see
+// by the queue's dispatcher goroutine, and handed back through one
+// path: Wait on the command's id. Like a hardware CQ slot, a command
+// occupies queue capacity from SubmitAsync until Wait returns its
+// completion. The slot is always freed before Wait returns (see
 // complete), so reacting to a completion by submitting again cannot fail
 // on the slot of the command just consumed.
 //
@@ -153,11 +151,11 @@ func (r *queueRegistry) defaultQueue(create func() (*Queue, error)) (*Queue, err
 // assigned in submission order starting at 1.
 type CommandID uint64
 
-// Completion is one completion-queue entry.
-type Completion struct {
-	ID   CommandID
-	Resp HostResponse
-	Err  error
+// completion is one completion-queue entry.
+type completion struct {
+	id   CommandID
+	resp HostResponse
+	err  error
 }
 
 // DefaultQueueDepth is the queue-pair depth used when QueueConfig.Depth
@@ -167,21 +165,9 @@ const DefaultQueueDepth = 32
 // QueueConfig configures one submission/completion queue pair.
 type QueueConfig struct {
 	// Depth bounds the commands outstanding on the pair — submitted and
-	// not yet consumed. SubmitAsync fails with ErrQueueFull beyond it.
-	// Zero means DefaultQueueDepth.
+	// not yet consumed by Wait. SubmitAsync fails with ErrQueueFull
+	// beyond it. Zero means DefaultQueueDepth.
 	Depth int
-
-	// Completions, when non-nil, receives every completion in
-	// completion order. Delivery blocks the dispatcher, so an undrained
-	// channel exerts backpressure on the whole pair; the channel must
-	// be drained until Close returns.
-	//
-	// Contract, for every sink (Wait, this channel, Reap): a
-	// completion is observable only after its queue slot is free. A
-	// receiver may submit again at once — at depth 1 too — without
-	// seeing ErrQueueFull for the command it just consumed
-	// (SubmitDrain relies on this).
-	Completions chan<- Completion
 }
 
 // QueueStats counts queue-pair events (monotonic since creation).
@@ -236,6 +222,9 @@ type gcFlight struct {
 type Queue struct {
 	h   *hostCore
 	cfg QueueConfig
+	// full is the ErrQueueFull rejection, built once so that refusing a
+	// command allocates nothing.
+	full error
 
 	mu      sync.Mutex
 	wake    *sync.Cond // dispatcher: work available / unpaused / closed
@@ -247,12 +236,18 @@ type Queue struct {
 	pending     map[int][]qcmd    // per-database FIFO (gcSchedKey: GC steps)
 	pass        map[int]int       // stride-scheduling pass per database: commands dispatched
 	gc          map[int]*gcFlight // active compaction flight per database
-	completed   []Completion      // the polled CQ (Reap buffer)
-	waiters     map[CommandID]chan Completion
-	paused      bool // test hook: freeze dispatch to observe scheduling
-	solo        bool // test hook, set while paused: never coalesce
+	paused      bool              // test hook: freeze dispatch to observe scheduling
+	solo        bool              // test hook, set while paused: never coalesce
 	closed      bool
 	stats       QueueStats
+
+	// waiters holds every admitted command not yet completed: the channel
+	// of the Wait blocked on it, nil while none is. An abandoned Wait
+	// removes its entry, which tells complete to discard the completion.
+	waiters map[CommandID]chan completion
+	// parked holds completions no Wait was blocked on, in completion
+	// order, until their Wait comes; each still holds its slot.
+	parked []completion
 
 	// group is the dispatcher goroutine's own: the dispatch group being
 	// executed.
@@ -264,7 +259,7 @@ type Queue struct {
 // waiterPool recycles Wait's one-shot completion channels: a channel
 // goes back once its completion has been received, or once its wait was
 // abandoned before any sender could learn of it — empty either way.
-var waiterPool = sync.Pool{New: func() any { return make(chan Completion, 1) }}
+var waiterPool = sync.Pool{New: func() any { return make(chan completion, 1) }}
 
 // newQueue builds a queue pair over a host core and starts its
 // dispatcher.
@@ -275,10 +270,13 @@ func newQueue(h *hostCore, cfg QueueConfig) (*Queue, error) {
 	q := &Queue{
 		h:       h,
 		cfg:     cfg,
+		full:    fmt.Errorf("%w (depth %d)", ErrQueueFull, cfg.Depth),
 		pending: make(map[int][]qcmd),
 		pass:    make(map[int]int),
 		gc:      make(map[int]*gcFlight),
-		waiters: make(map[CommandID]chan Completion),
+		// Neither ever holds more than the Depth commands that hold slots.
+		waiters: make(map[CommandID]chan completion, cfg.Depth),
+		parked:  make([]completion, 0, cfg.Depth),
 		done:    make(chan struct{}),
 	}
 	q.wake = sync.NewCond(&q.mu)
@@ -315,7 +313,7 @@ func (q *Queue) submit(ctx context.Context, cmd HostCommand, block bool) (Comman
 	for q.outstanding >= q.cfg.Depth && !q.closed {
 		if !block {
 			q.stats.Rejected++
-			return 0, fmt.Errorf("%w (depth %d)", ErrQueueFull, q.cfg.Depth)
+			return 0, q.full
 		}
 		q.capFree.Wait()
 	}
@@ -336,6 +334,7 @@ func (q *Queue) submit(ctx context.Context, cmd HostCommand, block bool) (Comman
 		}
 	}
 	q.pending[key] = append(q.pending[key], qcmd{id: id, ctx: ctx, cmd: cmd})
+	q.waiters[id] = nil
 	q.pendingN++
 	q.outstanding++
 	q.stats.Submitted++
@@ -344,39 +343,35 @@ func (q *Queue) submit(ctx context.Context, cmd HostCommand, block bool) (Comman
 }
 
 // SubmitDrain keeps the pair full with n commands — next(i) builds the
-// i-th — on a queue whose Completions channel is ch: whenever admission
-// control answers ErrQueueFull it consumes one completion from ch and
-// retries, and after the last submission it consumes the rest. done,
-// when non-nil, receives each successful completion with the index of
-// the command it answers. The first submission or completion error, or
-// ctx ending (it also governs every command), ends the run, leaving
-// commands still in flight to the caller's Close. The
-// caller must be the pair's only submitter and ch's only receiver for
-// the duration (indices are recovered from the contiguous CommandIDs).
-func (q *Queue) SubmitDrain(ctx context.Context, ch <-chan Completion, n int, next func(i int) HostCommand, done func(i int, c Completion)) error {
-	var first CommandID
+// i-th: whenever admission control answers ErrQueueFull it Waits on the
+// oldest of its commands still in flight and retries, and after the last
+// submission it Waits on the rest, oldest first. done, when non-nil,
+// receives each successful response with the index of the command it
+// answers. The first submission or completion error, or ctx ending (it
+// also governs every command), ends the run, leaving commands still in
+// flight to the caller's Close.
+func (q *Queue) SubmitDrain(ctx context.Context, n int, next func(i int) HostCommand, done func(i int, resp HostResponse)) error {
+	// Commands served..i-1 are in flight, command j's id at ids[j%Depth]:
+	// each holds a slot, so no more than Depth of them ever are.
+	ids := make([]CommandID, q.cfg.Depth)
 	served := 0
-	drain := func() error {
-		select {
-		case c := <-ch:
-			if c.Err != nil {
-				return c.Err
-			}
-			served++
-			if done != nil {
-				done(int(c.ID-first), c)
-			}
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
+	wait := func() error {
+		resp, err := q.Wait(ctx, ids[served%len(ids)])
+		if err != nil {
+			return err
 		}
+		if done != nil {
+			done(served, resp)
+		}
+		served++
+		return nil
 	}
 	for i := 0; i < n; i++ {
 		cmd := next(i)
 		for {
 			id, err := q.SubmitAsync(ctx, cmd)
-			if errors.Is(err, ErrQueueFull) {
-				if err := drain(); err != nil {
+			if errors.Is(err, ErrQueueFull) && served < i {
+				if err := wait(); err != nil {
 					return err
 				}
 				continue
@@ -384,14 +379,12 @@ func (q *Queue) SubmitDrain(ctx context.Context, ch <-chan Completion, n int, ne
 			if err != nil {
 				return err
 			}
-			if i == 0 {
-				first = id
-			}
+			ids[i%len(ids)] = id
 			break
 		}
 	}
 	for served < n {
-		if err := drain(); err != nil {
+		if err := wait(); err != nil {
 			return err
 		}
 	}
@@ -410,37 +403,17 @@ func (q *Queue) minPassLocked() (int, bool) {
 	return m, ok
 }
 
-// Reap removes and returns up to max buffered completions in completion
-// order (all of them when max <= 0) — the polling half of the pair.
-// Reaping is what frees queue slots when no completion channel is
-// configured and nobody Waits.
-func (q *Queue) Reap(max int) []Completion {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	n := len(q.completed)
-	if max > 0 && max < n {
-		n = max
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Completion, n)
-	copy(out, q.completed)
-	q.completed = append(q.completed[:0], q.completed[n:]...)
-	for range out {
-		q.releaseSlotLocked()
-	}
-	return out
-}
-
-// Wait blocks until the identified command completes and consumes its
-// completion (it will not also be delivered to Reap or the configured
-// sinks). ctx bounds the wait only: a timed-out Wait leaves the
+// Wait blocks until the identified command completes and returns its
+// completion, freeing its queue slot — the one way a completion leaves
+// the pair. ctx bounds the wait only: a timed-out Wait leaves the
 // command running but abandons its completion — when it arrives it is
-// discarded and its queue slot freed, so a caller that gives up (e.g.
-// an HTTP handler whose request context ended) cannot leak slots. An id
-// the pair never issued is an error at once, and once the pair is closed
-// a completion that will never come ends the wait with ErrQueueClosed.
+// discarded and its queue slot freed, so a caller that gives up (e.g. an
+// HTTP handler whose request context ended) cannot leak slots. A Wait
+// nothing can answer fails at once: on an id the pair never issued, on
+// one another Wait is blocked on, and on one whose completion was
+// already returned or abandoned — with ErrQueueClosed once the pair is
+// closed. Every admitted command completes before Close returns (pending
+// ones with ErrQueueClosed), so no other Wait outlives the dispatcher.
 func (q *Queue) Wait(ctx context.Context, id CommandID) (HostResponse, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -450,47 +423,49 @@ func (q *Queue) Wait(ctx context.Context, id CommandID) (HostResponse, error) {
 		q.mu.Unlock()
 		return HostResponse{}, fmt.Errorf("reis: Wait on command %d, which this queue pair never issued", id)
 	}
-	for i, c := range q.completed {
-		if c.ID == id {
-			q.completed = append(q.completed[:i], q.completed[i+1:]...)
+	for i, c := range q.parked {
+		if c.id == id {
+			q.parked = slices.Delete(q.parked, i, i+1)
 			q.releaseSlotLocked()
 			q.mu.Unlock()
-			return c.Resp, c.Err
+			return c.resp, c.err
 		}
 	}
-	ch := waiterPool.Get().(chan Completion)
+	w, inFlight := q.waiters[id]
+	var refused error
+	switch {
+	case !inFlight && q.closed:
+		refused = ErrQueueClosed
+	case !inFlight:
+		refused = fmt.Errorf("reis: Wait on command %d, whose completion was already returned or abandoned", id)
+	case w != nil:
+		refused = fmt.Errorf("reis: Wait on command %d, which another Wait is blocked on", id)
+	}
+	if refused != nil {
+		q.mu.Unlock()
+		return HostResponse{}, refused
+	}
+	ch := waiterPool.Get().(chan completion)
 	defer waiterPool.Put(ch)
 	q.waiters[id] = ch
 	q.mu.Unlock()
-	var gaveUp error
 	select {
 	case c := <-ch:
-		return c.Resp, c.Err
+		return c.resp, c.err
 	case <-ctx.Done():
-		gaveUp = ctx.Err()
-	case <-q.done:
-		gaveUp = ErrQueueClosed
 	}
 	q.mu.Lock()
-	if q.waiters[id] == nil {
+	if _, inFlight := q.waiters[id]; !inFlight {
 		q.mu.Unlock()
-		// The completion raced in while we were deregistering.
+		// The completion raced in while we were giving up.
 		c := <-ch
-		return c.Resp, c.Err
+		return c.resp, c.err
 	}
-	if gaveUp == ErrQueueClosed {
-		// The dispatcher has exited and delivered everything it ever
-		// will: nothing is left to consume the entry.
-		delete(q.waiters, id)
-	} else {
-		// Abandon the wait: a nil tombstone tells complete() to consume
-		// and discard the completion when it arrives, so the command's
-		// queue slot is still freed (it must not land in the Reap buffer
-		// nobody is polling).
-		q.waiters[id] = nil
-	}
+	// Abandon the wait: with its entry gone, complete discards the
+	// completion when it arrives and still frees the command's slot.
+	delete(q.waiters, id)
 	q.mu.Unlock()
-	return HostResponse{}, gaveUp
+	return HostResponse{}, ctx.Err()
 }
 
 // Outstanding returns the commands currently occupying queue slots
@@ -886,38 +861,34 @@ func (q *Queue) gcStepExec(qc *qcmd) {
 	q.mu.Unlock()
 }
 
-// complete delivers one completion: to a registered waiter first,
-// otherwise to the Completions channel, otherwise to the Reap buffer.
+// complete delivers one completion: to the Wait blocked on it —
+// discarding it if that Wait was abandoned — or, with no Wait yet, to
+// the parked buffer, where it keeps its slot until Wait takes it.
 //
-// Slot contract: a completion is observable only after its slot is
-// free, for every sink — the waiter's channel and the Completions channel
-// are fed after releaseSlotLocked, and Reap releases under the same lock
-// hold that hands the entry out. A caller that reacts to a completion by
-// submitting again therefore never sees ErrQueueFull on account of the
-// command it just consumed.
+// Slot contract: Wait returns a completion only after its slot is free.
+// A blocked Wait's channel is fed after releaseSlotLocked, and Wait
+// frees a parked completion's slot under the lock hold that takes it
+// out. A caller that reacts to a completion by submitting again
+// therefore never sees ErrQueueFull on account of the command it just
+// consumed.
 func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
-	c := Completion{ID: id, Resp: resp, Err: err}
+	c := completion{id: id, resp: resp, err: err}
 	q.mu.Lock()
 	q.stats.Completed++
-	if w, ok := q.waiters[id]; ok {
-		delete(q.waiters, id)
-		q.releaseSlotLocked()
-		q.mu.Unlock()
-		if w != nil {
-			w <- c
-		}
-		// A nil entry is an abandoned Wait: discard the completion,
-		// the slot above is all that had to be released.
-		return
-	}
-	if q.cfg.Completions == nil {
-		q.completed = append(q.completed, c)
+	w, inFlight := q.waiters[id]
+	delete(q.waiters, id)
+	if inFlight && w == nil {
+		q.parked = append(q.parked, c)
 		q.mu.Unlock()
 		return
 	}
 	q.releaseSlotLocked()
 	q.mu.Unlock()
-	q.cfg.Completions <- c
+	if w != nil {
+		w <- c
+	}
+	// No entry at all is an abandoned Wait: the completion is discarded,
+	// the slot above is all that had to be released.
 }
 
 // mergeCtxs returns the context governing a coalesced execution: the

@@ -11,23 +11,43 @@ import (
 	"time"
 )
 
-// reapAll polls the queue until n completions have been reaped or the
-// deadline expires.
-func reapAll(t *testing.T, q *Queue, n int) []Completion {
+// parkedIDs returns the ids of the completions parked on q — completed
+// with no Wait blocked on them — in completion order.
+func parkedIDs(q *Queue) []CommandID {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	ids := make([]CommandID, len(q.parked))
+	for i, c := range q.parked {
+		ids[i] = c.id
+	}
+	return ids
+}
+
+// parkedOrder polls until n completions are parked on q and returns
+// their ids in completion order; each is still Wait's to consume.
+func parkedOrder(t *testing.T, q *Queue, n int) []CommandID {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
-	var out []Completion
-	for len(out) < n {
-		if cs := q.Reap(0); len(cs) > 0 {
-			out = append(out, cs...)
-			continue
+	for {
+		ids := parkedIDs(q)
+		if len(ids) >= n {
+			return ids
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("reaped %d of %d completions before deadline", len(out), n)
+			t.Fatalf("%d of %d completions parked before deadline", len(ids), n)
 		}
 		runtime.Gosched()
 	}
-	return out
+}
+
+// waitOK consumes a command's completion and fails the test on error.
+func waitOK(t *testing.T, q *Queue, id CommandID) HostResponse {
+	t.Helper()
+	resp, err := q.Wait(context.Background(), id)
+	if err != nil {
+		t.Fatalf("command %d failed: %v", id, err)
+	}
+	return resp
 }
 
 // assertRespEqual fails unless two host responses are bit-identical:
@@ -89,19 +109,8 @@ func TestQueueMatchesSubmit(t *testing.T) {
 		}
 	}
 	q.resume()
-	byID := make(map[CommandID]Completion, len(cmds))
-	for _, c := range reapAll(t, q, len(cmds)) {
-		byID[c.ID] = c
-	}
 	for i := range cmds {
-		c, ok := byID[ids[i]]
-		if !ok {
-			t.Fatalf("command %d (id %d) never completed", i, ids[i])
-		}
-		if c.Err != nil {
-			t.Fatalf("command %d failed: %v", i, c.Err)
-		}
-		assertRespEqual(t, fmt.Sprintf("cmd %d", i), want[i], c.Resp)
+		assertRespEqual(t, fmt.Sprintf("cmd %d", i), want[i], waitOK(t, q, ids[i]))
 	}
 	st := q.Stats()
 	if st.Coalesced < 2 {
@@ -133,26 +142,25 @@ func TestBatchedStatsMatchSingleCommands(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ch := make(chan Completion, 8)
-			q, err := tc.host.NewQueue(QueueConfig{Depth: 8, Completions: ch})
+			q, err := tc.host.NewQueue(QueueConfig{Depth: 8})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer q.Close()
-			err = q.SubmitDrain(context.Background(), ch, len(cmd.Queries),
+			err = q.SubmitDrain(context.Background(), len(cmd.Queries),
 				func(i int) HostCommand {
 					single := cmd
 					single.Queries = cmd.Queries[i : i+1]
 					return single
 				},
-				func(i int, c Completion) {
-					if c.Resp.QueryStats[0] != batched.QueryStats[i] {
-						t.Errorf("query %d stats: single %+v, batched %+v", i, c.Resp.QueryStats[0], batched.QueryStats[i])
+				func(i int, resp HostResponse) {
+					if resp.QueryStats[0] != batched.QueryStats[i] {
+						t.Errorf("query %d stats: single %+v, batched %+v", i, resp.QueryStats[0], batched.QueryStats[i])
 					}
-					if len(c.Resp.PerShard) != len(batched.PerShard) {
-						t.Fatalf("query %d: %d per-shard rows single, %d batched", i, len(c.Resp.PerShard), len(batched.PerShard))
+					if len(resp.PerShard) != len(batched.PerShard) {
+						t.Fatalf("query %d: %d per-shard rows single, %d batched", i, len(resp.PerShard), len(batched.PerShard))
 					}
-					for s, row := range c.Resp.PerShard {
+					for s, row := range resp.PerShard {
 						if row[0] != batched.PerShard[s][i] {
 							t.Errorf("query %d shard %d: single %+v, batched %+v", i, s, row[0], batched.PerShard[s][i])
 						}
@@ -177,16 +185,21 @@ func TestQueueDoesNotCoalesceAcrossPrune(t *testing.T) {
 	}
 	defer q.Close()
 	q.pause()
+	var ids []CommandID
 	for _, prune := range []bool{false, true, true} {
-		if _, err := q.SubmitAsync(context.Background(), HostCommand{
+		id, err := q.SubmitAsync(context.Background(), HostCommand{
 			Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:1], K: 10, NProbe: 4,
 			Opt: SearchOptions{Prune: prune},
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
+		ids = append(ids, id)
 	}
 	q.resume()
-	reapAll(t, q, 3)
+	for _, id := range ids {
+		waitOK(t, q, id)
+	}
 	if st := q.Stats(); st.Dispatches != 2 || st.Coalesced != 2 {
 		t.Fatalf("want the unpruned command alone and the two pruned ones together, stats %+v", st)
 	}
@@ -194,8 +207,8 @@ func TestQueueDoesNotCoalesceAcrossPrune(t *testing.T) {
 
 // TestQueueOutOfOrderReap submits one database's backlog and then
 // another's and verifies the stride scheduler gives the two equal
-// shares — dispatches alternate between them, so completions are reaped
-// out of submission order — while each still matches its command by ID.
+// shares — dispatches alternate between them, so completions arrive out
+// of submission order — while each still matches its command by ID.
 func TestQueueOutOfOrderReap(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
@@ -233,27 +246,25 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 		subs = append(subs, sub{id: id, db: 2, qi: qi})
 	}
 	q.resume()
-	comps := reapAll(t, q, len(subs))
+	order := parkedOrder(t, q, len(subs))
 
 	// Equal shares: database 2 submitted its whole backlog after
 	// database 1's, yet the two take turns — the lower id first on the
 	// pass tie — so completions arrive out of submission order.
-	pos := make(map[CommandID]int, len(comps))
-	for i, c := range comps {
-		pos[c.ID] = i
-		if c.Err != nil {
-			t.Fatalf("command %d failed: %v", c.ID, c.Err)
-		}
+	pos := make(map[CommandID]int, len(order))
+	for i, id := range order {
+		pos[id] = i
 	}
 	for _, s := range subs {
 		if want := 2*s.qi + s.db - 1; pos[s.id] != want {
 			t.Fatalf("database %d's command %d completed at position %d, want %d: the two databases did not alternate (order %v)",
-				s.db, s.qi, pos[s.id], want, comps)
+				s.db, s.qi, pos[s.id], want, order)
 		}
 	}
 	// Every completion matches the per-command sync reference
-	// regardless of reap order.
+	// regardless of completion order.
 	for _, s := range subs {
+		got := waitOK(t, q, s.id)
 		var want HostResponse
 		var err error
 		if s.db == 1 {
@@ -264,14 +275,14 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertRespEqual(t, fmt.Sprintf("db%d q%d", s.db, s.qi), want, comps[pos[s.id]].Resp)
+		assertRespEqual(t, fmt.Sprintf("db%d q%d", s.db, s.qi), want, got)
 	}
 }
 
 // TestQueueBackpressure pins the admission-control contract: a slot is
 // occupied from SubmitAsync until the completion is consumed, so a
 // full pair rejects deterministically with ErrQueueFull and admits
-// again once a completion is reaped.
+// again once Wait has returned a completion.
 func TestQueueBackpressure(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
@@ -281,13 +292,15 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	defer q.Close()
 	cmd := HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1], K: 5}
-	if _, err := q.SubmitAsync(nil, cmd); err != nil {
+	first, err := q.SubmitAsync(nil, cmd)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.SubmitAsync(nil, cmd); err != nil {
+	second, err := q.SubmitAsync(nil, cmd)
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Both slots occupied (executed or not — completions are unreaped
+	// Both slots occupied (executed or not — completions are unconsumed
 	// either way): the third admission must fail.
 	if _, err := q.SubmitAsync(nil, cmd); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("expected ErrQueueFull, got %v", err)
@@ -296,17 +309,16 @@ func TestQueueBackpressure(t *testing.T) {
 		t.Fatalf("Rejected = %d, want 1", st.Rejected)
 	}
 	// Consuming exactly one completion frees exactly one slot.
-	deadline := time.Now().Add(30 * time.Second)
-	for len(q.Reap(1)) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no completion to reap")
-		}
-		runtime.Gosched()
+	waitOK(t, q, first)
+	third, err := q.SubmitAsync(nil, cmd)
+	if err != nil {
+		t.Fatalf("submit after Wait: %v", err)
 	}
-	if _, err := q.SubmitAsync(nil, cmd); err != nil {
-		t.Fatalf("submit after reap: %v", err)
+	if _, err := q.SubmitAsync(nil, cmd); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("one Wait freed more than one slot: %v", err)
 	}
-	reapAll(t, q, 2)
+	waitOK(t, q, second)
+	waitOK(t, q, third)
 }
 
 // TestQueueCancellation covers cancellation before dispatch: an
@@ -333,15 +345,11 @@ func TestQueueCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.resume()
-	byID := make(map[CommandID]Completion)
-	for _, c := range reapAll(t, q, 2) {
-		byID[c.ID] = c
-	}
-	if err := byID[cancelID].Err; !errors.Is(err, context.Canceled) {
+	if _, err := q.Wait(context.Background(), cancelID); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled command completed with %v", err)
 	}
-	if c := byID[okID]; c.Err != nil || len(c.Resp.Results) != 1 {
-		t.Fatalf("neighbor command disturbed: %+v", c)
+	if resp, err := q.Wait(context.Background(), okID); err != nil || len(resp.Results) != 1 {
+		t.Fatalf("neighbor command disturbed: %v, %+v", err, resp)
 	}
 
 	// Expired deadlines behave the same.
@@ -359,7 +367,7 @@ func TestQueueCancellation(t *testing.T) {
 // TestQueueWaitAbandonReleasesSlot pins the abandoned-Wait contract: a
 // caller that gives up waiting (expired request context) must not leak
 // the command's queue slot — the completion is discarded on arrival
-// and the slot freed, never parked in the Reap buffer.
+// and the slot freed, never parked.
 func TestQueueWaitAbandonReleasesSlot(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
@@ -388,8 +396,8 @@ func TestQueueWaitAbandonReleasesSlot(t *testing.T) {
 		}
 		runtime.Gosched()
 	}
-	if cs := q.Reap(0); len(cs) != 0 {
-		t.Fatalf("abandoned completion leaked into the reap buffer: %v", cs)
+	if ids := parkedIDs(q); len(ids) != 0 {
+		t.Fatalf("abandoned completion was parked: %v", ids)
 	}
 	// The freed slots are usable: a full submit/wait cycle succeeds.
 	id, err = q.SubmitAsync(nil, cmd)
@@ -403,9 +411,9 @@ func TestQueueWaitAbandonReleasesSlot(t *testing.T) {
 
 // TestQueueWaitNeverBlocksForGood: a Wait nothing can ever answer ends
 // at once instead of when its context does — on an id the pair never
-// issued (which used to block until ctx ended and leave a tombstone no
-// completion would ever delete), and, once the pair is closed, on an id
-// whose completion was already consumed.
+// issued, on one whose completion was already consumed (with
+// ErrQueueClosed once the pair is closed), and on an id another Wait is
+// blocked on. Once the pair is closed no waiter entry may remain.
 func TestQueueWaitNeverBlocksForGood(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
@@ -438,16 +446,40 @@ func TestQueueWaitNeverBlocksForGood(t *testing.T) {
 			if _, err := q.Wait(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
-			go func() {
-				for registered := false; !registered; runtime.Gosched() {
-					q.mu.Lock()
-					registered = len(q.waiters) == 1
-					q.mu.Unlock()
-				}
-				q.Close()
-			}()
+			// The Wait comes while Close may still be draining the pair.
+			go q.Close()
+			for closed := false; !closed; runtime.Gosched() {
+				q.mu.Lock()
+				closed = q.closed
+				q.mu.Unlock()
+			}
 			return id
 		}, func(err error) bool { return errors.Is(err, ErrQueueClosed) }},
+		{"consumed", func(q *Queue) CommandID {
+			id, err := q.SubmitAsync(nil, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := q.Wait(context.Background(), id); err != nil {
+				t.Fatal(err)
+			}
+			return id
+		}, func(err error) bool { return err != nil && !errors.Is(err, ErrQueueClosed) }},
+		{"waited on twice at once", func(q *Queue) CommandID {
+			q.pause()
+			id, err := q.SubmitAsync(nil, cmd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The first Wait blocks until Close completes the command.
+			go q.Wait(context.Background(), id)
+			for registered := false; !registered; runtime.Gosched() {
+				q.mu.Lock()
+				registered = q.waiters[id] != nil
+				q.mu.Unlock()
+			}
+			return id
+		}, func(err error) bool { return err != nil && !errors.Is(err, ErrQueueClosed) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q, err := e.NewQueue(QueueConfig{Depth: 4})
@@ -465,6 +497,7 @@ func TestQueueWaitNeverBlocksForGood(t *testing.T) {
 			if !tc.check(err) {
 				t.Fatalf("Wait(%d) = %v", id, err)
 			}
+			q.Close()
 			q.mu.Lock()
 			leaked := len(q.waiters)
 			q.mu.Unlock()
@@ -498,8 +531,8 @@ func TestQueueLoneSearchErrorCompletesOnce(t *testing.T) {
 	if st := q.Stats(); st.Completed != 1 || st.Dispatches != 1 {
 		t.Fatalf("want one completion from one dispatch, stats %+v", st)
 	}
-	if cs := q.Reap(0); len(cs) != 0 {
-		t.Fatalf("a second completion reached the reap buffer: %v", cs)
+	if ids := parkedIDs(q); len(ids) != 0 {
+		t.Fatalf("a second completion was parked: %v", ids)
 	}
 }
 
@@ -541,41 +574,6 @@ func TestSearchBatchCancelMidBatch(t *testing.T) {
 	deployFlat(t, e2, 1)
 	fresh, _ := searchOne(t, e2, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{})
 	assertSameResults(t, "post-abort", [][]DocResult{fresh}, [][]DocResult{want})
-}
-
-// TestQueueCompletionChannel covers the push delivery path.
-func TestQueueCompletionChannel(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	deployFlat(t, e, 1)
-	ch := make(chan Completion, 4)
-	q, err := e.NewQueue(QueueConfig{Depth: 4, Completions: ch})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	var ids []CommandID
-	for qi := 0; qi < 3; qi++ {
-		id, err := q.SubmitAsync(nil, HostCommand{
-			Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[qi : qi+1], K: 5,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-	got := make(map[CommandID]bool)
-	for range ids {
-		c := <-ch
-		if c.Err != nil {
-			t.Fatalf("completion %d: %v", c.ID, c.Err)
-		}
-		got[c.ID] = true
-	}
-	for _, id := range ids {
-		if !got[id] {
-			t.Fatalf("command %d never delivered", id)
-		}
-	}
 }
 
 // TestQueueClose pins close semantics: pending commands complete with
@@ -789,73 +787,48 @@ func TestQueueStressConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestQueueSlotFreeBeforeCompletionVisible pins the slot contract for
-// every sink — waiter, completion channel, reap: once a
-// completion is observable its slot is free, so a depth-1 submitter
-// that consumes one completion and submits again never meets
-// ErrQueueFull. (Delivering to the channel before releasing
+// TestQueueSlotFreeBeforeCompletionVisible pins the slot contract: once
+// Wait has returned a completion its slot is free, so a depth-1
+// submitter that consumes one completion and submits again never meets
+// ErrQueueFull — whether Wait found the completion parked or was
+// blocked when it arrived. (Handing a completion over before releasing
 // the slot let exactly that submitter spin — or, draining on
-// ErrQueueFull, block forever on a channel nothing would write to.)
-// The command is a no-op compaction: the cheapest round trip through
-// complete().
+// ErrQueueFull, block forever.) The command is a no-op compaction: the
+// cheapest round trip through complete().
 func TestQueueSlotFreeBeforeCompletionVisible(t *testing.T) {
 	const iters = 3000
 	e := newEngine(t, AllOptions())
 	deployFlat(t, e, 1)
 	cmd := HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{}}
-	ch := make(chan Completion, 1)
-	sinks := []struct {
-		name    string
-		cfg     QueueConfig
-		consume func(q *Queue, id CommandID) error
-	}{
-		{"waiter", QueueConfig{Depth: 1}, func(q *Queue, id CommandID) error {
-			_, err := q.Wait(context.Background(), id)
-			return err
-		}},
-		{"channel", QueueConfig{Depth: 1, Completions: ch}, func(*Queue, CommandID) error {
-			return (<-ch).Err
-		}},
-		{"reap", QueueConfig{Depth: 1}, func(q *Queue, _ CommandID) error {
-			for {
-				if cs := q.Reap(1); len(cs) == 1 {
-					return cs[0].Err
-				}
-				runtime.Gosched()
-			}
-		}},
-	}
-	for _, sink := range sinks {
-		t.Run(sink.name, func(t *testing.T) {
-			q, err := e.NewQueue(sink.cfg)
+	t.Run("waiter", func(t *testing.T) {
+		q, err := e.NewQueue(QueueConfig{Depth: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		for i := 0; i < iters; i++ {
+			id, err := q.SubmitAsync(context.Background(), cmd)
 			if err != nil {
+				t.Fatalf("submit %d right after consuming completion %d: %v", i, i-1, err)
+			}
+			if _, err := q.Wait(context.Background(), id); err != nil {
 				t.Fatal(err)
 			}
-			defer q.Close()
-			for i := 0; i < iters; i++ {
-				id, err := q.SubmitAsync(context.Background(), cmd)
-				if err != nil {
-					t.Fatalf("submit %d right after consuming completion %d: %v", i, i-1, err)
-				}
-				if err := sink.consume(q, id); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := q.Outstanding(); n != 0 {
-				t.Fatalf("%d slots outstanding after every completion was consumed", n)
-			}
-		})
-	}
+		}
+		if n := q.Outstanding(); n != 0 {
+			t.Fatalf("%d slots outstanding after every completion was consumed", n)
+		}
+	})
 	// The submit/drain idiom itself, through the shared helper.
-	q, err := e.NewQueue(QueueConfig{Depth: 1, Completions: ch})
+	q, err := e.NewQueue(QueueConfig{Depth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer q.Close()
 	seen := make([]bool, iters)
-	err = q.SubmitDrain(context.Background(), ch, iters,
+	err = q.SubmitDrain(context.Background(), iters,
 		func(int) HostCommand { return cmd },
-		func(i int, _ Completion) { seen[i] = true })
+		func(i int, _ HostResponse) { seen[i] = true })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -863,5 +836,8 @@ func TestQueueSlotFreeBeforeCompletionVisible(t *testing.T) {
 		if !ok {
 			t.Fatalf("command %d never completed", i)
 		}
+	}
+	if st := q.Stats(); st.Rejected == 0 {
+		t.Fatalf("SubmitDrain never met a full pair at depth 1: %+v", st)
 	}
 }

@@ -74,7 +74,6 @@ func NewSharded(cfg ssd.Config, n int, capacityHint int64, opts Options) (*Shard
 	}
 	hint := (capacityHint + int64(n) - 1) / int64(n)
 	sh := &ShardedEngine{}
-	sh.perShard = true
 	for s := 0; s < n; s++ {
 		e, err := New(cfg, hint, opts)
 		if err != nil {
