@@ -59,7 +59,7 @@ func main() {
 		data := corpora[name]
 		resp, err := engine.Submit(reis.HostCommand{
 			Opcode: reis.OpcodeIVFSearch, DBID: i + 1,
-			Queries: data.Queries[:1], K: 2, NProbe: 4,
+			Queries: data.Queries[:1], K: 2, Opt: reis.SearchOptions{NProbe: 4},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -78,8 +78,8 @@ func main() {
 	bucket := uint8(2)
 	resp, err := engine.Submit(reis.HostCommand{
 		Opcode: reis.OpcodeIVFSearch, DBID: 1,
-		Queries: corpora["medical"].Queries[1:2], K: 3, NProbe: 8,
-		Opt: reis.SearchOptions{MetaTag: &bucket},
+		Queries: corpora["medical"].Queries[1:2], K: 3,
+		Opt: reis.SearchOptions{NProbe: 8, MetaTag: &bucket},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -46,7 +46,8 @@ func main() {
 	// 4. Search in storage with the IVF_Search command: the query
 	// embedding goes to the device, relevant document chunks come back.
 	resp, err := engine.Submit(reis.HostCommand{
-		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: data.Queries[:1], K: 3, NProbe: 4,
+		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: data.Queries[:1], K: 3,
+		Opt: reis.SearchOptions{NProbe: 4},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -94,8 +94,6 @@ func main() {
 	gw := serve.NewGateway(group, serve.GatewayConfig{
 		Queries: data.Queries, DefaultK: 5, NProbe: 6,
 		AuthToken: *auth, RateLimit: *rate, RateBurst: *burst,
-		RetryAfter: time.Second,
-		Latency:    latencyModel(hosts[0]),
 	})
 	srv := &http.Server{Addr: *addr, Handler: gw.Handler()}
 	log.Printf("ragserver: %d docs on %d replica(s) x %d device(s) (%s); queue depth %d; listening on %s",
@@ -120,29 +118,4 @@ func main() {
 		log.Fatalf("drain: %v", err)
 	}
 	log.Print("ragserver: drained, bye")
-}
-
-// latencyModel renders a response's modeled device latency using one
-// replica's timing model (replicas are identical, so any member's
-// model applies).
-func latencyModel(h serve.Host) func(reis.HostResponse) string {
-	switch e := h.(type) {
-	case *reis.Engine:
-		return func(resp reis.HostResponse) string {
-			db, err := e.DB(1)
-			if err != nil {
-				return err.Error()
-			}
-			return e.Latency(db, resp.QueryStats[0], reis.UnitScale()).Total.String()
-		}
-	case *reis.ShardedEngine:
-		return func(resp reis.HostResponse) string {
-			bd, err := e.Latency(1, resp.QueryStats[0], resp.ShardStats(0), reis.UnitScale())
-			if err != nil {
-				return err.Error()
-			}
-			return bd.Total.String()
-		}
-	}
-	return nil
 }

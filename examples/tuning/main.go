@@ -53,7 +53,7 @@ func main() {
 		// use, with results bit-identical to sequential calls.
 		resp, err := engine.Submit(reis.HostCommand{
 			Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: data.Queries,
-			K: 10, NProbe: nprobe, Opt: reis.SearchOptions{SkipDocs: true},
+			K: 10, Opt: reis.SearchOptions{NProbe: nprobe, SkipDocs: true},
 		})
 		if err != nil {
 			log.Fatal(err)

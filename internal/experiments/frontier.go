@@ -164,10 +164,10 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 			system = "REIS-pruned+cached"
 		}
 		for _, nprobe := range []int{1, 2, 4, 8} {
-			cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, K: k, NProbe: nprobe}
+			cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, K: k}
 			if cached {
 				for _, prune := range []bool{true, false} {
-					cmd.Opt = reis.SearchOptions{Prune: prune}
+					cmd.Opt = reis.SearchOptions{NProbe: nprobe, Prune: prune}
 					for qi := range d.Queries {
 						cmd.Queries = d.Queries[qi : qi+1]
 						if _, err := s.Submit(cmd); err != nil {
@@ -176,7 +176,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 					}
 				}
 			}
-			cmd.Opt = reis.SearchOptions{Prune: true, SkipDocs: true}
+			cmd.Opt = reis.SearchOptions{NProbe: nprobe, Prune: true, SkipDocs: true}
 			got := make([][]int, len(d.Queries))
 			var serveSec float64
 			for qi := range d.Queries {

@@ -98,7 +98,7 @@ func TestIBCReconciliation(t *testing.T) {
 	// The reconciliation serves 64 of the queries; the outbound balance
 	// below takes all 512.
 	queries, int8Bytes := d.Queries[:64], int64(d.Dim)
-	cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: queries, K: 10, NProbe: 8}
+	cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: queries, K: 10, Opt: reis.SearchOptions{NProbe: 8}}
 	// Without MPIBC (last row) a load fills one plane, and the same
 	// equalities hold plane by plane.
 	perPlane := reis.AllOptions()
@@ -324,7 +324,7 @@ func TestPlaneReconciliation(t *testing.T) {
 	eight := ssd.SSD1()
 	eight.Name = "SSD1/8p"
 	eight.Geo.Channels, eight.Geo.DiesPerChannel, eight.Geo.PlanesPerDie = 2, 2, 2
-	cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: d.Queries[:32], K: 10, NProbe: 8}
+	cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: d.Queries[:32], K: 10, Opt: reis.SearchOptions{NProbe: 8}}
 	for _, cfg := range []ssd.Config{eight, ssd.SSD1()} {
 		reconcilePlanes(t, cfg.Name, cfg, dep, cmd)
 	}
@@ -341,8 +341,8 @@ func TestPlaneReconciliation(t *testing.T) {
 			queries[i] = sd.Queries[qr.Zipf(skewQueries, s)]
 		}
 		cmd := reis.HostCommand{
-			Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: queries, K: skewK, NProbe: skewNProbe,
-			Opt: reis.SearchOptions{SkipDocs: true},
+			Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: queries, K: skewK,
+			Opt: reis.SearchOptions{NProbe: skewNProbe, SkipDocs: true},
 		}
 		for _, dev := range skewDevices() {
 			reconcilePlanes(t, fmt.Sprintf("skew s=%.1f %s", s, dev.name), dev.cfg, sdep, cmd)
@@ -451,8 +451,8 @@ func TestIBCChargeNeverAboveFullBroadcast(t *testing.T) {
 			}
 			perLoad := s.latchTime()
 			for _, cmd := range []reis.HostCommand{
-				{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: w.Data.Queries, K: 10, NProbe: 1},
-				{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: w.Data.Queries, K: 10, NProbe: 8, Opt: reis.SearchOptions{Prune: true}},
+				{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: w.Data.Queries, K: 10, Opt: reis.SearchOptions{NProbe: 1}},
+				{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: w.Data.Queries, K: 10, Opt: reis.SearchOptions{NProbe: 8, Prune: true}},
 				{Opcode: reis.OpcodeSearch, DBID: 1, Queries: w.Data.Queries[:4], K: 10},
 			} {
 				resp, err := s.Submit(cmd)

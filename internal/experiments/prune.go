@@ -138,8 +138,8 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 			for _, prune := range []bool{false, true} {
 				resp, cost, err := s.serve(reis.HostCommand{
 					Opcode: reis.OpcodeIVFSearch, DBID: 1,
-					Queries: queries, K: k, NProbe: np,
-					Opt: reis.SearchOptions{Prune: prune},
+					Queries: queries, K: k,
+					Opt: reis.SearchOptions{NProbe: np, Prune: prune},
 				})
 				if err != nil {
 					return nil, err

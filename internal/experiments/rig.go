@@ -350,7 +350,10 @@ const sweepRecall = 0.94
 // Mode label of the rows it produces.
 func (s *Setup) sweepIVF() (cmd reis.HostCommand, mode string, err error) {
 	nprobe, err := s.NProbeFor(sweepRecall)
-	cmd = reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: s.W.Data.Queries, K: 10, NProbe: nprobe}
+	cmd = reis.HostCommand{
+		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: s.W.Data.Queries, K: 10,
+		Opt: reis.SearchOptions{NProbe: nprobe},
+	}
 	return cmd, fmt.Sprintf("IVF@np%d", nprobe), err
 }
 
@@ -384,7 +387,7 @@ func (s *Setup) RunIVFAt(k int, target float64) (reis.Breakdown, reis.QueryStats
 // mean energy over mean time) and of their stats.
 func (s *Setup) run(k int, sc reis.Scale, op uint8, opt reis.SearchOptions) (reis.Breakdown, reis.QueryStats, error) {
 	resp, err := s.Submit(reis.HostCommand{
-		Opcode: op, DBID: 1, Queries: s.W.Data.Queries, K: k, NProbe: opt.NProbe, Opt: opt,
+		Opcode: op, DBID: 1, Queries: s.W.Data.Queries, K: k, Opt: opt,
 	})
 	if err != nil {
 		return reis.Breakdown{}, reis.QueryStats{}, err

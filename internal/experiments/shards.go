@@ -68,7 +68,7 @@ func RunShards(scale int, datasets []string, counts []int) ([]ShardRow, error) {
 				return nil, err
 			}
 			bf := ivf
-			bf.Opcode, bf.NProbe = reis.OpcodeSearch, 0
+			bf.Opcode, bf.Opt.NProbe = reis.OpcodeSearch, 0
 			for _, r := range []struct {
 				mode string
 				cmd  reis.HostCommand

@@ -215,8 +215,8 @@ func runSkewScript(d *dataset.Dataset, cents [][]float32, assign []int, cfg ssd.
 			}
 			resp, err := rig.Submit(reis.HostCommand{
 				Opcode: reis.OpcodeIVFSearch, DBID: 1,
-				Queries: queries, K: skewK, NProbe: skewNProbe,
-				Opt: reis.SearchOptions{SkipDocs: true},
+				Queries: queries, K: skewK,
+				Opt: reis.SearchOptions{NProbe: skewNProbe, SkipDocs: true},
 			})
 			if err != nil {
 				return nil, err

@@ -87,8 +87,6 @@ type Params struct {
 	EnergyLatchXOR    float64 // per page
 	EnergyBitCount    float64 // per page
 	EnergyXferPerByte float64 // channel/die I/O transfer
-	// IdlePowerPerDie is the background power of one die in watts.
-	IdlePowerPerDie float64
 }
 
 // DefaultParams returns the parameter set used across the evaluation.
@@ -116,7 +114,6 @@ func DefaultParams() Params {
 		EnergyLatchXOR:    0.8e-6,
 		EnergyBitCount:    1.0e-6,
 		EnergyXferPerByte: 6e-12, // ~6 pJ/byte die I/O + channel
-		IdlePowerPerDie:   5e-3,
 	}
 }
 

@@ -77,10 +77,9 @@ type HostCommand struct {
 	Queries [][]float32
 	K       int
 	// TargetRecall is IVF_Search's accuracy operand R; the device
-	// resolves it to a calibrated nprobe when no explicit NProbe is
-	// given (see resolveSearchOptions).
+	// resolves it to a calibrated nprobe when Opt.NProbe is zero (see
+	// resolveSearchOptions).
 	TargetRecall float64
-	NProbe       int
 	Opt          SearchOptions
 
 	// Append / Del / Compact carry the mutation payloads of the
@@ -204,27 +203,21 @@ func isMutationOp(op uint8) bool {
 	return op == OpcodeAppend || op == OpcodeDelete || op == OpcodeCompact
 }
 
-// resolveSearchOptions folds a command's NProbe / TargetRecall operands
-// into the SearchOptions handed to the execution core — the single
-// normalization point of every search. Precedence:
+// resolveSearchOptions folds a command's TargetRecall operand into the
+// SearchOptions handed to the execution core — the single normalization
+// point of every search. Precedence:
 //
-//  1. an explicit command-level NProbe operand wins;
-//  2. otherwise a non-zero Opt.NProbe is kept as-is;
-//  3. otherwise a positive TargetRecall (the accuracy operand R of
+//  1. a non-zero Opt.NProbe is kept as-is;
+//  2. otherwise a positive TargetRecall (the accuracy operand R of
 //     Table 1) is resolved against the database's recorded
 //     CalibrateNProbe results — ErrNotCalibrated if none covers it;
-//  4. otherwise the engine's nprobe=1 default applies downstream.
+//  3. otherwise the engine's nprobe=1 default applies downstream.
 //
 // calib are the database's recorded CalibrateNProbe points and dbID
 // its id (for the error message).
 func resolveSearchOptions(calib []recallPoint, dbID int, cmd *HostCommand) (SearchOptions, error) {
 	opt := cmd.Opt
-	switch {
-	case cmd.NProbe != 0:
-		opt.NProbe = cmd.NProbe
-	case opt.NProbe != 0:
-		// Explicit option-level nprobe; nothing to resolve.
-	case cmd.TargetRecall > 0:
+	if opt.NProbe == 0 && cmd.TargetRecall > 0 {
 		np, ok := nprobeForRecall(calib, cmd.TargetRecall)
 		if !ok {
 			return opt, fmt.Errorf("%w (database %d, target %.3f)",

@@ -8,12 +8,13 @@ import (
 	"testing"
 )
 
-// TestHostSurface pins the exported surface of the two hosts and of a
-// queue pair and its configuration against literal lists: a command
-// enters a host through Submit, or SubmitAsync on a NewQueue pair, and
-// nowhere else, and its completion leaves a pair through Wait alone, so
-// a re-added per-opcode wrapper, completion sink or queue option fails
-// here instead of passing review.
+// TestHostSurface pins the exported surface of the two hosts, of a
+// queue pair and of the settable values a caller hands them against
+// literal lists: a command enters a host through Submit, or SubmitAsync
+// on a NewQueue pair, and nowhere else, its completion leaves a pair
+// through Wait alone, and it names its nprobe once (Opt.NProbe), so a
+// re-added per-opcode wrapper, completion sink, queue option or command
+// knob fails here instead of passing review.
 func TestHostSurface(t *testing.T) {
 	names := func(typ reflect.Type) []string {
 		var out []string
@@ -42,6 +43,11 @@ func TestHostSurface(t *testing.T) {
 		{"*Queue methods", reflect.TypeOf(&Queue{}), []string{
 			"Close", "Depth", "Occupancy", "Outstanding", "Stats", "SubmitAsync", "SubmitDrain", "Wait"}},
 		{"QueueConfig fields", reflect.TypeOf(QueueConfig{}), []string{"Depth"}},
+		{"Options fields", reflect.TypeOf(Options{}), []string{
+			"DistanceFilter", "Pipelining", "MPIBC", "FirstFitPlacement"}},
+		{"HostCommand fields", reflect.TypeOf(HostCommand{}), []string{
+			"Opcode", "Deploy", "DBID", "Queries", "K", "TargetRecall", "Opt", "Append", "Del", "Compact"}},
+		{"SearchOptions fields", reflect.TypeOf(SearchOptions{}), []string{"NProbe", "MetaTag", "SkipDocs", "Prune"}},
 	} {
 		if got := names(tc.typ); !slices.Equal(got, tc.want) {
 			t.Errorf("%s:\n got %v\nwant %v", tc.what, got, tc.want)

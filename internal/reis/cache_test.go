@@ -114,7 +114,8 @@ func cacheScript(t *testing.T, h submitter) []HostResponse {
 		resps = append(resps, resp)
 	}
 	ivf := func(q [][]float32, nprobe int, opt SearchOptions) HostCommand {
-		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: nprobe, Opt: opt}
+		opt.NProbe = nprobe
+		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, Opt: opt}
 	}
 	for r := 0; r < 3; r++ {
 		run(ivf(queries, 4, SearchOptions{SkipDocs: true}))
@@ -329,7 +330,7 @@ func TestCachedMatchesUncachedMutated(t *testing.T) {
 				if ivf {
 					searchOp, nprobe = OpcodeIVFSearch, 4
 				}
-				cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, NProbe: nprobe}
+				cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: nprobe}}
 				want, err := plain.Submit(cmd)
 				if err != nil {
 					t.Fatal(err)
@@ -486,8 +487,8 @@ func pinTrace(t *testing.T, h submitter, core *hostCore, dbID int, cmds []HostCo
 func TestPinSetsAcrossTopologies(t *testing.T) {
 	q := testData.Queries
 	ivf := func(queries [][]float32, nprobe int, prune bool) HostCommand {
-		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: nprobe,
-			Opt: SearchOptions{SkipDocs: true, Prune: prune}}
+		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10,
+			Opt: SearchOptions{NProbe: nprobe, SkipDocs: true, Prune: prune}}
 	}
 	cmds := []HostCommand{
 		ivf(q[:8], 4, false), ivf(q[8:16], 4, false), ivf(q[:1], 6, false), ivf(q[1:2], 1, false),
@@ -695,7 +696,7 @@ func TestCacheBudgetUnderChurn(t *testing.T) {
 		for i := 0; i < 16; i++ {
 			q := testData.Queries[rng.Zipf(len(testData.Queries), 1.1)]
 			step(fmt.Sprintf("round %d search %d", round, i), HostCommand{Opcode: OpcodeIVFSearch, DBID: 1,
-				Queries: [][]float32{q}, K: 10, NProbe: 4, Opt: SearchOptions{Prune: i%4 == 3}})
+				Queries: [][]float32{q}, K: 10, Opt: SearchOptions{NProbe: 4, Prune: i%4 == 3}})
 		}
 		what := fmt.Sprintf("round %d mutation", round)
 		switch round % 3 {

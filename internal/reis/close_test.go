@@ -154,7 +154,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := q.SubmitAsync(context.Background(), HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:1], K: 3, NProbe: 2,
+		Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:1], K: 3, Opt: SearchOptions{NProbe: 2},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestShardedCloseIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := sh.Submit(HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:1], K: 3, NProbe: 2,
+		Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:1], K: 3, Opt: SearchOptions{NProbe: 2},
 	}); !errors.Is(err, ErrQueueClosed) {
 		t.Fatalf("Submit after Close error = %v, want ErrQueueClosed", err)
 	}
@@ -215,7 +215,7 @@ func TestCloseRejectsUndispatchedMutations(t *testing.T) {
 	resps := runMutScript(t, e, c, true, 0)
 	before := resps[len(resps)-1].Results
 	jlBefore := len(e.JournalBytes())
-	db, err := e.DB(1)
+	db, err := e.hostDB(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestCloseRejectsUndispatchedMutations(t *testing.T) {
 	if got := db.Live(); got != liveBefore {
 		t.Fatalf("rejected mutations changed Live(): %d, want %d", got, liveBefore)
 	}
-	after, err := e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, NProbe: 4})
+	after, err := e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestDirectCallsAfterClose(t *testing.T) {
 		hosts[map[int]string{1: "one-shard", 2: "two-shards"}[n]] = sh
 	}
 	queries := testData.Queries[:8]
-	ivfBatch := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 4}
+	ivfBatch := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 4}}
 	for name, h := range hosts {
 		deployBoth(t, h.Submit)
 		// A multi-plane batch before Close, so the workers Close stops

@@ -136,7 +136,7 @@ func TestPrunedSearchEmptyPlan(t *testing.T) {
 	if resp := empty(t, e); resp.PerShard != nil {
 		t.Fatalf("device response carries PerShard rows: %v", resp.PerShard)
 	}
-	if db, _ := e.DB(1); len(db.mut.flatPlan) != 0 {
+	if db, _ := e.hostDB(1); len(db.mut.flatPlan) != 0 {
 		t.Fatalf("scan plan not empty after compacting everything away: %v", db.mut.flatPlan)
 	}
 	for _, n := range []int{2, 4} {

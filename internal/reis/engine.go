@@ -139,11 +139,6 @@ type Database struct {
 	// the R-IVF table (nil for flat databases) and the calibrated
 	// distance-filter cutoff are read through it.
 	*dbLayout
-
-	// mut is the host's mutable-state ledger when this device holds the
-	// whole layout (it is its own host, or the only member); nil for a
-	// page-stride slice.
-	mut *mutState
 }
 
 // recallPoint is one recorded calibration outcome: the smallest nprobe
@@ -308,10 +303,6 @@ func (e *Engine) install(id int, lo *dbLayout, start, stride int) (*Database, er
 	if err := e.SSD.RDB.Register(db.rec); err != nil {
 		return nil, err
 	}
-	// The database is addressed through its R-DB record alone: no
-	// page-level FTL entry outlives the deploy (Sec 4.1.4).
-	e.SSD.FTL.Drop(0, int64(e.SSD.Cfg.Geo.TotalPages()))
-
 	e.dbs[id] = db
 	return db, nil
 }
@@ -383,16 +374,6 @@ func calibrateFilter(vectors [][]float32) int {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
-
-// Live returns the number of live (not tombstoned) entries; a
-// page-stride slice keeps no ledger (ask the host's ShardedDatabase) and
-// falls back to the slot count of its live pages.
-func (db *Database) Live() int {
-	if db.mut == nil {
-		return db.rec.Embeddings.Pages() * db.embPerPage
-	}
-	return db.mut.live
-}
 
 // Record exposes the R-DB record (for tests and tools).
 func (db *Database) Record() ssd.DBRecord { return db.rec }

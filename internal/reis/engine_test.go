@@ -398,7 +398,7 @@ func TestHostAPIDeployAndSearch(t *testing.T) {
 		t.Fatalf("deploy failed: %v", err)
 	}
 	resp, err = e.Submit(HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 7, Queries: testData.Queries[:3], K: 5, NProbe: 8,
+		Opcode: OpcodeIVFSearch, DBID: 7, Queries: testData.Queries[:3], K: 5, Opt: SearchOptions{NProbe: 8},
 	})
 	if err != nil || !resp.Done {
 		t.Fatalf("search failed: %v", err)
@@ -472,14 +472,6 @@ func TestEmbeddingsLandInSLCESPBlocks(t *testing.T) {
 		if got := e.SSD.Dev.BlockMode(a); got.String() != "TLC" {
 			t.Fatalf("document page %d in %v block", i, got)
 		}
-	}
-}
-
-func TestPageFTLFlushedAfterDeploy(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	deployFlat(t, e, 1)
-	if n := e.SSD.FTL.Entries(); n != 0 {
-		t.Fatalf("page-level FTL still holds %d entries after deploy", n)
 	}
 }
 

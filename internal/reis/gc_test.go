@@ -165,7 +165,7 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 	searchIDs := make([]CommandID, nSearch)
 	for i := range searchIDs {
 		searchIDs[i], err = q.SubmitAsync(ctx, HostCommand{
-			Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, NProbe: 4})
+			Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,7 +225,7 @@ func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	srchID, err := q.SubmitAsync(ctx, HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10, NProbe: 4})
+		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10, Opt: SearchOptions{NProbe: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,13 +323,13 @@ func TestChurnRecyclesFreedRows(t *testing.T) {
 	if acc.FreedPages == 0 {
 		t.Fatalf("churn freed no pages: %+v", acc)
 	}
-	db, err := e.DB(1)
+	db, err := e.hostDB(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.mut.binPages <= db.embCap {
+	if db.mut.binPages <= db.lay.embCap {
 		t.Fatalf("logical tail %d pages never exceeded the planned capacity %d: churn too light to prove recycling",
-			db.mut.binPages, db.embCap)
+			db.mut.binPages, db.lay.embCap)
 	}
 	if got, want := db.Live(), 900-15*rounds+batch; got != want {
 		t.Fatalf("Live() = %d, want %d", got, want)

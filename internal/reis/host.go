@@ -282,11 +282,6 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 			return err
 		}
 	}
-	if len(c.devs) == 1 {
-		// The one device holds the whole layout: its Database reports
-		// the live count from the host's ledger.
-		db.locals[0].mut = db.mut
-	}
 	c.dbs[cfg.ID] = db
 	return nil
 }

@@ -59,7 +59,7 @@ func mutDeployCmd(c *mutCorpus, ivf bool) HostCommand {
 
 func mutSearchCmd(ivf bool) HostCommand {
 	if ivf {
-		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, NProbe: 4}
+		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}}
 	}
 	return HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries, K: 10}
 }
@@ -239,7 +239,7 @@ func FuzzCrashRecovery(f *testing.F) {
 			searchOp, nprobe = OpcodeIVFSearch, 3
 		}
 		deployCmd := HostCommand{Opcode: op, Deploy: deploy}
-		searchCmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: w.base.Queries, K: 5, NProbe: nprobe}
+		searchCmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: w.base.Queries, K: 5, Opt: SearchOptions{NProbe: nprobe}}
 		if _, err := orig.Submit(deployCmd); err != nil {
 			t.Fatal(err)
 		}

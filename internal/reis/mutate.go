@@ -281,9 +281,6 @@ func newMutState(lo *dbLayout, firstFit bool) *mutState {
 // rowOf returns the GC row of a binary slot position.
 func (m *mutState) rowOf(pos int) int { return pos / m.lay.embPerPage / m.lay.rowPages }
 
-// Live returns the number of live (not tombstoned) entries.
-func (m *mutState) Live() int { return m.live }
-
 // flat reports whether the database has no IVF structure.
 func (m *mutState) flat() bool { return len(m.lay.rivf) == 0 }
 

@@ -164,7 +164,7 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 			switch b % 5 {
 			case 0, 1: // search, unpruned and pruned
 				q := w.base.Queries[arg%len(w.base.Queries)]
-				cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, NProbe: nprobe}
+				cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, Opt: SearchOptions{NProbe: nprobe}}
 				resp, _, err := both(cmd)
 				if err != nil {
 					t.Fatal(err)
@@ -240,7 +240,7 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 		// Closing search: the full state must still agree, with and
 		// without pruning.
 		if len(w.base.Queries) > 0 {
-			cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: w.base.Queries, K: 5, NProbe: nprobe}
+			cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: w.base.Queries, K: 5, Opt: SearchOptions{NProbe: nprobe}}
 			resp, _, err := both(cmd)
 			if err != nil {
 				t.Fatal(err)
@@ -349,7 +349,7 @@ func FuzzPrunedSearch(f *testing.F) {
 			both(HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: ids}})
 		}
 
-		cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: w.base.Queries, K: k, NProbe: nprobe}
+		cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: w.base.Queries, K: k, Opt: SearchOptions{NProbe: nprobe}}
 		want := both(cmd)
 		cmd.Opt.Prune = true
 		got := both(cmd)
@@ -480,9 +480,9 @@ func cachedFuzz(t *testing.T, data []byte) (pinned int, cs CacheStats) {
 		switch b % 4 {
 		case 0, 1: // search (varying query, occasionally pruned or narrow)
 			q := w.base.Queries[arg%len(w.base.Queries)]
-			cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, NProbe: nprobe}
+			cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: [][]float32{q}, K: 5, Opt: SearchOptions{NProbe: nprobe}}
 			if ivf && arg >= 128 {
-				cmd.NProbe = pinFuzzNarrowNProbe
+				cmd.Opt.NProbe = pinFuzzNarrowNProbe
 			}
 			pruned := b%4 == 1 && arg%3 == 0
 			cmd.Opt.Prune = pruned

@@ -127,7 +127,7 @@ func runMutScript(t *testing.T, h submitter, c *mutCorpus, ivf bool, compact flo
 		nprobe = 4
 	}
 	search := func() HostCommand {
-		return HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, NProbe: nprobe}
+		return HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: nprobe}}
 	}
 	var resps []HostResponse
 	run := func(cmd HostCommand) HostResponse {
@@ -287,7 +287,7 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 			}
 			defer q.Close()
 			queries := testData.Queries[:6]
-			search := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 10, NProbe: 4}
+			search := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 4}}
 			pruned := search
 			pruned.Opt.Prune = true
 			searchers := []func() error{
@@ -413,7 +413,7 @@ func TestMutatedMatchesFreshDeploy(t *testing.T) {
 			if _, err := fresh.Submit(HostCommand{Opcode: op, Deploy: &deploy}); err != nil {
 				t.Fatal(err)
 			}
-			want, err := fresh.Submit(HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, NProbe: nprobe})
+			want, err := fresh.Submit(HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: nprobe}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -518,7 +518,7 @@ func TestCompactPreservesResults(t *testing.T) {
 	if wear.MaxBlockErase == 0 {
 		t.Fatalf("erase accounting missing: %+v", wear)
 	}
-	after, err := e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, NProbe: 4})
+	after, err := e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -530,7 +530,7 @@ func TestCompactPreservesResults(t *testing.T) {
 	if after.Stats.FinePages > before.Stats.FinePages {
 		t.Fatalf("compaction grew fine pages: %d > %d", after.Stats.FinePages, before.Stats.FinePages)
 	}
-	db, err := e.DB(1)
+	db, err := e.hostDB(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -760,11 +760,31 @@ func TestDeletedNeverSurface(t *testing.T) {
 			t.Fatalf("deleted id %d surfaced on the flat batch path", r.ID)
 		}
 	}
-	db, err := e.DB(1)
+	db, err := e.hostDB(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db.Live() != testData.Len()-len(ids) {
 		t.Fatalf("Live() = %d, want %d", db.Live(), testData.Len()-len(ids))
+	}
+}
+
+// TestShardedLiveAfterDeletes: the host's ledger counts live entries on
+// every topology, padding slots and tombstones excluded.
+func TestShardedLiveAfterDeletes(t *testing.T) {
+	for _, n := range []int{1, 2} {
+		sh := newSharded(t, n)
+		deployBoth(t, sh.Submit)
+		ids := []int{0, 5, 17, 333}
+		mustSubmit(t, sh, HostCommand{Opcode: OpcodeDelete, DBID: 2, Del: &DeleteConfig{IDs: ids}})
+		for id, want := range map[int]int{1: testData.Len(), 2: testData.Len() - len(ids)} {
+			db, err := sh.DB(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Live(); got != want {
+				t.Fatalf("%d shard(s), database %d: Live() = %d, want %d", n, id, got, want)
+			}
+		}
 	}
 }

@@ -146,9 +146,9 @@ func prunedSearchCases(tag uint8) []struct {
 		{"flat", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10}},
 		{"flat-k3", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 3}},
 		{"flat-metatag", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries[:6], K: 10, Opt: SearchOptions{MetaTag: &tag}}},
-		{"ivf-np1", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 1}},
-		{"ivf-np4", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 4}},
-		{"ivf-full", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 16}},
+		{"ivf-np1", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 1}}},
+		{"ivf-np4", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 4}}},
+		{"ivf-full", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 16}}},
 		{"ivf-recall", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries[:8], K: 10, TargetRecall: 0.9}},
 	}
 }
@@ -269,7 +269,7 @@ func TestPrunedMatchesUnprunedMutated(t *testing.T) {
 				runMutScript(t, sh, c, ivf, 0)
 				for i, np := range nprobes {
 					cname := fmt.Sprintf("%s-np%d", name, np)
-					cmd := HostCommand{Opcode: op, DBID: 1, Queries: testData.Queries, K: 10, NProbe: np}
+					cmd := HostCommand{Opcode: op, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: np}}
 					res := checkPrunedCase(t, cname, n, single, sh, cmd)
 					if first == nil {
 						first = make([][][]DocResult, len(nprobes))
@@ -353,7 +353,7 @@ func TestPrunedScansFewerPages(t *testing.T) {
 	// IVF: a small k keeps the rerank pool below one cluster's
 	// population, so the bound is live after the first rank window and
 	// every later (far) cluster aborts before sensing a page.
-	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 7, Queries: queries, K: 2, NProbe: 16}
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 7, Queries: queries, K: 2, Opt: SearchOptions{NProbe: 16}}
 	base, err := e.Submit(cmd)
 	if err != nil {
 		t.Fatal(err)

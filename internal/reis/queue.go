@@ -672,9 +672,8 @@ func coalescible(a, b *qcmd) bool {
 	}
 	ca, cb := &a.cmd, &b.cmd
 	if ca.Opcode != cb.Opcode || ca.DBID != cb.DBID || ca.K != cb.K ||
-		ca.NProbe != cb.NProbe || ca.TargetRecall != cb.TargetRecall ||
-		ca.Opt.NProbe != cb.Opt.NProbe || ca.Opt.SkipDocs != cb.Opt.SkipDocs ||
-		ca.Opt.Prune != cb.Opt.Prune {
+		ca.TargetRecall != cb.TargetRecall || ca.Opt.NProbe != cb.Opt.NProbe ||
+		ca.Opt.SkipDocs != cb.Opt.SkipDocs || ca.Opt.Prune != cb.Opt.Prune {
 		return false
 	}
 	ta, tb := ca.Opt.MetaTag, cb.Opt.MetaTag

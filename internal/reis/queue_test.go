@@ -80,10 +80,10 @@ func TestQueueMatchesSubmit(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
 	cmds := []HostCommand{
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:6], K: 10, NProbe: 4},
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[6:7], K: 10, NProbe: 4},
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[7:8], K: 10, NProbe: 4},
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[8:12], K: 5, NProbe: 2},
+		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:6], K: 10, Opt: SearchOptions{NProbe: 4}},
+		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[6:7], K: 10, Opt: SearchOptions{NProbe: 4}},
+		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[7:8], K: 10, Opt: SearchOptions{NProbe: 4}},
+		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[8:12], K: 5, Opt: SearchOptions{NProbe: 2}},
 	}
 	want := make([]HostResponse, len(cmds))
 	for i, cmd := range cmds {
@@ -137,7 +137,7 @@ func TestBatchedStatsMatchSingleCommands(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			deployBoth(t, tc.host.Submit)
-			cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, NProbe: 4}
+			cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}}
 			batched, err := tc.host.Submit(cmd)
 			if err != nil {
 				t.Fatal(err)
@@ -188,8 +188,8 @@ func TestQueueDoesNotCoalesceAcrossPrune(t *testing.T) {
 	var ids []CommandID
 	for _, prune := range []bool{false, true, true} {
 		id, err := q.SubmitAsync(context.Background(), HostCommand{
-			Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:1], K: 10, NProbe: 4,
-			Opt: SearchOptions{Prune: prune},
+			Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:1], K: 10,
+			Opt: SearchOptions{NProbe: 4, Prune: prune},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -238,7 +238,7 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 	}
 	for qi := 0; qi < 3; qi++ {
 		id, err := q.SubmitAsync(nil, HostCommand{
-			Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[qi : qi+1], K: 10, NProbe: 4,
+			Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[qi : qi+1], K: 10, Opt: SearchOptions{NProbe: 4},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -270,7 +270,7 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 		if s.db == 1 {
 			want, err = e.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[s.qi : s.qi+1], K: 10})
 		} else {
-			want, err = e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[s.qi : s.qi+1], K: 10, NProbe: 4})
+			want, err = e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[s.qi : s.qi+1], K: 10, Opt: SearchOptions{NProbe: 4}})
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -667,7 +667,7 @@ func TestTargetRecallResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, err := e.Submit(HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10, NProbe: np,
+		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10, Opt: SearchOptions{NProbe: np},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -679,15 +679,16 @@ func TestTargetRecallResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertRespEqual(t, "recall-addressed", want, got)
-	// Opt.NProbe survives when the command-level operands are unset.
-	viaOpt, err := e.Submit(HostCommand{
-		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10,
+	// An explicit Opt.NProbe wins: the TargetRecall beside it, which no
+	// calibration covers, is never resolved.
+	explicit, err := e.Submit(HostCommand{
+		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10, TargetRecall: 1.5,
 		Opt: SearchOptions{NProbe: np},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRespEqual(t, "opt-nprobe", want, viaOpt)
+	assertRespEqual(t, "explicit-nprobe", want, explicit)
 }
 
 // TestQueueStressConcurrentSubmitters is the -race stress test:
@@ -711,7 +712,7 @@ func TestQueueStressConcurrentSubmitters(t *testing.T) {
 			t.Fatal(err)
 		}
 		if refIVF[qi], err = e.Submit(HostCommand{
-			Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[qi : qi+1], K: 10, NProbe: 4,
+			Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[qi : qi+1], K: 10, Opt: SearchOptions{NProbe: 4},
 		}); err != nil {
 			t.Fatal(err)
 		}
@@ -736,7 +737,7 @@ func TestQueueStressConcurrentSubmitters(t *testing.T) {
 				cmd := HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[qi : qi+1], K: 10}
 				want := refFlat[qi]
 				if s%2 == 1 {
-					cmd = HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[qi : qi+1], K: 10, NProbe: 4}
+					cmd = HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[qi : qi+1], K: 10, Opt: SearchOptions{NProbe: 4}}
 					want = refIVF[qi]
 				}
 				var resp HostResponse

@@ -84,9 +84,9 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 		{"flat", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10}},
 		{"flat-skipdocs", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10, Opt: SearchOptions{SkipDocs: true}}},
 		{"flat-metatag", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries[:6], K: 10, Opt: SearchOptions{MetaTag: &metaTag}}},
-		{"ivf-np1", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 1}},
-		{"ivf-np3", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 3}},
-		{"ivf-full", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, NProbe: 16}},
+		{"ivf-np1", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 1}}},
+		{"ivf-np3", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 3}}},
+		{"ivf-full", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 16}}},
 	}
 
 	var firstResults [][][]DocResult // [case][query] results of the first shard count
@@ -244,7 +244,7 @@ func TestShardedCalibrationMatchesSingleDevice(t *testing.T) {
 func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	sh := newSharded(t, 2)
 	deployBoth(t, sh.Submit)
-	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, NProbe: 4}
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}}
 	first, err := sh.Submit(cmd)
 	if err != nil {
 		t.Fatal(err)
@@ -277,7 +277,7 @@ func TestShardedQueueStress(t *testing.T) {
 	queries := testData.Queries
 	want := make([]HostResponse, len(queries))
 	for i, q := range queries {
-		resp, err := single.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: [][]float32{q}, K: 5, NProbe: 2})
+		resp, err := single.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: [][]float32{q}, K: 5, Opt: SearchOptions{NProbe: 2}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,7 +297,7 @@ func TestShardedQueueStress(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := w; i < len(queries); i += submitters {
-				cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: [][]float32{queries[i]}, K: 5, NProbe: 2}
+				cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: [][]float32{queries[i]}, K: 5, Opt: SearchOptions{NProbe: 2}}
 				var resp HostResponse
 				for {
 					id, err := q.SubmitAsync(context.Background(), cmd)

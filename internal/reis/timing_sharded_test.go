@@ -31,9 +31,9 @@ func timingCases() []timingCase {
 	q := testData.Queries[:8]
 	return []timingCase{
 		{"flat", false, paperScale, HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: q, K: 10}},
-		{"ivf", false, paperScale, HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: 4}},
-		{"pruned", false, UnitScale(), HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: 8, Opt: SearchOptions{Prune: true}}},
-		{"cached", true, UnitScale(), HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, NProbe: 4}},
+		{"ivf", false, paperScale, HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, Opt: SearchOptions{NProbe: 4}}},
+		{"pruned", false, UnitScale(), HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, Opt: SearchOptions{NProbe: 8, Prune: true}}},
+		{"cached", true, UnitScale(), HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, Opt: SearchOptions{NProbe: 4}}},
 	}
 }
 

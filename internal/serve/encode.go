@@ -2,8 +2,7 @@
 // buffer: byte for byte what encoding/json's Encoder writes for
 //
 //	struct {
-//		Hits      []hit  `json:"hits"`
-//		DeviceLat string `json:"device_latency,omitempty"`
+//		Hits []hit `json:"hits"`
 //	}
 //
 // with Hits built by hits() — pinned against encoding/json by
@@ -25,10 +24,10 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // appendSearchBody appends the /search body for one query's results:
 // the hits in rank order, document bodies cut at maxDocBytes, then the
-// modeled device latency unless empty, then the Encoder's newline.
+// Encoder's newline.
 // Distances are finite (squared INT8 distances), which encoding/json
 // would insist on.
-func appendSearchBody(dst []byte, results []reis.DocResult, deviceLat string) []byte {
+func appendSearchBody(dst []byte, results []reis.DocResult) []byte {
 	dst = append(dst, `{"hits":[`...)
 	for i, res := range results {
 		if i > 0 {
@@ -42,12 +41,7 @@ func appendSearchBody(dst []byte, results []reis.DocResult, deviceLat string) []
 		dst = appendJSONString(dst, res.Doc[:min(len(res.Doc), maxDocBytes)])
 		dst = append(dst, '}')
 	}
-	dst = append(dst, ']')
-	if deviceLat != "" {
-		dst = append(dst, `,"device_latency":`...)
-		dst = appendJSONString(dst, deviceLat)
-	}
-	return append(dst, '}', '\n')
+	return append(dst, ']', '}', '\n')
 }
 
 // appendJSONFloat32 appends f as encoding/json renders a float32: the
@@ -74,7 +68,7 @@ const hexDigits = "0123456789abcdef"
 // backslash escaped, control bytes as \b \f \n \r \t or \u00XX, the HTML
 // characters < > & as \u003c \u003e \u0026, U+2028 and U+2029 as \u2028
 // and \u2029, and each byte that is not valid UTF-8 as \ufffd.
-func appendJSONString[S []byte | string](dst []byte, src S) []byte {
+func appendJSONString(dst, src []byte) []byte {
 	dst = append(dst, '"')
 	start := 0
 	for i := 0; i < len(src); {
@@ -105,9 +99,7 @@ func appendJSONString[S []byte | string](dst []byte, src S) []byte {
 			start = i
 			continue
 		}
-		// Decode from a short copy: a string conversion this small stays
-		// on the stack for either S.
-		c, size := utf8.DecodeRuneInString(string(src[i:min(i+utf8.UTFMax, len(src))]))
+		c, size := utf8.DecodeRune(src[i:])
 		switch {
 		case c == utf8.RuneError && size == 1:
 			dst = append(dst, src[start:i]...)

@@ -14,13 +14,12 @@ import (
 
 // jsonSearchBody is the /search body as encoding/json writes it: the
 // struct and the Encoder the handler used before appendSearchBody.
-func jsonSearchBody(t *testing.T, results []reis.DocResult, deviceLat string) []byte {
+func jsonSearchBody(t *testing.T, results []reis.DocResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	err := json.NewEncoder(&buf).Encode(struct {
-		Hits      []hit  `json:"hits"`
-		DeviceLat string `json:"device_latency,omitempty"`
-	}{Hits: hits(results), DeviceLat: deviceLat})
+		Hits []hit `json:"hits"`
+	}{Hits: hits(results)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,10 +30,10 @@ func jsonSearchBody(t *testing.T, results []reis.DocResult, deviceLat string) []
 // encoding/json over a table of the cases the two could disagree on, and
 // then over random hits drawn from the same alphabet.
 func TestSearchBodyMatchesEncodingJSON(t *testing.T) {
-	check := func(name string, results []reis.DocResult, lat string) {
+	check := func(name string, results []reis.DocResult) {
 		t.Helper()
-		got := appendSearchBody(nil, results, lat)
-		if want := jsonSearchBody(t, results, lat); !bytes.Equal(got, want) {
+		got := appendSearchBody(nil, results)
+		if want := jsonSearchBody(t, results); !bytes.Equal(got, want) {
 			t.Fatalf("%s:\n got  %q\n want %q", name, got, want)
 		}
 	}
@@ -55,23 +54,22 @@ func TestSearchBodyMatchesEncodingJSON(t *testing.T) {
 		"long":           strings.Repeat("c<", 100),
 	}
 	for name, d := range docs {
-		check("doc "+name, []reis.DocResult{{ID: 1, Dist: 2, Doc: []byte(d)}}, "")
+		check("doc "+name, []reis.DocResult{{ID: 1, Dist: 2, Doc: []byte(d)}})
 	}
 	for _, f := range []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, 12345678, 1 << 24, 16777217,
 		math.SmallestNonzeroFloat32, 1e-45, 1.1754942e-38, 1e-7, 9.999999e-7, 1e-6, 1.0000001e-6,
 		1e-9, 1e-10, 123456.79, 9.9999994e20, 1e21, 1.0000001e21, 1e22, 3.4e38, math.MaxFloat32, -math.MaxFloat32,
 	} {
-		check("dist", []reis.DocResult{{ID: 7, Dist: f, Doc: []byte("d")}}, "")
+		check("dist", []reis.DocResult{{ID: 7, Dist: f, Doc: []byte("d")}})
 	}
 	for _, id := range []int{0, -1, 1, math.MaxInt32, math.MaxInt64, math.MinInt64} {
-		check("id", []reis.DocResult{{ID: id, Doc: []byte("d")}}, "")
+		check("id", []reis.DocResult{{ID: id, Doc: []byte("d")}})
 	}
-	check("zero hits", nil, "")
-	check("zero hits, empty slice", []reis.DocResult{}, "")
-	check("zero hits with latency", nil, "1.25ms")
-	check("nil doc", []reis.DocResult{{ID: 3, Dist: 4}}, "")
-	check("latency", []reis.DocResult{{ID: 1, Dist: 2, Doc: []byte("x")}, {ID: 2, Dist: 3, Doc: []byte("y")}}, `412.5µs <"&\>`+"\xff\u2029")
+	check("zero hits", nil)
+	check("zero hits, empty slice", []reis.DocResult{})
+	check("nil doc", []reis.DocResult{{ID: 3, Dist: 4}})
+	check("two hits", []reis.DocResult{{ID: 1, Dist: 2, Doc: []byte("x")}, {ID: 2, Dist: 3, Doc: []byte("y")}})
 
 	// Random hits: documents over an alphabet that is mostly the bytes
 	// with special handling, of lengths around the cut; distances over
@@ -98,57 +96,43 @@ func TestSearchBodyMatchesEncodingJSON(t *testing.T) {
 			}
 			results[i] = reis.DocResult{ID: int(r.Uint64() >> uint(r.Intn(64))), Dist: dist, Doc: doc}
 		}
-		lat := ""
-		if r.Intn(2) == 0 {
-			lat = alphabet[r.Intn(len(alphabet))] + "1.5ms"
-		}
-		check("random", results, lat)
+		check("random", results)
 	}
 }
 
 // TestGatewaySearchBodyAndOtherRoutes pins the wire format end to end:
 // the /search body under the handler is what encoding/json would write
-// for the same results, with device_latency present and absent, and
-// /search/stream and /stats still decode as JSON documents.
+// for the same results, and /search/stream and /stats still decode as
+// JSON documents.
 func TestGatewaySearchBodyAndOtherRoutes(t *testing.T) {
-	for _, withLat := range []bool{false, true} {
-		cfg := GatewayConfig{}
-		if withLat {
-			cfg.Latency = func(reis.HostResponse) string { return "3.2ms <model>" }
-		}
-		gw, g := newTestGateway(t, cfg, Config{})
-		w := get(gw, "/search?q=2&k=4", nil)
-		if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
-			t.Fatalf("status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
-		}
-		resp, err := g.Submit(gw.searchCmd(2, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		lat := ""
-		if withLat {
-			lat = "3.2ms <model>"
-		}
-		if want := jsonSearchBody(t, resp.Results[0], lat); !bytes.Equal(w.Body.Bytes(), want) {
-			t.Fatalf("latency %v:\n got  %q\n want %q", withLat, w.Body.Bytes(), want)
-		}
-		var line streamLine
-		if err := json.Unmarshal(get(gw, "/search/stream?q=2&k=4", nil).Body.Bytes(), &line); err != nil || len(line.Hits) != 4 {
-			t.Fatalf("/search/stream: %d hits, err %v", len(line.Hits), err)
-		}
-		var stats struct {
-			Queries int64                   `json:"queries"`
-			Routes  map[string]routeMetrics `json:"routes"`
-		}
-		if err := json.Unmarshal(get(gw, "/stats", nil).Body.Bytes(), &stats); err != nil {
-			t.Fatal(err)
-		}
-		if stats.Queries != 2 || stats.Routes["/search"].Requests != 1 || stats.Routes["/search/stream"].Requests != 1 {
-			t.Fatalf("/stats: %+v", stats)
-		}
-		if _, ok := stats.Routes["/healthz"]; ok {
-			t.Fatalf("/stats lists a route nobody requested: %+v", stats.Routes)
-		}
+	gw, g := newTestGateway(t, GatewayConfig{}, Config{})
+	w := get(gw, "/search?q=2&k=4", nil)
+	if w.Code != 200 || w.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("status %d, content type %q", w.Code, w.Header().Get("Content-Type"))
+	}
+	resp, err := g.Submit(gw.searchCmd(2, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := jsonSearchBody(t, resp.Results[0]); !bytes.Equal(w.Body.Bytes(), want) {
+		t.Fatalf("\n got  %q\n want %q", w.Body.Bytes(), want)
+	}
+	var line streamLine
+	if err := json.Unmarshal(get(gw, "/search/stream?q=2&k=4", nil).Body.Bytes(), &line); err != nil || len(line.Hits) != 4 {
+		t.Fatalf("/search/stream: %d hits, err %v", len(line.Hits), err)
+	}
+	var stats struct {
+		Queries int64                   `json:"queries"`
+		Routes  map[string]routeMetrics `json:"routes"`
+	}
+	if err := json.Unmarshal(get(gw, "/stats", nil).Body.Bytes(), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Queries != 2 || stats.Routes["/search"].Requests != 1 || stats.Routes["/search/stream"].Requests != 1 {
+		t.Fatalf("/stats: %+v", stats)
+	}
+	if _, ok := stats.Routes["/healthz"]; ok {
+		t.Fatalf("/stats lists a route nobody requested: %+v", stats.Routes)
 	}
 }
 

@@ -59,13 +59,6 @@ type GatewayConfig struct {
 	// capacity (zero means max(1, ceil(RateLimit))).
 	RateLimit float64
 	RateBurst int
-	// RetryAfter is the hint returned with 503/429 responses (zero
-	// means 1s).
-	RetryAfter time.Duration
-	// Latency, when non-nil, renders a response's modeled device
-	// latency for the search endpoints (e.g. one replica's timing
-	// model).
-	Latency func(reis.HostResponse) string
 	// now is the clock the rate limiter reads (tests inject a fake).
 	now func() time.Time
 }
@@ -146,9 +139,6 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 	}
 	if cfg.NProbe == 0 {
 		cfg.NProbe = 6
-	}
-	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = time.Second
 	}
 	if cfg.RateLimit > 0 && cfg.RateBurst == 0 {
 		cfg.RateBurst = max(1, int(cfg.RateLimit+0.999))
@@ -348,7 +338,7 @@ func (gw *Gateway) rateLimit() Middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if gw.cfg.RateLimit > 0 && !gw.allow(tenant(r)) {
-				w.Header().Set("Retry-After", retryAfterSeconds(gw.cfg.RetryAfter))
+				w.Header().Set("Retry-After", retryAfter)
 				http.Error(w, "tenant rate limit exceeded", http.StatusTooManyRequests)
 				return
 			}
@@ -395,17 +385,14 @@ func (gw *Gateway) allow(tenant string) bool {
 	return true
 }
 
-// retryAfterSeconds renders a Retry-After header value (whole seconds,
-// minimum 1 — the header's granularity).
-func retryAfterSeconds(d time.Duration) string {
-	s := int(d.Round(time.Second) / time.Second)
-	return strconv.Itoa(max(1, s))
-}
+// retryAfter is the Retry-After hint, in whole seconds, returned with
+// 503 and 429 responses.
+const retryAfter = "1"
 
 // reject answers 503 with the Retry-After hint and counts the
 // rejection against the route's metrics.
 func (gw *Gateway) reject(w http.ResponseWriter, msg string) {
-	w.Header().Set("Retry-After", retryAfterSeconds(gw.cfg.RetryAfter))
+	w.Header().Set("Retry-After", retryAfter)
 	http.Error(w, msg+", retry later", http.StatusServiceUnavailable)
 }
 
@@ -548,12 +535,8 @@ func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	gw.record(resp.QueryStats[0])
-	deviceLat := ""
-	if gw.cfg.Latency != nil {
-		deviceLat = gw.cfg.Latency(resp)
-	}
 	buf := bodyBufs.Get().(*[]byte)
-	*buf = appendSearchBody((*buf)[:0], resp.Results[0], deviceLat)
+	*buf = appendSearchBody((*buf)[:0], resp.Results[0])
 	w.Header()["Content-Type"] = contentTypeJSON
 	w.Write(*buf) // a failed write is the client's departure
 	bodyBufs.Put(buf)
@@ -561,10 +544,9 @@ func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 
 // streamLine is one NDJSON line of a batch response.
 type streamLine struct {
-	Q         int    `json:"q"`
-	Hits      []hit  `json:"hits,omitempty"`
-	DeviceLat string `json:"device_latency,omitempty"`
-	Error     string `json:"error,omitempty"`
+	Q     int    `json:"q"`
+	Hits  []hit  `json:"hits,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
 // handleStream serves a batch of sample queries as NDJSON, flushing
@@ -600,11 +582,7 @@ func (gw *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			gw.record(resp.QueryStats[0])
-			line := streamLine{Q: qi, Hits: hits(resp.Results[0])}
-			if gw.cfg.Latency != nil {
-				line.DeviceLat = gw.cfg.Latency(resp)
-			}
-			lines <- line
+			lines <- streamLine{Q: qi, Hits: hits(resp.Results[0])}
 		}(qi)
 	}
 	go func() {

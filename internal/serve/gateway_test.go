@@ -186,12 +186,12 @@ func TestGatewayRateLimitBucketsBounded(t *testing.T) {
 // the rejection is counted in the route metrics (the old ragserver
 // returned a bare 503 with neither).
 func TestGatewayQueueFullRetryAfter(t *testing.T) {
-	gw, g := newTestGateway(t, GatewayConfig{RetryAfter: 2 * time.Second}, Config{QueueDepth: 1})
+	gw, g := newTestGateway(t, GatewayConfig{}, Config{QueueDepth: 1})
 	// Park a command on the only replica's depth-1 queue: its
 	// completion is never consumed, so the slot stays occupied and
 	// every routed submission deterministically rejects.
 	if _, err := g.Queue(0).SubmitAsync(context.Background(), reis.HostCommand{
-		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: svData.Queries[:1], K: 3, NProbe: 4,
+		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: svData.Queries[:1], K: 3, Opt: reis.SearchOptions{NProbe: 4},
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -199,8 +199,8 @@ func TestGatewayQueueFullRetryAfter(t *testing.T) {
 	if w.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d, want 503", w.Code)
 	}
-	if got := w.Header().Get("Retry-After"); got != "2" {
-		t.Fatalf("Retry-After %q, want \"2\"", got)
+	if got := w.Header().Get("Retry-After"); got != "1" {
+		t.Fatalf("Retry-After %q, want \"1\"", got)
 	}
 	sw := get(gw, "/stats", nil)
 	var stats struct {
@@ -275,7 +275,7 @@ func TestGatewayDrain(t *testing.T) {
 		t.Fatalf("post-drain healthz: %d, want 503", w.Code)
 	}
 	if _, err := g.Do(context.Background(), reis.HostCommand{
-		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: svData.Queries[:1], K: 3, NProbe: 4,
+		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: svData.Queries[:1], K: 3, Opt: reis.SearchOptions{NProbe: 4},
 	}); err != ErrGroupClosed {
 		t.Fatalf("group not closed after drain: %v", err)
 	}

@@ -14,12 +14,12 @@
 //
 // Failover and health. When the chosen replica's queue rejects with
 // ErrQueueFull, the command fails over through the remaining replicas
-// in ascending-occupancy order. A replica that rejects FailStreak
+// in ascending-occupancy order. A replica that rejects failStreak
 // consecutive submissions is retired — taken out of the routing set —
-// and readmitted once its queue drains below ReadmitBelow of its
-// depth. Retirement is purely a load signal: a retired replica still
-// receives every mutation broadcast, so its data never diverges and
-// readmission needs no catch-up.
+// and readmitted once its queue drains to readmitBelow of its depth.
+// Retirement is purely a load signal: a retired replica still receives
+// every mutation broadcast, so its data never diverges and readmission
+// needs no catch-up.
 //
 // Mutation barrier. Deploys and mutations (Append/Delete/Compact)
 // broadcast to ALL replicas under a write barrier (an RWMutex searches
@@ -80,23 +80,26 @@ type Config struct {
 	// QueueDepth is the per-replica routed queue depth (zero means
 	// reis.DefaultQueueDepth).
 	QueueDepth int
-	// FailStreak is the consecutive-ErrQueueFull count that retires a
-	// replica (zero means 3).
-	FailStreak int
-	// ReadmitBelow is the occupancy fraction at or below which a
-	// retired replica rejoins the routing set (zero means 0.5).
-	ReadmitBelow float64
 	// Seed seeds the routing RNG (zero means 1). Routing randomness
 	// never affects results — only which replica does the work.
 	Seed uint64
-	// BroadcastRetries bounds the roll-forward attempts per replica when
+}
+
+const (
+	// failStreak is the consecutive-ErrQueueFull count that retires a
+	// replica.
+	failStreak = 3
+	// readmitBelow is the occupancy fraction at or below which a retired
+	// replica rejoins the routing set.
+	readmitBelow = 0.5
+	// broadcastRetries bounds the roll-forward attempts per replica when
 	// a mutation broadcast fails on some members but succeeds on others:
 	// each failed member is retried up to this many times before the
-	// group declares ErrDiverged (zero means 3). Mutations validate
-	// before applying any state, so a failed attempt leaves the replica
-	// untouched and a retry is safe.
-	BroadcastRetries int
-}
+	// group declares ErrDiverged. Mutations validate before applying any
+	// state, so a failed attempt leaves the replica untouched and a retry
+	// is safe.
+	broadcastRetries = 3
+)
 
 // ReplicaStats is one replica's routing view in a stats snapshot.
 type ReplicaStats struct {
@@ -141,7 +144,6 @@ type replica struct {
 // Group is a replica group: N hosts over the same corpus behind one
 // routing front. All methods are safe for concurrent use.
 type Group struct {
-	cfg  Config
 	reps []*replica
 
 	// barrier orders searches against mutations: searches hold the
@@ -171,19 +173,10 @@ func newGroup(hosts []Host, cfg Config, depth func(i int) int) (*Group, error) {
 	if len(hosts) == 0 {
 		return nil, ErrNoReplicas
 	}
-	if cfg.FailStreak <= 0 {
-		cfg.FailStreak = 3
-	}
-	if cfg.ReadmitBelow <= 0 {
-		cfg.ReadmitBelow = 0.5
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	if cfg.BroadcastRetries <= 0 {
-		cfg.BroadcastRetries = 3
-	}
-	g := &Group{cfg: cfg, rng: xrand.New(cfg.Seed)}
+	g := &Group{rng: xrand.New(cfg.Seed)}
 	for i, h := range hosts {
 		q, err := h.NewQueue(reis.QueueConfig{Depth: depth(i)})
 		if err != nil {
@@ -225,24 +218,18 @@ func (g *Group) Ready() bool {
 	return false
 }
 
-// Retire removes replica i from the routing set (manual override; the
-// router also retires automatically on a rejection streak). In-flight
-// commands on the replica complete normally, and the replica keeps
-// receiving mutation broadcasts.
-func (g *Group) Retire(i int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// retire removes replica i from the routing set. In-flight commands on
+// the replica complete normally, and the replica keeps receiving
+// mutation broadcasts. g.mu must be held.
+func (g *Group) retire(i int) {
 	if !g.reps[i].retired {
 		g.reps[i].retired = true
 		g.stats.Retirements++
 	}
 }
 
-// Readmit returns replica i to the routing set (manual override; the
-// router also readmits automatically once the queue drains).
-func (g *Group) Readmit(i int) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
+// readmit returns replica i to the routing set. g.mu must be held.
+func (g *Group) readmit(i int) {
 	if g.reps[i].retired {
 		g.reps[i].retired = false
 		g.reps[i].streak = 0
@@ -357,7 +344,7 @@ func (a routeCand) before(b routeCand) bool {
 // ascending occupancy (the failover chain), then retired replicas by
 // ascending occupancy (last resort — a command is only refused when
 // literally every queue is full). It also runs the readmission check: a
-// retired replica whose queue has drained to ReadmitBelow of its depth
+// retired replica whose queue has drained to readmitBelow of its depth
 // rejoins the healthy set.
 func (g *Group) route(order []int) ([]int, error) {
 	g.mu.Lock()
@@ -370,10 +357,8 @@ func (g *Group) route(order []int) ([]int, error) {
 	healthy := 0
 	for i, r := range g.reps {
 		out := r.q.Outstanding()
-		if r.retired && float64(out) <= g.cfg.ReadmitBelow*float64(r.q.Depth()) {
-			r.retired = false
-			r.streak = 0
-			g.stats.Readmissions++
+		if float64(out) <= readmitBelow*float64(r.q.Depth()) {
+			g.readmit(i)
 		}
 		// Insertion sort: a group is a handful of replicas.
 		c := routeCand{i: i, out: out, retired: r.retired}
@@ -423,8 +408,7 @@ func (g *Group) noteAccept(i int, failover bool) {
 }
 
 // noteReject records an ErrQueueFull rejection on replica i and
-// retires it when the consecutive-rejection streak reaches the
-// configured threshold.
+// retires it when the consecutive-rejection streak reaches failStreak.
 func (g *Group) noteReject(i int) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -432,9 +416,8 @@ func (g *Group) noteReject(i int) {
 	r.rejects++
 	r.streak++
 	g.stats.Rejected++
-	if !r.retired && r.streak >= g.cfg.FailStreak {
-		r.retired = true
-		g.stats.Retirements++
+	if r.streak >= failStreak {
+		g.retire(i)
 	}
 }
 
@@ -446,7 +429,7 @@ func (g *Group) noteReject(i int) {
 //
 // A mixed first round — some replicas applied the mutation, others
 // failed — is NOT immediately divergence: the group rolls forward,
-// retrying each failed member up to Config.BroadcastRetries times (a
+// retrying each failed member up to broadcastRetries times (a
 // failed mutation validates before touching state, so the retry reruns
 // the identical command on unchanged state). Only a member that stays
 // failed after the retry budget, or a member whose response differs
@@ -494,13 +477,13 @@ func (g *Group) broadcast(ctx context.Context, cmd reis.HostCommand) (reis.HostR
 		// mutation, so the only way back to a consistent group is to
 		// drive the failed members to the same state.
 		for i := 0; i < n; i++ {
-			for attempt := 0; errs[i] != nil && attempt < g.cfg.BroadcastRetries; attempt++ {
+			for attempt := 0; errs[i] != nil && attempt < broadcastRetries; attempt++ {
 				resps[i], errs[i] = g.reps[i].host.Submit(cmd)
 			}
 			if errs[i] != nil {
 				return reis.HostResponse{}, fmt.Errorf(
 					"%w: replica %d still failed after %d roll-forward retries (%v)",
-					ErrDiverged, i, g.cfg.BroadcastRetries, errs[i])
+					ErrDiverged, i, broadcastRetries, errs[i])
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -23,6 +24,35 @@ var svData = dataset.Generate(dataset.Config{
 })
 
 const svBase = 600 // corpus entries deployed up front; the rest append
+
+// TestConfigSurface pins the settable fields of a group's and a
+// gateway's configuration against literal lists: the retirement and
+// roll-forward thresholds and the Retry-After hint are constants, so a
+// re-added knob fails here instead of passing review.
+func TestConfigSurface(t *testing.T) {
+	exported := func(typ reflect.Type) []string {
+		var out []string
+		for i := 0; i < typ.NumField(); i++ {
+			if f := typ.Field(i); f.IsExported() {
+				out = append(out, f.Name)
+			}
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		what string
+		typ  reflect.Type
+		want []string
+	}{
+		{"Config fields", reflect.TypeOf(Config{}), []string{"QueueDepth", "Seed"}},
+		{"GatewayConfig fields", reflect.TypeOf(GatewayConfig{}), []string{
+			"DBID", "DefaultK", "NProbe", "Queries", "AuthToken", "RateLimit", "RateBurst"}},
+	} {
+		if got := exported(tc.typ); !slices.Equal(got, tc.want) {
+			t.Errorf("%s:\n got %v\nwant %v", tc.what, got, tc.want)
+		}
+	}
+}
 
 // svCfg shrinks SSD1 the way the reis shard tests do, with append/GC
 // headroom for the mutation script. cacheBytes > 0 opts into the DRAM
@@ -94,7 +124,7 @@ func runScript(t *testing.T, submit func(reis.HostCommand) (reis.HostResponse, e
 	ivfSearch := func(prune bool) reis.HostCommand {
 		return reis.HostCommand{
 			Opcode: reis.OpcodeIVFSearch, DBID: 2, Queries: svData.Queries, K: 10,
-			NProbe: 4, Opt: reis.SearchOptions{Prune: prune},
+			Opt: reis.SearchOptions{NProbe: 4, Prune: prune},
 		}
 	}
 	searches := func() {
@@ -214,7 +244,7 @@ func TestReplicaGroupMatchesSingleReplica(t *testing.T) {
 				// bypassing) search identically.
 				probe := reis.HostCommand{
 					Opcode: reis.OpcodeIVFSearch, DBID: 2,
-					Queries: svData.Queries, K: 10, NProbe: 4,
+					Queries: svData.Queries, K: 10, Opt: reis.SearchOptions{NProbe: 4},
 				}
 				first, err := g.Host(0).Submit(probe)
 				if err != nil {
@@ -261,7 +291,7 @@ func TestReplicaGroupConcurrentFailover(t *testing.T) {
 	cmdFor := func(qi int) reis.HostCommand {
 		return reis.HostCommand{
 			Opcode: reis.OpcodeIVFSearch, DBID: 2,
-			Queries: [][]float32{svData.Queries[qi]}, K: 5, NProbe: 4,
+			Queries: [][]float32{svData.Queries[qi]}, K: 5, Opt: reis.SearchOptions{NProbe: 4},
 		}
 	}
 	want := make([]reis.HostResponse, nq)
@@ -293,10 +323,14 @@ func TestReplicaGroupConcurrentFailover(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				if w == 0 && it == 10 {
-					g.Retire(1) // fail one replica mid-flight
+					g.mu.Lock()
+					g.retire(1) // fail one replica mid-flight
+					g.mu.Unlock()
 				}
 				if w == 0 && it == 20 {
-					g.Readmit(1)
+					g.mu.Lock()
+					g.readmit(1)
+					g.mu.Unlock()
 				}
 				qi := (w*31 + it*7) % nq
 				var resp reis.HostResponse
@@ -340,7 +374,7 @@ func TestReplicaGroupConcurrentFailover(t *testing.T) {
 // reis.ErrQueueFull.
 func TestGroupFailoverAndRetirement(t *testing.T) {
 	hosts := []Host{newHost(t, 0, 1), newHost(t, 0, 1)}
-	g, err := newGroup(hosts, Config{FailStreak: 2, Seed: 1}, func(i int) int { return []int{1, 4}[i] })
+	g, err := newGroup(hosts, Config{Seed: 1}, func(i int) int { return []int{1, 4}[i] })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,19 +407,24 @@ func TestGroupFailoverAndRetirement(t *testing.T) {
 	if st.Failovers != 1 || st.Rejected != 1 || st.Replicas[0].Rejected != 1 {
 		t.Fatalf("after first failover: %+v", st)
 	}
-	if _, err := g.Do(context.Background(), search); err != nil {
-		t.Fatal(err)
+	for i := 1; i < failStreak; i++ {
+		if st = g.Stats(); st.Retirements != 0 || st.Replicas[0].Retired {
+			t.Fatalf("streak of %d retired replica 0: %+v", i, st)
+		}
+		if _, err := g.Do(context.Background(), search); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st = g.Stats()
-	if st.Retirements != 1 || !st.Replicas[0].Retired {
-		t.Fatalf("streak of 2 did not retire replica 0: %+v", st)
+	if st.Retirements != 1 || !st.Replicas[0].Retired || st.Failovers != failStreak {
+		t.Fatalf("streak of %d did not retire replica 0: %+v", failStreak, st)
 	}
 
 	// Retired replicas are skipped outright: no new rejections.
 	if _, err := g.Do(context.Background(), search); err != nil {
 		t.Fatal(err)
 	}
-	if st = g.Stats(); st.Replicas[0].Rejected != 2 {
+	if st = g.Stats(); st.Replicas[0].Rejected != failStreak {
 		t.Fatalf("retired replica still probed: %+v", st)
 	}
 
@@ -431,7 +470,9 @@ func TestGroupBroadcastReachesRetired(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	g.Retire(1)
+	g.mu.Lock()
+	g.retire(1)
+	g.mu.Unlock()
 	if _, err := g.Submit(reis.HostCommand{Opcode: reis.OpcodeAppend, DBID: 1,
 		Append: &reis.AppendConfig{Vectors: svData.Vectors[svBase:], Docs: svData.Docs[svBase:]}}); err != nil {
 		t.Fatal(err)
@@ -569,7 +610,7 @@ func TestBroadcastDivergedAfterRetriesExhausted(t *testing.T) {
 		reis.OpcodeAppend: 1 << 20, // permanent
 	}}
 	hosts := []Host{newHost(t, 0, 1), flaky}
-	g, err := NewGroup(hosts, Config{Seed: 11, BroadcastRetries: 2})
+	g, err := NewGroup(hosts, Config{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,6 +621,10 @@ func TestBroadcastDivergedAfterRetriesExhausted(t *testing.T) {
 		Append: &reis.AppendConfig{Vectors: svData.Vectors[svBase:], Docs: svData.Docs[svBase:]}})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("permanently failing replica: error %v, want ErrDiverged", err)
+	}
+	// The first round plus broadcastRetries roll-forward attempts.
+	if tries := 1<<20 - flaky.fails[reis.OpcodeAppend]; tries != 1+broadcastRetries {
+		t.Fatalf("failing replica tried %d times, want %d", tries, 1+broadcastRetries)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Package ssd models the SSD that hosts the REIS engine: the flash
-// device plus the SSD controller (embedded cores, internal DRAM), the
-// Flash Translation Layer in both its conventional page-level form and
-// REIS's coarse-grained form (Sec 4.1.4), and the parallelism-first
-// page allocator that stripes embeddings across planes (Sec 4.1.1).
+// device plus the SSD controller (the embedded core's kernel costs, the
+// DRAM caching tier), REIS's coarse-grained Flash Translation Layer —
+// one R-DB record of region bounds per database in place of a
+// page-level map (Sec 4.1.4) — and the parallelism-first page allocator
+// that stripes embeddings across planes (Sec 4.1.1).
 //
 // Two configurations reproduce Table 3 of the paper: REIS-SSD1 models
 // a cost-oriented device (Samsung PM9A3-class) and REIS-SSD2 a
@@ -23,17 +24,9 @@ type Config struct {
 	// Flash carries per-event NAND latency/energy parameters.
 	Flash flash.Params
 
-	// Embedded controller cores (Arm Cortex-R8 class).
-	Cores   int
+	// CoreGHz is the clock of the embedded controller core REIS runs
+	// its kernels on (Arm Cortex-R8 class).
 	CoreGHz float64
-	// REISCores is how many cores REIS may use for its kernels; the
-	// paper reserves one, leaving the rest for FTL and host I/O
-	// (Sec 4.3.4, Sec 7.2).
-	REISCores int
-
-	// DRAMBytes is the controller's internal DRAM (0.1% of capacity by
-	// rule of thumb).
-	DRAMBytes int64
 
 	// CacheDRAMBytes is the slice of controller DRAM the engine may use
 	// as a caching tier above the flash scan path, one budget for both of
@@ -58,8 +51,6 @@ type Config struct {
 	// HostReadBandwidth is the sequential read bandwidth seen by the
 	// host (bytes/s) — what a CPU baseline gets when loading a dataset.
 	HostReadBandwidth float64
-	// HostWriteBandwidth is the sequential write bandwidth (bytes/s).
-	HostWriteBandwidth float64
 
 	// ActivePower is the device's active power draw in watts; the
 	// paper reports SSDs draw ~29.7x less power than the CPU baseline.
@@ -81,7 +72,10 @@ type Config struct {
 }
 
 // SSD1 returns the cost-oriented configuration (REIS-SSD1, Table 3):
-// 8 channels, 16 dies/channel, 2 planes/die, 1.2 GB/s per channel.
+// 8 channels, 16 dies/channel, 2 planes/die, 1.2 GB/s per channel. The
+// controller has four cores; REIS runs its kernels on one of them and
+// leaves the rest to the FTL and host I/O (Sec 4.3.4, Sec 7.2), so the
+// timing model has a single core column.
 func SSD1() Config {
 	geo := flash.Geometry{
 		Channels:         8,
@@ -99,12 +93,8 @@ func SSD1() Config {
 		Name:                 "REIS-SSD1",
 		Geo:                  geo,
 		Flash:                p,
-		Cores:                4,
 		CoreGHz:              1.5,
-		REISCores:            1,
-		DRAMBytes:            1 << 30,
 		HostReadBandwidth:    6.9e9, // PM9A3 seq read
-		HostWriteBandwidth:   4.1e9,
 		ActivePower:          12.0,
 		IdlePower:            5.0,
 		QuickselectNsPerElem: 6,
@@ -129,7 +119,6 @@ func SSD2() Config {
 	cfg.Geo.ChannelBandwidth = 2.0e9
 	cfg.Flash.DieInputBandwidth = cfg.Geo.ChannelBandwidth
 	cfg.HostReadBandwidth = 7.0e9 // Micron 9400 seq read
-	cfg.HostWriteBandwidth = 7.0e9
 	cfg.ActivePower = 14.0
 	return cfg
 }

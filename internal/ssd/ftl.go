@@ -6,58 +6,6 @@ import (
 	"reis/internal/flash"
 )
 
-// PageFTL is a conventional page-level Flash Translation Layer: a full
-// logical-to-physical page map held in controller DRAM. Its DRAM
-// footprint is what coarse-grained access eliminates (Sec 4.1.4: "a
-// 1TB vector database ... originally demands 1GB for page-level FTL").
-type PageFTL struct {
-	geo flash.Geometry
-	l2p map[int64]flash.Address
-	// Translations counts map lookups, the overhead coarse-grained
-	// access avoids on sequential scans.
-	Translations int64
-}
-
-// NewPageFTL returns an empty page-level FTL for the geometry.
-func NewPageFTL(geo flash.Geometry) *PageFTL {
-	return &PageFTL{geo: geo, l2p: make(map[int64]flash.Address)}
-}
-
-// Map binds a logical page number to a physical address.
-func (f *PageFTL) Map(lpn int64, a flash.Address) error {
-	if !a.Valid(f.geo) {
-		return fmt.Errorf("ssd: FTL map to invalid address %v", a)
-	}
-	f.l2p[lpn] = a
-	return nil
-}
-
-// Translate resolves a logical page number.
-func (f *PageFTL) Translate(lpn int64) (flash.Address, error) {
-	f.Translations++
-	a, ok := f.l2p[lpn]
-	if !ok {
-		return flash.Address{}, fmt.Errorf("ssd: unmapped LPN %d", lpn)
-	}
-	return a, nil
-}
-
-// Entries returns the number of live mappings.
-func (f *PageFTL) Entries() int { return len(f.l2p) }
-
-// DRAMFootprint returns the bytes of controller DRAM the mapping table
-// occupies (8 bytes per entry: 4B LPN offset + 4B PPA, the standard
-// estimate behind the 0.1% DRAM rule).
-func (f *PageFTL) DRAMFootprint() int64 { return int64(len(f.l2p)) * 8 }
-
-// Drop removes all mappings in [lo, hi) — what REIS does when flushing
-// page-level metadata after database deployment (Sec 4.1.4).
-func (f *PageFTL) Drop(lo, hi int64) {
-	for lpn := lo; lpn < hi; lpn++ {
-		delete(f.l2p, lpn)
-	}
-}
-
 // Region is a physically contiguous, plane-striped extent of pages —
 // the unit of coarse-grained access. Page i of a region lives on plane
 // (i mod planes) at page offset StartStripe + i/planes within that
@@ -303,9 +251,6 @@ func (r DBRecord) regions() []Region {
 type RDB struct {
 	geo     flash.Geometry
 	records map[int]DBRecord
-	// Translations counts coarse lookups for comparison against
-	// PageFTL.Translations.
-	Translations int64
 }
 
 // NewRDB returns an empty R-DB for the geometry.
@@ -352,7 +297,6 @@ func (r *RDB) Update(rec DBRecord) error {
 
 // Lookup returns the record for a database id.
 func (r *RDB) Lookup(id int) (DBRecord, error) {
-	r.Translations++
 	rec, ok := r.records[id]
 	if !ok {
 		return DBRecord{}, fmt.Errorf("ssd: unknown database %d", id)
@@ -365,9 +309,3 @@ func (r *RDB) Remove(id int) { delete(r.records, id) }
 
 // Len returns the number of deployed databases.
 func (r *RDB) Len() int { return len(r.records) }
-
-// DRAMFootprint returns the bytes of DRAM the R-DB occupies: an
-// integer id plus first/last addresses for four regions per record
-// (the paper quotes 21 bytes for its three-field layout; the IVF
-// extension brings ours to 36).
-func (r *RDB) DRAMFootprint() int64 { return int64(len(r.records)) * 36 }

@@ -13,11 +13,10 @@ import (
 var ErrRegionFull = errors.New("ssd: region append exceeds reserved capacity")
 
 // SSD combines the flash device with the controller-side structures:
-// FTL, R-DB and the region allocator.
+// the R-DB and the region allocator.
 type SSD struct {
 	Cfg Config
 	Dev *flash.Device
-	FTL *PageFTL
 	RDB *RDB
 
 	// nextStripe is the allocation cursor, in page offsets within each
@@ -42,7 +41,6 @@ func New(cfg Config, capacityHint int64) (*SSD, error) {
 	return &SSD{
 		Cfg: cfg,
 		Dev: dev,
-		FTL: NewPageFTL(cfg.Geo),
 		RDB: NewRDB(cfg.Geo),
 	}, nil
 }

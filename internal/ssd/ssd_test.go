@@ -3,6 +3,8 @@ package ssd
 import (
 	"bytes"
 	"errors"
+	"reflect"
+	"slices"
 	"testing"
 
 	"reis/internal/flash"
@@ -49,8 +51,24 @@ func TestPresetConfigsMatchTable3(t *testing.T) {
 	if s2.Geo.Planes() <= s1.Geo.Planes() {
 		t.Fatal("SSD2 not more parallel than SSD1")
 	}
-	if s1.Cores != 4 || s1.REISCores != 1 {
-		t.Fatalf("SSD1 core config wrong: %d/%d", s1.Cores, s1.REISCores)
+}
+
+// TestConfigSurface pins the fields of a device configuration against
+// a literal list: each one is read by the model or set by a caller, so
+// a re-added field that nothing reads fails here instead of passing
+// review.
+func TestConfigSurface(t *testing.T) {
+	typ := reflect.TypeOf(Config{})
+	var got []string
+	for i := 0; i < typ.NumField(); i++ {
+		got = append(got, typ.Field(i).Name)
+	}
+	want := []string{
+		"Name", "Geo", "Flash", "CoreGHz", "CacheDRAMBytes", "OverprovisionPct", "HostReadBandwidth",
+		"ActivePower", "IdlePower", "QuickselectNsPerElem", "QuicksortNsPerElem", "RerankNsPerDim", "DRAMAccessNs",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config fields:\n got %v\nwant %v", got, want)
 	}
 }
 
@@ -85,62 +103,6 @@ func TestKernelCostModels(t *testing.T) {
 	ratio := float64(cfg.RerankTime(100, 1024)) / float64(cfg.RerankTime(1, 1024))
 	if ratio < 99 || ratio > 101 {
 		t.Fatalf("rerank not linear in n: ratio %v", ratio)
-	}
-}
-
-func TestPageFTLMapTranslate(t *testing.T) {
-	s := newTestSSD(t)
-	a := flash.Address{Channel: 1, Die: 0, Plane: 1, Block: 2, Page: 3}
-	if err := s.FTL.Map(42, a); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.FTL.Translate(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != a {
-		t.Fatalf("Translate = %v, want %v", got, a)
-	}
-	if _, err := s.FTL.Translate(43); err == nil {
-		t.Fatal("unmapped LPN resolved")
-	}
-	if s.FTL.Translations != 2 {
-		t.Fatalf("Translations = %d", s.FTL.Translations)
-	}
-}
-
-func TestPageFTLFootprintAndDrop(t *testing.T) {
-	s := newTestSSD(t)
-	for i := int64(0); i < 100; i++ {
-		if err := s.FTL.Map(i, flash.AddressFromLinear(s.Cfg.Geo, int(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if s.FTL.DRAMFootprint() != 800 {
-		t.Fatalf("footprint = %d", s.FTL.DRAMFootprint())
-	}
-	s.FTL.Drop(0, 50)
-	if s.FTL.Entries() != 50 {
-		t.Fatalf("entries after drop = %d", s.FTL.Entries())
-	}
-}
-
-func TestCoarseGrainedFootprintAdvantage(t *testing.T) {
-	// The R-DB record for a whole database must be orders of magnitude
-	// smaller than the page-level FTL it replaces (Sec 4.1.4).
-	s := newTestSSD(t)
-	pages := 200
-	for i := int64(0); i < int64(pages); i++ {
-		if err := s.FTL.Map(i, flash.AddressFromLinear(s.Cfg.Geo, int(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec := DBRecord{ID: 1, Embeddings: Region{StartStripe: 0, PageCount: 100}, Documents: Region{StartStripe: 13, PageCount: 100}}
-	if err := s.RDB.Register(rec); err != nil {
-		t.Fatal(err)
-	}
-	if s.RDB.DRAMFootprint() >= s.FTL.DRAMFootprint()/10 {
-		t.Fatalf("R-DB %dB not far below FTL %dB", s.RDB.DRAMFootprint(), s.FTL.DRAMFootprint())
 	}
 }
 
