@@ -256,6 +256,53 @@ func TestCachedSeqMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestCachedScanFollowsEngineOpts turns the distance filter off on a
+// cached engine after construction: the pinned scans must stop filtering
+// with the flash scans, so every command matches, in results and in each
+// query's quickselect input, an uncached engine built with the filter
+// off. The device is the skew sweep's four-plane SSD1, on which nprobe 4
+// outgrows one wave and pins are admitted.
+func TestCachedScanFollowsEngineOpts(t *testing.T) {
+	cfg := ssd.SSD1()
+	cfg.Geo.Channels, cfg.Geo.DiesPerChannel = 1, 2
+	offOpts := AllOptions()
+	offOpts.DistanceFilter = false
+	ref, err := New(cfg, 64<<20, offOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ref.Close() })
+	deployIVF(t, ref, 1, 16)
+	cfg.CacheDRAMBytes = 4 << 20
+	cached, err := New(cfg, 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cached.Close() })
+	deployIVF(t, cached, 1, 16)
+	cached.Opts.DistanceFilter = false
+
+	pinned := 0
+	for round := 0; round < 3; round++ {
+		opt := SearchOptions{NProbe: 4 + round, SkipDocs: true}
+		want, wantSts := search(t, ref, OpcodeIVFSearch, 1, testData.Queries, 10, opt)
+		got, sts := search(t, cached, OpcodeIVFSearch, 1, testData.Queries, 10, opt)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("nprobe %d: cached results diverge from the unfiltered engine's", opt.NProbe)
+		}
+		for qi, st := range sts {
+			if st.SelectInput != wantSts[qi].SelectInput {
+				t.Fatalf("nprobe %d q%d: select input %d, unfiltered engine %d (%d pages pinned)",
+					opt.NProbe, qi, st.SelectInput, wantSts[qi].SelectInput, st.CachedPages)
+			}
+			pinned += st.CachedPages
+		}
+	}
+	if pinned == 0 {
+		t.Fatal("no pinned pages served: the pinned scans were not compared")
+	}
+}
+
 // TestCachedMatchesUncachedMutated runs the shared mutation script
 // (deploy, appends, deletes with interleaved searches) on cached
 // engines, flat and IVF, across shard counts:

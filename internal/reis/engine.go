@@ -96,7 +96,9 @@ func AllOptions() Options {
 // time, matching the single embedded controller core). Submit, NewQueue,
 // CalibrateNProbe, the journal pair, Ready and Close are the core's,
 // promoted; the methods declared on Engine are the ones whose shape is a
-// single device's (DB and the timing model's Database operand).
+// single device's (DB and the timing model's Database operand). The
+// device keeps no database table of its own: the host core's table is the
+// R-DB, and a member device's slices live there, in its ShardedEngine's.
 type Engine struct {
 	SSD  *ssd.SSD
 	FSM  *flash.DieFSM
@@ -106,19 +108,15 @@ type Engine struct {
 	// mirroring the device's channel/die parallelism.
 	pool *planePool
 
-	// mu is the device lock: the regions and R-DB records, the device
-	// scratch and the pool worker arenas have exactly one running owner
-	// at a time. It nests inside a host core's execMu, never around it
-	// (see host.go).
+	// mu is the device lock: the allocator and flash, the region bounds
+	// of the device's slices, the device scratch and the pool worker
+	// arenas have exactly one running owner at a time. It nests inside a
+	// host core's execMu, never around it (see host.go).
 	mu sync.Mutex
 
 	// scr holds the device-owned pooled buffers of the scan pipeline;
 	// see engineScratch for the ownership rules.
 	scr engineScratch
-
-	// dbs is the device's database table: a whole layout when the device
-	// is its own host, a page-stride slice when it is a member.
-	dbs map[int]*Database
 
 	hostCore
 }
@@ -185,41 +183,20 @@ func New(cfg ssd.Config, capacityHint int64, opts Options) (*Engine, error) {
 		FSM:  flash.NewDieFSM(dev.Dev),
 		Opts: opts,
 		pool: newPlanePool(dev.Cfg.Geo),
-		dbs:  make(map[int]*Database),
 	}
-	e.hostCore.init(dev.Cfg, opts, []*Engine{e})
+	e.hostCore.init(dev.Cfg, []*Engine{e})
 	return e, nil
 }
 
-// DB returns a database deployed on this device by id: the whole layout
-// on an engine that is its own host, the device's page-stride slice on a
-// member of a ShardedEngine.
+// DB returns a deployed database by id: the whole layout, the one slice
+// in the host's table. A member device of a ShardedEngine is not a host
+// of any database and answers none; ShardedEngine.DB has them.
 func (e *Engine) DB(id int) (*Database, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.db(id)
-}
-
-// db is DB without the device lock.
-func (e *Engine) db(id int) (*Database, error) {
-	db, ok := e.dbs[id]
-	if !ok {
-		return nil, fmt.Errorf("reis: unknown database %d", id)
+	db, err := e.hostDB(id)
+	if err != nil {
+		return nil, err
 	}
-	return db, nil
-}
-
-// dropDB unregisters a database, making its id reusable — the host's
-// rollback when a multi-device deploy fails partway. The allocator is a
-// bump cursor, so the dropped regions' stripes are not reclaimed; only
-// the id and the R-DB record are.
-func (e *Engine) dropDB(id int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if _, ok := e.dbs[id]; ok {
-		delete(e.dbs, id)
-		e.SSD.RDB.Remove(id)
-	}
+	return db.locals[0], nil
 }
 
 // DeployConfig carries the host-provided deployment parameters.
@@ -243,8 +220,9 @@ type DeployConfig struct {
 }
 
 // install allocates regions for the pages of a globally planned layout
-// that device (start, stride) owns and registers the database; the host
-// then programs the pages (hostCore.deploy). Every region holds the
+// that device (start, stride) owns and returns the device's slice with
+// its R-DB record; the host programs the pages and then enters the slice
+// in its table (hostCore.deploy). Every region holds the
 // global pages g ≡ start (mod stride) as local pages g / stride — (0, 1)
 // is the whole layout. Because region page i lives on plane
 // i mod planes, the union of the devices' planes reproduces, plane for
@@ -255,9 +233,6 @@ type DeployConfig struct {
 func (e *Engine) install(id int, lo *dbLayout, start, stride int) (*Database, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, ok := e.dbs[id]; ok {
-		return nil, fmt.Errorf("reis: database %d already deployed", id)
-	}
 	db := &Database{ID: id, Dim: lo.dim, N: lo.n, dbLayout: lo, start: start, stride: stride}
 	// Every shard reserves capacity for the same number of stripes the
 	// single-device-equivalent extent spans, so growth and GC erase the
@@ -300,10 +275,6 @@ func (e *Engine) install(id int, lo *dbLayout, start, stride int) (*Database, er
 	db.rec = ssd.DBRecord{
 		ID: id, Embeddings: embR, Documents: docR, Centroids: centR, Int8s: int8R,
 	}
-	if err := e.SSD.RDB.Register(db.rec); err != nil {
-		return nil, err
-	}
-	e.dbs[id] = db
 	return db, nil
 }
 
@@ -375,7 +346,7 @@ func calibrateFilter(vectors [][]float32) int {
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
-// Record exposes the R-DB record (for tests and tools).
+// Record exposes the slice's R-DB record (for tests and tools).
 func (db *Database) Record() ssd.DBRecord { return db.rec }
 
 // EmbPerPage returns the binary-embedding slots per flash page.

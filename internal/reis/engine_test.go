@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"reis/internal/ann"
@@ -174,6 +176,70 @@ func TestDeployRejectsBadInput(t *testing.T) {
 	big := [][]byte{bytes.Repeat([]byte{1}, 9000)}
 	if deploy(DeployConfig{ID: 2, Vectors: testData.Vectors[:1], Docs: big, DocSlotBytes: 256}) == nil {
 		t.Fatal("oversized doc accepted")
+	}
+}
+
+// TestDeployFailureLeavesIDFree runs a deploy whose plan is accepted but
+// whose document region does not fit the device: the allocator fails
+// after the embedding and INT8 regions are reserved. The database enters
+// the host's table only once every page is programmed, so the failure
+// leaves the id free, and a smaller deploy under it then succeeds and
+// serves the same results as a fresh host's.
+func TestDeployFailureLeavesIDFree(t *testing.T) {
+	cfg := testCfg()
+	cfg.Geo.BlocksPerPlane = 8
+	// One document per page, twice over: more document pages than the
+	// device has stripes left, on one device and on two.
+	var vecs [][]float32
+	var docs [][]byte
+	for r := 0; r < 2; r++ {
+		vecs = append(vecs, testData.Vectors...)
+		docs = append(docs, testData.Docs...)
+	}
+	tooBig := DeployConfig{ID: 1, Vectors: vecs, Docs: docs, DocSlotBytes: cfg.Geo.PageBytes}
+	small := DeployConfig{ID: 1, Vectors: testData.Vectors[:100], Docs: testData.Docs[:100], DocSlotBytes: 256}
+	query := HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries, K: 10}
+
+	fresh, err := New(cfg, 0, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fresh.Close() })
+	mustSubmit(t, fresh, HostCommand{Opcode: OpcodeDBDeploy, Deploy: &small})
+	want := mustSubmit(t, fresh, query).Results
+
+	for _, n := range []int{1, 2} {
+		var h submitter
+		var lookup func(id int) error
+		if n == 1 {
+			e, err := New(cfg, 0, AllOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { e.Close() })
+			h, lookup = e, func(id int) error { _, err := e.DB(id); return err }
+		} else {
+			sh, err := NewSharded(cfg, n, 0, AllOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { sh.Close() })
+			h, lookup = sh, func(id int) error { _, err := sh.DB(id); return err }
+		}
+		_, err := h.Submit(HostCommand{Opcode: OpcodeDBDeploy, Deploy: &tooBig})
+		if err == nil || !strings.Contains(err.Error(), "out of space") {
+			t.Fatalf("n=%d: oversized deploy: error %v, want the allocator out of space", n, err)
+		}
+		if lookup(1) == nil {
+			t.Fatalf("n=%d: the failed deploy left database 1 in the table", n)
+		}
+		mustSubmit(t, h, HostCommand{Opcode: OpcodeDBDeploy, Deploy: &small})
+		if err := lookup(1); err != nil {
+			t.Fatalf("n=%d: retried deploy: %v", n, err)
+		}
+		if got := mustSubmit(t, h, query).Results; !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: the retried deploy's results diverge from a fresh host's", n)
+		}
 	}
 }
 

@@ -12,7 +12,8 @@ import (
 // This file is the host core: the one controller over N ≥ 1 devices
 // that both exported hosts are facades of. The paper's device is one
 // controller owning the R-DB, the coarse-grained FTL and the R-IVF table
-// over planes it scans in place (Sec 4.1, 4.3); the scale-out tier
+// over planes it scans in place (Sec 4.1, 4.3). The core is that
+// controller, and its database table is the R-DB. The scale-out tier
 // stripes that same planned layout page-round-robin over N devices
 // (global page g lives on device g mod N as local page g / N). A single
 // device is therefore the N = 1 case — the striping is the identity —
@@ -37,15 +38,19 @@ import (
 // conventional read path, which the flash device synchronizes per plane;
 // the core issues them only when no scan round of its own is running.
 type hostCore struct {
-	cfg  ssd.Config // single-device-equivalent configuration: N× one device's channels
-	opts Options
+	cfg ssd.Config // single-device-equivalent configuration: N× one device's channels
 
+	// devs are the devices; the options the host reads (placement, the
+	// pinned scans' distance filter) are device 0's Engine.Opts, the same
+	// ones its flash scans read.
 	devs []*Engine
 
 	execMu sync.Mutex
 	closed bool
 	scr    hostScratch
-	dbs    map[int]*ShardedDatabase
+	// dbs is the R-DB (Sec 4.1.4): the only database table. Each entry
+	// holds every device's record of its regions (locals[s].rec).
+	dbs map[int]*ShardedDatabase
 
 	// jl is the append-only mutation journal: every committed append,
 	// delete and compact is recorded under execMu, so replaying any
@@ -110,9 +115,9 @@ type ShardedDatabase struct {
 func (db *ShardedDatabase) Live() int { return db.mut.live }
 
 // init binds the core to its devices. cfg is one device's configuration.
-func (c *hostCore) init(cfg ssd.Config, opts Options, devs []*Engine) {
+func (c *hostCore) init(cfg ssd.Config, devs []*Engine) {
 	cfg.Geo.Channels *= len(devs)
-	c.cfg, c.opts, c.devs = cfg, opts, devs
+	c.cfg, c.devs = cfg, devs
 	c.dbs = make(map[int]*ShardedDatabase)
 	c.scr.errs = make([]error, len(devs))
 	c.scr.streams = make([][]TTLEntry, len(devs))
@@ -218,11 +223,14 @@ func (c *hostCore) Close() error {
 
 // deploy plans the layout globally — exactly as one device with N times
 // the channels would (planLayout: same placement order, padding, page
-// counts) — has every device reserve and register its page-stride share
-// (s, N), then renders each global page once and programs it on its
-// owner through the one page writer mutations use. ivf selects
-// IVF_Deploy (cluster-sorted placement plus the R-IVF table, which stays
-// in the host's controller DRAM) over DB_Deploy.
+// counts) — has every device reserve its page-stride share (s, N), then
+// renders each global page once and programs it on its owner through the
+// one page writer mutations use. Only then does the database enter the
+// R-DB (c.dbs): a deploy that fails on the way leaves no entry anywhere,
+// so its id stays free for a retry (the bump-cursor allocator does not
+// reclaim the stripes it reserved). ivf selects IVF_Deploy
+// (cluster-sorted placement plus the R-IVF table, which stays in the
+// host's controller DRAM) over DB_Deploy.
 func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if !ivf {
 		cfg.Centroids, cfg.Assign = nil, nil
@@ -241,23 +249,13 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if err != nil {
 		return err
 	}
-	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, c.opts.FirstFitPlacement)}
+	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, c.devs[0].Opts.FirstFitPlacement)}
 	if c.cfg.CacheDRAMBytes > 0 {
 		db.cache = newDBCache(c.cfg, &lo.pageFormat, len(lo.rivf))
-	}
-	// A failed deploy rolls the id back off the devices that already
-	// registered it, so it is not poisoned (the bump-cursor allocator
-	// cannot reclaim the reserved stripes, but the id and R-DB records
-	// are freed for a retry).
-	rollback := func(n int) {
-		for _, done := range c.devs[:n] {
-			done.dropDB(cfg.ID)
-		}
 	}
 	for s, d := range c.devs {
 		local, err := d.install(cfg.ID, lo, s, len(c.devs))
 		if err != nil {
-			rollback(s)
 			return fmt.Errorf("reis: device %d: %w", s, err)
 		}
 		db.locals = append(db.locals, local)
@@ -266,7 +264,7 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	// from slot 0; their pages, like the centroids', are programmed under
 	// a zeroed OOB. Binary pages carry the linkage.
 	t := mutTarget{c, db}
-	bin, int8s := lo.deploySlots(cfg.Vectors)
+	bin, int8s := lo.deploySlots(cfg.Vectors, cfg.MetaTags)
 	for _, w := range []struct {
 		region regionOf
 		pages  int
@@ -278,7 +276,6 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 		{centRegion, lo.centPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }},
 	} {
 		if err := t.writePages(w.region, 0, w.pages, true, w.render); err != nil {
-			rollback(len(c.devs))
 			return err
 		}
 	}
@@ -467,7 +464,7 @@ func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]flo
 	defer c.unlockDevs()
 	ctl := controller{
 		h: c, db: db, scr: &c.scr.ctrl,
-		pin: cachedScanParams{filter: c.opts.DistanceFilter, threshold: db.lay.filterThreshold},
+		pin: cachedScanParams{filter: c.devs[0].Opts.DistanceFilter, threshold: db.lay.filterThreshold},
 	}
 	return ctl.search(ctx, cmd, queries, useCache)
 }
@@ -611,16 +608,16 @@ func (t mutTarget) writePages(region regionOf, from, to int, carryOOB bool, rend
 
 // growBin binds the given physical rows to the next logical rows of the
 // binary region's row map and commits the new live extent (global pages)
-// — the per-step coarse FTL remap (R-DB update), on every device.
+// — the per-step coarse FTL remap, written to every device's R-DB record.
 func (t mutTarget) growBin(binPages int, phys []int) error {
 	n := len(t.c.devs)
 	return t.onAll(func(s int, d *Engine, local *Database) error {
 		if len(phys) > 0 {
-			if err := d.SSD.MapRegionRows(&local.rec, &local.rec.Embeddings, phys); err != nil {
+			if err := d.SSD.MapRegionRows(&local.rec.Embeddings, phys); err != nil {
 				return err
 			}
 		}
-		return d.SSD.ResizeRegion(&local.rec, &local.rec.Embeddings, shardPages(binPages, s, n))
+		return local.rec.Embeddings.SetLive(d.SSD.Cfg.Geo.Planes(), shardPages(binPages, s, n))
 	})
 }
 
@@ -629,10 +626,11 @@ func (t mutTarget) growBin(binPages int, phys []int) error {
 func (t mutTarget) growAux(int8Pages, docPages int) error {
 	n := len(t.c.devs)
 	return t.onAll(func(s int, d *Engine, local *Database) error {
-		if err := d.SSD.ResizeRegion(&local.rec, &local.rec.Int8s, shardPages(int8Pages, s, n)); err != nil {
+		planes := d.SSD.Cfg.Geo.Planes()
+		if err := local.rec.Int8s.SetLive(planes, shardPages(int8Pages, s, n)); err != nil {
 			return err
 		}
-		return d.SSD.ResizeRegion(&local.rec, &local.rec.Documents, shardPages(docPages, s, n))
+		return local.rec.Documents.SetLive(planes, shardPages(docPages, s, n))
 	})
 }
 
@@ -642,7 +640,7 @@ func (t mutTarget) growAux(int8Pages, docPages int) error {
 // reference device's.
 func (t mutTarget) reclaimBinRow(row int) (erases int, err error) {
 	err = t.onAll(func(_ int, d *Engine, local *Database) error {
-		n, err := d.SSD.ReclaimRegionRow(&local.rec, &local.rec.Embeddings, row)
+		n, err := d.SSD.ReclaimRegionRow(&local.rec.Embeddings, row)
 		erases += n
 		return err
 	})

@@ -148,7 +148,6 @@ type dbLayout struct {
 
 	rivf            []RIVFEntry
 	filterThreshold int
-	metaTags        []uint8
 
 	// centCodes[c] is cluster c's binary-quantized centroid code and
 	// radius[c] the maximum Hamming distance from that code to any
@@ -271,13 +270,6 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 		}
 	}
 
-	lo.metaTags = make([]uint8, len(order))
-	for pos, id := range order {
-		if id >= 0 && cfg.MetaTags != nil {
-			lo.metaTags[pos] = cfg.MetaTags[id]
-		}
-	}
-
 	lo.filterThreshold = calibrateFilter(cfg.Vectors)
 	return lo, nil
 }
@@ -290,9 +282,10 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 // candidates — drawn from a few clusters — share a few TLC pages. Each
 // binary slot links its document by id (DADR: documents stay in id
 // order, since the id is what a result reports) and its INT8 copy by
-// that copy's slot (RADR). Positions past the plan keep an all-zero
-// record: no scan plan reaches them.
-func (lo *dbLayout) deploySlots(vectors [][]float32) (bin func(pos int, code []byte) (slotLink, bool), int8s [][]float32) {
+// that copy's slot (RADR), and carries tags[id] (nil tags: all zero).
+// Positions past the plan keep an all-zero record: no scan plan reaches
+// them.
+func (lo *dbLayout) deploySlots(vectors [][]float32, tags []uint8) (bin func(pos int, code []byte) (slotLink, bool), int8s [][]float32) {
 	int8s = make([][]float32, 0, lo.n)
 	radr := make([]uint32, len(lo.order))
 	for pos, id := range lo.order {
@@ -312,7 +305,11 @@ func (lo *dbLayout) deploySlots(vectors [][]float32) (bin func(pos int, code []b
 		}
 		bits = vecmath.BinaryQuantize(vectors[id], bits)
 		vecmath.PackBinaryBytes(bits, code)
-		return slotLink{uint32(id), radr[pos], lo.metaTags[pos]}, true
+		l := slotLink{dadr: uint32(id), radr: radr[pos]}
+		if tags != nil {
+			l.tag = tags[id]
+		}
+		return l, true
 	}
 	return bin, int8s
 }

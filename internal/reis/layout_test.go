@@ -169,8 +169,8 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 	if got := e.SSD.Dev.Stats.PagePrograms.Load() - programsBefore; got != 1 {
 		t.Fatalf("device programmed %d pages, want the survivors' one", got)
 	}
-	if !m.rowGone[row] || m.tailSlots != rowEnd+len(survivors) {
-		t.Fatalf("after the step: row gone %v, tail %d, want tail %d", m.rowGone[row], m.tailSlots, rowEnd+len(survivors))
+	if m.rowPhys[row] >= 0 || m.tailSlots != rowEnd+len(survivors) {
+		t.Fatalf("after the step: row on physical row %d, tail %d, want it reclaimed and tail %d", m.rowPhys[row], m.tailSlots, rowEnd+len(survivors))
 	}
 	if last := m.flatPlan[len(m.flatPlan)-1]; last != (SlotRange{First: rowEnd, Last: rowEnd + len(survivors) - 1}) {
 		t.Fatalf("relocated run %+v, want it to start the row after the victim (%d)", last, rowEnd)

@@ -201,10 +201,8 @@ type mutState struct {
 	// tombstoned entries (padding slots count in neither) — the victim
 	// detector's input. rowPhys mirrors the region row map: the
 	// physical row each logical row occupies, -1 once reclaimed.
-	// rowGone marks reclaimed rows.
 	rowLive, rowDead []int
 	rowPhys          []int
-	rowGone          []bool
 
 	// freeRows is the append/GC free pool: physical rows of the binary
 	// region's reserved extent that are erased and unmapped. Placement
@@ -259,7 +257,6 @@ func newMutState(lo *dbLayout, firstFit bool) *mutState {
 	physRows := ceilDiv(lo.embCap, lo.rowPages)
 	m.rowLive = make([]int, initRows)
 	m.rowDead = make([]int, initRows)
-	m.rowGone = make([]bool, initRows)
 	m.rowPhys = make([]int, initRows)
 	for r := range m.rowPhys {
 		m.rowPhys[r] = r
@@ -405,7 +402,6 @@ func (m *mutState) writeTail(t mutTarget, runs []tailRun, cursor int, wear *Wear
 	}
 	for _, p := range phys {
 		m.rowPhys = append(m.rowPhys, p)
-		m.rowGone = append(m.rowGone, false)
 		m.rowLive = append(m.rowLive, 0)
 		m.rowDead = append(m.rowDead, 0)
 	}
@@ -613,7 +609,7 @@ func mutGCVictims(m *mutState, minLiveRatio float64) []int {
 	}
 	var rows []int
 	for r := range m.rowLive {
-		if !m.rowGone[r] && m.rowDead[r] > 0 && float64(m.rowLive[r]) < thr*float64(m.rowLive[r]+m.rowDead[r]) {
+		if m.rowPhys[r] >= 0 && m.rowDead[r] > 0 && float64(m.rowLive[r]) < thr*float64(m.rowLive[r]+m.rowDead[r]) {
 			rows = append(rows, r)
 		}
 	}
@@ -650,7 +646,7 @@ func trimRanges(segs []SlotRange, first, last int) []SlotRange {
 // error, no stats).
 func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	lay := m.lay
-	if row < 0 || row >= len(m.rowPhys) || m.rowGone[row] || m.rowDead[row] == 0 {
+	if row < 0 || row >= len(m.rowPhys) || m.rowPhys[row] < 0 || m.rowDead[row] == 0 {
 		return nil
 	}
 	slotsPerRow := lay.embPerPage * lay.rowPages
@@ -741,7 +737,6 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	m.deadCount -= len(deadIDs)
 	m.rowLive[row] = 0
 	m.rowDead[row] = 0
-	m.rowGone[row] = true
 	m.freeRows = append(m.freeRows, m.rowPhys[row])
 	m.rowPhys[row] = -1
 	wear.CompactedRows++

@@ -82,7 +82,7 @@ func NewSharded(cfg ssd.Config, n int, capacityHint int64, opts Options) (*Shard
 		}
 		sh.devs = append(sh.devs, e)
 	}
-	sh.hostCore.init(sh.devs[0].SSD.Cfg, opts, sh.devs)
+	sh.hostCore.init(sh.devs[0].SSD.Cfg, sh.devs)
 	return sh, nil
 }
 

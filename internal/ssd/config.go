@@ -2,8 +2,9 @@
 // device plus the SSD controller (the embedded core's kernel costs, the
 // DRAM caching tier), REIS's coarse-grained Flash Translation Layer —
 // one R-DB record of region bounds per database in place of a
-// page-level map (Sec 4.1.4) — and the parallelism-first page allocator
-// that stripes embeddings across planes (Sec 4.1.1).
+// page-level map (Sec 4.1.4), its type here and its table the host's —
+// and the parallelism-first page allocator that stripes embeddings
+// across planes (Sec 4.1.1).
 //
 // Two configurations reproduce Table 3 of the paper: REIS-SSD1 models
 // a cost-oriented device (Samsung PM9A3-class) and REIS-SSD2 a

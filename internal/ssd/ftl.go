@@ -100,8 +100,8 @@ func (r Region) Stripes(planes int) int {
 func (r Region) EndStripe(planes int) int { return r.StartStripe + r.Stripes(planes) }
 
 // CapEndStripe returns the first stripe after the region's full
-// reservation — the bound overlap checks use, so a growing region can
-// never collide with a neighbour.
+// reservation: a growing region never crosses it, and the allocator's
+// next region starts at or after it.
 func (r Region) CapEndStripe(planes int) int {
 	c := r.Cap()
 	if c == 0 {
@@ -230,8 +230,11 @@ func (r Region) AppendPlaneSpans(dst []PlaneSpan, planes, first, last int) []Pla
 	return dst
 }
 
-// DBRecord is one R-DB entry (Sec 4.1.4, structure A in Fig 4): the
-// database signature plus the bounds of its regions.
+// DBRecord is one device's R-DB record (Sec 4.1.4, structure A in
+// Fig 4): the database signature plus the bounds of its regions on that
+// device. The host's database table holds it, one per device slice
+// (reis.Database), and is the only copy: a mutation's coarse FTL remap
+// (append growth, row-map growth, GC reclaim) rewrites it in place.
 type DBRecord struct {
 	ID         int
 	Embeddings Region
@@ -240,72 +243,3 @@ type DBRecord struct {
 	Centroids Region
 	Int8s     Region
 }
-
-func (r DBRecord) regions() []Region {
-	return []Region{r.Embeddings, r.Documents, r.Centroids, r.Int8s}
-}
-
-// RDB is the coarse-grained address table kept in controller DRAM: one
-// small record per deployed database replaces the page-level FTL for
-// those regions.
-type RDB struct {
-	geo     flash.Geometry
-	records map[int]DBRecord
-}
-
-// NewRDB returns an empty R-DB for the geometry.
-func NewRDB(geo flash.Geometry) *RDB {
-	return &RDB{geo: geo, records: make(map[int]DBRecord)}
-}
-
-// Register stores a database record; it fails if the id exists or the
-// regions' stripe ranges overlap an existing database.
-func (r *RDB) Register(rec DBRecord) error {
-	if _, ok := r.records[rec.ID]; ok {
-		return fmt.Errorf("ssd: database %d already deployed", rec.ID)
-	}
-	planes := r.geo.Planes()
-	for _, other := range r.records {
-		for _, ra := range rec.regions() {
-			if ra.Cap() == 0 {
-				continue
-			}
-			for _, rb := range other.regions() {
-				if rb.Cap() == 0 {
-					continue
-				}
-				if ra.StartStripe < rb.CapEndStripe(planes) && rb.StartStripe < ra.CapEndStripe(planes) {
-					return fmt.Errorf("ssd: database %d regions overlap database %d", rec.ID, other.ID)
-				}
-			}
-		}
-	}
-	r.records[rec.ID] = rec
-	return nil
-}
-
-// Update replaces a registered record in place — the coarse-grained
-// FTL remap of a mutation (append growth, GC compaction): the record's
-// region bounds are the only mapping state kept for deployed regions.
-func (r *RDB) Update(rec DBRecord) error {
-	if _, ok := r.records[rec.ID]; !ok {
-		return fmt.Errorf("ssd: update of unknown database %d", rec.ID)
-	}
-	r.records[rec.ID] = rec
-	return nil
-}
-
-// Lookup returns the record for a database id.
-func (r *RDB) Lookup(id int) (DBRecord, error) {
-	rec, ok := r.records[id]
-	if !ok {
-		return DBRecord{}, fmt.Errorf("ssd: unknown database %d", id)
-	}
-	return rec, nil
-}
-
-// Remove deletes a record.
-func (r *RDB) Remove(id int) { delete(r.records, id) }
-
-// Len returns the number of deployed databases.
-func (r *RDB) Len() int { return len(r.records) }

@@ -12,12 +12,12 @@ import (
 // Submission paths wrap it with detail; match with errors.Is.
 var ErrRegionFull = errors.New("ssd: region append exceeds reserved capacity")
 
-// SSD combines the flash device with the controller-side structures:
-// the R-DB and the region allocator.
+// SSD combines the flash device with the controller-side region
+// allocator. The R-DB records of the regions it hands out live with the
+// host that deployed them (DBRecord).
 type SSD struct {
 	Cfg Config
 	Dev *flash.Device
-	RDB *RDB
 
 	// nextStripe is the allocation cursor, in page offsets within each
 	// plane. Allocation is block-aligned so soft partitioning never
@@ -38,11 +38,7 @@ func New(cfg Config, capacityHint int64) (*SSD, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SSD{
-		Cfg: cfg,
-		Dev: dev,
-		RDB: NewRDB(cfg.Geo),
-	}, nil
+	return &SSD{Cfg: cfg, Dev: dev}, nil
 }
 
 // AllocateRegion reserves a plane-striped, block-aligned region with
@@ -95,25 +91,13 @@ func (s *SSD) AllocateRegion(pages, capPages int, mode flash.CellMode) (Region, 
 	return Region{StartStripe: start, PageCount: pages, CapPages: (endStripe - start) * planes}, nil
 }
 
-// ResizeRegion grows or shrinks a region's live extent to pages,
-// bounded by its reserved capacity, and refreshes the R-DB record —
-// the coarse-grained FTL remap a mutation commits (Sec 4.1.4: region
-// bounds in the R-DB are the only mapping state REIS keeps after
-// deployment). rec must be registered; r must point into it.
-func (s *SSD) ResizeRegion(rec *DBRecord, r *Region, pages int) error {
-	if err := r.SetLive(s.Cfg.Geo.Planes(), pages); err != nil {
-		return err
-	}
-	return s.RDB.Update(*rec)
-}
-
 // MapRegionRows appends physical row assignments to a row-mapped
 // region: logical rows len(RowMap)... are bound to the given physical
 // rows of the reserved extent, making their pages addressable again.
 // The physical rows must have been reclaimed (or never mapped) and are
-// assumed erased. The R-DB record is refreshed — row-map growth is
-// part of the coarse FTL remap a mutation commits.
-func (s *SSD) MapRegionRows(rec *DBRecord, r *Region, phys []int) error {
+// assumed erased. Row-map growth is part of the coarse FTL remap a
+// mutation commits to the region's R-DB record.
+func (s *SSD) MapRegionRows(r *Region, phys []int) error {
 	if r.RowStripes == 0 {
 		return fmt.Errorf("ssd: MapRegionRows on direct-mapped region")
 	}
@@ -124,7 +108,7 @@ func (s *SSD) MapRegionRows(rec *DBRecord, r *Region, phys []int) error {
 		}
 		r.RowMap = append(r.RowMap, int32(p))
 	}
-	return s.RDB.Update(*rec)
+	return nil
 }
 
 // ReclaimRegionRow erases the blocks of one logical row of a
@@ -133,7 +117,7 @@ func (s *SSD) MapRegionRows(rec *DBRecord, r *Region, phys []int) error {
 // of block erases issued. The freed physical row may later be re-bound
 // to a new logical row via MapRegionRows — this is how GC recycles
 // compacted rows into the append free pool.
-func (s *SSD) ReclaimRegionRow(rec *DBRecord, r *Region, row int) (int, error) {
+func (s *SSD) ReclaimRegionRow(r *Region, row int) (int, error) {
 	g := s.Cfg.Geo
 	if r.RowStripes != g.PagesPerBlock || r.StartStripe%g.PagesPerBlock != 0 {
 		return 0, fmt.Errorf("ssd: ReclaimRegionRow needs block-row mapping (stripes %d, start %d)",
@@ -156,7 +140,7 @@ func (s *SSD) ReclaimRegionRow(rec *DBRecord, r *Region, row int) (int, error) {
 		}
 	}
 	r.RowMap[row] = -1
-	return erases, s.RDB.Update(*rec)
+	return erases, nil
 }
 
 // WriteRegionPage programs page i of a region with data and OOB bytes.

@@ -53,22 +53,33 @@ func TestPresetConfigsMatchTable3(t *testing.T) {
 	}
 }
 
-// TestConfigSurface pins the fields of a device configuration against
-// a literal list: each one is read by the model or set by a caller, so
-// a re-added field that nothing reads fails here instead of passing
-// review.
+// TestConfigSurface pins the exported fields of a device configuration
+// and of the device against literal lists: each Config field is read by
+// the model or set by a caller, so a re-added field that nothing reads
+// fails here instead of passing review; and an SSD is its configuration,
+// its flash and an allocator cursor, so a second database table kept
+// beside the host's R-DB cannot come back unnoticed.
 func TestConfigSurface(t *testing.T) {
-	typ := reflect.TypeOf(Config{})
-	var got []string
-	for i := 0; i < typ.NumField(); i++ {
-		got = append(got, typ.Field(i).Name)
-	}
-	want := []string{
-		"Name", "Geo", "Flash", "CoreGHz", "CacheDRAMBytes", "OverprovisionPct", "HostReadBandwidth",
-		"ActivePower", "IdlePower", "QuickselectNsPerElem", "QuicksortNsPerElem", "RerankNsPerDim", "DRAMAccessNs",
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("Config fields:\n got %v\nwant %v", got, want)
+	for _, tc := range []struct {
+		name string
+		typ  reflect.Type
+		want []string
+	}{
+		{"Config", reflect.TypeOf(Config{}), []string{
+			"Name", "Geo", "Flash", "CoreGHz", "CacheDRAMBytes", "OverprovisionPct", "HostReadBandwidth",
+			"ActivePower", "IdlePower", "QuickselectNsPerElem", "QuicksortNsPerElem", "RerankNsPerDim", "DRAMAccessNs",
+		}},
+		{"SSD", reflect.TypeOf(SSD{}), []string{"Cfg", "Dev"}},
+	} {
+		var got []string
+		for i := 0; i < tc.typ.NumField(); i++ {
+			if f := tc.typ.Field(i); f.IsExported() {
+				got = append(got, f.Name)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%s fields:\n got %v\nwant %v", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -141,30 +152,6 @@ func TestRegionAddressOfArithmetic(t *testing.T) {
 	}
 	if _, err := r.AddressOf(s.Cfg.Geo, r.PageCount); err == nil {
 		t.Fatal("out-of-region page resolved")
-	}
-}
-
-func TestRDBRejectsOverlapAndDuplicates(t *testing.T) {
-	s := newTestSSD(t)
-	a := DBRecord{ID: 1, Embeddings: Region{StartStripe: 0, PageCount: 8}}
-	if err := s.RDB.Register(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.RDB.Register(DBRecord{ID: 1, Embeddings: Region{StartStripe: 100, PageCount: 8}}); err == nil {
-		t.Fatal("duplicate id accepted")
-	}
-	if err := s.RDB.Register(DBRecord{ID: 2, Documents: Region{StartStripe: 0, PageCount: 8}}); err == nil {
-		t.Fatal("overlapping region accepted")
-	}
-	if err := s.RDB.Register(DBRecord{ID: 3, Embeddings: Region{StartStripe: 8, PageCount: 8}}); err != nil {
-		t.Fatalf("disjoint region rejected: %v", err)
-	}
-	if s.RDB.Len() != 2 {
-		t.Fatalf("Len = %d", s.RDB.Len())
-	}
-	s.RDB.Remove(1)
-	if _, err := s.RDB.Lookup(1); err == nil {
-		t.Fatal("removed database resolved")
 	}
 }
 
@@ -256,31 +243,6 @@ func TestRegionSetLiveBounds(t *testing.T) {
 	}
 	if err := r.SetLive(planes, 0); err != nil {
 		t.Fatalf("shrink to zero: %v", err)
-	}
-}
-
-func TestResizeRegionUpdatesRDB(t *testing.T) {
-	s := newTestSSD(t)
-	r, err := s.AllocateRegion(4, 0, flash.ModeSLCESP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := DBRecord{ID: 1, Embeddings: r}
-	if err := s.RDB.Register(rec); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ResizeRegion(&rec, &rec.Embeddings, 6); err != nil {
-		t.Fatal(err)
-	}
-	got, err := s.RDB.Lookup(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Embeddings.Pages() != 6 {
-		t.Fatalf("R-DB record not remapped: %d pages", got.Embeddings.Pages())
-	}
-	if err := s.RDB.Update(DBRecord{ID: 99}); err == nil {
-		t.Fatal("update of unknown database accepted")
 	}
 }
 
