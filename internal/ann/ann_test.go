@@ -1,9 +1,12 @@
 package ann
 
 import (
+	"slices"
 	"testing"
 
 	"reis/internal/dataset"
+	"reis/internal/vecmath"
+	"reis/internal/xrand"
 )
 
 // testData caches a moderately sized clustered dataset shared by the
@@ -106,6 +109,71 @@ func TestKMeansAssignsNearest(t *testing.T) {
 	for i, v := range testData.Vectors[:100] {
 		if got := NearestCentroid(cents, v); got != assign[i] {
 			t.Fatalf("vector %d assigned %d but nearest is %d", i, assign[i], got)
+		}
+	}
+}
+
+// TestNearestCentroidMatchesArgmin checks the bounded assignment rule
+// against the lowest-index argmin of plain L2Squared, from every
+// possible start centroid. Duplicated centroids and small-integer
+// coordinates force exact ties, the dimension (37) leaves a ragged last
+// chunk in L2SquaredBelow, and a far-off point makes every distance
+// +Inf.
+func TestNearestCentroidMatchesArgmin(t *testing.T) {
+	rng := xrand.New(5)
+	const k, dim = 24, 37
+	cents := make([][]float32, k)
+	for c := range cents {
+		switch {
+		case c > 0 && c%5 == 0:
+			cents[c] = slices.Clone(cents[rng.Intn(c)])
+		case c%2 == 0:
+			cents[c] = make([]float32, dim)
+			for j := range cents[c] {
+				cents[c][j] = float32(rng.Intn(3))
+			}
+		default:
+			cents[c] = make([]float32, dim)
+			for j := range cents[c] {
+				cents[c][j] = float32(rng.NormFloat64())
+			}
+		}
+	}
+	points := [][]float32{make([]float32, dim)} // the origin
+	for _, c := range cents {
+		points = append(points, slices.Clone(c))
+	}
+	for i := 0; i < 40; i++ {
+		v := make([]float32, dim)
+		for j := range v {
+			if i%2 == 0 {
+				v[j] = float32(rng.Intn(3))
+			} else {
+				v[j] = float32(rng.NormFloat64())
+			}
+		}
+		points = append(points, v)
+	}
+	huge := make([]float32, dim)
+	for j := range huge {
+		huge[j] = 3e19
+	}
+	points = append(points, huge)
+
+	for p, v := range points {
+		want := 0
+		for c := range cents {
+			if vecmath.L2Squared(v, cents[c]) < vecmath.L2Squared(v, cents[want]) {
+				want = c
+			}
+		}
+		if got := NearestCentroid(cents, v); got != want {
+			t.Fatalf("point %d: NearestCentroid = %d, want %d", p, got, want)
+		}
+		for start := range cents {
+			if got := nearestFrom(cents, v, start); got != want {
+				t.Fatalf("point %d start %d: nearestFrom = %d, want %d", p, start, got, want)
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package ann
 
 import (
 	"fmt"
+	"math"
 
 	"reis/internal/vecmath"
 	"reis/internal/xrand"
@@ -63,7 +64,7 @@ func KMeans(vectors [][]float32, cfg KMeansConfig) (centroids [][]float32, assig
 			}
 		}
 		for i, v := range train {
-			best := NearestCentroid(centroids, v)
+			best := nearestFrom(centroids, v, trainAssign[i])
 			if trainAssign[i] != best {
 				changed++
 				trainAssign[i] = best
@@ -92,8 +93,11 @@ func KMeans(vectors [][]float32, cfg KMeansConfig) (centroids [][]float32, assig
 	}
 
 	assign = make([]int, len(vectors))
+	if len(train) == len(vectors) {
+		copy(assign, trainAssign) // the last iteration's assignment as a start
+	}
 	for i, v := range vectors {
-		assign[i] = NearestCentroid(centroids, v)
+		assign[i] = nearestFrom(centroids, v, assign[i])
 	}
 	return centroids, assign
 }
@@ -128,9 +132,8 @@ func kmeansPlusPlusInit(train [][]float32, k, dim int, rng *xrand.RNG) [][]float
 		}
 		centroids[c] = append(make([]float32, 0, dim), train[pick]...)
 		for i, v := range train {
-			d := float64(vecmath.L2Squared(v, centroids[c]))
-			if d < dists[i] {
-				dists[i] = d
+			if d, below := vecmath.L2SquaredBelow(v, centroids[c], float32(dists[i])); below {
+				dists[i] = float64(d)
 			}
 		}
 	}
@@ -138,14 +141,34 @@ func kmeansPlusPlusInit(train [][]float32, k, dim int, rng *xrand.RNG) [][]float
 }
 
 // NearestCentroid returns the index of the centroid closest to v
-// under squared L2 — the assignment rule KMeans itself uses, exported
-// so callers assigning new vectors to an existing centroid set (e.g.
-// IVF appends) cannot drift from it.
+// under squared L2, the lowest index on a tie — the assignment rule
+// KMeans itself uses, exported so callers assigning new vectors to an
+// existing centroid set (e.g. IVF appends) cannot drift from it.
 func NearestCentroid(centroids [][]float32, v []float32) int {
-	best, bestDist := 0, vecmath.L2Squared(v, centroids[0])
-	for c := 1; c < len(centroids); c++ {
-		d := vecmath.L2Squared(v, centroids[c])
-		if d < bestDist {
+	return nearestFrom(centroids, v, 0)
+}
+
+// nearestFrom is NearestCentroid with the first full distance taken to
+// centroids[start], a likely winner (a point's previous assignment), so
+// that every other centroid's distance can stop summing once it reaches
+// the best so far (vecmath.L2SquaredBelow). A centroid below the best's
+// index wins an exact tie, so it is bounded by the next float above the
+// best distance. An infinite or NaN start distance gives no bound and
+// falls back to a scan from centroid 0.
+func nearestFrom(centroids [][]float32, v []float32, start int) int {
+	best, bestDist := start, vecmath.L2Squared(v, centroids[start])
+	if start != 0 && !(bestDist <= math.MaxFloat32) {
+		return nearestFrom(centroids, v, 0)
+	}
+	for c, cent := range centroids {
+		if c == start {
+			continue
+		}
+		bound := bestDist
+		if c < best {
+			bound = math.Nextafter32(bestDist, float32(math.Inf(1)))
+		}
+		if d, below := vecmath.L2SquaredBelow(v, cent, bound); below {
 			best, bestDist = c, d
 		}
 	}

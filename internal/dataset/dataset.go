@@ -15,7 +15,6 @@ package dataset
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"reis/internal/vecmath"
 	"reis/internal/xrand"
@@ -209,28 +208,45 @@ func makeDoc(name string, id, cluster, size int) []byte {
 
 // ExactTopK returns the indices of the k nearest vectors to query by
 // squared L2 distance, closest first. Ties break toward the lower
-// index so results are deterministic.
+// index so results are deterministic. k <= 0 returns an empty list.
+//
+// It keeps the k best (distance, index) pairs seen so far and visits
+// the vectors in index order, so a vector enters only if it is strictly
+// closer than the k-th kept one (an equal distance never displaces a
+// lower index), and its distance stops summing as soon as it reaches
+// the k-th's (vecmath.L2SquaredBelow).
 func ExactTopK(vectors [][]float32, query []float32, k int) []int {
+	k = min(k, len(vectors))
+	if k <= 0 {
+		return []int{}
+	}
 	type cand struct {
 		idx  int
 		dist float32
 	}
-	if k > len(vectors) {
-		k = len(vectors)
-	}
-	cands := make([]cand, len(vectors))
+	top := make([]cand, 0, k)
 	for i, v := range vectors {
-		cands[i] = cand{i, vecmath.L2Squared(query, v)}
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].dist != cands[b].dist {
-			return cands[a].dist < cands[b].dist
+		var d float32
+		if len(top) < k {
+			d = vecmath.L2Squared(query, v)
+		} else {
+			var below bool
+			if d, below = vecmath.L2SquaredBelow(query, v, top[k-1].dist); !below {
+				continue
+			}
+			top = top[:k-1]
 		}
-		return cands[a].idx < cands[b].idx
-	})
+		j := len(top)
+		for j > 0 && top[j-1].dist > d {
+			j--
+		}
+		top = append(top, cand{})
+		copy(top[j+1:], top[j:])
+		top[j] = cand{i, d}
+	}
 	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].idx
+	for i, c := range top {
+		out[i] = c.idx
 	}
 	return out
 }
@@ -238,11 +254,12 @@ func ExactTopK(vectors [][]float32, query []float32, k int) []int {
 // Recall computes Recall@k: the fraction of ground-truth neighbors
 // that appear in the retrieved lists, averaged over queries. retrieved
 // may contain more than k entries per query; only the first k count.
+// k <= 0 counts no neighbors and returns 0.
 func Recall(groundTruth, retrieved [][]int, k int) float64 {
 	if len(groundTruth) != len(retrieved) {
 		panic(fmt.Sprintf("dataset: Recall length mismatch %d != %d", len(groundTruth), len(retrieved)))
 	}
-	if len(groundTruth) == 0 {
+	if len(groundTruth) == 0 || k <= 0 {
 		return 0
 	}
 	var total float64

@@ -3,9 +3,12 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"reis/internal/vecmath"
+	"reis/internal/xrand"
 )
 
 func small(t *testing.T) *Dataset {
@@ -110,14 +113,80 @@ func TestExactTopKTieBreaksByIndex(t *testing.T) {
 	}
 }
 
+// referenceTopK is the exact top-k by definition: every vector's full
+// L2Squared distance, sorted by (distance, index).
+func referenceTopK(vectors [][]float32, query []float32, k int) []int {
+	type cand struct {
+		idx  int
+		dist float32
+	}
+	cands := make([]cand, len(vectors))
+	for i, v := range vectors {
+		cands[i] = cand{i, vecmath.L2Squared(query, v)}
+	}
+	sort.Slice(cands, func(a, b int) bool {
+		if cands[a].dist != cands[b].dist {
+			return cands[a].dist < cands[b].dist
+		}
+		return cands[a].idx < cands[b].idx
+	})
+	out := make([]int, min(max(k, 0), len(cands)))
+	for i := range out {
+		out[i] = cands[i].idx
+	}
+	return out
+}
+
 func TestGroundTruthMatchesExactSearch(t *testing.T) {
 	d := small(t)
 	for q, qv := range d.Queries {
-		want := ExactTopK(d.Vectors, qv, d.GroundTruthK)
-		for i := range want {
-			if d.GroundTruth[q][i] != want[i] {
-				t.Fatalf("query %d ground truth mismatch", q)
+		want := referenceTopK(d.Vectors, qv, d.GroundTruthK)
+		if !slices.Equal(d.GroundTruth[q], want) {
+			t.Fatalf("query %d ground truth %v, want %v", q, d.GroundTruth[q], want)
+		}
+	}
+}
+
+// TestExactTopKMatchesReference compares ExactTopK with the full sort
+// on random corpora that force exact ties: duplicated vectors, and
+// queries equal to a stored vector. The dimension (37) is not a
+// multiple of L2SquaredBelow's check interval, so the ragged last chunk
+// decides some comparisons.
+func TestExactTopKMatchesReference(t *testing.T) {
+	rng := xrand.New(11)
+	const n, dim = 60, 37
+	for trial := 0; trial < 20; trial++ {
+		vs := make([][]float32, n)
+		for i := range vs {
+			if i > 0 && rng.Intn(4) == 0 {
+				vs[i] = slices.Clone(vs[rng.Intn(i)])
+				continue
 			}
+			vs[i] = make([]float32, dim)
+			for j := range vs[i] {
+				vs[i][j] = float32(rng.Intn(5)) // few distinct values: many equal distances
+			}
+		}
+		queries := [][]float32{slices.Clone(vs[rng.Intn(n)]), make([]float32, dim)}
+		for j := range queries[1] {
+			queries[1][j] = float32(rng.NormFloat64())
+		}
+		for qi, q := range queries {
+			for _, k := range []int{0, 1, 10, n - 1, n, n + 5} {
+				got, want := ExactTopK(vs, q, k), referenceTopK(vs, q, k)
+				if !slices.Equal(got, want) {
+					t.Fatalf("trial %d query %d k=%d: ExactTopK %v, want %v", trial, qi, k, got, want)
+				}
+			}
+		}
+	}
+}
+
+func TestExactTopKNonPositiveK(t *testing.T) {
+	vs := [][]float32{{0}, {1}}
+	for _, k := range []int{0, -1, -10} {
+		if got := ExactTopK(vs, []float32{0}, k); got == nil || len(got) != 0 {
+			t.Fatalf("ExactTopK(k=%d) = %#v, want an empty list", k, got)
 		}
 	}
 }
@@ -164,6 +233,15 @@ func TestRecallOrderInsensitiveWithinK(t *testing.T) {
 func TestRecallEmptyInputs(t *testing.T) {
 	if r := Recall(nil, nil, 10); r != 0 {
 		t.Fatalf("Recall(nil) = %v", r)
+	}
+}
+
+func TestRecallNonPositiveK(t *testing.T) {
+	gt := [][]int{{1, 2, 3}}
+	for _, k := range []int{0, -1, -5} {
+		if r := Recall(gt, gt, k); r != 0 {
+			t.Fatalf("Recall@%d = %v, want 0", k, r)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package vecmath
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"math/bits"
 	"testing"
 )
@@ -62,6 +64,62 @@ func FuzzXorPopCountSlots(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzL2SquaredBelow checks the early-abandoning distance against
+// L2Squared: below the bound it must return L2Squared's exact bits, and
+// when it reports the bound reached, L2Squared must not be below the
+// bound either (it is >= bound, or NaN). a and b are read as
+// little-endian float32 bits, so ragged dimensions, ±0, denormals,
+// infinities and NaNs all occur. pick moves the bound onto the exact
+// distance, one float either side of it, or a partial sum, so the
+// boundary comparisons are exercised and not only far-off bounds. The
+// committed seed corpus (testdata/fuzz) covers ragged dims, signed
+// zeros and a bound equal to the distance.
+func FuzzL2SquaredBelow(f *testing.F) {
+	f.Add(floatBytes(1, 2, 3, 4, 5), floatBytes(0.5, -2, 3.25, 0, 9), float32(10), uint8(0))
+	f.Add(floatBytes(0, float32(math.Copysign(0, -1)), 0), floatBytes(float32(math.Copysign(0, -1)), 0, 0), float32(0), uint8(1))
+	f.Add(bytes.Repeat(floatBytes(0.25, -0.75, 1.5), 23), bytes.Repeat(floatBytes(-0.5, 0.125, 1), 23), float32(1), uint8(4))
+	f.Add(floatBytes(3e19, 1), floatBytes(-3e19, 0), float32(math.Inf(1)), uint8(0))
+	f.Add(floatBytes(float32(math.NaN()), 1), floatBytes(0, 1), float32(5), uint8(0))
+	f.Fuzz(func(t *testing.T, ab, bb []byte, bound float32, pick uint8) {
+		n := min(len(ab), len(bb)) / 4
+		a, b := make([]float32, n), make([]float32, n)
+		for i := range a {
+			a[i] = math.Float32frombits(binary.LittleEndian.Uint32(ab[4*i:]))
+			b[i] = math.Float32frombits(binary.LittleEndian.Uint32(bb[4*i:]))
+		}
+		full := L2Squared(a, b)
+		switch pick % 5 {
+		case 1:
+			bound = full
+		case 2:
+			bound = math.Nextafter32(full, float32(math.Inf(1)))
+		case 3:
+			bound = math.Nextafter32(full, float32(math.Inf(-1)))
+		case 4:
+			bound = L2Squared(a[:n/2], b[:n/2])
+		}
+		sum, below := L2SquaredBelow(a, b, bound)
+		if below {
+			if math.Float32bits(sum) != math.Float32bits(full) || !(full < bound) {
+				t.Fatalf("below bound %v: sum %v (%#x), L2Squared %v (%#x), dim %d",
+					bound, sum, math.Float32bits(sum), full, math.Float32bits(full), n)
+			}
+		} else if full < bound {
+			t.Fatalf("abandoned at %v against bound %v, but L2Squared %v is below it, dim %d",
+				sum, bound, full, n)
+		}
+	})
+}
+
+// floatBytes encodes vs as little-endian float32 bits.
+func floatBytes(vs ...float32) []byte {
+	b := make([]byte, 4*len(vs))
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[4*i:], math.Float32bits(v))
+	}
+	return b
 }
 
 func abs(x int) int {

@@ -39,6 +39,38 @@ func L2Squared(a, b []float32) float32 {
 	return sum
 }
 
+// l2CheckEvery is how many dimensions L2SquaredBelow sums between two
+// comparisons against its bound.
+const l2CheckEvery = 32
+
+// L2SquaredBelow is L2Squared for a caller that only wants distances
+// below bound. It sums the same terms in the same order as L2Squared,
+// so when the distance is below bound it returns the same bits and
+// true. Every l2CheckEvery dimensions it compares the partial sum with
+// bound and stops at the first one that reaches it, returning that
+// partial sum and false. Stopping is exact: every term is non-negative
+// and round-to-nearest addition of a non-negative term never decreases
+// a sum, so the full sum would not be below bound either. A NaN sum is
+// never below bound. It panics if the lengths differ.
+func L2SquaredBelow(a, b []float32, bound float32) (float32, bool) {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("vecmath: L2SquaredBelow dimension mismatch %d != %d", len(a), len(b)))
+	}
+	var sum float32
+	for lo := 0; lo < len(a); lo += l2CheckEvery {
+		as := a[lo:min(lo+l2CheckEvery, len(a))]
+		bs := b[lo : lo+len(as)]
+		for i := range as {
+			d := as[i] - bs[i]
+			sum += d * d
+		}
+		if sum >= bound {
+			return sum, false
+		}
+	}
+	return sum, sum < bound
+}
+
 // Dot returns the inner product of a and b.
 // It panics if the lengths differ.
 func Dot(a, b []float32) float32 {
