@@ -26,17 +26,17 @@
 // Both exported hosts are facades over one host core
 // (internal/reis/host.go) that owns the database table, the journal,
 // the queue registry and N ≥ 1 devices, and implements every host
-// operation once: reis.New is a device that is its own host (N = 1),
-// reis.NewSharded the same core over N member devices (DESIGN.md,
-// "Host core"). The on-flash page format — binary slots linked through
+// operation once: reis.New is one device and the core over it (N = 1),
+// reis.NewSharded the same core over N devices (DESIGN.md, "Host
+// core"). A device holds no host state, so a host holds one core. The on-flash page format — binary slots linked through
 // a 9-byte OOB record to their INT8 copy and document — has one owner
 // (internal/reis/layout.go: the slot geometry, the one renderer, the one
 // parser), and the host is the one page writer: deploy, append and GC
 // copy-forward all render a global page once and program it on the
 // device that owns it (DESIGN.md, "Page format"). Sharding
-// page-stripes one globally planned layout over the members and runs
+// page-stripes one globally planned layout over the devices and runs
 // the same controller and the same scan round —
-// every member scans the pages it owns in place, the per-device TTL
+// every device scans the pages it owns in place, the per-device TTL
 // streams merge in global position order straight out of the worker
 // arenas, and the tail runs over the merged stream — so results and
 // aggregated device stats are bit-identical to a single device over

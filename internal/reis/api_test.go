@@ -38,7 +38,7 @@ func TestHostSurface(t *testing.T) {
 			"ASICLatency", "BatchLatency", "CacheStats", "CalibrateNProbe", "Close", "DB", "JournalBytes",
 			"Latency", "NewQueue", "Ready", "ReplayJournal", "Submit"}},
 		{"*ShardedEngine methods", reflect.TypeOf(&ShardedEngine{}), []string{
-			"BatchLatency", "CacheStats", "CalibrateNProbe", "Close", "DB", "JournalBytes",
+			"BatchLatency", "CacheStats", "CalibrateNProbe", "Close", "JournalBytes",
 			"Latency", "NewQueue", "Ready", "ReplayJournal", "Shard", "Shards", "Submit"}},
 		{"*Queue methods", reflect.TypeOf(&Queue{}), []string{
 			"Close", "Depth", "Occupancy", "Outstanding", "Stats", "SubmitAsync", "SubmitDrain", "Wait"}},

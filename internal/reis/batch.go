@@ -71,7 +71,7 @@ type batchItem struct {
 }
 
 // batchScan executes one scan round for a whole query batch into
-// e.scr.out: segs[qi] lists the slot ranges query qi scans in the
+// d.scr.out: segs[qi] lists the slot ranges query qi scans in the
 // centroid region (coarse — no distance or metadata filtering: TTL-C
 // must rank every centroid, Sec 4.3.1) or the binary region. Work is
 // split into per-plane tasks dispatched to the die worker pool; each
@@ -91,27 +91,27 @@ type batchItem struct {
 // pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
 // global to the round, so every topology skips the same segments.
-func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
-	if e.pool.stopped {
+func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
+	if d.closed.Load() {
 		return fmt.Errorf("reis: device closed: %w", ErrQueueClosed)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	region, filter := db.rec.Embeddings, e.Opts.DistanceFilter
+	region, filter := db.rec.Embeddings, d.Opts.DistanceFilter
 	if coarse {
 		region, filter, metaTag = db.rec.Centroids, false, nil
 	}
-	planes := e.SSD.Cfg.Geo.Planes()
-	e.pool.resetArenas()
-	if e.scr.planeWork == nil {
-		e.scr.planeWork = make([][]batchItem, planes)
+	planes := d.SSD.Cfg.Geo.Planes()
+	d.pool.resetArenas()
+	if d.scr.planeWork == nil {
+		d.scr.planeWork = make([][]batchItem, planes)
 	}
-	planeWork := e.scr.planeWork
+	planeWork := d.scr.planeWork
 	for p := range planeWork {
 		planeWork[p] = planeWork[p][:0]
 	}
-	out := &e.scr.out
+	out := &d.scr.out
 	out.segs, out.off, out.scans = out.segs[:0], out.off[:0], out.scans[:0]
 	out.ibc = resizeInts(out.ibc, len(packed))
 	for qi := range packed {
@@ -124,8 +124,8 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			sg = localRange(sg, db.start, db.stride, db.embPerPage)
 			seg := segScan{lo: len(out.scans)}
 			if sg.Last >= sg.First {
-				spans := region.AppendPlaneSpans(e.scr.spans[:0], planes, sg.First/db.embPerPage, sg.Last/db.embPerPage)
-				e.scr.spans = spans
+				spans := region.AppendPlaneSpans(d.scr.spans[:0], planes, sg.First/db.embPerPage, sg.Last/db.embPerPage)
+				d.scr.spans = spans
 				if bound > 0 && lbs != nil && lbs[qi][si] > bound {
 					// Early-abort: even the segment's best possible distance
 					// cannot beat the query's current top-k threshold. Count
@@ -147,10 +147,10 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			out.segs = append(out.segs, seg)
 		}
 	}
-	busy := e.planBroadcasts()
-	e.scr.round = scanRound{ctx: ctx, e: e, db: db, region: region, packed: packed, filter: filter, metaTag: metaTag}
-	err := e.pool.run(&e.scr.round, busy)
-	e.scr.round = scanRound{} // the command's context and queries go with it
+	busy := d.planBroadcasts()
+	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, filter: filter, metaTag: metaTag}
+	err := d.pool.run(&d.scr.round, busy)
+	d.scr.round = scanRound{} // the command's context and queries go with it
 	if err != nil {
 		return err
 	}
@@ -174,7 +174,7 @@ func (e *Engine) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 // in the scratch too, so starting a round allocates nothing.
 type scanRound struct {
 	ctx     context.Context
-	e       *Engine
+	d       *device
 	db      *Database
 	region  ssd.Region
 	packed  [][]byte
@@ -187,8 +187,8 @@ type scanRound struct {
 // query's items on the planes that latched it, in (query, segment) order
 // per plane.
 func (r *scanRound) runDie(sc *workerScratch, die int) error {
-	e := r.e
-	led := &e.scr.ibc
+	d := r.d
+	led := &d.scr.ibc
 	geo := led.geo
 	for pl := 0; pl < geo.PlanesPerDie; pl++ {
 		led.cursor[geo.DiePlane(die, pl)] = 0
@@ -198,23 +198,23 @@ func (r *scanRound) runDie(sc *workerScratch, die int) error {
 			return err
 		}
 		// The cache latches must hold this query before its scans.
-		if err := e.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
+		if err := d.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
 			return err
 		}
 		for m := st.mask; m != 0; m &= m - 1 {
 			plane := geo.DiePlane(die, bits.TrailingZeros64(m))
-			items := e.scr.planeWork[plane]
+			items := d.scr.planeWork[plane]
 			i := led.cursor[plane]
 			for ; i < len(items) && items[i].qi == st.qi; i++ {
 				if err := r.ctx.Err(); err != nil {
 					return err
 				}
 				it := items[i]
-				ps, err := e.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.filter, r.metaTag, it.bound)
+				ps, err := d.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.filter, r.metaTag, it.bound)
 				if err != nil {
 					return err
 				}
-				e.scr.out.scans[it.slot] = ps
+				d.scr.out.scans[it.slot] = ps
 			}
 			led.cursor[plane] = i
 		}
@@ -304,10 +304,10 @@ func (l *ibcLedger) send(qi, unit, ch int) bool {
 // in ascending query order, so merging the planes' lists query-major
 // yields exactly the broadcasts runDie performs. It also counts the
 // planes each query is latched on (scanOut.ibc).
-func (e *Engine) planBroadcasts() []int {
-	led, work, out := &e.scr.ibc, e.scr.planeWork, &e.scr.out
+func (d *device) planBroadcasts() []int {
+	led, work, out := &d.scr.ibc, d.scr.planeWork, &d.scr.out
 	geo := led.geo
-	busy := e.scr.busy[:0]
+	busy := d.scr.busy[:0]
 	for die := range led.steps {
 		steps := led.steps[die][:0]
 		ch := geo.DieChannel(die)
@@ -352,24 +352,24 @@ func (e *Engine) planBroadcasts() []int {
 			busy = append(busy, die)
 		}
 	}
-	e.scr.busy = busy
+	d.scr.busy = busy
 	return busy
 }
 
 // broadcast issues one planned step to the die: with MPIBC a single
 // multi-plane IBC (held when nothing needs to cross the port), without
 // it one IBC per plane that does not hold the query yet.
-func (e *Engine) broadcast(db *Database, die int, st ibcStep, qPacked []byte) error {
-	if e.scr.ibc.mpibc {
-		_, err := e.FSM.Execute(flash.Command{
+func (d *device) broadcast(db *Database, die int, st ibcStep, qPacked []byte) error {
+	if d.scr.ibc.mpibc {
+		_, err := d.FSM.Execute(flash.Command{
 			Op: flash.OpIBC, Die: die, PlaneMask: st.mask, Held: st.sent == 0,
 			Query: qPacked, SlotBytes: db.slotBytes,
 		})
 		return err
 	}
 	for m := st.sent; m != 0; m &= m - 1 {
-		plane := e.scr.ibc.geo.DiePlane(die, bits.TrailingZeros64(m))
-		if _, err := e.FSM.Execute(flash.Command{
+		plane := d.scr.ibc.geo.DiePlane(die, bits.TrailingZeros64(m))
+		if _, err := d.FSM.Execute(flash.Command{
 			Op: flash.OpIBC, Plane: plane, Query: qPacked, SlotBytes: db.slotBytes,
 		}); err != nil {
 			return err
@@ -486,7 +486,7 @@ func (c *controller) ibc(qi int, st *QueryStats) {
 func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
 	h := c.h
 	var sum segScan
-	var holder *Engine
+	var holder *device
 	holders := 0
 	for _, d := range h.devs {
 		seg := d.scr.out.seg(qi, si)
@@ -520,7 +520,7 @@ func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntr
 
 // appendSeg merges the plane windows of the last round's segment
 // (qi, si) on this device into dst, ascending by position.
-func (e *Engine) appendSeg(dst []TTLEntry, qi, si int) []TTLEntry {
-	seg := e.scr.out.seg(qi, si)
-	return e.appendMergeByPos(dst, e.scr.out.scans[seg.lo:seg.hi])
+func (d *device) appendSeg(dst []TTLEntry, qi, si int) []TTLEntry {
+	seg := d.scr.out.seg(qi, si)
+	return d.appendMergeByPos(dst, d.scr.out.scans[seg.lo:seg.hi])
 }

@@ -219,7 +219,7 @@ func TestCloseRejectsUndispatchedMutations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveBefore := db.Live()
+	liveBefore := db.mut.live
 
 	q, err := e.NewQueue(QueueConfig{Depth: 8})
 	if err != nil {
@@ -251,8 +251,8 @@ func TestCloseRejectsUndispatchedMutations(t *testing.T) {
 	if got := len(e.JournalBytes()); got != jlBefore {
 		t.Fatalf("rejected mutations reached the journal: %d bytes, want %d", got, jlBefore)
 	}
-	if got := db.Live(); got != liveBefore {
-		t.Fatalf("rejected mutations changed Live(): %d, want %d", got, liveBefore)
+	if got := db.mut.live; got != liveBefore {
+		t.Fatalf("rejected mutations changed the live count: %d, want %d", got, liveBefore)
 	}
 	after, err := e.Submit(HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}})
 	if err != nil {
@@ -377,8 +377,8 @@ func TestDirectCallsAfterClose(t *testing.T) {
 		}
 	}
 
-	// A member closed underneath a live router: searches fail the same way
-	// and must not restart the member's plane workers.
+	// A device closed underneath a live router: searches fail the same way
+	// and must not restart the device's plane workers.
 	sh, err := NewSharded(shardTestCfg(), 2, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -386,20 +386,20 @@ func TestDirectCallsAfterClose(t *testing.T) {
 	defer sh.Close()
 	deployBoth(t, sh.Submit)
 	mustSubmit(t, sh, ivfBatch)
-	sh.Shard(1).Close()
+	sh.devs[1].close()
 	before := runtime.NumGoroutine()
 	for call, cmd := range map[string]HostCommand{
 		"Search":    {Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10},
 		"IVFSearch": ivfBatch,
 	} {
 		if _, err := sh.Submit(cmd); !errors.Is(err, ErrQueueClosed) {
-			t.Errorf("closed member: %s error = %v, want ErrQueueClosed", call, err)
+			t.Errorf("closed device: %s error = %v, want ErrQueueClosed", call, err)
 		}
 	}
 	if _, err := sh.CalibrateNProbe(2, queries, testData.GroundTruth, 10, 0.9); !errors.Is(err, ErrQueueClosed) {
-		t.Errorf("closed member: CalibrateNProbe error = %v, want ErrQueueClosed", err)
+		t.Errorf("closed device: CalibrateNProbe error = %v, want ErrQueueClosed", err)
 	}
 	if after := settledGoroutines(before); after > before {
-		t.Errorf("closed member: %d goroutines after the refused searches, %d before", after, before)
+		t.Errorf("closed device: %d goroutines after the refused searches, %d before", after, before)
 	}
 }

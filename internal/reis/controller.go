@@ -43,7 +43,7 @@ import (
 // identical whatever the device count.
 type controller struct {
 	h   *hostCore
-	db  *ShardedDatabase
+	db  *rdbEntry
 	scr *ctrlScratch
 	// pin carries the distance-filter predicate of pinned scans; metaTag
 	// and bound are set per scan.
@@ -127,18 +127,18 @@ func (s *ctrlScratch) reset(queries [][]float32, pool, slotBytes int) {
 // batch order.
 func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
 	db, cache := c.db, c.db.cache
-	opt, err := resolveSearchOptions(db.calib, db.ID, cmd)
+	opt, err := resolveSearchOptions(db.calib, db.id, cmd)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	for _, q := range queries {
-		if len(q) != db.Dim {
+		if len(q) != db.dim {
 			return nil, nil, nil, fmt.Errorf("%w (query dim %d, database %d dim %d)",
-				ErrQueryDims, len(q), db.ID, db.Dim)
+				ErrQueryDims, len(q), db.id, db.dim)
 		}
 	}
 	if cmd.Opcode == OpcodeIVFSearch && len(db.lay.rivf) == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.ID)
+		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.id)
 	}
 	if !useCache || cache == nil {
 		return c.run(ctx, cmd.Opcode, queries, cmd.K, opt)

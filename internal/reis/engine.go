@@ -26,24 +26,19 @@
 // cluster segments whose triangle-inequality lower bound exceeds it —
 // with results bit-identical to the unpruned scan on every topology
 // (see DESIGN.md, "Threshold propagation and pruning"). Pruned or not,
-// on one device or several, a search is the same round-driven controller
-// (controller.go) whose scan rounds run on every device in place
-// (batch.go), run by the one host core (host.go) that Engine and
-// ShardedEngine are both facades of.
+// a search is the same round-driven controller (controller.go) of the
+// one host core (host.go) — over one device in an Engine, over N in a
+// ShardedEngine — whose scan rounds run on every device in place
+// (batch.go).
 //
 // A DRAM caching tier (ssd.Config.CacheDRAMBytes, off by default)
 // serves repeated work at controller cost without ever changing
-// results: the binary pages of the most-probed IVF clusters are pinned
-// in controller DRAM and scanned there (reported as CachedPages/
-// CachedSlots, partitioning exactly against the flash FinePages) where
-// the timing model says a DRAM scan on the one controller core beats the
-// planes — on a device that takes a whole probe in one wave, nowhere —
-// and an LRU result cache keyed on the query and search options serves
-// exact repeats of host commands (ResultCacheHits) from the DRAM the pins
-// leave of the one budget.
-// Appends, deletes and compactions invalidate both tiers atomically.
-// `reisbench -exp skew` measures the tier under Zipfian query skew
-// (see DESIGN.md, "DRAM caching tier").
+// results: the most-probed IVF clusters' binary pages are pinned and
+// scanned in controller DRAM (CachedPages/CachedSlots) where the timing
+// model says that beats the planes, and an LRU result cache serves exact
+// repeats of host commands (ResultCacheHits) from the rest of the one
+// budget. Appends, deletes and compactions invalidate both tiers
+// atomically (see DESIGN.md, "DRAM caching tier").
 //
 // The engine is functional — every distance comes from real bytes
 // moving through the simulated latches — while latency and energy are
@@ -54,6 +49,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"reis/internal/flash"
 	"reis/internal/ssd"
@@ -86,20 +82,10 @@ func AllOptions() Options {
 	return Options{DistanceFilter: true, Pipelining: true, MPIBC: true}
 }
 
-// Engine is the in-storage retrieval system: one simulated device — the
-// SSD, its die command FSM and plane worker pool — that is also its own
-// host (the embedded core, over devs = [itself]), or a member device of
-// a ShardedEngine. A command enters through Submit, or SubmitAsync on a
-// queue pair created with NewQueue — the Table 1 command set and its
-// mutation extension, nothing beside them — from any goroutine: the host
-// core serializes execution (one command or one coalesced batch at a
-// time, matching the single embedded controller core). Submit, NewQueue,
-// CalibrateNProbe, the journal pair, Ready and Close are the core's,
-// promoted; the methods declared on Engine are the ones whose shape is a
-// single device's (DB and the timing model's Database operand). The
-// device keeps no database table of its own: the host core's table is the
-// R-DB, and a member device's slices live there, in its ShardedEngine's.
-type Engine struct {
+// device is one simulated SSD: the SSD, its die command FSM, the plane
+// worker pool that scans in place and that scan's scratch. It holds no
+// host state and never calls into a host core.
+type device struct {
 	SSD  *ssd.SSD
 	FSM  *flash.DieFSM
 	Opts Options
@@ -114,10 +100,44 @@ type Engine struct {
 	// host core's execMu, never around it (see host.go).
 	mu sync.Mutex
 
-	// scr holds the device-owned pooled buffers of the scan pipeline;
-	// see engineScratch for the ownership rules.
-	scr engineScratch
+	// closed is set by close: the device refuses every scan round. It is
+	// read without mu, so Ready never waits behind a running command.
+	closed atomic.Bool
 
+	// scr holds the device-owned pooled buffers of the scan pipeline;
+	// see deviceScratch for the ownership rules.
+	scr deviceScratch
+}
+
+func newDevice(cfg ssd.Config, capacityHint int64, opts Options) (*device, error) {
+	dev, err := ssd.New(cfg, capacityHint)
+	if err != nil {
+		return nil, err
+	}
+	return &device{SSD: dev, FSM: flash.NewDieFSM(dev.Dev), Opts: opts, pool: newPlanePool(dev.Cfg.Geo)}, nil
+}
+
+// close stops the device's plane workers for good.
+func (d *device) close() {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.closed.Store(true)
+	d.pool.stop()
+}
+
+// Engine is the in-storage retrieval system on one simulated device: the
+// device (SSD, FSM, Opts) and the host core over it (devs = [it]). A
+// command enters through Submit, or SubmitAsync on a queue pair created
+// with NewQueue — the Table 1 command set and its mutation extension,
+// nothing beside them — from any goroutine: the host core serializes
+// execution (one command or one coalesced batch at a time, matching the
+// single embedded controller core). Submit, NewQueue, CalibrateNProbe,
+// the journal pair, Ready and Close are the core's, promoted; the methods
+// declared on Engine are the ones whose shape is a single device's (DB
+// and the timing model's Database operand). ShardedEngine.Shard returns
+// an Engine whose host half is closed: a view of one of its devices.
+type Engine struct {
+	*device
 	hostCore
 }
 
@@ -174,23 +194,18 @@ type RIVFEntry struct {
 // New creates an engine over a fresh SSD of the given configuration,
 // sized to hold capacityHint bytes (0 = preset size).
 func New(cfg ssd.Config, capacityHint int64, opts Options) (*Engine, error) {
-	dev, err := ssd.New(cfg, capacityHint)
+	d, err := newDevice(cfg, capacityHint, opts)
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		SSD:  dev,
-		FSM:  flash.NewDieFSM(dev.Dev),
-		Opts: opts,
-		pool: newPlanePool(dev.Cfg.Geo),
-	}
-	e.hostCore.init(dev.Cfg, []*Engine{e})
+	e := &Engine{device: d}
+	e.init([]*device{d}, false)
 	return e, nil
 }
 
 // DB returns a deployed database by id: the whole layout, the one slice
-// in the host's table. A member device of a ShardedEngine is not a host
-// of any database and answers none; ShardedEngine.DB has them.
+// in the host's table. A view of a ShardedEngine's device is not a host
+// of any database and answers none.
 func (e *Engine) DB(id int) (*Database, error) {
 	db, err := e.hostDB(id)
 	if err != nil {
@@ -222,30 +237,26 @@ type DeployConfig struct {
 // install allocates regions for the pages of a globally planned layout
 // that device (start, stride) owns and returns the device's slice with
 // its R-DB record; the host programs the pages and then enters the slice
-// in its table (hostCore.deploy). Every region holds the
-// global pages g ≡ start (mod stride) as local pages g / stride — (0, 1)
-// is the whole layout. Because region page i lives on plane
-// i mod planes, the union of the devices' planes reproduces, plane for
-// plane, the placement a single device with stride times the channels
-// would compute — global plane j of that reference is device
-// j mod stride, local plane j / stride (see DESIGN.md, "Sharded
-// topology").
-func (e *Engine) install(id int, lo *dbLayout, start, stride int) (*Database, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// in its table (hostCore.deploy). Every region holds the global pages
+// g ≡ start (mod stride) as local pages g / stride — (0, 1) is the whole
+// layout — which reproduces, plane for plane, the placement of one device
+// with stride times the channels (shard.go, "Partitioning scheme").
+func (d *device) install(id int, lo *dbLayout, start, stride int) (*Database, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	db := &Database{ID: id, Dim: lo.dim, N: lo.n, dbLayout: lo, start: start, stride: stride}
 	// Every shard reserves capacity for the same number of stripes the
 	// single-device-equivalent extent spans, so growth and GC erase the
 	// same block-rows on every topology (planes per global stripe =
 	// local planes × stride).
-	localPlanes := e.SSD.Cfg.Geo.Planes()
+	localPlanes := d.SSD.Cfg.Geo.Planes()
 	alloc := func(pages, capPages int, mode flash.CellMode, what string) (ssd.Region, error) {
 		n := shardPages(pages, start, stride)
 		localCap := ceilDiv(capPages, localPlanes*stride) * localPlanes
 		if n == 0 && localCap == 0 {
 			return ssd.Region{}, nil
 		}
-		r, err := e.SSD.AllocateRegion(n, localCap, mode)
+		r, err := d.SSD.AllocateRegion(n, localCap, mode)
 		if err != nil {
 			return ssd.Region{}, fmt.Errorf("reis: %s region: %w", what, err)
 		}
@@ -261,7 +272,7 @@ func (e *Engine) install(id int, lo *dbLayout, start, stride int) (*Database, er
 	// index) back into the append free pool. The initial map is the
 	// identity over the deployed rows; the row count is driven by the
 	// global layout so every shard's map stays identical.
-	embR.EnableRowMap(e.SSD.Cfg.Geo.PagesPerBlock,
+	embR.EnableRowMap(d.SSD.Cfg.Geo.PagesPerBlock,
 		ceilDiv(lo.embPages, localPlanes*stride*lo.ppb))
 	if centR, err = alloc(lo.centPages, lo.centPages, flash.ModeSLCESP, "centroid"); err != nil {
 		return nil, err

@@ -224,7 +224,7 @@ func TestDeployFailureLeavesIDFree(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { sh.Close() })
-			h, lookup = sh, func(id int) error { _, err := sh.DB(id); return err }
+			h, lookup = sh, func(id int) error { _, err := sh.hostDB(id); return err }
 		}
 		_, err := h.Submit(HostCommand{Opcode: OpcodeDBDeploy, Deploy: &tooBig})
 		if err == nil || !strings.Contains(err.Error(), "out of space") {

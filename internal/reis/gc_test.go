@@ -331,8 +331,8 @@ func TestChurnRecyclesFreedRows(t *testing.T) {
 		t.Fatalf("logical tail %d pages never exceeded the planned capacity %d: churn too light to prove recycling",
 			db.mut.binPages, db.lay.embCap)
 	}
-	if got, want := db.Live(), 900-15*rounds+batch; got != want {
-		t.Fatalf("Live() = %d, want %d", got, want)
+	if got, want := db.mut.live, 900-15*rounds+batch; got != want {
+		t.Fatalf("live = %d, want %d", got, want)
 	}
 	res, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{})
 	if len(res) != 10 {

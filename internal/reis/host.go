@@ -19,17 +19,18 @@ import (
 // device is therefore the N = 1 case — the striping is the identity —
 // and every host operation is written once, for any N:
 //
-//   - Engine (New) is a device that is its own host: devs = [itself].
-//   - ShardedEngine (NewSharded) is a host over N member Engines, which
-//     it reaches as devices (scan rounds, page reads and programs).
+//   - Engine (New) is one device and the core over it: devs = [it].
+//   - ShardedEngine (NewSharded) is the core over N devices.
 //
-// Nothing about a command is chosen from N: a scan round runs on every
-// device in place (batch.go), and page g's owner is device g mod N.
+// A device (engine.go) holds no host state, so a host has one R-DB, one
+// journal and one queue registry whatever N is. Nothing about a command
+// is chosen from N: a scan round runs on every device in place
+// (batch.go), and page g's owner is device g mod N.
 //
 // Locking. execMu serializes the host (one command or coalesced group at
 // a time, like the single embedded controller core) and guards the
 // database table, journal, scratch and closed flag. Each device has its
-// own lock (Engine.mu) for its regions, plane pool and arenas. The order
+// own lock (device.mu) for its regions, plane pool and arenas. The order
 // is host core → every device in index order, never the reverse: a
 // device never calls into a core. The core holds every device lock for
 // the whole search command — the arenas keep a round's entries until
@@ -41,16 +42,19 @@ type hostCore struct {
 	cfg ssd.Config // single-device-equivalent configuration: N× one device's channels
 
 	// devs are the devices; the options the host reads (placement, the
-	// pinned scans' distance filter) are device 0's Engine.Opts, the same
-	// ones its flash scans read.
-	devs []*Engine
+	// pinned scans' distance filter) are device 0's Opts, the same ones
+	// its flash scans read.
+	devs []*device
+	// perShard is set by NewSharded: its responses carry PerShard rows,
+	// the operand of ShardedEngine's Latency shapes (a 1-device one too).
+	perShard bool
 
 	execMu sync.Mutex
 	closed bool
 	scr    hostScratch
 	// dbs is the R-DB (Sec 4.1.4): the only database table. Each entry
 	// holds every device's record of its regions (locals[s].rec).
-	dbs map[int]*ShardedDatabase
+	dbs map[int]*rdbEntry
 
 	// jl is the append-only mutation journal: every committed append,
 	// delete and compact is recorded under execMu, so replaying any
@@ -59,8 +63,9 @@ type hostCore struct {
 	jl journal
 
 	// testGCStepHook, when set, runs after each committed background GC
-	// step with no locks held — the interleaving tests' probe point.
-	testGCStepHook func()
+	// step with no locks held — the interleaving tests' probe point;
+	// testCalibStepHook likewise after each CalibrateNProbe sweep step.
+	testGCStepHook, testCalibStepHook func()
 
 	// reg tracks the queue pairs created with NewQueue for Close-time
 	// teardown, plus the built-in pair behind the synchronous Submit.
@@ -84,19 +89,19 @@ type hostScratch struct {
 	lists   [][]TTLEntry
 }
 
-// ShardedDatabase is the host's view of one deployed database: the
-// global layout plan (R-IVF table, quantization parameters, filter
-// threshold), the mutable-state ledger, the caching tier, and the
-// per-device page-stride slices — one of them, the whole layout, on a
-// single device.
-type ShardedDatabase struct {
-	ID  int
-	Dim int
-	N   int
+// rdbEntry is one deployed database's R-DB entry: the global layout plan
+// (R-IVF table, quantization parameters, filter threshold), the
+// mutable-state ledger, the caching tier, and the per-device page-stride
+// slices — one of them, the whole layout, on a single device.
+type rdbEntry struct {
+	id, dim int
 
 	lay    *dbLayout
 	locals []*Database // locals[s] is device s's page-stride slice
 	calib  []recallPoint
+	// commits counts the committed mutations and GC steps: a calibration
+	// records its point only if none landed during its sweep.
+	commits int
 
 	// mut is the geometry-independent mutable-state ledger, evolved by
 	// the same code on every topology — which is what makes mutation
@@ -111,14 +116,12 @@ type ShardedDatabase struct {
 	cache *dbCache
 }
 
-// Live returns the number of live (not tombstoned) entries.
-func (db *ShardedDatabase) Live() int { return db.mut.live }
-
-// init binds the core to its devices. cfg is one device's configuration.
-func (c *hostCore) init(cfg ssd.Config, devs []*Engine) {
+// init binds the core to its devices, built from one configuration.
+func (c *hostCore) init(devs []*device, perShard bool) {
+	cfg := devs[0].SSD.Cfg
 	cfg.Geo.Channels *= len(devs)
-	c.cfg, c.devs = cfg, devs
-	c.dbs = make(map[int]*ShardedDatabase)
+	c.cfg, c.devs, c.perShard = cfg, devs, perShard
+	c.dbs = make(map[int]*rdbEntry)
 	c.scr.errs = make([]error, len(devs))
 	c.scr.streams = make([][]TTLEntry, len(devs))
 	c.scr.page = make([]byte, cfg.Geo.PageBytes)
@@ -137,7 +140,7 @@ func (c *hostCore) lock() error {
 }
 
 // db looks a database up; the caller holds execMu.
-func (c *hostCore) db(id int) (*ShardedDatabase, error) {
+func (c *hostCore) db(id int) (*rdbEntry, error) {
 	db, ok := c.dbs[id]
 	if !ok {
 		return nil, fmt.Errorf("reis: unknown database %d", id)
@@ -145,8 +148,20 @@ func (c *hostCore) db(id int) (*ShardedDatabase, error) {
 	return db, nil
 }
 
+// lockDB is lock followed by db; on success the caller holds execMu.
+func (c *hostCore) lockDB(id int) (*rdbEntry, error) {
+	if err := c.lock(); err != nil {
+		return nil, err
+	}
+	db, err := c.db(id)
+	if err != nil {
+		c.execMu.Unlock()
+	}
+	return db, err
+}
+
 // hostDB is db under the execution lock.
-func (c *hostCore) hostDB(id int) (*ShardedDatabase, error) {
+func (c *hostCore) hostDB(id int) (*rdbEntry, error) {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
 	return c.db(id)
@@ -174,34 +189,28 @@ func (c *hostCore) Submit(cmd HostCommand) (HostResponse, error) {
 	return q.Wait(context.Background(), id)
 }
 
-// Ready reports whether the host can accept commands: true from
-// construction until Close, and only while every member device is still
-// ready (a closed member refuses every scan round).
-// Replica routers use it as the health probe behind a serving group's
-// liveness endpoint.
+// Ready reports whether the host can accept commands: its queue
+// registry is open and so is every device (a closed device refuses every
+// scan round). It takes neither the execution lock nor a device lock, so
+// it answers while a command runs. Replica routers use it as the health
+// probe behind a serving group's liveness endpoint.
 func (c *hostCore) Ready() bool {
 	if c.reg.isClosed() {
 		return false
 	}
 	for _, d := range c.devs {
-		if c.member(d) && !d.Ready() {
+		if d.closed.Load() {
 			return false
 		}
 	}
 	return true
 }
 
-// member reports whether d is a member Engine — a host of its own that
-// this core drives as a device — rather than the device the core is
-// embedded in.
-func (c *hostCore) member(d *Engine) bool { return &d.hostCore != c }
-
 // Close shuts down the host's background goroutines: every queue pair
 // created with NewQueue (pending commands complete with ErrQueueClosed),
-// then every device — a member Engine closes as a host of its own; a
-// device that is its own host stops its plane workers for good. Close is
-// idempotent — concurrent and repeated calls are safe — and every
-// command after it fails with ErrQueueClosed.
+// then every device's plane workers, for good. Close is idempotent —
+// concurrent and repeated calls are safe — and every command after it
+// fails with ErrQueueClosed.
 func (c *hostCore) Close() error {
 	for _, q := range c.reg.closeAll() {
 		q.Close()
@@ -210,13 +219,7 @@ func (c *hostCore) Close() error {
 	defer c.execMu.Unlock()
 	c.closed = true
 	for _, d := range c.devs {
-		if c.member(d) {
-			d.Close()
-			continue
-		}
-		d.mu.Lock()
-		d.pool.stop()
-		d.mu.Unlock()
+		d.close()
 	}
 	return nil
 }
@@ -249,7 +252,7 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if err != nil {
 		return err
 	}
-	db := &ShardedDatabase{ID: cfg.ID, Dim: lo.dim, N: lo.n, lay: lo, mut: newMutState(lo, c.devs[0].Opts.FirstFitPlacement)}
+	db := &rdbEntry{id: cfg.ID, dim: lo.dim, lay: lo, mut: newMutState(lo, c.devs[0].Opts.FirstFitPlacement)}
 	if c.cfg.CacheDRAMBytes > 0 {
 		db.cache = newDBCache(c.cfg, &lo.pageFormat, len(lo.rivf))
 	}
@@ -293,14 +296,11 @@ func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 		err := c.deploy(*cmd.Deploy, cmd.Opcode == OpcodeIVFDeploy)
 		return HostResponse{Done: err == nil}, err
 	case OpcodeAppend, OpcodeDelete:
-		if err := c.lock(); err != nil {
-			return HostResponse{}, err
-		}
-		defer c.execMu.Unlock()
-		db, err := c.db(cmd.DBID)
+		db, err := c.lockDB(cmd.DBID)
 		if err != nil {
 			return HostResponse{}, err
 		}
+		defer c.execMu.Unlock()
 		t := mutTarget{c, db}
 		resp := HostResponse{Done: true}
 		if cmd.Opcode == OpcodeAppend {
@@ -321,11 +321,13 @@ func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 }
 
 // committed follows a committed mutation or GC step: recorded nprobe
-// calibrations no longer cover the corpus, and the caching tier drops
-// every pinned page and cached result before the command's completion
-// is visible — a stale hit is impossible by construction.
-func (c *hostCore) committed(db *ShardedDatabase) {
+// calibrations no longer cover the corpus (nor will one whose sweep it
+// interrupted), and the caching tier drops every pinned page and cached
+// result before the command's completion is visible — a stale hit is
+// impossible by construction.
+func (c *hostCore) committed(db *rdbEntry) {
 	db.calib = nil
+	db.commits++
 	db.cache.invalidate()
 }
 
@@ -336,26 +338,21 @@ func (c *hostCore) committed(db *ShardedDatabase) {
 // between any two steps; all three evolve the shared mutState, so a
 // flight commits the same state and WearStats on every topology.
 func (c *hostCore) gcPlan(cmd *HostCommand) ([]int, error) {
-	if err := c.lock(); err != nil {
-		return nil, err
-	}
-	defer c.execMu.Unlock()
-	db, err := c.db(cmd.DBID)
+	db, err := c.lockDB(cmd.DBID)
 	if err != nil {
 		return nil, err
 	}
+	defer c.execMu.Unlock()
 	return mutGCVictims(db.mut, cmd.Compact.MinLiveRatio), nil
 }
 
 func (c *hostCore) gcStep(cmd *HostCommand, row int, acc *WearStats) error {
-	if err := c.lock(); err != nil {
+	db, err := c.lockDB(cmd.DBID)
+	if err != nil {
 		return err
 	}
-	db, err := c.db(cmd.DBID)
-	if err == nil {
-		if err = mutGCStep(db.mut, mutTarget{c, db}, row, acc); err == nil {
-			c.committed(db)
-		}
+	if err = mutGCStep(db.mut, mutTarget{c, db}, row, acc); err == nil {
+		c.committed(db)
 	}
 	hook := c.testGCStepHook
 	c.execMu.Unlock()
@@ -448,14 +445,11 @@ func (c *hostCore) ReplayJournal(data []byte) error {
 // rows is the per-device stats view ([device][query]) of a
 // ShardedEngine, nil on an Engine.
 func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
-	if err := c.lock(); err != nil {
-		return nil, nil, nil, err
-	}
-	defer c.execMu.Unlock()
-	db, err := c.db(cmd.DBID)
+	db, err := c.lockDB(cmd.DBID)
 	if err != nil {
 		return nil, nil, nil, err
 	}
+	defer c.execMu.Unlock()
 	// The devices' arenas hold a round's entries until they are folded, so
 	// every device stays locked for the whole command.
 	for _, d := range c.devs {
@@ -476,10 +470,10 @@ func (c *hostCore) unlockDevs() {
 }
 
 // shardRows allocates a command's [device][query] PerShard rows — the
-// per-device stats a ShardedEngine's Latency shapes consume. A core over
-// member hosts emits them (a 1-shard router too); an Engine's stay nil.
+// per-device stats a ShardedEngine's Latency shapes consume (a 1-shard
+// one's too); an Engine's stay nil.
 func (c *hostCore) shardRows(nq int) [][]QueryStats {
-	if !c.member(c.devs[0]) {
+	if !c.perShard {
 		return nil
 	}
 	rows := make([][]QueryStats, len(c.devs))
@@ -498,10 +492,12 @@ func (c *hostCore) shardRows(nq int) [][]QueryStats {
 // accuracy operand R of Table 1; see resolveSearchOptions). Results are
 // bit-identical across topologies, so the calibrated nprobe is too.
 func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth [][]int, k int, target float64) (int, error) {
-	db, err := c.hostDB(dbID)
+	db, err := c.lockDB(dbID)
 	if err != nil {
 		return 0, err
 	}
+	commits := db.commits
+	c.execMu.Unlock()
 	nlist := len(db.lay.rivf)
 	if nlist == 0 {
 		return 0, fmt.Errorf("reis: database %d is not IVF-deployed", dbID)
@@ -521,16 +517,21 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
 		step.Opt.NProbe = nprobe
 		results, _, _, err := c.search(context.Background(), &step, queries, false)
+		if hook := c.testCalibStepHook; hook != nil {
+			hook()
+		}
 		return results, err
 	})
 	if err != nil {
 		return 0, err
 	}
-	if ok {
-		c.execMu.Lock()
+	// A commit during the sweep changed the corpus under it: the point
+	// would cover neither the old corpus nor the new one.
+	c.execMu.Lock()
+	if ok && db.commits == commits {
 		db.calib = append(db.calib, recallPoint{target: target, nprobe: nprobe})
-		c.execMu.Unlock()
 	}
+	c.execMu.Unlock()
 	return nprobe, nil
 }
 
@@ -547,7 +548,7 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 // N-times-channels reference device would.
 type mutTarget struct {
 	c  *hostCore
-	db *ShardedDatabase
+	db *rdbEntry
 }
 
 // regionOf selects one region of a device's slice of the database.
@@ -559,7 +560,7 @@ func int8Region(db *Database) ssd.Region { return db.rec.Int8s }
 func docRegion(db *Database) ssd.Region  { return db.rec.Documents }
 
 // onAll runs f on every device in turn.
-func (t mutTarget) onAll(f func(s int, d *Engine, local *Database) error) error {
+func (t mutTarget) onAll(f func(s int, d *device, local *Database) error) error {
 	for s, d := range t.c.devs {
 		d.mu.Lock()
 		err := f(s, d, t.db.locals[s])
@@ -611,7 +612,7 @@ func (t mutTarget) writePages(region regionOf, from, to int, carryOOB bool, rend
 // — the per-step coarse FTL remap, written to every device's R-DB record.
 func (t mutTarget) growBin(binPages int, phys []int) error {
 	n := len(t.c.devs)
-	return t.onAll(func(s int, d *Engine, local *Database) error {
+	return t.onAll(func(s int, d *device, local *Database) error {
 		if len(phys) > 0 {
 			if err := d.SSD.MapRegionRows(&local.rec.Embeddings, phys); err != nil {
 				return err
@@ -625,7 +626,7 @@ func (t mutTarget) growBin(binPages int, phys []int) error {
 // document regions.
 func (t mutTarget) growAux(int8Pages, docPages int) error {
 	n := len(t.c.devs)
-	return t.onAll(func(s int, d *Engine, local *Database) error {
+	return t.onAll(func(s int, d *device, local *Database) error {
 		planes := d.SSD.Cfg.Geo.Planes()
 		if err := local.rec.Int8s.SetLive(planes, shardPages(int8Pages, s, n)); err != nil {
 			return err
@@ -639,7 +640,7 @@ func (t mutTarget) growAux(int8Pages, docPages int) error {
 // of block erases performed — summed over the devices, equal to the
 // reference device's.
 func (t mutTarget) reclaimBinRow(row int) (erases int, err error) {
-	err = t.onAll(func(_ int, d *Engine, local *Database) error {
+	err = t.onAll(func(_ int, d *device, local *Database) error {
 		n, err := d.SSD.ReclaimRegionRow(&local.rec.Embeddings, row)
 		erases += n
 		return err
@@ -669,14 +670,14 @@ func (t mutTarget) maxWear() int64 {
 
 // owner resolves global region page g under the page striping: device
 // g mod N holds it as local page g / N — the identity on one device.
-func (c *hostCore) owner(db *ShardedDatabase, g int) (d *Engine, local *Database, l int) {
+func (c *hostCore) owner(db *rdbEntry, g int) (d *device, local *Database, l int) {
 	n := len(c.devs)
 	return c.devs[g%n], db.locals[g%n], g / n
 }
 
 // pageAddr resolves one global page of a region to the flash device that
 // owns it and the page's address there.
-func (c *hostCore) pageAddr(db *ShardedDatabase, region regionOf, page int) (*flash.Device, flash.Address, error) {
+func (c *hostCore) pageAddr(db *rdbEntry, region regionOf, page int) (*flash.Device, flash.Address, error) {
 	d, local, l := c.owner(db, page)
 	addr, err := region(local).AddressOf(d.SSD.Cfg.Geo, l)
 	return d.SSD.Dev, addr, err
@@ -684,7 +685,7 @@ func (c *hostCore) pageAddr(db *ShardedDatabase, region regionOf, page int) (*fl
 
 // readPage reads one global page of a region through the conventional
 // path, from the device that owns it, into data/oob (grown as needed).
-func (c *hostCore) readPage(db *ShardedDatabase, region regionOf, page int, data, oob []byte) ([]byte, []byte, error) {
+func (c *hostCore) readPage(db *rdbEntry, region regionOf, page int, data, oob []byte) ([]byte, []byte, error) {
 	dev, addr, err := c.pageAddr(db, region, page)
 	if err != nil {
 		return nil, nil, err
@@ -698,7 +699,7 @@ func (c *hostCore) readPage(db *ShardedDatabase, region regionOf, page int, data
 // copy is bit-identical to what the sensing latch would hold — and to
 // the reference device's page — and the read consumes no error-injection
 // randomness.
-func (c *hostCore) fetchPin(db *ShardedDatabase, page int, buf []byte) error {
+func (c *hostCore) fetchPin(db *rdbEntry, page int, buf []byte) error {
 	n := db.lay.pageBytes
 	_, _, err := c.readPage(db, embRegion, page, buf[:0:n], buf[n:n])
 	return err
@@ -710,7 +711,7 @@ func (c *hostCore) fetchPin(db *ShardedDatabase, page int, buf []byte) error {
 // recBytes-wide record each, copied in run order to dst. The page is
 // sensed once and only the records move (flash.Device.ReadSlots). It
 // returns the end of the run.
-func (c *hostCore) readTailSlots(db *ShardedDatabase, region regionOf, groups []pageIdx, gi, recBytes int, dst []byte) (int, error) {
+func (c *hostCore) readTailSlots(db *rdbEntry, region regionOf, groups []pageIdx, gi, recBytes int, dst []byte) (int, error) {
 	page := groups[gi].page
 	slots := c.scr.tail.slots[:0]
 	end := gi

@@ -222,7 +222,7 @@ type placedLink struct {
 // readPlacement reads every entry slot the brute-force scan plan covers
 // — the whole live binary region — from flash, in position order,
 // skipping padding.
-func readPlacement(t *testing.T, h *hostCore, db *ShardedDatabase) []placedLink {
+func readPlacement(t *testing.T, h *hostCore, db *rdbEntry) []placedLink {
 	t.Helper()
 	var out []placedLink
 	page, oob := -1, []byte(nil)

@@ -764,8 +764,8 @@ func TestDeletedNeverSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Live() != testData.Len()-len(ids) {
-		t.Fatalf("Live() = %d, want %d", db.Live(), testData.Len()-len(ids))
+	if db.mut.live != testData.Len()-len(ids) {
+		t.Fatalf("live = %d, want %d", db.mut.live, testData.Len()-len(ids))
 	}
 }
 
@@ -778,12 +778,12 @@ func TestShardedLiveAfterDeletes(t *testing.T) {
 		ids := []int{0, 5, 17, 333}
 		mustSubmit(t, sh, HostCommand{Opcode: OpcodeDelete, DBID: 2, Del: &DeleteConfig{IDs: ids}})
 		for id, want := range map[int]int{1: testData.Len(), 2: testData.Len() - len(ids)} {
-			db, err := sh.DB(id)
+			db, err := sh.hostDB(id)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := db.Live(); got != want {
-				t.Fatalf("%d shard(s), database %d: Live() = %d, want %d", n, id, got, want)
+			if got := db.mut.live; got != want {
+				t.Fatalf("%d shard(s), database %d: live = %d, want %d", n, id, got, want)
 			}
 		}
 	}

@@ -40,7 +40,7 @@ type workerScratch struct {
 //
 // Workers are persistent goroutines draining per-worker channels (the
 // die's command queue), started lazily on the first multi-die run and
-// stopped for good by Engine.Close. A run hands each busy die the round
+// stopped for good by device.close. A run hands each busy die the round
 // and waits; the pool is never invoked per plane.
 //
 // Determinism: a plane always maps to the same worker, and a worker runs
@@ -56,12 +56,9 @@ type planePool struct {
 	wg      sync.WaitGroup
 	// chans[w] feeds worker w's goroutine; nil until started. The pool
 	// has a single dispatching owner at a time (the device lock holder),
-	// so started/stopped/chans need no extra synchronization.
+	// so started/chans need no extra synchronization.
 	chans   []chan *scanRound
 	started bool
-	// stopped is set by stop: the device is closed and refuses further
-	// scans instead of restarting (and leaking) its workers.
-	stopped bool
 }
 
 func newPlanePool(geo flash.Geometry) *planePool {
@@ -113,10 +110,9 @@ func (p *planePool) start() {
 	}
 }
 
-// stop terminates the persistent workers (Engine.Close) and marks the
-// pool stopped; batchScan refuses to run on it from then on.
+// stop terminates the persistent workers (device.close, after which
+// batchScan refuses to run on the pool rather than restart them).
 func (p *planePool) stop() {
-	p.stopped = true
 	if !p.started {
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 )
 
 // TestQueueDepthOccupancy pins the queue-pair load accessors replica
@@ -63,7 +64,7 @@ func TestQueueDepthOccupancy(t *testing.T) {
 
 // TestEngineReady pins the health probe: a live engine is Ready, a
 // closed one is not, and the sharded router mirrors the same contract
-// (including when a member device is closed underneath it).
+// (including when one of its devices is closed underneath it).
 func TestEngineReady(t *testing.T) {
 	e, err := New(testCfg(), 64<<20, AllOptions())
 	if err != nil {
@@ -85,17 +86,43 @@ func TestEngineReady(t *testing.T) {
 		t.Fatal("new sharded router not Ready")
 	}
 	deployBoth(t, sh.Submit)
-	// A closed member refuses every scan round, so the router must report
+	// A closed device refuses every scan round, so the router must report
 	// it — and a search through the router fails like one on a closed host.
-	sh.Shard(1).Close()
+	sh.devs[1].close()
 	if sh.Ready() {
-		t.Fatal("router with a closed member still Ready")
+		t.Fatal("router with a closed device still Ready")
 	}
 	if _, err := sh.Submit(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1], K: 10}); !errors.Is(err, ErrQueueClosed) {
-		t.Fatalf("search over a closed member error = %v, want ErrQueueClosed", err)
+		t.Fatalf("search over a closed device error = %v, want ErrQueueClosed", err)
 	}
 	sh.Close()
 	if sh.Ready() {
 		t.Fatal("closed router still Ready")
+	}
+}
+
+// TestReadyWhileSearchHoldsDevices: the health probe answers while a
+// command runs — it takes neither the execution lock nor a device lock,
+// which a search holds for its whole duration — on one device and two.
+func TestReadyWhileSearchHoldsDevices(t *testing.T) {
+	e := newEngine(t, AllOptions())
+	sh := newSharded(t, 2)
+	for _, h := range []*hostCore{&e.hostCore, &sh.hostCore} {
+		h.execMu.Lock()
+		for _, d := range h.devs {
+			d.mu.Lock()
+		}
+		ready := make(chan bool, 1)
+		go func() { ready <- h.Ready() }()
+		select {
+		case ok := <-ready:
+			if !ok {
+				t.Errorf("%d device(s): not Ready during a search", len(h.devs))
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%d device(s): Ready waited behind a running search", len(h.devs))
+		}
+		h.unlockDevs()
+		h.execMu.Unlock()
 	}
 }

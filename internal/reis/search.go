@@ -173,13 +173,13 @@ type SearchOptions struct {
 	Prune bool
 }
 
-// engineScratch holds the device-owned pooled buffers of the scan
+// deviceScratch holds the device-owned pooled buffers of the scan
 // pipeline: the round's dispatch structures and outcome, and merge
 // inputs. The device serves one scan at a time (its lock holder owns the
 // scratch), so these recycle across rounds without further locking, and
 // scratch memory never escapes: entries leave through a fold into the
 // host's buffers.
-type engineScratch struct {
+type deviceScratch struct {
 	spans     []ssd.PlaneSpan
 	planeWork [][]batchItem
 	busy      []int // the dies with work this round
@@ -258,8 +258,8 @@ type planeScan struct {
 // bound always survive, which — together with the (Dist, DADR)
 // total-order selection downstream — is what keeps pruned results
 // bit-identical to unpruned ones.
-func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, span ssd.PlaneSpan, first, last int, filter bool, metaTag *uint8, bound int) (planeScan, error) {
-	geo := e.SSD.Cfg.Geo
+func (d *device) scanPlane(db *Database, region ssd.Region, sc *workerScratch, span ssd.PlaneSpan, first, last int, filter bool, metaTag *uint8, bound int) (planeScan, error) {
+	geo := d.SSD.Cfg.Geo
 	firstPage := first / db.embPerPage
 	lastPage := last / db.embPerPage
 	entrySize := db.ttlEntryBytes()
@@ -279,12 +279,12 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 			return ps, err
 		}
 		plane := addr.PlaneIndex(geo)
-		if _, err := e.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
+		if _, err := d.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
 			return ps, err
 		}
 		// The sensing latch holds the page's whole OOB area until the
 		// next read on this plane; pull it once and slice per slot.
-		sc.oob, err = e.SSD.Dev.ReadOOB(plane, sc.oob)
+		sc.oob, err = d.SSD.Dev.ReadOOB(plane, sc.oob)
 		if err != nil {
 			return ps, err
 		}
@@ -301,7 +301,7 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 		// of the sensed page, replacing hiSlot-loSlot+1 per-slot
 		// GEN_DIST round-trips (plus the separate XOR) with a single
 		// command whose accounting is bit-identical.
-		if _, err := e.FSM.Execute(flash.Command{
+		if _, err := d.FSM.Execute(flash.Command{
 			Op: flash.OpGenDistPage, Plane: plane, SlotBytes: db.slotBytes,
 			Mini:  flash.MiniPage{Page: addr, Slot: loSlot},
 			Slots: hiSlot - loSlot + 1, Dists: dists, Bound: bound,
@@ -315,7 +315,7 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 				continue // cluster-alignment padding slot
 			}
 			ps.scanned++
-			if filter && !e.SSD.Dev.PassFail(dist, db.filterThreshold) {
+			if filter && !d.SSD.Dev.PassFail(dist, db.filterThreshold) {
 				continue
 			}
 			if metaTag != nil && l.tag != *metaTag {
@@ -329,7 +329,7 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 				ps.pruned++
 				continue
 			}
-			if _, err := e.FSM.Execute(flash.Command{
+			if _, err := d.FSM.Execute(flash.Command{
 				Op: flash.OpReadTTL, Plane: plane, EntryBytes: entrySize,
 			}); err != nil {
 				return ps, err
@@ -354,14 +354,14 @@ func (e *Engine) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 // is total. Unlike the earlier pairwise cascade, no intermediate merge
 // levels are allocated: entries move straight from the arenas into the
 // pooled output.
-func (e *Engine) appendMergeByPos(dst []TTLEntry, results []planeScan) []TTLEntry {
-	lists := e.scr.lists[:0]
+func (d *device) appendMergeByPos(dst []TTLEntry, results []planeScan) []TTLEntry {
+	lists := d.scr.lists[:0]
 	for _, ps := range results {
 		if ps.hi > ps.lo {
-			lists = append(lists, e.pool.scratchOf(ps.plane).entries[ps.lo:ps.hi])
+			lists = append(lists, d.pool.scratchOf(ps.plane).entries[ps.lo:ps.hi])
 		}
 	}
-	e.scr.lists = lists
+	d.scr.lists = lists
 	return mergeEntryLists(dst, lists)
 }
 

@@ -15,7 +15,7 @@ import (
 // as a single device would (planLayout: same placement order, padding,
 // page counts) and then stripes the planned pages round-robin across
 // the shards: global page g lives on shard g mod N as local page
-// g / N. Each shard is a full device built verbatim from the shared
+// g / N. Each shard is a device built verbatim from the shared
 // config, so with region striping (page i → plane i mod planes) the
 // union of the shards' planes is plane-for-plane identical to ONE
 // device with N times the channels: global plane j of that reference
@@ -25,16 +25,10 @@ import (
 // N devices carry N times the planes and channels of one — while the
 // equivalence target stays exact.
 //
-// In-place scan and cross-device fold. A search is the host core's one
-// controller whatever N is: each round hands every device the same
-// global slot ranges, and each scans the part it owns (localRange) in
-// place, on its own plane pool, beside the others. A segment then folds
-// across the devices (controller.fold, batch.go): entries come back
-// under global positions, each device's plane windows merge into one
-// stream, and the N streams merge in global position order
-// (mergeEntryLists — the same merge a device uses across planes). The
-// shared controller tail (hostCore.tail) runs over the merged stream,
-// fetching INT8 and document pages from whichever device owns them.
+// In-place scan. Every round hands each device the same global slot
+// ranges; each scans the part it owns (localRange) on its own plane
+// pool, and the host folds the devices' streams in global position order
+// (controller.fold, batch.go) before its one tail runs over them.
 //
 // Determinism. Because the merged entry stream is element-identical to
 // what a single device's scan produces — same entries, same order,
@@ -48,52 +42,51 @@ import (
 // per-plane page loads match plane for plane. See DESIGN.md, "Sharded
 // topology".
 
-// ShardedEngine is a host over N member devices, each scanned in place:
-// a facade over the same host core an Engine embeds (host.go),
-// bound to N ≥ 1 devices instead of one. Submit, NewQueue (asynchronous
-// queue pairs dispatch into the host), CalibrateNProbe, the journal
-// pair, Ready and Close are the core's, promoted — the same methods
-// Engine exposes, with results bit-identical to a single device over the
-// same data. The methods declared here are the ones whose shape names
-// the shards: DB's ShardedDatabase, Shards / Shard, and the per-shard
-// stats operands of Latency / BatchLatency (timing.go).
+// ShardedEngine is the host core an Engine embeds (host.go) bound to
+// N ≥ 1 devices, each scanned in place. Submit, NewQueue, CalibrateNProbe,
+// the journal pair, Ready and Close are the core's, promoted — the same
+// methods Engine exposes, with results bit-identical to a single device
+// over the same data. The methods declared here are the ones whose shape
+// names the shards: Shards / Shard, and the per-shard stats operands of
+// Latency / BatchLatency (timing.go).
 type ShardedEngine struct {
 	hostCore
 }
 
-// NewSharded builds a sharded engine of n member devices, each
-// constructed verbatim from the shared configuration. The shard union
-// is plane-for-plane identical to one device with n times the
-// channels — the reference the determinism contract is pinned against
-// (results are bit-identical to ANY single device over the same data;
-// stats to that reference). capacityHint is the total data volume;
-// each shard is sized for its 1/n share.
+// NewSharded builds a sharded engine over n devices, each constructed
+// verbatim from the shared configuration. Their union is plane-for-plane
+// identical to one device with n times the channels — the reference the
+// determinism contract is pinned against (results are bit-identical to
+// ANY single device over the same data; stats to that reference).
+// capacityHint is the total data volume; each device is sized for its
+// 1/n share.
 func NewSharded(cfg ssd.Config, n int, capacityHint int64, opts Options) (*ShardedEngine, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("reis: shard count %d must be positive", n)
 	}
 	hint := (capacityHint + int64(n) - 1) / int64(n)
-	sh := &ShardedEngine{}
-	for s := 0; s < n; s++ {
-		e, err := New(cfg, hint, opts)
-		if err != nil {
-			sh.Close()
+	devs := make([]*device, n)
+	for s := range devs {
+		var err error
+		if devs[s], err = newDevice(cfg, hint, opts); err != nil {
 			return nil, fmt.Errorf("reis: shard %d: %w", s, err)
 		}
-		sh.devs = append(sh.devs, e)
 	}
-	sh.hostCore.init(sh.devs[0].SSD.Cfg, sh.devs)
+	sh := &ShardedEngine{}
+	sh.init(devs, true)
 	return sh, nil
 }
 
-// Shards returns the number of member devices.
+// Shards returns the number of devices.
 func (sh *ShardedEngine) Shards() int { return len(sh.devs) }
 
-// Shard exposes member device s (for tests and tools).
-func (sh *ShardedEngine) Shard(s int) *Engine { return sh.devs[s] }
-
-// DB returns a deployed database by id.
-func (sh *ShardedEngine) DB(id int) (*ShardedDatabase, error) { return sh.hostDB(id) }
+// Shard returns a view of device s (for tests and tools): an Engine
+// whose SSD, FSM and Opts are the device's and whose host half is closed
+// from the start — it refuses every command with ErrQueueClosed, answers
+// no DB and starts no goroutine. Closing it leaves the device open.
+func (sh *ShardedEngine) Shard(s int) *Engine {
+	return &Engine{device: sh.devs[s], hostCore: hostCore{closed: true, reg: queueRegistry{closed: true}}}
+}
 
 // localRange clips one global slot range to the pages shard s owns
 // (global pages ≡ s mod n) and rewrites it in local coordinates — the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -349,5 +350,85 @@ func TestNewShardedValidation(t *testing.T) {
 	defer sh.Close()
 	if sh.Shards() != 3 {
 		t.Fatalf("Shards() = %d, want 3", sh.Shards())
+	}
+}
+
+// TestShardView: Shard(s) is device s's SSD behind a host half that is
+// closed from the start — every host call fails with ErrQueueClosed,
+// no database answers, nothing starts, and closing the view leaves the
+// device serving its router.
+func TestShardView(t *testing.T) {
+	sh := newSharded(t, 2)
+	deployBoth(t, sh.Submit)
+	search := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:2], K: 10, Opt: SearchOptions{NProbe: 4}}
+	before := runtime.NumGoroutine()
+	for s := range sh.Shards() {
+		v := sh.Shard(s)
+		if v.SSD != sh.devs[s].SSD {
+			t.Fatalf("Shard(%d).SSD is not device %d's", s, s)
+		}
+		if _, err := v.Submit(search); !errors.Is(err, ErrQueueClosed) {
+			t.Errorf("Shard(%d).Submit error = %v, want ErrQueueClosed", s, err)
+		}
+		if _, err := v.NewQueue(QueueConfig{}); !errors.Is(err, ErrQueueClosed) {
+			t.Errorf("Shard(%d).NewQueue error = %v, want ErrQueueClosed", s, err)
+		}
+		if _, err := v.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9); !errors.Is(err, ErrQueueClosed) {
+			t.Errorf("Shard(%d).CalibrateNProbe error = %v, want ErrQueueClosed", s, err)
+		}
+		if _, err := v.DB(2); err == nil {
+			t.Errorf("Shard(%d).DB(2) answered", s)
+		}
+		if v.Ready() {
+			t.Errorf("Shard(%d) is Ready", s)
+		}
+		v.Close()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines after the views' calls, %d before", after, before)
+	}
+	if !sh.Ready() {
+		t.Fatal("closing a view closed its device")
+	}
+	mustSubmit(t, sh, search)
+}
+
+// TestShardsCalibrateAcrossCommit: a mutation that commits after a step
+// of a CalibrateNProbe sweep leaves no calibration behind — the sweep
+// measured a corpus that no longer exists — so a TargetRecall search
+// still fails with ErrNotCalibrated; an undisturbed sweep records its
+// point.
+func TestShardsCalibrateAcrossCommit(t *testing.T) {
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:2], K: 10, TargetRecall: 0.9}
+	add := HostCommand{Opcode: OpcodeAppend, DBID: 2, Append: &AppendConfig{
+		Vectors: testData.Vectors[:1], Docs: testData.Docs[:1], Assign: []int{0},
+	}}
+	for _, n := range []int{1, 2} {
+		sh, err := NewSharded(gcTestCfg(), n, 64<<20, AllOptions()) // room to append
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sh.Close()
+		deployBoth(t, sh.Submit)
+		steps := 0
+		sh.testCalibStepHook = func() {
+			if steps++; steps == 1 {
+				mustSubmit(t, sh, add)
+			}
+		}
+		if _, err := sh.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		if steps == 0 {
+			t.Fatalf("%d shard(s): the sweep ran no step", n)
+		}
+		if _, err := sh.Submit(cmd); !errors.Is(err, ErrNotCalibrated) {
+			t.Fatalf("%d shard(s): TargetRecall after a mid-sweep commit: error = %v, want ErrNotCalibrated", n, err)
+		}
+		sh.testCalibStepHook = nil
+		if _, err := sh.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9); err != nil {
+			t.Fatal(err)
+		}
+		mustSubmit(t, sh, cmd)
 	}
 }

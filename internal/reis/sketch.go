@@ -60,9 +60,6 @@ func NewLatencySketch(alpha float64) *LatencySketch {
 	}
 }
 
-// Alpha returns the sketch's relative-accuracy bound.
-func (s *LatencySketch) Alpha() float64 { return s.alpha }
-
 // Observe records one latency sample.
 func (s *LatencySketch) Observe(d time.Duration) {
 	s.n++

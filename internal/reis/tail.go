@@ -39,7 +39,7 @@ type tailScratch struct {
 // waves are counted per *global* plane (page mod total planes) — exactly
 // the plane the page occupies on the single-device reference — so wave
 // accounting matches bit for bit on every topology.
-func (c *hostCore) tail(db *ShardedDatabase, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
 	ts, f, planes := &c.scr.tail, &db.lay.pageFormat, c.cfg.Geo.Planes()
 	if db.mut.deadCount > 0 {
 		entries = filterTombstoned(entries, db.mut.tomb)

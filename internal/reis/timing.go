@@ -203,7 +203,7 @@ type scanEvents struct {
 // and at paper scale the units the same spread loads on all channels:
 // never below the functional count, never above the full broadcast on
 // every channel.
-func (e *Engine) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
+func (d *device) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 	pages := func(pages, entries int, scale float64) float64 {
 		if scale <= 1 {
 			return float64(pages)
@@ -219,17 +219,17 @@ func (e *Engine) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 		ibcLoads:      st.IBCLoads,
 		ibcTotalLoads: st.IBCTotalLoads,
 	}
-	if e.Opts.DistanceFilter && sc.SurvivorRate > 0 {
+	if d.Opts.DistanceFilter && sc.SurvivorRate > 0 {
 		ev.fineSurvivors = float64(fineScanned) * sc.Fine * sc.SurvivorRate
 	}
 	if sc.Coarse > 1 || sc.Fine > 1 {
-		geo := e.SSD.Cfg.Geo
+		geo := d.SSD.Cfg.Geo
 		perLoad := float64(geo.Channels)
-		if e.Opts.MPIBC {
+		if d.Opts.MPIBC {
 			perLoad *= float64(geo.PlanesPerDie)
 		}
 		spread := ceilF(ev.coarsePages/perLoad) + ceilF(ev.finePages/perLoad)
-		full := e.fullIBCLoads()
+		full := d.fullIBCLoads()
 		ev.ibcLoads = min(max(st.IBCLoads, spread), full)
 		// Every whole round of perLoad pages loads a unit on each channel,
 		// a last round of m pages one on min(m, Channels) of them.
@@ -266,8 +266,8 @@ type scanBill struct {
 // spread (busy); the channel and the core for both phases' entries
 // streamed back to back — so those two convert coarse + fine entries to
 // time together, the standalone phases each their own.
-func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
-	cfg := e.SSD.Cfg
+func (d *device) scanCost(db *Database, ev scanEvents) scanBill {
+	cfg := d.SSD.Cfg
 	p, geo := cfg.Flash, cfg.Geo
 	tR, wave, planes := p.ReadLatency(flash.ModeSLCESP), planeWaveTime(p), float64(geo.Planes())
 	entryBytes := float64(db.ttlEntryBytes())
@@ -290,12 +290,12 @@ func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
 			c.busy.waves += waves * wave
 		}
 		read, compute := waves*tR, waves*(wave-tR)
-		if e.Opts.Pipelining {
+		if d.Opts.Pipelining {
 			return tR + max(read, compute+xfer(entries), sel(entries))
 		}
 		return read + compute + xfer(entries) + sel(entries)
 	}
-	c.ibc = e.ibcTime(ev.ibcLoads)
+	c.ibc = d.ibcTime(ev.ibcLoads)
 	c.coarse = phase(ev.coarsePages, ev.coarseEntries, true)
 	c.fine = phase(ev.finePages, ev.fineSurvivors, db.rivf == nil)
 	entries := ev.coarseEntries + ev.fineSurvivors
@@ -313,16 +313,16 @@ func (e *Engine) scanCost(db *Database, ev scanEvents) scanBill {
 // worth of query copies through a die's I/O port, and the dies of a
 // channel share the channel, so the broadcast takes as long as the
 // busiest channel's loads.
-func (e *Engine) ibcTime(loads int) time.Duration {
-	return time.Duration(loads) * bytesTime(float64(e.SSD.Cfg.Geo.PageBytes), e.SSD.Cfg.Flash.DieInputBandwidth)
+func (d *device) ibcTime(loads int) time.Duration {
+	return time.Duration(loads) * bytesTime(float64(d.SSD.Cfg.Geo.PageBytes), d.SSD.Cfg.Flash.DieInputBandwidth)
 }
 
 // fullIBCLoads is the broadcast that reaches every plane of the device,
 // in loads per channel: without MPIBC every plane is loaded separately;
 // with MPIBC all planes of a die latch one load together (Sec 4.3.4).
-func (e *Engine) fullIBCLoads() int {
-	geo := e.SSD.Cfg.Geo
-	if e.Opts.MPIBC {
+func (d *device) fullIBCLoads() int {
+	geo := d.SSD.Cfg.Geo
+	if d.Opts.MPIBC {
 		return geo.DiesPerChannel
 	}
 	return geo.DiesPerChannel * geo.PlanesPerDie

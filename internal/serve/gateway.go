@@ -25,13 +25,13 @@ import (
 	"reis/internal/reis"
 )
 
-// Middleware wraps an http.Handler — the composable unit of the
+// middleware wraps an http.Handler — the composable unit of the
 // gateway's chain.
-type Middleware func(http.Handler) http.Handler
+type middleware func(http.Handler) http.Handler
 
-// Chain applies middlewares outermost-first: Chain(h, a, b) serves
+// chain applies middlewares outermost-first: chain(h, a, b) serves
 // requests through a(b(h)).
-func Chain(h http.Handler, mw ...Middleware) http.Handler {
+func chain(h http.Handler, mw ...middleware) http.Handler {
 	for i := len(mw) - 1; i >= 0; i-- {
 		h = mw[i](h)
 	}
@@ -156,7 +156,7 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 		gw.routes[route] = new(routeCounters)
 	}
 	protected := func(route string, h http.HandlerFunc) http.Handler {
-		return Chain(h, gw.requestID(), gw.metrics(route), gw.admit(), gw.auth(), gw.rateLimit())
+		return chain(h, gw.requestID(), gw.metrics(route), gw.admit(), gw.auth(), gw.rateLimit())
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/search", protected("/search", gw.handleSearch))
@@ -164,16 +164,13 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 	mux.Handle("/stats", protected("/stats", gw.handleStats))
 	// Health stays reachable without auth/limits so probes see drain
 	// state and replica health directly.
-	mux.Handle("/healthz", Chain(http.HandlerFunc(gw.handleHealthz), gw.requestID(), gw.metrics("/healthz")))
+	mux.Handle("/healthz", chain(http.HandlerFunc(gw.handleHealthz), gw.requestID(), gw.metrics("/healthz")))
 	gw.handler = mux
 	return gw
 }
 
 // Handler returns the gateway's root handler.
 func (gw *Gateway) Handler() http.Handler { return gw.handler }
-
-// Draining reports whether Drain has been initiated.
-func (gw *Gateway) Draining() bool { return gw.draining.Load() }
 
 // Drain gracefully shuts the gateway down: stop admitting requests
 // (503 + Retry-After), wait for in-flight handlers bounded by ctx,
@@ -235,7 +232,7 @@ var contentTypeJSON = []string{"application/json"}
 
 // requestID assigns every request an id (or propagates the client's)
 // and echoes it on the response.
-func (gw *Gateway) requestID() Middleware {
+func (gw *Gateway) requestID() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// The client's own value slice is echoed, capped at its first
@@ -252,7 +249,7 @@ func (gw *Gateway) requestID() Middleware {
 
 // metrics records per-route request counts, error classes and handler
 // latency.
-func (gw *Gateway) metrics(route string) Middleware {
+func (gw *Gateway) metrics(route string) middleware {
 	m := gw.routes[route]
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -283,7 +280,7 @@ func (gw *Gateway) metrics(route string) Middleware {
 }
 
 // admit gates admission on drain state and tracks in-flight handlers.
-func (gw *Gateway) admit() Middleware {
+func (gw *Gateway) admit() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// The flag is read before the lock so that a request arriving
@@ -306,7 +303,7 @@ func (gw *Gateway) admit() Middleware {
 }
 
 // auth enforces the configured bearer token.
-func (gw *Gateway) auth() Middleware {
+func (gw *Gateway) auth() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if gw.cfg.AuthToken != "" {
@@ -334,7 +331,7 @@ func tenant(r *http.Request) string {
 }
 
 // rateLimit enforces the per-tenant token bucket.
-func (gw *Gateway) rateLimit() Middleware {
+func (gw *Gateway) rateLimit() middleware {
 	return func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if gw.cfg.RateLimit > 0 && !gw.allow(tenant(r)) {
@@ -627,7 +624,7 @@ func (gw *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 // handleHealthz is the liveness probe: 200 while serving, 503 when
 // draining or when no replica is healthy.
 func (gw *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if gw.Draining() || !gw.group.Ready() {
+	if gw.draining.Load() || !gw.group.Ready() {
 		gw.reject(w, "not serving")
 		return
 	}
