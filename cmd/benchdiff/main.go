@@ -13,10 +13,17 @@
 //     more than -allocs-slack — compared only between reports generated
 //     at the same GOMAXPROCS (the pools behind it are per-P; a report
 //     that carries the column at a different setting fails instead), or
+//   - Fig 7/8's normalized REIS columns (SSD1, SSD2 and their QPS/W,
+//     SSD1QPSW and SSD2QPSW) dropping more than -max-regress percent,
+//     like ModelQPS: every one is a paper-figure headline the timing
+//     model moves, or
 //   - any difference at all in the churn sweep's GC counts (CompactedRows,
-//     BlockErases, MaxBlockErase, WriteAmp): they are event counts of a
-//     deterministic mutation history, not timings, so there is no
-//     tolerance to allow.
+//     BlockErases, MaxBlockErase, WriteAmp), or in Fig 7's CPU-Real
+//     columns (CPUQPS, NoIO): the former are event counts of a
+//     deterministic mutation history, the latter the rival's own model,
+//     which no change to the flash engine may move (its DRAM stream floor
+//     binds, so two runs agree to the byte), so there is no tolerance to
+//     allow.
 //
 // The remaining latency quantiles (ModelP50Ms, ModelP95Ms,
 // ModelP999Ms) and the frontier latencies are report-only, like the
@@ -90,7 +97,15 @@ var metricFields = map[string]bool{
 	"IBCShare": true, "CoarseShare": true, "FineShare": true,
 	"RerankShare": true, "DocsShare": true, "PlaneBusyShare": true,
 	"ChannelBusyShare": true, "CoreBusyShare": true, "Bottleneck": true,
+	// Fig 7/8 (a row is one Dataset x Mode): CPU-Real's QPS and the
+	// No-I/O, REIS-SSD1 and REIS-SSD2 columns normalized to it.
+	"CPUQPS": true, "NoIO": true, "SSD1": true, "SSD2": true,
+	"SSD1QPSW": true, "SSD2QPSW": true,
 }
+
+// throughputFields are metrics where a *drop* is the regression, gated at
+// -max-regress: the model's QPS and Fig 7/8's normalized REIS columns.
+var throughputFields = []string{"ModelQPS", "SSD1", "SSD2", "SSD1QPSW", "SSD2QPSW"}
 
 // latencyFields are metrics where an *increase* is the regression;
 // only ModelP99Ms — the SLO — is enforced.
@@ -112,9 +127,11 @@ var latencyFields = []struct {
 var busyShareFields = []string{"PlaneBusyShare", "ChannelBusyShare", "CoreBusyShare"}
 
 // exactFields are event counts of the mutation path (GC rows collected,
-// blocks erased, erase skew, bytes programmed per payload byte): pure
-// functions of the command history, so any drift is a behaviour change.
-var exactFields = []string{"CompactedRows", "BlockErases", "MaxBlockErase", "WriteAmp"}
+// blocks erased, erase skew, bytes programmed per payload byte) — pure
+// functions of the command history — and Fig 7's CPU-Real columns, a pure
+// function of the dataset and the query's centroid and candidate counts:
+// any drift is a behaviour change.
+var exactFields = []string{"CompactedRows", "BlockErases", "MaxBlockErase", "WriteAmp", "CPUQPS", "NoIO"}
 
 // rowKey builds the match key of a row: the experiment id plus every
 // identity field, sorted for stability.
@@ -224,7 +241,9 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 					}
 				}
 			}
-			check("ModelQPS", true)
+			for _, f := range throughputFields {
+				check(f, true)
+			}
 			check("WallQPS", opt.gateWall)
 			for _, lf := range latencyFields {
 				checkRise(lf.name, lf.enforce)
@@ -234,7 +253,7 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 				bv, ok2 := num(b, f)
 				if ok1 && ok2 && cv != bv {
 					violations = append(violations, fmt.Sprintf(
-						"%s: %s %v -> %v — GC event counts are deterministic; any difference is a behaviour change",
+						"%s: %s %v -> %v — deterministic (GC event counts, the CPU-Real model); any difference is a behaviour change",
 						key, f, bv, cv))
 				}
 			}

@@ -318,3 +318,37 @@ func TestDiffNotesBusyShareAboveOne(t *testing.T) {
 		t.Fatalf("busy-share notes %q (all notes %q)", shares, notes)
 	}
 }
+
+// TestDiffFig7Gates: a Fig 7 row is identified by (Dataset, Mode) alone.
+// The REIS columns gate on a drop like ModelQPS, the CPU-Real columns on
+// any difference, and a rise in a REIS column passes.
+func TestDiffFig7Gates(t *testing.T) {
+	mk := func(cpu, noio, ssd1, ssd2, w1, w2 float64) *report {
+		var r report
+		r.Experiments = []struct {
+			ID   string           `json:"id"`
+			Rows []map[string]any `json:"rows"`
+		}{{ID: "fig7", Rows: []map[string]any{{
+			"Dataset": "NQ", "Mode": "IVF@0.98", "CPUQPS": cpu, "NoIO": noio,
+			"SSD1": ssd1, "SSD2": ssd2, "SSD1QPSW": w1, "SSD2QPSW": w2,
+		}}}}
+		return &r
+	}
+	base := mk(365.64, 13.81, 3.33, 4.79, 45.48, 48.29)
+	if v, notes := diff(base, mk(365.64, 13.81, 4.5, 6.1, 60, 62), options{maxRegressPct: 25}); len(v) != 0 || len(notes) != 0 {
+		t.Fatalf("a faster REIS row: violations %v notes %v", v, notes)
+	}
+	for field, cur := range map[string]*report{
+		"SSD1":     mk(365.64, 13.81, 2.0, 4.79, 45.48, 48.29),
+		"SSD2":     mk(365.64, 13.81, 3.33, 3.0, 45.48, 48.29),
+		"SSD1QPSW": mk(365.64, 13.81, 3.33, 4.79, 30, 48.29),
+		"SSD2QPSW": mk(365.64, 13.81, 3.33, 4.79, 45.48, 30),
+		"CPUQPS":   mk(365.65, 13.81, 3.33, 4.79, 45.48, 48.29),
+		"NoIO":     mk(365.64, 13.80, 3.33, 4.79, 45.48, 48.29),
+	} {
+		v, _ := diff(base, cur, options{maxRegressPct: 25})
+		if len(v) != 1 || !strings.Contains(v[0], field+" ") || !strings.Contains(v[0], "fig7{Dataset=NQ Mode=IVF@0.98}") {
+			t.Fatalf("%s drift: violations %v", field, v)
+		}
+	}
+}
