@@ -527,8 +527,14 @@ func (d *Device) fillCache(planeIdx int, pattern []byte, slotBytes int) {
 			pl.Cache[i] = 0
 		}
 	}
-	for off := 0; off+slotBytes <= d.Geo.PageBytes; off += slotBytes {
-		copy(pl.Cache[off:off+slotBytes], pattern)
+	// One copy fills the first slot; each further copy doubles the filled
+	// prefix, so a page of slots takes log2(slots) copies, not one per
+	// slot. The prefix is whole slots, and so is what the last copy takes.
+	if filled > 0 {
+		copy(pl.Cache[:slotBytes], pattern)
+		for n := slotBytes; n < filled; n *= 2 {
+			copy(pl.Cache[n:filled], pl.Cache[:n])
+		}
 	}
 	pl.mu.Unlock()
 }
