@@ -12,6 +12,7 @@ import (
 	"reis/internal/flash"
 	"reis/internal/reis"
 	"reis/internal/ssd"
+	"reis/internal/vecmath"
 	"reis/internal/xrand"
 )
 
@@ -78,8 +79,10 @@ func portsOf(devs []*reis.Engine) []portCounts {
 //     DocPages at TLC — are the pages the devices sensed in that mode,
 //     for the single commands and the batched one alike (no topology here
 //     has a caching tier, whose pin fills are senses no query is charged).
-//   - The bytes the model moves out — TTLBytes for the scan,
-//     RerankCount × dim + DocBytes for the tail — are what left the dies,
+//   - The bytes the model moves out — TTLBytes for the scan, which is
+//     the TTL entries it charges (the TTL-C entries the coarse cut let
+//     cross, CoarseSurvivors, plus the fine survivors) at an entry's
+//     size, RerankCount × dim + DocBytes for the tail — are what left the dies,
 //     TTL entries and conventional reads (ReadBytesOut) apart. The model
 //     spreads the tail's over every channel; a query's rerank copies sit
 //     on a few pages of its clusters, so they cross a few. That gap is
@@ -98,6 +101,8 @@ func TestIBCReconciliation(t *testing.T) {
 	// The reconciliation serves 64 of the queries; the outbound balance
 	// below takes all 512.
 	queries, int8Bytes := d.Queries[:64], int64(d.Dim)
+	// A TTL entry: DIST, the binary code, EADR, DADR, RADR and TAG.
+	ttlEntry := int64(2 + vecmath.WordsPerVector(d.Dim)*8 + 4 + 4 + 4 + 1)
 	cmd := reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: queries, K: 10, Opt: reis.SearchOptions{NProbe: 8}}
 	// Without MPIBC (last row) a load fills one plane, and the same
 	// equalities hold plane by plane.
@@ -193,8 +198,9 @@ func TestIBCReconciliation(t *testing.T) {
 				t.Fatalf("%s x%d query %d: model charges %d+%d TLC senses, devices made %d",
 					name, s.Devices, qi, st.RerankPages, st.DocPages, tlc)
 			}
-			if ttlOut != st.TTLBytes {
-				t.Fatalf("%s x%d query %d: model moves %d TTL bytes, the dies sent %d", name, s.Devices, qi, st.TTLBytes, ttlOut)
+			if ttlOut != st.TTLBytes || int64(st.Survivors)*ttlEntry != ttlOut {
+				t.Fatalf("%s x%d query %d: model moves %d TTL bytes (%d entries, %d of them TTL-C), the dies sent %d",
+					name, s.Devices, qi, st.TTLBytes, st.Survivors, st.CoarseSurvivors, ttlOut)
 			}
 			if tail := int64(st.RerankCount)*int8Bytes + st.DocBytes; readOut != tail {
 				t.Fatalf("%s x%d query %d: model moves %d tail bytes, conventional reads moved %d", name, s.Devices, qi, tail, readOut)
@@ -259,7 +265,9 @@ func TestIBCReconciliation(t *testing.T) {
 		// its region, so device 0, channel 0 — and every query streams all
 		// of them out of it (at the paper's nlist the centroid region spans
 		// 67 pages); that stream is set aside, the rest is what the striping
-		// spreads. The tail's conventional reads are logged apart: a query's
+		// spreads: the TTL-C entries the coarse cut let cross, exactly. A
+		// query the cut left short of nprobe senses that page again, uncut.
+		// The tail's conventional reads are logged apart: a query's
 		// rerank copies share a few pages of its clusters, on a few channels.
 		all := cmd
 		all.Queries = d.Queries
@@ -278,11 +286,21 @@ func TestIBCReconciliation(t *testing.T) {
 				tail[ch] += read
 			}
 		}
+		var ranked, crossed, reissued int
 		for _, st := range resp.QueryStats {
-			if st.CoarsePages != 1 {
-				t.Fatalf("centroid region is %d pages, the test assumes one", st.CoarsePages)
+			rounds := st.CoarseEntries / len(dep.Centroids)
+			if st.CoarsePages != rounds {
+				t.Fatalf("centroid region is %d pages a round, the test assumes one", st.CoarsePages/rounds)
 			}
-			out[0] -= int64(st.CoarseEntries) * (st.TTLBytes / int64(st.Survivors))
+			out[0] -= int64(st.CoarseSurvivors) * ttlEntry
+			ranked += st.CoarseEntries
+			crossed += st.CoarseSurvivors
+			if rounds > 1 {
+				reissued++
+			}
+		}
+		if out[0] < 0 {
+			t.Fatalf("%s x%d: channel 0 sent %d bytes fewer than the TTL-C entries charged", name, s.Devices, -out[0])
 		}
 		// The corpus's binary region is 64 pages: two per channel of a
 		// 32-channel topology. SSD2 x4 has 64 channels, which it cannot
@@ -291,7 +309,8 @@ func TestIBCReconciliation(t *testing.T) {
 		if r > 1.5 && len(devs)*geo.Channels <= 32 {
 			t.Fatalf("%s x%d: per-channel TTL bytes max/mean %.2f > 1.5: %v", name, s.Devices, r, out)
 		}
-		t.Logf("%s x%d: per-channel TTL bytes max/mean %.2f, tail reads %.2f", name, s.Devices, r, maxOverMean(tail))
+		t.Logf("%s x%d: per-channel TTL bytes max/mean %.2f, tail reads %.2f; coarse cut passed %d of %d centroids (%.3f), %d of %d queries re-issued",
+			name, s.Devices, r, maxOverMean(tail), crossed, ranked, float64(crossed)/float64(ranked), reissued, len(resp.QueryStats))
 	}
 }
 

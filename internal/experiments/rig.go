@@ -428,6 +428,7 @@ func meanStats(agg reis.QueryStats, n int) reis.QueryStats {
 	agg.SelectInput /= n
 	agg.SortedEntries /= n
 	agg.CoarseEntries /= n
+	agg.CoarseSurvivors /= n
 	agg.PrunedPages /= n
 	agg.AbortedWaves /= n
 	agg.PrunedSlots /= n

@@ -72,8 +72,9 @@ type batchItem struct {
 
 // batchScan executes one scan round for a whole query batch into
 // d.scr.out: segs[qi] lists the slot ranges query qi scans in the
-// centroid region (coarse — no distance or metadata filtering: TTL-C
-// must rank every centroid, Sec 4.3.1) or the binary region. Work is
+// centroid region (coarse — no metadata filter, and no distance filter
+// but the coarse cut: centroids over cut ≥ 0 send no TTL-C entry, see
+// controller.run) or the binary region. Work is
 // split into per-plane tasks dispatched to the die worker pool; each
 // plane broadcasts a query's embedding into its cache latch once and
 // then scans all of that query's segments resident on the plane before
@@ -91,16 +92,19 @@ type batchItem struct {
 // pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
 // global to the round, so every topology skips the same segments.
-func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
+func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cut int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
 	if d.closed.Load() {
 		return fmt.Errorf("reis: device closed: %w", ErrQueueClosed)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	region, filter := db.rec.Embeddings, d.Opts.DistanceFilter
+	region, threshold := db.rec.Embeddings, -1
+	if d.Opts.DistanceFilter {
+		threshold = db.filterThreshold
+	}
 	if coarse {
-		region, filter, metaTag = db.rec.Centroids, false, nil
+		region, threshold, metaTag = db.rec.Centroids, cut, nil
 	}
 	planes := d.SSD.Cfg.Geo.Planes()
 	d.pool.resetArenas()
@@ -148,7 +152,7 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 		}
 	}
 	busy := d.planBroadcasts()
-	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, filter: filter, metaTag: metaTag}
+	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: threshold, metaTag: metaTag}
 	err := d.pool.run(&d.scr.round, busy)
 	d.scr.round = scanRound{} // the command's context and queries go with it
 	if err != nil {
@@ -173,13 +177,13 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 // outcome slots are the device scratch's (planeWork, out.scans). It lives
 // in the scratch too, so starting a round allocates nothing.
 type scanRound struct {
-	ctx     context.Context
-	d       *device
-	db      *Database
-	region  ssd.Region
-	packed  [][]byte
-	filter  bool
-	metaTag *uint8
+	ctx       context.Context
+	d         *device
+	db        *Database
+	region    ssd.Region
+	packed    [][]byte
+	threshold int
+	metaTag   *uint8
 }
 
 // runDie executes one die's share of the round on its worker: the
@@ -210,7 +214,7 @@ func (r *scanRound) runDie(sc *workerScratch, die int) error {
 					return err
 				}
 				it := items[i]
-				ps, err := d.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.filter, r.metaTag, it.bound)
+				ps, err := d.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.threshold, r.metaTag, it.bound)
 				if err != nil {
 					return err
 				}
@@ -385,6 +389,8 @@ func (s *segScan) addTo(st *QueryStats, coarse bool) {
 	if coarse {
 		st.CoarseWaves += s.waves
 		st.CoarsePages += s.pages
+		st.CoarseEntries += s.scanned
+		st.CoarseSurvivors += s.survivors
 	} else {
 		st.FineWaves += s.waves
 		st.FinePages += s.pages
@@ -399,11 +405,10 @@ func (s *segScan) addTo(st *QueryStats, coarse bool) {
 
 // stats is query qi's view of the last round as the device reports it
 // to its host (a PerShard row): its broadcasts and folded segment
-// events. Every coarse survivor is a TTL-C entry;
-// the timing model costs coarse and fine TTL streams under different
-// scale factors, so the device's row carries the split. (The host's
-// aggregated CoarseEntries is computed centrally from the merged
-// stream instead.)
+// events. Every coarse survivor is a TTL-C entry; the timing model costs
+// coarse and fine TTL streams under different scale factors, so the
+// device's row carries the split (CoarseEntries, CoarseSurvivors), as
+// the host's aggregate does.
 func (o *scanOut) stats(qi int, coarse bool) QueryStats {
 	st := QueryStats{IBCBroadcasts: o.ibc[qi]}
 	end := len(o.segs)
@@ -412,34 +417,31 @@ func (o *scanOut) stats(qi int, coarse bool) QueryStats {
 	}
 	for i := o.off[qi]; i < end; i++ {
 		o.segs[i].addTo(&st, coarse)
-		if coarse {
-			st.CoarseEntries += o.segs[i].survivors
-		}
 	}
 	return st
 }
 
 // scan runs one round on every device in place: segs[qi] are the global
-// slot ranges query qi scans in the centroid (coarse) or binary region,
-// lbs mirrors segs with each segment's proven distance lower bound (nil
+// slot ranges query qi scans in the centroid (coarse, under cut: < 0 for
+// none) or binary region, lbs mirrors segs with each segment's proven distance lower bound (nil
 // = none), and bounds[qi] is the query's pruning threshold (0 = off).
 // Device 0 scans on this goroutine and the others beside it, joined
 // before the round returns; the host holds every device's lock for the
 // command, so each device's scratch and arenas are its scanner's alone.
 // Each device's share of the round's events is added to rows (nil when
 // nobody asks); a device that owns no page of the round adds zeros.
-func (c *controller) scan(ctx context.Context, coarse bool, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
+func (c *controller) scan(ctx context.Context, coarse bool, cut int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
 	// The goroutines capture the host and the slices, never c: the
 	// controller stays on the command's stack.
 	h, locals, packed, errs := c.h, c.db.locals, c.scr.packed, c.h.scr.errs
 	for s := 1; s < len(h.devs); s++ {
 		h.scr.wg.Add(1)
 		go func(s int) {
-			errs[s] = h.devs[s].batchScan(ctx, locals[s], packed, coarse, segs, lbs, bounds, metaTag)
+			errs[s] = h.devs[s].batchScan(ctx, locals[s], packed, coarse, cut, segs, lbs, bounds, metaTag)
 			h.scr.wg.Done()
 		}(s)
 	}
-	errs[0] = h.devs[0].batchScan(ctx, locals[0], packed, coarse, segs, lbs, bounds, metaTag)
+	errs[0] = h.devs[0].batchScan(ctx, locals[0], packed, coarse, cut, segs, lbs, bounds, metaTag)
 	h.scr.wg.Wait()
 	for _, err := range errs {
 		if err != nil {

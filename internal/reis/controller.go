@@ -175,6 +175,37 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	return results, sts, rows, nil
 }
 
+// coarseCut is the coarse round's in-plane cutoff at nprobe, or -1 when
+// the cut is off: it rides the distance filter's option and has nothing
+// to hold back once nprobe covers every centroid.
+func (c *controller) coarseCut(nprobe int) int {
+	cut := c.db.lay.coarseCut
+	if !c.pin.filter || nprobe >= len(c.db.lay.rivf) || cut == nil {
+		return -1
+	}
+	return cut[nprobe-1]
+}
+
+// selectClusters ranks query qi's TTL-C entries and keeps the first
+// nprobe clusters as its selection, with their pruning lower bounds, and
+// returns how many it kept.
+func (c *controller) selectClusters(qi int, cents []TTLEntry, nprobe int, st *QueryStats) int {
+	cache, mut := c.db.cache, c.db.mut
+	st.SelectInput += len(cents)
+	slices.SortFunc(cents, cmpTTLDistPos)
+	sel := c.scr.sel[qi][:0]
+	probePages := 0
+	for _, cn := range cents[:min(nprobe, len(cents))] {
+		probePages += cache.probe(cn.Pos, mut.buckets[cn.Pos])
+		sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, mut.radius[cn.Pos])})
+	}
+	// The widest probe of this command opens or shuts the next command's
+	// pin admission (dbCache.refresh).
+	cache.probed(probePages)
+	c.scr.sel[qi] = sel
+	return len(sel)
+}
+
 // run drives one validated batch through the pipeline: plan a round,
 // have the devices scan it, fold each query's segments — pinned ones
 // from DRAM — into its accumulator, tighten its bound, repeat; the
@@ -215,35 +246,40 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// Coarse round: every query ranks the whole centroid region. No
-		// bound applies — TTL-C must rank every centroid (Sec 4.3.1).
+		// Coarse round: every query ranks the whole centroid region in
+		// flash. No pruning bound applies. With the coarse cut on, only
+		// centroids at or under it send a TTL-C entry: the check keeps
+		// ties, so a query with nprobe survivors selects exactly the
+		// (Dist, Pos) top-nprobe of every centroid. A query left with
+		// fewer re-runs the round uncut, and its stats count both.
+		nprobe := min(max(opt.NProbe, 1), nlist)
 		s.cent[0] = SlotRange{First: 0, Last: nlist - 1}
 		for qi := range queries {
 			s.segs[qi] = s.cent[:]
 		}
-		if err := c.scan(ctx, true, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
-			return nil, nil, nil, err
-		}
-		nprobe := min(max(opt.NProbe, 1), nlist)
-		for qi := range queries {
-			st := &sts[qi]
-			c.ibc(qi, st)
-			cents := c.fold(qi, 0, true, st, s.cents[:0])
-			s.cents = cents
-			st.CoarseEntries = len(cents)
-			st.SelectInput += len(cents)
-			slices.SortFunc(cents, cmpTTLDistPos)
-			sel := s.sel[qi][:0]
-			probePages := 0
-			for _, cn := range cents[:min(nprobe, len(cents))] {
-				probePages += cache.probe(cn.Pos, mut.buckets[cn.Pos])
-				sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, mut.radius[cn.Pos])})
+		for cut := c.coarseCut(nprobe); ; cut = -1 {
+			if err := c.scan(ctx, true, cut, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
+				return nil, nil, nil, err
 			}
-			// The widest probe of this command opens or shuts the next
-			// command's pin admission (dbCache.refresh).
-			cache.probed(probePages)
-			s.sel[qi] = sel
-			maxSel = max(maxSel, len(sel))
+			reissue := false
+			for qi := range queries {
+				if len(s.segs[qi]) == 0 {
+					continue // selected in the cut round
+				}
+				st := &sts[qi]
+				c.ibc(qi, st)
+				cents := c.fold(qi, 0, true, st, s.cents[:0])
+				s.cents = cents
+				if cut >= 0 && len(cents) < nprobe {
+					reissue = true
+					continue
+				}
+				s.segs[qi] = nil
+				maxSel = max(maxSel, c.selectClusters(qi, cents, nprobe, st))
+			}
+			if !reissue {
+				break
+			}
 		}
 	}
 
@@ -296,7 +332,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			s.bounds[qi] = s.trackers[qi].bound()
 		}
 
-		if err := c.scan(ctx, false, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
+		if err := c.scan(ctx, false, -1, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
 			return nil, nil, nil, err
 		}
 		for qi := range queries {

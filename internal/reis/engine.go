@@ -47,6 +47,7 @@ package reis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -309,28 +310,34 @@ func buildRIVF(assign, order []int, nlist int) []RIVFEntry {
 	return entries
 }
 
+// calibrationSample is the sample both deploy-time calibrations read:
+// the binary codes of about calibrationCodes database vectors, evenly
+// strided.
+func calibrationSample(vectors [][]float32) [][]uint64 {
+	const calibrationCodes = 2048
+	step := max(1, len(vectors)/calibrationCodes)
+	var codes [][]uint64
+	for i := 0; i < len(vectors); i += step {
+		codes = append(codes, vecmath.BinaryQuantize(vectors[i], nil))
+	}
+	return codes
+}
+
 // calibrateFilter chooses the distance-filtering threshold offline
 // (Sec 4.3.3). The paper tunes the threshold so ~99% of candidates are
 // filtered while the true top-k still passes; we reproduce that by
 // sampling database vectors as pseudo-queries, measuring their k'-th
-// nearest Hamming distance within a sample of codes, and placing the
+// nearest Hamming distance within the sample of codes, and placing the
 // threshold a safety margin above the largest of them. The sample is
 // sparser than the full database, so the estimate errs high (passes
 // more), never low.
-func calibrateFilter(vectors [][]float32) int {
+func calibrateFilter(codes [][]uint64) int {
 	const (
 		pseudoQueries = 64
-		sampleCodes   = 2048
 		kSafety       = 32 // well above the paper's k=10 operating point
 	)
-	n := len(vectors)
-	if n < 2 {
-		return vecmath.WordsPerVector(len(vectors[0])) * 64
-	}
-	step := max(1, n/sampleCodes)
-	var codes [][]uint64
-	for i := 0; i < n; i += step {
-		codes = append(codes, vecmath.BinaryQuantize(vectors[i], nil))
+	if len(codes) < 2 {
+		return len(codes[0]) * 64
 	}
 	qStep := max(1, len(codes)/pseudoQueries)
 	var kths []int
@@ -355,7 +362,50 @@ func calibrateFilter(vectors [][]float32) int {
 	return med + med/4 + 2
 }
 
+// calibrateCoarseCut builds the coarse round's cutoff table offline:
+// cut[n-1], for n = 1..nlist, is the 0.99 quantile (nearest rank) over
+// the sample of codes of each code's n-th smallest Hamming distance to a
+// centroid code. A query whose n-th nearest centroid lies under cut[n-1]
+// — about 99 of 100 queries drawn like the database — has its whole
+// top-n at or under it, so the cut is a transfer filter, not a recall
+// knob: the controller re-runs the round uncut for the rest
+// (controller.run). The table is nondecreasing in n.
+func calibrateCoarseCut(codes, centCodes [][]uint64) []int {
+	m, nlist := len(codes), len(centCodes)
+	// nth[j*m+i] is code i's (j+1)-th smallest distance.
+	nth := make([]int32, nlist*m)
+	dists := make([]int32, nlist)
+	for i, code := range codes {
+		for c, cc := range centCodes {
+			dists[c] = int32(vecmath.Hamming(code, cc))
+		}
+		slices.Sort(dists)
+		for j, d := range dists {
+			nth[j*m+i] = d
+		}
+	}
+	rank := ceilDiv(99*m, 100) - 1
+	cut := make([]int, nlist)
+	for j := range cut {
+		col := nth[j*m : (j+1)*m]
+		slices.Sort(col)
+		cut[j] = int(col[rank])
+	}
+	return cut
+}
+
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+// centroidSlots is the centroids this device's slice holds: what one
+// coarse round ranks here (the centroid region's pages g ≡ start mod
+// stride, the last one partly filled).
+func (db *Database) centroidSlots() int {
+	n := 0
+	for g := db.start; g < db.centPages; g += db.stride {
+		n += min(db.embPerPage, len(db.rivf)-g*db.embPerPage)
+	}
+	return n
+}
 
 // Record exposes the slice's R-DB record (for tests and tools).
 func (db *Database) Record() ssd.DBRecord { return db.rec }

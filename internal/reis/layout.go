@@ -148,6 +148,11 @@ type dbLayout struct {
 
 	rivf            []RIVFEntry
 	filterThreshold int
+	// coarseCut[n-1] is the coarse round's in-plane cutoff at nprobe n
+	// (calibrateCoarseCut; nil for flat databases). Built once, at
+	// deploy: a cut the corpus has drifted from costs re-issues, never
+	// a different selection.
+	coarseCut []int
 
 	// centCodes[c] is cluster c's binary-quantized centroid code and
 	// radius[c] the maximum Hamming distance from that code to any
@@ -254,6 +259,7 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 			lo.embCap = minCap
 		}
 	}
+	codes := calibrationSample(cfg.Vectors)
 	if len(cfg.Centroids) > 0 {
 		lo.centPages = ceilDiv(len(cfg.Centroids), lo.embPerPage)
 		lo.rivf = buildRIVF(cfg.Assign, order, len(cfg.Centroids))
@@ -268,9 +274,9 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 				lo.radius[c] = d
 			}
 		}
+		lo.coarseCut = calibrateCoarseCut(codes, lo.centCodes)
 	}
-
-	lo.filterThreshold = calibrateFilter(cfg.Vectors)
+	lo.filterThreshold = calibrateFilter(codes)
 	return lo, nil
 }
 

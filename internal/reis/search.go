@@ -74,10 +74,14 @@ type QueryStats struct {
 	SelectInput int
 	// SortedEntries is the number of entries quicksorted at the end.
 	SortedEntries int
-	// CoarseEntries is the number of TTL-C (centroid) entries produced
-	// by the coarse phase; Survivors - CoarseEntries are fine-scan
-	// survivors.
+	// CoarseEntries is the number of centroids the coarse phase ranked:
+	// its share of EntriesScanned, summed over its rounds (one, or two
+	// when the coarse cut re-issues it).
 	CoarseEntries int
+	// CoarseSurvivors is the number of TTL-C entries that crossed the
+	// channel: every centroid ranked, unless the coarse cut held some
+	// back. Survivors - CoarseSurvivors are fine-scan survivors.
+	CoarseSurvivors int
 	// PrunedPages counts pages a pruned search (SearchOptions.Prune)
 	// never sensed because a whole segment's centroid-distance lower
 	// bound exceeded the query's top-k threshold. They are NOT folded
@@ -125,6 +129,7 @@ func (s *QueryStats) Add(o QueryStats) {
 	s.SelectInput += o.SelectInput
 	s.SortedEntries += o.SortedEntries
 	s.CoarseEntries += o.CoarseEntries
+	s.CoarseSurvivors += o.CoarseSurvivors
 	s.PrunedPages += o.PrunedPages
 	s.AbortedWaves += o.AbortedWaves
 	s.PrunedSlots += o.PrunedSlots
@@ -246,7 +251,9 @@ type planeScan struct {
 // plane's span of a slotted SLC region: page read, one page-granular
 // GEN_DIST_PAGE wave per page (fused latch XOR + per-slot fail-bit
 // counts into the worker's distance buffer), optional pass/fail
-// distance filtering, and TTL transfer of survivors. first/last bound
+// distance filtering against threshold (< 0: none — the fine round's
+// filter cutoff, or the coarse round's cut), and TTL transfer of
+// survivors. first/last bound
 // the device-local slot positions of the overall scan; only this plane's
 // pages are touched, so concurrent scanPlane calls on different planes
 // share no mutable device state. Survivors are appended to the worker's
@@ -258,7 +265,7 @@ type planeScan struct {
 // bound always survive, which — together with the (Dist, DADR)
 // total-order selection downstream — is what keeps pruned results
 // bit-identical to unpruned ones.
-func (d *device) scanPlane(db *Database, region ssd.Region, sc *workerScratch, span ssd.PlaneSpan, first, last int, filter bool, metaTag *uint8, bound int) (planeScan, error) {
+func (d *device) scanPlane(db *Database, region ssd.Region, sc *workerScratch, span ssd.PlaneSpan, first, last int, threshold int, metaTag *uint8, bound int) (planeScan, error) {
 	geo := d.SSD.Cfg.Geo
 	firstPage := first / db.embPerPage
 	lastPage := last / db.embPerPage
@@ -315,7 +322,7 @@ func (d *device) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 				continue // cluster-alignment padding slot
 			}
 			ps.scanned++
-			if filter && !d.SSD.Dev.PassFail(dist, db.filterThreshold) {
+			if threshold >= 0 && !d.SSD.Dev.PassFail(dist, threshold) {
 				continue
 			}
 			if metaTag != nil && l.tag != *metaTag {

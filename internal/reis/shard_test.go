@@ -164,7 +164,7 @@ func TestShardedMatchesSingleDevice(t *testing.T) {
 					CoarsePages: st.CoarsePages, FinePages: st.FinePages,
 					EntriesScanned: st.EntriesScanned, Survivors: st.Survivors, TTLBytes: st.TTLBytes,
 					IBCBroadcasts: st.IBCBroadcasts, IBCLoads: st.IBCLoads, IBCTotalLoads: st.IBCTotalLoads,
-					CoarseEntries: st.CoarseEntries,
+					CoarseEntries: st.CoarseEntries, CoarseSurvivors: st.CoarseSurvivors,
 				}); n == 1 && got.PerShard[0][qi] != scan {
 					t.Fatalf("shards=1 %s: query %d's lone per-shard row %+v is not its scan phase %+v",
 						tc.name, qi, got.PerShard[0][qi], scan)

@@ -172,7 +172,8 @@ func (c *hostCore) price(db *Database, st QueryStats, perDev []QueryStats, sc Sc
 // scale: what scanCost charges, and all it charges.
 type scanEvents struct {
 	coarsePages, finePages float64 // SLC-ESP senses, per phase
-	coarseEntries          float64 // TTL-C entries: every centroid crosses the channel
+	coarseRounds           int     // coarse rounds: 2 when the coarse cut re-issued the query
+	coarseEntries          float64 // TTL-C entries that crossed the channel (all, unless the coarse cut held some back)
 	fineSurvivors          float64 // TTL entries the fine scan sends to the controller
 	ibcLoads               int     // latch loads on the busiest channel
 	ibcTotalLoads          int     // latch loads on every channel
@@ -186,6 +187,15 @@ type scanEvents struct {
 // artifact (a full-scale cluster of thousands of embeddings wastes at
 // most one partial page) — but never below the functional count: reads
 // that happened, happened.
+//
+// TTL-C entries: the ones that crossed (QueryStats.CoarseSurvivors —
+// every centroid, unless the coarse cut held some back), scaled by
+// sc.Coarse: paper scale pays the functional run's pass fraction of its
+// nlist. Pages follow the centroids ranked (CoarseEntries), both rounds
+// of a re-issued query, and so do the rounds: a round ranks every
+// centroid the device holds, and the second senses the first's pages
+// again after it, so each round is its own waves (scanCost) but loads no
+// latch the first did not.
 //
 // IBC loads: as executed (no scale above 1) the device's own count,
 // QueryStats.IBCLoads: the distinct dies — or planes, without MPIBC — the
@@ -213,9 +223,10 @@ func (d *device) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 	fineScanned := st.EntriesScanned - st.CoarseEntries
 	ev := scanEvents{
 		coarsePages:   pages(st.CoarsePages, st.CoarseEntries, sc.Coarse),
+		coarseRounds:  max(1, ceilDiv(st.CoarseEntries, max(1, db.centroidSlots()))),
 		finePages:     pages(st.FinePages, fineScanned, sc.Fine),
-		coarseEntries: float64(st.CoarseEntries) * sc.Coarse,
-		fineSurvivors: float64(st.Survivors-st.CoarseEntries) * sc.Fine,
+		coarseEntries: float64(st.CoarseSurvivors) * sc.Coarse,
+		fineSurvivors: float64(st.Survivors-st.CoarseSurvivors) * sc.Fine,
 		ibcLoads:      st.IBCLoads,
 		ibcTotalLoads: st.IBCTotalLoads,
 	}
@@ -228,7 +239,8 @@ func (d *device) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 		if d.Opts.MPIBC {
 			perLoad *= float64(geo.PlanesPerDie)
 		}
-		spread := ceilF(ev.coarsePages/perLoad) + ceilF(ev.finePages/perLoad)
+		roundPages := ev.coarsePages / float64(ev.coarseRounds)
+		spread := ceilF(roundPages/perLoad) + ceilF(ev.finePages/perLoad)
 		full := d.fullIBCLoads()
 		ev.ibcLoads = min(max(st.IBCLoads, spread), full)
 		// Every whole round of perLoad pages loads a unit on each channel,
@@ -237,7 +249,7 @@ func (d *device) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 			n, k := ceilF(pages), int(perLoad)
 			return n/k*geo.Channels + min(n%k, geo.Channels)
 		}
-		ev.ibcTotalLoads = max(st.IBCTotalLoads, min(units(ev.coarsePages)+units(ev.finePages), full*geo.Channels))
+		ev.ibcTotalLoads = max(st.IBCTotalLoads, min(units(roundPages)+units(ev.finePages), full*geo.Channels))
 	}
 	return ev
 }
@@ -278,11 +290,11 @@ func (d *device) scanCost(db *Database, ev scanEvents) scanBill {
 		return cfg.QuickselectTime(int(entries)) + time.Duration(entries*cfg.DRAMAccessNs)*time.Nanosecond
 	}
 	var c scanBill
-	phase := func(pages, entries float64, shared bool) time.Duration {
+	phase := func(pages, entries float64, shared bool, rounds int) time.Duration {
 		if pages <= 0 {
 			return 0
 		}
-		waves := time.Duration(ceilF(pages / planes))
+		waves := time.Duration(rounds * ceilF(pages/float64(rounds)/planes))
 		if shared {
 			c.busy.plane += waves * wave
 		} else {
@@ -296,8 +308,8 @@ func (d *device) scanCost(db *Database, ev scanEvents) scanBill {
 		return read + compute + xfer(entries) + sel(entries)
 	}
 	c.ibc = d.ibcTime(ev.ibcLoads)
-	c.coarse = phase(ev.coarsePages, ev.coarseEntries, true)
-	c.fine = phase(ev.finePages, ev.fineSurvivors, db.rivf == nil)
+	c.coarse = phase(ev.coarsePages, ev.coarseEntries, true, ev.coarseRounds)
+	c.fine = phase(ev.finePages, ev.fineSurvivors, db.rivf == nil, 1)
 	entries := ev.coarseEntries + ev.fineSurvivors
 	c.busy.channel = c.ibc + xfer(entries)
 	c.busy.core = sel(entries)
@@ -528,7 +540,8 @@ func (e *Engine) ASICLatency(db *Database, st QueryStats, sc Scale) Breakdown {
 	ev := e.scanEvents(db, st, sc)
 	tail := tailCost(cfg, db, st, sc)
 
-	scanPages := ev.coarsePages + ev.finePages
+	// The ASIC ranks every centroid at the controller: one coarse round.
+	scanPages := ev.coarsePages/float64(ev.coarseRounds) + ev.finePages
 	pageBytes := float64(geo.PageBytes + geo.OOBBytes)
 	read := time.Duration(ceilF(scanPages/float64(geo.Planes()))) * tR
 	b := Breakdown{

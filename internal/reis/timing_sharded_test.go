@@ -131,31 +131,38 @@ func sameTiming(a, b timingGolden) bool {
 // pruned/2 and pruned/4, the unit-scale rows where it loads channels
 // unevenly. Every Breakdown duration and the serial, channel and core
 // columns are the values from before.
+// The coarse cut (the coarse round sends only centroids at or under
+// coarseCut[nprobe]) moved the ivf, pruned and cached rows' energy,
+// channel, core and batch-energy columns: fewer TTL-C entries cross and
+// are selected (ivf/1: channel 8169580 -> 5577154 ns, core 6971025 ->
+// 4763281). Every Breakdown duration, serial, plane and makespan column,
+// and every flat row, are the values from before: these rows pipeline
+// the coarse phase, which the sense bounds.
 var shardedTimingGolden = map[string]timingGolden{
 	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
 		983960753, 1222571293, 5169248, 4415921, 983960753, 11.815563628650551},
-	"ivf/1": {6826, 1665000, 30105000, 97076, 171437, 32045339, 0.3836639092478725,
-		267720753, 331681998, 8169580, 6971025, 267720753, 3.2059117644777597},
-	"pruned/1": {6826, 45000, 67500, 97076, 171437, 387839, 0.002353357432,
-		3075753, 2345998, 97695, 96925, 2733837, 0.017086900175999998},
-	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485758272,
-		5377102, 5183000, 35370, 59125, 5377102, 0.029110554026},
+	"ivf/1": {6826, 1665000, 30105000, 97076, 171437, 32045339, 0.3836593381118726,
+		267720753, 331681998, 5577154, 4763281, 267720753, 3.2058744335337597},
+	"pruned/1": {6826, 45000, 67500, 97076, 171437, 387839, 0.002353356688,
+		3075753, 2345998, 97387, 96661, 2733837, 0.017086895712},
+	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485757156,
+		5377102, 5183000, 34723, 58850, 5377102, 0.029110549376},
 	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
 		521104435, 647246996, 2761546, 2379361, 521104435, 12.106805000082549},
-	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41117257255187256,
-		173581935, 174830804, 7501982, 6416377, 173581935, 3.6031281359097598},
-	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.0031994961600000003,
-		2241022, 1497021, 76343, 94835, 1775547, 0.021173799575999998},
-	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008423588272,
-		3066847, 2888000, 20115, 59125, 3066847, 0.032893514026000006},
+	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41116800141587256,
+		173581935, 174830804, 4909557, 4208633, 173581935, 3.6030908049657597},
+	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.003199495416,
+		2241022, 1497021, 76343, 94571, 1775547, 0.021173795112},
+	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008423587155999999,
+		3066847, 2888000, 19468, 58850, 3066847, 0.032893509376},
 	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
 		278856273, 345610373, 1500552, 1312441, 278856273, 12.47288768294655},
-	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5399398891598726,
-		126053773, 109095681, 7130352, 6106859, 124920800, 4.365725965557759},
-	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966640736,
-		2187860, 1040434, 62384, 93515, 1318053, 0.029779561608},
-	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011149258272,
-		2039222, 1868000, 12490, 59125, 2039222, 0.043009484025999994},
+	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5399353180238725,
+		126053773, 109095681, 4537925, 3899115, 124920800, 4.36568863461376},
+	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966639992,
+		2187860, 1040434, 62076, 93251, 1318053, 0.029779557143999998},
+	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011149257155999999,
+		2039222, 1868000, 11843, 58850, 2039222, 0.043009479376},
 }
 
 // timingCfg is one shard's device of the model tests.
@@ -234,6 +241,12 @@ func TestShardedTimingTable(t *testing.T) {
 // energy on the unit-scale pruned rows (df, dfpl) with the broadcast
 // energy's per-load charge. Every Breakdown duration, every asic row and
 // the serial, channel and core columns are unchanged.
+// The coarse cut moved the ivf, pruned and cached rows of the rungs that
+// filter (df, dfpl): fewer TTL-C entries cross, so channel, core, energy
+// and batch energy fell, and so did the unpipelined df rows' coarse phase
+// and with it total, serial and makespan (ivf/df: coarse 3611402 ->
+// 3023626 ns). Every noopt, flat and asic row — the distance filter off,
+// or no coarse round — is unchanged to the digit.
 var ladderTimingGolden = map[string]timingGolden{
 	"flat/noopt": {13652, 0, 269819200, 451008, 171437, 270455297, 2.2152664345963187,
 		2163642376, 1222872000, 508067376, 432703000, 1493327297, 14.37050208177055},
@@ -245,20 +258,20 @@ var ladderTimingGolden = map[string]timingGolden{
 		9419903, 9263000, 56088, 100817, 9419903, 0.050872708204},
 	"flat/df": {13652, 0, 153439552, 437076, 171437, 154061717, 1.6322314097323187,
 		1232511777, 1222571293, 5223856, 4415921, 1232511777, 13.05831953508255},
-	"ivf/df": {13652, 3611402, 37724988, 97076, 171437, 41618555, 0.43153008755187255,
-		347187210, 331681998, 8224188, 6971025, 347187210, 3.60324483590976},
-	"pruned/df": {13652, 28382, 57148, 97076, 171437, 367695, 0.00225271116,
-		2901811, 2345998, 148890, 96925, 2713693, 0.016986745424},
-	"cached/df": {426, 28589, 30254, 864636, 427504, 1351409, 0.007318703272,
-		5277494, 5183000, 35370, 59125, 5277494, 0.028612514026},
+	"ivf/df": {13652, 3023626, 37724988, 97076, 171437, 41030779, 0.4285866364158726,
+		342387041, 331681998, 5631762, 4763281, 342387041, 3.5792066599657604},
+	"pruned/df": {13652, 28287, 57148, 97076, 171437, 367600, 0.002252235416,
+		2901238, 2345998, 148582, 96661, 2713598, 0.016986265959999997},
+	"cached/df": {426, 28368, 30254, 864636, 427504, 1351188, 0.007317597156,
+		5276572, 5183000, 34723, 58850, 5276572, 0.028607899376},
 	"flat/dfpl": {13652, 0, 122377500, 437076, 171437, 122999665, 1.4769211497323185,
 		984015361, 1222571293, 5223856, 4415921, 984015361, 11.81583745508255},
-	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 171437, 32052165, 0.38369813755187254,
-		267775361, 331681998, 8224188, 6971025, 267775361, 3.20618559090976},
-	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.0023875611599999996,
-		3126948, 2345998, 148890, 96925, 2740663, 0.017121595424},
-	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485758272,
-		5377102, 5183000, 35370, 59125, 5377102, 0.029110554026},
+	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 171437, 32052165, 0.38369356641587254,
+		267775361, 331681998, 5631762, 4763281, 267775361, 3.20614825996576},
+	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.0023875604159999996,
+		3126948, 2345998, 148582, 96661, 2740663, 0.017121590960000002},
+	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485757156,
+		5377102, 5183000, 34723, 58850, 5377102, 0.029110549376},
 	"flat/asic": {6826, 0, 135975000, 437076, 171437, 136590339, 1.4672401458318585,
 		0, 0, 0, 0, 0, 0},
 	"ivf/asic": {6826, 0, 35275000, 97076, 171437, 35550339, 0.3810131185072566,
