@@ -423,8 +423,9 @@ func (o *scanOut) stats(qi int, coarse bool) QueryStats {
 
 // scan runs one round on every device in place: segs[qi] are the global
 // slot ranges query qi scans in the centroid (coarse, under cut: < 0 for
-// none) or binary region, lbs mirrors segs with each segment's proven distance lower bound (nil
-// = none), and bounds[qi] is the query's pruning threshold (0 = off).
+// none) or binary region, lbs mirrors segs with each segment's proven
+// distance lower bound (nil = none), and bounds[qi] is the query's
+// pruning threshold (0 = off).
 // Device 0 scans on this goroutine and the others beside it, joined
 // before the round returns; the host holds every device's lock for the
 // command, so each device's scratch and arenas are its scanner's alone.

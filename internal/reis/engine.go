@@ -365,7 +365,7 @@ func calibrateFilter(codes [][]uint64) int {
 // calibrateCoarseCut builds the coarse round's cutoff table offline:
 // cut[n-1], for n = 1..nlist, is the 0.99 quantile (nearest rank) over
 // the sample of codes of each code's n-th smallest Hamming distance to a
-// centroid code. A query whose n-th nearest centroid lies under cut[n-1]
+// centroid code. A query whose n-th nearest centroid lies at or under cut[n-1]
 // — about 99 of 100 queries drawn like the database — has its whole
 // top-n at or under it, so the cut is a transfer filter, not a recall
 // knob: the controller re-runs the round uncut for the rest
