@@ -172,15 +172,13 @@ var experimentTable = []experiment{
 	{"fig11", nil, "speedup over NDSearch",
 		of(experiments.RunFig11, experiments.FormatFig11)},
 	{"throughput", nil, "batched vs sequential query admission",
-		of(func(scale int) ([]experiments.ThroughputRow, error) {
-			return experiments.RunThroughput(scale, nil, nil)
-		}, experiments.FormatThroughput)},
+		of(experiments.RunThroughput, experiments.FormatThroughput)},
 	{"qdepth", nil, "QPS and modeled tails vs submission-queue depth through the async host API",
-		of(func(scale int) ([]experiments.QDepthRow, error) { return experiments.RunQDepth(scale, nil, nil) }, experiments.FormatQDepth)},
+		of(experiments.RunQDepth, experiments.FormatQDepth)},
 	{"shards", nil, "throughput and modeled tails vs device count",
-		of(func(scale int) ([]experiments.ShardRow, error) { return experiments.RunShards(scale, nil, nil) }, experiments.FormatShards)},
+		of(experiments.RunShards, experiments.FormatShards)},
 	{"prune", nil, "threshold-propagated top-k pruning vs the unpruned scan (fixed corpus; -scale unused)",
-		of(func(int) ([]experiments.PruneRow, error) { return experiments.RunPrune(nil, nil) }, experiments.FormatPrune)},
+		of(func(int) ([]experiments.PruneRow, error) { return experiments.RunPrune() }, experiments.FormatPrune)},
 	{"skew", nil, "the DRAM caching tier under Zipfian query skew and bursty churn (fixed corpus)",
 		of(func(int) ([]experiments.SkewRow, error) { return experiments.RunSkew(nil, nil) }, experiments.FormatSkew)},
 	{"churn", nil, "GC wear under append/delete/compact: wear-leveled vs first-fit placement (fixed corpus)",

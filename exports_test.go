@@ -1,0 +1,125 @@
+package reis
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+// stdlibMethods are method names a type declares to satisfy a standard
+// library interface (fmt.Stringer, error, http.ResponseWriter,
+// http.Flusher, context.Context); the caller is the library, not this
+// module.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true, "Write": true, "WriteHeader": true,
+	"Flush": true, "Deadline": true, "Done": true, "Err": true, "Value": true,
+}
+
+// exportAllowlist names exported functions under internal/ that no
+// program calls but that stay, each with its reason. Keys are
+// "pkg.Name" or "pkg.Recv.Name".
+var exportAllowlist = map[string]string{
+	"ann.NewBinaryFlat":            "reference implementation: internal/reis's cross-validation test checks the engine against it",
+	"ssd.Region.PlaneViews":        "reference: the allocation-free AppendPlaneSpans is checked against it",
+	"flash.Address.LinearIndex":    "reference: AddressFromLinear is checked as its inverse",
+	"vecmath.UnpackBinaryBytes":    "reference: the round-trip check of PackBinaryBytes",
+	"flash.Params.ProgramLatency":  "ROADMAP item 9 prices writes with the program-time model",
+	"reis.LatencySketch.Merge":     "ROADMAP items 5-6 merge per-route and per-replica sketches",
+	"rivals.ICEConfig.Energy":      "ICE's energy model, kept beside its latency model for the rival comparisons",
+	"rivals.NDSearchConfig.Energy": "NDSearch's energy model, kept beside its latency model for the rival comparisons",
+	"flash.Device.Plane":           "test accessor: internal/reis and internal/experiments tests read plane latches and counters",
+	"flash.Device.ResetStats":      "test accessor: internal/reis tests zero device counters between phases",
+	"flash.Plane.Senses":           "test accessor: TestPlaneReconciliation reads per-plane sense counts",
+	"serve.Group.Host":             "test accessor: internal/serve tests reach a replica's host",
+	"xrand.RNG.Float32":            "test accessor: internal/ann's top-k tests draw float32 distances with it",
+}
+
+// TestInternalExportsHaveCallers fails when an exported function or
+// method declared under internal/ is named nowhere outside its own
+// declaration in a non-test file of this module or of benchmark/. Only
+// those two can import internal/, so such a name has no caller and is
+// dead surface. Matching is by identifier name with no type checking,
+// so it is a floor: a dead method that shares its name with a live one
+// (a second Search, say) passes.
+func TestInternalExportsHaveCallers(t *testing.T) {
+	fset := token.NewFileSet()
+	used := map[string]bool{}
+	type decl struct{ key, name string }
+	var decls []decl
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		own := map[*ast.Ident]bool{}
+		for _, dd := range f.Decls {
+			fd, ok := dd.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			own[fd.Name] = true
+			if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || !fd.Name.IsExported() {
+				continue
+			}
+			key := f.Name.Name + "."
+			if fd.Recv != nil {
+				if stdlibMethods[fd.Name.Name] {
+					continue
+				}
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					key += id.Name + "."
+				}
+			}
+			decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name})
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !own[id] {
+				used[id.Name] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var dead []string
+	declared := map[string]bool{}
+	for _, d := range decls {
+		declared[d.key] = true
+		if _, ok := exportAllowlist[d.key]; !ok && !used[d.name] {
+			dead = append(dead, d.key)
+		}
+	}
+	sort.Strings(dead)
+	for _, k := range dead {
+		t.Errorf("%s: exported under internal/ but no program calls it; delete it or add it to exportAllowlist with a reason", k)
+	}
+	for k := range exportAllowlist {
+		if !declared[k] {
+			t.Errorf("exportAllowlist entry %s names no exported function under internal/", k)
+		}
+	}
+}

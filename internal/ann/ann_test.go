@@ -271,7 +271,7 @@ func TestIVFBinaryRecall(t *testing.T) {
 func TestIVFListsPartition(t *testing.T) {
 	idx := NewIVF(testData.Vectors, IVFConfig{NList: 20, Mode: IVFFloat, Seed: 8})
 	seen := make([]bool, len(testData.Vectors))
-	for _, list := range idx.Lists() {
+	for _, list := range idx.lists {
 		for _, id := range list {
 			if seen[id] {
 				t.Fatalf("id %d in two lists", id)
@@ -283,30 +283,6 @@ func TestIVFListsPartition(t *testing.T) {
 		if !ok {
 			t.Fatalf("id %d in no list", id)
 		}
-	}
-}
-
-func TestIVFCalibrateNProbe(t *testing.T) {
-	idx := NewIVF(testData.Vectors, IVFConfig{NList: 32, Mode: IVFBinary, Seed: 9})
-	np90 := idx.CalibrateNProbe(testData.Queries, testData.GroundTruth, 10, 0.90)
-	np98 := idx.CalibrateNProbe(testData.Queries, testData.GroundTruth, 10, 0.98)
-	if np98 < np90 {
-		t.Fatalf("higher recall target needs fewer probes: %d < %d", np98, np90)
-	}
-	if np90 < 1 || np90 > 32 {
-		t.Fatalf("nprobe out of range: %d", np90)
-	}
-	t.Logf("calibrated nprobe: 0.90 -> %d, 0.98 -> %d (of 32)", np90, np98)
-}
-
-func TestIVFCandidatesScanned(t *testing.T) {
-	idx := NewIVF(testData.Vectors, IVFConfig{NList: 10, Mode: IVFFloat, Seed: 10})
-	all := make([]int, 10)
-	for i := range all {
-		all[i] = i
-	}
-	if got := idx.CandidatesScanned(all); got != len(testData.Vectors) {
-		t.Fatalf("full scan candidates = %d, want %d", got, len(testData.Vectors))
 	}
 }
 

@@ -42,9 +42,6 @@ func (f *Flat) Search(query []float32, k int) []Result {
 	return TopK(rs, k)
 }
 
-// Len returns the number of indexed vectors.
-func (f *Flat) Len() int { return len(f.vectors) }
-
 // BinaryFlat is an exhaustive index over binary-quantized embeddings
 // with optional INT8 reranking — the "CPU + BQ" configuration of
 // Fig 3 / Table 4 and the computation REIS performs in-storage.
@@ -108,6 +105,3 @@ func (b *BinaryFlat) rerank(query []float32, cands []Result, k int) []Result {
 	}
 	return TopK(out, k)
 }
-
-// Len returns the number of indexed vectors.
-func (b *BinaryFlat) Len() int { return len(b.codes) }

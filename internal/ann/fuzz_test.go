@@ -7,8 +7,9 @@ import (
 
 // FuzzTopKMerge checks the scatter-gather reduction invariant the
 // sharded engine relies on: partitioning a candidate stream into
-// arbitrary shards, taking each shard's top-k, and merging must
-// produce exactly the top-k of the unpartitioned stream. Distances are
+// arbitrary shards, taking each shard's top-k, and selecting the top-k
+// of their concatenation with TopK must produce exactly the top-k of
+// the unpartitioned stream. Distances are
 // quantized to force heavy ties — the case where a non-total order
 // would diverge — and IDs are unique, so the expected result is fully
 // deterministic. The committed seed corpus (testdata/fuzz) covers
@@ -31,11 +32,11 @@ func FuzzTopKMerge(f *testing.F) {
 			p := (int(data[i])*31 + i) % np
 			lists[p] = append(lists[p], r)
 		}
-		perPart := make([][]Result, np)
+		var merged []Result
 		for p := range lists {
-			perPart[p] = TopK(slices.Clone(lists[p]), kk)
+			merged = append(merged, TopK(slices.Clone(lists[p]), kk)...)
 		}
-		got := MergeTopK(perPart, kk)
+		got := TopK(merged, kk)
 		want := TopK(slices.Clone(stream), kk)
 		if len(got) != len(want) {
 			t.Fatalf("merged %d results, want %d (k=%d parts=%d n=%d)", len(got), len(want), kk, np, len(stream))

@@ -92,15 +92,6 @@ func isqrt(n int) int {
 	return x
 }
 
-// NList returns the number of clusters.
-func (idx *IVF) NList() int { return len(idx.centroids) }
-
-// Centroids returns the trained cluster centroids (not copied).
-func (idx *IVF) Centroids() [][]float32 { return idx.centroids }
-
-// Lists returns the inverted lists (not copied).
-func (idx *IVF) Lists() [][]int { return idx.lists }
-
 // Search implements Searcher with the index's default nprobe of 1.
 func (idx *IVF) Search(query []float32, k int) []Result {
 	return idx.SearchNProbe(query, k, 1)
@@ -173,77 +164,4 @@ func (idx *IVF) fineBinary(query []float32, probes []int, k int) []Result {
 		out[i] = Result{ID: c.ID, Dist: float32(vecmath.L2SquaredInt8(q8, idx.int8s[c.ID]))}
 	}
 	return TopK(out, k)
-}
-
-// CandidatesScanned reports how many database vectors a fine scan with
-// the given probes would touch — the work metric used by the timing
-// models.
-func (idx *IVF) CandidatesScanned(probes []int) int {
-	n := 0
-	for _, c := range probes {
-		n += len(idx.lists[c])
-	}
-	return n
-}
-
-// CalibrateNProbe returns the smallest nprobe whose Recall@k against
-// groundTruth meets target, mirroring the paper's accuracy sweep
-// ("sweeping the accuracy of IVF from 0.98 down to 0.9 Recall@10").
-// It returns NList (full scan) if the target is never reached.
-func (idx *IVF) CalibrateNProbe(queries [][]float32, groundTruth [][]int, k int, target float64) int {
-	for nprobe := 1; nprobe <= len(idx.centroids); nprobe = growProbe(nprobe) {
-		got := make([][]int, len(queries))
-		for q, qv := range queries {
-			rs := idx.SearchNProbe(qv, k, nprobe)
-			ids := make([]int, len(rs))
-			for i, r := range rs {
-				ids[i] = r.ID
-			}
-			got[q] = ids
-		}
-		if recallOf(groundTruth, got, k) >= target {
-			return nprobe
-		}
-	}
-	return len(idx.centroids)
-}
-
-func growProbe(p int) int {
-	if p < 8 {
-		return p + 1
-	}
-	return p + p/4
-}
-
-// recallOf mirrors dataset.Recall without importing it (avoids a
-// dependency cycle in tests that exercise both packages).
-func recallOf(gt, got [][]int, k int) float64 {
-	if len(gt) == 0 {
-		return 0
-	}
-	var total float64
-	for q := range gt {
-		want := gt[q]
-		if len(want) > k {
-			want = want[:k]
-		}
-		have := got[q]
-		if len(have) > k {
-			have = have[:k]
-		}
-		set := make(map[int]struct{}, len(have))
-		for _, id := range have {
-			set[id] = struct{}{}
-		}
-		hits := 0
-		for _, id := range want {
-			if _, ok := set[id]; ok {
-				hits++
-			}
-		}
-		if len(want) > 0 {
-			total += float64(hits) / float64(len(want))
-		}
-	}
-	return total / float64(len(gt))
 }

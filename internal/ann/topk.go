@@ -96,40 +96,8 @@ func TopK(rs []Result, k int) []Result {
 	return out
 }
 
-// MergeTopK merges per-shard top-k lists — each sorted ascending by
-// (Dist, ID), as TopK returns them — into the overall top-k, the
-// host-side scatter-gather reduction of a sharded index. As long as
-// every list retained its own k best, the merge equals TopK over the
-// concatenated candidate streams (pinned by FuzzTopKMerge): an entry
-// of the global top-k is among the k best of whichever shard holds
-// it. lists are not modified.
-func MergeTopK(lists [][]Result, k int) []Result {
-	if k <= 0 {
-		return nil
-	}
-	heads := make([]int, len(lists))
-	out := make([]Result, 0, k)
-	for len(out) < k {
-		best := -1
-		for i, l := range lists {
-			if heads[i] >= len(l) {
-				continue
-			}
-			if best < 0 || lessResult(l[heads[i]], lists[best][heads[best]]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, lists[best][heads[best]])
-		heads[best]++
-	}
-	return out
-}
-
-// lessResult is the (Dist, ID) total order shared by SortResults and
-// MergeTopK.
+// lessResult is the (Dist, ID) total order shared by Quickselect and
+// SortResults.
 func lessResult(a, b Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
@@ -182,9 +150,6 @@ func (b *BoundedList) Worst() (Result, bool) {
 	}
 	return b.heap[0], true
 }
-
-// Len returns the number of results currently held.
-func (b *BoundedList) Len() int { return len(b.heap) }
 
 // Results returns the retained results sorted ascending by distance.
 func (b *BoundedList) Results() []Result {

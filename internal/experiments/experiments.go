@@ -140,6 +140,18 @@ func CPUQPS(b *host.Baseline, w *Workload, candidates float64, coarse float64) f
 	return b.QPS(QueryBatch, load, search)
 }
 
+// rivalCoarse returns the paper-scale centroid count a CPU or ICE scores
+// for a query with these stats: nlist on an IVF query, none on a flat
+// one. It reads only whether st ran a coarse round, never how many
+// entries it scanned, since st.CoarseEntries also counts a coarse round
+// the device re-issued after its coarse cut kept too few centroids.
+func rivalCoarse(w *Workload, st reis.QueryStats) float64 {
+	if st.CoarseEntries == 0 {
+		return 0
+	}
+	return float64(len(w.Centroids)) * w.ScaleCoarse
+}
+
 // FineCandidates returns the full-scale fine-scan candidate count of a
 // mean stats record under the given scale.
 func FineCandidates(st reis.QueryStats, fineScale float64) float64 {

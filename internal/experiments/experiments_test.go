@@ -2,9 +2,12 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"reis/internal/host"
 	"reis/internal/reis"
 	"reis/internal/ssd"
 )
@@ -118,6 +121,50 @@ func TestRunFig7ShapeHolds(t *testing.T) {
 		}
 		if b.AvgWatts != b.EnergyJ/b.Total.Seconds() {
 			t.Errorf("%s: AvgWatts %v is not EnergyJ/Total = %v", mode, b.AvgWatts, b.EnergyJ/b.Total.Seconds())
+		}
+	}
+}
+
+// TestFig7RivalIgnoresCoarseReissue: a query whose coarse round the
+// device re-issued scanned every centroid twice, but CPU-Real still
+// scores nlist of them, so its row prices the same CPU throughput.
+func TestFig7RivalIgnoresCoarseReissue(t *testing.T) {
+	w := LoadWorkload("NQ", testScale)
+	cpu := host.NewBaseline(host.CPUReal())
+	noio := host.NewBaseline(host.CPUReal())
+	noio.NoIO = true
+	nlist := len(w.Centroids)
+	once := reis.QueryStats{EntriesScanned: nlist + 500, CoarseEntries: nlist}
+	twice := once
+	twice.EntriesScanned += nlist
+	twice.CoarseEntries += nlist
+	b := reis.Breakdown{Total: time.Millisecond, AvgWatts: 1}
+	got := makeRow(w, "IVF", w.ScaleIVF().Fine, cpu, noio, b, b, twice)
+	want := makeRow(w, "IVF", w.ScaleIVF().Fine, cpu, noio, b, b, once)
+	if got.CPUQPS != want.CPUQPS || got.NoIO != want.NoIO {
+		t.Fatalf("re-issued coarse round: CPUQPS %v NoIO %v, want %v %v", got.CPUQPS, got.NoIO, want.CPUQPS, want.NoIO)
+	}
+	if c := rivalCoarse(w, reis.QueryStats{EntriesScanned: 500}); c != 0 {
+		t.Fatalf("a flat query scores %v centroids on the CPU, want 0", c)
+	}
+}
+
+// TestMeanStatsDividesEveryField sets one QueryStats field at a time, so
+// a field meanStats forgets to divide fails here.
+func TestMeanStatsDividesEveryField(t *testing.T) {
+	typ := reflect.TypeOf(reis.QueryStats{})
+	for i := range typ.NumField() {
+		var agg reis.QueryStats
+		reflect.ValueOf(&agg).Elem().Field(i).SetInt(12)
+		got := reflect.ValueOf(meanStats(agg, 4))
+		for j := range typ.NumField() {
+			want := int64(0)
+			if j == i {
+				want = 3
+			}
+			if v := got.Field(j).Int(); v != want {
+				t.Errorf("%s = 12 over 4 queries: mean %s = %d, want %d", typ.Field(i).Name, typ.Field(j).Name, v, want)
+			}
 		}
 	}
 }
@@ -326,7 +373,7 @@ func TestRunSkewCachingWins(t *testing.T) {
 }
 
 func TestRunShardsScaling(t *testing.T) {
-	rows, err := RunShards(testScale, []string{"NQ"}, []int{1, 2, 4})
+	rows, err := RunShards(testScale)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 				// every scanned entry.
 				cands := FineCandidates(st, fineScale)
 				perPage := float64(s.DB.EmbPerPage())
-				scanPages := float64(st.CoarseEntries)*w.ScaleCoarse/perPage + cands/perPage
+				scanPages := rivalCoarse(w, st)/perPage + cands/perPage
 				iceL := ice.Latency(s.Cfg, scanPages, cands, 8)
 				espL := iceESP.Latency(s.Cfg, scanPages, cands, 8)
 				rows = append(rows, Fig10Row{

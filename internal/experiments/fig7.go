@@ -93,7 +93,7 @@ func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 
 func makeRow(w *Workload, mode string, fineScale float64, cpu, noio *host.Baseline, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
 	fineCands := FineCandidates(st, fineScale)
-	coarse := float64(st.CoarseEntries) * w.ScaleCoarse
+	coarse := rivalCoarse(w, st)
 	cpuQPS := CPUQPS(cpu, w, fineCands, coarse)
 	noioQPS := CPUQPS(noio, w, fineCands, coarse)
 

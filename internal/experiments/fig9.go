@@ -54,7 +54,7 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				cpuQPS := CPUQPS(cpu, w, FineCandidates(st, w.ScaleIVF().Fine), float64(st.CoarseEntries)*w.ScaleCoarse)
+				cpuQPS := CPUQPS(cpu, w, FineCandidates(st, w.ScaleIVF().Fine), rivalCoarse(w, st))
 				row := &rows[next]
 				next++
 				row.SSD, row.Recall = s.Cfg.Name, target

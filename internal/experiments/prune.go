@@ -38,7 +38,7 @@ type PruneRow struct {
 	ModelShares
 }
 
-// PruneKs and PruneNProbes are the default sweep axes.
+// PruneKs and PruneNProbes are the sweep axes.
 var (
 	PruneKs      = []int{10, 100}
 	PruneNProbes = []int{8, 32, 128}
@@ -114,13 +114,7 @@ func prunedWorkload() (vecs [][]float32, docs [][]byte, cents [][]float32, assig
 // on. Results are bit-identical by contract (enforced by the package's
 // tests); the rows report what pruning does to device work and modeled
 // throughput.
-func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
-	if ks == nil {
-		ks = PruneKs
-	}
-	if nprobes == nil {
-		nprobes = PruneNProbes
-	}
+func RunPrune() ([]PruneRow, error) {
 	vecs, docs, cents, assign, queries := prunedWorkload()
 	s, err := deploy(ssd.SSD1(), 1, reis.AllOptions(), reis.DeployConfig{
 		ID: 1, Vectors: vecs, Docs: docs, DocSlotBytes: 64,
@@ -132,8 +126,8 @@ func RunPrune(ks, nprobes []int) ([]PruneRow, error) {
 	defer s.Close()
 
 	var rows []PruneRow
-	for _, k := range ks {
-		for _, np := range nprobes {
+	for _, k := range PruneKs {
+		for _, np := range PruneNProbes {
 			var baseQPS float64
 			for _, prune := range []bool{false, true} {
 				resp, cost, err := s.serve(reis.HostCommand{

@@ -36,71 +36,64 @@ type QDepthRow struct {
 	ModelShares
 }
 
-// QDepthDepths is the default queue-depth sweep.
+// QDepthDepths is the queue-depth sweep.
 var QDepthDepths = []int{1, 2, 4, 8, 16, 32}
 
-// RunQDepth measures QPS versus submission-queue depth on REIS-SSD1.
-// Every row serves the identical workload (each query one IVF_Search
-// command); rows differ only in how many commands may be outstanding.
-func RunQDepth(scale int, datasets []string, depths []int) ([]QDepthRow, error) {
-	if datasets == nil {
-		datasets = []string{"NQ"}
-	}
-	if depths == nil {
-		depths = QDepthDepths
-	}
+// RunQDepth measures QPS versus submission-queue depth on REIS-SSD1
+// for NQ. Every row serves the identical workload (each query one
+// IVF_Search command); rows differ only in how many commands may be
+// outstanding.
+func RunQDepth(scale int) ([]QDepthRow, error) {
 	var rows []QDepthRow
-	for _, name := range datasets {
-		w := LoadWorkload(name, scale)
-		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
+	w := LoadWorkload("NQ", scale)
+	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
+		if err != nil {
+			return nil, err
+		}
+		cmd, mode, err := s.sweepIVF()
+		if err != nil {
+			return nil, err
+		}
+		// One batched pass collects the per-query device stats behind
+		// the modeled tail columns; queue coalescing never changes
+		// stats (the determinism contract), so these stand for every
+		// depth row below.
+		resp, err := s.Submit(cmd)
+		if err != nil {
+			return nil, err
+		}
+		queries := cmd.Queries
+		for _, depth := range QDepthDepths {
+			q, err := s.NewQueue(reis.QueueConfig{Depth: depth})
 			if err != nil {
 				return nil, err
 			}
-			cmd, mode, err := s.sweepIVF()
+			cost, err := measure(len(queries), func() error {
+				return q.SubmitDrain(context.Background(), len(queries), func(i int) reis.HostCommand {
+					single := cmd
+					single.Queries = queries[i : i+1]
+					return single
+				}, nil)
+			})
+			st := q.Stats()
+			q.Close()
 			if err != nil {
 				return nil, err
 			}
-			// One batched pass collects the per-query device stats behind
-			// the modeled tail columns; queue coalescing never changes
-			// stats (the determinism contract), so these stand for every
-			// depth row below.
-			resp, err := s.Submit(cmd)
-			if err != nil {
-				return nil, err
-			}
-			queries := cmd.Queries
-			for _, depth := range depths {
-				q, err := s.NewQueue(reis.QueueConfig{Depth: depth})
-				if err != nil {
-					return nil, err
-				}
-				cost, err := measure(len(queries), func() error {
-					return q.SubmitDrain(context.Background(), len(queries), func(i int) reis.HostCommand {
-						single := cmd
-						single.Queries = queries[i : i+1]
-						return single
-					}, nil)
-				})
-				st := q.Stats()
-				q.Close()
-				if err != nil {
-					return nil, err
-				}
-				tail := s.tail(passOf(resp), w.ScaleIVF(), depth, LoadUtilization)
-				row := QDepthRow{
-					Dataset: name, Mode: mode, Depth: depth, HostCost: cost,
-					ModelQPS:   tail.SaturationQPS,
-					ModelP50Ms: ms(tail.P50),
-					ModelP95Ms: ms(tail.P95),
-					ModelP99Ms: ms(tail.P99),
+			tail := s.tail(passOf(resp), w.ScaleIVF(), depth, LoadUtilization)
+			row := QDepthRow{
+				Dataset: w.Name, Mode: mode, Depth: depth, HostCost: cost,
+				ModelQPS:   tail.SaturationQPS,
+				ModelP50Ms: ms(tail.P50),
+				ModelP95Ms: ms(tail.P95),
+				ModelP99Ms: ms(tail.P99),
 
-					ModelShares: s.sharesAt(passOf(resp), w.ScaleIVF(), depth),
-				}
-				if st.Dispatches > 0 {
-					row.AvgBatch = float64(st.Submitted) / float64(st.Dispatches)
-				}
-				rows = append(rows, row)
+				ModelShares: s.sharesAt(passOf(resp), w.ScaleIVF(), depth),
 			}
+			if st.Dispatches > 0 {
+				row.AvgBatch = float64(st.Submitted) / float64(st.Dispatches)
+			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

@@ -33,58 +33,50 @@ type ShardRow struct {
 	ModelShares
 }
 
-// ShardCounts is the default scale-out sweep; every count divides the
+// ShardCounts is the scale-out sweep; every count divides the
 // 8 channels of REIS-SSD1.
 var ShardCounts = []int{1, 2, 4}
 
 // RunShards measures throughput versus shard count on REIS-SSD1-class
-// devices. Every shard count serves the identical workload twice
+// devices for NQ. Every shard count serves the identical workload twice
 // through the sharded router: as one batched brute-force Search
 // command (scan-bound — scale-out's best case: the fine-scan critical
 // path shrinks with the device count) and as one batched IVF_Search at
 // the calibrated nprobe (each device loads the query into the dies its
 // share of the probe touches; the controller tail, which does not
 // shard, bounds the speedup).
-func RunShards(scale int, datasets []string, counts []int) ([]ShardRow, error) {
-	if datasets == nil {
-		datasets = []string{"NQ"}
-	}
-	if counts == nil {
-		counts = ShardCounts
-	}
+func RunShards(scale int) ([]ShardRow, error) {
 	var rows []ShardRow
-	for _, name := range datasets {
-		w := LoadWorkload(name, scale)
-		base := map[string]float64{}
-		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], counts...) {
+	w := LoadWorkload("NQ", scale)
+	base := map[string]float64{}
+	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], ShardCounts...) {
+		if err != nil {
+			return nil, err
+		}
+		// Every topology calibrates for itself and lands on the same
+		// nprobe: sharded results are bit-identical to a single
+		// device's (pinned by the equivalence tests).
+		ivf, mode, err := s.sweepIVF()
+		if err != nil {
+			return nil, err
+		}
+		bf := ivf
+		bf.Opcode, bf.Opt.NProbe = reis.OpcodeSearch, 0
+		for _, r := range []struct {
+			mode string
+			cmd  reis.HostCommand
+			sc   reis.Scale
+		}{{"BF", bf, w.ScaleBF()}, {mode, ivf, w.ScaleIVF()}} {
+			row, err := shardRow(s, r.cmd, r.sc)
 			if err != nil {
 				return nil, err
 			}
-			// Every topology calibrates for itself and lands on the same
-			// nprobe: sharded results are bit-identical to a single
-			// device's (pinned by the equivalence tests).
-			ivf, mode, err := s.sweepIVF()
-			if err != nil {
-				return nil, err
+			row.Mode = r.mode
+			if base[r.mode] == 0 {
+				base[r.mode] = row.ModelQPS
 			}
-			bf := ivf
-			bf.Opcode, bf.Opt.NProbe = reis.OpcodeSearch, 0
-			for _, r := range []struct {
-				mode string
-				cmd  reis.HostCommand
-				sc   reis.Scale
-			}{{"BF", bf, w.ScaleBF()}, {mode, ivf, w.ScaleIVF()}} {
-				row, err := shardRow(s, r.cmd, r.sc)
-				if err != nil {
-					return nil, err
-				}
-				row.Mode = r.mode
-				if base[r.mode] == 0 {
-					base[r.mode] = row.ModelQPS
-				}
-				row.ModelSpeedup = row.ModelQPS / base[r.mode]
-				rows = append(rows, row)
-			}
+			row.ModelSpeedup = row.ModelQPS / base[r.mode]
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil

@@ -26,23 +26,17 @@ type ThroughputRow struct {
 	ModelShares
 }
 
-// ThroughputBatches is the default admission batch-size sweep.
+// ThroughputBatches is the admission batch-size sweep.
 var ThroughputBatches = []int{1, 8, 64}
 
 // RunThroughput measures batched versus sequential query admission on
-// REIS-SSD1 for the given datasets. Every batch size serves the whole
+// REIS-SSD1 for NQ and wiki_en. Every batch size serves the whole
 // workload query set, admitted as host commands of the batch size
 // (batch 1 is one one-query command per query), so rows differ only in
 // admission overlap — never in which queries they serve.
-func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow, error) {
-	if datasets == nil {
-		datasets = []string{"NQ", "wiki_en"}
-	}
-	if batches == nil {
-		batches = ThroughputBatches
-	}
+func RunThroughput(scale int) ([]ThroughputRow, error) {
 	var rows []ThroughputRow
-	for _, name := range datasets {
+	for _, name := range []string{"NQ", "wiki_en"} {
 		w := LoadWorkload(name, scale)
 		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
 			if err != nil {
@@ -60,7 +54,7 @@ func RunThroughput(scale int, datasets []string, batches []int) ([]ThroughputRow
 			}
 			all, sc, queries := passOf(resp), w.ScaleIVF(), cmd.Queries
 			seen := make(map[int]bool)
-			for _, batch := range batches {
+			for _, batch := range ThroughputBatches {
 				// Small workloads clamp large batch sizes to the query
 				// count; skip duplicate rows.
 				batch = min(batch, len(queries))

@@ -236,11 +236,6 @@ func (d *Device) EraseBlock(a Address) error {
 	return nil
 }
 
-// EraseCount reports the program/erase cycles block a has seen.
-func (d *Device) EraseCount(a Address) int64 {
-	return d.eraseCount[a.PlaneIndex(d.Geo)][a.Block].Load()
-}
-
 // BlockMaxErase reports the highest erase count the given block index
 // has seen across all planes — the per-row wear figure wear-leveled
 // placement consults (a plane-striped region row is block `block` on
@@ -631,24 +626,6 @@ func (d *Device) PassFail(value, threshold int) bool {
 	return value <= threshold
 }
 
-// ReadOOBSlot returns a copy of bytes [off, off+n) of the OOB region
-// currently in the plane's sensing latch — how the engine picks up
-// DADR/RADR for each embedding after a page read.
-func (d *Device) ReadOOBSlot(planeIdx, off, n int) ([]byte, error) {
-	if planeIdx < 0 || planeIdx >= len(d.planes) {
-		return nil, fmt.Errorf("flash: ReadOOBSlot invalid plane %d", planeIdx)
-	}
-	if off < 0 || off+n > d.Geo.OOBBytes {
-		return nil, fmt.Errorf("flash: ReadOOBSlot range [%d,%d) out of OOB", off, off+n)
-	}
-	pl := d.planes[planeIdx]
-	out := make([]byte, n)
-	pl.mu.Lock()
-	copy(out, pl.Sensing[d.Geo.PageBytes+off:d.Geo.PageBytes+off+n])
-	pl.mu.Unlock()
-	return out, nil
-}
-
 // ReadOOB copies the whole OOB region currently in the plane's
 // sensing latch into buf (grown if needed) — one latch access per
 // page instead of one per slot when the engine walks a page's linkage
@@ -672,23 +649,6 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 // channel serving planeIdx (TTL entries moving to controller DRAM).
 func (d *Device) TransferOut(planeIdx, n int) {
 	d.Stats.BytesOut[d.Geo.ChannelOf(planeIdx)].Add(int64(n))
-}
-
-// SlotData returns a copy of the given slot of the plane's sensing
-// latch user data (used to pull the raw embedding, EMB, into a TTL
-// entry).
-func (d *Device) SlotData(planeIdx, slotBytes, slot int) ([]byte, error) {
-	lo := slot * slotBytes
-	hi := lo + slotBytes
-	if planeIdx < 0 || planeIdx >= len(d.planes) || lo < 0 || hi > d.Geo.PageBytes {
-		return nil, fmt.Errorf("flash: SlotData invalid plane %d slot %d", planeIdx, slot)
-	}
-	pl := d.planes[planeIdx]
-	out := make([]byte, slotBytes)
-	pl.mu.Lock()
-	copy(out, pl.Sensing[lo:hi])
-	pl.mu.Unlock()
-	return out, nil
 }
 
 // ResetStats zeroes all counters.

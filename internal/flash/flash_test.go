@@ -162,14 +162,14 @@ func TestEraseWearAccounting(t *testing.T) {
 	if err := d.EraseBlock(b); err != nil {
 		t.Fatal(err)
 	}
-	if got := d.EraseCount(a); got != 3 {
-		t.Fatalf("EraseCount(a) = %d, want 3", got)
+	if got := d.BlockMaxErase(a.Block); got != 3 {
+		t.Fatalf("BlockMaxErase(%d) = %d, want 3", a.Block, got)
 	}
-	if got := d.EraseCount(b); got != 1 {
-		t.Fatalf("EraseCount(b) = %d, want 1", got)
+	if got := d.BlockMaxErase(b.Block); got != 1 {
+		t.Fatalf("BlockMaxErase(%d) = %d, want 1", b.Block, got)
 	}
-	if got := d.EraseCount(Address{Block: 3}); got != 0 {
-		t.Fatalf("EraseCount(untouched) = %d, want 0", got)
+	if got := d.BlockMaxErase(3); got != 0 {
+		t.Fatalf("BlockMaxErase(untouched) = %d, want 0", got)
 	}
 	if got := d.MaxEraseCount(); got != 3 {
 		t.Fatalf("MaxEraseCount = %d, want 3", got)
@@ -229,9 +229,9 @@ func TestSLCESPReadsAreErrorFree(t *testing.T) {
 }
 
 func TestTLCLatchPathSeesRawErrors(t *testing.T) {
-	// The in-latch computation path (ReadPage + SlotData) has no ECC:
-	// raw TLC bit errors must be visible there. This is the failure
-	// mode that forces REIS onto the SLC-ESP partition.
+	// The in-latch computation path (ReadPage into the sensing latch)
+	// has no ECC: raw TLC bit errors must be visible there. This is the
+	// failure mode that forces REIS onto the SLC-ESP partition.
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0} // default TLC, BER 5e-4
 	payload := make([]byte, 2048)
@@ -244,11 +244,7 @@ func TestTLCLatchPathSeesRawErrors(t *testing.T) {
 		if err := d.ReadPage(a); err != nil {
 			t.Fatal(err)
 		}
-		slot, err := d.SlotData(plane, 2048, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range slot {
+		for _, b := range d.planes[plane].Sensing[:2048] {
 			flips += bits.OnesCount8(b)
 		}
 	}
@@ -398,7 +394,7 @@ func TestXORPreservesOOB(t *testing.T) {
 	if err := d.XORLatches(plane); err != nil {
 		t.Fatal(err)
 	}
-	oob, err := d.ReadOOBSlot(plane, 0, 2)
+	oob, err := d.ReadOOB(plane, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,12 +462,6 @@ func TestParamsLatencies(t *testing.T) {
 	}
 	if p.RawBER(ModeTLC) <= p.RawBER(ModeSLC) {
 		t.Fatal("TLC BER not higher than SLC")
-	}
-}
-
-func TestCellModeDensity(t *testing.T) {
-	if ModeTLC.Density() != 3 || ModeSLC.Density() != 1 || ModeSLCESP.Density() != 1 {
-		t.Fatal("density wrong")
 	}
 }
 
@@ -579,7 +569,7 @@ func TestReadErasedPage(t *testing.T) {
 	}
 }
 
-func TestSlotDataReturnsEmbedding(t *testing.T) {
+func TestReadPageFillsSensingLatch(t *testing.T) {
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0}
 	page := append(bytes.Repeat([]byte{0x11}, 8), bytes.Repeat([]byte{0x22}, 8)...)
@@ -589,12 +579,8 @@ func TestSlotDataReturnsEmbedding(t *testing.T) {
 	if err := d.ReadPage(a); err != nil {
 		t.Fatal(err)
 	}
-	s1, err := d.SlotData(a.PlaneIndex(d.Geo), 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1[0] != 0x22 {
-		t.Fatalf("slot 1 = %x", s1[0])
+	if s1 := d.planes[a.PlaneIndex(d.Geo)].Sensing[8:16]; !bytes.Equal(s1, page[8:]) {
+		t.Fatalf("slot 1 = %x", s1)
 	}
 }
 

@@ -34,15 +34,6 @@ func (m CellMode) String() string {
 	}
 }
 
-// Density returns the logical pages stored per physical wordline
-// relative to SLC.
-func (m CellMode) Density() int {
-	if m == ModeTLC {
-		return 3
-	}
-	return 1
-}
-
 // Params collects the per-event latency and energy constants of the
 // device model. Values follow the paper's sources: tR for ESP-SLC is
 // the 22.5 us the paper takes from Flash-Cosmos (Table 3); TLC read

@@ -141,10 +141,10 @@ func TestDeployLayout(t *testing.T) {
 		t.Fatalf("db shape %d/%d", db.N, db.Dim)
 	}
 	rec := db.Record()
-	if rec.Embeddings.Pages() == 0 || rec.Documents.Pages() == 0 || rec.Int8s.Pages() == 0 {
+	if rec.Embeddings.PageCount == 0 || rec.Documents.PageCount == 0 || rec.Int8s.PageCount == 0 {
 		t.Fatal("missing regions")
 	}
-	if rec.Centroids.Pages() != 0 {
+	if rec.Centroids.PageCount != 0 {
 		t.Fatal("flat deploy created centroid region")
 	}
 	// slot math: 128-dim binary = 16B -> 256 fit in the 4096B page but
@@ -521,7 +521,7 @@ func TestEmbeddingsLandInSLCESPBlocks(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	db := deployFlat(t, e, 1)
 	geo := e.SSD.Cfg.Geo
-	for i := 0; i < db.rec.Embeddings.Pages(); i++ {
+	for i := 0; i < db.rec.Embeddings.PageCount; i++ {
 		a, err := db.rec.Embeddings.AddressOf(geo, i)
 		if err != nil {
 			t.Fatal(err)
@@ -530,7 +530,7 @@ func TestEmbeddingsLandInSLCESPBlocks(t *testing.T) {
 			t.Fatalf("embedding page %d in %v block", i, got)
 		}
 	}
-	for i := 0; i < db.rec.Documents.Pages(); i++ {
+	for i := 0; i < db.rec.Documents.PageCount; i++ {
 		a, err := db.rec.Documents.AddressOf(geo, i)
 		if err != nil {
 			t.Fatal(err)

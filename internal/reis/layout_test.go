@@ -101,9 +101,9 @@ func TestPageBytesIdenticalAcrossTopologies(t *testing.T) {
 		ref, _ := single.hostDB(1)
 		got, _ := sh.hostDB(1)
 		for _, r := range regions {
-			pages, sum := r.of(ref.locals[0]).Pages(), 0
+			pages, sum := r.of(ref.locals[0]).PageCount, 0
 			for _, local := range got.locals {
-				sum += r.of(local).Pages()
+				sum += r.of(local).PageCount
 			}
 			if pages == 0 || sum != pages {
 				t.Fatalf("shards=%d: %s region holds %d pages over the devices, reference %d", n, r.name, sum, pages)

@@ -34,9 +34,6 @@ type Scale struct {
 // UnitScale costs the run exactly as executed.
 func UnitScale() Scale { return Scale{Fine: 1, Coarse: 1} }
 
-// UniformScale scales both phases by f.
-func UniformScale(f float64) Scale { return Scale{Fine: f, Coarse: f} }
-
 // Breakdown is the per-query latency decomposition the timing model
 // produces from a QueryStats. All durations are for one query.
 type Breakdown struct {

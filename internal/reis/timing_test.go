@@ -1,6 +1,7 @@
 package reis
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -145,7 +146,7 @@ func TestScaleMonotonic(t *testing.T) {
 	// step (sub-plane workloads legitimately cost the same).
 	var prev int64
 	for _, scale := range []float64{1, 256, 2048, 16384} {
-		l := int64(e.Latency(db, st, UniformScale(scale)).Total)
+		l := int64(e.Latency(db, st, Scale{Fine: scale, Coarse: scale}).Total)
 		if l <= prev {
 			t.Fatalf("latency not increasing with scale %v: %d <= %d", scale, l, prev)
 		}
@@ -156,7 +157,7 @@ func TestScaleMonotonic(t *testing.T) {
 func TestEnergyScalesWithWork(t *testing.T) {
 	e, db, st := statsFor(t, fullGeoCfg(ssd.SSD1()), AllOptions())
 	e1 := e.Latency(db, st, UnitScale()).EnergyJ
-	e64 := e.Latency(db, st, UniformScale(64)).EnergyJ
+	e64 := e.Latency(db, st, Scale{Fine: 64, Coarse: 64}).EnergyJ
 	if e64 <= e1 {
 		t.Fatalf("energy did not grow with scale: %v <= %v", e64, e1)
 	}
@@ -272,6 +273,28 @@ func TestBatchPaysBusiestPlane(t *testing.T) {
 		bb := e.BatchLatency(db, resp.QueryStats, tc.sc)
 		if bb.Serial != serial {
 			t.Fatalf("%s: serial %v, the queries' latencies sum to %v", tc.name, bb.Serial, serial)
+		}
+	}
+}
+
+// TestQueryStatsAddCarriesEveryField sets one field at a time, so a
+// field Add forgets to carry (or carries into another) fails here.
+func TestQueryStatsAddCarriesEveryField(t *testing.T) {
+	typ := reflect.TypeOf(QueryStats{})
+	for i := range typ.NumField() {
+		var s, o QueryStats
+		reflect.ValueOf(&s).Elem().Field(i).SetInt(5)
+		reflect.ValueOf(&o).Elem().Field(i).SetInt(7)
+		s.Add(o)
+		got := reflect.ValueOf(s)
+		for j := range typ.NumField() {
+			want := int64(0)
+			if j == i {
+				want = 12
+			}
+			if v := got.Field(j).Int(); v != want {
+				t.Errorf("Add with %s set: %s = %d, want %d", typ.Field(i).Name, typ.Field(j).Name, v, want)
+			}
 		}
 	}
 }

@@ -508,7 +508,11 @@ func (gw *Gateway) record(st reis.QueryStats) {
 func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var one [1]int
 	idxs, err := gw.parseQueryIndexes(r, one[:0])
-	if err != nil || len(idxs) != 1 {
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if len(idxs) != 1 {
 		http.Error(w, "q must be a single sample-query index (use /search/stream for batches)", http.StatusBadRequest)
 		return
 	}

@@ -75,8 +75,18 @@ func TestGatewaySearch(t *testing.T) {
 	if got := w.Header().Get("X-Request-ID"); got != "client-7" {
 		t.Fatalf("request id %q not propagated", got)
 	}
-	if w = get(gw, "/search?q=notanumber", nil); w.Code != http.StatusBadRequest {
-		t.Fatalf("bad q: status %d, want 400", w.Code)
+	// A bad q is answered with what is wrong with it; only a q naming
+	// several queries gets the hint about batches.
+	for q, want := range map[string]string{
+		"":           "q is required (sample-query index)",
+		"notanumber": "q must be sample-query indexes in [0, ",
+		"99999":      "q must be sample-query indexes in [0, ",
+		"1,2":        "q must be a single sample-query index (use /search/stream for batches)",
+	} {
+		w = get(gw, "/search?q="+q, nil)
+		if w.Code != http.StatusBadRequest || !strings.HasPrefix(w.Body.String(), want) {
+			t.Fatalf("q=%q: status %d body %q, want 400 %q", q, w.Code, w.Body.String(), want)
+		}
 	}
 }
 

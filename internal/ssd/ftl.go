@@ -45,9 +45,6 @@ type Region struct {
 	RowMap []int32
 }
 
-// Pages returns the live page count of the region.
-func (r Region) Pages() int { return r.PageCount }
-
 // Cap returns the reserved capacity in pages (at least PageCount).
 func (r Region) Cap() int { return max(r.CapPages, r.PageCount) }
 
@@ -86,28 +83,6 @@ func (r Region) PhysRows(planes int) int {
 		return 0
 	}
 	return r.Cap() / (planes * r.RowStripes)
-}
-
-// Stripes returns how many page offsets the region spans per plane.
-func (r Region) Stripes(planes int) int {
-	if r.PageCount == 0 {
-		return 0
-	}
-	return (r.PageCount + planes - 1) / planes
-}
-
-// EndStripe returns the first stripe after the region's live pages.
-func (r Region) EndStripe(planes int) int { return r.StartStripe + r.Stripes(planes) }
-
-// CapEndStripe returns the first stripe after the region's full
-// reservation: a growing region never crosses it, and the allocator's
-// next region starts at or after it.
-func (r Region) CapEndStripe(planes int) int {
-	c := r.Cap()
-	if c == 0 {
-		return r.StartStripe
-	}
-	return r.StartStripe + (c+planes-1)/planes
 }
 
 // AddressOf resolves page i of the region under the geometry by pure

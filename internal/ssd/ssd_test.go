@@ -167,7 +167,7 @@ func TestAllocateRegionBlockAlignedModes(t *testing.T) {
 	}
 	// Verify every embedding page is in an SLC-ESP block and every
 	// document page in a TLC block.
-	for i := 0; i < emb.Pages(); i++ {
+	for i := 0; i < emb.PageCount; i++ {
 		a, err := emb.AddressOf(s.Cfg.Geo, i)
 		if err != nil {
 			t.Fatal(err)
@@ -176,7 +176,7 @@ func TestAllocateRegionBlockAlignedModes(t *testing.T) {
 			t.Fatalf("embedding page %d in %v block", i, s.Dev.BlockMode(a))
 		}
 	}
-	for i := 0; i < doc.Pages(); i++ {
+	for i := 0; i < doc.PageCount; i++ {
 		a, err := doc.AddressOf(s.Cfg.Geo, i)
 		if err != nil {
 			t.Fatal(err)
@@ -187,7 +187,7 @@ func TestAllocateRegionBlockAlignedModes(t *testing.T) {
 	}
 	// Regions must not share stripes.
 	planes := s.Cfg.Geo.Planes()
-	if emb.EndStripe(planes) > doc.StartStripe {
+	if emb.StartStripe+(emb.PageCount+planes-1)/planes > doc.StartStripe {
 		t.Fatal("regions overlap")
 	}
 }
@@ -198,8 +198,8 @@ func TestAllocateRegionReservesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Pages() != 10 {
-		t.Fatalf("live pages = %d, want 10", r.Pages())
+	if r.PageCount != 10 {
+		t.Fatalf("live pages = %d, want 10", r.PageCount)
 	}
 	if r.Cap() < 25 {
 		t.Fatalf("capacity %d below the requested 25", r.Cap())
@@ -214,10 +214,10 @@ func TestAllocateRegionReservesCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.Pages() != 0 || empty.Cap() == 0 {
-		t.Fatalf("empty reservation: pages=%d cap=%d", empty.Pages(), empty.Cap())
+	if empty.PageCount != 0 || empty.Cap() == 0 {
+		t.Fatalf("empty reservation: pages=%d cap=%d", empty.PageCount, empty.Cap())
 	}
-	if empty.StartStripe < r.CapEndStripe(planes) {
+	if empty.StartStripe < r.StartStripe+(r.Cap()+planes-1)/planes {
 		t.Fatal("reservations overlap")
 	}
 }

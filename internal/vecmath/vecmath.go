@@ -2,7 +2,7 @@
 // component in this repository: float32 distance computations for exact
 // search, binary quantization with Hamming distance for the in-storage
 // ANNS engine (Sec 4.3 of the REIS paper), and INT8 quantization with
-// integer dot products for the reranking step (Sec 4.3.2).
+// integer squared distances for the reranking step (Sec 4.3.2).
 //
 // Embeddings are represented in three precisions:
 //
@@ -141,15 +141,6 @@ func Hamming(a, b []uint64) int {
 	return d
 }
 
-// PopCount returns the number of set bits in v.
-func PopCount(v []uint64) int {
-	n := 0
-	for _, w := range v {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // XorBytes writes a XOR b into dst word-wise (8 bytes at a time with a
 // byte tail). All three slices must have the same length; dst may alias
 // a or b. This is the bulk inter-latch XOR of the flash model.
@@ -267,20 +258,6 @@ func (p Int8Params) Int8Quantize(v []float32, dst []int8) []int8 {
 	return dst
 }
 
-// DotInt8 returns the integer inner product of a and b, the kernel the
-// embedded SSD controller core runs during reranking.
-// It panics if the lengths differ.
-func DotInt8(a, b []int8) int32 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vecmath: DotInt8 dimension mismatch %d != %d", len(a), len(b)))
-	}
-	var sum int32
-	for i := range a {
-		sum += int32(a[i]) * int32(b[i])
-	}
-	return sum
-}
-
 // L2SquaredInt8 returns the squared Euclidean distance between two INT8
 // vectors as an int32.
 func L2SquaredInt8(a, b []int8) int32 {
@@ -358,43 +335,6 @@ func UnpackInt8Bytes(b []byte, dst []int8) []int8 {
 	dst = dst[:len(b)]
 	for i, x := range b {
 		dst[i] = int8(x)
-	}
-	return dst
-}
-
-// PackFloat32Bytes serializes a float32 vector (IEEE-754 little endian).
-func PackFloat32Bytes(v []float32, dst []byte) []byte {
-	need := len(v) * 4
-	if cap(dst) < need {
-		dst = make([]byte, need)
-	}
-	dst = dst[:need]
-	for i, x := range v {
-		u := math.Float32bits(x)
-		off := i * 4
-		dst[off+0] = byte(u)
-		dst[off+1] = byte(u >> 8)
-		dst[off+2] = byte(u >> 16)
-		dst[off+3] = byte(u >> 24)
-	}
-	return dst
-}
-
-// UnpackFloat32Bytes deserializes bytes produced by PackFloat32Bytes.
-// len(b) must be a multiple of 4.
-func UnpackFloat32Bytes(b []byte, dst []float32) []float32 {
-	if len(b)%4 != 0 {
-		panic("vecmath: UnpackFloat32Bytes length not a multiple of 4")
-	}
-	n := len(b) / 4
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	for i := range dst {
-		off := i * 4
-		u := uint32(b[off]) | uint32(b[off+1])<<8 | uint32(b[off+2])<<16 | uint32(b[off+3])<<24
-		dst[i] = math.Float32frombits(u)
 	}
 	return dst
 }

@@ -50,9 +50,6 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns 32 uniformly distributed bits.
-func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed integer in [0, n).
 // It panics if n <= 0.
 func (r *RNG) Intn(n int) int {
