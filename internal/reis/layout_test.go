@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"reis/internal/ann"
@@ -241,6 +242,108 @@ func readPlacement(t *testing.T, h *hostCore, db *rdbEntry) []placedLink {
 		}
 	}
 	return out
+}
+
+// TestSeededPostingLists pins the R-IVF table as deploy seeds it and an
+// append extends it, read back from flash. On an IVF deploy of testData
+// whose middle cluster has no members:
+//   - each cluster's posting list is one range starting on a page
+//     boundary whose slots hold exactly the cluster's members, ascending,
+//     and the rest of its last page, up to the region's tail, is padding;
+//   - the empty cluster's list is empty;
+//   - after one append, each appended run is the last range of its
+//     cluster's list, after the deployed one, and holds exactly the ids
+//     appended to that cluster.
+func TestSeededPostingLists(t *testing.T) {
+	const nlist, empty = 8, 4
+	cents, assign := ann.KMeans(testData.Vectors, ann.KMeansConfig{K: nlist, Seed: 9})
+	// Centroid `empty` is a copy of its neighbour that no entry is
+	// assigned to: the clusters from it on move up by one.
+	cents = slices.Insert(cents, empty, cents[empty])
+	assign = slices.Clone(assign)
+	for i, c := range assign {
+		if c >= empty {
+			assign[i] = c + 1
+		}
+	}
+	e, err := New(mutTestCfg(), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	deployOn(t, e, OpcodeIVFDeploy, DeployConfig{
+		ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
+		Centroids: cents, Assign: assign,
+	})
+	db, _ := e.hostDB(1)
+	per := db.lay.embPerPage
+	// slots reads the records of slots [first, last] back from flash:
+	// each entry's id, -1 for padding.
+	slots := func(first, last int) []int {
+		var ids []int
+		for pos := first; pos <= last; pos++ {
+			_, oob, err := e.readPage(db, embRegion, pos/per, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := -1
+			if l, ok := parseLink(oob, pos%per); ok {
+				id = int(l.dadr)
+			}
+			ids = append(ids, id)
+		}
+		return ids
+	}
+	members := make([][]int, nlist+1)
+	for id, c := range assign {
+		members[c] = append(members[c], id)
+	}
+	buckets := db.mut.buckets
+	if len(buckets) != nlist+1 {
+		t.Fatalf("%d posting lists for %d clusters", len(buckets), nlist+1)
+	}
+	for c, list := range buckets {
+		if len(members[c]) == 0 {
+			if len(list) != 0 {
+				t.Fatalf("cluster %d has no members but posting list %+v", c, list)
+			}
+			continue
+		}
+		if len(list) != 1 || list[0].First%per != 0 {
+			t.Fatalf("cluster %d: posting list %+v, want one page-aligned range", c, list)
+		}
+		sr := list[0]
+		if got := slots(sr.First, sr.Last); !slices.Equal(got, members[c]) {
+			t.Fatalf("cluster %d: range %+v holds %v, want its members %v", c, sr, got, members[c])
+		}
+		for _, id := range slots(sr.Last+1, min(alignUp(sr.Last+1, per), db.mut.tailSlots)-1) {
+			if id >= 0 {
+				t.Fatalf("cluster %d: entry %d shares the last page of range %+v", c, id, sr)
+			}
+		}
+	}
+
+	// One append over two clusters, the empty one among them.
+	add := []int{1, empty, 1, 6, 1}
+	ids := mustSubmit(t, e, HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{
+		Vectors: testData.Queries[:len(add)], Docs: testData.Docs[:len(add)], Assign: add,
+	}}).AppendedIDs
+	for _, c := range []int{1, empty, 6} {
+		var want []int
+		for i, ac := range add {
+			if ac == c {
+				want = append(want, ids[i])
+			}
+		}
+		list := db.mut.buckets[c]
+		if len(list) != min(len(members[c]), 1)+1 || (len(members[c]) > 0 && list[0] != buckets[c][0]) {
+			t.Fatalf("cluster %d after the append: posting list %+v, was %+v", c, list, buckets[c])
+		}
+		last := list[len(list)-1]
+		if got := slots(last.First, last.Last); !slices.Equal(got, want) {
+			t.Fatalf("cluster %d: appended run %+v holds %v, want %v", c, last, got, want)
+		}
+	}
 }
 
 // TestRerankCopiesFollowPlacement pins where the INT8 rerank copies
