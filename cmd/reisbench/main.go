@@ -184,7 +184,7 @@ var experimentTable = []experiment{
 	{"churn", nil, "GC wear under append/delete/compact: wear-leveled vs first-fit placement (fixed corpus)",
 		of(func(int) ([]experiments.ChurnRow, error) { return experiments.RunChurn() }, experiments.FormatChurn)},
 	{"slo", nil, "modeled p50/p95/p99/p999 under Poisson arrivals: arrival rate x queue depth x shard count",
-		of(func(scale int) ([]experiments.SLORow, error) { return experiments.RunSLO(scale, nil, nil, nil) }, experiments.FormatSLO)},
+		of(func(scale int) ([]experiments.SLORow, error) { return experiments.RunSLO(scale, nil, nil) }, experiments.FormatSLO)},
 	{"frontier", nil, "recall vs modeled latency: DRAM-side HNSW/LSH/PQ-IVF vs the flash engine, pruned and cached",
 		of(experiments.RunFrontier, experiments.FormatFrontier)},
 }

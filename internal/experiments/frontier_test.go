@@ -97,7 +97,7 @@ func TestRunFrontierShape(t *testing.T) {
 func TestRunSLOShapeAndDeterminism(t *testing.T) {
 	depths := []int{1, 8}
 	loads := []float64{0.8}
-	ref, err := RunSLO(testScale, nil, depths, loads)
+	ref, err := RunSLO(testScale, depths, loads)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestRunSLOShapeAndDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		got, err := RunSLO(testScale, nil, depths, loads)
+		got, err := RunSLO(testScale, depths, loads)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -71,15 +71,12 @@ type SLORow struct {
 }
 
 // RunSLO sweeps arrival rate × queue depth × shard count on
-// REIS-SSD1-class devices. Every topology serves the workload's query
-// set once, as one batched IVF command; every cell replays LoadCommands
-// single-query commands (those queries, cycled) under the seeded Poisson
-// schedule through the virtual-time dispatcher model (Setup.tail). nil
-// axes select the defaults.
-func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLORow, error) {
-	if datasets == nil {
-		datasets = []string{"NQ"}
-	}
+// REIS-SSD1-class devices over NQ. Every topology serves the workload's
+// query set once, as one batched IVF command; every cell replays
+// LoadCommands single-query commands (those queries, cycled) under the
+// seeded Poisson schedule through the virtual-time dispatcher model
+// (Setup.tail). nil axes select the defaults.
+func RunSLO(scale int, depths []int, loads []float64) ([]SLORow, error) {
 	if depths == nil {
 		depths = SLODepths
 	}
@@ -87,38 +84,36 @@ func RunSLO(scale int, datasets []string, depths []int, loads []float64) ([]SLOR
 		loads = SLOLoads
 	}
 	var rows []SLORow
-	for _, name := range datasets {
-		w := LoadWorkload(name, scale)
-		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], SLOShardCounts...) {
-			if err != nil {
-				return nil, err
-			}
-			cmd, mode, err := s.sweepIVF()
-			if err != nil {
-				return nil, err
-			}
-			resp, err := s.Submit(cmd)
-			if err != nil {
-				return nil, err
-			}
-			for _, depth := range depths {
-				shares := s.sharesAt(passOf(resp), w.ScaleIVF(), depth)
-				for _, load := range loads {
-					res := s.tail(passOf(resp), w.ScaleIVF(), depth, load)
-					rows = append(rows, SLORow{
-						Dataset: name, Mode: mode,
-						Shards: s.Devices, Depth: depth, Load: fmt.Sprintf("%.2f", load),
-						ArrivalQPS:  res.Rate,
-						ModelQPS:    res.SaturationQPS,
-						ModelP50Ms:  ms(res.P50),
-						ModelP95Ms:  ms(res.P95),
-						ModelP99Ms:  ms(res.P99),
-						ModelP999Ms: ms(res.P999),
-						MeanBatch:   res.MeanBatch,
-						MaxBacklog:  res.MaxBacklog,
-						ModelShares: shares,
-					})
-				}
+	w := LoadWorkload("NQ", scale)
+	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], SLOShardCounts...) {
+		if err != nil {
+			return nil, err
+		}
+		cmd, mode, err := s.sweepIVF()
+		if err != nil {
+			return nil, err
+		}
+		resp, err := s.Submit(cmd)
+		if err != nil {
+			return nil, err
+		}
+		for _, depth := range depths {
+			shares := s.sharesAt(passOf(resp), w.ScaleIVF(), depth)
+			for _, load := range loads {
+				res := s.tail(passOf(resp), w.ScaleIVF(), depth, load)
+				rows = append(rows, SLORow{
+					Dataset: w.Name, Mode: mode,
+					Shards: s.Devices, Depth: depth, Load: fmt.Sprintf("%.2f", load),
+					ArrivalQPS:  res.Rate,
+					ModelQPS:    res.SaturationQPS,
+					ModelP50Ms:  ms(res.P50),
+					ModelP95Ms:  ms(res.P95),
+					ModelP99Ms:  ms(res.P99),
+					ModelP999Ms: ms(res.P999),
+					MeanBatch:   res.MeanBatch,
+					MaxBacklog:  res.MaxBacklog,
+					ModelShares: shares,
+				})
 			}
 		}
 	}

@@ -23,10 +23,11 @@ type Stats struct {
 	LatchXORs       atomic.Int64
 	BitCounts       atomic.Int64
 	PassFailChecks  atomic.Int64
-	// PrunedSlots counts slots whose GEN_DIST_PAGE distance exceeded
-	// the command's pruning bound (top-k threshold propagation): their
-	// distances were computed but the slots can never reach the result
-	// set, so the controller skips their TTL transfer.
+	// PrunedSlots counts the slots of a GEN_DIST_PAGE wave whose
+	// computed distance exceeded the command's pruning bound (top-k
+	// threshold propagation): every slot the wave computed, padding and
+	// slots the distance or metadata filter drops included — a superset
+	// of the transfers the controller skips for the bound.
 	PrunedSlots atomic.Int64
 	IBCLoads    atomic.Int64
 	// BytesOut counts bytes transferred from dies to the controller,
@@ -662,6 +663,7 @@ func (d *Device) ResetStats() {
 	d.Stats.LatchXORs.Store(0)
 	d.Stats.BitCounts.Store(0)
 	d.Stats.PassFailChecks.Store(0)
+	d.Stats.PrunedSlots.Store(0)
 	d.Stats.IBCLoads.Store(0)
 	for i := range d.Stats.BytesOut {
 		d.Stats.BytesOut[i].Store(0)

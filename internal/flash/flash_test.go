@@ -2,7 +2,10 @@ package flash
 
 import (
 	"bytes"
+	"fmt"
 	"math/bits"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -655,4 +658,39 @@ func TestIBCDieBroadcast(t *testing.T) {
 			t.Fatalf("accepted %+v", bad)
 		}
 	}
+}
+
+// TestResetStatsZeroesEveryCounter sets every counter of Stats — each
+// scalar, each array element and each per-channel slot — to a distinct
+// non-zero value through reflection, so a counter added later is covered
+// without touching the test, and requires ResetStats to zero them all.
+func TestResetStatsZeroesEveryCounter(t *testing.T) {
+	d := testDevice(t)
+	counters := func(visit func(name string, c *atomic.Int64)) {
+		v := reflect.ValueOf(&d.Stats).Elem()
+		for i := range v.NumField() {
+			f, name := v.Field(i), v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Struct:
+				visit(name, f.Addr().Interface().(*atomic.Int64))
+			case reflect.Array, reflect.Slice:
+				if f.Len() == 0 {
+					t.Fatalf("Stats.%s has no counters", name)
+				}
+				for j := range f.Len() {
+					visit(fmt.Sprintf("%s[%d]", name, j), f.Index(j).Addr().Interface().(*atomic.Int64))
+				}
+			default:
+				t.Fatalf("Stats.%s is a %s, not a counter", name, f.Kind())
+			}
+		}
+	}
+	var n int64
+	counters(func(_ string, c *atomic.Int64) { n++; c.Store(n) })
+	d.ResetStats()
+	counters(func(name string, c *atomic.Int64) {
+		if v := c.Load(); v != 0 {
+			t.Errorf("after ResetStats: Stats.%s = %d", name, v)
+		}
+	})
 }

@@ -45,7 +45,6 @@ type segScan struct {
 	prunedSlots  int
 	prunedPages  int
 	abortedWaves int
-	ttlBytes     int64
 }
 
 // scanOut is the pooled outcome of the last batchScan: segs holds every
@@ -72,9 +71,10 @@ type batchItem struct {
 
 // batchScan executes one scan round for a whole query batch into
 // d.scr.out: segs[qi] lists the slot ranges query qi scans in the
-// centroid region (coarse — no metadata filter, and no distance filter
-// but the coarse cut: centroids over cut ≥ 0 send no TTL-C entry, see
-// controller.run) or the binary region. Work is
+// centroid region (coarse — no metadata filter) or the binary region,
+// under the distance-filter cutoff the controller decided for the round
+// (< 0: none): the fine round's filter threshold, or the coarse cut —
+// centroids over it send no TTL-C entry (see controller.run). Work is
 // split into per-plane tasks dispatched to the die worker pool; each
 // plane broadcasts a query's embedding into its cache latch once and
 // then scans all of that query's segments resident on the plane before
@@ -92,19 +92,16 @@ type batchItem struct {
 // pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
 // global to the round, so every topology skips the same segments.
-func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cut int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
+func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
 	if d.closed.Load() {
 		return fmt.Errorf("reis: device closed: %w", ErrQueueClosed)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	region, threshold := db.rec.Embeddings, -1
-	if d.Opts.DistanceFilter {
-		threshold = db.filterThreshold
-	}
+	region := db.rec.Embeddings
 	if coarse {
-		region, threshold, metaTag = db.rec.Centroids, cut, nil
+		region, metaTag = db.rec.Centroids, nil
 	}
 	planes := d.SSD.Cfg.Geo.Planes()
 	d.pool.resetArenas()
@@ -152,7 +149,7 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 		}
 	}
 	busy := d.planBroadcasts()
-	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: threshold, metaTag: metaTag}
+	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: cutoff, metaTag: metaTag}
 	err := d.pool.run(&d.scr.round, busy)
 	d.scr.round = scanRound{} // the command's context and queries go with it
 	if err != nil {
@@ -166,7 +163,6 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			s.scanned += ps.scanned
 			s.survivors += ps.survivors
 			s.prunedSlots += ps.pruned
-			s.ttlBytes += ps.ttlBytes
 		}
 	}
 	return nil
@@ -384,8 +380,9 @@ func (d *device) broadcast(db *Database, die int, st ibcStep, qPacked []byte) er
 
 // addTo accumulates the segment's event counts into st, as coarse- or
 // fine-phase work. Waves sum segment by segment: segments of one query
-// run one after another on the planes.
-func (s *segScan) addTo(st *QueryStats, coarse bool) {
+// run one after another on the planes. Every survivor crossed the
+// channel as one entryBytes-wide TTL entry.
+func (s *segScan) addTo(st *QueryStats, coarse bool, entryBytes int) {
 	if coarse {
 		st.CoarseWaves += s.waves
 		st.CoarsePages += s.pages
@@ -400,7 +397,7 @@ func (s *segScan) addTo(st *QueryStats, coarse bool) {
 	st.PrunedSlots += s.prunedSlots
 	st.PrunedPages += s.prunedPages
 	st.AbortedWaves += s.abortedWaves
-	st.TTLBytes += s.ttlBytes
+	st.TTLBytes += int64(s.survivors) * int64(entryBytes)
 }
 
 // stats is query qi's view of the last round as the device reports it
@@ -409,40 +406,41 @@ func (s *segScan) addTo(st *QueryStats, coarse bool) {
 // coarse and fine TTL streams under different scale factors, so the
 // device's row carries the split (CoarseEntries, CoarseSurvivors), as
 // the host's aggregate does.
-func (o *scanOut) stats(qi int, coarse bool) QueryStats {
+func (o *scanOut) stats(qi int, coarse bool, entryBytes int) QueryStats {
 	st := QueryStats{IBCBroadcasts: o.ibc[qi]}
 	end := len(o.segs)
 	if qi+1 < len(o.off) {
 		end = o.off[qi+1]
 	}
 	for i := o.off[qi]; i < end; i++ {
-		o.segs[i].addTo(&st, coarse)
+		o.segs[i].addTo(&st, coarse, entryBytes)
 	}
 	return st
 }
 
 // scan runs one round on every device in place: segs[qi] are the global
-// slot ranges query qi scans in the centroid (coarse, under cut: < 0 for
-// none) or binary region, lbs mirrors segs with each segment's proven
-// distance lower bound (nil = none), and bounds[qi] is the query's
+// slot ranges query qi scans in the centroid (coarse) or binary region,
+// under the distance-filter cutoff (< 0: none) — the coarse cut or the
+// command's fine-round filter — lbs mirrors segs with each segment's
+// proven distance lower bound (nil = none), and bounds[qi] is the query's
 // pruning threshold (0 = off).
 // Device 0 scans on this goroutine and the others beside it, joined
 // before the round returns; the host holds every device's lock for the
 // command, so each device's scratch and arenas are its scanner's alone.
 // Each device's share of the round's events is added to rows (nil when
 // nobody asks); a device that owns no page of the round adds zeros.
-func (c *controller) scan(ctx context.Context, coarse bool, cut int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
+func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
 	// The goroutines capture the host and the slices, never c: the
 	// controller stays on the command's stack.
 	h, locals, packed, errs := c.h, c.db.locals, c.scr.packed, c.h.scr.errs
 	for s := 1; s < len(h.devs); s++ {
 		h.scr.wg.Add(1)
 		go func(s int) {
-			errs[s] = h.devs[s].batchScan(ctx, locals[s], packed, coarse, cut, segs, lbs, bounds, metaTag)
+			errs[s] = h.devs[s].batchScan(ctx, locals[s], packed, coarse, cutoff, segs, lbs, bounds, metaTag)
 			h.scr.wg.Done()
 		}(s)
 	}
-	errs[0] = h.devs[0].batchScan(ctx, locals[0], packed, coarse, cut, segs, lbs, bounds, metaTag)
+	errs[0] = h.devs[0].batchScan(ctx, locals[0], packed, coarse, cutoff, segs, lbs, bounds, metaTag)
 	h.scr.wg.Wait()
 	for _, err := range errs {
 		if err != nil {
@@ -452,7 +450,7 @@ func (c *controller) scan(ctx context.Context, coarse bool, cut int, segs [][]Sl
 	if rows != nil {
 		for s, d := range h.devs {
 			for qi := range rows[s] {
-				rows[s][qi].Add(d.scr.out.stats(qi, coarse))
+				rows[s][qi].Add(d.scr.out.stats(qi, coarse, c.db.lay.ttlEntryBytes()))
 				rows[s][qi].IBCLoads = d.scr.ibc.loads[qi]
 				rows[s][qi].IBCTotalLoads = d.scr.ibc.total[qi]
 			}
@@ -500,13 +498,12 @@ func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntr
 		sum.survivors += seg.survivors
 		sum.prunedSlots += seg.prunedSlots
 		sum.prunedPages += seg.prunedPages
-		sum.ttlBytes += seg.ttlBytes
 		if seg.survivors > 0 {
 			holder = d
 			holders++
 		}
 	}
-	sum.addTo(st, coarse)
+	sum.addTo(st, coarse, c.db.lay.ttlEntryBytes())
 	if holders == 1 {
 		return holder.appendSeg(dst, qi, si)
 	}

@@ -367,10 +367,10 @@ func (c *dbCache) dropPins() {
 }
 
 // cachedScanParams carries the per-query predicates of a pinned scan —
-// the same predicates, in the same order, the in-plane scan applies. The
-// controller fills it.
+// the same predicates, in the same order, the in-plane scan applies:
+// the distance-filter cutoff (-1: none), the metadata tag and the
+// pruning bound. The controller fills it.
 type cachedScanParams struct {
-	filter    bool
 	threshold int
 	metaTag   *uint8
 	bound     int
@@ -420,7 +420,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 				continue // cluster-alignment padding slot
 			}
 			slots++
-			if p.filter && dist > p.threshold {
+			if p.threshold >= 0 && dist > p.threshold {
 				continue
 			}
 			if p.metaTag != nil && l.tag != *p.metaTag {

@@ -63,7 +63,7 @@ func TestCoarseCutLossless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nlist := len(db.lay.rivf)
+		nlist := db.lay.nlist()
 		heldBack := false
 		for nprobe := 1; nprobe <= nlist; nprobe++ {
 			opt := SearchOptions{NProbe: nprobe}
@@ -200,7 +200,7 @@ func TestCoarseCutOffWithoutFilter(t *testing.T) {
 // whole top-n at every n.
 func TestCalibrateCoarseCut(t *testing.T) {
 	db := deployIVF(t, newEngine(t, AllOptions()), 2, 16)
-	cut, nlist := db.coarseCut, len(db.rivf)
+	cut, nlist := db.coarseCut, db.nlist()
 	if len(cut) != nlist || !slices.IsSorted(cut) {
 		t.Fatalf("cut table %v for nlist %d", cut, nlist)
 	}

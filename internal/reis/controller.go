@@ -45,9 +45,10 @@ type controller struct {
 	h   *hostCore
 	db  *rdbEntry
 	scr *ctrlScratch
-	// pin carries the distance-filter predicate of pinned scans; metaTag
-	// and bound are set per scan.
-	pin cachedScanParams
+	// filter is the fine round's distance-filter cutoff, -1 for none,
+	// decided once per command: every device's scan and every pinned
+	// scan filter under it, and the coarse cut rides it.
+	filter int
 }
 
 // ctrlScratch is the controller's pooled working state, embedded in
@@ -132,12 +133,12 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		return nil, nil, nil, err
 	}
 	for _, q := range queries {
-		if len(q) != db.dim {
+		if len(q) != db.lay.dim {
 			return nil, nil, nil, fmt.Errorf("%w (query dim %d, database %d dim %d)",
-				ErrQueryDims, len(q), db.id, db.dim)
+				ErrQueryDims, len(q), db.id, db.lay.dim)
 		}
 	}
-	if cmd.Opcode == OpcodeIVFSearch && len(db.lay.rivf) == 0 {
+	if cmd.Opcode == OpcodeIVFSearch && db.lay.flat() {
 		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.id)
 	}
 	if !useCache || cache == nil {
@@ -176,11 +177,11 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 }
 
 // coarseCut is the coarse round's in-plane cutoff at nprobe, or -1 when
-// the cut is off: it rides the distance filter's option and has nothing
-// to hold back once nprobe covers every centroid.
+// the cut is off: it rides the distance filter and has nothing to hold
+// back once nprobe covers every centroid.
 func (c *controller) coarseCut(nprobe int) int {
 	cut := c.db.lay.coarseCut
-	if !c.pin.filter || nprobe >= len(c.db.lay.rivf) || cut == nil {
+	if c.filter < 0 || nprobe >= c.db.lay.nlist() || cut == nil {
 		return -1
 	}
 	return cut[nprobe-1]
@@ -224,7 +225,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	}
 	sts := make([]QueryStats, nq)
 	rows := c.h.shardRows(nq)
-	mut, cache, nlist := c.db.mut, c.db.cache, len(c.db.lay.rivf)
+	mut, cache, nlist := c.db.mut, c.db.cache, c.db.lay.nlist()
 	var tomb []uint64
 	if mut.deadCount > 0 {
 		tomb = mut.tomb
@@ -332,7 +333,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			s.bounds[qi] = s.trackers[qi].bound()
 		}
 
-		if err := c.scan(ctx, false, -1, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
+		if err := c.scan(ctx, false, c.filter, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
 			return nil, nil, nil, err
 		}
 		for qi := range queries {
@@ -357,8 +358,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				// Pinned segment: the same kernel and predicates over the
 				// DRAM copy, under the round's bound. It is never
 				// lb-aborted — the pages are already resident.
-				p := c.pin
-				p.metaTag, p.bound = opt.MetaTag, s.bounds[qi]
+				p := cachedScanParams{threshold: c.filter, metaTag: opt.MetaTag, bound: s.bounds[qi]}
 				var cp, cs int
 				acc, cp, cs = cache.scanPinned(pr, s.packed[qi], &c.db.lay.pageFormat, p, acc)
 				st.CachedPages += cp

@@ -145,18 +145,14 @@ type Engine struct {
 // Database is the on-device representation of one deployed vector
 // database.
 type Database struct {
-	ID  int
-	Dim int
-	N   int
-
 	rec ssd.DBRecord
 	// The device holds global pages g ≡ start (mod stride) of every
 	// region as local pages g / stride; (0, 1) is the whole layout.
 	start, stride int
 
 	// The host's layout plan, shared by every device: the page format,
-	// the R-IVF table (nil for flat databases) and the calibrated
-	// distance-filter cutoff are read through it.
+	// the cluster count and the calibrated distance-filter cutoff are
+	// read through it.
 	*dbLayout
 }
 
@@ -181,15 +177,6 @@ func nprobeForRecall(calib []recallPoint, target float64) (nprobe int, ok bool) 
 		}
 	}
 	return nprobe, ok
-}
-
-// RIVFEntry is one element of the R-IVF array (Sec 4.2.1, structure B
-// in Fig 4): the centroid's location, the positional range of the
-// cluster's embeddings in the binary region, and the 8-bit tag.
-type RIVFEntry struct {
-	CentroidSlot int // slot index within the centroid region
-	First, Last  int // embedding positions (inclusive) in the binary region
-	Tag          uint8
 }
 
 // New creates an engine over a fresh SSD of the given configuration,
@@ -245,7 +232,7 @@ type DeployConfig struct {
 func (d *device) install(id int, lo *dbLayout, start, stride int) (*Database, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	db := &Database{ID: id, Dim: lo.dim, N: lo.n, dbLayout: lo, start: start, stride: stride}
+	db := &Database{dbLayout: lo, start: start, stride: stride}
 	// Every shard reserves capacity for the same number of stripes the
 	// single-device-equivalent extent spans, so growth and GC erase the
 	// same block-rows on every topology (planes per global stripe =
@@ -288,26 +275,6 @@ func (d *device) install(id int, lo *dbLayout, start, stride int) (*Database, er
 		ID: id, Embeddings: embR, Documents: docR, Centroids: centR, Int8s: int8R,
 	}
 	return db, nil
-}
-
-// buildRIVF computes the per-cluster positional ranges of the
-// cluster-sorted placement.
-func buildRIVF(assign, order []int, nlist int) []RIVFEntry {
-	entries := make([]RIVFEntry, nlist)
-	for c := range entries {
-		entries[c] = RIVFEntry{CentroidSlot: c, First: -1, Last: -1, Tag: uint8(c & 0xFF)}
-	}
-	for pos, id := range order {
-		if id < 0 {
-			continue // page-alignment padding
-		}
-		c := assign[id]
-		if entries[c].First < 0 {
-			entries[c].First = pos
-		}
-		entries[c].Last = pos
-	}
-	return entries
 }
 
 // calibrationSample is the sample both deploy-time calibrations read:
@@ -402,7 +369,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 func (db *Database) centroidSlots() int {
 	n := 0
 	for g := db.start; g < db.centPages; g += db.stride {
-		n += min(db.embPerPage, len(db.rivf)-g*db.embPerPage)
+		n += min(db.embPerPage, db.nlist()-g*db.embPerPage)
 	}
 	return n
 }

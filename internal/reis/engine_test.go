@@ -137,8 +137,8 @@ func recallOf(t *testing.T, search func(q []float32) []DocResult) float64 {
 func TestDeployLayout(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	db := deployFlat(t, e, 1)
-	if db.N != testData.Len() || db.Dim != 128 {
-		t.Fatalf("db shape %d/%d", db.N, db.Dim)
+	if db.n != testData.Len() || db.dim != 128 {
+		t.Fatalf("db shape %d/%d", db.n, db.dim)
 	}
 	rec := db.Record()
 	if rec.Embeddings.PageCount == 0 || rec.Documents.PageCount == 0 || rec.Int8s.PageCount == 0 {
@@ -353,12 +353,12 @@ func TestDistanceFilteringPreservesRecall(t *testing.T) {
 
 func TestDistanceFilteringReducesSurvivors(t *testing.T) {
 	e := newEngine(t, AllOptions())
-	db := deployFlat(t, e, 1)
+	deployFlat(t, e, 1)
 	_, stOn := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
 	e.Opts.DistanceFilter = false
 	_, stOff := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{SkipDocs: true})
-	if stOff.Survivors != db.N {
-		t.Fatalf("without DF survivors = %d, want %d", stOff.Survivors, db.N)
+	if stOff.Survivors != testData.Len() {
+		t.Fatalf("without DF survivors = %d, want %d", stOff.Survivors, testData.Len())
 	}
 	if stOn.Survivors*5 > stOff.Survivors {
 		t.Fatalf("DF only filtered to %d of %d", stOn.Survivors, stOff.Survivors)

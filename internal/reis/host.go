@@ -35,15 +35,17 @@ import (
 // device never calls into a core. The core holds every device lock for
 // the whole search command — the arenas keep a round's entries until
 // they are folded — and one device's per page operation when it mutates
-// (mutTarget), so the two never nest. Tail and pin reads take the
-// conventional read path, which the flash device synchronizes per plane;
-// the core issues them only when no scan round of its own is running.
+// (mutTarget), so the two never nest. Tail, pin and GC copy-forward
+// reads take the conventional read path (readPage), which the flash
+// device synchronizes per plane; the core issues them only when no scan
+// round of its own is running, and a region's bounds change only under
+// execMu.
 type hostCore struct {
 	cfg ssd.Config // single-device-equivalent configuration: N× one device's channels
 
 	// devs are the devices; the options the host reads (placement, the
-	// pinned scans' distance filter) are device 0's Opts, the same ones
-	// its flash scans read.
+	// distance filter every scan of a command applies) are device 0's
+	// Opts.
 	devs []*device
 	// perShard is set by NewSharded: its responses carry PerShard rows,
 	// the operand of ShardedEngine's Latency shapes (a 1-device one too).
@@ -90,11 +92,12 @@ type hostScratch struct {
 }
 
 // rdbEntry is one deployed database's R-DB entry: the global layout plan
-// (R-IVF table, quantization parameters, filter threshold), the
-// mutable-state ledger, the caching tier, and the per-device page-stride
-// slices — one of them, the whole layout, on a single device.
+// (page format, quantization parameters, filter threshold), the
+// mutable-state ledger (R-IVF table among it), the caching tier, and the
+// per-device page-stride slices — one of them, the whole layout, on a
+// single device.
 type rdbEntry struct {
-	id, dim int
+	id int
 
 	lay    *dbLayout
 	locals []*Database // locals[s] is device s's page-stride slice
@@ -248,13 +251,13 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if _, ok := c.dbs[cfg.ID]; ok {
 		return fmt.Errorf("reis: database %d already deployed", cfg.ID)
 	}
-	lo, err := planLayout(&cfg, c.cfg.Geo, c.cfg.OverprovisionPct)
+	lo, buckets, radius, err := planLayout(&cfg, c.cfg.Geo, c.cfg.OverprovisionPct)
 	if err != nil {
 		return err
 	}
-	db := &rdbEntry{id: cfg.ID, dim: lo.dim, lay: lo, mut: newMutState(lo, c.devs[0].Opts.FirstFitPlacement)}
+	db := &rdbEntry{id: cfg.ID, lay: lo, mut: newMutState(lo, buckets, radius, c.devs[0].Opts.FirstFitPlacement)}
 	if c.cfg.CacheDRAMBytes > 0 {
-		db.cache = newDBCache(c.cfg, &lo.pageFormat, len(lo.rivf))
+		db.cache = newDBCache(c.cfg, &lo.pageFormat, lo.nlist())
 	}
 	for s, d := range c.devs {
 		local, err := d.install(cfg.ID, lo, s, len(c.devs))
@@ -456,9 +459,9 @@ func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]flo
 		d.mu.Lock()
 	}
 	defer c.unlockDevs()
-	ctl := controller{
-		h: c, db: db, scr: &c.scr.ctrl,
-		pin: cachedScanParams{filter: c.devs[0].Opts.DistanceFilter, threshold: db.lay.filterThreshold},
+	ctl := controller{h: c, db: db, scr: &c.scr.ctrl, filter: -1}
+	if c.devs[0].Opts.DistanceFilter {
+		ctl.filter = db.lay.filterThreshold
 	}
 	return ctl.search(ctx, cmd, queries, useCache)
 }
@@ -498,8 +501,7 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 	}
 	commits := db.commits
 	c.execMu.Unlock()
-	nlist := len(db.lay.rivf)
-	if nlist == 0 {
+	if db.lay.flat() {
 		return 0, fmt.Errorf("reis: database %d is not IVF-deployed", dbID)
 	}
 	if len(queries) == 0 {
@@ -514,7 +516,7 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 	// The sweep is not a host command: each step runs outside any queue
 	// pair and past the result cache.
 	step := HostCommand{Opcode: OpcodeIVFSearch, DBID: dbID, K: k, Opt: SearchOptions{SkipDocs: true}}
-	nprobe, ok, err := calibrateSweep(nlist, groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
+	nprobe, ok, err := calibrateSweep(db.lay.nlist(), groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
 		step.Opt.NProbe = nprobe
 		results, _, _, err := c.search(context.Background(), &step, queries, false)
 		if hook := c.testCalibStepHook; hook != nil {
@@ -570,15 +572,6 @@ func (t mutTarget) onAll(f func(s int, d *device, local *Database) error) error 
 		}
 	}
 	return nil
-}
-
-// readBinPage senses global binary-region page g through the
-// conventional path (data and OOB are freshly allocated).
-func (t mutTarget) readBinPage(g int) (data, oob []byte, err error) {
-	d, local, l := t.c.owner(t.db, g)
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.SSD.ReadRegionPage(local.rec.Embeddings, l)
 }
 
 // writePages is the one page writer — deploy, append and GC copy-forward

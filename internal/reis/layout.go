@@ -15,8 +15,9 @@ import (
 // renders a binary, INT8 or document page from slots and the only code
 // that parses one back (see DESIGN.md, "Page format"); planLayout
 // resolves the Sec 4.1 layout — that geometry, cluster-sorted placement
-// order with page-alignment padding, region page counts, the R-IVF
-// table, INT8 quantization parameters and the distance-filter threshold.
+// order with page-alignment padding, region page counts, INT8
+// quantization parameters and the distance-filter threshold — and seeds
+// the R-IVF table the mutable-state ledger keeps (mutState.buckets).
 //
 // Every topology consumes the same plan and the same rendered pages: the
 // host programs global page g on device g mod N with unmodified bytes,
@@ -125,9 +126,8 @@ type dbLayout struct {
 	pageFormat
 
 	// order[pos] is the original id at region position pos, or -1 for
-	// cluster-alignment padding; regionSlots == len(order).
-	order       []int
-	regionSlots int
+	// cluster-alignment padding.
+	order []int
 
 	// Region sizes in pages.
 	embPages, int8Pages, docPages, centPages int
@@ -146,7 +146,6 @@ type dbLayout struct {
 	// across topologies sharing the block shape.
 	ppb, rowPages int
 
-	rivf            []RIVFEntry
 	filterThreshold int
 	// coarseCut[n-1] is the coarse round's in-plane cutoff at nprobe n
 	// (calibrateCoarseCut; nil for flat databases). Built once, at
@@ -154,31 +153,40 @@ type dbLayout struct {
 	// a different selection.
 	coarseCut []int
 
-	// centCodes[c] is cluster c's binary-quantized centroid code and
-	// radius[c] the maximum Hamming distance from that code to any
-	// member's binary code — the triangle-inequality bound threshold
-	// pruning uses (a cluster's best possible distance to a query is
-	// coarse distance minus radius). Nil for flat databases.
+	// centCodes[c] is cluster c's binary-quantized centroid code. Nil for
+	// flat databases: its length is the cluster count (nlist).
 	centCodes [][]uint64
-	radius    []int
 }
+
+// nlist is the database's cluster count: 0 for a flat database.
+func (lo *dbLayout) nlist() int { return len(lo.centCodes) }
+
+// flat reports whether the database has no IVF structure.
+func (lo *dbLayout) flat() bool { return lo.nlist() == 0 }
 
 // planLayout validates the deployment and computes its placement plan
 // under the given flash geometry; overprovisionPct reserves append/GC
 // headroom per mutable region. cfg.DocSlotBytes is defaulted in place.
-func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*dbLayout, error) {
+// For an IVF deployment it also seeds the R-IVF table the mutable-state
+// ledger adopts (newMutState): buckets[c] is cluster c's posting list —
+// one range over its members in placement order, empty for a cluster
+// without members — and radius[c] the maximum Hamming distance from
+// centroid code c to a member's binary code, the triangle-inequality
+// bound threshold pruning uses (a cluster's best possible distance to a
+// query is coarse distance minus radius). Both are nil for a flat one.
+func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo *dbLayout, buckets [][]SlotRange, radius []int, err error) {
 	n := len(cfg.Vectors)
 	if n == 0 {
-		return nil, fmt.Errorf("reis: deploy of empty database")
+		return nil, nil, nil, fmt.Errorf("reis: deploy of empty database")
 	}
 	if len(cfg.Docs) != n {
-		return nil, fmt.Errorf("reis: %d docs for %d vectors", len(cfg.Docs), n)
+		return nil, nil, nil, fmt.Errorf("reis: %d docs for %d vectors", len(cfg.Docs), n)
 	}
 	if cfg.DocSlotBytes == 0 {
 		cfg.DocSlotBytes = 4096
 	}
 	dim := len(cfg.Vectors[0])
-	lo := &dbLayout{dim: dim, n: n, pageFormat: pageFormat{
+	lo = &dbLayout{dim: dim, n: n, pageFormat: pageFormat{
 		slotBytes: vecmath.WordsPerVector(dim) * 8,
 		int8Bytes: dim,
 		docBytes:  cfg.DocSlotBytes,
@@ -194,12 +202,12 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 	lo.int8PerPage = geo.PageBytes / lo.int8Bytes
 	lo.docsPerPage = geo.PageBytes / lo.docBytes
 	if lo.embPerPage == 0 || lo.int8PerPage == 0 || lo.docsPerPage == 0 {
-		return nil, fmt.Errorf("reis: page size %d too small for dim %d / doc %d",
+		return nil, nil, nil, fmt.Errorf("reis: page size %d too small for dim %d / doc %d",
 			geo.PageBytes, dim, cfg.DocSlotBytes)
 	}
 	for i, doc := range cfg.Docs {
 		if len(doc) > cfg.DocSlotBytes {
-			return nil, fmt.Errorf("reis: doc %d is %dB > slot %dB", i, len(doc), cfg.DocSlotBytes)
+			return nil, nil, nil, fmt.Errorf("reis: doc %d is %dB > slot %dB", i, len(doc), cfg.DocSlotBytes)
 		}
 	}
 
@@ -208,7 +216,13 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 	// fresh page (a cluster's fine scan then never senses a page for
 	// another cluster's slots).
 	var order []int
-	if cfg.Assign != nil {
+	if len(cfg.Centroids) > 0 {
+		lo.centCodes = make([][]uint64, len(cfg.Centroids))
+		for c, v := range cfg.Centroids {
+			lo.centCodes[c] = vecmath.BinaryQuantize(v, nil)
+		}
+		buckets = make([][]SlotRange, len(cfg.Centroids))
+		radius = make([]int, len(cfg.Centroids))
 		sorted := make([]int, n)
 		for i := range sorted {
 			sorted[i] = i
@@ -220,14 +234,20 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 			return sorted[a] < sorted[b]
 		})
 		prevCluster := -1
+		var bits []uint64
 		for _, id := range sorted {
-			if c := cfg.Assign[id]; c != prevCluster {
+			c := cfg.Assign[id]
+			if c != prevCluster {
 				for len(order)%lo.embPerPage != 0 {
 					order = append(order, -1)
 				}
 				prevCluster = c
+				buckets[c] = []SlotRange{{First: len(order)}}
 			}
+			buckets[c][0].Last = len(order)
 			order = append(order, id)
+			bits = vecmath.BinaryQuantize(cfg.Vectors[id], bits)
+			radius[c] = max(radius[c], vecmath.Hamming(lo.centCodes[c], bits))
 		}
 	} else {
 		order = make([]int, n)
@@ -236,7 +256,6 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 		}
 	}
 	lo.order = order
-	lo.regionSlots = len(order)
 
 	lo.embPages = ceilDiv(len(order), lo.embPerPage)
 	lo.int8Pages = ceilDiv(n, lo.int8PerPage)
@@ -260,24 +279,12 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*d
 		}
 	}
 	codes := calibrationSample(cfg.Vectors)
-	if len(cfg.Centroids) > 0 {
-		lo.centPages = ceilDiv(len(cfg.Centroids), lo.embPerPage)
-		lo.rivf = buildRIVF(cfg.Assign, order, len(cfg.Centroids))
-		lo.centCodes = make([][]uint64, len(cfg.Centroids))
-		for c, v := range cfg.Centroids {
-			lo.centCodes[c] = vecmath.BinaryQuantize(v, nil)
-		}
-		lo.radius = make([]int, len(cfg.Centroids))
-		for i, v := range cfg.Vectors {
-			c := cfg.Assign[i]
-			if d := vecmath.Hamming(lo.centCodes[c], vecmath.BinaryQuantize(v, nil)); d > lo.radius[c] {
-				lo.radius[c] = d
-			}
-		}
+	if !lo.flat() {
+		lo.centPages = ceilDiv(lo.nlist(), lo.embPerPage)
 		lo.coarseCut = calibrateCoarseCut(codes, lo.centCodes)
 	}
 	lo.filterThreshold = calibrateFilter(codes)
-	return lo, nil
+	return lo, buckets, radius, nil
 }
 
 // deploySlots is the deployed database as the renderers read it. bin is

@@ -145,25 +145,26 @@ type WearStats struct {
 }
 
 // mutState is the geometry-independent mutable metadata of one
-// deployed database. It lives in controller DRAM next to the R-IVF
-// table; the execMu holder of the owning host is its single writer.
+// deployed database, the R-IVF table among it. It lives in controller
+// DRAM; the execMu holder of the owning host is its single writer.
 type mutState struct {
 	// lay is the database's layout plan: the page format, the GC row
 	// granularity and the cluster count — identical on every topology
 	// deployed from the same plan.
 	lay *dbLayout
 
-	// buckets[c] is cluster c's posting list: the binary-region slot
-	// ranges scanned for the cluster, in scan order. Nil for flat
-	// databases.
+	// buckets is the R-IVF table (Sec 4.2.1): buckets[c] is cluster c's
+	// posting list, the binary-region slot ranges scanned for the
+	// cluster, in scan order — seeded at deploy (planLayout), extended by
+	// appends and remapped by GC. Nil for flat databases.
 	buckets [][]SlotRange
 
 	// radius[c] is cluster c's current binary covering radius (max
 	// Hamming distance from its centroid code, lay.centCodes[c], to any
 	// member, deployed or appended) — the lower-bound input of threshold
-	// pruning. Appends only grow a radius; compaction keeps it
-	// (conservative: a stale-large radius weakens pruning but never
-	// threatens correctness). Nil for flat databases.
+	// pruning. Deploy computes it (planLayout), appends only grow it;
+	// compaction keeps it (conservative: a stale-large radius weakens
+	// pruning but never threatens correctness). Nil for flat databases.
 	radius []int
 
 	// flatPlan is the brute-force scan plan: the live slot ranges of
@@ -224,11 +225,14 @@ type mutState struct {
 }
 
 // newMutState derives the initial mutable metadata from a layout plan
-// (planned under the global, single-device-equivalent geometry).
-func newMutState(lo *dbLayout, firstFit bool) *mutState {
+// (planned under the global, single-device-equivalent geometry) and
+// adopts the R-IVF table and covering radii planLayout seeded.
+func newMutState(lo *dbLayout, buckets [][]SlotRange, radius []int, firstFit bool) *mutState {
 	m := &mutState{
 		lay:       lo,
-		tailSlots: lo.regionSlots,
+		buckets:   buckets,
+		radius:    radius,
+		tailSlots: len(lo.order),
 		binPages:  lo.embPages,
 		int8Slots: lo.n,
 		int8Pages: lo.int8Pages,
@@ -237,18 +241,7 @@ func newMutState(lo *dbLayout, firstFit bool) *mutState {
 		firstFit:  firstFit,
 		live:      lo.n,
 	}
-	m.flatPlan = []SlotRange{{First: 0, Last: lo.regionSlots - 1}}
-	if !m.flat() {
-		m.buckets = make([][]SlotRange, len(lo.rivf))
-		for c, ent := range lo.rivf {
-			if ent.First >= 0 {
-				m.buckets[c] = []SlotRange{{First: ent.First, Last: ent.Last}}
-			}
-		}
-		// The radius ledger is mutable (appends can grow it); the plan's
-		// is the deployed one.
-		m.radius = append([]int(nil), lo.radius...)
-	}
+	m.flatPlan = []SlotRange{{First: 0, Last: len(lo.order) - 1}}
 	// Deployed rows are identity-mapped; the rest of the reserved
 	// extent is the free pool. Both counts are pure functions of the
 	// plan and the global geometry, so every topology starts with the
@@ -277,9 +270,6 @@ func newMutState(lo *dbLayout, firstFit bool) *mutState {
 
 // rowOf returns the GC row of a binary slot position.
 func (m *mutState) rowOf(pos int) int { return pos / m.lay.embPerPage / m.lay.rowPages }
-
-// flat reports whether the database has no IVF structure.
-func (m *mutState) flat() bool { return len(m.lay.rivf) == 0 }
 
 func alignUp(x, a int) int { return (x + a - 1) / a * a }
 
@@ -423,7 +413,7 @@ func (m *mutState) writeTail(t mutTarget, runs []tailRun, cursor int, wear *Wear
 // page padding (programmed as padding records), and the tail moves.
 func (m *mutState) commitTail(runs []tailRun, newTail int) {
 	for _, r := range runs {
-		if !m.flat() {
+		if !m.lay.flat() {
 			m.buckets[r.bucket] = append(m.buckets[r.bucket], SlotRange{First: r.start, Last: r.start + len(r.entries) - 1})
 		}
 		for j, e := range r.entries {
@@ -444,7 +434,7 @@ func (m *mutState) commitTail(runs []tailRun, newTail int) {
 // any write, so a failed append leaves the database untouched.
 func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, error) {
 	lay := m.lay
-	n, nlist := len(cfg.Vectors), len(lay.rivf)
+	n, nlist := len(cfg.Vectors), lay.nlist()
 	for i, v := range cfg.Vectors {
 		if len(v) != lay.dim {
 			return nil, nil, fmt.Errorf("%w (append vector %d has dim %d, database dim %d)",
@@ -456,7 +446,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 			return nil, nil, fmt.Errorf("reis: append doc %d is %dB > slot %dB", i, len(d), lay.docBytes)
 		}
 	}
-	if m.flat() {
+	if lay.flat() {
 		if len(cfg.Assign) != 0 {
 			return nil, nil, fmt.Errorf("%w (cluster assignment for a flat database)", ErrBadAssign)
 		}
@@ -497,7 +487,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	for i := range ids {
 		ids[i], order[i] = idStart+i, i
 	}
-	if !m.flat() {
+	if !lay.flat() {
 		slices.SortStableFunc(order, func(a, b int) int { return cfg.Assign[a] - cfg.Assign[b] })
 	}
 	entries := make([]slotEntry, n)
@@ -518,7 +508,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		}
 		entries[j] = e
 		c := 0
-		if !m.flat() {
+		if !lay.flat() {
 			c = cfg.Assign[i]
 		}
 		if len(runs) == 0 || runs[len(runs)-1].bucket != c {
@@ -527,7 +517,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		}
 		r := len(runs) - 1
 		runs[r].entries = runs[r].entries[:len(runs[r].entries)+1]
-		if !m.flat() {
+		if !lay.flat() {
 			radius[r] = max(radius[r], vecmath.Hamming(lay.centCodes[c], bits))
 		}
 	}
@@ -559,7 +549,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	}
 	m.commitTail(runs, newTail)
 	for r, run := range runs {
-		if !m.flat() && radius[r] > m.radius[run.bucket] {
+		if !lay.flat() && radius[r] > m.radius[run.bucket] {
 			m.radius[run.bucket] = radius[r]
 		}
 	}
@@ -657,11 +647,12 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	// flat database has a single bucket: its brute-force plan. Runs are
 	// page-aligned per cluster, so no page is read twice.
 	plans := m.buckets
-	if m.flat() {
+	if lay.flat() {
 		plans = [][]SlotRange{m.flatPlan}
 	}
 	var runs []tailRun
 	var deadIDs []uint32
+	var data, oob []byte
 	codes := make([]byte, 0, m.rowLive[row]*lay.slotBytes)
 	for b, segs := range plans {
 		var es []slotEntry
@@ -672,7 +663,8 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 			first, last := max(sr.First, rowFirst), min(sr.Last, rowLast)
 			firstPage, lastPage := first/lay.embPerPage, last/lay.embPerPage
 			for p := firstPage; p <= lastPage; p++ {
-				data, oob, err := t.readBinPage(p)
+				var err error
+				data, oob, err = t.c.readPage(t.db, embRegion, p, data, oob)
 				if err != nil {
 					return err
 				}

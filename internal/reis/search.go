@@ -244,7 +244,6 @@ type planeScan struct {
 	scanned   int
 	survivors int
 	pruned    int // slots whose TTL transfer the pruning bound suppressed
-	ttlBytes  int64
 }
 
 // scanPlane executes the in-plane distance computation over one
@@ -342,7 +341,6 @@ func (d *device) scanPlane(db *Database, region ssd.Region, sc *workerScratch, s
 				return ps, err
 			}
 			ps.survivors++
-			ps.ttlBytes += int64(entrySize)
 			sc.entries = append(sc.entries, TTLEntry{
 				Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 			})
@@ -422,7 +420,7 @@ func mergeEntryLists(dst []TTLEntry, lists [][]TTLEntry) []TTLEntry {
 // ttlEntryBytes is the on-channel size of one TTL entry: DIST (2B) +
 // EMB (slotBytes) + EADR mini-page address (4B) + DADR (4B) + RADR
 // (4B) + TAG (1B).
-func (db *Database) ttlEntryBytes() int { return 2 + db.slotBytes + 4 + 4 + 4 + 1 }
+func (f *pageFormat) ttlEntryBytes() int { return 2 + f.slotBytes + 4 + 4 + 4 + 1 }
 
 // resizeInts returns s resized to n elements, all zero.
 func resizeInts(s []int, n int) []int {

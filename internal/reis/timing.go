@@ -306,7 +306,7 @@ func (d *device) scanCost(db *Database, ev scanEvents) scanBill {
 	}
 	c.ibc = d.ibcTime(ev.ibcLoads)
 	c.coarse = phase(ev.coarsePages, ev.coarseEntries, true, ev.coarseRounds)
-	c.fine = phase(ev.finePages, ev.fineSurvivors, db.rivf == nil, 1)
+	c.fine = phase(ev.finePages, ev.fineSurvivors, db.flat(), 1)
 	entries := ev.coarseEntries + ev.fineSurvivors
 	c.busy.channel = c.ibc + xfer(entries)
 	c.busy.core = sel(entries)
@@ -381,7 +381,7 @@ func tailCost(cfg ssd.Config, db *Database, st QueryStats, sc Scale) tailBill {
 	tTLC := p.ReadLatency(flash.ModeTLC)
 	rerankRead := time.Duration(st.RerankWaves) * tTLC
 	rerankXfer := bytesTime(float64(st.RerankCount*db.int8Bytes), bw)
-	rerankCore := cfg.RerankTime(st.RerankCount, db.Dim) + cfg.QuicksortTime(st.SortedEntries)
+	rerankCore := cfg.RerankTime(st.RerankCount, db.dim) + cfg.QuicksortTime(st.SortedEntries)
 	docRead := time.Duration(ceilDiv(st.DocPages, cfg.Geo.Planes())) * tTLC
 	docXfer := bytesTime(float64(st.DocBytes), bw) + bytesTime(float64(st.DocBytes), cfg.HostReadBandwidth)
 	cached := time.Duration(float64(st.CachedSlots)*sc.Fine*pinnedSlotNs(cfg, db.slotBytes)+

@@ -151,13 +151,3 @@ func (s *SSD) WriteRegionPage(r Region, i int, data, oob []byte) error {
 	}
 	return s.Dev.Program(a, data, oob)
 }
-
-// ReadRegionPage reads page i of a region through the conventional
-// path (sense + channel transfer).
-func (s *SSD) ReadRegionPage(r Region, i int) (data, oob []byte, err error) {
-	a, err := r.AddressOf(s.Cfg.Geo, i)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.Dev.ReadPageInto(a, nil, nil)
-}

@@ -283,7 +283,11 @@ func TestWriteReadRegionPage(t *testing.T) {
 	if err := s.WriteRegionPage(r, 7, payload, oob); err != nil {
 		t.Fatal(err)
 	}
-	data, gotOOB, err := s.ReadRegionPage(r, 7)
+	a, err := r.AddressOf(s.Cfg.Geo, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, gotOOB, err := s.Dev.ReadPageInto(a, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
