@@ -35,6 +35,7 @@ var exportAllowlist = map[string]string{
 	"flash.Device.Plane":           "test accessor: internal/reis and internal/experiments tests read plane latches and counters",
 	"flash.Device.ResetStats":      "test accessor: internal/reis tests zero device counters between phases",
 	"flash.Plane.Senses":           "test accessor: TestPlaneReconciliation reads per-plane sense counts",
+	"flash.Plane.DistWaves":        "test accessor: TestPlaneReconciliation reads per-plane distance waves",
 	"serve.Group.Host":             "test accessor: internal/serve tests reach a replica's host",
 	"xrand.RNG.Float32":            "test accessor: internal/ann's top-k tests draw float32 distances with it",
 }

@@ -116,6 +116,8 @@ type Plane struct {
 
 	// senses counts the plane's page senses by cell mode; Senses reads it.
 	senses [3]int64
+	// distWaves counts the plane's GEN_DIST_PAGE waves; DistWaves reads it.
+	distWaves int64
 }
 
 // Senses is the number of pages the plane has sensed in mode m since the
@@ -124,6 +126,15 @@ func (p *Plane) Senses(m CellMode) int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.senses[m]
+}
+
+// DistWaves is the number of page-granular distance waves
+// (GEN_DIST_PAGE) the plane has run since the last ResetStats: one per
+// query and sensed page, however many queries share the sense.
+func (p *Plane) DistWaves() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.distWaves
 }
 
 // programmed is the content a page was programmed with: PageBytes of user
@@ -603,6 +614,7 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	n := d.Geo.PageBytes
 	vecmath.XorPopCountSlots(pl.Data[:n], pl.Sensing[:n], pl.Cache[:n], slotBytes, firstSlot, nSlots, dists)
 	copy(pl.Data[n:], pl.Sensing[n:])
+	pl.distWaves++
 	pl.mu.Unlock()
 	d.Stats.LatchXORs.Add(1)
 	d.Stats.BitCounts.Add(int64(nSlots))
@@ -675,6 +687,7 @@ func (d *Device) ResetStats() {
 	for _, pl := range d.planes {
 		pl.mu.Lock()
 		pl.senses = [3]int64{}
+		pl.distWaves = 0
 		pl.mu.Unlock()
 	}
 	d.Stats.BitErrorsInjected.Store(0)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"reis/internal/flash"
 	"reis/internal/ssd"
@@ -23,14 +24,20 @@ import (
 //     (query-major order) with no global barrier per query, so device
 //     time is occupied continuously — the overlap BatchLatency costs
 //     with the channel-occupancy model.
+//   - A shared round — one whose queries all scan the same pages: the
+//     coarse round, or a flat round — runs page-major instead where the
+//     timing model finds that cheaper (pageMajor in timing.go): each die
+//     senses a wave of pages once and cycles the round's queries through
+//     its cache latches (runWaves).
 //
 // Determinism: per-plane work lists are built in (query, segment)
-// order and executed in that order by the plane's die worker, and
-// per-query partial results are merged in segment order then position
-// order. Surviving entries stay in the worker arenas until the round is
-// folded; the per-segment merge then moves them straight into the
-// caller's buffer, and every per-round structure is pooled, so the scan
-// phase performs no steady-state allocation.
+// order and executed in that order by the plane's die worker (page by
+// page, in page-major order), and per-query partial results are merged
+// in segment order then position order. Surviving entries stay in the
+// worker arenas until the round is folded; the per-segment merge then
+// moves them straight into the caller's buffer, and every per-round
+// structure is pooled, so the scan phase performs no steady-state
+// allocation.
 
 // segScan is the outcome of one query's scan of one segment: the window
 // of scanOut.scans holding its per-plane arena windows (merged lazily,
@@ -78,11 +85,13 @@ type batchItem struct {
 // split into per-plane tasks dispatched to the die worker pool; each
 // plane broadcasts a query's embedding into its cache latch once and
 // then scans all of that query's segments resident on the plane before
-// moving to the next query. The ranges are global; the device scans the
-// part it owns (localRange — all of it on one device), and a segment
-// with no page here is no work and zero stats. Entry positions come back
-// global. ctx is polled between per-plane work items (a cancelled
-// command aborts the round at the next item boundary). A closed device
+// moving to the next query — or, in a shared round the timing model
+// prices cheaper page-major, senses each page once for every query
+// (runWaves). The ranges are global; the device scans the part it owns
+// (localRange — all of it on one device), and a segment with no page
+// here is no work and zero stats. Entry positions come back global. ctx
+// is polled between per-plane work items (a cancelled command aborts the
+// round at the next item boundary). A closed device
 // refuses the round: its plane workers are gone for good.
 //
 // bounds[qi] is query qi's pruning threshold and lbs[qi][si] a proven
@@ -115,18 +124,27 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 	out := &d.scr.out
 	out.segs, out.off, out.scans = out.segs[:0], out.off[:0], out.scans[:0]
 	out.ibc = resizeInts(out.ibc, len(packed))
+	// A shared round is the coarse round or a flat database's round, as
+	// the timing model prices them (scanCost): no segment is aborted, and
+	// every query with pages here (parts) scans the same segments.
+	parts, pages, shared := d.scr.parts[:0], 0, lbs == nil && (coarse || db.flat())
 	for qi := range packed {
 		out.off = append(out.off, len(out.segs))
 		bound := 0
 		if bounds != nil {
 			bound = bounds[qi]
 		}
+		start := len(out.scans)
+		qpages := 0
 		for si, sg := range segs[qi] {
 			sg = localRange(sg, db.start, db.stride, db.embPerPage)
 			seg := segScan{lo: len(out.scans)}
 			if sg.Last >= sg.First {
 				spans := region.AppendPlaneSpans(d.scr.spans[:0], planes, sg.First/db.embPerPage, sg.Last/db.embPerPage)
 				d.scr.spans = spans
+				for _, v := range spans {
+					qpages += v.Count
+				}
 				if bound > 0 && lbs != nil && lbs[qi][si] > bound {
 					// Early-abort: even the segment's best possible distance
 					// cannot beat the query's current top-k threshold. Count
@@ -147,9 +165,22 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 			seg.hi = len(out.scans)
 			out.segs = append(out.segs, seg)
 		}
+		if len(out.scans) > start {
+			shared = shared && (len(parts) == 0 || qpages == pages && slices.Equal(segs[qi], segs[parts[0]]))
+			parts, pages = append(parts, qi), qpages
+		}
 	}
-	busy := d.planBroadcasts()
-	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: cutoff, metaTag: metaTag}
+	d.scr.parts = parts
+	pageMajor := false
+	if shared && len(parts) > 1 {
+		var r sharedRound
+		for range parts {
+			d.joinRound(&r, float64(pages))
+		}
+		pageMajor, _, _, _ = d.pageMajor(r)
+	}
+	busy := d.planBroadcasts(pageMajor)
+	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: cutoff, metaTag: metaTag, pageMajor: pageMajor}
 	err := d.pool.run(&d.scr.round, busy)
 	d.scr.round = scanRound{} // the command's context and queries go with it
 	if err != nil {
@@ -180,16 +211,22 @@ type scanRound struct {
 	packed    [][]byte
 	threshold int
 	metaTag   *uint8
+	pageMajor bool
 }
 
 // runDie executes one die's share of the round on its worker: the
 // planned broadcasts in ascending query order, each followed by that
 // query's items on the planes that latched it, in (query, segment) order
-// per plane.
+// per plane — or, page-major, the die's waves (runWaves).
 func (r *scanRound) runDie(sc *workerScratch, die int) error {
 	d := r.d
 	led := &d.scr.ibc
 	geo := led.geo
+	sc.oob = growTo(sc.oob, geo.PlanesPerDie)
+	if r.pageMajor {
+		return r.runWaves(sc, die)
+	}
+	sc.arenas = growTo(sc.arenas, 1)
 	for pl := 0; pl < geo.PlanesPerDie; pl++ {
 		led.cursor[geo.DiePlane(die, pl)] = 0
 	}
@@ -210,13 +247,87 @@ func (r *scanRound) runDie(sc *workerScratch, die int) error {
 					return err
 				}
 				it := items[i]
-				ps, err := d.scanPlane(r.db, r.region, sc, it.span, it.first, it.last, r.threshold, r.metaTag, it.bound)
+				ps, err := r.scanPlane(sc, it)
 				if err != nil {
 					return err
 				}
 				d.scr.out.scans[it.slot] = ps
 			}
 			led.cursor[plane] = i
+		}
+	}
+	return nil
+}
+
+// wavePos is where one plane of a die stands in a page-major round: item
+// indexes the plane's work items of one query (every query of a shared
+// round has the same ones), page counts the item's pages done, and p and
+// addr are the page the current wave sensed.
+type wavePos struct {
+	item, page, p int
+	addr          flash.Address
+}
+
+// runWaves executes one die's share of a page-major round: wave by wave,
+// every plane of the die with a page left senses its next page once,
+// then each query of the round in ascending order is loaded into the
+// cache latches (the planned step) and computed against every sensed
+// page. Query b's entries on plane-in-die pl go to arena b·PlanesPerDie +
+// pl, so each (query, segment, plane) window stays contiguous and
+// ascending by position although the queries take turns page by page.
+// ctx is polled before each wave and each query's turn in it.
+func (r *scanRound) runWaves(sc *workerScratch, die int) error {
+	d := r.d
+	led, work, parts := &d.scr.ibc, d.scr.planeWork, d.scr.parts
+	geo := led.geo
+	nq, ppd := len(parts), geo.PlanesPerDie
+	sc.arenas = growTo(sc.arenas, nq*ppd)
+	sc.wave = growTo(sc.wave, ppd)
+	clear(sc.wave)
+	steps := led.steps[die]
+	for w := 0; w < len(steps); w += nq {
+		if err := r.ctx.Err(); err != nil {
+			return err
+		}
+		mask := steps[w].mask
+		for m := mask; m != 0; m &= m - 1 {
+			pl := bits.TrailingZeros64(m)
+			at := &sc.wave[pl]
+			it := work[geo.DiePlane(die, pl)][at.item]
+			at.p = it.span.First + at.page*it.span.Stride
+			var err error
+			if at.addr, sc.oob[pl], err = r.sense(at.p, sc.oob[pl]); err != nil {
+				return err
+			}
+		}
+		for b, st := range steps[w : w+nq] {
+			if err := r.ctx.Err(); err != nil {
+				return err
+			}
+			if err := d.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
+				return err
+			}
+			for m := mask; m != 0; m &= m - 1 {
+				pl := bits.TrailingZeros64(m)
+				at, items := &sc.wave[pl], work[geo.DiePlane(die, pl)]
+				it := items[b*(len(items)/nq)+at.item]
+				lane := b*ppd + pl
+				ps := &d.scr.out.scans[it.slot]
+				if at.page == 0 {
+					*ps = planeScan{plane: it.span.Plane, arena: lane, lo: len(sc.arenas[lane])}
+				}
+				if err := r.dist(sc, ps, &sc.arenas[lane], it, at.p, at.addr, sc.oob[pl]); err != nil {
+					return err
+				}
+				ps.hi = len(sc.arenas[lane])
+			}
+		}
+		for m := mask; m != 0; m &= m - 1 {
+			pl := bits.TrailingZeros64(m)
+			at := &sc.wave[pl]
+			if at.page++; at.page == work[geo.DiePlane(die, pl)][at.item].span.Count {
+				at.item, at.page = at.item+1, 0
+			}
 		}
 	}
 	return nil
@@ -299,53 +410,18 @@ func (l *ibcLedger) send(qi, unit, ch int) bool {
 }
 
 // planBroadcasts turns the round's per-plane work lists into each die's
-// broadcast plan and returns the dies with work. A die receives a query
-// once per run of that query's items on its planes; items were appended
-// in ascending query order, so merging the planes' lists query-major
-// yields exactly the broadcasts runDie performs. It also counts the
-// planes each query is latched on (scanOut.ibc).
-func (d *device) planBroadcasts() []int {
-	led, work, out := &d.scr.ibc, d.scr.planeWork, &d.scr.out
-	geo := led.geo
+// broadcast plan — query-major (planQueries) or page-major (planWaves) —
+// and returns the dies with work. It also counts the planes each query
+// is latched on (scanOut.ibc), which does not depend on the order.
+func (d *device) planBroadcasts(pageMajor bool) []int {
+	led := &d.scr.ibc
 	busy := d.scr.busy[:0]
 	for die := range led.steps {
 		steps := led.steps[die][:0]
-		ch := geo.DieChannel(die)
-		for pl := 0; pl < geo.PlanesPerDie; pl++ {
-			led.cursor[geo.DiePlane(die, pl)] = 0
-		}
-		for {
-			qi := -1
-			for pl := 0; pl < geo.PlanesPerDie; pl++ {
-				p := geo.DiePlane(die, pl)
-				if c := led.cursor[p]; c < len(work[p]) && (qi < 0 || work[p][c].qi < qi) {
-					qi = work[p][c].qi
-				}
-			}
-			if qi < 0 {
-				break
-			}
-			st := ibcStep{qi: qi}
-			for pl := 0; pl < geo.PlanesPerDie; pl++ {
-				p := geo.DiePlane(die, pl)
-				c := led.cursor[p]
-				if c == len(work[p]) || work[p][c].qi != qi {
-					continue
-				}
-				for c < len(work[p]) && work[p][c].qi == qi {
-					c++
-				}
-				led.cursor[p] = c
-				st.mask |= 1 << uint(pl)
-				if !led.mpibc && led.send(qi, p, ch) {
-					st.sent |= 1 << uint(pl)
-				}
-			}
-			if led.mpibc && led.send(qi, die, ch) {
-				st.sent = st.mask
-			}
-			out.ibc[qi] += bits.OnesCount64(st.mask)
-			steps = append(steps, st)
+		if pageMajor {
+			steps = d.planWaves(die, steps)
+		} else {
+			steps = d.planQueries(die, steps)
 		}
 		led.steps[die] = steps
 		if len(steps) > 0 {
@@ -354,6 +430,106 @@ func (d *device) planBroadcasts() []int {
 	}
 	d.scr.busy = busy
 	return busy
+}
+
+// planQueries appends the die's query-major plan to steps. A die
+// receives a query once per run of that query's items on its planes;
+// items were appended in ascending query order, so merging the planes'
+// lists query-major yields exactly the broadcasts runDie performs.
+func (d *device) planQueries(die int, steps []ibcStep) []ibcStep {
+	led, work, out := &d.scr.ibc, d.scr.planeWork, &d.scr.out
+	geo := led.geo
+	ch := geo.DieChannel(die)
+	for pl := 0; pl < geo.PlanesPerDie; pl++ {
+		led.cursor[geo.DiePlane(die, pl)] = 0
+	}
+	for {
+		qi := -1
+		for pl := 0; pl < geo.PlanesPerDie; pl++ {
+			p := geo.DiePlane(die, pl)
+			if c := led.cursor[p]; c < len(work[p]) && (qi < 0 || work[p][c].qi < qi) {
+				qi = work[p][c].qi
+			}
+		}
+		if qi < 0 {
+			return steps
+		}
+		st := ibcStep{qi: qi}
+		for pl := 0; pl < geo.PlanesPerDie; pl++ {
+			p := geo.DiePlane(die, pl)
+			c := led.cursor[p]
+			if c == len(work[p]) || work[p][c].qi != qi {
+				continue
+			}
+			for c < len(work[p]) && work[p][c].qi == qi {
+				c++
+			}
+			led.cursor[p] = c
+			st.mask |= 1 << uint(pl)
+			if !led.mpibc && led.send(qi, p, ch) {
+				st.sent |= 1 << uint(pl)
+			}
+		}
+		if led.mpibc && led.send(qi, die, ch) {
+			st.sent = st.mask
+		}
+		out.ibc[qi] += bits.OnesCount64(st.mask)
+		steps = append(steps, st)
+	}
+}
+
+// planWaves appends the die's page-major plan to steps: for each wave —
+// the k-th page of every plane of the die that has k pages or more of
+// one query's items — one step per query of the round, in ascending
+// order, latched by the wave's planes. Cycling the queries through the
+// latches wave after wave is what makes a query's loads the round's waves
+// on each die, where query-major loads it once.
+func (d *device) planWaves(die int, steps []ibcStep) []ibcStep {
+	led, work, out, parts := &d.scr.ibc, d.scr.planeWork, &d.scr.out, d.scr.parts
+	geo := led.geo
+	ch := geo.DieChannel(die)
+	// cursor[p]: the pages of one query's items on plane p.
+	waves, used := 0, uint64(0)
+	for pl := 0; pl < geo.PlanesPerDie; pl++ {
+		p := geo.DiePlane(die, pl)
+		n := 0
+		for _, it := range work[p][:len(work[p])/len(parts)] {
+			n += it.span.Count
+		}
+		led.cursor[p] = n
+		waves = max(waves, n)
+		if n > 0 {
+			used |= 1 << uint(pl)
+		}
+	}
+	for k := range waves {
+		var mask uint64
+		for pl := 0; pl < geo.PlanesPerDie; pl++ {
+			if led.cursor[geo.DiePlane(die, pl)] > k {
+				mask |= 1 << uint(pl)
+			}
+		}
+		for _, qi := range parts {
+			st := ibcStep{qi: qi, mask: mask}
+			if led.mpibc {
+				if led.send(qi, die, ch) {
+					st.sent = mask
+				}
+			} else {
+				for m := mask; m != 0; m &= m - 1 {
+					pl := bits.TrailingZeros64(m)
+					if led.send(qi, geo.DiePlane(die, pl), ch) {
+						st.sent |= 1 << uint(pl)
+					}
+				}
+			}
+			steps = append(steps, st)
+		}
+	}
+	for _, qi := range parts {
+		out.ibc[qi] += bits.OnesCount64(used)
+	}
+	return steps
 }
 
 // broadcast issues one planned step to the die: with MPIBC a single

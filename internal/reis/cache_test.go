@@ -130,6 +130,9 @@ func cacheScript(t *testing.T, h submitter) []HostResponse {
 	return resps
 }
 
+// cacheScriptDB[i] is the database cacheScript's i-th command searches.
+var cacheScriptDB = []int{2, 2, 2, 2, 2, 2, 2, 2, 1, 1}
+
 // TestCachedMatchesUncached pins the caching tier's determinism
 // contract on the deployed (unmutated) dataset, at a partial-pin and an
 // everything-pinned budget:
@@ -140,8 +143,9 @@ func cacheScript(t *testing.T, h submitter) []HostResponse {
 //   - a cached sharded topology (1, 2, 4 shards) is bit-identical in
 //     results AND aggregated stats to the cached N×channels reference;
 //   - the device's SLC-ESP senses are the pages the queries' rows count
-//     (what the timing model charges) plus the pin fills, which it does
-//     not (DESIGN.md, "Input broadcast", Reconciliation).
+//     (what the timing model charges), less the senses the shared rounds
+//     it ran page-major saved, plus the pin fills, which the model does
+//     not charge (DESIGN.md, "Input broadcast", Reconciliation).
 func TestCachedMatchesUncached(t *testing.T) {
 	for _, budget := range []int64{cacheSmallBudget, cacheBigBudget} {
 		t.Run(fmt.Sprintf("budget=%dKiB", budget>>10), func(t *testing.T) {
@@ -172,13 +176,18 @@ func TestCachedMatchesUncached(t *testing.T) {
 				got := cacheScript(t, single)
 				sensed := senses.Load() - before
 				gotSh := cacheScript(t, sh)
-				var charged int64
-				for _, resp := range got {
+				var charged, saved int64
+				for i, resp := range got {
 					charged += int64(resp.Stats.CoarsePages + resp.Stats.FinePages)
+					db, err := single.DB(cacheScriptDB[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					saved += pageMajorSaved(single.device, db, resp.QueryStats)
 				}
-				if cs, err := single.CacheStats(2); err != nil || sensed != charged+cs.PinFills || cs.PinFills == 0 {
-					t.Errorf("n=%d: device sensed %d SLC-ESP pages, the rows count %d and the pins filled %d (%v)",
-						n, sensed, charged, cs.PinFills, err)
+				if cs, err := single.CacheStats(2); err != nil || sensed != charged-saved+cs.PinFills || cs.PinFills == 0 || saved == 0 {
+					t.Errorf("n=%d: device sensed %d SLC-ESP pages, the rows count %d, page-major rounds saved %d and the pins filled %d (%v)",
+						n, sensed, charged, saved, cs.PinFills, err)
 				}
 				for i := range base {
 					name := fmt.Sprintf("n=%d cmd=%d", n, i)

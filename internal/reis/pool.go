@@ -17,19 +17,23 @@ import (
 // by the engine's caller goroutine between runs (the WaitGroup in run
 // establishes the happens-before edge both ways, keeping -race clean).
 type workerScratch struct {
-	// entries is the TTL-entry arena. Scan tasks append surviving
-	// entries here and record their [lo, hi) window in a planeScan; the
-	// engine merges the windows after the run completes and resets the
-	// arena at the start of the next scan phase. Windows index the
-	// arena rather than aliasing it, so arena growth never invalidates
-	// a previously recorded window.
-	entries []TTLEntry
-	// oob holds the sensed page's OOB area between the page read and
-	// the per-slot linkage decode.
-	oob []byte
+	// arenas are the TTL-entry arenas. Scan tasks append surviving
+	// entries to one and record their [lo, hi) window in a planeScan;
+	// the engine merges the windows after the run completes and resets
+	// the arenas at the start of the next scan phase. Windows index an
+	// arena rather than aliasing it, so arena growth never invalidates a
+	// previously recorded window. A query-major round fills arenas[0]
+	// task by task; a page-major round, whose queries and planes take
+	// turns page by page, gives each (query, plane) its own (runWaves).
+	arenas [][]TTLEntry
+	// oob[pl] holds plane-in-die pl's sensed OOB area between the page
+	// read and the per-slot linkage decode (query-major uses oob[0]).
+	oob [][]byte
 	// dists is the distance buffer handed to GEN_DIST_PAGE: the die
 	// writes every slot distance of the sensed page into it in place.
 	dists []int
+	// wave[pl] is where plane-in-die pl stands in a page-major round.
+	wave []wavePos
 }
 
 // planePool dispatches a scan round's per-die work (scanRound.runDie)
@@ -79,12 +83,14 @@ func newPlanePool(geo flash.Geometry) *planePool {
 // run completes.
 func (p *planePool) scratchOf(plane int) *workerScratch { return p.scratch[p.geo.DieOf(plane)] }
 
-// resetArenas empties every worker's entry arena (keeping capacity).
+// resetArenas empties every worker's entry arenas (keeping capacity).
 // The engine calls it at the start of each scan phase, once all windows
 // of the previous phase have been merged out.
 func (p *planePool) resetArenas() {
 	for _, sc := range p.scratch {
-		sc.entries = sc.entries[:0]
+		for i := range sc.arenas {
+			sc.arenas[i] = sc.arenas[i][:0]
+		}
 	}
 }
 

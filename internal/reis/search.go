@@ -188,6 +188,7 @@ type deviceScratch struct {
 	spans     []ssd.PlaneSpan
 	planeWork [][]batchItem
 	busy      []int // the dies with work this round
+	parts     []int // the queries of a page-major round, ascending
 	ibc       ibcLedger
 	round     scanRound
 	out       scanOut
@@ -232,122 +233,141 @@ func cmpDocResult(a, b DocResult) int {
 }
 
 // planeScan records one per-plane scan task's outcome: the window of
-// the owning worker's entry arena holding the surviving entries
+// one of the owning worker's entry arenas holding the surviving entries
 // (ascending by position) plus the event counts the task may not write
 // into the shared QueryStats directly. The window is stored as offsets
 // rather than a slice so arena growth by later tasks never invalidates
 // it.
 type planeScan struct {
 	plane     int
-	lo, hi    int // entry window [lo, hi) in the worker's arena
+	arena     int // index into the worker's arenas
+	lo, hi    int // entry window [lo, hi) in that arena
 	pages     int
 	scanned   int
 	survivors int
 	pruned    int // slots whose TTL transfer the pruning bound suppressed
 }
 
-// scanPlane executes the in-plane distance computation over one
-// plane's span of a slotted SLC region: page read, one page-granular
-// GEN_DIST_PAGE wave per page (fused latch XOR + per-slot fail-bit
-// counts into the worker's distance buffer), optional pass/fail
-// distance filtering against threshold (< 0: none — the fine round's
-// filter cutoff, or the coarse round's cut), and TTL transfer of
-// survivors. first/last bound
-// the device-local slot positions of the overall scan; only this plane's
-// pages are touched, so concurrent scanPlane calls on different planes
+// scanPlane executes the in-plane distance computation of one work
+// item — one query's share of a segment on one plane of a slotted SLC
+// region — query-major: each page is sensed (sense) and its distances
+// computed against the query in the cache latch at once (dist). Only
+// the item's plane is touched, so concurrent scans of different planes
 // share no mutable device state. Survivors are appended to the worker's
-// entry arena under their global positions.
+// first arena under their global positions.
+func (r *scanRound) scanPlane(sc *workerScratch, it batchItem) (planeScan, error) {
+	arena := &sc.arenas[0]
+	ps := planeScan{plane: it.span.Plane, lo: len(*arena), hi: len(*arena)}
+	for pi := 0; pi < it.span.Count; pi++ {
+		p := it.span.First + pi*it.span.Stride
+		addr, oob, err := r.sense(p, sc.oob[0])
+		sc.oob[0] = oob
+		if err != nil {
+			return ps, err
+		}
+		if err := r.dist(sc, &ps, arena, it, p, addr, oob); err != nil {
+			return ps, err
+		}
+	}
+	ps.hi = len(*arena)
+	return ps, nil
+}
+
+// sense reads local page p of the round's region into its plane's
+// sensing latch and pulls the latch's whole OOB area into oob (grown if
+// needed) — one latch access per page instead of one per slot, valid
+// until the plane's next read.
+func (r *scanRound) sense(p int, oob []byte) (flash.Address, []byte, error) {
+	d, geo := r.d, r.d.SSD.Cfg.Geo
+	addr, err := r.region.AddressOf(geo, p)
+	if err != nil {
+		return addr, oob, err
+	}
+	if _, err := d.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
+		return addr, oob, err
+	}
+	oob, err = d.SSD.Dev.ReadOOB(addr.PlaneIndex(geo), oob)
+	return addr, oob, err
+}
+
+// dist computes item it's slots of sensed local page p (at addr, its OOB
+// in oob) against the query in the plane's cache latch: one
+// page-granular GEN_DIST_PAGE wave (fused latch XOR + per-slot fail-bit
+// counts into the worker's distance buffer), optional pass/fail distance
+// filtering against the round's threshold (< 0: none — the fine round's
+// filter cutoff, or the coarse round's cut), and TTL transfer of
+// survivors, which are appended to arena and counted in ps. The wave
+// writes the data latch only, so the sensing latch still holds the page
+// for the next query's wave.
 //
-// bound > 0 is the query's current top-k pruning threshold: it rides
+// it.bound > 0 is the query's current top-k pruning threshold: it rides
 // the GEN_DIST_PAGE command into the plane, and slots strictly above
 // it skip the TTL transfer (counted in planeScan.pruned). Ties at the
 // bound always survive, which — together with the (Dist, DADR)
 // total-order selection downstream — is what keeps pruned results
 // bit-identical to unpruned ones.
-func (d *device) scanPlane(db *Database, region ssd.Region, sc *workerScratch, span ssd.PlaneSpan, first, last int, threshold int, metaTag *uint8, bound int) (planeScan, error) {
-	geo := d.SSD.Cfg.Geo
-	firstPage := first / db.embPerPage
-	lastPage := last / db.embPerPage
-	entrySize := db.ttlEntryBytes()
-	ps := planeScan{plane: span.Plane, lo: len(sc.entries), hi: len(sc.entries)}
+func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it batchItem, p int, addr flash.Address, oob []byte) error {
+	d, db := r.d, r.db
+	plane := addr.PlaneIndex(d.SSD.Cfg.Geo)
 	if cap(sc.dists) < db.embPerPage {
 		sc.dists = make([]int, db.embPerPage)
 	}
 	dists := sc.dists[:db.embPerPage]
-
-	for pi := 0; pi < span.Count; pi++ {
-		p := span.First + pi*span.Stride
-		// Entries carry global positions: local page p is global page
-		// p*stride + start (itself, on one device).
-		basePos := (p*db.stride + db.start) * db.embPerPage
-		addr, err := region.AddressOf(geo, p)
-		if err != nil {
-			return ps, err
-		}
-		plane := addr.PlaneIndex(geo)
-		if _, err := d.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
-			return ps, err
-		}
-		// The sensing latch holds the page's whole OOB area until the
-		// next read on this plane; pull it once and slice per slot.
-		sc.oob, err = d.SSD.Dev.ReadOOB(plane, sc.oob)
-		if err != nil {
-			return ps, err
-		}
-		ps.pages++
-
-		loSlot, hiSlot := 0, db.embPerPage-1
-		if p == firstPage {
-			loSlot = first % db.embPerPage
-		}
-		if p == lastPage {
-			hiSlot = last % db.embPerPage
-		}
-		// One page-granular wave computes every requested slot distance
-		// of the sensed page, replacing hiSlot-loSlot+1 per-slot
-		// GEN_DIST round-trips (plus the separate XOR) with a single
-		// command whose accounting is bit-identical.
-		if _, err := d.FSM.Execute(flash.Command{
-			Op: flash.OpGenDistPage, Plane: plane, SlotBytes: db.slotBytes,
-			Mini:  flash.MiniPage{Page: addr, Slot: loSlot},
-			Slots: hiSlot - loSlot + 1, Dists: dists, Bound: bound,
-		}); err != nil {
-			return ps, err
-		}
-		for s := loSlot; s <= hiSlot; s++ {
-			dist := dists[s-loSlot]
-			l, ok := parseLink(sc.oob, s)
-			if !ok {
-				continue // cluster-alignment padding slot
-			}
-			ps.scanned++
-			if threshold >= 0 && !d.SSD.Dev.PassFail(dist, threshold) {
-				continue
-			}
-			if metaTag != nil && l.tag != *metaTag {
-				continue
-			}
-			if bound > 0 && dist > bound {
-				// The entry would have streamed to controller DRAM, but
-				// it cannot displace any of the pool's current top
-				// distances (strict comparison keeps bound ties, so the
-				// rerank pool is unchanged). Skip the transfer.
-				ps.pruned++
-				continue
-			}
-			if _, err := d.FSM.Execute(flash.Command{
-				Op: flash.OpReadTTL, Plane: plane, EntryBytes: entrySize,
-			}); err != nil {
-				return ps, err
-			}
-			ps.survivors++
-			sc.entries = append(sc.entries, TTLEntry{
-				Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
-			})
-		}
+	ps.pages++
+	loSlot, hiSlot := 0, db.embPerPage-1
+	if p == it.first/db.embPerPage {
+		loSlot = it.first % db.embPerPage
 	}
-	ps.hi = len(sc.entries)
-	return ps, nil
+	if p == it.last/db.embPerPage {
+		hiSlot = it.last % db.embPerPage
+	}
+	// One page-granular wave computes every requested slot distance of
+	// the sensed page, replacing hiSlot-loSlot+1 per-slot GEN_DIST
+	// round-trips (plus the separate XOR) with a single command whose
+	// accounting is bit-identical.
+	if _, err := d.FSM.Execute(flash.Command{
+		Op: flash.OpGenDistPage, Plane: plane, SlotBytes: db.slotBytes,
+		Mini:  flash.MiniPage{Page: addr, Slot: loSlot},
+		Slots: hiSlot - loSlot + 1, Dists: dists, Bound: it.bound,
+	}); err != nil {
+		return err
+	}
+	// Entries carry global positions: local page p is global page
+	// p*stride + start (itself, on one device).
+	basePos := (p*db.stride + db.start) * db.embPerPage
+	entrySize := db.ttlEntryBytes()
+	for s := loSlot; s <= hiSlot; s++ {
+		dist := dists[s-loSlot]
+		l, ok := parseLink(oob, s)
+		if !ok {
+			continue // cluster-alignment padding slot
+		}
+		ps.scanned++
+		if r.threshold >= 0 && !d.SSD.Dev.PassFail(dist, r.threshold) {
+			continue
+		}
+		if r.metaTag != nil && l.tag != *r.metaTag {
+			continue
+		}
+		if it.bound > 0 && dist > it.bound {
+			// The entry would have streamed to controller DRAM, but it
+			// cannot displace any of the pool's current top distances
+			// (strict comparison keeps bound ties, so the rerank pool is
+			// unchanged). Skip the transfer.
+			ps.pruned++
+			continue
+		}
+		if _, err := d.FSM.Execute(flash.Command{
+			Op: flash.OpReadTTL, Plane: plane, EntryBytes: entrySize,
+		}); err != nil {
+			return err
+		}
+		ps.survivors++
+		*arena = append(*arena, TTLEntry{
+			Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
+		})
+	}
+	return nil
 }
 
 // appendMergeByPos merges the per-plane entry windows (each ascending
@@ -363,7 +383,7 @@ func (d *device) appendMergeByPos(dst []TTLEntry, results []planeScan) []TTLEntr
 	lists := d.scr.lists[:0]
 	for _, ps := range results {
 		if ps.hi > ps.lo {
-			lists = append(lists, d.pool.scratchOf(ps.plane).entries[ps.lo:ps.hi])
+			lists = append(lists, d.pool.scratchOf(ps.plane).arenas[ps.arena][ps.lo:ps.hi])
 		}
 	}
 	d.scr.lists = lists

@@ -105,7 +105,14 @@ func (sh *ShardedEngine) Latency(dbID int, st QueryStats, perShard []QueryStats,
 //     document bytes out (internal), and the host transfer;
 //   - core: controller quickselect + TTL DRAM traffic, INT8 rerank, the
 //     final quicksort, and caching-tier work.
-type busy struct{ plane, spread, waves, channel, core time.Duration }
+//
+// A device's shared rounds are tallied besides (shared[r], the queries'
+// r-th shared round), so that a batch can run them page-major
+// (pageMajor).
+type busy struct {
+	plane, spread, waves, channel, core time.Duration
+	shared                              [2]sharedRound
+}
 
 func (b *busy) add(o busy) {
 	b.plane += o.plane
@@ -113,6 +120,86 @@ func (b *busy) add(o busy) {
 	b.waves += o.waves
 	b.channel += o.channel
 	b.core += o.core
+	for r := range b.shared {
+		b.shared[r].add(o.shared[r])
+	}
+}
+
+// sharedRound tallies one shared round of a batch on one device: a round
+// whose every query scans the same pages — the coarse round, where every
+// query ranks every centroid (its re-issue is a second one), or a flat
+// round, where every query scans the live plan. It counts the queries
+// that take part, their pages and waves summed and the most any one
+// senses, and the latch loads each loop order sends them, on the busiest
+// channel (loads) and on every channel (units); index 0 is query-major,
+// 1 page-major.
+type sharedRound struct {
+	q            int
+	pages, most  float64
+	waves        int
+	loads, units [2]int
+}
+
+func (r *sharedRound) add(o sharedRound) {
+	r.q += o.q
+	r.pages += o.pages
+	r.most = max(r.most, o.most)
+	r.waves += o.waves
+	for m := range r.loads {
+		r.loads[m] += o.loads[m]
+		r.units[m] += o.units[m]
+	}
+}
+
+// joinRound adds a query that senses pages pages in shared round r.
+// Query-major, the query's latches are loaded once for the round: on
+// each channel one unit per perLoad pages, up to the full broadcast.
+// Page-major, each wave senses its pages once and cycles the round's
+// queries through the cache latches, so every query is loaded again for
+// every wave: W−1 full waves of every unit, and a last wave of rest
+// pages.
+func (d *device) joinRound(r *sharedRound, pages float64) {
+	geo := d.SSD.Cfg.Geo
+	planes, perLoad, full := float64(geo.Planes()), d.pagesPerLoad(), d.fullIBCLoads()
+	w := ceilF(pages / planes)
+	rest := pages - float64(w-1)*planes
+	r.add(sharedRound{
+		q: 1, pages: pages, most: pages, waves: w,
+		loads: [2]int{min(ceilF(pages/perLoad), full), (w-1)*full + ceilF(rest/perLoad)},
+		units: [2]int{min(d.loadUnits(pages), full*geo.Channels), (w-1)*full*geo.Channels + d.loadUnits(rest)},
+	})
+}
+
+// pageMajor decides the loop order of shared round r — the device calls
+// it with the round's functional pages before it scans, batchLatency with
+// the priced pages of a batch — and returns what page-major changes
+// against query-major. Query-major, the default, runs each query's scan
+// of the round to its end before the next query's: every query senses
+// every page. Page-major senses a page once and then runs every query of
+// the round against the sensing latch, each with its own latch load and
+// GEN_DIST_PAGE (the distance wave leaves the sensing latch as it found
+// it). The round's busiest plane drops from q·W·wave to W·tR +
+// q·W·(wave − tR), and its busiest channel takes the loads of every wave,
+// not of the round. Page-major is chosen iff the round's max(plane,
+// channel) is strictly lower under it, so a lone query never changes; and
+// only where a sense draws no raw bit errors (SLC-ESP), so one sense
+// leaves the latch q senses would and results cannot move. dPlane and
+// dChannel are the round's change in plane and channel occupancy, and
+// dJoules in energy: the senses saved, the loads added.
+func (d *device) pageMajor(r sharedRound) (ok bool, dPlane, dChannel time.Duration, dJoules float64) {
+	p := d.SSD.Cfg.Flash
+	if r.q < 2 || p.RawBER(flash.ModeSLCESP) > 0 {
+		return false, 0, 0, 0
+	}
+	tR, wave := p.ReadLatency(flash.ModeSLCESP), planeWaveTime(p)
+	qmPlane := time.Duration(r.waves) * wave
+	pmPlane := time.Duration(ceilF(r.most/float64(d.SSD.Cfg.Geo.Planes())))*tR + time.Duration(r.waves)*(wave-tR)
+	qmChannel, pmChannel := d.ibcTime(r.loads[0]), d.ibcTime(r.loads[1])
+	if max(pmPlane, pmChannel) >= max(qmPlane, qmChannel) {
+		return false, 0, 0, 0
+	}
+	dJoules = float64((r.units[1]-r.units[0])*d.SSD.Cfg.Geo.PageBytes)*p.EnergyXferPerByte - (r.pages-r.most)*p.EnergyReadPage
+	return true, pmPlane - qmPlane, pmChannel - qmChannel, dJoules
 }
 
 // busiestPlane is a batch's plane column from its summed occupancy b on
@@ -231,24 +318,34 @@ func (d *device) scanEvents(db *Database, st QueryStats, sc Scale) scanEvents {
 		ev.fineSurvivors = float64(fineScanned) * sc.Fine * sc.SurvivorRate
 	}
 	if sc.Coarse > 1 || sc.Fine > 1 {
-		geo := d.SSD.Cfg.Geo
-		perLoad := float64(geo.Channels)
-		if d.Opts.MPIBC {
-			perLoad *= float64(geo.PlanesPerDie)
-		}
+		perLoad := d.pagesPerLoad()
 		roundPages := ev.coarsePages / float64(ev.coarseRounds)
 		spread := ceilF(roundPages/perLoad) + ceilF(ev.finePages/perLoad)
 		full := d.fullIBCLoads()
 		ev.ibcLoads = min(max(st.IBCLoads, spread), full)
-		// Every whole round of perLoad pages loads a unit on each channel,
-		// a last round of m pages one on min(m, Channels) of them.
-		units := func(pages float64) int {
-			n, k := ceilF(pages), int(perLoad)
-			return n/k*geo.Channels + min(n%k, geo.Channels)
-		}
-		ev.ibcTotalLoads = max(st.IBCTotalLoads, min(units(roundPages)+units(ev.finePages), full*geo.Channels))
+		ev.ibcTotalLoads = max(st.IBCTotalLoads, min(d.loadUnits(roundPages)+d.loadUnits(ev.finePages), full*d.SSD.Cfg.Geo.Channels))
 	}
 	return ev
+}
+
+// pagesPerLoad is the pages one latch load per channel reaches, on the
+// even spread of the plane order: Channels consecutive pages on Channels
+// channels, Channels × PlanesPerDie on one die of each with MPIBC.
+func (d *device) pagesPerLoad() float64 {
+	geo := d.SSD.Cfg.Geo
+	if d.Opts.MPIBC {
+		return float64(geo.Channels * geo.PlanesPerDie)
+	}
+	return float64(geo.Channels)
+}
+
+// loadUnits is the latch loads over every channel that reach pages
+// pages on that spread: every whole round of pagesPerLoad pages loads a
+// unit on each channel, a last round of m pages one on min(m, Channels)
+// of them.
+func (d *device) loadUnits(pages float64) int {
+	n, k, ch := ceilF(pages), int(d.pagesPerLoad()), d.SSD.Cfg.Geo.Channels
+	return n/k*ch + min(n%k, ch)
 }
 
 // scanBill is one device's scan of one query priced: the standalone
@@ -294,6 +391,9 @@ func (d *device) scanCost(db *Database, ev scanEvents) scanBill {
 		waves := time.Duration(rounds * ceilF(pages/float64(rounds)/planes))
 		if shared {
 			c.busy.plane += waves * wave
+			for r := range rounds {
+				d.joinRound(&c.busy.shared[r], pages/float64(rounds))
+			}
 		} else {
 			c.busy.spread += time.Duration(pages * float64(wave) / planes)
 			c.busy.waves += waves * wave
@@ -449,7 +549,7 @@ type BatchBreakdown struct {
 func (e *Engine) BatchLatency(db *Database, sts []QueryStats, sc Scale) BatchBreakdown {
 	// One device: its scan events are the queries' own, so the shapes
 	// cannot be malformed.
-	b, _ := e.batchLatency(db, sts, [][]QueryStats{sts}, sc)
+	b, _ := e.batchLatency(db, sts, [][]QueryStats{sts}, sc, true)
 	return b
 }
 
@@ -465,13 +565,16 @@ func (sh *ShardedEngine) BatchLatency(dbID int, sts []QueryStats, perShard [][]Q
 	if err != nil {
 		return BatchBreakdown{}, err
 	}
-	return sh.batchLatency(db.locals[0], sts, perShard, sc)
+	return sh.batchLatency(db.locals[0], sts, perShard, sc, true)
 }
 
 // batchLatency is the batch model: perDev[s][i] is device s's scan
 // events of query i. The busiest device bounds the scan side; the tail's
-// resources serialize on the host.
-func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]QueryStats, sc Scale) (BatchBreakdown, error) {
+// resources serialize on the host. With pageMajor set a device runs each
+// shared round in the order pageMajor picks, as it does when it serves
+// the batch; unset, every round query-major — the bill before page-major
+// existed, which the tests hold the first to.
+func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]QueryStats, sc Scale, pageMajor bool) (BatchBreakdown, error) {
 	n := len(c.devs)
 	if len(perDev) != n {
 		return BatchBreakdown{}, fmt.Errorf("reis: %d per-shard stats for %d shards", len(perDev), n)
@@ -506,9 +609,18 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 		host.add(tail)
 	}
 	// The devices scan in parallel — the busiest bounds each resource —
-	// and the tail's resources serialize on the host.
+	// and the tail's resources serialize on the host. A device runs a
+	// shared round page-major where that is cheaper (pageMajor).
 	for s, d := range scan {
-		cfg := c.devs[s].SSD.Cfg
+		dev := c.devs[s]
+		for _, r := range d.shared {
+			if ok, dPlane, dChannel, dJoules := dev.pageMajor(r); ok && pageMajor {
+				d.plane += dPlane
+				d.channel += dChannel
+				b.EnergyJ += dJoules
+			}
+		}
+		cfg := dev.SSD.Cfg
 		b.PlaneBusy = max(b.PlaneBusy, busiestPlane(d, planeWaveTime(cfg.Flash), float64(cfg.Geo.Planes())))
 		b.ChannelBusy = max(b.ChannelBusy, d.channel)
 		b.CoreBusy = max(b.CoreBusy, d.core)

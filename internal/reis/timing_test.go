@@ -188,9 +188,10 @@ func TestCeilF(t *testing.T) {
 // TestBatchPaysBusiestPlane pins what the two readings of one bill take
 // from it: a query's standalone latency counts whole waves, since one
 // query cannot run a fraction of a wave, while a batch's plane column is
-// its busiest plane. Pages every query senses (a flat scan's) hold the
-// same planes for each, so their waves stack. A query's own pages (an
-// IVF fine scan's, the tail's) fall on planes the others may leave idle:
+// its busiest plane. Pages every query senses (a flat scan's) are sensed
+// once for the batch, page-major, and every query's distance wave runs
+// against the sensing latch. A query's own pages (an IVF fine scan's,
+// the tail's) fall on planes the others may leave idle:
 // the busiest plane carries more than the mean plane's share and less
 // than every query's waves stacked, and the closer to the mean the more
 // pages the batch spreads. A lone query's batch is still priced at its
@@ -240,12 +241,13 @@ func TestBatchPaysBusiestPlane(t *testing.T) {
 	}
 
 	// A scan of four pages: one wave a query, half a wave of the mean
-	// plane's. Sixteen flat queries sense the same four pages; sixteen IVF
-	// queries' own four spread.
-	wave := planeWaveTime(cfg.Flash)
+	// plane's. Sixteen flat queries share the same four pages: each is
+	// sensed once and computed sixteen times (one wave, so the broadcast
+	// is what query-major loads); sixteen IVF queries' own four spread.
+	wave, tR := planeWaveTime(cfg.Flash), cfg.Flash.ReadLatency(flash.ModeSLCESP)
 	scan := QueryStats{FinePages: 4}
-	if got := batch(flat, scan, 16); got != 16*wave {
-		t.Fatalf("16 flat scans of 4 pages hold the busiest plane %v, want the 16 stacked waves %v", got, 16*wave)
+	if got, once := batch(flat, scan, 16), tR+16*(wave-tR); got != once {
+		t.Fatalf("16 flat scans of 4 pages hold the busiest plane %v, want one sense and 16 distance waves %v", got, once)
 	}
 	if got := batch(ivf, scan, 16); got <= 8*wave || got >= 16*wave {
 		t.Fatalf("16 IVF scans of 4 own pages hold the busiest plane %v, want between the mean's %v and the stacked %v", got, 8*wave, 16*wave)
