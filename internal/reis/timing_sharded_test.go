@@ -138,31 +138,41 @@ func sameTiming(a, b timingGolden) bool {
 // 4763281). Every Breakdown duration, serial, plane and makespan column,
 // and every flat row, are the values from before: these rows pipeline
 // the coarse phase, which the sense bounds.
+// Only the plane, channel, makespan, QPS and batch-energy columns moved
+// when a batch's shared rounds (the coarse round; a flat database's
+// round) began to run page-major where that lowers the round's bound:
+// each page is sensed once and every query is loaded again for every
+// wave. The flat rows' plane column fell about 3.3x and their channel
+// rose (flat/1: plane 1222571293 -> 366086293 ns, channel 5169248 ->
+// 302045640, makespan 983960753 -> 489079132); the ivf, pruned and cached
+// rows share only their centroid pages (ivf/1: plane 331681998 ->
+// 320184498). Every Breakdown duration and the serial and core columns
+// are the values from before.
 var shardedTimingGolden = map[string]timingGolden{
 	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
-		983960753, 1222571293, 5169248, 4415921, 983960753, 11.815563628650551},
+		983960753, 366086293, 302045640, 4415921, 489079132, 3.864765474492886},
 	"ivf/1": {6826, 1665000, 30105000, 97076, 171437, 32045339, 0.3836593381118726,
-		267720753, 331681998, 5577154, 4763281, 267720753, 3.2058744335337597},
+		267720753, 320184498, 9481626, 4763281, 267720753, 3.132855123598751},
 	"pruned/1": {6826, 45000, 67500, 97076, 171437, 387839, 0.002353356688,
-		3075753, 2345998, 97387, 96661, 2733837, 0.017086895712},
+		3075753, 2188498, 97387, 96661, 2576337, 0.016173395712},
 	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485757156,
-		5377102, 5183000, 34723, 58850, 5377102, 0.029110549376},
+		5377102, 5115500, 34723, 58850, 5377102, 0.029056549376000003},
 	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
-		521104435, 647246996, 2761546, 2379361, 521104435, 12.106805000082549},
+		521104435, 193961996, 159841458, 2379361, 259098022, 4.010350034492884},
 	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41116800141587256,
-		173581935, 174830804, 4909557, 4208633, 173581935, 3.6030908049657597},
+		173581935, 163333304, 8814029, 4208633, 173581935, 3.530071495030751},
 	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.003199495416,
-		2241022, 1497021, 76343, 94571, 1775547, 0.021173795112},
+		2241022, 1339521, 76343, 94571, 1618047, 0.019472795112},
 	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008423587155999999,
-		3066847, 2888000, 19468, 58850, 3066847, 0.032893509376},
+		3066847, 2820500, 19468, 58850, 3066847, 0.032839509376000005},
 	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
-		278856273, 345610373, 1500552, 1312441, 278856273, 12.47288768294655},
+		278856273, 103690373, 85323832, 1312441, 138545492, 4.190279654492885},
 	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5399353180238725,
-		126053773, 109095681, 4537925, 3899115, 124920800, 4.36568863461376},
+		126053773, 109095681, 8442397, 3899115, 124920800, 4.2926693246787515},
 	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966639992,
-		2187860, 1040434, 62076, 93251, 1318053, 0.029779557143999998},
+		2187860, 882934, 62076, 93251, 1160553, 0.026503557144},
 	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011149257155999999,
-		2039222, 1868000, 11843, 58850, 2039222, 0.043009479376},
+		2039222, 1800500, 11843, 58850, 2039222, 0.042955479376},
 }
 
 // timingCfg is one shard's device of the model tests.
@@ -247,31 +257,37 @@ func TestShardedTimingTable(t *testing.T) {
 // and with it total, serial and makespan (ivf/df: coarse 3611402 ->
 // 3023626 ns). Every noopt, flat and asic row — the distance filter off,
 // or no coarse round — is unchanged to the digit.
+// Page-major shared rounds moved the plane, channel, makespan and
+// batch-energy columns of every row but asic, as above; without MPIBC a
+// flat row's cycling loads are per plane, so its channel rose most
+// (flat/df: channel 5223856 -> 598949336 ns, makespan 1232511777 ->
+// 753011053). Every Breakdown duration, every asic row and the serial
+// and core columns are unchanged.
 var ladderTimingGolden = map[string]timingGolden{
 	"flat/noopt": {13652, 0, 269819200, 451008, 171437, 270455297, 2.2152664345963187,
-		2163642376, 1222872000, 508067376, 432703000, 1493327297, 14.37050208177055},
+		2163642376, 366387000, 1101792856, 432703000, 1372248153, 8.292991356964887},
 	"ivf/noopt": {13652, 3611402, 66334986, 196008, 171437, 70327485, 0.5754412775326725,
-		587690739, 332401104, 137667799, 117265944, 402728589, 3.883787718888},
+		587690739, 320903604, 145476743, 117265944, 391231089, 3.7533371388409913},
 	"pruned/noopt": {10239, 28382, 32400, 196008, 171437, 438466, 0.0027668068160000003,
-		3985811, 3281827, 178671, 187147, 3720293, 0.023291023378},
+		3985811, 3124327, 178671, 187147, 3562793, 0.022377523378},
 	"cached/noopt": {426, 28589, 30290, 1816341, 427504, 2303150, 0.012437448394,
-		9419903, 9263000, 56088, 100817, 9419903, 0.050872708204},
+		9419903, 9195500, 56088, 100817, 9419903, 0.050818708204},
 	"flat/df": {13652, 0, 153439552, 437076, 171437, 154061717, 1.6322314097323187,
-		1232511777, 1222571293, 5223856, 4415921, 1232511777, 13.05831953508255},
+		1232511777, 366086293, 598949336, 4415921, 753011053, 5.188700910276886},
 	"ivf/df": {13652, 3023626, 37724988, 97076, 171437, 41030779, 0.4285866364158726,
-		342387041, 331681998, 5631762, 4763281, 342387041, 3.5792066599657604},
+		342387041, 320184498, 13440706, 4763281, 342387041, 3.5062435799187512},
 	"pruned/df": {13652, 28287, 57148, 97076, 171437, 367600, 0.002252235416,
-		2901238, 2345998, 148582, 96661, 2713598, 0.016986265959999997},
+		2901238, 2188498, 148582, 96661, 2556098, 0.01607276596},
 	"cached/df": {426, 28368, 30254, 864636, 427504, 1351188, 0.007317597156,
-		5276572, 5183000, 34723, 58850, 5276572, 0.028607899376},
+		5276572, 5115500, 34723, 58850, 5276572, 0.028553899376000003},
 	"flat/dfpl": {13652, 0, 122377500, 437076, 171437, 122999665, 1.4769211497323185,
-		984015361, 1222571293, 5223856, 4415921, 984015361, 11.81583745508255},
+		984015361, 366086293, 598949336, 4415921, 721949001, 5.0333906502768855},
 	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 171437, 32052165, 0.38369356641587254,
-		267775361, 331681998, 5631762, 4763281, 267775361, 3.20614825996576},
+		267775361, 320184498, 13440706, 4763281, 267775361, 3.133185179918751},
 	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.0023875604159999996,
-		3126948, 2345998, 148582, 96661, 2740663, 0.017121590960000002},
+		3126948, 2188498, 148582, 96661, 2583163, 0.016208090959999998},
 	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485757156,
-		5377102, 5183000, 34723, 58850, 5377102, 0.029110549376},
+		5377102, 5115500, 34723, 58850, 5377102, 0.029056549376000003},
 	"flat/asic": {6826, 0, 135975000, 437076, 171437, 136590339, 1.4672401458318585,
 		0, 0, 0, 0, 0, 0},
 	"ivf/asic": {6826, 0, 35275000, 97076, 171437, 35550339, 0.3810131185072566,
