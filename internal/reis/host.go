@@ -386,9 +386,12 @@ func (c *hostCore) gcFinish(cmd *HostCommand, acc *WearStats) (HostResponse, err
 // topology-independent: a journal captured on a sharded host replays on
 // a single device and vice versa.
 //
-// The wire format is a flat record sequence (integers little-endian,
-// uvarint as in encoding/binary):
+// The wire format is a flat frame sequence (integers little-endian,
+// uvarint as in encoding/binary; crc is the CRC-32C of the frame's
+// version, len and record bytes, and replay refuses a frame whose
+// version or checksum does not match):
 //
+//	frame   := version:u8 len:u32 record[len] crc:u32
 //	record  := opcode:u8 dbid:uvarint body
 //	append  := n:uvarint dim:uvarint vec[n*dim]:f32bits
 //	           { doclen:uvarint docbytes }*n

@@ -3,6 +3,7 @@ package reis
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 )
 
@@ -20,6 +21,7 @@ import (
 // Record format (all integers little-endian, uvarint = unsigned
 // varint as in encoding/binary):
 //
+//	frame   := version:u8 len:u32 record[len] crc:u32
 //	record  := opcode:u8 dbid:uvarint body
 //	append  := n:uvarint dim:uvarint vec[n*dim]:f32bits
 //	           { doclen:uvarint docbytes }*n
@@ -28,11 +30,37 @@ import (
 //	delete  := nids:uvarint { id:uvarint }*nids
 //	compact := minLiveRatio:f64bits
 //
-// Any prefix of the log that ends on a record boundary is a valid
-// journal — the crash-recovery oracle cuts at every boundary (see
-// journalOffsets) and replays the prefix on a fresh deploy.
+// version is journalVersion, and crc the CRC-32C (Castagnoli) of the
+// frame's version, len and record bytes, so a replay refuses a frame of
+// another format and a frame any bit of which flipped — a record that
+// decodes is not enough, since a flipped bit inside an append's vectors
+// or documents still decodes, into a different corpus. Any prefix of the
+// log that ends on a frame boundary is a valid journal — the
+// crash-recovery oracle cuts at every boundary (see journalOffsets) and
+// replays the prefix on a fresh deploy.
 type journal struct {
 	buf []byte
+}
+
+// journalVersion is the frame format this package writes and replays.
+const journalVersion = 1
+
+var journalCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// open starts a frame: the version and a length the matching seal fills
+// in. It returns the frame's offset.
+func (j *journal) open() int {
+	start := len(j.buf)
+	j.u8(journalVersion)
+	j.buf = binary.LittleEndian.AppendUint32(j.buf, 0)
+	return start
+}
+
+// seal closes the frame opened at start: its record's length, then the
+// checksum of everything before it.
+func (j *journal) seal(start int) {
+	binary.LittleEndian.PutUint32(j.buf[start+1:], uint32(len(j.buf)-start-5))
+	j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(j.buf[start:], journalCRC))
 }
 
 func (j *journal) u8(v uint8)       { j.buf = append(j.buf, v) }
@@ -58,6 +86,7 @@ func (j *journal) logCmd(cmd *HostCommand) {
 }
 
 func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
+	defer j.seal(j.open())
 	j.u8(OpcodeAppend)
 	j.uvarint(uint64(dbID))
 	n := len(cfg.Vectors)
@@ -89,6 +118,7 @@ func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
 }
 
 func (j *journal) logDelete(dbID int, ids []int) {
+	defer j.seal(j.open())
 	j.u8(OpcodeDelete)
 	j.uvarint(uint64(dbID))
 	j.uvarint(uint64(len(ids)))
@@ -98,6 +128,7 @@ func (j *journal) logDelete(dbID int, ids []int) {
 }
 
 func (j *journal) logCompact(dbID int, minLiveRatio float64) {
+	defer j.seal(j.open())
 	j.u8(OpcodeCompact)
 	j.uvarint(uint64(dbID))
 	j.f64(minLiveRatio)
@@ -136,10 +167,43 @@ func (r *journalReader) bytes(n int) ([]byte, error) {
 	return b, nil
 }
 
-// next decodes the record starting at the reader's position. The
-// returned command aliases the journal bytes (documents, tags); the
-// mutation path copies what it stores.
+// next checks the frame starting at the reader's position and decodes
+// its record. The returned command aliases the journal bytes (documents,
+// tags); the mutation path copies what it stores.
 func (r *journalReader) next() (HostCommand, error) {
+	start := r.pos
+	version, err := r.u8()
+	if err != nil {
+		return HostCommand{}, err
+	}
+	if version != journalVersion {
+		return HostCommand{}, fmt.Errorf("reis: journal frame at offset %d has format version %d, want %d", start, version, journalVersion)
+	}
+	n, err := r.bytes(4)
+	if err != nil {
+		return HostCommand{}, err
+	}
+	if _, err := r.bytes(int(binary.LittleEndian.Uint32(n))); err != nil {
+		return HostCommand{}, err
+	}
+	end := r.pos
+	sum, err := r.bytes(4)
+	if err != nil {
+		return HostCommand{}, err
+	}
+	if crc32.Checksum(r.data[start:end], journalCRC) != binary.LittleEndian.Uint32(sum) {
+		return HostCommand{}, fmt.Errorf("reis: journal frame at offset %d fails its checksum", start)
+	}
+	rec := journalReader{data: r.data[:end], pos: start + 5}
+	cmd, err := rec.record()
+	if err == nil && rec.pos != end {
+		err = fmt.Errorf("reis: journal record at offset %d ends %d bytes before its frame", start+5, end-rec.pos)
+	}
+	return cmd, err
+}
+
+// record decodes the record starting at the reader's position.
+func (r *journalReader) record() (HostCommand, error) {
 	op, err := r.u8()
 	if err != nil {
 		return HostCommand{}, err
@@ -231,7 +295,7 @@ func (r *journalReader) next() (HostCommand, error) {
 }
 
 // journalOffsets returns every valid prefix length of a journal: 0,
-// then the end offset of each record. The crash-recovery tests cut the
+// then the end offset of each frame. The crash-recovery tests cut the
 // log at each of these and replay the prefix.
 func journalOffsets(data []byte) ([]int, error) {
 	offs := []int{0}

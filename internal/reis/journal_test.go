@@ -2,7 +2,9 @@ package reis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"reflect"
 	"testing"
 )
@@ -158,9 +160,14 @@ func TestJournalReplayAcrossTopologies(t *testing.T) {
 	}
 }
 
-// TestJournalCorruptionDetected: a journal truncated mid-record or
-// carrying an unknown opcode is rejected by both the offset scan and
-// replay, instead of silently rebuilding a wrong state.
+// TestJournalCorruptionDetected: a journal truncated mid-frame, written
+// in another format version, carrying an unknown opcode under a valid
+// checksum, or with any single bit of a frame flipped is rejected by
+// both the offset scan and replay, instead of silently rebuilding a
+// wrong state. The flips cover a bit of every byte of the first
+// append's frame and every bit of its header — its vectors and
+// documents decode whatever they hold, so only the checksum tells — and
+// one bit in the middle of every other frame.
 func TestJournalCorruptionDetected(t *testing.T) {
 	c := newMutCorpus()
 	h := newJournalHost(t, 1)
@@ -180,20 +187,65 @@ func TestJournalCorruptionDetected(t *testing.T) {
 		}
 		return b
 	}
-	truncated := jl[:offs[1]-1]
-	if _, err := journalOffsets(truncated); err == nil {
-		t.Fatal("offset scan accepted a mid-record truncation")
+	rejected := func(what string, bad []byte, replay bool) {
+		t.Helper()
+		if _, err := journalOffsets(bad); err == nil {
+			t.Fatalf("offset scan accepted %s", what)
+		}
+		if replay {
+			if err := fresh().ReplayJournal(bad); err == nil {
+				t.Fatalf("replay accepted %s", what)
+			}
+		}
 	}
-	if err := fresh().ReplayJournal(truncated); err == nil {
-		t.Fatal("replay accepted a mid-record truncation")
-	}
+	rejected("a mid-frame truncation", jl[:offs[1]-1], true)
 	bad := append([]byte{}, jl...)
-	bad[0] = 0xFF
-	if _, err := journalOffsets(bad); err == nil {
-		t.Fatal("offset scan accepted an unknown opcode")
+	bad[0] = journalVersion + 1
+	rejected("another format version", bad, true)
+
+	// An unknown opcode under a valid checksum: the record itself is
+	// refused.
+	var j journal
+	j.seal(j.open())
+	j.buf = append(j.buf[:5], 0xFF, 1)
+	binary.LittleEndian.PutUint32(j.buf[1:], 2)
+	j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(j.buf, journalCRC))
+	rejected("an unknown opcode", j.buf, true)
+
+	first := -1
+	for i := range offs[:len(offs)-1] {
+		if jl[offs[i]+5] == OpcodeAppend {
+			first = i
+			break
+		}
 	}
-	if err := fresh().ReplayJournal(bad); err == nil {
-		t.Fatal("replay accepted an unknown opcode")
+	if first < 0 {
+		t.Fatal("the script journaled no append")
+	}
+	flip := func(data []byte, bit int) []byte {
+		bad := append([]byte{}, data...)
+		bad[bit/8] ^= 1 << uint(bit%8)
+		return bad
+	}
+	frame := append([]byte{}, jl[offs[first]:offs[first+1]]...)
+	for i := range frame {
+		// Every bit of the header and one bit of every other byte.
+		for b := range 8 {
+			if i >= 16 && b != i%8 {
+				continue
+			}
+			frame[i] ^= 1 << uint(b)
+			if _, err := journalOffsets(frame); err == nil {
+				t.Fatalf("offset scan accepted bit %d of byte %d of the first append's frame flipped", b, i)
+			}
+			frame[i] ^= 1 << uint(b)
+		}
+	}
+	// Replay too refuses a flip inside the append's vectors, the bytes
+	// that decode into a different corpus.
+	rejected("a flipped vector bit", flip(jl, (offs[first]+5+8)*8+3), true)
+	for i := range offs[:len(offs)-1] {
+		rejected(fmt.Sprintf("a flipped bit in frame %d", i), flip(jl, (offs[i]+offs[i+1])/2*8+5), false)
 	}
 }
 
@@ -204,7 +256,8 @@ func TestJournalCorruptionDetected(t *testing.T) {
 // single-device engine AND a fresh 2-shard router — and every reopened
 // state must answer searches identically across the two topologies,
 // re-journal exactly the replayed prefix, and (for the full journal)
-// match the original engine's final results.
+// match the original engine's final results. The journal with one bit
+// flipped, at a position the input picks, must be refused.
 //
 // CI replays the seed corpus (testdata/fuzz/FuzzCrashRecovery) on
 // every push; the nightly workflow fuzzes it for 10 minutes.
@@ -298,6 +351,31 @@ func FuzzCrashRecovery(f *testing.F) {
 		offs, err := journalOffsets(jl)
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A flipped bit anywhere — at a position the input picks — is
+		// refused by the offset scan and by replay.
+		if len(jl) > 0 {
+			var pick uint64
+			for _, b := range data {
+				pick = pick*31 + uint64(b)
+			}
+			bit := int(pick % uint64(len(jl)*8))
+			bad := append([]byte{}, jl...)
+			bad[bit/8] ^= 1 << uint(bit%8)
+			if _, err := journalOffsets(bad); err == nil {
+				t.Fatalf("offset scan accepted bit %d flipped", bit)
+			}
+			h, err := New(refCfg, 0, AllOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := h.Submit(deployCmd); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.ReplayJournal(bad); err == nil {
+				t.Fatalf("replay accepted bit %d flipped", bit)
+			}
+			h.Close()
 		}
 		// Sample crash points (always including the empty and the full
 		// prefix) to bound per-input cost.
