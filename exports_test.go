@@ -20,8 +20,8 @@ var stdlibMethods = map[string]bool{
 	"Flush": true, "Deadline": true, "Done": true, "Err": true, "Value": true,
 }
 
-// exportAllowlist names exported functions under internal/ that no
-// program calls but that stay, each with its reason. Keys are
+// exportAllowlist names exported declarations under internal/ that no
+// program names but that stay, each with its reason. Keys are
 // "pkg.Name" or "pkg.Recv.Name".
 var exportAllowlist = map[string]string{
 	"ann.NewBinaryFlat":            "reference implementation: internal/reis's cross-validation test checks the engine against it",
@@ -40,17 +40,25 @@ var exportAllowlist = map[string]string{
 	"xrand.RNG.Float32":            "test accessor: internal/ann's top-k tests draw float32 distances with it",
 }
 
-// TestInternalExportsHaveCallers fails when an exported function or
-// method declared under internal/ is named nowhere outside its own
-// declaration in a non-test file of this module or of benchmark/. Only
-// those two can import internal/, so such a name has no caller and is
-// dead surface. Matching is by identifier name with no type checking,
-// so it is a floor: a dead method that shares its name with a live one
-// (a second Search, say) passes.
+// TestInternalExportsHaveCallers fails when an exported function,
+// method, package-level type or package-level var declared under
+// internal/ is named nowhere outside its own declaration in a non-test
+// file of this module or of benchmark/. Only those two can import
+// internal/, so such a name has no caller and is dead surface. It also
+// fails when an exported var other than a sentinel error (Err...) is
+// named only inside its own package: nothing else reads it, so it needs
+// no export. Matching is by identifier name with no type checking, so it
+// is a floor: a dead method that shares its name with a live one (a
+// second Search, say) passes.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	fset := token.NewFileSet()
-	used := map[string]bool{}
-	type decl struct{ key, name string }
+	// usedIn[name] holds the directories — packages — whose non-test
+	// files name it outside its declaration.
+	usedIn := map[string]map[string]bool{}
+	type decl struct {
+		key, name, dir string
+		ownPkgOnly     bool // an exported var: must be named outside its package
+	}
 	var decls []decl
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -69,34 +77,55 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		dir := filepath.Dir(path)
+		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
 		own := map[*ast.Ident]bool{}
+		declare := func(id *ast.Ident, key string, ownPkgOnly bool) {
+			own[id] = true
+			if internal && id.IsExported() {
+				decls = append(decls, decl{key, id.Name, dir, ownPkgOnly})
+			}
+		}
 		for _, dd := range f.Decls {
-			fd, ok := dd.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			own[fd.Name] = true
-			if !strings.HasPrefix(filepath.ToSlash(path), "internal/") || !fd.Name.IsExported() {
-				continue
-			}
-			key := f.Name.Name + "."
-			if fd.Recv != nil {
-				if stdlibMethods[fd.Name.Name] {
-					continue
+			switch dd := dd.(type) {
+			case *ast.FuncDecl:
+				key := f.Name.Name + "."
+				if dd.Recv != nil {
+					if stdlibMethods[dd.Name.Name] {
+						own[dd.Name] = true
+						continue
+					}
+					recv := dd.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					if id, ok := recv.(*ast.Ident); ok {
+						key += id.Name + "."
+					}
 				}
-				recv := fd.Recv.List[0].Type
-				if star, ok := recv.(*ast.StarExpr); ok {
-					recv = star.X
-				}
-				if id, ok := recv.(*ast.Ident); ok {
-					key += id.Name + "."
+				declare(dd.Name, key+dd.Name.Name, false)
+			case *ast.GenDecl:
+				for _, sp := range dd.Specs {
+					switch sp := sp.(type) {
+					case *ast.TypeSpec:
+						declare(sp.Name, f.Name.Name+"."+sp.Name.Name, false)
+					case *ast.ValueSpec:
+						if dd.Tok != token.VAR {
+							continue
+						}
+						for _, id := range sp.Names {
+							declare(id, f.Name.Name+"."+id.Name, !strings.HasPrefix(id.Name, "Err"))
+						}
+					}
 				}
 			}
-			decls = append(decls, decl{key + fd.Name.Name, fd.Name.Name})
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && !own[id] {
-				used[id.Name] = true
+				if usedIn[id.Name] == nil {
+					usedIn[id.Name] = map[string]bool{}
+				}
+				usedIn[id.Name][dir] = true
 			}
 			return true
 		})
@@ -110,17 +139,24 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	declared := map[string]bool{}
 	for _, d := range decls {
 		declared[d.key] = true
-		if _, ok := exportAllowlist[d.key]; !ok && !used[d.name] {
-			dead = append(dead, d.key)
+		if _, ok := exportAllowlist[d.key]; ok {
+			continue
+		}
+		users := usedIn[d.name]
+		switch {
+		case len(users) == 0:
+			dead = append(dead, d.key+": exported under internal/ but no program names it; delete it or add it to exportAllowlist with a reason")
+		case d.ownPkgOnly && len(users) == 1 && users[d.dir]:
+			dead = append(dead, d.key+": exported var that only its own package reads; unexport it")
 		}
 	}
 	sort.Strings(dead)
-	for _, k := range dead {
-		t.Errorf("%s: exported under internal/ but no program calls it; delete it or add it to exportAllowlist with a reason", k)
+	for _, msg := range dead {
+		t.Error(msg)
 	}
 	for k := range exportAllowlist {
 		if !declared[k] {
-			t.Errorf("exportAllowlist entry %s names no exported function under internal/", k)
+			t.Errorf("exportAllowlist entry %s names no exported declaration under internal/", k)
 		}
 	}
 }

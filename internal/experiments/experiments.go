@@ -36,8 +36,8 @@ const QueryBatch = 1000
 // filters ~99% of candidates, Sec 4.3.3).
 const SurvivorRate = 0.01
 
-// RecallTargets are the Recall@10 operating points of Figs 7, 8, 10.
-var RecallTargets = []float64{0.98, 0.94, 0.90}
+// recallTargets are the Recall@10 operating points of Figs 7, 8, 10.
+var recallTargets = []float64{0.98, 0.94, 0.90}
 
 // Workload bundles a functional dataset with its IVF indexing
 // information and the scale factors to the paper's full size.

@@ -71,7 +71,7 @@ func TestRunFig7ShapeHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2*(1+len(RecallTargets)) {
+	if len(rows) != 2*(1+len(recallTargets)) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	for _, r := range rows {

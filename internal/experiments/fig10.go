@@ -24,7 +24,7 @@ type Fig10Row struct {
 // RunFig10 regenerates the Fig 10 comparison to ICE.
 func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 	if datasets == nil {
-		datasets = Fig7Datasets
+		datasets = fig7Datasets
 	}
 	ice, iceESP := rivals.ICE(), rivals.ICEESP()
 	var rows []Fig10Row
@@ -54,7 +54,7 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 				return nil, err
 			}
 			add("BF", w.ScaleFine, b, st)
-			for _, target := range RecallTargets {
+			for _, target := range recallTargets {
 				b, st, err := s.RunIVFAt(10, target)
 				if err != nil {
 					return nil, err

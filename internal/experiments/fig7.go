@@ -23,14 +23,14 @@ type Fig7Row struct {
 	SSD2QPSW float64
 }
 
-// Fig7Datasets are the evaluation datasets of Figs 7/8/10.
-var Fig7Datasets = []string{"NQ", "HotpotQA", "wiki_en", "wiki_full"}
+// fig7Datasets are the evaluation datasets of Figs 7/8/10.
+var fig7Datasets = []string{"NQ", "HotpotQA", "wiki_en", "wiki_full"}
 
 // RunFig7 regenerates Figs 7 and 8 at the given functional scale
 // divisor. It returns one row per dataset x mode.
 func RunFig7(scale int, datasets []string) ([]Fig7Row, error) {
 	if datasets == nil {
-		datasets = Fig7Datasets
+		datasets = fig7Datasets
 	}
 	cpu := host.NewBaseline(host.CPUReal())
 	noio := host.NewBaseline(host.CPUReal())
@@ -73,7 +73,7 @@ func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 	rows := []Fig7Row{makeRow(w, "BF", w.ScaleFine, cpu, noio, b1, b2, st1)}
 
 	// IVF at each recall target.
-	for _, target := range RecallTargets {
+	for _, target := range recallTargets {
 		nprobe, err := s1.NProbeFor(target)
 		if err != nil {
 			return nil, err

@@ -19,13 +19,13 @@ type Fig9Row struct {
 	Full   float64 // +MPIBC
 }
 
-// Fig9Recalls are the sweep points of Fig 9.
-var Fig9Recalls = []float64{0.98, 0.96, 0.94, 0.92, 0.90}
+// fig9Recalls are the sweep points of Fig 9.
+var fig9Recalls = []float64{0.98, 0.96, 0.94, 0.92, 0.90}
 
 // RunFig9 regenerates the Fig 9 sensitivity sweep on wiki_full.
 func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 	if recalls == nil {
-		recalls = Fig9Recalls
+		recalls = fig9Recalls
 	}
 	w := LoadWorkload("wiki_full", scale)
 	cpu := host.NewBaseline(host.CPUReal())
@@ -89,7 +89,7 @@ type ASICRow struct {
 // RunASIC regenerates the Sec 6.3.1 REIS-ASIC comparison.
 func RunASIC(scale int, datasets []string) ([]ASICRow, error) {
 	if datasets == nil {
-		datasets = Fig7Datasets
+		datasets = fig7Datasets
 	}
 	var rows []ASICRow
 	for _, name := range datasets {
@@ -98,7 +98,7 @@ func RunASIC(scale int, datasets []string) ([]ASICRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, target := range RecallTargets {
+			for _, target := range recallTargets {
 				_, st, err := s.RunIVFAt(10, target)
 				if err != nil {
 					return nil, err

@@ -101,7 +101,7 @@ func TestRunSLOShapeAndDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ref) != len(SLOShardCounts)*len(depths)*len(loads) {
+	if len(ref) != len(sloShardCounts)*len(depths)*len(loads) {
 		t.Fatalf("rows = %d", len(ref))
 	}
 	for _, r := range ref {

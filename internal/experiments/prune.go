@@ -38,10 +38,10 @@ type PruneRow struct {
 	ModelShares
 }
 
-// PruneKs and PruneNProbes are the sweep axes.
+// pruneKs and pruneNProbes are the sweep axes.
 var (
-	PruneKs      = []int{10, 100}
-	PruneNProbes = []int{8, 32, 128}
+	pruneKs      = []int{10, 100}
+	pruneNProbes = []int{8, 32, 128}
 )
 
 // pruneNList keeps the largest nprobe of the sweep meaningful (and far
@@ -126,8 +126,8 @@ func RunPrune() ([]PruneRow, error) {
 	defer s.Close()
 
 	var rows []PruneRow
-	for _, k := range PruneKs {
-		for _, np := range PruneNProbes {
+	for _, k := range pruneKs {
+		for _, np := range pruneNProbes {
 			var baseQPS float64
 			for _, prune := range []bool{false, true} {
 				resp, cost, err := s.serve(reis.HostCommand{

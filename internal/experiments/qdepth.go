@@ -36,8 +36,8 @@ type QDepthRow struct {
 	ModelShares
 }
 
-// QDepthDepths is the queue-depth sweep.
-var QDepthDepths = []int{1, 2, 4, 8, 16, 32}
+// qdepthDepths is the queue-depth sweep.
+var qdepthDepths = []int{1, 2, 4, 8, 16, 32}
 
 // RunQDepth measures QPS versus submission-queue depth on REIS-SSD1
 // for NQ. Every row serves the identical workload (each query one
@@ -63,7 +63,7 @@ func RunQDepth(scale int) ([]QDepthRow, error) {
 			return nil, err
 		}
 		queries := cmd.Queries
-		for _, depth := range QDepthDepths {
+		for _, depth := range qdepthDepths {
 			q, err := s.NewQueue(reis.QueueConfig{Depth: depth})
 			if err != nil {
 				return nil, err

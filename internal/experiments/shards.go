@@ -33,9 +33,9 @@ type ShardRow struct {
 	ModelShares
 }
 
-// ShardCounts is the scale-out sweep; every count divides the
+// shardCounts is the scale-out sweep; every count divides the
 // 8 channels of REIS-SSD1.
-var ShardCounts = []int{1, 2, 4}
+var shardCounts = []int{1, 2, 4}
 
 // RunShards measures throughput versus shard count on REIS-SSD1-class
 // devices for NQ. Every shard count serves the identical workload twice
@@ -49,7 +49,7 @@ func RunShards(scale int) ([]ShardRow, error) {
 	var rows []ShardRow
 	w := LoadWorkload("NQ", scale)
 	base := map[string]float64{}
-	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], ShardCounts...) {
+	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], shardCounts...) {
 		if err != nil {
 			return nil, err
 		}

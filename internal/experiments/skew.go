@@ -66,10 +66,10 @@ type SkewRow struct {
 // packed results, the regime the headline speedup is claimed in.
 const SkewDefaultBudget = 4 << 20
 
-// SkewS and SkewBudgets are the default sweep axes.
+// skewS and skewBudgets are the default sweep axes.
 var (
-	SkewS       = []float64{0, 0.8, 1.2}
-	SkewBudgets = []int64{0, 512 << 10, SkewDefaultBudget}
+	skewS       = []float64{0, 0.8, 1.2}
+	skewBudgets = []int64{0, 512 << 10, SkewDefaultBudget}
 )
 
 // The skew corpus and script. The corpus is small enough to run
@@ -288,10 +288,10 @@ func checkSkewPartition(cached, base *skewRun) error {
 // paper-scale extrapolation.
 func RunSkew(ss []float64, budgets []int64) ([]SkewRow, error) {
 	if ss == nil {
-		ss = SkewS
+		ss = skewS
 	}
 	if budgets == nil {
-		budgets = SkewBudgets
+		budgets = skewBudgets
 	}
 	d, cents, assign := skewWorkload()
 	name := fmt.Sprintf("skew-%dk", skewBase/1000)

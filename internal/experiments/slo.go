@@ -34,9 +34,9 @@ const loadSeed = 0x510ad
 
 // SLO sweep axes: every (depth, load) cell runs on every shard count.
 var (
-	SLODepths      = []int{1, 8, 32}
-	SLOLoads       = []float64{0.5, 0.8, 0.95}
-	SLOShardCounts = []int{1, 2}
+	sloDepths      = []int{1, 8, 32}
+	sloLoads       = []float64{0.5, 0.8, 0.95}
+	sloShardCounts = []int{1, 2}
 )
 
 // SLORow is one cell of the SLO sweep. Dataset/Mode/Shards/Depth/Load
@@ -78,14 +78,14 @@ type SLORow struct {
 // (Setup.tail). nil axes select the defaults.
 func RunSLO(scale int, depths []int, loads []float64) ([]SLORow, error) {
 	if depths == nil {
-		depths = SLODepths
+		depths = sloDepths
 	}
 	if loads == nil {
-		loads = SLOLoads
+		loads = sloLoads
 	}
 	var rows []SLORow
 	w := LoadWorkload("NQ", scale)
-	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], SLOShardCounts...) {
+	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], sloShardCounts...) {
 		if err != nil {
 			return nil, err
 		}

@@ -26,8 +26,8 @@ type ThroughputRow struct {
 	ModelShares
 }
 
-// ThroughputBatches is the admission batch-size sweep.
-var ThroughputBatches = []int{1, 8, 64}
+// throughputBatches is the admission batch-size sweep.
+var throughputBatches = []int{1, 8, 64}
 
 // RunThroughput measures batched versus sequential query admission on
 // REIS-SSD1 for NQ and wiki_en. Every batch size serves the whole
@@ -54,7 +54,7 @@ func RunThroughput(scale int) ([]ThroughputRow, error) {
 			}
 			all, sc, queries := passOf(resp), w.ScaleIVF(), cmd.Queries
 			seen := make(map[int]bool)
-			for _, batch := range ThroughputBatches {
+			for _, batch := range throughputBatches {
 				// Small workloads clamp large batch sizes to the query
 				// count; skip duplicate rows.
 				batch = min(batch, len(queries))
