@@ -376,8 +376,8 @@ type cachedScanParams struct {
 	bound     int
 }
 
-// scanPinned scans one pinned range from DRAM, mirroring scanPlane slot
-// for slot: XOR + popcount distances, padding-slot skip, distance
+// scanPinned scans one pinned range from DRAM, mirroring scanRound.dist
+// slot for slot: XOR + popcount distances, padding-slot skip, distance
 // filter (dist <= threshold, the PassFail predicate), metadata tag, and
 // the strict pruning-bound drop. Entries are appended to dst ascending
 // by Pos — the order the per-plane merge produces for the same range —

@@ -572,8 +572,8 @@ func (sh *ShardedEngine) BatchLatency(dbID int, sts []QueryStats, perShard [][]Q
 // events of query i. The busiest device bounds the scan side; the tail's
 // resources serialize on the host. With pageMajor set a device runs each
 // shared round in the order pageMajor picks, as it does when it serves
-// the batch; unset, every round query-major — the bill before page-major
-// existed, which the tests hold the first to.
+// the batch; unset, every round query-major, the reference the tests
+// hold the page-major bill to.
 func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]QueryStats, sc Scale, pageMajor bool) (BatchBreakdown, error) {
 	n := len(c.devs)
 	if len(perDev) != n {
