@@ -254,8 +254,8 @@ func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 	if offs[3] != jlBefore {
 		t.Fatalf("compaction journaled at offset %d, want the pre-flight tail %d", offs[3], jlBefore)
 	}
-	if jl[offs[3]] != OpcodeCompact || jl[offs[4]] != OpcodeAppend {
-		t.Fatalf("journal tail opcodes %#x,%#x; want compact,append", jl[offs[3]], jl[offs[4]])
+	if frameOpcode(jl, offs[3]) != OpcodeCompact || frameOpcode(jl, offs[4]) != OpcodeAppend {
+		t.Fatalf("journal tail opcodes %#x,%#x; want compact,append", frameOpcode(jl, offs[3]), frameOpcode(jl, offs[4]))
 	}
 }
 

@@ -160,6 +160,10 @@ func TestJournalReplayAcrossTopologies(t *testing.T) {
 	}
 }
 
+// frameOpcode is the opcode of the record framed at offset off of a
+// journal: the byte after the frame's version and length.
+func frameOpcode(jl []byte, off int) uint8 { return jl[off+5] }
+
 // TestJournalCorruptionDetected: a journal truncated mid-frame, written
 // in another format version, carrying an unknown opcode under a valid
 // checksum, or with any single bit of a frame flipped is rejected by
@@ -214,7 +218,7 @@ func TestJournalCorruptionDetected(t *testing.T) {
 
 	first := -1
 	for i := range offs[:len(offs)-1] {
-		if jl[offs[i]+5] == OpcodeAppend {
+		if frameOpcode(jl, offs[i]) == OpcodeAppend {
 			first = i
 			break
 		}
