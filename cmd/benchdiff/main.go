@@ -1,165 +1,101 @@
 // Command benchdiff is the CI benchmark regression gate: it compares a
 // freshly generated `reisbench -json` report against the committed
 // BENCH_*.json baseline and fails (exit 1) when a deterministic metric
-// regressed:
+// regressed.
 //
-//   - ModelQPS (the timing model's throughput — a pure function of the
-//     bit-identical device stats, so machine-independent) dropping more
-//     than -max-regress percent,
-//   - ModelP99Ms (the SLO gate: modeled p99 latency under the pinned
-//     arrival schedule — deterministic like ModelQPS) increasing by
-//     more than -max-regress percent, or
-//   - AllocsPerOp (the zero-alloc query-path contract) increasing by
-//     more than -allocs-slack — compared only between reports generated
-//     at the same GOMAXPROCS (the pools behind it are per-P; a report
-//     that carries the column at a different setting fails instead), or
-//   - Fig 7/8's normalized REIS columns (SSD1, SSD2 and their QPS/W,
-//     SSD1QPSW and SSD2QPSW) dropping more than -max-regress percent,
-//     like ModelQPS: every one is a paper-figure headline the timing
-//     model moves, or
-//   - any difference at all in the churn sweep's GC counts (CompactedRows,
-//     BlockErases, MaxBlockErase, WriteAmp), or in Fig 7's CPU-Real
-//     columns (CPUQPS, NoIO): the former are event counts of a
-//     deterministic mutation history, the latter the rival's own model,
-//     which no change to the flash engine may move (its DRAM stream floor
-//     binds, so two runs agree to the byte), so there is no tolerance to
-//     allow.
+// What a column means is its role. Each experiment's row type names it
+// once, in the field's `gate` tag (internal/experiments), and reisbench
+// writes the roles beside each section's rows. benchdiff reads them from
+// the baseline section:
 //
-// The remaining latency quantiles (ModelP50Ms, ModelP95Ms,
-// ModelP999Ms) and the frontier latencies are report-only, like the
-// other informational metrics. So is a busy share above 1 on any current
-// row: a note says the batch model's makespan clamp let the row finish
-// before that resource did.
+//   - id: part of the row's identity. Rows are matched on the
+//     experiment id plus every id column.
+//   - drop: a fall of more than -max-regress percent fails. The model
+//     clock's columns are pure functions of the bit-identical device
+//     stats, so they are machine-independent.
+//   - rise: a rise of more than -max-regress percent fails.
+//   - exact: any difference fails. These are event counts of a
+//     deterministic history, or a rival's own model, which no change to
+//     the flash engine may move.
+//   - allocs: a rise of more than -allocs-slack fails. It is compared
+//     only between reports generated at the same GOMAXPROCS: the pools
+//     behind it are per-P, and a report at another setting fails
+//     instead.
+//   - wall: a wall-clock column. A fall past -max-regress fails only
+//     under -wall (shared CI runners make it noisy); otherwise it is a
+//     note.
+//   - busy: report-only, with a note when a value exceeds 1: the batch
+//     model's makespan clamp let the row finish before that resource did.
+//   - report: never compared.
 //
-// Wall-clock metrics (WallQPS, NsPerOp) are reported but not enforced
-// by default — shared CI runners make them noisy; pass -wall to gate
-// on them too (same -max-regress bound).
+// A section is compared only with a baseline section that carries the
+// same roles and was generated at the same -scale. A baseline section
+// without roles, a re-roled column and a cross-scale section each fail
+// with one message.
 //
 // Usage:
 //
 //	go run ./cmd/reisbench -exp throughput -json /tmp/bench.json
-//	go run ./cmd/benchdiff -baseline BENCH_2026-10-03.json -current /tmp/bench.json
+//	go run ./cmd/benchdiff -baseline BENCH_2026-10-17b.json -current /tmp/bench.json
 //
-// Rows are matched by experiment id plus their identity fields
-// (Dataset, Mode, Batch, Depth, Shards, ...). Experiments missing from
-// the current report are skipped, so a partial CI run gates only what it
-// measured — but an experiment both reports carry must match: a baseline
-// row with no counterpart in the current report fails, so a renamed or
-// added identity field cannot un-gate a section silently. Current rows
-// the baseline lacks (a new configuration) are noted, not gated.
+// Experiments missing from the current report are skipped, so a partial
+// CI run gates only what it measured — but an experiment both reports
+// carry must match: a baseline row with no counterpart in the current
+// report fails, so a changed id value cannot un-gate a section silently.
+// Current rows the baseline lacks (a new configuration) are noted, not
+// gated.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 )
 
-// report mirrors reisbench's -json document, with rows kept generic so
-// every experiment's row shape works.
+// section is one experiment of reisbench's -json document, with rows
+// kept generic so every experiment's row shape works.
+type section struct {
+	ID    string            `json:"id"`
+	Scale int               `json:"scale"`
+	Roles map[string]string `json:"roles"`
+	Rows  []map[string]any  `json:"rows"`
+}
+
+// report mirrors reisbench's -json document.
 type report struct {
-	GOMAXPROCS  int `json:"gomaxprocs"`
-	Experiments []struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	} `json:"experiments"`
+	GOMAXPROCS  int       `json:"gomaxprocs"`
+	Experiments []section `json:"experiments"`
 }
 
-// metricFields are enforced or informational; everything else in a row
-// is identity.
-var metricFields = map[string]bool{
-	"WallQPS": true, "ModelQPS": true, "ModelSerialQPS": true,
-	"ModelSpeedup": true, "NsPerOp": true, "AllocsPerOp": true,
-	"BytesPerOp": true, "AvgBatch": true, "Speedup": true,
-	"FinePages": true, "PrunedPages": true, "AbortedWaves": true,
-	"HitRate": true, "CachedPages": true, "BaseFinePages": true,
-	// The skew sweep's per-half speedups (report-only, like Speedup; the
-	// rows' ModelQPS is what gates).
-	"PinsOnly": true, "ResultsOnly": true,
-	// GC wear metrics from the churn experiment (exactFields: gated on
-	// equality).
-	"WriteAmp": true, "MaxBlockErase": true, "CompactedRows": true,
-	"BlockErases": true,
-	// Latency-distribution metrics from the SLO sweep and the tail
-	// columns of qdepth/shards. ModelP99Ms is enforced (increase is a
-	// regression); the rest are report-only.
-	"ModelP50Ms": true, "ModelP95Ms": true, "ModelP99Ms": true,
-	"ModelP999Ms": true, "ArrivalQPS": true, "MeanBatch": true,
-	"MaxBacklog": true,
-	// Frontier metrics (report-only): recall and modeled latency of
-	// the DRAM-side rivals and the flash configurations.
-	"Recall": true, "ServeMs": true, "TotalMs": true,
-	// Where the model clock went (experiments.ModelShares): report-only
-	// attribution, never part of a row's identity.
-	"IBCShare": true, "CoarseShare": true, "FineShare": true,
-	"RerankShare": true, "DocsShare": true, "PlaneBusyShare": true,
-	"ChannelBusyShare": true, "CoreBusyShare": true, "Bottleneck": true,
-	// Fig 7/8 (a row is one Dataset x Mode): CPU-Real's QPS and the
-	// No-I/O, REIS-SSD1 and REIS-SSD2 columns normalized to it.
-	"CPUQPS": true, "NoIO": true, "SSD1": true, "SSD2": true,
-	"SSD1QPSW": true, "SSD2QPSW": true,
-}
-
-// throughputFields are metrics where a *drop* is the regression, gated at
-// -max-regress: the model's QPS and Fig 7/8's normalized REIS columns.
-var throughputFields = []string{"ModelQPS", "SSD1", "SSD2", "SSD1QPSW", "SSD2QPSW"}
-
-// latencyFields are metrics where an *increase* is the regression;
-// only ModelP99Ms — the SLO — is enforced.
-var latencyFields = []struct {
-	name    string
-	enforce bool
-}{
-	{"ModelP99Ms", true},
-	{"ModelP50Ms", false},
-	{"ModelP95Ms", false},
-	{"ModelP999Ms", false},
-	{"ServeMs", false},
-	{"TotalMs", false},
-}
-
-// busyShareFields are the occupancy columns of experiments.ModelShares:
-// each resource's busy time over the row's makespan, which the timing
-// model's clamp to serial execution can push above 1.
-var busyShareFields = []string{"PlaneBusyShare", "ChannelBusyShare", "CoreBusyShare"}
-
-// exactFields are event counts of the mutation path (GC rows collected,
-// blocks erased, erase skew, bytes programmed per payload byte) — pure
-// functions of the command history — and Fig 7's CPU-Real columns, a pure
-// function of the dataset and the query's centroid and candidate counts:
-// any drift is a behaviour change.
-var exactFields = []string{"CompactedRows", "BlockErases", "MaxBlockErase", "WriteAmp", "CPUQPS", "NoIO"}
-
-// rowKey builds the match key of a row: the experiment id plus every
-// identity field, sorted for stability.
-func rowKey(exp string, row map[string]any) string {
+// key builds the match key of a row: the experiment id plus every id
+// column, sorted for stability.
+func (s *section) key(row map[string]any) string {
 	var parts []string
-	for k, v := range row {
-		if metricFields[k] {
-			continue
-		}
-		parts = append(parts, fmt.Sprintf("%s=%v", k, v))
-	}
-	sort.Strings(parts)
-	return exp + "{" + strings.Join(parts, " ") + "}"
-}
-
-func num(row map[string]any, field string) (float64, bool) {
-	v, ok := row[field].(float64)
-	return v, ok
-}
-
-func index(r *report) map[string]map[string]any {
-	idx := make(map[string]map[string]any)
-	for _, e := range r.Experiments {
-		for _, row := range e.Rows {
-			idx[rowKey(e.ID, row)] = row
+	for col, role := range s.Roles {
+		if role == "id" {
+			parts = append(parts, fmt.Sprintf("%s=%v", col, row[col]))
 		}
 	}
-	return idx
+	slices.Sort(parts)
+	return s.ID + "{" + strings.Join(parts, " ") + "}"
+}
+
+// reroled lists the columns whose role differs between two sections.
+func reroled(base, cur map[string]string) []string {
+	all := maps.Clone(base)
+	maps.Copy(all, cur)
+	var cols []string
+	for col := range all {
+		if base[col] != cur[col] {
+			cols = append(cols, fmt.Sprintf("%s %q -> %q", col, base[col], cur[col]))
+		}
+	}
+	slices.Sort(cols)
+	return cols
 }
 
 type options struct {
@@ -171,115 +107,103 @@ type options struct {
 // diff returns the violations (enforced regressions) and notes
 // (informational drift) between the two reports.
 func diff(baseline, current *report, opt options) (violations, notes []string) {
-	base := index(baseline)
-	baseRows := make(map[string][]map[string]any)
-	for _, e := range baseline.Experiments {
-		baseRows[e.ID] = e.Rows
+	bases := make(map[string]*section)
+	for i := range baseline.Experiments {
+		bases[baseline.Experiments[i].ID] = &baseline.Experiments[i]
 	}
 	allocsRefused := false
-	for _, e := range current.Experiments {
-		for _, row := range e.Rows {
-			for _, f := range busyShareFields {
-				if v, ok := num(row, f); ok && v > 1 {
+	for i := range current.Experiments {
+		cur := &current.Experiments[i]
+		cols := slices.Sorted(maps.Keys(cur.Roles))
+		for _, row := range cur.Rows {
+			for _, col := range cols {
+				if v, ok := row[col].(float64); ok && cur.Roles[col] == "busy" && v > 1 {
 					notes = append(notes, fmt.Sprintf(
 						"%s: %s %.3f > 1 — the makespan, clamped to serial execution, ends before this resource's occupancy does (report-only)",
-						rowKey(e.ID, row), f, v))
+						cur.key(row), col, v))
 				}
 			}
 		}
-		if _, ok := baseRows[e.ID]; !ok {
+		base, ok := bases[cur.ID]
+		switch {
+		case !ok:
 			// A whole experiment section the baseline predates: one
 			// report-only note, not an error (and not one note per row) —
 			// the next baseline refresh starts gating it.
 			notes = append(notes, fmt.Sprintf(
 				"%s: experiment absent from baseline (%d rows not gated; refresh the baseline to gate it)",
-				e.ID, len(e.Rows)))
+				cur.ID, len(cur.Rows)))
+			continue
+		case base.Roles == nil:
+			violations = append(violations, fmt.Sprintf(
+				"%s: the baseline section carries no column roles — regenerate the baseline with the current reisbench",
+				cur.ID))
+			continue
+		case !maps.Equal(base.Roles, cur.Roles):
+			violations = append(violations, fmt.Sprintf(
+				"%s: column roles differ from the baseline's (%s) — a re-roled column is not comparable; regenerate the baseline",
+				cur.ID, strings.Join(reroled(base.Roles, cur.Roles), ", ")))
+			continue
+		case base.Scale != cur.Scale:
+			violations = append(violations, fmt.Sprintf(
+				"%s: baseline generated at -scale %d, current at -scale %d — rows at different scales are not comparable; regenerate at -scale %d",
+				cur.ID, base.Scale, cur.Scale, base.Scale))
 			continue
 		}
-		matched := make(map[string]bool, len(e.Rows))
-		for _, row := range e.Rows {
-			key := rowKey(e.ID, row)
-			b, ok := base[key]
+		baseRows := make(map[string]map[string]any, len(base.Rows))
+		for _, row := range base.Rows {
+			baseRows[base.key(row)] = row
+		}
+		matched := make(map[string]bool, len(cur.Rows))
+		for _, row := range cur.Rows {
+			key := base.key(row)
+			b, ok := baseRows[key]
 			if !ok {
 				notes = append(notes, fmt.Sprintf("%s: no baseline row (new configuration?)", key))
 				continue
 			}
 			matched[key] = true
-			check := func(field string, enforce bool) {
-				cv, ok1 := num(row, field)
-				bv, ok2 := num(b, field)
-				if !ok1 || !ok2 || bv <= 0 {
-					return
+			for _, col := range cols {
+				cv, ok1 := row[col].(float64)
+				bv, ok2 := b[col].(float64)
+				if !ok1 || !ok2 {
+					continue
 				}
-				dropPct := (bv - cv) / bv * 100
-				if dropPct > opt.maxRegressPct {
-					msg := fmt.Sprintf("%s: %s %.1f -> %.1f (-%.1f%%, limit %.0f%%)",
-						key, field, bv, cv, dropPct, opt.maxRegressPct)
-					if enforce {
-						violations = append(violations, msg)
-					} else {
-						notes = append(notes, msg)
-					}
-				}
-			}
-			// Latency direction: the SLO gate fires when a quantile
-			// *rises* past the bound (mirroring the ModelQPS drop gate).
-			checkRise := func(field string, enforce bool) {
-				cv, ok1 := num(row, field)
-				bv, ok2 := num(b, field)
-				if !ok1 || !ok2 || bv <= 0 {
-					return
-				}
-				risePct := (cv - bv) / bv * 100
-				if risePct > opt.maxRegressPct {
-					msg := fmt.Sprintf("%s: %s %.3f -> %.3f (+%.1f%%, limit %.0f%%) — tail-latency regression",
-						key, field, bv, cv, risePct, opt.maxRegressPct)
-					if enforce {
-						violations = append(violations, msg)
-					} else {
-						notes = append(notes, msg)
-					}
-				}
-			}
-			for _, f := range throughputFields {
-				check(f, true)
-			}
-			check("WallQPS", opt.gateWall)
-			for _, lf := range latencyFields {
-				checkRise(lf.name, lf.enforce)
-			}
-			for _, f := range exactFields {
-				cv, ok1 := num(row, f)
-				bv, ok2 := num(b, f)
-				if ok1 && ok2 && cv != bv {
+				fall, rise := (bv-cv)/bv*100, (cv-bv)/bv*100
+				switch role := cur.Roles[col]; {
+				case role == "exact" && cv != bv:
 					violations = append(violations, fmt.Sprintf(
-						"%s: %s %v -> %v — deterministic (GC event counts, the CPU-Real model); any difference is a behaviour change",
-						key, f, bv, cv))
+						"%s: %s %v -> %v — an exact column: any difference is a behaviour change", key, col, bv, cv))
+				case role == "allocs" && baseline.GOMAXPROCS != current.GOMAXPROCS:
+					allocsRefused = true
+				case role == "allocs" && cv > bv+opt.allocsSlack:
+					violations = append(violations, fmt.Sprintf(
+						"%s: %s %.3f -> %.3f (+%.3f, slack %.3f) — zero-alloc path regression",
+						key, col, bv, cv, cv-bv, opt.allocsSlack))
+				case bv <= 0:
+				case (role == "drop" || role == "wall") && fall > opt.maxRegressPct:
+					msg := fmt.Sprintf("%s: %s %.4g -> %.4g (-%.1f%%, limit %.0f%%)", key, col, bv, cv, fall, opt.maxRegressPct)
+					if role == "drop" || opt.gateWall {
+						violations = append(violations, msg)
+					} else {
+						notes = append(notes, msg)
+					}
+				case role == "rise" && rise > opt.maxRegressPct:
+					violations = append(violations, fmt.Sprintf(
+						"%s: %s %.4g -> %.4g (+%.1f%%, limit %.0f%%)", key, col, bv, cv, rise, opt.maxRegressPct))
 				}
-			}
-			ca, ok1 := num(row, "AllocsPerOp")
-			ba, ok2 := num(b, "AllocsPerOp")
-			switch {
-			case !ok1 || !ok2:
-			case baseline.GOMAXPROCS != current.GOMAXPROCS:
-				allocsRefused = true
-			case ca > ba+opt.allocsSlack:
-				violations = append(violations, fmt.Sprintf(
-					"%s: AllocsPerOp %.3f -> %.3f (+%.3f, slack %.3f) — zero-alloc path regression",
-					key, ba, ca, ca-ba, opt.allocsSlack))
 			}
 		}
-		// A section both reports carry must actually be compared: rows
-		// are matched on every non-metric field, so one renamed or added
-		// identity field would otherwise un-gate all of it silently.
+		// A section both reports carry must actually be compared: one
+		// changed id value would otherwise un-gate all of it silently.
 		if len(matched) == 0 {
 			violations = append(violations, fmt.Sprintf(
-				"%s: none of the %d current rows matches any of the %d baseline rows — nothing was gated (did an identity field change?)",
-				e.ID, len(e.Rows), len(baseRows[e.ID])))
+				"%s: none of the %d current rows matches any of the %d baseline rows — nothing was gated (did an id column change?)",
+				cur.ID, len(cur.Rows), len(base.Rows)))
 			continue
 		}
-		for _, row := range baseRows[e.ID] {
-			if key := rowKey(e.ID, row); !matched[key] {
+		for _, row := range base.Rows {
+			if key := base.key(row); !matched[key] {
 				violations = append(violations, fmt.Sprintf(
 					"%s: baseline row has no counterpart in the current report — it is not being gated", key))
 			}
@@ -338,7 +262,7 @@ func main() {
 		for _, v := range violations {
 			fmt.Println("FAIL:", v)
 		}
-		fmt.Printf("benchdiff: %d regression(s) against %s\n", len(violations), *baseline)
+		fmt.Printf("benchdiff: %d failure(s) against %s\n", len(violations), *baseline)
 		os.Exit(1)
 	}
 	fmt.Printf("benchdiff: no regressions against %s\n", *baseline)

@@ -1,22 +1,28 @@
 package main
 
 import (
+	"maps"
 	"strings"
 	"testing"
 )
 
+// sec builds a section generated at -scale 16.
+func sec(id string, roles map[string]string, rows ...map[string]any) section {
+	return section{ID: id, Scale: 16, Roles: roles, Rows: rows}
+}
+
+// throughputRoles are the roles of mkReport's columns.
+var throughputRoles = map[string]string{
+	"Dataset": "id", "Mode": "id", "Batch": "id",
+	"ModelQPS": "drop", "WallQPS": "wall", "AllocsPerOp": "allocs",
+	"PlaneBusyShare": "busy", "ChannelBusyShare": "busy", "CoreBusyShare": "busy",
+}
+
 func mkReport(modelQPS, wallQPS, allocs float64) *report {
-	var r report
-	r.Experiments = []struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	}{
-		{ID: "throughput", Rows: []map[string]any{{
-			"Dataset": "NQ", "Mode": "IVF@np2", "Batch": float64(8),
-			"ModelQPS": modelQPS, "WallQPS": wallQPS, "AllocsPerOp": allocs,
-		}}},
-	}
-	return &r
+	return &report{Experiments: []section{sec("throughput", throughputRoles, map[string]any{
+		"Dataset": "NQ", "Mode": "IVF@np2", "Batch": float64(8),
+		"ModelQPS": modelQPS, "WallQPS": wallQPS, "AllocsPerOp": allocs,
+	})}}
 }
 
 func TestDiffPassesWithinTolerance(t *testing.T) {
@@ -76,8 +82,8 @@ func TestDiffSkipsUnmatchedRows(t *testing.T) {
 
 // TestDiffFailsOnUngatedBaselineRows: a section both reports carry must
 // be compared row for row. A baseline row with no counterpart fails, and
-// so does a section where nothing matched — which is what renaming or
-// adding one identity field does to every row at once.
+// so does a section where nothing matched — which is what changing one
+// id column's values does to every row at once.
 func TestDiffFailsOnUngatedBaselineRows(t *testing.T) {
 	base := mkReport(1000, 2000, 24.5)
 	second := map[string]any{
@@ -90,9 +96,9 @@ func TestDiffFailsOnUngatedBaselineRows(t *testing.T) {
 	if len(v) != 1 || !strings.Contains(v[0], "Batch=1") || !strings.Contains(v[0], "no counterpart") {
 		t.Fatalf("missing baseline row not flagged: %v", v)
 	}
-	// Every current row grew an identity field: nothing matches.
+	// Every current row's Mode changed: nothing matches.
 	cur := mkReport(1000, 2000, 24.5)
-	cur.Experiments[0].Rows[0]["Topology"] = "1x"
+	cur.Experiments[0].Rows[0]["Mode"] = "IVF@np4"
 	v, _ = diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "none of the 1 current rows") {
 		t.Fatalf("fully unmatched section not flagged: %v", v)
@@ -135,6 +141,11 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 	// gate, and the skew metrics (HitRate, CachedPages, Speedup, ...)
 	// must be treated as metrics, not identity: a skew row whose
 	// baseline row exists matches on {Dataset, Device, S, Budget} alone.
+	skewRoles := map[string]string{
+		"Dataset": "id", "Device": "id", "S": "id", "Budget": "id", "ModelQPS": "drop",
+		"HitRate": "report", "FinePages": "report", "CachedPages": "report", "BaseFinePages": "report",
+		"Speedup": "report", "PinsOnly": "report", "ResultsOnly": "report",
+	}
 	base := mkReport(1000, 2000, 24.5)
 	cur := mkReport(1000, 2000, 24.5)
 	skewRow := func(qps, hitRate, cached float64) map[string]any {
@@ -145,10 +156,7 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 			"PinsOnly": 1 + cached/50, "ResultsOnly": 1 + hitRate,
 		}
 	}
-	cur.Experiments = append(cur.Experiments, struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	}{ID: "skew", Rows: []map[string]any{skewRow(1800, 0.5, 7)}})
+	cur.Experiments = append(cur.Experiments, sec("skew", skewRoles, skewRow(1800, 0.5, 7)))
 	v, notes := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("skew section absent from baseline must not violate: %v", v)
@@ -160,10 +168,7 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 	// Once the baseline has the section, metric drift must not break
 	// row matching (metrics excluded from the key) and a ModelQPS
 	// regression must gate.
-	base.Experiments = append(base.Experiments, struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	}{ID: "skew", Rows: []map[string]any{skewRow(1800, 0.6, 8)}})
+	base.Experiments = append(base.Experiments, sec("skew", skewRoles, skewRow(1800, 0.6, 8)))
 	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("metric drift broke skew row matching: %v", v)
 	}
@@ -176,20 +181,18 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 
 // sloReport builds a report with one slo-sweep row at the given p99.
 func sloReport(p99 float64) *report {
-	var r report
-	r.Experiments = []struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	}{
-		{ID: "slo", Rows: []map[string]any{{
-			"Dataset": "NQ", "Mode": "IVF@np2", "Shards": float64(1),
-			"Depth": float64(8), "Load": "0.80",
-			"ArrivalQPS": 800.0, "ModelQPS": 1000.0,
-			"ModelP50Ms": 1.0, "ModelP95Ms": 2.0, "ModelP99Ms": p99,
-			"ModelP999Ms": p99 * 1.5, "MeanBatch": 2.5, "MaxBacklog": float64(6),
-		}}},
+	roles := map[string]string{
+		"Dataset": "id", "Mode": "id", "Shards": "id", "Depth": "id", "Load": "id",
+		"ArrivalQPS": "report", "ModelQPS": "drop", "ModelP50Ms": "report", "ModelP95Ms": "report",
+		"ModelP99Ms": "rise", "ModelP999Ms": "report", "MeanBatch": "report", "MaxBacklog": "report",
 	}
-	return &r
+	return &report{Experiments: []section{sec("slo", roles, map[string]any{
+		"Dataset": "NQ", "Mode": "IVF@np2", "Shards": float64(1),
+		"Depth": float64(8), "Load": "0.80",
+		"ArrivalQPS": 800.0, "ModelQPS": 1000.0,
+		"ModelP50Ms": 1.0, "ModelP95Ms": 2.0, "ModelP99Ms": p99,
+		"ModelP999Ms": p99 * 1.5, "MeanBatch": 2.5, "MaxBacklog": float64(6),
+	})}}
 }
 
 // TestDiffSLOGateCatchesP99Regression pins the SLO gate: a p99 rise
@@ -209,14 +212,14 @@ func TestDiffSLOGateCatchesP99Regression(t *testing.T) {
 	if v, _ := diff(base, sloReport(2), options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("p99 improvement violated: %v", v)
 	}
-	// Report-only quantiles note but never violate.
+	// Report-only quantiles are never compared.
 	cur := sloReport(10)
 	cur.Experiments[0].Rows[0]["ModelP999Ms"] = 100.0
 	v, notes := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("report-only quantile violated: %v", v)
 	}
-	if len(notes) != 1 || !strings.Contains(notes[0], "ModelP999Ms") {
+	if len(notes) != 0 {
 		t.Fatalf("notes: %v", notes)
 	}
 }
@@ -240,14 +243,12 @@ func TestDiffSLOSectionAbsentFromBaseline(t *testing.T) {
 func TestDiffNotesMissingExperimentOnce(t *testing.T) {
 	base := mkReport(1000, 2000, 24.5)
 	cur := mkReport(1000, 2000, 24.5)
-	cur.Experiments = append(cur.Experiments, struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	}{ID: "prune", Rows: []map[string]any{
-		{"Dataset": "NQ", "Mode": "base", "K": float64(10), "ModelQPS": 900.0},
-		{"Dataset": "NQ", "Mode": "prune", "K": float64(10), "ModelQPS": 1800.0},
-		{"Dataset": "NQ", "Mode": "prune", "K": float64(100), "ModelQPS": 1500.0},
-	}})
+	cur.Experiments = append(cur.Experiments, sec("prune",
+		map[string]string{"Dataset": "id", "Mode": "id", "K": "id", "ModelQPS": "drop"},
+		map[string]any{"Dataset": "NQ", "Mode": "base", "K": float64(10), "ModelQPS": 900.0},
+		map[string]any{"Dataset": "NQ", "Mode": "prune", "K": float64(10), "ModelQPS": 1800.0},
+		map[string]any{"Dataset": "NQ", "Mode": "prune", "K": float64(100), "ModelQPS": 1500.0},
+	))
 	v, notes := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("a baseline-less experiment must not violate: %v", v)
@@ -262,16 +263,15 @@ func TestDiffNotesMissingExperimentOnce(t *testing.T) {
 // fail on any difference, in either direction — one fewer erase is as
 // much a behaviour change as one more — while identical rows pass.
 func TestDiffChurnCountsGateOnEquality(t *testing.T) {
+	roles := map[string]string{
+		"Dataset": "id", "Placement": "id", "Rounds": "id", "Batch": "id",
+		"CompactedRows": "exact", "BlockErases": "exact", "MaxBlockErase": "exact", "WriteAmp": "exact",
+	}
 	mk := func(rows, erases, maxErase, writeAmp float64) *report {
-		var r report
-		r.Experiments = []struct {
-			ID   string           `json:"id"`
-			Rows []map[string]any `json:"rows"`
-		}{{ID: "churn", Rows: []map[string]any{{
+		return &report{Experiments: []section{sec("churn", roles, map[string]any{
 			"Dataset": "churn", "Placement": "wear-leveled", "Rounds": float64(20), "Batch": float64(63),
 			"CompactedRows": rows, "BlockErases": erases, "MaxBlockErase": maxErase, "WriteAmp": writeAmp,
-		}}}}
-		return &r
+		})}}
 	}
 	base := mk(46, 92, 2, 1.6981119465329992)
 	if v, _ := diff(base, mk(46, 92, 2, 1.6981119465329992), options{maxRegressPct: 25}); len(v) != 0 {
@@ -299,10 +299,9 @@ func TestDiffNotesBusyShareAboveOne(t *testing.T) {
 	cur := mkReport(1000, 2000, 24.5)
 	row := cur.Experiments[0].Rows[0]
 	row["PlaneBusyShare"], row["ChannelBusyShare"], row["CoreBusyShare"] = 1.031, 0.9, 1.0
-	cur.Experiments = append(cur.Experiments, struct {
-		ID   string           `json:"id"`
-		Rows []map[string]any `json:"rows"`
-	}{ID: "prune", Rows: []map[string]any{{"Mode": "base", "ModelQPS": 1.0, "CoreBusyShare": 1.013}}})
+	cur.Experiments = append(cur.Experiments, sec("prune",
+		map[string]string{"Mode": "id", "ModelQPS": "drop", "CoreBusyShare": "busy"},
+		map[string]any{"Mode": "base", "ModelQPS": 1.0, "CoreBusyShare": 1.013}))
 	v, notes := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("violations: %v", v)
@@ -323,16 +322,15 @@ func TestDiffNotesBusyShareAboveOne(t *testing.T) {
 // The REIS columns gate on a drop like ModelQPS, the CPU-Real columns on
 // any difference, and a rise in a REIS column passes.
 func TestDiffFig7Gates(t *testing.T) {
+	roles := map[string]string{
+		"Dataset": "id", "Mode": "id", "CPUQPS": "exact", "NoIO": "exact",
+		"SSD1": "drop", "SSD2": "drop", "SSD1QPSW": "drop", "SSD2QPSW": "drop",
+	}
 	mk := func(cpu, noio, ssd1, ssd2, w1, w2 float64) *report {
-		var r report
-		r.Experiments = []struct {
-			ID   string           `json:"id"`
-			Rows []map[string]any `json:"rows"`
-		}{{ID: "fig7", Rows: []map[string]any{{
+		return &report{Experiments: []section{sec("fig7", roles, map[string]any{
 			"Dataset": "NQ", "Mode": "IVF@0.98", "CPUQPS": cpu, "NoIO": noio,
 			"SSD1": ssd1, "SSD2": ssd2, "SSD1QPSW": w1, "SSD2QPSW": w2,
-		}}}}
-		return &r
+		})}}
 	}
 	base := mk(365.64, 13.81, 3.33, 4.79, 45.48, 48.29)
 	if v, notes := diff(base, mk(365.64, 13.81, 4.5, 6.1, 60, 62), options{maxRegressPct: 25}); len(v) != 0 || len(notes) != 0 {
@@ -350,5 +348,50 @@ func TestDiffFig7Gates(t *testing.T) {
 		if len(v) != 1 || !strings.Contains(v[0], field+" ") || !strings.Contains(v[0], "fig7{Dataset=NQ Mode=IVF@0.98}") {
 			t.Fatalf("%s drift: violations %v", field, v)
 		}
+	}
+}
+
+// TestDiffRefusesCrossScaleSection: rows generated at different -scale
+// values are different workloads, so a section whose scale differs from
+// the baseline's is refused with one message, whatever its rows say —
+// not reported as one "regression" per drifted column.
+func TestDiffRefusesCrossScaleSection(t *testing.T) {
+	base, cur := mkReport(1000, 2000, 24.5), mkReport(500, 2000, 30)
+	base.Experiments[0].Scale = 32
+	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	if len(v) != 1 || !strings.Contains(v[0], "-scale 32, current at -scale 16") {
+		t.Fatalf("cross-scale section not refused once: %v", v)
+	}
+}
+
+// TestDiffRefusesReroledColumn: a column whose role differs from the
+// baseline's would be compared under the wrong rule (or drop out of the
+// row key), so its section is refused, naming the column.
+func TestDiffRefusesReroledColumn(t *testing.T) {
+	base, cur := mkReport(1000, 2000, 24.5), mkReport(500, 2000, 24.5)
+	cur.Experiments[0].Roles = maps.Clone(throughputRoles)
+	cur.Experiments[0].Roles["ModelQPS"] = "report"
+	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	if len(v) != 1 || !strings.Contains(v[0], `ModelQPS "drop" -> "report"`) {
+		t.Fatalf("re-roled column not refused: %v", v)
+	}
+	// A column added to the row type changes the roles too.
+	cur = mkReport(1000, 2000, 24.5)
+	cur.Experiments[0].Roles = maps.Clone(throughputRoles)
+	cur.Experiments[0].Roles["Topology"] = "id"
+	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 1 || !strings.Contains(v[0], `Topology "" -> "id"`) {
+		t.Fatalf("added column not refused: %v", v)
+	}
+}
+
+// TestDiffRefusesRolelessBaseline: a baseline written before sections
+// carried roles cannot say which columns are identity, so every section
+// it shares with the current report is refused.
+func TestDiffRefusesRolelessBaseline(t *testing.T) {
+	base := mkReport(1000, 2000, 24.5)
+	base.Experiments[0].Roles = nil
+	v, _ := diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25})
+	if len(v) != 1 || !strings.Contains(v[0], "carries no column roles") {
+		t.Fatalf("role-less baseline not refused: %v", v)
 	}
 }

@@ -15,15 +15,19 @@
 //	reisbench -exp throughput -json /tmp/bench.json
 //
 // The -json report carries every experiment's rows (for throughput:
-// QPS, ns/op and allocs/op per batch size), starting the repository's
-// BENCH_*.json performance trajectory.
+// QPS, ns/op and allocs/op per batch size), the -scale they were
+// generated at, and each column's gate role, read from the row type's
+// `gate` tags: the repository's BENCH_*.json baselines, which
+// cmd/benchdiff gates against.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"slices"
@@ -35,16 +39,17 @@ import (
 
 // jsonExperiment is one experiment's machine-readable result.
 type jsonExperiment struct {
-	ID        string  `json:"id"`
-	ElapsedMS float64 `json:"elapsed_ms"`
-	Rows      any     `json:"rows"`
+	ID        string            `json:"id"`
+	ElapsedMS float64           `json:"elapsed_ms"`
+	Scale     int               `json:"scale"`
+	Roles     map[string]string `json:"roles"`
+	Rows      any               `json:"rows"`
 }
 
 // jsonReport is the top-level -json document.
 type jsonReport struct {
 	Tool        string           `json:"tool"`
 	GeneratedAt string           `json:"generated_at"`
-	Scale       int              `json:"scale"`
 	GOMAXPROCS  int              `json:"gomaxprocs"`
 	Experiments []jsonExperiment `json:"experiments"`
 }
@@ -63,6 +68,9 @@ func realMain() error {
 	var help strings.Builder
 	help.WriteString("comma-separated experiment ids, or all:")
 	for _, e := range experimentTable {
+		if e.err != nil {
+			return fmt.Errorf("%s: %w", e.id, e.err)
+		}
 		fmt.Fprintf(&help, "\n  %-10s %s", strings.Join(append([]string{e.id}, e.aliases...), "|"), e.about)
 	}
 	exp := flag.String("exp", "all", help.String())
@@ -91,7 +99,6 @@ func realMain() error {
 	report := jsonReport{
 		Tool:        "reisbench",
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),
-		Scale:       *scale,
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 	for _, e := range exps {
@@ -102,7 +109,8 @@ func realMain() error {
 		}
 		elapsed := time.Since(start)
 		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID: e.id, ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6, Rows: rows,
+			ID: e.id, ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6,
+			Scale: *scale, Roles: e.roles, Rows: rows,
 		})
 		fmt.Printf("[%s completed in %v]\n\n", e.id, elapsed.Round(time.Millisecond))
 	}
@@ -133,25 +141,73 @@ func realMain() error {
 
 // experiment is one row of the experiment table: the id it is addressed
 // by, the other paper artifacts the same run reproduces, what it
-// measures (the -exp help line), and the run itself, which prints the
-// experiment's table and returns its rows for the -json report.
+// measures (the -exp help line), and its sweep.
 type experiment struct {
 	id      string
 	aliases []string
 	about   string
-	run     func(scale int) (any, error)
+	sweep
 }
 
-// of builds an experiment's run from its runner and its formatter.
-func of[R any](run func(scale int) (R, error), format func(R) string) func(int) (any, error) {
-	return func(scale int) (any, error) {
+// sweep is an experiment's run, which prints its table and returns its
+// rows for the -json report, and the gate role of each row column. err
+// is set when a column has none: reisbench then refuses to run.
+type sweep struct {
+	run   func(scale int) (any, error)
+	roles map[string]string
+	err   error
+}
+
+// of builds a sweep from its runner and its formatter, and the roles
+// from the row type R.
+func of[R any](run func(scale int) ([]R, error), format func([]R) string) sweep {
+	roles, err := rolesOf(reflect.TypeFor[R]())
+	return sweep{func(scale int) (any, error) {
 		rows, err := run(scale)
 		if err != nil {
 			return nil, err
 		}
 		fmt.Print(format(rows))
 		return rows, nil
+	}, roles, err}
+}
+
+// gateRoles are the roles a row field's `gate` tag may name; what each
+// one gates is cmd/benchdiff's to say.
+var gateRoles = []string{"id", "drop", "rise", "exact", "allocs", "wall", "busy", "report"}
+
+// rolesOf maps each -json column of row type t to the role its field's
+// `gate` tag names, walking embedded structs. A field with no role or an
+// unknown one is an error, and so is a -json key that is not a field's
+// name.
+func rolesOf(t reflect.Type) (map[string]string, error) {
+	roles := map[string]string{}
+	if err := addRoles(roles, t); err != nil {
+		return nil, err
 	}
+	var keys map[string]any
+	data, err := json.Marshal(reflect.New(t).Interface())
+	if err == nil && json.Unmarshal(data, &keys) == nil && maps.EqualFunc(keys, roles, func(any, string) bool { return true }) {
+		return roles, nil
+	}
+	return nil, fmt.Errorf("%s: -json keys %v are not its tagged fields %v", t, slices.Sorted(maps.Keys(keys)), slices.Sorted(maps.Keys(roles)))
+}
+
+// addRoles adds the roles of struct type t's fields to roles.
+func addRoles(roles map[string]string, t reflect.Type) error {
+	for i := range t.NumField() {
+		f := t.Field(i)
+		if f.Anonymous {
+			if err := addRoles(roles, f.Type); err != nil {
+				return err
+			}
+			continue
+		}
+		if roles[f.Name] = f.Tag.Get("gate"); !slices.Contains(gateRoles, roles[f.Name]) {
+			return fmt.Errorf("%s.%s: gate role %q is none of %v", t, f.Name, roles[f.Name], gateRoles)
+		}
+	}
+	return nil
 }
 
 // experimentTable lists every experiment, in the order `-exp all` runs

@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"maps"
+	"reflect"
+	"slices"
+	"testing"
+)
 
 // TestResolve pins the one table every id list is derived from: `all`
 // is the table itself, every id and alias resolves to its own row, no
@@ -36,6 +41,52 @@ func TestResolve(t *testing.T) {
 	for _, bad := range []string{"replicas", "throughput,nope", ""} {
 		if _, err := resolve(bad); err == nil {
 			t.Errorf("resolve(%q) succeeded", bad)
+		}
+	}
+}
+
+// TestEveryRowColumnHasOneRole: every column an experiment writes to
+// -json carries exactly one known gate role, read from its row type's
+// `gate` tags, and every section has an identity. rolesOf refuses a
+// field with no role, a role benchdiff does not know, and a -json key
+// that no tagged field stands behind.
+func TestEveryRowColumnHasOneRole(t *testing.T) {
+	for _, e := range experimentTable {
+		if e.err != nil {
+			t.Errorf("%s: %v", e.id, e.err)
+			continue
+		}
+		if !slices.Contains(slices.Collect(maps.Values(e.roles)), "id") {
+			t.Errorf("%s: no id column in %v", e.id, e.roles)
+		}
+	}
+	type embedded struct {
+		Share float64 `gate:"busy"`
+	}
+	type good struct {
+		Dataset string  `gate:"id"`
+		QPS     float64 `gate:"drop"`
+		embedded
+	}
+	roles, err := rolesOf(reflect.TypeFor[good]())
+	if want := map[string]string{"Dataset": "id", "QPS": "drop", "Share": "busy"}; err != nil || !maps.Equal(roles, want) {
+		t.Errorf("rolesOf(good) = %v, %v; want %v", roles, err, want)
+	}
+	type untagged struct {
+		Dataset string `gate:"id"`
+		QPS     float64
+	}
+	type unknown struct {
+		Dataset string  `gate:"id"`
+		QPS     float64 `gate:"gated"`
+	}
+	type renamed struct {
+		Dataset string  `gate:"id"`
+		QPS     float64 `gate:"drop" json:"qps"`
+	}
+	for _, typ := range []reflect.Type{reflect.TypeFor[untagged](), reflect.TypeFor[unknown](), reflect.TypeFor[renamed]()} {
+		if roles, err := rolesOf(typ); err == nil {
+			t.Errorf("rolesOf(%s) = %v, want an error", typ, roles)
 		}
 	}
 }

@@ -41,13 +41,13 @@ var exportAllowlist = map[string]string{
 }
 
 // TestInternalExportsHaveCallers fails when an exported function,
-// method, package-level type or package-level var declared under
-// internal/ is named nowhere outside its own declaration in a non-test
-// file of this module or of benchmark/. Only those two can import
-// internal/, so such a name has no caller and is dead surface. It also
-// fails when an exported var other than a sentinel error (Err...) is
-// named only inside its own package: nothing else reads it, so it needs
-// no export. Matching is by identifier name with no type checking, so it
+// method, package-level type, var or const declared under internal/ is
+// named nowhere outside its own declaration in a non-test file of this
+// module or of benchmark/. Only those two can import internal/, so such
+// a name has no caller and is dead surface. It also fails when an
+// exported var or const other than a sentinel error (Err...) is named
+// only inside its own package: nothing else reads it, so it needs no
+// export. Matching is by identifier name with no type checking, so it
 // is a floor: a dead method that shares its name with a live one (a
 // second Search, say) passes.
 func TestInternalExportsHaveCallers(t *testing.T) {
@@ -57,7 +57,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 	usedIn := map[string]map[string]bool{}
 	type decl struct {
 		key, name, dir string
-		ownPkgOnly     bool // an exported var: must be named outside its package
+		ownPkgOnly     bool // an exported var or const: must be named outside its package
 	}
 	var decls []decl
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -110,9 +110,6 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 					case *ast.TypeSpec:
 						declare(sp.Name, f.Name.Name+"."+sp.Name.Name, false)
 					case *ast.ValueSpec:
-						if dd.Tok != token.VAR {
-							continue
-						}
 						for _, id := range sp.Names {
 							declare(id, f.Name.Name+"."+id.Name, !strings.HasPrefix(id.Name, "Err"))
 						}
@@ -147,7 +144,7 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 		case len(users) == 0:
 			dead = append(dead, d.key+": exported under internal/ but no program names it; delete it or add it to exportAllowlist with a reason")
 		case d.ownPkgOnly && len(users) == 1 && users[d.dir]:
-			dead = append(dead, d.key+": exported var that only its own package reads; unexport it")
+			dead = append(dead, d.key+": exported var or const that only its own package reads; unexport it")
 		}
 	}
 	sort.Strings(dead)

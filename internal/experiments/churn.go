@@ -26,17 +26,18 @@ import (
 
 // ChurnRow is one placement policy's wear outcome.
 type ChurnRow struct {
-	Dataset   string
-	Placement string // "wear-leveled" or "first-fit"
-	Rounds    int
-	Batch     int
+	Dataset   string `gate:"id"`
+	Placement string `gate:"id"` // "wear-leveled" or "first-fit"
+	Rounds    int    `gate:"id"`
+	Batch     int    `gate:"id"`
 	// CompactedRows / BlockErases accumulate over every round's
 	// compaction; MaxBlockErase is the device maximum after the run.
-	CompactedRows float64
-	BlockErases   float64
-	MaxBlockErase float64
+	// All four are event counts of a deterministic mutation history.
+	CompactedRows float64 `gate:"exact"`
+	BlockErases   float64 `gate:"exact"`
+	MaxBlockErase float64 `gate:"exact"`
 	// WriteAmp is cumulative flash bytes programmed / payload bytes.
-	WriteAmp float64
+	WriteAmp float64 `gate:"exact"`
 }
 
 const (

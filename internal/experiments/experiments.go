@@ -10,6 +10,12 @@
 // coarse scale = paper nlist / functional nlist). Normalized results —
 // who wins and by roughly what factor — are the reproduction target,
 // not absolute QPS.
+//
+// Every field of a row type carries a `gate` tag naming its role in the
+// benchmark gate, cmd/benchdiff: id (part of the row's identity), drop
+// (a fall fails), rise (a rise fails), exact (any difference fails),
+// allocs, wall, busy or report. cmd/reisbench writes the roles beside
+// the rows, and benchdiff reads them from the baseline.
 package experiments
 
 import (
@@ -22,15 +28,15 @@ import (
 	"reis/internal/reis"
 )
 
-// PaperNList is the cluster count the paper uses for its IVF indexes
+// paperNList is the cluster count the paper uses for its IVF indexes
 // (Fig 5: nlist = 16384).
-const PaperNList = 16384
+const paperNList = 16384
 
-// QueryBatch is the number of queries a retrieval session serves
+// queryBatch is the number of queries a retrieval session serves
 // before the dataset is evicted; CPU-Real amortizes dataset loading
 // over this batch (Sec 3.2 discusses why batching cannot grow without
 // bound across domain-specific databases).
-const QueryBatch = 1000
+const queryBatch = 1000
 
 // SurvivorRate is the full-scale distance-filter pass rate (the paper
 // filters ~99% of candidates, Sec 4.3.3).
@@ -76,7 +82,7 @@ func LoadWorkload(name string, scale int) *Workload {
 	cents, assign := ann.KMeans(data.Vectors, ann.KMeansConfig{
 		K: nlist, Seed: 0x1df, SampleLimit: 8192,
 	})
-	paperCluster := float64(desc.PaperEntries) / float64(PaperNList)
+	paperCluster := float64(desc.PaperEntries) / float64(paperNList)
 	ourCluster := float64(data.Len()) / float64(len(cents))
 	return &Workload{
 		Name:         name,
@@ -85,7 +91,7 @@ func LoadWorkload(name string, scale int) *Workload {
 		Centroids:    cents,
 		Assign:       assign,
 		ScaleFine:    float64(desc.PaperEntries) / float64(data.Len()),
-		ScaleCoarse:  float64(PaperNList) / float64(len(cents)),
+		ScaleCoarse:  float64(paperNList) / float64(len(cents)),
 		ClusterRatio: paperCluster / ourCluster,
 	}
 }
@@ -130,14 +136,14 @@ func docSlot(d *dataset.Dataset) int {
 }
 
 // CPUQPS returns the Fig 7 CPU-Real throughput for this workload:
-// BQ dataset loading at paper size amortized over QueryBatch queries,
+// BQ dataset loading at paper size amortized over queryBatch queries,
 // plus the per-query BQ scan of `candidates` full-scale candidates.
 func CPUQPS(b *host.Baseline, w *Workload, candidates float64, coarse float64) float64 {
 	bytes := host.DatasetBytesBQ(int(w.PaperN()), w.Data.Dim, w.Desc.DocBytes)
 	load := b.LoadSeconds(bytes, true)
 	search := b.ScanSecondsBQ(int(candidates), w.Data.Dim, 100) +
 		b.ScanSecondsF32(int(coarse), w.Data.Dim)
-	return b.QPS(QueryBatch, load, search)
+	return b.QPS(queryBatch, load, search)
 }
 
 // rivalCoarse returns the paper-scale centroid count a CPU or ICE scores

@@ -329,7 +329,7 @@ func TestRunSkewCachingWins(t *testing.T) {
 	// One skew point at two budgets keeps the test light; RunSkew
 	// re-checks the page-partition contract against the budget-0
 	// baseline internally, so a clean return already covers it.
-	rows, err := RunSkew([]float64{1.2}, []int64{0, SkewDefaultBudget})
+	rows, err := RunSkew([]float64{1.2}, []int64{0, skewDefaultBudget})
 	if err != nil {
 		t.Fatal(err)
 	}

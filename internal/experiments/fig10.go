@@ -14,11 +14,11 @@ import (
 // Fig10Row is one bar of Fig 10: REIS speedup over ICE for one
 // dataset x mode x SSD, plus the ICE-ESP comparison of Sec 6.4.
 type Fig10Row struct {
-	Dataset       string
-	Mode          string
-	SSD           string
-	SpeedupICE    float64
-	SpeedupICEESP float64
+	Dataset       string  `gate:"id"`
+	Mode          string  `gate:"id"`
+	SSD           string  `gate:"id"`
+	SpeedupICE    float64 `gate:"drop"`
+	SpeedupICEESP float64 `gate:"drop"`
 }
 
 // RunFig10 regenerates the Fig 10 comparison to ICE.
@@ -81,9 +81,9 @@ func FormatFig10(rows []Fig10Row) string {
 // Fig11Row is one bar of Fig 11: REIS speedup over NDSearch on the
 // billion-scale pure-ANNS datasets.
 type Fig11Row struct {
-	Dataset   string
-	Recall    float64
-	SpeedupND float64
+	Dataset   string  `gate:"id"`
+	Recall    float64 `gate:"id"`
+	SpeedupND float64 `gate:"drop"`
 }
 
 // RunFig11 regenerates the Fig 11 comparison to NDSearch. NDSearch's

@@ -13,10 +13,10 @@ import (
 // host-side ANNS algorithms, with QPS normalized to exhaustive search
 // (as in the paper).
 type Fig5Point struct {
-	Algorithm string
-	Param     string // the swept knob (nprobe, ef, ...)
-	Recall    float64
-	NormQPS   float64
+	Algorithm string  `gate:"id"`
+	Param     string  `gate:"id"` // the swept knob (nprobe, ef, ...)
+	Recall    float64 `gate:"report"`
+	NormQPS   float64 `gate:"report"`
 }
 
 // RunFig5 regenerates Fig 5: IVF, BQ IVF, PQ IVF, HNSW, BQ HNSW and

@@ -11,12 +11,12 @@ import (
 // Fig9Row is one point of the Fig 9 sensitivity study: normalized QPS
 // of each optimization stack at one recall target on wiki_full.
 type Fig9Row struct {
-	SSD    string
-	Recall float64
-	NoOpt  float64 // normalized to CPU-Real
-	DF     float64 // +distance filtering
-	DFPL   float64 // +pipelining
-	Full   float64 // +MPIBC
+	SSD    string  `gate:"id"`
+	Recall float64 `gate:"id"`
+	NoOpt  float64 `gate:"drop"` // normalized to CPU-Real
+	DF     float64 `gate:"drop"` // +distance filtering
+	DFPL   float64 `gate:"drop"` // +pipelining
+	Full   float64 `gate:"drop"` // +MPIBC
 }
 
 // fig9Recalls are the sweep points of Fig 9.
@@ -80,10 +80,10 @@ func FormatFig9(rows []Fig9Row) string {
 // ASICRow is the Sec 6.3.1 comparison: REIS versus the REIS-ASIC
 // variant that replaces ESP with controller-side ECC.
 type ASICRow struct {
-	Dataset  string
-	SSD      string
-	Recall   float64
-	Slowdown float64 // ASIC latency / REIS latency
+	Dataset  string  `gate:"id"`
+	SSD      string  `gate:"id"`
+	Recall   float64 `gate:"id"`
+	Slowdown float64 `gate:"drop"` // ASIC latency / REIS latency
 }
 
 // RunASIC regenerates the Sec 6.3.1 REIS-ASIC comparison.

@@ -25,14 +25,14 @@ import (
 //
 // Two latency columns tell the two stories: ServeMs assumes the
 // rival's dataset is already resident in DRAM (the rival's best
-// case), TotalMs adds the QueryBatch-amortized load of the full-scale
+// case), TotalMs adds the queryBatch-amortized load of the full-scale
 // FP32 dataset — the term Sec 3.2 shows dominating CPU serving and
 // the one the flash engine never pays.
 
-// FrontierScale is the minimum workload scale divisor of the frontier
+// frontierScale is the minimum workload scale divisor of the frontier
 // run: RunFrontier clamps smaller (= larger-corpus) requests up to it
 // so the index builds stay tractable in CI.
-const FrontierScale = 64
+const frontierScale = 64
 
 // frontierCacheBudget is ssd.Config.CacheDRAMBytes for the cached
 // flash configuration: enough to pin the probed clusters' binary
@@ -48,33 +48,34 @@ const frontierCacheBudget = 1 << 20
 
 // FrontierRow is one operating point of one system on the frontier.
 type FrontierRow struct {
-	Dataset string
-	System  string
-	Param   string
+	Dataset string `gate:"id"`
+	System  string `gate:"id"`
+	Param   string `gate:"id"`
 	// Recall is Recall@10 measured functionally on the shared corpus
 	// and query set.
-	Recall float64
+	Recall float64 `gate:"report"`
 	// ServeMs is the modeled per-query latency at paper scale with
-	// the dataset resident (DRAM rivals) or on flash (REIS rows).
-	ServeMs float64
-	// TotalMs adds the QueryBatch-amortized dataset load for DRAM
+	// the dataset resident (DRAM rivals) or on flash (REIS rows). The
+	// rivals' read host.Calibrate, so it is report-only.
+	ServeMs float64 `gate:"report"`
+	// TotalMs adds the queryBatch-amortized dataset load for DRAM
 	// rivals; for REIS rows it equals ServeMs.
-	TotalMs float64
+	TotalMs float64 `gate:"report"`
 }
 
 // RunFrontier builds the frontier over wiki_en at the given scale
-// divisor (clamped to at least FrontierScale). Every system sweeps
+// divisor (clamped to at least frontierScale). Every system sweeps
 // its accuracy knob: HNSW the search beam ef, LSH the hash width,
 // PQ-IVF and the flash configurations nprobe.
 func RunFrontier(scale int) ([]FrontierRow, error) {
-	if scale < FrontierScale {
-		scale = FrontierScale
+	if scale < frontierScale {
+		scale = frontierScale
 	}
 	w := LoadWorkload("wiki_en", scale)
 	d := w.Data
 	const k = 10
 	dram := rivals.DRAMANN{B: host.NewBaseline(host.CPUReal()), Dim: d.Dim}
-	loadSec := dram.LoadSecondsPerQuery(w.PaperN(), QueryBatch)
+	loadSec := dram.LoadSecondsPerQuery(w.PaperN(), queryBatch)
 
 	var rows []FrontierRow
 	add := func(system, param string, recall, serveSec float64, resident bool) {
@@ -135,7 +136,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 			return pqivf.SearchNProbe(q, kk, np)
 		}), k)
 		cand := float64(d.Len()) * float64(np) / float64(nlist) * scIVF.Fine
-		add("PQ-IVF", fmt.Sprintf("np=%d", np), recall, dram.PQSeconds(cand, pqM, pqKS, PaperNList), true)
+		add("PQ-IVF", fmt.Sprintf("np=%d", np), recall, dram.PQSeconds(cand, pqM, pqKS, paperNList), true)
 	}
 
 	// Flash configurations: the same corpus deployed on REIS-SSD1,

@@ -17,24 +17,24 @@ import (
 // never sensed because a segment's lower bound exceeded the query's
 // top-k threshold, and the aborted wave slots).
 type PruneRow struct {
-	Dataset string
-	Mode    string // "base" | "prune"
-	K       int
-	NProbe  int
+	Dataset string `gate:"id"`
+	Mode    string `gate:"id"` // "base" | "prune"
+	K       int    `gate:"id"`
+	NProbe  int    `gate:"id"`
 	// WallQPS is the functional simulation's wall-clock throughput.
-	WallQPS float64
+	WallQPS float64 `gate:"wall"`
 	// ModelQPS is the modeled device throughput of the batch under the
 	// channel-occupancy overlap model at unit scale.
-	ModelQPS float64
+	ModelQPS float64 `gate:"drop"`
 	// FinePages / PrunedPages / AbortedWaves are mean per-query counts;
 	// FinePages counts sensed pages only, PrunedPages the pages aborts
 	// saved (the two sum to the base row's FinePages by construction).
-	FinePages    float64
-	PrunedPages  float64
-	AbortedWaves float64
+	FinePages    float64 `gate:"report"`
+	PrunedPages  float64 `gate:"report"`
+	AbortedWaves float64 `gate:"report"`
 	// Speedup is this row's ModelQPS over the matching base row
 	// (1.0 on base rows).
-	Speedup float64
+	Speedup float64 `gate:"report"`
 	ModelShares
 }
 
@@ -62,8 +62,8 @@ const (
 // the regime pruning targets.
 func pruneScale() reis.Scale {
 	const paperN = 100e6
-	coarse := float64(PaperNList) / pruneNList
-	clusterRatio := (paperN / PaperNList) / prunePerCluster
+	coarse := float64(paperNList) / pruneNList
+	clusterRatio := (paperN / paperNList) / prunePerCluster
 	return reis.Scale{Fine: clusterRatio * math.Sqrt(max(1, coarse)), Coarse: coarse, SurvivorRate: SurvivorRate}
 }
 

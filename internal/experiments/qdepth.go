@@ -16,22 +16,22 @@ import (
 // much of the batched path's throughput the NVMe-style interface
 // recovers without any caller-side batching.
 type QDepthRow struct {
-	Dataset string
-	Mode    string
-	Depth   int
+	Dataset string `gate:"id"`
+	Mode    string `gate:"id"`
+	Depth   int    `gate:"id"`
 	HostCost
 	// AvgBatch is the mean commands per dispatch (the coalescing the
 	// queue achieved at this depth).
-	AvgBatch float64
+	AvgBatch float64 `gate:"report"`
 	// ModelQPS is the modeled saturation throughput at this depth
 	// (every command arrived at once, dispatcher coalescing up to the
 	// depth bound) — deterministic, unlike WallQPS.
-	ModelQPS float64
+	ModelQPS float64 `gate:"drop"`
 	// ModelP50Ms/P95/P99 are modeled per-command latency quantiles at
-	// LoadUtilization of ModelQPS (see slo.go).
-	ModelP50Ms float64
-	ModelP95Ms float64
-	ModelP99Ms float64
+	// loadUtilization of ModelQPS (see slo.go).
+	ModelP50Ms float64 `gate:"report"`
+	ModelP95Ms float64 `gate:"report"`
+	ModelP99Ms float64 `gate:"rise"`
 	// ModelShares is priced at saturation: groups of Depth commands.
 	ModelShares
 }
@@ -80,7 +80,7 @@ func RunQDepth(scale int) ([]QDepthRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			tail := s.tail(passOf(resp), w.ScaleIVF(), depth, LoadUtilization)
+			tail := s.tail(passOf(resp), w.ScaleIVF(), depth, loadUtilization)
 			row := QDepthRow{
 				Dataset: w.Name, Mode: mode, Depth: depth, HostCost: cost,
 				ModelQPS:   tail.SaturationQPS,

@@ -12,14 +12,14 @@ import (
 // RAGRow is one bar of Figs 2/3 or one column of Table 4: a full RAG
 // pipeline breakdown.
 type RAGRow struct {
-	Dataset string
-	System  string // "CPU flat", "CPU+BQ", "REIS-SSD1"
-	Stages  ragpipe.StageSeconds
+	Dataset string               `gate:"id"`
+	System  string               `gate:"id"` // "CPU flat", "CPU+BQ", "REIS-SSD1"
+	Stages  ragpipe.StageSeconds `gate:"report"`
 }
 
-// RAGBatch is the query count of one Fig 2/3 retrieval session
+// ragBatch is the query count of one Fig 2/3 retrieval session
 // (inferred from the paper's search-stage seconds).
-const RAGBatch = 64
+const ragBatch = 64
 
 // RunRAGBreakdown regenerates Figs 2 and 3 plus Table 4: pipeline
 // breakdowns for the CPU flat-index system, the CPU+BQ system, and
@@ -34,13 +34,13 @@ func RunRAGBreakdown(scale int) ([]RAGRow, error) {
 		doc := w.Desc.DocBytes
 
 		// Fig 2: flat FP32 index, exhaustive search over the session's
-		// QueryBatch queries.
-		searchFlat := cpu.ScanSecondsF32(n, dim) * float64(RAGBatch)
+		// queryBatch queries.
+		searchFlat := cpu.ScanSecondsF32(n, dim) * float64(ragBatch)
 		rows = append(rows, RAGRow{name, "CPU flat",
 			ragpipe.CPUPipeline(cpu, n, dim, doc, false, searchFlat)})
 
 		// Fig 3: BQ index + rerank.
-		searchBQ := cpu.ScanSecondsBQ(n, dim, 100) * float64(RAGBatch)
+		searchBQ := cpu.ScanSecondsBQ(n, dim, 100) * float64(ragBatch)
 		rows = append(rows, RAGRow{name, "CPU+BQ",
 			ragpipe.CPUPipeline(cpu, n, dim, doc, true, searchBQ)})
 
@@ -54,7 +54,7 @@ func RunRAGBreakdown(scale int) ([]RAGRow, error) {
 				return nil, err
 			}
 			rows = append(rows, RAGRow{name, "REIS-SSD1",
-				ragpipe.REISPipeline(b.Total.Seconds() * float64(RAGBatch))})
+				ragpipe.REISPipeline(b.Total.Seconds() * float64(ragBatch))})
 		}
 	}
 	return rows, nil

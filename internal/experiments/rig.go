@@ -136,10 +136,10 @@ func deploy(cfg ssd.Config, n int, opts reis.Options, dep reis.DeployConfig) (*S
 // and BytesPerOp are wall-clock nanoseconds, heap allocations and heap
 // bytes, the quantities the BENCH_*.json trajectory tracks.
 type HostCost struct {
-	WallQPS     float64
-	NsPerOp     float64
-	AllocsPerOp float64
-	BytesPerOp  float64
+	WallQPS     float64 `gate:"wall"`
+	NsPerOp     float64 `gate:"report"`
+	AllocsPerOp float64 `gate:"allocs"`
+	BytesPerOp  float64 `gate:"report"`
 }
 
 // measure runs f, which serves n queries, under the host-clock bracket.
@@ -236,18 +236,19 @@ func (s *Setup) priceBatch(p pass, sc reis.Scale) reis.BatchBreakdown {
 // shares split the summed standalone latency of the row's queries
 // (they sum to 1); the busy shares are each contended resource's
 // occupancy over the summed makespan of the row's batches, and
-// Bottleneck names the largest. Report-only in benchdiff.
+// Bottleneck names the largest. Report-only in benchdiff, which notes
+// a busy share above 1.
 type ModelShares struct {
-	IBCShare    float64
-	CoarseShare float64
-	FineShare   float64
-	RerankShare float64
-	DocsShare   float64
+	IBCShare    float64 `gate:"report"`
+	CoarseShare float64 `gate:"report"`
+	FineShare   float64 `gate:"report"`
+	RerankShare float64 `gate:"report"`
+	DocsShare   float64 `gate:"report"`
 
-	PlaneBusyShare   float64
-	ChannelBusyShare float64
-	CoreBusyShare    float64
-	Bottleneck       string // "plane" | "channel" | "core"
+	PlaneBusyShare   float64 `gate:"busy"`
+	ChannelBusyShare float64 `gate:"busy"`
+	CoreBusyShare    float64 `gate:"busy"`
+	Bottleneck       string  `gate:"report"` // "plane" | "channel" | "core"
 }
 
 // clockUse accumulates the priced batches behind a row's ModelShares.
@@ -322,7 +323,7 @@ func (s *Setup) sharesAt(p pass, sc reis.Scale, batch int) ModelShares {
 }
 
 // tail models what one command experiences while the queue is loaded:
-// LoadCommands single-query commands — the pass's queries, cycled — are
+// loadCommands single-query commands — the pass's queries, cycled — are
 // replayed through the virtual-time model of a depth-deep queue pair,
 // first all at once (the saturation throughput at this depth), then
 // under the seeded Poisson schedule at load times that rate. Every
@@ -330,13 +331,13 @@ func (s *Setup) sharesAt(p pass, sc reis.Scale, batch int) ModelShares {
 // function of the pass: deterministic across runs, hosts and
 // GOMAXPROCS.
 func (s *Setup) tail(p pass, sc reis.Scale, depth int, load float64) reis.LoadResult {
-	stream := p.cycled(LoadCommands)
+	stream := p.cycled(loadCommands)
 	cost := func(first, n int) time.Duration {
 		return s.priceBatch(stream.window(first, first+n), sc).Makespan
 	}
-	sat := reis.SimulateLoad(make([]time.Duration, LoadCommands), depth, cost, 0)
+	sat := reis.SimulateLoad(make([]time.Duration, loadCommands), depth, cost, 0)
 	rate := load * sat.ModelQPS
-	res := reis.SimulateLoad(reis.PoissonArrivals(LoadCommands, rate, loadSeed), depth, cost, 0)
+	res := reis.SimulateLoad(reis.PoissonArrivals(loadCommands, rate, loadSeed), depth, cost, 0)
 	res.Rate = rate
 	res.SaturationQPS = sat.ModelQPS
 	return res

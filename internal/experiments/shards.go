@@ -15,21 +15,21 @@ import (
 // functional simulation and in the modeled makespan, where the scan
 // phases shrink with the per-shard critical path.
 type ShardRow struct {
-	Dataset string
-	Mode    string
-	Shards  int
+	Dataset string `gate:"id"`
+	Mode    string `gate:"id"`
+	Shards  int    `gate:"id"`
 	HostCost
 	// ModelQPS is the modeled batch throughput of the sharded topology
 	// (per-shard occupancy bottleneck + the host's tail).
-	ModelQPS float64
+	ModelQPS float64 `gate:"drop"`
 	// ModelSpeedup is ModelQPS relative to the 1-shard row.
-	ModelSpeedup float64
+	ModelSpeedup float64 `gate:"report"`
 	// ModelP50Ms/P95/P99 are modeled per-command latency quantiles at
-	// LoadUtilization of the depth-DefaultQueueDepth saturation
+	// loadUtilization of the depth-DefaultQueueDepth saturation
 	// throughput of this topology (see slo.go).
-	ModelP50Ms float64
-	ModelP95Ms float64
-	ModelP99Ms float64
+	ModelP50Ms float64 `gate:"report"`
+	ModelP95Ms float64 `gate:"report"`
+	ModelP99Ms float64 `gate:"rise"`
 	ModelShares
 }
 
@@ -106,7 +106,7 @@ func shardRow(s *Setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
 	if err != nil {
 		return ShardRow{}, err
 	}
-	tail := s.tail(passOf(resp), sc, reis.DefaultQueueDepth, LoadUtilization)
+	tail := s.tail(passOf(resp), sc, reis.DefaultQueueDepth, loadUtilization)
 	var use clockUse
 	return ShardRow{
 		Dataset: s.W.Name, Shards: s.Devices, HostCost: cost,

@@ -22,28 +22,28 @@ import (
 // — the page partition the engine tests pin per query, re-checked per
 // command by RunSkew itself).
 type SkewRow struct {
-	Dataset string
+	Dataset string `gate:"id"`
 	// Device names the device (skewDevices): REIS-SSD1, whose 256 planes
 	// take a whole probe in one wave, so the tier admits no pin there and
 	// the result cache has the whole budget; and its four-plane cut, where
 	// a probe is two waves, pins pay and results hold what they leave.
-	Device string
+	Device string `gate:"id"`
 	// S is the Zipf exponent of the query popularity distribution
 	// (0 = uniform).
-	S float64
+	S float64 `gate:"id"`
 	// Budget is ssd.Config.CacheDRAMBytes for this run.
-	Budget int64
+	Budget int64 `gate:"id"`
 	// HitRate is result-cache hits / queries issued.
-	HitRate float64
+	HitRate float64 `gate:"report"`
 	// FinePages / CachedPages / BaseFinePages are mean per-query fine
 	// pages from flash, from pinned DRAM, and in the uncached baseline.
-	FinePages     float64
-	CachedPages   float64
-	BaseFinePages float64
+	FinePages     float64 `gate:"report"`
+	CachedPages   float64 `gate:"report"`
+	BaseFinePages float64 `gate:"report"`
 	// ModelQPS is queries / summed modeled batch makespan at unit
 	// scale; Speedup is ModelQPS over the budget-0 row (1.0 there).
-	ModelQPS float64
-	Speedup  float64
+	ModelQPS float64 `gate:"drop"`
+	Speedup  float64 `gate:"report"`
 	// PinsOnly and ResultsOnly are what each half of the tier is worth
 	// alone, as Speedup is for both together. ResultsOnly prices the same
 	// run — its hits, from the DRAM its pins left the results — with every
@@ -55,21 +55,21 @@ type SkewRow struct {
 	// queries repeat bit for bit, so the result cache serves none of them,
 	// while the clusters they probe, and with them the pins, are those of
 	// the exact script — against its own nudged baseline.
-	PinsOnly    float64
-	ResultsOnly float64
+	PinsOnly    float64 `gate:"report"`
+	ResultsOnly float64 `gate:"report"`
 	// ModelShares is the both-halves run's.
 	ModelShares
 }
 
-// SkewDefaultBudget is the default cache budget of the sweep: enough
+// skewDefaultBudget is the default cache budget of the sweep: enough
 // to pin every cluster of the skew corpus and hold a working set of
 // packed results, the regime the headline speedup is claimed in.
-const SkewDefaultBudget = 4 << 20
+const skewDefaultBudget = 4 << 20
 
 // skewS and skewBudgets are the default sweep axes.
 var (
 	skewS       = []float64{0, 0.8, 1.2}
-	skewBudgets = []int64{0, 512 << 10, SkewDefaultBudget}
+	skewBudgets = []int64{0, 512 << 10, skewDefaultBudget}
 )
 
 // The skew corpus and script. The corpus is small enough to run

@@ -16,17 +16,17 @@ import (
 // cmd/benchdiff gates on it (see DESIGN.md, "Latency distributions and
 // SLOs").
 
-// LoadUtilization is the pinned operating point of the tail columns on
+// loadUtilization is the pinned operating point of the tail columns on
 // the qdepth and shards sweeps: the arrival rate is this fraction of
 // the row's saturation throughput. Pinning utilization instead of an
 // absolute rate keeps rows comparable across model changes — a faster
 // model is probed proportionally harder — while still exposing
 // service-time regressions directly in the quantiles.
-const LoadUtilization = 0.8
+const loadUtilization = 0.8
 
-// LoadCommands is the command-stream length behind every modeled tail;
+// loadCommands is the command-stream length behind every modeled tail;
 // long enough that p99 rests on real samples.
-const LoadCommands = 256
+const loadCommands = 256
 
 // loadSeed seeds every arrival schedule in the sweeps; a fixed seed is
 // what makes the reported quantiles reproducible bit for bit.
@@ -43,29 +43,30 @@ var (
 // identify the cell; everything else is a deterministic function of
 // the timing model, so benchdiff can gate on it.
 type SLORow struct {
-	Dataset string
-	Mode    string
-	Shards  int
-	Depth   int
+	Dataset string `gate:"id"`
+	Mode    string `gate:"id"`
+	Shards  int    `gate:"id"`
+	Depth   int    `gate:"id"`
 	// Load is the utilization label ("0.50", "0.80", "0.95"): the
 	// arrival rate as a fraction of this cell's saturation throughput.
-	Load string
+	Load string `gate:"id"`
 	// ArrivalQPS is the resolved arrival rate of the schedule.
-	ArrivalQPS float64
+	ArrivalQPS float64 `gate:"report"`
 	// ModelQPS is the saturation throughput at this depth and shard
 	// count (every command arrived at once, full coalescing) — the
 	// ceiling the Load fraction is taken of.
-	ModelQPS float64
+	ModelQPS float64 `gate:"drop"`
 	// ModelP50Ms..ModelP999Ms are modeled per-command latency
-	// quantiles (completion minus arrival) under the schedule.
-	ModelP50Ms  float64
-	ModelP95Ms  float64
-	ModelP99Ms  float64
-	ModelP999Ms float64
+	// quantiles (completion minus arrival) under the schedule; p99 is
+	// the SLO.
+	ModelP50Ms  float64 `gate:"report"`
+	ModelP95Ms  float64 `gate:"report"`
+	ModelP99Ms  float64 `gate:"rise"`
+	ModelP999Ms float64 `gate:"report"`
 	// MeanBatch is the mean commands per dispatch the replay achieved;
 	// MaxBacklog is the peak arrived-but-unserved command count.
-	MeanBatch  float64
-	MaxBacklog int
+	MeanBatch  float64 `gate:"report"`
+	MaxBacklog int     `gate:"report"`
 	// ModelShares is priced at saturation: groups of Depth commands.
 	ModelShares
 }
@@ -73,7 +74,7 @@ type SLORow struct {
 // RunSLO sweeps arrival rate × queue depth × shard count on
 // REIS-SSD1-class devices over NQ. Every topology serves the workload's
 // query set once, as one batched IVF command; every cell replays
-// LoadCommands single-query commands (those queries, cycled) under the
+// loadCommands single-query commands (those queries, cycled) under the
 // seeded Poisson schedule through the virtual-time dispatcher model
 // (Setup.tail). nil axes select the defaults.
 func RunSLO(scale int, depths []int, loads []float64) ([]SLORow, error) {

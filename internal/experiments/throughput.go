@@ -13,16 +13,16 @@ import (
 // queries/sec of the functional simulation and the timing model's
 // batch QPS at paper scale.
 type ThroughputRow struct {
-	Dataset string
-	Mode    string
-	Batch   int
+	Dataset string `gate:"id"`
+	Mode    string `gate:"id"`
+	Batch   int    `gate:"id"`
 	HostCost
 	// ModelQPS is the modeled device throughput of the batch under the
 	// channel-occupancy overlap model.
-	ModelQPS float64
+	ModelQPS float64 `gate:"drop"`
 	// ModelSerialQPS is the modeled throughput of one-at-a-time
 	// admission (1 / mean standalone latency).
-	ModelSerialQPS float64
+	ModelSerialQPS float64 `gate:"report"`
 	ModelShares
 }
 

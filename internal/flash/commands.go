@@ -18,19 +18,19 @@ const (
 	// OpIBC broadcasts a copy of the query embedding into the page
 	// buffer (Table 2: "IBC Q_EMB").
 	OpIBC
-	// OpXOR performs the XOR between latches of a plane
+	// opXOR performs the XOR between latches of a plane
 	// (Table 2: "XOR ADR_P").
-	OpXOR
-	// OpGenDist computes the distance for one database embedding slot
+	opXOR
+	// opGenDist computes the distance for one database embedding slot
 	// (Table 2: "GEN_DIST EADR").
-	OpGenDist
+	opGenDist
 	// OpGenDistPage computes the distances of a whole sensed page in
 	// one wave: a single latch-to-latch XOR followed by the fail-bit
 	// counter over every requested slot, written into a caller-provided
 	// distance buffer. It is the page-granular form of "GEN_DIST" —
 	// the hardware computes all slot distances of a page inside the
 	// plane in one command — and its stats/energy accounting is
-	// bit-identical to an OpXOR followed by one OpGenDist per slot.
+	// bit-identical to an opXOR followed by one opGenDist per slot.
 	OpGenDistPage
 	// OpReadTTL transfers a TTL entry for an embedding to the SSD DRAM
 	// (Table 2: "RD_TTL EADR").
@@ -44,9 +44,9 @@ func (o Opcode) String() string {
 		return "READ_PAGE"
 	case OpIBC:
 		return "IBC"
-	case OpXOR:
+	case opXOR:
 		return "XOR"
-	case OpGenDist:
+	case opGenDist:
 		return "GEN_DIST"
 	case OpGenDistPage:
 		return "GEN_DIST_PAGE"
@@ -61,8 +61,8 @@ func (o Opcode) String() string {
 type Command struct {
 	Op    Opcode
 	Addr  Address  // OpReadPage
-	Plane int      // OpXOR, OpGenDist, OpGenDistPage, OpReadTTL: global plane index
-	Mini  MiniPage // OpGenDist, OpReadTTL; for OpGenDistPage, Mini.Slot is the first slot
+	Plane int      // opXOR, opGenDist, OpGenDistPage, OpReadTTL: global plane index
+	Mini  MiniPage // opGenDist, OpReadTTL; for OpGenDistPage, Mini.Slot is the first slot
 	// Query and SlotBytes apply to OpIBC. With a zero PlaneMask the
 	// command loads Plane's cache latch alone; a non-zero PlaneMask makes
 	// it the multi-plane broadcast to global die index Die (MPIBC,
@@ -115,7 +115,7 @@ func NewDieFSM(dev *Device) *DieFSM {
 	}
 }
 
-// Execute runs one command. For OpGenDist it returns the computed
+// Execute runs one command. For opGenDist it returns the computed
 // distance; other commands return 0.
 func (f *DieFSM) Execute(cmd Command) (int, error) {
 	switch cmd.Op {
@@ -148,7 +148,7 @@ func (f *DieFSM) Execute(cmd Command) (int, error) {
 		f.haveIBC[cmd.Plane] = true
 		f.haveXOR[cmd.Plane] = false
 		return 0, nil
-	case OpXOR:
+	case opXOR:
 		if !f.haveIBC[cmd.Plane] {
 			return 0, fmt.Errorf("flash: XOR on plane %d before IBC", cmd.Plane)
 		}
@@ -160,7 +160,7 @@ func (f *DieFSM) Execute(cmd Command) (int, error) {
 		}
 		f.haveXOR[cmd.Plane] = true
 		return 0, nil
-	case OpGenDist:
+	case opGenDist:
 		if !f.haveXOR[cmd.Plane] {
 			return 0, fmt.Errorf("flash: GEN_DIST on plane %d before XOR", cmd.Plane)
 		}

@@ -478,11 +478,11 @@ func TestCommandSetProtocolOrdering(t *testing.T) {
 	plane := a.PlaneIndex(d.Geo)
 
 	// XOR before IBC must fail.
-	if _, err := fsm.Execute(Command{Op: OpXOR, Plane: plane}); err == nil {
+	if _, err := fsm.Execute(Command{Op: opXOR, Plane: plane}); err == nil {
 		t.Fatal("XOR before IBC accepted")
 	}
 	// GEN_DIST before XOR must fail.
-	if _, err := fsm.Execute(Command{Op: OpGenDist, Plane: plane, SlotBytes: 4}); err == nil {
+	if _, err := fsm.Execute(Command{Op: opGenDist, Plane: plane, SlotBytes: 4}); err == nil {
 		t.Fatal("GEN_DIST before XOR accepted")
 	}
 	// Proper sequence.
@@ -492,10 +492,10 @@ func TestCommandSetProtocolOrdering(t *testing.T) {
 	if _, err := fsm.Execute(Command{Op: OpReadPage, Addr: a}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fsm.Execute(Command{Op: OpXOR, Plane: plane}); err != nil {
+	if _, err := fsm.Execute(Command{Op: opXOR, Plane: plane}); err != nil {
 		t.Fatal(err)
 	}
-	dist, err := fsm.Execute(Command{Op: OpGenDist, Plane: plane, SlotBytes: 4, Mini: MiniPage{Slot: 0}})
+	dist, err := fsm.Execute(Command{Op: opGenDist, Plane: plane, SlotBytes: 4, Mini: MiniPage{Slot: 0}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,10 +517,10 @@ func TestCommandSetReadInvalidatesXOR(t *testing.T) {
 	plane := a.PlaneIndex(d.Geo)
 	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xF0}, SlotBytes: 4})
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	mustExec(t, fsm, Command{Op: OpXOR, Plane: plane})
+	mustExec(t, fsm, Command{Op: opXOR, Plane: plane})
 	// A new page read invalidates the XOR result.
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	if _, err := fsm.Execute(Command{Op: OpGenDist, Plane: plane, SlotBytes: 4}); err == nil {
+	if _, err := fsm.Execute(Command{Op: opGenDist, Plane: plane, SlotBytes: 4}); err == nil {
 		t.Fatal("GEN_DIST after stale XOR accepted")
 	}
 }
@@ -545,8 +545,8 @@ func TestCommandSetRejectsUnknown(t *testing.T) {
 
 func TestOpcodeStrings(t *testing.T) {
 	for op, want := range map[Opcode]string{
-		OpReadPage: "READ_PAGE", OpIBC: "IBC", OpXOR: "XOR",
-		OpGenDist: "GEN_DIST", OpReadTTL: "RD_TTL",
+		OpReadPage: "READ_PAGE", OpIBC: "IBC", opXOR: "XOR",
+		opGenDist: "GEN_DIST", OpReadTTL: "RD_TTL",
 	} {
 		if op.String() != want {
 			t.Errorf("%d.String() = %s", op, op.String())
@@ -646,7 +646,7 @@ func TestIBCDieBroadcast(t *testing.T) {
 		t.Fatalf("plane %d != %d", other, a.PlaneIndex(g))
 	}
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	if _, err := fsm.Execute(Command{Op: OpXOR, Plane: other}); err == nil {
+	if _, err := fsm.Execute(Command{Op: opXOR, Plane: other}); err == nil {
 		t.Fatal("XOR accepted on a plane no broadcast named")
 	}
 	for _, bad := range []Command{

@@ -71,7 +71,7 @@ func energyOf(s statsSnapshot, p Params) float64 {
 // TestGenDistPageMatchesPerSlot pins the page-granular command against
 // the per-slot sequence it replaces: identical distances, identical
 // data-latch contents, and identical stats/energy accounting to an
-// OpXOR followed by one OpGenDist per slot.
+// opXOR followed by one opGenDist per slot.
 func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	const slotBytes = 64
 	pattern := bytes.Repeat([]byte{0xA5, 0x3C}, slotBytes/2)
@@ -83,13 +83,13 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	firstSlot, nSlots := 2, slots-5 // partial range, like a boundary page
 
 	// Per-slot reference path: XOR then N GEN_DISTs.
-	if _, err := fSlot.Execute(Command{Op: OpXOR, Plane: plane}); err != nil {
+	if _, err := fSlot.Execute(Command{Op: opXOR, Plane: plane}); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]int, nSlots)
 	for s := 0; s < nSlots; s++ {
 		d, err := fSlot.Execute(Command{
-			Op: OpGenDist, Plane: plane, SlotBytes: slotBytes,
+			Op: opGenDist, Plane: plane, SlotBytes: slotBytes,
 			Mini: MiniPage{Page: a, Slot: firstSlot + s},
 		})
 		if err != nil {
@@ -135,7 +135,7 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	// The page command leaves the plane in the post-XOR state: a
 	// follow-up per-slot GEN_DIST must be legal and agree.
 	d1, err := fPage.Execute(Command{
-		Op: OpGenDist, Plane: plane, SlotBytes: slotBytes,
+		Op: opGenDist, Plane: plane, SlotBytes: slotBytes,
 		Mini: MiniPage{Page: a, Slot: firstSlot},
 	})
 	if err != nil {

@@ -28,10 +28,10 @@ type StageSeconds struct {
 // 0.79 s, 73% generation = 17.37 s; the wiki_en/NQ column yields the
 // same absolute values, confirming they are dataset-independent.
 const (
-	EmbModelLoadSeconds = 0.62
-	EncodeSeconds       = 0.11
-	GenModelLoadSeconds = 0.79
-	GenerationSeconds   = 17.3
+	embModelLoadSeconds = 0.62
+	encodeSeconds       = 0.11
+	genModelLoadSeconds = 0.79
+	generationSeconds   = 17.3
 )
 
 // Total sums the stages.
@@ -67,12 +67,12 @@ func CPUPipeline(b *host.Baseline, n, dim, docBytes int, bq bool, searchSeconds 
 		bytes = host.DatasetBytesF32(n, dim, docBytes)
 	}
 	return StageSeconds{
-		EmbModelLoad: EmbModelLoadSeconds,
-		Encode:       EncodeSeconds,
+		EmbModelLoad: embModelLoadSeconds,
+		Encode:       encodeSeconds,
 		DatasetLoad:  b.LoadSeconds(bytes, bq),
 		Search:       searchSeconds,
-		GenModelLoad: GenModelLoadSeconds,
-		Generation:   GenerationSeconds,
+		GenModelLoad: genModelLoadSeconds,
+		Generation:   generationSeconds,
 	}
 }
 
@@ -81,11 +81,11 @@ func CPUPipeline(b *host.Baseline, n, dim, docBytes int, bq bool, searchSeconds 
 // retrieval (Table 4's "Search (and retrieval for REIS)").
 func REISPipeline(searchSeconds float64) StageSeconds {
 	return StageSeconds{
-		EmbModelLoad: EmbModelLoadSeconds,
-		Encode:       EncodeSeconds,
+		EmbModelLoad: embModelLoadSeconds,
+		Encode:       encodeSeconds,
 		DatasetLoad:  0,
 		Search:       searchSeconds,
-		GenModelLoad: GenModelLoadSeconds,
-		Generation:   GenerationSeconds,
+		GenModelLoad: genModelLoadSeconds,
+		Generation:   generationSeconds,
 	}
 }

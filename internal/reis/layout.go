@@ -44,8 +44,8 @@ type pageFormat struct {
 // little-endian.
 const oobBytesPerSlot = 9
 
-// InvalidDADR marks a padding slot (no embedding stored).
-const InvalidDADR = ^uint32(0)
+// invalidDADR marks a padding slot (no embedding stored).
+const invalidDADR = ^uint32(0)
 
 // slotLink is a binary slot's OOB record: the addresses of its document
 // (DADR) and INT8 rerank copy (RADR), and its metadata tag.
@@ -71,7 +71,7 @@ func (f *pageFormat) renderBin(page, oob []byte, g int, at func(pos int, code []
 	for s := 0; s < f.embPerPage; s++ {
 		l, ok := at(g*f.embPerPage+s, f.code(page, s))
 		if !ok {
-			l = slotLink{dadr: InvalidDADR}
+			l = slotLink{dadr: invalidDADR}
 		}
 		rec := oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot]
 		binary.LittleEndian.PutUint32(rec[0:], l.dadr)
@@ -85,7 +85,7 @@ func (f *pageFormat) renderBin(page, oob []byte, g int, at func(pos int, code []
 func parseLink(oob []byte, s int) (l slotLink, ok bool) {
 	rec := oob[s*oobBytesPerSlot : (s+1)*oobBytesPerSlot]
 	l = slotLink{binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:]), rec[8]}
-	return l, l.dadr != InvalidDADR
+	return l, l.dadr != invalidDADR
 }
 
 // code is slot s's packed embedding within a binary page.

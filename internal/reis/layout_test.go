@@ -37,8 +37,8 @@ func TestPageCodecRoundTrip(t *testing.T) {
 			rng.Read(e.code)
 			// Any DADR but the padding marker — often its neighbour.
 			e.slotLink = slotLink{dadr: rng.Uint32(), radr: rng.Uint32(), tag: uint8(rng.Intn(256))}
-			if e.dadr == InvalidDADR || rng.Intn(8) == 0 {
-				e.dadr = InvalidDADR - 1
+			if e.dadr == invalidDADR || rng.Intn(8) == 0 {
+				e.dadr = invalidDADR - 1
 			}
 			slots[pos] = e
 		}
@@ -58,7 +58,7 @@ func TestPageCodecRoundTrip(t *testing.T) {
 				pos := g*f.embPerPage + s
 				l, ok := parseLink(oob, s)
 				if pos >= n || slots[pos] == nil {
-					if ok || l.dadr != InvalidDADR || !bytes.Equal(f.code(page, s), make([]byte, f.slotBytes)) {
+					if ok || l.dadr != invalidDADR || !bytes.Equal(f.code(page, s), make([]byte, f.slotBytes)) {
 						t.Fatalf("iter %d: padding slot %d parsed as %+v ok=%v code=%x", iter, pos, l, ok, f.code(page, s))
 					}
 					continue

@@ -23,9 +23,9 @@ import (
 // order dependence — which is what lets the SLO sweeps promise
 // bit-identical JSON across runs and GOMAXPROCS.
 
-// DefaultSketchAccuracy is the relative-accuracy bound alpha used when
+// defaultSketchAccuracy is the relative-accuracy bound alpha used when
 // a caller passes none: quantiles are within 1% of the true value.
-const DefaultSketchAccuracy = 0.01
+const defaultSketchAccuracy = 0.01
 
 // LatencySketch is a deterministic streaming quantile sketch over
 // durations with a bounded relative error. The zero value is not
@@ -43,10 +43,10 @@ type LatencySketch struct {
 
 // NewLatencySketch builds a sketch whose Quantile answers are within a
 // relative error of alpha (0 < alpha < 1); alpha <= 0 selects
-// DefaultSketchAccuracy.
+// defaultSketchAccuracy.
 func NewLatencySketch(alpha float64) *LatencySketch {
 	if alpha <= 0 {
-		alpha = DefaultSketchAccuracy
+		alpha = defaultSketchAccuracy
 	}
 	if alpha >= 1 {
 		panic(fmt.Sprintf("reis: sketch accuracy %v out of range (0,1)", alpha))

@@ -22,10 +22,10 @@ import (
 // bandwidth, while graph traversal is a sequential chain of dependent
 // random accesses that no core count hides.
 
-// DRAMRandomAccessNs is the latency of one dependent random DRAM
+// dramRandomAccessNs is the latency of one dependent random DRAM
 // access (row miss, pointer chase): the per-hop floor of graph
 // traversal and the per-table floor of hash probing.
-const DRAMRandomAccessNs = 100.0
+const dramRandomAccessNs = 100.0
 
 // DRAMANN costs DRAM-resident ANN queries on a calibrated host
 // baseline over vectors of the given dimensionality.
@@ -48,7 +48,7 @@ func (d DRAMANN) parallelism() float64 {
 // parallelism and no streaming bandwidth; this is why graph indexes
 // lose their single-query latency advantage at scale (Sec 3.2).
 func (d DRAMANN) HNSWSeconds(hops float64) float64 {
-	perHop := float64(d.Dim)*d.B.Cal.F32NsPerDim + DRAMRandomAccessNs
+	perHop := float64(d.Dim)*d.B.Cal.F32NsPerDim + dramRandomAccessNs
 	return hops * perHop / 1e9
 }
 
@@ -57,7 +57,7 @@ func (d DRAMANN) HNSWSeconds(hops float64) float64 {
 // union — a flat scan, data-parallel across cores and bounded by DRAM
 // streaming bandwidth.
 func (d DRAMANN) LSHSeconds(candidates float64, tables int) float64 {
-	probe := float64(tables) * DRAMRandomAccessNs / 1e9
+	probe := float64(tables) * dramRandomAccessNs / 1e9
 	return probe + d.B.ScanSecondsF32(int(math.Ceil(candidates)), d.Dim)
 }
 
@@ -75,10 +75,10 @@ func (d DRAMANN) PQSeconds(candidates float64, m, ks, nlist int) float64 {
 	return coarse + table + math.Max(compute, stream)
 }
 
-// LoadSecondsPerQuery is the QueryBatch-amortized cost of getting the
+// LoadSecondsPerQuery is the batch-amortized cost of getting the
 // full-scale FP32 dataset into DRAM in the first place — the term the
 // flash engine never pays. batch is the retrieval-session length the
-// load is amortized over (experiments.QueryBatch in the sweeps).
+// load is amortized over (a sweep's query batch).
 func (d DRAMANN) LoadSecondsPerQuery(n int64, batch int) float64 {
 	bytes := host.DatasetBytesF32(int(n), d.Dim, 0)
 	return d.B.LoadSeconds(bytes, false) / float64(batch)
