@@ -20,20 +20,21 @@ import (
 //     scans, latched by the planes that scan them, instead of every
 //     query flooding every plane (planBroadcasts); the loads that cross
 //     a die port are what the timing model charges (ibcLedger).
-//   - Each die processes its share of every query back to back
-//     (query-major order) with no global barrier per query, so device
-//     time is occupied continuously — the overlap BatchLatency costs
-//     with the channel-occupancy model.
-//   - A shared round — one whose queries all scan the same pages: the
-//     coarse round, or a flat round — runs page-major instead where the
-//     timing model finds that cheaper (pageMajor in timing.go): each die
-//     senses a wave of pages once and cycles the round's queries through
-//     its cache latches (runWaves).
+//   - Each die runs its share of the round group by group with no global
+//     barrier per query, so device time is occupied continuously — the
+//     overlap BatchLatency costs with the channel-occupancy model. A
+//     group is one query (query-major order), or, in a shared round —
+//     one whose queries all scan the same pages: the coarse round, or a
+//     flat round — where the timing model finds it cheaper (pageMajor in
+//     timing.go), the round's queries, so each die senses a wave of pages
+//     once and cycles them through its cache latches. The order is the
+//     plan's group size alone (planDie); one runner executes both
+//     (runDie).
 //
 // Determinism: per-plane work lists are built in (query, segment)
-// order and executed in that order by the plane's die worker (page by
-// page, in page-major order), and per-query partial results are merged
-// in segment order then position order. Surviving entries stay in the
+// order and executed in that order, page by page, by the plane's die
+// worker, and per-query partial results are merged in segment order
+// then position order. Surviving entries stay in the
 // worker arenas until the round is folded; the per-segment merge then
 // moves them straight into the caller's buffer, and every per-round
 // structure is pooled, so the scan phase performs no steady-state
@@ -82,16 +83,15 @@ type batchItem struct {
 // under the distance-filter cutoff the controller decided for the round
 // (< 0: none): the fine round's filter threshold, or the coarse cut —
 // centroids over it send no TTL-C entry (see controller.run). Work is
-// split into per-plane tasks dispatched to the die worker pool; each
-// plane broadcasts a query's embedding into its cache latch once and
-// then scans all of that query's segments resident on the plane before
-// moving to the next query — or, in a shared round the timing model
-// prices cheaper page-major, senses each page once for every query
-// (runWaves). The ranges are global; the device scans the part it owns
-// (localRange — all of it on one device), and a segment with no page
-// here is no work and zero stats. Entry positions come back global. ctx
-// is polled between per-plane work items (a cancelled command aborts the
-// round at the next item boundary). A closed device
+// split into per-plane work lists run by the die worker pool; each
+// plane latches a query's embedding once and then scans all of that
+// query's segments resident on the plane before moving to the next
+// query — or, in a shared round the timing model prices cheaper
+// page-major, senses each page once for every query. The ranges are
+// global; the device scans the part it owns (localRange — all of it on
+// one device), and a segment with no page here is no work and zero
+// stats. Entry positions come back global. ctx is polled between waves
+// (a cancelled command aborts the round at the next page). A closed device
 // refuses the round: its plane workers are gone for good.
 //
 // bounds[qi] is query qi's pruning threshold and lbs[qi][si] a proven
@@ -180,7 +180,7 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 		pageMajor, _, _, _ = d.pageMajor(r)
 	}
 	busy := d.planBroadcasts(pageMajor)
-	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: cutoff, metaTag: metaTag, pageMajor: pageMajor}
+	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: cutoff, metaTag: metaTag}
 	err := d.pool.run(&d.scr.round, busy)
 	d.scr.round = scanRound{} // the command's context and queries go with it
 	if err != nil {
@@ -211,81 +211,30 @@ type scanRound struct {
 	packed    [][]byte
 	threshold int
 	metaTag   *uint8
-	pageMajor bool
 }
 
-// runDie executes one die's share of the round on its worker: the
-// planned broadcasts in ascending query order, each followed by that
-// query's items on the planes that latched it, in (query, segment) order
-// per plane — or, page-major, the die's waves (runWaves).
+// runDie executes one die's share of the round on its worker, group by
+// group as planned (planDie), wave by wave: every plane of the wave's
+// mask senses its next page once, then each query of the group takes its
+// turn in the plan's order — its step loaded into the cache latches, its
+// distances computed against every sensed page. A query that the die's
+// previous step latched (a one-query group past its first wave) is not
+// loaded again: the latches still hold it. The group's rank-b query puts
+// its entries on plane-in-die pl in arena b·PlanesPerDie + pl, so each
+// (query, segment, plane) window stays contiguous and ascending by
+// position although planes and queries take turns page by page. ctx is
+// polled before each wave and each query's turn in it.
 func (r *scanRound) runDie(sc *workerScratch, die int) error {
 	d := r.d
-	led := &d.scr.ibc
-	geo := led.geo
-	sc.oob = growTo(sc.oob, geo.PlanesPerDie)
-	if r.pageMajor {
-		return r.runWaves(sc, die)
-	}
-	sc.arenas = growTo(sc.arenas, 1)
-	for pl := 0; pl < geo.PlanesPerDie; pl++ {
-		led.cursor[geo.DiePlane(die, pl)] = 0
-	}
-	for _, st := range led.steps[die] {
-		if err := r.ctx.Err(); err != nil {
-			return err
-		}
-		// The cache latches must hold this query before its scans.
-		if err := d.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
-			return err
-		}
-		for m := st.mask; m != 0; m &= m - 1 {
-			plane := geo.DiePlane(die, bits.TrailingZeros64(m))
-			items := d.scr.planeWork[plane]
-			i := led.cursor[plane]
-			for ; i < len(items) && items[i].qi == st.qi; i++ {
-				if err := r.ctx.Err(); err != nil {
-					return err
-				}
-				it := items[i]
-				ps, err := r.scanPlane(sc, it)
-				if err != nil {
-					return err
-				}
-				d.scr.out.scans[it.slot] = ps
-			}
-			led.cursor[plane] = i
-		}
-	}
-	return nil
-}
-
-// wavePos is where one plane of a die stands in a page-major round: item
-// indexes the plane's work items of one query (every query of a shared
-// round has the same ones), page counts the item's pages done, and p and
-// addr are the page the current wave sensed.
-type wavePos struct {
-	item, page, p int
-	addr          flash.Address
-}
-
-// runWaves executes one die's share of a page-major round: wave by wave,
-// every plane of the die with a page left senses its next page once,
-// then each query of the round in ascending order is loaded into the
-// cache latches (the planned step) and computed against every sensed
-// page. Query b's entries on plane-in-die pl go to arena b·PlanesPerDie +
-// pl, so each (query, segment, plane) window stays contiguous and
-// ascending by position although the queries take turns page by page.
-// ctx is polled before each wave and each query's turn in it.
-func (r *scanRound) runWaves(sc *workerScratch, die int) error {
-	d := r.d
-	led, work, parts := &d.scr.ibc, d.scr.planeWork, d.scr.parts
-	geo := led.geo
-	nq, ppd := len(parts), geo.PlanesPerDie
-	sc.arenas = growTo(sc.arenas, nq*ppd)
+	led, work := &d.scr.ibc, d.scr.planeWork
+	geo, n := led.geo, led.group
+	ppd := geo.PlanesPerDie
+	sc.arenas = growTo(sc.arenas, n*ppd)
+	sc.oob = growTo(sc.oob, ppd)
 	sc.wave = growTo(sc.wave, ppd)
 	clear(sc.wave)
 	steps := led.steps[die]
-	for w := 0; w < len(steps); w += nq {
+	for w := 0; w < len(steps); w += n {
 		if err := r.ctx.Err(); err != nil {
 			return err
 		}
@@ -300,18 +249,21 @@ func (r *scanRound) runWaves(sc *workerScratch, die int) error {
 				return err
 			}
 		}
-		for b, st := range steps[w : w+nq] {
+		for i := w; i < w+n; i++ {
 			if err := r.ctx.Err(); err != nil {
 				return err
 			}
-			if err := d.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
-				return err
+			st := steps[i]
+			if i == 0 || steps[i-1].qi != st.qi {
+				if err := d.broadcast(r.db, die, st, r.packed[st.qi]); err != nil {
+					return err
+				}
 			}
 			for m := mask; m != 0; m &= m - 1 {
 				pl := bits.TrailingZeros64(m)
 				at, items := &sc.wave[pl], work[geo.DiePlane(die, pl)]
-				it := items[b*(len(items)/nq)+at.item]
-				lane := b*ppd + pl
+				it := items[at.item+st.rank*(len(items)/n)]
+				lane := st.rank*ppd + pl
 				ps := &d.scr.out.scans[it.slot]
 				if at.page == 0 {
 					*ps = planeScan{plane: it.span.Plane, arena: lane, lo: len(sc.arenas[lane])}
@@ -333,14 +285,23 @@ func (r *scanRound) runWaves(sc *workerScratch, die int) error {
 	return nil
 }
 
+// wavePos is where one plane of a die stands in its work list: item
+// indexes the plane's items of the group's rank-0 query (every query of
+// the group has the same ones), page counts the item's pages done, and p
+// and addr are the page the current wave sensed.
+type wavePos struct {
+	item, page, p int
+	addr          flash.Address
+}
+
 // ibcStep is one broadcast a die receives in a scan round: query qi,
-// latched by the die's planes in mask (bit i = plane-in-die i). sent
-// names the loads that cross the die's I/O port for it — with MPIBC one
-// for the whole die (sent == mask), without it one per plane named; where
-// sent is clear the latches still hold the query from an earlier round
-// of the command.
+// the rank-th of its group, latched by the die's planes in mask (bit i =
+// plane-in-die i). sent names the loads that cross the die's I/O port
+// for it — with MPIBC one for the whole die (sent == mask), without it
+// one per plane named; where sent is clear the latches still hold the
+// query from an earlier step.
 type ibcStep struct {
-	qi         int
+	qi, rank   int
 	mask, sent uint64
 }
 
@@ -358,10 +319,12 @@ type ibcLedger struct {
 	geo   flash.Geometry
 	mpibc bool
 	units int
-	// steps[die] is the die's broadcast plan of the current round;
-	// cursor[plane] walks the plane's work list while the plan is built
-	// and again while the die executes it.
+	// steps[die] is the die's broadcast plan of the current round, in
+	// groups of group queries (planDie): every query of a page-major
+	// round, else one. cursor[plane] walks the plane's work list while
+	// the plan is built.
 	steps  [][]ibcStep
+	group  int
 	cursor []int
 	holds  []int32  // holds[unit]: the query the unit's latches hold, -1 none
 	loaded []uint64 // bit qi*units+unit: query qi has loaded unit
@@ -409,22 +372,18 @@ func (l *ibcLedger) send(qi, unit, ch int) bool {
 	return true
 }
 
-// planBroadcasts turns the round's per-plane work lists into each die's
-// broadcast plan — query-major (planQueries) or page-major (planWaves) —
-// and returns the dies with work. It also counts the planes each query
-// is latched on (scanOut.ibc), which does not depend on the order.
+// planBroadcasts plans every die's share of the round (planDie) and
+// returns the dies with work.
 func (d *device) planBroadcasts(pageMajor bool) []int {
 	led := &d.scr.ibc
+	led.group = 1
+	if pageMajor {
+		led.group = len(d.scr.parts)
+	}
 	busy := d.scr.busy[:0]
 	for die := range led.steps {
-		steps := led.steps[die][:0]
-		if pageMajor {
-			steps = d.planWaves(die, steps)
-		} else {
-			steps = d.planQueries(die, steps)
-		}
-		led.steps[die] = steps
-		if len(steps) > 0 {
+		led.steps[die] = d.planDie(die, led.steps[die][:0], pageMajor)
+		if len(led.steps[die]) > 0 {
 			busy = append(busy, die)
 		}
 	}
@@ -432,11 +391,18 @@ func (d *device) planBroadcasts(pageMajor bool) []int {
 	return busy
 }
 
-// planQueries appends the die's query-major plan to steps. A die
-// receives a query once per run of that query's items on its planes;
-// items were appended in ascending query order, so merging the planes'
-// lists query-major yields exactly the broadcasts runDie performs.
-func (d *device) planQueries(die int, steps []ibcStep) []ibcStep {
+// planDie appends the die's broadcast plan to steps, group by group in
+// ascending query order. A page-major round's one group is the round's
+// queries (parts) — they scan the same pages — and a query-major round's
+// groups hold one query each. For each wave of a group — the k-th page
+// of every plane's share of the group's items — it emits one step per
+// query of the group, latched by the wave's planes. Cycling a group's
+// queries through the latches wave after wave is what makes a page-major
+// query's loads the round's waves on each die; a one-query group loads
+// once, since the latches still hold it at its next wave. It also counts
+// the planes each query is latched on (scanOut.ibc), which does not
+// depend on the order.
+func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 	led, work, out := &d.scr.ibc, d.scr.planeWork, &d.scr.out
 	geo := led.geo
 	ch := geo.DieChannel(die)
@@ -444,6 +410,7 @@ func (d *device) planQueries(die int, steps []ibcStep) []ibcStep {
 		led.cursor[geo.DiePlane(die, pl)] = 0
 	}
 	for {
+		// The lowest query with items left on the die opens the next group.
 		qi := -1
 		for pl := 0; pl < geo.PlanesPerDie; pl++ {
 			p := geo.DiePlane(die, pl)
@@ -454,82 +421,55 @@ func (d *device) planQueries(die int, steps []ibcStep) []ibcStep {
 		if qi < 0 {
 			return steps
 		}
-		st := ibcStep{qi: qi}
+		group := d.scr.parts
+		if !pageMajor {
+			group = []int{qi}
+		}
+		// pages[pl]: the pages of qi's items on plane-in-die pl (a mask has
+		// 64 bits); the group's items on the plane are len(group) times as
+		// many.
+		var pages [64]int
+		waves, used := 0, uint64(0)
 		for pl := 0; pl < geo.PlanesPerDie; pl++ {
 			p := geo.DiePlane(die, pl)
 			c := led.cursor[p]
-			if c == len(work[p]) || work[p][c].qi != qi {
-				continue
+			for ; c < len(work[p]) && work[p][c].qi == qi; c++ {
+				pages[pl] += work[p][c].span.Count
 			}
-			for c < len(work[p]) && work[p][c].qi == qi {
-				c++
-			}
-			led.cursor[p] = c
-			st.mask |= 1 << uint(pl)
-			if !led.mpibc && led.send(qi, p, ch) {
-				st.sent |= 1 << uint(pl)
+			led.cursor[p] += (c - led.cursor[p]) * len(group)
+			waves = max(waves, pages[pl])
+			if pages[pl] > 0 {
+				used |= 1 << uint(pl)
 			}
 		}
-		if led.mpibc && led.send(qi, die, ch) {
-			st.sent = st.mask
-		}
-		out.ibc[qi] += bits.OnesCount64(st.mask)
-		steps = append(steps, st)
-	}
-}
-
-// planWaves appends the die's page-major plan to steps: for each wave —
-// the k-th page of every plane of the die that has k pages or more of
-// one query's items — one step per query of the round, in ascending
-// order, latched by the wave's planes. Cycling the queries through the
-// latches wave after wave is what makes a query's loads the round's waves
-// on each die, where query-major loads it once.
-func (d *device) planWaves(die int, steps []ibcStep) []ibcStep {
-	led, work, out, parts := &d.scr.ibc, d.scr.planeWork, &d.scr.out, d.scr.parts
-	geo := led.geo
-	ch := geo.DieChannel(die)
-	// cursor[p]: the pages of one query's items on plane p.
-	waves, used := 0, uint64(0)
-	for pl := 0; pl < geo.PlanesPerDie; pl++ {
-		p := geo.DiePlane(die, pl)
-		n := 0
-		for _, it := range work[p][:len(work[p])/len(parts)] {
-			n += it.span.Count
-		}
-		led.cursor[p] = n
-		waves = max(waves, n)
-		if n > 0 {
-			used |= 1 << uint(pl)
-		}
-	}
-	for k := range waves {
-		var mask uint64
-		for pl := 0; pl < geo.PlanesPerDie; pl++ {
-			if led.cursor[geo.DiePlane(die, pl)] > k {
-				mask |= 1 << uint(pl)
-			}
-		}
-		for _, qi := range parts {
-			st := ibcStep{qi: qi, mask: mask}
-			if led.mpibc {
-				if led.send(qi, die, ch) {
-					st.sent = mask
+		for k := range waves {
+			var mask uint64
+			for pl := 0; pl < geo.PlanesPerDie; pl++ {
+				if pages[pl] > k {
+					mask |= 1 << uint(pl)
 				}
-			} else {
-				for m := mask; m != 0; m &= m - 1 {
-					pl := bits.TrailingZeros64(m)
-					if led.send(qi, geo.DiePlane(die, pl), ch) {
-						st.sent |= 1 << uint(pl)
+			}
+			for b, qi := range group {
+				st := ibcStep{qi: qi, rank: b, mask: mask}
+				if led.mpibc {
+					if led.send(qi, die, ch) {
+						st.sent = mask
+					}
+				} else {
+					for m := mask; m != 0; m &= m - 1 {
+						pl := bits.TrailingZeros64(m)
+						if led.send(qi, geo.DiePlane(die, pl), ch) {
+							st.sent |= 1 << uint(pl)
+						}
 					}
 				}
+				steps = append(steps, st)
 			}
-			steps = append(steps, st)
+		}
+		for _, qi := range group {
+			out.ibc[qi] += bits.OnesCount64(used)
 		}
 	}
-	for _, qi := range parts {
-		out.ibc[qi] += bits.OnesCount64(used)
-	}
-	return steps
 }
 
 // broadcast issues one planned step to the die: with MPIBC a single

@@ -22,17 +22,19 @@ type workerScratch struct {
 	// the engine merges the windows after the run completes and resets
 	// the arenas at the start of the next scan phase. Windows index an
 	// arena rather than aliasing it, so arena growth never invalidates a
-	// previously recorded window. A query-major round fills arenas[0]
-	// task by task; a page-major round, whose queries and planes take
-	// turns page by page, gives each (query, plane) its own (runWaves).
+	// previously recorded window. The die's planes and a group's queries
+	// take turns page by page, so query b of the group fills arena
+	// b·PlanesPerDie + pl on plane-in-die pl (runDie): PlanesPerDie
+	// arenas in a query-major round, one per (query, plane) in a
+	// page-major one.
 	arenas [][]TTLEntry
 	// oob[pl] holds plane-in-die pl's sensed OOB area between the page
-	// read and the per-slot linkage decode (query-major uses oob[0]).
+	// read and the per-slot linkage decode.
 	oob [][]byte
 	// dists is the distance buffer handed to GEN_DIST_PAGE: the die
 	// writes every slot distance of the sensed page into it in place.
 	dists []int
-	// wave[pl] is where plane-in-die pl stands in a page-major round.
+	// wave[pl] is where plane-in-die pl stands in its work list.
 	wave []wavePos
 }
 

@@ -188,7 +188,7 @@ type deviceScratch struct {
 	spans     []ssd.PlaneSpan
 	planeWork [][]batchItem
 	busy      []int // the dies with work this round
-	parts     []int // the queries of a page-major round, ascending
+	parts     []int // the round's queries with pages here, ascending: a page-major round's group
 	ibc       ibcLedger
 	round     scanRound
 	out       scanOut
@@ -246,31 +246,6 @@ type planeScan struct {
 	scanned   int
 	survivors int
 	pruned    int // slots whose TTL transfer the pruning bound suppressed
-}
-
-// scanPlane executes the in-plane distance computation of one work
-// item — one query's share of a segment on one plane of a slotted SLC
-// region — query-major: each page is sensed (sense) and its distances
-// computed against the query in the cache latch at once (dist). Only
-// the item's plane is touched, so concurrent scans of different planes
-// share no mutable device state. Survivors are appended to the worker's
-// first arena under their global positions.
-func (r *scanRound) scanPlane(sc *workerScratch, it batchItem) (planeScan, error) {
-	arena := &sc.arenas[0]
-	ps := planeScan{plane: it.span.Plane, lo: len(*arena), hi: len(*arena)}
-	for pi := 0; pi < it.span.Count; pi++ {
-		p := it.span.First + pi*it.span.Stride
-		addr, oob, err := r.sense(p, sc.oob[0])
-		sc.oob[0] = oob
-		if err != nil {
-			return ps, err
-		}
-		if err := r.dist(sc, &ps, arena, it, p, addr, oob); err != nil {
-			return ps, err
-		}
-	}
-	ps.hi = len(*arena)
-	return ps, nil
 }
 
 // sense reads local page p of the round's region into its plane's
