@@ -254,7 +254,9 @@ func formatFig7(rows []experiments.Fig7Row) string {
 }
 
 // resolve turns the -exp value into experiments: "all" is the table, in
-// order; otherwise each comma-separated id or alias is looked up.
+// order; otherwise each comma-separated id or alias is looked up, and
+// each experiment runs once, where it was first named (fig7,fig8 is one
+// Fig 7 section, not two).
 func resolve(exp string) ([]experiment, error) {
 	if exp == "all" {
 		return experimentTable, nil
@@ -267,7 +269,9 @@ func resolve(exp string) ([]experiment, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("unknown experiment %q", id)
 		}
-		exps = append(exps, experimentTable[i])
+		if !slices.ContainsFunc(exps, func(e experiment) bool { return e.id == experimentTable[i].id }) {
+			exps = append(exps, experimentTable[i])
+		}
 	}
 	return exps, nil
 }

@@ -9,8 +9,8 @@ import (
 
 // TestResolve pins the one table every id list is derived from: `all`
 // is the table itself, every id and alias resolves to its own row, no
-// name is claimed twice, and a removed experiment is an error before
-// anything runs.
+// name is claimed twice, a list names each experiment once, and a
+// removed experiment is an error before anything runs.
 func TestResolve(t *testing.T) {
 	all, err := resolve("all")
 	if err != nil || len(all) != len(experimentTable) {
@@ -35,8 +35,22 @@ func TestResolve(t *testing.T) {
 			}
 		}
 	}
-	if got, err := resolve("throughput,fig8"); err != nil || len(got) != 2 || got[0].id != "throughput" || got[1].id != "fig7" {
-		t.Errorf("resolve(throughput,fig8) = %v, %v", got, err)
+	// A list runs each experiment once, where it was first named — by id
+	// or alias — so a -json report never holds two sections under one id.
+	for exp, want := range map[string][]string{
+		"throughput,fig8":      {"throughput", "fig7"},
+		"fig7,fig8":            {"fig7"},
+		"fig11,fig11":          {"fig11"},
+		"fig8,throughput,fig7": {"fig7", "throughput"},
+	} {
+		got, err := resolve(exp)
+		ids := make([]string, len(got))
+		for i, e := range got {
+			ids[i] = e.id
+		}
+		if err != nil || !slices.Equal(ids, want) {
+			t.Errorf("resolve(%q) = %v, %v; want %v", exp, ids, err, want)
+		}
 	}
 	for _, bad := range []string{"replicas", "throughput,nope", ""} {
 		if _, err := resolve(bad); err == nil {
