@@ -6,8 +6,10 @@
 //
 // Scaling: workloads run functionally at catalog scale (Sec "Load"),
 // and device latencies are costed at the paper's full dataset sizes
-// through reis.Scale (fine scale = paper entries / functional entries;
-// coarse scale = paper nlist / functional nlist). Normalized results —
+// through reis.Scale (projection): coarse scale = paper nlist /
+// functional nlist; fine scale = paper entries / functional entries for
+// a brute-force scan, and for an IVF one the cluster-size ratio times
+// the nprobe growth √(coarse scale). Normalized results —
 // who wins and by roughly what factor — are the reproduction target,
 // not absolute QPS.
 //
@@ -54,17 +56,9 @@ type Workload struct {
 	Centroids [][]float32
 	Assign    []int
 
-	// ScaleFine is paper entries / functional entries (applies to
-	// whole-database scans).
-	ScaleFine float64
-	// ScaleCoarse is paper nlist / functional nlist.
-	ScaleCoarse float64
-	// ClusterRatio is paper cluster size / functional cluster size.
-	// IVF fine scans extrapolate by this ratio: at full scale the
-	// paper's index keeps nlist = 16384, so a fixed nprobe scans
-	// nprobe * (paperN / 16384) entries regardless of how the
-	// functional run was scaled.
-	ClusterRatio float64
+	// BF and IVF cost a brute-force and an IVF query at paper size
+	// (projection).
+	BF, IVF reis.Scale
 }
 
 // LoadWorkload builds the named catalog workload at the given scale
@@ -82,46 +76,46 @@ func LoadWorkload(name string, scale int) *Workload {
 	cents, assign := ann.KMeans(data.Vectors, ann.KMeansConfig{
 		K: nlist, Seed: 0x1df, SampleLimit: 8192,
 	})
-	paperCluster := float64(desc.PaperEntries) / float64(paperNList)
-	ourCluster := float64(data.Len()) / float64(len(cents))
+	bf, ivf := projection(desc.PaperEntries, data.Len(), len(cents), desc.DocBytes > 0)
 	return &Workload{
-		Name:         name,
-		Data:         data,
-		Desc:         desc,
-		Centroids:    cents,
-		Assign:       assign,
-		ScaleFine:    float64(desc.PaperEntries) / float64(data.Len()),
-		ScaleCoarse:  float64(paperNList) / float64(len(cents)),
-		ClusterRatio: paperCluster / ourCluster,
+		Name:      name,
+		Data:      data,
+		Desc:      desc,
+		Centroids: cents,
+		Assign:    assign,
+		BF:        bf,
+		IVF:       ivf,
 	}
 }
 
-// ScaleBF returns the reis.Scale for costing a brute-force query at
-// paper size: the scan covers the whole database, so it magnifies
-// linearly.
-func (w *Workload) ScaleBF() reis.Scale {
-	return reis.Scale{Fine: w.ScaleFine, Coarse: w.ScaleCoarse, SurvivorRate: SurvivorRate}
-}
-
-// ScaleIVF returns the reis.Scale for costing an IVF query at paper
-// size. The fine scan covers nprobe clusters of ClusterRatio-times
-// larger size, and nprobe itself grows with the square root of the
-// nlist ratio: keeping nprobe fixed (scan ∝ ClusterRatio) is too
-// optimistic at 16384 cells, while keeping the scanned *fraction*
-// fixed (scan ∝ N) is too pessimistic — sqrt sits between the two
-// extremes and matches how practitioners retune nprobe when nlist
-// grows (FAISS guidelines scale both with sqrt(N)).
-func (w *Workload) ScaleIVF() reis.Scale {
-	fine := w.ClusterRatio * math.Sqrt(max(1, w.ScaleCoarse))
-	if w.Desc.DocBytes == 0 {
-		// Billion-scale pure-ANNS datasets (SIFT/DEEP): the functional
-		// run already probes a far larger fraction of cells (tens of
-		// percent) than any full-scale deployment would (<1%), so the
-		// nprobe-growth term would double-count; cluster-size scaling
-		// alone is already conservative for REIS there.
-		fine = w.ClusterRatio
+// projection returns the reis.Scales that cost a functional run of n
+// entries in nlist clusters at paper size — paperN entries in
+// paperNList clusters: bf for a brute-force query, whose scan covers the
+// whole database and so magnifies linearly, and ivf for an IVF one. Both
+// magnify the coarse phase by the nlist ratio. The IVF fine scan covers
+// nprobe clusters of the cluster-size ratio's larger size, and nprobe
+// itself grows with the square root of the nlist ratio: keeping nprobe
+// fixed (scan ∝ cluster-size ratio) is too optimistic at 16384 cells,
+// while keeping the scanned *fraction* fixed (scan ∝ N) is too
+// pessimistic — sqrt sits between the two extremes and matches how
+// practitioners retune nprobe when nlist grows (FAISS guidelines scale
+// both with sqrt(N)).
+//
+// A database without documents (the billion-scale pure-ANNS SIFT/DEEP)
+// takes no nprobe growth: the functional run already probes a far larger
+// fraction of cells (tens of percent) than any full-scale deployment
+// would (<1%), so the growth term would double-count; cluster-size
+// scaling alone is already conservative for REIS there.
+func projection(paperN int64, n, nlist int, docs bool) (bf, ivf reis.Scale) {
+	coarse := float64(paperNList) / float64(nlist)
+	paperCluster := float64(paperN) / float64(paperNList)
+	ourCluster := float64(n) / float64(nlist)
+	fine := paperCluster / ourCluster
+	if docs {
+		fine *= math.Sqrt(max(1, coarse))
 	}
-	return reis.Scale{Fine: fine, Coarse: w.ScaleCoarse, SurvivorRate: SurvivorRate}
+	return reis.Scale{Fine: float64(paperN) / float64(n), Coarse: coarse, SurvivorRate: SurvivorRate},
+		reis.Scale{Fine: fine, Coarse: coarse, SurvivorRate: SurvivorRate}
 }
 
 // PaperN returns the full-scale entry count.
@@ -155,11 +149,11 @@ func rivalCoarse(w *Workload, st reis.QueryStats) float64 {
 	if st.CoarseEntries == 0 {
 		return 0
 	}
-	return float64(len(w.Centroids)) * w.ScaleCoarse
+	return float64(len(w.Centroids)) * w.IVF.Coarse
 }
 
 // FineCandidates returns the full-scale fine-scan candidate count of a
 // mean stats record under the given scale.
-func FineCandidates(st reis.QueryStats, fineScale float64) float64 {
-	return float64(st.EntriesScanned-st.CoarseEntries) * fineScale
+func FineCandidates(st reis.QueryStats, sc reis.Scale) float64 {
+	return float64(st.EntriesScanned-st.CoarseEntries) * sc.Fine
 }

@@ -24,11 +24,11 @@ func TestLoadWorkload(t *testing.T) {
 	if len(w.Assign) != w.Data.Len() {
 		t.Fatal("assignment length mismatch")
 	}
-	if w.ScaleFine <= 1 {
-		t.Fatalf("ScaleFine = %v, expected > 1 for scaled-down run", w.ScaleFine)
+	if w.BF.Fine <= 1 {
+		t.Fatalf("BF.Fine = %v, expected > 1 for scaled-down run", w.BF.Fine)
 	}
-	if w.ScaleCoarse <= 1 {
-		t.Fatalf("ScaleCoarse = %v", w.ScaleCoarse)
+	if w.IVF.Coarse <= 1 {
+		t.Fatalf("IVF.Coarse = %v", w.IVF.Coarse)
 	}
 }
 
@@ -139,8 +139,8 @@ func TestFig7RivalIgnoresCoarseReissue(t *testing.T) {
 	twice.EntriesScanned += nlist
 	twice.CoarseEntries += nlist
 	b := reis.Breakdown{Total: time.Millisecond, AvgWatts: 1}
-	got := makeRow(w, "IVF", w.ScaleIVF().Fine, cpu, noio, b, b, twice)
-	want := makeRow(w, "IVF", w.ScaleIVF().Fine, cpu, noio, b, b, once)
+	got := makeRow(w, "IVF", w.IVF, cpu, noio, b, b, twice)
+	want := makeRow(w, "IVF", w.IVF, cpu, noio, b, b, once)
 	if got.CPUQPS != want.CPUQPS || got.NoIO != want.NoIO {
 		t.Fatalf("re-issued coarse round: CPUQPS %v NoIO %v, want %v %v", got.CPUQPS, got.NoIO, want.CPUQPS, want.NoIO)
 	}

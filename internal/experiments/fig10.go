@@ -34,11 +34,11 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			add := func(mode string, fineScale float64, b reis.Breakdown, st reis.QueryStats) {
+			add := func(mode string, sc reis.Scale, b reis.Breakdown, st reis.QueryStats) {
 				// ICE scans the same logical embeddings; its pages are
 				// amplified inside the model. Candidates (no DF) are
 				// every scanned entry.
-				cands := FineCandidates(st, fineScale)
+				cands := FineCandidates(st, sc)
 				perPage := float64(s.DB.EmbPerPage())
 				scanPages := rivalCoarse(w, st)/perPage + cands/perPage
 				iceL := ice.Latency(s.Cfg, scanPages, cands, 8)
@@ -53,13 +53,13 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 			if err != nil {
 				return nil, err
 			}
-			add("BF", w.ScaleFine, b, st)
+			add("BF", w.BF, b, st)
 			for _, target := range recallTargets {
 				b, st, err := s.RunIVFAt(10, target)
 				if err != nil {
 					return nil, err
 				}
-				add(fmt.Sprintf("IVF@%.2f", target), w.ScaleIVF().Fine, b, st)
+				add(fmt.Sprintf("IVF@%.2f", target), w.IVF, b, st)
 			}
 		}
 	}
@@ -106,7 +106,7 @@ func RunFig11(scale int) ([]Fig11Row, error) {
 			}
 			// RunIVF without the document-retrieval stage: SIFT/DEEP are
 			// pure-ANNS benchmarks, as in NDSearch's evaluation.
-			b, _, err := s.run(10, w.ScaleIVF(), reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe, SkipDocs: true})
+			b, _, err := s.run(10, w.IVF, reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe, SkipDocs: true})
 			if err != nil {
 				return nil, err
 			}

@@ -72,7 +72,7 @@ func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []Fig7Row{makeRow(w, "BF", w.ScaleFine, cpu, noio, b1, b2, st1)}
+	rows := []Fig7Row{makeRow(w, "BF", w.BF, cpu, noio, b1, b2, st1)}
 
 	// IVF at each recall target.
 	for _, target := range recallTargets {
@@ -88,13 +88,13 @@ func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, makeRow(w, fmt.Sprintf("IVF@%.2f", target), w.ScaleIVF().Fine, cpu, noio, b1, b2, st))
+		rows = append(rows, makeRow(w, fmt.Sprintf("IVF@%.2f", target), w.IVF, cpu, noio, b1, b2, st))
 	}
 	return rows, nil
 }
 
-func makeRow(w *Workload, mode string, fineScale float64, cpu, noio *host.Baseline, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
-	fineCands := FineCandidates(st, fineScale)
+func makeRow(w *Workload, mode string, sc reis.Scale, cpu, noio *host.Baseline, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
+	fineCands := FineCandidates(st, sc)
 	coarse := rivalCoarse(w, st)
 	cpuQPS := CPUQPS(cpu, w, fineCands, coarse)
 	noioQPS := CPUQPS(noio, w, fineCands, coarse)

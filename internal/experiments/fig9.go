@@ -54,7 +54,7 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				cpuQPS := CPUQPS(cpu, w, FineCandidates(st, w.ScaleIVF().Fine), rivalCoarse(w, st))
+				cpuQPS := CPUQPS(cpu, w, FineCandidates(st, w.IVF), rivalCoarse(w, st))
 				row := &rows[next]
 				next++
 				row.SSD, row.Recall = s.Cfg.Name, target
@@ -103,7 +103,7 @@ func RunASIC(scale int, datasets []string) ([]ASICRow, error) {
 				if err != nil {
 					return nil, err
 				}
-				sc := w.ScaleIVF()
+				sc := w.IVF
 				reisL := s.price(st, nil, sc).Total
 				asicL := s.Engine.ASICLatency(s.DB, st, sc).Total
 				rows = append(rows, ASICRow{

@@ -105,7 +105,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 
 	// LSH: at a fixed hash width the per-bucket occupancy — and so the
 	// rescored candidate union — grows linearly with N; scaling the
-	// measured candidate count by ScaleFine keeps the scanned fraction
+	// measured candidate count by the brute-force scale keeps the scanned fraction
 	// of the database fixed (the fixed-structure extrapolation). More
 	// bits means smaller buckets: fewer candidates, lower recall.
 	const lshTables = 16
@@ -117,32 +117,31 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 			cand += float64(lsh.CandidateCount(q))
 		}
 		cand /= float64(len(d.Queries))
-		add("LSH", fmt.Sprintf("bits=%d", bits), recall, dram.LSHSeconds(cand*w.ScaleFine, lshTables), true)
+		add("LSH", fmt.Sprintf("bits=%d", bits), recall, dram.LSHSeconds(cand*w.BF.Fine, lshTables), true)
 	}
 
 	// PQ-IVF: probed-list candidates extrapolate exactly like the
-	// engine's own IVF fine scan (ScaleIVF — cluster-size ratio times
-	// the sqrt nprobe-retuning term), and the coarse scan covers the
+	// engine's own IVF fine scan (the Workload's IVF scale — cluster-size
+	// ratio times the sqrt nprobe-retuning term), and the coarse scan covers the
 	// paper's full nlist.
 	nlist := max(8, isqrt(d.Len()))
 	const pqM, pqKS = 16, 64
 	pqivf := ann.NewPQIVF(d.Vectors,
 		ann.IVFConfig{NList: nlist, Seed: 5},
 		ann.PQConfig{M: pqM, KS: pqKS, Seed: 5, TrainIters: 6})
-	scIVF := w.ScaleIVF()
 	for _, nprobe := range []int{1, 2, 4, 8} {
 		np := nprobe
 		_, recall := measureSearcher(d, searchFunc(func(q []float32, kk int) []ann.Result {
 			return pqivf.SearchNProbe(q, kk, np)
 		}), k)
-		cand := float64(d.Len()) * float64(np) / float64(nlist) * scIVF.Fine
+		cand := float64(d.Len()) * float64(np) / float64(nlist) * w.IVF.Fine
 		add("PQ-IVF", fmt.Sprintf("np=%d", np), recall, dram.PQSeconds(cand, pqM, pqKS, paperNList), true)
 	}
 
 	// Flash configurations: the same corpus deployed on REIS-SSD1,
 	// searched with threshold pruning, without and with the DRAM
 	// caching tier. Recall comes from the functional results, latency
-	// from the occupancy timing model at ScaleIVF. With the cache, two
+	// from the occupancy timing model at the IVF scale. With the cache, two
 	// warm-up passes build the probe counters, so the measured pass meets
 	// whatever the tier chose to pin. On SSD1 that is nothing: 1 to 8
 	// clusters are one wave on 256 planes, pin admission (reis
@@ -191,7 +190,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 					ids[i] = r.ID
 				}
 				got[qi] = ids
-				serveSec += s.price(resp.QueryStats[0], nil, scIVF).Total.Seconds()
+				serveSec += s.price(resp.QueryStats[0], nil, w.IVF).Total.Seconds()
 			}
 			add(system, fmt.Sprintf("np=%d", nprobe), dataset.Recall(d.GroundTruth, got, k),
 				serveSec/float64(len(d.Queries)), false)

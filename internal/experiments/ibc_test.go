@@ -581,7 +581,7 @@ func TestIBCChargeNeverAboveFullBroadcast(t *testing.T) {
 					t.Fatal(err)
 				}
 				for qi, st := range resp.QueryStats {
-					for _, sc := range []reis.Scale{reis.UnitScale(), w.ScaleIVF(), w.ScaleBF(), {Fine: 1.5, Coarse: 1.5}, {Fine: 1e9, Coarse: 1e9}} {
+					for _, sc := range []reis.Scale{reis.UnitScale(), w.IVF, w.BF, {Fine: 1.5, Coarse: 1.5}, {Fine: 1e9, Coarse: 1e9}} {
 						ibc := s.price(st, resp.ShardStats(qi), sc).IBC
 						if ibc > time.Duration(full)*perLoad || ibc < perLoad {
 							t.Fatalf("%s x%d mpibc=%v op %#x query %d scale %+v: IBC %v outside [one load %v, full broadcast %v]",

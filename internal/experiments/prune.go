@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 
@@ -54,17 +53,13 @@ const (
 
 // pruneScale costs the sweep at paper size, exactly like the figure
 // runners: the separated corpus stands in for a paper-scale database
-// (100M entries at the paper's nlist = 16384), so fine pages magnify
-// by cluster-size ratio times sqrt of the nlist ratio (the Workload
-// ScaleIVF rule) and the coarse phase by the nlist ratio. At unit
-// scale the tiny functional corpus hides the scan behind fixed
-// controller costs; at paper scale the fine scan dominates, which is
-// the regime pruning targets.
+// of 100M entries (projection's IVF scale). At unit scale the tiny
+// functional corpus hides the scan behind fixed controller costs; at
+// paper scale the fine scan dominates, which is the regime pruning
+// targets.
 func pruneScale() reis.Scale {
-	const paperN = 100e6
-	coarse := float64(paperNList) / pruneNList
-	clusterRatio := (paperN / paperNList) / prunePerCluster
-	return reis.Scale{Fine: clusterRatio * math.Sqrt(max(1, coarse)), Coarse: coarse, SurvivorRate: SurvivorRate}
+	_, ivf := projection(100e6, pruneNList*prunePerCluster, pruneNList, true)
+	return ivf
 }
 
 // prunedWorkload builds the separated corpus the sweep runs on:

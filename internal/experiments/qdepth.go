@@ -80,7 +80,7 @@ func RunQDepth(scale int) ([]QDepthRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			tail := s.tail(passOf(resp), w.ScaleIVF(), depth, loadUtilization)
+			tail := s.tail(passOf(resp), w.IVF, depth, loadUtilization)
 			row := QDepthRow{
 				Dataset: w.Name, Mode: mode, Depth: depth, HostCost: cost,
 				ModelQPS:   tail.SaturationQPS,
@@ -88,7 +88,7 @@ func RunQDepth(scale int) ([]QDepthRow, error) {
 				ModelP95Ms: ms(tail.P95),
 				ModelP99Ms: ms(tail.P99),
 
-				ModelShares: s.sharesAt(passOf(resp), w.ScaleIVF(), depth),
+				ModelShares: s.sharesAt(passOf(resp), w.IVF, depth),
 			}
 			if st.Dispatches > 0 {
 				row.AvgBatch = float64(st.Submitted) / float64(st.Dispatches)

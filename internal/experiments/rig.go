@@ -365,12 +365,12 @@ func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 // search, admitted as one batched Search host command, and returns the
 // mean per-query latency breakdown at paper scale plus the mean stats.
 func (s *Setup) RunBF(k int) (reis.Breakdown, reis.QueryStats, error) {
-	return s.run(k, s.W.ScaleBF(), reis.OpcodeSearch, reis.SearchOptions{})
+	return s.run(k, s.W.BF, reis.OpcodeSearch, reis.SearchOptions{})
 }
 
 // RunIVF executes every query at the given nprobe, batched.
 func (s *Setup) RunIVF(k, nprobe int) (reis.Breakdown, reis.QueryStats, error) {
-	return s.run(k, s.W.ScaleIVF(), reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe})
+	return s.run(k, s.W.IVF, reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe})
 }
 
 // RunIVFAt executes every query at the nprobe calibrated for the

@@ -66,7 +66,7 @@ func RunShards(scale int) ([]ShardRow, error) {
 			mode string
 			cmd  reis.HostCommand
 			sc   reis.Scale
-		}{{"BF", bf, w.ScaleBF()}, {mode, ivf, w.ScaleIVF()}} {
+		}{{"BF", bf, w.BF}, {mode, ivf, w.IVF}} {
 			row, err := shardRow(s, r.cmd, r.sc)
 			if err != nil {
 				return nil, err

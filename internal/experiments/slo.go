@@ -99,9 +99,9 @@ func RunSLO(scale int, depths []int, loads []float64) ([]SLORow, error) {
 			return nil, err
 		}
 		for _, depth := range depths {
-			shares := s.sharesAt(passOf(resp), w.ScaleIVF(), depth)
+			shares := s.sharesAt(passOf(resp), w.IVF, depth)
 			for _, load := range loads {
-				res := s.tail(passOf(resp), w.ScaleIVF(), depth, load)
+				res := s.tail(passOf(resp), w.IVF, depth, load)
 				rows = append(rows, SLORow{
 					Dataset: w.Name, Mode: mode,
 					Shards: s.Devices, Depth: depth, Load: fmt.Sprintf("%.2f", load),

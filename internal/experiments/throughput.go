@@ -52,7 +52,7 @@ func RunThroughput(scale int) ([]ThroughputRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			all, sc, queries := passOf(resp), w.ScaleIVF(), cmd.Queries
+			all, sc, queries := passOf(resp), w.IVF, cmd.Queries
 			seen := make(map[int]bool)
 			for _, batch := range throughputBatches {
 				// Small workloads clamp large batch sizes to the query
