@@ -429,7 +429,7 @@ func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 		// 64 bits); the group's items on the plane are len(group) times as
 		// many.
 		var pages [64]int
-		waves, used := 0, uint64(0)
+		waves := 0
 		for pl := 0; pl < geo.PlanesPerDie; pl++ {
 			p := geo.DiePlane(die, pl)
 			c := led.cursor[p]
@@ -438,9 +438,6 @@ func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 			}
 			led.cursor[p] += (c - led.cursor[p]) * len(group)
 			waves = max(waves, pages[pl])
-			if pages[pl] > 0 {
-				used |= 1 << uint(pl)
-			}
 		}
 		for k := range waves {
 			var mask uint64
@@ -450,6 +447,9 @@ func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 				}
 			}
 			for b, qi := range group {
+				if k == 0 {
+					out.ibc[qi] += bits.OnesCount64(mask) // the planes that latch qi
+				}
 				st := ibcStep{qi: qi, rank: b, mask: mask}
 				if led.mpibc {
 					if led.send(qi, die, ch) {
@@ -465,9 +465,6 @@ func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 				}
 				steps = append(steps, st)
 			}
-		}
-		for _, qi := range group {
-			out.ibc[qi] += bits.OnesCount64(used)
 		}
 	}
 }
