@@ -33,16 +33,15 @@ import (
 //
 // Determinism: per-plane work lists are built in (query, segment)
 // order and executed in that order, page by page, by the plane's die
-// worker, and per-query partial results are merged in segment order
-// then position order. Surviving entries stay in the
-// worker arenas until the round is folded; the per-segment merge then
-// moves them straight into the caller's buffer, and every per-round
-// structure is pooled, so the scan phase performs no steady-state
-// allocation.
+// worker. Surviving entries stay in the worker arenas until the round is
+// folded; the fold then appends each segment's plane windows straight
+// into the caller's buffer — a query's stream is a set, so no merge
+// orders it — and every per-round structure is pooled, so the scan phase
+// performs no steady-state allocation.
 
 // segScan is the outcome of one query's scan of one segment: the window
-// of scanOut.scans holding its per-plane arena windows (merged lazily,
-// at fold time) plus the folded event counts. An aborted segment has an
+// of scanOut.scans holding its per-plane arena windows (copied out at
+// fold time) plus the folded event counts. An aborted segment has an
 // empty window; prunedPages/abortedWaves account the work it skipped.
 type segScan struct {
 	lo, hi       int
@@ -221,9 +220,9 @@ type scanRound struct {
 // previous step latched (a one-query group past its first wave) is not
 // loaded again: the latches still hold it. The group's rank-b query puts
 // its entries on plane-in-die pl in arena b·PlanesPerDie + pl, so each
-// (query, segment, plane) window stays contiguous and ascending by
-// position although planes and queries take turns page by page. ctx is
-// polled before each wave and each query's turn in it.
+// (query, segment, plane) window stays contiguous although planes and
+// queries take turns page by page. ctx is polled before each wave and
+// each query's turn in it.
 func (r *scanRound) runDie(sc *workerScratch, die int) error {
 	d := r.d
 	led, work := &d.scr.ibc, d.scr.planeWork
@@ -513,24 +512,6 @@ func (s *segScan) addTo(st *QueryStats, coarse bool, entryBytes int) {
 	st.TTLBytes += int64(s.survivors) * int64(entryBytes)
 }
 
-// stats is query qi's view of the last round as the device reports it
-// to its host (a PerShard row): its broadcasts and folded segment
-// events. Every coarse survivor is a TTL-C entry; the timing model costs
-// coarse and fine TTL streams under different scale factors, so the
-// device's row carries the split (CoarseEntries, CoarseSurvivors), as
-// the host's aggregate does.
-func (o *scanOut) stats(qi int, coarse bool, entryBytes int) QueryStats {
-	st := QueryStats{IBCBroadcasts: o.ibc[qi]}
-	end := len(o.segs)
-	if qi+1 < len(o.off) {
-		end = o.off[qi+1]
-	}
-	for i := o.off[qi]; i < end; i++ {
-		o.segs[i].addTo(&st, coarse, entryBytes)
-	}
-	return st
-}
-
 // scan runs one round on every device in place: segs[qi] are the global
 // slot ranges query qi scans in the centroid (coarse) or binary region,
 // under the distance-filter cutoff (< 0: none) — the coarse cut or the
@@ -540,9 +521,9 @@ func (o *scanOut) stats(qi int, coarse bool, entryBytes int) QueryStats {
 // Device 0 scans on this goroutine and the others beside it, joined
 // before the round returns; the host holds every device's lock for the
 // command, so each device's scratch and arenas are its scanner's alone.
-// Each device's share of the round's events is added to rows (nil when
-// nobody asks); a device that owns no page of the round adds zeros.
-func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, rows [][]QueryStats) error {
+// Each device's share of a query's events reaches the controller's rows
+// when the query is folded (ibc, fold).
+func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
 	// The goroutines capture the host and the slices, never c: the
 	// controller stays on the command's stack.
 	h, locals, packed, errs := c.h, c.db.locals, c.scr.packed, c.h.scr.errs
@@ -560,50 +541,47 @@ func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][
 			return err
 		}
 	}
-	if rows != nil {
-		for s, d := range h.devs {
-			for qi := range rows[s] {
-				rows[s][qi].Add(d.scr.out.stats(qi, coarse, c.db.lay.ttlEntryBytes()))
-				rows[s][qi].IBCLoads = d.scr.ibc.loads[qi]
-				rows[s][qi].IBCTotalLoads = d.scr.ibc.total[qi]
-			}
-		}
-	}
 	return nil
 }
 
-// ibc adds query qi's broadcasts of the last round to st. The devices'
-// planes partition the reference device's, so the planes latched and the
-// units loaded sum; device s's channel c is the reference's channel N·c+s,
-// so the loads on the reference's busiest channel are the largest
-// device's. The ledgers count the whole command so far, so the loads are
-// set, not added.
+// ibc adds query qi's broadcasts of the last round to st and to each
+// device's row (the controller's rows, when a PerShard caller asks). The
+// devices' planes partition the reference device's, so the planes
+// latched and the units loaded sum; device s's channel c is the
+// reference's channel N·c+s, so the loads on the reference's busiest
+// channel are the largest device's. The ledgers count the whole command
+// so far, so the loads are set, not added.
 func (c *controller) ibc(qi int, st *QueryStats) {
 	st.IBCTotalLoads = 0
-	for _, d := range c.h.devs {
-		st.IBCBroadcasts += d.scr.out.ibc[qi]
-		st.IBCLoads = max(st.IBCLoads, d.scr.ibc.loads[qi])
-		st.IBCTotalLoads += d.scr.ibc.total[qi]
+	for s, d := range c.h.devs {
+		planes, loads, total := d.scr.out.ibc[qi], d.scr.ibc.loads[qi], d.scr.ibc.total[qi]
+		st.IBCBroadcasts += planes
+		st.IBCLoads = max(st.IBCLoads, loads)
+		st.IBCTotalLoads += total
+		if c.rows != nil {
+			row := &c.rows[s][qi]
+			row.IBCBroadcasts += planes
+			row.IBCLoads, row.IBCTotalLoads = loads, total
+		}
 	}
 }
 
-// fold adds segment (qi, si) of the last round to st and appends its
-// surviving entries, ascending by position, to dst. Count events sum
-// across devices; the wave counts — the segment's parallel critical
+// fold adds segment (qi, si) of the last round to st and to each
+// device's row, and appends its surviving entries to dst straight out of
+// the worker arenas, device by device and plane by plane. A query's
+// stream is a set — every consumer of it is order-free (the tail selects
+// under the (Dist, DADR) total order, the coarse round sorts by
+// (Dist, Pos)) — so nothing merges it into position order. Count events
+// sum across devices; the wave counts — the segment's parallel critical
 // path, real or aborted — aggregate by maximum, which equals the
 // reference device's value because per-plane page loads match plane for
-// plane. Entries merge on two levels, straight out of the worker arenas:
-// each device's plane windows into its pooled stream, then the streams
-// into dst — N heads to compare per run, not planes × N. A segment whose
-// survivors sit on one device (always, on one device) skips the second
-// level.
+// plane. A device's row is its own view of the segment, waves included.
 func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
-	h := c.h
+	eb := c.db.lay.ttlEntryBytes()
 	var sum segScan
-	var holder *device
-	holders := 0
-	for _, d := range h.devs {
-		seg := d.scr.out.seg(qi, si)
+	for s, d := range c.h.devs {
+		out := &d.scr.out
+		seg := out.seg(qi, si)
 		sum.waves = max(sum.waves, seg.waves)
 		sum.abortedWaves = max(sum.abortedWaves, seg.abortedWaves)
 		sum.pages += seg.pages
@@ -611,29 +589,13 @@ func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntr
 		sum.survivors += seg.survivors
 		sum.prunedSlots += seg.prunedSlots
 		sum.prunedPages += seg.prunedPages
-		if seg.survivors > 0 {
-			holder = d
-			holders++
+		if c.rows != nil {
+			seg.addTo(&c.rows[s][qi], coarse, eb)
+		}
+		for _, ps := range out.scans[seg.lo:seg.hi] {
+			dst = append(dst, d.pool.scratchOf(ps.plane).arenas[ps.arena][ps.lo:ps.hi]...)
 		}
 	}
-	sum.addTo(st, coarse, c.db.lay.ttlEntryBytes())
-	if holders == 1 {
-		return holder.appendSeg(dst, qi, si)
-	}
-	streams, lists := h.scr.streams, h.scr.lists[:0]
-	for s, d := range h.devs {
-		if d.scr.out.seg(qi, si).survivors > 0 {
-			streams[s] = d.appendSeg(streams[s][:0], qi, si)
-			lists = append(lists, streams[s])
-		}
-	}
-	h.scr.lists = lists
-	return mergeEntryLists(dst, lists)
-}
-
-// appendSeg merges the plane windows of the last round's segment
-// (qi, si) on this device into dst, ascending by position.
-func (d *device) appendSeg(dst []TTLEntry, qi, si int) []TTLEntry {
-	seg := d.scr.out.seg(qi, si)
-	return d.appendMergeByPos(dst, d.scr.out.scans[seg.lo:seg.hi])
+	sum.addTo(st, coarse, eb)
+	return dst
 }

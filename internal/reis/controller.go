@@ -25,16 +25,17 @@ import (
 //     device scans the part of each global range it owns, in place, and
 //     a segment folds across them — on one device the part is the whole
 //     and the fold a pass-through;
-//   - pinned clusters are scanned here, from the DRAM copies, in
-//     segment order, so a device never sees them;
+//   - pinned clusters are scanned here, from the DRAM copies, after the
+//     query's device segments are folded, so a device never sees them;
 //   - a command, a coalesced dispatch group and a CalibrateNProbe step
 //     all enter through search; only the last runs past the result
 //     cache.
 //
 // Because rounds, bounds, lower bounds and the pin set are computed
-// once, from values that do not depend on the topology, the merged
-// entry stream — and with it results and aggregated QueryStats — is
-// bit-identical across device counts by construction.
+// once, from values that do not depend on the topology, a query's entry
+// stream holds the same set of entries on every device count; its order
+// varies, and no consumer reads it (see fold). Results and aggregated
+// QueryStats are bit-identical across device counts by construction.
 
 // controller is one search command's view of its database: the host
 // core (the devices it scans, pin fetches, the tail, the global plane
@@ -49,6 +50,9 @@ type controller struct {
 	// decided once per command: every device's scan and every pinned
 	// scan filter under it, and the coarse cut rides it.
 	filter int
+	// rows are the running command's [device][query] PerShard rows (nil
+	// unless the host reports them), filled as each query is folded.
+	rows [][]QueryStats
 }
 
 // ctrlScratch is the controller's pooled working state, embedded in
@@ -64,8 +68,8 @@ type ctrlScratch struct {
 	cents    []TTLEntry
 	// The current round: segs[qi] is what the devices scan (a view of
 	// segBuf[qi], or of the shared flat plan), lbs[qi] its lower bounds,
-	// and pins[qi] — filled on cached databases only — the round's
-	// segments in order, nil standing for the next device segment.
+	// and pins[qi] the pinned ranges the controller scans from DRAM
+	// instead.
 	segs   [][]SlotRange
 	segBuf [][]SlotRange
 	lbs    [][]int
@@ -224,7 +228,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		d.scr.ibc.begin(d.SSD.Cfg.Geo, d.Opts.MPIBC, nq)
 	}
 	sts := make([]QueryStats, nq)
-	rows := c.h.shardRows(nq)
+	c.rows = c.h.shardRows(nq)
 	mut, cache, nlist := c.db.mut, c.db.cache, c.db.lay.nlist()
 	var tomb []uint64
 	if mut.deadCount > 0 {
@@ -259,7 +263,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			s.segs[qi] = s.cent[:]
 		}
 		for cut := c.coarseCut(nprobe); ; cut = -1 {
-			if err := c.scan(ctx, true, cut, s.segs, nil, s.bounds, opt.MetaTag, rows); err != nil {
+			if err := c.scan(ctx, true, cut, s.segs, nil, s.bounds, opt.MetaTag); err != nil {
 				return nil, nil, nil, err
 			}
 			reissue := false
@@ -318,9 +322,6 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 							pins = append(pins, &pc.ranges[ri])
 							continue
 						}
-						if cache != nil {
-							pins = append(pins, nil)
-						}
 						segs = append(segs, sr)
 						ql = append(ql, sel[i].lb)
 					}
@@ -333,7 +334,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			s.bounds[qi] = s.trackers[qi].bound()
 		}
 
-		if err := c.scan(ctx, false, c.filter, s.segs, lbs, s.bounds, opt.MetaTag, rows); err != nil {
+		if err := c.scan(ctx, false, c.filter, s.segs, lbs, s.bounds, opt.MetaTag); err != nil {
 			return nil, nil, nil, err
 		}
 		for qi := range queries {
@@ -348,24 +349,18 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				acc = append(s.entries[:0], acc...)
 			}
 			mark := len(acc)
-			si := 0
+			for si := range s.segs[qi] {
+				acc = c.fold(qi, si, false, st, acc)
+			}
+			// Pinned segments: the same kernel and predicates over the
+			// DRAM copies, under the round's bound. They are never
+			// lb-aborted — the pages are already resident.
+			p := cachedScanParams{threshold: c.filter, metaTag: opt.MetaTag, bound: s.bounds[qi]}
 			for _, pr := range s.pins[qi] {
-				if pr == nil {
-					acc = c.fold(qi, si, false, st, acc)
-					si++
-					continue
-				}
-				// Pinned segment: the same kernel and predicates over the
-				// DRAM copy, under the round's bound. It is never
-				// lb-aborted — the pages are already resident.
-				p := cachedScanParams{threshold: c.filter, metaTag: opt.MetaTag, bound: s.bounds[qi]}
 				var cp, cs int
 				acc, cp, cs = cache.scanPinned(pr, s.packed[qi], &c.db.lay.pageFormat, p, acc)
 				st.CachedPages += cp
 				st.CachedSlots += cs
-			}
-			for ; si < len(s.segs[qi]); si++ {
-				acc = c.fold(qi, si, false, st, acc)
 			}
 			if !last {
 				feedTracker(&s.trackers[qi], acc[mark:], tomb)
@@ -383,5 +378,5 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			results[qi] = res
 		}
 	}
-	return results, sts, rows, nil
+	return results, sts, c.rows, nil
 }

@@ -82,13 +82,9 @@ type hostScratch struct {
 	// alone touches them): flash.Device.Program copies what it is handed,
 	// so one pair serves every page of every deploy, append and GC step.
 	page, oob []byte
-	// A scan round's join and per-device outcomes, and the cross-device
-	// fold: streams[s] is device s's share of the segment being folded,
-	// lists the non-empty ones being merged.
-	wg      sync.WaitGroup
-	errs    []error
-	streams [][]TTLEntry
-	lists   [][]TTLEntry
+	// A scan round's join and per-device outcomes.
+	wg   sync.WaitGroup
+	errs []error
 }
 
 // rdbEntry is one deployed database's R-DB entry: the global layout plan
@@ -126,7 +122,6 @@ func (c *hostCore) init(devs []*device, perShard bool) {
 	c.cfg, c.devs, c.perShard = cfg, devs, perShard
 	c.dbs = make(map[int]*rdbEntry)
 	c.scr.errs = make([]error, len(devs))
-	c.scr.streams = make([][]TTLEntry, len(devs))
 	c.scr.page = make([]byte, cfg.Geo.PageBytes)
 	c.scr.oob = make([]byte, cfg.Geo.OOBBytes)
 }

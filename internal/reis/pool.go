@@ -19,7 +19,8 @@ import (
 type workerScratch struct {
 	// arenas are the TTL-entry arenas. Scan tasks append surviving
 	// entries to one and record their [lo, hi) window in a planeScan;
-	// the engine merges the windows after the run completes and resets
+	// the controller's fold copies the windows out after the run
+	// completes, and the engine resets
 	// the arenas at the start of the next scan phase. Windows index an
 	// arena rather than aliasing it, so arena growth never invalidates a
 	// previously recorded window. The die's planes and a group's queries
@@ -87,7 +88,7 @@ func (p *planePool) scratchOf(plane int) *workerScratch { return p.scratch[p.geo
 
 // resetArenas empties every worker's entry arenas (keeping capacity).
 // The engine calls it at the start of each scan phase, once all windows
-// of the previous phase have been merged out.
+// of the previous phase have been folded out.
 func (p *planePool) resetArenas() {
 	for _, sc := range p.scratch {
 		for i := range sc.arenas {

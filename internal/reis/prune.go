@@ -93,8 +93,9 @@ func (t *boundTracker) bound() int {
 	return t.heap[0]
 }
 
-// feedTracker folds the live distances of a freshly merged entry run
-// into the tracker (tomb nil = nothing deleted).
+// feedTracker folds the live distances of a freshly folded entry run
+// into the tracker (tomb nil = nothing deleted). The bound it leaves is
+// the pool-th smallest distance, whatever order the run came in.
 func feedTracker(t *boundTracker, entries []TTLEntry, tomb []uint64) {
 	for i := range entries {
 		if tomb == nil || !bitsetGet(tomb, int(entries[i].DADR)) {

@@ -1,8 +1,6 @@
 package reis
 
 import (
-	"slices"
-
 	"reis/internal/flash"
 	"reis/internal/ssd"
 )
@@ -179,8 +177,7 @@ type SearchOptions struct {
 }
 
 // deviceScratch holds the device-owned pooled buffers of the scan
-// pipeline: the round's dispatch structures and outcome, and merge
-// inputs. The device serves one scan at a time (its lock holder owns the
+// pipeline: the round's dispatch structures and outcome. The device serves one scan at a time (its lock holder owns the
 // scratch), so these recycle across rounds without further locking, and
 // scratch memory never escapes: entries leave through a fold into the
 // host's buffers.
@@ -192,7 +189,6 @@ type deviceScratch struct {
 	ibc       ibcLedger
 	round     scanRound
 	out       scanOut
-	lists     [][]TTLEntry
 }
 
 // pageIdx pairs a record's flash page and slot with a candidate index;
@@ -234,7 +230,7 @@ func cmpDocResult(a, b DocResult) int {
 
 // planeScan records one per-plane scan task's outcome: the window of
 // one of the owning worker's entry arenas holding the surviving entries
-// (ascending by position) plus the event counts the task may not write
+// plus the event counts the task may not write
 // into the shared QueryStats directly. The window is stored as offsets
 // rather than a slice so arena growth by later tasks never invalidates
 // it.
@@ -343,73 +339,6 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 		})
 	}
 	return nil
-}
-
-// appendMergeByPos merges the per-plane entry windows (each ascending
-// by Pos, resident in the worker arenas) into dst in one k-way pass —
-// ascending by Pos overall, the deterministic order the sequential
-// page-by-page scan produced, which downstream quickselect partitioning
-// depends on for bit-identical results. Positions are unique across
-// planes (each page belongs to exactly one plane), so the merge order
-// is total. Unlike the earlier pairwise cascade, no intermediate merge
-// levels are allocated: entries move straight from the arenas into the
-// pooled output.
-func (d *device) appendMergeByPos(dst []TTLEntry, results []planeScan) []TTLEntry {
-	lists := d.scr.lists[:0]
-	for _, ps := range results {
-		if ps.hi > ps.lo {
-			lists = append(lists, d.pool.scratchOf(ps.plane).arenas[ps.arena][ps.lo:ps.hi])
-		}
-	}
-	d.scr.lists = lists
-	return mergeEntryLists(dst, lists)
-}
-
-// mergeEntryLists k-way merges entry lists — each ascending by Pos,
-// positions unique across lists — into dst in one pass. The fold reuses
-// it to merge the per-device streams (lists is consumed: emptied slices
-// remain in the backing array).
-func mergeEntryLists(dst []TTLEntry, lists [][]TTLEntry) []TTLEntry {
-	switch len(lists) {
-	case 0:
-		return dst
-	case 1:
-		return append(dst, lists[0]...)
-	}
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	dst = slices.Grow(dst, total)
-	for {
-		best := -1
-		for i, l := range lists {
-			if len(l) > 0 && (best < 0 || l[0].Pos < lists[best][0].Pos) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		// Take the whole run this list wins: every element below the
-		// next-best head moves in one append.
-		limit := -1
-		for i, l := range lists {
-			if i != best && len(l) > 0 && (limit < 0 || l[0].Pos < limit) {
-				limit = l[0].Pos
-			}
-		}
-		l := lists[best]
-		n := len(l)
-		if limit >= 0 {
-			n = 0
-			for n < len(l) && l[n].Pos < limit {
-				n++
-			}
-		}
-		dst = append(dst, l[:n]...)
-		lists[best] = l[n:]
-	}
 }
 
 // ttlEntryBytes is the on-channel size of one TTL entry: DIST (2B) +

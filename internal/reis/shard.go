@@ -27,15 +27,16 @@ import (
 //
 // In-place scan. Every round hands each device the same global slot
 // ranges; each scans the part it owns (localRange) on its own plane
-// pool, and the host folds the devices' streams in global position order
-// (controller.fold, batch.go) before its one tail runs over them.
+// pool, and the host folds the devices' entries into the query's stream
+// (controller.fold, batch.go) before its one tail runs over it.
 //
-// Determinism. Because the merged entry stream is element-identical to
-// what a single device's scan produces — same entries, same order,
-// same distances — and the tail is the same code over the same page
-// bytes, sharded results are bit-identical to a single-device engine
-// over the same data, for any shard count and any geometry (the entry
-// stream does not depend on plane counts). Stats are bit-identical to
+// Determinism. The folded stream holds the same entries as a single
+// device's scan — same positions, same distances, same links — in
+// another order, and every consumer of the stream is order-free (the
+// tail selects under the (Dist, DADR) total order). With the tail the
+// same code over the same page bytes, sharded results are bit-identical
+// to a single-device engine over the same data, for any shard count and
+// any geometry (the entry set does not depend on plane counts). Stats are bit-identical to
 // the N-times-channels reference device: per-entry and per-page counts
 // sum across shards, and per-segment wave counts (parallel critical
 // path) aggregate by maximum, which equals the reference value because

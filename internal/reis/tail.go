@@ -9,7 +9,7 @@ import (
 // This file is the controller-side pipeline tail (steps 5-9 of
 // Fig 6): quickselect to the rerank pool, INT8 rescoring, quicksort,
 // and document retrieval. The tail runs on the host core over a query's
-// merged entry stream, fetching the records it wants of each page from
+// folded entry stream, fetching the records it wants of each page from
 // the device that owns it (readTailSlots, host.go), so results are
 // bit-identical across device counts by construction.
 
@@ -29,7 +29,10 @@ type tailScratch struct {
 	recs  []byte
 }
 
-// tail executes the controller tail over a query's merged entry stream.
+// tail executes the controller tail over a query's folded entry stream,
+// which it reads as a set: selection runs under the (Dist, DADR) total
+// order, both groupings read each page once whatever its slots' order,
+// and the reranked pool sorts by (Dist, ID).
 // Working sets live in the tail scratch; only the returned results and
 // one block holding their document bytes are allocated. Tombstoned
 // entries are dropped from the stream before selection, so deleted
@@ -137,9 +140,8 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 	return out, nil
 }
 
-// filterTombstoned compacts the merged entry stream in place, keeping
-// only entries whose DADR is not tombstoned. Order is preserved, so
-// downstream selection stays deterministic.
+// filterTombstoned compacts the entry stream in place, keeping only
+// entries whose DADR is not tombstoned.
 func filterTombstoned(es []TTLEntry, tomb []uint64) []TTLEntry {
 	out := es[:0]
 	for _, e := range es {
