@@ -207,23 +207,29 @@ func isMutationOp(op uint8) bool {
 // SearchOptions handed to the execution core — the single normalization
 // point of every search. Precedence:
 //
-//  1. a non-zero Opt.NProbe is kept as-is;
+//  1. a non-zero Opt.NProbe is kept;
 //  2. otherwise a positive TargetRecall (the accuracy operand R of
 //     Table 1) is resolved against the database's recorded
 //     CalibrateNProbe results — ErrNotCalibrated if none covers it;
-//  3. otherwise the engine's nprobe=1 default applies downstream.
+//  3. otherwise the engine's nprobe=1 default applies.
 //
-// calib are the database's recorded CalibrateNProbe points and dbID
-// its id (for the error message).
-func resolveSearchOptions(calib []recallPoint, dbID int, cmd *HostCommand) (SearchOptions, error) {
+// The result is the nprobe the search runs — clamped to [1, nlist] for
+// an IVF search, 0 for a brute-force one, which probes nothing — so the
+// result cache keys on what ran.
+func resolveSearchOptions(db *rdbEntry, cmd *HostCommand) (SearchOptions, error) {
 	opt := cmd.Opt
 	if opt.NProbe == 0 && cmd.TargetRecall > 0 {
-		np, ok := nprobeForRecall(calib, cmd.TargetRecall)
+		np, ok := nprobeForRecall(db.calib, cmd.TargetRecall)
 		if !ok {
 			return opt, fmt.Errorf("%w (database %d, target %.3f)",
-				ErrNotCalibrated, dbID, cmd.TargetRecall)
+				ErrNotCalibrated, db.id, cmd.TargetRecall)
 		}
 		opt.NProbe = np
+	}
+	if cmd.Opcode == OpcodeIVFSearch {
+		opt.NProbe = min(max(opt.NProbe, 1), db.lay.nlist())
+	} else {
+		opt.NProbe = 0
 	}
 	return opt, nil
 }

@@ -630,6 +630,43 @@ func TestResultCacheHitAllocs(t *testing.T) {
 	}
 }
 
+// TestResultCacheKeysOnRunNProbe: a result is cached under the nprobe
+// the search ran, so an operand the run clamps shares its key with the
+// one it ran and never with another. An nprobe of 1<<32 runs the full
+// probe: the default-nprobe command after it must scan, not hit (its
+// low 32 bits are zero); nprobe 1 then hits the default's entry, nlist
+// the full probe's, and a brute-force search ignores nprobe.
+func TestResultCacheKeysOnRunNProbe(t *testing.T) {
+	e, err := New(cachedRefCfg(1, cacheBigBudget), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	deployBoth(t, e.Submit)
+	const nlist = 16
+	queries := testData.Queries[:8]
+	for _, step := range []struct {
+		op     uint8
+		db     int
+		nprobe int
+		hit    bool
+	}{
+		{OpcodeIVFSearch, 2, 1 << 32, false},
+		{OpcodeIVFSearch, 2, 0, false},
+		{OpcodeIVFSearch, 2, 1, true},
+		{OpcodeIVFSearch, 2, nlist, true},
+		{OpcodeSearch, 1, 3, false},
+		{OpcodeSearch, 1, 0, true},
+	} {
+		resp := mustSubmit(t, e, HostCommand{Opcode: step.op, DBID: step.db, K: 10, Queries: queries, Opt: SearchOptions{NProbe: step.nprobe}})
+		for qi, st := range resp.QueryStats {
+			if hit := st.ResultCacheHits == 1; hit != step.hit || !hit && st.EntriesScanned == 0 {
+				t.Fatalf("opcode %#x nprobe %d q%d: hit %v, want %v (%+v)", step.op, step.nprobe, qi, hit, step.hit, st)
+			}
+		}
+	}
+}
+
 // TestPinChurnAllocs: pins live in a recycled arena and refresh ranks
 // and re-decides without allocating, so a pin set that changes with
 // every command — two queries of different topics alternating under a

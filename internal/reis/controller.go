@@ -132,7 +132,7 @@ func (s *ctrlScratch) reset(queries [][]float32, pool, slotBytes int) {
 // batch order.
 func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
 	db, cache := c.db, c.db.cache
-	opt, err := resolveSearchOptions(db.calib, db.id, cmd)
+	opt, err := resolveSearchOptions(db, cmd)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -257,12 +257,11 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		// ties, so a query with nprobe survivors selects exactly the
 		// (Dist, Pos) top-nprobe of every centroid. A query left with
 		// fewer re-runs the round uncut, and its stats count both.
-		nprobe := min(max(opt.NProbe, 1), nlist)
 		s.cent[0] = SlotRange{First: 0, Last: nlist - 1}
 		for qi := range queries {
 			s.segs[qi] = s.cent[:]
 		}
-		for cut := c.coarseCut(nprobe); ; cut = -1 {
+		for cut := c.coarseCut(opt.NProbe); ; cut = -1 {
 			if err := c.scan(ctx, true, cut, s.segs, nil, s.bounds, opt.MetaTag); err != nil {
 				return nil, nil, nil, err
 			}
@@ -275,12 +274,12 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				c.ibc(qi, st)
 				cents := c.fold(qi, 0, true, st, s.cents[:0])
 				s.cents = cents
-				if cut >= 0 && len(cents) < nprobe {
+				if cut >= 0 && len(cents) < opt.NProbe {
 					reissue = true
 					continue
 				}
 				s.segs[qi] = nil
-				maxSel = max(maxSel, c.selectClusters(qi, cents, nprobe, st))
+				maxSel = max(maxSel, c.selectClusters(qi, cents, opt.NProbe, st))
 			}
 			if !reissue {
 				break

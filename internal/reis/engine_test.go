@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -448,6 +449,38 @@ func TestCalibrateNProbeMonotone(t *testing.T) {
 		t.Fatalf("nprobe(0.95)=%d < nprobe(0.80)=%d", np98, np90)
 	}
 	t.Logf("calibrated nprobe: 0.80->%d, 0.95->%d", np90, np98)
+}
+
+// TestCalibrateSweepTriesFullProbe: the sweep's last step is nlist itself
+// whatever growProbe steps over, so a target only the full probe meets
+// is met, at nlist. The fake run returns the ground truth at nlist and
+// nothing below it.
+func TestCalibrateSweepTriesFullProbe(t *testing.T) {
+	gt := [][]int{{1, 2, 3}, {4, 5, 6}}
+	for _, nlist := range []int{1, 8, 16, 64, 100} {
+		var tried []int
+		np, ok, err := calibrateSweep(nlist, gt, 3, 1, func(nprobe int) ([][]DocResult, error) {
+			tried = append(tried, nprobe)
+			res := make([][]DocResult, len(gt))
+			if nprobe == nlist {
+				for qi, row := range gt {
+					for _, id := range row {
+						res[qi] = append(res[qi], DocResult{ID: id})
+					}
+				}
+			}
+			return res, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if np != nlist || !ok {
+			t.Errorf("nlist %d: sweep returned nprobe %d, met %v; want %d, met (tried %v)", nlist, np, ok, nlist, tried)
+		}
+		if !slices.IsSorted(tried) || tried[0] != 1 || tried[len(tried)-1] != nlist {
+			t.Errorf("nlist %d: tried %v, want an ascending sweep from 1 to %d", nlist, tried, nlist)
+		}
+	}
 }
 
 func TestHostAPIDeployAndSearch(t *testing.T) {

@@ -446,7 +446,8 @@ func calibrateSweep(nlist int, groundTruth [][]int, k int, target float64, run f
 		gtSets[qi] = set
 		total += len(gt)
 	}
-	for nprobe := 1; nprobe <= nlist; nprobe = growProbe(nprobe) {
+	// The last step is nlist itself, wherever growProbe would step over it.
+	for nprobe, prev := 1, 0; prev < nlist; prev, nprobe = nprobe, min(growProbe(nprobe), nlist) {
 		results, err := run(nprobe)
 		if err != nil {
 			return 0, false, err
