@@ -12,7 +12,10 @@
 //     experiment id plus every id column.
 //   - drop: a fall of more than -max-regress percent fails. The model
 //     clock's columns are pure functions of the bit-identical device
-//     stats, so they are machine-independent.
+//     stats, so they are machine-independent — all but Fig 9's: its
+//     columns divide by CPU-Real, whose kernel rates host.Calibrate
+//     times on the wall clock, so another job on the machine can move
+//     them (by ~1e-5 relative). Run the sweeps on an idle machine.
 //   - rise: a rise of more than -max-regress percent fails.
 //   - exact: any difference fails. These are event counts of a
 //     deterministic history, or a rival's own model, which no change to
@@ -27,6 +30,11 @@
 //   - busy: report-only, with a note when a value exceeds 1: the batch
 //     model's makespan clamp let the row finish before that resource did.
 //   - report: never compared.
+//
+// For every section it compares, benchdiff prints how many gated
+// scalars it compared (the numeric cells of matched rows under drop,
+// rise, exact and allocs) and how many of them differ at all, within
+// their bound or not: "0 differ" is the claim a refactor makes.
 //
 // A section is compared only with a baseline section that carries the
 // same roles and was generated at the same -scale. A baseline section
@@ -98,15 +106,28 @@ func reroled(base, cur map[string]string) []string {
 	return cols
 }
 
+// tally counts the gated scalars one section compared, by role, and
+// how many of them differ at all.
+type tally struct {
+	id                        string
+	drop, rise, exact, allocs int
+	differ                    int
+}
+
+func (t tally) String() string {
+	return fmt.Sprintf("%s: %d gated scalars compared (drop %d, rise %d, exact %d, allocs %d), %d differ",
+		t.id, t.drop+t.rise+t.exact+t.allocs, t.drop, t.rise, t.exact, t.allocs, t.differ)
+}
+
 type options struct {
 	maxRegressPct float64
 	allocsSlack   float64
 	gateWall      bool
 }
 
-// diff returns the violations (enforced regressions) and notes
-// (informational drift) between the two reports.
-func diff(baseline, current *report, opt options) (violations, notes []string) {
+// diff returns the violations (enforced regressions), notes
+// (informational drift) and per-section tallies between the two reports.
+func diff(baseline, current *report, opt options) (violations, notes []string, tallies []tally) {
 	bases := make(map[string]*section)
 	for i := range baseline.Experiments {
 		bases[baseline.Experiments[i].ID] = &baseline.Experiments[i]
@@ -155,6 +176,7 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 			baseRows[base.key(row)] = row
 		}
 		matched := make(map[string]bool, len(cur.Rows))
+		t := tally{id: cur.ID}
 		for _, row := range cur.Rows {
 			key := base.key(row)
 			b, ok := baseRows[key]
@@ -169,8 +191,15 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 				if !ok1 || !ok2 {
 					continue
 				}
+				role := cur.Roles[col]
+				if n := t.count(role, baseline.GOMAXPROCS == current.GOMAXPROCS); n != nil {
+					*n++
+					if cv != bv {
+						t.differ++
+					}
+				}
 				fall, rise := (bv-cv)/bv*100, (cv-bv)/bv*100
-				switch role := cur.Roles[col]; {
+				switch {
 				case role == "exact" && cv != bv:
 					violations = append(violations, fmt.Sprintf(
 						"%s: %s %v -> %v — an exact column: any difference is a behaviour change", key, col, bv, cv))
@@ -194,6 +223,7 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 				}
 			}
 		}
+		tallies = append(tallies, t)
 		// A section both reports carry must actually be compared: one
 		// changed id value would otherwise un-gate all of it silently.
 		if len(matched) == 0 {
@@ -214,7 +244,26 @@ func diff(baseline, current *report, opt options) (violations, notes []string) {
 			"AllocsPerOp not compared: baseline generated at GOMAXPROCS=%d, current at GOMAXPROCS=%d — the allocation pools are per-P; regenerate at the baseline's setting",
 			baseline.GOMAXPROCS, current.GOMAXPROCS))
 	}
-	return violations, notes
+	return violations, notes, tallies
+}
+
+// count returns the counter of a gated role, nil for a role that gates
+// nothing — or allocs, when the reports' GOMAXPROCS differ (sameProcs
+// false) and the column is refused instead.
+func (t *tally) count(role string, sameProcs bool) *int {
+	switch role {
+	case "drop":
+		return &t.drop
+	case "rise":
+		return &t.rise
+	case "exact":
+		return &t.exact
+	case "allocs":
+		if sameProcs {
+			return &t.allocs
+		}
+	}
+	return nil
 }
 
 func load(path string) (*report, error) {
@@ -250,13 +299,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	violations, notes := diff(b, c, options{
+	violations, notes, tallies := diff(b, c, options{
 		maxRegressPct: *maxRegress,
 		allocsSlack:   *allocsSlack,
 		gateWall:      *wall,
 	})
 	for _, n := range notes {
 		fmt.Println("note:", n)
+	}
+	for _, t := range tallies {
+		fmt.Println("benchdiff:", t)
 	}
 	if len(violations) > 0 {
 		for _, v := range violations {

@@ -28,26 +28,26 @@ func mkReport(modelQPS, wallQPS, allocs float64) *report {
 func TestDiffPassesWithinTolerance(t *testing.T) {
 	base := mkReport(1000, 2000, 24.5)
 	cur := mkReport(900, 1200, 24.5) // -10% model, wall noisy but ungated
-	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	v, _, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
 }
 
 func TestDiffCatchesModelRegression(t *testing.T) {
-	v, _ := diff(mkReport(1000, 2000, 24.5), mkReport(700, 2000, 24.5), options{maxRegressPct: 25})
+	v, _, _ := diff(mkReport(1000, 2000, 24.5), mkReport(700, 2000, 24.5), options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "ModelQPS") {
 		t.Fatalf("violations: %v", v)
 	}
 }
 
 func TestDiffCatchesAllocIncrease(t *testing.T) {
-	v, _ := diff(mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 25.5), options{maxRegressPct: 25})
+	v, _, _ := diff(mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 25.5), options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "AllocsPerOp") {
 		t.Fatalf("violations: %v", v)
 	}
 	// Slack absorbs small drift.
-	v, _ = diff(mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 25.5), options{maxRegressPct: 25, allocsSlack: 2})
+	v, _, _ = diff(mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 25.5), options{maxRegressPct: 25, allocsSlack: 2})
 	if len(v) != 0 {
 		t.Fatalf("violations with slack: %v", v)
 	}
@@ -55,10 +55,10 @@ func TestDiffCatchesAllocIncrease(t *testing.T) {
 
 func TestDiffWallGateOptIn(t *testing.T) {
 	base, cur := mkReport(1000, 2000, 24.5), mkReport(1000, 1000, 24.5)
-	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("wall gated by default: %v", v)
 	}
-	if v, _ := diff(base, cur, options{maxRegressPct: 25, gateWall: true}); len(v) != 1 {
+	if v, _, _ := diff(base, cur, options{maxRegressPct: 25, gateWall: true}); len(v) != 1 {
 		t.Fatalf("wall not gated with -wall: %v", v)
 	}
 }
@@ -74,7 +74,7 @@ func TestDiffSkipsUnmatchedRows(t *testing.T) {
 	}
 	extra["Batch"] = float64(64)
 	cur.Experiments[0].Rows = append(cur.Experiments[0].Rows, extra)
-	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	v, notes, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 || len(notes) != 1 {
 		t.Fatalf("violations %v notes %v", v, notes)
 	}
@@ -92,14 +92,14 @@ func TestDiffFailsOnUngatedBaselineRows(t *testing.T) {
 	}
 	base.Experiments[0].Rows = append(base.Experiments[0].Rows, second)
 	// The Batch=1 row is gone from the current report.
-	v, _ := diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25})
+	v, _, _ := diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "Batch=1") || !strings.Contains(v[0], "no counterpart") {
 		t.Fatalf("missing baseline row not flagged: %v", v)
 	}
 	// Every current row's Mode changed: nothing matches.
 	cur := mkReport(1000, 2000, 24.5)
 	cur.Experiments[0].Rows[0]["Mode"] = "IVF@np4"
-	v, _ = diff(base, cur, options{maxRegressPct: 25})
+	v, _, _ = diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "none of the 1 current rows") {
 		t.Fatalf("fully unmatched section not flagged: %v", v)
 	}
@@ -108,7 +108,7 @@ func TestDiffFailsOnUngatedBaselineRows(t *testing.T) {
 	cur = mkReport(1000, 2000, 24.5)
 	cur.Experiments[0].ID = "qdepth"
 	base.Experiments = append(base.Experiments, cur.Experiments...)
-	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("partial run flagged: %v", v)
 	}
 }
@@ -120,18 +120,18 @@ func TestDiffFailsOnUngatedBaselineRows(t *testing.T) {
 func TestDiffRefusesAllocsAcrossGOMAXPROCS(t *testing.T) {
 	base, cur := mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 20)
 	base.GOMAXPROCS, cur.GOMAXPROCS = 1, 2
-	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	v, _, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "GOMAXPROCS") {
 		t.Fatalf("cross-GOMAXPROCS allocs comparison not refused: %v", v)
 	}
 	cur.Experiments[0].Rows[0]["ModelQPS"] = 700.0
-	if v, _ = diff(base, cur, options{maxRegressPct: 25}); len(v) != 2 {
+	if v, _, _ = diff(base, cur, options{maxRegressPct: 25}); len(v) != 2 {
 		t.Fatalf("model regression must still gate: %v", v)
 	}
 	// Sections without the column (slo, churn) compare at any setting.
 	sb, sc := sloReport(10), sloReport(10)
 	sb.GOMAXPROCS, sc.GOMAXPROCS = 1, 4
-	if v, _ := diff(sb, sc, options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(sb, sc, options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("alloc-free section refused: %v", v)
 	}
 }
@@ -157,7 +157,7 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 		}
 	}
 	cur.Experiments = append(cur.Experiments, sec("skew", skewRoles, skewRow(1800, 0.5, 7)))
-	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	v, notes, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("skew section absent from baseline must not violate: %v", v)
 	}
@@ -169,11 +169,11 @@ func TestDiffSkewSectionAbsentFromBaseline(t *testing.T) {
 	// row matching (metrics excluded from the key) and a ModelQPS
 	// regression must gate.
 	base.Experiments = append(base.Experiments, sec("skew", skewRoles, skewRow(1800, 0.6, 8)))
-	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("metric drift broke skew row matching: %v", v)
 	}
 	cur.Experiments[1].Rows[0]["ModelQPS"] = 900.0
-	v, _ = diff(base, cur, options{maxRegressPct: 25})
+	v, _, _ = diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "ModelQPS") {
 		t.Fatalf("skew ModelQPS regression not gated: %v", v)
 	}
@@ -200,22 +200,22 @@ func sloReport(p99 float64) *report {
 // improvements) never do.
 func TestDiffSLOGateCatchesP99Regression(t *testing.T) {
 	base := sloReport(10)
-	v, _ := diff(base, sloReport(14), options{maxRegressPct: 25}) // +40%
+	v, _, _ := diff(base, sloReport(14), options{maxRegressPct: 25}) // +40%
 	if len(v) != 1 || !strings.Contains(v[0], "ModelP99Ms") {
 		t.Fatalf("p99 regression not gated: %v", v)
 	}
 	// Within tolerance: +20% passes.
-	if v, _ := diff(base, sloReport(12), options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(base, sloReport(12), options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("p99 within tolerance violated: %v", v)
 	}
 	// Getting faster is never a violation.
-	if v, _ := diff(base, sloReport(2), options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(base, sloReport(2), options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("p99 improvement violated: %v", v)
 	}
 	// Report-only quantiles are never compared.
 	cur := sloReport(10)
 	cur.Experiments[0].Rows[0]["ModelP999Ms"] = 100.0
-	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	v, notes, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("report-only quantile violated: %v", v)
 	}
@@ -231,7 +231,7 @@ func TestDiffSLOSectionAbsentFromBaseline(t *testing.T) {
 	base := mkReport(1000, 2000, 24.5)
 	cur := mkReport(1000, 2000, 24.5)
 	cur.Experiments = append(cur.Experiments, sloReport(1e9).Experiments...)
-	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	v, notes, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("slo section absent from baseline must not violate: %v", v)
 	}
@@ -249,7 +249,7 @@ func TestDiffNotesMissingExperimentOnce(t *testing.T) {
 		map[string]any{"Dataset": "NQ", "Mode": "prune", "K": float64(10), "ModelQPS": 1800.0},
 		map[string]any{"Dataset": "NQ", "Mode": "prune", "K": float64(100), "ModelQPS": 1500.0},
 	))
-	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	v, notes, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("a baseline-less experiment must not violate: %v", v)
 	}
@@ -274,7 +274,7 @@ func TestDiffChurnCountsGateOnEquality(t *testing.T) {
 		})}}
 	}
 	base := mk(46, 92, 2, 1.6981119465329992)
-	if v, _ := diff(base, mk(46, 92, 2, 1.6981119465329992), options{maxRegressPct: 25}); len(v) != 0 {
+	if v, _, _ := diff(base, mk(46, 92, 2, 1.6981119465329992), options{maxRegressPct: 25}); len(v) != 0 {
 		t.Fatalf("identical churn rows flagged: %v", v)
 	}
 	for field, cur := range map[string]*report{
@@ -283,7 +283,7 @@ func TestDiffChurnCountsGateOnEquality(t *testing.T) {
 		"MaxBlockErase": mk(46, 92, 1, 1.6981119465329992),
 		"WriteAmp":      mk(46, 92, 2, 1.6981119465329990),
 	} {
-		v, _ := diff(base, cur, options{maxRegressPct: 25})
+		v, _, _ := diff(base, cur, options{maxRegressPct: 25})
 		if len(v) != 1 || !strings.Contains(v[0], field) {
 			t.Fatalf("%s drift: violations %v", field, v)
 		}
@@ -302,7 +302,7 @@ func TestDiffNotesBusyShareAboveOne(t *testing.T) {
 	cur.Experiments = append(cur.Experiments, sec("prune",
 		map[string]string{"Mode": "id", "ModelQPS": "drop", "CoreBusyShare": "busy"},
 		map[string]any{"Mode": "base", "ModelQPS": 1.0, "CoreBusyShare": 1.013}))
-	v, notes := diff(base, cur, options{maxRegressPct: 25})
+	v, notes, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 0 {
 		t.Fatalf("violations: %v", v)
 	}
@@ -333,7 +333,7 @@ func TestDiffFig7Gates(t *testing.T) {
 		})}}
 	}
 	base := mk(365.64, 13.81, 3.33, 4.79, 45.48, 48.29)
-	if v, notes := diff(base, mk(365.64, 13.81, 4.5, 6.1, 60, 62), options{maxRegressPct: 25}); len(v) != 0 || len(notes) != 0 {
+	if v, notes, _ := diff(base, mk(365.64, 13.81, 4.5, 6.1, 60, 62), options{maxRegressPct: 25}); len(v) != 0 || len(notes) != 0 {
 		t.Fatalf("a faster REIS row: violations %v notes %v", v, notes)
 	}
 	for field, cur := range map[string]*report{
@@ -344,7 +344,7 @@ func TestDiffFig7Gates(t *testing.T) {
 		"CPUQPS":   mk(365.65, 13.81, 3.33, 4.79, 45.48, 48.29),
 		"NoIO":     mk(365.64, 13.80, 3.33, 4.79, 45.48, 48.29),
 	} {
-		v, _ := diff(base, cur, options{maxRegressPct: 25})
+		v, _, _ := diff(base, cur, options{maxRegressPct: 25})
 		if len(v) != 1 || !strings.Contains(v[0], field+" ") || !strings.Contains(v[0], "fig7{Dataset=NQ Mode=IVF@0.98}") {
 			t.Fatalf("%s drift: violations %v", field, v)
 		}
@@ -358,7 +358,7 @@ func TestDiffFig7Gates(t *testing.T) {
 func TestDiffRefusesCrossScaleSection(t *testing.T) {
 	base, cur := mkReport(1000, 2000, 24.5), mkReport(500, 2000, 30)
 	base.Experiments[0].Scale = 32
-	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	v, _, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "-scale 32, current at -scale 16") {
 		t.Fatalf("cross-scale section not refused once: %v", v)
 	}
@@ -371,7 +371,7 @@ func TestDiffRefusesReroledColumn(t *testing.T) {
 	base, cur := mkReport(1000, 2000, 24.5), mkReport(500, 2000, 24.5)
 	cur.Experiments[0].Roles = maps.Clone(throughputRoles)
 	cur.Experiments[0].Roles["ModelQPS"] = "report"
-	v, _ := diff(base, cur, options{maxRegressPct: 25})
+	v, _, _ := diff(base, cur, options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], `ModelQPS "drop" -> "report"`) {
 		t.Fatalf("re-roled column not refused: %v", v)
 	}
@@ -379,7 +379,7 @@ func TestDiffRefusesReroledColumn(t *testing.T) {
 	cur = mkReport(1000, 2000, 24.5)
 	cur.Experiments[0].Roles = maps.Clone(throughputRoles)
 	cur.Experiments[0].Roles["Topology"] = "id"
-	if v, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 1 || !strings.Contains(v[0], `Topology "" -> "id"`) {
+	if v, _, _ := diff(base, cur, options{maxRegressPct: 25}); len(v) != 1 || !strings.Contains(v[0], `Topology "" -> "id"`) {
 		t.Fatalf("added column not refused: %v", v)
 	}
 }
@@ -390,8 +390,47 @@ func TestDiffRefusesReroledColumn(t *testing.T) {
 func TestDiffRefusesRolelessBaseline(t *testing.T) {
 	base := mkReport(1000, 2000, 24.5)
 	base.Experiments[0].Roles = nil
-	v, _ := diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25})
+	v, _, _ := diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25})
 	if len(v) != 1 || !strings.Contains(v[0], "carries no column roles") {
 		t.Fatalf("role-less baseline not refused: %v", v)
+	}
+}
+
+// TestDiffTalliesGatedScalars: each compared section reports how many
+// numeric cells of its matched rows it gated, by role, and how many
+// differ at all — a drift inside its bound included. Wall, busy, report
+// and id columns are not counted, and neither is allocs across
+// GOMAXPROCS settings.
+func TestDiffTalliesGatedScalars(t *testing.T) {
+	_, _, tallies := diff(mkReport(1000, 2000, 24.5), mkReport(900, 1200, 24.5), options{maxRegressPct: 25})
+	if len(tallies) != 1 {
+		t.Fatalf("tallies: %v", tallies)
+	}
+	if got, want := tallies[0].String(), "throughput: 2 gated scalars compared (drop 1, rise 0, exact 0, allocs 1), 1 differ"; got != want {
+		t.Fatalf("tally %q, want %q", got, want)
+	}
+	base, cur := mkReport(1000, 2000, 24.5), mkReport(1000, 2000, 24.5)
+	cur.GOMAXPROCS = 4
+	if _, _, tallies = diff(base, cur, options{maxRegressPct: 25}); tallies[0] != (tally{id: "throughput", drop: 1}) {
+		t.Fatalf("allocs counted across GOMAXPROCS: %v", tallies)
+	}
+
+	roles := map[string]string{"Dataset": "id", "Load": "rise", "P99": "exact", "Note": "report"}
+	mk := func(load, p99, note float64) *report {
+		return &report{Experiments: []section{sec("slo", roles,
+			map[string]any{"Dataset": "NQ", "Load": load, "P99": p99, "Note": note},
+			map[string]any{"Dataset": "wiki", "Load": load, "P99": p99, "Note": note},
+		)}}
+	}
+	v, _, tallies := diff(mk(0.5, 3, 1), mk(0.51, 3, 2), options{maxRegressPct: 25})
+	if len(v) != 0 || len(tallies) != 1 || tallies[0] != (tally{id: "slo", rise: 2, exact: 2, differ: 2}) {
+		t.Fatalf("violations %v, tallies %v", v, tallies)
+	}
+	// A section the baseline lacks compares nothing, and says so in a note
+	// rather than a tally.
+	base = mkReport(1000, 2000, 24.5)
+	base.Experiments[0].ID = "qdepth"
+	if _, _, tallies = diff(base, mkReport(1000, 2000, 24.5), options{maxRegressPct: 25}); len(tallies) != 0 {
+		t.Fatalf("tallies for an unbaselined section: %v", tallies)
 	}
 }
