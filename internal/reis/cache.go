@@ -379,14 +379,13 @@ type cachedScanParams struct {
 // scanPinned scans one pinned range from DRAM, mirroring scanRound.dist
 // slot for slot: XOR + popcount distances, padding-slot skip, distance
 // filter (dist <= threshold, the PassFail predicate), metadata tag, and
-// the strict pruning-bound drop. Entries are appended to dst, the query's
-// stream — a set, as a device segment's fold leaves it — and the
-// page/slot counts feed CachedPages/CachedSlots. Pinned
-// segments never use the segment-level lb abort: the pages are already
-// resident, so the scan always runs under the current bound, which
-// keeps the surviving-entry stream a superset of what an aborted flash
-// segment would have contributed (and therefore the rerank pool
-// identical).
+// the strict pruning-bound drop. Entries are appended to dst, the
+// query's stream — a set, as a device segment's fold leaves it — and the
+// page/slot counts feed CachedPages/CachedSlots. Pinned segments never
+// use the segment-level lb abort: the pages are already resident, so the
+// scan always runs under the current bound, which keeps the
+// surviving-entry stream a superset of what an aborted flash segment
+// would have contributed (and therefore the rerank pool identical).
 func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots int) {
 	n := f.embPerPage * f.slotBytes
 	if cap(c.qRep) < n {

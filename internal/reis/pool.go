@@ -20,8 +20,8 @@ type workerScratch struct {
 	// arenas are the TTL-entry arenas. Scan tasks append surviving
 	// entries to one and record their [lo, hi) window in a planeScan;
 	// the controller's fold copies the windows out after the run
-	// completes, and the engine resets
-	// the arenas at the start of the next scan phase. Windows index an
+	// completes, and the engine resets the arenas at the start of the
+	// next scan phase. Windows index an
 	// arena rather than aliasing it, so arena growth never invalidates a
 	// previously recorded window. The die's planes and a group's queries
 	// take turns page by page, so query b of the group fills arena

@@ -177,10 +177,10 @@ type SearchOptions struct {
 }
 
 // deviceScratch holds the device-owned pooled buffers of the scan
-// pipeline: the round's dispatch structures and outcome. The device serves one scan at a time (its lock holder owns the
-// scratch), so these recycle across rounds without further locking, and
-// scratch memory never escapes: entries leave through a fold into the
-// host's buffers.
+// pipeline: the round's dispatch structures and outcome. The device
+// serves one scan at a time (its lock holder owns the scratch), so these
+// recycle across rounds without further locking, and scratch memory
+// never escapes: entries leave through a fold into the host's buffers.
 type deviceScratch struct {
 	spans     []ssd.PlaneSpan
 	planeWork [][]batchItem
@@ -230,10 +230,9 @@ func cmpDocResult(a, b DocResult) int {
 
 // planeScan records one per-plane scan task's outcome: the window of
 // one of the owning worker's entry arenas holding the surviving entries
-// plus the event counts the task may not write
-// into the shared QueryStats directly. The window is stored as offsets
-// rather than a slice so arena growth by later tasks never invalidates
-// it.
+// plus the event counts the task may not write into the shared
+// QueryStats directly. The window is stored as offsets rather than a
+// slice so arena growth by later tasks never invalidates it.
 type planeScan struct {
 	plane     int
 	arena     int // index into the worker's arenas

@@ -36,11 +36,11 @@ import (
 // tail selects under the (Dist, DADR) total order). With the tail the
 // same code over the same page bytes, sharded results are bit-identical
 // to a single-device engine over the same data, for any shard count and
-// any geometry (the entry set does not depend on plane counts). Stats are bit-identical to
-// the N-times-channels reference device: per-entry and per-page counts
-// sum across shards, and per-segment wave counts (parallel critical
-// path) aggregate by maximum, which equals the reference value because
-// per-plane page loads match plane for plane. See DESIGN.md, "Sharded
+// any geometry (the entry set does not depend on plane counts). Stats
+// are bit-identical to the N-times-channels reference device: per-entry
+// and per-page counts sum across shards, and per-segment wave counts
+// (parallel critical path) aggregate by maximum, which equals the
+// reference value because per-plane page loads match plane for plane. See DESIGN.md, "Sharded
 // topology".
 
 // ShardedEngine is the host core an Engine embeds (host.go) bound to
