@@ -35,8 +35,9 @@ var (
 	// ErrBadK: a search command whose K operand is non-positive or
 	// above maxK.
 	ErrBadK = errors.New("reis: K operand out of range")
-	// ErrQueryDims: query vectors of inconsistent dimensionality (within
-	// one command, or against the target database).
+	// ErrQueryDims: query, append or deploy vectors of inconsistent
+	// dimensionality (within one command, or against the target
+	// database), or deploy vectors of dimensionality 0.
 	ErrQueryDims = errors.New("reis: query dimensionality mismatch")
 	// ErrQueueFull: SubmitAsync admission control rejected the command
 	// because the queue pair already holds Depth outstanding commands.
@@ -50,8 +51,8 @@ var (
 	// ErrNoItems: an OpcodeAppend/OpcodeDelete command with an empty
 	// item list.
 	ErrNoItems = errors.New("reis: mutation command without items")
-	// ErrBadAssign: an append's cluster assignment is missing,
-	// superfluous (flat database) or out of range.
+	// ErrBadAssign: an append's or IVF deploy's cluster assignment is
+	// missing, superfluous (flat database) or out of range.
 	ErrBadAssign = errors.New("reis: append cluster assignment mismatch")
 	// ErrUnknownID: a delete names an id that was never issued, is
 	// already tombstoned, or repeats within the command. The whole
@@ -97,16 +98,16 @@ type SlotRange struct {
 }
 
 // validate checks the host-side invariants of a command — opcode,
-// payload presence, K, and uniform query dimensionality — before it is
-// admitted to a queue, so malformed commands fail at submission instead
-// of deep inside the scan path.
+// payload presence and shape, K, and uniform query dimensionality —
+// before it is admitted to a queue, so malformed commands fail at
+// submission instead of deep inside the scan path.
 func (cmd *HostCommand) validate() error {
 	switch cmd.Opcode {
 	case OpcodeDBDeploy, OpcodeIVFDeploy:
 		if cmd.Deploy == nil {
 			return fmt.Errorf("%w (opcode %#x)", ErrMissingPayload, cmd.Opcode)
 		}
-		return nil
+		return cmd.Deploy.validate(cmd.Opcode == OpcodeIVFDeploy)
 	case OpcodeSearch, OpcodeIVFSearch:
 		if len(cmd.Queries) == 0 {
 			return ErrNoQueries
@@ -161,6 +162,50 @@ func (cmd *HostCommand) validate() error {
 	default:
 		return fmt.Errorf("%w %#x", ErrUnknownOpcode, cmd.Opcode)
 	}
+}
+
+// validate checks the shape of a deploy payload at submission: one
+// positive dimensionality for every vector (and, for IVF_Deploy, every
+// centroid), a meta tag per vector when there are any, and every cluster
+// assignment naming a centroid. The layout planner indexes by all of
+// them on a queue's dispatcher, where a panic would take the process
+// down. Sizes the planner refuses with an error of its own (an empty
+// corpus, docs that do not fit their slots) are left to it.
+func (cfg *DeployConfig) validate(ivf bool) error {
+	n := len(cfg.Vectors)
+	if n == 0 {
+		return nil
+	}
+	dim := len(cfg.Vectors[0])
+	if dim == 0 {
+		return fmt.Errorf("%w (deploy vectors have dim 0)", ErrQueryDims)
+	}
+	for i, v := range cfg.Vectors {
+		if len(v) != dim {
+			return fmt.Errorf("%w (deploy vector 0 has dim %d, vector %d has dim %d)",
+				ErrQueryDims, dim, i, len(v))
+		}
+	}
+	if cfg.MetaTags != nil && len(cfg.MetaTags) != n {
+		return fmt.Errorf("%w (deploy with %d meta tags for %d vectors)", ErrMissingPayload, len(cfg.MetaTags), n)
+	}
+	if !ivf {
+		return nil
+	}
+	for c, v := range cfg.Centroids {
+		if len(v) != dim {
+			return fmt.Errorf("%w (centroid %d has dim %d, vectors %d)", ErrQueryDims, c, len(v), dim)
+		}
+	}
+	if len(cfg.Assign) != n {
+		return fmt.Errorf("%w (%d assignments for %d vectors)", ErrBadAssign, len(cfg.Assign), n)
+	}
+	for i, c := range cfg.Assign {
+		if c < 0 || c >= len(cfg.Centroids) {
+			return fmt.Errorf("%w (item %d assigned to cluster %d of %d)", ErrBadAssign, i, c, len(cfg.Centroids))
+		}
+	}
+	return nil
 }
 
 // maxK bounds the K operand: more results per query than any device has

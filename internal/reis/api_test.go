@@ -148,10 +148,66 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 	}
 }
 
+// TestMalformedDeployRefusedAtSubmission: a deploy payload the layout
+// planner would index past — an assignment outside the centroid set,
+// a short tag list, vectors or centroids of another dimensionality,
+// vectors of none — fails at submission with the sentinel an append of
+// the same shape gets, on both hosts and both entries. The planner runs
+// on a queue's dispatcher goroutine, where a panic ends the process,
+// so the host must never see these; afterwards it still deploys and
+// serves the well-formed corpus.
+func TestMalformedDeployRefusedAtSubmission(t *testing.T) {
+	vecs, docs := testData.Vectors[:40], testData.Docs[:40]
+	cents := [][]float32{vecs[0], vecs[1]}
+	assign := make([]int, len(vecs))
+	ivf := func(edit func(*DeployConfig)) HostCommand {
+		cfg := &DeployConfig{ID: 1, Vectors: vecs, Docs: docs, DocSlotBytes: 256,
+			Centroids: cents, Assign: slices.Clone(assign)}
+		edit(cfg)
+		return HostCommand{Opcode: OpcodeIVFDeploy, Deploy: cfg}
+	}
+	ragged := slices.Clone(vecs)
+	ragged[7] = ragged[7][:64]
+	cases := []struct {
+		name string
+		cmd  HostCommand
+		want error
+	}{
+		{"assign-past-centroids", ivf(func(c *DeployConfig) { c.Assign[3] = len(cents) }), ErrBadAssign},
+		{"assign-negative", ivf(func(c *DeployConfig) { c.Assign[3] = -1 }), ErrBadAssign},
+		{"short-meta-tags", ivf(func(c *DeployConfig) { c.MetaTags = make([]uint8, len(vecs)-1) }), ErrMissingPayload},
+		{"ragged-vector-dims", ivf(func(c *DeployConfig) { c.Vectors = ragged }), ErrQueryDims},
+		{"centroid-dim-mismatch", ivf(func(c *DeployConfig) { c.Centroids = [][]float32{cents[0], cents[1][:64]} }), ErrQueryDims},
+		{"dim-0-vectors", HostCommand{Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{
+			ID: 1, Vectors: make([][]float32, len(vecs)), Docs: docs, DocSlotBytes: 256}}, ErrQueryDims},
+	}
+	for _, h := range []interface {
+		submitter
+		NewQueue(QueueConfig) (*Queue, error)
+	}{newEngine(t, AllOptions()), newSharded(t, 2)} {
+		q, err := h.NewQueue(QueueConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		for _, tc := range cases {
+			if _, err := h.Submit(tc.cmd); !errors.Is(err, tc.want) {
+				t.Errorf("%T %s: Submit error = %v, want %v", h, tc.name, err, tc.want)
+			}
+			if _, err := q.SubmitAsync(context.Background(), tc.cmd); !errors.Is(err, tc.want) {
+				t.Errorf("%T %s: SubmitAsync error = %v, want %v", h, tc.name, err, tc.want)
+			}
+		}
+		mustSubmit(t, h, ivf(func(*DeployConfig) {}))
+		mustSubmit(t, h, HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:2], K: 5, Opt: SearchOptions{NProbe: 2}})
+	}
+}
+
 // TestNotCalibratedSentinel: a TargetRecall operand with no covering
 // calibration fails with ErrNotCalibrated (resolution happens at
 // execution, not admission); after CalibrateNProbe the same command
-// succeeds. Covered on both hosts.
+// succeeds, and a calibration against too short a ground truth is
+// refused. Covered on both hosts.
 func TestNotCalibratedSentinel(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
@@ -178,6 +234,15 @@ func TestNotCalibratedSentinel(t *testing.T) {
 	shCmd.DBID = 2
 	if _, err := sh.Submit(shCmd); !errors.Is(err, ErrNotCalibrated) {
 		t.Fatalf("sharded uncalibrated TargetRecall error = %v, want ErrNotCalibrated", err)
+	}
+	// A ground truth shorter than the query set is the caller's error,
+	// not an index panic, on either host.
+	short := testData.GroundTruth[:len(testData.Queries)-1]
+	if _, err := e.CalibrateNProbe(1, testData.Queries, short, 10, 0.9); err == nil {
+		t.Error("calibrated against a ground truth shorter than the query set")
+	}
+	if _, err := sh.CalibrateNProbe(2, testData.Queries, short, 10, 0.9); err == nil {
+		t.Error("sharded host calibrated against a ground truth shorter than the query set")
 	}
 }
 
