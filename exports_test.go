@@ -28,8 +28,8 @@ var exportAllowlist = map[string]string{
 	"ssd.Region.PlaneViews":        "reference: the allocation-free AppendPlaneSpans is checked against it",
 	"flash.Address.LinearIndex":    "reference: AddressFromLinear is checked as its inverse",
 	"vecmath.UnpackBinaryBytes":    "reference: the round-trip check of PackBinaryBytes",
-	"flash.Params.ProgramLatency":  "ROADMAP item 9 prices writes with the program-time model",
-	"reis.LatencySketch.Merge":     "ROADMAP items 5-6 merge per-route and per-replica sketches",
+	"flash.Params.ProgramLatency":  "ROADMAP item 11 prices writes with the program-time model",
+	"reis.LatencySketch.Merge":     "ROADMAP items 4 and 9 merge per-route and per-replica sketches",
 	"rivals.ICEConfig.Energy":      "ICE's energy model, kept beside its latency model for the rival comparisons",
 	"rivals.NDSearchConfig.Energy": "NDSearch's energy model, kept beside its latency model for the rival comparisons",
 	"flash.Device.Plane":           "test accessor: internal/reis and internal/experiments tests read plane latches and counters",

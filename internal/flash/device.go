@@ -524,15 +524,11 @@ func (d *Device) fillCache(planeIdx int, pattern []byte, slotBytes int) {
 	// The slot fill overwrites [0, filled); only the page tail and the
 	// OOB area of the latch need explicit zeroing.
 	filled := d.Geo.PageBytes - d.Geo.PageBytes%slotBytes
-	for i := filled; i < len(pl.Cache); i++ {
-		pl.Cache[i] = 0
-	}
+	clear(pl.Cache[filled:])
 	if len(pattern) < slotBytes {
 		// Pattern shorter than the slot: the copy below leaves slot
 		// padding untouched, so clear the filled area first.
-		for i := 0; i < filled; i++ {
-			pl.Cache[i] = 0
-		}
+		clear(pl.Cache[:filled])
 	}
 	// One copy fills the first slot; each further copy doubles the filled
 	// prefix, so a page of slots takes log2(slots) copies, not one per
