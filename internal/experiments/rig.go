@@ -17,7 +17,7 @@ import (
 // the model clock (price / priceBatch / tail). The determinism contract
 // — one batched command returns, bit for bit, the per-query rows the
 // same queries produce under any other admission (pinned by
-// TestBatchedStatsMatchSingleCommands in internal/reis) — is what lets
+// TestEquivalenceLattice in internal/reis) — is what lets
 // a sweep serve its query set once and price every batch size, queue
 // depth and arrival rate from those rows.
 

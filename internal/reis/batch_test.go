@@ -1,108 +1,16 @@
 package reis
 
 import (
-	"bytes"
 	"context"
 	"testing"
 )
 
-// assertSameResults fails unless one N-query command's results equal the
-// results of N one-query commands bit for bit (IDs, distances, document bytes) —
-// batch-composition invariance: what rides along in a batch never
-// changes a query's outcome.
-func assertSameResults(t *testing.T, mode string, seq, batch [][]DocResult) {
-	t.Helper()
-	if len(seq) != len(batch) {
-		t.Fatalf("%s: %d batch results for %d queries", mode, len(batch), len(seq))
-	}
-	for qi := range seq {
-		if len(seq[qi]) != len(batch[qi]) {
-			t.Fatalf("%s query %d: %d results, sequential %d", mode, qi, len(batch[qi]), len(seq[qi]))
-		}
-		for i := range seq[qi] {
-			s, b := seq[qi][i], batch[qi][i]
-			if s.ID != b.ID || s.Dist != b.Dist || !bytes.Equal(s.Doc, b.Doc) {
-				t.Fatalf("%s query %d result %d differs: seq{id=%d dist=%v} batch{id=%d dist=%v}",
-					mode, qi, i, s.ID, s.Dist, b.ID, b.Dist)
-			}
-		}
-	}
-}
-
-func TestSearchBatchMatchesSequentialFlat(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	deployFlat(t, e, 1)
-	queries := testData.Queries
-	opt := SearchOptions{}
-
-	seq, seqStats := searchEach(t, e, OpcodeSearch, 1, queries, 10, opt)
-	batch, sts := search(t, e, OpcodeSearch, 1, queries, 10, opt)
-	assertSameResults(t, "flat", seq, batch)
-
-	// Device event counts must match the one-query command field for
-	// field, the broadcast count included: a plane receives a query iff
-	// it scans it, whatever else is in the batch.
-	for qi := range queries {
-		if s, b := seqStats[qi], sts[qi]; s != b {
-			t.Fatalf("query %d stats diverge:\nseq   %+v\nbatch %+v", qi, s, b)
-		}
-	}
-}
-
-func TestSearchBatchMatchesSequentialFiltered(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	tags := make([]uint8, testData.Len())
-	for i := range tags {
-		tags[i] = uint8(testData.ClusterOf[i] % 4)
-	}
-	deployOn(t, e, OpcodeDBDeploy, DeployConfig{
-		ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
-		MetaTags: tags,
-	})
-	want := tags[testData.GroundTruth[0][0]]
-	opt := SearchOptions{MetaTag: &want, SkipDocs: true}
-	queries := testData.Queries[:8]
-
-	seq, _ := searchEach(t, e, OpcodeSearch, 1, queries, 10, opt)
-	batch, _ := search(t, e, OpcodeSearch, 1, queries, 10, opt)
-	assertSameResults(t, "filtered", seq, batch)
-	for qi := range batch {
-		for _, r := range batch[qi] {
-			if tags[r.ID] != want {
-				t.Fatalf("query %d returned tag %d, want %d", qi, tags[r.ID], want)
-			}
-		}
-	}
-}
-
-func TestIVFSearchBatchMatchesSequential(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	deployIVF(t, e, 1, 16)
-	queries := testData.Queries
-	for _, nprobe := range []int{1, 4} {
-		opt := SearchOptions{NProbe: nprobe}
-		seq, seqStats := searchEach(t, e, OpcodeIVFSearch, 1, queries, 10, opt)
-		batch, sts := search(t, e, OpcodeIVFSearch, 1, queries, 10, opt)
-		assertSameResults(t, "ivf", seq, batch)
-		for qi := range queries {
-			if s, b := seqStats[qi], sts[qi]; s != b {
-				t.Fatalf("nprobe=%d query %d stats diverge:\nseq   %+v\nbatch %+v", nprobe, qi, s, b)
-			}
-		}
-	}
-}
-
 func TestSearchBatchDeterministic(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
-	opt := SearchOptions{NProbe: 4}
-	a, ast := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, opt)
-	b, bst := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, opt)
-	assertSameResults(t, "repeat", a, b)
-	for qi := range ast {
-		if ast[qi] != bst[qi] {
-			t.Fatalf("query %d stats changed across identical batches", qi)
-		}
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}}
+	if d := respDiff(mustSubmit(t, e, cmd), mustSubmit(t, e, cmd)); d != "" {
+		t.Fatalf("identical batches differ: %s", d)
 	}
 }
 
@@ -179,7 +87,7 @@ func TestFoldAllocsIndependentOfSurvivors(t *testing.T) {
 	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 8}}
 	queries := testData.Queries[:8]
 	measure := func(opts Options) (float64, int) {
-		sh, err := NewSharded(shardTestCfg(), 4, 64<<20, opts)
+		sh, err := NewSharded(testCfg(), 4, 64<<20, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +113,7 @@ func TestFoldAllocsIndependentOfSurvivors(t *testing.T) {
 // scan round: the per-round join and the cross-device fold must cost a
 // lone device nothing.
 func TestOneDeviceCommandAllocs(t *testing.T) {
-	e, err := New(refCfg(1), 64<<20, AllOptions())
+	e, err := New(testCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"testing"
 
-	"reis/internal/flash"
 	"reis/internal/ssd"
 	"reis/internal/xrand"
 )
@@ -30,7 +29,7 @@ const (
 // the 1-, 2-, 4-shard references) under 512-byte pages with a 1536-byte
 // OOB. Pin admission
 // (dbCache.refresh) pins nothing while the widest probe of a command
-// fits the planes in one wave; on shardTestCfg — 8 to 32 planes, one page
+// fits the planes in one wave; on testCfg — 8 to 32 planes, one page
 // a cluster — no script of these suites ever would, and scanPinned would
 // go untested. Here the narrowest probe (nprobe 4, about 12 pages)
 // outgrows the widest device.
@@ -44,225 +43,9 @@ func pinGeo(cfg ssd.Config) ssd.Config {
 }
 
 func cachedShardCfg(budget int64) ssd.Config {
-	cfg := pinGeo(shardTestCfg())
+	cfg := pinGeo(testCfg())
 	cfg.CacheDRAMBytes = budget
 	return cfg
-}
-
-// cachedRefCfg is the single-device equivalent of n shards of
-// cachedShardCfg.
-func cachedRefCfg(n int, budget int64) ssd.Config {
-	cfg := cachedShardCfg(budget)
-	cfg.Geo.Channels *= n
-	return cfg
-}
-
-// pinnedPages sums the pages a script's responses served from pins. The
-// pinned-scan suites assert it is positive: an equivalence that holds
-// because nothing was pinned proves nothing.
-func pinnedPages(resps []HostResponse) (n int) {
-	for _, r := range resps {
-		n += r.Stats.CachedPages
-	}
-	return n
-}
-
-// cacheInvariant checks the page-partition invariant per query: on the
-// unpruned path, a cached engine serves some fine pages from DRAM and
-// the rest from flash, so cached.FinePages + cached.CachedPages must
-// equal the uncached run's FinePages exactly. Result-cache hits did no
-// scan work at all and are exempt.
-func cacheInvariant(t *testing.T, name string, cached, uncached HostResponse) {
-	t.Helper()
-	if len(cached.QueryStats) != len(uncached.QueryStats) {
-		t.Fatalf("%s: stats length %d vs %d", name, len(cached.QueryStats), len(uncached.QueryStats))
-	}
-	for i := range cached.QueryStats {
-		c, u := cached.QueryStats[i], uncached.QueryStats[i]
-		if c.ResultCacheHits > 0 {
-			if c.FinePages != 0 || c.CachedPages != 0 {
-				t.Errorf("%s q%d: hit with scan work %+v", name, i, c)
-			}
-			continue
-		}
-		if c.FinePages+c.CachedPages != u.FinePages {
-			t.Errorf("%s q%d: partition %d+%d != uncached fine %d",
-				name, i, c.FinePages, c.CachedPages, u.FinePages)
-		}
-		if c.CoarsePages != u.CoarsePages {
-			t.Errorf("%s q%d: coarse pages %d != %d", name, i, c.CoarsePages, u.CoarsePages)
-		}
-	}
-}
-
-// cacheScript is the repeated-search workload the equivalence tests
-// replay on every topology: the same IVF batch several times (warming
-// the probe counters, then hitting the result cache), flat batches,
-// nprobe variations (distinct cache keys), and exact single-query
-// repeats. Every command goes through Submit, the path that consults
-// the result cache.
-func cacheScript(t *testing.T, h submitter) []HostResponse {
-	t.Helper()
-	queries := testData.Queries
-	var resps []HostResponse
-	run := func(cmd HostCommand) {
-		t.Helper()
-		resp, err := h.Submit(cmd)
-		if err != nil {
-			t.Fatalf("opcode %#x: %v", cmd.Opcode, err)
-		}
-		resps = append(resps, resp)
-	}
-	ivf := func(q [][]float32, nprobe int, opt SearchOptions) HostCommand {
-		opt.NProbe = nprobe
-		return HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: q, K: 10, Opt: opt}
-	}
-	for r := 0; r < 3; r++ {
-		run(ivf(queries, 4, SearchOptions{SkipDocs: true}))
-	}
-	run(ivf(queries, 4, SearchOptions{}))            // docs: distinct key space
-	run(ivf(queries, 8, SearchOptions{}))            // wider probe, different pins get hot
-	run(ivf(queries[:6], 4, SearchOptions{}))        // exact repeats of earlier queries
-	run(ivf(queries, 4, SearchOptions{Prune: true})) // pruned path over pinned clusters
-	run(ivf(queries, 4, SearchOptions{Prune: true}))
-	run(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10})
-	run(HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10})
-	return resps
-}
-
-// cacheScriptDB[i] is the database cacheScript's i-th command searches.
-var cacheScriptDB = []int{2, 2, 2, 2, 2, 2, 2, 2, 1, 1}
-
-// TestCachedMatchesUncached pins the caching tier's determinism
-// contract on the deployed (unmutated) dataset, at a partial-pin and an
-// everything-pinned budget:
-//
-//   - results are bit-identical to an uncached engine, command for
-//     command, query for query;
-//   - on unpruned commands the page-partition invariant holds;
-//   - a cached sharded topology (1, 2, 4 shards) is bit-identical in
-//     results AND aggregated stats to the cached N×channels reference;
-//   - the device's SLC-ESP senses are the pages the queries' rows count
-//     (what the timing model charges), less the senses the shared rounds
-//     it ran page-major saved, plus the pin fills, which the model does
-//     not charge (DESIGN.md, "Input broadcast", Reconciliation).
-func TestCachedMatchesUncached(t *testing.T) {
-	for _, budget := range []int64{cacheSmallBudget, cacheBigBudget} {
-		t.Run(fmt.Sprintf("budget=%dKiB", budget>>10), func(t *testing.T) {
-			uncached, err := New(cachedRefCfg(1, 0), 64<<20, AllOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { uncached.Close() })
-			deployBoth(t, uncached.Submit)
-			base := cacheScript(t, uncached)
-
-			for _, n := range shardCounts {
-				single, err := New(cachedRefCfg(n, budget), 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { single.Close() })
-				deployBoth(t, single.Submit)
-				sh, err := NewSharded(cachedShardCfg(budget), n, 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sh.Close() })
-				deployBoth(t, sh.Submit)
-
-				senses := &single.SSD.Dev.Stats.PageReadsByMode[flash.ModeSLCESP]
-				before := senses.Load()
-				got := cacheScript(t, single)
-				sensed := senses.Load() - before
-				gotSh := cacheScript(t, sh)
-				var charged, saved int64
-				for i, resp := range got {
-					charged += int64(resp.Stats.CoarsePages + resp.Stats.FinePages)
-					db, err := single.DB(cacheScriptDB[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					saved += pageMajorSaved(single.device, db, resp.QueryStats)
-				}
-				if cs, err := single.CacheStats(2); err != nil || sensed != charged-saved+cs.PinFills || cs.PinFills == 0 || saved == 0 {
-					t.Errorf("n=%d: device sensed %d SLC-ESP pages, the rows count %d, page-major rounds saved %d and the pins filled %d (%v)",
-						n, sensed, charged, saved, cs.PinFills, err)
-				}
-				for i := range base {
-					name := fmt.Sprintf("n=%d cmd=%d", n, i)
-					if !reflect.DeepEqual(got[i].Results, base[i].Results) {
-						t.Fatalf("%s: cached results diverge from uncached", name)
-					}
-					if !mutRespEqual(got[i], gotSh[i]) {
-						t.Fatalf("%s: sharded diverges from reference: %s vs %s",
-							name, briefResp(gotSh[i]), briefResp(got[i]))
-					}
-					// The last two script entries per opcode are pruned
-					// commands: pinned segments are never lb-aborted, so
-					// their pages move between Fine/Pruned accounting and
-					// only unpruned rows satisfy the page partition.
-					if i != 7 && i != 8 {
-						cacheInvariant(t, name, got[i], base[i])
-					}
-				}
-				hits := 0
-				for _, resp := range got {
-					hits += resp.Stats.ResultCacheHits
-				}
-				// The script repeats the same hot query set, so the tier
-				// must actually engage: pinned pages served from DRAM,
-				// and (at the big budget) result-cache hits.
-				if pinnedPages(got) == 0 {
-					t.Errorf("n=%d: no pinned-cluster pages served across the script", n)
-				}
-				if budget == cacheBigBudget && hits == 0 {
-					t.Errorf("n=%d: no result-cache hits across the script", n)
-				}
-			}
-		})
-	}
-}
-
-// TestCachedSeqMatchesBatch checks one-query IVF_Search commands (each
-// refreshes the pins and scans them itself) against whole batches (one
-// refresh per batch) on cached engines: the pin sets differ, the
-// results must not. Every round probes one cluster more than the last,
-// so no command repeats an earlier one and the result cache serves
-// none of them: the comparison isolates the hot-cluster tier.
-func TestCachedSeqMatchesBatch(t *testing.T) {
-	seq, err := New(cachedRefCfg(1, cacheSmallBudget), 64<<20, AllOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { seq.Close() })
-	deployBoth(t, seq.Submit)
-	batch, err := New(cachedRefCfg(1, cacheSmallBudget), 64<<20, AllOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { batch.Close() })
-	deployBoth(t, batch.Submit)
-
-	seqPinned, batchPinned := 0, 0
-	for round := 0; round < 3; round++ {
-		opt := SearchOptions{NProbe: 4 + round}
-		want, wantSts := search(t, batch, OpcodeIVFSearch, 2, testData.Queries, 10, opt)
-		for qi, q := range testData.Queries {
-			got, st := searchOne(t, seq, OpcodeIVFSearch, 2, q, 10, opt)
-			if !reflect.DeepEqual(got, want[qi]) {
-				t.Fatalf("round %d q%d: sequential cached result diverges", round, qi)
-			}
-			if st.ResultCacheHits+wantSts[qi].ResultCacheHits != 0 {
-				t.Fatalf("round %d q%d: served from the result cache, the pins were not compared", round, qi)
-			}
-			seqPinned += st.CachedPages
-			batchPinned += wantSts[qi].CachedPages
-		}
-	}
-	if seqPinned == 0 || batchPinned == 0 {
-		t.Errorf("pinned pages served: %d sequential, %d batched — both hosts must scan pins", seqPinned, batchPinned)
-	}
 }
 
 // TestCachedScanFollowsEngineOpts turns the distance filter off on a
@@ -309,104 +92,6 @@ func TestCachedScanFollowsEngineOpts(t *testing.T) {
 	}
 	if pinned == 0 {
 		t.Fatal("no pinned pages served: the pinned scans were not compared")
-	}
-}
-
-// TestCachedMatchesUncachedMutated runs the shared mutation script
-// (deploy, appends, deletes with interleaved searches) on cached
-// engines, flat and IVF, across shard counts:
-//
-//   - every response is bit-identical between the cached sharded
-//     topology and the cached single-device reference;
-//   - results are bit-identical to a fully uncached run, so mutation
-//     invalidation never serves stale pins or results;
-//   - a duplicate search after the script exercises result-cache hits
-//     (the script's own searches all miss: every mutation drops the
-//     cache) and must still match the uncached results.
-func TestCachedMatchesUncachedMutated(t *testing.T) {
-	const budget = 96 << 10
-	c := newMutCorpus()
-	for _, ivf := range []bool{false, true} {
-		name := "flat"
-		if ivf {
-			name = "ivf"
-		}
-		t.Run(name, func(t *testing.T) {
-			for _, n := range shardCounts {
-				// One shard's device, its n x channels reference, and — for
-				// the uncached baseline, whose results and global page counts
-				// do not depend on the plane count — the shard device again.
-				shCfg := pinGeo(mutTestCfg())
-				plain, err := New(shCfg, 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { plain.Close() })
-				base := runMutScript(t, plain, c, ivf, 0)
-
-				shCfg.CacheDRAMBytes = budget
-				cachedCfg := shCfg
-				cachedCfg.Geo.Channels *= n
-				single, err := New(cachedCfg, 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { single.Close() })
-				got := runMutScript(t, single, c, ivf, 0)
-
-				sh, err := NewSharded(shCfg, n, 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sh.Close() })
-				gotSh := runMutScript(t, sh, c, ivf, 0)
-
-				for i := range base {
-					name := fmt.Sprintf("n=%d resp=%d", n, i)
-					if !reflect.DeepEqual(got[i].Results, base[i].Results) {
-						t.Fatalf("%s: cached results diverge from uncached", name)
-					}
-					if !mutRespEqual(got[i], gotSh[i]) {
-						t.Fatalf("%s: sharded diverges from reference: %s vs %s",
-							name, briefResp(gotSh[i]), briefResp(got[i]))
-					}
-					cacheInvariant(t, name, got[i], base[i])
-				}
-				// Every search of the script follows a mutation, which drops
-				// the pins; the probe counters and the last probe width
-				// survive it, so each re-pins and scans from DRAM.
-				if ivf && pinnedPages(got) == 0 {
-					t.Errorf("n=%d: no pinned-cluster pages served across the mutation script", n)
-				}
-
-				// Duplicate final search: no mutation in between, so the
-				// cached engines may now serve result-cache hits — and
-				// must still agree with each other and with uncached.
-				searchOp, nprobe := OpcodeSearch, 0
-				if ivf {
-					searchOp, nprobe = OpcodeIVFSearch, 4
-				}
-				cmd := HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: nprobe}}
-				want, err := plain.Submit(cmd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r1, err := single.Submit(cmd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				r2, err := sh.Submit(cmd)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(r1.Results, want.Results) {
-					t.Fatalf("n=%d: post-script cached results diverge from uncached", n)
-				}
-				if !mutRespEqual(r1, r2) {
-					t.Fatalf("n=%d: post-script sharded diverges: %s vs %s", n, briefResp(r2), briefResp(r1))
-				}
-			}
-		})
 	}
 }
 
@@ -558,7 +243,7 @@ func TestPinSetsAcrossTopologies(t *testing.T) {
 		var wantStats []CacheStats
 		for _, procs := range []int{1, 4} {
 			runtime.GOMAXPROCS(procs)
-			single, err := New(cachedRefCfg(n, cacheSmallBudget), 64<<20, AllOptions())
+			single, err := New(refOf(cachedShardCfg(cacheSmallBudget), n), 64<<20, AllOptions())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -602,7 +287,7 @@ func TestPinSetsAcrossTopologies(t *testing.T) {
 // in place. A command of n hits costs 2n allocations plus its result and
 // stats slices (k+2 a hit, plus a key string and a keys slice, before).
 func TestResultCacheHitAllocs(t *testing.T) {
-	e, err := New(cachedRefCfg(1, cacheBigBudget), 64<<20, AllOptions())
+	e, err := New(cachedShardCfg(cacheBigBudget), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +322,7 @@ func TestResultCacheHitAllocs(t *testing.T) {
 // low 32 bits are zero); nprobe 1 then hits the default's entry, nlist
 // the full probe's, and a brute-force search ignores nprobe.
 func TestResultCacheKeysOnRunNProbe(t *testing.T) {
-	e, err := New(cachedRefCfg(1, cacheBigBudget), 64<<20, AllOptions())
+	e, err := New(cachedShardCfg(cacheBigBudget), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -681,7 +366,7 @@ func TestPinChurnAllocs(t *testing.T) {
 	}
 	pair := [][][]float32{testData.Queries[:1], testData.Queries[other:][:1]}
 	measure := func(budget int64) (allocs float64, fills int64) {
-		e, err := New(cachedRefCfg(1, budget), 64<<20, AllOptions())
+		e, err := New(cachedShardCfg(budget), 64<<20, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -738,8 +423,7 @@ func TestCacheBudgetUnderChurn(t *testing.T) {
 	const budget = 40 << 10
 	c := newMutCorpus()
 	shCfg := pinGeo(mutTestCfg())
-	refCfg := shCfg
-	refCfg.Geo.Channels *= 2
+	refCfg := refOf(shCfg, 2)
 	plain, err := New(refCfg, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -764,8 +448,8 @@ func TestCacheBudgetUnderChurn(t *testing.T) {
 		if !reflect.DeepEqual(got.Results, want.Results) {
 			t.Fatalf("%s: cached results diverge from uncached", what)
 		}
-		if !mutRespEqual(got, gotSh) {
-			t.Fatalf("%s: sharded diverges from reference: %s vs %s", what, briefResp(gotSh), briefResp(got))
+		if d := respDiff(got, gotSh); d != "" {
+			t.Fatalf("%s: sharded diverges from reference: %s", what, d)
 		}
 		cs, err := single.CacheStats(1)
 		if err != nil {

@@ -144,7 +144,7 @@ func TestQueueCloseDeregisters(t *testing.T) {
 }
 
 func TestShardedCloseIdempotent(t *testing.T) {
-	sh, err := NewSharded(shardTestCfg(), 2, 64<<20, AllOptions())
+	sh, err := NewSharded(testCfg(), 2, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestCloseRejectsUndispatchedMutations(t *testing.T) {
 // bit-identical to before, and a later compaction finishes the job.
 func TestCloseAbortsBackgroundGC(t *testing.T) {
 	c := newMutCorpus()
-	e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+	e, err := New(gcTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +333,13 @@ func TestDirectCallsAfterClose(t *testing.T) {
 		CalibrateNProbe(int, [][]float32, [][]int, int, float64) (int, error)
 		Close() error
 	}
-	e, err := New(shardTestCfg(), 64<<20, AllOptions())
+	e, err := New(testCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hosts := map[string]closedHost{"device": e}
 	for _, n := range []int{1, 2} {
-		sh, err := NewSharded(shardTestCfg(), n, 64<<20, AllOptions())
+		sh, err := NewSharded(testCfg(), n, 64<<20, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +379,7 @@ func TestDirectCallsAfterClose(t *testing.T) {
 
 	// A device closed underneath a live router: searches fail the same way
 	// and must not restart the device's plane workers.
-	sh, err := NewSharded(shardTestCfg(), 2, 64<<20, AllOptions())
+	sh, err := NewSharded(testCfg(), 2, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

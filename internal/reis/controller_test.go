@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 		name string
 		h    searcher
 	}
-	e, err := New(refCfg(1), 64<<20, AllOptions())
+	e, err := New(testCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,9 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 				ctx := &countdownCtx{Context: context.Background(), polls: p}
 				got, _, _, err := tp.h.search(ctx, &cmd, queries, false)
 				if err == nil {
-					assertSameResults(t, "after aborts", want, got)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s op %#x polls=%d: results after aborts differ", tp.name, cmd.Opcode, p)
+					}
 					break
 				}
 				if !errors.Is(err, context.Canceled) {
@@ -78,7 +81,9 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s op %#x polls=%d: search after the cancelled one: %v", tp.name, cmd.Opcode, p, err)
 				}
-				assertSameResults(t, "after a cancelled search", want, next)
+				if !reflect.DeepEqual(next, want) {
+					t.Fatalf("%s op %#x polls=%d: results after a cancelled search differ", tp.name, cmd.Opcode, p)
+				}
 			}
 			// Several rounds, each with its own checkpoint, must have been
 			// cut — a one-poll run would not exercise the round loop.
@@ -128,7 +133,7 @@ func TestPrunedSearchEmptyPlan(t *testing.T) {
 		}
 		return resp
 	}
-	e, err := New(mutRefCfg(1), 64<<20, AllOptions())
+	e, err := New(mutTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestScanCounterDigest(t *testing.T) {
 				e := newEngine(t, opts)
 				h, core = e, &e.hostCore
 			} else {
-				sh, err := NewSharded(shardTestCfg(), n, 64<<20, opts)
+				sh, err := NewSharded(testCfg(), n, 64<<20, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,62 +1,29 @@
 package reis
 
 import (
-	"bytes"
-	"fmt"
 	"runtime"
 	"testing"
 )
 
-// runAllSearches executes every search command shape over the shared
-// test workload and returns a deterministic fingerprint of results and
-// stats: Search and IVF_Search, as one-query commands and as one batched
-// command, must each produce bit-identical output on every run at any
-// GOMAXPROCS — and, batch composition being invisible to a query, the
-// one-query commands must equal the batches field for field.
-func runAllSearches(t *testing.T, e *Engine) ([][][]DocResult, [][]QueryStats) {
+// runAllSearches serves Search and IVF_Search over the shared test
+// workload, each as one batched command and as one one-query command per
+// query, and returns every response in order.
+func runAllSearches(t *testing.T, e *Engine) []HostResponse {
 	t.Helper()
 	queries := testData.Queries[:12]
-	var allRes [][][]DocResult
-	var allSts [][]QueryStats
-
-	for _, run := range []func(testing.TB, submitter, uint8, int, [][]float32, int, SearchOptions) ([][]DocResult, []QueryStats){searchEach, search} {
-		res, sts := run(t, e, OpcodeSearch, 1, queries, 10, SearchOptions{})
-		allRes, allSts = append(allRes, res), append(allSts, sts)
-		res, sts = run(t, e, OpcodeIVFSearch, 2, queries, 10, SearchOptions{NProbe: 4})
-		allRes, allSts = append(allRes, res), append(allSts, sts)
-	}
-	for m, mode := range []string{"flat", "ivf"} {
-		assertSameResults(t, mode, allRes[m], allRes[m+2])
-		for qi := range queries {
-			if allSts[m][qi] != allSts[m+2][qi] {
-				t.Fatalf("%s query %d: one-query stats %+v, batch stats %+v", mode, qi, allSts[m][qi], allSts[m+2][qi])
-			}
+	var resps []HostResponse
+	for _, cmd := range []HostCommand{
+		{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10},
+		{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 4}},
+	} {
+		resps = append(resps, mustSubmit(t, e, cmd))
+		for i := range queries {
+			one := cmd
+			one.Queries = queries[i : i+1]
+			resps = append(resps, mustSubmit(t, e, one))
 		}
 	}
-	return allRes, allSts
-}
-
-func diffRuns(t *testing.T, label string, wantRes, gotRes [][][]DocResult, wantSts, gotSts [][]QueryStats) {
-	t.Helper()
-	for m := range wantRes {
-		mode := []string{"Search x1", "IVF_Search x1", "Search batch", "IVF_Search batch"}[m]
-		for qi := range wantRes[m] {
-			w, g := wantRes[m][qi], gotRes[m][qi]
-			if len(w) != len(g) {
-				t.Fatalf("%s %s query %d: %d results, want %d", label, mode, qi, len(g), len(w))
-			}
-			for i := range w {
-				if w[i].ID != g[i].ID || w[i].Dist != g[i].Dist || !bytes.Equal(w[i].Doc, g[i].Doc) {
-					t.Fatalf("%s %s query %d result %d diverged: got{id=%d dist=%v} want{id=%d dist=%v}",
-						label, mode, qi, i, g[i].ID, g[i].Dist, w[i].ID, w[i].Dist)
-				}
-			}
-			if wantSts[m][qi] != gotSts[m][qi] {
-				t.Fatalf("%s %s query %d stats diverged:\ngot  %+v\nwant %+v",
-					label, mode, qi, gotSts[m][qi], wantSts[m][qi])
-			}
-		}
-	}
+	return resps
 }
 
 // TestSearchDeterministicAcrossRunsAndGOMAXPROCS asserts the hard
@@ -71,13 +38,16 @@ func TestSearchDeterministicAcrossRunsAndGOMAXPROCS(t *testing.T) {
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	runtime.GOMAXPROCS(1)
-	refRes, refSts := runAllSearches(t, e)
+	ref := runAllSearches(t, e)
 
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
 		for rep := 0; rep < 2; rep++ {
-			gotRes, gotSts := runAllSearches(t, e)
-			diffRuns(t, fmt.Sprintf("GOMAXPROCS=%d rep=%d", procs, rep), refRes, gotRes, refSts, gotSts)
+			for i, got := range runAllSearches(t, e) {
+				if d := respDiff(ref[i], got); d != "" {
+					t.Fatalf("GOMAXPROCS=%d rep=%d response %d: %s", procs, rep, i, d)
+				}
+			}
 		}
 	}
 }

@@ -15,7 +15,8 @@ import (
 )
 
 // testCfg shrinks SSD1 so unit tests stay fast while preserving the
-// channel/die/plane structure.
+// channel/die/plane structure. It is also each device of a sharded test
+// host, whose single-device reference is refOf(testCfg(), n).
 func testCfg() ssd.Config {
 	cfg := ssd.SSD1()
 	cfg.Geo.Channels = 2
@@ -25,6 +26,13 @@ func testCfg() ssd.Config {
 	cfg.Geo.PagesPerBlock = 16
 	cfg.Geo.PageBytes = 4096
 	cfg.Geo.OOBBytes = 1024
+	return cfg
+}
+
+// refOf is the single-device equivalent of n devices of cfg: one device
+// with n times the channels, the same aggregate hardware.
+func refOf(cfg ssd.Config, n int) ssd.Config {
+	cfg.Geo.Channels *= n
 	return cfg
 }
 
@@ -69,9 +77,7 @@ func mustSubmit(t testing.TB, h submitter, cmd HostCommand) HostResponse {
 }
 
 // search is one search command (op is OpcodeSearch or OpcodeIVFSearch)
-// over queries, searchOne its one-query form, and searchEach the same
-// queries as one one-query command each — what the batch-composition
-// tests hold a batched command against.
+// over queries, and searchOne its one-query form.
 func search(t testing.TB, h submitter, op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats) {
 	t.Helper()
 	resp := mustSubmit(t, h, HostCommand{Opcode: op, DBID: dbID, Queries: queries, K: k, Opt: opt})
@@ -82,15 +88,6 @@ func searchOne(t testing.TB, h submitter, op uint8, dbID int, query []float32, k
 	t.Helper()
 	res, sts := search(t, h, op, dbID, [][]float32{query}, k, opt)
 	return res[0], sts[0]
-}
-
-func searchEach(t testing.TB, h submitter, op uint8, dbID int, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats) {
-	t.Helper()
-	res, sts := make([][]DocResult, len(queries)), make([]QueryStats, len(queries))
-	for qi, q := range queries {
-		res[qi], sts[qi] = searchOne(t, h, op, dbID, q, k, opt)
-	}
-	return res, sts
 }
 
 // deployFlat and deployIVF deploy the shared test dataset on a device

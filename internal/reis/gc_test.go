@@ -11,7 +11,7 @@ import (
 )
 
 // The background-GC tests need a corpus that spans MANY erase rows:
-// under shardTestCfg the whole mutation corpus fits inside a single GC
+// under testCfg the whole mutation corpus fits inside a single GC
 // row (8 global planes x 16 pages per block = 128 row pages), so a
 // compaction is one copy-forward step and nothing can interleave.
 // gcTestCfg shrinks the block shape instead — two pages per block, two
@@ -19,7 +19,7 @@ import (
 // pages on an n-shard topology and the mutation corpus spreads across
 // a dozen-plus victim rows.
 func gcTestCfg() ssd.Config {
-	cfg := shardTestCfg()
+	cfg := testCfg()
 	cfg.Geo.Channels = 1
 	cfg.Geo.DiesPerChannel = 1
 	cfg.Geo.PlanesPerDie = 2
@@ -28,13 +28,6 @@ func gcTestCfg() ssd.Config {
 	cfg.Geo.PageBytes = 2048
 	cfg.Geo.OOBBytes = 189 // 21 embedding slots per page (OOB-bound)
 	cfg.OverprovisionPct = 200
-	return cfg
-}
-
-// gcRefCfg is the single-device equivalent of n shards of gcTestCfg.
-func gcRefCfg(n int) ssd.Config {
-	cfg := gcTestCfg()
-	cfg.Geo.Channels *= n
 	return cfg
 }
 
@@ -58,7 +51,7 @@ func TestBackgroundGCInterleavedSearches(t *testing.T) {
 					// Either facade's core: the hook is its field.
 					var h *hostCore
 					if n == 1 {
-						e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+						e, err := New(gcTestCfg(), 64<<20, AllOptions())
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -136,7 +129,7 @@ func TestBackgroundGCInterleavedSearches(t *testing.T) {
 // pre-compaction state.
 func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 	c := newMutCorpus()
-	e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+	e, err := New(gcTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +190,7 @@ func TestBackgroundGCInterleavesWithSearches(t *testing.T) {
 // flowing. No quiesce call exists; the ordering is the scheduler's.
 func TestGCHoldsBackMutationsDuringFlight(t *testing.T) {
 	c := newMutCorpus()
-	e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+	e, err := New(gcTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +304,7 @@ func runChurn(t *testing.T, e *Engine, rounds, batch int) WearStats {
 // while the physical footprint stays fixed.
 func TestChurnRecyclesFreedRows(t *testing.T) {
 	const rounds, batch = 20, 63
-	e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+	e, err := New(gcTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +339,7 @@ func TestChurnRecyclesFreedRows(t *testing.T) {
 // which hammers the lowest freed rows.
 func TestWearLeveledPlacementReducesSkew(t *testing.T) {
 	churn := func(opts Options) int64 {
-		e, err := New(gcRefCfg(1), 64<<20, opts)
+		e, err := New(gcTestCfg(), 64<<20, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,7 +370,7 @@ func TestWearStatsSumAcrossShards(t *testing.T) {
 	c := newMutCorpus()
 	for _, n := range shardCounts {
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			ref, err := New(gcRefCfg(n), 64<<20, AllOptions())
+			ref, err := New(refOf(gcTestCfg(), n), 64<<20, AllOptions())
 			if err != nil {
 				t.Fatal(err)
 			}

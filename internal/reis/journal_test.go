@@ -25,7 +25,7 @@ type journalHost interface {
 func newJournalHost(t *testing.T, shards int) journalHost {
 	t.Helper()
 	if shards == 1 {
-		e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+		e, err := New(gcTestCfg(), 64<<20, AllOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -278,8 +278,7 @@ func FuzzCrashRecovery(f *testing.F) {
 		ivf := data[0]%2 == 1
 		ops := data[1:]
 
-		refCfg := fuzzCfg()
-		refCfg.Geo.Channels *= 2
+		refCfg := refOf(fuzzCfg(), 2)
 		orig, err := New(refCfg, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)

@@ -74,71 +74,13 @@ func TestPageCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPageBytesIdenticalAcrossTopologies: after deploy, appends, deletes
-// and a compaction, global page g of every region — read from the device
-// that owns it on 2 and 4 devices — equals page g of the single-device
-// reference, data and OOB. Results-level equivalence cannot see this for
-// padding slots and never-scanned bytes; the one renderer and one
-// owner-routed writer guarantee it for all of them.
-func TestPageBytesIdenticalAcrossTopologies(t *testing.T) {
-	c := newMutCorpus()
-	regions := []struct {
-		name string
-		of   regionOf
-	}{{"embedding", embRegion}, {"centroid", centRegion}, {"INT8", int8Region}, {"document", docRegion}}
-	for _, n := range []int{2, 4} {
-		single, err := New(mutRefCfg(n), 64<<20, AllOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { single.Close() })
-		runMutScript(t, single, c, true, 0.9)
-		sh, err := NewSharded(mutTestCfg(), n, 64<<20, AllOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { sh.Close() })
-		runMutScript(t, sh, c, true, 0.9)
-		ref, _ := single.hostDB(1)
-		got, _ := sh.hostDB(1)
-		for _, r := range regions {
-			pages, sum := r.of(ref.locals[0]).PageCount, 0
-			for _, local := range got.locals {
-				sum += r.of(local).PageCount
-			}
-			if pages == 0 || sum != pages {
-				t.Fatalf("shards=%d: %s region holds %d pages over the devices, reference %d", n, r.name, sum, pages)
-			}
-			compared := 0
-			for g := 0; g < pages; g++ {
-				wantData, wantOOB, wantErr := single.readPage(ref, r.of, g, nil, nil)
-				gotData, gotOOB, gotErr := sh.readPage(got, r.of, g, nil, nil)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("shards=%d: %s page %d: reference read error %v, sharded %v", n, r.name, g, wantErr, gotErr)
-				}
-				if wantErr != nil {
-					continue // a reclaimed GC row: unmapped on both
-				}
-				compared++
-				if !bytes.Equal(gotData, wantData) || !bytes.Equal(gotOOB, wantOOB) {
-					t.Fatalf("shards=%d: %s page %d differs from the reference's (data equal: %v, OOB equal: %v)",
-						n, r.name, g, bytes.Equal(gotData, wantData), bytes.Equal(gotOOB, wantOOB))
-				}
-			}
-			if compared == 0 {
-				t.Fatalf("shards=%d: no %s page was readable", n, r.name)
-			}
-		}
-	}
-}
-
 // TestGCOfTailRowProgramsPastIt drives one copy-forward step whose victim
 // is the row the region's tail sits in, through the allocator appends
 // share: the survivors must land on the first page past the victim row —
 // nothing is programmed into the row about to be erased — and the next
 // append must continue from there, not into the erased row.
 func TestGCOfTailRowProgramsPastIt(t *testing.T) {
-	e, err := New(gcRefCfg(1), 64<<20, AllOptions())
+	e, err := New(gcTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

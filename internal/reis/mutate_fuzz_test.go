@@ -115,8 +115,7 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 		shards := 2 - int(data[0]>>1)%2
 		ops := data[1:]
 
-		refCfg := pinFuzzCfg()
-		refCfg.Geo.Channels *= shards
+		refCfg := refOf(pinFuzzCfg(), shards)
 		single, err := New(refCfg, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -144,8 +143,8 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("opcode %#x: single err %v, sharded err %v", cmd.Opcode, errA, errB)
 			}
-			if errA == nil && !mutRespEqual(a, b) {
-				t.Fatalf("opcode %#x: responses diverge\nsingle %s\nshard  %s", cmd.Opcode, briefResp(a), briefResp(b))
+			if d := respDiff(a, b); errA == nil && d != "" {
+				t.Fatalf("opcode %#x: sharded response diverges from the single device's: %s", cmd.Opcode, d)
 			}
 			return a, b, errA
 		}
@@ -263,7 +262,7 @@ func FuzzAppendDeleteSearch(f *testing.F) {
 // FuzzPrunedSearch fuzzes the pruning equivalence contract directly:
 // a byte string decodes into a mutation prologue (append and delete
 // counts) plus search parameters (flat/IVF, k, nprobe), and the oracle
-// is TestPrunedMatchesUnpruned's invariant — pruned results are
+// is the prune axis of TestEquivalenceLattice — pruned results are
 // bit-identical to unpruned, and the pruned response is bit-identical
 // between a 2-shard router and its double-channel single-device
 // reference. CI replays the committed seed corpus
@@ -284,8 +283,7 @@ func FuzzPrunedSearch(f *testing.F) {
 		nAppend := int(data[3]) % 12
 		nDelete := int(data[4]) % 12
 
-		refCfg := fuzzCfg()
-		refCfg.Geo.Channels *= 2
+		refCfg := refOf(fuzzCfg(), 2)
 		single, err := New(refCfg, 0, AllOptions())
 		if err != nil {
 			t.Fatal(err)
@@ -316,8 +314,8 @@ func FuzzPrunedSearch(f *testing.F) {
 			if errA != nil {
 				t.Fatalf("opcode %#x: %v", cmd.Opcode, errA)
 			}
-			if !mutRespEqual(a, b) {
-				t.Fatalf("opcode %#x: responses diverge\nsingle %s\nshard  %s", cmd.Opcode, briefResp(a), briefResp(b))
+			if d := respDiff(a, b); d != "" {
+				t.Fatalf("opcode %#x: sharded response diverges from the single device's: %s", cmd.Opcode, d)
 			}
 			return a
 		}

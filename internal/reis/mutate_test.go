@@ -1,12 +1,9 @@
 package reis
 
 import (
-	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 
@@ -16,15 +13,8 @@ import (
 
 // mutTestCfg is the shard test config with append/GC headroom.
 func mutTestCfg() ssd.Config {
-	cfg := shardTestCfg()
+	cfg := testCfg()
 	cfg.OverprovisionPct = 200
-	return cfg
-}
-
-// mutRefCfg is the single-device equivalent of n shards of mutTestCfg.
-func mutRefCfg(n int) ssd.Config {
-	cfg := mutTestCfg()
-	cfg.Geo.Channels *= n
 	return cfg
 }
 
@@ -164,71 +154,6 @@ func runMutScript(t *testing.T, h submitter, c *mutCorpus, ivf bool, compact flo
 	return resps
 }
 
-// mutRespEqual compares the topology-invariant parts of two responses
-// (PerShard is shape-dependent by design).
-func mutRespEqual(a, b HostResponse) bool {
-	return a.Done == b.Done &&
-		reflect.DeepEqual(a.Results, b.Results) &&
-		reflect.DeepEqual(a.QueryStats, b.QueryStats) &&
-		a.Stats == b.Stats &&
-		reflect.DeepEqual(a.AppendedIDs, b.AppendedIDs) &&
-		reflect.DeepEqual(a.Wear, b.Wear)
-}
-
-// TestMutationShardedMatchesReference pins the mutability determinism
-// contract: an interleaved append/delete/compact/search script yields
-// bit-identical responses — results, per-query and aggregate stats,
-// assigned ids, and wear/erase counts — on a sharded topology and its
-// single-device reference (n times the channels), for shards 1/2/4;
-// and identical search results ACROSS shard counts.
-func TestMutationShardedMatchesReference(t *testing.T) {
-	c := newMutCorpus()
-	for _, ivf := range []bool{false, true} {
-		name := "flat"
-		if ivf {
-			name = "ivf"
-		}
-		t.Run(name, func(t *testing.T) {
-			var first []HostResponse
-			for _, n := range shardCounts {
-				single, err := New(mutRefCfg(n), 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { single.Close() })
-				want := runMutScript(t, single, c, ivf, 0.9)
-				sh, err := NewSharded(mutTestCfg(), n, 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sh.Close() })
-				got := runMutScript(t, sh, c, ivf, 0.9)
-				for i := range want {
-					if !mutRespEqual(got[i], want[i]) {
-						t.Fatalf("shards=%d: response %d differs from reference\n got %+v\nwant %+v",
-							n, i, briefResp(got[i]), briefResp(want[i]))
-					}
-				}
-				if !bytes.Equal(sh.JournalBytes(), single.JournalBytes()) {
-					t.Fatalf("shards=%d: journal bytes differ from the reference's for the same history", n)
-				}
-				if first == nil {
-					first = got
-				} else {
-					for i := range first {
-						if !reflect.DeepEqual(got[i].Results, first[i].Results) {
-							t.Fatalf("shards=%d: response %d results differ across shard counts", n, i)
-						}
-						if !reflect.DeepEqual(got[i].AppendedIDs, first[i].AppendedIDs) {
-							t.Fatalf("shards=%d: response %d ids differ across shard counts", n, i)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
 // cmdRecorder records the commands a script submits, so the same history
 // can be replayed command by command on another host.
 type cmdRecorder struct {
@@ -258,7 +183,7 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 		NewQueue(QueueConfig) (*Queue, error)
 	}
 	c := newMutCorpus()
-	ref, err := New(mutRefCfg(1), 64<<20, AllOptions())
+	ref, err := New(mutTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +191,7 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 	rec := &cmdRecorder{submitter: ref}
 	want := runMutScript(t, rec, c, true, 0.9)
 
-	e, err := New(mutRefCfg(1), 64<<20, AllOptions())
+	e, err := New(mutTestCfg(), 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,9 +257,8 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 					t.Errorf("command %d (opcode %#x): %v", i+1, cmd.Opcode, err)
 					break
 				}
-				if !mutRespEqual(got, want[i+1]) {
-					t.Errorf("command %d (opcode %#x) differs from the sequential reference\n got %s\nwant %s",
-						i+1, cmd.Opcode, briefResp(got), briefResp(want[i+1]))
+				if d := respDiff(want[i+1], got); d != "" {
+					t.Errorf("command %d (opcode %#x) differs from the sequential reference: %s", i+1, cmd.Opcode, d)
 					break
 				}
 			}
@@ -343,153 +267,6 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 			close(errs)
 			for err := range errs {
 				t.Errorf("concurrent search: %v", err)
-			}
-		})
-	}
-}
-
-// briefResp summarizes a response for failure messages.
-func briefResp(r HostResponse) string {
-	return fmt.Sprintf("{Done:%v results:%d stats:%+v ids:%d wear:%+v}",
-		r.Done, len(r.Results), r.Stats, len(r.AppendedIDs), r.Wear)
-}
-
-// TestMutatedMatchesFreshDeploy is the workload-level equivalence
-// check: after appends and deletes, a search on the mutated engine
-// returns the same documents, distances and order as a fresh deploy of
-// the equivalent final corpus (modulo the monotone id renumbering a
-// fresh deploy performs). Distance filtering is off so both engines
-// share the selection set (the filter threshold is calibrated per
-// deploy-time corpus by design).
-func TestMutatedMatchesFreshDeploy(t *testing.T) {
-	c := newMutCorpus()
-	opts := Options{Pipelining: true, MPIBC: true}
-	deleted := make(map[int]bool)
-	for _, idx := range c.deleteIdx {
-		deleted[idx] = true
-	}
-	// The equivalent final corpus, in the mutated engine's scan order:
-	// surviving base entries, then surviving batch-1, then batch-2.
-	var finalVecs [][]float32
-	var finalDocs [][]byte
-	var finalAssign []int
-	corpusIdx := func(vs [][]float32, docs [][]byte, off int) {
-		for i := range vs {
-			if !deleted[off+i] {
-				finalVecs = append(finalVecs, vs[i])
-				finalDocs = append(finalDocs, docs[i])
-				finalAssign = append(finalAssign, c.assign[off+i])
-			}
-		}
-	}
-	corpusIdx(c.base, c.baseDocs, 0)
-	corpusIdx(c.batch1, c.b1Docs, len(c.base))
-	corpusIdx(c.batch2, c.b2Docs, len(c.base)+len(c.batch1))
-
-	for _, ivf := range []bool{false, true} {
-		name := "flat"
-		if ivf {
-			name = "ivf"
-		}
-		t.Run(name, func(t *testing.T) {
-			fresh, err := New(mutTestCfg(), 64<<20, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { fresh.Close() })
-			deploy := DeployConfig{ID: 1, Vectors: finalVecs, Docs: finalDocs, DocSlotBytes: 256}
-			searchOp := OpcodeSearch
-			nprobe := 0
-			if ivf {
-				deploy.Centroids = c.cents
-				deploy.Assign = finalAssign
-				searchOp = OpcodeIVFSearch
-				nprobe = 4
-			}
-			op := OpcodeDBDeploy
-			if ivf {
-				op = OpcodeIVFDeploy
-			}
-			if _, err := fresh.Submit(HostCommand{Opcode: op, Deploy: &deploy}); err != nil {
-				t.Fatal(err)
-			}
-			want, err := fresh.Submit(HostCommand{Opcode: searchOp, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: nprobe}})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for _, shards := range shardCounts {
-				var h submitter
-				if shards == 1 {
-					e, err := New(mutTestCfg(), 64<<20, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { e.Close() })
-					h = e
-				} else {
-					sh, err := NewSharded(mutTestCfg(), shards, 64<<20, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(func() { sh.Close() })
-					h = sh
-				}
-				resps := runMutScript(t, h, c, ivf, 0)
-				got := resps[len(resps)-1]
-
-				// Monotone id map: surviving mutated ids ascending map to
-				// fresh ids 0..len-1.
-				r1 := resps[2]
-				var live []int
-				for i := range c.base {
-					live = append(live, i)
-				}
-				live = append(live, r1.AppendedIDs...)
-				liveSet := make(map[int]bool, len(live))
-				for _, id := range live {
-					liveSet[id] = true
-				}
-				for _, idx := range c.deleteIdx {
-					id := idx
-					if idx >= len(c.base) {
-						id = r1.AppendedIDs[idx-len(c.base)]
-					}
-					delete(liveSet, id)
-				}
-				r2 := resps[len(resps)-2]
-				for _, id := range r2.AppendedIDs {
-					liveSet[id] = true
-				}
-				sorted := make([]int, 0, len(liveSet))
-				for id := range liveSet {
-					sorted = append(sorted, id)
-				}
-				sort.Ints(sorted)
-				if len(sorted) != len(finalVecs) {
-					t.Fatalf("live set %d != final corpus %d", len(sorted), len(finalVecs))
-				}
-				toFresh := make(map[int]int, len(sorted))
-				for fi, id := range sorted {
-					toFresh[id] = fi
-				}
-
-				for qi := range testData.Queries {
-					g, w := got.Results[qi], want.Results[qi]
-					if len(g) != len(w) {
-						t.Fatalf("shards=%d query %d: %d results vs fresh %d", shards, qi, len(g), len(w))
-					}
-					for i := range g {
-						fi, ok := toFresh[g[i].ID]
-						if !ok {
-							t.Fatalf("shards=%d query %d: result id %d not live", shards, qi, g[i].ID)
-						}
-						if fi != w[i].ID || g[i].Dist != w[i].Dist || string(g[i].Doc) != string(w[i].Doc) {
-							t.Fatalf("shards=%d query %d result %d: got (id %d→%d, dist %g), fresh (id %d, dist %g)",
-								shards, qi, i, g[i].ID, fi, g[i].Dist, w[i].ID, w[i].Dist)
-						}
-					}
-				}
 			}
 		})
 	}
@@ -564,8 +341,8 @@ func TestMutationDeterministicAcrossRuns(t *testing.T) {
 			continue
 		}
 		for i := range first {
-			if !mutRespEqual(first[i], resps[i]) {
-				t.Fatalf("run %d: response %d not deterministic", run, i)
+			if d := respDiff(first[i], resps[i]); d != "" {
+				t.Fatalf("run %d: response %d not deterministic: %s", run, i, d)
 			}
 		}
 	}
@@ -641,7 +418,7 @@ func TestMutationErrors(t *testing.T) {
 // TestAppendFullSentinel: with zero overprovisioning the first append
 // fails with ssd.ErrRegionFull and leaves search behaviour untouched.
 func TestAppendFullSentinel(t *testing.T) {
-	cfg := shardTestCfg() // OverprovisionPct zero
+	cfg := testCfg() // OverprovisionPct zero
 	e, err := New(cfg, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -663,7 +440,7 @@ func TestAppendFullSentinel(t *testing.T) {
 // TestOverprovisionValidation: ssd.New rejects out-of-range settings.
 func TestOverprovisionValidation(t *testing.T) {
 	for _, pct := range []int{-1, 401} {
-		cfg := shardTestCfg()
+		cfg := testCfg()
 		cfg.OverprovisionPct = pct
 		if _, err := New(cfg, 0, AllOptions()); err == nil {
 			t.Fatalf("OverprovisionPct %d accepted", pct)

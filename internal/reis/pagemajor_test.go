@@ -2,10 +2,8 @@ package reis
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
-	"reis/internal/flash"
 	"reis/internal/ssd"
 )
 
@@ -104,86 +102,5 @@ func TestSharedRoundNeverSlower(t *testing.T) {
 	}
 	if picked == 0 {
 		t.Fatal("no batch ran a shared round page-major")
-	}
-}
-
-// TestPageMajorMatchesSingles: a group whose shared rounds run
-// page-major returns the results and per-query QueryStats of the same
-// queries served one command each — per device too — on 1, 2 and 4
-// devices, pruned and unpruned, flat and IVF; the device really sensed
-// the shared pages once (page-major saved senses on every command); and
-// it sensed exactly the pages the rows charge less what page-major saved.
-func TestPageMajorMatchesSingles(t *testing.T) {
-	queries := testData.Queries
-	for _, n := range shardCounts {
-		var h submitter
-		var core *hostCore
-		if n == 1 {
-			e := newEngine(t, AllOptions())
-			h, core = e, &e.hostCore
-		} else {
-			sh := newSharded(t, n)
-			h, core = sh, &sh.hostCore
-		}
-		devs := core.devs
-		deployBoth(t, h.Submit)
-		for _, cmd := range []HostCommand{
-			{Opcode: OpcodeSearch, DBID: 1, K: 10},
-			{Opcode: OpcodeSearch, DBID: 1, K: 10, Opt: SearchOptions{Prune: true}},
-			{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}},
-			{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 8, Prune: true}},
-		} {
-			name := fmt.Sprintf("n=%d op %#x prune=%v", n, cmd.Opcode, cmd.Opt.Prune)
-			var singles []HostResponse
-			for _, q := range queries {
-				one := cmd
-				one.Queries = [][]float32{q}
-				singles = append(singles, mustSubmit(t, h, one))
-			}
-			var sensed, saved int64
-			before := make([]int64, len(devs))
-			for s, d := range devs {
-				before[s] = d.SSD.Dev.Stats.PageReadsByMode[flash.ModeSLCESP].Load()
-			}
-			batch := cmd
-			batch.Queries = queries
-			resp := mustSubmit(t, h, batch)
-			entry, err := core.hostDB(cmd.DBID)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for s, d := range devs {
-				sensed += d.SSD.Dev.Stats.PageReadsByMode[flash.ModeSLCESP].Load() - before[s]
-				rows := resp.QueryStats
-				if resp.PerShard != nil {
-					rows = resp.PerShard[s]
-				}
-				saved += pageMajorSaved(d, entry.locals[s], rows)
-			}
-			var charged int64
-			for qi, one := range singles {
-				if !reflect.DeepEqual(resp.Results[qi], one.Results[0]) {
-					t.Fatalf("%s query %d: results differ from the query served alone", name, qi)
-				}
-				if resp.QueryStats[qi] != one.QueryStats[0] {
-					t.Fatalf("%s query %d: stats differ from the query served alone:\nbatch %+v\nalone %+v",
-						name, qi, resp.QueryStats[qi], one.QueryStats[0])
-				}
-				if !reflect.DeepEqual(resp.ShardStats(qi), one.ShardStats(0)) {
-					t.Fatalf("%s query %d: per-device rows differ from the query served alone", name, qi)
-				}
-				charged += int64(resp.QueryStats[qi].CoarsePages + resp.QueryStats[qi].FinePages)
-			}
-			if !cmd.Opt.Prune || cmd.Opcode == OpcodeIVFSearch {
-				if saved == 0 {
-					t.Errorf("%s: no shared round ran page-major", name)
-				}
-				if sensed != charged-saved {
-					t.Errorf("%s: devices sensed %d pages, the rows charge %d and page-major saved %d", name, sensed, charged, saved)
-				}
-			} else if sensed >= charged {
-				t.Errorf("%s: devices sensed %d pages, the rows charge %d: the pruned flat rounds never ran page-major", name, sensed, charged)
-			}
-		}
 	}
 }

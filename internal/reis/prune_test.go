@@ -132,159 +132,6 @@ func TestChunkFlatRounds(t *testing.T) {
 	}
 }
 
-// prunedSearchCases are the search commands the equivalence test runs
-// against DB 1 (flat) and DB 2 (IVF) of the pristine shared corpus.
-func prunedSearchCases(tag uint8) []struct {
-	name string
-	cmd  HostCommand
-} {
-	queries := testData.Queries
-	return []struct {
-		name string
-		cmd  HostCommand
-	}{
-		{"flat", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 10}},
-		{"flat-k3", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 3}},
-		{"flat-metatag", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries[:6], K: 10, Opt: SearchOptions{MetaTag: &tag}}},
-		{"ivf-np1", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 1}}},
-		{"ivf-np4", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 4}}},
-		{"ivf-full", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries, K: 10, Opt: SearchOptions{NProbe: 16}}},
-		{"ivf-recall", HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: queries[:8], K: 10, TargetRecall: 0.9}},
-	}
-}
-
-// checkPrunedCase runs cmd unpruned and pruned on the single-device
-// reference and pruned on the sharded host, and pins the PR's
-// equivalence contract: pruned results are bit-identical to unpruned,
-// and the pruned sharded response matches the pruned single-device one
-// on results, per-query stats and aggregate stats (topology equality).
-// It returns the pruned results for cross-shard-count comparison.
-func checkPrunedCase(t *testing.T, name string, n int, single, sharded submitter, cmd HostCommand) [][]DocResult {
-	t.Helper()
-	base, err := single.Submit(cmd)
-	if err != nil {
-		t.Fatalf("%s n=%d unpruned: %v", name, n, err)
-	}
-	pcmd := cmd
-	pcmd.Opt.Prune = true
-	pruned, err := single.Submit(pcmd)
-	if err != nil {
-		t.Fatalf("%s n=%d pruned: %v", name, n, err)
-	}
-	if !reflect.DeepEqual(pruned.Results, base.Results) {
-		t.Fatalf("%s n=%d: pruned results differ from unpruned", name, n)
-	}
-	shp, err := sharded.Submit(pcmd)
-	if err != nil {
-		t.Fatalf("%s shards=%d pruned: %v", name, n, err)
-	}
-	if !reflect.DeepEqual(shp.Results, pruned.Results) {
-		t.Fatalf("%s shards=%d: pruned sharded results differ from pruned single device", name, n)
-	}
-	if !reflect.DeepEqual(shp.QueryStats, pruned.QueryStats) {
-		t.Fatalf("%s shards=%d: pruned per-query stats differ: %s",
-			name, n, firstDiffStat(shp.QueryStats, pruned.QueryStats))
-	}
-	if shp.Stats != pruned.Stats {
-		t.Fatalf("%s shards=%d: pruned aggregate stats differ:\n got %+v\nwant %+v",
-			name, n, shp.Stats, pruned.Stats)
-	}
-	return pruned.Results
-}
-
-// TestPrunedMatchesUnpruned is the keystone of the PR: with
-// SearchOptions.Prune set, every search entry point returns results
-// bit-identical to the unpruned path — flat and IVF, with metadata
-// filtering and the calibrated TargetRecall operand, on 1/2/4 shards
-// and on the single-device references — and pruned scan stats are
-// topology-equal (sharded == N×-channels single device). Run under
-// -race in CI.
-func TestPrunedMatchesUnpruned(t *testing.T) {
-	tag := uint8(testData.ClusterOf[testData.GroundTruth[0][0]] % 4)
-	cases := prunedSearchCases(tag)
-	var first [][][]DocResult
-	for _, n := range shardCounts {
-		single, err := New(refCfg(n), 64<<20, AllOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { single.Close() })
-		deployBoth(t, single.Submit)
-		sh := newSharded(t, n)
-		deployBoth(t, sh.Submit)
-		// The TargetRecall operand needs a calibration record on both
-		// topologies (calibration itself is pinned topology-equal by
-		// TestShardedCalibrationMatchesSingleDevice).
-		if _, err := single.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := sh.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9); err != nil {
-			t.Fatal(err)
-		}
-		for i, tc := range cases {
-			res := checkPrunedCase(t, tc.name, n, single, sh, tc.cmd)
-			if first == nil {
-				first = make([][][]DocResult, len(cases))
-			}
-			if first[i] == nil {
-				first[i] = res
-			} else if !reflect.DeepEqual(res, first[i]) {
-				t.Fatalf("shards=%d %s: pruned results differ across shard counts", n, tc.name)
-			}
-		}
-	}
-}
-
-// TestPrunedMatchesUnprunedMutated repeats the equivalence contract on
-// mutated corpora: after the shared append/delete script (tombstones
-// live, no compaction), pruned results still match unpruned exactly
-// and pruned stats stay topology-equal. This is the case the bound
-// tracker's live-distances-only rule exists for — feeding tombstoned
-// distances would over-tighten the bound and drop true pool members.
-func TestPrunedMatchesUnprunedMutated(t *testing.T) {
-	c := newMutCorpus()
-	for _, ivf := range []bool{false, true} {
-		name := "flat"
-		if ivf {
-			name = "ivf"
-		}
-		t.Run(name, func(t *testing.T) {
-			op, nprobes := OpcodeSearch, []int{0}
-			if ivf {
-				op, nprobes = OpcodeIVFSearch, []int{1, 4, 12}
-			}
-			var first [][][]DocResult
-			for _, n := range shardCounts {
-				single, err := New(mutRefCfg(n), 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { single.Close() })
-				runMutScript(t, single, c, ivf, 0)
-				sh, err := NewSharded(mutTestCfg(), n, 64<<20, AllOptions())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { sh.Close() })
-				runMutScript(t, sh, c, ivf, 0)
-				for i, np := range nprobes {
-					cname := fmt.Sprintf("%s-np%d", name, np)
-					cmd := HostCommand{Opcode: op, DBID: 1, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: np}}
-					res := checkPrunedCase(t, cname, n, single, sh, cmd)
-					if first == nil {
-						first = make([][][]DocResult, len(nprobes))
-					}
-					if first[i] == nil {
-						first[i] = res
-					} else if !reflect.DeepEqual(res, first[i]) {
-						t.Fatalf("shards=%d %s: pruned results differ across shard counts", n, cname)
-					}
-				}
-			}
-		})
-	}
-}
-
 // separatedData builds a corpus pruning provably bites on: clusters
 // are random ±1 sign patterns (so every member binary-quantizes within
 // a few bit flips of its centroid — tiny covering radius) while

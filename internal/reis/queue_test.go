@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -48,129 +49,6 @@ func waitOK(t *testing.T, q *Queue, id CommandID) HostResponse {
 		t.Fatalf("command %d failed: %v", id, err)
 	}
 	return resp
-}
-
-// assertRespEqual fails unless two host responses are bit-identical:
-// results (ids, distances, document bytes) and per-query device stats.
-func assertRespEqual(t *testing.T, label string, want, got HostResponse) {
-	t.Helper()
-	if want.Done != got.Done || len(want.Results) != len(got.Results) {
-		t.Fatalf("%s: shape differs: want done=%v n=%d, got done=%v n=%d",
-			label, want.Done, len(want.Results), got.Done, len(got.Results))
-	}
-	assertSameResults(t, label, want.Results, got.Results)
-	if len(want.QueryStats) != len(got.QueryStats) {
-		t.Fatalf("%s: %d query stats, want %d", label, len(got.QueryStats), len(want.QueryStats))
-	}
-	for qi := range want.QueryStats {
-		if want.QueryStats[qi] != got.QueryStats[qi] {
-			t.Fatalf("%s query %d stats diverge:\nwant %+v\ngot  %+v",
-				label, qi, want.QueryStats[qi], got.QueryStats[qi])
-		}
-	}
-	if want.Stats != got.Stats {
-		t.Fatalf("%s batch stats diverge:\nwant %+v\ngot  %+v", label, want.Stats, got.Stats)
-	}
-}
-
-// TestQueueMatchesSubmit pins the tentpole equivalence: the same
-// commands served through SubmitAsync (including coalesced dispatch)
-// return bit-identical responses to synchronous Submit.
-func TestQueueMatchesSubmit(t *testing.T) {
-	e := newEngine(t, AllOptions())
-	deployIVF(t, e, 1, 16)
-	cmds := []HostCommand{
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:6], K: 10, Opt: SearchOptions{NProbe: 4}},
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[6:7], K: 10, Opt: SearchOptions{NProbe: 4}},
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[7:8], K: 10, Opt: SearchOptions{NProbe: 4}},
-		{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[8:12], K: 5, Opt: SearchOptions{NProbe: 2}},
-	}
-	want := make([]HostResponse, len(cmds))
-	for i, cmd := range cmds {
-		resp, err := e.Submit(cmd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = resp
-	}
-
-	q, err := e.NewQueue(QueueConfig{Depth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer q.Close()
-	// Pause so every command is pending at once: the first three probe
-	// the same operating point and must coalesce into one dispatch.
-	q.pause()
-	ids := make([]CommandID, len(cmds))
-	for i, cmd := range cmds {
-		if ids[i], err = q.SubmitAsync(context.Background(), cmd); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q.resume()
-	for i := range cmds {
-		assertRespEqual(t, fmt.Sprintf("cmd %d", i), want[i], waitOK(t, q, ids[i]))
-	}
-	st := q.Stats()
-	if st.Coalesced < 2 {
-		t.Fatalf("expected the compatible commands to coalesce, stats %+v", st)
-	}
-}
-
-// TestBatchedStatsMatchSingleCommands pins the contract the measuring
-// rig of internal/experiments leans on: the per-query QueryStats and
-// PerShard rows one batched command returns are, row for row, those of
-// the same queries submitted singly through a depth-8 queue pair —
-// whatever groups its dispatcher coalesced — on one and on two devices.
-func TestBatchedStatsMatchSingleCommands(t *testing.T) {
-	type queueHost interface {
-		submitter
-		NewQueue(QueueConfig) (*Queue, error)
-	}
-	for _, tc := range []struct {
-		name string
-		host queueHost
-	}{
-		{"1 device", newEngine(t, AllOptions())},
-		{"2 devices", newSharded(t, 2)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			deployBoth(t, tc.host.Submit)
-			cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries, K: 10, Opt: SearchOptions{NProbe: 4}}
-			batched, err := tc.host.Submit(cmd)
-			if err != nil {
-				t.Fatal(err)
-			}
-			q, err := tc.host.NewQueue(QueueConfig{Depth: 8})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer q.Close()
-			err = q.SubmitDrain(context.Background(), len(cmd.Queries),
-				func(i int) HostCommand {
-					single := cmd
-					single.Queries = cmd.Queries[i : i+1]
-					return single
-				},
-				func(i int, resp HostResponse) {
-					if resp.QueryStats[0] != batched.QueryStats[i] {
-						t.Errorf("query %d stats: single %+v, batched %+v", i, resp.QueryStats[0], batched.QueryStats[i])
-					}
-					if len(resp.PerShard) != len(batched.PerShard) {
-						t.Fatalf("query %d: %d per-shard rows single, %d batched", i, len(resp.PerShard), len(batched.PerShard))
-					}
-					for s, row := range resp.PerShard {
-						if row[0] != batched.PerShard[s][i] {
-							t.Errorf("query %d shard %d: single %+v, batched %+v", i, s, row[0], batched.PerShard[s][i])
-						}
-					}
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
 }
 
 // TestQueueDoesNotCoalesceAcrossPrune: a pruned command's device stats
@@ -275,7 +153,9 @@ func TestQueueOutOfOrderReap(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		assertRespEqual(t, fmt.Sprintf("db%d q%d", s.db, s.qi), want, got)
+		if d := respDiff(want, got); d != "" {
+			t.Fatalf("db%d q%d: %s", s.db, s.qi, d)
+		}
 	}
 }
 
@@ -573,7 +453,9 @@ func TestSearchBatchCancelMidBatch(t *testing.T) {
 	e2 := newEngine(t, AllOptions())
 	deployFlat(t, e2, 1)
 	fresh, _ := searchOne(t, e2, OpcodeSearch, 1, testData.Queries[0], 10, SearchOptions{})
-	assertSameResults(t, "post-abort", [][]DocResult{fresh}, [][]DocResult{want})
+	if !reflect.DeepEqual(fresh, want) {
+		t.Fatal("results after the aborted runs differ from a fresh engine's")
+	}
 }
 
 // TestQueueClose pins close semantics: pending commands complete with
@@ -678,7 +560,9 @@ func TestTargetRecallResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRespEqual(t, "recall-addressed", want, got)
+	if d := respDiff(want, got); d != "" {
+		t.Fatalf("recall-addressed: %s", d)
+	}
 	// An explicit Opt.NProbe wins: the TargetRecall beside it, which no
 	// calibration covers, is never resolved.
 	explicit, err := e.Submit(HostCommand{
@@ -688,7 +572,9 @@ func TestTargetRecallResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertRespEqual(t, "explicit-nprobe", want, explicit)
+	if d := respDiff(want, explicit); d != "" {
+		t.Fatalf("explicit-nprobe: %s", d)
+	}
 }
 
 // TestQueueStressConcurrentSubmitters is the -race stress test:

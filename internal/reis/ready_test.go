@@ -78,7 +78,7 @@ func TestEngineReady(t *testing.T) {
 		t.Fatal("closed engine still Ready")
 	}
 
-	sh, err := NewSharded(shardTestCfg(), 2, 64<<20, AllOptions())
+	sh, err := NewSharded(testCfg(), 2, 64<<20, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -180,7 +180,7 @@ func timingCfg(cached bool) ssd.Config {
 	if cached {
 		return cachedShardCfg(cacheBigBudget)
 	}
-	return shardTestCfg()
+	return testCfg()
 }
 
 func newTimingSharded(t *testing.T, n int, cached bool) *ShardedEngine {

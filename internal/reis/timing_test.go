@@ -197,7 +197,7 @@ func TestCeilF(t *testing.T) {
 // pages the batch spreads. A lone query's batch is still priced at its
 // standalone latency.
 func TestBatchPaysBusiestPlane(t *testing.T) {
-	cfg := shardTestCfg()
+	cfg := testCfg()
 	if cfg.Geo.Planes() != 8 {
 		t.Fatalf("shard test device has %d planes, the test assumes 8", cfg.Geo.Planes())
 	}

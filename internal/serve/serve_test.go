@@ -104,8 +104,8 @@ var svCents, svAssign = ann.KMeans(svData.Vectors[:svBase], ann.KMeansConfig{K: 
 // searches — plain, pruned, repeated (the result-cache path) —
 // interleaved with appends, deletes and a compaction. Every response
 // is returned in order. This extends the reis mutation oracle
-// (TestMutatedMatchesFreshDeploy pins each single host against a fresh
-// deploy; here the whole scripted history is pinned across replicas).
+// (TestEquivalenceLattice pins a mutated host against a fresh deploy;
+// here the whole scripted history is pinned across replicas).
 func runScript(t *testing.T, submit func(reis.HostCommand) (reis.HostResponse, error)) []reis.HostResponse {
 	t.Helper()
 	var resps []reis.HostResponse
