@@ -231,13 +231,11 @@ func (c *hostCore) Close() error {
 // so its id stays free for a retry (the bump-cursor allocator does not
 // reclaim the stripes it reserved). ivf selects IVF_Deploy
 // (cluster-sorted placement plus the R-IVF table, which stays in the
-// host's controller DRAM) over DB_Deploy.
+// host's controller DRAM) over DB_Deploy. The payload's shape was
+// checked at submission (DeployConfig.validate).
 func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if !ivf {
 		cfg.Centroids, cfg.Assign = nil, nil
-	} else if len(cfg.Centroids) == 0 || len(cfg.Assign) != len(cfg.Vectors) {
-		return fmt.Errorf("reis: IVF_Deploy requires cluster info (centroids=%d assign=%d vectors=%d)",
-			len(cfg.Centroids), len(cfg.Assign), len(cfg.Vectors))
 	}
 	if err := c.lock(); err != nil {
 		return err
