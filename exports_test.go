@@ -32,7 +32,7 @@ var exportAllowlist = map[string]string{
 	"reis.LatencySketch.Merge":     "ROADMAP items 4 and 9 merge per-route and per-replica sketches",
 	"rivals.ICEConfig.Energy":      "ICE's energy model, kept beside its latency model for the rival comparisons",
 	"rivals.NDSearchConfig.Energy": "NDSearch's energy model, kept beside its latency model for the rival comparisons",
-	"flash.Device.Plane":           "test accessor: internal/reis and internal/experiments tests read plane latches and counters",
+	"flash.Device.Plane":           "test accessor: internal/reis and internal/experiments tests read per-plane sense and wave counters",
 	"flash.Device.ResetStats":      "test accessor: internal/reis tests zero device counters between phases",
 	"flash.Plane.Senses":           "test accessor: TestPlaneReconciliation reads per-plane sense counts",
 	"flash.Plane.DistWaves":        "test accessor: TestPlaneReconciliation reads per-plane distance waves",

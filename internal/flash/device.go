@@ -93,13 +93,24 @@ type Device struct {
 	rngMu    sync.Mutex
 	flipSet  []uint64
 	flipBits []int
+
+	// erased is what an erased page senses as (all ones) and zero what a
+	// latch holds before its first load (all zeros): one of each per
+	// device, shared read-only by every plane's latch views.
+	erased, zero programmed
 }
 
 // Plane models one flash plane: its programmed pages (lazily
-// allocated) and the three page-buffer latches. The mutex guards the
-// map and the latch contents; every Device per-plane operation takes
-// it, so concurrent operations on distinct planes never share mutable
-// state.
+// allocated) and the three latches of its page buffer (Sec 2.3 items
+// 10-12), each PageBytes+OOBBytes wide: a page read loads OOB alongside
+// user data (Sec 4.1.3). The simulator holds no latch as bytes of its
+// own. The sensing latch is a view of the sensed page; the cache latch
+// is the broadcast pattern it holds copies of; the data latch records
+// the sensing view and the pattern it is the XOR of. latches
+// materializes their bytes.
+// The mutex guards the map and the latch state; every Device per-plane
+// operation takes it, so concurrent operations on distinct planes never
+// share mutable state.
 type Plane struct {
 	mu  sync.Mutex
 	geo Geometry
@@ -107,12 +118,15 @@ type Plane struct {
 	// which never changes between the program and the block's erase.
 	pages map[int]programmed
 
-	// Sensing, Data and Cache latches (Sec 2.3 items 10-12). Sized
-	// PageBytes+OOBBytes: a page read loads OOB alongside user data
-	// (Sec 4.1.3).
-	Sensing []byte
-	Data    []byte
-	Cache   []byte
+	// sensing is the sensing latch: a programmed page's own bytes (read
+	// only), the device's erased or zero page, or noisy.
+	sensing programmed
+	// noisy holds a sense with raw bit errors (a nonzero-BER cell mode
+	// without ECCBypass): the page copied and its flips applied.
+	// Allocated on the first such sense.
+	noisy []byte
+	cache cacheLatch
+	data  dataLatch
 
 	// senses counts the plane's page senses by cell mode; Senses reads it.
 	senses [3]int64
@@ -145,6 +159,103 @@ type programmed struct {
 	data, oob []byte
 }
 
+// cacheLatch is the cache latch as a broadcast leaves it: slot-aligned
+// copies of pat, each zero-padded to slot bytes, over the whole slots of
+// the page; zero in the page's tail and the OOB area, and everywhere
+// before the first load (slot 0). pat is the latch's own copy.
+type cacheLatch struct {
+	pat  []byte
+	slot int
+}
+
+// load makes c hold copies of pattern in slotBytes-wide slots.
+func (c *cacheLatch) load(pattern []byte, slotBytes int) {
+	c.pat = append(c.pat[:0], pattern...)
+	c.slot = slotBytes
+}
+
+// xorCount returns the fail-bit count of data[lo:hi] XOR the latch's
+// bytes [lo, hi) of a pageBytes page: each stretch of one pattern slot
+// by the pattern kernel, the rest as a plain popcount.
+func (c *cacheLatch) xorCount(data []byte, pageBytes, lo, hi int) int {
+	filled := 0
+	if c.slot > 0 {
+		filled = pageBytes - pageBytes%c.slot
+	}
+	var one [1]int
+	n := 0
+	for lo < hi {
+		end, pat := hi, []byte(nil)
+		if lo < filled {
+			base := lo - lo%c.slot
+			end = min(hi, base+c.slot)
+			pat = c.pat[min(lo-base, len(c.pat)):min(end-base, len(c.pat))]
+		}
+		vecmath.XorPopCountPattern(data[lo:end], pat, end-lo, 0, 1, one[:])
+		n += one[0]
+		lo = end
+	}
+	return n
+}
+
+// fill writes the latch's bytes into latch (PageBytes+OOBBytes).
+func (c *cacheLatch) fill(latch []byte, pageBytes int) {
+	clear(latch)
+	if c.slot <= 0 {
+		return
+	}
+	for off := 0; off+c.slot <= pageBytes; off += c.slot {
+		copy(latch[off:], c.pat)
+	}
+}
+
+// dataLatch is the data latch: sens XOR cache over the user data and
+// sens's OOB passed through — what the last latch XOR on the plane
+// computed, with cache the pattern copied at that XOR. Before the first
+// XOR it is the zero page XOR an empty cache: all zeros. When built is
+// set, buf holds the latch's bytes instead and the other fields are
+// stale.
+type dataLatch struct {
+	sens  programmed
+	cache cacheLatch
+	buf   []byte
+	built bool
+}
+
+// slotCount is the fail-bit count over the latch bytes [lo, hi) of the
+// user data.
+func (dl *dataLatch) slotCount(pageBytes, lo, hi int) int {
+	if dl.built {
+		return vecmath.PopCountBytes(dl.buf[lo:hi])
+	}
+	return dl.cache.xorCount(dl.sens.data, pageBytes, lo, hi)
+}
+
+// fill writes the latch's bytes into latch (PageBytes+OOBBytes).
+func (dl *dataLatch) fill(latch []byte, pageBytes int) {
+	if dl.built {
+		copy(latch, dl.buf)
+		return
+	}
+	dl.cache.fill(latch, pageBytes)
+	vecmath.XorBytes(latch[:pageBytes], latch[:pageBytes], dl.sens.data)
+	copy(latch[pageBytes:], dl.sens.oob)
+}
+
+// latches materializes the plane's three latches, fresh copies the
+// caller owns.
+func (p *Plane) latches() (sensing, data, cache []byte) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := p.geo.PageBytes + p.geo.OOBBytes
+	sensing, data, cache = make([]byte, n), make([]byte, n), make([]byte, n)
+	copy(sensing, p.sensing.data)
+	copy(sensing[p.geo.PageBytes:], p.sensing.oob)
+	p.data.fill(data, p.geo.PageBytes)
+	p.cache.fill(cache, p.geo.PageBytes)
+	return sensing, data, cache
+}
+
 // NewDevice allocates a device with the given geometry and parameters.
 func NewDevice(geo Geometry, params Params) (*Device, error) {
 	if err := geo.Validate(); err != nil {
@@ -159,15 +270,17 @@ func NewDevice(geo Geometry, params Params) (*Device, error) {
 	d.Stats.BytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.ReadBytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.BytesIn = make([]atomic.Int64, geo.Channels)
-	latchLen := geo.PageBytes + geo.OOBBytes
-	d.flipSet = make([]uint64, (latchLen*8+63)/64)
+	d.flipSet = make([]uint64, ((geo.PageBytes+geo.OOBBytes)*8+63)/64)
+	d.zero = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
+	d.erased = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
+	fillErased(d.erased.data)
+	fillErased(d.erased.oob)
 	for i := range d.planes {
 		d.planes[i] = &Plane{
 			geo:     geo,
 			pages:   make(map[int]programmed),
-			Sensing: make([]byte, latchLen),
-			Data:    make([]byte, latchLen),
-			Cache:   make([]byte, latchLen),
+			sensing: d.zero,
+			data:    dataLatch{sens: d.zero},
 		}
 	}
 	d.blockMode = make([][]CellMode, geo.Planes())
@@ -282,23 +395,49 @@ func (d *Device) MaxEraseCount() int64 {
 // ReadPage senses a page (user data + OOB) into the plane's sensing
 // latch. If the block's cell mode has a nonzero raw BER and ECCBypass
 // is false, errors are injected into the latch contents, modeling what
-// in-plane computation would see without controller ECC.
+// in-plane computation would see without controller ECC. Otherwise the
+// latch is a view of the page's programmed bytes, or of the device's
+// erased page: nothing is copied.
 func (d *Device) ReadPage(a Address) error {
 	if !a.Valid(d.Geo) {
 		return fmt.Errorf("flash: ReadPage invalid address %v", a)
 	}
 	pl := d.planes[a.PlaneIndex(d.Geo)]
 	pl.mu.Lock()
-	if page, ok := pl.pages[a.PageIndex(d.Geo)]; ok {
-		copy(pl.Sensing, page.data)
-		copy(pl.Sensing[d.Geo.PageBytes:], page.oob)
-		d.rawErrors(a, pl.Sensing)
-	} else {
-		fillErased(pl.Sensing)
+	page, ok := pl.pages[a.PageIndex(d.Geo)]
+	switch ber := d.Params.RawBER(d.BlockMode(a)); {
+	case !ok:
+		pl.sensing = d.erased
+	case ber <= 0 || d.ECCBypass:
+		pl.sensing = page
+	default:
+		pl.senseNoisy(page)
+		d.injectErrors(pl.noisy, ber)
 	}
 	d.countRead(a, pl)
 	pl.mu.Unlock()
 	return nil
+}
+
+// senseNoisy copies page into the plane's private sensing buffer and
+// makes the sensing latch a view of it, for the caller to flip bits in.
+// A data latch that still refers to the buffer's earlier contents gets
+// its bytes built first.
+func (p *Plane) senseNoisy(page programmed) {
+	n := p.geo.PageBytes
+	if p.noisy == nil {
+		p.noisy = make([]byte, n+p.geo.OOBBytes)
+	}
+	if dl := &p.data; !dl.built && &dl.sens.data[0] == &p.noisy[0] {
+		if dl.buf == nil {
+			dl.buf = make([]byte, len(p.noisy))
+		}
+		dl.fill(dl.buf, n)
+		dl.built = true
+	}
+	copy(p.noisy, page.data)
+	copy(p.noisy[n:], page.oob)
+	p.sensing = programmed{data: p.noisy[:n:n], oob: p.noisy[n:]}
 }
 
 // countRead counts a sense of a on its plane pl, whose lock the caller
@@ -310,15 +449,15 @@ func (d *Device) countRead(a Address, pl *Plane) {
 	pl.senses[mode]++
 }
 
-// rawErrors draws the raw bit errors of one sense of a programmed page
-// in a's block, if its cell mode has any, and returns how many latch
-// bits they leave wrong (see injectErrors for latch).
-func (d *Device) rawErrors(a Address, latch []byte) int {
+// rawErrors draws the raw bit errors of one conventional sense of a
+// programmed page in a's block, if its cell mode has any, and returns
+// how many bits they leave wrong (see injectErrors).
+func (d *Device) rawErrors(a Address) int {
 	ber := d.Params.RawBER(d.BlockMode(a))
 	if ber <= 0 || d.ECCBypass {
 		return 0
 	}
-	return d.injectErrors(latch, ber)
+	return d.injectErrors(nil, ber)
 }
 
 // injectErrors draws one sense's raw bit errors: ⌊λ⌋ flips plus one
@@ -377,7 +516,7 @@ func (d *Device) injectErrors(latch []byte, ber float64) int {
 func (d *Device) senseCorrected(a Address, pl *Plane) (programmed, bool) {
 	page, ok := pl.pages[a.PageIndex(d.Geo)]
 	if ok {
-		if flips := d.rawErrors(a, nil); flips > 0 {
+		if flips := d.rawErrors(a); flips > 0 {
 			d.Stats.ECCCorrections.Add(int64(flips))
 		}
 	}
@@ -517,29 +656,21 @@ func (d *Device) countIBCLoad(channel int) {
 }
 
 // fillCache fills one plane's cache latch with slot-aligned copies of
-// pattern.
+// pattern: the plane keeps its own copy of the pattern, never the
+// caller's buffer.
 func (d *Device) fillCache(planeIdx int, pattern []byte, slotBytes int) {
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	// The slot fill overwrites [0, filled); only the page tail and the
-	// OOB area of the latch need explicit zeroing.
-	filled := d.Geo.PageBytes - d.Geo.PageBytes%slotBytes
-	clear(pl.Cache[filled:])
-	if len(pattern) < slotBytes {
-		// Pattern shorter than the slot: the copy below leaves slot
-		// padding untouched, so clear the filled area first.
-		clear(pl.Cache[:filled])
-	}
-	// One copy fills the first slot; each further copy doubles the filled
-	// prefix, so a page of slots takes log2(slots) copies, not one per
-	// slot. The prefix is whole slots, and so is what the last copy takes.
-	if filled > 0 {
-		copy(pl.Cache[:slotBytes], pattern)
-		for n := slotBytes; n < filled; n *= 2 {
-			copy(pl.Cache[n:filled], pl.Cache[:n])
-		}
-	}
+	pl.cache.load(pattern, slotBytes)
 	pl.mu.Unlock()
+}
+
+// xorLatches makes the plane's data latch Sensing XOR Cache over the
+// user data, with the OOB passed through. The caller holds pl.mu.
+func (pl *Plane) xorLatches() {
+	pl.data.sens = pl.sensing
+	pl.data.cache.load(pl.cache.pat, pl.cache.slot)
+	pl.data.built = false
 }
 
 // XORLatches computes Data = Sensing XOR Cache over the user-data
@@ -551,9 +682,7 @@ func (d *Device) XORLatches(planeIdx int) error {
 	}
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	n := d.Geo.PageBytes
-	vecmath.XorBytes(pl.Data[:n], pl.Sensing[:n], pl.Cache[:n])
-	copy(pl.Data[n:], pl.Sensing[n:])
+	pl.xorLatches()
 	pl.mu.Unlock()
 	d.Stats.LatchXORs.Add(1)
 	return nil
@@ -574,7 +703,7 @@ func (d *Device) CountSlotBits(planeIdx, slotBytes, slot int) (int, error) {
 	}
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	n := vecmath.PopCountBytes(pl.Data[lo:hi])
+	n := pl.data.slotCount(d.Geo.PageBytes, lo, hi)
 	pl.mu.Unlock()
 	d.Stats.BitCounts.Add(1)
 	return n, nil
@@ -586,7 +715,9 @@ func (d *Device) CountSlotBits(planeIdx, slotBytes, slot int) (int, error) {
 // per-slot popcounts into dists[0:nSlots]. The data latch ends up with
 // exactly the contents XORLatches would leave (OOB copied through), and
 // the stats accounting — one latch XOR plus nSlots bit counts — is
-// identical to XORLatches followed by nSlots CountSlotBits calls.
+// identical to XORLatches followed by nSlots CountSlotBits calls. Only
+// the requested slots are computed: where the cache latch's slots are
+// the wave's, each distance is popcount(slot XOR pattern).
 //
 // bound > 0 carries the controller's current top-k pruning threshold
 // into the plane: the distances are computed (and written) exactly as
@@ -607,9 +738,14 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	}
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	n := d.Geo.PageBytes
-	vecmath.XorPopCountSlots(pl.Data[:n], pl.Sensing[:n], pl.Cache[:n], slotBytes, firstSlot, nSlots, dists)
-	copy(pl.Data[n:], pl.Sensing[n:])
+	pl.xorLatches()
+	if dl := &pl.data; dl.cache.slot == slotBytes {
+		vecmath.XorPopCountPattern(dl.sens.data, dl.cache.pat, slotBytes, firstSlot, nSlots, dists)
+	} else {
+		for s := range nSlots {
+			dists[s] = dl.slotCount(d.Geo.PageBytes, lo+s*slotBytes, lo+(s+1)*slotBytes)
+		}
+	}
 	pl.distWaves++
 	pl.mu.Unlock()
 	d.Stats.LatchXORs.Add(1)
@@ -649,7 +785,7 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 	buf = buf[:d.Geo.OOBBytes]
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	copy(buf, pl.Sensing[d.Geo.PageBytes:])
+	copy(buf, pl.sensing.oob)
 	pl.mu.Unlock()
 	return buf, nil
 }

@@ -247,7 +247,8 @@ func TestTLCLatchPathSeesRawErrors(t *testing.T) {
 		if err := d.ReadPage(a); err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range d.planes[plane].Sensing[:2048] {
+		sensing, _, _ := d.planes[plane].latches()
+		for _, b := range sensing[:2048] {
 			flips += bits.OnesCount8(b)
 		}
 	}
@@ -310,12 +311,12 @@ func TestIBCFillsAllSlots(t *testing.T) {
 	if err := d.LoadCache(3, pattern, 4); err != nil {
 		t.Fatal(err)
 	}
-	pl := d.Plane(3)
+	_, _, cache := d.Plane(3).latches()
 	for off := 0; off+4 <= d.Geo.PageBytes; off += 4 {
-		if pl.Cache[off] != 0xDE || pl.Cache[off+1] != 0xAD {
+		if cache[off] != 0xDE || cache[off+1] != 0xAD {
 			t.Fatalf("slot at %d not filled", off)
 		}
-		if pl.Cache[off+2] != 0 || pl.Cache[off+3] != 0 {
+		if cache[off+2] != 0 || cache[off+3] != 0 {
 			t.Fatalf("slot padding at %d not zero", off)
 		}
 	}
@@ -582,7 +583,8 @@ func TestReadPageFillsSensingLatch(t *testing.T) {
 	if err := d.ReadPage(a); err != nil {
 		t.Fatal(err)
 	}
-	if s1 := d.planes[a.PlaneIndex(d.Geo)].Sensing[8:16]; !bytes.Equal(s1, page[8:]) {
+	sensing, _, _ := d.planes[a.PlaneIndex(d.Geo)].latches()
+	if s1 := sensing[8:16]; !bytes.Equal(s1, page[8:]) {
 		t.Fatalf("slot 1 = %x", s1)
 	}
 }
@@ -604,8 +606,9 @@ func TestIBCLoadCountsALatch(t *testing.T) {
 
 // TestIBCDieBroadcast: the multi-plane broadcast is one load on the
 // die's channel that fills the cache latches of the planes it names and
-// no others; a held broadcast fills without counting; the FSM lets only
-// the named planes go on to XOR.
+// no others — an unnamed plane keeps the different pattern it held
+// before; a held broadcast fills without counting; the FSM lets only the
+// named planes go on to XOR.
 func TestIBCDieBroadcast(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geo
@@ -615,14 +618,16 @@ func TestIBCDieBroadcast(t *testing.T) {
 	if g.ChannelOf(p0) != 1 || g.ChannelOf(p1) != 1 || g.DieOf(p1) != die || p0 == p1 {
 		t.Fatalf("die %d planes %d, %d", die, p0, p1)
 	}
+	cacheOf := func(p int) []byte { _, _, c := d.Plane(p).latches(); return c }
 	for _, p := range []int{p0, p1} {
-		fillErased(d.Plane(p).Cache)
+		mustExec(t, fsm, Command{Op: OpIBC, Plane: p, Query: []byte{0xFF, 0xFF}, SlotBytes: 2})
 	}
+	d.ResetStats()
 	mustExec(t, fsm, Command{Op: OpIBC, Die: die, PlaneMask: 0b10, Query: []byte{0xA5}, SlotBytes: 2})
-	if c := d.Plane(p1).Cache; c[0] != 0xA5 || c[1] != 0 || c[2] != 0xA5 {
+	if c := cacheOf(p1); c[0] != 0xA5 || c[1] != 0 || c[2] != 0xA5 {
 		t.Fatalf("named plane's cache latch = % x", c[:4])
 	}
-	if c := d.Plane(p0).Cache; c[0] != 0xFF {
+	if c := cacheOf(p0); c[0] != 0xFF || c[1] != 0xFF {
 		t.Fatalf("unnamed plane's cache latch was filled: % x", c[:4])
 	}
 	if n, in := d.Stats.IBCLoads.Load(), d.Stats.BytesIn[1].Load(); n != 1 || in != int64(g.PageBytes) || d.Stats.BytesIn[0].Load() != 0 {
@@ -632,7 +637,7 @@ func TestIBCDieBroadcast(t *testing.T) {
 	// The die still holds the broadcast: latching its other plane moves
 	// nothing through the port.
 	mustExec(t, fsm, Command{Op: OpIBC, Die: die, PlaneMask: 0b01, Held: true, Query: []byte{0xA5}, SlotBytes: 2})
-	if c := d.Plane(p0).Cache; c[0] != 0xA5 {
+	if c := cacheOf(p0); c[0] != 0xA5 || c[1] != 0 {
 		t.Fatalf("held broadcast did not fill the plane: % x", c[:4])
 	}
 	if n, in := d.Stats.IBCLoads.Load(), d.Stats.BytesIn[1].Load(); n != 1 || in != int64(g.PageBytes) {
@@ -660,35 +665,39 @@ func TestIBCDieBroadcast(t *testing.T) {
 	}
 }
 
-// TestResetStatsZeroesEveryCounter sets every counter of Stats — each
-// scalar, each array element and each per-channel slot — to a distinct
-// non-zero value through reflection, so a counter added later is covered
-// without touching the test, and requires ResetStats to zero them all.
-func TestResetStatsZeroesEveryCounter(t *testing.T) {
-	d := testDevice(t)
-	counters := func(visit func(name string, c *atomic.Int64)) {
-		v := reflect.ValueOf(&d.Stats).Elem()
-		for i := range v.NumField() {
-			f, name := v.Field(i), v.Type().Field(i).Name
-			switch f.Kind() {
-			case reflect.Struct:
-				visit(name, f.Addr().Interface().(*atomic.Int64))
-			case reflect.Array, reflect.Slice:
-				if f.Len() == 0 {
-					t.Fatalf("Stats.%s has no counters", name)
-				}
-				for j := range f.Len() {
-					visit(fmt.Sprintf("%s[%d]", name, j), f.Index(j).Addr().Interface().(*atomic.Int64))
-				}
-			default:
-				t.Fatalf("Stats.%s is a %s, not a counter", name, f.Kind())
+// statsCounters visits every counter of s by name — each scalar, each
+// array element and each per-channel slot — through reflection, so a
+// counter added later is covered without touching its callers. A field
+// that is not a counter, or an empty counter list, fails t.
+func statsCounters(t *testing.T, s *Stats, visit func(name string, c *atomic.Int64)) {
+	t.Helper()
+	v := reflect.ValueOf(s).Elem()
+	for i := range v.NumField() {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch f.Kind() {
+		case reflect.Struct:
+			visit(name, f.Addr().Interface().(*atomic.Int64))
+		case reflect.Array, reflect.Slice:
+			if f.Len() == 0 {
+				t.Fatalf("Stats.%s has no counters", name)
 			}
+			for j := range f.Len() {
+				visit(fmt.Sprintf("%s[%d]", name, j), f.Index(j).Addr().Interface().(*atomic.Int64))
+			}
+		default:
+			t.Fatalf("Stats.%s is a %s, not a counter", name, f.Kind())
 		}
 	}
+}
+
+// TestResetStatsZeroesEveryCounter sets every counter of Stats to a
+// distinct non-zero value and requires ResetStats to zero them all.
+func TestResetStatsZeroesEveryCounter(t *testing.T) {
+	d := testDevice(t)
 	var n int64
-	counters(func(_ string, c *atomic.Int64) { n++; c.Store(n) })
+	statsCounters(t, &d.Stats, func(_ string, c *atomic.Int64) { n++; c.Store(n) })
 	d.ResetStats()
-	counters(func(name string, c *atomic.Int64) {
+	statsCounters(t, &d.Stats, func(name string, c *atomic.Int64) {
 		if v := c.Load(); v != 0 {
 			t.Errorf("after ResetStats: Stats.%s = %d", name, v)
 		}

@@ -118,7 +118,9 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 
 	// The data latch must hold exactly what the XOR path produced
 	// (full-page XOR, OOB copied through).
-	if !bytes.Equal(dPage.Plane(plane).Data, dSlot.Plane(plane).Data) {
+	_, dataPage, _ := dPage.Plane(plane).latches()
+	_, dataSlot, _ := dSlot.Plane(plane).latches()
+	if !bytes.Equal(dataPage, dataSlot) {
 		t.Fatal("data latch contents diverge between page and per-slot paths")
 	}
 
@@ -175,5 +177,45 @@ func TestGenDistPageProtocol(t *testing.T) {
 	}
 	if _, err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 8, Dists: dists}); err != nil {
 		t.Fatalf("valid GEN_DIST_PAGE rejected: %v", err)
+	}
+}
+
+// BenchmarkGenDistPage times one GEN_DIST_PAGE wave on a programmed
+// SLC-ESP page of the REIS-SSD page geometry (16 KiB) with 32-byte slots
+// (256-dimensional binary codes): over all 512 slots, and over a
+// 128-slot cluster, about what a cluster fills of a page.
+func BenchmarkGenDistPage(b *testing.B) {
+	geo := testGeo()
+	geo.PageBytes, geo.OOBBytes = 16384, 2208
+	d, err := NewDevice(geo, DefaultParams())
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := Address{Block: 1, Page: 2}
+	if err := d.SetBlockMode(a, ModeSLCESP); err != nil {
+		b.Fatal(err)
+	}
+	randomPage(b, d, xrand.New(1), a)
+	const slotBytes = 32
+	plane := a.PlaneIndex(geo)
+	if err := d.LoadCache(plane, bytes.Repeat([]byte{0x5A}, slotBytes), slotBytes); err != nil {
+		b.Fatal(err)
+	}
+	if err := d.ReadPage(a); err != nil {
+		b.Fatal(err)
+	}
+	dists := make([]int, geo.PageBytes/slotBytes)
+	for _, c := range []struct {
+		name         string
+		first, slots int
+	}{{"page", 0, len(dists)}, {"cluster", 200, 128}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := d.GenDistPage(plane, slotBytes, c.first, c.slots, dists, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,0 +1,463 @@
+package flash
+
+import (
+	"bytes"
+	"fmt"
+	"math/bits"
+	"slices"
+	"sync/atomic"
+	"testing"
+
+	"reis/internal/vecmath"
+	"reis/internal/xrand"
+)
+
+// refDevice is the reference latch model: every plane holds its three
+// latches as eager PageBytes+OOBBytes buffers, and every command reads
+// and writes those bytes in full. It draws raw bit errors from an RNG seeded as the
+// device's, in the same order, and keeps its counters in a Stats of its
+// own, so a differential run can hold the device to it byte for byte and
+// count for count.
+type refDevice struct {
+	geo                  Geometry
+	params               Params
+	bypass               bool
+	mode                 [][]CellMode     // [plane][block]
+	pages                []map[int][]byte // [plane][page]: data, then OOB
+	sensing, data, cache [][]byte         // [plane]
+	senses               [][3]int64
+	distWaves            []int64
+	rng                  *xrand.RNG
+	stats                Stats
+}
+
+func newRefDevice(geo Geometry, params Params, bypass bool) *refDevice {
+	n := geo.Planes()
+	r := &refDevice{
+		geo: geo, params: params, bypass: bypass,
+		mode: make([][]CellMode, n), pages: make([]map[int][]byte, n),
+		sensing: make([][]byte, n), data: make([][]byte, n), cache: make([][]byte, n),
+		senses: make([][3]int64, n), distWaves: make([]int64, n),
+		rng: xrand.New(0xf1a5),
+	}
+	r.stats.BytesOut = make([]atomic.Int64, geo.Channels)
+	r.stats.ReadBytesOut = make([]atomic.Int64, geo.Channels)
+	r.stats.BytesIn = make([]atomic.Int64, geo.Channels)
+	for p := range n {
+		r.mode[p] = make([]CellMode, geo.BlocksPerPlane)
+		for b := range r.mode[p] {
+			r.mode[p][b] = ModeTLC
+		}
+		r.pages[p] = map[int][]byte{}
+		r.sensing[p] = make([]byte, r.latchLen())
+		r.data[p] = make([]byte, r.latchLen())
+		r.cache[p] = make([]byte, r.latchLen())
+	}
+	return r
+}
+
+func (r *refDevice) latchLen() int { return r.geo.PageBytes + r.geo.OOBBytes }
+
+func (r *refDevice) setBlockMode(a Address, m CellMode) {
+	r.mode[a.PlaneIndex(r.geo)][a.Block] = m
+}
+
+func (r *refDevice) program(a Address, data, oob []byte) error {
+	if !a.Valid(r.geo) || len(data) > r.geo.PageBytes || len(oob) > r.geo.OOBBytes {
+		return fmt.Errorf("bad program")
+	}
+	page := make([]byte, r.latchLen())
+	fillErased(page)
+	copy(page, data)
+	copy(page[r.geo.PageBytes:], oob)
+	r.pages[a.PlaneIndex(r.geo)][a.PageIndex(r.geo)] = page
+	r.stats.PagePrograms.Add(1)
+	r.stats.BytesIn[a.Channel].Add(int64(len(data) + len(oob)))
+	return nil
+}
+
+func (r *refDevice) eraseBlock(a Address) error {
+	if !a.Valid(r.geo) {
+		return fmt.Errorf("bad erase")
+	}
+	for pg := range r.geo.PagesPerBlock {
+		delete(r.pages[a.PlaneIndex(r.geo)], a.Block*r.geo.PagesPerBlock+pg)
+	}
+	r.stats.BlockErases.Add(1)
+	return nil
+}
+
+// readPage senses a into the plane's sensing latch: a copy of the page,
+// with the raw bit errors of its cell mode flipped in unless bypassed,
+// or all ones for an erased page.
+func (r *refDevice) readPage(a Address) error {
+	if !a.Valid(r.geo) {
+		return fmt.Errorf("bad read")
+	}
+	p := a.PlaneIndex(r.geo)
+	if page, ok := r.pages[p][a.PageIndex(r.geo)]; ok {
+		copy(r.sensing[p], page)
+		if ber := r.params.RawBER(r.mode[p][a.Block]); ber > 0 && !r.bypass {
+			r.injectErrors(r.sensing[p], ber)
+		}
+	} else {
+		fillErased(r.sensing[p])
+	}
+	m := r.mode[p][a.Block]
+	r.stats.PageReads.Add(1)
+	r.stats.PageReadsByMode[m].Add(1)
+	r.senses[p][m]++
+	return nil
+}
+
+// injectErrors flips ⌊λ⌋ uniform latch bits plus one more with
+// probability λ's fraction, λ = ber × latch bits.
+func (r *refDevice) injectErrors(latch []byte, ber float64) {
+	total := len(latch) * 8
+	expected := ber * float64(total)
+	n := int(expected)
+	if r.rng.Float64() < expected-float64(n) {
+		n++
+	}
+	for range n {
+		bit := r.rng.Intn(total)
+		latch[bit>>3] ^= 1 << uint(bit&7)
+	}
+	r.stats.BitErrorsInjected.Add(int64(n))
+}
+
+func (r *refDevice) validPattern(pattern []byte, slotBytes int) bool {
+	return slotBytes > 0 && len(pattern) <= slotBytes
+}
+
+// fillCache writes pattern, zero-padded, into each whole slot of the
+// page, and zeros everywhere else.
+func (r *refDevice) fillCache(p int, pattern []byte, slotBytes int) {
+	clear(r.cache[p])
+	for off := 0; off+slotBytes <= r.geo.PageBytes; off += slotBytes {
+		copy(r.cache[p][off:off+slotBytes], pattern)
+	}
+}
+
+func (r *refDevice) loadCache(p int, pattern []byte, slotBytes int) error {
+	if p < 0 || p >= r.geo.Planes() || !r.validPattern(pattern, slotBytes) {
+		return fmt.Errorf("bad IBC")
+	}
+	r.fillCache(p, pattern, slotBytes)
+	r.stats.IBCLoads.Add(1)
+	r.stats.BytesIn[r.geo.ChannelOf(p)].Add(int64(r.geo.PageBytes))
+	return nil
+}
+
+func (r *refDevice) loadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
+	if die < 0 || die >= r.geo.Dies() || mask == 0 || mask>>uint(r.geo.PlanesPerDie) != 0 || !r.validPattern(pattern, slotBytes) {
+		return fmt.Errorf("bad MPIBC")
+	}
+	for m := mask; m != 0; m &= m - 1 {
+		r.fillCache(r.geo.DiePlane(die, bits.TrailingZeros64(m)), pattern, slotBytes)
+	}
+	if !held {
+		r.stats.IBCLoads.Add(1)
+		r.stats.BytesIn[r.geo.DieChannel(die)].Add(int64(r.geo.PageBytes))
+	}
+	return nil
+}
+
+// xor makes the data latch Sensing XOR Cache over the user data and
+// copies the sensing latch's OOB through.
+func (r *refDevice) xor(p int) {
+	n := r.geo.PageBytes
+	vecmath.XorBytes(r.data[p][:n], r.sensing[p][:n], r.cache[p][:n])
+	copy(r.data[p][n:], r.sensing[p][n:])
+	r.stats.LatchXORs.Add(1)
+}
+
+func (r *refDevice) xorLatches(p int) error {
+	if p < 0 || p >= r.geo.Planes() {
+		return fmt.Errorf("bad XOR")
+	}
+	r.xor(p)
+	return nil
+}
+
+func (r *refDevice) countSlotBits(p, slotBytes, slot int) (int, error) {
+	lo, hi := slot*slotBytes, (slot+1)*slotBytes
+	if p < 0 || p >= r.geo.Planes() || lo < 0 || hi > r.geo.PageBytes {
+		return 0, fmt.Errorf("bad GEN_DIST")
+	}
+	r.stats.BitCounts.Add(1)
+	return vecmath.PopCountBytes(r.data[p][lo:hi]), nil
+}
+
+func (r *refDevice) genDistPage(p, slotBytes, firstSlot, nSlots int, dists []int, bound int) error {
+	hi := (firstSlot + nSlots) * slotBytes
+	if p < 0 || p >= r.geo.Planes() || slotBytes <= 0 || firstSlot < 0 || nSlots <= 0 || hi > r.geo.PageBytes || len(dists) < nSlots {
+		return fmt.Errorf("bad GEN_DIST_PAGE")
+	}
+	r.xor(p)
+	for s := range nSlots {
+		lo := (firstSlot + s) * slotBytes
+		dists[s] = vecmath.PopCountBytes(r.data[p][lo : lo+slotBytes])
+		if bound > 0 && dists[s] > bound {
+			r.stats.PrunedSlots.Add(1)
+		}
+	}
+	r.stats.BitCounts.Add(int64(nSlots))
+	r.distWaves[p]++
+	return nil
+}
+
+func (r *refDevice) readOOB(p int) ([]byte, error) {
+	if p < 0 || p >= r.geo.Planes() {
+		return nil, fmt.Errorf("bad OOB read")
+	}
+	return bytes.Clone(r.sensing[p][r.geo.PageBytes:]), nil
+}
+
+// latchRun drives a device and the reference with one seeded command
+// sequence.
+type latchRun struct {
+	t    *testing.T
+	rng  *xrand.RNG
+	dev  *Device
+	ref  *refDevice
+	step int
+	what string
+	// pattern is the one buffer every broadcast is drawn into, so a
+	// latch that aliased the caller's bytes would change under it.
+	pattern []byte
+	dists   [2][]int
+}
+
+// latchParams are the default parameters with a raw TLC BER high enough
+// that a sense of a testGeo page flips about 87 bits.
+func latchParams() Params {
+	p := DefaultParams()
+	p.RawBERTLC = 5e-3
+	return p
+}
+
+func newLatchRun(t *testing.T, seed uint64, bypass bool) *latchRun {
+	geo := testGeo()
+	dev, err := NewDevice(geo, latchParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.ECCBypass = bypass
+	lr := &latchRun{
+		t: t, rng: xrand.New(seed), dev: dev, ref: newRefDevice(geo, latchParams(), bypass),
+		pattern: make([]byte, 0, 128),
+		dists:   [2][]int{make([]int, geo.PageBytes), make([]int, geo.PageBytes)},
+	}
+	// Block 0 SLC-ESP (no raw errors), 1 and 3 TLC, 2 SLC, on every plane.
+	for p := range geo.Planes() {
+		a := AddressFromLinear(geo, p*geo.BlocksPerPlane*geo.PagesPerBlock)
+		for b, m := range []CellMode{ModeSLCESP, ModeTLC, ModeSLC, ModeTLC} {
+			a.Block = b
+			if err := dev.SetBlockMode(a, m); err != nil {
+				t.Fatal(err)
+			}
+			lr.ref.setBlockMode(a, m)
+		}
+	}
+	return lr
+}
+
+// slotWidths are the slot widths commands draw: word-aligned, ragged,
+// and widths that leave a page remainder (2048 % 24 = 8, % 96 = 32,
+// % 100 = 48).
+var slotWidths = []int{8, 16, 24, 32, 64, 96, 100}
+
+func (lr *latchRun) addr() Address {
+	g := lr.dev.Geo
+	return AddressFromLinear(g, lr.rng.Intn(g.Planes()*g.BlocksPerPlane*g.PagesPerBlock))
+}
+
+func (lr *latchRun) randBytes(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(lr.rng.Uint64())
+	}
+	return b
+}
+
+// drawPattern redraws lr.pattern for a slotBytes-wide broadcast: a
+// whole slot, or a shorter prefix of one.
+func (lr *latchRun) drawPattern(slotBytes int) []byte {
+	n := slotBytes
+	if lr.rng.Intn(3) == 0 {
+		n = lr.rng.Intn(slotBytes + 1)
+	}
+	lr.pattern = lr.pattern[:0]
+	for range n {
+		lr.pattern = append(lr.pattern, byte(lr.rng.Uint64()))
+	}
+	return lr.pattern
+}
+
+func (lr *latchRun) sameErr(got, want error) {
+	if (got == nil) != (want == nil) {
+		lr.t.Fatalf("step %d %s: error %v, reference %v", lr.step, lr.what, got, want)
+	}
+}
+
+// do runs one random command on both sides and compares what it
+// returns.
+func (lr *latchRun) do() {
+	g, r := lr.dev.Geo, lr.rng
+	plane := r.Intn(g.Planes())
+	switch op := r.Intn(12); op {
+	case 0, 1: // program a page, some of it, with some OOB
+		a := lr.addr()
+		data, oob := lr.randBytes(r.Intn(g.PageBytes+1)), lr.randBytes(r.Intn(g.OOBBytes+1))
+		lr.what = fmt.Sprintf("Program(%v, %dB, %dB OOB)", a, len(data), len(oob))
+		lr.sameErr(lr.dev.Program(a, data, oob), lr.ref.program(a, data, oob))
+	case 2: // erase a block, then reprogram one of its pages
+		a := lr.addr()
+		lr.what = fmt.Sprintf("EraseBlock(%v)+Program", a)
+		lr.sameErr(lr.dev.EraseBlock(a), lr.ref.eraseBlock(a))
+		data := lr.randBytes(g.PageBytes)
+		lr.sameErr(lr.dev.Program(a, data, nil), lr.ref.program(a, data, nil))
+	case 3, 4: // sense: SLC-ESP, TLC with raw errors, SLC, or erased
+		a := lr.addr()
+		lr.what = fmt.Sprintf("ReadPage(%v)", a)
+		lr.sameErr(lr.dev.ReadPage(a), lr.ref.readPage(a))
+	case 5: // IBC into one plane
+		sb := slotWidths[r.Intn(len(slotWidths))]
+		pat := lr.drawPattern(sb)
+		lr.what = fmt.Sprintf("LoadCache(%d, %dB, %d)", plane, len(pat), sb)
+		lr.sameErr(lr.dev.LoadCache(plane, pat, sb), lr.ref.loadCache(plane, pat, sb))
+	case 6: // MPIBC, held or not, to a partial or full mask
+		die, mask, held := r.Intn(g.Dies()), uint64(1+r.Intn(1<<g.PlanesPerDie-1)), r.Intn(2) == 0
+		sb := slotWidths[r.Intn(len(slotWidths))]
+		pat := lr.drawPattern(sb)
+		lr.what = fmt.Sprintf("LoadCacheDie(%d, %#b, %dB, %d, held %v)", die, mask, len(pat), sb, held)
+		lr.sameErr(lr.dev.LoadCacheDie(die, mask, pat, sb, held), lr.ref.loadCacheDie(die, mask, pat, sb, held))
+	case 7:
+		lr.what = fmt.Sprintf("XORLatches(%d)", plane)
+		lr.sameErr(lr.dev.XORLatches(plane), lr.ref.xorLatches(plane))
+	case 8: // one slot's count, at any width
+		sb := slotWidths[r.Intn(len(slotWidths))]
+		slot := r.Intn(g.PageBytes/sb + 1) // the last is out of the page
+		lr.what = fmt.Sprintf("CountSlotBits(%d, %d, %d)", plane, sb, slot)
+		got, err := lr.dev.CountSlotBits(plane, sb, slot)
+		want, wantErr := lr.ref.countSlotBits(plane, sb, slot)
+		lr.sameErr(err, wantErr)
+		if got != want {
+			lr.t.Fatalf("step %d %s = %d, reference %d", lr.step, lr.what, got, want)
+		}
+	case 9, 10: // a wave over a slot range, at the cache's width or another
+		sb := slotWidths[r.Intn(len(slotWidths))]
+		if c := lr.dev.planes[plane].cache.slot; c > 0 && r.Intn(2) == 0 {
+			sb = c
+		}
+		slots := g.PageBytes / sb
+		first := r.Intn(slots)
+		n := 1 + r.Intn(slots-first)
+		if r.Intn(16) == 0 {
+			n++ // one slot past the page
+		}
+		bound := 0
+		if r.Intn(2) == 0 {
+			bound = 1 + r.Intn(8*sb)
+		}
+		lr.what = fmt.Sprintf("GenDistPage(%d, %d, %d, %d, bound %d)", plane, sb, first, n, bound)
+		got, want := lr.dists[0][:n], lr.dists[1][:n]
+		clear(got)
+		clear(want)
+		lr.sameErr(lr.dev.GenDistPage(plane, sb, first, n, got, bound), lr.ref.genDistPage(plane, sb, first, n, want, bound))
+		if !slices.Equal(got, want) {
+			lr.t.Fatalf("step %d %s: distances %v, reference %v", lr.step, lr.what, got, want)
+		}
+	case 11:
+		lr.what = fmt.Sprintf("ReadOOB(%d)", plane)
+		got, err := lr.dev.ReadOOB(plane, nil)
+		want, wantErr := lr.ref.readOOB(plane)
+		lr.sameErr(err, wantErr)
+		if !bytes.Equal(got, want) {
+			lr.t.Fatalf("step %d %s differs from the reference", lr.step, lr.what)
+		}
+	}
+	lr.check()
+}
+
+// check holds every plane's materialized latches and per-plane counters,
+// and every device counter, to the reference.
+func (lr *latchRun) check() {
+	for p := range lr.dev.Geo.Planes() {
+		pl := lr.dev.Plane(p)
+		sensing, data, cache := pl.latches()
+		for _, l := range []struct {
+			name      string
+			got, want []byte
+		}{{"sensing", sensing, lr.ref.sensing[p]}, {"data", data, lr.ref.data[p]}, {"cache", cache, lr.ref.cache[p]}} {
+			if !bytes.Equal(l.got, l.want) {
+				i := 0
+				for l.got[i] == l.want[i] {
+					i++
+				}
+				lr.t.Fatalf("step %d %s: plane %d's %s latch differs from the reference at byte %d (%#x, want %#x)",
+					lr.step, lr.what, p, l.name, i, l.got[i], l.want[i])
+			}
+		}
+		for m := range lr.ref.senses[p] {
+			if got := pl.Senses(CellMode(m)); got != lr.ref.senses[p][m] {
+				lr.t.Fatalf("step %d %s: plane %d senses[%d] = %d, reference %d", lr.step, lr.what, p, m, got, lr.ref.senses[p][m])
+			}
+		}
+		if got := pl.DistWaves(); got != lr.ref.distWaves[p] {
+			lr.t.Fatalf("step %d %s: plane %d distance waves = %d, reference %d", lr.step, lr.what, p, got, lr.ref.distWaves[p])
+		}
+	}
+	want := map[string]int64{}
+	statsCounters(lr.t, &lr.ref.stats, func(name string, c *atomic.Int64) { want[name] = c.Load() })
+	statsCounters(lr.t, &lr.dev.Stats, func(name string, c *atomic.Int64) {
+		if got := c.Load(); got != want[name] {
+			lr.t.Fatalf("step %d %s: Stats.%s = %d, reference %d", lr.step, lr.what, name, got, want[name])
+		}
+	})
+}
+
+func (lr *latchRun) run(steps int) {
+	for lr.step = 0; lr.step < steps; lr.step++ {
+		lr.do()
+	}
+}
+
+// TestLatchesMatchEagerReference is the differential latch oracle: the
+// device, whose latches hold no page buffers, and the eager
+// three-buffer reference run the same seeded random command sequences —
+// programs, erases with a reprogram, senses of SLC-ESP, noisy TLC, SLC
+// and erased pages, single-plane and die broadcasts (held or not, partial
+// masks) from one reused pattern buffer, latch XORs, slot counts and
+// waves at the broadcast's slot width and others, pruned or not, and OOB
+// reads — and after every step every plane's materialized latches, the
+// returned distances and OOB, and every counter must equal the
+// reference's. ECCBypass runs one sequence with the raw errors off.
+func TestLatchesMatchEagerReference(t *testing.T) {
+	for _, c := range []struct {
+		seed   uint64
+		bypass bool
+	}{{1, false}, {2, false}, {3, false}, {4, true}} {
+		t.Run(fmt.Sprintf("seed=%d/bypass=%v", c.seed, c.bypass), func(t *testing.T) {
+			lr := newLatchRun(t, c.seed, c.bypass)
+			lr.run(1500)
+			if lr.dev.Stats.LatchXORs.Load() == 0 || lr.dev.Stats.PrunedSlots.Load() == 0 || lr.dev.Stats.PagePrograms.Load() == 0 {
+				t.Fatal("the sequence ran no wave, pruned nothing or programmed nothing")
+			}
+			if noisy := lr.dev.Stats.BitErrorsInjected.Load() > 0; noisy == c.bypass {
+				t.Fatalf("bypass %v: %d raw bit errors injected", c.bypass, lr.dev.Stats.BitErrorsInjected.Load())
+			}
+		})
+	}
+}
+
+// FuzzLatchesMatchEagerReference runs the differential latch oracle on a
+// fuzzed command seed: 300 steps a seed.
+func FuzzLatchesMatchEagerReference(f *testing.F) {
+	f.Add(uint64(1), false)
+	f.Add(uint64(7), true)
+	f.Fuzz(func(t *testing.T, seed uint64, bypass bool) {
+		newLatchRun(t, seed, bypass).run(300)
+	})
+}

@@ -150,12 +150,10 @@ type dbCache struct {
 	lruTail *resEntry
 
 	// scratch
-	order  []int
-	want   []bool // refresh: clusters admitted this time
-	key    []byte
-	qRep   []byte
-	xorDst []byte
-	dists  []int
+	order []int
+	want  []bool // refresh: clusters admitted this time
+	key   []byte
+	dists []int
 }
 
 // newDBCache sizes the tier from the host's single-device-equivalent
@@ -377,9 +375,10 @@ type cachedScanParams struct {
 }
 
 // scanPinned scans one pinned range from DRAM, mirroring scanRound.dist
-// slot for slot: XOR + popcount distances, padding-slot skip, distance
-// filter (dist <= threshold, the PassFail predicate), metadata tag, and
-// the strict pruning-bound drop. Entries are appended to dst, the
+// slot for slot: XOR + popcount distances against the packed query (the
+// GEN_DIST_PAGE kernel, vecmath.XorPopCountPattern), padding-slot skip,
+// distance filter (dist <= threshold, the PassFail predicate), metadata
+// tag, and the strict pruning-bound drop. Entries are appended to dst, the
 // query's stream — a set, as a device segment's fold leaves it — and the
 // page/slot counts feed CachedPages/CachedSlots. Pinned segments never
 // use the segment-level lb abort: the pages are already resident, so the
@@ -387,15 +386,6 @@ type cachedScanParams struct {
 // surviving-entry stream a superset of what an aborted flash segment
 // would have contributed (and therefore the rerank pool identical).
 func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots int) {
-	n := f.embPerPage * f.slotBytes
-	if cap(c.qRep) < n {
-		c.qRep = make([]byte, n)
-		c.xorDst = make([]byte, n)
-	}
-	qRep, xorDst := c.qRep[:n], c.xorDst[:n]
-	for off := 0; off < n; off += f.slotBytes {
-		copy(qRep[off:off+f.slotBytes], packed)
-	}
 	if cap(c.dists) < f.embPerPage {
 		c.dists = make([]int, f.embPerPage)
 	}
@@ -411,7 +401,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 		if pg == lastPage {
 			hi = pr.last % f.embPerPage
 		}
-		vecmath.XorPopCountSlots(xorDst, data[:n], qRep, f.slotBytes, lo, hi-lo+1, dists)
+		vecmath.XorPopCountPattern(data, packed, f.slotBytes, lo, hi-lo+1, dists)
 		for s := lo; s <= hi; s++ {
 			dist := dists[s-lo]
 			l, ok := parseLink(oob, s)

@@ -1,10 +1,13 @@
 package reis
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
+	"reis/internal/dataset"
 	"reis/internal/vecmath"
 )
 
@@ -220,6 +223,60 @@ func TestCalibrateCoarseCut(t *testing.T) {
 		}
 		if short*100 > len(codes) {
 			t.Fatalf("nprobe %d: %d of %d sampled codes fall short of the cut %d", n, short, len(codes), cut[n-1])
+		}
+	}
+}
+
+// sortedFilterThreshold is calibrateFilter's reference: it reads each
+// pseudo-query's k'-th distance by sorting all n − 1 of them.
+func sortedFilterThreshold(codes [][]uint64) int {
+	const pseudoQueries, kSafety = 64, 32
+	if len(codes) < 2 {
+		return len(codes[0]) * 64
+	}
+	qStep := max(1, len(codes)/pseudoQueries)
+	var kths []int
+	for qi := 0; qi < len(codes); qi += qStep {
+		var dists []int
+		for ci, c := range codes {
+			if ci != qi {
+				dists = append(dists, vecmath.Hamming(codes[qi], c))
+			}
+		}
+		sort.Ints(dists)
+		kths = append(kths, dists[min(kSafety, len(dists)-1)])
+	}
+	sort.Ints(kths)
+	med := kths[len(kths)/2]
+	return med + med/4 + 2
+}
+
+// TestCalibrateFilterMatchesSort: the histogram's order statistic gives
+// the threshold the sort gave, on every catalog corpus's calibration
+// sample, the test corpus's, and samples too small for the k'-th
+// neighbour — identical codes (every distance 0) among them.
+func TestCalibrateFilterMatchesSort(t *testing.T) {
+	samples := map[string][][]uint64{"test corpus": calibrationSample(testData.Vectors)}
+	names := make([]string, 0, len(dataset.Catalog))
+	for name := range dataset.Catalog {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
+		samples[name] = calibrationSample(dataset.Load(name, 64).Vectors)
+	}
+	small := samples["test corpus"]
+	for _, n := range []int{1, 2, 3, 33, 34, 35} {
+		samples[fmt.Sprintf("first %d test codes", n)] = small[:n]
+	}
+	same := make([][]uint64, 40)
+	for i := range same {
+		same[i] = small[0]
+	}
+	samples["40 identical codes"] = same
+	for name, codes := range samples {
+		if got, want := calibrateFilter(codes), sortedFilterThreshold(codes); got != want {
+			t.Errorf("%s (%d codes): threshold %d, the sort gives %d", name, len(codes), got, want)
 		}
 	}
 }

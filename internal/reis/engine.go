@@ -307,17 +307,24 @@ func calibrateFilter(codes [][]uint64) int {
 		return len(codes[0]) * 64
 	}
 	qStep := max(1, len(codes)/pseudoQueries)
+	// Each pseudo-query's k'-th distance (0-based, over its n − 1 others)
+	// is read off a histogram: a Hamming distance lies in [0, 64·words].
+	rank := min(kSafety, len(codes)-2)
+	hist := make([]int, 64*len(codes[0])+1)
 	var kths []int
 	for qi := 0; qi < len(codes); qi += qStep {
-		var dists []int
+		clear(hist)
 		for ci, c := range codes {
-			if ci == qi {
-				continue
+			if ci != qi {
+				hist[vecmath.Hamming(codes[qi], c)]++
 			}
-			dists = append(dists, vecmath.Hamming(codes[qi], c))
 		}
-		sort.Ints(dists)
-		kths = append(kths, dists[min(kSafety, len(dists)-1)])
+		d, below := 0, hist[0]
+		for below <= rank {
+			d++
+			below += hist[d]
+		}
+		kths = append(kths, d)
 	}
 	// Use the median of the per-pseudo-query k'-th distances: robust
 	// against outlier pseudo-queries in sparse regions (whose k'-th

@@ -19,7 +19,6 @@ import (
 // allocated.
 type tailScratch struct {
 	q8         []int8
-	emb        []int8
 	reranked   []DocResult
 	groups     []pageIdx
 	planePages []int
@@ -84,9 +83,7 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 		planePages[page%planes]++
 		for rec := ts.recs; gi < end; gi, rec = gi+1, rec[f.int8Bytes:] {
 			c := cands[groups[gi].idx]
-			emb := vecmath.UnpackInt8Bytes(rec[:f.int8Bytes], ts.emb)
-			ts.emb = emb
-			d := vecmath.L2SquaredInt8(q8, emb)
+			d := vecmath.L2SquaredInt8Bytes(q8, rec[:f.int8Bytes])
 			reranked = append(reranked, DocResult{ID: int(c.DADR), Dist: float32(d)})
 		}
 	}

@@ -8,11 +8,10 @@ import (
 	"testing"
 )
 
-// FuzzXorPopCountSlots checks the fused page kernel behind the
-// GEN_DIST_PAGE flash command against a naive per-byte reference: the
-// whole-buffer XOR must equal a ^ b everywhere, every requested slot's
-// fail-bit count must equal the byte-wise Hamming distance of that
-// slot, and aliasing dst over a must not change either. The committed
+// FuzzXorPopCountSlots checks the two-latch page kernel against a naive
+// per-byte reference: the whole-buffer XOR must equal a ^ b everywhere,
+// every requested slot's fail-bit count must equal the byte-wise Hamming
+// distance of that slot, and aliasing dst over a must not change either. The committed
 // seed corpus (testdata/fuzz) covers word-aligned and ragged slot
 // sizes, zero-slot calls and full-page scans.
 func FuzzXorPopCountSlots(f *testing.F) {
@@ -62,6 +61,48 @@ func FuzzXorPopCountSlots(f *testing.F) {
 			if dists2[s] != dists[s] {
 				t.Fatalf("aliased slot %d dist = %d, want %d", s, dists2[s], dists[s])
 			}
+		}
+	})
+}
+
+// FuzzXorPopCountPattern checks the pattern kernel behind GEN_DIST_PAGE
+// against XorPopCountSlots run on the pattern replicated into every slot
+// (zero-padded): the same distance for every requested slot, over any
+// slot range of the page, with patterns shorter than the slot and slot
+// widths that are not a multiple of 8 — wider than the kernel's loaded
+// pattern words too. The page must be left as it was.
+func FuzzXorPopCountPattern(f *testing.F) {
+	f.Add([]byte("pages of packed binary embeddings, a cluster per page"), []byte("query"), 8, 1, 4)
+	f.Add(bytes.Repeat([]byte{0x5A, 0xC3, 0x0F}, 90), bytes.Repeat([]byte{0xFF}, 70), 70, 0, 3)
+	f.Add([]byte{0xFF, 0x00, 0xAA, 0x55, 0x0F, 0xF0, 0x99}, []byte{}, 3, 1, 1)
+	f.Add(bytes.Repeat([]byte{0x81}, 512), bytes.Repeat([]byte{0x7E}, 32), 32, 3, 0)
+	f.Fuzz(func(t *testing.T, page, pattern []byte, slotBytes, firstSlot, nSlots int) {
+		sb := 1 + abs(slotBytes)%97 // 1..97: ragged, word-aligned, past 64 bytes
+		pattern = pattern[:min(len(pattern), sb)]
+		maxSlots := len(page) / sb
+		fs, ns := 0, 0
+		if maxSlots > 0 {
+			fs = abs(firstSlot) % maxSlots
+			ns = abs(nSlots) % (maxSlots - fs + 1)
+		}
+		rep := make([]byte, len(page))
+		for off := 0; off+sb <= len(page); off += sb {
+			copy(rep[off:], pattern)
+		}
+		want := make([]int, ns)
+		XorPopCountSlots(make([]byte, len(page)), page, rep, sb, fs, ns, want)
+
+		before := bytes.Clone(page)
+		got := make([]int, ns)
+		XorPopCountPattern(page, pattern, sb, fs, ns, got)
+		for s := range want {
+			if got[s] != want[s] {
+				t.Fatalf("slot %d dist = %d, replicated pattern gives %d (slotBytes=%d pattern=%d first=%d n=%d)",
+					fs+s, got[s], want[s], sb, len(pattern), fs, ns)
+			}
+		}
+		if !bytes.Equal(page, before) {
+			t.Fatal("the kernel wrote to the page")
 		}
 	})
 }

@@ -171,13 +171,15 @@ func PopCountBytes(b []byte) int {
 	return n
 }
 
-// XorPopCountSlots is the fused page kernel behind the page-granular
-// GEN_DIST command: it computes dst = a XOR b over the whole buffers
-// (one latch-to-latch XOR) and, in the same pass, runs the fail-bit
-// counter over each of the nSlots slots of slotBytes bytes starting at
+// XorPopCountSlots is the page-granular GEN_DIST command over two whole
+// latches: it computes dst = a XOR b over the whole buffers (one
+// latch-to-latch XOR) and, in the same pass, runs the fail-bit counter
+// over each of the nSlots slots of slotBytes bytes starting at
 // slot firstSlot, writing the per-slot popcounts into dists[0:nSlots].
 // Buffer lengths must match, the counted range must lie inside the
 // buffers, and dists must hold nSlots values; dst may alias a or b.
+// XorPopCountPattern computes the same distances without the latch
+// bytes; this form is its fuzzer's reference.
 func XorPopCountSlots(dst, a, b []byte, slotBytes, firstSlot, nSlots int, dists []int) {
 	if len(a) != len(b) || len(dst) != len(a) {
 		panic(fmt.Sprintf("vecmath: XorPopCountSlots length mismatch %d/%d/%d", len(dst), len(a), len(b)))
@@ -205,6 +207,60 @@ func XorPopCountSlots(dst, a, b []byte, slotBytes, firstSlot, nSlots int, dists 
 		dists[s] = n
 	}
 	XorBytes(dst[hi:], a[hi:], b[hi:])
+}
+
+// XorPopCountPattern is the page kernel of the page-granular GEN_DIST
+// command when the cache latch holds a broadcast pattern: for each of
+// the nSlots slots of slotBytes bytes starting at slot firstSlot, it
+// writes popcount(slot XOR pattern) into dists, where pattern is
+// zero-padded to the slot width — the fail-bit count over the slot after
+// a latch XOR with slot-aligned copies of pattern. Only the requested
+// slots are read and nothing is written but dists. pattern must not be
+// longer than a slot, the range must lie inside page, and dists must
+// hold nSlots values.
+//
+// The pattern is walked in the outer loop and the slots in the inner
+// one, so four pattern words stay in registers across every slot.
+func XorPopCountPattern(page, pattern []byte, slotBytes, firstSlot, nSlots int, dists []int) {
+	lo := firstSlot * slotBytes
+	hi := lo + nSlots*slotBytes
+	if slotBytes <= 0 || len(pattern) > slotBytes || firstSlot < 0 || nSlots < 0 || hi > len(page) || len(dists) < nSlots {
+		panic(fmt.Sprintf("vecmath: XorPopCountPattern bad range slot=%d n=%d slotBytes=%d pattern=%d len=%d dists=%d",
+			firstSlot, nSlots, slotBytes, len(pattern), len(page), len(dists)))
+	}
+	region := page[lo:hi]
+	dists = dists[:nSlots]
+	clear(dists)
+	i := 0
+	for ; i+32 <= len(pattern); i += 32 {
+		p := pattern[i : i+32]
+		p0, p1 := binary.LittleEndian.Uint64(p), binary.LittleEndian.Uint64(p[8:])
+		p2, p3 := binary.LittleEndian.Uint64(p[16:]), binary.LittleEndian.Uint64(p[24:])
+		for s := range dists {
+			b := region[s*slotBytes+i : s*slotBytes+i+32]
+			dists[s] += bits.OnesCount64(binary.LittleEndian.Uint64(b)^p0) +
+				bits.OnesCount64(binary.LittleEndian.Uint64(b[8:])^p1) +
+				bits.OnesCount64(binary.LittleEndian.Uint64(b[16:])^p2) +
+				bits.OnesCount64(binary.LittleEndian.Uint64(b[24:])^p3)
+		}
+	}
+	for ; i+8 <= len(pattern); i += 8 {
+		p := binary.LittleEndian.Uint64(pattern[i:])
+		for s := range dists {
+			dists[s] += bits.OnesCount64(binary.LittleEndian.Uint64(region[s*slotBytes+i:]) ^ p)
+		}
+	}
+	for ; i < len(pattern); i++ {
+		p := pattern[i]
+		for s := range dists {
+			dists[s] += bits.OnesCount8(region[s*slotBytes+i] ^ p)
+		}
+	}
+	if i < slotBytes { // the pattern's zero padding: the slot's own bits
+		for s := range dists {
+			dists[s] += PopCountBytes(region[s*slotBytes+i : (s+1)*slotBytes])
+		}
+	}
 }
 
 // Int8Params hold the affine quantization parameters used to convert a
@@ -272,6 +328,21 @@ func L2SquaredInt8(a, b []int8) int32 {
 	return sum
 }
 
+// L2SquaredInt8Bytes is L2SquaredInt8 with b given in its packed form
+// (PackInt8Bytes): the rerank's distance, read straight off the flash
+// record with no unpack pass. The result is identical.
+func L2SquaredInt8Bytes(a []int8, b []byte) int32 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("vecmath: L2SquaredInt8Bytes dimension mismatch %d != %d", len(a), len(b)))
+	}
+	var sum int32
+	for i := range a {
+		d := int32(a[i]) - int32(int8(b[i]))
+		sum += d * d
+	}
+	return sum
+}
+
 // PackBinaryBytes serializes a packed binary vector into bytes in
 // little-endian word order; this is the on-flash layout of the binary
 // embedding region.
@@ -323,18 +394,6 @@ func PackInt8Bytes(v []int8, dst []byte) []byte {
 	dst = dst[:len(v)]
 	for i, x := range v {
 		dst[i] = byte(x)
-	}
-	return dst
-}
-
-// UnpackInt8Bytes deserializes bytes produced by PackInt8Bytes.
-func UnpackInt8Bytes(b []byte, dst []int8) []int8 {
-	if cap(dst) < len(b) {
-		dst = make([]int8, len(b))
-	}
-	dst = dst[:len(b)]
-	for i, x := range b {
-		dst[i] = int8(x)
 	}
 	return dst
 }

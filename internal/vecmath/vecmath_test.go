@@ -240,13 +240,20 @@ func TestBinaryBytesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestInt8BytesRoundTrip: the packed form keeps every value, two's
+// complement, and the distance over packed bytes equals L2SquaredInt8
+// over the unpacked vector, extreme values included.
 func TestInt8BytesRoundTrip(t *testing.T) {
 	v := []int8{-128, -1, 0, 1, 127}
 	bts := PackInt8Bytes(v, nil)
-	back := UnpackInt8Bytes(bts, nil)
 	for i := range v {
-		if back[i] != v[i] {
-			t.Fatalf("round trip failed at %d: %d != %d", i, back[i], v[i])
+		if int8(bts[i]) != v[i] {
+			t.Fatalf("packed byte %d reads %d, want %d", i, int8(bts[i]), v[i])
+		}
+	}
+	for _, q := range [][]int8{{127, 127, 127, 127, 127}, {-128, -128, -128, -128, -128}, {3, -7, 0, 100, -100}} {
+		if got, want := L2SquaredInt8Bytes(q, bts), L2SquaredInt8(q, v); got != want {
+			t.Fatalf("L2SquaredInt8Bytes(%v) = %d, L2SquaredInt8 = %d", q, got, want)
 		}
 	}
 }
