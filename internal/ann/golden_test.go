@@ -76,3 +76,52 @@ func kmeansDigest(cents [][]float32, assign []int) uint64 {
 	}
 	return h.Sum64()
 }
+
+// TestHNSWGolden pins the graph NewHNSW builds, bit for bit: every
+// node's level, the entry point and each layer's adjacency lists in
+// order, in float mode and in binary mode. The neighbour heuristic and
+// the pruning decide every edge, so a change to how either compares
+// distances shows here first.
+func TestHNSWGolden(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  HNSWConfig
+		want uint64
+	}{
+		{"float", HNSWConfig{M: 8, Seed: 12}, 0x44654fa7a1847721},
+		{"binary", HNSWConfig{M: 8, Seed: 13, Binary: true}, 0x91b570344956132d},
+	}
+	for _, c := range cases {
+		h := NewHNSW(testData.Vectors[:1000], c.cfg)
+		if got := hnswDigest(h); got != c.want {
+			t.Errorf("%s: adjacency digest %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
+
+// hnswDigest is an FNV-64a hash of an HNSW graph's levels, entry point
+// and per-layer adjacency lists.
+func hnswDigest(h *HNSW) uint64 {
+	f := fnv.New64a()
+	var buf [8]byte
+	put := func(u uint64) {
+		for i := range buf {
+			buf[i] = byte(u >> (8 * i))
+		}
+		f.Write(buf[:])
+	}
+	put(uint64(h.entry))
+	put(uint64(h.maxLevel))
+	for _, l := range h.levels {
+		put(uint64(l))
+	}
+	for _, layer := range h.neighbors {
+		for _, ns := range layer {
+			put(uint64(len(ns)))
+			for _, n := range ns {
+				put(uint64(n))
+			}
+		}
+	}
+	return f.Sum64()
+}
