@@ -115,10 +115,10 @@ func TestKMeansAssignsNearest(t *testing.T) {
 
 // TestNearestCentroidMatchesArgmin checks the bounded assignment rule
 // against the lowest-index argmin of plain L2Squared, from every
-// possible start centroid. Duplicated centroids and small-integer
-// coordinates force exact ties, the dimension (37) leaves a ragged last
-// chunk in L2SquaredBelow, and a far-off point makes every distance
-// +Inf.
+// possible start centroid, with and without the centroid-distance skip
+// (skipPoint). Duplicated centroids and small-integer coordinates force
+// exact ties, the dimension (37) leaves a ragged last chunk in
+// L2SquaredBelow, and a far-off point makes every distance +Inf.
 func TestNearestCentroidMatchesArgmin(t *testing.T) {
 	rng := xrand.New(5)
 	const k, dim = 24, 37
@@ -160,6 +160,8 @@ func TestNearestCentroidMatchesArgmin(t *testing.T) {
 	}
 	points = append(points, huge)
 
+	apart := make([]float64, k*k)
+	fillApart(cents, apart)
 	for p, v := range points {
 		want := 0
 		for c := range cents {
@@ -171,8 +173,11 @@ func TestNearestCentroidMatchesArgmin(t *testing.T) {
 			t.Fatalf("point %d: NearestCentroid = %d, want %d", p, got, want)
 		}
 		for start := range cents {
-			if got := nearestFrom(cents, v, start); got != want {
+			if got := nearestFrom(cents, v, start, nil); got != want {
 				t.Fatalf("point %d start %d: nearestFrom = %d, want %d", p, start, got, want)
+			}
+			if got := nearestFrom(cents, v, start, apart); got != want {
+				t.Fatalf("point %d start %d: nearestFrom with centroid distances = %d, want %d", p, start, got, want)
 			}
 		}
 	}

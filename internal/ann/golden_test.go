@@ -23,17 +23,40 @@ func benchSubSeed(seed, consumer uint64) uint64 {
 // (GOAMD64=v1); a target where the compiler fuses multiply-adds may
 // round differently.
 func TestKMeansGolden(t *testing.T) {
-	d := dataset.Generate(dataset.Config{
+	cents, assign := KMeans(benchCorpus().Vectors, benchKMeansConfig())
+	const want = 0x5eeb77dfd27c3dec
+	if got := kmeansDigest(cents, assign); got != want {
+		t.Errorf("KMeans digest %#016x, want %#016x", got, want)
+	}
+}
+
+// BenchmarkKMeans times the IVF training of the repo benchmark's corpus
+// (TestKMeansGolden's input): k-means++ seeding plus the Lloyd
+// iterations.
+func BenchmarkKMeans(b *testing.B) {
+	vectors := benchCorpus().Vectors
+	cfg := benchKMeansConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		KMeans(vectors, cfg)
+	}
+}
+
+// benchCorpus is buildCorpus's dataset in benchmark/corpus.go at its
+// full size (corpusSeed 1, seedCorpus 1).
+func benchCorpus() *dataset.Dataset {
+	return dataset.Generate(dataset.Config{
 		Name: "bench", N: 8192, Dim: 256, Clusters: 64,
 		Queries: 1024, K: 10, DocBytes: 512,
 		QueryNoise: 0.5,
 		Seed:       benchSubSeed(1, 1),
 	})
-	cents, assign := KMeans(d.Vectors, KMeansConfig{K: 64, Seed: benchSubSeed(1, 2), SampleLimit: 8192})
-	const want = 0x5eeb77dfd27c3dec
-	if got := kmeansDigest(cents, assign); got != want {
-		t.Errorf("KMeans digest %#016x, want %#016x", got, want)
-	}
+}
+
+// benchKMeansConfig is buildCorpus's k-means config (seedKMeans 2).
+func benchKMeansConfig() KMeansConfig {
+	return KMeansConfig{K: 64, Seed: benchSubSeed(1, 2), SampleLimit: 8192}
 }
 
 // TestKMeansGoldenSmall pins KMeans on the shared test corpus at

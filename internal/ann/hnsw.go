@@ -103,6 +103,16 @@ func (h *HNSW) distNodes(a, b int) float32 {
 	return vecmath.L2Squared(h.vectors[a], h.vectors[b])
 }
 
+// nodesCloser reports whether distNodes(a, b) < bound; in float mode
+// the distance stops summing once it cannot be below bound.
+func (h *HNSW) nodesCloser(a, b int, bound float32) bool {
+	if h.cfg.Binary {
+		return h.distNodes(a, b) < bound
+	}
+	_, below := vecmath.L2SquaredBelow(h.vectors[a], h.vectors[b], bound)
+	return below
+}
+
 func (h *HNSW) randomLevel() int {
 	return int(-math.Log(1-h.rng.Float64()) * h.levelMult)
 }
@@ -239,7 +249,7 @@ func (h *HNSW) selectNeighbors(cands []Result, m int) []Result {
 		}
 		keep := true
 		for _, s := range selected {
-			if h.distNodes(c.ID, s.ID) < c.Dist {
+			if h.nodesCloser(c.ID, s.ID, c.Dist) {
 				keep = false
 				break
 			}

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -171,14 +173,108 @@ func TestExactTopKMatchesReference(t *testing.T) {
 		for j := range queries[1] {
 			queries[1][j] = float32(rng.NormFloat64())
 		}
-		for qi, q := range queries {
-			for _, k := range []int{0, 1, 10, n - 1, n, n + 5} {
-				got, want := ExactTopK(vs, q, k), referenceTopK(vs, q, k)
-				if !slices.Equal(got, want) {
+		// Arbitrary pivots: they may only change how many distances
+		// pivotTopK computes.
+		pivots := [][]float32{slices.Clone(vs[rng.Intn(n)]), slices.Clone(queries[1]), make([]float32, dim)}
+		for _, k := range []int{0, 1, 10, n - 1, n, n + 5} {
+			batch := pivotTopK(vs, queries, k, pivots, 1)
+			for qi, q := range queries {
+				want := referenceTopK(vs, q, k)
+				if got := ExactTopK(vs, q, k); !slices.Equal(got, want) {
 					t.Fatalf("trial %d query %d k=%d: ExactTopK %v, want %v", trial, qi, k, got, want)
+				}
+				if !slices.Equal(batch[qi], want) {
+					t.Fatalf("trial %d query %d k=%d: pivotTopK %v, want %v", trial, qi, k, batch[qi], want)
 				}
 			}
 		}
+	}
+}
+
+// TestPivotTopKMatchesExactTopK holds the batched ground truth Generate
+// computes to ExactTopK, query by query: on every catalog dataset at
+// scales 16, 32 and 64, and on degenerate corpora — duplicated vectors,
+// queries equal to a stored vector, K at and above N (pivotTopK itself,
+// and Generate, which sorts those with ExactTopK), and one cluster.
+func TestPivotTopKMatchesExactTopK(t *testing.T) {
+	check := func(name string, vectors, queries [][]float32, k int, got [][]int) {
+		t.Helper()
+		for q, qv := range queries {
+			if want := ExactTopK(vectors, qv, k); !slices.Equal(got[q], want) {
+				t.Fatalf("%s query %d: batched ground truth %v, ExactTopK %v", name, q, got[q], want)
+			}
+		}
+	}
+	names := slices.Sorted(maps.Keys(Catalog))
+	for _, name := range names {
+		for _, scale := range []int{16, 32, 64} {
+			d := Load(name, scale)
+			check(fmt.Sprintf("%s/%d", name, scale), d.Vectors, d.Queries, d.GroundTruthK, d.GroundTruth)
+		}
+	}
+
+	cfg := Config{Name: "degenerate", N: 300, Dim: 48, Clusters: 6, Queries: 12, K: 10, Seed: 3}
+	d := Generate(cfg)
+	// Pivots: each cluster's member sum, as good as any other pivot, and
+	// a stored vector.
+	pivots := make([][]float32, cfg.Clusters)
+	for c := range pivots {
+		pivots[c] = make([]float32, cfg.Dim)
+	}
+	for i, v := range d.Vectors {
+		for j, x := range v {
+			pivots[d.ClusterOf[i]][j] += x
+		}
+	}
+	pivots = append(pivots, slices.Clone(d.Vectors[7]))
+	vectors := slices.Clone(d.Vectors)
+	for i := range 100 { // duplicates
+		vectors = append(vectors, slices.Clone(vectors[i*3]))
+	}
+	queries := slices.Clone(d.Queries)
+	for i := range 6 { // queries equal to a stored, duplicated vector
+		queries = append(queries, slices.Clone(vectors[i*3]))
+	}
+	for _, k := range []int{1, 10, 64, len(vectors), len(vectors) + 3} {
+		check(fmt.Sprintf("duplicates k=%d", k), vectors, queries, k,
+			pivotTopK(vectors, queries, k, pivots, 1))
+	}
+
+	// Collinear corpora: every vector, query and pivot on one line, so a
+	// member's distance to the query is |a − b| up to rounding and the
+	// window's edge falls on the k-th distance. Points repeat (ties at
+	// the edge) and the step is not a binary fraction (rounding in a, b
+	// and the distances).
+	for _, step := range []float32{0.1, 0.37, 1} {
+		const dim = 20
+		at := func(t float32) []float32 {
+			v := make([]float32, dim)
+			for j := range v {
+				v[j] = t * step * float32(j%3-1)
+			}
+			return v
+		}
+		var line, lineQueries [][]float32
+		for i := range 120 {
+			line = append(line, at(float32(i%40-20)))
+		}
+		for i := range 15 {
+			lineQueries = append(lineQueries, at(float32(i*3-21)+float32(i%2)/2))
+		}
+		pivots := [][]float32{at(-5), at(7)}
+		for _, k := range []int{1, 3, 7, 10, 25} {
+			check(fmt.Sprintf("collinear step=%v k=%d", step, k), line, lineQueries, k,
+				pivotTopK(line, lineQueries, k, pivots, 1))
+		}
+	}
+
+	for _, c := range []Config{
+		{Name: "one-cluster", N: 400, Dim: 40, Clusters: 1, Queries: 10, K: 12, Seed: 5},
+		{Name: "k-at-n", N: 30, Dim: 24, Clusters: 3, Queries: 5, K: 30, Seed: 6},
+		{Name: "k-above-n", N: 30, Dim: 24, Clusters: 3, Queries: 5, K: 45, Seed: 7},
+	} {
+		d := Generate(c)
+		check(c.Name, d.Vectors, d.Queries, c.K, d.GroundTruth)
 	}
 }
 

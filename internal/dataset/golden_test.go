@@ -26,6 +26,17 @@ func benchCorpusConfig() Config {
 	}
 }
 
+// BenchmarkGenerate times the repo benchmark's corpus build: vectors,
+// queries, documents and the exact top-10 ground truth of 1024 queries
+// over 8192 vectors of dim 256.
+func BenchmarkGenerate(b *testing.B) {
+	cfg := benchCorpusConfig()
+	b.ReportAllocs()
+	for range b.N {
+		Generate(cfg)
+	}
+}
+
 // digest is an FNV-64a hash of everything Generate returns: vector and
 // query float bits, ground truth, documents and topic tags.
 func digest(d *Dataset) uint64 {

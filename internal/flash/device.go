@@ -332,10 +332,8 @@ func (d *Device) Program(a Address, data, oob []byte) error {
 	p := d.planes[a.PlaneIndex(d.Geo)]
 	idx := a.PageIndex(d.Geo)
 	page := programmed{data: make([]byte, d.Geo.PageBytes), oob: make([]byte, d.Geo.OOBBytes)}
-	fillErased(page.data)
-	copy(page.data, data)
-	fillErased(page.oob)
-	copy(page.oob, oob)
+	fillErased(page.data[copy(page.data, data):])
+	fillErased(page.oob[copy(page.oob, oob):])
 	p.mu.Lock()
 	p.pages[idx] = page
 	p.mu.Unlock()
@@ -526,8 +524,12 @@ func (d *Device) senseCorrected(a Address, pl *Plane) (programmed, bool) {
 
 // fillErased sets b to the erased state: all ones.
 func fillErased(b []byte) {
-	for i := range b {
-		b[i] = 0xFF
+	if len(b) == 0 {
+		return
+	}
+	b[0] = 0xFF
+	for i := 1; i < len(b); i *= 2 {
+		copy(b[i:], b[:i])
 	}
 }
 

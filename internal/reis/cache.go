@@ -379,13 +379,14 @@ type cachedScanParams struct {
 // GEN_DIST_PAGE kernel, vecmath.XorPopCountPattern), padding-slot skip,
 // distance filter (dist <= threshold, the PassFail predicate), metadata
 // tag, and the strict pruning-bound drop. Entries are appended to dst, the
-// query's stream — a set, as a device segment's fold leaves it — and the
-// page/slot counts feed CachedPages/CachedSlots. Pinned segments never
+// query's stream — a set, as a device segment's fold leaves it — the
+// page/slot counts feed CachedPages/CachedSlots, and the slots the bound
+// drops feed PrunedSlots as the flash scan counts them. Pinned segments never
 // use the segment-level lb abort: the pages are already resident, so the
 // scan always runs under the current bound, which keeps the
 // surviving-entry stream a superset of what an aborted flash segment
 // would have contributed (and therefore the rerank pool identical).
-func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots int) {
+func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots, pruned int) {
 	if cap(c.dists) < f.embPerPage {
 		c.dists = make([]int, f.embPerPage)
 	}
@@ -416,6 +417,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 				continue
 			}
 			if p.bound > 0 && dist > p.bound {
+				pruned++
 				continue
 			}
 			dst = append(dst, TTLEntry{
@@ -423,7 +425,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 			})
 		}
 	}
-	return dst, pages, slots
+	return dst, pages, slots, pruned
 }
 
 // resultKey encodes everything a per-query result depends on: the

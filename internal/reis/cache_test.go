@@ -622,3 +622,41 @@ func TestCacheBudgetOversizeInsertAllocs(t *testing.T) {
 		t.Errorf("the oversize entry was stored: %+v", cs)
 	}
 }
+
+// TestPinnedScanCountsPrunedSlots: the slots a pinned scan drops at the
+// pruning bound count in PrunedSlots, as the flash scan's do. A pruned
+// query that aborts no segment scans every slot the unpruned one does,
+// on flash or pinned, and either keeps it or drops it at the bound, so
+// its quickselect input plus its pruned slots is the unpruned query's
+// input. Every cluster is pinned, and k is small enough that the bound
+// is live after the first rank window.
+func TestPinnedScanCountsPrunedSlots(t *testing.T) {
+	e, err := New(cachedShardCfg(cacheBigBudget), 64<<20, AllOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { e.Close() })
+	deployIVF(t, e, 1, 16)
+	q := testData.Queries
+	search(t, e, OpcodeIVFSearch, 1, q, 2, SearchOptions{NProbe: 16, SkipDocs: true}) // admits the pins
+	opt := SearchOptions{NProbe: 8, SkipDocs: true}
+	_, plain := search(t, e, OpcodeIVFSearch, 1, q, 2, opt)
+	opt.Prune = true
+	_, pruned := search(t, e, OpcodeIVFSearch, 1, q, 2, opt)
+	checked, dropped := 0, 0
+	for qi, p := range pruned {
+		if p.PrunedPages != 0 || p.CachedPages == 0 {
+			continue
+		}
+		if u := plain[qi]; p.SelectInput+p.PrunedSlots != u.SelectInput {
+			t.Errorf("query %d: pruned select input %d + %d pruned slots, unpruned input %d (%d pinned pages)",
+				qi, p.SelectInput, p.PrunedSlots, u.SelectInput, p.CachedPages)
+		}
+		checked++
+		dropped += p.PrunedSlots
+	}
+	if checked == 0 || dropped == 0 {
+		t.Fatalf("%d pinned queries without an aborted segment, %d slots pruned: the pinned bound was not exercised", checked, dropped)
+	}
+	t.Logf("%d pinned queries of %d without an aborted segment, %d slots pruned", checked, len(q), dropped)
+}

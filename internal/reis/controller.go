@@ -356,10 +356,11 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			// lb-aborted — the pages are already resident.
 			p := cachedScanParams{threshold: c.filter, metaTag: opt.MetaTag, bound: s.bounds[qi]}
 			for _, pr := range s.pins[qi] {
-				var cp, cs int
-				acc, cp, cs = cache.scanPinned(pr, s.packed[qi], &c.db.lay.pageFormat, p, acc)
+				var cp, cs, ps int
+				acc, cp, cs, ps = cache.scanPinned(pr, s.packed[qi], &c.db.lay.pageFormat, p, acc)
 				st.CachedPages += cp
 				st.CachedSlots += cs
+				st.PrunedSlots += ps
 			}
 			if !last {
 				feedTracker(&s.trackers[qi], acc[mark:], tomb)

@@ -92,7 +92,8 @@ type QueryStats struct {
 	AbortedWaves int
 	// PrunedSlots counts slots whose distance was computed but whose
 	// TTL transfer the threshold suppressed (they could not enter the
-	// rerank pool); disjoint from Survivors.
+	// rerank pool); disjoint from Survivors. A pinned slot the
+	// controller's scan drops at the bound counts the same way.
 	PrunedSlots int
 	// CachedPages/CachedSlots count pages and slots scanned from the
 	// DRAM hot-cluster cache instead of flash. They are NOT folded into

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 )
 
@@ -117,12 +118,52 @@ func FuzzXorPopCountPattern(f *testing.F) {
 // boundary comparisons are exercised and not only far-off bounds. The
 // committed seed corpus (testdata/fuzz) covers ragged dims, signed
 // zeros and a bound equal to the distance.
+//
+// The margin seeds put the bound one float either side of the serial
+// sum at dims 15, 16, 17, 256 and 1024 on vectors whose serial and
+// interleaved sums differ: a leading term of 1 absorbs every later
+// 2⁻²⁶ in the serial sum, while the other partial sums collect them, so
+// the interleaved sum lies above the bound just over the serial one. A
+// kernel that rejected on the interleaved sum without the rounding
+// margin fails them. Others cancel heavily (large, nearly equal
+// components) or carry subnormal, huge, infinite and NaN terms.
 func FuzzL2SquaredBelow(f *testing.F) {
 	f.Add(floatBytes(1, 2, 3, 4, 5), floatBytes(0.5, -2, 3.25, 0, 9), float32(10), uint8(0))
 	f.Add(floatBytes(0, float32(math.Copysign(0, -1)), 0), floatBytes(float32(math.Copysign(0, -1)), 0, 0), float32(0), uint8(1))
 	f.Add(bytes.Repeat(floatBytes(0.25, -0.75, 1.5), 23), bytes.Repeat(floatBytes(-0.5, 0.125, 1), 23), float32(1), uint8(4))
 	f.Add(floatBytes(3e19, 1), floatBytes(-3e19, 0), float32(math.Inf(1)), uint8(0))
 	f.Add(floatBytes(float32(math.NaN()), 1), floatBytes(0, 1), float32(5), uint8(0))
+	for _, n := range []int{15, 16, 17, 256, 1024} {
+		absorb := make([]float32, n)
+		absorb[0] = 1
+		for i := 1; i < n; i++ {
+			absorb[i] = 0x1p-13 // its square, 2⁻²⁶, is under half an ulp of 1
+		}
+		cancel, near := make([]float32, n), make([]float32, n)
+		for i := range cancel {
+			cancel[i] = 1e6 + float32(i%7)*0.0625
+			near[i] = math.Nextafter32(cancel[i], float32(i%3)-1)
+		}
+		for _, pick := range []uint8{2, 3} { // one float above, one below
+			f.Add(floatBytes(absorb...), floatBytes(make([]float32, n)...), float32(0), pick)
+			f.Add(floatBytes(cancel...), floatBytes(near...), float32(0), pick)
+		}
+	}
+	tiny, huge := make([]float32, 64), make([]float32, 64)
+	for i := range tiny {
+		tiny[i] = float32(i) * 0x1p-70 // squares underflow to subnormals or zero
+		huge[i] = float32(i%5) * 4e18  // squares near the top of the range; the sum overflows
+	}
+	f.Add(floatBytes(tiny...), floatBytes(make([]float32, 64)...), float32(0), uint8(2))
+	f.Add(floatBytes(tiny...), floatBytes(make([]float32, 64)...), float32(0), uint8(3))
+	f.Add(floatBytes(huge...), floatBytes(make([]float32, 64)...), float32(0), uint8(3))
+	f.Add(floatBytes(huge...), floatBytes(make([]float32, 64)...), float32(math.MaxFloat32), uint8(0))
+	inf := slices.Clone(huge)
+	inf[40] = float32(math.Inf(-1))
+	f.Add(floatBytes(inf...), floatBytes(make([]float32, 64)...), float32(math.MaxFloat32), uint8(0))
+	nan := slices.Clone(tiny)
+	nan[33] = float32(math.NaN())
+	f.Add(floatBytes(nan...), floatBytes(make([]float32, 64)...), float32(1), uint8(0))
 	f.Fuzz(func(t *testing.T, ab, bb []byte, bound float32, pick uint8) {
 		n := min(len(ab), len(bb)) / 4
 		a, b := make([]float32, n), make([]float32, n)

@@ -25,8 +25,11 @@ import (
 // binary-quantized vector of dim dimensions.
 func WordsPerVector(dim int) int { return (dim + 63) / 64 }
 
-// L2Squared returns the squared Euclidean distance between a and b.
-// It panics if the lengths differ.
+// L2Squared returns the squared Euclidean distance between a and b,
+// summing the terms in index order. Each term is rounded to float32
+// before it is added (the explicit conversion forbids a fused
+// multiply-add), so every summation order in this package adds the same
+// terms. It panics if the lengths differ.
 func L2Squared(a, b []float32) float32 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: L2Squared dimension mismatch %d != %d", len(a), len(b)))
@@ -34,40 +37,71 @@ func L2Squared(a, b []float32) float32 {
 	var sum float32
 	for i := range a {
 		d := a[i] - b[i]
-		sum += d * d
+		sum += float32(d * d)
 	}
 	return sum
 }
 
+// L2Margin returns γ = (n+2)u/(1−(n+2)u), u = 2⁻²⁴: the relative error
+// bound (Higham, "Accuracy and Stability of Numerical Algorithms", Lemma
+// 3.1) on a float32 squared distance over n dimensions, summed in any
+// order, against the exact one: each term carries the rounding of one
+// subtraction and one product, and a sum of n non-negative terms at most
+// n−1 roundings. A term that underflows is off by at most 2⁻¹⁵⁰ more,
+// which the callers cover with an absolute n·2⁻¹⁴⁹. It returns +Inf once
+// (n+2)u reaches 1/4, where the bound is useless.
+func L2Margin(n int) float64 {
+	nu := float64(n+2) * 0x1p-24
+	if nu >= 0.25 {
+		return math.Inf(1)
+	}
+	return nu / (1 - nu)
+}
+
 // l2CheckEvery is how many dimensions L2SquaredBelow sums between two
 // comparisons against its bound.
-const l2CheckEvery = 32
+const l2CheckEvery = 16
 
 // L2SquaredBelow is L2Squared for a caller that only wants distances
-// below bound. It sums the same terms in the same order as L2Squared,
-// so when the distance is below bound it returns the same bits and
-// true. Every l2CheckEvery dimensions it compares the partial sum with
-// bound and stops at the first one that reaches it, returning that
-// partial sum and false. Stopping is exact: every term is non-negative
-// and round-to-nearest addition of a non-negative term never decreases
-// a sum, so the full sum would not be below bound either. A NaN sum is
-// never below bound. It panics if the lengths differ.
+// below bound. It returns L2Squared's exact bits and true when that
+// distance is below bound, and false when it is not (it is >= bound, or
+// NaN), with a partial sum that callers must not read as the distance.
+//
+// It rejects on four interleaved partial sums of the same float32 terms
+// (independent add chains, not one serial one), checked every
+// l2CheckEvery dimensions, and gives a candidate it cannot reject the
+// serial sum. Rejection is proved, not guessed: both orders add the
+// same non-negative terms, so each lies within a factor 1±γ of their
+// exact sum T (γ = L2Margin(n) covers the n−1 additions), the partial
+// sum P of a prefix is at most (1+γ)T and the serial sum S at least
+// (1−γ)T. P ≥ bound·(1+γ)/(1−γ) therefore implies S ≥ bound; the
+// comparison runs in float64 against bound·(1+4γ), which is larger. A
+// partial sum that overflowed proves nothing and is never used to
+// reject. It panics if the lengths differ.
 func L2SquaredBelow(a, b []float32, bound float32) (float32, bool) {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("vecmath: L2SquaredBelow dimension mismatch %d != %d", len(a), len(b)))
 	}
-	var sum float32
-	for lo := 0; lo < len(a); lo += l2CheckEvery {
-		as := a[lo:min(lo+l2CheckEvery, len(a))]
-		bs := b[lo : lo+len(as)]
-		for i := range as {
-			d := as[i] - bs[i]
-			sum += d * d
+	reject := float64(bound) * (1 + 4*L2Margin(len(a)))
+	var s0, s1, s2, s3 float32
+	for lo := 0; lo+l2CheckEvery <= len(a); lo += l2CheckEvery {
+		as := (*[l2CheckEvery]float32)(a[lo:])
+		bs := (*[l2CheckEvery]float32)(b[lo:])
+		for j := 0; j < l2CheckEvery; j += 4 {
+			d0, d1, d2, d3 := as[j]-bs[j], as[j+1]-bs[j+1], as[j+2]-bs[j+2], as[j+3]-bs[j+3]
+			s0 += float32(d0 * d0)
+			s1 += float32(d1 * d1)
+			s2 += float32(d2 * d2)
+			s3 += float32(d3 * d3)
 		}
-		if sum >= bound {
-			return sum, false
+		if p := (s0 + s1) + (s2 + s3); float64(p) >= reject {
+			if p > math.MaxFloat32 {
+				break
+			}
+			return p, false
 		}
 	}
+	sum := L2Squared(a, b)
 	return sum, sum < bound
 }
 
@@ -115,15 +149,25 @@ func BinaryQuantize(v []float32, dst []uint64) []uint64 {
 		dst = make([]uint64, words)
 	}
 	dst = dst[:words]
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, x := range v {
-		if x > 0 {
-			dst[i>>6] |= 1 << uint(i&63)
+	for w := range dst {
+		// Shift each word's bits in from its last dimension down, so no
+		// shift count varies.
+		chunk := v[w*64 : min(w*64+64, len(v))]
+		var word uint64
+		for j := len(chunk) - 1; j >= 0; j-- {
+			word = word<<1 | positiveBit(chunk[j])
 		}
+		dst[w] = word
 	}
 	return dst
+}
+
+// positiveBit is 1 if x > 0 and 0 otherwise (NaN and ±0 included),
+// without a branch: x > 0 exactly when its bits minus one, as an
+// unsigned number, lie below those of +Inf (0x7F800000), so the
+// subtraction below borrows into bit 63.
+func positiveBit(x float32) uint64 {
+	return (uint64(math.Float32bits(x)-1) - 0x7F800000) >> 63
 }
 
 // Hamming returns the Hamming distance between two packed binary
@@ -278,10 +322,7 @@ func ComputeInt8Params(sample [][]float32) Int8Params {
 	var maxAbs float32
 	for _, v := range sample {
 		for _, x := range v {
-			a := x
-			if a < 0 {
-				a = -a
-			}
+			a := math.Float32frombits(math.Float32bits(x) &^ (1 << 31)) // |x|, NaN stays NaN
 			if a > maxAbs {
 				maxAbs = a
 			}

@@ -89,6 +89,30 @@ func TestBinaryQuantizeSigns(t *testing.T) {
 	if q[0] != want {
 		t.Fatalf("BinaryQuantize = %b, want %b", q[0], want)
 	}
+
+	// Every special value and random bit patterns, over a ragged length
+	// and into a dirty buffer: bit i is set iff v[i] > 0.
+	special := []float32{
+		0, float32(math.Copysign(0, -1)), math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
+		math.MaxFloat32, -math.MaxFloat32, float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0x7FC00000), math.Float32frombits(0xFFC00000), // ±NaN
+		math.Float32frombits(0x7F800001), math.Float32frombits(0xFF800001),
+	}
+	r := xrand.New(12)
+	v = append([]float32(nil), special...)
+	for len(v) < 135 {
+		v = append(v, math.Float32frombits(uint32(r.Uint64())))
+	}
+	dirty := []uint64{^uint64(0), ^uint64(0), ^uint64(0)}
+	q = BinaryQuantize(v, dirty)
+	for i, x := range v {
+		if got := q[i>>6]>>(i&63)&1 == 1; got != (x > 0) {
+			t.Fatalf("v[%d] = %v (%#08x): bit %v, want %v", i, x, math.Float32bits(x), got, x > 0)
+		}
+	}
+	if q[2]>>(135-128) != 0 {
+		t.Fatalf("trailing bits not zero: %b", q[2])
+	}
 }
 
 func TestBinaryQuantizeTrailingBitsZero(t *testing.T) {
@@ -199,6 +223,21 @@ func TestComputeInt8ParamsZeroSample(t *testing.T) {
 	if p.Scale <= 0 {
 		t.Fatalf("scale = %v, want > 0", p.Scale)
 	}
+	// −0 is no larger than 0 and NaN never compares larger: both leave
+	// the scale to the other components.
+	nan, negZero := float32(math.NaN()), float32(math.Copysign(0, -1))
+	for _, c := range []struct {
+		sample [][]float32
+		want   float32
+	}{
+		{[][]float32{{negZero, nan}}, float32(1) / 127},
+		{[][]float32{{nan, -3}, {2, float32(math.Copysign(math.NaN(), -1))}}, float32(3) / 127},
+		{[][]float32{{float32(math.Inf(-1)), 1}}, float32(math.Inf(1))},
+	} {
+		if got := ComputeInt8Params(c.sample).Scale; got != c.want {
+			t.Fatalf("ComputeInt8Params(%v).Scale = %v, want %v", c.sample, got, c.want)
+		}
+	}
 }
 
 func TestL2SquaredInt8(t *testing.T) {
@@ -292,5 +331,14 @@ func BenchmarkHamming1024(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = Hamming(x, y)
+	}
+}
+
+func BenchmarkBinaryQuantize1024(b *testing.B) {
+	v := randVec(xrand.New(11), 1024)
+	dst := make([]uint64, WordsPerVector(len(v)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		BinaryQuantize(v, dst)
 	}
 }
