@@ -22,7 +22,7 @@ var stdlibMethods = map[string]bool{
 
 // exportAllowlist names exported declarations under internal/ that no
 // program names but that stay, each with its reason. Keys are
-// "pkg.Name" or "pkg.Recv.Name".
+// "pkg.Name", "pkg.Recv.Name" or, for a struct field, "pkg.Type.Field".
 var exportAllowlist = map[string]string{
 	"ann.NewBinaryFlat":            "reference implementation: internal/reis's cross-validation test checks the engine against it",
 	"ssd.Region.PlaneViews":        "reference: the allocation-free AppendPlaneSpans is checked against it",
@@ -41,9 +41,10 @@ var exportAllowlist = map[string]string{
 }
 
 // TestInternalExportsHaveCallers fails when an exported function,
-// method, package-level type, var or const declared under internal/ is
-// named nowhere outside its own declaration in a non-test file of this
-// module or of benchmark/. Only those two can import internal/, so such
+// method, package-level type, var or const, or exported field of an
+// exported struct type, declared under internal/ is named nowhere
+// outside its own declaration in a non-test file of this module or of
+// benchmark/. Only those two can import internal/, so such
 // a name has no caller and is dead surface. It also fails when an
 // exported var or const other than a sentinel error (Err...) is named
 // only inside its own package: nothing else reads it, so it needs no
@@ -108,7 +109,15 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 				for _, sp := range dd.Specs {
 					switch sp := sp.(type) {
 					case *ast.TypeSpec:
-						declare(sp.Name, f.Name.Name+"."+sp.Name.Name, false)
+						key := f.Name.Name + "." + sp.Name.Name
+						declare(sp.Name, key, false)
+						if st, ok := sp.Type.(*ast.StructType); ok && sp.Name.IsExported() {
+							for _, fld := range st.Fields.List {
+								for _, id := range fld.Names {
+									declare(id, key+"."+id.Name, false)
+								}
+							}
+						}
 					case *ast.ValueSpec:
 						for _, id := range sp.Names {
 							declare(id, f.Name.Name+"."+id.Name, !strings.HasPrefix(id.Name, "Err"))

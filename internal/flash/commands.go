@@ -5,10 +5,13 @@ import (
 	"math/bits"
 )
 
-// Opcode enumerates the NAND flash command-set extensions of Table 2,
-// plus the conventional read/program commands they extend. The die
-// control logic is a finite-state machine (Sec 4.4.2): commands arrive
-// from the controller and drive the peripheral logic.
+// Opcode enumerates the NAND flash commands the die control logic
+// executes: the Table 2 extensions REIS issues, plus the conventional
+// page read they extend. The die control logic is a finite-state machine
+// (Sec 4.4.2): commands arrive from the controller and drive the
+// peripheral logic. Table 2's XOR and GEN_DIST survive as the two halves
+// of one page-granular command, OpGenDistPage, and as its counters: one
+// Stats.LatchXORs and one Stats.BitCounts per slot of each wave.
 type Opcode int
 
 const (
@@ -18,19 +21,12 @@ const (
 	// OpIBC broadcasts a copy of the query embedding into the page
 	// buffer (Table 2: "IBC Q_EMB").
 	OpIBC
-	// opXOR performs the XOR between latches of a plane
-	// (Table 2: "XOR ADR_P").
-	opXOR
-	// opGenDist computes the distance for one database embedding slot
-	// (Table 2: "GEN_DIST EADR").
-	opGenDist
 	// OpGenDistPage computes the distances of a whole sensed page in
-	// one wave: a single latch-to-latch XOR followed by the fail-bit
-	// counter over every requested slot, written into a caller-provided
-	// distance buffer. It is the page-granular form of "GEN_DIST" —
-	// the hardware computes all slot distances of a page inside the
-	// plane in one command — and its stats/energy accounting is
-	// bit-identical to an opXOR followed by one opGenDist per slot.
+	// one wave: a single latch-to-latch XOR (Table 2: "XOR ADR_P")
+	// followed by the fail-bit counter over every requested slot
+	// (Table 2: "GEN_DIST EADR"), written into a caller-provided
+	// distance buffer — the hardware computes all slot distances of a
+	// page inside the plane in one command.
 	OpGenDistPage
 	// OpReadTTL transfers a TTL entry for an embedding to the SSD DRAM
 	// (Table 2: "RD_TTL EADR").
@@ -44,10 +40,6 @@ func (o Opcode) String() string {
 		return "READ_PAGE"
 	case OpIBC:
 		return "IBC"
-	case opXOR:
-		return "XOR"
-	case opGenDist:
-		return "GEN_DIST"
 	case OpGenDistPage:
 		return "GEN_DIST_PAGE"
 	case OpReadTTL:
@@ -60,9 +52,8 @@ func (o Opcode) String() string {
 // Command is one command issued to a die's control logic.
 type Command struct {
 	Op    Opcode
-	Addr  Address  // OpReadPage
-	Plane int      // opXOR, opGenDist, OpGenDistPage, OpReadTTL: global plane index
-	Mini  MiniPage // opGenDist, OpReadTTL; for OpGenDistPage, Mini.Slot is the first slot
+	Addr  Address // OpReadPage
+	Plane int     // OpGenDistPage, OpReadTTL: global plane index
 	// Query and SlotBytes apply to OpIBC. With a zero PlaneMask the
 	// command loads Plane's cache latch alone; a non-zero PlaneMask makes
 	// it the multi-plane broadcast to global die index Die (MPIBC,
@@ -77,11 +68,13 @@ type Command struct {
 	// EntryBytes applies to OpReadTTL: the size of the transferred TTL
 	// entry.
 	EntryBytes int
-	// Slots and Dists apply to OpGenDistPage: the number of slots to
-	// compute starting at Mini.Slot, and the caller-owned buffer the
-	// per-slot distances are written into (Dists[0:Slots]). The buffer
-	// is reused across commands — the die writes into it in place, so
-	// the controller never allocates on the scan path.
+	// Mini, Slots and Dists apply to OpGenDistPage: the first slot of
+	// the sensed page (a mini-page, Sec 4.3.2) and the number of slots to
+	// compute from it, and the caller-owned buffer the per-slot distances
+	// are written into (Dists[0:Slots]). The buffer is reused across
+	// commands — the die writes into it in place, so the controller never
+	// allocates on the scan path.
+	Mini  int
 	Slots int
 	Dists []int
 	// Bound applies to OpGenDistPage: the controller's current top-k
@@ -91,17 +84,15 @@ type Command struct {
 	Bound int
 }
 
-// DieFSM validates and executes Table 2 commands against a device.
-// It enforces the protocol ordering the die control logic requires:
-// GEN_DIST is only legal after an XOR on the same plane, and XOR is
-// only legal after both an IBC and a page read have populated the
-// latches.
+// DieFSM validates and executes commands against a device. It enforces
+// the protocol ordering the die control logic requires: GEN_DIST_PAGE is
+// only legal on a plane after both an IBC and a page read have populated
+// its cache and sensing latches.
 type DieFSM struct {
 	dev *Device
 	// per-plane protocol state
 	haveIBC  []bool
 	haveRead []bool
-	haveXOR  []bool
 }
 
 // NewDieFSM wraps dev with protocol checking.
@@ -111,82 +102,62 @@ func NewDieFSM(dev *Device) *DieFSM {
 		dev:      dev,
 		haveIBC:  make([]bool, n),
 		haveRead: make([]bool, n),
-		haveXOR:  make([]bool, n),
 	}
 }
 
-// Execute runs one command. For opGenDist it returns the computed
-// distance; other commands return 0.
-func (f *DieFSM) Execute(cmd Command) (int, error) {
+// Execute runs one command.
+func (f *DieFSM) Execute(cmd Command) error {
 	switch cmd.Op {
 	case OpReadPage:
 		if err := f.dev.ReadPage(cmd.Addr); err != nil {
-			return 0, err
+			return err
 		}
-		p := cmd.Addr.PlaneIndex(f.dev.Geo)
-		f.haveRead[p] = true
-		f.haveXOR[p] = false
-		return 0, nil
+		f.haveRead[cmd.Addr.PlaneIndex(f.dev.Geo)] = true
+		return nil
 	case OpIBC:
 		if cmd.PlaneMask != 0 {
 			if err := f.dev.LoadCacheDie(cmd.Die, cmd.PlaneMask, cmd.Query, cmd.SlotBytes, cmd.Held); err != nil {
-				return 0, err
+				return err
 			}
 			for m := cmd.PlaneMask; m != 0; m &= m - 1 {
-				p := f.dev.Geo.DiePlane(cmd.Die, bits.TrailingZeros64(m))
-				f.haveIBC[p] = true
-				f.haveXOR[p] = false
+				f.haveIBC[f.dev.Geo.DiePlane(cmd.Die, bits.TrailingZeros64(m))] = true
 			}
-			return 0, nil
-		}
-		if cmd.Plane < 0 || cmd.Plane >= f.dev.Geo.Planes() {
-			return 0, fmt.Errorf("flash: IBC invalid plane %d", cmd.Plane)
+			return nil
 		}
 		if err := f.dev.LoadCache(cmd.Plane, cmd.Query, cmd.SlotBytes); err != nil {
-			return 0, err
+			return err
 		}
 		f.haveIBC[cmd.Plane] = true
-		f.haveXOR[cmd.Plane] = false
-		return 0, nil
-	case opXOR:
-		if !f.haveIBC[cmd.Plane] {
-			return 0, fmt.Errorf("flash: XOR on plane %d before IBC", cmd.Plane)
-		}
-		if !f.haveRead[cmd.Plane] {
-			return 0, fmt.Errorf("flash: XOR on plane %d before page read", cmd.Plane)
-		}
-		if err := f.dev.XORLatches(cmd.Plane); err != nil {
-			return 0, err
-		}
-		f.haveXOR[cmd.Plane] = true
-		return 0, nil
-	case opGenDist:
-		if !f.haveXOR[cmd.Plane] {
-			return 0, fmt.Errorf("flash: GEN_DIST on plane %d before XOR", cmd.Plane)
-		}
-		return f.dev.CountSlotBits(cmd.Plane, cmd.SlotBytes, cmd.Mini.Slot)
+		return nil
 	case OpGenDistPage:
-		// The page-granular command fuses the XOR with the per-slot
-		// fail-bit counts, so it needs the same preconditions as XOR
-		// and leaves the plane in the post-XOR state.
+		if err := f.checkPlane(cmd); err != nil {
+			return err
+		}
 		if !f.haveIBC[cmd.Plane] {
-			return 0, fmt.Errorf("flash: GEN_DIST_PAGE on plane %d before IBC", cmd.Plane)
+			return fmt.Errorf("flash: GEN_DIST_PAGE on plane %d before IBC", cmd.Plane)
 		}
 		if !f.haveRead[cmd.Plane] {
-			return 0, fmt.Errorf("flash: GEN_DIST_PAGE on plane %d before page read", cmd.Plane)
+			return fmt.Errorf("flash: GEN_DIST_PAGE on plane %d before page read", cmd.Plane)
 		}
-		if err := f.dev.GenDistPage(cmd.Plane, cmd.SlotBytes, cmd.Mini.Slot, cmd.Slots, cmd.Dists, cmd.Bound); err != nil {
-			return 0, err
-		}
-		f.haveXOR[cmd.Plane] = true
-		return cmd.Slots, nil
+		return f.dev.GenDistPage(cmd.Plane, cmd.SlotBytes, cmd.Mini, cmd.Slots, cmd.Dists, cmd.Bound)
 	case OpReadTTL:
 		if cmd.EntryBytes <= 0 {
-			return 0, fmt.Errorf("flash: RD_TTL with non-positive entry size")
+			return fmt.Errorf("flash: RD_TTL with non-positive entry size")
+		}
+		if err := f.checkPlane(cmd); err != nil {
+			return err
 		}
 		f.dev.TransferOut(cmd.Plane, cmd.EntryBytes)
-		return 0, nil
+		return nil
 	default:
-		return 0, fmt.Errorf("flash: unknown opcode %d", cmd.Op)
+		return fmt.Errorf("flash: unknown opcode %d", cmd.Op)
 	}
+}
+
+// checkPlane refuses a command naming a plane outside the device.
+func (f *DieFSM) checkPlane(cmd Command) error {
+	if cmd.Plane < 0 || cmd.Plane >= len(f.haveIBC) {
+		return fmt.Errorf("flash: %v on invalid plane %d", cmd.Op, cmd.Plane)
+	}
+	return nil
 }

@@ -78,11 +78,6 @@ type Device struct {
 	// no device lock.
 	eraseCount [][]atomic.Int64
 
-	// ECCBypass disables error injection entirely; REIS relies on
-	// SLC-ESP having zero raw BER instead, so this stays false in the
-	// evaluated configurations.
-	ECCBypass bool
-
 	Stats Stats
 	// rng drives raw-bit-error injection; rngMu serializes draws so
 	// concurrent TLC reads on different planes stay race-free. flipSet (one
@@ -101,13 +96,14 @@ type Device struct {
 }
 
 // Plane models one flash plane: its programmed pages (lazily
-// allocated) and the three latches of its page buffer (Sec 2.3 items
-// 10-12), each PageBytes+OOBBytes wide: a page read loads OOB alongside
-// user data (Sec 4.1.3). The simulator holds no latch as bytes of its
-// own. The sensing latch is a view of the sensed page; the cache latch
-// is the broadcast pattern it holds copies of; the data latch records
-// the sensing view and the pattern it is the XOR of. latches
-// materializes their bytes.
+// allocated) and the two latches of its page buffer (Sec 2.3 items
+// 10-12) that commands read, each PageBytes+OOBBytes wide: a page read
+// loads OOB alongside user data (Sec 4.1.3). The simulator holds no
+// latch as bytes of its own. The sensing latch is a view of the sensed
+// page; the cache latch is the broadcast pattern it holds copies of.
+// The third latch, the data latch, receives GEN_DIST_PAGE's XOR, which
+// the same command counts and no later one reads, so it is not modeled.
+// latches materializes the two latches' bytes.
 // The mutex guards the map and the latch state; every Device per-plane
 // operation takes it, so concurrent operations on distinct planes never
 // share mutable state.
@@ -121,12 +117,11 @@ type Plane struct {
 	// sensing is the sensing latch: a programmed page's own bytes (read
 	// only), the device's erased or zero page, or noisy.
 	sensing programmed
-	// noisy holds a sense with raw bit errors (a nonzero-BER cell mode
-	// without ECCBypass): the page copied and its flips applied.
-	// Allocated on the first such sense.
+	// noisy holds a sense with raw bit errors (a nonzero-BER cell
+	// mode): the page copied and its flips applied. Allocated on the
+	// first such sense.
 	noisy []byte
 	cache cacheLatch
-	data  dataLatch
 
 	// senses counts the plane's page senses by cell mode; Senses reads it.
 	senses [3]int64
@@ -209,51 +204,17 @@ func (c *cacheLatch) fill(latch []byte, pageBytes int) {
 	}
 }
 
-// dataLatch is the data latch: sens XOR cache over the user data and
-// sens's OOB passed through — what the last latch XOR on the plane
-// computed, with cache the pattern copied at that XOR. Before the first
-// XOR it is the zero page XOR an empty cache: all zeros. When built is
-// set, buf holds the latch's bytes instead and the other fields are
-// stale.
-type dataLatch struct {
-	sens  programmed
-	cache cacheLatch
-	buf   []byte
-	built bool
-}
-
-// slotCount is the fail-bit count over the latch bytes [lo, hi) of the
-// user data.
-func (dl *dataLatch) slotCount(pageBytes, lo, hi int) int {
-	if dl.built {
-		return vecmath.PopCountBytes(dl.buf[lo:hi])
-	}
-	return dl.cache.xorCount(dl.sens.data, pageBytes, lo, hi)
-}
-
-// fill writes the latch's bytes into latch (PageBytes+OOBBytes).
-func (dl *dataLatch) fill(latch []byte, pageBytes int) {
-	if dl.built {
-		copy(latch, dl.buf)
-		return
-	}
-	dl.cache.fill(latch, pageBytes)
-	vecmath.XorBytes(latch[:pageBytes], latch[:pageBytes], dl.sens.data)
-	copy(latch[pageBytes:], dl.sens.oob)
-}
-
-// latches materializes the plane's three latches, fresh copies the
-// caller owns.
-func (p *Plane) latches() (sensing, data, cache []byte) {
+// latches materializes the plane's sensing and cache latches, fresh
+// copies the caller owns.
+func (p *Plane) latches() (sensing, cache []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	n := p.geo.PageBytes + p.geo.OOBBytes
-	sensing, data, cache = make([]byte, n), make([]byte, n), make([]byte, n)
+	sensing, cache = make([]byte, n), make([]byte, n)
 	copy(sensing, p.sensing.data)
 	copy(sensing[p.geo.PageBytes:], p.sensing.oob)
-	p.data.fill(data, p.geo.PageBytes)
 	p.cache.fill(cache, p.geo.PageBytes)
-	return sensing, data, cache
+	return sensing, cache
 }
 
 // NewDevice allocates a device with the given geometry and parameters.
@@ -280,7 +241,6 @@ func NewDevice(geo Geometry, params Params) (*Device, error) {
 			geo:     geo,
 			pages:   make(map[int]programmed),
 			sensing: d.zero,
-			data:    dataLatch{sens: d.zero},
 		}
 	}
 	d.blockMode = make([][]CellMode, geo.Planes())
@@ -391,11 +351,11 @@ func (d *Device) MaxEraseCount() int64 {
 }
 
 // ReadPage senses a page (user data + OOB) into the plane's sensing
-// latch. If the block's cell mode has a nonzero raw BER and ECCBypass
-// is false, errors are injected into the latch contents, modeling what
-// in-plane computation would see without controller ECC. Otherwise the
-// latch is a view of the page's programmed bytes, or of the device's
-// erased page: nothing is copied.
+// latch. If the block's cell mode has a nonzero raw BER, errors are
+// injected into the latch contents, modeling what in-plane computation
+// would see without controller ECC. Otherwise the latch is a view of the
+// page's programmed bytes, or of the device's erased page: nothing is
+// copied.
 func (d *Device) ReadPage(a Address) error {
 	if !a.Valid(d.Geo) {
 		return fmt.Errorf("flash: ReadPage invalid address %v", a)
@@ -406,7 +366,7 @@ func (d *Device) ReadPage(a Address) error {
 	switch ber := d.Params.RawBER(d.BlockMode(a)); {
 	case !ok:
 		pl.sensing = d.erased
-	case ber <= 0 || d.ECCBypass:
+	case ber <= 0:
 		pl.sensing = page
 	default:
 		pl.senseNoisy(page)
@@ -419,19 +379,10 @@ func (d *Device) ReadPage(a Address) error {
 
 // senseNoisy copies page into the plane's private sensing buffer and
 // makes the sensing latch a view of it, for the caller to flip bits in.
-// A data latch that still refers to the buffer's earlier contents gets
-// its bytes built first.
 func (p *Plane) senseNoisy(page programmed) {
 	n := p.geo.PageBytes
 	if p.noisy == nil {
 		p.noisy = make([]byte, n+p.geo.OOBBytes)
-	}
-	if dl := &p.data; !dl.built && &dl.sens.data[0] == &p.noisy[0] {
-		if dl.buf == nil {
-			dl.buf = make([]byte, len(p.noisy))
-		}
-		dl.fill(dl.buf, n)
-		dl.built = true
 	}
 	copy(p.noisy, page.data)
 	copy(p.noisy[n:], page.oob)
@@ -452,7 +403,7 @@ func (d *Device) countRead(a Address, pl *Plane) {
 // how many bits they leave wrong (see injectErrors).
 func (d *Device) rawErrors(a Address) int {
 	ber := d.Params.RawBER(d.BlockMode(a))
-	if ber <= 0 || d.ECCBypass {
+	if ber <= 0 {
 		return 0
 	}
 	return d.injectErrors(nil, ber)
@@ -667,59 +618,14 @@ func (d *Device) fillCache(planeIdx int, pattern []byte, slotBytes int) {
 	pl.mu.Unlock()
 }
 
-// xorLatches makes the plane's data latch Sensing XOR Cache over the
-// user data, with the OOB passed through. The caller holds pl.mu.
-func (pl *Plane) xorLatches() {
-	pl.data.sens = pl.sensing
-	pl.data.cache.load(pl.cache.pat, pl.cache.slot)
-	pl.data.built = false
-}
-
-// XORLatches computes Data = Sensing XOR Cache over the user-data
-// region of the plane's latches (Table 2 "XOR"). OOB bytes are copied
-// through unchanged so linkage metadata stays readable.
-func (d *Device) XORLatches(planeIdx int) error {
-	if planeIdx < 0 || planeIdx >= len(d.planes) {
-		return fmt.Errorf("flash: XORLatches invalid plane %d", planeIdx)
-	}
-	pl := d.planes[planeIdx]
-	pl.mu.Lock()
-	pl.xorLatches()
-	pl.mu.Unlock()
-	d.Stats.LatchXORs.Add(1)
-	return nil
-}
-
-// CountSlotBits runs the fail-bit counter over one slot of the data
-// latch, returning the popcount — the Hamming distance when the cache
-// held the query and the sensing latch held database embeddings
-// (Table 2 "GEN_DIST").
-func (d *Device) CountSlotBits(planeIdx, slotBytes, slot int) (int, error) {
-	if planeIdx < 0 || planeIdx >= len(d.planes) {
-		return 0, fmt.Errorf("flash: CountSlotBits invalid plane %d", planeIdx)
-	}
-	lo := slot * slotBytes
-	hi := lo + slotBytes
-	if lo < 0 || hi > d.Geo.PageBytes {
-		return 0, fmt.Errorf("flash: CountSlotBits slot %d out of page", slot)
-	}
-	pl := d.planes[planeIdx]
-	pl.mu.Lock()
-	n := pl.data.slotCount(d.Geo.PageBytes, lo, hi)
-	pl.mu.Unlock()
-	d.Stats.BitCounts.Add(1)
-	return n, nil
-}
-
 // GenDistPage executes the page-granular distance wave (GEN_DIST_PAGE):
-// one latch-to-latch XOR over the user-data region fused with the
-// fail-bit counter over nSlots slots starting at firstSlot, writing the
-// per-slot popcounts into dists[0:nSlots]. The data latch ends up with
-// exactly the contents XORLatches would leave (OOB copied through), and
-// the stats accounting — one latch XOR plus nSlots bit counts — is
-// identical to XORLatches followed by nSlots CountSlotBits calls. Only
-// the requested slots are computed: where the cache latch's slots are
-// the wave's, each distance is popcount(slot XOR pattern).
+// one XOR of the sensing and cache latches over the user-data region
+// fused with the fail-bit counter over nSlots slots starting at
+// firstSlot, writing the per-slot popcounts into dists[0:nSlots] and
+// counting one latch XOR plus nSlots bit counts (Table 2's XOR and
+// GEN_DIST). Only the requested slots are computed: where the cache
+// latch's slots are the wave's, each distance is popcount(slot XOR
+// pattern); at another width the wave walks the pattern's slots.
 //
 // bound > 0 carries the controller's current top-k pruning threshold
 // into the plane: the distances are computed (and written) exactly as
@@ -740,12 +646,11 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	}
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	pl.xorLatches()
-	if dl := &pl.data; dl.cache.slot == slotBytes {
-		vecmath.XorPopCountPattern(dl.sens.data, dl.cache.pat, slotBytes, firstSlot, nSlots, dists)
+	if pl.cache.slot == slotBytes {
+		vecmath.XorPopCountPattern(pl.sensing.data, pl.cache.pat, slotBytes, firstSlot, nSlots, dists)
 	} else {
 		for s := range nSlots {
-			dists[s] = dl.slotCount(d.Geo.PageBytes, lo+s*slotBytes, lo+(s+1)*slotBytes)
+			dists[s] = pl.cache.xorCount(pl.sensing.data, d.Geo.PageBytes, lo+s*slotBytes, lo+(s+1)*slotBytes)
 		}
 	}
 	pl.distWaves++

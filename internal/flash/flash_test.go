@@ -247,7 +247,7 @@ func TestTLCLatchPathSeesRawErrors(t *testing.T) {
 		if err := d.ReadPage(a); err != nil {
 			t.Fatal(err)
 		}
-		sensing, _, _ := d.planes[plane].latches()
+		sensing, _ := d.planes[plane].latches()
 		for _, b := range sensing[:2048] {
 			flips += bits.OnesCount8(b)
 		}
@@ -284,34 +284,13 @@ func TestTLCControllerPathIsECCCorrected(t *testing.T) {
 	}
 }
 
-func TestECCBypassSuppressesErrors(t *testing.T) {
-	d := testDevice(t)
-	d.ECCBypass = true
-	a := Address{Block: 0, Page: 0}
-	payload := make([]byte, 512)
-	if err := d.Program(a, payload, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		data, _, err := d.ReadPageInto(a, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, b := range data[:512] {
-			if b != 0 {
-				t.Fatal("bypass still injected errors")
-			}
-		}
-	}
-}
-
 func TestIBCFillsAllSlots(t *testing.T) {
 	d := testDevice(t)
 	pattern := []byte{0xDE, 0xAD}
 	if err := d.LoadCache(3, pattern, 4); err != nil {
 		t.Fatal(err)
 	}
-	_, _, cache := d.Plane(3).latches()
+	_, cache := d.Plane(3).latches()
 	for off := 0; off+4 <= d.Geo.PageBytes; off += 4 {
 		if cache[off] != 0xDE || cache[off+1] != 0xAD {
 			t.Fatalf("slot at %d not filled", off)
@@ -326,8 +305,9 @@ func TestIBCFillsAllSlots(t *testing.T) {
 }
 
 func TestXORComputesHammingDistance(t *testing.T) {
-	// End-to-end latch flow: program two binary embeddings into a
-	// page, IBC a query, XOR, fail-bit count each slot — result must
+	// End-to-end latch flow through the FSM: program two binary
+	// embeddings into a page, IBC a query, sense, and one GEN_DIST_PAGE
+	// wave (XOR and fail-bit count of each slot) — each distance must
 	// equal vecmath.Hamming.
 	d := testDevice(t)
 	r := xrand.New(2)
@@ -357,47 +337,33 @@ func TestXORComputesHammingDistance(t *testing.T) {
 	}
 
 	plane := a.PlaneIndex(d.Geo)
-	if err := d.LoadCache(plane, vecmath.PackBinaryBytes(qc, nil), slotBytes); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadPage(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.XORLatches(plane); err != nil {
-		t.Fatal(err)
-	}
-	d0, err := d.CountSlotBits(plane, slotBytes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1, err := d.CountSlotBits(plane, slotBytes, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d0 != vecmath.Hamming(qc, c0) {
+	fsm := NewDieFSM(d)
+	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: vecmath.PackBinaryBytes(qc, nil), SlotBytes: slotBytes})
+	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
+	dists := make([]int, 2)
+	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes, Slots: 2, Dists: dists})
+	if d0 := dists[0]; d0 != vecmath.Hamming(qc, c0) {
 		t.Fatalf("slot 0 distance %d != %d", d0, vecmath.Hamming(qc, c0))
 	}
-	if d1 != vecmath.Hamming(qc, c1) {
+	if d1 := dists[1]; d1 != vecmath.Hamming(qc, c1) {
 		t.Fatalf("slot 1 distance %d != %d", d1, vecmath.Hamming(qc, c1))
 	}
 }
 
 func TestXORPreservesOOB(t *testing.T) {
+	// GEN_DIST_PAGE's latch XOR reads the sensing latch without writing
+	// it: the page's OOB bytes still read back as programmed after a
+	// wave.
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0}
 	if err := d.Program(a, []byte{0xFF}, []byte{0x42, 0x43}); err != nil {
 		t.Fatal(err)
 	}
 	plane := a.PlaneIndex(d.Geo)
-	if err := d.LoadCache(plane, []byte{0xFF}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.ReadPage(a); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.XORLatches(plane); err != nil {
-		t.Fatal(err)
-	}
+	fsm := NewDieFSM(d)
+	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xFF}, SlotBytes: 1})
+	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
+	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 1, Slots: 4, Dists: make([]int, 4)})
 	oob, err := d.ReadOOB(plane, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -473,62 +439,68 @@ func TestCommandSetProtocolOrdering(t *testing.T) {
 	d := testDevice(t)
 	fsm := NewDieFSM(d)
 	a := Address{Block: 0, Page: 0}
-	if err := d.Program(a, []byte{1, 2, 3, 4}, nil); err != nil {
+	query := []byte{1, 2, 3, 4}
+	if err := d.Program(a, query, nil); err != nil {
 		t.Fatal(err)
 	}
 	plane := a.PlaneIndex(d.Geo)
+	dists := make([]int, 1)
 
-	// XOR before IBC must fail.
-	if _, err := fsm.Execute(Command{Op: opXOR, Plane: plane}); err == nil {
-		t.Fatal("XOR before IBC accepted")
+	// GEN_DIST_PAGE before IBC must fail.
+	if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists}); err == nil {
+		t.Fatal("GEN_DIST_PAGE before IBC accepted")
 	}
-	// GEN_DIST before XOR must fail.
-	if _, err := fsm.Execute(Command{Op: opGenDist, Plane: plane, SlotBytes: 4}); err == nil {
-		t.Fatal("GEN_DIST before XOR accepted")
+	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: query, SlotBytes: 4})
+	// GEN_DIST_PAGE before a page read must fail.
+	if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists}); err == nil {
+		t.Fatal("GEN_DIST_PAGE before page read accepted")
 	}
 	// Proper sequence.
-	if _, err := fsm.Execute(Command{Op: OpIBC, Plane: plane, Query: []byte{1, 2, 3, 4}, SlotBytes: 4}); err != nil {
-		t.Fatal(err)
+	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
+	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists})
+	if dists[0] != 0 { // page data equals query -> zero distance
+		t.Fatalf("self distance = %d", dists[0])
 	}
-	if _, err := fsm.Execute(Command{Op: OpReadPage, Addr: a}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fsm.Execute(Command{Op: opXOR, Plane: plane}); err != nil {
-		t.Fatal(err)
-	}
-	dist, err := fsm.Execute(Command{Op: opGenDist, Plane: plane, SlotBytes: 4, Mini: MiniPage{Slot: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dist != 0 { // page data equals query -> zero distance
-		t.Fatalf("self distance = %d", dist)
-	}
-	if _, err := fsm.Execute(Command{Op: OpReadTTL, Plane: plane, EntryBytes: 16}); err != nil {
-		t.Fatal(err)
+	mustExec(t, fsm, Command{Op: OpReadTTL, Plane: plane, EntryBytes: 16})
+	if out := d.Stats.TotalBytesOut(); out != 16 {
+		t.Fatalf("RD_TTL moved %d bytes, want 16", out)
 	}
 }
 
 func TestCommandSetReadInvalidatesXOR(t *testing.T) {
+	// A new page read replaces what the next wave XORs against: the
+	// distances after it are the new page's, not the old sense's.
 	d := testDevice(t)
 	fsm := NewDieFSM(d)
 	a := Address{Block: 0, Page: 0}
+	b := Address{Block: 0, Page: 1}
+	if err := d.SetBlockMode(a, ModeSLCESP); err != nil {
+		t.Fatal(err)
+	}
 	if err := d.Program(a, []byte{0xF0, 0, 0, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
+	if err := d.Program(b, []byte{0x0F, 0, 0, 0}, nil); err != nil {
+		t.Fatal(err)
+	}
 	plane := a.PlaneIndex(d.Geo)
+	dists := make([]int, 1)
 	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xF0}, SlotBytes: 4})
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	mustExec(t, fsm, Command{Op: opXOR, Plane: plane})
-	// A new page read invalidates the XOR result.
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	if _, err := fsm.Execute(Command{Op: opGenDist, Plane: plane, SlotBytes: 4}); err == nil {
-		t.Fatal("GEN_DIST after stale XOR accepted")
+	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists})
+	if dists[0] != 0 {
+		t.Fatalf("distance to page a = %d, want 0", dists[0])
+	}
+	mustExec(t, fsm, Command{Op: OpReadPage, Addr: b})
+	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists})
+	if dists[0] != 8 {
+		t.Fatalf("distance after re-read = %d, want page b's 8", dists[0])
 	}
 }
 
 func mustExec(t *testing.T, fsm *DieFSM, cmd Command) {
 	t.Helper()
-	if _, err := fsm.Execute(cmd); err != nil {
+	if err := fsm.Execute(cmd); err != nil {
 		t.Fatalf("%v: %v", cmd.Op, err)
 	}
 }
@@ -536,18 +508,35 @@ func mustExec(t *testing.T, fsm *DieFSM, cmd Command) {
 func TestCommandSetRejectsUnknown(t *testing.T) {
 	d := testDevice(t)
 	fsm := NewDieFSM(d)
-	if _, err := fsm.Execute(Command{Op: Opcode(99)}); err == nil {
+	if err := fsm.Execute(Command{Op: Opcode(99)}); err == nil {
 		t.Fatal("unknown opcode accepted")
 	}
-	if _, err := fsm.Execute(Command{Op: OpReadTTL, Plane: 0, EntryBytes: 0}); err == nil {
+	if err := fsm.Execute(Command{Op: OpReadTTL, Plane: 0, EntryBytes: 0}); err == nil {
 		t.Fatal("RD_TTL with zero entry accepted")
+	}
+}
+
+func TestCommandSetRejectsPlaneOutOfRange(t *testing.T) {
+	d := testDevice(t)
+	fsm := NewDieFSM(d)
+	before := d.Stats.TotalBytesOut()
+	for _, plane := range []int{-1, d.Geo.Planes()} {
+		if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: make([]int, 1)}); err == nil {
+			t.Errorf("GEN_DIST_PAGE on plane %d accepted", plane)
+		}
+		if err := fsm.Execute(Command{Op: OpReadTTL, Plane: plane, EntryBytes: 16}); err == nil {
+			t.Errorf("RD_TTL on plane %d accepted", plane)
+		}
+	}
+	if out := d.Stats.TotalBytesOut(); out != before {
+		t.Fatalf("refused RD_TTLs moved %d bytes", out-before)
 	}
 }
 
 func TestOpcodeStrings(t *testing.T) {
 	for op, want := range map[Opcode]string{
-		OpReadPage: "READ_PAGE", OpIBC: "IBC", opXOR: "XOR",
-		opGenDist: "GEN_DIST", OpReadTTL: "RD_TTL",
+		OpReadPage: "READ_PAGE", OpIBC: "IBC", OpGenDistPage: "GEN_DIST_PAGE",
+		OpReadTTL: "RD_TTL", Opcode(99): "UNKNOWN",
 	} {
 		if op.String() != want {
 			t.Errorf("%d.String() = %s", op, op.String())
@@ -583,7 +572,7 @@ func TestReadPageFillsSensingLatch(t *testing.T) {
 	if err := d.ReadPage(a); err != nil {
 		t.Fatal(err)
 	}
-	sensing, _, _ := d.planes[a.PlaneIndex(d.Geo)].latches()
+	sensing, _ := d.planes[a.PlaneIndex(d.Geo)].latches()
 	if s1 := sensing[8:16]; !bytes.Equal(s1, page[8:]) {
 		t.Fatalf("slot 1 = %x", s1)
 	}
@@ -608,7 +597,7 @@ func TestIBCLoadCountsALatch(t *testing.T) {
 // die's channel that fills the cache latches of the planes it names and
 // no others — an unnamed plane keeps the different pattern it held
 // before; a held broadcast fills without counting; the FSM lets only the
-// named planes go on to XOR.
+// named planes go on to GEN_DIST_PAGE.
 func TestIBCDieBroadcast(t *testing.T) {
 	d := testDevice(t)
 	g := d.Geo
@@ -618,7 +607,7 @@ func TestIBCDieBroadcast(t *testing.T) {
 	if g.ChannelOf(p0) != 1 || g.ChannelOf(p1) != 1 || g.DieOf(p1) != die || p0 == p1 {
 		t.Fatalf("die %d planes %d, %d", die, p0, p1)
 	}
-	cacheOf := func(p int) []byte { _, _, c := d.Plane(p).latches(); return c }
+	cacheOf := func(p int) []byte { _, c := d.Plane(p).latches(); return c }
 	for _, p := range []int{p0, p1} {
 		mustExec(t, fsm, Command{Op: OpIBC, Plane: p, Query: []byte{0xFF, 0xFF}, SlotBytes: 2})
 	}
@@ -651,15 +640,15 @@ func TestIBCDieBroadcast(t *testing.T) {
 		t.Fatalf("plane %d != %d", other, a.PlaneIndex(g))
 	}
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	if _, err := fsm.Execute(Command{Op: opXOR, Plane: other}); err == nil {
-		t.Fatal("XOR accepted on a plane no broadcast named")
+	if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: other, SlotBytes: 2, Slots: 1, Dists: make([]int, 1)}); err == nil {
+		t.Fatal("GEN_DIST_PAGE accepted on a plane no broadcast named")
 	}
 	for _, bad := range []Command{
 		{Op: OpIBC, Die: g.Dies(), PlaneMask: 1, Query: []byte{1}, SlotBytes: 2},
 		{Op: OpIBC, Die: 0, PlaneMask: 1 << uint(g.PlanesPerDie), Query: []byte{1}, SlotBytes: 2},
 		{Op: OpIBC, Die: 0, PlaneMask: 1, Query: []byte{1, 2, 3}, SlotBytes: 2},
 	} {
-		if _, err := fsm.Execute(bad); err == nil {
+		if err := fsm.Execute(bad); err == nil {
 			t.Fatalf("accepted %+v", bad)
 		}
 	}

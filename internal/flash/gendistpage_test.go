@@ -2,6 +2,8 @@ package flash
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"reis/internal/xrand"
@@ -9,8 +11,8 @@ import (
 
 // pageEquivSetup builds a device with deterministic slot data in page
 // (block 0, page 0) of plane 0 and runs IBC + page read through a FSM,
-// returning both.
-func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieFSM, Address) {
+// returning both and the page's programmed data and OOB.
+func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieFSM, Address, []byte, []byte) {
 	t.Helper()
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0}
@@ -31,13 +33,9 @@ func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieF
 	}
 	f := NewDieFSM(d)
 	plane := a.PlaneIndex(d.Geo)
-	if _, err := f.Execute(Command{Op: OpIBC, Plane: plane, Query: pattern, SlotBytes: slotBytes}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Execute(Command{Op: OpReadPage, Addr: a}); err != nil {
-		t.Fatal(err)
-	}
-	return d, f, a
+	mustExec(t, f, Command{Op: OpIBC, Plane: plane, Query: pattern, SlotBytes: slotBytes})
+	mustExec(t, f, Command{Op: OpReadPage, Addr: a})
+	return d, f, a, data, oob
 }
 
 // statsSnapshot captures every scan-relevant counter.
@@ -58,6 +56,15 @@ func snapshot(d *Device) statsSnapshot {
 	}
 }
 
+// since is the counter change from before to s.
+func (s statsSnapshot) since(before statsSnapshot) statsSnapshot {
+	return statsSnapshot{
+		s.pageReads - before.pageReads, s.latchXORs - before.latchXORs, s.bitCounts - before.bitCounts,
+		s.ibcLoads - before.ibcLoads, s.passFail - before.passFail,
+		s.bytesIn - before.bytesIn, s.bytesOut - before.bytesOut,
+	}
+}
+
 // energyOf prices a snapshot with the per-event energy constants — the
 // same accounting identity the reis timing model relies on, so equal
 // counters mean equal modeled energy.
@@ -68,88 +75,58 @@ func energyOf(s statsSnapshot, p Params) float64 {
 		float64(s.bytesIn+s.bytesOut)*p.EnergyXferPerByte
 }
 
-// TestGenDistPageMatchesPerSlot pins the page-granular command against
-// the per-slot sequence it replaces: identical distances, identical
-// data-latch contents, and identical stats/energy accounting to an
-// opXOR followed by one opGenDist per slot.
+// TestGenDistPageMatchesPerSlot pins the page-granular command to what
+// Table 2's XOR followed by one GEN_DIST per slot computes and costs:
+// each distance is popcount(slot XOR pattern) of the programmed page, the
+// wave counts exactly one latch XOR and one bit count per slot and
+// nothing else, so its energy is one XOR's plus N counts'. The wave
+// leaves the sensing latch — page and OOB — as the sense left it, so a
+// second wave on the same sense computes the same distances.
 func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	const slotBytes = 64
 	pattern := bytes.Repeat([]byte{0xA5, 0x3C}, slotBytes/2)
-
-	dSlot, fSlot, a := pageEquivSetup(t, slotBytes, pattern)
-	dPage, fPage, _ := pageEquivSetup(t, slotBytes, pattern)
-	plane := a.PlaneIndex(dSlot.Geo)
-	slots := dSlot.Geo.PageBytes / slotBytes
+	d, f, a, data, oob := pageEquivSetup(t, slotBytes, pattern)
+	plane := a.PlaneIndex(d.Geo)
+	slots := d.Geo.PageBytes / slotBytes
 	firstSlot, nSlots := 2, slots-5 // partial range, like a boundary page
 
-	// Per-slot reference path: XOR then N GEN_DISTs.
-	if _, err := fSlot.Execute(Command{Op: opXOR, Plane: plane}); err != nil {
-		t.Fatal(err)
-	}
 	want := make([]int, nSlots)
-	for s := 0; s < nSlots; s++ {
-		d, err := fSlot.Execute(Command{
-			Op: opGenDist, Plane: plane, SlotBytes: slotBytes,
-			Mini: MiniPage{Page: a, Slot: firstSlot + s},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[s] = d
-	}
-
-	// Page-granular path: one command.
-	got := make([]int, nSlots)
-	n, err := fPage.Execute(Command{
-		Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes,
-		Mini: MiniPage{Page: a, Slot: firstSlot}, Slots: nSlots, Dists: got,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != nSlots {
-		t.Fatalf("GEN_DIST_PAGE computed %d slots, want %d", n, nSlots)
-	}
 	for s := range want {
-		if got[s] != want[s] {
-			t.Fatalf("slot %d: page dist %d != per-slot dist %d", firstSlot+s, got[s], want[s])
+		lo := (firstSlot + s) * slotBytes
+		for i, b := range data[lo : lo+slotBytes] {
+			want[s] += bits.OnesCount8(b ^ pattern[i])
 		}
 	}
-
-	// The data latch must hold exactly what the XOR path produced
-	// (full-page XOR, OOB copied through).
-	_, dataPage, _ := dPage.Plane(plane).latches()
-	_, dataSlot, _ := dSlot.Plane(plane).latches()
-	if !bytes.Equal(dataPage, dataSlot) {
-		t.Fatal("data latch contents diverge between page and per-slot paths")
+	before := snapshot(d)
+	got := make([]int, nSlots)
+	mustExec(t, f, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes, Mini: firstSlot, Slots: nSlots, Dists: got})
+	if !slices.Equal(got, want) {
+		t.Fatalf("GEN_DIST_PAGE distances %v, want popcount(slot XOR pattern) %v", got, want)
 	}
 
-	// Stats accounting must be bit-identical, and therefore the
-	// per-event energy too.
-	sSlot, sPage := snapshot(dSlot), snapshot(dPage)
-	if sSlot != sPage {
-		t.Fatalf("stats diverge:\nper-slot %+v\npage     %+v", sSlot, sPage)
+	delta := snapshot(d).since(before)
+	if w := (statsSnapshot{latchXORs: 1, bitCounts: int64(nSlots)}); delta != w {
+		t.Fatalf("one wave counted %+v, want %+v", delta, w)
 	}
-	if eS, eP := energyOf(sSlot, dSlot.Params), energyOf(sPage, dPage.Params); eS != eP {
-		t.Fatalf("energy diverges: per-slot %g J, page %g J", eS, eP)
+	p := d.Params
+	if e, w := energyOf(delta, p), p.EnergyLatchXOR+float64(nSlots)*p.EnergyBitCount; e != w {
+		t.Fatalf("one wave costs %g J, want one latch XOR and %d bit counts, %g J", e, nSlots, w)
 	}
 
-	// The page command leaves the plane in the post-XOR state: a
-	// follow-up per-slot GEN_DIST must be legal and agree.
-	d1, err := fPage.Execute(Command{
-		Op: opGenDist, Plane: plane, SlotBytes: slotBytes,
-		Mini: MiniPage{Page: a, Slot: firstSlot},
-	})
-	if err != nil {
-		t.Fatalf("GEN_DIST after GEN_DIST_PAGE: %v", err)
+	sensing, _ := d.Plane(plane).latches()
+	if !bytes.Equal(sensing, append(slices.Clone(data), oob...)) {
+		t.Fatal("the wave changed the sensing latch")
 	}
-	if d1 != want[0] {
-		t.Fatalf("GEN_DIST after page command returned %d, want %d", d1, want[0])
+	again := make([]int, nSlots)
+	mustExec(t, f, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes, Mini: firstSlot, Slots: nSlots, Dists: again})
+	if !slices.Equal(again, want) {
+		t.Fatalf("a second wave on the same sense computed %v, want %v", again, want)
 	}
 }
 
-// TestGenDistPageProtocol checks the FSM preconditions: the page
-// command needs both an IBC and a page read, and rejects bad ranges.
+// TestGenDistPageProtocol checks the FSM preconditions of the page
+// command: it needs both an IBC and a page read, and rejects slot ranges
+// past the page and distance buffers short of the range.
 func TestGenDistPageProtocol(t *testing.T) {
 	d := testDevice(t)
 	f := NewDieFSM(d)
@@ -157,25 +134,21 @@ func TestGenDistPageProtocol(t *testing.T) {
 	plane := a.PlaneIndex(d.Geo)
 	dists := make([]int, 8)
 
-	if _, err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
+	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
 		t.Fatal("GEN_DIST_PAGE before IBC accepted")
 	}
-	if _, err := f.Execute(Command{Op: OpIBC, Plane: plane, Query: []byte{1}, SlotBytes: 64}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
+	mustExec(t, f, Command{Op: OpIBC, Plane: plane, Query: []byte{1}, SlotBytes: 64})
+	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
 		t.Fatal("GEN_DIST_PAGE before page read accepted")
 	}
-	if _, err := f.Execute(Command{Op: OpReadPage, Addr: a}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: d.Geo.PageBytes, Dists: dists}); err == nil {
+	mustExec(t, f, Command{Op: OpReadPage, Addr: a})
+	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: d.Geo.PageBytes, Dists: dists}); err == nil {
 		t.Fatal("out-of-page slot range accepted")
 	}
-	if _, err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 9, Dists: dists}); err == nil {
+	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 9, Dists: dists}); err == nil {
 		t.Fatal("short distance buffer accepted")
 	}
-	if _, err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 8, Dists: dists}); err != nil {
+	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 8, Dists: dists}); err != nil {
 		t.Fatalf("valid GEN_DIST_PAGE rejected: %v", err)
 	}
 }

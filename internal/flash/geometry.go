@@ -1,11 +1,11 @@
 // Package flash models the NAND flash subsystem of a modern SSD at the
 // level of detail the REIS paper depends on: channels, dies, planes,
-// blocks and pages with Out-Of-Band (OOB) areas; the page-buffer
-// latches (sensing, data, cache); the peripheral fail-bit counter and
+// blocks and pages with Out-Of-Band (OOB) areas; the sensing and cache
+// latches of the page buffer; the peripheral fail-bit counter and
 // pass/fail checker; SLC (with Enhanced SLC Programming) and TLC cell
 // modes with their differing read latency and raw bit-error rates; and
-// the vendor command-set extensions of Table 2 (IBC, XOR, GEN_DIST,
-// RD_TTL).
+// the vendor command-set extensions of Table 2 (IBC, XOR and GEN_DIST
+// fused into the page-granular GEN_DIST_PAGE, RD_TTL).
 //
 // The model is functional: pages store real bytes, latch operations
 // compute real XORs and popcounts, so distances produced by the REIS
@@ -151,17 +151,4 @@ func AddressFromLinear(g Geometry, idx int) Address {
 // String implements fmt.Stringer.
 func (a Address) String() string {
 	return fmt.Sprintf("ch%d/die%d/pl%d/blk%d/pg%d", a.Channel, a.Die, a.Plane, a.Block, a.Page)
-}
-
-// MiniPage addresses a sub-page slot holding one embedding
-// (Sec 4.3.2, "Fine-grained Embedding Access"): the physical page
-// address plus a slot offset.
-type MiniPage struct {
-	Page Address
-	Slot int
-}
-
-// String implements fmt.Stringer.
-func (m MiniPage) String() string {
-	return fmt.Sprintf("%s+%d", m.Page, m.Slot)
 }

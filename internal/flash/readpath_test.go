@@ -128,16 +128,19 @@ func TestReadPathGolden(t *testing.T) {
 }
 
 // TestReadSlotsReturnsProgrammedBytes: a slot read hands back exactly the
-// programmed bytes — for every slot of a TLC page read one at a time and
-// all at once in scrambled order, with ECCBypass set, and for an erased
-// page (all ones) — counts one page read and only the record bytes as
-// moved, and rejects slots outside the page and short buffers.
+// programmed bytes — for every slot of a TLC page, whose raw errors the
+// ECC corrects, and of an SLC-ESP page, which has none, read one at a
+// time and all at once in scrambled order, and for an erased page (all
+// ones) — counts one page read and only the record bytes as moved, and
+// rejects slots outside the page and short buffers.
 func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 	const slotBytes = 96 // 21 slots and a 32-byte remainder in a 2048-byte page
-	for _, bypass := range []bool{false, true} {
+	for _, mode := range []CellMode{ModeTLC, ModeSLCESP} {
 		d := testDevice(t)
-		d.ECCBypass = bypass
 		a := Address{Channel: 1, Die: 1, Plane: 0, Block: 2, Page: 4}
+		if err := d.SetBlockMode(a, mode); err != nil {
+			t.Fatal(err)
+		}
 		page := randomPage(t, d, xrand.New(5), a)
 		nSlots := d.Geo.PageBytes / slotBytes
 		rec := make([]byte, slotBytes)
@@ -146,7 +149,7 @@ func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(rec, page[s*slotBytes:(s+1)*slotBytes]) {
-				t.Fatalf("bypass %v: slot %d is not the programmed bytes", bypass, s)
+				t.Fatalf("%v: slot %d is not the programmed bytes", mode, s)
 			}
 		}
 		slots := make([]int, 0, nSlots)
@@ -160,14 +163,14 @@ func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 		}
 		for i, s := range slots {
 			if !bytes.Equal(all[i*slotBytes:(i+1)*slotBytes], page[s*slotBytes:(s+1)*slotBytes]) {
-				t.Fatalf("bypass %v: record %d (slot %d) is not the programmed bytes", bypass, i, s)
+				t.Fatalf("%v: record %d (slot %d) is not the programmed bytes", mode, i, s)
 			}
 		}
 		if reads, out := d.Stats.PageReads.Load(), d.Stats.TotalBytesOut(); reads != 1 || out != int64(len(all)) {
-			t.Fatalf("bypass %v: %d page reads and %d bytes out for one read of %d record bytes", bypass, reads, out, len(all))
+			t.Fatalf("%v: %d page reads and %d bytes out for one read of %d record bytes", mode, reads, out, len(all))
 		}
-		if corrected := d.Stats.ECCCorrections.Load() > 0; corrected == bypass {
-			t.Fatalf("bypass %v: ECCCorrections = %d", bypass, d.Stats.ECCCorrections.Load())
+		if corrected := d.Stats.ECCCorrections.Load() > 0; corrected != (mode == ModeTLC) {
+			t.Fatalf("%v: ECCCorrections = %d", mode, d.Stats.ECCCorrections.Load())
 		}
 
 		erased := Address{Block: 3, Page: 1}

@@ -473,15 +473,14 @@ func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 // it one IBC per plane that does not hold the query yet.
 func (d *device) broadcast(db *Database, die int, st ibcStep, qPacked []byte) error {
 	if d.scr.ibc.mpibc {
-		_, err := d.FSM.Execute(flash.Command{
+		return d.FSM.Execute(flash.Command{
 			Op: flash.OpIBC, Die: die, PlaneMask: st.mask, Held: st.sent == 0,
 			Query: qPacked, SlotBytes: db.slotBytes,
 		})
-		return err
 	}
 	for m := st.sent; m != 0; m &= m - 1 {
 		plane := d.scr.ibc.geo.DiePlane(die, bits.TrailingZeros64(m))
-		if _, err := d.FSM.Execute(flash.Command{
+		if err := d.FSM.Execute(flash.Command{
 			Op: flash.OpIBC, Plane: plane, Query: qPacked, SlotBytes: db.slotBytes,
 		}); err != nil {
 			return err

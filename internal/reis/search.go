@@ -254,7 +254,7 @@ func (r *scanRound) sense(p int, oob []byte) (flash.Address, []byte, error) {
 	if err != nil {
 		return addr, oob, err
 	}
-	if _, err := d.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
+	if err := d.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
 		return addr, oob, err
 	}
 	oob, err = d.SSD.Dev.ReadOOB(addr.PlaneIndex(geo), oob)
@@ -268,8 +268,8 @@ func (r *scanRound) sense(p int, oob []byte) (flash.Address, []byte, error) {
 // filtering against the round's threshold (< 0: none — the fine round's
 // filter cutoff, or the coarse round's cut), and TTL transfer of
 // survivors, which are appended to arena and counted in ps. The wave
-// writes the data latch only, so the sensing latch still holds the page
-// for the next query's wave.
+// reads the sensing latch without changing it, so the latch still holds
+// the page for the next query's wave.
 //
 // it.bound > 0 is the query's current top-k pruning threshold: it rides
 // the GEN_DIST_PAGE command into the plane, and slots strictly above
@@ -292,14 +292,9 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 	if p == it.last/db.embPerPage {
 		hiSlot = it.last % db.embPerPage
 	}
-	// One page-granular wave computes every requested slot distance of
-	// the sensed page, replacing hiSlot-loSlot+1 per-slot GEN_DIST
-	// round-trips (plus the separate XOR) with a single command whose
-	// accounting is bit-identical.
-	if _, err := d.FSM.Execute(flash.Command{
+	if err := d.FSM.Execute(flash.Command{
 		Op: flash.OpGenDistPage, Plane: plane, SlotBytes: db.slotBytes,
-		Mini:  flash.MiniPage{Page: addr, Slot: loSlot},
-		Slots: hiSlot - loSlot + 1, Dists: dists, Bound: it.bound,
+		Mini: loSlot, Slots: hiSlot - loSlot + 1, Dists: dists, Bound: it.bound,
 	}); err != nil {
 		return err
 	}
@@ -328,7 +323,7 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 			ps.pruned++
 			continue
 		}
-		if _, err := d.FSM.Execute(flash.Command{
+		if err := d.FSM.Execute(flash.Command{
 			Op: flash.OpReadTTL, Plane: plane, EntryBytes: entrySize,
 		}); err != nil {
 			return err
