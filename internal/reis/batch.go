@@ -11,10 +11,10 @@ import (
 )
 
 // This file is the scan path: one scan round of the controller
-// (controller.go) run on every device of the host in place — device 0 on
-// the host's goroutine, the others beside it, joined per round — each
-// device's share split into per-plane tasks on its per-die worker pool
-// (batchScan), and the cross-device fold of a segment's outcome.
+// (controller.go) run on every device of the host in place — every
+// device's share planned and handed to its die workers (startScan), then
+// collected device by device (waitScan) — and the cross-device fold of a
+// segment's outcome.
 //
 //   - A die only receives an IBC broadcast for queries it actually
 //     scans, latched by the planes that scan them, instead of every
@@ -54,7 +54,7 @@ type segScan struct {
 	abortedWaves int
 }
 
-// scanOut is the pooled outcome of the last batchScan: segs holds every
+// scanOut is the pooled outcome of the last scan round: segs holds every
 // (query, segment) in query-major order, query qi's starting at off[qi];
 // ibc[qi] is the number of planes that latched query qi's broadcast.
 type scanOut struct {
@@ -76,10 +76,11 @@ type batchItem struct {
 	bound       int
 }
 
-// batchScan executes one scan round for a whole query batch into
-// d.scr.out: segs[qi] lists the slot ranges query qi scans in the
-// centroid region (coarse — no metadata filter) or the binary region,
-// under the distance-filter cutoff the controller decided for the round
+// startScan plans one scan round for a whole query batch and dispatches
+// it to the device's dies; waitScan completes it into d.scr.out.
+// segs[qi] lists the slot ranges query qi scans in the centroid region
+// (coarse — no metadata filter) or the binary region, under the
+// distance-filter cutoff the controller decided for the round
 // (< 0: none): the fine round's filter threshold, or the coarse cut —
 // centroids over it send no TTL-C entry (see controller.run). Work is
 // split into per-plane work lists run by the die worker pool; each
@@ -91,7 +92,10 @@ type batchItem struct {
 // one device), and a segment with no page here is no work and zero
 // stats. Entry positions come back global. ctx is polled between waves
 // (a cancelled command aborts the round at the next page). A closed device
-// refuses the round: its plane workers are gone for good.
+// refuses the round: its plane workers are gone for good. A round that
+// startScan refuses has nothing to wait for; one it starts must be
+// waited for. inline lets a lone busy die run on the caller's goroutine
+// (planePool.dispatch).
 //
 // bounds[qi] is query qi's pruning threshold and lbs[qi][si] a proven
 // lower bound on every distance of the segment (nil = all zero, i.e.
@@ -100,7 +104,7 @@ type batchItem struct {
 // pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
 // global to the round, so every topology skips the same segments.
-func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
+func (d *device) startScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, inline bool) error {
 	if d.closed.Load() {
 		return fmt.Errorf("reis: device closed: %w", ErrQueueClosed)
 	}
@@ -180,11 +184,19 @@ func (d *device) batchScan(ctx context.Context, db *Database, packed [][]byte, c
 	}
 	busy := d.planBroadcasts(pageMajor)
 	d.scr.round = scanRound{ctx: ctx, d: d, db: db, region: region, packed: packed, threshold: cutoff, metaTag: metaTag}
-	err := d.pool.run(&d.scr.round, busy)
+	d.pool.dispatch(&d.scr.round, busy, inline)
+	return nil
+}
+
+// waitScan waits for the round startScan dispatched and sums each
+// segment's per-plane outcome.
+func (d *device) waitScan() error {
+	err := d.pool.wait()
 	d.scr.round = scanRound{} // the command's context and queries go with it
 	if err != nil {
 		return err
 	}
+	out := &d.scr.out
 	for i := range out.segs {
 		s := &out.segs[i]
 		for _, ps := range out.scans[s.lo:s.hi] {
@@ -517,30 +529,34 @@ func (s *segScan) addTo(st *QueryStats, coarse bool, entryBytes int) {
 // command's fine-round filter — lbs mirrors segs with each segment's
 // proven distance lower bound (nil = none), and bounds[qi] is the query's
 // pruning threshold (0 = off).
-// Device 0 scans on this goroutine and the others beside it, joined
-// before the round returns; the host holds every device's lock for the
-// command, so each device's scratch and arenas are its scanner's alone.
+// Every device's round is dispatched to its die workers before any is
+// waited for, so the devices scan side by side without a goroutine of
+// their own; only a one-device host runs a lone busy die on this
+// goroutine. The host holds every device's lock for the command, so each
+// device's scratch and arenas are its dies' alone until waitScan returns.
 // Each device's share of a query's events reaches the controller's rows
-// when the query is folded (ibc, fold).
+// when the query is folded (ibc, fold). The lowest-numbered device's
+// error is returned.
 func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
-	// The goroutines capture the host and the slices, never c: the
-	// controller stays on the command's stack.
-	h, locals, packed, errs := c.h, c.db.locals, c.scr.packed, c.h.scr.errs
-	for s := 1; s < len(h.devs); s++ {
-		h.scr.wg.Add(1)
-		go func(s int) {
-			errs[s] = h.devs[s].batchScan(ctx, locals[s], packed, coarse, cutoff, segs, lbs, bounds, metaTag)
-			h.scr.wg.Done()
-		}(s)
+	devs, inline := c.h.devs, len(c.h.devs) == 1
+	var serr error
+	started := 0
+	for s, d := range devs {
+		if serr = d.startScan(ctx, c.db.locals[s], c.scr.packed, coarse, cutoff, segs, lbs, bounds, metaTag, inline); serr != nil {
+			break
+		}
+		started++
 	}
-	errs[0] = h.devs[0].batchScan(ctx, locals[0], packed, coarse, cutoff, segs, lbs, bounds, metaTag)
-	h.scr.wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	var err error
+	for _, d := range devs[:started] {
+		if werr := d.waitScan(); err == nil {
+			err = werr
 		}
 	}
-	return nil
+	if err == nil {
+		err = serr
+	}
+	return err
 }
 
 // ibc adds query qi's broadcasts of the last round to st and to each

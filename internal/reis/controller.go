@@ -243,7 +243,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	if op == OpcodeSearch {
 		flatRounds = [][]SlotRange{mut.flatPlan}
 		if opt.Prune && len(mut.flatPlan) > 0 {
-			flatRounds = chunkFlatRounds(mut.flatPlan, c.db.lay.embPerPage, c.h.cfg.Geo.Planes())
+			flatRounds = mut.prunedRounds()
 		}
 	} else {
 		// Pins refresh once per IVF command, before any probe of it counts.
@@ -288,6 +288,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	}
 
 	results := make([][]DocResult, nq)
+	var out runOut
 	for r, last := 0, false; !last; r++ {
 		if err := ctx.Err(); err != nil {
 			return nil, nil, nil, err
@@ -371,7 +372,8 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			if err := ctx.Err(); err != nil {
 				return nil, nil, nil, err
 			}
-			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st)
+			out.waiting = nq - qi
+			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st, &out)
 			if err != nil {
 				return nil, nil, nil, err
 			}

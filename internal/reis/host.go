@@ -82,9 +82,6 @@ type hostScratch struct {
 	// alone touches them): flash.Device.Program copies what it is handed,
 	// so one pair serves every page of every deploy, append and GC step.
 	page, oob []byte
-	// A scan round's join and per-device outcomes.
-	wg   sync.WaitGroup
-	errs []error
 }
 
 // rdbEntry is one deployed database's R-DB entry: the global layout plan
@@ -121,7 +118,6 @@ func (c *hostCore) init(devs []*device, perShard bool) {
 	cfg.Geo.Channels *= len(devs)
 	c.cfg, c.devs, c.perShard = cfg, devs, perShard
 	c.dbs = make(map[int]*rdbEntry)
-	c.scr.errs = make([]error, len(devs))
 	c.scr.page = make([]byte, cfg.Geo.PageBytes)
 	c.scr.oob = make([]byte, cfg.Geo.OOBBytes)
 }
@@ -470,14 +466,16 @@ func (c *hostCore) unlockDevs() {
 
 // shardRows allocates a command's [device][query] PerShard rows — the
 // per-device stats a ShardedEngine's Latency shapes consume (a 1-shard
-// one's too); an Engine's stay nil.
+// one's too); an Engine's stay nil. Every device's row is a
+// capacity-bounded window of one block, whatever the device count.
 func (c *hostCore) shardRows(nq int) [][]QueryStats {
 	if !c.perShard {
 		return nil
 	}
 	rows := make([][]QueryStats, len(c.devs))
+	block := make([]QueryStats, len(c.devs)*nq)
 	for s := range rows {
-		rows[s] = make([]QueryStats, nq)
+		rows[s] = block[s*nq : (s+1)*nq : (s+1)*nq]
 	}
 	return rows
 }

@@ -143,8 +143,10 @@ type dbLayout struct {
 	// under, and rowPages the garbage collector's row granularity:
 	// planes_global * ppb consecutive global binary-region pages — one
 	// block per plane on every device, so victim selection is identical
-	// across topologies sharing the block shape.
-	ppb, rowPages int
+	// across topologies sharing the block shape. planes is planes_global,
+	// the wave width a pruned flat round's page budget grows from
+	// (chunkFlatRounds).
+	ppb, rowPages, planes int
 
 	filterThreshold int
 	// coarseCut[n-1] is the coarse round's in-plane cutoff at nprobe n
@@ -263,8 +265,8 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 	lo.embCap = withHeadroom(lo.embPages, overprovisionPct)
 	lo.int8Cap = withHeadroom(lo.int8Pages, overprovisionPct)
 	lo.docCap = withHeadroom(lo.docPages, overprovisionPct)
-	lo.ppb = geo.PagesPerBlock
-	lo.rowPages = geo.Planes() * lo.ppb
+	lo.ppb, lo.planes = geo.PagesPerBlock, geo.Planes()
+	lo.rowPages = lo.planes * lo.ppb
 	// The binary region reclaims space at GC-row granularity (one block
 	// per plane), and copy-forward is strictly out-of-place: collecting
 	// a victim row needs a fresh row to relocate its survivors into. An

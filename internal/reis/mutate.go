@@ -172,8 +172,14 @@ type mutState struct {
 	// plus one range per append batch or GC relocation (ranges bridge
 	// the page-padding gaps between clusters, which scan as skipped
 	// invalid-DADR slots). Both flat and IVF databases keep one: a
-	// Search command on an IVF database scans everything.
-	flatPlan []SlotRange
+	// Search command on an IVF database scans everything. flatRounds is
+	// the plan cut into a pruned search's rounds (chunkFlatRounds): the
+	// first pruned search after the plan changed cuts it (prunedRounds),
+	// every later one reuses it, and a mutation that sets the plan drops
+	// it (setFlatPlan), so a mutation stream without pruned searches
+	// cuts nothing.
+	flatPlan   []SlotRange
+	flatRounds [][]SlotRange
 
 	// tailSlots is the first free binary slot; appends and copy-forward
 	// steps allocate page-aligned runs from here. binPages is the live
@@ -241,7 +247,7 @@ func newMutState(lo *dbLayout, buckets [][]SlotRange, radius []int, firstFit boo
 		firstFit:  firstFit,
 		live:      lo.n,
 	}
-	m.flatPlan = []SlotRange{{First: 0, Last: len(lo.order) - 1}}
+	m.setFlatPlan([]SlotRange{{First: 0, Last: len(lo.order) - 1}})
 	// Deployed rows are identity-mapped; the rest of the reserved
 	// extent is the free pool. Both counts are pure functions of the
 	// plan and the global geometry, so every topology starts with the
@@ -422,10 +428,24 @@ func (m *mutState) commitTail(runs []tailRun, newTail int) {
 		}
 	}
 	if len(runs) > 0 {
-		m.flatPlan = append(m.flatPlan, SlotRange{First: runs[0].start, Last: newTail - 1})
+		m.setFlatPlan(append(m.flatPlan, SlotRange{First: runs[0].start, Last: newTail - 1}))
 	}
 	m.tailSlots = newTail
 	m.binPages = ceilDiv(newTail, m.lay.embPerPage)
+}
+
+// setFlatPlan replaces the brute-force plan and drops its pruned rounds.
+func (m *mutState) setFlatPlan(plan []SlotRange) {
+	m.flatPlan, m.flatRounds = plan, nil
+}
+
+// prunedRounds returns the brute-force plan cut into a pruned search's
+// rounds, cutting it once per plan.
+func (m *mutState) prunedRounds() [][]SlotRange {
+	if m.flatRounds == nil {
+		m.flatRounds = chunkFlatRounds(m.flatPlan, m.lay.embPerPage, m.lay.planes)
+	}
+	return m.flatRounds
 }
 
 // mutAppend executes one append: placement and metadata are computed
@@ -718,7 +738,7 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	// is trimmed out of every one of them, the collected tombstones drop,
 	// and the physical row returns to the free pool.
 	m.commitTail(runs, newTail)
-	m.flatPlan = trimRanges(m.flatPlan, rowFirst, rowLast)
+	m.setFlatPlan(trimRanges(m.flatPlan, rowFirst, rowLast))
 	for b := range m.buckets {
 		m.buckets[b] = trimRanges(m.buckets[b], rowFirst, rowLast)
 	}

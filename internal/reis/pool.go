@@ -14,8 +14,9 @@ import (
 //
 // Ownership rule (see DESIGN.md): a worker's scratch may only be
 // touched by that worker's goroutine while a pool run is in flight, and
-// by the engine's caller goroutine between runs (the WaitGroup in run
-// establishes the happens-before edge both ways, keeping -race clean).
+// by the engine's caller goroutine between runs (the channel send in
+// dispatch and the WaitGroup in wait establish the happens-before edges
+// both ways, keeping -race clean).
 type workerScratch struct {
 	// arenas are the TTL-entry arenas. Scan tasks append surviving
 	// entries to one and record their [lo, hi) window in a planeScan;
@@ -46,9 +47,11 @@ type workerScratch struct {
 // time, while different dies run fully in parallel.
 //
 // Workers are persistent goroutines draining per-worker channels (the
-// die's command queue), started lazily on the first multi-die run and
-// stopped for good by device.close. A run hands each busy die the round
-// and waits; the pool is never invoked per plane.
+// die's command queue), started lazily on the first round dispatched to
+// them and stopped for good by device.close. A round hands each busy die
+// its share (dispatch) and collects it later (wait); the pool is never
+// invoked per plane, and no goroutine is started per round or per
+// device.
 //
 // Determinism: a plane always maps to the same worker, and a worker runs
 // its die's broadcasts and scans in the planned order, so the per-plane
@@ -61,6 +64,11 @@ type planePool struct {
 	scratch []*workerScratch
 	errs    []error
 	wg      sync.WaitGroup
+	// The round between dispatch and wait: its busy dies, and whether
+	// wait runs the lone one itself.
+	round  *scanRound
+	dies   []int
+	inline bool
 	// chans[w] feeds worker w's goroutine; nil until started. The pool
 	// has a single dispatching owner at a time (the device lock holder),
 	// so started/chans need no extra synchronization.
@@ -99,7 +107,7 @@ func (p *planePool) resetArenas() {
 
 // start spins up the persistent die workers. Each worker loops on its
 // channel, executing its die's share of one round at a time; the channel
-// send/receive and the run WaitGroup establish the happens-before
+// send/receive and the pool's WaitGroup establish the happens-before
 // edges that keep the scratch ownership rule race-clean.
 func (p *planePool) start() {
 	if p.started {
@@ -120,7 +128,7 @@ func (p *planePool) start() {
 }
 
 // stop terminates the persistent workers (device.close, after which
-// batchScan refuses to run on the pool rather than restart them).
+// startScan refuses a round rather than restart them).
 func (p *planePool) stop() {
 	if !p.started {
 		return
@@ -132,21 +140,35 @@ func (p *planePool) stop() {
 	p.started = false
 }
 
-// run executes the round's work on the given dies, each on its
-// persistent worker, and waits for completion; a lone die runs on the
-// caller's goroutine. The error of the lowest-numbered die is returned;
-// a die stops at its first error.
-func (p *planePool) run(round *scanRound, dies []int) error {
-	switch len(dies) {
-	case 0:
-		return nil
-	case 1:
-		return round.runDie(p.scratch[dies[0]], dies[0])
+// dispatch hands the round's work on the given dies to each die's
+// persistent worker and returns at once; wait collects it. Between the
+// two the caller may dispatch other devices' rounds, so a host's devices
+// scan side by side with one fan-out level, the dies. inline keeps a
+// lone busy die off the workers: wait runs it on the caller's goroutine,
+// which a one-device host has nothing else to do with.
+func (p *planePool) dispatch(round *scanRound, dies []int, inline bool) {
+	p.round, p.dies, p.inline = round, dies, inline && len(dies) == 1
+	if p.inline || len(dies) == 0 {
+		return
 	}
 	p.start()
 	p.wg.Add(len(dies))
 	for _, die := range dies {
 		p.chans[die] <- round
+	}
+}
+
+// wait completes the dispatched round: it runs an inline die, or waits
+// for every worker. The error of the lowest-numbered die is returned; a
+// die stops at its first error.
+func (p *planePool) wait() error {
+	round, dies := p.round, p.dies
+	p.round, p.dies = nil, nil
+	if p.inline {
+		return round.runDie(p.scratch[dies[0]], dies[0])
+	}
+	if len(dies) == 0 {
+		return nil
 	}
 	p.wg.Wait()
 	for _, die := range dies {

@@ -249,9 +249,11 @@ type Queue struct {
 	// order, until their Wait comes; each still holds its slot.
 	parked []completion
 
-	// group is the dispatcher goroutine's own: the dispatch group being
-	// executed.
-	group []qcmd
+	// group and queries are the dispatcher goroutine's own: the dispatch
+	// group being executed, and a coalesced group's concatenated Q
+	// operands, read only while its run lasts.
+	group   []qcmd
+	queries [][]float32
 
 	done chan struct{} // closed when the dispatcher has exited
 }
@@ -722,21 +724,22 @@ func (q *Queue) execGroup() {
 // concatenated Q operands, and completes each with its share. Batch
 // results are bit-identical to per-command execution, so splitting the
 // output per command is exact; a group of one hands the pass's slices on
-// as they are.
+// as they are. Members share the pass's blocks through capacity-bounded
+// windows, their PerShard headers included (one block per group).
 func (q *Queue) execSearch(live []qcmd) {
 	head := &live[0]
 	queries := head.cmd.Queries
 	if len(live) > 1 {
-		total := 0
-		for i := range live {
-			total += len(live[i].cmd.Queries)
-		}
-		queries = make([][]float32, 0, total)
+		queries = q.queries[:0]
 		for i := range live {
 			queries = append(queries, live[i].cmd.Queries...)
 		}
+		q.queries = queries
 	}
 	results, sts, perShard, err := q.h.search(mergeCtxs(live), &head.cmd, queries, true)
+	if len(live) > 1 {
+		clear(queries) // the members' operands are theirs again
+	}
 	if err != nil {
 		if len(live) == 1 {
 			q.complete(head.id, HostResponse{}, err)
@@ -754,6 +757,11 @@ func (q *Queue) execSearch(live []qcmd) {
 		}
 		return
 	}
+	ns := len(perShard)
+	var hdrs [][]QueryStats
+	if ns > 0 && len(live) > 1 {
+		hdrs = make([][]QueryStats, len(live)*ns)
+	}
 	off := 0
 	for i := range live {
 		qc := &live[i]
@@ -764,8 +772,8 @@ func (q *Queue) execSearch(live []qcmd) {
 			QueryStats: sts[off : off+n : off+n],
 			PerShard:   perShard,
 		}
-		if perShard != nil && len(live) > 1 {
-			resp.PerShard = make([][]QueryStats, len(perShard))
+		if hdrs != nil {
+			resp.PerShard, hdrs = hdrs[:ns:ns], hdrs[ns:]
 			for s := range perShard {
 				resp.PerShard[s] = perShard[s][off : off+n : off+n]
 			}

@@ -15,8 +15,8 @@ import (
 
 // tailScratch holds the tail's pooled working sets. Exactly one
 // goroutine owns a tailScratch at a time (the host core's execution
-// lock holder); everything handed back to the caller is freshly
-// allocated.
+// lock holder); everything handed back to the caller is carved from the
+// run's output blocks (runOut), never from scratch.
 type tailScratch struct {
 	q8         []int8
 	reranked   []DocResult
@@ -32,8 +32,8 @@ type tailScratch struct {
 // which it reads as a set: selection runs under the (Dist, DADR) total
 // order, both groupings read each page once whatever its slots' order,
 // and the reranked pool sorts by (Dist, ID).
-// Working sets live in the tail scratch; only the returned results and
-// one block holding their document bytes are allocated. Tombstoned
+// Working sets live in the tail scratch; the returned results and their
+// document bytes are windows of the run's output blocks (dst). Tombstoned
 // entries are dropped from the stream before selection, so deleted
 // documents never surface;
 // the scan side stays tombstone-oblivious (dies have no DRAM for the
@@ -41,7 +41,7 @@ type tailScratch struct {
 // waves are counted per *global* plane (page mod total planes) — exactly
 // the plane the page occupies on the single-device reference — so wave
 // accounting matches bit for bit on every topology.
-func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats) ([]DocResult, error) {
+func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats, dst *runOut) ([]DocResult, error) {
 	ts, f, planes := &c.scr.tail, &db.lay.pageFormat, c.cfg.Geo.Planes()
 	if db.mut.deadCount > 0 {
 		entries = filterTombstoned(entries, db.mut.tomb)
@@ -95,15 +95,15 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 	}
 	st.RerankCount += len(cands)
 
-	// Quicksort the reranked pool, keep top-k in a fresh caller-owned
-	// slice (the rerank scratch recycles across queries).
+	// Quicksort the reranked pool, keep top-k in a caller-owned window
+	// (the rerank scratch recycles across queries).
 	slices.SortFunc(reranked, cmpDocResult)
 	st.SortedEntries += len(reranked)
 	n := len(reranked)
 	if k < n {
 		n = k
 	}
-	out := make([]DocResult, n)
+	out := window(&dst.res, n, dst.waiting)
 	copy(out, reranked[:n])
 
 	if opt.SkipDocs {
@@ -112,16 +112,17 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 
 	// Document identification and retrieval (step 9): group DADRs by
 	// document page with the same sorted pooled grouping. The documents
-	// land in one caller-owned block, in page order — each read copies a
-	// page's records from flash straight to their final place — and every
-	// result gets its own capacity-bounded window of it.
+	// land in one window of the run's document block, in page order —
+	// each read copies a page's records from flash straight to their
+	// final place — and every result gets its own capacity-bounded window
+	// of it.
 	groups = groups[:0]
 	for i, r := range out {
 		groups = append(groups, pageIdx{page: r.ID / f.docsPerPage, slot: r.ID % f.docsPerPage, idx: i})
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups
-	docs := make([]byte, n*f.docBytes)
+	docs := window(&dst.docs, n*f.docBytes, dst.waiting)
 	for gi := 0; gi < len(groups); {
 		end, err := c.readTailSlots(db, docRegion, groups, gi, f.docBytes, docs[gi*f.docBytes:])
 		if err != nil {
@@ -135,6 +136,33 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 		}
 	}
 	return out, nil
+}
+
+// runOut is where a run's tails put what the caller keeps: each query's
+// results are a window of one []DocResult block and its documents a
+// window of one []byte block. A block is allocated when a query's share
+// does not fit what is left of the current one, sized for that share
+// times the queries still waiting for their tail (waiting, this one
+// included) — so a run whose queries return equally many results
+// allocates one block of each, whatever its query count. Every window
+// is capacity-bounded: appending to one query's results, or to one
+// result's document, reallocates instead of writing over a neighbour's.
+type runOut struct {
+	waiting int
+	res     []DocResult
+	docs    []byte
+}
+
+// window returns the next n free elements of *blk as a len-n, cap-n
+// slice, first replacing the block by one of n·waiting elements when
+// fewer than n are free.
+func window[T any](blk *[]T, n, waiting int) []T {
+	b := *blk
+	if b == nil || cap(b)-len(b) < n {
+		b = make([]T, 0, n*waiting)
+	}
+	*blk = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
 }
 
 // filterTombstoned compacts the entry stream in place, keeping only
