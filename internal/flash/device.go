@@ -671,11 +671,13 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	return nil
 }
 
-// PassFail applies the pass/fail comparator: it reports whether value
-// is at or below threshold (Sec 4.3.3 distance filtering).
-func (d *Device) PassFail(value, threshold int) bool {
-	d.Stats.PassFailChecks.Add(1)
-	return value <= threshold
+// CountPassFail records n applications of the pass/fail comparator
+// (Sec 4.3.3 distance filtering: a slot passes when its distance is at
+// or below the threshold). A scan compares a page's slots in place and
+// records them once per page, so die workers do not meet on the counter
+// slot by slot.
+func (d *Device) CountPassFail(n int) {
+	d.Stats.PassFailChecks.Add(int64(n))
 }
 
 // ReadOOB copies the whole OOB region currently in the plane's

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -125,6 +127,147 @@ func TestOutputBlocksIsolated(t *testing.T) {
 	}
 }
 
+// TestCachedOutputBlocksIsolated: a result-cache hit is copied into
+// windows of its command's output blocks, beside the misses, so nothing
+// a caller holds aliases the cache or another query. Writing into one
+// query's results and documents, and appending to any, changes no other
+// query's results and nothing the cache serves next — for a cached
+// host's hits, and for a coalesced group whose commands interleave hits
+// and misses.
+func TestCachedOutputBlocksIsolated(t *testing.T) {
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:8], K: 10, Opt: SearchOptions{NProbe: 4}}
+	for _, devs := range []int{1, 4} {
+		h := newCachedHost(t, devs, 1<<20)
+		misses := mustSubmit(t, h, cmd)
+		want := cloneAll(misses.Results)
+		hits := mustSubmit(t, h, cmd)
+		what := fmt.Sprintf("%d devices", devs)
+		hitPattern(t, what, hits.QueryStats, "HHHHHHHH")
+		if !reflect.DeepEqual(hits.Results, want) {
+			t.Fatalf("%s: the hits differ from the results stored", what)
+		}
+		for _, resp := range []HostResponse{hits, misses} {
+			writesIsolated(t, what, resp.Results)
+			appendsIsolated(t, what, resp.Results, cmd.K)
+		}
+		if next := mustSubmit(t, h, cmd); !reflect.DeepEqual(next.Results, want) {
+			t.Fatalf("%s: writing into served results changed what the cache serves next", what)
+		}
+	}
+
+	// Two commands coalesced through a paused queue pair of a 4-device
+	// host, each interleaving hits (queries 8-11, served before) with
+	// misses (12-15).
+	h := newCachedHost(t, 4, 1<<20)
+	mustSubmit(t, h, HostCommand{Opcode: cmd.Opcode, DBID: cmd.DBID, Queries: testData.Queries[8:12], K: cmd.K, Opt: cmd.Opt})
+	qs := testData.Queries
+	parts := [][][]float32{{qs[8], qs[12], qs[9], qs[13]}, {qs[10], qs[14], qs[11], qs[15]}}
+	ref := newSharded(t, 4)
+	deployBoth(t, ref.Submit)
+	var want [][]DocResult
+	for _, part := range parts {
+		c := cmd
+		c.Queries = part
+		want = append(want, mustSubmit(t, ref, c).Results...)
+	}
+	q, err := h.NewQueue(QueueConfig{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	q.pause()
+	var ids []CommandID
+	for _, part := range parts {
+		c := cmd
+		c.Queries = part
+		id, err := q.SubmitAsync(context.Background(), c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	q.resume()
+	a, b := waitOK(t, q, ids[0]), waitOK(t, q, ids[1])
+	if st := q.Stats(); st.Dispatches != 1 || st.Coalesced != 2 {
+		t.Fatalf("the two commands did not coalesce: stats %+v", st)
+	}
+	hitPattern(t, "mixed group", slices.Concat(a.QueryStats, b.QueryStats), "HMHMHMHM")
+	got := slices.Concat(a.Results, b.Results)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("mixed group: results differ from an uncached host's")
+	}
+	writesIsolated(t, "mixed group", got)
+	appendsIsolated(t, "mixed group", got, cmd.K)
+	rowAppendsIsolated(t, "mixed group", slices.Concat(a.PerShard, b.PerShard))
+	var next [][]DocResult
+	for _, part := range parts {
+		c := cmd
+		c.Queries = part
+		resp := mustSubmit(t, h, c)
+		hitPattern(t, "mixed group, served next", resp.QueryStats, "HHHH")
+		next = append(next, resp.Results...)
+	}
+	if !reflect.DeepEqual(next, want) {
+		t.Fatal("mixed group: writing into served results changed what the cache serves next")
+	}
+}
+
+// TestServedHitSurvivesRecycling: a served hit holds a copy, so evicting
+// its entry and recycling the record, buffers and all, for another
+// query's result leaves every byte of the hit in place.
+func TestServedHitSurvivesRecycling(t *testing.T) {
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:1], K: 10, Opt: SearchOptions{NProbe: 4}}
+	h := newCachedHost(t, 1, 8*resultEntryBytes(t, cmd))
+	mustSubmit(t, h, cmd)
+	hit := mustSubmit(t, h, cmd)
+	hitPattern(t, "repeat", hit.QueryStats, "H")
+	want := cloneAll(hit.Results)
+	db, err := h.hostDB(cmd.DBID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := db.cache.lruHead // the hit made its entry the most recent
+	key := rec.key
+	// Eight other results fill the 8-entry LRU: the hit's entry is
+	// evicted first and its record taken over by the next insert.
+	mustSubmit(t, h, HostCommand{Opcode: cmd.Opcode, DBID: cmd.DBID, Queries: testData.Queries[1:9], K: cmd.K, Opt: cmd.Opt})
+	if _, ok := db.cache.res[key]; ok || db.cache.res[rec.key] != rec {
+		t.Fatal("the served entry was not evicted and its record recycled")
+	}
+	if !reflect.DeepEqual(hit.Results, want) {
+		t.Fatal("recycling the served entry's record changed the served hit")
+	}
+}
+
+// hitPattern checks each query's result-cache outcome: H a hit, M a miss.
+func hitPattern(t *testing.T, what string, sts []QueryStats, want string) {
+	t.Helper()
+	got := make([]byte, len(sts))
+	for i, st := range sts {
+		got[i] = "MH"[st.ResultCacheHits]
+	}
+	if string(got) != want {
+		t.Fatalf("%s: hits %s, want %s", what, got, want)
+	}
+}
+
+// writesIsolated writes into the first query's results and documents,
+// then checks that every other query still holds what it was handed.
+func writesIsolated(t *testing.T, what string, results [][]DocResult) {
+	t.Helper()
+	want := cloneAll(results)
+	for j := range results[0] {
+		r := &results[0][j]
+		r.ID, r.Dist = -2, -2
+		for b := range r.Doc {
+			r.Doc[b] ^= 0xff
+		}
+	}
+	if !reflect.DeepEqual(results[1:], want[1:]) {
+		t.Fatalf("%s: writing into the first query's results changed another query's", what)
+	}
+}
+
 // rowAppendsIsolated appends to every PerShard row, then checks that each
 // row still holds the stats it was handed.
 func rowAppendsIsolated(t *testing.T, what string, rows [][]QueryStats) {
@@ -156,7 +299,7 @@ func appendsIsolated(t *testing.T, what string, results [][]DocResult, k int) {
 		if len(res) != k || len(res[0].Doc) == 0 {
 			t.Fatalf("%s: query %d returned %d results, want %d with documents", what, i, len(res), k)
 		}
-		want[i] = copyResults(res)
+		want[i] = cloneResults(res)
 	}
 	for i := range results {
 		results[i] = append(results[i], DocResult{ID: -1, Doc: []byte("appended")})
@@ -169,6 +312,254 @@ func appendsIsolated(t *testing.T, what string, results [][]DocResult, k int) {
 			if r := res[j]; r.ID != w.ID || r.Dist != w.Dist || !bytes.Equal(r.Doc[:len(w.Doc)], w.Doc) {
 				t.Fatalf("%s: query %d result %d changed after the appends: %d %v, want %d %v", what, i, j, r.ID, r.Dist, w.ID, w.Dist)
 			}
+		}
+	}
+}
+
+// cloneResults deep-copies a query's results, documents included.
+func cloneResults(res []DocResult) []DocResult {
+	cp := slices.Clone(res)
+	for i := range cp {
+		cp[i].Doc = slices.Clone(cp[i].Doc)
+	}
+	return cp
+}
+
+// cachedHost is a host whose databases each own a result cache.
+type cachedHost interface {
+	submitter
+	searcher
+	hostDB(int) (*rdbEntry, error)
+	CacheStats(int) (CacheStats, error)
+	NewQueue(QueueConfig) (*Queue, error)
+}
+
+// newCachedHost deploys the shared test dataset on a host of devs
+// devices whose databases each get budget bytes of caching tier. On
+// testCfg no probe ever outgrows one wave, so nothing is pinned and the
+// result LRU holds the whole budget.
+func newCachedHost(t *testing.T, devs int, budget int64) cachedHost {
+	t.Helper()
+	cfg := testCfg()
+	cfg.CacheDRAMBytes = budget
+	var h cachedHost
+	if devs == 1 {
+		e, err := New(cfg, 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { e.Close() })
+		h = e
+	} else {
+		sh, err := NewSharded(cfg, devs, 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sh.Close() })
+		h = sh
+	}
+	deployBoth(t, h.Submit)
+	return h
+}
+
+// resultEntryBytes is what one cached IVF result of the shared test
+// dataset takes of the LRU's budget.
+func resultEntryBytes(t *testing.T, cmd HostCommand) int64 {
+	t.Helper()
+	h := newCachedHost(t, 1, 1<<20)
+	if _, _, _, err := h.search(context.Background(), &cmd, testData.Queries[:1], true); err != nil {
+		t.Fatal(err)
+	}
+	cs, err := h.CacheStats(cmd.DBID)
+	if err != nil || cs.ResultEntries != 1 {
+		t.Fatalf("one stored result: %+v, %v", cs, err)
+	}
+	return cs.ResultBytes
+}
+
+// TestCachedCommandAllocsConstant: a cached search command allocates
+// what an uncached one does — its results, stats and PerShard rows once,
+// and one results block and one documents block that its hits and its
+// misses share — plus, for each query it stores, the key string. Once
+// the LRU is full, a store takes over the record it evicts, buffers and
+// all. A store into room the LRU has left grows the cache by a record,
+// its results and its documents besides the key, and nothing else.
+// Every hit and miss pattern is checked on every measured command.
+func TestCachedCommandAllocsConstant(t *testing.T) {
+	ctx := context.Background()
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}}
+	entry := resultEntryBytes(t, cmd)
+	hot, cold := testData.Queries[:8], testData.Queries[8:24]
+	// Queries no command has seen: each one misses.
+	fresh := make([][]float32, 512)
+	for i := range fresh {
+		fresh[i] = slices.Clone(testData.Queries[i%len(testData.Queries)])
+		fresh[i][0] += float32(i+1) * 1e-3
+	}
+	for _, devs := range []int{1, 2, 4} {
+		for _, mode := range []struct {
+			name   string
+			budget int64 // the LRU's, in entries
+		}{{"evicting", 8}, {"room-left", 512}} {
+			h := newCachedHost(t, devs, mode.budget*entry)
+			base, _ := commandAllocs(t, h, cmd, hot)
+			// Misses rotate through queries the LRU no longer holds: on the
+			// 8-entry LRU a cold query returns after 16 other stores; with
+			// room left, a miss is a query never served before.
+			next := 0
+			miss := func() []float32 {
+				next++
+				if mode.name == "evicting" {
+					return cold[next%len(cold)]
+				}
+				return fresh[next%len(fresh)]
+			}
+			buf := make([][]float32, 8)
+			readings := ""
+			for _, tc := range []struct {
+				name  string
+				nq    int
+				isHit func(i int) bool
+			}{
+				{"all-hit", 1, func(int) bool { return true }},
+				{"all-hit", 8, func(int) bool { return true }},
+				{"all-miss", 1, func(int) bool { return false }},
+				{"all-miss", 8, func(int) bool { return false }},
+				{"mixed", 8, func(i int) bool { return i%2 == 0 }},
+			} {
+				queries := buf[:tc.nq]
+				stored := 0
+				for i := range queries {
+					if !tc.isHit(i) {
+						stored++
+					}
+				}
+				fill := func() {
+					hits := 0
+					for i := range queries {
+						if tc.isHit(i) {
+							queries[i] = hot[hits]
+							hits++
+						} else {
+							queries[i] = miss()
+						}
+					}
+				}
+				wrong := -1
+				serve := func() {
+					fill()
+					_, sts, _, err := h.search(ctx, &cmd, queries, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for i, st := range sts {
+						if (st.ResultCacheHits == 1) != tc.isHit(i) {
+							wrong = i
+						}
+					}
+				}
+				// Stores the hot queries the command hits, and sizes the
+				// pooled scratch for every query of the rotation.
+				for range 24 {
+					serve()
+				}
+				wrong = -1
+				before, _ := h.CacheStats(cmd.DBID)
+				got := testing.AllocsPerRun(10, serve)
+				after, _ := h.CacheStats(cmd.DBID)
+				what := fmt.Sprintf("%d devices, %s LRU, %s command of %d", devs, mode.name, tc.name, tc.nq)
+				if wrong >= 0 {
+					t.Fatalf("%s: query %d was not the hit or miss the test set up", what, wrong)
+				}
+				evicted := after.ResultEvictions - before.ResultEvictions
+				want := base + float64(stored)
+				if mode.name == "evicting" {
+					if evicted != int64(11*stored) {
+						t.Errorf("%s: %d evictions over 11 commands, want one per store (%d)", what, evicted, 11*stored)
+					}
+				} else {
+					if evicted != 0 {
+						t.Errorf("%s: %d evictions in an LRU with room left", what, evicted)
+					}
+					want = base + float64(4*stored)
+				}
+				if got > want {
+					t.Errorf("%s: %.1f allocs/command, want at most %.0f (uncached %.0f, %d stored)", what, got, want, base, stored)
+				}
+				readings += fmt.Sprintf(" %s/q=%d:%.1f", tc.name, tc.nq, got)
+			}
+			t.Logf("%d devices, %s LRU, uncached %.1f:%s", devs, mode.name, base, readings)
+		}
+	}
+}
+
+// cloneAll deep-copies a command's results.
+func cloneAll(results [][]DocResult) [][]DocResult {
+	cp := make([][]DocResult, len(results))
+	for i, res := range results {
+		cp[i] = cloneResults(res)
+	}
+	return cp
+}
+
+// TestMixedContextGroupAllocs: a coalesced group whose members carry
+// different contexts polls them through the dispatcher's own groupCtx, so
+// it allocates what a group sharing one context does, and the
+// dispatcher lets go of the members' contexts once the group has run.
+func TestMixedContextGroupAllocs(t *testing.T) {
+	e := newEngine(t, AllOptions())
+	deployBoth(t, e.Submit)
+	q, err := e.NewQueue(QueueConfig{Depth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q.Close()
+	a := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:4], K: 10, Opt: SearchOptions{NProbe: 4}}
+	b := a
+	b.Queries = testData.Queries[4:8]
+	other, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var failed error
+	var done uint64
+	group := func(ctxB context.Context) func() {
+		return func() {
+			q.pause()
+			ida, err := q.SubmitAsync(context.Background(), a)
+			if err != nil {
+				failed = err
+			}
+			idb, err := q.SubmitAsync(ctxB, b)
+			if err != nil {
+				failed = err
+			}
+			q.resume()
+			// Both completions park before either Wait, so no Wait takes a
+			// channel from its pool, which the race detector thins.
+			for done += 2; q.Stats().Completed < done; {
+				runtime.Gosched()
+			}
+			for _, id := range []CommandID{ida, idb} {
+				if _, err := q.Wait(context.Background(), id); err != nil {
+					failed = err
+				}
+			}
+		}
+	}
+	same := testing.AllocsPerRun(10, group(context.Background()))
+	mixed := testing.AllocsPerRun(10, group(other))
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if st := q.Stats(); st.Dispatches != 22 || st.Coalesced != 44 {
+		t.Fatalf("not every pair of commands coalesced: %+v", st)
+	}
+	t.Logf("a group of two commands: %.1f allocs with one context, %.1f with two", same, mixed)
+	if mixed != same {
+		t.Errorf("a group with two contexts allocates %.1f, one with a shared context %.1f", mixed, same)
+	}
+	for _, ctx := range q.gctx.ctxs[:cap(q.gctx.ctxs)] {
+		if ctx != nil {
+			t.Fatal("the dispatcher still holds a member's context after the group ran")
 		}
 	}
 }

@@ -574,7 +574,7 @@ func (c *controller) ibc(qi int, st *QueryStats) {
 		st.IBCLoads = max(st.IBCLoads, loads)
 		st.IBCTotalLoads += total
 		if c.rows != nil {
-			row := &c.rows[s][qi]
+			row := &c.rows[s][c.at(qi)]
 			row.IBCBroadcasts += planes
 			row.IBCLoads, row.IBCTotalLoads = loads, total
 		}
@@ -605,7 +605,7 @@ func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntr
 		sum.prunedSlots += seg.prunedSlots
 		sum.prunedPages += seg.prunedPages
 		if c.rows != nil {
-			seg.addTo(&c.rows[s][qi], coarse, eb)
+			seg.addTo(&c.rows[s][c.at(qi)], coarse, eb)
 		}
 		for _, ps := range out.scans[seg.lo:seg.hi] {
 			dst = append(dst, d.pool.scratchOf(ps.plane).arenas[ps.arena][ps.lo:ps.hi]...)

@@ -87,12 +87,31 @@ type pinnedCluster struct {
 	pages  [][]byte
 }
 
-// resEntry is one result-cache record on the LRU list.
+// resEntry is one result-cache record on the LRU list. Its results'
+// documents are capacity-bounded windows of its one document block;
+// both buffers are rewritten in place when an insert recycles the record.
 type resEntry struct {
 	key        string
 	res        []DocResult
+	docs       []byte
 	bytes      int64
 	prev, next *resEntry
+}
+
+// set deep-copies res into the record, in the buffers it already holds
+// where they are large enough. The contents are overwritten, so a short
+// buffer is replaced, not grown (growTo's append idiom also allocates
+// its temporary under the race detector).
+func (en *resEntry) set(res []DocResult) {
+	if cap(en.res) < len(res) {
+		en.res = make([]DocResult, len(res))
+	}
+	n := docBytes(res)
+	if cap(en.docs) < n {
+		en.docs = make([]byte, n)
+	}
+	en.res, en.docs = en.res[:len(res)], en.docs[:n]
+	copyResultsInto(en.res, en.docs, res)
 }
 
 // CacheStats is the caching tier's state and the history of its
@@ -335,7 +354,8 @@ func (c *dbCache) fill(cl int, segs []SlotRange, fetch pinFetch) error {
 	c.pins[cl] = pc
 	c.stats.PinFills += int64(len(pc.pages))
 	c.stats.PinnedBytes += int64(len(pc.pages)) * c.pageCost()
-	c.stats.ResultSqueezes += c.trim()
+	squeezed, _ := c.trim(0)
+	c.stats.ResultSqueezes += squeezed
 	return nil
 }
 
@@ -456,8 +476,9 @@ func (c *dbCache) resultKey(op uint8, k int, opt SearchOptions, query []float32)
 	return buf
 }
 
-// lookupResult returns a deep copy of the cached results for key, if
-// present, and marks the entry most recently used.
+// lookupResult returns the cached results for key, if present, and
+// marks the entry most recently used. The slice is the cache's own and
+// good until the next insert: the caller copies what it keeps.
 func (c *dbCache) lookupResult(key []byte) ([]DocResult, bool) {
 	en, ok := c.res[string(key)]
 	if !ok {
@@ -466,42 +487,54 @@ func (c *dbCache) lookupResult(key []byte) ([]DocResult, bool) {
 	}
 	c.stats.ResultHits++
 	c.moveFront(en)
-	return copyResults(en.res), true
+	return en.res, true
 }
 
-// storeResult inserts a deep copy of res under key and trims the LRU. An
-// entry larger than the pins leave room for is skipped, uncopied.
+// storeResult inserts a deep copy of res under key. An entry larger than
+// the pins leave room for is skipped, uncopied. A new key first evicts
+// from the LRU tail what its insert would push past the budget — the
+// entries, in the order, that trimming after the insert would evict —
+// and takes over the last evicted record and its buffers, so an insert
+// into a full LRU allocates only its key.
 func (c *dbCache) storeResult(key []byte, res []DocResult) {
 	bytes := resultBytes(len(key), res)
 	if bytes > c.budget-c.stats.PinnedBytes {
 		return
 	}
-	if en, ok := c.res[string(key)]; ok {
+	en, ok := c.res[string(key)]
+	if ok {
 		c.stats.ResultBytes += bytes - en.bytes
-		en.res, en.bytes = copyResults(res), bytes
 		c.moveFront(en)
 	} else {
-		en := &resEntry{key: string(key), res: copyResults(res), bytes: bytes}
+		if _, en = c.trim(bytes); en == nil {
+			en = &resEntry{}
+		}
+		en.key = string(key)
 		c.res[en.key] = en
 		c.stats.ResultBytes += bytes
 		c.pushFront(en)
 	}
-	c.trim()
+	en.bytes = bytes
+	en.set(res)
+	if ok {
+		c.trim(0)
+	}
 }
 
-// trim evicts from the LRU tail until the results fit what the pins leave
-// of the budget — the one eviction path, run by every insert and every
-// pin fill — and returns the entries it evicted.
-func (c *dbCache) trim() (evicted int64) {
-	for c.stats.ResultBytes > c.budget-c.stats.PinnedBytes && c.lruTail != nil {
-		ev := c.lruTail
-		c.unlink(ev)
-		delete(c.res, ev.key)
-		c.stats.ResultBytes -= ev.bytes
+// trim evicts from the LRU tail until the results, and room more bytes,
+// fit what the pins leave of the budget — the one eviction path, run by
+// every insert and every pin fill — and returns how many entries it
+// evicted and the last of them (nil for none).
+func (c *dbCache) trim(room int64) (evicted int64, last *resEntry) {
+	for c.stats.ResultBytes+room > c.budget-c.stats.PinnedBytes && c.lruTail != nil {
+		last = c.lruTail
+		c.unlink(last)
+		delete(c.res, last.key)
+		c.stats.ResultBytes -= last.bytes
 		evicted++
 	}
 	c.stats.ResultEvictions += evicted
-	return evicted
+	return evicted, last
 }
 
 // snapshot is the tier's CacheStats now; nil reports zeros.
@@ -561,33 +594,28 @@ func (c *dbCache) moveFront(en *resEntry) {
 	c.pushFront(en)
 }
 
-// copyResults deep-copies a query's results: the records, and their
-// documents in one block, each result a capacity-bounded window of it —
-// the shape hostCore.tail builds them in.
-func copyResults(res []DocResult) []DocResult {
-	cp := slices.Clone(res)
-	n := 0
+func resultBytes(keyLen int, res []DocResult) int64 {
+	return int64(keyLen + 32*len(res) + docBytes(res))
+}
+
+// docBytes is the length of a query's documents together.
+func docBytes(res []DocResult) (n int) {
 	for _, r := range res {
 		n += len(r.Doc)
 	}
-	if n == 0 {
-		return cp
-	}
-	docs := make([]byte, 0, n)
-	for i, r := range res {
-		if r.Doc != nil {
-			lo := len(docs)
-			docs = append(docs, r.Doc...)
-			cp[i].Doc = docs[lo:len(docs):len(docs)]
-		}
-	}
-	return cp
+	return n
 }
 
-func resultBytes(keyLen int, res []DocResult) int64 {
-	b := int64(keyLen)
-	for _, r := range res {
-		b += 32 + int64(len(r.Doc))
+// copyResultsInto deep-copies res into dst, of len(res) records, and
+// docs, of docBytes(res) bytes: each copied document is a
+// capacity-bounded window of docs, so appending to one never writes over
+// another.
+func copyResultsInto(dst []DocResult, docs []byte, res []DocResult) {
+	copy(dst, res)
+	for i, r := range res {
+		if r.Doc != nil {
+			m := copy(docs, r.Doc)
+			dst[i].Doc, docs = docs[:m:m], docs[m:]
+		}
 	}
-	return b
 }

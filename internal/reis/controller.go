@@ -50,9 +50,26 @@ type controller struct {
 	// decided once per command: every device's scan and every pinned
 	// scan filter under it, and the coarse cut rides it.
 	filter int
-	// rows are the running command's [device][query] PerShard rows (nil
-	// unless the host reports them), filled as each query is folded.
-	rows [][]QueryStats
+	// The running command's output, which search allocates once for all
+	// its queries and returns: results and stats per query, the
+	// [device][query] PerShard rows (nil unless the host reports them),
+	// and the blocks every query's results and documents are windows of.
+	// Query qi of a run lands at position at(qi): pos maps the miss
+	// subset a cached command runs to its queries' places, and is nil
+	// when the run is the whole command.
+	results [][]DocResult
+	sts     []QueryStats
+	rows    [][]QueryStats
+	out     runOut
+	pos     []int
+}
+
+// at is the command position of the running batch's query qi.
+func (c *controller) at(qi int) int {
+	if c.pos == nil {
+		return qi
+	}
+	return c.pos[qi]
 }
 
 // ctrlScratch is the controller's pooled working state, embedded in
@@ -81,6 +98,10 @@ type ctrlScratch struct {
 	qbits     []uint64
 	packedBuf []byte
 	packed    [][]byte
+	// A cached command's miss subset: missQ[j] is the command's query
+	// missIdx[j].
+	missIdx []int
+	missQ   [][]float32
 }
 
 // growTo resizes s to n elements, keeping the existing ones (and the
@@ -123,13 +144,15 @@ func (s *ctrlScratch) reset(queries [][]float32, pool, slotBytes int) {
 // coalesced group's concatenation — against the database and runs them,
 // wrapped in the result cache when useCache is set (host commands;
 // calibration bypasses it). K, a non-empty Q and per-command uniform
-// dimensionality were checked at submission (validate). Hits are served as
-// deep copies at controller cost (QueryStats records only
+// dimensionality were checked at submission (validate). The command's
+// results, stats and PerShard rows are allocated once, whatever mix of
+// hits and misses its queries are. A hit is deep-copied into windows of
+// the run's output blocks at controller cost (QueryStats records only
 // ResultCacheHits, the per-shard rows stay zero); the miss subset runs
-// as one batch, so its per-query stats are bit-identical to an uncached
-// run, and is then inserted. Every lookup precedes every insert, so
-// intra-batch duplicates all miss and hit patterns do not depend on
-// batch order.
+// as one batch into the misses' own places, so its per-query stats are
+// bit-identical to an uncached run, and is then inserted. Every lookup
+// precedes every insert, so intra-batch duplicates all miss and hit
+// patterns do not depend on batch order.
 func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
 	db, cache := c.db, c.db.cache
 	opt, err := resolveSearchOptions(db, cmd)
@@ -145,39 +168,44 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	if cmd.Opcode == OpcodeIVFSearch && db.lay.flat() {
 		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.id)
 	}
-	if !useCache || cache == nil {
-		return c.run(ctx, cmd.Opcode, queries, cmd.K, opt)
-	}
 	nq := len(queries)
-	results := make([][]DocResult, nq)
-	sts := make([]QueryStats, nq)
-	var missIdx []int
-	var missQ [][]float32
+	c.results = make([][]DocResult, nq)
+	c.sts = make([]QueryStats, nq)
+	c.rows = c.h.shardRows(nq)
+	if !useCache || cache == nil {
+		if err := c.run(ctx, cmd.Opcode, queries, cmd.K, opt); err != nil {
+			return nil, nil, nil, err
+		}
+		return c.results, c.sts, c.rows, nil
+	}
+	s := c.scr
+	missIdx, missQ := s.missIdx[:0], s.missQ[:0]
 	for i, q := range queries {
 		if r, ok := cache.lookupResult(cache.resultKey(cmd.Opcode, cmd.K, opt, q)); ok {
-			results[i] = r
-			sts[i] = QueryStats{ResultCacheHits: 1}
+			// Sized for every query still to be served: this one, the
+			// ones after it and the misses before it.
+			c.out.waiting = nq - i + len(missIdx)
+			c.results[i] = c.out.serve(r)
+			c.sts[i] = QueryStats{ResultCacheHits: 1}
 			continue
 		}
 		missIdx = append(missIdx, i)
 		missQ = append(missQ, q)
 	}
-	rows := c.h.shardRows(nq)
+	s.missIdx, s.missQ = missIdx, missQ
 	if len(missIdx) > 0 {
-		mres, msts, mrows, err := c.run(ctx, cmd.Opcode, missQ, cmd.K, opt)
+		c.pos = missIdx
+		err := c.run(ctx, cmd.Opcode, missQ, cmd.K, opt)
+		c.pos = nil
+		clear(missQ) // the operands are the caller's again
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		for j, i := range missIdx {
-			results[i] = mres[j]
-			sts[i] = msts[j]
-			cache.storeResult(cache.resultKey(cmd.Opcode, cmd.K, opt, queries[i]), mres[j])
-			for s := range rows {
-				rows[s][i] = mrows[s][j]
-			}
+		for _, i := range missIdx {
+			cache.storeResult(cache.resultKey(cmd.Opcode, cmd.K, opt, queries[i]), c.results[i])
 		}
 	}
-	return results, sts, rows, nil
+	return c.results, c.sts, c.rows, nil
 }
 
 // coarseCut is the coarse round's in-plane cutoff at nprobe, or -1 when
@@ -214,9 +242,10 @@ func (c *controller) selectClusters(qi int, cents []TTLEntry, nprobe int, st *Qu
 // run drives one validated batch through the pipeline: plan a round,
 // have the devices scan it, fold each query's segments — pinned ones
 // from DRAM — into its accumulator, tighten its bound, repeat; the
-// tail of a query runs as its last round is folded. ctx is polled
-// before every round and every tail.
-func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k int, opt SearchOptions) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+// tail of a query runs as its last round is folded, into the command's
+// output at the query's position (at). ctx is polled before every round
+// and every tail.
+func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k int, opt SearchOptions) error {
 	nq := len(queries)
 	s := c.scr
 	pool := 0
@@ -227,8 +256,6 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	for _, d := range c.h.devs {
 		d.scr.ibc.begin(d.SSD.Cfg.Geo, d.Opts.MPIBC, nq)
 	}
-	sts := make([]QueryStats, nq)
-	c.rows = c.h.shardRows(nq)
 	mut, cache, nlist := c.db.mut, c.db.cache, c.db.lay.nlist()
 	var tomb []uint64
 	if mut.deadCount > 0 {
@@ -249,7 +276,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		// Pins refresh once per IVF command, before any probe of it counts.
 		err := cache.refresh(mut.buckets, func(page int, buf []byte) error { return c.h.fetchPin(c.db, page, buf) })
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		// Coarse round: every query ranks the whole centroid region in
 		// flash. No pruning bound applies. With the coarse cut on, only
@@ -263,14 +290,14 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		}
 		for cut := c.coarseCut(opt.NProbe); ; cut = -1 {
 			if err := c.scan(ctx, true, cut, s.segs, nil, s.bounds, opt.MetaTag); err != nil {
-				return nil, nil, nil, err
+				return err
 			}
 			reissue := false
 			for qi := range queries {
 				if len(s.segs[qi]) == 0 {
 					continue // selected in the cut round
 				}
-				st := &sts[qi]
+				st := &c.sts[c.at(qi)]
 				c.ibc(qi, st)
 				cents := c.fold(qi, 0, true, st, s.cents[:0])
 				s.cents = cents
@@ -287,11 +314,9 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		}
 	}
 
-	results := make([][]DocResult, nq)
-	var out runOut
 	for r, last := 0, false; !last; r++ {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		// Plan round r.
 		var lbs [][]int
@@ -335,10 +360,10 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		}
 
 		if err := c.scan(ctx, false, c.filter, s.segs, lbs, s.bounds, opt.MetaTag); err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		for qi := range queries {
-			st := &sts[qi]
+			st := &c.sts[c.at(qi)]
 			c.ibc(qi, st)
 			// Earlier rounds wait in the query's accumulator; its final
 			// stream is assembled in the one shared buffer and consumed by
@@ -370,15 +395,15 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			}
 			s.entries = acc
 			if err := ctx.Err(); err != nil {
-				return nil, nil, nil, err
+				return err
 			}
-			out.waiting = nq - qi
-			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st, &out)
+			c.out.waiting = nq - qi
+			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st, &c.out)
 			if err != nil {
-				return nil, nil, nil, err
+				return err
 			}
-			results[qi] = res
+			c.results[c.at(qi)] = res
 		}
 	}
-	return results, sts, c.rows, nil
+	return nil
 }

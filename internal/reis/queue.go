@@ -249,11 +249,12 @@ type Queue struct {
 	// order, until their Wait comes; each still holds its slot.
 	parked []completion
 
-	// group and queries are the dispatcher goroutine's own: the dispatch
-	// group being executed, and a coalesced group's concatenated Q
-	// operands, read only while its run lasts.
+	// group, queries and gctx are the dispatcher goroutine's own: the
+	// dispatch group being executed, and a coalesced group's concatenated
+	// Q operands and merged context, read only while its run lasts.
 	group   []qcmd
 	queries [][]float32
+	gctx    groupCtx
 
 	done chan struct{} // closed when the dispatcher has exited
 }
@@ -736,9 +737,11 @@ func (q *Queue) execSearch(live []qcmd) {
 		}
 		q.queries = queries
 	}
-	results, sts, perShard, err := q.h.search(mergeCtxs(live), &head.cmd, queries, true)
+	results, sts, perShard, err := q.h.search(q.mergeCtxs(live), &head.cmd, queries, true)
 	if len(live) > 1 {
-		clear(queries) // the members' operands are theirs again
+		// The members' operands and contexts are theirs again.
+		clear(queries)
+		clear(q.gctx.ctxs)
 	}
 	if err != nil {
 		if len(live) == 1 {
@@ -899,9 +902,9 @@ func (q *Queue) complete(id CommandID, resp HostResponse, err error) {
 }
 
 // mergeCtxs returns the context governing a coalesced execution: the
-// shared context when every member carries the same one, otherwise a
-// groupCtx polling all of them.
-func mergeCtxs(group []qcmd) context.Context {
+// shared context when every member carries the same one, otherwise the
+// dispatcher's groupCtx, set to poll all of them.
+func (q *Queue) mergeCtxs(group []qcmd) context.Context {
 	ctx := group[0].ctx
 	same := true
 	for i := 1; i < len(group); i++ {
@@ -913,11 +916,12 @@ func mergeCtxs(group []qcmd) context.Context {
 	if same {
 		return ctx
 	}
-	ctxs := make([]context.Context, len(group))
+	ctxs := q.gctx.ctxs[:0]
 	for i := range group {
-		ctxs[i] = group[i].ctx
+		ctxs = append(ctxs, group[i].ctx)
 	}
-	return groupCtx{ctxs: ctxs}
+	q.gctx.ctxs = ctxs
+	return &q.gctx
 }
 
 // groupCtx aggregates the member contexts of a coalesced dispatch. The
@@ -926,7 +930,7 @@ func mergeCtxs(group []qcmd) context.Context {
 // groupCtx never escapes the queue internals.
 type groupCtx struct{ ctxs []context.Context }
 
-func (g groupCtx) Deadline() (time.Time, bool) {
+func (g *groupCtx) Deadline() (time.Time, bool) {
 	var earliest time.Time
 	ok := false
 	for _, c := range g.ctxs {
@@ -937,9 +941,9 @@ func (g groupCtx) Deadline() (time.Time, bool) {
 	return earliest, ok
 }
 
-func (g groupCtx) Done() <-chan struct{} { return nil }
+func (g *groupCtx) Done() <-chan struct{} { return nil }
 
-func (g groupCtx) Err() error {
+func (g *groupCtx) Err() error {
 	for _, c := range g.ctxs {
 		if err := c.Err(); err != nil {
 			return err
@@ -948,4 +952,4 @@ func (g groupCtx) Err() error {
 	return nil
 }
 
-func (g groupCtx) Value(any) any { return nil }
+func (g *groupCtx) Value(any) any { return nil }

@@ -302,6 +302,9 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 	// p*stride + start (itself, on one device).
 	basePos := (p*db.stride + db.start) * db.embPerPage
 	entrySize := db.ttlEntryBytes()
+	// The pass/fail comparator's checks are counted here and recorded
+	// once per page.
+	checks := 0
 	for s := loSlot; s <= hiSlot; s++ {
 		dist := dists[s-loSlot]
 		l, ok := parseLink(oob, s)
@@ -309,8 +312,11 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 			continue // cluster-alignment padding slot
 		}
 		ps.scanned++
-		if r.threshold >= 0 && !d.SSD.Dev.PassFail(dist, r.threshold) {
-			continue
+		if r.threshold >= 0 {
+			checks++
+			if dist > r.threshold {
+				continue
+			}
 		}
 		if r.metaTag != nil && l.tag != *r.metaTag {
 			continue
@@ -326,12 +332,16 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 		if err := d.FSM.Execute(flash.Command{
 			Op: flash.OpReadTTL, Plane: plane, EntryBytes: entrySize,
 		}); err != nil {
+			d.SSD.Dev.CountPassFail(checks)
 			return err
 		}
 		ps.survivors++
 		*arena = append(*arena, TTLEntry{
 			Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 		})
+	}
+	if checks > 0 {
+		d.SSD.Dev.CountPassFail(checks)
 	}
 	return nil
 }

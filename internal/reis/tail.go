@@ -138,15 +138,17 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 	return out, nil
 }
 
-// runOut is where a run's tails put what the caller keeps: each query's
-// results are a window of one []DocResult block and its documents a
-// window of one []byte block. A block is allocated when a query's share
-// does not fit what is left of the current one, sized for that share
-// times the queries still waiting for their tail (waiting, this one
-// included) — so a run whose queries return equally many results
-// allocates one block of each, whatever its query count. Every window
-// is capacity-bounded: appending to one query's results, or to one
-// result's document, reallocates instead of writing over a neighbour's.
+// runOut is where a command's tails and result-cache hits put what the
+// caller keeps: each query's results are a window of one []DocResult
+// block and its documents a window of one []byte block. A block is
+// allocated when a query's share does not fit what is left of the
+// current one, sized for that share times the queries still waiting for
+// their tail or their hit's copy (waiting, this one included) — so a
+// command whose queries return equally many results allocates one block
+// of each, whatever its query count and its mix of hits and misses.
+// Every window is capacity-bounded: appending to one query's results, or
+// to one result's document, reallocates instead of writing over a
+// neighbour's.
 type runOut struct {
 	waiting int
 	res     []DocResult
@@ -163,6 +165,19 @@ func window[T any](blk *[]T, n, waiting int) []T {
 	}
 	*blk = b[:len(b)+n]
 	return b[len(b) : len(b)+n : len(b)+n]
+}
+
+// serve deep-copies a result-cache hit into windows of the blocks: its
+// records, and their documents in one window of the document block,
+// each result a capacity-bounded window of it — the shape tail builds.
+func (o *runOut) serve(res []DocResult) []DocResult {
+	out := window(&o.res, len(res), o.waiting)
+	var docs []byte
+	if n := docBytes(res); n > 0 {
+		docs = window(&o.docs, n, o.waiting)
+	}
+	copyResultsInto(out, docs, res)
+	return out
 }
 
 // filterTombstoned compacts the entry stream in place, keeping only
