@@ -127,6 +127,135 @@ func TestOutputBlocksIsolated(t *testing.T) {
 	}
 }
 
+// TestReleaseIsolation: a released response's blocks are reused only once
+// nobody holds them. A response that is held is never written over by the
+// released commands after it; in a coalesced pair, one member's Release
+// leaves the other's results in place until it is released too; a
+// SkipDocs command on a record that last held documents returns no
+// document; and stats read from recycled blocks equal a fresh host's.
+func TestReleaseIsolation(t *testing.T) {
+	drainOutPool()
+	t.Cleanup(drainOutPool)
+	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:4], K: 10, Opt: SearchOptions{NProbe: 4}}
+	for _, devs := range []int{1, 4} {
+		// h serves released commands; ref, of the same topology, serves
+		// the same commands into fresh blocks.
+		var h, ref cachedHost
+		if devs == 1 {
+			h, ref = newEngine(t, AllOptions()), newEngine(t, AllOptions())
+		} else {
+			h, ref = newSharded(t, devs), newSharded(t, devs)
+		}
+		deployBoth(t, h.Submit)
+		deployBoth(t, ref.Submit)
+		what := fmt.Sprintf("%d devices", devs)
+		// churn runs released commands of every shape over the pool's records.
+		churn := func() {
+			for i := range 8 {
+				c := cmd
+				c.Queries = testData.Queries[8+i : 9+i+i%3]
+				c.Opt.SkipDocs = i%2 == 1
+				resp := mustSubmit(t, h, c)
+				resp.Release()
+			}
+		}
+
+		// A dispatch runs into a released record when the pool hands it
+		// one; the pool may miss (a record left in another P's private
+		// slot, a Put the race detector drops), so try a few times.
+		churn()
+		held := mustSubmit(t, h, cmd)
+		for try := 0; held.out == nil && try < 16; try++ {
+			held.Release()
+			held = mustSubmit(t, h, cmd)
+		}
+		if held.out == nil {
+			t.Fatalf("%s: no dispatch ran into a released record", what)
+		}
+		want := cloneAll(held.Results)
+		churn()
+		if !reflect.DeepEqual(held.Results, want) {
+			t.Fatalf("%s: released commands wrote over a held response", what)
+		}
+		held.Release()
+		held.Release() // a second Release does nothing
+		if held.Results != nil || held.QueryStats != nil || held.PerShard != nil {
+			t.Fatalf("%s: Release left the response's views in place", what)
+		}
+
+		// Two commands coalesced through a paused queue pair.
+		q, err := h.NewQueue(QueueConfig{Depth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer q.Close()
+		pair := func() (a, b HostResponse) {
+			q.pause()
+			var ids []CommandID
+			for _, part := range [][][]float32{testData.Queries[:4], testData.Queries[4:8]} {
+				c := cmd
+				c.Queries = part
+				id, err := q.SubmitAsync(context.Background(), c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, id)
+			}
+			q.resume()
+			return waitOK(t, q, ids[0]), waitOK(t, q, ids[1])
+		}
+		a, b := pair()
+		for try := 0; a.out == nil && try < 16; try++ {
+			a.Release()
+			b.Release()
+			a, b = pair()
+		}
+		if a.out == nil || a.out != b.out || a.out.refs.Load() != 2 {
+			t.Fatalf("%s: the coalesced members do not share one output record", what)
+		}
+		wantB, wantRows := cloneAll(b.Results), slices.Clone(b.QueryStats)
+		a.Release()
+		churn()
+		if !reflect.DeepEqual(b.Results, wantB) || !slices.Equal(b.QueryStats, wantRows) {
+			t.Fatalf("%s: one member's Release let later commands write over the other's results", what)
+		}
+		b.Release()
+
+		// Every command below runs into blocks a documents command filled.
+		var out outBlocks
+		for _, c := range []HostCommand{
+			cmd,
+			{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:4], K: 10, Opt: SearchOptions{NProbe: 4, SkipDocs: true}},
+			{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:6], K: 7},
+			{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[2:3], K: 12, Opt: SearchOptions{NProbe: 8, Prune: true}},
+		} {
+			if err := h.search(context.Background(), &c, c.Queries, true, &out); err != nil {
+				t.Fatal(err)
+			}
+			got := mustSubmit(t, ref, c)
+			if !reflect.DeepEqual(out.results, got.Results) || !slices.Equal(out.sts, got.QueryStats) ||
+				!reflect.DeepEqual(out.rows, got.PerShard) {
+				t.Fatalf("%s: opcode %#x on reused blocks: results or stats differ from a fresh host's", what, c.Opcode)
+			}
+			for _, res := range out.results {
+				for _, r := range res {
+					if c.Opt.SkipDocs && r.Doc != nil {
+						t.Fatalf("%s: a SkipDocs result on reused blocks carries a document", what)
+					}
+				}
+			}
+		}
+	}
+}
+
+// drainOutPool empties the output-record pool, so that an allocation
+// count of callers that never release does not depend on what earlier
+// tests released.
+func drainOutPool() {
+	for outPool.Get() != nil {
+	}
+}
+
 // TestCachedOutputBlocksIsolated: a result-cache hit is copied into
 // windows of its command's output blocks, beside the misses, so nothing
 // a caller holds aliases the cache or another query. Writing into one
@@ -227,11 +356,11 @@ func TestServedHitSurvivesRecycling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := db.cache.lruHead // the hit made its entry the most recent
-	key := rec.key
+	key := slices.Clone(rec.key)
 	// Eight other results fill the 8-entry LRU: the hit's entry is
 	// evicted first and its record taken over by the next insert.
 	mustSubmit(t, h, HostCommand{Opcode: cmd.Opcode, DBID: cmd.DBID, Queries: testData.Queries[1:9], K: cmd.K, Opt: cmd.Opt})
-	if _, ok := db.cache.res[key]; ok || db.cache.res[rec.key] != rec {
+	if db.cache.find(key, keyHash(key)) != nil || db.cache.find(rec.key, keyHash(rec.key)) != rec {
 		t.Fatal("the served entry was not evicted and its record recycled")
 	}
 	if !reflect.DeepEqual(hit.Results, want) {
@@ -367,7 +496,7 @@ func newCachedHost(t *testing.T, devs int, budget int64) cachedHost {
 func resultEntryBytes(t *testing.T, cmd HostCommand) int64 {
 	t.Helper()
 	h := newCachedHost(t, 1, 1<<20)
-	if _, _, _, err := h.search(context.Background(), &cmd, testData.Queries[:1], true); err != nil {
+	if _, _, _, err := searchFresh(context.Background(), h, &cmd, testData.Queries[:1], true); err != nil {
 		t.Fatal(err)
 	}
 	cs, err := h.CacheStats(cmd.DBID)
@@ -380,11 +509,12 @@ func resultEntryBytes(t *testing.T, cmd HostCommand) int64 {
 // TestCachedCommandAllocsConstant: a cached search command allocates
 // what an uncached one does — its results, stats and PerShard rows once,
 // and one results block and one documents block that its hits and its
-// misses share — plus, for each query it stores, the key string. Once
-// the LRU is full, a store takes over the record it evicts, buffers and
-// all. A store into room the LRU has left grows the cache by a record,
-// its results and its documents besides the key, and nothing else.
-// Every hit and miss pattern is checked on every measured command.
+// misses share. Once the LRU is full, a store takes over the record it
+// evicts, key buffer and all, and allocates nothing (before the map was
+// keyed on a hash, one key string per stored query). A store into room
+// the LRU has left grows the cache by a record, its key, its results and
+// its documents, and nothing else. Every hit and miss pattern is checked
+// on every measured command.
 func TestCachedCommandAllocsConstant(t *testing.T) {
 	ctx := context.Background()
 	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}}
@@ -446,13 +576,14 @@ func TestCachedCommandAllocsConstant(t *testing.T) {
 					}
 				}
 				wrong := -1
+				out := new(outBlocks)
 				serve := func() {
 					fill()
-					_, sts, _, err := h.search(ctx, &cmd, queries, true)
-					if err != nil {
+					*out = outBlocks{}
+					if err := h.search(ctx, &cmd, queries, true, out); err != nil {
 						t.Fatal(err)
 					}
-					for i, st := range sts {
+					for i, st := range out.sts {
 						if (st.ResultCacheHits == 1) != tc.isHit(i) {
 							wrong = i
 						}
@@ -472,7 +603,7 @@ func TestCachedCommandAllocsConstant(t *testing.T) {
 					t.Fatalf("%s: query %d was not the hit or miss the test set up", what, wrong)
 				}
 				evicted := after.ResultEvictions - before.ResultEvictions
-				want := base + float64(stored)
+				want := base
 				if mode.name == "evicting" {
 					if evicted != int64(11*stored) {
 						t.Errorf("%s: %d evictions over 11 commands, want one per store (%d)", what, evicted, 11*stored)
@@ -507,6 +638,7 @@ func cloneAll(results [][]DocResult) [][]DocResult {
 // it allocates what a group sharing one context does, and the
 // dispatcher lets go of the members' contexts once the group has run.
 func TestMixedContextGroupAllocs(t *testing.T) {
+	drainOutPool()
 	e := newEngine(t, AllOptions())
 	deployBoth(t, e.Submit)
 	q, err := e.NewQueue(QueueConfig{Depth: 4})

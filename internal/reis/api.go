@@ -280,6 +280,14 @@ func resolveSearchOptions(db *rdbEntry, cmd *HostCommand) (SearchOptions, error)
 }
 
 // HostResponse is the completion the device returns.
+//
+// A search response's Results (documents included), QueryStats and
+// PerShard are windows of output blocks that later commands may reuse
+// once the response is released (Release). The contract: no read of them
+// after Release; the members of a coalesced dispatch share one set of
+// blocks, which is reused only when every member has been released; and
+// not releasing is always safe — the blocks are then the caller's for
+// good and are garbage-collected like any other value.
 type HostResponse struct {
 	// Done mirrors the paper's done signal raised once document
 	// chunks are identified.
@@ -305,6 +313,35 @@ type HostResponse struct {
 	// GC reads, block erases, wear skew); nil for non-mutation
 	// commands.
 	Wear *WearStats
+
+	// out is the search dispatch's output record, nil when the dispatch
+	// found none to reuse or the command is not a search.
+	out *outRecord
+}
+
+// Release hands a search response's output blocks back for reuse by
+// later commands, and clears Results, QueryStats and PerShard, which
+// must not be read afterwards (nor any copy of them, documents
+// included). The blocks are reused once every member of the response's
+// coalesced dispatch has been released. Release is for the caller that
+// has finished with a response; one that never calls it keeps its blocks,
+// and a second call, or a call on a response that is not a search's, does
+// nothing.
+func (r *HostResponse) Release() {
+	if r.Results == nil {
+		return
+	}
+	rec := r.out
+	r.Results, r.QueryStats, r.PerShard, r.out = nil, nil, nil, nil
+	if rec == nil {
+		// The dispatch found no record: give the pool an empty one, which
+		// the next dispatch that takes it fills and its responses recycle.
+		outPool.Put(new(outRecord))
+		return
+	}
+	if rec.refs.Add(-1) == 0 {
+		outPool.Put(rec)
+	}
 }
 
 // ShardStats extracts one query's per-shard stats column

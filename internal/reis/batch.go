@@ -573,8 +573,8 @@ func (c *controller) ibc(qi int, st *QueryStats) {
 		st.IBCBroadcasts += planes
 		st.IBCLoads = max(st.IBCLoads, loads)
 		st.IBCTotalLoads += total
-		if c.rows != nil {
-			row := &c.rows[s][c.at(qi)]
+		if c.out.rows != nil {
+			row := &c.out.rows[s][c.at(qi)]
 			row.IBCBroadcasts += planes
 			row.IBCLoads, row.IBCTotalLoads = loads, total
 		}
@@ -604,8 +604,8 @@ func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntr
 		sum.survivors += seg.survivors
 		sum.prunedSlots += seg.prunedSlots
 		sum.prunedPages += seg.prunedPages
-		if c.rows != nil {
-			seg.addTo(&c.rows[s][c.at(qi)], coarse, eb)
+		if c.out.rows != nil {
+			seg.addTo(&c.out.rows[s][c.at(qi)], coarse, eb)
 		}
 		for _, ps := range out.scans[seg.lo:seg.hi] {
 			dst = append(dst, d.pool.scratchOf(ps.plane).arenas[ps.arena][ps.lo:ps.hi]...)

@@ -68,14 +68,18 @@ func TestBatchLatencyOverlap(t *testing.T) {
 // over repeated runs.
 func commandAllocs(t *testing.T, h searcher, cmd HostCommand, queries [][]float32) (allocs float64, survivors int) {
 	t.Helper()
-	_, sts, _, err := h.search(context.Background(), &cmd, queries, false)
+	_, sts, _, err := searchFresh(context.Background(), h, &cmd, queries, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, st := range sts {
 		survivors += st.Survivors
 	}
-	return testing.AllocsPerRun(10, func() { h.search(context.Background(), &cmd, queries, false) }), survivors
+	out := new(outBlocks)
+	return testing.AllocsPerRun(10, func() {
+		*out = outBlocks{} // fresh blocks, as a caller that never releases gets
+		h.search(context.Background(), &cmd, queries, false, out)
+	}), survivors
 }
 
 // TestFoldAllocsIndependentOfSurvivors: the cross-device fold merges

@@ -1,6 +1,7 @@
 package reis
 
 import (
+	"bytes"
 	"math"
 	"slices"
 
@@ -88,14 +89,18 @@ type pinnedCluster struct {
 }
 
 // resEntry is one result-cache record on the LRU list. Its results'
-// documents are capacity-bounded windows of its one document block;
-// both buffers are rewritten in place when an insert recycles the record.
+// documents are capacity-bounded windows of its one document block; the
+// key bytes, the results and the documents are rewritten in place when
+// an insert recycles the record. chain links the records whose keys share
+// a hash (dbCache.res).
 type resEntry struct {
-	key        string
+	key        []byte
+	hash       uint64
 	res        []DocResult
 	docs       []byte
 	bytes      int64
 	prev, next *resEntry
+	chain      *resEntry
 }
 
 // set deep-copies res into the record, in the buffers it already holds
@@ -164,9 +169,17 @@ type dbCache struct {
 	freePages [][]byte
 	freePins  []*pinnedCluster
 
-	res     map[string]*resEntry
-	lruHead *resEntry // most recently used
-	lruTail *resEntry
+	// res maps a key's hash (keyHash) to the first record of its chain;
+	// nres counts the records on every chain. free holds records that
+	// trim evicted or invalidate dropped, for inserts to recycle; they
+	// hold freeBytes of the budget's accounting, and trim drops them
+	// while the live results and they overrun what the pins leave.
+	res       map[uint64]*resEntry
+	nres      int64
+	lruHead   *resEntry // most recently used
+	lruTail   *resEntry
+	free      []*resEntry
+	freeBytes int64
 
 	// scratch
 	order []int
@@ -190,7 +203,7 @@ func newDBCache(cfg ssd.Config, f *pageFormat, nlist int) *dbCache {
 		counts:    make([]float64, nlist),
 		pins:      make([]*pinnedCluster, nlist),
 		want:      make([]bool, nlist),
-		res:       make(map[string]*resEntry),
+		res:       make(map[uint64]*resEntry),
 	}
 }
 
@@ -354,7 +367,7 @@ func (c *dbCache) fill(cl int, segs []SlotRange, fetch pinFetch) error {
 	c.pins[cl] = pc
 	c.stats.PinFills += int64(len(pc.pages))
 	c.stats.PinnedBytes += int64(len(pc.pages)) * c.pageCost()
-	squeezed, _ := c.trim(0)
+	squeezed := c.trim(0)
 	c.stats.ResultSqueezes += squeezed
 	return nil
 }
@@ -452,7 +465,8 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 // opcode kind, k, the resolved options, and the raw float32 bits of the
 // query. The cache is per-database, so the db id is implicit. The key is
 // built in the cache's one buffer and is good until the next call;
-// lookups read it in place and only an insert makes a string of it.
+// lookups read it in place and an insert copies it into its record's own
+// buffer.
 func (c *dbCache) resultKey(op uint8, k int, opt SearchOptions, query []float32) []byte {
 	var flags, tag uint8
 	if opt.MetaTag != nil {
@@ -476,12 +490,51 @@ func (c *dbCache) resultKey(op uint8, k int, opt SearchOptions, query []float32)
 	return buf
 }
 
+// keyHash is the 64-bit FNV-1a hash of a result key, what the result
+// map is keyed on. A variable so that tests can force collisions.
+var keyHash = func(key []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, b := range key {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	return h
+}
+
+// find returns the record holding key, whose hash is h, or nil: a hash
+// collision is settled by comparing the key bytes.
+func (c *dbCache) find(key []byte, h uint64) *resEntry {
+	en := c.res[h]
+	for en != nil && !bytes.Equal(en.key, key) {
+		en = en.chain
+	}
+	return en
+}
+
+// forget takes a record out of its hash chain.
+func (c *dbCache) forget(en *resEntry) {
+	if head := c.res[en.hash]; head == en {
+		if en.chain == nil {
+			delete(c.res, en.hash)
+		} else {
+			c.res[en.hash] = en.chain
+		}
+	} else {
+		for head.chain != en {
+			head = head.chain
+		}
+		head.chain = en.chain
+	}
+	en.chain = nil
+	c.nres--
+}
+
 // lookupResult returns the cached results for key, if present, and
 // marks the entry most recently used. The slice is the cache's own and
 // good until the next insert: the caller copies what it keeps.
 func (c *dbCache) lookupResult(key []byte) ([]DocResult, bool) {
-	en, ok := c.res[string(key)]
-	if !ok {
+	en := c.find(key, keyHash(key))
+	if en == nil {
 		c.stats.ResultMisses++
 		return nil, false
 	}
@@ -494,29 +547,39 @@ func (c *dbCache) lookupResult(key []byte) ([]DocResult, bool) {
 // the pins leave room for is skipped, uncopied. A new key first evicts
 // from the LRU tail what its insert would push past the budget — the
 // entries, in the order, that trimming after the insert would evict —
-// and takes over the last evicted record and its buffers, so an insert
-// into a full LRU allocates only its key.
+// and takes over the record freed last, with its key, result and
+// document buffers, so an insert allocates nothing once records exist.
 func (c *dbCache) storeResult(key []byte, res []DocResult) {
 	bytes := resultBytes(len(key), res)
 	if bytes > c.budget-c.stats.PinnedBytes {
 		return
 	}
-	en, ok := c.res[string(key)]
-	if ok {
+	h := keyHash(key)
+	en := c.find(key, h)
+	found := en != nil
+	if found {
 		c.stats.ResultBytes += bytes - en.bytes
 		c.moveFront(en)
 	} else {
-		if _, en = c.trim(bytes); en == nil {
+		c.trim(bytes)
+		if n := len(c.free); n > 0 {
+			en = c.free[n-1]
+			c.free[n-1] = nil
+			c.free = c.free[:n-1]
+			c.freeBytes -= en.bytes
+		} else {
 			en = &resEntry{}
 		}
-		en.key = string(key)
-		c.res[en.key] = en
+		en.key, en.hash = append(en.key[:0], key...), h
+		en.chain = c.res[h]
+		c.res[h] = en
+		c.nres++
 		c.stats.ResultBytes += bytes
 		c.pushFront(en)
 	}
 	en.bytes = bytes
 	en.set(res)
-	if ok {
+	if found {
 		c.trim(0)
 	}
 }
@@ -524,17 +587,27 @@ func (c *dbCache) storeResult(key []byte, res []DocResult) {
 // trim evicts from the LRU tail until the results, and room more bytes,
 // fit what the pins leave of the budget — the one eviction path, run by
 // every insert and every pin fill — and returns how many entries it
-// evicted and the last of them (nil for none).
-func (c *dbCache) trim(room int64) (evicted int64, last *resEntry) {
-	for c.stats.ResultBytes+room > c.budget-c.stats.PinnedBytes && c.lruTail != nil {
-		last = c.lruTail
-		c.unlink(last)
-		delete(c.res, last.key)
-		c.stats.ResultBytes -= last.bytes
+// evicted. Evicted records go on the free list, which then gives up
+// records, newest first, while the results and it together overrun
+// that share.
+func (c *dbCache) trim(room int64) (evicted int64) {
+	share := c.budget - c.stats.PinnedBytes
+	for c.stats.ResultBytes+room > share && c.lruTail != nil {
+		en := c.lruTail
+		c.unlink(en)
+		c.forget(en)
+		c.stats.ResultBytes -= en.bytes
+		c.free = append(c.free, en)
+		c.freeBytes += en.bytes
 		evicted++
 	}
 	c.stats.ResultEvictions += evicted
-	return evicted, last
+	for n := len(c.free); n > 0 && c.stats.ResultBytes+c.freeBytes > share; n-- {
+		c.freeBytes -= c.free[n-1].bytes
+		c.free[n-1] = nil
+		c.free = c.free[:n-1]
+	}
+	return evicted
 }
 
 // snapshot is the tier's CacheStats now; nil reports zeros.
@@ -543,20 +616,29 @@ func (c *dbCache) snapshot() CacheStats {
 		return CacheStats{}
 	}
 	s := c.stats
-	s.ResultEntries = int64(len(c.res))
+	s.ResultEntries = c.nres
 	return s
 }
 
 // invalidate atomically drops every pinned page and cached result; the
 // probe counters survive, so popularity re-pins from the mutated data.
-// Runs inside the mutation command, before its response is built.
+// The dropped records go on the free list for later inserts. Runs inside
+// the mutation command, before its response is built.
 func (c *dbCache) invalidate() {
 	if c == nil {
 		return
 	}
 	c.dropPins()
-	c.stats.ResultEvictions += int64(len(c.res))
+	c.stats.ResultEvictions += c.nres
+	for en := c.lruHead; en != nil; {
+		next := en.next
+		en.prev, en.next, en.chain = nil, nil, nil
+		c.free = append(c.free, en)
+		en = next
+	}
+	c.freeBytes += c.stats.ResultBytes
 	clear(c.res)
+	c.nres = 0
 	c.stats.ResultBytes = 0
 	c.lruHead, c.lruTail = nil, nil
 }

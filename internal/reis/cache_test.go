@@ -297,12 +297,13 @@ func TestResultCacheHitAllocs(t *testing.T) {
 	for _, nq := range []int{1, 8} {
 		cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, K: 10, Opt: SearchOptions{NProbe: 4}}
 		queries := testData.Queries[:nq]
+		out := new(outBlocks)
 		serve := func() []QueryStats {
-			_, sts, _, err := e.search(context.Background(), &cmd, queries, true)
-			if err != nil {
+			*out = outBlocks{}
+			if err := e.search(context.Background(), &cmd, queries, true, out); err != nil {
 				t.Fatal(err)
 			}
-			return sts
+			return out.sts
 		}
 		serve()
 		for qi, st := range serve() {
@@ -378,7 +379,7 @@ func TestPinChurnAllocs(t *testing.T) {
 		serve := func() {
 			// Past the result cache, like CalibrateNProbe: every command scans.
 			turn++
-			if _, _, _, err := e.search(context.Background(), &cmd, pair[turn%2], false); err != nil {
+			if _, _, _, err := searchFresh(context.Background(), e, &cmd, pair[turn%2], false); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -660,4 +661,98 @@ func TestPinnedScanCountsPrunedSlots(t *testing.T) {
 		t.Fatalf("%d pinned queries without an aborted segment, %d slots pruned: the pinned bound was not exercised", checked, dropped)
 	}
 	t.Logf("%d pinned queries of %d without an aborted segment, %d slots pruned", checked, len(q), dropped)
+}
+
+// TestResultInsertAfterInvalidateAllocs: a mutation's invalidate keeps
+// the records it drops for the inserts after it, so refilling the LRU
+// allocates nothing once records exist (before, every insert after an
+// invalidate allocated its record, results, documents and key).
+func TestResultInsertAfterInvalidateAllocs(t *testing.T) {
+	cfg := ssd.SSD1()
+	cfg.CacheDRAMBytes = 64 << 10
+	c := newDBCache(cfg, &pageFormat{}, 0)
+	res := []DocResult{{ID: 1, Dist: 2, Doc: make([]byte, 200)}, {ID: 3, Dist: 4, Doc: make([]byte, 100)}}
+	keys := make([][]byte, 64)
+	for i := range keys {
+		keys[i] = fmt.Appendf(nil, "query-%d", i)
+	}
+	refill := func() {
+		c.invalidate()
+		for _, k := range keys {
+			c.storeResult(k, res)
+		}
+	}
+	refill()
+	if got := testing.AllocsPerRun(10, refill); got != 0 {
+		t.Errorf("%.1f allocs to refill %d entries after an invalidate, want 0", got, len(keys))
+	}
+	var bytes int64
+	for _, k := range keys {
+		bytes += resultBytes(len(k), res)
+	}
+	if cs := c.snapshot(); cs.ResultEntries != int64(len(keys)) || cs.ResultBytes != bytes {
+		t.Fatalf("after the refills: %+v, want %d entries of %d bytes", cs, len(keys), bytes)
+	}
+	for _, k := range keys {
+		if got, ok := c.lookupResult(k); !ok || !reflect.DeepEqual(got, res) {
+			t.Fatalf("key %q: hit %v, results %v", k, ok, got)
+		}
+	}
+}
+
+// TestResultCacheHashCollisions: the result map is keyed on a hash of the
+// key and settles a collision by comparing key bytes, so with every key
+// hashing alike the LRU serves, misses and evicts exactly as it does
+// with FNV-1a, over a random stream of lookups, inserts, updates, pin
+// squeezes and invalidations.
+func TestResultCacheHashCollisions(t *testing.T) {
+	type outcome struct {
+		hit bool
+		res []DocResult
+	}
+	play := func() ([]outcome, CacheStats) {
+		cfg := ssd.SSD1()
+		cfg.CacheDRAMBytes = 8 << 10
+		c := newDBCache(cfg, &pageFormat{}, 0)
+		r := xrand.New(5)
+		var outs []outcome
+		for range 4000 {
+			key := fmt.Appendf(nil, "k%d", r.Intn(40))
+			switch op := r.Intn(100); {
+			case op < 50:
+				res, ok := c.lookupResult(key)
+				outs = append(outs, outcome{ok, cloneResults(res)})
+			case op < 95:
+				n := 1 + r.Intn(4)
+				res := make([]DocResult, n)
+				for i := range res {
+					res[i] = DocResult{ID: r.Intn(1000), Dist: float32(i), Doc: make([]byte, 50+r.Intn(400))}
+				}
+				c.storeResult(key, res)
+			case op < 98:
+				// A pin fill takes part of the budget, then gives it back.
+				c.stats.PinnedBytes = int64(r.Intn(6 << 10))
+				c.trim(0)
+				c.stats.PinnedBytes = 0
+			default:
+				c.invalidate()
+			}
+			budgetInvariant(t, "collision stream", c.snapshot(), c.budget)
+		}
+		return outs, c.snapshot()
+	}
+	wantOuts, wantStats := play()
+	fnv := keyHash
+	keyHash = func([]byte) uint64 { return 7 }
+	defer func() { keyHash = fnv }()
+	gotOuts, gotStats := play()
+	if gotStats != wantStats {
+		t.Fatalf("every key on one hash: stats %+v, want %+v", gotStats, wantStats)
+	}
+	if !reflect.DeepEqual(gotOuts, wantOuts) {
+		t.Fatal("every key on one hash: a lookup returned other results than with FNV-1a")
+	}
+	if wantStats.ResultHits == 0 || wantStats.ResultEvictions == 0 {
+		t.Fatalf("the stream neither hit nor evicted: %+v", wantStats)
+	}
 }

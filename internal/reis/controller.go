@@ -50,18 +50,13 @@ type controller struct {
 	// decided once per command: every device's scan and every pinned
 	// scan filter under it, and the coarse cut rides it.
 	filter int
-	// The running command's output, which search allocates once for all
-	// its queries and returns: results and stats per query, the
-	// [device][query] PerShard rows (nil unless the host reports them),
-	// and the blocks every query's results and documents are windows of.
-	// Query qi of a run lands at position at(qi): pos maps the miss
-	// subset a cached command runs to its queries' places, and is nil
-	// when the run is the whole command.
-	results [][]DocResult
-	sts     []QueryStats
-	rows    [][]QueryStats
-	out     runOut
-	pos     []int
+	// out is the running command's output, which search sizes once for
+	// all its queries (outBlocks.reset) in the caller's blocks. Query qi
+	// of a run lands at position at(qi): pos maps the miss subset a
+	// cached command runs to its queries' places, and is nil when the run
+	// is the whole command.
+	out *outBlocks
+	pos []int
 }
 
 // at is the command position of the running batch's query qi.
@@ -141,42 +136,37 @@ func (s *ctrlScratch) reset(queries [][]float32, pool, slotBytes int) {
 }
 
 // search resolves one command's queries — its own Q operand, or a
-// coalesced group's concatenation — against the database and runs them,
-// wrapped in the result cache when useCache is set (host commands;
-// calibration bypasses it). K, a non-empty Q and per-command uniform
-// dimensionality were checked at submission (validate). The command's
-// results, stats and PerShard rows are allocated once, whatever mix of
-// hits and misses its queries are. A hit is deep-copied into windows of
-// the run's output blocks at controller cost (QueryStats records only
-// ResultCacheHits, the per-shard rows stay zero); the miss subset runs
-// as one batch into the misses' own places, so its per-query stats are
-// bit-identical to an uncached run, and is then inserted. Every lookup
-// precedes every insert, so intra-batch duplicates all miss and hit
-// patterns do not depend on batch order.
-func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+// coalesced group's concatenation — against the database and runs them
+// into c.out, wrapped in the result cache when useCache is set (host
+// commands; calibration bypasses it). K, a non-empty Q and per-command
+// uniform dimensionality were checked at submission (validate). The
+// command's results, stats and PerShard rows are sized once, whatever
+// mix of hits and misses its queries are. A hit is deep-copied into
+// windows of the output blocks at controller cost (QueryStats records
+// only ResultCacheHits, the per-shard rows stay zero); the miss subset
+// runs as one batch into the misses' own places, so its per-query stats
+// are bit-identical to an uncached run, and is then inserted. Every
+// lookup precedes every insert, so intra-batch duplicates all miss and
+// hit patterns do not depend on batch order.
+func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) error {
 	db, cache := c.db, c.db.cache
 	opt, err := resolveSearchOptions(db, cmd)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	for _, q := range queries {
 		if len(q) != db.lay.dim {
-			return nil, nil, nil, fmt.Errorf("%w (query dim %d, database %d dim %d)",
+			return fmt.Errorf("%w (query dim %d, database %d dim %d)",
 				ErrQueryDims, len(q), db.id, db.lay.dim)
 		}
 	}
 	if cmd.Opcode == OpcodeIVFSearch && db.lay.flat() {
-		return nil, nil, nil, fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.id)
+		return fmt.Errorf("reis: database %d was not deployed with IVF_Deploy", db.id)
 	}
-	nq := len(queries)
-	c.results = make([][]DocResult, nq)
-	c.sts = make([]QueryStats, nq)
-	c.rows = c.h.shardRows(nq)
+	nq, out := len(queries), c.out
+	out.reset(nq, len(c.h.devs), c.h.perShard)
 	if !useCache || cache == nil {
-		if err := c.run(ctx, cmd.Opcode, queries, cmd.K, opt); err != nil {
-			return nil, nil, nil, err
-		}
-		return c.results, c.sts, c.rows, nil
+		return c.run(ctx, cmd.Opcode, queries, cmd.K, opt)
 	}
 	s := c.scr
 	missIdx, missQ := s.missIdx[:0], s.missQ[:0]
@@ -184,9 +174,9 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		if r, ok := cache.lookupResult(cache.resultKey(cmd.Opcode, cmd.K, opt, q)); ok {
 			// Sized for every query still to be served: this one, the
 			// ones after it and the misses before it.
-			c.out.waiting = nq - i + len(missIdx)
-			c.results[i] = c.out.serve(r)
-			c.sts[i] = QueryStats{ResultCacheHits: 1}
+			out.waiting = nq - i + len(missIdx)
+			out.results[i] = out.serve(r)
+			out.sts[i] = QueryStats{ResultCacheHits: 1}
 			continue
 		}
 		missIdx = append(missIdx, i)
@@ -199,13 +189,13 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 		c.pos = nil
 		clear(missQ) // the operands are the caller's again
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		for _, i := range missIdx {
-			cache.storeResult(cache.resultKey(cmd.Opcode, cmd.K, opt, queries[i]), c.results[i])
+			cache.storeResult(cache.resultKey(cmd.Opcode, cmd.K, opt, queries[i]), out.results[i])
 		}
 	}
-	return c.results, c.sts, c.rows, nil
+	return nil
 }
 
 // coarseCut is the coarse round's in-plane cutoff at nprobe, or -1 when
@@ -297,7 +287,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				if len(s.segs[qi]) == 0 {
 					continue // selected in the cut round
 				}
-				st := &c.sts[c.at(qi)]
+				st := &c.out.sts[c.at(qi)]
 				c.ibc(qi, st)
 				cents := c.fold(qi, 0, true, st, s.cents[:0])
 				s.cents = cents
@@ -363,7 +353,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 			return err
 		}
 		for qi := range queries {
-			st := &c.sts[c.at(qi)]
+			st := &c.out.sts[c.at(qi)]
 			c.ibc(qi, st)
 			// Earlier rounds wait in the query's accumulator; its final
 			// stream is assembled in the one shared buffer and consumed by
@@ -398,11 +388,11 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 				return err
 			}
 			c.out.waiting = nq - qi
-			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st, &c.out)
+			res, err := c.h.tail(c.db, queries[qi], acc, k, opt, st, c.out)
 			if err != nil {
 				return err
 			}
-			c.results[c.at(qi)] = res
+			c.out.results[c.at(qi)] = res
 		}
 	}
 	return nil

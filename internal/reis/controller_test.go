@@ -54,7 +54,7 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 	queries := testData.Queries[:3]
 	for _, tp := range topos {
 		for _, cmd := range cmds {
-			want, _, _, err := tp.h.search(context.Background(), &cmd, queries, false)
+			want, _, _, err := searchFresh(context.Background(), tp.h, &cmd, queries, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,7 +66,7 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 					t.Fatalf("%s op %#x: still cancelled after %d polls", tp.name, cmd.Opcode, p)
 				}
 				ctx := &countdownCtx{Context: context.Background(), polls: p}
-				got, _, _, err := tp.h.search(ctx, &cmd, queries, false)
+				got, _, _, err := searchFresh(ctx, tp.h, &cmd, queries, false)
 				if err == nil {
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("%s op %#x polls=%d: results after aborts differ", tp.name, cmd.Opcode, p)
@@ -77,7 +77,7 @@ func TestSearchCancelBetweenRounds(t *testing.T) {
 					t.Fatalf("%s op %#x polls=%d: got %v, want ctx.Err()", tp.name, cmd.Opcode, p, err)
 				}
 				aborted++
-				next, _, _, err := tp.h.search(context.Background(), &cmd, queries, false)
+				next, _, _, err := searchFresh(context.Background(), tp.h, &cmd, queries, false)
 				if err != nil {
 					t.Fatalf("%s op %#x polls=%d: search after the cancelled one: %v", tp.name, cmd.Opcode, p, err)
 				}

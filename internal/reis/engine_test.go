@@ -51,7 +51,17 @@ type submitter interface {
 }
 
 type searcher interface {
-	search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error)
+	search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool, out *outBlocks) error
+}
+
+// searchFresh runs one search into fresh output blocks, as a dispatch
+// whose caller never releases does, and returns them. (The holder escapes
+// through the interface call: allocation counts hold one of their own,
+// zeroed before each run.)
+func searchFresh(ctx context.Context, h searcher, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+	out := new(outBlocks)
+	err := h.search(ctx, cmd, queries, useCache, out)
+	return out.results, out.sts, out.rows, err
 }
 
 func newEngine(t *testing.T, opts Options) *Engine {

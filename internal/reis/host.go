@@ -434,15 +434,17 @@ func (c *hostCore) ReplayJournal(data []byte) error {
 
 // search runs one command's queries — its own Q operand, or a coalesced
 // dispatch group's concatenation under the head command's parameters —
-// through the controller, with the result cache consulted when useCache
-// is set. The controller plans from the host's global state only, so
-// every topology plans identical rounds and holds identical cache state;
-// rows is the per-device stats view ([device][query]) of a
-// ShardedEngine, nil on an Engine.
-func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool) ([][]DocResult, []QueryStats, [][]QueryStats, error) {
+// through the controller into out, with the result cache consulted when
+// useCache is set. out's blocks are reused where they are large enough
+// (outBlocks.reset), so out must hold nothing a caller still reads. The
+// controller plans from the host's global state only, so every topology
+// plans identical rounds and holds identical cache state; out.rows is the
+// per-device stats view ([device][query]) of a ShardedEngine (a 1-shard
+// one's too), nil on an Engine.
+func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]float32, useCache bool, out *outBlocks) error {
 	db, err := c.lockDB(cmd.DBID)
 	if err != nil {
-		return nil, nil, nil, err
+		return err
 	}
 	defer c.execMu.Unlock()
 	// The devices' arenas hold a round's entries until they are folded, so
@@ -451,7 +453,7 @@ func (c *hostCore) search(ctx context.Context, cmd *HostCommand, queries [][]flo
 		d.mu.Lock()
 	}
 	defer c.unlockDevs()
-	ctl := controller{h: c, db: db, scr: &c.scr.ctrl, filter: -1}
+	ctl := controller{h: c, db: db, scr: &c.scr.ctrl, filter: -1, out: out}
 	if c.devs[0].Opts.DistanceFilter {
 		ctl.filter = db.lay.filterThreshold
 	}
@@ -462,22 +464,6 @@ func (c *hostCore) unlockDevs() {
 	for _, d := range c.devs {
 		d.mu.Unlock()
 	}
-}
-
-// shardRows allocates a command's [device][query] PerShard rows — the
-// per-device stats a ShardedEngine's Latency shapes consume (a 1-shard
-// one's too); an Engine's stay nil. Every device's row is a
-// capacity-bounded window of one block, whatever the device count.
-func (c *hostCore) shardRows(nq int) [][]QueryStats {
-	if !c.perShard {
-		return nil
-	}
-	rows := make([][]QueryStats, len(c.devs))
-	block := make([]QueryStats, len(c.devs)*nq)
-	for s := range rows {
-		rows[s] = block[s*nq : (s+1)*nq : (s+1)*nq]
-	}
-	return rows
 }
 
 // CalibrateNProbe finds the smallest nprobe meeting the Recall@k target
@@ -509,14 +495,17 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 	}
 	// The sweep is not a host command: each step runs outside any queue
 	// pair and past the result cache.
+	// The sweep reads a step's results before it runs the next, so every
+	// step reuses the first one's output blocks.
 	step := HostCommand{Opcode: OpcodeIVFSearch, DBID: dbID, K: k, Opt: SearchOptions{SkipDocs: true}}
+	var out outBlocks
 	nprobe, ok, err := calibrateSweep(db.lay.nlist(), groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {
 		step.Opt.NProbe = nprobe
-		results, _, _, err := c.search(context.Background(), &step, queries, false)
+		err := c.search(context.Background(), &step, queries, false, &out)
 		if hook := c.testCalibStepHook; hook != nil {
 			hook()
 		}
-		return results, err
+		return out.results, err
 	})
 	if err != nil {
 		return 0, err

@@ -217,7 +217,7 @@ func TestOneDeviceMutateWhileSearching(t *testing.T) {
 			pruned.Opt.Prune = true
 			searchers := []func() error{
 				func() error {
-					_, _, _, err := h.search(context.Background(), &search, queries, false)
+					_, _, _, err := searchFresh(context.Background(), h, &search, queries, false)
 					return err
 				},
 				func() error { _, err := h.Submit(search); return err },

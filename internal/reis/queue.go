@@ -249,12 +249,16 @@ type Queue struct {
 	// order, until their Wait comes; each still holds its slot.
 	parked []completion
 
-	// group, queries and gctx are the dispatcher goroutine's own: the
-	// dispatch group being executed, and a coalesced group's concatenated
-	// Q operands and merged context, read only while its run lasts.
+	// group, queries, gctx and out are the dispatcher goroutine's own:
+	// the dispatch group being executed, and a coalesced group's
+	// concatenated Q operands and merged context, read only while its run
+	// lasts.
 	group   []qcmd
 	queries [][]float32
 	gctx    groupCtx
+	// out holds a search dispatch's output while it runs when outPool
+	// had no record to reuse; it is emptied before the completions leave.
+	out outBlocks
 
 	done chan struct{} // closed when the dispatcher has exited
 }
@@ -726,7 +730,11 @@ func (q *Queue) execGroup() {
 // results are bit-identical to per-command execution, so splitting the
 // output per command is exact; a group of one hands the pass's slices on
 // as they are. Members share the pass's blocks through capacity-bounded
-// windows, their PerShard headers included (one block per group).
+// windows, their PerShard headers included (one block per group). The
+// blocks are a released record's when outPool holds one, and every member
+// points to it, so the last member's Release hands it back; otherwise
+// they are fresh, in the dispatcher's own outBlocks, which lets go of
+// them once the group has completed.
 func (q *Queue) execSearch(live []qcmd) {
 	head := &live[0]
 	queries := head.cmd.Queries
@@ -737,13 +745,22 @@ func (q *Queue) execSearch(live []qcmd) {
 		}
 		q.queries = queries
 	}
-	results, sts, perShard, err := q.h.search(q.mergeCtxs(live), &head.cmd, queries, true)
+	rec, _ := outPool.Get().(*outRecord)
+	out := &q.out
+	if rec != nil {
+		out = &rec.outBlocks
+	}
+	err := q.h.search(q.mergeCtxs(live), &head.cmd, queries, true, out)
 	if len(live) > 1 {
 		// The members' operands and contexts are theirs again.
 		clear(queries)
 		clear(q.gctx.ctxs)
 	}
 	if err != nil {
+		q.out = outBlocks{}
+		if rec != nil {
+			outPool.Put(rec) // nothing of it was handed out
+		}
 		if len(live) == 1 {
 			q.complete(head.id, HostResponse{}, err)
 			return
@@ -760,11 +777,17 @@ func (q *Queue) execSearch(live []qcmd) {
 		}
 		return
 	}
+	results, sts, perShard := out.results, out.sts, out.rows
 	ns := len(perShard)
 	var hdrs [][]QueryStats
 	if ns > 0 && len(live) > 1 {
-		hdrs = make([][]QueryStats, len(live)*ns)
+		out.hdrs = reuse(out.hdrs, len(live)*ns)
+		hdrs = out.hdrs
 	}
+	if rec != nil {
+		rec.refs.Store(int32(len(live)))
+	}
+	q.out = outBlocks{}
 	off := 0
 	for i := range live {
 		qc := &live[i]
@@ -774,6 +797,7 @@ func (q *Queue) execSearch(live []qcmd) {
 			Results:    results[off : off+n : off+n],
 			QueryStats: sts[off : off+n : off+n],
 			PerShard:   perShard,
+			out:        rec,
 		}
 		if hdrs != nil {
 			resp.PerShard, hdrs = hdrs[:ns:ns], hdrs[ns:]

@@ -443,7 +443,7 @@ func TestSearchBatchCancelMidBatch(t *testing.T) {
 	deployFlat(t, e, 1)
 	for _, polls := range []int{1, 3, 17} {
 		ctx := &countdownCtx{Context: context.Background(), polls: polls}
-		_, _, _, err := e.search(ctx, &HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 10}, testData.Queries[:8], false)
+		_, _, _, err := searchFresh(ctx, e, &HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 10}, testData.Queries[:8], false)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("polls=%d: batch survived cancellation: %v", polls, err)
 		}

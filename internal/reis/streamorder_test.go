@@ -65,7 +65,7 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 			tomb = db.mut.tomb
 		}
 		var err error
-		if o.res, err = e.tail(db, query, slices.Clone(fine), k, SearchOptions{}, &o.tailSt, &runOut{waiting: 1}); err != nil {
+		if o.res, err = e.tail(db, query, slices.Clone(fine), k, SearchOptions{}, &o.tailSt, &outBlocks{waiting: 1}); err != nil {
 			t.Fatal(err)
 		}
 		tr := boundTracker{capacity: rerankPool(k)}

@@ -2,6 +2,8 @@ package reis
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"reis/internal/vecmath"
 )
@@ -16,7 +18,7 @@ import (
 // tailScratch holds the tail's pooled working sets. Exactly one
 // goroutine owns a tailScratch at a time (the host core's execution
 // lock holder); everything handed back to the caller is carved from the
-// run's output blocks (runOut), never from scratch.
+// command's output blocks (outBlocks), never from scratch.
 type tailScratch struct {
 	q8         []int8
 	reranked   []DocResult
@@ -41,7 +43,7 @@ type tailScratch struct {
 // waves are counted per *global* plane (page mod total planes) — exactly
 // the plane the page occupies on the single-device reference — so wave
 // accounting matches bit for bit on every topology.
-func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats, dst *runOut) ([]DocResult, error) {
+func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats, dst *outBlocks) ([]DocResult, error) {
 	ts, f, planes := &c.scr.tail, &db.lay.pageFormat, c.cfg.Geo.Planes()
 	if db.mut.deadCount > 0 {
 		entries = filterTombstoned(entries, db.mut.tomb)
@@ -138,30 +140,97 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 	return out, nil
 }
 
-// runOut is where a command's tails and result-cache hits put what the
-// caller keeps: each query's results are a window of one []DocResult
-// block and its documents a window of one []byte block. A block is
-// allocated when a query's share does not fit what is left of the
-// current one, sized for that share times the queries still waiting for
-// their tail or their hit's copy (waiting, this one included) — so a
-// command whose queries return equally many results allocates one block
-// of each, whatever its query count and its mix of hits and misses.
-// Every window is capacity-bounded: appending to one query's results, or
-// to one result's document, reallocates instead of writing over a
-// neighbour's.
-type runOut struct {
-	waiting int
+// outBlocks is a search command's output: the results header, the
+// QueryStats, the [device][query] PerShard rows and their block (nil
+// unless the host reports them), a coalesced group's per-member PerShard
+// headers, and the blocks every query's results and documents are
+// windows of. Each query's results are a window of one []DocResult block
+// and its documents a window of one []byte block. A block is replaced
+// when a query's share does not fit what is left of it, by one sized for
+// what the command took of the old block plus that share times the
+// queries still waiting for their tail or their hit's copy (waiting, this
+// one included) — so a command whose queries return equally many results
+// fills one block of each, whatever its query count and its mix of hits
+// and misses, and a recycled block too short for its command grows to
+// the command's shape at once. Every window is capacity-bounded:
+// appending to one query's results, or to one result's document,
+// reallocates instead of writing over a neighbour's.
+//
+// The blocks of a command's record (outRecord) are handed back by
+// HostResponse.Release and reused, in place, by a later command: reset
+// overwrites every header and zeroes every QueryStats, and every window
+// a command hands out is written whole, so nothing of the earlier
+// command shows through.
+type outBlocks struct {
+	results [][]DocResult
+	sts     []QueryStats
+	rows    [][]QueryStats
+	rowBlk  []QueryStats
+	hdrs    [][]QueryStats
 	res     []DocResult
 	docs    []byte
+	waiting int
+}
+
+// outRecord is the pooled holder of one command's outBlocks. A search
+// dispatch takes one from outPool and its responses point to it
+// (HostResponse.out); refs counts the responses that have not been
+// released — a coalesced group's members share the record — and the last
+// Release puts it back. A response nobody releases leaves its record to
+// the garbage collector.
+type outRecord struct {
+	outBlocks
+	refs atomic.Int32
+}
+
+// outPool holds released records. It has no New: a dispatch that finds
+// it empty runs into fresh blocks with no record, exactly as a command
+// whose caller never releases always did, and the Release of such a
+// response puts an empty record in for a later dispatch to fill (see
+// HostResponse.Release). So callers that never release allocate what
+// they always did, and callers that do allocate nothing once the pool
+// holds a record per command in flight.
+var outPool sync.Pool
+
+// reset sizes the blocks for a command of nq queries on devs devices,
+// keeping their capacity: every header and every stats row is zeroed,
+// and the result and document blocks are emptied. PerShard rows are
+// carved, one capacity-bounded window of rowBlk per device, only when
+// perShard is set; otherwise rows is nil (an Engine's responses carry
+// none).
+func (o *outBlocks) reset(nq, devs int, perShard bool) {
+	o.results = reuse(o.results, nq)
+	o.sts = reuse(o.sts, nq)
+	if !perShard {
+		o.rows = nil
+	} else {
+		o.rows = reuse(o.rows, devs)
+		o.rowBlk = reuse(o.rowBlk, devs*nq)
+		for s := range o.rows {
+			o.rows[s] = o.rowBlk[s*nq : (s+1)*nq : (s+1)*nq]
+		}
+	}
+	o.res, o.docs = o.res[:0], o.docs[:0]
+}
+
+// reuse returns s resized to n zeroed elements, in its own array when
+// that is large enough.
+func reuse[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // window returns the next n free elements of *blk as a len-n, cap-n
-// slice, first replacing the block by one of n·waiting elements when
-// fewer than n are free.
+// slice, first replacing the block by one of len(*blk)+n·waiting
+// elements when fewer than n are free.
 func window[T any](blk *[]T, n, waiting int) []T {
 	b := *blk
 	if b == nil || cap(b)-len(b) < n {
-		b = make([]T, 0, n*waiting)
+		b = make([]T, 0, len(b)+n*waiting)
 	}
 	*blk = b[:len(b)+n]
 	return b[len(b) : len(b)+n : len(b)+n]
@@ -170,7 +239,7 @@ func window[T any](blk *[]T, n, waiting int) []T {
 // serve deep-copies a result-cache hit into windows of the blocks: its
 // records, and their documents in one window of the document block,
 // each result a capacity-bounded window of it — the shape tail builds.
-func (o *runOut) serve(res []DocResult) []DocResult {
+func (o *outBlocks) serve(res []DocResult) []DocResult {
 	out := window(&o.res, len(res), o.waiting)
 	var docs []byte
 	if n := docBytes(res); n > 0 {

@@ -2,8 +2,10 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"reis/internal/reis"
@@ -50,25 +52,123 @@ func TestGroupDoAllocs(t *testing.T) {
 }
 
 // TestGatewaySearchAllocs is the allocation budget of a whole GET /search
-// under the handler — the mux, the middleware chain, parsing, Group.Do
-// and the body — on a writer that allocates nothing itself: Group.Do's 4
-// and none of the gateway's own (52 before; 6–7 under the race detector,
-// see TestGroupDoAllocs).
+// under the handler — the mux, the middleware chain (the route's latency
+// sketch included), parsing, Group.Do and the body — on a writer that
+// allocates nothing itself: none, since the handler releases the response
+// once the body holds what it needs and the next request's command fills
+// the same blocks (52 before the gateway's own pools, 4 before Release).
 func TestGatewaySearchAllocs(t *testing.T) {
 	gw, _ := newTestGateway(t, GatewayConfig{}, Config{})
 	r := httptest.NewRequest(http.MethodGet, "/search?q=3&k=10", nil)
 	r.Header.Set("X-Request-ID", "alloc-1")
 	w := &stubWriter{hdr: make(http.Header)}
 	h := gw.Handler()
-	got := testing.AllocsPerRun(200, func() {
+	serve := func() {
 		w.status, w.n = 0, 0
 		h.ServeHTTP(w, r)
 		if w.status != 0 && w.status != http.StatusOK || w.n == 0 {
 			t.Fatalf("GET /search: status %d, %d body bytes", w.status, w.n)
 		}
-	})
+	}
+	for range 50 {
+		serve() // fills the pools and the route's latency buckets
+	}
+	got := testing.AllocsPerRun(200, serve)
 	t.Logf("GET /search: %.1f allocs per request", got)
-	if got > 10 {
-		t.Errorf("GET /search: %.1f allocs per request, budget 10", got)
+	// The request's own pools (status writer, body buffer) thin under the
+	// race detector too: 4-5 measured there.
+	if budget := map[bool]float64{false: 0, true: 8}[raceEnabled]; got > budget {
+		t.Errorf("GET /search: %.1f allocs per request, budget %.0f", got, budget)
+	}
+}
+
+// raceRoom is what a released command may allocate: nothing, except
+// under the race detector, where sync.Pool drops a quarter of what it is
+// handed — a dropped output record costs the next command its fresh
+// blocks (4 to 6) and the Release after it an empty record, a dropped
+// waiter channel one. 2-4 measured there.
+var raceRoom = map[bool]float64{false: 0, true: 6}[raceEnabled]
+
+// TestReleasedResponseAllocs: a search command whose response is released
+// allocates nothing in the steady state — through Group.Do, the queue
+// round trip, the scan rounds and the tail — because the next command
+// fills the output blocks the released one handed back. Covered on one
+// device and on sharded hosts of 2 and 4, for flat and IVF commands, and
+// on a cached host for result-cache hits and for misses, whose inserts
+// recycle the records the full LRU evicts.
+func TestReleasedResponseAllocs(t *testing.T) {
+	// Queries no command has seen: each one misses.
+	fresh := make([][]float32, 256)
+	for i := range fresh {
+		fresh[i] = slices.Clone(svData.Queries[i%len(svData.Queries)])
+		fresh[i][0] += float32(i+1) * 1e-3
+	}
+	for _, host := range []struct {
+		name   string
+		cache  int64
+		shards int
+	}{{"1 device", 0, 1}, {"2 shards", 0, 2}, {"4 shards", 0, 4}, {"cached", 64 << 10, 1}} {
+		g, err := NewGroup([]Host{newHost(t, host.cache, host.shards)}, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		base, docs := svData.Vectors[:svBase], svData.Docs[:svBase]
+		for _, cmd := range []reis.HostCommand{
+			{Opcode: reis.OpcodeDBDeploy, Deploy: &reis.DeployConfig{ID: 1, Vectors: base, Docs: docs, DocSlotBytes: 256}},
+			{Opcode: reis.OpcodeIVFDeploy, Deploy: &reis.DeployConfig{ID: 2, Vectors: base, Docs: docs, DocSlotBytes: 256, Centroids: svCents, Assign: svAssign}},
+		} {
+			if _, err := g.Submit(cmd); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, kind := range []struct {
+			name string
+			cmd  reis.HostCommand
+		}{
+			{"flat", reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 1, K: 10}},
+			{"ivf", reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 2, K: 10, Opt: reis.SearchOptions{NProbe: 4}}},
+		} {
+			for _, miss := range []bool{false, true} {
+				if miss && host.cache == 0 {
+					continue // an uncached host has no hits to tell apart
+				}
+				what := fmt.Sprintf("%s, %s", host.name, kind.name)
+				if host.cache > 0 {
+					what += map[bool]string{false: ", hits", true: ", misses"}[miss]
+				}
+				next, cmd := 0, kind.cmd
+				ctx := context.Background()
+				var failed error
+				do := func() {
+					cmd.Queries = svData.Queries[:1]
+					if miss {
+						next++
+						cmd.Queries = fresh[next%len(fresh) : next%len(fresh)+1]
+					}
+					resp, err := g.Do(ctx, cmd)
+					if err != nil || len(resp.Results[0]) != 10 || len(resp.Results[0][0].Doc) == 0 {
+						failed = fmt.Errorf("%s: %d results, err %v", what, len(resp.Results), err)
+						return
+					}
+					if hit := resp.QueryStats[0].ResultCacheHits == 1; host.cache > 0 && hit == miss {
+						failed = fmt.Errorf("%s: a query's cache outcome is not the one set up", what)
+					}
+					resp.Release()
+				}
+				for range 2 * len(fresh) {
+					do() // fills the pool, the LRU and every pooled scratch
+				}
+				failed = nil // the hit command's first run missed
+				got := testing.AllocsPerRun(200, do)
+				if failed != nil {
+					t.Fatal(failed)
+				}
+				t.Logf("%s: %.1f allocs per released command", what, got)
+				if got > raceRoom {
+					t.Errorf("%s: %.1f allocs per released command, budget %.0f", what, got, raceRoom)
+				}
+			}
+		}
 	}
 }

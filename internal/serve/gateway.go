@@ -72,23 +72,37 @@ type routeMetrics struct {
 	Status4xx uint64 `json:"status_4xx"`
 	Status5xx uint64 `json:"status_5xx"`
 	Rejected  uint64 `json:"rejected"`
-	// TotalNs / MaxNs aggregate handler latency.
+	// TotalNs / MaxNs aggregate handler latency; P50Ns / P99Ns / P999Ns
+	// are its quantiles, within the sketch's 1 % relative error.
 	TotalNs int64 `json:"total_ns"`
 	MaxNs   int64 `json:"max_ns"`
+	P50Ns   int64 `json:"p50_ns"`
+	P99Ns   int64 `json:"p99_ns"`
+	P999Ns  int64 `json:"p999_ns"`
 }
 
 // routeCounters accumulates one route's routeMetrics. Every request
-// updates them, so they are atomics, not fields under the gateway's lock.
+// updates them, so the counters are atomics, not fields under the
+// gateway's lock; the handler-time distribution is a sketch under its
+// own lock, which a request holds only to add one sample (an existing
+// bucket's count, so a served request allocates nothing there).
 type routeCounters struct {
 	requests, status4xx, status5xx, rejected atomic.Uint64
 	totalNs, maxNs                           atomic.Int64
+
+	mu  sync.Mutex
+	lat *reis.LatencySketch
 }
 
 func (c *routeCounters) snapshot() routeMetrics {
-	return routeMetrics{
+	m := routeMetrics{
 		Requests: c.requests.Load(), Status4xx: c.status4xx.Load(), Status5xx: c.status5xx.Load(),
 		Rejected: c.rejected.Load(), TotalNs: c.totalNs.Load(), MaxNs: c.maxNs.Load(),
 	}
+	c.mu.Lock()
+	m.P50Ns, m.P99Ns, m.P999Ns = int64(c.lat.Quantile(0.5)), int64(c.lat.Quantile(0.99)), int64(c.lat.Quantile(0.999))
+	c.mu.Unlock()
+	return m
 }
 
 // Gateway is the HTTP front of a replica group.
@@ -153,7 +167,7 @@ func NewGateway(g *Group, cfg GatewayConfig) *Gateway {
 		buckets: make(map[string]*bucket),
 	}
 	for _, route := range []string{"/search", "/search/stream", "/stats", "/healthz"} {
-		gw.routes[route] = new(routeCounters)
+		gw.routes[route] = &routeCounters{lat: reis.NewLatencySketch(0)}
 	}
 	protected := func(route string, h http.HandlerFunc) http.Handler {
 		return chain(h, gw.requestID(), gw.metrics(route), gw.admit(), gw.auth(), gw.rateLimit())
@@ -248,7 +262,7 @@ func (gw *Gateway) requestID() middleware {
 }
 
 // metrics records per-route request counts, error classes and handler
-// latency.
+// latency: its total, its maximum and its distribution.
 func (gw *Gateway) metrics(route string) middleware {
 	m := gw.routes[route]
 	return func(next http.Handler) http.Handler {
@@ -275,6 +289,9 @@ func (gw *Gateway) metrics(route string) middleware {
 					break
 				}
 			}
+			m.mu.Lock()
+			m.lat.Observe(time.Duration(elapsed))
+			m.mu.Unlock()
 		})
 	}
 }
@@ -538,6 +555,9 @@ func (gw *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
 	gw.record(resp.QueryStats[0])
 	buf := bodyBufs.Get().(*[]byte)
 	*buf = appendSearchBody((*buf)[:0], resp.Results[0])
+	// The body holds copies of what it needs: the response's blocks go
+	// back for the next command to fill.
+	resp.Release()
 	w.Header()["Content-Type"] = contentTypeJSON
 	w.Write(*buf) // a failed write is the client's departure
 	bodyBufs.Put(buf)
@@ -583,7 +603,9 @@ func (gw *Gateway) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			gw.record(resp.QueryStats[0])
+			// hits copies the documents' transport prefixes out.
 			lines <- streamLine{Q: qi, Hits: hits(resp.Results[0])}
+			resp.Release()
 		}(qi)
 	}
 	go func() {

@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -263,6 +265,82 @@ func TestGatewayStream(t *testing.T) {
 	}
 	if len(seen) != 3 || !seen[0] || !seen[1] || !seen[2] {
 		t.Fatalf("streamed queries %v, want {0,1,2}", seen)
+	}
+}
+
+// TestGatewayStreamLinesUnchanged: each streamed line is the bytes the
+// NDJSON encoder gives a query's hits as an unreleased response carries
+// them, although every line's response is released as soon as its hits
+// are copied out and the commands still in flight reuse its blocks. The
+// stream names each sample query four times, with documents, so released
+// blocks are refilled while other lines wait.
+func TestGatewayStreamLinesUnchanged(t *testing.T) {
+	// Deep enough that no line of the stream is refused for a full queue.
+	gw, g := newTestGateway(t, GatewayConfig{}, Config{QueueDepth: 64})
+	want := map[string]int{}
+	var idxs []string
+	for range 4 {
+		for qi := range svData.Queries {
+			idxs = append(idxs, fmt.Sprint(qi))
+			resp, err := g.Submit(gw.searchCmd(qi, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			line, err := json.Marshal(streamLine{Q: qi, Hits: hits(resp.Results[0])})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[string(line)]++
+		}
+	}
+	w := get(gw, "/search/stream?k=6&q="+strings.Join(idxs, ","), nil)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	}
+	got := map[string]int{}
+	sc := bufio.NewScanner(strings.NewReader(w.Body.String()))
+	for sc.Scan() {
+		got[sc.Text()]++
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("streamed lines differ from the unreleased responses' encoding:\ngot  %v\nwant %v", got, want)
+	}
+}
+
+// TestGatewayLatencyQuantiles: /stats reports each route's handler-time
+// quantiles beside its total and maximum, and they move as requests are
+// served: absent before any request, every quantile the one sample's
+// bucket after the first, and p999 the largest sample's bucket (within
+// the sketch's 1 % error) after more.
+func TestGatewayLatencyQuantiles(t *testing.T) {
+	gw, _ := newTestGateway(t, GatewayConfig{}, Config{})
+	route := func() routeMetrics {
+		var stats struct {
+			Routes map[string]routeMetrics `json:"routes"`
+		}
+		if err := json.Unmarshal(get(gw, "/stats", nil).Body.Bytes(), &stats); err != nil {
+			t.Fatal(err)
+		}
+		return stats.Routes["/search"]
+	}
+	near := func(q, ns int64) bool { return math.Abs(float64(q-ns)) <= 0.0101*float64(ns)+1 }
+	if m := route(); m != (routeMetrics{}) {
+		t.Fatalf("/search before any request: %+v", m)
+	}
+	get(gw, "/search?q=1&k=3", nil)
+	one := route()
+	if one.Requests != 1 || one.P50Ns <= 0 || one.P50Ns != one.P99Ns || one.P99Ns != one.P999Ns || !near(one.P999Ns, one.MaxNs) {
+		t.Fatalf("/search after one request: %+v", one)
+	}
+	for i := range 20 {
+		get(gw, fmt.Sprintf("/search?q=%d&k=%d", i%len(svData.Queries), 1+i*50), nil)
+	}
+	more := route()
+	if more.Requests != 21 || !near(more.P999Ns, more.MaxNs) || more.P50Ns > more.P99Ns || more.P99Ns > more.P999Ns {
+		t.Fatalf("/search after 21 requests: %+v", more)
+	}
+	if more.P999Ns == one.P999Ns && more.P50Ns == one.P50Ns {
+		t.Fatalf("/search quantiles did not move over 20 requests: %+v, then %+v", one, more)
 	}
 }
 
