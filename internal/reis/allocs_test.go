@@ -510,8 +510,7 @@ func resultEntryBytes(t *testing.T, cmd HostCommand) int64 {
 // what an uncached one does — its results, stats and PerShard rows once,
 // and one results block and one documents block that its hits and its
 // misses share. Once the LRU is full, a store takes over the record it
-// evicts, key buffer and all, and allocates nothing (before the map was
-// keyed on a hash, one key string per stored query). A store into room
+// evicts, key buffer and all, and allocates nothing. A store into room
 // the LRU has left grows the cache by a record, its key, its results and
 // its documents, and nothing else. Every hit and miss pattern is checked
 // on every measured command.

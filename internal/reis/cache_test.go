@@ -665,8 +665,7 @@ func TestPinnedScanCountsPrunedSlots(t *testing.T) {
 
 // TestResultInsertAfterInvalidateAllocs: a mutation's invalidate keeps
 // the records it drops for the inserts after it, so refilling the LRU
-// allocates nothing once records exist (before, every insert after an
-// invalidate allocated its record, results, documents and key).
+// allocates nothing once records exist.
 func TestResultInsertAfterInvalidateAllocs(t *testing.T) {
 	cfg := ssd.SSD1()
 	cfg.CacheDRAMBytes = 64 << 10

@@ -494,9 +494,9 @@ func (c *hostCore) CalibrateNProbe(dbID int, queries [][]float32, groundTruth []
 		return 0, err
 	}
 	// The sweep is not a host command: each step runs outside any queue
-	// pair and past the result cache.
-	// The sweep reads a step's results before it runs the next, so every
-	// step reuses the first one's output blocks.
+	// pair and past the result cache. The sweep reads a step's results
+	// before it runs the next, so every step reuses the first one's output
+	// blocks.
 	step := HostCommand{Opcode: OpcodeIVFSearch, DBID: dbID, K: k, Opt: SearchOptions{SkipDocs: true}}
 	var out outBlocks
 	nprobe, ok, err := calibrateSweep(db.lay.nlist(), groundTruth[:len(queries)], k, target, func(nprobe int) ([][]DocResult, error) {

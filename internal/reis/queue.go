@@ -249,16 +249,15 @@ type Queue struct {
 	// order, until their Wait comes; each still holds its slot.
 	parked []completion
 
-	// group, queries, gctx and out are the dispatcher goroutine's own:
-	// the dispatch group being executed, and a coalesced group's
-	// concatenated Q operands and merged context, read only while its run
-	// lasts.
+	// group, queries, gctx and out are the dispatcher goroutine's own,
+	// read only while a dispatch runs: the dispatch group being executed,
+	// a coalesced group's concatenated Q operands and merged context, and
+	// the output blocks of a search dispatch that found no released
+	// record in outPool (emptied before its completions leave).
 	group   []qcmd
 	queries [][]float32
 	gctx    groupCtx
-	// out holds a search dispatch's output while it runs when outPool
-	// had no record to reuse; it is emptied before the completions leave.
-	out outBlocks
+	out     outBlocks
 
 	done chan struct{} // closed when the dispatcher has exited
 }

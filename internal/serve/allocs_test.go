@@ -26,9 +26,9 @@ func (w *stubWriter) Write(b []byte) (int, error) { w.n += len(b); return len(b)
 // TestGroupDoAllocs is the allocation budget of the read path below the
 // gateway, beside reis.TestOneDeviceCommandAllocs: a one-query IVF k=10
 // command through Group.Do on one replica — routing, the queue round
-// trip, the scan rounds and the controller tail — allocates what the
-// caller keeps (the response's results, stats, and one block of document
-// bytes: 4), not a structure per layer (24 before the route, waiter,
+// trip, the scan rounds and the controller tail — allocates what a caller
+// that keeps the response keeps (its results header, stats, results
+// block and document block: 4), not a structure per layer (24 before the route, waiter,
 // dispatch-group, scan-round and document pools). The budget leaves room
 // for the race detector, under which sync.Pool drops a quarter of what it
 // is handed.
@@ -56,7 +56,7 @@ func TestGroupDoAllocs(t *testing.T) {
 // sketch included), parsing, Group.Do and the body — on a writer that
 // allocates nothing itself: none, since the handler releases the response
 // once the body holds what it needs and the next request's command fills
-// the same blocks (52 before the gateway's own pools, 4 before Release).
+// the same blocks.
 func TestGatewaySearchAllocs(t *testing.T) {
 	gw, _ := newTestGateway(t, GatewayConfig{}, Config{})
 	r := httptest.NewRequest(http.MethodGet, "/search?q=3&k=10", nil)

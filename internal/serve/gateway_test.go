@@ -271,9 +271,10 @@ func TestGatewayStream(t *testing.T) {
 // TestGatewayStreamLinesUnchanged: each streamed line is the bytes the
 // NDJSON encoder gives a query's hits as an unreleased response carries
 // them, although every line's response is released as soon as its hits
-// are copied out and the commands still in flight reuse its blocks. The
-// stream names each sample query four times, with documents, so released
-// blocks are refilled while other lines wait.
+// are copied out. The stream names each sample query four times, and
+// released GET /search requests of another k run beside it, so released
+// blocks are refilled by other dispatches while lines are still being
+// built.
 func TestGatewayStreamLinesUnchanged(t *testing.T) {
 	// Deep enough that no line of the stream is refused for a full queue.
 	gw, g := newTestGateway(t, GatewayConfig{}, Config{QueueDepth: 64})
@@ -293,17 +294,37 @@ func TestGatewayStreamLinesUnchanged(t *testing.T) {
 			want[string(line)]++
 		}
 	}
-	w := get(gw, "/search/stream?k=6&q="+strings.Join(idxs, ","), nil)
-	if w.Code != http.StatusOK {
-		t.Fatalf("status %d: %s", w.Code, w.Body.String())
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := c; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				get(gw, fmt.Sprintf("/search?q=%d&k=10", i%len(svData.Queries)), nil)
+			}
+		}()
 	}
-	got := map[string]int{}
-	sc := bufio.NewScanner(strings.NewReader(w.Body.String()))
-	for sc.Scan() {
-		got[sc.Text()]++
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("streamed lines differ from the unreleased responses' encoding:\ngot  %v\nwant %v", got, want)
+	defer wg.Wait()
+	defer close(stop)
+	for range 5 {
+		w := get(gw, "/search/stream?k=6&q="+strings.Join(idxs, ","), nil)
+		if w.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", w.Code, w.Body.String())
+		}
+		got := map[string]int{}
+		sc := bufio.NewScanner(strings.NewReader(w.Body.String()))
+		for sc.Scan() {
+			got[sc.Text()]++
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("streamed lines differ from the unreleased responses' encoding:\ngot  %v\nwant %v", got, want)
+		}
 	}
 }
 
