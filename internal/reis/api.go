@@ -333,6 +333,7 @@ func (r *HostResponse) Release() {
 	}
 	rec := r.out
 	r.Results, r.QueryStats, r.PerShard, r.out = nil, nil, nil, nil
+	outPoolUsed.Store(true)
 	if rec == nil {
 		// The dispatch found no record: give the pool an empty one, which
 		// the next dispatch that takes it fills and its responses recycle.

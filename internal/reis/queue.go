@@ -744,7 +744,10 @@ func (q *Queue) execSearch(live []qcmd) {
 		}
 		q.queries = queries
 	}
-	rec, _ := outPool.Get().(*outRecord)
+	var rec *outRecord
+	if outPoolUsed.Load() {
+		rec, _ = outPool.Get().(*outRecord)
+	}
 	out := &q.out
 	if rec != nil {
 		out = &rec.outBlocks

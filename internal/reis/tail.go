@@ -189,8 +189,14 @@ type outRecord struct {
 // response puts an empty record in for a later dispatch to fill (see
 // HostResponse.Release). So callers that never release allocate what
 // they always did, and callers that do allocate nothing once the pool
-// holds a record per command in flight.
-var outPool sync.Pool
+// holds a record per command in flight. A dispatch consults the pool
+// only once some response has been released (outPoolUsed): until then it
+// is empty, and a Get on a sync.Pool allocates its per-P array again
+// after every garbage collection.
+var (
+	outPool     sync.Pool
+	outPoolUsed atomic.Bool
+)
 
 // reset sizes the blocks for a command of nq queries on devs devices,
 // keeping their capacity: every header and every stats row is zeroed,
