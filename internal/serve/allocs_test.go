@@ -77,17 +77,14 @@ func TestGatewaySearchAllocs(t *testing.T) {
 	t.Logf("GET /search: %.1f allocs per request", got)
 	// The request's own pools (status writer, body buffer) thin under the
 	// race detector too: 4-5 measured there.
-	if budget := map[bool]float64{false: 0, true: 8}[raceEnabled]; got > budget {
+	budget := 0.0
+	if raceEnabled {
+		budget = 8
+	}
+	if got > budget {
 		t.Errorf("GET /search: %.1f allocs per request, budget %.0f", got, budget)
 	}
 }
-
-// raceRoom is what a released command may allocate: nothing, except
-// under the race detector, where sync.Pool drops a quarter of what it is
-// handed — a dropped output record costs the next command its fresh
-// blocks (4 to 6) and the Release after it an empty record, a dropped
-// waiter channel one. 2-4 measured there.
-var raceRoom = map[bool]float64{false: 0, true: 6}[raceEnabled]
 
 // TestReleasedResponseAllocs: a search command whose response is released
 // allocates nothing in the steady state — through Group.Do, the queue
@@ -97,6 +94,14 @@ var raceRoom = map[bool]float64{false: 0, true: 6}[raceEnabled]
 // on a cached host for result-cache hits and for misses, whose inserts
 // recycle the records the full LRU evicts.
 func TestReleasedResponseAllocs(t *testing.T) {
+	// Nothing, except under the race detector, where sync.Pool drops a
+	// quarter of what it is handed: a dropped output record costs the next
+	// command its fresh blocks (4 to 6) and the Release after it an empty
+	// record, a dropped waiter channel one. 2-4 are measured there.
+	budget := 0.0
+	if raceEnabled {
+		budget = 6
+	}
 	// Queries no command has seen: each one misses.
 	fresh := make([][]float32, 256)
 	for i := range fresh {
@@ -165,8 +170,8 @@ func TestReleasedResponseAllocs(t *testing.T) {
 					t.Fatal(failed)
 				}
 				t.Logf("%s: %.1f allocs per released command", what, got)
-				if got > raceRoom {
-					t.Errorf("%s: %.1f allocs per released command, budget %.0f", what, got, raceRoom)
+				if got > budget {
+					t.Errorf("%s: %.1f allocs per released command, budget %.0f", what, got, budget)
 				}
 			}
 		}
