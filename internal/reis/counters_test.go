@@ -14,22 +14,22 @@ import (
 // scanCounterGolden is the device-event digest (digestDevices) of each
 // case of TestScanCounterDigest, keyed "<case> n=<devices> mpibc=<on>".
 var scanCounterGolden = map[string]string{
-	"ivf8 n=1 mpibc=true":     "50dba5e6112a5080",
-	"flat8 n=1 mpibc=true":    "af35f6cd277005f0",
-	"lone n=1 mpibc=true":     "257be690fbc87e7c",
-	"pruned8 n=1 mpibc=true":  "e14ad125960c5546",
-	"ivf8 n=1 mpibc=false":    "eb573dd12d6de377",
-	"flat8 n=1 mpibc=false":   "3cc9019377ac9814",
-	"lone n=1 mpibc=false":    "7ed8f5d790f74510",
-	"pruned8 n=1 mpibc=false": "bd811c5be85bb492",
-	"ivf8 n=2 mpibc=true":     "89fffbda5a4b061d",
-	"flat8 n=2 mpibc=true":    "de0fe43e2236ac26",
-	"lone n=2 mpibc=true":     "a5b6f781c5bfd8a9",
-	"pruned8 n=2 mpibc=true":  "88d1e57008ebedf5",
-	"ivf8 n=2 mpibc=false":    "e1828a0c62acaa3b",
-	"flat8 n=2 mpibc=false":   "a8a4a8e35179af07",
-	"lone n=2 mpibc=false":    "cb8445d142c7b8e1",
-	"pruned8 n=2 mpibc=false": "f91fda62b72860ad",
+	"ivf8 n=1 mpibc=true":     "0981e9445a064084",
+	"flat8 n=1 mpibc=true":    "214918e6f391b48a",
+	"lone n=1 mpibc=true":     "424f4835fad83a0d",
+	"pruned8 n=1 mpibc=true":  "317e9271d90b4a93",
+	"ivf8 n=1 mpibc=false":    "2bbfd1556cc88f7f",
+	"flat8 n=1 mpibc=false":   "d5c6044b59eef8c6",
+	"lone n=1 mpibc=false":    "c9754402445f8b77",
+	"pruned8 n=1 mpibc=false": "48eb1de063bbcebb",
+	"ivf8 n=2 mpibc=true":     "f2900e9161f6bd3b",
+	"flat8 n=2 mpibc=true":    "a5a435d35fd7d0fc",
+	"lone n=2 mpibc=true":     "4a3255f7e2802b18",
+	"pruned8 n=2 mpibc=true":  "00ea2bf9178341d6",
+	"ivf8 n=2 mpibc=false":    "459c6f230b55956d",
+	"flat8 n=2 mpibc=false":   "e7bf3f64e30542f1",
+	"lone n=2 mpibc=false":    "6a7038a912db8ae6",
+	"pruned8 n=2 mpibc=false": "c72c8bc29628cd52",
 }
 
 // digestDevices folds every flash.Stats counter of every device — walked

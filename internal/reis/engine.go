@@ -154,6 +154,16 @@ type Database struct {
 	// the cluster count and the calibrated distance-filter cutoff are
 	// read through it.
 	*dbLayout
+	// tlc is the host's live extent of the INT8 and document regions
+	// (mutState.tlc), shared by every device: the timing model spreads
+	// tail reads over it.
+	tlc *tlcExtent
+}
+
+// tlcPages is the live global extent, in pages, of the INT8 and document
+// regions.
+func (db *Database) tlcPages() (int8Pages, docPages int) {
+	return int(db.tlc.int8Pages.Load()), int(db.tlc.docPages.Load())
 }
 
 // recallPoint is one recorded calibration outcome: the smallest nprobe

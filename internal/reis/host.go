@@ -253,19 +253,20 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 		if err != nil {
 			return fmt.Errorf("reis: device %d: %w", s, err)
 		}
+		local.tlc = &db.mut.tlc
 		db.locals = append(db.locals, local)
 	}
-	// Documents sit in id order and INT8 copies in placement order, both
-	// from slot 0; their pages, like the centroids', are programmed under
-	// a zeroed OOB. Binary pages carry the linkage.
+	// Documents and INT8 copies sit in placement order, both from slot 0;
+	// their pages, like the centroids', are programmed under a zeroed OOB.
+	// Binary pages carry the linkage.
 	t := mutTarget{c, db}
-	bin, int8s := lo.deploySlots(cfg.Vectors, cfg.MetaTags)
+	bin, int8s, docs := lo.deploySlots(cfg.Vectors, cfg.Docs, cfg.MetaTags)
 	for _, w := range []struct {
 		region regionOf
 		pages  int
 		render func(page, oob []byte, g int)
 	}{
-		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderDocs(page, g, cfg.Docs, 0) }},
+		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderDocs(page, g, docs, 0) }},
 		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderInt8(page, g, int8s, 0) }},
 		{embRegion, lo.embPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, bin) }},
 		{centRegion, lo.centPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }},

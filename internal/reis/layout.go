@@ -47,8 +47,9 @@ const oobBytesPerSlot = 9
 // invalidDADR marks a padding slot (no embedding stored).
 const invalidDADR = ^uint32(0)
 
-// slotLink is a binary slot's OOB record: the addresses of its document
-// (DADR) and INT8 rerank copy (RADR), and its metadata tag.
+// slotLink is a binary slot's OOB record: its document's id (DADR), the
+// slot of its INT8 rerank copy (RADR), which also locates the document
+// (mutState.docSlot), and its metadata tag.
 type slotLink struct {
 	dadr, radr uint32
 	tag        uint8
@@ -291,22 +292,25 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 
 // deploySlots is the deployed database as the renderers read it. bin is
 // the binary region for renderBin: position pos holds the binary code of
-// vectors[order[pos]], or padding. int8s is the INT8 region for
-// renderInt8 from slot 0: the vectors in placement order without its
-// padding, so a cluster's rerank copies sit together and a query's
-// candidates — drawn from a few clusters — share a few TLC pages. Each
-// binary slot links its document by id (DADR: documents stay in id
-// order, since the id is what a result reports) and its INT8 copy by
-// that copy's slot (RADR), and carries tags[id] (nil tags: all zero).
-// Positions past the plan keep an all-zero record: no scan plan reaches
-// them.
-func (lo *dbLayout) deploySlots(vectors [][]float32, tags []uint8) (bin func(pos int, code []byte) (slotLink, bool), int8s [][]float32) {
+// vectors[order[pos]], or padding. int8s and docs are the INT8 and
+// document regions for renderInt8 and renderDocs from slot 0: the
+// vectors and documents in placement order without its padding, so a
+// cluster's rerank copies and documents sit together and a query's
+// candidates — drawn from a few clusters — share a few TLC pages of each.
+// Each binary slot links its INT8 copy by that copy's slot (RADR), which
+// is also its document's slot, and its document by id (DADR: the id is
+// what a result reports and tombstones index), and carries tags[id] (nil
+// tags: all zero). Positions past the plan keep an all-zero record: no
+// scan plan reaches them.
+func (lo *dbLayout) deploySlots(vectors [][]float32, docs [][]byte, tags []uint8) (bin func(pos int, code []byte) (slotLink, bool), int8s [][]float32, rankDocs [][]byte) {
 	int8s = make([][]float32, 0, lo.n)
+	rankDocs = make([][]byte, 0, lo.n)
 	radr := make([]uint32, len(lo.order))
 	for pos, id := range lo.order {
 		if id >= 0 {
 			radr[pos] = uint32(len(int8s))
 			int8s = append(int8s, vectors[id])
+			rankDocs = append(rankDocs, docs[id])
 		}
 	}
 	var bits []uint64
@@ -326,7 +330,7 @@ func (lo *dbLayout) deploySlots(vectors [][]float32, tags []uint8) (bin func(pos
 		}
 		return l, true
 	}
-	return bin, int8s
+	return bin, int8s, rankDocs
 }
 
 // centSlots is the centroid region: cluster c's code at position c under

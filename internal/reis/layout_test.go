@@ -288,19 +288,25 @@ func TestSeededPostingLists(t *testing.T) {
 	}
 }
 
-// TestRerankCopiesFollowPlacement pins where the INT8 rerank copies
-// live. Deploy and append place them in the binary region's placement
-// order without its padding, and the RADR a binary slot carries is its
-// copy's slot; DADR stays the id. After every step of a deploy, two
-// appends spanning several clusters, a delete and a compaction, on 1, 2
-// and 4 devices, flat and IVF:
+// TestRerankCopiesFollowPlacement pins where the INT8 rerank copies and
+// the documents live. Deploy and append place both in the binary
+// region's placement order without its padding, and the RADR a binary
+// slot carries is its copy's slot; DADR stays the id, and the document
+// slot is found from the RADR (mutState.docSlot). After every step of a
+// deploy, two appends spanning several clusters, a delete and a
+// compaction, on 1, 2 and 4 devices, flat and IVF:
 //   - every entry slot's RADR resolves to the INT8 record of its own
-//     vector, Int8Quantize(vectors[DADR]);
+//     vector, Int8Quantize(vectors[DADR]), and its document slot to its
+//     own id's document;
 //   - until a compaction relocates entries, RADRs ascend in placement
 //     order and each batch's copies are one gap-free run — the deploy's
-//     from slot 0, where a flat database's RADR is its DADR;
-//   - after it, RADRs still ascend within every range of every posting
-//     list (a relocated run keeps its entries' copies where they were).
+//     from slot 0, where a flat database's RADR is its DADR — and so are
+//     its document slots, ascending with the RADRs;
+//   - on a flat database every document slot is the id;
+//   - after a compaction, RADRs still ascend within every range of every
+//     posting list (a relocated run keeps its entries' copies and
+//     documents where they were);
+//   - every result of a search carries its own id's document.
 func TestRerankCopiesFollowPlacement(t *testing.T) {
 	c := newMutCorpus()
 	nb := len(c.base)
@@ -325,19 +331,24 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { h.Close() })
-			vecOf := map[uint32][]float32{}
+			vecOf, docOf := map[uint32][]float32{}, map[uint32][]byte{}
 			check := func(step string, batch []int, relocated bool) {
 				t.Helper()
 				db, _ := h.hostDB(1)
 				f := &db.lay.pageFormat
 				links := readPlacement(t, &h.hostCore, db)
-				recs := map[int][]byte{}
+				recs, docPages := map[int][]byte{}, map[int][]byte{}
 				var q8 []int8
 				inBatch := map[uint32]bool{}
 				for _, id := range batch {
 					inBatch[uint32(id)] = true
 				}
-				var run []uint32
+				slotDoc := func(id uint32) []byte {
+					want := make([]byte, f.docBytes)
+					copy(want, docOf[id])
+					return want
+				}
+				var run, runDocs []int
 				for i, l := range links {
 					page, slot := int(l.radr)/f.int8PerPage, int(l.radr)%f.int8PerPage
 					if recs[page] == nil {
@@ -355,19 +366,49 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 					if !relocated && i > 0 && l.radr <= links[i-1].radr {
 						t.Fatalf("%s %s: RADR %d at slot %d follows RADR %d in placement order", name, step, l.radr, l.pos, links[i-1].radr)
 					}
+					d := db.mut.docSlot(l.radr)
+					page, slot = d/f.docsPerPage, d%f.docsPerPage
+					if docPages[page] == nil {
+						data, _, err := h.readPage(db, docRegion, page, nil, nil)
+						if err != nil {
+							t.Fatalf("%s %s: document page %d: %v", name, step, page, err)
+						}
+						docPages[page] = data
+					}
+					if got := docPages[page][slot*f.docBytes : (slot+1)*f.docBytes]; !bytes.Equal(got, slotDoc(l.dadr)) {
+						t.Fatalf("%s %s: slot %d (id %d, RADR %d) locates document slot %d, which holds another document", name, step, l.pos, l.dadr, l.radr, d)
+					}
 					if inBatch[l.dadr] {
-						run = append(run, l.radr)
+						run, runDocs = append(run, int(l.radr)), append(runDocs, d)
 					}
 					if !ivf && int(l.dadr) < nb && l.radr != l.dadr {
 						t.Fatalf("%s %s: flat deployed id %d links RADR %d", name, step, l.dadr, l.radr)
+					}
+					if !ivf && d != int(l.dadr) {
+						t.Fatalf("%s %s: flat id %d has its document in slot %d", name, step, l.dadr, d)
 					}
 				}
 				if len(run) != len(batch) {
 					t.Fatalf("%s %s: %d of the batch's %d entries found", name, step, len(run), len(batch))
 				}
 				for i, r := range run {
-					if r != run[0]+uint32(i) || (step == "deploy" && run[0] != 0) {
+					if r != run[0]+i || (step == "deploy" && run[0] != 0) {
 						t.Fatalf("%s %s: the batch's copies are not one run from its first slot: %v", name, step, run)
+					}
+					if runDocs[i] != runDocs[0]+i || (step == "deploy" && runDocs[0] != 0) {
+						t.Fatalf("%s %s: the batch's document slots do not ascend with its RADRs %v: %v", name, step, run, runDocs)
+					}
+				}
+				op, opt := OpcodeSearch, SearchOptions{}
+				if ivf {
+					op, opt = OpcodeIVFSearch, SearchOptions{NProbe: 4}
+				}
+				res, _ := search(t, h, op, 1, testData.Queries, 10, opt)
+				for qi, rs := range res {
+					for _, r := range rs {
+						if !bytes.Equal(r.Doc, slotDoc(uint32(r.ID))) {
+							t.Fatalf("%s %s: query %d's result %d carries another document", name, step, qi, r.ID)
+						}
 					}
 				}
 				if !relocated {
@@ -410,14 +451,14 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 			ids := make([]int, nb)
 			for i, v := range c.base {
 				ids[i] = i
-				vecOf[uint32(i)] = v
+				vecOf[uint32(i)], docOf[uint32(i)] = v, c.baseDocs[i]
 			}
 			check("deploy", ids, false)
 			appendBatch := func(step string, vecs [][]float32, docs [][]byte, assign []int) []int {
 				ids := mustSubmit(t, h, HostCommand{Opcode: OpcodeAppend, DBID: 1,
 					Append: &AppendConfig{Vectors: vecs, Docs: docs, Assign: assign}}).AppendedIDs
 				for i, id := range ids {
-					vecOf[uint32(id)] = vecs[i]
+					vecOf[uint32(id)], docOf[uint32(id)] = vecs[i], docs[i]
 				}
 				check(step, ids, false)
 				return ids
@@ -443,12 +484,11 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 	}
 }
 
-// TestRerankPagesOnBenchmarkShape measures what the INT8 placement is
-// for: on a corpus of the repo benchmark's shape (N 8192, dim 256, 64
-// clusters, one SSD1 with 16 KiB pages) an nprobe-8 query's 100 rerank
-// candidates come from a few clusters, so their copies share a few TLC
-// pages. In id order they spread over ~70 of the region's 128.
-func TestRerankPagesOnBenchmarkShape(t *testing.T) {
+// benchShapeSearch deploys a corpus of the repo benchmark's shape (N
+// 8192, dim 256, 64 clusters, 512-byte documents, one SSD1 with 16 KiB
+// pages) and serves its 64 queries as one nprobe-8 command of k 10.
+func benchShapeSearch(t *testing.T, skipDocs bool) (*dataset.Dataset, HostResponse) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("builds an 8192-vector corpus")
 	}
@@ -467,18 +507,52 @@ func TestRerankPagesOnBenchmarkShape(t *testing.T) {
 	t.Cleanup(func() { e.Close() })
 	deployOn(t, e, OpcodeIVFDeploy, DeployConfig{ID: 1, Vectors: data.Vectors, Docs: data.Docs,
 		DocSlotBytes: 512, Centroids: cents, Assign: assign})
-	_, sts := search(t, e, OpcodeIVFSearch, 1, data.Queries, 10, SearchOptions{NProbe: 8, SkipDocs: true})
+	return data, mustSubmit(t, e, HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: data.Queries, K: 10,
+		Opt: SearchOptions{NProbe: 8, SkipDocs: skipDocs}})
+}
+
+// TestRerankPagesOnBenchmarkShape measures what the INT8 placement is
+// for: on the benchmark-shaped corpus (benchShapeSearch) an nprobe-8
+// query's 100 rerank candidates come from a few clusters, so their
+// copies share a few TLC pages. In id order they spread over ~70 of the
+// region's 128.
+func TestRerankPagesOnBenchmarkShape(t *testing.T) {
+	_, resp := benchShapeSearch(t, true)
 	pages, cands := 0, 0
-	for _, st := range sts {
+	for _, st := range resp.QueryStats {
 		pages += st.RerankPages
 		cands += st.RerankCount
 	}
-	mean := float64(pages) / float64(len(sts))
-	t.Logf("%d queries: %.2f rerank pages and %.1f candidates per query", len(sts), mean, float64(cands)/float64(len(sts)))
-	if cands != 100*len(sts) {
-		t.Fatalf("%d rerank candidates over %d queries, want 100 each", cands, len(sts))
+	n := len(resp.QueryStats)
+	mean := float64(pages) / float64(n)
+	t.Logf("%d queries: %.2f rerank pages and %.1f candidates per query", n, mean, float64(cands)/float64(n))
+	if cands != 100*n {
+		t.Fatalf("%d rerank candidates over %d queries, want 100 each", cands, n)
 	}
 	if mean > 10 {
 		t.Fatalf("%.2f rerank pages per query, want at most 10", mean)
+	}
+}
+
+// TestDocPagesOnBenchmarkShape measures what the document placement is
+// for: the same query's 10 results come from the clusters its candidates
+// do, and their documents sit where their INT8 copies do, so they share
+// a few of the 256 document pages (32 documents a page) — ~4.4 a query,
+// where id order read ~9.8. Every result carries its own document.
+func TestDocPagesOnBenchmarkShape(t *testing.T) {
+	data, resp := benchShapeSearch(t, false)
+	pages := 0
+	for qi, st := range resp.QueryStats {
+		pages += st.DocPages
+		for _, r := range resp.Results[qi] {
+			if !bytes.Equal(r.Doc[:len(data.Docs[r.ID])], data.Docs[r.ID]) {
+				t.Fatalf("query %d: result %d carries another document", qi, r.ID)
+			}
+		}
+	}
+	mean := float64(pages) / float64(len(resp.QueryStats))
+	t.Logf("%d queries: %.2f document pages per query", len(resp.QueryStats), mean)
+	if mean > 5 {
+		t.Fatalf("%.2f document pages per query, want at most 5", mean)
 	}
 }

@@ -3,6 +3,7 @@ package reis
 import (
 	"fmt"
 	"slices"
+	"sync/atomic"
 
 	"reis/internal/ssd"
 	"reis/internal/vecmath"
@@ -190,12 +191,20 @@ type mutState struct {
 	binPages  int
 
 	// int8Slots/docSlots are the next append positions of the rerank
-	// and document regions (RADR / DADR address spaces), each continuing
-	// page-aligned after the last batch. Ids are doc slots; a batch's
-	// INT8 copies follow its binary runs' order, as deploy's follow the
-	// placement order.
-	int8Slots, int8Pages int
-	docSlots, docPages   int
+	// and document regions, each continuing page-aligned after the last
+	// batch, and tlc their live extents. Ids continue the document slots;
+	// a batch's INT8 copies and documents both follow its binary runs'
+	// order, as deploy's follow the placement order.
+	int8Slots, docSlots int
+	tlc                 tlcExtent
+
+	// docRuns locates documents by RADR: one pair per batch — the
+	// deploy's (0, 0), then each append's first INT8 and document slots —
+	// ascending in both. A batch's copy slots and document slots advance
+	// together, so the document of RADR r sits at doc + (r − radr) of the
+	// last pair with radr ≤ r (docSlot). On a flat database that is the
+	// id.
+	docRuns []docRun
 
 	// tomb is the tombstone bitmap, indexed by id; posOf maps ids to
 	// their binary slot position (-1: never issued or collected away
@@ -230,6 +239,26 @@ type mutState struct {
 	deadCount int // tombstoned, not yet collected
 }
 
+// tlcExtent is the live global extent, in pages, of a database's INT8
+// and document regions: the deploy's, grown by appends. mutAppend stores
+// it under the execution lock; the timing model reads it through any
+// device's Database (Database.tlc) without that lock, so both counts are
+// atomics.
+type tlcExtent struct{ int8Pages, docPages atomic.Int64 }
+
+// docRun is one batch's first INT8 slot and first document slot.
+type docRun struct{ radr, doc int }
+
+// docSlot is the document slot of the entry whose INT8 copy is at radr.
+func (m *mutState) docSlot(radr uint32) int {
+	i, found := slices.BinarySearchFunc(m.docRuns, int(radr), func(r docRun, radr int) int { return r.radr - radr })
+	if !found {
+		i-- // the last run starting before radr
+	}
+	r := m.docRuns[i]
+	return r.doc + int(radr) - r.radr
+}
+
 // newMutState derives the initial mutable metadata from a layout plan
 // (planned under the global, single-device-equivalent geometry) and
 // adopts the R-IVF table and covering radii planLayout seeded.
@@ -241,12 +270,13 @@ func newMutState(lo *dbLayout, buckets [][]SlotRange, radius []int, firstFit boo
 		tailSlots: len(lo.order),
 		binPages:  lo.embPages,
 		int8Slots: lo.n,
-		int8Pages: lo.int8Pages,
 		docSlots:  lo.n,
-		docPages:  lo.docPages,
+		docRuns:   []docRun{{0, 0}},
 		firstFit:  firstFit,
 		live:      lo.n,
 	}
+	m.tlc.int8Pages.Store(int64(lo.int8Pages))
+	m.tlc.docPages.Store(int64(lo.docPages))
 	m.setFlatPlan([]SlotRange{{First: 0, Last: len(lo.order) - 1}})
 	// Deployed rows are identity-mapped; the rest of the reserved
 	// extent is the free pool. Both counts are pure functions of the
@@ -499,9 +529,10 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 
 	// Binary entries: one run per cluster present in the batch, clusters
 	// ascending, items in batch (= ascending id) order. The INT8 copies
-	// follow the same order without the runs' padding: entry j's copy is
-	// int8s[j], at RADR rStart+j. radius[ri] is the largest distance from
-	// run ri's centroid code to one of its items.
+	// and the documents follow the same order without the runs' padding:
+	// entry j's copy is int8s[j], at RADR rStart+j, and its document
+	// docs[j], at document slot idStart+j. radius[ri] is the largest
+	// distance from run ri's centroid code to one of its items.
 	ids := make([]int, n)
 	order := make([]int, n)
 	for i := range ids {
@@ -512,12 +543,13 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	}
 	entries := make([]slotEntry, n)
 	int8s := make([][]float32, n)
+	docs := make([][]byte, n)
 	codes := make([]byte, n*lay.slotBytes)
 	var bits []uint64
 	var runs []tailRun
 	var radius []int
 	for j, i := range order {
-		int8s[j] = cfg.Vectors[i]
+		int8s[j], docs[j] = cfg.Vectors[i], cfg.Docs[i]
 		bits = vecmath.BinaryQuantize(cfg.Vectors[i], bits)
 		e := slotEntry{
 			slotLink: slotLink{dadr: uint32(idStart + i), radr: uint32(rStart + j)},
@@ -551,19 +583,20 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		return nil, nil, err
 	}
 	// Appended document and INT8 pages are programmed without an OOB.
-	err = m.program(t, wear, docRegion, m.docPages, newDocPages, false,
-		func(page, _ []byte, g int) { lay.renderDocs(page, g, cfg.Docs, idStart) })
+	err = m.program(t, wear, docRegion, int(m.tlc.docPages.Load()), newDocPages, false,
+		func(page, _ []byte, g int) { lay.renderDocs(page, g, docs, idStart) })
 	if err == nil {
-		err = m.program(t, wear, int8Region, m.int8Pages, newInt8Pages, false,
+		err = m.program(t, wear, int8Region, int(m.tlc.int8Pages.Load()), newInt8Pages, false,
 			func(page, _ []byte, g int) { lay.renderInt8(page, g, int8s, rStart) })
 	}
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// Commit the metadata: the tail, the aux extents, payload accounting,
-	// and the clusters' covering radii, grown so the pruning lower bound
-	// stays sound for the appended members.
+	// Commit the metadata: the tail, the aux extents and the batch's
+	// document run, payload accounting, and the clusters' covering radii,
+	// grown so the pruning lower bound stays sound for the appended
+	// members.
 	for len(m.posOf) < idStart+n {
 		m.posOf = append(m.posOf, -1)
 	}
@@ -573,8 +606,10 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 			m.radius[run.bucket] = radius[r]
 		}
 	}
-	m.int8Slots, m.int8Pages = rStart+n, newInt8Pages
-	m.docSlots, m.docPages = idStart+n, newDocPages
+	m.int8Slots, m.docSlots = rStart+n, idStart+n
+	m.tlc.int8Pages.Store(int64(newInt8Pages))
+	m.tlc.docPages.Store(int64(newDocPages))
+	m.docRuns = append(m.docRuns, docRun{radr: rStart, doc: idStart})
 	m.live += n
 	for _, d := range cfg.Docs {
 		m.bytesUser += int64(len(d))

@@ -10,8 +10,8 @@ import (
 // linkage addresses picked up from the OOB area during the scan.
 //
 // Candidate selection ranks TTL entries under the (Dist, DADR) total
-// order: Hamming distance first, document address as the tie-break.
-// DADR is stable for a document's whole lifetime (unlike Pos, which
+// order: Hamming distance first, the document's id (DADR) as the
+// tie-break. DADR is stable for a document's whole lifetime (unlike Pos, which
 // compaction rewrites), so the order — and with it every selection
 // boundary, pruning decision and final result — is deterministic
 // across scan topologies, queue schedules and GC interleavings.
@@ -391,9 +391,9 @@ func quickselectTTL(es []TTLEntry, k int) {
 	}
 }
 
-// ttlLess is the (Dist, DADR) total order of TTL entries (document
-// addresses are unique within a stream — every embedding slot owns one
-// doc record — and, unlike Pos, survive GC relocation).
+// ttlLess is the (Dist, DADR) total order of TTL entries (ids are unique
+// within a stream — every embedding slot owns one document — and,
+// unlike Pos, survive GC relocation).
 func ttlLess(a, b *TTLEntry) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist

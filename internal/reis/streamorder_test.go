@@ -34,7 +34,7 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 	qbits := vecmath.BinaryQuantize(query, nil)
 
 	var fine []TTLEntry
-	bin, _ := db.lay.deploySlots(testData.Vectors, nil)
+	bin, _, _ := db.lay.deploySlots(testData.Vectors, testData.Docs, nil)
 	code := make([]byte, db.lay.slotBytes)
 	for pos := range db.lay.order {
 		l, ok := bin(pos, code)

@@ -21,7 +21,7 @@ import (
 // command's output blocks (outBlocks), never from scratch.
 type tailScratch struct {
 	q8         []int8
-	reranked   []DocResult
+	reranked   []rankedCand
 	groups     []pageIdx
 	planePages []int
 	// One page's read: the slots wanted of it and, for the rerank, the
@@ -29,6 +29,15 @@ type tailScratch struct {
 	slots []int
 	recs  []byte
 }
+
+// rankedCand is one reranked candidate: its result and the slot of its
+// INT8 copy, which locates its document (mutState.docSlot).
+type rankedCand struct {
+	DocResult
+	radr uint32
+}
+
+func cmpRankedCand(a, b rankedCand) int { return cmpDocResult(a.DocResult, b.DocResult) }
 
 // tail executes the controller tail over a query's folded entry stream,
 // which it reads as a set: selection runs under the (Dist, DADR) total
@@ -86,7 +95,7 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 		for rec := ts.recs; gi < end; gi, rec = gi+1, rec[f.int8Bytes:] {
 			c := cands[groups[gi].idx]
 			d := vecmath.L2SquaredInt8Bytes(q8, rec[:f.int8Bytes])
-			reranked = append(reranked, DocResult{ID: int(c.DADR), Dist: float32(d)})
+			reranked = append(reranked, rankedCand{DocResult{ID: int(c.DADR), Dist: float32(d)}, c.RADR})
 		}
 	}
 	ts.reranked = reranked
@@ -99,28 +108,33 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int
 
 	// Quicksort the reranked pool, keep top-k in a caller-owned window
 	// (the rerank scratch recycles across queries).
-	slices.SortFunc(reranked, cmpDocResult)
+	slices.SortFunc(reranked, cmpRankedCand)
 	st.SortedEntries += len(reranked)
 	n := len(reranked)
 	if k < n {
 		n = k
 	}
 	out := window(&dst.res, n, dst.waiting)
-	copy(out, reranked[:n])
+	for i := range out {
+		out[i] = reranked[i].DocResult
+	}
 
 	if opt.SkipDocs {
 		return out, nil
 	}
 
-	// Document identification and retrieval (step 9): group DADRs by
-	// document page with the same sorted pooled grouping. The documents
-	// land in one window of the run's document block, in page order —
-	// each read copies a page's records from flash straight to their
-	// final place — and every result gets its own capacity-bounded window
-	// of it.
+	// Document identification and retrieval (step 9): locate each
+	// result's document from its RADR — documents sit in the slots their
+	// INT8 copies do, so a query's documents share pages as its copies
+	// do — and group them by page with the same sorted pooled grouping.
+	// The documents land in one window of the run's document block, in
+	// page order — each read copies a page's records from flash straight
+	// to their final place — and every result gets its own
+	// capacity-bounded window of it.
 	groups = groups[:0]
-	for i, r := range out {
-		groups = append(groups, pageIdx{page: r.ID / f.docsPerPage, slot: r.ID % f.docsPerPage, idx: i})
+	for i := range out {
+		d := db.mut.docSlot(reranked[i].radr)
+		groups = append(groups, pageIdx{page: d / f.docsPerPage, slot: d % f.docsPerPage, idx: i})
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups

@@ -487,8 +487,9 @@ func tailCost(cfg ssd.Config, db *Database, st QueryStats, sc Scale) tailBill {
 	cached := time.Duration(float64(st.CachedSlots)*sc.Fine*pinnedSlotNs(cfg, db.slotBytes)+
 		float64(st.ResultCacheHits*resultCacheHitAccesses)*cfg.DRAMAccessNs) * time.Nanosecond
 	xferBytes := float64(st.RerankCount*db.int8Bytes) + float64(st.DocBytes)
-	spread := float64(st.RerankPages)/regionPlanes(cfg.Geo, db.int8Pages) +
-		float64(st.DocPages)/regionPlanes(cfg.Geo, db.docPages)
+	int8Pages, docPages := db.tlcPages()
+	spread := float64(st.RerankPages)/regionPlanes(cfg.Geo, int8Pages) +
+		float64(st.DocPages)/regionPlanes(cfg.Geo, docPages)
 	return tailBill{
 		cached: cached,
 		rerank: rerankRead + rerankXfer + rerankCore,
@@ -506,7 +507,8 @@ func tailCost(cfg ssd.Config, db *Database, st QueryStats, sc Scale) tailBill {
 // regionPlanes is the planes a TLC region of pages spans: the INT8 and
 // document regions each put page i on plane i mod Planes, so one shorter
 // than the device is wide covers only its first pages-many planes.
-// tailCost spreads each region's reads over its own; the tail's busiest
+// tailCost spreads each region's reads over its own live extent — the
+// deploy's, grown by appends (Database.tlcPages) — and the tail's busiest
 // plane is one of the wider region's.
 func regionPlanes(geo flash.Geometry, pages int) float64 {
 	return float64(max(1, min(geo.Planes(), pages)))
@@ -625,7 +627,8 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 		b.ChannelBusy = max(b.ChannelBusy, d.channel)
 		b.CoreBusy = max(b.CoreBusy, d.core)
 	}
-	b.PlaneBusy += busiestPlane(host, c.cfg.Flash.ReadLatency(flash.ModeTLC), regionPlanes(c.cfg.Geo, max(db.int8Pages, db.docPages)))
+	int8Pages, docPages := db.tlcPages()
+	b.PlaneBusy += busiestPlane(host, c.cfg.Flash.ReadLatency(flash.ModeTLC), regionPlanes(c.cfg.Geo, max(int8Pages, docPages)))
 	b.ChannelBusy += host.channel
 	b.CoreBusy += host.core
 	b.Makespan = min(max(b.PlaneBusy, b.ChannelBusy, b.CoreBusy)+fill, b.Serial)

@@ -148,31 +148,38 @@ func sameTiming(a, b timingGolden) bool {
 // rows share only their centroid pages (ivf/1: plane 331681998 ->
 // 320184498). Every Breakdown duration and the serial and core columns
 // are the values from before.
+// The ivf, pruned and cached rows' docs, total, energy, serial, plane,
+// makespan and batch-energy columns moved, each down, when the documents
+// moved into placement order: a query's results share the document pages
+// their INT8 copies share (ivf/1: docs 171437 -> 86437 ns, two TLC waves
+// -> one). The IBC, coarse, fine, rerank, channel and core columns and
+// every flat row (whose placement is the id order) are the values from
+// before.
 var shardedTimingGolden = map[string]timingGolden{
 	"flat/1": {6826, 0, 122377500, 437076, 171437, 122992839, 1.4768869214283187,
 		983960753, 366086293, 302045640, 4415921, 489079132, 3.864765474492886},
-	"ivf/1": {6826, 1665000, 30105000, 97076, 171437, 32045339, 0.3836593381118726,
-		267720753, 320184498, 9481626, 4763281, 267720753, 3.132855123598751},
-	"pruned/1": {6826, 45000, 67500, 97076, 171437, 387839, 0.002353356688,
-		3075753, 2188498, 97387, 96661, 2576337, 0.016173395712},
-	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485757156,
-		5377102, 5115500, 34723, 58850, 5377102, 0.029056549376000003},
+	"ivf/1": {6826, 1665000, 30105000, 97076, 86437, 31960339, 0.3831623381118725,
+		267040753, 319639229, 9481626, 4763281, 267040753, 3.1287531235987514},
+	"pruned/1": {6826, 45000, 67500, 97076, 86437, 302839, 0.001856356688,
+		2395753, 1643229, 97387, 96661, 1946068, 0.012320050712},
+	"cached/1": {426, 45000, 47254, 864636, 427504, 1384820, 0.007467757156,
+		5377102, 5115500, 34723, 58850, 5377102, 0.029002549376},
 	"flat/2": {6826, 0, 64777500, 265796, 85904, 65136026, 1.5132830847323184,
 		521104435, 193961996, 159841458, 2379361, 259098022, 4.010350034492884},
-	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41116800141587256,
-		173581935, 163333304, 8814029, 4208633, 173581935, 3.530071495030751},
-	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.003199495416,
-		2241022, 1339521, 76343, 94571, 1618047, 0.019472795112},
-	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008423587155999999,
-		3066847, 2820500, 19468, 58850, 3066847, 0.032839509376000005},
+	"ivf/2": {6826, 0, 18585000, 95796, 85904, 18773526, 0.41109600141587255,
+		173581935, 163019244, 8814029, 4208633, 173581935, 3.5293694950307506},
+	"pruned/2": {6826, 45000, 45000, 95796, 85904, 278526, 0.003127495416,
+		2241022, 1025461, 76343, 94571, 1303987, 0.015630195112},
+	"cached/2": {426, 45000, 47254, 437076, 256437, 786193, 0.008405587156,
+		3066847, 2820500, 19468, 58850, 3066847, 0.032785509376000006},
 	"flat/4": {6826, 0, 34582500, 180156, 85637, 34855119, 1.5590254013403184,
 		278856273, 103690373, 85323832, 1312441, 138545492, 4.190279654492885},
-	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5399353180238725,
-		126053773, 109095681, 8442397, 3899115, 124920800, 4.2926693246787515},
-	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005966639992,
-		2187860, 882934, 62076, 93251, 1160553, 0.026503557144},
-	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011149257155999999,
-		2039222, 1800500, 11843, 58850, 2039222, 0.042955479376},
+	"ivf/4": {6826, 0, 15637500, 95156, 85637, 15825119, 0.5398633180238726,
+		126053773, 108907593, 8442397, 3899115, 124732712, 4.288205564678751},
+	"pruned/4": {6826, 45000, 45000, 95156, 85637, 277619, 0.005894639992,
+		2187860, 694846, 62076, 93251, 972465, 0.022039797144000003},
+	"cached/4": {426, 45000, 47254, 265796, 170904, 529380, 0.011131257156,
+		2039222, 1800500, 11843, 58850, 2039222, 0.042901479376},
 }
 
 // timingCfg is one shard's device of the model tests.
@@ -263,36 +270,41 @@ func TestShardedTimingTable(t *testing.T) {
 // (flat/df: channel 5223856 -> 598949336 ns, makespan 1232511777 ->
 // 753011053). Every Breakdown duration, every asic row and the serial
 // and core columns are unchanged.
+// Documents in placement order moved the ivf, pruned and cached rows as
+// above: docs, total and energy, and the serial, plane, makespan and
+// batch-energy columns where the rung has them, each down. Every flat
+// row and every IBC, coarse, fine, rerank, channel and core column are
+// unchanged.
 var ladderTimingGolden = map[string]timingGolden{
 	"flat/noopt": {13652, 0, 269819200, 451008, 171437, 270455297, 2.2152664345963187,
 		2163642376, 366387000, 1101792856, 432703000, 1372248153, 8.292991356964887},
-	"ivf/noopt": {13652, 3611402, 66334986, 196008, 171437, 70327485, 0.5754412775326725,
-		587690739, 320903604, 145476743, 117265944, 391231089, 3.7533371388409913},
-	"pruned/noopt": {10239, 28382, 32400, 196008, 171437, 438466, 0.0027668068160000003,
-		3985811, 3124327, 178671, 187147, 3562793, 0.022377523378},
-	"cached/noopt": {426, 28589, 30290, 1816341, 427504, 2303150, 0.012437448394,
-		9419903, 9195500, 56088, 100817, 9419903, 0.050818708204},
+	"ivf/noopt": {13652, 3611402, 66334986, 196008, 86437, 70242485, 0.5749442775326725,
+		587010739, 320387427, 145476743, 117265944, 390629912, 3.7496292538409914},
+	"pruned/noopt": {10239, 28382, 32400, 196008, 86437, 353466, 0.002269806816,
+		3305811, 2615147, 178671, 187147, 2968613, 0.018704623378},
+	"cached/noopt": {426, 28589, 30290, 1816341, 427504, 2303150, 0.012419448394,
+		9419903, 9195500, 56088, 100817, 9419903, 0.050764708204},
 	"flat/df": {13652, 0, 153439552, 437076, 171437, 154061717, 1.6322314097323187,
 		1232511777, 366086293, 598949336, 4415921, 753011053, 5.188700910276886},
-	"ivf/df": {13652, 3023626, 37724988, 97076, 171437, 41030779, 0.4285866364158726,
-		342387041, 320184498, 13440706, 4763281, 342387041, 3.5062435799187512},
-	"pruned/df": {13652, 28287, 57148, 97076, 171437, 367600, 0.002252235416,
-		2901238, 2188498, 148582, 96661, 2556098, 0.01607276596},
-	"cached/df": {426, 28368, 30254, 864636, 427504, 1351188, 0.007317597156,
-		5276572, 5115500, 34723, 58850, 5276572, 0.028553899376000003},
+	"ivf/df": {13652, 3023626, 37724988, 97076, 86437, 40945779, 0.42808963641587255,
+		341707041, 319639229, 13440706, 4763281, 341707041, 3.502141579918751},
+	"pruned/df": {13652, 28287, 57148, 97076, 86437, 282600, 0.001755235416,
+		2221238, 1643229, 148582, 96661, 1925829, 0.012219420960000001},
+	"cached/df": {426, 28368, 30254, 864636, 427504, 1351188, 0.007299597155999999,
+		5276572, 5115500, 34723, 58850, 5276572, 0.028499899376},
 	"flat/dfpl": {13652, 0, 122377500, 437076, 171437, 122999665, 1.4769211497323185,
 		984015361, 366086293, 598949336, 4415921, 721949001, 5.0333906502768855},
-	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 171437, 32052165, 0.38369356641587254,
-		267775361, 320184498, 13440706, 4763281, 267775361, 3.133185179918751},
-	"pruned/dfpl": {13652, 45000, 67500, 97076, 171437, 394665, 0.0023875604159999996,
-		3126948, 2188498, 148582, 96661, 2583163, 0.016208090959999998},
-	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007485757156,
-		5377102, 5115500, 34723, 58850, 5377102, 0.029056549376000003},
+	"ivf/dfpl": {13652, 1665000, 30105000, 97076, 86437, 31967165, 0.3831965664158725,
+		267095361, 319639229, 13440706, 4763281, 267095361, 3.1290831799187515},
+	"pruned/dfpl": {13652, 45000, 67500, 97076, 86437, 309665, 0.001890560416,
+		2446948, 1643229, 148582, 96661, 1952894, 0.01235474596},
+	"cached/dfpl": {426, 45000, 47254, 864636, 427504, 1384820, 0.007467757156,
+		5377102, 5115500, 34723, 58850, 5377102, 0.029002549376},
 	"flat/asic": {6826, 0, 135975000, 437076, 171437, 136590339, 1.4672401458318585,
 		0, 0, 0, 0, 0, 0},
-	"ivf/asic": {6826, 0, 35275000, 97076, 171437, 35550339, 0.3810131185072566,
+	"ivf/asic": {6826, 0, 35275000, 97076, 86437, 35465339, 0.3805881185072566,
 		0, 0, 0, 0, 0, 0},
-	"pruned/asic": {6826, 0, 75000, 97076, 171437, 350339, 0.0019320022000000002,
+	"pruned/asic": {6826, 0, 75000, 97076, 86437, 265339, 0.0015070022000000002,
 		0, 0, 0, 0, 0, 0},
 	"cached/asic": {426, 0, 50000, 864636, 427504, 1342566, 0.006748854576,
 		0, 0, 0, 0, 0, 0},

@@ -279,6 +279,82 @@ func TestBatchPaysBusiestPlane(t *testing.T) {
 	}
 }
 
+// TestTailPricedOverGrownRegions: appends grow the INT8 and document
+// regions, and the tail's reads are spread over what they grew to. A
+// flat database of 20 entries on the 8-plane test device (1 INT8 page of
+// 32 copies, 2 document pages of 16 documents) takes one append of 100,
+// which grows them to 5 and 9 pages. On 1 and 2 devices, every device's
+// slice of the database then spreads a query's one rerank page over 5
+// planes and its one document page over all of them (8; 9 of the 16 of
+// two devices), and a batch of eight such queries holds its busiest
+// plane for less than before, when they stacked on the regions' first
+// pages. A goroutine prices the tail while the append runs, as a client
+// may.
+func TestTailPricedOverGrownRegions(t *testing.T) {
+	cfg := testCfg()
+	cfg.OverprovisionPct = 400
+	tTLC := cfg.Flash.ReadLatency(flash.ModeTLC)
+	st := QueryStats{RerankPages: 1, RerankWaves: 1, RerankCount: 1, SortedEntries: 1, DocPages: 1, DocBytes: 256}
+	sts := []QueryStats{st, st, st, st, st, st, st, st}
+	for _, n := range []int{1, 2} {
+		h, err := NewSharded(cfg, n, 64<<20, AllOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { h.Close() })
+		mustSubmit(t, h, HostCommand{Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{ID: 1,
+			Vectors: testData.Vectors[:20], Docs: testData.Docs[:20], DocSlotBytes: 256}})
+		db, err := h.hostDB(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perDev := make([][]QueryStats, n)
+		for s := range perDev {
+			perDev[s] = make([]QueryStats, len(sts))
+		}
+		spreadAndPlane := func(step string, int8Pages, docPages int) time.Duration {
+			t.Helper()
+			planes := float64(h.cfg.Geo.Planes())
+			want := time.Duration((1/min(planes, float64(int8Pages)) + 1/min(planes, float64(docPages))) * float64(tTLC))
+			for s, local := range db.locals {
+				if i8, d := local.tlcPages(); i8 != int8Pages || d != docPages {
+					t.Fatalf("%d devices %s: device %d reads live extents %d and %d pages, want %d and %d", n, step, s, i8, d, int8Pages, docPages)
+				}
+				if got := tailCost(h.cfg, local, st, UnitScale()).busy.spread; got != want {
+					t.Fatalf("%d devices %s: device %d spreads a query's tail reads as %v, want %v", n, step, s, got, want)
+				}
+			}
+			bb, err := h.batchLatency(db.locals[0], sts, perDev, UnitScale(), true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return bb.PlaneBusy
+		}
+		before := spreadAndPlane("after the deploy", 1, 2)
+		// The model reads the extents without the execution lock: price
+		// from another goroutine while the append grows them (-race).
+		stop, priced := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(priced)
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					tailCost(h.cfg, db.locals[n-1], st, UnitScale())
+				}
+			}
+		}()
+		mustSubmit(t, h, HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{
+			Vectors: testData.Vectors[20:120], Docs: testData.Docs[20:120]}})
+		close(stop)
+		<-priced
+		if after := spreadAndPlane("after the append", 5, 9); after >= before {
+			t.Fatalf("%d devices: 8 one-page tails hold the busiest plane %v after the regions grew, %v before", n, after, before)
+		}
+	}
+}
+
 // TestQueryStatsAddCarriesEveryField sets one field at a time, so a
 // field Add forgets to carry (or carries into another) fails here.
 func TestQueryStatsAddCarriesEveryField(t *testing.T) {
