@@ -72,7 +72,7 @@ func TestBinaryFlatRerankImproves(t *testing.T) {
 	// Reranking should not hurt: compare rerank factor 1 (no widening)
 	// against the default 10.
 	narrow := NewBinaryFlat(testData.Vectors)
-	narrow.RerankFactor = 1
+	narrow.factor = 1
 	wide := NewBinaryFlat(testData.Vectors)
 	rn := recallOfSearcher(narrow, 10)
 	rw := recallOfSearcher(wide, 10)
@@ -292,7 +292,8 @@ func TestIVFListsPartition(t *testing.T) {
 }
 
 func TestHNSWRecall(t *testing.T) {
-	h := NewHNSW(testData.Vectors, HNSWConfig{M: 16, EfConstruction: 200, EfSearch: 128, Seed: 11})
+	h := NewHNSW(testData.Vectors, HNSWConfig{M: 16, EfConstruction: 200, Seed: 11})
+	h.SetEfSearch(128)
 	r := recallOfSearcher(h, 10)
 	if r < 0.85 {
 		t.Fatalf("HNSW recall = %v, want >= 0.85", r)
@@ -301,8 +302,10 @@ func TestHNSWRecall(t *testing.T) {
 }
 
 func TestHNSWRecallIncreasesWithEf(t *testing.T) {
-	lo := NewHNSW(testData.Vectors, HNSWConfig{M: 8, EfSearch: 10, Seed: 12})
-	hi := NewHNSW(testData.Vectors, HNSWConfig{M: 8, EfSearch: 128, Seed: 12})
+	lo := NewHNSW(testData.Vectors, HNSWConfig{M: 8, Seed: 12})
+	hi := NewHNSW(testData.Vectors, HNSWConfig{M: 8, Seed: 12})
+	lo.SetEfSearch(10)
+	hi.SetEfSearch(128)
 	rLo, rHi := recallOfSearcher(lo, 10), recallOfSearcher(hi, 10)
 	if rHi < rLo {
 		t.Fatalf("recall decreased with ef: %v -> %v", rLo, rHi)
@@ -311,7 +314,8 @@ func TestHNSWRecallIncreasesWithEf(t *testing.T) {
 }
 
 func TestHNSWBinaryMode(t *testing.T) {
-	h := NewHNSW(testData.Vectors, HNSWConfig{M: 16, EfSearch: 96, Seed: 13, Binary: true})
+	h := NewHNSW(testData.Vectors, HNSWConfig{M: 16, Seed: 13, Binary: true})
+	h.SetEfSearch(96)
 	r := recallOfSearcher(h, 10)
 	if r < 0.70 {
 		t.Fatalf("BQ HNSW recall = %v, too low", r)
@@ -344,7 +348,7 @@ func TestLSHFindsNearDuplicates(t *testing.T) {
 }
 
 func TestLSHRecallModerate(t *testing.T) {
-	l := NewLSH(testData.Vectors, LSHConfig{Tables: 16, Bits: 10, Seed: 16, ProbeRadius: 1})
+	l := NewLSH(testData.Vectors, LSHConfig{Tables: 16, Bits: 10, Seed: 16})
 	r := recallOfSearcher(l, 10)
 	if r < 0.4 {
 		t.Fatalf("LSH recall = %v, unreasonably low", r)
@@ -352,8 +356,30 @@ func TestLSHRecallModerate(t *testing.T) {
 	t.Logf("LSH Recall@10 = %.3f (candidates/query ~ %d)", r, l.CandidateCount(testData.Queries[0]))
 }
 
+// TestLSHCandidateCountMatchesSearch holds CandidateCount, which the
+// frontier experiment prices LSH's work with, to the candidates Search
+// rescores: a search for every entry returns each rescored id once.
+func TestLSHCandidateCountMatchesSearch(t *testing.T) {
+	for _, cfg := range []LSHConfig{{Tables: 4, Bits: 6, Seed: 21}, {Tables: 16, Bits: 10, Seed: 16}} {
+		l := NewLSH(testData.Vectors, cfg)
+		for qi, q := range testData.Queries[:20] {
+			rs := l.Search(q, len(testData.Vectors))
+			ids := map[int]bool{}
+			for _, r := range rs {
+				ids[r.ID] = true
+			}
+			if len(ids) != len(rs) {
+				t.Fatalf("%+v query %d: %d results name %d distinct ids", cfg, qi, len(rs), len(ids))
+			}
+			if got := l.CandidateCount(q); got != len(ids) {
+				t.Fatalf("%+v query %d: CandidateCount %d, Search rescored %d ids", cfg, qi, got, len(ids))
+			}
+		}
+	}
+}
+
 func TestPQCompressesAndRecalls(t *testing.T) {
-	p := NewPQ(testData.Vectors, PQConfig{M: 16, KS: 256, Seed: 17})
+	p := newPQ(testData.Vectors, PQConfig{M: 16, KS: 256, Seed: 17})
 	r := recallOfSearcher(p, 10)
 	if r < 0.5 {
 		t.Fatalf("PQ recall = %v, want >= 0.5", r)
@@ -362,7 +388,7 @@ func TestPQCompressesAndRecalls(t *testing.T) {
 }
 
 func TestPQCodeShape(t *testing.T) {
-	p := NewPQ(testData.Vectors, PQConfig{M: 12, KS: 32, Seed: 18})
+	p := newPQ(testData.Vectors, PQConfig{M: 12, KS: 32, Seed: 18})
 	if len(p.codes) != len(testData.Vectors) {
 		t.Fatalf("codes = %d", len(p.codes))
 	}
@@ -384,7 +410,7 @@ func TestPQPanicsOnBadM(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewPQ(testData.Vectors, PQConfig{M: 7}) // 96 % 7 != 0
+	newPQ(testData.Vectors, PQConfig{M: 7}) // 96 % 7 != 0
 }
 
 func TestPQIVFRecallIncreasesWithNProbe(t *testing.T) {
@@ -420,7 +446,7 @@ func TestSearchersReturnKResults(t *testing.T) {
 		"ivf":    NewIVF(testData.Vectors, IVFConfig{NList: 8, Seed: 20}),
 		"hnsw":   NewHNSW(testData.Vectors, HNSWConfig{M: 8, Seed: 20}),
 		"lsh":    NewLSH(testData.Vectors, LSHConfig{Seed: 20}),
-		"pq":     NewPQ(testData.Vectors, PQConfig{M: 8, KS: 32, Seed: 20}),
+		"pq":     newPQ(testData.Vectors, PQConfig{M: 8, KS: 32, Seed: 20}),
 		"pq-ivf": NewPQIVF(testData.Vectors, IVFConfig{NList: 8, Seed: 20}, PQConfig{M: 8, KS: 32, Seed: 20}),
 	}
 	for name, s := range searchers {

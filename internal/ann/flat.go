@@ -39,7 +39,7 @@ func (f *Flat) Search(query []float32, k int) []Result {
 	for i, v := range f.vectors {
 		rs[i] = Result{ID: i, Dist: vecmath.L2Squared(query, v)}
 	}
-	return TopK(rs, k)
+	return topK(rs, k)
 }
 
 // BinaryFlat is an exhaustive index over binary-quantized embeddings
@@ -50,12 +50,15 @@ type BinaryFlat struct {
 	codes  [][]uint64
 	int8s  [][]int8
 	params vecmath.Int8Params
-	// RerankFactor is the multiple of k fetched from the binary stage
-	// before INT8 rescoring. The paper selects the 10k closest binary
-	// candidates before reranking (Sec 4.3.2 step 6), i.e. a factor
-	// of 10.
-	RerankFactor int
+	// factor is the multiple of k fetched from the binary stage before
+	// INT8 rescoring (rerankFactor; tests narrow it).
+	factor int
 }
+
+// rerankFactor is the multiple of k a binary scan keeps for INT8
+// rescoring. The paper selects the 10k closest binary candidates before
+// reranking (Sec 4.3.2 step 6), i.e. a factor of 10.
+const rerankFactor = 10
 
 // NewBinaryFlat quantizes vectors to binary codes and INT8 rerank
 // copies.
@@ -64,11 +67,11 @@ func NewBinaryFlat(vectors [][]float32) *BinaryFlat {
 		panic("ann: NewBinaryFlat on empty input")
 	}
 	b := &BinaryFlat{
-		dim:          len(vectors[0]),
-		codes:        make([][]uint64, len(vectors)),
-		int8s:        make([][]int8, len(vectors)),
-		params:       vecmath.ComputeInt8Params(vectors),
-		RerankFactor: 10,
+		dim:    len(vectors[0]),
+		codes:  make([][]uint64, len(vectors)),
+		int8s:  make([][]int8, len(vectors)),
+		params: vecmath.ComputeInt8Params(vectors),
+		factor: rerankFactor,
 	}
 	for i, v := range vectors {
 		b.codes[i] = vecmath.BinaryQuantize(v, nil)
@@ -87,11 +90,11 @@ func (b *BinaryFlat) Search(query []float32, k int) []Result {
 	for i, c := range b.codes {
 		rs[i] = Result{ID: i, Dist: float32(vecmath.Hamming(qCode, c))}
 	}
-	cut := k * b.RerankFactor
+	cut := k * b.factor
 	if cut > len(rs) {
 		cut = len(rs)
 	}
-	cands := TopK(rs, cut)
+	cands := topK(rs, cut)
 	return b.rerank(query, cands, k)
 }
 
@@ -103,5 +106,5 @@ func (b *BinaryFlat) rerank(query []float32, cands []Result, k int) []Result {
 	for i, c := range cands {
 		out[i] = Result{ID: c.ID, Dist: float32(vecmath.L2SquaredInt8(q8, b.int8s[c.ID]))}
 	}
-	return TopK(out, k)
+	return topK(out, k)
 }

@@ -8,7 +8,7 @@ import (
 // FuzzTopKMerge checks the scatter-gather reduction invariant the
 // sharded engine relies on: partitioning a candidate stream into
 // arbitrary shards, taking each shard's top-k, and selecting the top-k
-// of their concatenation with TopK must produce exactly the top-k of
+// of their concatenation with topK must produce exactly the top-k of
 // the unpartitioned stream. Distances are
 // quantized to force heavy ties — the case where a non-total order
 // would diverge — and IDs are unique, so the expected result is fully
@@ -34,10 +34,10 @@ func FuzzTopKMerge(f *testing.F) {
 		}
 		var merged []Result
 		for p := range lists {
-			merged = append(merged, TopK(slices.Clone(lists[p]), kk)...)
+			merged = append(merged, topK(slices.Clone(lists[p]), kk)...)
 		}
-		got := TopK(merged, kk)
-		want := TopK(slices.Clone(stream), kk)
+		got := topK(merged, kk)
+		want := topK(slices.Clone(stream), kk)
 		if len(got) != len(want) {
 			t.Fatalf("merged %d results, want %d (k=%d parts=%d n=%d)", len(got), len(want), kk, np, len(stream))
 		}

@@ -13,8 +13,7 @@ import (
 // in tests.
 type HNSWConfig struct {
 	M              int // max neighbors per node per layer (default 16)
-	EfConstruction int // candidate pool during build (default 2*M)
-	EfSearch       int // candidate pool during search (default 2*M)
+	EfConstruction int // candidate pool during build (default max(100, 2*M))
 	Seed           uint64
 	// Binary enables BQ distance for graph traversal with INT8
 	// reranking (the "BQ HNSW" series of Fig 5).
@@ -26,12 +25,15 @@ type HNSWConfig struct {
 // fit for in-storage execution (Sec 4.2), included as the strongest
 // host-side baseline.
 type HNSW struct {
-	cfg     HNSWConfig
-	dim     int
-	vectors [][]float32
-	codes   [][]uint64
-	int8s   [][]int8
-	params  vecmath.Int8Params
+	cfg HNSWConfig
+	// efSearch is the candidate pool during search (SetEfSearch;
+	// default 2*M).
+	efSearch int
+	dim      int
+	vectors  [][]float32
+	codes    [][]uint64
+	int8s    [][]int8
+	params   vecmath.Int8Params
 
 	// neighbors[layer][node] lists the node's out-edges on the layer.
 	neighbors [][][]int32
@@ -59,11 +61,9 @@ func NewHNSW(vectors [][]float32, cfg HNSWConfig) *HNSW {
 		// hnswlib default to 100-200 regardless of M.
 		cfg.EfConstruction = max(100, 2*cfg.M)
 	}
-	if cfg.EfSearch <= 0 {
-		cfg.EfSearch = 2 * cfg.M
-	}
 	h := &HNSW{
 		cfg:       cfg,
+		efSearch:  2 * cfg.M,
 		dim:       len(vectors[0]),
 		vectors:   vectors,
 		levels:    make([]int, len(vectors)),
@@ -187,9 +187,9 @@ func (h *HNSW) greedyClosest(query []float32, qCode []uint64, start, layer int) 
 // paper), returning up to ef candidates sorted ascending.
 func (h *HNSW) searchLayer(query []float32, qCode []uint64, start, ef, layer int) []Result {
 	visited := map[int]struct{}{start: {}}
-	best := NewBoundedList(ef)
+	best := newBoundedList(ef)
 	startDist := h.dist(query, qCode, start)
-	best.Push(Result{ID: start, Dist: startDist})
+	best.push(Result{ID: start, Dist: startDist})
 	// frontier: min-heap approximated with a sorted slice; sizes are
 	// small (<= ef) so linear insertion is fine.
 	frontier := []Result{{ID: start, Dist: startDist}}
@@ -197,7 +197,7 @@ func (h *HNSW) searchLayer(query []float32, qCode []uint64, start, ef, layer int
 		// Pop closest.
 		c := frontier[0]
 		frontier = frontier[1:]
-		if w, ok := best.Worst(); ok && c.Dist > w.Dist {
+		if w, ok := best.worst(); ok && c.Dist > w.Dist {
 			break
 		}
 		for _, nb := range h.neighbors[layer][c.ID] {
@@ -208,13 +208,13 @@ func (h *HNSW) searchLayer(query []float32, qCode []uint64, start, ef, layer int
 			visited[n] = struct{}{}
 			h.HopCount++
 			d := h.dist(query, qCode, n)
-			if w, ok := best.Worst(); !ok || d < w.Dist {
-				best.Push(Result{ID: n, Dist: d})
+			if w, ok := best.worst(); !ok || d < w.Dist {
+				best.push(Result{ID: n, Dist: d})
 				frontier = insertSorted(frontier, Result{ID: n, Dist: d})
 			}
 		}
 	}
-	return best.Results()
+	return best.results()
 }
 
 func insertSorted(rs []Result, r Result) []Result {
@@ -283,7 +283,7 @@ func (h *HNSW) pruneNeighbors(layer, id, m int) {
 	for i, n := range ns {
 		rs[i] = Result{ID: int(n), Dist: h.distNodes(id, int(n))}
 	}
-	top := TopK(rs, m)
+	top := topK(rs, m)
 	pruned := make([]int32, len(top))
 	for i, r := range top {
 		pruned[i] = int32(r.ID)
@@ -294,7 +294,7 @@ func (h *HNSW) pruneNeighbors(layer, id, m int) {
 // SetEfSearch adjusts the search-time candidate pool (recall knob).
 func (h *HNSW) SetEfSearch(ef int) {
 	if ef > 0 {
-		h.cfg.EfSearch = ef
+		h.efSearch = ef
 	}
 }
 
@@ -311,7 +311,7 @@ func (h *HNSW) Search(query []float32, k int) []Result {
 	for l := h.maxLevel; l > 0; l-- {
 		cur = h.greedyClosest(query, qCode, cur, l)
 	}
-	ef := h.cfg.EfSearch
+	ef := h.efSearch
 	if ef < k {
 		ef = k
 	}
@@ -323,5 +323,5 @@ func (h *HNSW) Search(query []float32, k int) []Result {
 			cands[i].Dist = float32(vecmath.L2SquaredInt8(q8, h.int8s[cands[i].ID]))
 		}
 	}
-	return TopK(cands, k)
+	return topK(cands, k)
 }

@@ -20,12 +20,9 @@ const (
 
 // IVFConfig parameterizes index construction.
 type IVFConfig struct {
-	NList    int     // number of clusters (FAISS nlist)
-	Mode     IVFMode // scan precision
-	Seed     uint64
-	MaxIters int // k-means iterations
-	// RerankFactor applies in IVFBinary mode (default 10).
-	RerankFactor int
+	NList int     // number of clusters (FAISS nlist)
+	Mode  IVFMode // scan precision
+	Seed  uint64
 }
 
 // IVF is the Inverted File index (Sec 2.2, Sec 4.2): k-means clusters
@@ -42,8 +39,6 @@ type IVF struct {
 	codes   [][]uint64  // binary mode
 	int8s   [][]int8
 	params  vecmath.Int8Params
-
-	rerankFactor int
 }
 
 // NewIVF trains an IVF index over vectors.
@@ -55,19 +50,13 @@ func NewIVF(vectors [][]float32, cfg IVFConfig) *IVF {
 		// FAISS rule of thumb: ~sqrt(N) to 4*sqrt(N) clusters.
 		cfg.NList = max(1, isqrt(len(vectors)))
 	}
-	if cfg.RerankFactor == 0 {
-		cfg.RerankFactor = 10
-	}
-	centroids, assign := KMeans(vectors, KMeansConfig{
-		K: cfg.NList, Seed: cfg.Seed, MaxIters: cfg.MaxIters,
-	})
+	centroids, assign := KMeans(vectors, KMeansConfig{K: cfg.NList, Seed: cfg.Seed})
 	idx := &IVF{
-		mode:         cfg.Mode,
-		dim:          len(vectors[0]),
-		centroids:    centroids,
-		lists:        make([][]int, len(centroids)),
-		vectors:      vectors,
-		rerankFactor: cfg.RerankFactor,
+		mode:      cfg.Mode,
+		dim:       len(vectors[0]),
+		centroids: centroids,
+		lists:     make([][]int, len(centroids)),
+		vectors:   vectors,
 	}
 	for i, c := range assign {
 		idx.lists[c] = append(idx.lists[c], i)
@@ -109,7 +98,7 @@ func (idx *IVF) SearchNProbe(query []float32, k, nprobe int) []Result {
 	if nprobe > len(idx.centroids) {
 		nprobe = len(idx.centroids)
 	}
-	probes := idx.CoarseSearch(query, nprobe)
+	probes := idx.coarseSearch(query, nprobe)
 	switch idx.mode {
 	case IVFFloat:
 		return idx.fineFloat(query, probes, k)
@@ -120,14 +109,14 @@ func (idx *IVF) SearchNProbe(query []float32, k, nprobe int) []Result {
 	}
 }
 
-// CoarseSearch returns the indices of the nprobe centroids closest to
+// coarseSearch returns the indices of the nprobe centroids closest to
 // query, closest first.
-func (idx *IVF) CoarseSearch(query []float32, nprobe int) []int {
+func (idx *IVF) coarseSearch(query []float32, nprobe int) []int {
 	rs := make([]Result, len(idx.centroids))
 	for c, cent := range idx.centroids {
 		rs[c] = Result{ID: c, Dist: vecmath.L2Squared(query, cent)}
 	}
-	top := TopK(rs, nprobe)
+	top := topK(rs, nprobe)
 	out := make([]int, len(top))
 	for i, r := range top {
 		out[i] = r.ID
@@ -142,7 +131,7 @@ func (idx *IVF) fineFloat(query []float32, probes []int, k int) []Result {
 			rs = append(rs, Result{ID: id, Dist: vecmath.L2Squared(query, idx.vectors[id])})
 		}
 	}
-	return TopK(rs, k)
+	return topK(rs, k)
 }
 
 func (idx *IVF) fineBinary(query []float32, probes []int, k int) []Result {
@@ -153,15 +142,15 @@ func (idx *IVF) fineBinary(query []float32, probes []int, k int) []Result {
 			rs = append(rs, Result{ID: id, Dist: float32(vecmath.Hamming(qCode, idx.codes[id]))})
 		}
 	}
-	cut := k * idx.rerankFactor
+	cut := k * rerankFactor
 	if cut > len(rs) {
 		cut = len(rs)
 	}
-	cands := TopK(rs, cut)
+	cands := topK(rs, cut)
 	q8 := idx.params.Int8Quantize(query, nil)
 	out := make([]Result, len(cands))
 	for i, c := range cands {
 		out[i] = Result{ID: c.ID, Dist: float32(vecmath.L2SquaredInt8(q8, idx.int8s[c.ID]))}
 	}
-	return TopK(out, k)
+	return topK(out, k)
 }

@@ -11,17 +11,24 @@ import (
 // KMeansConfig controls Lloyd's-algorithm clustering used to train IVF
 // centroids (the indexing stage of the RAG pipeline, Sec 2.1).
 type KMeansConfig struct {
-	K        int // number of centroids
-	MaxIters int // Lloyd iterations (default 15)
-	Seed     uint64
+	K    int // number of centroids
+	Seed uint64
 	// SampleLimit caps the number of training points considered (0 =
 	// use all); FAISS-style subsampling keeps training tractable.
 	SampleLimit int
 }
 
+// kmeansIters is the number of Lloyd iterations KMeans runs.
+const kmeansIters = 15
+
 // KMeans clusters vectors into cfg.K centroids and returns the
 // centroids along with each input's assignment.
 func KMeans(vectors [][]float32, cfg KMeansConfig) (centroids [][]float32, assign []int) {
+	return kmeans(vectors, cfg, kmeansIters)
+}
+
+// kmeans is KMeans with at most iters Lloyd iterations.
+func kmeans(vectors [][]float32, cfg KMeansConfig, iters int) (centroids [][]float32, assign []int) {
 	if cfg.K <= 0 {
 		panic(fmt.Sprintf("ann: KMeans invalid K=%d", cfg.K))
 	}
@@ -30,9 +37,6 @@ func KMeans(vectors [][]float32, cfg KMeansConfig) (centroids [][]float32, assig
 	}
 	if cfg.K > len(vectors) {
 		cfg.K = len(vectors)
-	}
-	if cfg.MaxIters == 0 {
-		cfg.MaxIters = 15
 	}
 	rng := xrand.New(cfg.Seed + 0x9e37)
 	dim := len(vectors[0])
@@ -57,7 +61,7 @@ func KMeans(vectors [][]float32, cfg KMeansConfig) (centroids [][]float32, assig
 	trainAssign := make([]int, len(train))
 	apart := make([]float64, cfg.K*cfg.K)
 	converged := false // the last iteration moved no point and re-seeded no cluster
-	for iter := 0; iter < cfg.MaxIters; iter++ {
+	for iter := 0; iter < iters; iter++ {
 		fillApart(centroids, apart)
 		changed := 0
 		for c := 0; c < cfg.K; c++ {

@@ -14,13 +14,12 @@ type LSHConfig struct {
 	Tables int // number of independent hash tables (default 8)
 	Bits   int // hash bits per table (default 16)
 	Seed   uint64
-	// ProbeRadius enables multi-probe LSH: buckets within this Hamming
-	// radius of the query's bucket are also inspected (default 1).
-	ProbeRadius int
 }
 
-// LSH is a multi-table random-hyperplane index. Candidates from all
-// probed buckets are rescored with exact L2.
+// LSH is a multi-probe, multi-table random-hyperplane index: a search
+// inspects, in every table, the query's bucket and the buckets within
+// Hamming radius 1 of it, and rescores the candidates from all of them
+// with exact L2.
 type LSH struct {
 	cfg     LSHConfig
 	dim     int
@@ -43,9 +42,6 @@ func NewLSH(vectors [][]float32, cfg LSHConfig) *LSH {
 	}
 	if cfg.Bits > 30 {
 		panic(fmt.Sprintf("ann: LSH bits %d too large", cfg.Bits))
-	}
-	if cfg.ProbeRadius == 0 {
-		cfg.ProbeRadius = 1
 	}
 	rng := xrand.New(cfg.Seed + 0x714)
 	l := &LSH{
@@ -83,35 +79,33 @@ func (l *LSH) hash(table int, v []float32) uint32 {
 	return h
 }
 
-// Search implements Searcher: collect candidates from the query's
-// bucket (and neighbors within ProbeRadius) in every table, then
-// rescore exactly.
+// Search implements Searcher: collect the candidates of every probed
+// bucket, then rescore exactly.
 func (l *LSH) Search(query []float32, k int) []Result {
 	if len(query) != l.dim {
 		panic(fmt.Sprintf("ann: LSH query dim %d != index dim %d", len(query), l.dim))
 	}
-	seen := make(map[int32]struct{})
-	for t := 0; t < l.cfg.Tables; t++ {
-		h := l.hash(t, query)
-		l.collect(t, h, seen)
-		if l.cfg.ProbeRadius >= 1 {
-			for b := 0; b < l.cfg.Bits; b++ {
-				l.collect(t, h^(1<<uint(b)), seen)
-			}
-		}
-		if l.cfg.ProbeRadius >= 2 {
-			for b1 := 0; b1 < l.cfg.Bits; b1++ {
-				for b2 := b1 + 1; b2 < l.cfg.Bits; b2++ {
-					l.collect(t, h^(1<<uint(b1))^(1<<uint(b2)), seen)
-				}
-			}
-		}
-	}
+	seen := l.candidates(query)
 	rs := make([]Result, 0, len(seen))
 	for id := range seen {
 		rs = append(rs, Result{ID: int(id), Dist: vecmath.L2Squared(query, l.vectors[id])})
 	}
-	return TopK(rs, k)
+	return topK(rs, k)
+}
+
+// candidates returns the distinct ids of the buckets a search for query
+// probes: in every table, the query's bucket and the Bits buckets one
+// bit flip away from it.
+func (l *LSH) candidates(query []float32) map[int32]struct{} {
+	seen := make(map[int32]struct{})
+	for t := 0; t < l.cfg.Tables; t++ {
+		h := l.hash(t, query)
+		l.collect(t, h, seen)
+		for b := 0; b < l.cfg.Bits; b++ {
+			l.collect(t, h^(1<<uint(b)), seen)
+		}
+	}
+	return seen
 }
 
 func (l *LSH) collect(table int, h uint32, seen map[int32]struct{}) {
@@ -121,18 +115,8 @@ func (l *LSH) collect(table int, h uint32, seen map[int32]struct{}) {
 }
 
 // CandidateCount reports how many distinct candidates a search for
-// query would rescore; the Fig 5 discussion uses this to show LSH's
-// poor work-recall tradeoff.
+// query rescores; the Fig 5 discussion uses this to show LSH's poor
+// work-recall tradeoff.
 func (l *LSH) CandidateCount(query []float32) int {
-	seen := make(map[int32]struct{})
-	for t := 0; t < l.cfg.Tables; t++ {
-		h := l.hash(t, query)
-		l.collect(t, h, seen)
-		if l.cfg.ProbeRadius >= 1 {
-			for b := 0; b < l.cfg.Bits; b++ {
-				l.collect(t, h^(1<<uint(b)), seen)
-			}
-		}
-	}
-	return len(seen)
+	return len(l.candidates(query))
 }

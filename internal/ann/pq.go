@@ -16,10 +16,10 @@ type PQConfig struct {
 	TrainIters int
 }
 
-// PQ is a product quantizer: each vector is split into M sub-vectors,
-// each encoded as the ID of its nearest sub-centroid. Distances are
-// computed with asymmetric distance computation (ADC) lookup tables.
-type PQ struct {
+// productQuantizer splits each vector into M sub-vectors and encodes
+// each as the ID of its nearest sub-centroid. Distances are computed
+// with asymmetric distance computation (ADC) lookup tables.
+type productQuantizer struct {
 	cfg    PQConfig
 	dim    int
 	subDim int
@@ -28,10 +28,10 @@ type PQ struct {
 	codes     [][]uint8 // codes[i][m] = centroid id of vector i in subspace m
 }
 
-// NewPQ trains the codebooks and encodes vectors.
-func NewPQ(vectors [][]float32, cfg PQConfig) *PQ {
+// newPQ trains the codebooks and encodes vectors.
+func newPQ(vectors [][]float32, cfg PQConfig) *productQuantizer {
 	if len(vectors) == 0 {
-		panic("ann: NewPQ on empty input")
+		panic("ann: newPQ on empty input")
 	}
 	dim := len(vectors[0])
 	if cfg.M <= 0 {
@@ -49,7 +49,7 @@ func NewPQ(vectors [][]float32, cfg PQConfig) *PQ {
 	if cfg.TrainIters == 0 {
 		cfg.TrainIters = 10
 	}
-	p := &PQ{
+	p := &productQuantizer{
 		cfg:       cfg,
 		dim:       dim,
 		subDim:    dim / cfg.M,
@@ -65,10 +65,9 @@ func NewPQ(vectors [][]float32, cfg PQConfig) *PQ {
 		for i, v := range vectors {
 			sub[i] = v[lo:hi]
 		}
-		cents, assign := KMeans(sub, KMeansConfig{
-			K: cfg.KS, Seed: cfg.Seed + uint64(m), MaxIters: cfg.TrainIters,
-			SampleLimit: 16384,
-		})
+		cents, assign := kmeans(sub, KMeansConfig{
+			K: cfg.KS, Seed: cfg.Seed + uint64(m), SampleLimit: 16384,
+		}, cfg.TrainIters)
 		p.codebooks[m] = cents
 		for i, a := range assign {
 			p.codes[i][m] = uint8(a)
@@ -78,7 +77,7 @@ func NewPQ(vectors [][]float32, cfg PQConfig) *PQ {
 }
 
 // adcTable builds the per-subspace distance lookup table for query.
-func (p *PQ) adcTable(query []float32) [][]float32 {
+func (p *productQuantizer) adcTable(query []float32) [][]float32 {
 	table := make([][]float32, p.cfg.M)
 	for m := 0; m < p.cfg.M; m++ {
 		lo, hi := m*p.subDim, (m+1)*p.subDim
@@ -93,7 +92,7 @@ func (p *PQ) adcTable(query []float32) [][]float32 {
 }
 
 // Search implements Searcher with an exhaustive ADC scan.
-func (p *PQ) Search(query []float32, k int) []Result {
+func (p *productQuantizer) Search(query []float32, k int) []Result {
 	if len(query) != p.dim {
 		panic(fmt.Sprintf("ann: PQ query dim %d != index dim %d", len(query), p.dim))
 	}
@@ -106,12 +105,12 @@ func (p *PQ) Search(query []float32, k int) []Result {
 		}
 		rs[i] = Result{ID: i, Dist: d}
 	}
-	return TopK(rs, k)
+	return topK(rs, k)
 }
 
-// SearchSubset scores only the listed candidate IDs — used to build
+// searchSubset scores only the listed candidate IDs — used to build
 // "PQ IVF" (IVF coarse search + PQ fine scan) for Fig 5.
-func (p *PQ) SearchSubset(query []float32, ids []int, k int) []Result {
+func (p *productQuantizer) searchSubset(query []float32, ids []int, k int) []Result {
 	table := p.adcTable(query)
 	rs := make([]Result, len(ids))
 	for i, id := range ids {
@@ -121,30 +120,30 @@ func (p *PQ) SearchSubset(query []float32, ids []int, k int) []Result {
 		}
 		rs[i] = Result{ID: id, Dist: d}
 	}
-	return TopK(rs, k)
+	return topK(rs, k)
 }
 
 // PQIVF composes an IVF coarse quantizer with PQ fine codes.
 type PQIVF struct {
 	ivf *IVF
-	pq  *PQ
+	pq  *productQuantizer
 }
 
 // NewPQIVF trains both stages over the same vectors.
 func NewPQIVF(vectors [][]float32, ivfCfg IVFConfig, pqCfg PQConfig) *PQIVF {
 	ivfCfg.Mode = IVFFloat
-	return &PQIVF{ivf: NewIVF(vectors, ivfCfg), pq: NewPQ(vectors, pqCfg)}
+	return &PQIVF{ivf: NewIVF(vectors, ivfCfg), pq: newPQ(vectors, pqCfg)}
 }
 
 // SearchNProbe runs the coarse IVF search, then PQ-ADC scores the
 // probed lists.
 func (p *PQIVF) SearchNProbe(query []float32, k, nprobe int) []Result {
-	probes := p.ivf.CoarseSearch(query, nprobe)
+	probes := p.ivf.coarseSearch(query, nprobe)
 	var ids []int
 	for _, c := range probes {
 		ids = append(ids, p.ivf.lists[c]...)
 	}
-	return p.pq.SearchSubset(query, ids, k)
+	return p.pq.searchSubset(query, ids, k)
 }
 
 // Search implements Searcher with nprobe=1.

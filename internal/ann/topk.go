@@ -25,7 +25,7 @@ type Result struct {
 	Dist float32
 }
 
-// Quickselect partially sorts rs so that the k smallest results under
+// quickselect partially sorts rs so that the k smallest results under
 // the (Dist, ID) total order occupy rs[:k] (in arbitrary order within
 // the prefix), using Hoare's FIND with median-of-three pivoting. It
 // runs in O(n) expected time and is the selection kernel modeled for
@@ -35,7 +35,7 @@ type Result struct {
 // (FuzzTopKMerge: a partitioned stream's merged top-k must equal the
 // unpartitioned top-k exactly).
 // If k >= len(rs) the slice is left as is.
-func Quickselect(rs []Result, k int) {
+func quickselect(rs []Result, k int) {
 	if k <= 0 || k >= len(rs) {
 		return
 	}
@@ -84,20 +84,20 @@ func partition(rs []Result, lo, hi int) int {
 	}
 }
 
-// TopK returns the k smallest-distance results sorted ascending by
+// topK returns the k smallest-distance results sorted ascending by
 // distance (ties broken by ID for determinism). rs is modified.
-func TopK(rs []Result, k int) []Result {
+func topK(rs []Result, k int) []Result {
 	if k > len(rs) {
 		k = len(rs)
 	}
-	Quickselect(rs, k)
+	quickselect(rs, k)
 	out := rs[:k]
-	SortResults(out)
+	sortResults(out)
 	return out
 }
 
-// lessResult is the (Dist, ID) total order shared by Quickselect and
-// SortResults.
+// lessResult is the (Dist, ID) total order shared by quickselect and
+// sortResults.
 func lessResult(a, b Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
@@ -105,31 +105,31 @@ func lessResult(a, b Result) bool {
 	return a.ID < b.ID
 }
 
-// SortResults sorts ascending by distance, breaking ties by ID. This
+// sortResults sorts ascending by distance, breaking ties by ID. This
 // is the quicksort step the paper runs after the final selection
 // (Sec 4.3.1).
-func SortResults(rs []Result) {
+func sortResults(rs []Result) {
 	sort.Slice(rs, func(i, j int) bool { return lessResult(rs[i], rs[j]) })
 }
 
-// BoundedList maintains the k best (smallest-distance) results seen so
+// boundedList maintains the k best (smallest-distance) results seen so
 // far using a binary max-heap, for streaming candidate generation.
-// The zero value is not usable; construct with NewBoundedList.
-type BoundedList struct {
+// The zero value is not usable; construct with newBoundedList.
+type boundedList struct {
 	k    int
 	heap []Result // max-heap by Dist
 }
 
-// NewBoundedList returns a list that retains the k best results.
-func NewBoundedList(k int) *BoundedList {
+// newBoundedList returns a list that retains the k best results.
+func newBoundedList(k int) *boundedList {
 	if k <= 0 {
-		panic("ann: NewBoundedList k must be positive")
+		panic("ann: newBoundedList k must be positive")
 	}
-	return &BoundedList{k: k, heap: make([]Result, 0, k)}
+	return &boundedList{k: k, heap: make([]Result, 0, k)}
 }
 
-// Push offers a candidate.
-func (b *BoundedList) Push(r Result) {
+// push offers a candidate.
+func (b *boundedList) push(r Result) {
 	if len(b.heap) < b.k {
 		b.heap = append(b.heap, r)
 		b.up(len(b.heap) - 1)
@@ -142,24 +142,24 @@ func (b *BoundedList) Push(r Result) {
 	b.down(0)
 }
 
-// Worst returns the current k-th best distance, or +inf semantics via
+// worst returns the current k-th best distance, or +inf semantics via
 // ok=false when fewer than k results are held.
-func (b *BoundedList) Worst() (Result, bool) {
+func (b *boundedList) worst() (Result, bool) {
 	if len(b.heap) < b.k {
 		return Result{}, false
 	}
 	return b.heap[0], true
 }
 
-// Results returns the retained results sorted ascending by distance.
-func (b *BoundedList) Results() []Result {
+// results returns the retained results sorted ascending by distance.
+func (b *boundedList) results() []Result {
 	out := make([]Result, len(b.heap))
 	copy(out, b.heap)
-	SortResults(out)
+	sortResults(out)
 	return out
 }
 
-func (b *BoundedList) up(i int) {
+func (b *boundedList) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if b.heap[parent].Dist >= b.heap[i].Dist {
@@ -170,7 +170,7 @@ func (b *BoundedList) up(i int) {
 	}
 }
 
-func (b *BoundedList) down(i int) {
+func (b *boundedList) down(i int) {
 	n := len(b.heap)
 	for {
 		l, r := 2*i+1, 2*i+2

@@ -23,7 +23,7 @@ func TestQuickselectPartitions(t *testing.T) {
 				continue
 			}
 			rs := randResults(r, n)
-			Quickselect(rs, k)
+			quickselect(rs, k)
 			var maxLeft, minRight float32 = -1, 2
 			for i := 0; i < k; i++ {
 				if rs[i].Dist > maxLeft {
@@ -49,7 +49,7 @@ func TestQuickselectPreservesMultiset(t *testing.T) {
 	for _, x := range rs {
 		before += float64(x.Dist)
 	}
-	Quickselect(rs, 100)
+	quickselect(rs, 100)
 	var after float64
 	for _, x := range rs {
 		after += float64(x.Dist)
@@ -64,7 +64,7 @@ func TestQuickselectSortedInput(t *testing.T) {
 	for i := range rs {
 		rs[i] = Result{ID: i, Dist: float32(i)}
 	}
-	Quickselect(rs, 10)
+	quickselect(rs, 10)
 	for i := 0; i < 10; i++ {
 		if rs[i].Dist >= 10 {
 			t.Fatalf("sorted input: element %d has dist %v", i, rs[i].Dist)
@@ -77,7 +77,7 @@ func TestQuickselectDuplicates(t *testing.T) {
 	for i := range rs {
 		rs[i] = Result{ID: i, Dist: float32(i % 3)}
 	}
-	Quickselect(rs, 40)
+	quickselect(rs, 40)
 	for i := 0; i < 34; i++ { // 34 zeros exist
 		if rs[i].Dist > 1 {
 			t.Fatalf("duplicate handling: pos %d dist %v", i, rs[i].Dist)
@@ -86,16 +86,16 @@ func TestQuickselectDuplicates(t *testing.T) {
 }
 
 func TestQuickselectEdgeCases(t *testing.T) {
-	Quickselect(nil, 1)               // must not panic
-	Quickselect([]Result{{1, 0}}, 0)  // k=0
-	Quickselect([]Result{{1, 0}}, 5)  // k > len
-	Quickselect([]Result{{1, 0}}, -1) // negative k
+	quickselect(nil, 1)               // must not panic
+	quickselect([]Result{{1, 0}}, 0)  // k=0
+	quickselect([]Result{{1, 0}}, 5)  // k > len
+	quickselect([]Result{{1, 0}}, -1) // negative k
 }
 
 func TestTopKSorted(t *testing.T) {
 	r := xrand.New(3)
 	rs := randResults(r, 200)
-	top := TopK(rs, 20)
+	top := topK(rs, 20)
 	if len(top) != 20 {
 		t.Fatalf("len = %d", len(top))
 	}
@@ -114,8 +114,8 @@ func TestTopKMatchesFullSort(t *testing.T) {
 		rs := randResults(r, n)
 		full := make([]Result, n)
 		copy(full, rs)
-		SortResults(full)
-		top := TopK(rs, k)
+		sortResults(full)
+		top := topK(rs, k)
 		for i := 0; i < k; i++ {
 			if top[i] != full[i] {
 				return false
@@ -130,54 +130,54 @@ func TestTopKMatchesFullSort(t *testing.T) {
 
 func TestTopKClampsK(t *testing.T) {
 	rs := []Result{{1, 0.5}, {2, 0.1}}
-	top := TopK(rs, 10)
+	top := topK(rs, 10)
 	if len(top) != 2 || top[0].ID != 2 {
-		t.Fatalf("TopK = %v", top)
+		t.Fatalf("topK = %v", top)
 	}
 }
 
 func TestSortResultsTieBreak(t *testing.T) {
 	rs := []Result{{5, 1}, {2, 1}, {9, 0}}
-	SortResults(rs)
+	sortResults(rs)
 	if rs[0].ID != 9 || rs[1].ID != 2 || rs[2].ID != 5 {
 		t.Fatalf("tie break wrong: %v", rs)
 	}
 }
 
 func TestBoundedListKeepsBest(t *testing.T) {
-	b := NewBoundedList(3)
+	b := newBoundedList(3)
 	for i := 10; i > 0; i-- {
-		b.Push(Result{ID: i, Dist: float32(i)})
+		b.push(Result{ID: i, Dist: float32(i)})
 	}
-	got := b.Results()
+	got := b.results()
 	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 2 || got[2].ID != 3 {
 		t.Fatalf("Results = %v", got)
 	}
 }
 
 func TestBoundedListWorst(t *testing.T) {
-	b := NewBoundedList(2)
-	if _, ok := b.Worst(); ok {
+	b := newBoundedList(2)
+	if _, ok := b.worst(); ok {
 		t.Fatal("Worst ok before full")
 	}
-	b.Push(Result{1, 1})
-	b.Push(Result{2, 2})
-	w, ok := b.Worst()
+	b.push(Result{1, 1})
+	b.push(Result{2, 2})
+	w, ok := b.worst()
 	if !ok || w.Dist != 2 {
 		t.Fatalf("Worst = %v ok=%v", w, ok)
 	}
-	b.Push(Result{3, 0.5})
-	w, _ = b.Worst()
+	b.push(Result{3, 0.5})
+	w, _ = b.worst()
 	if w.Dist != 1 {
 		t.Fatalf("Worst after push = %v", w)
 	}
 }
 
 func TestBoundedListRejectsWorse(t *testing.T) {
-	b := NewBoundedList(1)
-	b.Push(Result{1, 1})
-	b.Push(Result{2, 5})
-	got := b.Results()
+	b := newBoundedList(1)
+	b.push(Result{1, 1})
+	b.push(Result{2, 5})
+	got := b.results()
 	if len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("Results = %v", got)
 	}
@@ -186,14 +186,14 @@ func TestBoundedListRejectsWorse(t *testing.T) {
 func TestBoundedListMatchesFullSort(t *testing.T) {
 	r := xrand.New(4)
 	rs := randResults(r, 300)
-	b := NewBoundedList(25)
+	b := newBoundedList(25)
 	for _, x := range rs {
-		b.Push(x)
+		b.push(x)
 	}
 	full := make([]Result, len(rs))
 	copy(full, rs)
-	SortResults(full)
-	got := b.Results()
+	sortResults(full)
+	got := b.results()
 	for i := 0; i < 25; i++ {
 		if got[i].ID != full[i].ID {
 			t.Fatalf("mismatch at %d: %v vs %v", i, got[i], full[i])
@@ -207,7 +207,7 @@ func TestBoundedListPanicsOnBadK(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	NewBoundedList(0)
+	newBoundedList(0)
 }
 
 func BenchmarkQuickselect10kTop100(b *testing.B) {
@@ -218,6 +218,6 @@ func BenchmarkQuickselect10kTop100(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		copy(work, base)
-		Quickselect(work, 100)
+		quickselect(work, 100)
 	}
 }

@@ -17,8 +17,8 @@ type Descriptor struct {
 	// DocBytes is the per-chunk document size modeled for the dataset
 	// (text datasets only; SIFT/DEEP are pure ANNS benchmarks).
 	DocBytes int
-	// ScaledEntries is the synthetic size generated at scale factor 1.
-	ScaledEntries int
+	// scaledEntries is the synthetic size generated at scale factor 1.
+	scaledEntries int
 	// Clusters controls the topic structure of the generator.
 	Clusters int
 	// Queries is the evaluation query count at scale factor 1.
@@ -30,12 +30,12 @@ type Descriptor struct {
 // (NQ < HotpotQA < wiki_en < wiki_full) so crossover behaviour is
 // preserved while staying tractable in CI.
 var Catalog = map[string]Descriptor{
-	"NQ":        {Name: "NQ", PaperEntries: 2_681_468, Dim: 1024, DocBytes: 1024, ScaledEntries: 12_288, Clusters: 96, Queries: 64},
-	"HotpotQA":  {Name: "HotpotQA", PaperEntries: 5_233_329, Dim: 1024, DocBytes: 1024, ScaledEntries: 24_576, Clusters: 128, Queries: 64},
-	"wiki_en":   {Name: "wiki_en", PaperEntries: 41_488_110, Dim: 1024, DocBytes: 1024, ScaledEntries: 49_152, Clusters: 192, Queries: 64},
-	"wiki_full": {Name: "wiki_full", PaperEntries: 247_154_006, Dim: 1024, DocBytes: 1024, ScaledEntries: 98_304, Clusters: 256, Queries: 64},
-	"SIFT":      {Name: "SIFT", PaperEntries: 1_000_000_000, Dim: 128, DocBytes: 0, ScaledEntries: 65_536, Clusters: 256, Queries: 64},
-	"DEEP":      {Name: "DEEP", PaperEntries: 1_000_000_000, Dim: 96, DocBytes: 0, ScaledEntries: 65_536, Clusters: 256, Queries: 64},
+	"NQ":        {Name: "NQ", PaperEntries: 2_681_468, Dim: 1024, DocBytes: 1024, scaledEntries: 12_288, Clusters: 96, Queries: 64},
+	"HotpotQA":  {Name: "HotpotQA", PaperEntries: 5_233_329, Dim: 1024, DocBytes: 1024, scaledEntries: 24_576, Clusters: 128, Queries: 64},
+	"wiki_en":   {Name: "wiki_en", PaperEntries: 41_488_110, Dim: 1024, DocBytes: 1024, scaledEntries: 49_152, Clusters: 192, Queries: 64},
+	"wiki_full": {Name: "wiki_full", PaperEntries: 247_154_006, Dim: 1024, DocBytes: 1024, scaledEntries: 98_304, Clusters: 256, Queries: 64},
+	"SIFT":      {Name: "SIFT", PaperEntries: 1_000_000_000, Dim: 128, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, Queries: 64},
+	"DEEP":      {Name: "DEEP", PaperEntries: 1_000_000_000, Dim: 96, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, Queries: 64},
 }
 
 // Load generates the named catalog dataset at the given scale factor.
@@ -50,7 +50,7 @@ func Load(name string, scale int) *Dataset {
 	if scale <= 0 {
 		panic(fmt.Sprintf("dataset: invalid scale %d", scale))
 	}
-	n := max(256, desc.ScaledEntries/scale)
+	n := max(256, desc.scaledEntries/scale)
 	queries := max(8, desc.Queries/scale)
 	clusters := max(8, desc.Clusters/scale)
 	docBytes := desc.DocBytes

@@ -39,10 +39,10 @@ type Dataset struct {
 	// GroundTruth[q] lists the indices of the exact top-k nearest
 	// database vectors for Queries[q], closest first.
 	GroundTruth [][]int
-	// GroundTruthK is the k used when computing GroundTruth.
-	GroundTruthK int
+	// groundTruthK is the k used when computing GroundTruth.
+	groundTruthK int
 	// ClusterOf[i] is the generator topic that produced Vectors[i];
-	// used as the metadata tag in filtered-search experiments.
+	// filtered-search tests use it as the metadata tag.
 	ClusterOf []int
 }
 
@@ -62,23 +62,24 @@ type Config struct {
 	// database vector to form a query (per-component std is
 	// QueryNoise/sqrt(Dim), so the value is dimension-independent).
 	QueryNoise float64
-	// ClusterStd is the expected norm of the within-cluster noise
+	Seed       uint64
+}
+
+const (
+	// clusterStd is the expected norm of the within-cluster noise
 	// vector before normalization (per-component std is
-	// ClusterStd/sqrt(Dim)); smaller values make the data more
+	// clusterStd/sqrt(Dim)); smaller values make the data more
 	// clustered, which is what makes IVF effective on text embeddings.
-	ClusterStd float64
-	// BackgroundFrac is the fraction of points drawn with
-	// BackgroundStd noise instead of ClusterStd. Real embedding
+	clusterStd = 0.35
+	// backgroundFrac is the fraction of points drawn with
+	// backgroundStd noise instead of clusterStd. Real embedding
 	// corpora are not clean mixtures: most members of an IVF cell are
 	// only loosely related to its centroid, which is what makes the
 	// paper's distance filtering effective inside probed clusters.
-	// Defaults to 0.5.
-	BackgroundFrac float64
-	// BackgroundStd is the noise norm for background points
-	// (default 1.2).
-	BackgroundStd float64
-	Seed          uint64
-}
+	backgroundFrac = 0.5
+	// backgroundStd is the noise norm for background points.
+	backgroundStd = 1.2
+)
 
 func (c Config) withDefaults() Config {
 	if c.Clusters == 0 {
@@ -92,18 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueryNoise == 0 {
 		c.QueryNoise = 0.25
-	}
-	if c.ClusterStd == 0 {
-		c.ClusterStd = 0.35
-	}
-	if c.BackgroundFrac == 0 {
-		c.BackgroundFrac = 0.5
-	}
-	if c.BackgroundFrac < 0 { // explicit "no background" marker
-		c.BackgroundFrac = 0
-	}
-	if c.BackgroundStd == 0 {
-		c.BackgroundStd = 1.2
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed
@@ -133,20 +122,20 @@ func Generate(cfg Config) *Dataset {
 		Dim:          cfg.Dim,
 		Vectors:      make([][]float32, cfg.N),
 		Docs:         make([][]byte, cfg.N),
-		GroundTruthK: cfg.K,
+		groundTruthK: cfg.K,
 	}
 
 	invSqrtDim := 1 / float32(sqrtf(float64(cfg.Dim)))
-	clusterSigma := float32(cfg.ClusterStd) * invSqrtDim
+	clusterSigma := float32(clusterStd) * invSqrtDim
 	querySigma := float32(cfg.QueryNoise) * invSqrtDim
-	backgroundSigma := float32(cfg.BackgroundStd) * invSqrtDim
+	backgroundSigma := float32(backgroundStd) * invSqrtDim
 	d.ClusterOf = make([]int, cfg.N)
 	core := make([]int, 0, cfg.N) // indices of tight (non-background) points
 	for i := 0; i < cfg.N; i++ {
 		c := rng.Intn(cfg.Clusters)
 		d.ClusterOf[i] = c
 		sigma := clusterSigma
-		if rng.Float64() < cfg.BackgroundFrac {
+		if rng.Float64() < backgroundFrac {
 			sigma = backgroundSigma
 		} else {
 			core = append(core, i)

@@ -55,12 +55,12 @@ func TestGenerateDeterministic(t *testing.T) {
 func TestVectorsAreUnitNorm(t *testing.T) {
 	d := small(t)
 	for i, v := range d.Vectors {
-		if n := vecmath.Norm(v); math.Abs(float64(n)-1) > 1e-5 {
+		if n := math.Sqrt(float64(vecmath.Dot(v, v))); math.Abs(n-1) > 1e-5 {
 			t.Fatalf("vector %d norm %v", i, n)
 		}
 	}
 	for i, v := range d.Queries {
-		if n := vecmath.Norm(v); math.Abs(float64(n)-1) > 1e-5 {
+		if n := math.Sqrt(float64(vecmath.Dot(v, v))); math.Abs(n-1) > 1e-5 {
 			t.Fatalf("query %d norm %v", i, n)
 		}
 	}
@@ -142,7 +142,7 @@ func referenceTopK(vectors [][]float32, query []float32, k int) []int {
 func TestGroundTruthMatchesExactSearch(t *testing.T) {
 	d := small(t)
 	for q, qv := range d.Queries {
-		want := referenceTopK(d.Vectors, qv, d.GroundTruthK)
+		want := referenceTopK(d.Vectors, qv, d.groundTruthK)
 		if !slices.Equal(d.GroundTruth[q], want) {
 			t.Fatalf("query %d ground truth %v, want %v", q, d.GroundTruth[q], want)
 		}
@@ -209,7 +209,7 @@ func TestPivotTopKMatchesExactTopK(t *testing.T) {
 	for _, name := range names {
 		for _, scale := range []int{16, 32, 64} {
 			d := Load(name, scale)
-			check(fmt.Sprintf("%s/%d", name, scale), d.Vectors, d.Queries, d.GroundTruthK, d.GroundTruth)
+			check(fmt.Sprintf("%s/%d", name, scale), d.Vectors, d.Queries, d.groundTruthK, d.GroundTruth)
 		}
 	}
 
@@ -368,7 +368,7 @@ func TestClusterStructureExists(t *testing.T) {
 	// With strong clustering, the average distance to the assigned
 	// cluster's other members must be far below the global average —
 	// this is the property IVF exploits.
-	d := Generate(Config{Name: "c", N: 400, Dim: 64, Clusters: 8, Queries: 1, ClusterStd: 0.2, Seed: 4})
+	d := Generate(Config{Name: "c", N: 400, Dim: 64, Clusters: 8, Queries: 1, Seed: 4})
 	// Compute mean pairwise distance of a sample vs mean nearest-
 	// neighbor distance.
 	var nnSum, randSum float64
@@ -402,8 +402,8 @@ func TestCatalogOrdering(t *testing.T) {
 	order := []string{"NQ", "HotpotQA", "wiki_en", "wiki_full"}
 	for i := 1; i < len(order); i++ {
 		a, b := Catalog[order[i-1]], Catalog[order[i]]
-		if a.ScaledEntries >= b.ScaledEntries {
-			t.Errorf("scaled ordering violated: %s(%d) >= %s(%d)", a.Name, a.ScaledEntries, b.Name, b.ScaledEntries)
+		if a.scaledEntries >= b.scaledEntries {
+			t.Errorf("scaled ordering violated: %s(%d) >= %s(%d)", a.Name, a.scaledEntries, b.Name, b.scaledEntries)
 		}
 		if a.PaperEntries >= b.PaperEntries {
 			t.Errorf("paper ordering violated: %s >= %s", a.Name, b.Name)

@@ -59,7 +59,7 @@ func digest(d *Dataset) uint64 {
 	}
 	floats(d.Vectors)
 	floats(d.Queries)
-	put(uint64(d.GroundTruthK))
+	put(uint64(d.groundTruthK))
 	for _, gt := range d.GroundTruth {
 		put(uint64(len(gt)))
 		for _, id := range gt {

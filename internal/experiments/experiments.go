@@ -40,16 +40,16 @@ const paperNList = 16384
 // bound across domain-specific databases).
 const queryBatch = 1000
 
-// SurvivorRate is the full-scale distance-filter pass rate (the paper
+// survivorRate is the full-scale distance-filter pass rate (the paper
 // filters ~99% of candidates, Sec 4.3.3).
-const SurvivorRate = 0.01
+const survivorRate = 0.01
 
 // recallTargets are the Recall@10 operating points of Figs 7, 8, 10.
 var recallTargets = []float64{0.98, 0.94, 0.90}
 
-// Workload bundles a functional dataset with its IVF indexing
+// workload bundles a functional dataset with its IVF indexing
 // information and the scale factors to the paper's full size.
-type Workload struct {
+type workload struct {
 	Name      string
 	Data      *dataset.Dataset
 	Desc      dataset.Descriptor
@@ -61,9 +61,9 @@ type Workload struct {
 	BF, IVF reis.Scale
 }
 
-// LoadWorkload builds the named catalog workload at the given scale
+// loadWorkload builds the named catalog workload at the given scale
 // divisor and trains its IVF clustering (the offline indexing stage).
-func LoadWorkload(name string, scale int) *Workload {
+func loadWorkload(name string, scale int) *workload {
 	desc, ok := dataset.Catalog[name]
 	if !ok {
 		panic(fmt.Sprintf("experiments: unknown dataset %q", name))
@@ -77,7 +77,7 @@ func LoadWorkload(name string, scale int) *Workload {
 		K: nlist, Seed: 0x1df, SampleLimit: 8192,
 	})
 	bf, ivf := projection(desc.PaperEntries, data.Len(), len(cents), desc.DocBytes > 0)
-	return &Workload{
+	return &workload{
 		Name:      name,
 		Data:      data,
 		Desc:      desc,
@@ -114,12 +114,12 @@ func projection(paperN int64, n, nlist int, docs bool) (bf, ivf reis.Scale) {
 	if docs {
 		fine *= math.Sqrt(max(1, coarse))
 	}
-	return reis.Scale{Fine: float64(paperN) / float64(n), Coarse: coarse, SurvivorRate: SurvivorRate},
-		reis.Scale{Fine: fine, Coarse: coarse, SurvivorRate: SurvivorRate}
+	return reis.Scale{Fine: float64(paperN) / float64(n), Coarse: coarse, SurvivorRate: survivorRate},
+		reis.Scale{Fine: fine, Coarse: coarse, SurvivorRate: survivorRate}
 }
 
-// PaperN returns the full-scale entry count.
-func (w *Workload) PaperN() int64 { return w.Desc.PaperEntries }
+// paperN returns the full-scale entry count.
+func (w *workload) paperN() int64 { return w.Desc.PaperEntries }
 
 func docSlot(d *dataset.Dataset) int {
 	slot := 256
@@ -129,11 +129,11 @@ func docSlot(d *dataset.Dataset) int {
 	return slot
 }
 
-// CPUQPS returns the Fig 7 CPU-Real throughput for this workload:
+// cpuBaselineQPS returns the Fig 7 CPU-Real throughput for this workload:
 // BQ dataset loading at paper size amortized over queryBatch queries,
 // plus the per-query BQ scan of `candidates` full-scale candidates.
-func CPUQPS(b *host.Baseline, w *Workload, candidates float64, coarse float64) float64 {
-	bytes := host.DatasetBytesBQ(int(w.PaperN()), w.Data.Dim, w.Desc.DocBytes)
+func cpuBaselineQPS(b *host.Baseline, w *workload, candidates float64, coarse float64) float64 {
+	bytes := host.DatasetBytesBQ(int(w.paperN()), w.Data.Dim, w.Desc.DocBytes)
 	load := b.LoadSeconds(bytes, true)
 	search := b.ScanSecondsBQ(int(candidates), w.Data.Dim, 100) +
 		b.ScanSecondsF32(int(coarse), w.Data.Dim)
@@ -145,15 +145,15 @@ func CPUQPS(b *host.Baseline, w *Workload, candidates float64, coarse float64) f
 // one. It reads only whether st ran a coarse round, never how many
 // entries it scanned, since st.CoarseEntries also counts a coarse round
 // the device re-issued after its coarse cut kept too few centroids.
-func rivalCoarse(w *Workload, st reis.QueryStats) float64 {
+func rivalCoarse(w *workload, st reis.QueryStats) float64 {
 	if st.CoarseEntries == 0 {
 		return 0
 	}
 	return float64(len(w.Centroids)) * w.IVF.Coarse
 }
 
-// FineCandidates returns the full-scale fine-scan candidate count of a
+// fineCandidates returns the full-scale fine-scan candidate count of a
 // mean stats record under the given scale.
-func FineCandidates(st reis.QueryStats, sc reis.Scale) float64 {
+func fineCandidates(st reis.QueryStats, sc reis.Scale) float64 {
 	return float64(st.EntriesScanned-st.CoarseEntries) * sc.Fine
 }

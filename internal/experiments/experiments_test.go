@@ -17,7 +17,7 @@ import (
 const testScale = 64
 
 func TestLoadWorkload(t *testing.T) {
-	w := LoadWorkload("NQ", testScale)
+	w := loadWorkload("NQ", testScale)
 	if w.Data.Len() == 0 || len(w.Centroids) == 0 {
 		t.Fatal("empty workload")
 	}
@@ -36,12 +36,12 @@ func TestLoadWorkload(t *testing.T) {
 // setup handed out by setups is closed before the next one is built, and
 // when the loop is left early.
 func TestSetupsClosesEachSetup(t *testing.T) {
-	w := LoadWorkload("NQ", testScale)
-	closed := func(s *Setup) bool {
+	w := loadWorkload("NQ", testScale)
+	closed := func(s *setup) bool {
 		_, err := s.Submit(reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 1, Queries: w.Data.Queries[:1], K: 1})
 		return errors.Is(err, reis.ErrQueueClosed)
 	}
-	var seen []*Setup
+	var seen []*setup
 	for s, err := range setups(w, reis.AllOptions(), paperSSDs, 1, 2) {
 		if err != nil {
 			t.Fatal(err)
@@ -99,19 +99,19 @@ func TestRunFig7ShapeHolds(t *testing.T) {
 	if !strings.Contains(out, "wiki_en") {
 		t.Error("formatted output missing dataset")
 	}
-	// What the rows were computed from: Setup.run's breakdown is a
+	// What the rows were computed from: setup.run's breakdown is a
 	// per-field mean over the queries, so its phases sum to its Total
 	// and its power is its energy over its time — not one query's.
-	s, err := NewSetup(ssd.SSD1(), 1, LoadWorkload("NQ", testScale), reis.AllOptions())
+	s, err := newSetup(ssd.SSD1(), 1, loadWorkload("NQ", testScale), reis.AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	bf, _, err := s.RunBF(10)
+	bf, _, err := s.runBF(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivf, _, err := s.RunIVF(10, 2)
+	ivf, _, err := s.runIVF(10, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRunFig7ShapeHolds(t *testing.T) {
 // device re-issued scanned every centroid twice, but CPU-Real still
 // scores nlist of them, so its row prices the same CPU throughput.
 func TestFig7RivalIgnoresCoarseReissue(t *testing.T) {
-	w := LoadWorkload("NQ", testScale)
+	w := loadWorkload("NQ", testScale)
 	cpu := host.NewBaseline(host.CPUReal())
 	noio := host.NewBaseline(host.CPUReal())
 	noio.NoIO = true

@@ -29,7 +29,7 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 	ice, iceESP := rivals.ICE(), rivals.ICEESP()
 	var rows []Fig10Row
 	for _, name := range datasets {
-		w := LoadWorkload(name, scale)
+		w := loadWorkload(name, scale)
 		for s, err := range setups(w, reis.AllOptions(), paperSSDs, 1) {
 			if err != nil {
 				return nil, err
@@ -38,7 +38,7 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 				// ICE scans the same logical embeddings; its pages are
 				// amplified inside the model. Candidates (no DF) are
 				// every scanned entry.
-				cands := FineCandidates(st, sc)
+				cands := fineCandidates(st, sc)
 				perPage := float64(s.DB.EmbPerPage())
 				scanPages := rivalCoarse(w, st)/perPage + cands/perPage
 				iceL := ice.Latency(s.Cfg, scanPages, cands, 8)
@@ -49,13 +49,13 @@ func RunFig10(scale int, datasets []string) ([]Fig10Row, error) {
 					SpeedupICEESP: float64(espL) / float64(b.Total),
 				})
 			}
-			b, st, err := s.RunBF(10)
+			b, st, err := s.runBF(10)
 			if err != nil {
 				return nil, err
 			}
 			add("BF", w.BF, b, st)
 			for _, target := range recallTargets {
-				b, st, err := s.RunIVFAt(10, target)
+				b, st, err := s.runIVFAt(10, target)
 				if err != nil {
 					return nil, err
 				}
@@ -95,16 +95,16 @@ func RunFig11(scale int) ([]Fig11Row, error) {
 	targets := map[string]float64{"SIFT": 0.94, "DEEP": 0.93}
 	var rows []Fig11Row
 	for _, name := range []string{"SIFT", "DEEP"} {
-		w, target := LoadWorkload(name, scale), targets[name]
+		w, target := loadWorkload(name, scale), targets[name]
 		for s, err := range setups(w, reis.AllOptions(), paperSSDs[1:], 1) {
 			if err != nil {
 				return nil, err
 			}
-			nprobe, err := s.NProbeFor(target)
+			nprobe, err := s.nprobeFor(target)
 			if err != nil {
 				return nil, err
 			}
-			// RunIVF without the document-retrieval stage: SIFT/DEEP are
+			// runIVF without the document-retrieval stage: SIFT/DEEP are
 			// pure-ANNS benchmarks, as in NDSearch's evaluation.
 			b, _, err := s.run(10, w.IVF, reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe, SkipDocs: true})
 			if err != nil {
@@ -112,7 +112,7 @@ func RunFig11(scale int) ([]Fig11Row, error) {
 			}
 			hops := measureHNSWHops(w.Data, target)
 			// log-extrapolate path length to paper scale.
-			logRatio := math.Log(float64(w.PaperN())) / math.Log(float64(w.Data.Len()))
+			logRatio := math.Log(float64(w.paperN())) / math.Log(float64(w.Data.Len()))
 			ndL := nd.Latency(s.Cfg, hops*logRatio)
 			rows = append(rows, Fig11Row{
 				Dataset: name, Recall: target,

@@ -40,7 +40,7 @@ func RunFig7(scale int, datasets []string) ([]Fig7Row, error) {
 
 	var rows []Fig7Row
 	for _, name := range datasets {
-		dsRows, err := fig7Rows(LoadWorkload(name, scale), cpu, noio)
+		dsRows, err := fig7Rows(loadWorkload(name, scale), cpu, noio)
 		if err != nil {
 			return nil, err
 		}
@@ -51,24 +51,24 @@ func RunFig7(scale int, datasets []string) ([]Fig7Row, error) {
 
 // fig7Rows holds both devices at once: every row compares them on one
 // command, REIS-SSD2 at the nprobe REIS-SSD1 calibrated.
-func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
-	s1, err := NewSetup(paperSSDs[0], 1, w, reis.AllOptions())
+func fig7Rows(w *workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
+	s1, err := newSetup(paperSSDs[0], 1, w, reis.AllOptions())
 	if err != nil {
 		return nil, err
 	}
 	defer s1.Close()
-	s2, err := NewSetup(paperSSDs[1], 1, w, reis.AllOptions())
+	s2, err := newSetup(paperSSDs[1], 1, w, reis.AllOptions())
 	if err != nil {
 		return nil, err
 	}
 	defer s2.Close()
 
 	// Brute force.
-	b1, st1, err := s1.RunBF(10)
+	b1, st1, err := s1.runBF(10)
 	if err != nil {
 		return nil, err
 	}
-	b2, _, err := s2.RunBF(10)
+	b2, _, err := s2.runBF(10)
 	if err != nil {
 		return nil, err
 	}
@@ -76,15 +76,15 @@ func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 
 	// IVF at each recall target.
 	for _, target := range recallTargets {
-		nprobe, err := s1.NProbeFor(target)
+		nprobe, err := s1.nprobeFor(target)
 		if err != nil {
 			return nil, err
 		}
-		b1, st, err := s1.RunIVF(10, nprobe)
+		b1, st, err := s1.runIVF(10, nprobe)
 		if err != nil {
 			return nil, err
 		}
-		b2, _, err := s2.RunIVF(10, nprobe)
+		b2, _, err := s2.runIVF(10, nprobe)
 		if err != nil {
 			return nil, err
 		}
@@ -93,11 +93,11 @@ func fig7Rows(w *Workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 	return rows, nil
 }
 
-func makeRow(w *Workload, mode string, sc reis.Scale, cpu, noio *host.Baseline, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
-	fineCands := FineCandidates(st, sc)
+func makeRow(w *workload, mode string, sc reis.Scale, cpu, noio *host.Baseline, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
+	fineCands := fineCandidates(st, sc)
 	coarse := rivalCoarse(w, st)
-	cpuQPS := CPUQPS(cpu, w, fineCands, coarse)
-	noioQPS := CPUQPS(noio, w, fineCands, coarse)
+	cpuQPS := cpuBaselineQPS(cpu, w, fineCands, coarse)
+	noioQPS := cpuBaselineQPS(noio, w, fineCands, coarse)
 
 	q1 := 1 / b1.Total.Seconds()
 	q2 := 1 / b2.Total.Seconds()

@@ -27,7 +27,7 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 	if recalls == nil {
 		recalls = fig9Recalls
 	}
-	w := LoadWorkload("wiki_full", scale)
+	w := loadWorkload("wiki_full", scale)
 	cpu := host.NewBaseline(host.CPUReal())
 
 	// The optimization stacks, each with the column it fills. One stack
@@ -50,11 +50,11 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 				return nil, err
 			}
 			for _, target := range recalls {
-				b, st, err := s.RunIVFAt(10, target)
+				b, st, err := s.runIVFAt(10, target)
 				if err != nil {
 					return nil, err
 				}
-				cpuQPS := CPUQPS(cpu, w, FineCandidates(st, w.IVF), rivalCoarse(w, st))
+				cpuQPS := cpuBaselineQPS(cpu, w, fineCandidates(st, w.IVF), rivalCoarse(w, st))
 				row := &rows[next]
 				next++
 				row.SSD, row.Recall = s.Cfg.Name, target
@@ -93,13 +93,13 @@ func RunASIC(scale int, datasets []string) ([]ASICRow, error) {
 	}
 	var rows []ASICRow
 	for _, name := range datasets {
-		w := LoadWorkload(name, scale)
+		w := loadWorkload(name, scale)
 		for s, err := range setups(w, reis.AllOptions(), paperSSDs, 1) {
 			if err != nil {
 				return nil, err
 			}
 			for _, target := range recallTargets {
-				_, st, err := s.RunIVFAt(10, target)
+				_, st, err := s.runIVFAt(10, target)
 				if err != nil {
 					return nil, err
 				}

@@ -71,11 +71,11 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 	if scale < frontierScale {
 		scale = frontierScale
 	}
-	w := LoadWorkload("wiki_en", scale)
+	w := loadWorkload("wiki_en", scale)
 	d := w.Data
 	const k = 10
 	dram := rivals.DRAMANN{B: host.NewBaseline(host.CPUReal()), Dim: d.Dim}
-	loadSec := dram.LoadSecondsPerQuery(w.PaperN(), queryBatch)
+	loadSec := dram.LoadSecondsPerQuery(w.paperN(), queryBatch)
 
 	var rows []FrontierRow
 	add := func(system, param string, recall, serveSec float64, resident bool) {
@@ -94,7 +94,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 	// path length grows logarithmically with N (the index's own
 	// scaling argument).
 	hnsw := ann.NewHNSW(d.Vectors, ann.HNSWConfig{M: 24, EfConstruction: 160, Seed: 5})
-	hopScale := math.Log(float64(w.PaperN())) / math.Log(float64(d.Len()))
+	hopScale := math.Log(float64(w.paperN())) / math.Log(float64(d.Len()))
 	for _, ef := range []int{16, 64, 256} {
 		hnsw.SetEfSearch(ef)
 		hnsw.HopCount = 0
@@ -121,7 +121,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 	}
 
 	// PQ-IVF: probed-list candidates extrapolate exactly like the
-	// engine's own IVF fine scan (the Workload's IVF scale — cluster-size
+	// engine's own IVF fine scan (the workload's IVF scale — cluster-size
 	// ratio times the sqrt nprobe-retuning term), and the coarse scan covers the
 	// paper's full nlist.
 	nlist := max(8, isqrt(d.Len()))

@@ -17,7 +17,7 @@ import (
 )
 
 // devices returns the setup's member devices in shard order.
-func (s *Setup) devices() []*reis.Engine {
+func (s *setup) devices() []*reis.Engine {
 	if s.sharded == nil {
 		return []*reis.Engine{s.Engine}
 	}
@@ -30,7 +30,7 @@ func (s *Setup) devices() []*reis.Engine {
 
 // latchTime is what the model charges one latch load on the setup's
 // devices: a cache latch of query copies through a die's I/O port.
-func (s *Setup) latchTime() time.Duration {
+func (s *setup) latchTime() time.Duration {
 	cfg := s.devices()[0].SSD.Cfg
 	return time.Duration(float64(cfg.Geo.PageBytes) / cfg.Flash.DieInputBandwidth * float64(time.Second))
 }
@@ -557,7 +557,7 @@ func maxOverMean(v []int64) float64 {
 // without) — so no query got dearer — and at paper scale it is at least
 // the device's own count.
 func TestIBCChargeNeverAboveFullBroadcast(t *testing.T) {
-	w := LoadWorkload("NQ", testScale)
+	w := loadWorkload("NQ", testScale)
 	noMP := reis.AllOptions()
 	noMP.MPIBC = false
 	for _, opts := range []reis.Options{reis.AllOptions(), noMP} {

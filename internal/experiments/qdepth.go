@@ -45,7 +45,7 @@ var qdepthDepths = []int{1, 2, 4, 8, 16, 32}
 // outstanding.
 func RunQDepth(scale int) ([]QDepthRow, error) {
 	var rows []QDepthRow
-	w := LoadWorkload("NQ", scale)
+	w := loadWorkload("NQ", scale)
 	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
 		if err != nil {
 			return nil, err

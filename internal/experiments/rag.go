@@ -28,8 +28,8 @@ func RunRAGBreakdown(scale int) ([]RAGRow, error) {
 	cpu := host.NewBaseline(host.CPUReal())
 	var rows []RAGRow
 	for _, name := range []string{"HotpotQA", "wiki_en"} {
-		w := LoadWorkload(name, scale)
-		n := int(w.PaperN())
+		w := loadWorkload(name, scale)
+		n := int(w.paperN())
 		dim := w.Data.Dim
 		doc := w.Desc.DocBytes
 
@@ -49,7 +49,7 @@ func RunRAGBreakdown(scale int) ([]RAGRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			b, _, err := s.RunIVFAt(10, 0.94)
+			b, _, err := s.runIVFAt(10, 0.94)
 			if err != nil {
 				return nil, err
 			}

@@ -12,7 +12,7 @@ import (
 
 // This file is the measuring rig every sweep and figure runner stands
 // on. A measurement is three steps, each written once for a host over
-// N ≥ 1 devices: deploy (NewSetup / deploy), serve a command under the
+// N ≥ 1 devices: deploy (newSetup / deploy), serve a command under the
 // host-clock bracket (serve / measure), and price what it returned on
 // the model clock (price / priceBatch / tail). The determinism contract
 // — one batched command returns, bit for bit, the per-query rows the
@@ -30,11 +30,11 @@ type reisHost interface {
 	Close() error
 }
 
-// Setup is a REIS host over one or more devices with one database
+// setup is a REIS host over one or more devices with one database
 // deployed as id 1. Close releases its background workers (plane
 // pools, queue pairs); runners that build setups in a loop range over
 // setups, which closes each before building the next.
-type Setup struct {
+type setup struct {
 	reisHost
 	// Cfg and Devices are the host's device configuration (as asked for;
 	// the deployed devices carry a smaller per-plane capacity) and count.
@@ -42,7 +42,7 @@ type Setup struct {
 	Devices int
 	// W is the catalog workload behind the deployment; nil for the
 	// sweeps that deploy a synthetic corpus (prune, skew).
-	W *Workload
+	W *workload
 
 	// Engine and DB are the host and its database on one device, where
 	// the single-device-only models (ASICLatency, EmbPerPage) live;
@@ -52,9 +52,9 @@ type Setup struct {
 	sharded *reis.ShardedEngine
 }
 
-// NewSetup deploys the workload on a fresh host of n devices of the
+// newSetup deploys the workload on a fresh host of n devices of the
 // given configuration and options.
-func NewSetup(cfg ssd.Config, n int, w *Workload, opts reis.Options) (*Setup, error) {
+func newSetup(cfg ssd.Config, n int, w *workload, opts reis.Options) (*setup, error) {
 	s, err := deploy(cfg, n, opts, reis.DeployConfig{
 		ID: 1, Vectors: w.Data.Vectors, Docs: w.Data.Docs,
 		DocSlotBytes: docSlot(w.Data), Centroids: w.Centroids, Assign: w.Assign,
@@ -73,11 +73,11 @@ var paperSSDs = []ssd.Config{ssd.SSD1(), ssd.SSD2()}
 // device count in turn and hands each to the loop body. A setup is
 // closed when the body is done with it: before the next one is built,
 // and when the body leaves the loop early.
-func setups(w *Workload, opts reis.Options, cfgs []ssd.Config, counts ...int) iter.Seq2[*Setup, error] {
-	return func(yield func(*Setup, error) bool) {
+func setups(w *workload, opts reis.Options, cfgs []ssd.Config, counts ...int) iter.Seq2[*setup, error] {
+	return func(yield func(*setup, error) bool) {
 		for _, cfg := range cfgs {
 			for _, n := range counts {
-				s, err := NewSetup(cfg, n, w, opts)
+				s, err := newSetup(cfg, n, w, opts)
 				if err != nil {
 					yield(nil, err)
 					return
@@ -94,12 +94,12 @@ func setups(w *Workload, opts reis.Options, cfgs []ssd.Config, counts ...int) it
 
 // deploy builds a host of n devices and IVF-deploys dep on it through
 // the host command interface.
-func deploy(cfg ssd.Config, n int, opts reis.Options, dep reis.DeployConfig) (*Setup, error) {
-	s := &Setup{Cfg: cfg, Devices: n}
+func deploy(cfg ssd.Config, n int, opts reis.Options, dep reis.DeployConfig) (*setup, error) {
+	s := &setup{Cfg: cfg, Devices: n}
 	// Shrink per-plane capacity to what the corpus needs (keeps the
 	// functional simulation light without touching parallelism). Eight
 	// blocks per plane leave room for the four block-aligned regions
-	// of a deployment; WithCapacityFor grows it if the data demands.
+	// of a deployment; ssd.New grows it if the data demands.
 	cfg.Geo.BlocksPerPlane = 8
 	cfg.Geo.PagesPerBlock = 16
 	need := int64(len(dep.Vectors)) * int64(len(dep.Vectors[0])*3)
@@ -160,7 +160,7 @@ func measure(n int, f func() error) (HostCost, error) {
 }
 
 // serve executes one command under the host-clock bracket.
-func (s *Setup) serve(cmd reis.HostCommand) (reis.HostResponse, HostCost, error) {
+func (s *setup) serve(cmd reis.HostCommand) (reis.HostResponse, HostCost, error) {
 	var resp reis.HostResponse
 	cost, err := measure(len(cmd.Queries), func() (err error) {
 		resp, err = s.Submit(cmd)
@@ -207,7 +207,7 @@ func (p pass) cycled(n int) pass {
 // sharded shape can fail on a malformed operand; the operands are the
 // host's own response for its own database, so here that is a bug in
 // the rig.
-func (s *Setup) price(st reis.QueryStats, perShard []reis.QueryStats, sc reis.Scale) reis.Breakdown {
+func (s *setup) price(st reis.QueryStats, perShard []reis.QueryStats, sc reis.Scale) reis.Breakdown {
 	if s.sharded == nil {
 		return s.Engine.Latency(s.DB, st, sc)
 	}
@@ -220,7 +220,7 @@ func (s *Setup) price(st reis.QueryStats, perShard []reis.QueryStats, sc reis.Sc
 
 // priceBatch is the timing model's service estimate of the pass served
 // as one coalesced batch.
-func (s *Setup) priceBatch(p pass, sc reis.Scale) reis.BatchBreakdown {
+func (s *setup) priceBatch(p pass, sc reis.Scale) reis.BatchBreakdown {
 	if s.sharded == nil {
 		return s.Engine.BatchLatency(s.DB, p[0], sc)
 	}
@@ -259,7 +259,7 @@ type clockUse struct {
 
 // use prices the pass as one coalesced batch, like priceBatch, and adds
 // it and its queries' standalone breakdowns to u.
-func (s *Setup) use(u *clockUse, p pass, sc reis.Scale) reis.BatchBreakdown {
+func (s *setup) use(u *clockUse, p pass, sc reis.Scale) reis.BatchBreakdown {
 	col := make([]reis.QueryStats, len(p)-1)
 	for qi, st := range p[0] {
 		for d := range col {
@@ -314,7 +314,7 @@ func (u clockUse) shares() ModelShares {
 
 // sharesAt is the ModelShares of the pass served in batches of batch
 // queries — the admission a row's ModelQPS was priced at.
-func (s *Setup) sharesAt(p pass, sc reis.Scale, batch int) ModelShares {
+func (s *setup) sharesAt(p pass, sc reis.Scale, batch int) ModelShares {
 	var u clockUse
 	for lo, n := 0, len(p[0]); lo < n; lo += batch {
 		s.use(&u, p.window(lo, min(lo+batch, n)), sc)
@@ -330,7 +330,7 @@ func (s *Setup) sharesAt(p pass, sc reis.Scale, batch int) ModelShares {
 // coalesced group is priced as a batch, so the result is a pure
 // function of the pass: deterministic across runs, hosts and
 // GOMAXPROCS.
-func (s *Setup) tail(p pass, sc reis.Scale, depth int, load float64) reis.LoadResult {
+func (s *setup) tail(p pass, sc reis.Scale, depth int, load float64) reis.LoadResult {
 	stream := p.cycled(loadCommands)
 	cost := func(first, n int) time.Duration {
 		return s.priceBatch(stream.window(first, first+n), sc).Makespan
@@ -349,8 +349,8 @@ const sweepRecall = 0.94
 // sweepIVF calibrates nprobe for sweepRecall and returns the IVF_Search
 // command that serves the workload's whole query set there, with the
 // Mode label of the rows it produces.
-func (s *Setup) sweepIVF() (cmd reis.HostCommand, mode string, err error) {
-	nprobe, err := s.NProbeFor(sweepRecall)
+func (s *setup) sweepIVF() (cmd reis.HostCommand, mode string, err error) {
+	nprobe, err := s.nprobeFor(sweepRecall)
 	cmd = reis.HostCommand{
 		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: s.W.Data.Queries, K: 10,
 		Opt: reis.SearchOptions{NProbe: nprobe},
@@ -361,32 +361,32 @@ func (s *Setup) sweepIVF() (cmd reis.HostCommand, mode string, err error) {
 // ms converts a modeled duration to milliseconds for row reporting.
 func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
-// RunBF executes every workload query as an in-storage brute-force
+// runBF executes every workload query as an in-storage brute-force
 // search, admitted as one batched Search host command, and returns the
 // mean per-query latency breakdown at paper scale plus the mean stats.
-func (s *Setup) RunBF(k int) (reis.Breakdown, reis.QueryStats, error) {
+func (s *setup) runBF(k int) (reis.Breakdown, reis.QueryStats, error) {
 	return s.run(k, s.W.BF, reis.OpcodeSearch, reis.SearchOptions{})
 }
 
-// RunIVF executes every query at the given nprobe, batched.
-func (s *Setup) RunIVF(k, nprobe int) (reis.Breakdown, reis.QueryStats, error) {
+// runIVF executes every query at the given nprobe, batched.
+func (s *setup) runIVF(k, nprobe int) (reis.Breakdown, reis.QueryStats, error) {
 	return s.run(k, s.W.IVF, reis.OpcodeIVFSearch, reis.SearchOptions{NProbe: nprobe})
 }
 
-// RunIVFAt executes every query at the nprobe calibrated for the
+// runIVFAt executes every query at the nprobe calibrated for the
 // Recall@10 target.
-func (s *Setup) RunIVFAt(k int, target float64) (reis.Breakdown, reis.QueryStats, error) {
-	nprobe, err := s.NProbeFor(target)
+func (s *setup) runIVFAt(k int, target float64) (reis.Breakdown, reis.QueryStats, error) {
+	nprobe, err := s.nprobeFor(target)
 	if err != nil {
 		return reis.Breakdown{}, reis.QueryStats{}, err
 	}
-	return s.RunIVF(k, nprobe)
+	return s.runIVF(k, nprobe)
 }
 
 // run serves the workload's query set as one host command and returns
 // the per-field mean of the queries' standalone breakdowns (AvgWatts is
 // mean energy over mean time) and of their stats.
-func (s *Setup) run(k int, sc reis.Scale, op uint8, opt reis.SearchOptions) (reis.Breakdown, reis.QueryStats, error) {
+func (s *setup) run(k int, sc reis.Scale, op uint8, opt reis.SearchOptions) (reis.Breakdown, reis.QueryStats, error) {
 	resp, err := s.Submit(reis.HostCommand{
 		Opcode: op, DBID: 1, Queries: s.W.Data.Queries, K: k, Opt: opt,
 	})
@@ -439,7 +439,7 @@ func meanStats(agg reis.QueryStats, n int) reis.QueryStats {
 	return agg
 }
 
-// NProbeFor calibrates nprobe for a Recall@10 target on this setup.
-func (s *Setup) NProbeFor(target float64) (int, error) {
+// nprobeFor calibrates nprobe for a Recall@10 target on this setup.
+func (s *setup) nprobeFor(target float64) (int, error) {
 	return s.CalibrateNProbe(1, s.W.Data.Queries, s.W.Data.GroundTruth, 10, target)
 }

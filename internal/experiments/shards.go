@@ -47,7 +47,7 @@ var shardCounts = []int{1, 2, 4}
 // shard, bounds the speedup).
 func RunShards(scale int) ([]ShardRow, error) {
 	var rows []ShardRow
-	w := LoadWorkload("NQ", scale)
+	w := loadWorkload("NQ", scale)
 	base := map[string]float64{}
 	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], shardCounts...) {
 		if err != nil {
@@ -84,7 +84,7 @@ func RunShards(scale int) ([]ShardRow, error) {
 
 // shardRow serves the whole query set as one batched host command and
 // models the batch, and the loaded queue's tail, on the setup's topology.
-func shardRow(s *Setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
+func shardRow(s *setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
 	// Serve the command once unmeasured: the first one on a topology
 	// starts the built-in queue pair and every member's plane workers and
 	// grows the pooled buffers, and what that costs depends on what the

@@ -76,7 +76,7 @@ type SLORow struct {
 // query set once, as one batched IVF command; every cell replays
 // loadCommands single-query commands (those queries, cycled) under the
 // seeded Poisson schedule through the virtual-time dispatcher model
-// (Setup.tail). nil axes select the defaults.
+// (setup.tail). nil axes select the defaults.
 func RunSLO(scale int, depths []int, loads []float64) ([]SLORow, error) {
 	if depths == nil {
 		depths = sloDepths
@@ -85,7 +85,7 @@ func RunSLO(scale int, depths []int, loads []float64) ([]SLORow, error) {
 		loads = sloLoads
 	}
 	var rows []SLORow
-	w := LoadWorkload("NQ", scale)
+	w := loadWorkload("NQ", scale)
 	for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], sloShardCounts...) {
 		if err != nil {
 			return nil, err

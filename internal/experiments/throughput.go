@@ -37,7 +37,7 @@ var throughputBatches = []int{1, 8, 64}
 func RunThroughput(scale int) ([]ThroughputRow, error) {
 	var rows []ThroughputRow
 	for _, name := range []string{"NQ", "wiki_en"} {
-		w := LoadWorkload(name, scale)
+		w := loadWorkload(name, scale)
 		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {
 			if err != nil {
 				return nil, err

@@ -59,7 +59,7 @@ type Command struct {
 	// it the multi-plane broadcast to global die index Die (MPIBC,
 	// Sec 4.3.4) — one load that the die's planes in the mask latch
 	// (bit i = plane-in-die i) — and Held marks a die that still holds
-	// this broadcast, where nothing is sent (Device.LoadCacheDie).
+	// this broadcast, where nothing is sent (Device.loadCacheDie).
 	Query     []byte
 	SlotBytes int
 	Die       int
@@ -116,7 +116,7 @@ func (f *DieFSM) Execute(cmd Command) error {
 		return nil
 	case OpIBC:
 		if cmd.PlaneMask != 0 {
-			if err := f.dev.LoadCacheDie(cmd.Die, cmd.PlaneMask, cmd.Query, cmd.SlotBytes, cmd.Held); err != nil {
+			if err := f.dev.loadCacheDie(cmd.Die, cmd.PlaneMask, cmd.Query, cmd.SlotBytes, cmd.Held); err != nil {
 				return err
 			}
 			for m := cmd.PlaneMask; m != 0; m &= m - 1 {
@@ -147,7 +147,7 @@ func (f *DieFSM) Execute(cmd Command) error {
 		if err := f.checkPlane(cmd); err != nil {
 			return err
 		}
-		f.dev.TransferOut(cmd.Plane, cmd.EntryBytes)
+		f.dev.transferOut(cmd.Plane, cmd.EntryBytes)
 		return nil
 	default:
 		return fmt.Errorf("flash: unknown opcode %d", cmd.Op)

@@ -219,7 +219,7 @@ func (p *Plane) latches() (sensing, cache []byte) {
 
 // NewDevice allocates a device with the given geometry and parameters.
 func NewDevice(geo Geometry, params Params) (*Device, error) {
-	if err := geo.Validate(); err != nil {
+	if err := geo.validate(); err != nil {
 		return nil, err
 	}
 	d := &Device{
@@ -290,7 +290,7 @@ func (d *Device) Program(a Address, data, oob []byte) error {
 		return fmt.Errorf("flash: Program OOB %d bytes exceeds OOB size %d", len(oob), d.Geo.OOBBytes)
 	}
 	p := d.planes[a.PlaneIndex(d.Geo)]
-	idx := a.PageIndex(d.Geo)
+	idx := a.pageIndex(d.Geo)
 	page := programmed{data: make([]byte, d.Geo.PageBytes), oob: make([]byte, d.Geo.OOBBytes)}
 	fillErased(page.data[copy(page.data, data):])
 	fillErased(page.oob[copy(page.oob, oob):])
@@ -362,7 +362,7 @@ func (d *Device) ReadPage(a Address) error {
 	}
 	pl := d.planes[a.PlaneIndex(d.Geo)]
 	pl.mu.Lock()
-	page, ok := pl.pages[a.PageIndex(d.Geo)]
+	page, ok := pl.pages[a.pageIndex(d.Geo)]
 	switch ber := d.Params.RawBER(d.BlockMode(a)); {
 	case !ok:
 		pl.sensing = d.erased
@@ -463,7 +463,7 @@ func (d *Device) injectErrors(latch []byte, ber float64) int {
 // senses with ReadPage first, which DieFSM enforces). The caller holds
 // pl.mu and must not keep the slices past it.
 func (d *Device) senseCorrected(a Address, pl *Plane) (programmed, bool) {
-	page, ok := pl.pages[a.PageIndex(d.Geo)]
+	page, ok := pl.pages[a.pageIndex(d.Geo)]
 	if ok {
 		if flips := d.rawErrors(a); flips > 0 {
 			d.Stats.ECCCorrections.Add(int64(flips))
@@ -563,11 +563,11 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 		return err
 	}
 	d.fillCache(planeIdx, pattern, slotBytes)
-	d.countIBCLoad(d.Geo.ChannelOf(planeIdx))
+	d.countIBCLoad(d.Geo.channelOf(planeIdx))
 	return nil
 }
 
-// LoadCacheDie is the multi-plane broadcast (MPIBC, Sec 4.3.4): one load
+// loadCacheDie is the multi-plane broadcast (MPIBC, Sec 4.3.4): one load
 // through die's I/O port (a global die index, Geometry.DieOf) that every
 // plane of the die latches together. The simulator fills only the cache
 // latches of the planes named in mask (bit i = plane-in-die i) — the
@@ -577,9 +577,9 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 // since: its planes latched it then, so nothing crosses the port now and
 // nothing is counted; the call only materialises the latches of planes
 // the earlier load's mask left unfilled.
-func (d *Device) LoadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
+func (d *Device) loadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
 	if die < 0 || die >= d.Geo.Dies() || mask == 0 || mask>>uint(d.Geo.PlanesPerDie) != 0 {
-		return fmt.Errorf("flash: LoadCacheDie invalid die %d mask %#x", die, mask)
+		return fmt.Errorf("flash: loadCacheDie invalid die %d mask %#x", die, mask)
 	}
 	if err := d.checkPattern(pattern, slotBytes); err != nil {
 		return err
@@ -699,10 +699,10 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// TransferOut accounts an outbound transfer of n bytes on the
+// transferOut accounts an outbound transfer of n bytes on the
 // channel serving planeIdx (TTL entries moving to controller DRAM).
-func (d *Device) TransferOut(planeIdx, n int) {
-	d.Stats.BytesOut[d.Geo.ChannelOf(planeIdx)].Add(int64(n))
+func (d *Device) transferOut(planeIdx, n int) {
+	d.Stats.BytesOut[d.Geo.channelOf(planeIdx)].Add(int64(n))
 }
 
 // ResetStats zeroes all counters.

@@ -37,12 +37,12 @@ func testDevice(t *testing.T) *Device {
 
 func TestGeometryValidate(t *testing.T) {
 	g := testGeo()
-	if err := g.Validate(); err != nil {
+	if err := g.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := g
 	bad.Channels = 0
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("zero channels accepted")
 	}
 }
@@ -58,8 +58,8 @@ func TestGeometryDerived(t *testing.T) {
 	if g.PagesPerPlane() != 32 {
 		t.Fatalf("PagesPerPlane = %d", g.PagesPerPlane())
 	}
-	if g.TotalPages() != 256 {
-		t.Fatalf("TotalPages = %d", g.TotalPages())
+	if g.totalPages() != 256 {
+		t.Fatalf("totalPages = %d", g.totalPages())
 	}
 	if g.Capacity() != 256*2048 {
 		t.Fatalf("Capacity = %d", g.Capacity())
@@ -72,7 +72,7 @@ func TestGeometryDerived(t *testing.T) {
 func TestAddressLinearRoundTrip(t *testing.T) {
 	g := testGeo()
 	f := func(raw uint32) bool {
-		idx := int(raw) % g.TotalPages()
+		idx := int(raw) % g.totalPages()
 		a := AddressFromLinear(g, idx)
 		return a.Valid(g) && a.LinearIndex(g) == idx
 	}
@@ -90,7 +90,7 @@ func TestAddressPlaneMajorContiguity(t *testing.T) {
 	if a.PlaneIndex(g) != b.PlaneIndex(g) {
 		t.Fatal("adjacent linear indices crossed planes")
 	}
-	if b.PageIndex(g) != a.PageIndex(g)+1 {
+	if b.pageIndex(g) != a.pageIndex(g)+1 {
 		t.Fatal("adjacent linear indices not adjacent pages")
 	}
 }
@@ -402,9 +402,9 @@ func TestStatsCounting(t *testing.T) {
 		t.Fatal("BytesOut not counted")
 	}
 	read := d.Stats.ReadBytesOut[0].Load()
-	d.TransferOut(0, 100)
+	d.transferOut(0, 100)
 	if d.Stats.BytesOut[0].Load() < 100 || d.Stats.ReadBytesOut[0].Load() != read {
-		t.Fatal("TransferOut not counted, or counted as a conventional read")
+		t.Fatal("transferOut not counted, or counted as a conventional read")
 	}
 	d.ResetStats()
 	if d.Stats.PageReads.Load() != 0 || d.Stats.TotalBytesOut() != 0 || d.Stats.ReadBytesOut[0].Load() != 0 {
@@ -600,7 +600,7 @@ func TestIBCDieBroadcast(t *testing.T) {
 	fsm := NewDieFSM(d)
 	die := g.DieOf((Address{Channel: 1, Die: 1}).PlaneIndex(g))
 	p0, p1 := g.DiePlane(die, 0), g.DiePlane(die, 1)
-	if g.ChannelOf(p0) != 1 || g.ChannelOf(p1) != 1 || g.DieOf(p1) != die || p0 == p1 {
+	if g.channelOf(p0) != 1 || g.channelOf(p1) != 1 || g.DieOf(p1) != die || p0 == p1 {
 		t.Fatalf("die %d planes %d, %d", die, p0, p1)
 	}
 	cacheOf := func(p int) []byte { _, c := d.Plane(p).latches(); return c }

@@ -34,9 +34,9 @@ type Geometry struct {
 	ChannelBandwidth float64
 }
 
-// Validate reports whether every field is positive (and a die's planes
+// validate reports whether every field is positive (and a die's planes
 // fit the 64-bit mask a multi-plane broadcast names them in).
-func (g Geometry) Validate() error {
+func (g Geometry) validate() error {
 	switch {
 	case g.Channels <= 0, g.DiesPerChannel <= 0, g.PlanesPerDie <= 0, g.PlanesPerDie > 64,
 		g.BlocksPerPlane <= 0, g.PagesPerBlock <= 0, g.PageBytes <= 0,
@@ -58,12 +58,12 @@ func (g Geometry) Dies() int { return g.Channels * g.DiesPerChannel }
 // PagesPerPlane returns the number of pages a plane holds.
 func (g Geometry) PagesPerPlane() int { return g.BlocksPerPlane * g.PagesPerBlock }
 
-// TotalPages returns the number of pages in the device.
-func (g Geometry) TotalPages() int { return g.Planes() * g.PagesPerPlane() }
+// totalPages returns the number of pages in the device.
+func (g Geometry) totalPages() int { return g.Planes() * g.PagesPerPlane() }
 
 // Capacity returns the user-data capacity in bytes.
 func (g Geometry) Capacity() int64 {
-	return int64(g.TotalPages()) * int64(g.PageBytes)
+	return int64(g.totalPages()) * int64(g.PageBytes)
 }
 
 // InternalBandwidth returns the aggregate channel bandwidth in
@@ -103,8 +103,8 @@ func (a Address) PlaneIndex(g Geometry) int {
 	return (a.Die*g.PlanesPerDie+a.Plane)*g.Channels + a.Channel
 }
 
-// ChannelOf returns the channel serving a global plane index.
-func (g Geometry) ChannelOf(plane int) int { return plane % g.Channels }
+// channelOf returns the channel serving a global plane index.
+func (g Geometry) channelOf(plane int) int { return plane % g.Channels }
 
 // DieOf returns the global die index, in [0, g.Dies()), of a global
 // plane index. Dies are numbered channel-first like planes: die d is
@@ -122,8 +122,8 @@ func (g Geometry) DiePlane(die, pl int) int {
 	return (die/g.Channels*g.PlanesPerDie+pl)*g.Channels + die%g.Channels
 }
 
-// PageIndex returns the page offset within its plane.
-func (a Address) PageIndex(g Geometry) int {
+// pageIndex returns the page offset within its plane.
+func (a Address) pageIndex(g Geometry) int {
 	return a.Block*g.PagesPerBlock + a.Page
 }
 
@@ -131,7 +131,7 @@ func (a Address) PageIndex(g Geometry) int {
 // ordered plane-major so that consecutive indices within a plane are
 // consecutive pages (the layout coarse-grained access relies on).
 func (a Address) LinearIndex(g Geometry) int {
-	return a.PlaneIndex(g)*g.PagesPerPlane() + a.PageIndex(g)
+	return a.PlaneIndex(g)*g.PagesPerPlane() + a.pageIndex(g)
 }
 
 // AddressFromLinear inverts LinearIndex.
@@ -140,7 +140,7 @@ func AddressFromLinear(g Geometry, idx int) Address {
 	plane := idx / perPlane
 	page := idx % perPlane
 	return Address{
-		Channel: g.ChannelOf(plane),
+		Channel: g.channelOf(plane),
 		Die:     plane / (g.Channels * g.PlanesPerDie),
 		Plane:   plane / g.Channels % g.PlanesPerDie,
 		Block:   page / g.PagesPerBlock,

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"reis/internal/vecmath"
 	"reis/internal/xrand"
 )
 
@@ -71,7 +70,7 @@ func (r *refDevice) program(a Address, data, oob []byte) error {
 	fillErased(page)
 	copy(page, data)
 	copy(page[r.geo.PageBytes:], oob)
-	r.pages[a.PlaneIndex(r.geo)][a.PageIndex(r.geo)] = page
+	r.pages[a.PlaneIndex(r.geo)][a.pageIndex(r.geo)] = page
 	r.stats.PagePrograms.Add(1)
 	r.stats.BytesIn[a.Channel].Add(int64(len(data) + len(oob)))
 	return nil
@@ -96,7 +95,7 @@ func (r *refDevice) readPage(a Address) error {
 		return fmt.Errorf("bad read")
 	}
 	p := a.PlaneIndex(r.geo)
-	if page, ok := r.pages[p][a.PageIndex(r.geo)]; ok {
+	if page, ok := r.pages[p][a.pageIndex(r.geo)]; ok {
 		copy(r.sensing[p], page)
 		if ber := r.params.RawBER(r.mode[p][a.Block]); ber > 0 {
 			r.injectErrors(r.sensing[p], ber)
@@ -146,7 +145,7 @@ func (r *refDevice) loadCache(p int, pattern []byte, slotBytes int) error {
 	}
 	r.fillCache(p, pattern, slotBytes)
 	r.stats.IBCLoads.Add(1)
-	r.stats.BytesIn[r.geo.ChannelOf(p)].Add(int64(r.geo.PageBytes))
+	r.stats.BytesIn[r.geo.channelOf(p)].Add(int64(r.geo.PageBytes))
 	return nil
 }
 
@@ -168,7 +167,9 @@ func (r *refDevice) loadCacheDie(die int, mask uint64, pattern []byte, slotBytes
 // copies the sensing latch's OOB through.
 func (r *refDevice) xor(p int) {
 	n := r.geo.PageBytes
-	vecmath.XorBytes(r.data[p][:n], r.sensing[p][:n], r.cache[p][:n])
+	for i := range n {
+		r.data[p][i] = r.sensing[p][i] ^ r.cache[p][i]
+	}
 	copy(r.data[p][n:], r.sensing[p][n:])
 	r.stats.LatchXORs.Add(1)
 }
@@ -181,7 +182,10 @@ func (r *refDevice) genDistPage(p, slotBytes, firstSlot, nSlots int, dists []int
 	r.xor(p)
 	for s := range nSlots {
 		lo := (firstSlot + s) * slotBytes
-		dists[s] = vecmath.PopCountBytes(r.data[p][lo : lo+slotBytes])
+		dists[s] = 0
+		for _, b := range r.data[p][lo : lo+slotBytes] {
+			dists[s] += bits.OnesCount8(b)
+		}
 		if bound > 0 && dists[s] > bound {
 			r.stats.PrunedSlots.Add(1)
 		}
@@ -217,7 +221,7 @@ type latchRun struct {
 // that a sense of a testGeo page flips about 87 bits.
 func latchParams() Params {
 	p := DefaultParams()
-	p.RawBERTLC = 5e-3
+	p.rawBERTLC = 5e-3
 	return p
 }
 
@@ -320,8 +324,8 @@ func (lr *latchRun) do() {
 		die, mask, held := r.Intn(g.Dies()), uint64(1+r.Intn(1<<g.PlanesPerDie-1)), r.Intn(2) == 0
 		sb := slotWidths[r.Intn(len(slotWidths))]
 		pat := lr.drawPattern(sb)
-		lr.what = fmt.Sprintf("LoadCacheDie(%d, %#b, %dB, %d, held %v)", die, mask, len(pat), sb, held)
-		lr.sameErr(lr.dev.LoadCacheDie(die, mask, pat, sb, held), lr.ref.loadCacheDie(die, mask, pat, sb, held))
+		lr.what = fmt.Sprintf("loadCacheDie(%d, %#b, %dB, %d, held %v)", die, mask, len(pat), sb, held)
+		lr.sameErr(lr.dev.loadCacheDie(die, mask, pat, sb, held), lr.ref.loadCacheDie(die, mask, pat, sb, held))
 	case 7, 8: // a wave over a slot range, at the cache's width or another
 		sb := slotWidths[r.Intn(len(slotWidths))]
 		if c := lr.dev.planes[plane].cache.slot; c > 0 && r.Intn(2) == 0 {

@@ -42,14 +42,12 @@ func (m CellMode) String() string {
 // Flash-Cosmos chip characterization scaled to a 16 KiB page.
 type Params struct {
 	// Read latencies (array sensing into the page buffer).
-	ReadSLCESP time.Duration
-	ReadSLC    time.Duration
-	ReadTLC    time.Duration
+	readSLCESP time.Duration
+	readSLC    time.Duration
+	readTLC    time.Duration
 	// Program latencies.
-	ProgramSLC time.Duration
-	ProgramTLC time.Duration
-	// EraseBlock is the block erase latency.
-	EraseBlock time.Duration
+	programSLC time.Duration
+	programTLC time.Duration
 
 	// LatchXOR is the time for an in-plane XOR between two latches
 	// over a full page (Flash-Cosmos reports single-digit us for
@@ -68,13 +66,12 @@ type Params struct {
 
 	// RawBER is the raw bit error rate per cell mode when read without
 	// ECC. ModeSLCESP must be 0 per the paper's premise.
-	RawBERSLCESP float64
-	RawBERSLC    float64
-	RawBERTLC    float64
+	rawBERSLCESP float64
+	rawBERSLC    float64
+	rawBERTLC    float64
 
 	// Energy per event, in joules.
 	EnergyReadPage    float64 // array sense, per page
-	EnergyProgramPage float64
 	EnergyLatchXOR    float64 // per page
 	EnergyBitCount    float64 // per page
 	EnergyXferPerByte float64 // channel/die I/O transfer
@@ -83,12 +80,11 @@ type Params struct {
 // DefaultParams returns the parameter set used across the evaluation.
 func DefaultParams() Params {
 	return Params{
-		ReadSLCESP: 22500 * time.Nanosecond, // Table 3: 22.5us tR (ESP-SLC)
-		ReadSLC:    25 * time.Microsecond,
-		ReadTLC:    85 * time.Microsecond,
-		ProgramSLC: 200 * time.Microsecond,
-		ProgramTLC: 700 * time.Microsecond,
-		EraseBlock: 3500 * time.Microsecond,
+		readSLCESP: 22500 * time.Nanosecond, // Table 3: 22.5us tR (ESP-SLC)
+		readSLC:    25 * time.Microsecond,
+		readTLC:    85 * time.Microsecond,
+		programSLC: 200 * time.Microsecond,
+		programTLC: 700 * time.Microsecond,
 
 		LatchXOR:      2 * time.Microsecond,
 		BitCountPage:  3 * time.Microsecond,
@@ -96,12 +92,11 @@ func DefaultParams() Params {
 
 		DieInputBandwidth: 1.2e9,
 
-		RawBERSLCESP: 0,
-		RawBERSLC:    1e-9,
-		RawBERTLC:    5e-4,
+		rawBERSLCESP: 0,
+		rawBERSLC:    1e-9,
+		rawBERTLC:    5e-4,
 
 		EnergyReadPage:    18e-6, // 18 uJ per 16KiB page sense
-		EnergyProgramPage: 60e-6,
 		EnergyLatchXOR:    0.8e-6,
 		EnergyBitCount:    1.0e-6,
 		EnergyXferPerByte: 6e-12, // ~6 pJ/byte die I/O + channel
@@ -112,30 +107,30 @@ func DefaultParams() Params {
 func (p Params) ReadLatency(m CellMode) time.Duration {
 	switch m {
 	case ModeSLCESP:
-		return p.ReadSLCESP
+		return p.readSLCESP
 	case ModeSLC:
-		return p.ReadSLC
+		return p.readSLC
 	default:
-		return p.ReadTLC
+		return p.readTLC
 	}
 }
 
 // ProgramLatency returns the page program time for the given mode.
 func (p Params) ProgramLatency(m CellMode) time.Duration {
 	if m == ModeTLC {
-		return p.ProgramTLC
+		return p.programTLC
 	}
-	return p.ProgramSLC
+	return p.programSLC
 }
 
 // RawBER returns the no-ECC bit error rate for the given mode.
 func (p Params) RawBER(m CellMode) float64 {
 	switch m {
 	case ModeSLCESP:
-		return p.RawBERSLCESP
+		return p.rawBERSLCESP
 	case ModeSLC:
-		return p.RawBERSLC
+		return p.rawBERSLC
 	default:
-		return p.RawBERTLC
+		return p.rawBERTLC
 	}
 }

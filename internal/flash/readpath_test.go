@@ -75,7 +75,7 @@ func TestFlipCountIsLatchDiff(t *testing.T) {
 // fails here by name.
 func TestReadPathGolden(t *testing.T) {
 	p := DefaultParams()
-	p.RawBERTLC = 5e-3
+	p.rawBERTLC = 5e-3
 	d, err := NewDevice(testGeo(), p)
 	if err != nil {
 		t.Fatal(err)

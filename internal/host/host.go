@@ -25,7 +25,6 @@ import (
 // CPUConfig describes the baseline server (Table 3: 2-socket AMD EPYC
 // 9554, 128 physical / 256 logical cores, 1.5 TB DDR4, PM9A3 SSD).
 type CPUConfig struct {
-	Name  string
 	Cores int
 	// Efficiency is the parallel scaling efficiency of the scan
 	// kernels across all cores (memory-bandwidth bound).
@@ -40,31 +39,31 @@ type CPUConfig struct {
 	// aggregate memory bandwidth (2-socket DDR4-3200, 8 channels each:
 	// ~400 GB/s).
 	MemBandwidth float64
-	// LoadBandwidth is the effective dataset-load rate (bytes/s)
-	// including deserialization. Derived from the paper's own
-	// breakdowns: ~1.5 GB/s for FP32 flat indexes, ~2.3 GB/s for
-	// BQ+INT8 data on the PM9A3.
-	LoadBandwidthF32 float64
-	LoadBandwidthBQ  float64
 }
+
+// loadBandwidthF32 and loadBandwidthBQ are the effective dataset-load
+// rates (bytes/s) including deserialization. Derived from the paper's
+// own breakdowns: ~1.5 GB/s for FP32 flat indexes, ~2.3 GB/s for
+// BQ+INT8 data on the PM9A3.
+const (
+	loadBandwidthF32 = 1.5e9
+	loadBandwidthBQ  = 2.3e9
+)
 
 // CPUReal returns the paper's baseline configuration.
 func CPUReal() CPUConfig {
 	return CPUConfig{
-		Name:             "CPU-Real",
-		Cores:            256,
-		Efficiency:       0.55,
-		ActiveWatts:      356,
-		MemBandwidth:     400e9,
-		LoadBandwidthF32: 1.5e9,
-		LoadBandwidthBQ:  2.3e9,
+		Cores:        256,
+		Efficiency:   0.55,
+		ActiveWatts:  356,
+		MemBandwidth: 400e9,
 	}
 }
 
 // Calibration holds measured single-core kernel rates.
 type Calibration struct {
 	F32NsPerDim      float64 // L2 over float32, per dimension
-	HammingNsPerWord float64 // XOR+popcount per uint64 word
+	hammingNsPerWord float64 // XOR+popcount per uint64 word
 	Int8NsPerDim     float64 // L2 over int8, per dimension
 }
 
@@ -73,9 +72,9 @@ var (
 	cal     Calibration
 )
 
-// Calibrate measures the scan kernels on this machine once and caches
+// calibrate measures the scan kernels on this machine once and caches
 // the result.
-func Calibrate() Calibration {
+func calibrate() Calibration {
 	calOnce.Do(func() {
 		cal = measure()
 	})
@@ -113,7 +112,7 @@ func measure() Calibration {
 	for i := 0; i < iters; i++ {
 		sinkI += vecmath.Hamming(qa, qb)
 	}
-	c.HammingNsPerWord = float64(time.Since(start).Nanoseconds()) / float64(iters*len(qa))
+	c.hammingNsPerWord = float64(time.Since(start).Nanoseconds()) / float64(iters*len(qa))
 
 	start = time.Now()
 	for i := 0; i < iters; i++ {
@@ -130,8 +129,8 @@ func measure() Calibration {
 	if c.F32NsPerDim < floor {
 		c.F32NsPerDim = floor
 	}
-	if c.HammingNsPerWord < floor {
-		c.HammingNsPerWord = floor
+	if c.hammingNsPerWord < floor {
+		c.hammingNsPerWord = floor
 	}
 	if c.Int8NsPerDim < floor {
 		c.Int8NsPerDim = floor
@@ -150,7 +149,7 @@ type Baseline struct {
 
 // NewBaseline builds a baseline with machine-calibrated kernels.
 func NewBaseline(cpu CPUConfig) *Baseline {
-	return &Baseline{CPU: cpu, Cal: Calibrate()}
+	return &Baseline{CPU: cpu, Cal: calibrate()}
 }
 
 // DatasetBytesF32 returns the bytes loaded for a flat FP32 database
@@ -170,9 +169,9 @@ func (b *Baseline) LoadSeconds(bytes int64, bq bool) float64 {
 	if b.NoIO {
 		return 0
 	}
-	bw := b.CPU.LoadBandwidthF32
+	bw := loadBandwidthF32
 	if bq {
-		bw = b.CPU.LoadBandwidthBQ
+		bw = loadBandwidthBQ
 	}
 	return float64(bytes) / bw
 }
@@ -196,7 +195,7 @@ func (b *Baseline) ScanSecondsF32(candidates, dim int) float64 {
 // reranking of rerank candidates, bounded by DRAM streaming bandwidth.
 func (b *Baseline) ScanSecondsBQ(candidates, dim, rerank int) float64 {
 	words := float64(vecmath.WordsPerVector(dim))
-	ns := float64(candidates)*words*b.Cal.HammingNsPerWord +
+	ns := float64(candidates)*words*b.Cal.hammingNsPerWord +
 		float64(rerank)*float64(dim)*b.Cal.Int8NsPerDim
 	compute := ns / b.parallelism() / 1e9
 	stream := (float64(candidates)*float64(dim/8) + float64(rerank)*float64(dim)) / b.CPU.MemBandwidth

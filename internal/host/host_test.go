@@ -3,31 +3,31 @@ package host
 import "testing"
 
 func TestCalibrationSane(t *testing.T) {
-	c := Calibrate()
+	c := calibrate()
 	// Per-dim float32 L2 on a modern core is well under 10ns; above
 	// that means the measurement loop broke.
 	if c.F32NsPerDim <= 0 || c.F32NsPerDim > 50 {
 		t.Fatalf("F32NsPerDim = %v", c.F32NsPerDim)
 	}
-	if c.HammingNsPerWord <= 0 || c.HammingNsPerWord > 100 {
-		t.Fatalf("HammingNsPerWord = %v", c.HammingNsPerWord)
+	if c.hammingNsPerWord <= 0 || c.hammingNsPerWord > 100 {
+		t.Fatalf("hammingNsPerWord = %v", c.hammingNsPerWord)
 	}
 	if c.Int8NsPerDim <= 0 || c.Int8NsPerDim > 50 {
 		t.Fatalf("Int8NsPerDim = %v", c.Int8NsPerDim)
 	}
 	// BQ must be far faster than float per dimension: one word covers
 	// 64 dims.
-	if c.HammingNsPerWord/64 >= c.F32NsPerDim {
+	if c.hammingNsPerWord/64 >= c.F32NsPerDim {
 		t.Fatalf("Hamming per dim (%v) not faster than float (%v)",
-			c.HammingNsPerWord/64, c.F32NsPerDim)
+			c.hammingNsPerWord/64, c.F32NsPerDim)
 	}
 }
 
 func TestCalibrateCached(t *testing.T) {
-	a := Calibrate()
-	b := Calibrate()
+	a := calibrate()
+	b := calibrate()
 	if a != b {
-		t.Fatal("Calibrate not cached")
+		t.Fatal("calibrate not cached")
 	}
 }
 

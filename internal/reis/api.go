@@ -25,42 +25,42 @@ const (
 // Sentinel errors of the host interface. Submission paths wrap them
 // with command detail; match with errors.Is.
 var (
-	// ErrUnknownOpcode: the command's opcode is not one of the Table 1
+	// errUnknownOpcode: the command's opcode is not one of the Table 1
 	// vendor opcodes.
-	ErrUnknownOpcode = errors.New("reis: unknown vendor opcode")
-	// ErrMissingPayload: a deploy command without its DeployConfig.
-	ErrMissingPayload = errors.New("reis: deploy command without payload")
-	// ErrNoQueries: a search command with an empty Q operand.
-	ErrNoQueries = errors.New("reis: search command without queries")
-	// ErrBadK: a search command whose K operand is non-positive or
+	errUnknownOpcode = errors.New("reis: unknown vendor opcode")
+	// errMissingPayload: a deploy command without its DeployConfig.
+	errMissingPayload = errors.New("reis: deploy command without payload")
+	// errNoQueries: a search command with an empty Q operand.
+	errNoQueries = errors.New("reis: search command without queries")
+	// errBadK: a search command whose K operand is non-positive or
 	// above maxK.
-	ErrBadK = errors.New("reis: K operand out of range")
-	// ErrQueryDims: query, append or deploy vectors of inconsistent
+	errBadK = errors.New("reis: K operand out of range")
+	// errQueryDims: query, append or deploy vectors of inconsistent
 	// dimensionality (within one command, or against the target
 	// database), or deploy vectors of dimensionality 0.
-	ErrQueryDims = errors.New("reis: query dimensionality mismatch")
+	errQueryDims = errors.New("reis: query dimensionality mismatch")
 	// ErrQueueFull: SubmitAsync admission control rejected the command
 	// because the queue pair already holds Depth outstanding commands.
 	ErrQueueFull = errors.New("reis: submission queue full")
 	// ErrQueueClosed: the queue (or its engine) was closed; commands
 	// still pending at close time complete with this error.
 	ErrQueueClosed = errors.New("reis: queue closed")
-	// ErrNotCalibrated: a TargetRecall operand could not be resolved
+	// errNotCalibrated: a TargetRecall operand could not be resolved
 	// because the database has no CalibrateNProbe record covering it.
-	ErrNotCalibrated = errors.New("reis: no nprobe calibration for target recall")
-	// ErrNoItems: an OpcodeAppend/OpcodeDelete command with an empty
+	errNotCalibrated = errors.New("reis: no nprobe calibration for target recall")
+	// errNoItems: an OpcodeAppend/OpcodeDelete command with an empty
 	// item list.
-	ErrNoItems = errors.New("reis: mutation command without items")
-	// ErrBadAssign: an append's or IVF deploy's cluster assignment is
+	errNoItems = errors.New("reis: mutation command without items")
+	// errBadAssign: an append's or IVF deploy's cluster assignment is
 	// missing, superfluous (flat database) or out of range.
-	ErrBadAssign = errors.New("reis: append cluster assignment mismatch")
-	// ErrUnknownID: a delete names an id that was never issued, is
+	errBadAssign = errors.New("reis: append cluster assignment mismatch")
+	// errUnknownID: a delete names an id that was never issued, is
 	// already tombstoned, or repeats within the command. The whole
 	// delete is rejected.
-	ErrUnknownID = errors.New("reis: unknown or already-deleted id")
-	// ErrBadThreshold: an OpcodeCompact live-ratio threshold outside
+	errUnknownID = errors.New("reis: unknown or already-deleted id")
+	// errBadThreshold: an OpcodeCompact live-ratio threshold outside
 	// [0, 1].
-	ErrBadThreshold = errors.New("reis: compact live-ratio threshold out of range")
+	errBadThreshold = errors.New("reis: compact live-ratio threshold out of range")
 )
 
 // HostCommand is one vendor-specific NVMe command as the host driver
@@ -90,10 +90,10 @@ type HostCommand struct {
 	Compact *CompactConfig
 }
 
-// SlotRange is one inclusive range of region slot positions. The empty
+// slotRange is one inclusive range of region slot positions. The empty
 // sentinel (First 0, Last -1) is a range with no slot: what a global
 // range translates to on a device that owns none of its pages.
-type SlotRange struct {
+type slotRange struct {
 	First, Last int
 }
 
@@ -105,12 +105,12 @@ func (cmd *HostCommand) validate() error {
 	switch cmd.Opcode {
 	case OpcodeDBDeploy, OpcodeIVFDeploy:
 		if cmd.Deploy == nil {
-			return fmt.Errorf("%w (opcode %#x)", ErrMissingPayload, cmd.Opcode)
+			return fmt.Errorf("%w (opcode %#x)", errMissingPayload, cmd.Opcode)
 		}
 		return cmd.Deploy.validate(cmd.Opcode == OpcodeIVFDeploy)
 	case OpcodeSearch, OpcodeIVFSearch:
 		if len(cmd.Queries) == 0 {
-			return ErrNoQueries
+			return errNoQueries
 		}
 		if err := checkK(cmd.K); err != nil {
 			return err
@@ -119,48 +119,48 @@ func (cmd *HostCommand) validate() error {
 	case OpcodeAppend:
 		a := cmd.Append
 		if a == nil {
-			return fmt.Errorf("%w (opcode %#x)", ErrMissingPayload, cmd.Opcode)
+			return fmt.Errorf("%w (opcode %#x)", errMissingPayload, cmd.Opcode)
 		}
 		if len(a.Vectors) == 0 {
-			return ErrNoItems
+			return errNoItems
 		}
 		if len(a.Docs) != len(a.Vectors) {
-			return fmt.Errorf("%w (append with %d docs for %d vectors)", ErrMissingPayload, len(a.Docs), len(a.Vectors))
+			return fmt.Errorf("%w (append with %d docs for %d vectors)", errMissingPayload, len(a.Docs), len(a.Vectors))
 		}
 		if a.MetaTags != nil && len(a.MetaTags) != len(a.Vectors) {
-			return fmt.Errorf("%w (append with %d meta tags for %d vectors)", ErrMissingPayload, len(a.MetaTags), len(a.Vectors))
+			return fmt.Errorf("%w (append with %d meta tags for %d vectors)", errMissingPayload, len(a.MetaTags), len(a.Vectors))
 		}
 		dim := len(a.Vectors[0])
 		for i, v := range a.Vectors {
 			if len(v) != dim {
 				return fmt.Errorf("%w (append vector 0 has dim %d, vector %d has dim %d)",
-					ErrQueryDims, dim, i, len(v))
+					errQueryDims, dim, i, len(v))
 			}
 		}
 		return nil
 	case OpcodeDelete:
 		if cmd.Del == nil {
-			return fmt.Errorf("%w (opcode %#x)", ErrMissingPayload, cmd.Opcode)
+			return fmt.Errorf("%w (opcode %#x)", errMissingPayload, cmd.Opcode)
 		}
 		if len(cmd.Del.IDs) == 0 {
-			return ErrNoItems
+			return errNoItems
 		}
 		for _, id := range cmd.Del.IDs {
 			if id < 0 {
-				return fmt.Errorf("%w (%d)", ErrUnknownID, id)
+				return fmt.Errorf("%w (%d)", errUnknownID, id)
 			}
 		}
 		return nil
 	case OpcodeCompact:
 		if cmd.Compact == nil {
-			return fmt.Errorf("%w (opcode %#x)", ErrMissingPayload, cmd.Opcode)
+			return fmt.Errorf("%w (opcode %#x)", errMissingPayload, cmd.Opcode)
 		}
 		if r := cmd.Compact.MinLiveRatio; r < 0 || r > 1 {
-			return fmt.Errorf("%w (%g)", ErrBadThreshold, r)
+			return fmt.Errorf("%w (%g)", errBadThreshold, r)
 		}
 		return nil
 	default:
-		return fmt.Errorf("%w %#x", ErrUnknownOpcode, cmd.Opcode)
+		return fmt.Errorf("%w %#x", errUnknownOpcode, cmd.Opcode)
 	}
 }
 
@@ -178,46 +178,46 @@ func (cfg *DeployConfig) validate(ivf bool) error {
 	}
 	dim := len(cfg.Vectors[0])
 	if dim == 0 {
-		return fmt.Errorf("%w (deploy vectors have dim 0)", ErrQueryDims)
+		return fmt.Errorf("%w (deploy vectors have dim 0)", errQueryDims)
 	}
 	for i, v := range cfg.Vectors {
 		if len(v) != dim {
 			return fmt.Errorf("%w (deploy vector 0 has dim %d, vector %d has dim %d)",
-				ErrQueryDims, dim, i, len(v))
+				errQueryDims, dim, i, len(v))
 		}
 	}
 	if cfg.MetaTags != nil && len(cfg.MetaTags) != n {
-		return fmt.Errorf("%w (deploy with %d meta tags for %d vectors)", ErrMissingPayload, len(cfg.MetaTags), n)
+		return fmt.Errorf("%w (deploy with %d meta tags for %d vectors)", errMissingPayload, len(cfg.MetaTags), n)
 	}
 	if !ivf {
 		return nil
 	}
 	for c, v := range cfg.Centroids {
 		if len(v) != dim {
-			return fmt.Errorf("%w (centroid %d has dim %d, vectors %d)", ErrQueryDims, c, len(v), dim)
+			return fmt.Errorf("%w (centroid %d has dim %d, vectors %d)", errQueryDims, c, len(v), dim)
 		}
 	}
 	if len(cfg.Assign) != n {
-		return fmt.Errorf("%w (%d assignments for %d vectors)", ErrBadAssign, len(cfg.Assign), n)
+		return fmt.Errorf("%w (%d assignments for %d vectors)", errBadAssign, len(cfg.Assign), n)
 	}
 	for i, c := range cfg.Assign {
 		if c < 0 || c >= len(cfg.Centroids) {
-			return fmt.Errorf("%w (item %d assigned to cluster %d of %d)", ErrBadAssign, i, c, len(cfg.Centroids))
+			return fmt.Errorf("%w (item %d assigned to cluster %d of %d)", errBadAssign, i, c, len(cfg.Centroids))
 		}
 	}
 	return nil
 }
 
 // maxK bounds the K operand: more results per query than any device has
-// slots, and small enough that the rerank pool K × RerankFactor fits an
+// slots, and small enough that the rerank pool K × rerankFactor fits an
 // int on every platform.
-const maxK = math.MaxInt32 / RerankFactor
+const maxK = math.MaxInt32 / rerankFactor
 
 // checkK validates a K operand: at submission (validate) for every
 // command, and for CalibrateNProbe, which is not one.
 func checkK(k int) error {
 	if k <= 0 || k > maxK {
-		return fmt.Errorf("%w (K=%d, want 1..%d)", ErrBadK, k, maxK)
+		return fmt.Errorf("%w (K=%d, want 1..%d)", errBadK, k, maxK)
 	}
 	return nil
 }
@@ -228,7 +228,7 @@ func (cmd *HostCommand) checkQueryDims() error {
 	for i, q := range cmd.Queries {
 		if len(q) != dim {
 			return fmt.Errorf("%w (query 0 has dim %d, query %d has dim %d)",
-				ErrQueryDims, dim, i, len(q))
+				errQueryDims, dim, i, len(q))
 		}
 	}
 	return nil
@@ -255,7 +255,7 @@ func isMutationOp(op uint8) bool {
 //  1. a non-zero Opt.NProbe is kept;
 //  2. otherwise a positive TargetRecall (the accuracy operand R of
 //     Table 1) is resolved against the database's recorded
-//     CalibrateNProbe results — ErrNotCalibrated if none covers it;
+//     CalibrateNProbe results — errNotCalibrated if none covers it;
 //  3. otherwise the engine's nprobe=1 default applies.
 //
 // The result is the nprobe the search runs — clamped to [1, nlist] for
@@ -267,7 +267,7 @@ func resolveSearchOptions(db *rdbEntry, cmd *HostCommand) (SearchOptions, error)
 		np, ok := nprobeForRecall(db.calib, cmd.TargetRecall)
 		if !ok {
 			return opt, fmt.Errorf("%w (database %d, target %.3f)",
-				ErrNotCalibrated, db.id, cmd.TargetRecall)
+				errNotCalibrated, db.id, cmd.TargetRecall)
 		}
 		opt.NProbe = np
 	}

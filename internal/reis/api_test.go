@@ -68,39 +68,39 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 		cmd  HostCommand
 		want error
 	}{
-		{"unknown-opcode", HostCommand{Opcode: 0x42}, ErrUnknownOpcode},
-		{"unknown-opcode-zero", HostCommand{}, ErrUnknownOpcode},
+		{"unknown-opcode", HostCommand{Opcode: 0x42}, errUnknownOpcode},
+		{"unknown-opcode-zero", HostCommand{}, errUnknownOpcode},
 		// 0x84 is unassigned: a host scans its devices in place, not by command.
-		{"unknown-opcode-0x84", HostCommand{Opcode: 0x84, DBID: 1, Queries: queries}, ErrUnknownOpcode},
-		{"deploy-missing-payload", HostCommand{Opcode: OpcodeDBDeploy}, ErrMissingPayload},
-		{"ivf-deploy-missing-payload", HostCommand{Opcode: OpcodeIVFDeploy}, ErrMissingPayload},
-		{"search-no-queries", HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 5}, ErrNoQueries},
-		{"ivf-search-no-queries", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, K: 5}, ErrNoQueries},
-		{"search-bad-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries}, ErrBadK},
-		{"search-negative-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: -3}, ErrBadK},
-		{"ivf-search-bad-k", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 0}, ErrBadK},
-		// K × RerankFactor overflows: this used to reach the tail (and,
+		{"unknown-opcode-0x84", HostCommand{Opcode: 0x84, DBID: 1, Queries: queries}, errUnknownOpcode},
+		{"deploy-missing-payload", HostCommand{Opcode: OpcodeDBDeploy}, errMissingPayload},
+		{"ivf-deploy-missing-payload", HostCommand{Opcode: OpcodeIVFDeploy}, errMissingPayload},
+		{"search-no-queries", HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 5}, errNoQueries},
+		{"ivf-search-no-queries", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, K: 5}, errNoQueries},
+		{"search-bad-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries}, errBadK},
+		{"search-negative-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: -3}, errBadK},
+		{"ivf-search-bad-k", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 0}, errBadK},
+		// K × rerankFactor overflows: this used to reach the tail (and,
 		// pruned, the bound tracker) and panic on the dispatcher goroutine.
-		{"search-huge-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581}, ErrBadK},
+		{"search-huge-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581}, errBadK},
 		{"search-huge-k-pruned", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581,
-			Opt: SearchOptions{Prune: true}}, ErrBadK},
-		{"search-k-above-max", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: maxK + 1}, ErrBadK},
-		{"search-ragged-dims", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: raggedQueries, K: 5}, ErrQueryDims},
-		{"ivf-search-ragged-dims", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: raggedQueries, K: 5}, ErrQueryDims},
-		{"append-missing-payload", HostCommand{Opcode: OpcodeAppend, DBID: 1}, ErrMissingPayload},
-		{"append-no-items", HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{}}, ErrNoItems},
+			Opt: SearchOptions{Prune: true}}, errBadK},
+		{"search-k-above-max", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: maxK + 1}, errBadK},
+		{"search-ragged-dims", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: raggedQueries, K: 5}, errQueryDims},
+		{"ivf-search-ragged-dims", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: raggedQueries, K: 5}, errQueryDims},
+		{"append-missing-payload", HostCommand{Opcode: OpcodeAppend, DBID: 1}, errMissingPayload},
+		{"append-no-items", HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{}}, errNoItems},
 		{"append-docs-mismatch", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: queries}}, ErrMissingPayload},
+			Append: &AppendConfig{Vectors: queries}}, errMissingPayload},
 		{"append-tags-mismatch", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: queries[:1], Docs: [][]byte{{1}}, MetaTags: []uint8{1, 2}}}, ErrMissingPayload},
+			Append: &AppendConfig{Vectors: queries[:1], Docs: [][]byte{{1}}, MetaTags: []uint8{1, 2}}}, errMissingPayload},
 		{"append-ragged-dims", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: raggedQueries, Docs: [][]byte{{1}, {2}}}}, ErrQueryDims},
-		{"delete-missing-payload", HostCommand{Opcode: OpcodeDelete, DBID: 1}, ErrMissingPayload},
-		{"delete-no-items", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{}}, ErrNoItems},
-		{"delete-negative-id", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{3, -1}}}, ErrUnknownID},
-		{"compact-missing-payload", HostCommand{Opcode: OpcodeCompact, DBID: 1}, ErrMissingPayload},
+			Append: &AppendConfig{Vectors: raggedQueries, Docs: [][]byte{{1}, {2}}}}, errQueryDims},
+		{"delete-missing-payload", HostCommand{Opcode: OpcodeDelete, DBID: 1}, errMissingPayload},
+		{"delete-no-items", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{}}, errNoItems},
+		{"delete-negative-id", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{3, -1}}}, errUnknownID},
+		{"compact-missing-payload", HostCommand{Opcode: OpcodeCompact, DBID: 1}, errMissingPayload},
 		{"compact-bad-threshold", HostCommand{Opcode: OpcodeCompact, DBID: 1,
-			Compact: &CompactConfig{MinLiveRatio: -0.1}}, ErrBadThreshold},
+			Compact: &CompactConfig{MinLiveRatio: -0.1}}, errBadThreshold},
 	}
 
 	e := newEngine(t, AllOptions())
@@ -143,8 +143,8 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 		}
 	}
 	deployIVF(t, e, 2, 16)
-	if _, err := e.CalibrateNProbe(2, queries, testData.GroundTruth, 922337203685477581, 0.9); !errors.Is(err, ErrBadK) {
-		t.Errorf("CalibrateNProbe(huge K) error = %v, want ErrBadK", err)
+	if _, err := e.CalibrateNProbe(2, queries, testData.GroundTruth, 922337203685477581, 0.9); !errors.Is(err, errBadK) {
+		t.Errorf("CalibrateNProbe(huge K) error = %v, want errBadK", err)
 	}
 }
 
@@ -173,13 +173,13 @@ func TestMalformedDeployRefusedAtSubmission(t *testing.T) {
 		cmd  HostCommand
 		want error
 	}{
-		{"assign-past-centroids", ivf(func(c *DeployConfig) { c.Assign[3] = len(cents) }), ErrBadAssign},
-		{"assign-negative", ivf(func(c *DeployConfig) { c.Assign[3] = -1 }), ErrBadAssign},
-		{"short-meta-tags", ivf(func(c *DeployConfig) { c.MetaTags = make([]uint8, len(vecs)-1) }), ErrMissingPayload},
-		{"ragged-vector-dims", ivf(func(c *DeployConfig) { c.Vectors = ragged }), ErrQueryDims},
-		{"centroid-dim-mismatch", ivf(func(c *DeployConfig) { c.Centroids = [][]float32{cents[0], cents[1][:64]} }), ErrQueryDims},
+		{"assign-past-centroids", ivf(func(c *DeployConfig) { c.Assign[3] = len(cents) }), errBadAssign},
+		{"assign-negative", ivf(func(c *DeployConfig) { c.Assign[3] = -1 }), errBadAssign},
+		{"short-meta-tags", ivf(func(c *DeployConfig) { c.MetaTags = make([]uint8, len(vecs)-1) }), errMissingPayload},
+		{"ragged-vector-dims", ivf(func(c *DeployConfig) { c.Vectors = ragged }), errQueryDims},
+		{"centroid-dim-mismatch", ivf(func(c *DeployConfig) { c.Centroids = [][]float32{cents[0], cents[1][:64]} }), errQueryDims},
 		{"dim-0-vectors", HostCommand{Opcode: OpcodeDBDeploy, Deploy: &DeployConfig{
-			ID: 1, Vectors: make([][]float32, len(vecs)), Docs: docs, DocSlotBytes: 256}}, ErrQueryDims},
+			ID: 1, Vectors: make([][]float32, len(vecs)), Docs: docs, DocSlotBytes: 256}}, errQueryDims},
 	}
 	for _, h := range []interface {
 		submitter
@@ -204,7 +204,7 @@ func TestMalformedDeployRefusedAtSubmission(t *testing.T) {
 }
 
 // TestNotCalibratedSentinel: a TargetRecall operand with no covering
-// calibration fails with ErrNotCalibrated (resolution happens at
+// calibration fails with errNotCalibrated (resolution happens at
 // execution, not admission); after CalibrateNProbe the same command
 // succeeds, and a calibration against too short a ground truth is
 // refused. Covered on both hosts.
@@ -212,8 +212,8 @@ func TestNotCalibratedSentinel(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	deployIVF(t, e, 1, 16)
 	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:2], K: 10, TargetRecall: 0.9}
-	if _, err := e.Submit(cmd); !errors.Is(err, ErrNotCalibrated) {
-		t.Fatalf("uncalibrated TargetRecall error = %v, want ErrNotCalibrated", err)
+	if _, err := e.Submit(cmd); !errors.Is(err, errNotCalibrated) {
+		t.Fatalf("uncalibrated TargetRecall error = %v, want errNotCalibrated", err)
 	}
 	if _, err := e.CalibrateNProbe(1, testData.Queries, testData.GroundTruth, 10, 0.9); err != nil {
 		t.Fatal(err)
@@ -224,16 +224,16 @@ func TestNotCalibratedSentinel(t *testing.T) {
 	// A tighter target than anything calibrated still fails.
 	tight := cmd
 	tight.TargetRecall = 0.999
-	if _, err := e.Submit(tight); !errors.Is(err, ErrNotCalibrated) {
-		t.Fatalf("uncovered TargetRecall error = %v, want ErrNotCalibrated", err)
+	if _, err := e.Submit(tight); !errors.Is(err, errNotCalibrated) {
+		t.Fatalf("uncovered TargetRecall error = %v, want errNotCalibrated", err)
 	}
 
 	sh := newSharded(t, 2)
 	deployBoth(t, sh.Submit)
 	shCmd := cmd
 	shCmd.DBID = 2
-	if _, err := sh.Submit(shCmd); !errors.Is(err, ErrNotCalibrated) {
-		t.Fatalf("sharded uncalibrated TargetRecall error = %v, want ErrNotCalibrated", err)
+	if _, err := sh.Submit(shCmd); !errors.Is(err, errNotCalibrated) {
+		t.Fatalf("sharded uncalibrated TargetRecall error = %v, want errNotCalibrated", err)
 	}
 	// A ground truth shorter than the query set is the caller's error,
 	// not an index panic, on either host.

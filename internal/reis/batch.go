@@ -104,7 +104,7 @@ type batchItem struct {
 // pages/waves it would have cost are accounted as prunedPages/
 // abortedWaves. The abort decision depends only on (lb, bound), both
 // global to the round, so every topology skips the same segments.
-func (d *device) startScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8, inline bool) error {
+func (d *device) startScan(ctx context.Context, db *Database, packed [][]byte, coarse bool, cutoff int, segs [][]slotRange, lbs [][]int, bounds []int, metaTag *uint8, inline bool) error {
 	if d.closed.Load() {
 		return fmt.Errorf("reis: device closed: %w", ErrQueueClosed)
 	}
@@ -537,7 +537,7 @@ func (s *segScan) addTo(st *QueryStats, coarse bool, entryBytes int) {
 // Each device's share of a query's events reaches the controller's rows
 // when the query is folded (ibc, fold). The lowest-numbered device's
 // error is returned.
-func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][]SlotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
+func (c *controller) scan(ctx context.Context, coarse bool, cutoff int, segs [][]slotRange, lbs [][]int, bounds []int, metaTag *uint8) error {
 	devs, inline := c.h.devs, len(c.h.devs) == 1
 	var serr error
 	started := 0
@@ -591,7 +591,7 @@ func (c *controller) ibc(qi int, st *QueryStats) {
 // path, real or aborted — aggregate by maximum, which equals the
 // reference device's value because per-plane page loads match plane for
 // plane. A device's row is its own view of the segment, waves included.
-func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []TTLEntry) []TTLEntry {
+func (c *controller) fold(qi, si int, coarse bool, st *QueryStats, dst []ttlEntry) []ttlEntry {
 	eb := c.db.lay.ttlEntryBytes()
 	var sum segScan
 	for s, d := range c.h.devs {

@@ -81,7 +81,7 @@ type pinnedRange struct {
 }
 
 // pinnedCluster is the DRAM copy of one cluster's posting list, one
-// pinnedRange per SlotRange, in posting-list order. Each page is one
+// pinnedRange per slotRange, in posting-list order. Each page is one
 // arena buffer: data, then OOB.
 type pinnedCluster struct {
 	ranges []pinnedRange
@@ -211,7 +211,7 @@ func newDBCache(cfg ssd.Config, f *pageFormat, nlist int) *dbCache {
 // list spans, which the controller sums per query for probed. Called in
 // per-query rank order, queries in batch order — the same order on every
 // topology.
-func (c *dbCache) probe(cluster int, segs []SlotRange) int {
+func (c *dbCache) probe(cluster int, segs []slotRange) int {
 	if c == nil || cluster < 0 || cluster >= len(c.counts) {
 		return 0
 	}
@@ -257,7 +257,7 @@ func (c *dbCache) pinnedFor(cluster int) *pinnedCluster {
 //
 // Pages and planes are global (the single-device-equivalent geometry), so
 // a sharded host and its N x channels reference hold the same pin set.
-func (c *dbCache) refresh(buckets [][]SlotRange, fetch pinFetch) error {
+func (c *dbCache) refresh(buckets [][]slotRange, fetch pinFetch) error {
 	if c == nil || len(c.counts) == 0 || c.pinBudget <= 0 {
 		return nil
 	}
@@ -320,12 +320,12 @@ func (c *dbCache) refresh(buckets [][]SlotRange, fetch pinFetch) error {
 func (c *dbCache) pageCost() int64 { return int64(c.f.pageBytes + c.f.oobBytes) }
 
 // span is the pages one slot range touches.
-func (c *dbCache) span(r SlotRange) int {
+func (c *dbCache) span(r slotRange) int {
 	return r.Last/c.f.embPerPage - r.First/c.f.embPerPage + 1
 }
 
 // extent is the pages a posting list spans and the slots it holds.
-func (c *dbCache) extent(segs []SlotRange) (pages, slots int) {
+func (c *dbCache) extent(segs []slotRange) (pages, slots int) {
 	for _, r := range segs {
 		pages += c.span(r)
 		slots += r.Last - r.First + 1
@@ -336,7 +336,7 @@ func (c *dbCache) extent(segs []SlotRange) (pages, slots int) {
 // fill pins one cluster — a recycled record and recycled page buffers
 // where eviction left any, fresh ones otherwise — and takes the DRAM it
 // grew by from the result cache's tail.
-func (c *dbCache) fill(cl int, segs []SlotRange, fetch pinFetch) error {
+func (c *dbCache) fill(cl int, segs []slotRange, fetch pinFetch) error {
 	var pc *pinnedCluster
 	if n := len(c.freePins); n > 0 {
 		pc, c.freePins = c.freePins[n-1], c.freePins[:n-1]
@@ -419,7 +419,7 @@ type cachedScanParams struct {
 // scan always runs under the current bound, which keeps the
 // surviving-entry stream a superset of what an aborted flash segment
 // would have contributed (and therefore the rerank pool identical).
-func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []TTLEntry) (entries []TTLEntry, pages, slots, pruned int) {
+func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p cachedScanParams, dst []ttlEntry) (entries []ttlEntry, pages, slots, pruned int) {
 	if cap(c.dists) < f.embPerPage {
 		c.dists = make([]int, f.embPerPage)
 	}
@@ -453,7 +453,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 				pruned++
 				continue
 			}
-			dst = append(dst, TTLEntry{
+			dst = append(dst, ttlEntry{
 				Dist: dist, Pos: pg*f.embPerPage + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 			})
 		}

@@ -125,7 +125,7 @@ func TestPinAdmission(t *testing.T) {
 	}
 	// One cluster (id 0) of a single page holding `slots` slots, probed by
 	// a command whose widest probe spanned `probe` pages.
-	command := func(c *dbCache, buckets [][]SlotRange, probe int) {
+	command := func(c *dbCache, buckets [][]slotRange, probe int) {
 		c.probe(0, buckets[0])
 		c.probed(probe)
 	}
@@ -137,7 +137,7 @@ func TestPinAdmission(t *testing.T) {
 		{64, 32, true}, {64, 42, true}, {64, 43, false}, {64, 128, false}, {64, 512, false},
 		{256, 10, true}, {256, 11, false}, {256, 32, false}, {256, 128, false}, {256, 512, false},
 	} {
-		buckets := [][]SlotRange{{{First: 0, Last: tc.slots - 1}}, nil}
+		buckets := [][]slotRange{{{First: 0, Last: tc.slots - 1}}, nil}
 		for _, probe := range []int{tc.planes - 1, tc.planes, tc.planes + 1} {
 			c := newCache(tc.planes)
 			command(c, buckets, probe)
@@ -160,7 +160,7 @@ func TestPinAdmission(t *testing.T) {
 	// the pins, and a mutation drops them while the counters and the probe
 	// width survive — the next command re-pins without a warm-up.
 	c := newCache(8)
-	buckets := [][]SlotRange{{{First: 0, Last: 127}}, {{First: 512, Last: 639}, {First: 1024, Last: 1030}}}
+	buckets := [][]slotRange{{{First: 0, Last: 127}}, {{First: 512, Last: 639}, {First: 1024, Last: 1030}}}
 	step := func(what string, wantPinned int64, wantFetched int) {
 		t.Helper()
 		if err := c.refresh(buckets, fetch); err != nil {
@@ -570,7 +570,7 @@ func TestCacheBudgetPinGrowthTrimsTail(t *testing.T) {
 	}
 	// Two clusters of three and two pages; a 9-page probe on 8 planes opens
 	// the gate, and each refresh pins what the previous command made hot.
-	buckets := [][]SlotRange{{{First: 0, Last: 47}}, {{First: 48, Last: 79}}}
+	buckets := [][]slotRange{{{First: 0, Last: 47}}, {{First: 48, Last: 79}}}
 	fetch := func(int, []byte) error { return nil }
 	for cl, wantPages := range []int64{3, 5} {
 		c.probe(cl, buckets[cl])

@@ -72,21 +72,21 @@ func (c *controller) at(qi int) int {
 // query's position in the running batch and keep their buffers across
 // commands.
 type ctrlScratch struct {
-	accs     [][]TTLEntry // entries of the rounds before a query's last
-	entries  []TTLEntry   // the query's whole stream, handed to the tail
+	accs     [][]ttlEntry // entries of the rounds before a query's last
+	entries  []ttlEntry   // the query's whole stream, handed to the tail
 	trackers []boundTracker
 	bounds   []int
 	sel      [][]prunedCluster // selected clusters in coarse rank order
-	cents    []TTLEntry
+	cents    []ttlEntry
 	// The current round: segs[qi] is what the devices scan (a view of
 	// segBuf[qi], or of the shared flat plan), lbs[qi] its lower bounds,
 	// and pins[qi] the pinned ranges the controller scans from DRAM
 	// instead.
-	segs   [][]SlotRange
-	segBuf [][]SlotRange
+	segs   [][]slotRange
+	segBuf [][]slotRange
 	lbs    [][]int
 	pins   [][]*pinnedRange
-	cent   [1]SlotRange
+	cent   [1]slotRange
 	// The batch's packed binary encodings (one backing buffer, one slot
 	// per query), shared read-only by every device's broadcasts and by
 	// the pinned scans.
@@ -157,7 +157,7 @@ func (c *controller) search(ctx context.Context, cmd *HostCommand, queries [][]f
 	for _, q := range queries {
 		if len(q) != db.lay.dim {
 			return fmt.Errorf("%w (query dim %d, database %d dim %d)",
-				ErrQueryDims, len(q), db.id, db.lay.dim)
+				errQueryDims, len(q), db.id, db.lay.dim)
 		}
 	}
 	if cmd.Opcode == OpcodeIVFSearch && db.lay.flat() {
@@ -212,7 +212,7 @@ func (c *controller) coarseCut(nprobe int) int {
 // selectClusters ranks query qi's TTL-C entries and keeps the first
 // nprobe clusters as its selection, with their pruning lower bounds, and
 // returns how many it kept.
-func (c *controller) selectClusters(qi int, cents []TTLEntry, nprobe int, st *QueryStats) int {
+func (c *controller) selectClusters(qi int, cents []ttlEntry, nprobe int, st *QueryStats) int {
 	cache, mut := c.db.cache, c.db.mut
 	st.SelectInput += len(cents)
 	slices.SortFunc(cents, cmpTTLDistPos)
@@ -255,10 +255,10 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 	// flatRounds is the brute-force round list (a compacted-away plan is
 	// one round of nothing); an IVF search's rounds are rank windows over
 	// each query's selection, maxSel being the longest.
-	var flatRounds [][]SlotRange
+	var flatRounds [][]slotRange
 	maxSel := 0
 	if op == OpcodeSearch {
-		flatRounds = [][]SlotRange{mut.flatPlan}
+		flatRounds = [][]slotRange{mut.flatPlan}
 		if opt.Prune && len(mut.flatPlan) > 0 {
 			flatRounds = mut.prunedRounds()
 		}
@@ -274,7 +274,7 @@ func (c *controller) run(ctx context.Context, op uint8, queries [][]float32, k i
 		// ties, so a query with nprobe survivors selects exactly the
 		// (Dist, Pos) top-nprobe of every centroid. A query left with
 		// fewer re-runs the round uncut, and its stats count both.
-		s.cent[0] = SlotRange{First: 0, Last: nlist - 1}
+		s.cent[0] = slotRange{First: 0, Last: nlist - 1}
 		for qi := range queries {
 			s.segs[qi] = s.cent[:]
 		}

@@ -582,9 +582,9 @@ func TestEmbeddingsLandInSLCESPBlocks(t *testing.T) {
 }
 
 func TestQuickselectTTL(t *testing.T) {
-	es := make([]TTLEntry, 100)
+	es := make([]ttlEntry, 100)
 	for i := range es {
-		es[i] = TTLEntry{Dist: (i * 37) % 101, Pos: i}
+		es[i] = ttlEntry{Dist: (i * 37) % 101, Pos: i}
 	}
 	quickselectTTL(es, 10)
 	max10 := 0

@@ -112,7 +112,7 @@ func TestBackgroundGCInterleavedSearches(t *testing.T) {
 						t.Fatal("fully compacted state differs from the never-compacted state")
 					}
 					again := mustSubmit(t, h, compact)
-					if again.Wear.CompactedRows != 0 || again.Wear.BlockErases != 0 || again.Wear.PagesProgrammed != 0 {
+					if again.Wear.CompactedRows != 0 || again.Wear.BlockErases != 0 || again.Wear.pagesProgrammed != 0 {
 						t.Fatalf("second compaction was not a no-op: %+v", again.Wear)
 					}
 				})
@@ -282,8 +282,8 @@ func runChurn(t *testing.T, e *Engine, rounds, batch int) WearStats {
 		wear := mustSubmit(t, e, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}).Wear
 		acc.CompactedRows += wear.CompactedRows
 		acc.BlockErases += wear.BlockErases
-		acc.CopiedEntries += wear.CopiedEntries
-		acc.FreedPages += wear.FreedPages
+		acc.copiedEntries += wear.copiedEntries
+		acc.freedPages += wear.freedPages
 		vecs := make([][]float32, batch)
 		docs := make([][]byte, batch)
 		for j := range vecs {
@@ -313,7 +313,7 @@ func TestChurnRecyclesFreedRows(t *testing.T) {
 	if acc.CompactedRows < rounds {
 		t.Fatalf("churn compacted only %d rows over %d rounds", acc.CompactedRows, rounds)
 	}
-	if acc.FreedPages == 0 {
+	if acc.freedPages == 0 {
 		t.Fatalf("churn freed no pages: %+v", acc)
 	}
 	db, err := e.hostDB(1)
@@ -387,10 +387,10 @@ func TestWearStatsSumAcrossShards(t *testing.T) {
 			if !reflect.DeepEqual(refWear, shWear) {
 				t.Fatalf("compaction wear diverges\nsharded   %+v\nreference %+v", shWear, refWear)
 			}
-			if shWear.PayloadBytes == 0 || shWear.BytesProgrammed < shWear.PayloadBytes {
+			if shWear.payloadBytes == 0 || shWear.bytesProgrammed < shWear.payloadBytes {
 				t.Fatalf("write amplification accounting off: %+v", shWear)
 			}
-			if want := float64(shWear.BytesProgrammed) / float64(shWear.PayloadBytes); shWear.WriteAmp != want {
+			if want := float64(shWear.bytesProgrammed) / float64(shWear.payloadBytes); shWear.WriteAmp != want {
 				t.Fatalf("WriteAmp = %v, want %v", shWear.WriteAmp, want)
 			}
 

@@ -309,7 +309,7 @@ func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 		c.jl.logCmd(cmd)
 		return resp, nil
 	default:
-		return HostResponse{}, fmt.Errorf("%w %#x", ErrUnknownOpcode, cmd.Opcode)
+		return HostResponse{}, fmt.Errorf("%w %#x", errUnknownOpcode, cmd.Opcode)
 	}
 }
 

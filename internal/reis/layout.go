@@ -177,7 +177,7 @@ func (lo *dbLayout) flat() bool { return lo.nlist() == 0 }
 // centroid code c to a member's binary code, the triangle-inequality
 // bound threshold pruning uses (a cluster's best possible distance to a
 // query is coarse distance minus radius). Both are nil for a flat one.
-func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo *dbLayout, buckets [][]SlotRange, radius []int, err error) {
+func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo *dbLayout, buckets [][]slotRange, radius []int, err error) {
 	n := len(cfg.Vectors)
 	if n == 0 {
 		return nil, nil, nil, fmt.Errorf("reis: deploy of empty database")
@@ -224,7 +224,7 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 		for c, v := range cfg.Centroids {
 			lo.centCodes[c] = vecmath.BinaryQuantize(v, nil)
 		}
-		buckets = make([][]SlotRange, len(cfg.Centroids))
+		buckets = make([][]slotRange, len(cfg.Centroids))
 		radius = make([]int, len(cfg.Centroids))
 		sorted := make([]int, n)
 		for i := range sorted {
@@ -245,7 +245,7 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 					order = append(order, -1)
 				}
 				prevCluster = c
-				buckets[c] = []SlotRange{{First: len(order)}}
+				buckets[c] = []slotRange{{First: len(order)}}
 			}
 			buckets[c][0].Last = len(order)
 			order = append(order, id)

@@ -106,7 +106,7 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 	mustSubmit(t, e, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: del}})
 	programsBefore := e.SSD.Dev.Stats.PagePrograms.Load()
 	wear := mustSubmit(t, e, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.5}}).Wear
-	if wear.CompactedRows != 1 || wear.CopiedEntries != len(survivors) || wear.PagesProgrammed != 1 {
+	if wear.CompactedRows != 1 || wear.copiedEntries != len(survivors) || wear.pagesProgrammed != 1 {
 		t.Fatalf("compaction of the tail row: %+v", wear)
 	}
 	if got := e.SSD.Dev.Stats.PagePrograms.Load() - programsBefore; got != 1 {
@@ -115,7 +115,7 @@ func TestGCOfTailRowProgramsPastIt(t *testing.T) {
 	if m.rowPhys[row] >= 0 || m.tailSlots != rowEnd+len(survivors) {
 		t.Fatalf("after the step: row on physical row %d, tail %d, want it reclaimed and tail %d", m.rowPhys[row], m.tailSlots, rowEnd+len(survivors))
 	}
-	if last := m.flatPlan[len(m.flatPlan)-1]; last != (SlotRange{First: rowEnd, Last: rowEnd + len(survivors) - 1}) {
+	if last := m.flatPlan[len(m.flatPlan)-1]; last != (slotRange{First: rowEnd, Last: rowEnd + len(survivors) - 1}) {
 		t.Fatalf("relocated run %+v, want it to start the row after the victim (%d)", last, rowEnd)
 	}
 	for id := range survivors {
@@ -416,7 +416,7 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 				}
 				plans := db.mut.buckets
 				if !ivf {
-					plans = [][]SlotRange{db.mut.flatPlan}
+					plans = [][]slotRange{db.mut.flatPlan}
 				}
 				at := map[int]uint32{}
 				for _, l := range links {
@@ -476,7 +476,7 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 			check("delete", nil, false)
 			appendBatch("append 2", c.batch2, c.b2Docs, a2)
 			wear := mustSubmit(t, h, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}).Wear
-			if wear.CopiedEntries == 0 {
+			if wear.copiedEntries == 0 {
 				t.Fatalf("%s: the compaction relocated nothing: %+v", name, wear)
 			}
 			check("compact", nil, true)

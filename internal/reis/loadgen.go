@@ -48,8 +48,6 @@ func PoissonArrivals(n int, rate float64, seed uint64) []time.Duration {
 
 // LoadResult is the outcome of one load-generator run.
 type LoadResult struct {
-	// Commands is the served command count.
-	Commands int
 	// Rate is the arrival rate of the schedule, set by callers that
 	// resolved it from a utilization target.
 	Rate float64
@@ -57,9 +55,8 @@ type LoadResult struct {
 	// command stream at this depth: every arrival at t=0, dispatcher
 	// always coalescing full groups.
 	SaturationQPS float64
-	// Makespan is the modeled time from the start of the schedule to
-	// the last completion; ModelQPS is Commands / Makespan.
-	Makespan time.Duration
+	// ModelQPS is the served command count over the modeled time from
+	// the start of the schedule to the last completion.
 	ModelQPS float64
 	// MeanBatch is the mean commands per dispatch of the replay; at
 	// low rates it sits near 1 (no queueing, nothing to coalesce) and
@@ -68,10 +65,9 @@ type LoadResult struct {
 	// MaxBacklog is the peak number of arrived-but-unserved commands.
 	MaxBacklog int
 	// P50/P95/P99/P999 are latency quantiles (completion minus
-	// arrival) from Sketch, within its relative-accuracy bound.
+	// arrival) from a LatencySketch, within its relative-accuracy
+	// bound.
 	P50, P95, P99, P999 time.Duration
-	// Sketch is the full latency distribution.
-	Sketch *LatencySketch
 }
 
 // SimulateLoad replays an arrival schedule through a virtual-time
@@ -89,7 +85,7 @@ func SimulateLoad(arrivals []time.Duration, depth int, cost func(first, n int) t
 		depth = DefaultQueueDepth
 	}
 	sketch := NewLatencySketch(accuracy)
-	res := LoadResult{Commands: len(arrivals), Sketch: sketch}
+	var res LoadResult
 	if len(arrivals) == 0 {
 		return res
 	}
@@ -121,11 +117,10 @@ func SimulateLoad(arrivals []time.Duration, depth int, cost func(first, n int) t
 		dispatches++
 		i = j
 	}
-	res.Makespan = last
 	if last > 0 {
-		res.ModelQPS = float64(res.Commands) / last.Seconds()
+		res.ModelQPS = float64(len(arrivals)) / last.Seconds()
 	}
-	res.MeanBatch = float64(res.Commands) / float64(dispatches)
+	res.MeanBatch = float64(len(arrivals)) / float64(dispatches)
 	res.P50 = sketch.Quantile(0.50)
 	res.P95 = sketch.Quantile(0.95)
 	res.P99 = sketch.Quantile(0.99)

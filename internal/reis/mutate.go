@@ -84,7 +84,7 @@ type AppendConfig struct {
 type DeleteConfig struct {
 	// IDs are the entry ids to tombstone (as reported by DocResult.ID
 	// and HostResponse.AppendedIDs). Deleting an unknown or already-
-	// deleted id fails the whole command with ErrUnknownID; no partial
+	// deleted id fails the whole command with errUnknownID; no partial
 	// deletion is applied.
 	IDs []int
 }
@@ -99,7 +99,7 @@ type CompactConfig struct {
 	// MinLiveRatio is the GC trigger: a GC row is collected when it
 	// holds deleted entries and its live/(live+deleted) ratio is below
 	// this threshold. 0 means the default of 0.5; values outside [0, 1]
-	// are rejected with ErrBadThreshold.
+	// are rejected with errBadThreshold.
 	MinLiveRatio float64
 }
 
@@ -112,8 +112,8 @@ const defaultMinLiveRatio = 0.5
 // collector, blocks erased, write amplification, and the device's
 // resulting wear skew.
 type WearStats struct {
-	// PagesProgrammed counts flash page programs issued by the command.
-	PagesProgrammed int
+	// pagesProgrammed counts flash page programs issued by the command.
+	pagesProgrammed int
 	// PagesRead counts page reads the collector issued to gather live
 	// entries.
 	PagesRead int
@@ -126,21 +126,21 @@ type WearStats struct {
 	// CompactedRows is the number of GC rows copied forward and erased
 	// (0 means the command collected nothing).
 	CompactedRows int
-	// CopiedEntries is the number of live entries copied forward.
-	CopiedEntries int
-	// FreedPages is the net page count returned to the free pool by
+	// copiedEntries is the number of live entries copied forward.
+	copiedEntries int
+	// freedPages is the net page count returned to the free pool by
 	// collection: pages of reclaimed rows minus pages programmed to
 	// copy their live entries forward.
-	FreedPages int
-	// BytesProgrammed is the database's cumulative flash traffic since
+	freedPages int
+	// bytesProgrammed is the database's cumulative flash traffic since
 	// deployment: every page program of every mutation, including GC
 	// copy-forward.
-	BytesProgrammed int64
-	// PayloadBytes is the cumulative user payload accepted since
+	bytesProgrammed int64
+	// payloadBytes is the cumulative user payload accepted since
 	// deployment (embedding slots, INT8 copies and document bytes of
 	// appended items).
-	PayloadBytes int64
-	// WriteAmp is BytesProgrammed / PayloadBytes — the write
+	payloadBytes int64
+	// WriteAmp is bytesProgrammed / payloadBytes — the write
 	// amplification factor (0 until the first append).
 	WriteAmp float64
 }
@@ -158,7 +158,7 @@ type mutState struct {
 	// posting list, the binary-region slot ranges scanned for the
 	// cluster, in scan order — seeded at deploy (planLayout), extended by
 	// appends and remapped by GC. Nil for flat databases.
-	buckets [][]SlotRange
+	buckets [][]slotRange
 
 	// radius[c] is cluster c's current binary covering radius (max
 	// Hamming distance from its centroid code, lay.centCodes[c], to any
@@ -179,8 +179,8 @@ type mutState struct {
 	// every later one reuses it, and a mutation that sets the plan drops
 	// it (setFlatPlan), so a mutation stream without pruned searches
 	// cuts nothing.
-	flatPlan   []SlotRange
-	flatRounds [][]SlotRange
+	flatPlan   []slotRange
+	flatRounds [][]slotRange
 
 	// tailSlots is the first free binary slot; appends and copy-forward
 	// steps allocate page-aligned runs from here. binPages is the live
@@ -262,7 +262,7 @@ func (m *mutState) docSlot(radr uint32) int {
 // newMutState derives the initial mutable metadata from a layout plan
 // (planned under the global, single-device-equivalent geometry) and
 // adopts the R-IVF table and covering radii planLayout seeded.
-func newMutState(lo *dbLayout, buckets [][]SlotRange, radius []int, firstFit bool) *mutState {
+func newMutState(lo *dbLayout, buckets [][]slotRange, radius []int, firstFit bool) *mutState {
 	m := &mutState{
 		lay:       lo,
 		buckets:   buckets,
@@ -277,7 +277,7 @@ func newMutState(lo *dbLayout, buckets [][]SlotRange, radius []int, firstFit boo
 	}
 	m.tlc.int8Pages.Store(int64(lo.int8Pages))
 	m.tlc.docPages.Store(int64(lo.docPages))
-	m.setFlatPlan([]SlotRange{{First: 0, Last: len(lo.order) - 1}})
+	m.setFlatPlan([]slotRange{{First: 0, Last: len(lo.order) - 1}})
 	// Deployed rows are identity-mapped; the rest of the reserved
 	// extent is the free pool. Both counts are pure functions of the
 	// plan and the global geometry, so every topology starts with the
@@ -333,10 +333,10 @@ func bitsetClear(b []uint64, i int) {
 // and the database's cumulative write-amplification figures.
 func (m *mutState) fillWear(w *WearStats, t mutTarget) {
 	w.MaxBlockErase = t.maxWear()
-	w.BytesProgrammed = m.bytesFlash
-	w.PayloadBytes = m.bytesUser
+	w.bytesProgrammed = m.bytesFlash
+	w.payloadBytes = m.bytesUser
 	if m.bytesUser > 0 {
-		w.WriteAmp = float64(w.BytesProgrammed) / float64(w.PayloadBytes)
+		w.WriteAmp = float64(w.bytesProgrammed) / float64(w.payloadBytes)
 	}
 }
 
@@ -394,7 +394,7 @@ func (m *mutState) program(t mutTarget, wear *WearStats, region regionOf, from, 
 	if err := t.writePages(region, from, to, carryOOB, render); err != nil {
 		return err
 	}
-	wear.PagesProgrammed += to - from
+	wear.pagesProgrammed += to - from
 	m.bytesFlash += int64(to-from) * int64(m.lay.pageBytes)
 	return nil
 }
@@ -450,7 +450,7 @@ func (m *mutState) writeTail(t mutTarget, runs []tailRun, cursor int, wear *Wear
 func (m *mutState) commitTail(runs []tailRun, newTail int) {
 	for _, r := range runs {
 		if !m.lay.flat() {
-			m.buckets[r.bucket] = append(m.buckets[r.bucket], SlotRange{First: r.start, Last: r.start + len(r.entries) - 1})
+			m.buckets[r.bucket] = append(m.buckets[r.bucket], slotRange{First: r.start, Last: r.start + len(r.entries) - 1})
 		}
 		for j, e := range r.entries {
 			m.posOf[e.dadr] = int32(r.start + j)
@@ -458,20 +458,20 @@ func (m *mutState) commitTail(runs []tailRun, newTail int) {
 		}
 	}
 	if len(runs) > 0 {
-		m.setFlatPlan(append(m.flatPlan, SlotRange{First: runs[0].start, Last: newTail - 1}))
+		m.setFlatPlan(append(m.flatPlan, slotRange{First: runs[0].start, Last: newTail - 1}))
 	}
 	m.tailSlots = newTail
 	m.binPages = ceilDiv(newTail, m.lay.embPerPage)
 }
 
 // setFlatPlan replaces the brute-force plan and drops its pruned rounds.
-func (m *mutState) setFlatPlan(plan []SlotRange) {
+func (m *mutState) setFlatPlan(plan []slotRange) {
 	m.flatPlan, m.flatRounds = plan, nil
 }
 
 // prunedRounds returns the brute-force plan cut into a pruned search's
 // rounds, cutting it once per plan.
-func (m *mutState) prunedRounds() [][]SlotRange {
+func (m *mutState) prunedRounds() [][]slotRange {
 	if m.flatRounds == nil {
 		m.flatRounds = chunkFlatRounds(m.flatPlan, m.lay.embPerPage, m.lay.planes)
 	}
@@ -488,7 +488,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	for i, v := range cfg.Vectors {
 		if len(v) != lay.dim {
 			return nil, nil, fmt.Errorf("%w (append vector %d has dim %d, database dim %d)",
-				ErrQueryDims, i, len(v), lay.dim)
+				errQueryDims, i, len(v), lay.dim)
 		}
 	}
 	for i, d := range cfg.Docs {
@@ -498,15 +498,15 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	}
 	if lay.flat() {
 		if len(cfg.Assign) != 0 {
-			return nil, nil, fmt.Errorf("%w (cluster assignment for a flat database)", ErrBadAssign)
+			return nil, nil, fmt.Errorf("%w (cluster assignment for a flat database)", errBadAssign)
 		}
 	} else {
 		if len(cfg.Assign) != n {
-			return nil, nil, fmt.Errorf("%w (%d assignments for %d vectors)", ErrBadAssign, len(cfg.Assign), n)
+			return nil, nil, fmt.Errorf("%w (%d assignments for %d vectors)", errBadAssign, len(cfg.Assign), n)
 		}
 		for i, c := range cfg.Assign {
 			if c < 0 || c >= nlist {
-				return nil, nil, fmt.Errorf("%w (item %d assigned to cluster %d of %d)", ErrBadAssign, i, c, nlist)
+				return nil, nil, fmt.Errorf("%w (item %d assigned to cluster %d of %d)", errBadAssign, i, c, nlist)
 			}
 		}
 	}
@@ -626,10 +626,10 @@ func mutDelete(m *mutState, ids []int) error {
 	seen := make(map[int]struct{}, len(ids))
 	for _, id := range ids {
 		if id < 0 || id >= len(m.posOf) || m.posOf[id] < 0 || bitsetGet(m.tomb, id) {
-			return fmt.Errorf("%w (%d)", ErrUnknownID, id)
+			return fmt.Errorf("%w (%d)", errUnknownID, id)
 		}
 		if _, dup := seen[id]; dup {
-			return fmt.Errorf("%w (%d repeated in one command)", ErrUnknownID, id)
+			return fmt.Errorf("%w (%d repeated in one command)", errUnknownID, id)
 		}
 		seen[id] = struct{}{}
 	}
@@ -663,18 +663,18 @@ func mutGCVictims(m *mutState, minLiveRatio float64) []int {
 
 // trimRanges removes the slot interval [first, last] from a segment
 // list, splitting partially overlapping segments.
-func trimRanges(segs []SlotRange, first, last int) []SlotRange {
-	var out []SlotRange
+func trimRanges(segs []slotRange, first, last int) []slotRange {
+	var out []slotRange
 	for _, sr := range segs {
 		if sr.Last < first || sr.First > last {
 			out = append(out, sr)
 			continue
 		}
 		if sr.First < first {
-			out = append(out, SlotRange{First: sr.First, Last: first - 1})
+			out = append(out, slotRange{First: sr.First, Last: first - 1})
 		}
 		if sr.Last > last {
-			out = append(out, SlotRange{First: last + 1, Last: sr.Last})
+			out = append(out, slotRange{First: last + 1, Last: sr.Last})
 		}
 	}
 	return out
@@ -703,7 +703,7 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	// page-aligned per cluster, so no page is read twice.
 	plans := m.buckets
 	if lay.flat() {
-		plans = [][]SlotRange{m.flatPlan}
+		plans = [][]slotRange{m.flatPlan}
 	}
 	var runs []tailRun
 	var deadIDs []uint32
@@ -758,7 +758,7 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	if cursor > rowFirst && cursor <= rowLast+1 {
 		cursor = rowLast + 1
 	}
-	programmed := wear.PagesProgrammed
+	programmed := wear.pagesProgrammed
 	newTail, err := m.writeTail(t, runs, cursor, wear)
 	if err != nil {
 		return err
@@ -788,8 +788,8 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	m.rowPhys[row] = -1
 	wear.CompactedRows++
 	for _, r := range runs {
-		wear.CopiedEntries += len(r.entries)
+		wear.copiedEntries += len(r.entries)
 	}
-	wear.FreedPages += lay.rowPages - (wear.PagesProgrammed - programmed)
+	wear.freedPages += lay.rowPages - (wear.pagesProgrammed - programmed)
 	return nil
 }

@@ -289,7 +289,7 @@ func TestCompactPreservesResults(t *testing.T) {
 
 	compact := HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.9}}
 	wear := mustSubmit(t, e, compact).Wear
-	if wear.CompactedRows == 0 || wear.BlockErases == 0 || wear.CopiedEntries == 0 {
+	if wear.CompactedRows == 0 || wear.BlockErases == 0 || wear.copiedEntries == 0 {
 		t.Fatalf("compaction did not run: %+v", wear)
 	}
 	if wear.MaxBlockErase == 0 {
@@ -319,7 +319,7 @@ func TestCompactPreservesResults(t *testing.T) {
 	}
 
 	again := mustSubmit(t, e, compact).Wear
-	if again.CompactedRows != 0 || again.BlockErases != 0 || again.PagesProgrammed != 0 {
+	if again.CompactedRows != 0 || again.BlockErases != 0 || again.pagesProgrammed != 0 {
 		t.Fatalf("compaction of a clean database not a no-op: %+v", again)
 	}
 }
@@ -367,27 +367,27 @@ func TestMutationErrors(t *testing.T) {
 		cmd  HostCommand
 		want error
 	}{
-		{"append-missing-payload", HostCommand{Opcode: OpcodeAppend, DBID: 1}, ErrMissingPayload},
-		{"append-empty", HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{}}, ErrNoItems},
+		{"append-missing-payload", HostCommand{Opcode: OpcodeAppend, DBID: 1}, errMissingPayload},
+		{"append-empty", HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{}}, errNoItems},
 		{"append-docs-mismatch", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: [][]float32{vec}}}, ErrMissingPayload},
+			Append: &AppendConfig{Vectors: [][]float32{vec}}}, errMissingPayload},
 		{"append-dim-mismatch", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: [][]float32{vec, vec[:8]}, Docs: [][]byte{doc, doc}}}, ErrQueryDims},
+			Append: &AppendConfig{Vectors: [][]float32{vec, vec[:8]}, Docs: [][]byte{doc, doc}}}, errQueryDims},
 		{"append-wrong-dim", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: [][]float32{vec[:8]}, Docs: [][]byte{doc}}}, ErrQueryDims},
+			Append: &AppendConfig{Vectors: [][]float32{vec[:8]}, Docs: [][]byte{doc}}}, errQueryDims},
 		{"append-assign-on-flat", HostCommand{Opcode: OpcodeAppend, DBID: 1,
-			Append: &AppendConfig{Vectors: [][]float32{vec}, Docs: [][]byte{doc}, Assign: []int{0}}}, ErrBadAssign},
+			Append: &AppendConfig{Vectors: [][]float32{vec}, Docs: [][]byte{doc}, Assign: []int{0}}}, errBadAssign},
 		{"append-no-assign-on-ivf", HostCommand{Opcode: OpcodeAppend, DBID: 2,
-			Append: &AppendConfig{Vectors: [][]float32{vec}, Docs: [][]byte{doc}}}, ErrBadAssign},
+			Append: &AppendConfig{Vectors: [][]float32{vec}, Docs: [][]byte{doc}}}, errBadAssign},
 		{"append-cluster-range", HostCommand{Opcode: OpcodeAppend, DBID: 2,
-			Append: &AppendConfig{Vectors: [][]float32{vec}, Docs: [][]byte{doc}, Assign: []int{99}}}, ErrBadAssign},
-		{"delete-missing-payload", HostCommand{Opcode: OpcodeDelete, DBID: 1}, ErrMissingPayload},
-		{"delete-empty", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{}}, ErrNoItems},
-		{"delete-negative", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{-1}}}, ErrUnknownID},
-		{"delete-unknown", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{1 << 20}}}, ErrUnknownID},
-		{"delete-duplicate", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{5, 5}}}, ErrUnknownID},
-		{"compact-missing-payload", HostCommand{Opcode: OpcodeCompact, DBID: 1}, ErrMissingPayload},
-		{"compact-bad-threshold", HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 1.5}}, ErrBadThreshold},
+			Append: &AppendConfig{Vectors: [][]float32{vec}, Docs: [][]byte{doc}, Assign: []int{99}}}, errBadAssign},
+		{"delete-missing-payload", HostCommand{Opcode: OpcodeDelete, DBID: 1}, errMissingPayload},
+		{"delete-empty", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{}}, errNoItems},
+		{"delete-negative", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{-1}}}, errUnknownID},
+		{"delete-unknown", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{1 << 20}}}, errUnknownID},
+		{"delete-duplicate", HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{5, 5}}}, errUnknownID},
+		{"compact-missing-payload", HostCommand{Opcode: OpcodeCompact, DBID: 1}, errMissingPayload},
+		{"compact-bad-threshold", HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 1.5}}, errBadThreshold},
 	}
 	for _, tc := range cases {
 		if _, err := e.Submit(tc.cmd); !errors.Is(err, tc.want) {
@@ -403,11 +403,11 @@ func TestMutationErrors(t *testing.T) {
 	if err := del(5); err != nil {
 		t.Fatal(err)
 	}
-	if err := del(5); !errors.Is(err, ErrUnknownID) {
+	if err := del(5); !errors.Is(err, errUnknownID) {
 		t.Fatalf("double delete: %v", err)
 	}
 	// A failed batch delete (one bad id) must apply nothing.
-	if err := del(6, 5); !errors.Is(err, ErrUnknownID) {
+	if err := del(6, 5); !errors.Is(err, errUnknownID) {
 		t.Fatalf("partial delete: %v", err)
 	}
 	if err := del(6); err != nil {
@@ -473,7 +473,7 @@ func TestMutationInvalidatesCalibration(t *testing.T) {
 		}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := h.Submit(cmd); !errors.Is(err, ErrNotCalibrated) {
+		if _, err := h.Submit(cmd); !errors.Is(err, errNotCalibrated) {
 			t.Fatalf("TargetRecall after append: %v", err)
 		}
 	}

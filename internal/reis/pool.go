@@ -29,7 +29,7 @@ type workerScratch struct {
 	// b·PlanesPerDie + pl on plane-in-die pl (runDie): PlanesPerDie
 	// arenas in a query-major round, one per (query, plane) in a
 	// page-major one.
-	arenas [][]TTLEntry
+	arenas [][]ttlEntry
 	// oob[pl] holds plane-in-die pl's sensed OOB area between the page
 	// read and the per-slot linkage decode.
 	oob [][]byte

@@ -4,7 +4,7 @@ package reis
 // (SearchOptions.Prune) the controller (controller.go) is built from:
 // the scan runs in controller-driven rounds, and after each round the
 // controller tightens a per-query distance bound — the pool-th smallest
-// live distance seen so far (pool = k × RerankFactor, the rerank-pool
+// live distance seen so far (pool = k × rerankFactor, the rerank-pool
 // size) — that the next round's GEN_DIST_PAGE commands carry. Planes
 // drop the TTL transfer of any slot whose distance is strictly above
 // the bound, and whole segments whose proven lower bound exceeds it are
@@ -96,7 +96,7 @@ func (t *boundTracker) bound() int {
 // feedTracker folds the live distances of a freshly folded entry run
 // into the tracker (tomb nil = nothing deleted). The bound it leaves is
 // the pool-th smallest distance, whatever order the run came in.
-func feedTracker(t *boundTracker, entries []TTLEntry, tomb []uint64) {
+func feedTracker(t *boundTracker, entries []ttlEntry, tomb []uint64) {
 	for i := range entries {
 		if tomb == nil || !bitsetGet(tomb, int(entries[i].DADR)) {
 			t.add(entries[i].Dist)
@@ -107,17 +107,17 @@ func feedTracker(t *boundTracker, entries []TTLEntry, tomb []uint64) {
 // rerankPool is the selection-pool size of one query — the tracker
 // capacity threshold pruning pins its bound to. Every search path bounds
 // k by maxK (checkK), so the product cannot overflow.
-func rerankPool(k int) int { return k * RerankFactor }
+func rerankPool(k int) int { return k * rerankFactor }
 
 // chunkFlatRounds splits a brute-force scan plan into rounds of
 // geometrically growing page budgets: planes pages (one full wave)
 // first, then 2×, 4×, ... A range is cut at page boundaries only, so
-// every produced SlotRange still maps to whole plane spans. The round
+// every produced slotRange still maps to whole plane spans. The round
 // boundaries depend only on the global plan, the slot geometry and the
 // global plane count — identical on every topology.
-func chunkFlatRounds(plan []SlotRange, embPerPage, planes int) [][]SlotRange {
-	var rounds [][]SlotRange
-	var cur []SlotRange
+func chunkFlatRounds(plan []slotRange, embPerPage, planes int) [][]slotRange {
+	var rounds [][]slotRange
+	var cur []slotRange
 	budget, used := planes, 0
 	flush := func() {
 		if len(cur) > 0 {
@@ -135,12 +135,12 @@ func chunkFlatRounds(plan []SlotRange, embPerPage, planes int) [][]SlotRange {
 			avail := budget - used
 			firstPage, lastPage := first/embPerPage, r.Last/embPerPage
 			if pages := lastPage - firstPage + 1; pages <= avail {
-				cur = append(cur, SlotRange{First: first, Last: r.Last})
+				cur = append(cur, slotRange{First: first, Last: r.Last})
 				used += pages
 				break
 			}
 			cut := (firstPage+avail)*embPerPage - 1
-			cur = append(cur, SlotRange{First: first, Last: cut})
+			cur = append(cur, slotRange{First: first, Last: cut})
 			used += avail
 			first = cut + 1
 		}

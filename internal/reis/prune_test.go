@@ -80,7 +80,7 @@ func TestBoundTracker(t *testing.T) {
 // only, and the rounds' union reproduces the plan exactly.
 func TestChunkFlatRounds(t *testing.T) {
 	const embPerPage, planes = 8, 4
-	cases := [][]SlotRange{
+	cases := [][]slotRange{
 		nil,
 		{{First: 0, Last: 7}}, // single page
 		{{First: 0, Last: 1199}},
@@ -90,11 +90,11 @@ func TestChunkFlatRounds(t *testing.T) {
 	for ci, plan := range cases {
 		rounds := chunkFlatRounds(plan, embPerPage, planes)
 		// Union (in order) == plan.
-		var flat []SlotRange
+		var flat []slotRange
 		for _, rd := range rounds {
 			flat = append(flat, rd...)
 		}
-		var merged []SlotRange
+		var merged []slotRange
 		for _, r := range flat {
 			if n := len(merged); n > 0 && merged[n-1].Last+1 == r.First {
 				merged[n-1].Last = r.Last

@@ -496,15 +496,15 @@ func TestHostCommandValidation(t *testing.T) {
 		cmd  HostCommand
 		want error
 	}{
-		{"unknown opcode", HostCommand{Opcode: 0x42}, ErrUnknownOpcode},
-		{"deploy without payload", HostCommand{Opcode: OpcodeDBDeploy}, ErrMissingPayload},
-		{"ivf deploy without payload", HostCommand{Opcode: OpcodeIVFDeploy}, ErrMissingPayload},
-		{"no queries", HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 5}, ErrNoQueries},
-		{"bad K", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1]}, ErrBadK},
+		{"unknown opcode", HostCommand{Opcode: 0x42}, errUnknownOpcode},
+		{"deploy without payload", HostCommand{Opcode: OpcodeDBDeploy}, errMissingPayload},
+		{"ivf deploy without payload", HostCommand{Opcode: OpcodeIVFDeploy}, errMissingPayload},
+		{"no queries", HostCommand{Opcode: OpcodeSearch, DBID: 1, K: 5}, errNoQueries},
+		{"bad K", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: testData.Queries[:1]}, errBadK},
 		{"ragged queries", HostCommand{
 			Opcode: OpcodeSearch, DBID: 1, K: 5,
 			Queries: [][]float32{testData.Queries[0], make([]float32, 7)},
-		}, ErrQueryDims},
+		}, errQueryDims},
 	}
 	q, err := e.NewQueue(QueueConfig{})
 	if err != nil {
@@ -528,7 +528,7 @@ func TestHostCommandValidation(t *testing.T) {
 	// execution with the same sentinel.
 	if _, err := e.Submit(HostCommand{
 		Opcode: OpcodeSearch, DBID: 1, K: 5, Queries: [][]float32{make([]float32, 7)},
-	}); !errors.Is(err, ErrQueryDims) {
+	}); !errors.Is(err, errQueryDims) {
 		t.Fatalf("db-dim mismatch: %v", err)
 	}
 }
@@ -541,7 +541,7 @@ func TestTargetRecallResolution(t *testing.T) {
 	deployIVF(t, e, 1, 16)
 	if _, err := e.Submit(HostCommand{
 		Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:2], K: 10, TargetRecall: 0.8,
-	}); !errors.Is(err, ErrNotCalibrated) {
+	}); !errors.Is(err, errNotCalibrated) {
 		t.Fatalf("uncalibrated TargetRecall: %v", err)
 	}
 	np, err := e.CalibrateNProbe(1, testData.Queries, testData.GroundTruth, 10, 0.8)

@@ -5,7 +5,7 @@ import (
 	"reis/internal/ssd"
 )
 
-// TTLEntry is one Temporal Top List record (Sec 4.2.1, structure C in
+// ttlEntry is one Temporal Top List record (Sec 4.2.1, structure C in
 // Fig 4): the distance, the embedding's mini-page position, and the
 // linkage addresses picked up from the OOB area during the scan.
 //
@@ -15,7 +15,7 @@ import (
 // compaction rewrites), so the order — and with it every selection
 // boundary, pruning decision and final result — is deterministic
 // across scan topologies, queue schedules and GC interleavings.
-type TTLEntry struct {
+type ttlEntry struct {
 	Dist int
 	Pos  int // embedding position in the binary region (mini-page address)
 	DADR uint32
@@ -139,7 +139,7 @@ func (s *QueryStats) Add(o QueryStats) {
 
 // DocResult is one retrieved document chunk. Result slices are sorted
 // by (Dist, ID) — the post-rerank analogue of the scan-side
-// (Dist, DADR) order on TTLEntry, and deterministic for the same
+// (Dist, DADR) order on ttlEntry, and deterministic for the same
 // reason.
 type DocResult struct {
 	// ID is the original database entry id (decoded from DADR).
@@ -150,10 +150,10 @@ type DocResult struct {
 	Doc []byte
 }
 
-// RerankFactor is the candidate-widening multiple before INT8
+// rerankFactor is the candidate-widening multiple before INT8
 // rescoring: the paper selects the "10k embeddings closest to the
 // query" before reranking to top-k (Sec 4.3.2 step 6).
-const RerankFactor = 10
+const rerankFactor = 10
 
 // SearchOptions modify a single query.
 type SearchOptions struct {
@@ -210,7 +210,7 @@ func cmpPageIdx(a, b pageIdx) int {
 // cmpTTLDistPos orders centroid entries by distance, position breaking
 // ties — a total order (positions are unique), so the unstable sort is
 // deterministic.
-func cmpTTLDistPos(a, b TTLEntry) int {
+func cmpTTLDistPos(a, b ttlEntry) int {
 	if a.Dist != b.Dist {
 		return a.Dist - b.Dist
 	}
@@ -277,7 +277,7 @@ func (r *scanRound) sense(p int, oob []byte) (flash.Address, []byte, error) {
 // bound always survive, which — together with the (Dist, DADR)
 // total-order selection downstream — is what keeps pruned results
 // bit-identical to unpruned ones.
-func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it batchItem, p int, addr flash.Address, oob []byte) error {
+func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]ttlEntry, it batchItem, p int, addr flash.Address, oob []byte) error {
 	d, db := r.d, r.db
 	plane := addr.PlaneIndex(d.SSD.Cfg.Geo)
 	if cap(sc.dists) < db.embPerPage {
@@ -336,7 +336,7 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]TTLEntry, it
 			return err
 		}
 		ps.survivors++
-		*arena = append(*arena, TTLEntry{
+		*arena = append(*arena, ttlEntry{
 			Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 		})
 	}
@@ -376,7 +376,7 @@ func resizeInts(s []int, n int) []int {
 // Pos) while DADR is stable for a document's whole lifetime — so pool
 // membership, and with it every search result, is invariant under
 // compaction.
-func quickselectTTL(es []TTLEntry, k int) {
+func quickselectTTL(es []ttlEntry, k int) {
 	if k <= 0 || k >= len(es) {
 		return
 	}
@@ -394,14 +394,14 @@ func quickselectTTL(es []TTLEntry, k int) {
 // ttlLess is the (Dist, DADR) total order of TTL entries (ids are unique
 // within a stream — every embedding slot owns one document — and,
 // unlike Pos, survive GC relocation).
-func ttlLess(a, b *TTLEntry) bool {
+func ttlLess(a, b *ttlEntry) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
 	}
 	return a.DADR < b.DADR
 }
 
-func partitionTTL(es []TTLEntry, lo, hi int) int {
+func partitionTTL(es []ttlEntry, lo, hi int) int {
 	mid := lo + (hi-lo)/2
 	if ttlLess(&es[mid], &es[lo]) {
 		es[mid], es[lo] = es[lo], es[mid]

@@ -96,12 +96,12 @@ func (sh *ShardedEngine) Shard(s int) *Engine {
 // contiguous global range is a contiguous local range: partial-page slot
 // bounds apply only when the shard owns the range's first or last global
 // page.
-func localRange(r SlotRange, s, n, embPerPage int) SlotRange {
+func localRange(r slotRange, s, n, embPerPage int) slotRange {
 	gp0, gp1 := r.First/embPerPage, r.Last/embPerPage
 	g0 := gp0 + posMod(s-gp0, n) // first owned page >= gp0
 	g1 := gp1 - posMod(gp1-s, n) // last owned page <= gp1
 	if g0 > gp1 || g1 < gp0 {
-		return SlotRange{First: 0, Last: -1}
+		return slotRange{First: 0, Last: -1}
 	}
 	first := (g0 / n) * embPerPage
 	if g0 == gp0 {
@@ -111,7 +111,7 @@ func localRange(r SlotRange, s, n, embPerPage int) SlotRange {
 	if g1 == gp1 {
 		last = (g1/n)*embPerPage + r.Last%embPerPage
 	}
-	return SlotRange{First: first, Last: last}
+	return slotRange{First: first, Last: last}
 }
 
 func posMod(a, n int) int {

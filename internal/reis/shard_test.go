@@ -199,7 +199,7 @@ func TestShardView(t *testing.T) {
 // TestShardsCalibrateAcrossCommit: a mutation that commits after a step
 // of a CalibrateNProbe sweep leaves no calibration behind — the sweep
 // measured a corpus that no longer exists — so a TargetRecall search
-// still fails with ErrNotCalibrated; an undisturbed sweep records its
+// still fails with errNotCalibrated; an undisturbed sweep records its
 // point.
 func TestShardsCalibrateAcrossCommit(t *testing.T) {
 	cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 2, Queries: testData.Queries[:2], K: 10, TargetRecall: 0.9}
@@ -225,8 +225,8 @@ func TestShardsCalibrateAcrossCommit(t *testing.T) {
 		if steps == 0 {
 			t.Fatalf("%d shard(s): the sweep ran no step", n)
 		}
-		if _, err := sh.Submit(cmd); !errors.Is(err, ErrNotCalibrated) {
-			t.Fatalf("%d shard(s): TargetRecall after a mid-sweep commit: error = %v, want ErrNotCalibrated", n, err)
+		if _, err := sh.Submit(cmd); !errors.Is(err, errNotCalibrated) {
+			t.Fatalf("%d shard(s): TargetRecall after a mid-sweep commit: error = %v, want errNotCalibrated", n, err)
 		}
 		sh.testCalibStepHook = nil
 		if _, err := sh.CalibrateNProbe(2, testData.Queries, testData.GroundTruth, 10, 0.9); err != nil {

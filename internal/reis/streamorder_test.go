@@ -33,7 +33,7 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 	query := testData.Queries[3]
 	qbits := vecmath.BinaryQuantize(query, nil)
 
-	var fine []TTLEntry
+	var fine []ttlEntry
 	bin, _, _ := db.lay.deploySlots(testData.Vectors, testData.Docs, nil)
 	code := make([]byte, db.lay.slotBytes)
 	for pos := range db.lay.order {
@@ -42,11 +42,11 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 			continue // padding
 		}
 		dist := vecmath.Hamming(qbits, vecmath.BinaryQuantize(testData.Vectors[l.dadr], nil))
-		fine = append(fine, TTLEntry{Dist: dist, Pos: pos, DADR: l.dadr, RADR: l.radr, Tag: l.tag})
+		fine = append(fine, ttlEntry{Dist: dist, Pos: pos, DADR: l.dadr, RADR: l.radr, Tag: l.tag})
 	}
-	var coarse []TTLEntry
+	var coarse []ttlEntry
 	for c, cc := range db.lay.centCodes {
-		coarse = append(coarse, TTLEntry{Dist: vecmath.Hamming(qbits, cc), Pos: c})
+		coarse = append(coarse, ttlEntry{Dist: vecmath.Hamming(qbits, cc), Pos: c})
 	}
 
 	type outcome struct {
@@ -58,7 +58,7 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 	}
 	ctl := &controller{h: &e.hostCore, db: db, scr: &e.hostCore.scr.ctrl}
 	ctl.scr.sel = growTo(ctl.scr.sel, 1)
-	consume := func(fine, coarse []TTLEntry) (o outcome) {
+	consume := func(fine, coarse []ttlEntry) (o outcome) {
 		t.Helper()
 		var tomb []uint64
 		if db.mut.deadCount > 0 {

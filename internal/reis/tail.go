@@ -52,16 +52,16 @@ func cmpRankedCand(a, b rankedCand) int { return cmpDocResult(a.DocResult, b.Doc
 // waves are counted per *global* plane (page mod total planes) — exactly
 // the plane the page occupies on the single-device reference — so wave
 // accounting matches bit for bit on every topology.
-func (c *hostCore) tail(db *rdbEntry, query []float32, entries []TTLEntry, k int, opt SearchOptions, st *QueryStats, dst *outBlocks) ([]DocResult, error) {
+func (c *hostCore) tail(db *rdbEntry, query []float32, entries []ttlEntry, k int, opt SearchOptions, st *QueryStats, dst *outBlocks) ([]DocResult, error) {
 	ts, f, planes := &c.scr.tail, &db.lay.pageFormat, c.cfg.Geo.Planes()
 	if db.mut.deadCount > 0 {
 		entries = filterTombstoned(entries, db.mut.tomb)
 	}
 	st.SelectInput += len(entries)
-	// min(k × RerankFactor, len(entries)): the product is formed only
+	// min(k × rerankFactor, len(entries)): the product is formed only
 	// when it fits the stream, so no k can overflow it.
 	pool := len(entries)
-	if k <= pool/RerankFactor {
+	if k <= pool/rerankFactor {
 		pool = rerankPool(k)
 	}
 	quickselectTTL(entries, pool)
@@ -271,7 +271,7 @@ func (o *outBlocks) serve(res []DocResult) []DocResult {
 
 // filterTombstoned compacts the entry stream in place, keeping only
 // entries whose DADR is not tombstoned.
-func filterTombstoned(es []TTLEntry, tomb []uint64) []TTLEntry {
+func filterTombstoned(es []ttlEntry, tomb []uint64) []ttlEntry {
 	out := es[:0]
 	for _, e := range es {
 		if !bitsetGet(tomb, int(e.DADR)) {

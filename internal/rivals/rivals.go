@@ -35,25 +35,25 @@ import (
 
 // ICEConfig parameterizes the ICE model.
 type ICEConfig struct {
-	// PrecisionBits is the stored precision (4 in the paper's
+	// precisionBits is the stored precision (4 in the paper's
 	// comparison).
-	PrecisionBits int
-	// EncodingOverhead is the storage/read amplification of the
+	precisionBits int
+	// encodingOverhead is the storage/read amplification of the
 	// error-tolerant format: 8x at 4-bit, 32x at 8-bit. 1 for ICE-ESP.
-	EncodingOverhead int
+	encodingOverhead int
 }
 
 // ICE returns the configuration the paper compares against.
-func ICE() ICEConfig { return ICEConfig{PrecisionBits: 4, EncodingOverhead: 8} }
+func ICE() ICEConfig { return ICEConfig{precisionBits: 4, encodingOverhead: 8} }
 
 // ICEESP returns the idealized no-encoding variant of Sec 6.4.
-func ICEESP() ICEConfig { return ICEConfig{PrecisionBits: 4, EncodingOverhead: 1} }
+func ICEESP() ICEConfig { return ICEConfig{precisionBits: 4, encodingOverhead: 1} }
 
-// ReadAmplification returns how many pages ICE reads per page of
+// readAmplification returns how many pages ICE reads per page of
 // binary (1-bit) embeddings REIS reads: the precision ratio times the
 // encoding overhead.
-func (c ICEConfig) ReadAmplification() float64 {
-	return float64(c.PrecisionBits) * float64(c.EncodingOverhead)
+func (c ICEConfig) readAmplification() float64 {
+	return float64(c.precisionBits) * float64(c.encodingOverhead)
 }
 
 // Latency models one ICE query on the given SSD: the REIS-equivalent
@@ -64,7 +64,7 @@ func (c ICEConfig) ReadAmplification() float64 {
 func (c ICEConfig) Latency(cfg ssd.Config, scanPages float64, candidates float64, entryBytes int) time.Duration {
 	geo := cfg.Geo
 	p := cfg.Flash
-	pages := scanPages * c.ReadAmplification()
+	pages := scanPages * c.readAmplification()
 	waves := pages / float64(geo.Planes())
 	if waves < 1 {
 		waves = 1
@@ -85,25 +85,25 @@ func (c ICEConfig) Latency(cfg ssd.Config, scanPages float64, candidates float64
 
 // Energy estimates the query energy: amplified page reads dominate.
 func (c ICEConfig) Energy(cfg ssd.Config, scanPages float64, total time.Duration) float64 {
-	pages := scanPages * c.ReadAmplification()
+	pages := scanPages * c.readAmplification()
 	return pages*(cfg.Flash.EnergyReadPage+cfg.Flash.EnergyBitCount) +
 		cfg.IdlePower*total.Seconds()
 }
 
 // NDSearchConfig parameterizes the NDSearch model.
 type NDSearchConfig struct {
-	// BeamWidth is the number of candidates expanded concurrently
+	// beamWidth is the number of candidates expanded concurrently
 	// (HNSW ef); hops within a beam step can read in parallel.
-	BeamWidth int
-	// DieConflictFactor derates the achievable parallelism due to the
+	beamWidth int
+	// dieConflictFactor derates the achievable parallelism due to the
 	// irregular access pattern colliding on dies/channels (Sec 3.2
 	// cites costly channel and chip conflicts). 0 < factor <= 1.
-	DieConflictFactor float64
+	dieConflictFactor float64
 }
 
 // NDSearch returns the configuration used in the Fig 11 comparison.
 func NDSearch() NDSearchConfig {
-	return NDSearchConfig{BeamWidth: 64, DieConflictFactor: 0.5}
+	return NDSearchConfig{beamWidth: 64, dieConflictFactor: 0.5}
 }
 
 // Latency models one NDSearch query: hops page reads issued in beam
@@ -112,7 +112,7 @@ func NDSearch() NDSearchConfig {
 func (c NDSearchConfig) Latency(cfg ssd.Config, hops float64) time.Duration {
 	geo := cfg.Geo
 	p := cfg.Flash
-	par := float64(c.BeamWidth) * c.DieConflictFactor
+	par := float64(c.beamWidth) * c.dieConflictFactor
 	if limit := float64(geo.Dies()); par > limit {
 		par = limit
 	}

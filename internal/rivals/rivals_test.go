@@ -7,14 +7,14 @@ import (
 )
 
 func TestICEReadAmplification(t *testing.T) {
-	if got := ICE().ReadAmplification(); got != 32 {
+	if got := ICE().readAmplification(); got != 32 {
 		t.Fatalf("ICE read amp = %v, want 32 (4-bit x 8x encoding)", got)
 	}
-	if got := ICEESP().ReadAmplification(); got != 4 {
+	if got := ICEESP().readAmplification(); got != 4 {
 		t.Fatalf("ICE-ESP read amp = %v, want 4", got)
 	}
-	eightBit := ICEConfig{PrecisionBits: 8, EncodingOverhead: 32}
-	if got := eightBit.ReadAmplification(); got != 256 {
+	eightBit := ICEConfig{precisionBits: 8, encodingOverhead: 32}
+	if got := eightBit.readAmplification(); got != 256 {
 		t.Fatalf("8-bit read amp = %v", got)
 	}
 }
@@ -63,8 +63,8 @@ func TestNDSearchLatencyGrowsWithHops(t *testing.T) {
 
 func TestNDSearchConflictsHurt(t *testing.T) {
 	cfg := ssd.SSD1()
-	smooth := NDSearchConfig{BeamWidth: 64, DieConflictFactor: 1.0}
-	rough := NDSearchConfig{BeamWidth: 64, DieConflictFactor: 0.25}
+	smooth := NDSearchConfig{beamWidth: 64, dieConflictFactor: 1.0}
+	rough := NDSearchConfig{beamWidth: 64, dieConflictFactor: 0.25}
 	if rough.Latency(cfg, 10000) <= smooth.Latency(cfg, 10000) {
 		t.Fatal("conflicts did not increase latency")
 	}
@@ -72,8 +72,8 @@ func TestNDSearchConflictsHurt(t *testing.T) {
 
 func TestNDSearchParallelismCappedByDies(t *testing.T) {
 	cfg := ssd.SSD1() // 128 dies
-	wide := NDSearchConfig{BeamWidth: 100000, DieConflictFactor: 1.0}
-	capped := NDSearchConfig{BeamWidth: cfg.Geo.Dies(), DieConflictFactor: 1.0}
+	wide := NDSearchConfig{beamWidth: 100000, dieConflictFactor: 1.0}
+	capped := NDSearchConfig{beamWidth: cfg.Geo.Dies(), dieConflictFactor: 1.0}
 	if wide.Latency(cfg, 1e6) != capped.Latency(cfg, 1e6) {
 		t.Fatal("beam parallelism not capped by die count")
 	}

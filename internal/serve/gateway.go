@@ -461,7 +461,7 @@ func (gw *Gateway) parseQueryIndexes(r *http.Request, idxs []int) ([]int, error)
 
 // Request bounds: the queries one /search/stream request may name (each
 // is a goroutine and a routed command), and the hits one query may ask
-// for — far inside what the engine itself accepts (reis.ErrBadK), so a k
+// for — far inside the K operand the engine itself accepts, so a k
 // the gateway admits is never rejected downstream.
 const (
 	maxStreamBatch = 256
@@ -650,7 +650,7 @@ func (gw *Gateway) handleStats(w http.ResponseWriter, _ *http.Request) {
 // handleHealthz is the liveness probe: 200 while serving, 503 when
 // draining or when no replica is healthy.
 func (gw *Gateway) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if gw.draining.Load() || !gw.group.Ready() {
+	if gw.draining.Load() || !gw.group.ready() {
 		gw.reject(w, "not serving")
 		return
 	}

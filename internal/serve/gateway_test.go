@@ -385,7 +385,7 @@ func TestGatewayDrain(t *testing.T) {
 	}
 	if _, err := g.Do(context.Background(), reis.HostCommand{
 		Opcode: reis.OpcodeIVFSearch, DBID: 1, Queries: svData.Queries[:1], K: 3, Opt: reis.SearchOptions{NProbe: 4},
-	}); err != ErrGroupClosed {
+	}); err != errGroupClosed {
 		t.Fatalf("group not closed after drain: %v", err)
 	}
 }

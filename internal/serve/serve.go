@@ -60,19 +60,19 @@ type Host interface {
 }
 
 var (
-	// ErrNoReplicas: NewGroup needs at least one host.
-	ErrNoReplicas = errors.New("serve: replica group needs at least one host")
-	// ErrAllSaturated: every replica (healthy and retired) rejected the
+	// errNoReplicas: NewGroup needs at least one host.
+	errNoReplicas = errors.New("serve: replica group needs at least one host")
+	// errAllSaturated: every replica (healthy and retired) rejected the
 	// command with ErrQueueFull; the wrapped error chain also matches
 	// reis.ErrQueueFull so callers keep their existing backpressure
 	// handling.
-	ErrAllSaturated = errors.New("serve: every replica queue is full")
-	// ErrDiverged: a mutation broadcast produced non-identical
+	errAllSaturated = errors.New("serve: every replica queue is full")
+	// errDiverged: a mutation broadcast produced non-identical
 	// responses across replicas — the determinism contract is broken
 	// (or the hosts were not built over the same corpus).
-	ErrDiverged = errors.New("serve: replica responses diverged")
-	// ErrGroupClosed: the group has been Closed.
-	ErrGroupClosed = errors.New("serve: group closed")
+	errDiverged = errors.New("serve: replica responses diverged")
+	// errGroupClosed: the group has been Closed.
+	errGroupClosed = errors.New("serve: group closed")
 )
 
 // Config tunes a replica group. The zero value is usable.
@@ -95,7 +95,7 @@ const (
 	// broadcastRetries bounds the roll-forward attempts per replica when
 	// a mutation broadcast fails on some members but succeeds on others:
 	// each failed member is retried up to this many times before the
-	// group declares ErrDiverged. Mutations validate before applying any
+	// group declares errDiverged. Mutations validate before applying any
 	// state, so a failed attempt leaves the replica untouched and a retry
 	// is safe.
 	broadcastRetries = 3
@@ -171,7 +171,7 @@ func NewGroup(hosts []Host, cfg Config) (*Group, error) {
 // retirement.
 func newGroup(hosts []Host, cfg Config, depth func(i int) int) (*Group, error) {
 	if len(hosts) == 0 {
-		return nil, ErrNoReplicas
+		return nil, errNoReplicas
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
@@ -197,13 +197,9 @@ func (g *Group) Replicas() int { return len(g.reps) }
 // injection).
 func (g *Group) Queue(i int) *reis.Queue { return g.reps[i].q }
 
-// Host exposes replica i's host (tests and tools; e.g. costing a
-// response with one replica's timing model).
-func (g *Group) Host(i int) Host { return g.reps[i].host }
-
-// Ready reports whether at least one replica host is healthy — the
+// ready reports whether at least one replica host is healthy — the
 // group-level liveness probe behind the gateway's health endpoint.
-func (g *Group) Ready() bool {
+func (g *Group) ready() bool {
 	g.mu.Lock()
 	if g.closed {
 		g.mu.Unlock()
@@ -311,7 +307,7 @@ func (g *Group) Do(ctx context.Context, cmd reis.HostCommand) (reis.HostResponse
 		g.noteReject(i)
 		lastErr = err
 	}
-	return reis.HostResponse{}, fmt.Errorf("%w: %w", ErrAllSaturated, lastErr)
+	return reis.HostResponse{}, fmt.Errorf("%w: %w", errAllSaturated, lastErr)
 }
 
 // stackReplicas is the group size up to which routing a command
@@ -350,7 +346,7 @@ func (g *Group) route(order []int) ([]int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.closed {
-		return nil, ErrGroupClosed
+		return nil, errGroupClosed
 	}
 	var buf [stackReplicas]routeCand
 	cands := buf[:0]
@@ -446,7 +442,7 @@ func (g *Group) broadcast(ctx context.Context, cmd reis.HostCommand) (reis.HostR
 	closed := g.closed
 	g.mu.Unlock()
 	if closed {
-		return reis.HostResponse{}, ErrGroupClosed
+		return reis.HostResponse{}, errGroupClosed
 	}
 	n := len(g.reps)
 	resps := make([]reis.HostResponse, n)
@@ -483,13 +479,13 @@ func (g *Group) broadcast(ctx context.Context, cmd reis.HostCommand) (reis.HostR
 			if errs[i] != nil {
 				return reis.HostResponse{}, fmt.Errorf(
 					"%w: replica %d still failed after %d roll-forward retries (%v)",
-					ErrDiverged, i, broadcastRetries, errs[i])
+					errDiverged, i, broadcastRetries, errs[i])
 			}
 		}
 	}
 	for i := 1; i < n; i++ {
 		if !reflect.DeepEqual(resps[i], resps[0]) {
-			return reis.HostResponse{}, fmt.Errorf("%w: opcode %#x response differs between replica 0 and %d", ErrDiverged, cmd.Opcode, i)
+			return reis.HostResponse{}, fmt.Errorf("%w: opcode %#x response differs between replica 0 and %d", errDiverged, cmd.Opcode, i)
 		}
 	}
 	g.mu.Lock()

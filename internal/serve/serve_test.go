@@ -250,12 +250,12 @@ func TestReplicaGroupMatchesSingleReplica(t *testing.T) {
 					Opcode: reis.OpcodeIVFSearch, DBID: 2,
 					Queries: svData.Queries, K: 10, Opt: reis.SearchOptions{NProbe: 4},
 				}
-				first, err := g.Host(0).Submit(probe)
+				first, err := g.reps[0].host.Submit(probe)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := 1; i < n; i++ {
-					resp, err := g.Host(i).Submit(probe)
+					resp, err := g.reps[i].host.Submit(probe)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -374,7 +374,7 @@ func TestReplicaGroupConcurrentFailover(t *testing.T) {
 // winner rejects (full depth-1 queue), the command fails over to the
 // next-least-loaded replica, a rejection streak retires the replica,
 // and draining its queue readmits it. With every queue full the group
-// refuses with an error chain matching both ErrAllSaturated and
+// refuses with an error chain matching both errAllSaturated and
 // reis.ErrQueueFull.
 func TestGroupFailoverAndRetirement(t *testing.T) {
 	hosts := []Host{newHost(t, 0, 1), newHost(t, 0, 1)}
@@ -454,8 +454,8 @@ func TestGroupFailoverAndRetirement(t *testing.T) {
 		}
 	}
 	_, err = g.Do(context.Background(), search)
-	if !errors.Is(err, ErrAllSaturated) || !errors.Is(err, reis.ErrQueueFull) {
-		t.Fatalf("saturated group returned %v, want ErrAllSaturated wrapping ErrQueueFull", err)
+	if !errors.Is(err, errAllSaturated) || !errors.Is(err, reis.ErrQueueFull) {
+		t.Fatalf("saturated group returned %v, want errAllSaturated wrapping ErrQueueFull", err)
 	}
 }
 
@@ -482,11 +482,11 @@ func TestGroupBroadcastReachesRetired(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 1, Queries: svData.Queries, K: 10}
-	r0, err := g.Host(0).Submit(probe)
+	r0, err := g.reps[0].host.Submit(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := g.Host(1).Submit(probe)
+	r1, err := g.reps[1].host.Submit(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestGroupBroadcastReachesRetired(t *testing.T) {
 
 // TestGroupBroadcastDivergence: a mutation that succeeds on one
 // replica and fails on another (here: the database exists on only one
-// host) must surface ErrDiverged, not silently return one side's
+// host) must surface errDiverged, not silently return one side's
 // answer.
 func TestGroupBroadcastDivergence(t *testing.T) {
 	e0, e1 := newHost(t, 0, 1), newHost(t, 0, 1)
@@ -514,8 +514,8 @@ func TestGroupBroadcastDivergence(t *testing.T) {
 	defer g.Close()
 	_, err = g.Submit(reis.HostCommand{Opcode: reis.OpcodeDelete, DBID: 1,
 		Del: &reis.DeleteConfig{IDs: []int{0}}})
-	if !errors.Is(err, ErrDiverged) {
-		t.Fatalf("mixed broadcast outcome returned %v, want ErrDiverged", err)
+	if !errors.Is(err, errDiverged) {
+		t.Fatalf("mixed broadcast outcome returned %v, want errDiverged", err)
 	}
 }
 
@@ -590,12 +590,12 @@ func TestBroadcastRollsForwardReplicaFailure(t *testing.T) {
 
 	// Convergence: every replica answers a direct probe identically.
 	probe := reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 1, Queries: svData.Queries, K: 10}
-	first, err := g.Host(0).Submit(probe)
+	first, err := g.reps[0].host.Submit(probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i < len(hosts); i++ {
-		got, err := g.Host(i).Submit(probe)
+		got, err := g.reps[i].host.Submit(probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -607,7 +607,7 @@ func TestBroadcastRollsForwardReplicaFailure(t *testing.T) {
 
 // TestBroadcastDivergedAfterRetriesExhausted: a replica that keeps
 // failing a mutation after every roll-forward retry leaves the group
-// divergent, and the group says so with ErrDiverged instead of
+// divergent, and the group says so with errDiverged instead of
 // pretending the mutation half-applied cleanly.
 func TestBroadcastDivergedAfterRetriesExhausted(t *testing.T) {
 	flaky := &flakyHost{Host: newHost(t, 0, 1), fails: map[uint8]int{
@@ -623,8 +623,8 @@ func TestBroadcastDivergedAfterRetriesExhausted(t *testing.T) {
 
 	_, err = g.Submit(reis.HostCommand{Opcode: reis.OpcodeAppend, DBID: 1,
 		Append: &reis.AppendConfig{Vectors: svData.Vectors[svBase:], Docs: svData.Docs[svBase:]}})
-	if !errors.Is(err, ErrDiverged) {
-		t.Fatalf("permanently failing replica: error %v, want ErrDiverged", err)
+	if !errors.Is(err, errDiverged) {
+		t.Fatalf("permanently failing replica: error %v, want errDiverged", err)
 	}
 	// The first round plus broadcastRetries roll-forward attempts.
 	if tries := 1<<20 - flaky.fails[reis.OpcodeAppend]; tries != 1+broadcastRetries {
@@ -657,7 +657,7 @@ func TestBroadcastUnanimousFailureIsPlainError(t *testing.T) {
 	if err == nil {
 		t.Fatal("unanimous failure reported success")
 	}
-	if errors.Is(err, ErrDiverged) {
+	if errors.Is(err, errDiverged) {
 		t.Fatalf("unanimous failure misreported as divergence: %v", err)
 	}
 	if !errors.Is(err, errInjected) {

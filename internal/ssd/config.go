@@ -25,10 +25,6 @@ type Config struct {
 	// Flash carries per-event NAND latency/energy parameters.
 	Flash flash.Params
 
-	// CoreGHz is the clock of the embedded controller core REIS runs
-	// its kernels on (Arm Cortex-R8 class).
-	CoreGHz float64
-
 	// CacheDRAMBytes is the slice of controller DRAM the engine may use
 	// as a caching tier above the flash scan path, one budget for both of
 	// its halves: binary pages of the most-probed IVF clusters are pinned
@@ -53,24 +49,28 @@ type Config struct {
 	// host (bytes/s) — what a CPU baseline gets when loading a dataset.
 	HostReadBandwidth float64
 
-	// ActivePower is the device's active power draw in watts; the
-	// paper reports SSDs draw ~29.7x less power than the CPU baseline.
-	ActivePower float64
 	// IdlePower is the device idle power in watts.
 	IdlePower float64
 
-	// Kernel cost constants for the embedded cores, expressed as
-	// nanoseconds per element on one core. Derived from Zsim-style
-	// estimates of quickselect/quicksort/dot-product inner loops on a
-	// Cortex-R8 at 1.5 GHz (a handful of instructions per element,
-	// DRAM-bound streaming).
-	QuickselectNsPerElem float64
-	QuicksortNsPerElem   float64 // multiplied by log2(n)
-	RerankNsPerDim       float64
 	// DRAMAccessNs is the average controller DRAM access latency used
 	// for TTL updates.
 	DRAMAccessNs float64
 }
+
+// coreGHz is the clock of the embedded controller core REIS runs its
+// kernels on (Arm Cortex-R8 class).
+const coreGHz = 1.5
+
+// Kernel cost constants for the embedded cores, expressed as
+// nanoseconds per element on one core. Derived from Zsim-style
+// estimates of quickselect/quicksort/dot-product inner loops on a
+// Cortex-R8 at 1.5 GHz (a handful of instructions per element,
+// DRAM-bound streaming).
+const (
+	quickselectNsPerElem = 6
+	quicksortNsPerElem   = 8 // multiplied by log2(n)
+	rerankNsPerDim       = 1.2
+)
 
 // SSD1 returns the cost-oriented configuration (REIS-SSD1, Table 3):
 // 8 channels, 16 dies/channel, 2 planes/die, 1.2 GB/s per channel. The
@@ -82,7 +82,7 @@ func SSD1() Config {
 		Channels:         8,
 		DiesPerChannel:   16,
 		PlanesPerDie:     2,
-		BlocksPerPlane:   64, // scaled; grown on demand by WithCapacityFor
+		BlocksPerPlane:   64, // scaled; grown on demand by withCapacityFor
 		PagesPerBlock:    64,
 		PageBytes:        16 * 1024,
 		OOBBytes:         2208,
@@ -91,16 +91,11 @@ func SSD1() Config {
 	p := flash.DefaultParams()
 	p.DieInputBandwidth = geo.ChannelBandwidth
 	return Config{
-		Name:                 "REIS-SSD1",
-		Geo:                  geo,
-		Flash:                p,
-		CoreGHz:              1.5,
-		HostReadBandwidth:    6.9e9, // PM9A3 seq read
-		ActivePower:          12.0,
-		IdlePower:            5.0,
-		QuickselectNsPerElem: 6,
-		QuicksortNsPerElem:   8,
-		RerankNsPerDim:       1.2,
+		Name:              "REIS-SSD1",
+		Geo:               geo,
+		Flash:             p,
+		HostReadBandwidth: 6.9e9, // PM9A3 seq read
+		IdlePower:         5.0,
 		// TTL inserts stream to DRAM; the per-entry cost is the entry
 		// size over DRAM bandwidth (~31-143B at ~6.4 GB/s), not a full
 		// random-access latency.
@@ -120,15 +115,14 @@ func SSD2() Config {
 	cfg.Geo.ChannelBandwidth = 2.0e9
 	cfg.Flash.DieInputBandwidth = cfg.Geo.ChannelBandwidth
 	cfg.HostReadBandwidth = 7.0e9 // Micron 9400 seq read
-	cfg.ActivePower = 14.0
 	return cfg
 }
 
-// WithCapacityFor returns a copy of cfg whose geometry holds at least
+// withCapacityFor returns a copy of cfg whose geometry holds at least
 // bytes of user data, growing BlocksPerPlane as needed. Channel, die
 // and plane counts — the quantities that determine parallelism — are
 // never changed.
-func (c Config) WithCapacityFor(bytes int64) Config {
+func (c Config) withCapacityFor(bytes int64) Config {
 	out := c
 	for out.Geo.Capacity() < bytes {
 		out.Geo.BlocksPerPlane *= 2
@@ -137,12 +131,12 @@ func (c Config) WithCapacityFor(bytes int64) Config {
 }
 
 // CoreCycleNs returns the duration of one core cycle in nanoseconds.
-func (c Config) CoreCycleNs() float64 { return 1 / c.CoreGHz }
+func (c Config) CoreCycleNs() float64 { return 1 / coreGHz }
 
 // QuickselectTime models selecting the best elements from n TTL
 // entries on one embedded core.
 func (c Config) QuickselectTime(n int) time.Duration {
-	return time.Duration(float64(n) * c.QuickselectNsPerElem * float64(time.Nanosecond))
+	return time.Duration(float64(n) * quickselectNsPerElem * float64(time.Nanosecond))
 }
 
 // QuicksortTime models sorting n entries on one embedded core.
@@ -150,13 +144,13 @@ func (c Config) QuicksortTime(n int) time.Duration {
 	if n <= 1 {
 		return 0
 	}
-	return time.Duration(float64(n) * log2(float64(n)) * c.QuicksortNsPerElem * float64(time.Nanosecond))
+	return time.Duration(float64(n) * log2(float64(n)) * quicksortNsPerElem * float64(time.Nanosecond))
 }
 
 // RerankTime models INT8 distance recomputation for n candidates of
 // the given dimensionality on one embedded core.
 func (c Config) RerankTime(n, dim int) time.Duration {
-	return time.Duration(float64(n) * float64(dim) * c.RerankNsPerDim * float64(time.Nanosecond))
+	return time.Duration(float64(n) * float64(dim) * rerankNsPerDim * float64(time.Nanosecond))
 }
 
 func log2(x float64) float64 { return math.Log2(x) }

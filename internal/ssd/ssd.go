@@ -32,7 +32,7 @@ func New(cfg Config, capacityHint int64) (*SSD, error) {
 		return nil, fmt.Errorf("ssd: OverprovisionPct %d outside [0, 400]", cfg.OverprovisionPct)
 	}
 	if capacityHint > 0 {
-		cfg = cfg.WithCapacityFor(capacityHint)
+		cfg = cfg.withCapacityFor(capacityHint)
 	}
 	dev, err := flash.NewDevice(cfg.Geo, cfg.Flash)
 	if err != nil {
@@ -88,45 +88,45 @@ func (s *SSD) AllocateRegion(pages, capPages int, mode flash.CellMode) (Region, 
 	// The block-aligned extent is the region's true reservation: its
 	// capacity covers the requested pages plus the rounding slack, all
 	// of it erased and appendable.
-	return Region{StartStripe: start, PageCount: pages, CapPages: (endStripe - start) * planes}, nil
+	return Region{StartStripe: start, PageCount: pages, capPages: (endStripe - start) * planes}, nil
 }
 
 // MapRegionRows appends physical row assignments to a row-mapped
-// region: logical rows len(RowMap)... are bound to the given physical
+// region: logical rows len(rowMap)... are bound to the given physical
 // rows of the reserved extent, making their pages addressable again.
 // The physical rows must have been reclaimed (or never mapped) and are
 // assumed erased. Row-map growth is part of the coarse FTL remap a
 // mutation commits to the region's R-DB record.
 func (s *SSD) MapRegionRows(r *Region, phys []int) error {
-	if r.RowStripes == 0 {
+	if r.rowStripes == 0 {
 		return fmt.Errorf("ssd: MapRegionRows on direct-mapped region")
 	}
-	bound := r.PhysRows(s.Cfg.Geo.Planes())
+	bound := r.physRows(s.Cfg.Geo.Planes())
 	for _, p := range phys {
 		if p < 0 || p >= bound {
 			return fmt.Errorf("ssd: physical row %d outside extent of %d rows", p, bound)
 		}
-		r.RowMap = append(r.RowMap, int32(p))
+		r.rowMap = append(r.rowMap, int32(p))
 	}
 	return nil
 }
 
 // ReclaimRegionRow erases the blocks of one logical row of a
-// row-mapped region (its RowStripes must equal PagesPerBlock, so a row
+// row-mapped region (its rowStripes must equal PagesPerBlock, so a row
 // is exactly one block per plane) and unmaps it, returning the number
 // of block erases issued. The freed physical row may later be re-bound
 // to a new logical row via MapRegionRows — this is how GC recycles
 // compacted rows into the append free pool.
 func (s *SSD) ReclaimRegionRow(r *Region, row int) (int, error) {
 	g := s.Cfg.Geo
-	if r.RowStripes != g.PagesPerBlock || r.StartStripe%g.PagesPerBlock != 0 {
+	if r.rowStripes != g.PagesPerBlock || r.StartStripe%g.PagesPerBlock != 0 {
 		return 0, fmt.Errorf("ssd: ReclaimRegionRow needs block-row mapping (stripes %d, start %d)",
-			r.RowStripes, r.StartStripe)
+			r.rowStripes, r.StartStripe)
 	}
-	if row < 0 || row >= len(r.RowMap) || r.RowMap[row] < 0 {
+	if row < 0 || row >= len(r.rowMap) || r.rowMap[row] < 0 {
 		return 0, fmt.Errorf("ssd: reclaim of unmapped row %d", row)
 	}
-	blk := r.StartStripe/g.PagesPerBlock + int(r.RowMap[row])
+	blk := r.StartStripe/g.PagesPerBlock + int(r.rowMap[row])
 	erases := 0
 	for ch := 0; ch < g.Channels; ch++ {
 		for die := 0; die < g.DiesPerChannel; die++ {
@@ -139,7 +139,7 @@ func (s *SSD) ReclaimRegionRow(r *Region, row int) (int, error) {
 			}
 		}
 	}
-	r.RowMap[row] = -1
+	r.rowMap[row] = -1
 	return erases, nil
 }
 

@@ -66,8 +66,8 @@ func TestConfigSurface(t *testing.T) {
 		want []string
 	}{
 		{"Config", reflect.TypeOf(Config{}), []string{
-			"Name", "Geo", "Flash", "CoreGHz", "CacheDRAMBytes", "OverprovisionPct", "HostReadBandwidth",
-			"ActivePower", "IdlePower", "QuickselectNsPerElem", "QuicksortNsPerElem", "RerankNsPerDim", "DRAMAccessNs",
+			"Name", "Geo", "Flash", "CacheDRAMBytes", "OverprovisionPct", "HostReadBandwidth",
+			"IdlePower", "DRAMAccessNs",
 		}},
 		{"SSD", reflect.TypeOf(SSD{}), []string{"Cfg", "Dev"}},
 	} {
@@ -86,13 +86,13 @@ func TestConfigSurface(t *testing.T) {
 func TestWithCapacityFor(t *testing.T) {
 	cfg := tinyCfg()
 	need := cfg.Geo.Capacity() * 5
-	grown := cfg.WithCapacityFor(need)
+	grown := cfg.withCapacityFor(need)
 	if grown.Geo.Capacity() < need {
 		t.Fatalf("capacity %d < %d", grown.Geo.Capacity(), need)
 	}
 	// Parallelism structure untouched.
 	if grown.Geo.Channels != cfg.Geo.Channels || grown.Geo.PlanesPerDie != cfg.Geo.PlanesPerDie {
-		t.Fatal("WithCapacityFor changed parallelism")
+		t.Fatal("withCapacityFor changed parallelism")
 	}
 }
 
@@ -147,8 +147,8 @@ func TestRegionAddressOfArithmetic(t *testing.T) {
 	if a.PlaneIndex(s.Cfg.Geo) != 1 {
 		t.Fatalf("plane = %d", a.PlaneIndex(s.Cfg.Geo))
 	}
-	if a.PageIndex(s.Cfg.Geo) != 5 {
-		t.Fatalf("page offset = %d", a.PageIndex(s.Cfg.Geo))
+	if off := a.Block*s.Cfg.Geo.PagesPerBlock + a.Page; off != 5 {
+		t.Fatalf("page offset = %d", off)
 	}
 	if _, err := r.AddressOf(s.Cfg.Geo, r.PageCount); err == nil {
 		t.Fatal("out-of-region page resolved")
@@ -201,23 +201,23 @@ func TestAllocateRegionReservesCapacity(t *testing.T) {
 	if r.PageCount != 10 {
 		t.Fatalf("live pages = %d, want 10", r.PageCount)
 	}
-	if r.Cap() < 25 {
-		t.Fatalf("capacity %d below the requested 25", r.Cap())
+	if r.capacity() < 25 {
+		t.Fatalf("capacity %d below the requested 25", r.capacity())
 	}
 	// Capacity is block-aligned: a full block-row multiple of planes.
 	planes := s.Cfg.Geo.Planes()
-	if r.Cap()%(s.Cfg.Geo.PagesPerBlock*planes) != 0 {
-		t.Fatalf("capacity %d not block-row aligned", r.Cap())
+	if r.capacity()%(s.Cfg.Geo.PagesPerBlock*planes) != 0 {
+		t.Fatalf("capacity %d not block-row aligned", r.capacity())
 	}
 	// A zero-page region with capacity starts empty but reserved.
 	empty, err := s.AllocateRegion(0, 4, flash.ModeTLC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if empty.PageCount != 0 || empty.Cap() == 0 {
-		t.Fatalf("empty reservation: pages=%d cap=%d", empty.PageCount, empty.Cap())
+	if empty.PageCount != 0 || empty.capacity() == 0 {
+		t.Fatalf("empty reservation: pages=%d cap=%d", empty.PageCount, empty.capacity())
 	}
-	if empty.StartStripe < r.StartStripe+(r.Cap()+planes-1)/planes {
+	if empty.StartStripe < r.StartStripe+(r.capacity()+planes-1)/planes {
 		t.Fatal("reservations overlap")
 	}
 }
@@ -229,13 +229,13 @@ func TestRegionSetLiveBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	planes := s.Cfg.Geo.Planes()
-	if err := r.SetLive(planes, r.Cap()); err != nil {
+	if err := r.SetLive(planes, r.capacity()); err != nil {
 		t.Fatalf("grow to capacity: %v", err)
 	}
-	if _, err := r.AddressOf(s.Cfg.Geo, r.Cap()-1); err != nil {
+	if _, err := r.AddressOf(s.Cfg.Geo, r.capacity()-1); err != nil {
 		t.Fatalf("grown page unaddressable: %v", err)
 	}
-	if err := r.SetLive(planes, r.Cap()+1); !errors.Is(err, ErrRegionFull) {
+	if err := r.SetLive(planes, r.capacity()+1); !errors.Is(err, ErrRegionFull) {
 		t.Fatalf("growth beyond capacity: error %v, want ErrRegionFull", err)
 	}
 	if err := r.SetLive(planes, -1); err == nil {
@@ -263,7 +263,7 @@ func TestOverprovisionPctValidation(t *testing.T) {
 
 func TestAllocateRegionExhaustion(t *testing.T) {
 	s := newTestSSD(t)
-	totalPages := s.Cfg.Geo.TotalPages()
+	totalPages := s.Cfg.Geo.Planes() * s.Cfg.Geo.PagesPerPlane()
 	if _, err := s.AllocateRegion(totalPages*2, 0, flash.ModeTLC); err == nil {
 		t.Fatal("over-allocation accepted")
 	}
@@ -299,16 +299,50 @@ func TestWriteReadRegionPage(t *testing.T) {
 	}
 }
 
+// planeView is the portion of a region range resident on one plane, as
+// a materialized list of region page indices (ascending): the reference
+// the allocation-free PlaneSpan form is checked against.
+type planeView struct {
+	plane    int
+	pageIdxs []int
+}
+
+// planeViewRange returns the view of region pages [first, last]
+// (inclusive, region page indices) that live on the given plane; it is
+// empty when the range skips the plane.
+func planeViewRange(r Region, planes, plane, first, last int) planeView {
+	v := planeView{plane: plane}
+	first, last = max(first, 0), min(last, r.PageCount-1)
+	for i := first; i <= last; i++ {
+		if i%planes == plane {
+			v.pageIdxs = append(v.pageIdxs, i)
+		}
+	}
+	return v
+}
+
+// planeViews splits region pages [first, last] into one view per plane,
+// omitting planes with no pages in the range, ordered by plane index.
+func planeViews(r Region, planes, first, last int) []planeView {
+	var views []planeView
+	for p := 0; p < planes; p++ {
+		if v := planeViewRange(r, planes, p, first, last); len(v.pageIdxs) > 0 {
+			views = append(views, v)
+		}
+	}
+	return views
+}
+
 func TestPlaneViewsPartitionRange(t *testing.T) {
 	r := Region{StartStripe: 0, PageCount: 37}
 	planes := 8
 	first, last := 3, 31
 	seen := map[int]int{}
-	views := r.PlaneViews(planes, first, last)
+	views := planeViews(r, planes, first, last)
 	for _, v := range views {
-		for _, i := range v.PageIdxs {
-			if i%planes != v.Plane {
-				t.Fatalf("page %d listed on plane %d", i, v.Plane)
+		for _, i := range v.pageIdxs {
+			if i%planes != v.plane {
+				t.Fatalf("page %d listed on plane %d", i, v.plane)
 			}
 			seen[i]++
 		}
@@ -329,17 +363,17 @@ func TestPlaneSpansMatchPlaneViews(t *testing.T) {
 	r := Region{StartStripe: 0, PageCount: 37}
 	for _, planes := range []int{1, 3, 8} {
 		for _, rg := range [][2]int{{0, 36}, {3, 31}, {-5, 100}, {7, 7}, {30, 12}} {
-			views := r.PlaneViews(planes, rg[0], rg[1])
+			views := planeViews(r, planes, rg[0], rg[1])
 			spans := r.AppendPlaneSpans(nil, planes, rg[0], rg[1])
 			if len(spans) != len(views) {
 				t.Fatalf("planes=%d range=%v: %d spans for %d views", planes, rg, len(spans), len(views))
 			}
 			for i, v := range views {
 				s := spans[i]
-				if s.Plane != v.Plane || s.Count != len(v.PageIdxs) || s.Stride != planes {
-					t.Fatalf("planes=%d range=%v: span %+v vs view plane=%d pages=%v", planes, rg, s, v.Plane, v.PageIdxs)
+				if s.Plane != v.plane || s.Count != len(v.pageIdxs) || s.Stride != planes {
+					t.Fatalf("planes=%d range=%v: span %+v vs view plane=%d pages=%v", planes, rg, s, v.plane, v.pageIdxs)
 				}
-				for j, p := range v.PageIdxs {
+				for j, p := range v.pageIdxs {
 					if got := s.First + j*s.Stride; got != p {
 						t.Fatalf("planes=%d range=%v plane %d: span page %d = %d, view %d", planes, rg, s.Plane, j, got, p)
 					}
@@ -351,18 +385,18 @@ func TestPlaneSpansMatchPlaneViews(t *testing.T) {
 
 func TestPlaneViewRangeClampsAndOrders(t *testing.T) {
 	r := Region{StartStripe: 0, PageCount: 10}
-	v := r.PlaneViewRange(4, 2, -5, 100)
+	v := planeViewRange(r, 4, 2, -5, 100)
 	want := []int{2, 6}
-	if len(v.PageIdxs) != len(want) {
-		t.Fatalf("pages = %v, want %v", v.PageIdxs, want)
+	if len(v.pageIdxs) != len(want) {
+		t.Fatalf("pages = %v, want %v", v.pageIdxs, want)
 	}
 	for i := range want {
-		if v.PageIdxs[i] != want[i] {
-			t.Fatalf("pages = %v, want %v", v.PageIdxs, want)
+		if v.pageIdxs[i] != want[i] {
+			t.Fatalf("pages = %v, want %v", v.pageIdxs, want)
 		}
 	}
-	if got := r.PlaneViewRange(4, 3, 0, 2); len(got.PageIdxs) != 0 {
-		t.Fatalf("plane 3 should be empty in [0,2], got %v", got.PageIdxs)
+	if got := planeViewRange(r, 4, 3, 0, 2); len(got.pageIdxs) != 0 {
+		t.Fatalf("plane 3 should be empty in [0,2], got %v", got.pageIdxs)
 	}
 }
 
@@ -380,16 +414,16 @@ func TestPlaneOrderIsChannelFirst(t *testing.T) {
 		g.BlocksPerPlane, g.PagesPerBlock = 2, 4
 		C, P, planes := g.Channels, g.PlanesPerDie, g.Planes()
 
-		seen := make([]bool, g.TotalPages())
+		seen := make([]bool, planes*g.PagesPerPlane())
 		for idx := range seen {
 			a := flash.AddressFromLinear(g, idx)
 			if !a.Valid(g) || a.LinearIndex(g) != idx {
 				t.Fatalf("%s: linear index %d -> %v -> %d", cfg.Name, idx, a, a.LinearIndex(g))
 			}
 			p := a.PlaneIndex(g)
-			if g.ChannelOf(p) != a.Channel || g.DieOf(p) != a.Die*C+a.Channel || g.DieChannel(g.DieOf(p)) != a.Channel || g.DiePlane(g.DieOf(p), a.Plane) != p {
-				t.Fatalf("%s: plane %d of %v: ChannelOf %d DieOf %d DiePlane %d",
-					cfg.Name, p, a, g.ChannelOf(p), g.DieOf(p), g.DiePlane(g.DieOf(p), a.Plane))
+			if p%C != a.Channel || g.DieOf(p) != a.Die*C+a.Channel || g.DieChannel(g.DieOf(p)) != a.Channel || g.DiePlane(g.DieOf(p), a.Plane) != p {
+				t.Fatalf("%s: plane %d of %v: DieOf %d DiePlane %d",
+					cfg.Name, p, a, g.DieOf(p), g.DiePlane(g.DieOf(p), a.Plane))
 			}
 		}
 

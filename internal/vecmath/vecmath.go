@@ -118,8 +118,8 @@ func Dot(a, b []float32) float32 {
 	return sum
 }
 
-// Norm returns the Euclidean norm of v.
-func Norm(v []float32) float32 {
+// norm returns the Euclidean norm of v.
+func norm(v []float32) float32 {
 	var sum float32
 	for _, x := range v {
 		sum += x * x
@@ -130,7 +130,7 @@ func Norm(v []float32) float32 {
 // Normalize scales v in place to unit norm. A zero vector is left
 // unchanged.
 func Normalize(v []float32) {
-	n := Norm(v)
+	n := norm(v)
 	if n == 0 {
 		return
 	}
@@ -185,12 +185,12 @@ func Hamming(a, b []uint64) int {
 	return d
 }
 
-// XorBytes writes a XOR b into dst word-wise (8 bytes at a time with a
+// xorBytes writes a XOR b into dst word-wise (8 bytes at a time with a
 // byte tail). All three slices must have the same length; dst may alias
-// a or b. This is the bulk inter-latch XOR of the flash model.
-func XorBytes(dst, a, b []byte) {
+// a or b.
+func xorBytes(dst, a, b []byte) {
 	if len(a) != len(b) || len(dst) != len(a) {
-		panic(fmt.Sprintf("vecmath: XorBytes length mismatch %d/%d/%d", len(dst), len(a), len(b)))
+		panic(fmt.Sprintf("vecmath: xorBytes length mismatch %d/%d/%d", len(dst), len(a), len(b)))
 	}
 	i := 0
 	for ; i+8 <= len(a); i += 8 {
@@ -202,8 +202,8 @@ func XorBytes(dst, a, b []byte) {
 	}
 }
 
-// PopCountBytes returns the number of set bits in b, word-wise.
-func PopCountBytes(b []byte) int {
+// popCountBytes returns the number of set bits in b, word-wise.
+func popCountBytes(b []byte) int {
 	n := 0
 	i := 0
 	for ; i+8 <= len(b); i += 8 {
@@ -234,7 +234,7 @@ func XorPopCountSlots(dst, a, b []byte, slotBytes, firstSlot, nSlots int, dists 
 		panic(fmt.Sprintf("vecmath: XorPopCountSlots bad range slot=%d n=%d slotBytes=%d len=%d dists=%d",
 			firstSlot, nSlots, slotBytes, len(a), len(dists)))
 	}
-	XorBytes(dst[:lo], a[:lo], b[:lo])
+	xorBytes(dst[:lo], a[:lo], b[:lo])
 	for s := 0; s < nSlots; s++ {
 		o, e := lo+s*slotBytes, lo+(s+1)*slotBytes
 		n := 0
@@ -250,7 +250,7 @@ func XorPopCountSlots(dst, a, b []byte, slotBytes, firstSlot, nSlots int, dists 
 		}
 		dists[s] = n
 	}
-	XorBytes(dst[hi:], a[hi:], b[hi:])
+	xorBytes(dst[hi:], a[hi:], b[hi:])
 }
 
 // XorPopCountPattern is the page kernel of the page-granular GEN_DIST
@@ -302,7 +302,7 @@ func XorPopCountPattern(page, pattern []byte, slotBytes, firstSlot, nSlots int, 
 	}
 	if i < slotBytes { // the pattern's zero padding: the slot's own bits
 		for s := range dists {
-			dists[s] += PopCountBytes(region[s*slotBytes+i : (s+1)*slotBytes])
+			dists[s] += popCountBytes(region[s*slotBytes+i : (s+1)*slotBytes])
 		}
 	}
 }

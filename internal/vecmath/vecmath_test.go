@@ -63,11 +63,11 @@ func TestDotSymmetry(t *testing.T) {
 
 func TestNormAndNormalize(t *testing.T) {
 	v := []float32{3, 4}
-	if got := Norm(v); got != 5 {
-		t.Fatalf("Norm = %v, want 5", got)
+	if got := norm(v); got != 5 {
+		t.Fatalf("norm = %v, want 5", got)
 	}
 	Normalize(v)
-	if n := Norm(v); math.Abs(float64(n)-1) > 1e-6 {
+	if n := norm(v); math.Abs(float64(n)-1) > 1e-6 {
 		t.Fatalf("norm after Normalize = %v, want 1", n)
 	}
 }
