@@ -467,7 +467,7 @@ func reconcilePlanes(t *testing.T, name string, cfg ssd.Config, dep reis.DeployC
 	defer s.Close()
 	dev := s.Engine.SSD.Dev
 	counts := func(f func(*flash.Plane) int64) []int64 {
-		n := make([]int64, dev.Geo.Planes())
+		n := make([]int64, cfg.Geo.Planes())
 		for p := range n {
 			n[p] = f(dev.Plane(p))
 		}

@@ -97,7 +97,7 @@ type DieFSM struct {
 
 // NewDieFSM wraps dev with protocol checking.
 func NewDieFSM(dev *Device) *DieFSM {
-	n := dev.Geo.Planes()
+	n := dev.geo.Planes()
 	return &DieFSM{
 		dev:      dev,
 		haveIBC:  make([]bool, n),
@@ -112,7 +112,7 @@ func (f *DieFSM) Execute(cmd Command) error {
 		if err := f.dev.ReadPage(cmd.Addr); err != nil {
 			return err
 		}
-		f.haveRead[cmd.Addr.PlaneIndex(f.dev.Geo)] = true
+		f.haveRead[cmd.Addr.PlaneIndex(f.dev.geo)] = true
 		return nil
 	case OpIBC:
 		if cmd.PlaneMask != 0 {
@@ -120,7 +120,7 @@ func (f *DieFSM) Execute(cmd Command) error {
 				return err
 			}
 			for m := cmd.PlaneMask; m != 0; m &= m - 1 {
-				f.haveIBC[f.dev.Geo.DiePlane(cmd.Die, bits.TrailingZeros64(m))] = true
+				f.haveIBC[f.dev.geo.DiePlane(cmd.Die, bits.TrailingZeros64(m))] = true
 			}
 			return nil
 		}

@@ -64,8 +64,8 @@ func (s *Stats) TotalBytesOut() int64 {
 // must be externally ordered — the REIS engine guarantees this by
 // dispatching at most one scan task per plane at a time.
 type Device struct {
-	Geo    Geometry
-	Params Params
+	geo    Geometry
+	params Params
 
 	planes []*Plane
 	// blockMode[planeIdx][block] is the cell mode each block was last
@@ -91,7 +91,9 @@ type Device struct {
 
 	// erased is what an erased page senses as (all ones) and zero what a
 	// latch holds before its first load (all zeros): one of each per
-	// device, shared read-only by every plane's latch views.
+	// device, shared read-only by every plane's latch views. Their user
+	// data also stands in for the fill of every programmed page past its
+	// stored prefix, which GenDistPage reads at the same offsets.
 	erased, zero programmed
 }
 
@@ -147,11 +149,50 @@ func (p *Plane) DistWaves() int64 {
 }
 
 // programmed is the content a page was programmed with: PageBytes of user
-// data and OOBBytes of OOB, padded with the erased state. (Two
-// allocations, not one: the allocator rounds a 16 KiB + 2208 B object up
-// by 480 bytes, which is 2 % of a deployed corpus.)
+// data and OOBBytes of OOB. Each region is held as the prefix that was
+// written, data or oob, and the fill byte of the rest, dataFill or
+// oobFill: 0xFF (erased cells) or 0x00 (padding the writer left). A
+// region that is stored whole has no rest, and its fill byte is moot.
 type programmed struct {
-	data, oob []byte
+	data, oob         []byte
+	dataFill, oobFill byte
+}
+
+// trimmed is the programmed form of a page written with data and oob, in
+// one allocation: each region, padded with 0xFF to its size (PageBytes,
+// OOBBytes), keeps only what precedes its trailing run of 0x00 or 0xFF.
+func trimmed(data, oob []byte, geo Geometry) programmed {
+	dn, dataFill := trim(data, geo.PageBytes)
+	on, oobFill := trim(oob, geo.OOBBytes)
+	buf := make([]byte, dn+on)
+	copy(buf, data[:dn])
+	copy(buf[dn:], oob[:on])
+	return programmed{data: buf[:dn:dn], oob: buf[dn:], dataFill: dataFill, oobFill: oobFill}
+}
+
+// trim takes the size-byte region that b padded with 0xFF makes and
+// returns how many of its leading bytes must be stored, and the fill
+// byte of the rest: 0x00 if the region ends in 0x00, else 0xFF.
+func trim(b []byte, size int) (int, byte) {
+	fill := byte(0xFF)
+	if len(b) == size && size > 0 && b[size-1] == 0 {
+		fill = 0
+	}
+	n := len(b)
+	for n > 0 && b[n-1] == fill {
+		n--
+	}
+	return n, fill
+}
+
+// readRegion copies bytes [off, off+len(dst)) of a region into dst: the
+// stored bytes, then the fill byte.
+func readRegion(dst, stored []byte, fill byte, off int) {
+	n := 0
+	if off < len(stored) {
+		n = copy(dst, stored[off:])
+	}
+	fillWith(dst[n:], fill)
 }
 
 // cacheLatch is the cache latch as a broadcast leaves it: slot-aligned
@@ -193,6 +234,15 @@ func (c *cacheLatch) xorCount(data []byte, pageBytes, lo, hi int) int {
 	return n
 }
 
+// xorCount is the cache latch's fail-bit count against sensing latch
+// bytes [lo, hi): the stored prefix's, then tail's (the device's shared
+// page of the prefix's fill byte) at the same offsets. Popcounts add
+// over bytes, so a slot the prefix ends inside splits there.
+func (p *Plane) xorCount(tail []byte, lo, hi int) int {
+	data, n := p.sensing.data, p.geo.PageBytes
+	return p.cache.xorCount(data, n, lo, min(hi, len(data))) + p.cache.xorCount(tail, n, max(lo, len(data)), hi)
+}
+
 // fill writes the latch's bytes into latch (PageBytes+OOBBytes).
 func (c *cacheLatch) fill(latch []byte, pageBytes int) {
 	clear(latch)
@@ -209,11 +259,11 @@ func (c *cacheLatch) fill(latch []byte, pageBytes int) {
 func (p *Plane) latches() (sensing, cache []byte) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := p.geo.PageBytes + p.geo.OOBBytes
-	sensing, cache = make([]byte, n), make([]byte, n)
-	copy(sensing, p.sensing.data)
-	copy(sensing[p.geo.PageBytes:], p.sensing.oob)
-	p.cache.fill(cache, p.geo.PageBytes)
+	n := p.geo.PageBytes
+	sensing, cache = make([]byte, n+p.geo.OOBBytes), make([]byte, n+p.geo.OOBBytes)
+	readRegion(sensing[:n], p.sensing.data, p.sensing.dataFill, 0)
+	readRegion(sensing[n:], p.sensing.oob, p.sensing.oobFill, 0)
+	p.cache.fill(cache, n)
 	return sensing, cache
 }
 
@@ -223,8 +273,8 @@ func NewDevice(geo Geometry, params Params) (*Device, error) {
 		return nil, err
 	}
 	d := &Device{
-		Geo:    geo,
-		Params: params,
+		geo:    geo,
+		params: params,
 		planes: make([]*Plane, geo.Planes()),
 		rng:    xrand.New(0xf1a5),
 	}
@@ -234,8 +284,8 @@ func NewDevice(geo Geometry, params Params) (*Device, error) {
 	d.flipSet = make([]uint64, ((geo.PageBytes+geo.OOBBytes)*8+63)/64)
 	d.zero = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
 	d.erased = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
-	fillErased(d.erased.data)
-	fillErased(d.erased.oob)
+	fillWith(d.erased.data, 0xFF)
+	fillWith(d.erased.oob, 0xFF)
 	for i := range d.planes {
 		d.planes[i] = &Plane{
 			geo:     geo,
@@ -265,35 +315,36 @@ func (d *Device) Plane(idx int) *Plane {
 // SetBlockMode soft-partitions: marks a block's cell mode before
 // programming (Sec 4.1.2 hybrid SSD design).
 func (d *Device) SetBlockMode(a Address, m CellMode) error {
-	if !a.Valid(d.Geo) {
+	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: SetBlockMode invalid address %v", a)
 	}
-	d.blockMode[a.PlaneIndex(d.Geo)][a.Block] = m
+	d.blockMode[a.PlaneIndex(d.geo)][a.Block] = m
 	return nil
 }
 
 // BlockMode reports the cell mode of the block containing a.
 func (d *Device) BlockMode(a Address) CellMode {
-	return d.blockMode[a.PlaneIndex(d.Geo)][a.Block]
+	return d.blockMode[a.PlaneIndex(d.geo)][a.Block]
 }
 
-// Program writes user data and OOB bytes to a page. data may be
-// shorter than the page; the rest reads back as 0xFF (erased cells).
+// Program writes user data and OOB bytes to a page. Either may be
+// shorter than its region; the rest reads back as 0xFF (erased cells).
+// The page keeps only the bytes before each region's trailing run of
+// 0x00 or 0xFF (see trimmed); every read serves that run from its fill
+// byte.
 func (d *Device) Program(a Address, data, oob []byte) error {
-	if !a.Valid(d.Geo) {
+	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: Program invalid address %v", a)
 	}
-	if len(data) > d.Geo.PageBytes {
-		return fmt.Errorf("flash: Program data %d bytes exceeds page size %d", len(data), d.Geo.PageBytes)
+	if len(data) > d.geo.PageBytes {
+		return fmt.Errorf("flash: Program data %d bytes exceeds page size %d", len(data), d.geo.PageBytes)
 	}
-	if len(oob) > d.Geo.OOBBytes {
-		return fmt.Errorf("flash: Program OOB %d bytes exceeds OOB size %d", len(oob), d.Geo.OOBBytes)
+	if len(oob) > d.geo.OOBBytes {
+		return fmt.Errorf("flash: Program OOB %d bytes exceeds OOB size %d", len(oob), d.geo.OOBBytes)
 	}
-	p := d.planes[a.PlaneIndex(d.Geo)]
-	idx := a.pageIndex(d.Geo)
-	page := programmed{data: make([]byte, d.Geo.PageBytes), oob: make([]byte, d.Geo.OOBBytes)}
-	fillErased(page.data[copy(page.data, data):])
-	fillErased(page.oob[copy(page.oob, oob):])
+	p := d.planes[a.PlaneIndex(d.geo)]
+	idx := a.pageIndex(d.geo)
+	page := trimmed(data, oob, d.geo)
 	p.mu.Lock()
 	p.pages[idx] = page
 	p.mu.Unlock()
@@ -304,18 +355,18 @@ func (d *Device) Program(a Address, data, oob []byte) error {
 
 // EraseBlock resets every page in the block to the erased state.
 func (d *Device) EraseBlock(a Address) error {
-	if !a.Valid(d.Geo) {
+	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: EraseBlock invalid address %v", a)
 	}
-	p := d.planes[a.PlaneIndex(d.Geo)]
-	base := a.Block * d.Geo.PagesPerBlock
+	p := d.planes[a.PlaneIndex(d.geo)]
+	base := a.Block * d.geo.PagesPerBlock
 	p.mu.Lock()
-	for pg := 0; pg < d.Geo.PagesPerBlock; pg++ {
+	for pg := 0; pg < d.geo.PagesPerBlock; pg++ {
 		delete(p.pages, base+pg)
 	}
 	p.mu.Unlock()
 	d.Stats.BlockErases.Add(1)
-	d.eraseCount[a.PlaneIndex(d.Geo)][a.Block].Add(1)
+	d.eraseCount[a.PlaneIndex(d.geo)][a.Block].Add(1)
 	return nil
 }
 
@@ -325,7 +376,7 @@ func (d *Device) EraseBlock(a Address) error {
 // every plane).
 func (d *Device) BlockMaxErase(block int) int64 {
 	var m int64
-	if block < 0 || block >= d.Geo.BlocksPerPlane {
+	if block < 0 || block >= d.geo.BlocksPerPlane {
 		return 0
 	}
 	for p := range d.eraseCount {
@@ -357,13 +408,13 @@ func (d *Device) MaxEraseCount() int64 {
 // page's programmed bytes, or of the device's erased page: nothing is
 // copied.
 func (d *Device) ReadPage(a Address) error {
-	if !a.Valid(d.Geo) {
+	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: ReadPage invalid address %v", a)
 	}
-	pl := d.planes[a.PlaneIndex(d.Geo)]
+	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
-	page, ok := pl.pages[a.pageIndex(d.Geo)]
-	switch ber := d.Params.RawBER(d.BlockMode(a)); {
+	page, ok := pl.pages[a.pageIndex(d.geo)]
+	switch ber := d.params.RawBER(d.BlockMode(a)); {
 	case !ok:
 		pl.sensing = d.erased
 	case ber <= 0:
@@ -377,15 +428,16 @@ func (d *Device) ReadPage(a Address) error {
 	return nil
 }
 
-// senseNoisy copies page into the plane's private sensing buffer and
-// makes the sensing latch a view of it, for the caller to flip bits in.
+// senseNoisy copies page, fill included, into the plane's private
+// sensing buffer and makes the sensing latch a view of it, for the
+// caller to flip bits in.
 func (p *Plane) senseNoisy(page programmed) {
 	n := p.geo.PageBytes
 	if p.noisy == nil {
 		p.noisy = make([]byte, n+p.geo.OOBBytes)
 	}
-	copy(p.noisy, page.data)
-	copy(p.noisy[n:], page.oob)
+	readRegion(p.noisy[:n], page.data, page.dataFill, 0)
+	readRegion(p.noisy[n:], page.oob, page.oobFill, 0)
 	p.sensing = programmed{data: p.noisy[:n:n], oob: p.noisy[n:]}
 }
 
@@ -402,7 +454,7 @@ func (d *Device) countRead(a Address, pl *Plane) {
 // programmed page in a's block, if its cell mode has any, and returns
 // how many bits they leave wrong (see injectErrors).
 func (d *Device) rawErrors(a Address) int {
-	ber := d.Params.RawBER(d.BlockMode(a))
+	ber := d.params.RawBER(d.BlockMode(a))
 	if ber <= 0 {
 		return 0
 	}
@@ -419,7 +471,7 @@ func (d *Device) rawErrors(a Address) int {
 // conventional path passes nil, because its ECC restores the programmed
 // content and needs only the count.
 func (d *Device) injectErrors(latch []byte, ber float64) int {
-	bitsTotal := (d.Geo.PageBytes + d.Geo.OOBBytes) * 8
+	bitsTotal := (d.geo.PageBytes + d.geo.OOBBytes) * 8
 	expected := ber * float64(bitsTotal)
 	d.rngMu.Lock()
 	n := int(expected)
@@ -457,28 +509,32 @@ func (d *Device) injectErrors(latch []byte, ber float64) int {
 // in-latch computation path (ReadPage + latch ops), which is why REIS
 // needs the zero-BER SLC-ESP partition for embeddings. It counts the read
 // and the flips the decoder fixed (Stats.ECCCorrections) and returns the
-// programmed content, or false for an erased page. What the ECC hands
-// over is that content, so the caller copies straight from it; the
-// plane's latches are left as they were (in-plane computation always
-// senses with ReadPage first, which DieFSM enforces). The caller holds
-// pl.mu and must not keep the slices past it.
-func (d *Device) senseCorrected(a Address, pl *Plane) (programmed, bool) {
-	page, ok := pl.pages[a.pageIndex(d.Geo)]
+// programmed content, the device's erased page for a page never
+// programmed. What the ECC hands over is that content, so the caller
+// copies straight from it; the plane's latches are left as they were
+// (in-plane computation always senses with ReadPage first, which DieFSM
+// enforces). The caller holds pl.mu and must not keep the slices past
+// it.
+func (d *Device) senseCorrected(a Address, pl *Plane) programmed {
+	page, ok := pl.pages[a.pageIndex(d.geo)]
 	if ok {
 		if flips := d.rawErrors(a); flips > 0 {
 			d.Stats.ECCCorrections.Add(int64(flips))
 		}
+	} else {
+		page = d.erased
 	}
 	d.countRead(a, pl)
-	return page, ok
+	return page
 }
 
-// fillErased sets b to the erased state: all ones.
-func fillErased(b []byte) {
-	if len(b) == 0 {
+// fillWith sets every byte of b to v.
+func fillWith(b []byte, v byte) {
+	if v == 0 || len(b) == 0 {
+		clear(b)
 		return
 	}
-	b[0] = 0xFF
+	b[0] = v
 	for i := 1; i < len(b); i *= 2 {
 		copy(b[i:], b[:i])
 	}
@@ -488,30 +544,26 @@ func fillErased(b []byte) {
 // conventional controller path (senseCorrected) into data and oob, grown
 // if needed.
 func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, error) {
-	if !a.Valid(d.Geo) {
+	if !a.Valid(d.geo) {
 		return nil, nil, fmt.Errorf("flash: ReadPage invalid address %v", a)
 	}
-	n := d.Geo.PageBytes
+	n := d.geo.PageBytes
 	if cap(data) < n {
 		data = make([]byte, n)
 	}
 	data = data[:n]
-	if cap(oob) < d.Geo.OOBBytes {
-		oob = make([]byte, d.Geo.OOBBytes)
+	if cap(oob) < d.geo.OOBBytes {
+		oob = make([]byte, d.geo.OOBBytes)
 	}
-	oob = oob[:d.Geo.OOBBytes]
-	pl := d.planes[a.PlaneIndex(d.Geo)]
+	oob = oob[:d.geo.OOBBytes]
+	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
-	if page, ok := d.senseCorrected(a, pl); ok {
-		copy(data, page.data)
-		copy(oob, page.oob)
-	} else {
-		fillErased(data)
-		fillErased(oob)
-	}
+	page := d.senseCorrected(a, pl)
+	readRegion(data, page.data, page.dataFill, 0)
+	readRegion(oob, page.oob, page.oobFill, 0)
 	pl.mu.Unlock()
-	d.Stats.BytesOut[a.Channel].Add(int64(n + d.Geo.OOBBytes))
-	d.Stats.ReadBytesOut[a.Channel].Add(int64(n + d.Geo.OOBBytes))
+	d.Stats.BytesOut[a.Channel].Add(int64(n + d.geo.OOBBytes))
+	d.Stats.ReadBytesOut[a.Channel].Add(int64(n + d.geo.OOBBytes))
 	return data, oob, nil
 }
 
@@ -522,27 +574,22 @@ func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, erro
 // channel — what a controller that wants a few INT8 embeddings or
 // document chunks of a page moves, and what Stats.BytesOut counts.
 func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, dst []byte) error {
-	if !a.Valid(d.Geo) {
+	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: ReadSlots invalid address %v", a)
 	}
 	if slotBytes <= 0 || len(dst) < len(slots)*slotBytes {
 		return fmt.Errorf("flash: ReadSlots buffer %dB short of %d slots of %dB", len(dst), len(slots), slotBytes)
 	}
 	for _, s := range slots {
-		if s < 0 || (s+1)*slotBytes > d.Geo.PageBytes {
+		if s < 0 || (s+1)*slotBytes > d.geo.PageBytes {
 			return fmt.Errorf("flash: ReadSlots slot %d of %dB out of page", s, slotBytes)
 		}
 	}
-	pl := d.planes[a.PlaneIndex(d.Geo)]
+	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
-	page, ok := d.senseCorrected(a, pl)
+	page := d.senseCorrected(a, pl)
 	for i, s := range slots {
-		rec := dst[i*slotBytes : (i+1)*slotBytes]
-		if ok {
-			copy(rec, page.data[s*slotBytes:])
-		} else {
-			fillErased(rec)
-		}
+		readRegion(dst[i*slotBytes:(i+1)*slotBytes], page.data, page.dataFill, s*slotBytes)
 	}
 	pl.mu.Unlock()
 	d.Stats.BytesOut[a.Channel].Add(int64(len(slots) * slotBytes))
@@ -563,7 +610,7 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 		return err
 	}
 	d.fillCache(planeIdx, pattern, slotBytes)
-	d.countIBCLoad(d.Geo.channelOf(planeIdx))
+	d.countIBCLoad(d.geo.channelOf(planeIdx))
 	return nil
 }
 
@@ -578,17 +625,17 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 // nothing is counted; the call only materialises the latches of planes
 // the earlier load's mask left unfilled.
 func (d *Device) loadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
-	if die < 0 || die >= d.Geo.Dies() || mask == 0 || mask>>uint(d.Geo.PlanesPerDie) != 0 {
+	if die < 0 || die >= d.geo.Dies() || mask == 0 || mask>>uint(d.geo.PlanesPerDie) != 0 {
 		return fmt.Errorf("flash: loadCacheDie invalid die %d mask %#x", die, mask)
 	}
 	if err := d.checkPattern(pattern, slotBytes); err != nil {
 		return err
 	}
 	for m := mask; m != 0; m &= m - 1 {
-		d.fillCache(d.Geo.DiePlane(die, bits.TrailingZeros64(m)), pattern, slotBytes)
+		d.fillCache(d.geo.DiePlane(die, bits.TrailingZeros64(m)), pattern, slotBytes)
 	}
 	if !held {
-		d.countIBCLoad(d.Geo.DieChannel(die))
+		d.countIBCLoad(d.geo.DieChannel(die))
 	}
 	return nil
 }
@@ -605,7 +652,7 @@ func (d *Device) checkPattern(pattern []byte, slotBytes int) error {
 // (Sec 4.3.2) — the bytes the timing model charges per load.
 func (d *Device) countIBCLoad(channel int) {
 	d.Stats.IBCLoads.Add(1)
-	d.Stats.BytesIn[channel].Add(int64(d.Geo.PageBytes))
+	d.Stats.BytesIn[channel].Add(int64(d.geo.PageBytes))
 }
 
 // fillCache fills one plane's cache latch with slot-aligned copies of
@@ -638,7 +685,7 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	}
 	lo := firstSlot * slotBytes
 	hi := lo + nSlots*slotBytes
-	if slotBytes <= 0 || firstSlot < 0 || nSlots <= 0 || hi > d.Geo.PageBytes {
+	if slotBytes <= 0 || firstSlot < 0 || nSlots <= 0 || hi > d.geo.PageBytes {
 		return fmt.Errorf("flash: GenDistPage slots [%d,%d) of %dB out of page", firstSlot, firstSlot+nSlots, slotBytes)
 	}
 	if len(dists) < nSlots {
@@ -646,11 +693,29 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	}
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	if pl.cache.slot == slotBytes {
-		vecmath.XorPopCountPattern(pl.sensing.data, pl.cache.pat, slotBytes, firstSlot, nSlots, dists)
+	// The sensed page stores a prefix of its user data; its fill is read
+	// at the same offsets of the device's shared page of the fill byte.
+	tail := d.zero.data
+	if pl.sensing.dataFill != 0 {
+		tail = d.erased.data
+	}
+	if stored := len(pl.sensing.data); pl.cache.slot == slotBytes {
+		// The slots wholly in the prefix, the one the prefix ends inside,
+		// and the slots wholly in the fill.
+		in := min(nSlots, max(0, stored/slotBytes-firstSlot))
+		past := min(nSlots, max(in, (stored+slotBytes-1)/slotBytes-firstSlot))
+		if in > 0 {
+			vecmath.XorPopCountPattern(pl.sensing.data, pl.cache.pat, slotBytes, firstSlot, in, dists)
+		}
+		if past > in {
+			dists[in] = pl.xorCount(tail, lo+in*slotBytes, lo+past*slotBytes)
+		}
+		if past < nSlots {
+			vecmath.XorPopCountPattern(tail, pl.cache.pat, slotBytes, firstSlot+past, nSlots-past, dists[past:])
+		}
 	} else {
 		for s := range nSlots {
-			dists[s] = pl.cache.xorCount(pl.sensing.data, d.Geo.PageBytes, lo+s*slotBytes, lo+(s+1)*slotBytes)
+			dists[s] = pl.xorCount(tail, lo+s*slotBytes, lo+(s+1)*slotBytes)
 		}
 	}
 	pl.distWaves++
@@ -688,13 +753,13 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 	if planeIdx < 0 || planeIdx >= len(d.planes) {
 		return nil, fmt.Errorf("flash: ReadOOB invalid plane %d", planeIdx)
 	}
-	if cap(buf) < d.Geo.OOBBytes {
-		buf = make([]byte, d.Geo.OOBBytes)
+	if cap(buf) < d.geo.OOBBytes {
+		buf = make([]byte, d.geo.OOBBytes)
 	}
-	buf = buf[:d.Geo.OOBBytes]
+	buf = buf[:d.geo.OOBBytes]
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	copy(buf, pl.sensing.oob)
+	readRegion(buf, pl.sensing.oob, pl.sensing.oobFill, 0)
 	pl.mu.Unlock()
 	return buf, nil
 }
@@ -702,7 +767,7 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 // transferOut accounts an outbound transfer of n bytes on the
 // channel serving planeIdx (TTL entries moving to controller DRAM).
 func (d *Device) transferOut(planeIdx, n int) {
-	d.Stats.BytesOut[d.Geo.channelOf(planeIdx)].Add(int64(n))
+	d.Stats.BytesOut[d.geo.channelOf(planeIdx)].Add(int64(n))
 }
 
 // ResetStats zeroes all counters.

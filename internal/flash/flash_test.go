@@ -242,7 +242,7 @@ func TestTLCLatchPathSeesRawErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	flips := 0
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	for i := 0; i < 50; i++ {
 		if err := d.ReadPage(a); err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestIBCFillsAllSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, cache := d.Plane(3).latches()
-	for off := 0; off+4 <= d.Geo.PageBytes; off += 4 {
+	for off := 0; off+4 <= d.geo.PageBytes; off += 4 {
 		if cache[off] != 0xDE || cache[off+1] != 0xAD {
 			t.Fatalf("slot at %d not filled", off)
 		}
@@ -336,7 +336,7 @@ func TestXORComputesHammingDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	fsm := NewDieFSM(d)
 	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: vecmath.PackBinaryBytes(qc, nil), SlotBytes: slotBytes})
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
@@ -359,7 +359,7 @@ func TestXORPreservesOOB(t *testing.T) {
 	if err := d.Program(a, []byte{0xFF}, []byte{0x42, 0x43}); err != nil {
 		t.Fatal(err)
 	}
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	fsm := NewDieFSM(d)
 	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xFF}, SlotBytes: 1})
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
@@ -439,7 +439,7 @@ func TestCommandSetProtocolOrdering(t *testing.T) {
 	if err := d.Program(a, query, nil); err != nil {
 		t.Fatal(err)
 	}
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	dists := make([]int, 1)
 
 	// GEN_DIST_PAGE before IBC must fail.
@@ -479,7 +479,7 @@ func TestCommandSetReadInvalidatesXOR(t *testing.T) {
 	if err := d.Program(b, []byte{0x0F, 0, 0, 0}, nil); err != nil {
 		t.Fatal(err)
 	}
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	dists := make([]int, 1)
 	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xF0}, SlotBytes: 4})
 	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
@@ -516,7 +516,7 @@ func TestCommandSetRejectsPlaneOutOfRange(t *testing.T) {
 	d := testDevice(t)
 	fsm := NewDieFSM(d)
 	before := d.Stats.TotalBytesOut()
-	for _, plane := range []int{-1, d.Geo.Planes()} {
+	for _, plane := range []int{-1, d.geo.Planes()} {
 		if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: make([]int, 1)}); err == nil {
 			t.Errorf("GEN_DIST_PAGE on plane %d accepted", plane)
 		}
@@ -568,7 +568,7 @@ func TestReadPageFillsSensingLatch(t *testing.T) {
 	if err := d.ReadPage(a); err != nil {
 		t.Fatal(err)
 	}
-	sensing, _ := d.planes[a.PlaneIndex(d.Geo)].latches()
+	sensing, _ := d.planes[a.PlaneIndex(d.geo)].latches()
 	if s1 := sensing[8:16]; !bytes.Equal(s1, page[8:]) {
 		t.Fatalf("slot 1 = %x", s1)
 	}
@@ -579,7 +579,7 @@ func TestReadPageFillsSensingLatch(t *testing.T) {
 // the bytes the timing model charges per load — on the plane's channel.
 func TestIBCLoadCountsALatch(t *testing.T) {
 	d := testDevice(t)
-	g := d.Geo
+	g := d.geo
 	plane := (Address{Channel: 1, Die: 1, Plane: 0}).PlaneIndex(g)
 	if err := d.LoadCache(plane, []byte{0xDE, 0xAD}, 4); err != nil {
 		t.Fatal(err)
@@ -596,7 +596,7 @@ func TestIBCLoadCountsALatch(t *testing.T) {
 // named planes go on to GEN_DIST_PAGE.
 func TestIBCDieBroadcast(t *testing.T) {
 	d := testDevice(t)
-	g := d.Geo
+	g := d.geo
 	fsm := NewDieFSM(d)
 	die := g.DieOf((Address{Channel: 1, Die: 1}).PlaneIndex(g))
 	p0, p1 := g.DiePlane(die, 0), g.DiePlane(die, 1)

@@ -17,11 +17,11 @@ func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieF
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0}
 	rng := xrand.New(0xabcdef)
-	data := make([]byte, d.Geo.PageBytes)
+	data := make([]byte, d.geo.PageBytes)
 	for i := range data {
 		data[i] = byte(rng.Intn(256))
 	}
-	oob := make([]byte, d.Geo.OOBBytes)
+	oob := make([]byte, d.geo.OOBBytes)
 	for i := range oob {
 		oob[i] = byte(rng.Intn(256))
 	}
@@ -32,7 +32,7 @@ func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieF
 		t.Fatal(err)
 	}
 	f := NewDieFSM(d)
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	mustExec(t, f, Command{Op: OpIBC, Plane: plane, Query: pattern, SlotBytes: slotBytes})
 	mustExec(t, f, Command{Op: OpReadPage, Addr: a})
 	return d, f, a, data, oob
@@ -86,8 +86,8 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	const slotBytes = 64
 	pattern := bytes.Repeat([]byte{0xA5, 0x3C}, slotBytes/2)
 	d, f, a, data, oob := pageEquivSetup(t, slotBytes, pattern)
-	plane := a.PlaneIndex(d.Geo)
-	slots := d.Geo.PageBytes / slotBytes
+	plane := a.PlaneIndex(d.geo)
+	slots := d.geo.PageBytes / slotBytes
 	firstSlot, nSlots := 2, slots-5 // partial range, like a boundary page
 
 	want := make([]int, nSlots)
@@ -108,7 +108,7 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	if w := (statsSnapshot{latchXORs: 1, bitCounts: int64(nSlots)}); delta != w {
 		t.Fatalf("one wave counted %+v, want %+v", delta, w)
 	}
-	p := d.Params
+	p := d.params
 	if e, w := energyOf(delta, p), p.EnergyLatchXOR+float64(nSlots)*p.EnergyBitCount; e != w {
 		t.Fatalf("one wave costs %g J, want one latch XOR and %d bit counts, %g J", e, nSlots, w)
 	}
@@ -131,7 +131,7 @@ func TestGenDistPageProtocol(t *testing.T) {
 	d := testDevice(t)
 	f := NewDieFSM(d)
 	a := Address{Block: 0, Page: 0}
-	plane := a.PlaneIndex(d.Geo)
+	plane := a.PlaneIndex(d.geo)
 	dists := make([]int, 8)
 
 	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
@@ -142,7 +142,7 @@ func TestGenDistPageProtocol(t *testing.T) {
 		t.Fatal("GEN_DIST_PAGE before page read accepted")
 	}
 	mustExec(t, f, Command{Op: OpReadPage, Addr: a})
-	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: d.Geo.PageBytes, Dists: dists}); err == nil {
+	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: d.geo.PageBytes, Dists: dists}); err == nil {
 		t.Fatal("out-of-page slot range accepted")
 	}
 	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 9, Dists: dists}); err == nil {

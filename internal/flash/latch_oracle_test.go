@@ -67,7 +67,7 @@ func (r *refDevice) program(a Address, data, oob []byte) error {
 		return fmt.Errorf("bad program")
 	}
 	page := make([]byte, r.latchLen())
-	fillErased(page)
+	fillWith(page, 0xFF)
 	copy(page, data)
 	copy(page[r.geo.PageBytes:], oob)
 	r.pages[a.PlaneIndex(r.geo)][a.pageIndex(r.geo)] = page
@@ -101,7 +101,7 @@ func (r *refDevice) readPage(a Address) error {
 			r.injectErrors(r.sensing[p], ber)
 		}
 	} else {
-		fillErased(r.sensing[p])
+		fillWith(r.sensing[p], 0xFF)
 	}
 	m := r.mode[p][a.Block]
 	r.stats.PageReads.Add(1)
@@ -124,6 +124,49 @@ func (r *refDevice) injectErrors(latch []byte, ber float64) {
 		latch[bit>>3] ^= 1 << uint(bit&7)
 	}
 	r.stats.BitErrorsInjected.Add(int64(n))
+}
+
+// conventional is the sense of the conventional controller path: the
+// programmed page, or all ones for an erased one, whatever raw errors
+// the sense drew — the ECC fixes them and counts the bits they left
+// wrong.
+func (r *refDevice) conventional(a Address) []byte {
+	p, m := a.PlaneIndex(r.geo), r.mode[a.PlaneIndex(r.geo)][a.Block]
+	page, ok := r.pages[p][a.pageIndex(r.geo)]
+	if !ok {
+		page = make([]byte, r.latchLen())
+		fillWith(page, 0xFF)
+	} else if ber := r.params.RawBER(m); ber > 0 {
+		noisy := bytes.Clone(page)
+		r.injectErrors(noisy, ber)
+		flips := 0
+		for i := range noisy {
+			flips += bits.OnesCount8(noisy[i] ^ page[i])
+		}
+		r.stats.ECCCorrections.Add(int64(flips))
+	}
+	r.stats.PageReads.Add(1)
+	r.stats.PageReadsByMode[m].Add(1)
+	r.senses[p][m]++
+	return page
+}
+
+func (r *refDevice) readPageInto(a Address) (data, oob []byte) {
+	page := r.conventional(a)
+	r.stats.BytesOut[a.Channel].Add(int64(len(page)))
+	r.stats.ReadBytesOut[a.Channel].Add(int64(len(page)))
+	return page[:r.geo.PageBytes], page[r.geo.PageBytes:]
+}
+
+func (r *refDevice) readSlots(a Address, slotBytes int, slots []int) []byte {
+	page := r.conventional(a)
+	var recs []byte
+	for _, s := range slots {
+		recs = append(recs, page[s*slotBytes:(s+1)*slotBytes]...)
+	}
+	r.stats.BytesOut[a.Channel].Add(int64(len(recs)))
+	r.stats.ReadBytesOut[a.Channel].Add(int64(len(recs)))
+	return recs
 }
 
 func (r *refDevice) validPattern(pattern []byte, slotBytes int) bool {
@@ -262,7 +305,7 @@ func newLatchRun(t *testing.T, seed uint64, esp bool) *latchRun {
 var slotWidths = []int{8, 16, 24, 32, 64, 96, 100}
 
 func (lr *latchRun) addr() Address {
-	g := lr.dev.Geo
+	g := lr.dev.geo
 	return AddressFromLinear(g, lr.rng.Intn(g.Planes()*g.BlocksPerPlane*g.PagesPerBlock))
 }
 
@@ -297,7 +340,7 @@ func (lr *latchRun) sameErr(got, want error) {
 // do runs one random command on both sides and compares what it
 // returns.
 func (lr *latchRun) do() {
-	g, r := lr.dev.Geo, lr.rng
+	g, r := lr.dev.geo, lr.rng
 	plane := r.Intn(g.Planes())
 	switch op := r.Intn(10); op {
 	case 0, 1: // program a page, some of it, with some OOB
@@ -366,7 +409,7 @@ func (lr *latchRun) do() {
 // reference's data latch is held only through the distances a wave
 // counts from it: no command of the device reads it.
 func (lr *latchRun) check() {
-	for p := range lr.dev.Geo.Planes() {
+	for p := range lr.dev.geo.Planes() {
 		pl := lr.dev.Plane(p)
 		sensing, cache := pl.latches()
 		for _, l := range []struct {
@@ -441,5 +484,107 @@ func FuzzLatchesMatchEagerReference(f *testing.F) {
 	f.Add(uint64(7))
 	f.Fuzz(func(t *testing.T, seed uint64) {
 		newLatchRun(t, seed, false).run(300)
+	})
+}
+
+// writeWithRun draws an n-byte write whose last run bytes (at most n)
+// are fill and the byte before them something else, so the write ends
+// in a run of exactly that length.
+func (lr *latchRun) writeWithRun(n, run int, fill byte) []byte {
+	b := lr.randBytes(n)
+	run = min(run, n)
+	fillWith(b[n-run:], fill)
+	if n > run {
+		b[n-run-1] = 0x5A
+	}
+	return b
+}
+
+// equal fails the run if got and want differ, naming what was read.
+func (lr *latchRun) equal(what string, got, want []byte) {
+	lr.what = what
+	if !bytes.Equal(got, want) {
+		lr.t.Fatalf("%s: %d bytes differ from the reference's %d", what, len(got), len(want))
+	}
+}
+
+// FuzzTrimmedPageReads programs one page whose data and OOB end in runs
+// of 0x00 or 0xFF — lengths, run lengths and fill bytes fuzzed — on an
+// SLC-ESP block and on a TLC block, whose senses draw raw bit errors,
+// and holds every read of it to the eager full-page reference byte for
+// byte and count for count: the sensing latch after a sense, distances
+// over every slot at the broadcast's width (fuzzed) and at another, the
+// OOB in the latch, a whole-page read and a read of every slot record.
+// The committed seeds cover empty writes, all-zero and all-ones pages,
+// pages that end in no run, and prefixes that end inside a slot of a
+// width that does not divide the page.
+func FuzzTrimmedPageReads(f *testing.F) {
+	// seed, data length and run, OOB length and run, fills (bit 0: the
+	// data run is 0xFF, bit 1: the OOB run), slot width - 1
+	f.Add(uint64(1), uint16(0), uint16(0), uint16(0), uint16(0), uint8(0), uint8(23))
+	f.Add(uint64(2), uint16(2048), uint16(2048), uint16(128), uint16(128), uint8(0), uint8(31))
+	f.Add(uint64(3), uint16(2048), uint16(2048), uint16(128), uint16(128), uint8(3), uint8(31))
+	f.Add(uint64(4), uint16(2048), uint16(0), uint16(128), uint16(0), uint8(1), uint8(63))
+	f.Add(uint64(5), uint16(2048), uint16(1000), uint16(128), uint16(40), uint8(2), uint8(99))
+	f.Add(uint64(6), uint16(1500), uint16(300), uint16(60), uint16(60), uint8(1), uint8(23))
+	f.Fuzz(func(t *testing.T, seed uint64, dataLen, dataRun, oobLen, oobRun uint16, fills, slot uint8) {
+		lr := newLatchRun(t, seed, false)
+		g := lr.dev.geo
+		fill := func(bit uint8) byte { return -(fills >> bit & 1) } // 0xFF where the bit is set
+		data := lr.writeWithRun(int(dataLen)%(g.PageBytes+1), int(dataRun), fill(0))
+		oob := lr.writeWithRun(int(oobLen)%(g.OOBBytes+1), int(oobRun), fill(1))
+		sb := 1 + int(slot)
+		other := slotWidths[int(seed%uint64(len(slotWidths)))]
+		if other == sb {
+			other++
+		}
+		all := make([]int, g.PageBytes/sb)
+		for s := range all {
+			all[s] = s
+		}
+		recs := make([]byte, len(all)*sb)
+		for _, block := range []int{0, 1} { // SLC-ESP, then TLC
+			a := AddressFromLinear(g, int(seed%uint64(g.Planes()*g.BlocksPerPlane*g.PagesPerBlock)))
+			a.Block = block
+			plane := a.PlaneIndex(g)
+			lr.what = fmt.Sprintf("Program(%v, %dB, %dB OOB)", a, len(data), len(oob))
+			lr.sameErr(lr.dev.Program(a, data, oob), lr.ref.program(a, data, oob))
+			lr.what = fmt.Sprintf("ReadPage(%v)", a)
+			lr.sameErr(lr.dev.ReadPage(a), lr.ref.readPage(a))
+			lr.check()
+
+			pat := lr.drawPattern(sb)
+			lr.sameErr(lr.dev.LoadCache(plane, pat, sb), lr.ref.loadCache(plane, pat, sb))
+			for _, w := range []int{sb, other} {
+				n := g.PageBytes / w
+				got, want := lr.dists[0][:n], lr.dists[1][:n]
+				lr.what = fmt.Sprintf("GenDistPage(%d, %d, 0, %d) over %v", plane, w, n, a)
+				lr.sameErr(lr.dev.GenDistPage(plane, w, 0, n, got, 0), lr.ref.genDistPage(plane, w, 0, n, want, 0))
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s: distances %v, reference %v", lr.what, got, want)
+				}
+			}
+			gotOOB, err := lr.dev.ReadOOB(plane, nil)
+			wantOOB, wantErr := lr.ref.readOOB(plane)
+			lr.sameErr(err, wantErr)
+			lr.equal(fmt.Sprintf("ReadOOB(%d) of %v", plane, a), gotOOB, wantOOB)
+
+			gotData, gotOOB, err := lr.dev.ReadPageInto(a, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantData, wantOOB := lr.ref.readPageInto(a)
+			lr.equal(fmt.Sprintf("ReadPageInto(%v) data", a), gotData, wantData)
+			lr.equal(fmt.Sprintf("ReadPageInto(%v) OOB", a), gotOOB, wantOOB)
+
+			if err := lr.dev.ReadSlots(a, sb, all, recs); err != nil {
+				t.Fatal(err)
+			}
+			lr.equal(fmt.Sprintf("ReadSlots(%v, %d, all %d)", a, sb, len(all)), recs, lr.ref.readSlots(a, sb, all))
+			lr.check()
+		}
+		if lr.dev.Stats.BitErrorsInjected.Load() == 0 {
+			t.Fatal("the TLC senses drew no raw bit error")
+		}
 	})
 }

@@ -64,3 +64,43 @@ func TestDeviceResidentMemory(t *testing.T) {
 	t.Logf("live heap of the device after the waves: %d bytes", int64(liveHeap())-int64(before))
 	runtime.KeepAlive(d)
 }
+
+// TestProgrammedPageMemory guards what a programmed page keeps: pages
+// written as a 4 KiB prefix of data zero-padded to the 16 KiB page, with
+// 32 B of OOB, must hold their 4,128 stored bytes and no more than size
+// classes and the page map add. The bound per page is the stored bytes
+// plus a quarter (Go's size classes round a 4,128-byte object up to
+// 4,864 B) plus 256 B for the page's map entry: 5,416 B, where a page
+// that kept whole page buffers would hold 18,688 B.
+func TestProgrammedPageMemory(t *testing.T) {
+	const pages, prefix, oobBytes = 512, 4096, 32
+	geo := Geometry{
+		Channels: 1, DiesPerChannel: 1, PlanesPerDie: 2,
+		BlocksPerPlane: 16, PagesPerBlock: 16,
+		PageBytes: 16 * 1024, OOBBytes: 2208, ChannelBandwidth: 1.2e9,
+	}
+	d, err := NewDevice(geo, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, oob := make([]byte, geo.PageBytes), make([]byte, oobBytes)
+	for i := range prefix {
+		data[i] = byte(i%251 + 1)
+	}
+	for i := range oob {
+		oob[i] = byte(i + 1)
+	}
+	before := liveHeap()
+	for i := range pages {
+		if err := d.Program(AddressFromLinear(geo, i), data, oob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	grew := int64(liveHeap()) - int64(before)
+	const stored = prefix + oobBytes
+	if limit := int64(pages * (stored + stored/4 + 256)); grew > limit {
+		t.Fatalf("%d pages of %d stored bytes each hold %d bytes of live heap (%d a page), limit %d", pages, stored, grew, grew/pages, limit)
+	}
+	t.Logf("%d programmed pages hold %d bytes of live heap, %d a page", pages, grew, grew/pages)
+	runtime.KeepAlive(d)
+}

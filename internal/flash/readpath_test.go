@@ -12,11 +12,11 @@ import (
 // as a latch would hold it: data, then OOB.
 func randomPage(t testing.TB, d *Device, r *xrand.RNG, a Address) []byte {
 	t.Helper()
-	page := make([]byte, d.Geo.PageBytes+d.Geo.OOBBytes)
+	page := make([]byte, d.geo.PageBytes+d.geo.OOBBytes)
 	for i := range page {
 		page[i] = byte(r.Uint64())
 	}
-	if err := d.Program(a, page[:d.Geo.PageBytes], page[d.Geo.PageBytes:]); err != nil {
+	if err := d.Program(a, page[:d.geo.PageBytes], page[d.geo.PageBytes:]); err != nil {
 		t.Fatal(err)
 	}
 	return page
@@ -29,11 +29,11 @@ func randomPage(t testing.TB, d *Device, r *xrand.RNG, a Address) []byte {
 func TestFlipCountIsLatchDiff(t *testing.T) {
 	d := testDevice(t)
 	r := xrand.New(11)
-	latch := make([]byte, d.Geo.PageBytes+d.Geo.OOBBytes)
+	latch := make([]byte, d.geo.PageBytes+d.geo.OOBBytes)
 	repeats := false
 	for _, ber := range []float64{1e-9, 1e-5, 5e-4, 1e-2, 0.3, 1, 3.7} {
 		for iter := 0; iter < 20; iter++ {
-			page := randomPage(t, d, r, Address{Block: 1, Page: iter % d.Geo.PagesPerBlock})
+			page := randomPage(t, d, r, Address{Block: 1, Page: iter % d.geo.PagesPerBlock})
 			copy(latch, page)
 			before := d.Stats.BitErrorsInjected.Load()
 			got := d.injectErrors(latch, ber)
@@ -142,7 +142,7 @@ func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 			t.Fatal(err)
 		}
 		page := randomPage(t, d, xrand.New(5), a)
-		nSlots := d.Geo.PageBytes / slotBytes
+		nSlots := d.geo.PageBytes / slotBytes
 		rec := make([]byte, slotBytes)
 		for s := 0; s < nSlots; s++ {
 			if err := d.ReadSlots(a, slotBytes, []int{s}, rec); err != nil {
@@ -219,7 +219,7 @@ func BenchmarkReadPageIntoTLC(b *testing.B) {
 	d, a := benchTLCPage(b)
 	var data, oob []byte
 	var err error
-	b.SetBytes(int64(d.Geo.PageBytes + d.Geo.OOBBytes))
+	b.SetBytes(int64(d.geo.PageBytes + d.geo.OOBBytes))
 	b.ReportAllocs()
 	for b.Loop() {
 		if data, oob, err = d.ReadPageInto(a, data, oob); err != nil {
