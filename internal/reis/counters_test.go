@@ -1,6 +1,7 @@
 package reis
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 	"reflect"
@@ -14,46 +15,58 @@ import (
 // scanCounterGolden is the device-event digest (digestDevices) of each
 // case of TestScanCounterDigest, keyed "<case> n=<devices> mpibc=<on>".
 var scanCounterGolden = map[string]string{
-	"ivf8 n=1 mpibc=true":     "0981e9445a064084",
-	"flat8 n=1 mpibc=true":    "214918e6f391b48a",
-	"lone n=1 mpibc=true":     "424f4835fad83a0d",
-	"pruned8 n=1 mpibc=true":  "317e9271d90b4a93",
-	"ivf8 n=1 mpibc=false":    "2bbfd1556cc88f7f",
-	"flat8 n=1 mpibc=false":   "d5c6044b59eef8c6",
-	"lone n=1 mpibc=false":    "c9754402445f8b77",
-	"pruned8 n=1 mpibc=false": "48eb1de063bbcebb",
-	"ivf8 n=2 mpibc=true":     "f2900e9161f6bd3b",
-	"flat8 n=2 mpibc=true":    "a5a435d35fd7d0fc",
-	"lone n=2 mpibc=true":     "4a3255f7e2802b18",
-	"pruned8 n=2 mpibc=true":  "00ea2bf9178341d6",
-	"ivf8 n=2 mpibc=false":    "459c6f230b55956d",
-	"flat8 n=2 mpibc=false":   "e7bf3f64e30542f1",
-	"lone n=2 mpibc=false":    "6a7038a912db8ae6",
-	"pruned8 n=2 mpibc=false": "c72c8bc29628cd52",
+	"ivf8 n=1 mpibc=true":     "8d640d5078c3cbbf",
+	"flat8 n=1 mpibc=true":    "0093e4aecbe939eb",
+	"lone n=1 mpibc=true":     "04797f9a31179744",
+	"pruned8 n=1 mpibc=true":  "f25ce8c5690b674c",
+	"ivf8 n=1 mpibc=false":    "834a7045f83c4852",
+	"flat8 n=1 mpibc=false":   "d90ef77733d8429a",
+	"lone n=1 mpibc=false":    "5cca07eadf297975",
+	"pruned8 n=1 mpibc=false": "8ee67580334b1ca4",
+	"ivf8 n=2 mpibc=true":     "211a4a902c2e996a",
+	"flat8 n=2 mpibc=true":    "f1108388d67a9e18",
+	"lone n=2 mpibc=true":     "26b6a8f9b609745b",
+	"pruned8 n=2 mpibc=true":  "35ac4f62572c2ba9",
+	"ivf8 n=2 mpibc=false":    "d4a55e7ee65e1939",
+	"flat8 n=2 mpibc=false":   "d4713e15213dd1d1",
+	"lone n=2 mpibc=false":    "aa306df65bd19f30",
+	"pruned8 n=2 mpibc=false": "92acfdbc90af1438",
 }
 
 // digestDevices folds every flash.Stats counter of every device — walked
 // by reflection, so a counter added later is covered without touching
 // the test — and each plane's SLC-ESP senses and distance waves into one
-// FNV-64a digest. dump lists the same values by name, for a failure.
+// FNV-64a digest. The digest hashes the values alone, in declaration
+// order, each read through its field's address: renaming or unexporting
+// a counter moves no digest, and a changed count does. dump lists the
+// same values by name, for a failure.
 func digestDevices(devs []*device) (digest string, dump string) {
 	h := fnv.New64a()
 	var b strings.Builder
+	var word [8]byte
 	put := func(name string, v int64) {
-		fmt.Fprintf(h, "%s=%d;", name, v)
+		binary.LittleEndian.PutUint64(word[:], uint64(v))
+		h.Write(word[:])
 		fmt.Fprintf(&b, " %s=%d", name, v)
+	}
+	counter := reflect.TypeFor[atomic.Int64]()
+	load := func(f reflect.Value) int64 {
+		if f.Type() != counter {
+			panic(fmt.Sprintf("digestDevices: flash.Stats holds a %v, not an atomic.Int64", f.Type()))
+		}
+		return (*atomic.Int64)(f.Addr().UnsafePointer()).Load()
 	}
 	for s, d := range devs {
 		v := reflect.ValueOf(&d.SSD.Dev.Stats).Elem()
 		for i := range v.NumField() {
 			f, name := v.Field(i), fmt.Sprintf("d%d.%s", s, v.Type().Field(i).Name)
 			switch f.Kind() {
-			case reflect.Struct:
-				put(name, f.Addr().Interface().(*atomic.Int64).Load())
 			case reflect.Array, reflect.Slice:
 				for j := range f.Len() {
-					put(fmt.Sprintf("%s[%d]", name, j), f.Index(j).Addr().Interface().(*atomic.Int64).Load())
+					put(fmt.Sprintf("%s[%d]", name, j), load(f.Index(j)))
 				}
+			default:
+				put(name, load(f))
 			}
 		}
 		for p := range d.SSD.Cfg.Geo.Planes() {
