@@ -374,28 +374,16 @@ func (c *hostCore) gcFinish(cmd *HostCommand, acc *WearStats) (HostResponse, err
 // record boundary) and replay it on a freshly deployed host to
 // reconstruct the pre-crash state. The byte stream is
 // topology-independent: a journal captured on a sharded host replays on
-// a single device and vice versa.
-//
-// The wire format is a flat frame sequence (integers little-endian,
-// uvarint as in encoding/binary; crc is the CRC-32C of the frame's
-// version, len and record bytes, and replay refuses a frame whose
-// version or checksum does not match):
-//
-//	frame   := version:u8 len:u32 record[len] crc:u32
-//	record  := opcode:u8 dbid:uvarint body
-//	append  := n:uvarint dim:uvarint vec[n*dim]:f32bits
-//	           { doclen:uvarint docbytes }*n
-//	           nassign:uvarint { cluster:uvarint }*nassign
-//	           tags:u8 { tag:u8 }*n        (tags=1 iff MetaTags present)
-//	delete  := nids:uvarint { id:uvarint }*nids
-//	compact := minLiveRatio:f64bits
+// a single device and vice versa. The frame format is the journal
+// type's (journal.go): a flat sequence of checksummed, versioned frames,
+// one record each.
 //
 // Deploys are not journaled: recovery re-deploys from the immutable
 // deploy configuration first, then replays (see ReplayJournal).
 func (c *hostCore) JournalBytes() []byte {
 	c.execMu.Lock()
 	defer c.execMu.Unlock()
-	return append([]byte(nil), c.jl.buf...)
+	return c.jl.bytes()
 }
 
 // CacheStats reports a database's caching tier — what pins and results

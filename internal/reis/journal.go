@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 )
 
 // The mutation journal is the durability half of online mutability: an
@@ -38,38 +39,72 @@ import (
 // log that ends on a frame boundary is a valid journal — the
 // crash-recovery oracle cuts at every boundary (see journalOffsets) and
 // replays the prefix on a fresh deploy.
+//
+// The log is kept in chunks of journalChunk bytes, every one full but
+// the last, so it grows without copying what it holds; a frame may span
+// two chunks or more. A frame is built in a scratch buffer the journal
+// reuses, because its length patch and checksum need it contiguous, and
+// the sealed frame is then copied onto the chunks.
 type journal struct {
-	buf []byte
+	chunks [][]byte
+	frame  []byte
 }
 
 // journalVersion is the frame format this package writes and replays.
 const journalVersion = 1
 
+// journalChunk is the size of a journal chunk.
+const journalChunk = 64 << 10
+
 var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
-// open starts a frame: the version and a length the matching seal fills
-// in. It returns the frame's offset.
-func (j *journal) open() int {
-	start := len(j.buf)
-	j.u8(journalVersion)
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, 0)
-	return start
+// open starts a frame in the scratch buffer: the version and a length
+// seal fills in.
+func (j *journal) open() {
+	j.frame = append(j.frame[:0], journalVersion, 0, 0, 0, 0)
 }
 
-// seal closes the frame opened at start: its record's length, then the
-// checksum of everything before it.
-func (j *journal) seal(start int) {
-	binary.LittleEndian.PutUint32(j.buf[start+1:], uint32(len(j.buf)-start-5))
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(j.buf[start:], journalCRC))
+// seal closes the open frame — its record's length, then the checksum
+// of everything before it — and appends it to the log.
+func (j *journal) seal() {
+	binary.LittleEndian.PutUint32(j.frame[1:], uint32(len(j.frame)-5))
+	j.frame = binary.LittleEndian.AppendUint32(j.frame, crc32.Checksum(j.frame, journalCRC))
+	for p := j.frame; len(p) > 0; {
+		last := len(j.chunks) - 1
+		if last < 0 || len(j.chunks[last]) == journalChunk {
+			j.chunks = append(j.chunks, make([]byte, 0, journalChunk))
+			last++
+		}
+		c := j.chunks[last]
+		n := min(len(p), journalChunk-len(c))
+		j.chunks[last], p = append(c, p[:n]...), p[n:]
+	}
 }
 
-func (j *journal) u8(v uint8)       { j.buf = append(j.buf, v) }
-func (j *journal) uvarint(v uint64) { j.buf = binary.AppendUvarint(j.buf, v) }
+// size is the log's length in bytes.
+func (j *journal) size() int {
+	if len(j.chunks) == 0 {
+		return 0
+	}
+	return (len(j.chunks)-1)*journalChunk + len(j.chunks[len(j.chunks)-1])
+}
+
+// bytes returns the log in one exact-size allocation.
+func (j *journal) bytes() []byte {
+	out := make([]byte, 0, j.size())
+	for _, c := range j.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+func (j *journal) u8(v uint8)       { j.frame = append(j.frame, v) }
+func (j *journal) uvarint(v uint64) { j.frame = binary.AppendUvarint(j.frame, v) }
 func (j *journal) f32(v float32) {
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, math.Float32bits(v))
+	j.frame = binary.LittleEndian.AppendUint32(j.frame, math.Float32bits(v))
 }
 func (j *journal) f64(v float64) {
-	j.buf = binary.LittleEndian.AppendUint64(j.buf, math.Float64bits(v))
+	j.frame = binary.LittleEndian.AppendUint64(j.frame, math.Float64bits(v))
 }
 
 // logCmd records one committed mutation command. The caller holds the
@@ -86,14 +121,25 @@ func (j *journal) logCmd(cmd *HostCommand) {
 }
 
 func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
-	defer j.seal(j.open())
-	j.u8(OpcodeAppend)
-	j.uvarint(uint64(dbID))
 	n := len(cfg.Vectors)
 	dim := 0
 	if n > 0 {
 		dim = len(cfg.Vectors[0])
 	}
+	// Reserve the whole frame up front — version, length, opcode, tag
+	// byte and checksum, at most 4 + n + nassign varints, the vectors,
+	// documents and tags: a scratch grown value by value would allocate
+	// several times its size the first time an append is larger than any
+	// before it.
+	size := 11 + (4+len(cfg.Docs)+len(cfg.Assign))*binary.MaxVarintLen64 + n*dim*4 + len(cfg.MetaTags)
+	for _, d := range cfg.Docs {
+		size += len(d)
+	}
+	j.open()
+	defer j.seal()
+	j.frame = slices.Grow(j.frame, size)
+	j.u8(OpcodeAppend)
+	j.uvarint(uint64(dbID))
 	j.uvarint(uint64(n))
 	j.uvarint(uint64(dim))
 	for _, v := range cfg.Vectors {
@@ -103,7 +149,7 @@ func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
 	}
 	for _, d := range cfg.Docs {
 		j.uvarint(uint64(len(d)))
-		j.buf = append(j.buf, d...)
+		j.frame = append(j.frame, d...)
 	}
 	j.uvarint(uint64(len(cfg.Assign)))
 	for _, c := range cfg.Assign {
@@ -111,14 +157,15 @@ func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
 	}
 	if cfg.MetaTags != nil {
 		j.u8(1)
-		j.buf = append(j.buf, cfg.MetaTags...)
+		j.frame = append(j.frame, cfg.MetaTags...)
 	} else {
 		j.u8(0)
 	}
 }
 
 func (j *journal) logDelete(dbID int, ids []int) {
-	defer j.seal(j.open())
+	j.open()
+	defer j.seal()
 	j.u8(OpcodeDelete)
 	j.uvarint(uint64(dbID))
 	j.uvarint(uint64(len(ids)))
@@ -128,7 +175,8 @@ func (j *journal) logDelete(dbID int, ids []int) {
 }
 
 func (j *journal) logCompact(dbID int, minLiveRatio float64) {
-	defer j.seal(j.open())
+	j.open()
+	defer j.seal()
 	j.u8(OpcodeCompact)
 	j.uvarint(uint64(dbID))
 	j.f64(minLiveRatio)

@@ -2,10 +2,9 @@ package reis
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -210,11 +209,11 @@ func TestJournalCorruptionDetected(t *testing.T) {
 	// An unknown opcode under a valid checksum: the record itself is
 	// refused.
 	var j journal
-	j.seal(j.open())
-	j.buf = append(j.buf[:5], 0xFF, 1)
-	binary.LittleEndian.PutUint32(j.buf[1:], 2)
-	j.buf = binary.LittleEndian.AppendUint32(j.buf, crc32.Checksum(j.buf, journalCRC))
-	rejected("an unknown opcode", j.buf, true)
+	j.open()
+	j.u8(0xFF)
+	j.uvarint(1)
+	j.seal()
+	rejected("an unknown opcode", j.bytes(), true)
 
 	first := -1
 	for i := range offs[:len(offs)-1] {
@@ -428,4 +427,153 @@ func FuzzCrashRecovery(f *testing.F) {
 			sharded.Close()
 		}
 	})
+}
+
+// FuzzJournalFrames logs a sequence of append, delete and compact
+// records that a byte string decodes into — with sizes from a few bytes
+// to past two journal chunks — into one journal, and checks that the
+// chunked log is the plain frame sequence: it equals the concatenation
+// of each record logged alone into a fresh journal, journalOffsets finds
+// exactly the frame ends, and every frame decodes back into its command.
+//
+// An input is a run of records, each a kind byte and its operands:
+//
+//	kind%3 == 0: append  n%4 dim%5 flags docLen:u24 (flags bit 0: cluster
+//	             assignments, bit 1: tags; docLen mod 3 chunks)
+//	kind%3 == 1: delete  nids%16 stride
+//	kind%3 == 2: compact ratio (ratio/255)
+//
+// and the database id is kind/3 × 100.
+func FuzzJournalFrames(f *testing.F) {
+	// oneAppend is an append of one 1-dim vector and one docLen-byte
+	// document, on database 0: for a document of 16 KiB up to 2 MiB its
+	// frame is docLen + 22 bytes.
+	oneAppend := func(docLen int) []byte {
+		return []byte{0, 1, 1, 0, byte(docLen), byte(docLen >> 8), byte(docLen >> 16)}
+	}
+	compact := []byte{2, 128}
+	f.Add(append(oneAppend(journalChunk-22), compact...))    // ends exactly on a chunk boundary
+	f.Add(append(oneAppend(journalChunk-21), compact...))    // crosses it by one byte
+	f.Add(append(oneAppend(2*journalChunk+977), compact...)) // longer than two chunks
+	f.Add([]byte{4, 5, 3, 0, 3, 3, 64, 0, 0, 8, 200, 1, 2, 0, 0xFF, 0xFF, 1, 11, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var cmds []HostCommand
+		var j journal
+		var want []byte
+		for r := 0; r < len(data) && len(want) < 4<<20; {
+			kind := data[r]
+			arg := func(i int) int {
+				if r+i < len(data) {
+					return int(data[r+i])
+				}
+				return 0
+			}
+			cmd := HostCommand{DBID: int(kind/3) * 100}
+			switch kind % 3 {
+			case 0:
+				n, dim, flags := arg(1)%4, arg(2)%5, arg(3)
+				docLen := (arg(4) | arg(5)<<8 | arg(6)<<16) % (3 * journalChunk)
+				cfg := &AppendConfig{Vectors: make([][]float32, n), Docs: make([][]byte, n)}
+				for i := range n {
+					cfg.Vectors[i] = make([]float32, dim)
+					for d := range dim {
+						cfg.Vectors[i][d] = float32(len(cmds)*31+i*7+d) / 8
+					}
+					cfg.Docs[i] = make([]byte, docLen)
+					for k := range cfg.Docs[i] {
+						cfg.Docs[i][k] = byte(k + i)
+					}
+				}
+				if flags&1 != 0 && n > 0 {
+					cfg.Assign = make([]int, n)
+					for i := range cfg.Assign {
+						cfg.Assign[i] = (i + 1) * 150
+					}
+				}
+				if flags&2 != 0 {
+					cfg.MetaTags = make([]byte, n)
+					for i := range cfg.MetaTags {
+						cfg.MetaTags[i] = byte(flags + i)
+					}
+				}
+				cmd.Opcode, cmd.Append = OpcodeAppend, cfg
+				r += 7
+			case 1:
+				ids := make([]int, arg(1)%16)
+				for i := range ids {
+					ids[i] = i * arg(2) * 997
+				}
+				cmd.Opcode, cmd.Del = OpcodeDelete, &DeleteConfig{IDs: ids}
+				r += 3
+			case 2:
+				cmd.Opcode, cmd.Compact = OpcodeCompact, &CompactConfig{MinLiveRatio: float64(arg(1)) / 255}
+				r += 2
+			}
+			cmds = append(cmds, cmd)
+			j.logCmd(&cmd)
+			var alone journal
+			alone.logCmd(&cmd)
+			want = append(want, alone.bytes()...)
+		}
+
+		jl := j.bytes()
+		if !bytes.Equal(jl, want) {
+			t.Fatalf("the chunked log of %d records (%d bytes) differs from its frames logged alone (%d bytes)", len(cmds), len(jl), len(want))
+		}
+		if j.size() != len(jl) {
+			t.Fatalf("size %d, log %d bytes", j.size(), len(jl))
+		}
+		offs, err := journalOffsets(jl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := journalReader{data: jl}
+		for i, cmd := range cmds {
+			got, err := rd.next()
+			if err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+			if i+1 >= len(offs) || offs[i+1] != rd.pos {
+				t.Fatalf("frame %d ends at %d, offsets %v", i, rd.pos, offs)
+			}
+			if !reflect.DeepEqual(got, cmd) {
+				t.Fatalf("frame %d decodes to %+v, logged %+v", i, got, cmd)
+			}
+		}
+		if len(offs) != len(cmds)+1 {
+			t.Fatalf("%d offsets for %d frames", len(offs), len(cmds))
+		}
+	})
+}
+
+// TestJournalAllocatesWhatItKeeps: logging 1,000 appends of a
+// churn_mixed round's size (16 entries of 256 float32 dimensions and a
+// 512-byte document, about 24 KiB a frame) allocates no more than the
+// log holds, plus its last chunk's unused room, a chunk of slack and
+// the scratch frame. A log that regrows one slice copies itself on every
+// regrowth and allocates several times its length.
+func TestJournalAllocatesWhatItKeeps(t *testing.T) {
+	const n, dim, docBytes, appends = 16, 256, 512, 1000
+	cfg := &AppendConfig{Vectors: make([][]float32, n), Docs: make([][]byte, n), Assign: make([]int, n)}
+	for i := range n {
+		cfg.Vectors[i] = make([]float32, dim)
+		for d := range dim {
+			cfg.Vectors[i][d] = float32(i*dim+d) / 64
+		}
+		cfg.Docs[i] = bytes.Repeat([]byte{byte(i)}, docBytes)
+		cfg.Assign[i] = i
+	}
+	var j journal
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range appends {
+		j.logAppend(1, cfg)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	limit := uint64(j.size() + 2*journalChunk + cap(j.frame))
+	t.Logf("%d appends: %d-byte log, %d bytes allocated (limit %d)", appends, j.size(), got, limit)
+	if got > limit {
+		t.Fatalf("logging %d appends allocated %d bytes for a %d-byte log, limit %d", appends, got, j.size(), limit)
+	}
 }

@@ -237,6 +237,11 @@ type mutState struct {
 
 	live      int // live entries
 	deadCount int // tombstoned, not yet collected
+
+	// gcPage is the page-plus-OOB buffer a GC step reads its victim
+	// row's pages into, kept from step to step (steps run under the
+	// host's execution lock); the first step allocates it.
+	gcPage []byte
 }
 
 // tlcExtent is the live global extent, in pages, of a database's INT8
@@ -707,7 +712,10 @@ func mutGCStep(m *mutState, t mutTarget, row int, wear *WearStats) error {
 	}
 	var runs []tailRun
 	var deadIDs []uint32
-	var data, oob []byte
+	if m.gcPage == nil {
+		m.gcPage = make([]byte, lay.pageBytes+lay.oobBytes)
+	}
+	data, oob := m.gcPage[:0:lay.pageBytes], m.gcPage[lay.pageBytes:lay.pageBytes]
 	codes := make([]byte, 0, m.rowLive[row]*lay.slotBytes)
 	for b, segs := range plans {
 		var es []slotEntry
