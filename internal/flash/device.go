@@ -57,12 +57,19 @@ func (s *Stats) TotalBytesOut() int64 {
 	return t
 }
 
-// Device is a functional NAND flash array. Operations that touch a
-// single plane (reads, latch ops, OOB access) are safe to run
-// concurrently on *different* planes: each plane carries its own lock,
-// and the shared counters are atomic. Operations on the same plane
-// must be externally ordered — the REIS engine guarantees this by
-// dispatching at most one scan task per plane at a time.
+// Device is a functional NAND flash array and the die's command set:
+// the conventional page read (ReadPage) and the Table 2 extensions REIS
+// issues — IBC (LoadCache, LoadCacheDie), GEN_DIST_PAGE (GenDistPage,
+// Table 2's XOR and GEN_DIST fused into one page-granular wave) and
+// RD_TTL (ReadTTL). The die control logic is a state machine (Sec
+// 4.4.2); its one ordering rule, that GEN_DIST_PAGE reads two latches
+// an IBC and a page read have filled, is checked on the plane that
+// holds them. Operations that touch a single plane (reads, latch ops,
+// OOB access) are safe to run concurrently on *different* planes: each
+// plane carries its own lock, and the shared counters are atomic.
+// Operations on the same plane must be externally ordered — the REIS
+// engine guarantees this by dispatching at most one scan task per plane
+// at a time.
 type Device struct {
 	geo    Geometry
 	params Params
@@ -123,7 +130,10 @@ type Plane struct {
 	// mode): the page copied and its flips applied. Allocated on the
 	// first such sense.
 	noisy []byte
-	cache cacheLatch
+	// sensed records that a ReadPage has filled the sensing latch; the
+	// cache latch's slot > 0 records the same of a broadcast.
+	sensed bool
+	cache  cacheLatch
 
 	// senses counts the plane's page senses by cell mode; Senses reads it.
 	senses [3]int64
@@ -423,6 +433,7 @@ func (d *Device) ReadPage(a Address) error {
 		pl.senseNoisy(page)
 		d.injectErrors(pl.noisy, ber)
 	}
+	pl.sensed = true
 	d.countRead(a, pl)
 	pl.mu.Unlock()
 	return nil
@@ -512,9 +523,9 @@ func (d *Device) injectErrors(latch []byte, ber float64) int {
 // programmed content, the device's erased page for a page never
 // programmed. What the ECC hands over is that content, so the caller
 // copies straight from it; the plane's latches are left as they were
-// (in-plane computation always senses with ReadPage first, which DieFSM
-// enforces). The caller holds pl.mu and must not keep the slices past
-// it.
+// (in-plane computation always senses with ReadPage first, which
+// GenDistPage enforces). The caller holds pl.mu and must not keep the
+// slices past it.
 func (d *Device) senseCorrected(a Address, pl *Plane) programmed {
 	page, ok := pl.pages[a.pageIndex(d.geo)]
 	if ok {
@@ -614,7 +625,7 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 	return nil
 }
 
-// loadCacheDie is the multi-plane broadcast (MPIBC, Sec 4.3.4): one load
+// LoadCacheDie is the multi-plane broadcast (MPIBC, Sec 4.3.4): one load
 // through die's I/O port (a global die index, Geometry.DieOf) that every
 // plane of the die latches together. The simulator fills only the cache
 // latches of the planes named in mask (bit i = plane-in-die i) — the
@@ -624,9 +635,9 @@ func (d *Device) LoadCache(planeIdx int, pattern []byte, slotBytes int) error {
 // since: its planes latched it then, so nothing crosses the port now and
 // nothing is counted; the call only materialises the latches of planes
 // the earlier load's mask left unfilled.
-func (d *Device) loadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
+func (d *Device) LoadCacheDie(die int, mask uint64, pattern []byte, slotBytes int, held bool) error {
 	if die < 0 || die >= d.geo.Dies() || mask == 0 || mask>>uint(d.geo.PlanesPerDie) != 0 {
-		return fmt.Errorf("flash: loadCacheDie invalid die %d mask %#x", die, mask)
+		return fmt.Errorf("flash: LoadCacheDie invalid die %d mask %#x", die, mask)
 	}
 	if err := d.checkPattern(pattern, slotBytes); err != nil {
 		return err
@@ -679,6 +690,10 @@ func (d *Device) fillCache(planeIdx int, pattern []byte, slotBytes int) {
 // without it, but slots strictly above the bound are counted in
 // Stats.PrunedSlots — the plane-side accounting of TTL transfers the
 // threshold made unnecessary. bound <= 0 disables the comparison.
+//
+// A plane whose cache latch no IBC has loaded, or whose sensing latch
+// no ReadPage has filled, refuses the wave before it counts or writes
+// anything.
 func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists []int, bound int) error {
 	if planeIdx < 0 || planeIdx >= len(d.planes) {
 		return fmt.Errorf("flash: GenDistPage invalid plane %d", planeIdx)
@@ -693,6 +708,10 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	}
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
+	if pl.cache.slot == 0 || !pl.sensed {
+		pl.mu.Unlock()
+		return fmt.Errorf("flash: GEN_DIST_PAGE on plane %d needs an IBC and a page read first", planeIdx)
+	}
 	// The sensed page stores a prefix of its user data; its fill is read
 	// at the same offsets of the device's shared page of the fill byte.
 	tail := d.zero.data
@@ -764,10 +783,19 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// transferOut accounts an outbound transfer of n bytes on the
-// channel serving planeIdx (TTL entries moving to controller DRAM).
-func (d *Device) transferOut(planeIdx, n int) {
-	d.Stats.BytesOut[d.geo.channelOf(planeIdx)].Add(int64(n))
+// ReadTTL transfers n TTL entries of entryBytes each from the plane's
+// die to controller DRAM (Table 2: "RD_TTL EADR"), counted in BytesOut
+// on the plane's channel: a scan issues it once per page, for the
+// page's surviving entries.
+func (d *Device) ReadTTL(planeIdx, entryBytes, n int) error {
+	if planeIdx < 0 || planeIdx >= len(d.planes) {
+		return fmt.Errorf("flash: RD_TTL invalid plane %d", planeIdx)
+	}
+	if entryBytes <= 0 || n < 0 {
+		return fmt.Errorf("flash: RD_TTL of %d entries of %dB", n, entryBytes)
+	}
+	d.Stats.BytesOut[d.geo.channelOf(planeIdx)].Add(int64(n * entryBytes))
+	return nil
 }
 
 // ResetStats zeroes all counters.

@@ -305,7 +305,7 @@ func TestIBCFillsAllSlots(t *testing.T) {
 }
 
 func TestXORComputesHammingDistance(t *testing.T) {
-	// End-to-end latch flow through the FSM: program two binary
+	// End-to-end latch flow through the die's commands: program two binary
 	// embeddings into a page, IBC a query, sense, and one GEN_DIST_PAGE
 	// wave (XOR and fail-bit count of each slot) — each distance must
 	// equal vecmath.Hamming.
@@ -337,11 +337,10 @@ func TestXORComputesHammingDistance(t *testing.T) {
 	}
 
 	plane := a.PlaneIndex(d.geo)
-	fsm := NewDieFSM(d)
-	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: vecmath.PackBinaryBytes(qc, nil), SlotBytes: slotBytes})
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
+	must(t, d.LoadCache(plane, vecmath.PackBinaryBytes(qc, nil), slotBytes))
+	must(t, d.ReadPage(a))
 	dists := make([]int, 2)
-	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes, Slots: 2, Dists: dists})
+	must(t, d.GenDistPage(plane, slotBytes, 0, 2, dists, 0))
 	if d0 := dists[0]; d0 != vecmath.Hamming(qc, c0) {
 		t.Fatalf("slot 0 distance %d != %d", d0, vecmath.Hamming(qc, c0))
 	}
@@ -360,10 +359,9 @@ func TestXORPreservesOOB(t *testing.T) {
 		t.Fatal(err)
 	}
 	plane := a.PlaneIndex(d.geo)
-	fsm := NewDieFSM(d)
-	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xFF}, SlotBytes: 1})
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 1, Slots: 4, Dists: make([]int, 4)})
+	must(t, d.LoadCache(plane, []byte{0xFF}, 1))
+	must(t, d.ReadPage(a))
+	must(t, d.GenDistPage(plane, 1, 0, 4, make([]int, 4), 0))
 	oob, err := d.ReadOOB(plane, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -401,10 +399,13 @@ func TestStatsCounting(t *testing.T) {
 	if d.Stats.BytesOut[0].Load() == 0 || d.Stats.ReadBytesOut[0].Load() != d.Stats.BytesOut[0].Load() {
 		t.Fatal("BytesOut not counted")
 	}
-	read := d.Stats.ReadBytesOut[0].Load()
-	d.transferOut(0, 100)
-	if d.Stats.BytesOut[0].Load() < 100 || d.Stats.ReadBytesOut[0].Load() != read {
-		t.Fatal("transferOut not counted, or counted as a conventional read")
+	// RD_TTL of n entries of e bytes moves n·e bytes on its plane's
+	// channel, none of them a conventional read.
+	out0, plane := d.Stats.BytesOut[0].Load(), (Address{Channel: 1}).PlaneIndex(d.geo)
+	must(t, d.ReadTTL(plane, 25, 4))
+	must(t, d.ReadTTL(plane, 25, 0))
+	if out, out1, read1 := d.Stats.BytesOut[0].Load(), d.Stats.BytesOut[1].Load(), d.Stats.ReadBytesOut[1].Load(); out != out0 || out1 != 100 || read1 != 0 {
+		t.Fatalf("RD_TTL of 4 × 25B on channel 1: BytesOut [%d %d], ReadBytesOut[1] %d; want [%d 100], 0", out, out1, read1, out0)
 	}
 	d.ResetStats()
 	if d.Stats.PageReads.Load() != 0 || d.Stats.TotalBytesOut() != 0 || d.Stats.ReadBytesOut[0].Load() != 0 {
@@ -433,7 +434,6 @@ func TestParamsLatencies(t *testing.T) {
 
 func TestCommandSetProtocolOrdering(t *testing.T) {
 	d := testDevice(t)
-	fsm := NewDieFSM(d)
 	a := Address{Block: 0, Page: 0}
 	query := []byte{1, 2, 3, 4}
 	if err := d.Program(a, query, nil); err != nil {
@@ -443,21 +443,21 @@ func TestCommandSetProtocolOrdering(t *testing.T) {
 	dists := make([]int, 1)
 
 	// GEN_DIST_PAGE before IBC must fail.
-	if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists}); err == nil {
+	if err := d.GenDistPage(plane, 4, 0, 1, dists, 0); err == nil {
 		t.Fatal("GEN_DIST_PAGE before IBC accepted")
 	}
-	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: query, SlotBytes: 4})
+	must(t, d.LoadCache(plane, query, 4))
 	// GEN_DIST_PAGE before a page read must fail.
-	if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists}); err == nil {
+	if err := d.GenDistPage(plane, 4, 0, 1, dists, 0); err == nil {
 		t.Fatal("GEN_DIST_PAGE before page read accepted")
 	}
 	// Proper sequence.
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists})
+	must(t, d.ReadPage(a))
+	must(t, d.GenDistPage(plane, 4, 0, 1, dists, 0))
 	if dists[0] != 0 { // page data equals query -> zero distance
 		t.Fatalf("self distance = %d", dists[0])
 	}
-	mustExec(t, fsm, Command{Op: OpReadTTL, Plane: plane, EntryBytes: 16})
+	must(t, d.ReadTTL(plane, 16, 1))
 	if out := d.Stats.TotalBytesOut(); out != 16 {
 		t.Fatalf("RD_TTL moved %d bytes, want 16", out)
 	}
@@ -467,7 +467,6 @@ func TestCommandSetReadInvalidatesXOR(t *testing.T) {
 	// A new page read replaces what the next wave XORs against: the
 	// distances after it are the new page's, not the old sense's.
 	d := testDevice(t)
-	fsm := NewDieFSM(d)
 	a := Address{Block: 0, Page: 0}
 	b := Address{Block: 0, Page: 1}
 	if err := d.SetBlockMode(a, ModeSLCESP); err != nil {
@@ -481,62 +480,53 @@ func TestCommandSetReadInvalidatesXOR(t *testing.T) {
 	}
 	plane := a.PlaneIndex(d.geo)
 	dists := make([]int, 1)
-	mustExec(t, fsm, Command{Op: OpIBC, Plane: plane, Query: []byte{0xF0}, SlotBytes: 4})
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists})
+	must(t, d.LoadCache(plane, []byte{0xF0}, 4))
+	must(t, d.ReadPage(a))
+	must(t, d.GenDistPage(plane, 4, 0, 1, dists, 0))
 	if dists[0] != 0 {
 		t.Fatalf("distance to page a = %d, want 0", dists[0])
 	}
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: b})
-	mustExec(t, fsm, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: dists})
+	must(t, d.ReadPage(b))
+	must(t, d.GenDistPage(plane, 4, 0, 1, dists, 0))
 	if dists[0] != 8 {
 		t.Fatalf("distance after re-read = %d, want page b's 8", dists[0])
 	}
 }
 
-func mustExec(t *testing.T, fsm *DieFSM, cmd Command) {
+// must fails t on a command's error.
+func must(t *testing.T, err error) {
 	t.Helper()
-	if err := fsm.Execute(cmd); err != nil {
-		t.Fatalf("%v: %v", cmd.Op, err)
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
 func TestCommandSetRejectsUnknown(t *testing.T) {
 	d := testDevice(t)
-	fsm := NewDieFSM(d)
-	if err := fsm.Execute(Command{Op: Opcode(99)}); err == nil {
-		t.Fatal("unknown opcode accepted")
-	}
-	if err := fsm.Execute(Command{Op: OpReadTTL, Plane: 0, EntryBytes: 0}); err == nil {
+	if err := d.ReadTTL(0, 0, 1); err == nil {
 		t.Fatal("RD_TTL with zero entry accepted")
+	}
+	if err := d.ReadTTL(0, 16, -1); err == nil {
+		t.Fatal("RD_TTL of a negative entry count accepted")
+	}
+	if out := d.Stats.TotalBytesOut(); out != 0 {
+		t.Fatalf("refused RD_TTLs moved %d bytes", out)
 	}
 }
 
 func TestCommandSetRejectsPlaneOutOfRange(t *testing.T) {
 	d := testDevice(t)
-	fsm := NewDieFSM(d)
 	before := d.Stats.TotalBytesOut()
 	for _, plane := range []int{-1, d.geo.Planes()} {
-		if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 4, Slots: 1, Dists: make([]int, 1)}); err == nil {
+		if err := d.GenDistPage(plane, 4, 0, 1, make([]int, 1), 0); err == nil {
 			t.Errorf("GEN_DIST_PAGE on plane %d accepted", plane)
 		}
-		if err := fsm.Execute(Command{Op: OpReadTTL, Plane: plane, EntryBytes: 16}); err == nil {
+		if err := d.ReadTTL(plane, 16, 1); err == nil {
 			t.Errorf("RD_TTL on plane %d accepted", plane)
 		}
 	}
 	if out := d.Stats.TotalBytesOut(); out != before {
 		t.Fatalf("refused RD_TTLs moved %d bytes", out-before)
-	}
-}
-
-func TestOpcodeStrings(t *testing.T) {
-	for op, want := range map[Opcode]string{
-		OpReadPage: "READ_PAGE", OpIBC: "IBC", OpGenDistPage: "GEN_DIST_PAGE",
-		OpReadTTL: "RD_TTL", Opcode(99): "UNKNOWN",
-	} {
-		if op.String() != want {
-			t.Errorf("%d.String() = %s", op, op.String())
-		}
 	}
 }
 
@@ -592,12 +582,11 @@ func TestIBCLoadCountsALatch(t *testing.T) {
 // TestIBCDieBroadcast: the multi-plane broadcast is one load on the
 // die's channel that fills the cache latches of the planes it names and
 // no others — an unnamed plane keeps the different pattern it held
-// before; a held broadcast fills without counting; the FSM lets only the
-// named planes go on to GEN_DIST_PAGE.
+// before; a held broadcast fills without counting; only the named planes
+// go on to GEN_DIST_PAGE.
 func TestIBCDieBroadcast(t *testing.T) {
 	d := testDevice(t)
 	g := d.geo
-	fsm := NewDieFSM(d)
 	die := g.DieOf((Address{Channel: 1, Die: 1}).PlaneIndex(g))
 	p0, p1 := g.DiePlane(die, 0), g.DiePlane(die, 1)
 	if g.channelOf(p0) != 1 || g.channelOf(p1) != 1 || g.DieOf(p1) != die || p0 == p1 {
@@ -605,10 +594,10 @@ func TestIBCDieBroadcast(t *testing.T) {
 	}
 	cacheOf := func(p int) []byte { _, c := d.Plane(p).latches(); return c }
 	for _, p := range []int{p0, p1} {
-		mustExec(t, fsm, Command{Op: OpIBC, Plane: p, Query: []byte{0xFF, 0xFF}, SlotBytes: 2})
+		must(t, d.LoadCache(p, []byte{0xFF, 0xFF}, 2))
 	}
 	d.ResetStats()
-	mustExec(t, fsm, Command{Op: OpIBC, Die: die, PlaneMask: 0b10, Query: []byte{0xA5}, SlotBytes: 2})
+	must(t, d.LoadCacheDie(die, 0b10, []byte{0xA5}, 2, false))
 	if c := cacheOf(p1); c[0] != 0xA5 || c[1] != 0 || c[2] != 0xA5 {
 		t.Fatalf("named plane's cache latch = % x", c[:4])
 	}
@@ -621,7 +610,7 @@ func TestIBCDieBroadcast(t *testing.T) {
 
 	// The die still holds the broadcast: latching its other plane moves
 	// nothing through the port.
-	mustExec(t, fsm, Command{Op: OpIBC, Die: die, PlaneMask: 0b01, Held: true, Query: []byte{0xA5}, SlotBytes: 2})
+	must(t, d.LoadCacheDie(die, 0b01, []byte{0xA5}, 2, true))
 	if c := cacheOf(p0); c[0] != 0xA5 || c[1] != 0 {
 		t.Fatalf("held broadcast did not fill the plane: % x", c[:4])
 	}
@@ -635,16 +624,20 @@ func TestIBCDieBroadcast(t *testing.T) {
 	if other != a.PlaneIndex(g) {
 		t.Fatalf("plane %d != %d", other, a.PlaneIndex(g))
 	}
-	mustExec(t, fsm, Command{Op: OpReadPage, Addr: a})
-	if err := fsm.Execute(Command{Op: OpGenDistPage, Plane: other, SlotBytes: 2, Slots: 1, Dists: make([]int, 1)}); err == nil {
+	must(t, d.ReadPage(a))
+	if err := d.GenDistPage(other, 2, 0, 1, make([]int, 1), 0); err == nil {
 		t.Fatal("GEN_DIST_PAGE accepted on a plane no broadcast named")
 	}
-	for _, bad := range []Command{
-		{Op: OpIBC, Die: g.Dies(), PlaneMask: 1, Query: []byte{1}, SlotBytes: 2},
-		{Op: OpIBC, Die: 0, PlaneMask: 1 << uint(g.PlanesPerDie), Query: []byte{1}, SlotBytes: 2},
-		{Op: OpIBC, Die: 0, PlaneMask: 1, Query: []byte{1, 2, 3}, SlotBytes: 2},
+	for _, bad := range []struct {
+		die   int
+		mask  uint64
+		query []byte
+	}{
+		{g.Dies(), 1, []byte{1}},
+		{0, 1 << uint(g.PlanesPerDie), []byte{1}},
+		{0, 1, []byte{1, 2, 3}},
 	} {
-		if err := fsm.Execute(bad); err == nil {
+		if err := d.LoadCacheDie(bad.die, bad.mask, bad.query, 2, false); err == nil {
 			t.Fatalf("accepted %+v", bad)
 		}
 	}

@@ -10,9 +10,9 @@ import (
 )
 
 // pageEquivSetup builds a device with deterministic slot data in page
-// (block 0, page 0) of plane 0 and runs IBC + page read through a FSM,
-// returning both and the page's programmed data and OOB.
-func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieFSM, Address, []byte, []byte) {
+// (block 0, page 0) of plane 0 and runs IBC + page read on it, returning
+// the device and the page's address, programmed data and OOB.
+func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, Address, []byte, []byte) {
 	t.Helper()
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0}
@@ -31,11 +31,9 @@ func pageEquivSetup(t *testing.T, slotBytes int, pattern []byte) (*Device, *DieF
 	if err := d.Program(a, data, oob); err != nil {
 		t.Fatal(err)
 	}
-	f := NewDieFSM(d)
-	plane := a.PlaneIndex(d.geo)
-	mustExec(t, f, Command{Op: OpIBC, Plane: plane, Query: pattern, SlotBytes: slotBytes})
-	mustExec(t, f, Command{Op: OpReadPage, Addr: a})
-	return d, f, a, data, oob
+	must(t, d.LoadCache(a.PlaneIndex(d.geo), pattern, slotBytes))
+	must(t, d.ReadPage(a))
+	return d, a, data, oob
 }
 
 // statsSnapshot captures every scan-relevant counter.
@@ -85,7 +83,7 @@ func energyOf(s statsSnapshot, p Params) float64 {
 func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	const slotBytes = 64
 	pattern := bytes.Repeat([]byte{0xA5, 0x3C}, slotBytes/2)
-	d, f, a, data, oob := pageEquivSetup(t, slotBytes, pattern)
+	d, a, data, oob := pageEquivSetup(t, slotBytes, pattern)
 	plane := a.PlaneIndex(d.geo)
 	slots := d.geo.PageBytes / slotBytes
 	firstSlot, nSlots := 2, slots-5 // partial range, like a boundary page
@@ -99,7 +97,7 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	}
 	before := snapshot(d)
 	got := make([]int, nSlots)
-	mustExec(t, f, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes, Mini: firstSlot, Slots: nSlots, Dists: got})
+	must(t, d.GenDistPage(plane, slotBytes, firstSlot, nSlots, got, 0))
 	if !slices.Equal(got, want) {
 		t.Fatalf("GEN_DIST_PAGE distances %v, want popcount(slot XOR pattern) %v", got, want)
 	}
@@ -118,37 +116,43 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 		t.Fatal("the wave changed the sensing latch")
 	}
 	again := make([]int, nSlots)
-	mustExec(t, f, Command{Op: OpGenDistPage, Plane: plane, SlotBytes: slotBytes, Mini: firstSlot, Slots: nSlots, Dists: again})
+	must(t, d.GenDistPage(plane, slotBytes, firstSlot, nSlots, again, 0))
 	if !slices.Equal(again, want) {
 		t.Fatalf("a second wave on the same sense computed %v, want %v", again, want)
 	}
 }
 
-// TestGenDistPageProtocol checks the FSM preconditions of the page
-// command: it needs both an IBC and a page read, and rejects slot ranges
-// past the page and distance buffers short of the range.
+// TestGenDistPageProtocol checks the preconditions of the page command:
+// it needs both an IBC and a page read, and rejects slot ranges past the
+// page and distance buffers short of the range. A refused wave counts no
+// latch XOR, bit count, pruned slot or plane wave and leaves the
+// distance buffer as it was.
 func TestGenDistPageProtocol(t *testing.T) {
 	d := testDevice(t)
-	f := NewDieFSM(d)
 	a := Address{Block: 0, Page: 0}
 	plane := a.PlaneIndex(d.geo)
 	dists := make([]int, 8)
+	refused := func(what string, nSlots int) {
+		t.Helper()
+		for i := range dists {
+			dists[i] = -1
+		}
+		if err := d.GenDistPage(plane, 64, 0, nSlots, dists, 1); err == nil {
+			t.Fatalf("%s accepted", what)
+		}
+		x, b, p, w := d.Stats.LatchXORs.Load(), d.Stats.BitCounts.Load(), d.Stats.PrunedSlots.Load(), d.Plane(plane).DistWaves()
+		if x != 0 || b != 0 || p != 0 || w != 0 || slices.ContainsFunc(dists, func(v int) bool { return v != -1 }) {
+			t.Fatalf("refused %s counted %d XORs, %d bit counts, %d pruned slots, %d waves; distances %v", what, x, b, p, w, dists)
+		}
+	}
 
-	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
-		t.Fatal("GEN_DIST_PAGE before IBC accepted")
-	}
-	mustExec(t, f, Command{Op: OpIBC, Plane: plane, Query: []byte{1}, SlotBytes: 64})
-	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 1, Dists: dists}); err == nil {
-		t.Fatal("GEN_DIST_PAGE before page read accepted")
-	}
-	mustExec(t, f, Command{Op: OpReadPage, Addr: a})
-	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: d.geo.PageBytes, Dists: dists}); err == nil {
-		t.Fatal("out-of-page slot range accepted")
-	}
-	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 9, Dists: dists}); err == nil {
-		t.Fatal("short distance buffer accepted")
-	}
-	if err := f.Execute(Command{Op: OpGenDistPage, Plane: plane, SlotBytes: 64, Slots: 8, Dists: dists}); err != nil {
+	refused("GEN_DIST_PAGE before IBC", 1)
+	must(t, d.LoadCache(plane, []byte{1}, 64))
+	refused("GEN_DIST_PAGE before page read", 1)
+	must(t, d.ReadPage(a))
+	refused("out-of-page slot range", d.geo.PageBytes)
+	refused("short distance buffer", 9)
+	if err := d.GenDistPage(plane, 64, 0, 8, dists, 0); err != nil {
 		t.Fatalf("valid GEN_DIST_PAGE rejected: %v", err)
 	}
 }

@@ -15,16 +15,19 @@ import (
 // latches as eager PageBytes+OOBBytes buffers, and every command reads
 // and writes those bytes in full — a wave XORs the sensing and cache
 // latches into the data latch, OOB copied through, and counts the bits
-// of each slot there. It draws raw bit errors from an RNG seeded as the
-// device's, in the same order, and keeps its counters in a Stats of its
-// own, so a differential run can hold the device to it byte for byte and
-// count for count.
+// of each slot there. It keeps the die's protocol state apart from the
+// latches, one loaded and one sensed flag per plane, and refuses a wave
+// on a plane missing either. It draws raw bit errors from an RNG seeded
+// as the device's, in the same order, and keeps its counters in a Stats
+// of its own, so a differential run can hold the device to it byte for
+// byte and count for count.
 type refDevice struct {
 	geo                  Geometry
 	params               Params
 	mode                 [][]CellMode     // [plane][block]
 	pages                []map[int][]byte // [plane][page]: data, then OOB
 	sensing, data, cache [][]byte         // [plane]
+	loaded, sensed       []bool           // [plane]: an IBC, a ReadPage has filled the latch
 	senses               [][3]int64
 	distWaves            []int64
 	rng                  *xrand.RNG
@@ -37,6 +40,7 @@ func newRefDevice(geo Geometry, params Params) *refDevice {
 		geo: geo, params: params,
 		mode: make([][]CellMode, n), pages: make([]map[int][]byte, n),
 		sensing: make([][]byte, n), data: make([][]byte, n), cache: make([][]byte, n),
+		loaded: make([]bool, n), sensed: make([]bool, n),
 		senses: make([][3]int64, n), distWaves: make([]int64, n),
 		rng: xrand.New(0xf1a5),
 	}
@@ -107,6 +111,7 @@ func (r *refDevice) readPage(a Address) error {
 	r.stats.PageReads.Add(1)
 	r.stats.PageReadsByMode[m].Add(1)
 	r.senses[p][m]++
+	r.sensed[p] = true
 	return nil
 }
 
@@ -176,6 +181,7 @@ func (r *refDevice) validPattern(pattern []byte, slotBytes int) bool {
 // fillCache writes pattern, zero-padded, into each whole slot of the
 // page, and zeros everywhere else.
 func (r *refDevice) fillCache(p int, pattern []byte, slotBytes int) {
+	r.loaded[p] = true
 	clear(r.cache[p])
 	for off := 0; off+slotBytes <= r.geo.PageBytes; off += slotBytes {
 		copy(r.cache[p][off:off+slotBytes], pattern)
@@ -222,6 +228,9 @@ func (r *refDevice) genDistPage(p, slotBytes, firstSlot, nSlots int, dists []int
 	if p < 0 || p >= r.geo.Planes() || slotBytes <= 0 || firstSlot < 0 || nSlots <= 0 || hi > r.geo.PageBytes || len(dists) < nSlots {
 		return fmt.Errorf("bad GEN_DIST_PAGE")
 	}
+	if !r.loaded[p] || !r.sensed[p] {
+		return fmt.Errorf("GEN_DIST_PAGE before IBC and page read")
+	}
 	r.xor(p)
 	for s := range nSlots {
 		lo := (firstSlot + s) * slotBytes
@@ -258,6 +267,8 @@ type latchRun struct {
 	// latch that aliased the caller's bytes would change under it.
 	pattern []byte
 	dists   [2][]int
+	// waves counts the wave steps run, refused those the device refused.
+	waves, refused int
 }
 
 // latchParams are the default parameters with a raw TLC BER high enough
@@ -367,8 +378,8 @@ func (lr *latchRun) do() {
 		die, mask, held := r.Intn(g.Dies()), uint64(1+r.Intn(1<<g.PlanesPerDie-1)), r.Intn(2) == 0
 		sb := slotWidths[r.Intn(len(slotWidths))]
 		pat := lr.drawPattern(sb)
-		lr.what = fmt.Sprintf("loadCacheDie(%d, %#b, %dB, %d, held %v)", die, mask, len(pat), sb, held)
-		lr.sameErr(lr.dev.loadCacheDie(die, mask, pat, sb, held), lr.ref.loadCacheDie(die, mask, pat, sb, held))
+		lr.what = fmt.Sprintf("LoadCacheDie(%d, %#b, %dB, %d, held %v)", die, mask, len(pat), sb, held)
+		lr.sameErr(lr.dev.LoadCacheDie(die, mask, pat, sb, held), lr.ref.loadCacheDie(die, mask, pat, sb, held))
 	case 7, 8: // a wave over a slot range, at the cache's width or another
 		sb := slotWidths[r.Intn(len(slotWidths))]
 		if c := lr.dev.planes[plane].cache.slot; c > 0 && r.Intn(2) == 0 {
@@ -388,9 +399,14 @@ func (lr *latchRun) do() {
 		got, want := lr.dists[0][:n], lr.dists[1][:n]
 		clear(got)
 		clear(want)
-		lr.sameErr(lr.dev.GenDistPage(plane, sb, first, n, got, bound), lr.ref.genDistPage(plane, sb, first, n, want, bound))
+		err := lr.dev.GenDistPage(plane, sb, first, n, got, bound)
+		lr.sameErr(err, lr.ref.genDistPage(plane, sb, first, n, want, bound))
 		if !slices.Equal(got, want) {
 			lr.t.Fatalf("step %d %s: distances %v, reference %v", lr.step, lr.what, got, want)
+		}
+		lr.waves++
+		if err != nil {
+			lr.refused++
 		}
 	case 9:
 		lr.what = fmt.Sprintf("ReadOOB(%d)", plane)
@@ -457,8 +473,10 @@ func (lr *latchRun) run(steps int) {
 // masks) from one reused pattern buffer, waves at the broadcast's slot
 // width and others, pruned or not, and OOB reads — and after every step
 // every plane's materialized latches, the returned distances and OOB,
-// and every counter must equal the reference's. One sequence runs on
-// SLC-ESP blocks only, where no sense draws a raw error.
+// and every counter must equal the reference's. A wave on a plane no
+// broadcast or sense has filled must be refused by both, as must one
+// past the page; the log reports the refused share. One sequence runs
+// on SLC-ESP blocks only, where no sense draws a raw error.
 func TestLatchesMatchEagerReference(t *testing.T) {
 	for _, c := range []struct {
 		seed uint64
@@ -467,6 +485,7 @@ func TestLatchesMatchEagerReference(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d/esp=%v", c.seed, c.esp), func(t *testing.T) {
 			lr := newLatchRun(t, c.seed, c.esp)
 			lr.run(1500)
+			t.Logf("%d of %d wave steps refused", lr.refused, lr.waves)
 			if lr.dev.Stats.LatchXORs.Load() == 0 || lr.dev.Stats.PrunedSlots.Load() == 0 || lr.dev.Stats.PagePrograms.Load() == 0 {
 				t.Fatal("the sequence ran no wave, pruned nothing or programmed nothing")
 			}

@@ -485,16 +485,11 @@ func (d *device) planDie(die int, steps []ibcStep, pageMajor bool) []ibcStep {
 // it one IBC per plane that does not hold the query yet.
 func (d *device) broadcast(db *Database, die int, st ibcStep, qPacked []byte) error {
 	if d.scr.ibc.mpibc {
-		return d.FSM.Execute(flash.Command{
-			Op: flash.OpIBC, Die: die, PlaneMask: st.mask, Held: st.sent == 0,
-			Query: qPacked, SlotBytes: db.slotBytes,
-		})
+		return d.SSD.Dev.LoadCacheDie(die, st.mask, qPacked, db.slotBytes, st.sent == 0)
 	}
 	for m := st.sent; m != 0; m &= m - 1 {
 		plane := d.scr.ibc.geo.DiePlane(die, bits.TrailingZeros64(m))
-		if err := d.FSM.Execute(flash.Command{
-			Op: flash.OpIBC, Plane: plane, Query: qPacked, SlotBytes: db.slotBytes,
-		}); err != nil {
+		if err := d.SSD.Dev.LoadCache(plane, qPacked, db.slotBytes); err != nil {
 			return err
 		}
 	}

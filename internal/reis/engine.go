@@ -83,12 +83,12 @@ func AllOptions() Options {
 	return Options{DistanceFilter: true, Pipelining: true, MPIBC: true}
 }
 
-// device is one simulated SSD: the SSD, its die command FSM, the plane
-// worker pool that scans in place and that scan's scratch. It holds no
-// host state and never calls into a host core.
+// device is one simulated SSD: the SSD (its flash.Device is the dies'
+// command interface), the plane worker pool that scans in place and that
+// scan's scratch. It holds no host state and never calls into a host
+// core.
 type device struct {
 	SSD  *ssd.SSD
-	FSM  *flash.DieFSM
 	Opts Options
 
 	// pool dispatches per-plane scan work onto one worker per die,
@@ -115,7 +115,7 @@ func newDevice(cfg ssd.Config, capacityHint int64, opts Options) (*device, error
 	if err != nil {
 		return nil, err
 	}
-	return &device{SSD: dev, FSM: flash.NewDieFSM(dev.Dev), Opts: opts, pool: newPlanePool(dev.Cfg.Geo)}, nil
+	return &device{SSD: dev, Opts: opts, pool: newPlanePool(dev.Cfg.Geo)}, nil
 }
 
 // close stops the device's plane workers for good.
@@ -127,7 +127,7 @@ func (d *device) close() {
 }
 
 // Engine is the in-storage retrieval system on one simulated device: the
-// device (SSD, FSM, Opts) and the host core over it (devs = [it]). A
+// device (SSD, Opts) and the host core over it (devs = [it]). A
 // command enters through Submit, or SubmitAsync on a queue pair created
 // with NewQueue — the Table 1 command set and its mutation extension,
 // nothing beside them — from any goroutine: the host core serializes

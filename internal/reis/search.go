@@ -254,7 +254,7 @@ func (r *scanRound) sense(p int, oob []byte) (flash.Address, []byte, error) {
 	if err != nil {
 		return addr, oob, err
 	}
-	if err := d.FSM.Execute(flash.Command{Op: flash.OpReadPage, Addr: addr}); err != nil {
+	if err := d.SSD.Dev.ReadPage(addr); err != nil {
 		return addr, oob, err
 	}
 	oob, err = d.SSD.Dev.ReadOOB(addr.PlaneIndex(geo), oob)
@@ -292,19 +292,16 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]ttlEntry, it
 	if p == it.last/db.embPerPage {
 		hiSlot = it.last % db.embPerPage
 	}
-	if err := d.FSM.Execute(flash.Command{
-		Op: flash.OpGenDistPage, Plane: plane, SlotBytes: db.slotBytes,
-		Mini: loSlot, Slots: hiSlot - loSlot + 1, Dists: dists, Bound: it.bound,
-	}); err != nil {
+	if err := d.SSD.Dev.GenDistPage(plane, db.slotBytes, loSlot, hiSlot-loSlot+1, dists, it.bound); err != nil {
 		return err
 	}
 	// Entries carry global positions: local page p is global page
 	// p*stride + start (itself, on one device).
 	basePos := (p*db.stride + db.start) * db.embPerPage
-	entrySize := db.ttlEntryBytes()
-	// The pass/fail comparator's checks are counted here and recorded
-	// once per page.
-	checks := 0
+	// The pass/fail comparator's checks and the surviving entries are
+	// counted here and recorded once per page: one CountPassFail, one
+	// RD_TTL moving the page's survivors.
+	checks, kept := 0, 0
 	for s := loSlot; s <= hiSlot; s++ {
 		dist := dists[s-loSlot]
 		l, ok := parseLink(oob, s)
@@ -329,13 +326,7 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]ttlEntry, it
 			ps.pruned++
 			continue
 		}
-		if err := d.FSM.Execute(flash.Command{
-			Op: flash.OpReadTTL, Plane: plane, EntryBytes: entrySize,
-		}); err != nil {
-			d.SSD.Dev.CountPassFail(checks)
-			return err
-		}
-		ps.survivors++
+		kept++
 		*arena = append(*arena, ttlEntry{
 			Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
 		})
@@ -343,7 +334,8 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]ttlEntry, it
 	if checks > 0 {
 		d.SSD.Dev.CountPassFail(checks)
 	}
-	return nil
+	ps.survivors += kept
+	return d.SSD.Dev.ReadTTL(plane, db.ttlEntryBytes(), kept)
 }
 
 // ttlEntryBytes is the on-channel size of one TTL entry: DIST (2B) +

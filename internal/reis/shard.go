@@ -82,7 +82,7 @@ func NewSharded(cfg ssd.Config, n int, capacityHint int64, opts Options) (*Shard
 func (sh *ShardedEngine) Shards() int { return len(sh.devs) }
 
 // Shard returns a view of device s (for tests and tools): an Engine
-// whose SSD, FSM and Opts are the device's and whose host half is closed
+// whose SSD and Opts are the device's and whose host half is closed
 // from the start — it refuses every command with ErrQueueClosed, answers
 // no DB and starts no goroutine. Closing it leaves the device open.
 func (sh *ShardedEngine) Shard(s int) *Engine {
