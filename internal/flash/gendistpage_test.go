@@ -157,6 +157,47 @@ func TestGenDistPageProtocol(t *testing.T) {
 	}
 }
 
+// TestGenDistPageNeedsItsPlaneSensed: the page read a wave needs is a
+// ReadPage on the wave's own plane. A conventional read of that plane's
+// page (ReadPageInto, ReadSlots) leaves the sensing latch as it was, and
+// a ReadPage on another plane fills that plane's latch only, so neither
+// lets the wave run.
+func TestGenDistPageNeedsItsPlaneSensed(t *testing.T) {
+	d := testDevice(t)
+	a, b := Address{Channel: 0}, Address{Channel: 1}
+	pa, pb := a.PlaneIndex(d.geo), b.PlaneIndex(d.geo)
+	if pa == pb {
+		t.Fatalf("addresses %v and %v share plane %d", a, b, pa)
+	}
+	for _, p := range []int{pa, pb} {
+		must(t, d.LoadCache(p, []byte{0xFF, 0xFF, 0xFF, 0xFF}, 4))
+	}
+	dists := make([]int, 1)
+	wave := func(p int) error { return d.GenDistPage(p, 4, 0, 1, dists, 0) }
+
+	if _, _, err := d.ReadPageInto(a, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	must(t, d.ReadSlots(a, 4, []int{0}, make([]byte, 4)))
+	if err := wave(pa); err == nil {
+		t.Fatal("GEN_DIST_PAGE accepted after only conventional reads of its plane")
+	}
+	must(t, d.ReadPage(b))
+	if err := wave(pa); err == nil {
+		t.Fatal("GEN_DIST_PAGE accepted on a plane another plane's ReadPage sensed")
+	}
+	if w := d.Plane(pa).DistWaves(); w != 0 {
+		t.Fatalf("refused waves counted %d on plane %d", w, pa)
+	}
+	must(t, wave(pb))
+	must(t, d.ReadPage(a))
+	must(t, wave(pa))
+	// An erased page reads all ones: the all-ones slot is 0 bits from it.
+	if dists[0] != 0 {
+		t.Fatalf("distance of an erased slot to all ones = %d, want 0", dists[0])
+	}
+}
+
 // BenchmarkGenDistPage times one GEN_DIST_PAGE wave on a programmed
 // SLC-ESP page of the REIS-SSD page geometry (16 KiB) with 32-byte slots
 // (256-dimensional binary codes): over all 512 slots, and over a
