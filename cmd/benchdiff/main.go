@@ -12,10 +12,8 @@
 //     experiment id plus every id column.
 //   - drop: a fall of more than -max-regress percent fails. The model
 //     clock's columns are pure functions of the bit-identical device
-//     stats, so they are machine-independent — all but Fig 9's: its
-//     columns divide by CPU-Real, whose kernel rates host.Calibrate
-//     times on the wall clock, so another job on the machine can move
-//     them (by ~1e-5 relative). Run the sweeps on an idle machine.
+//     stats and of CPU-Real's fixed rates, so they are
+//     machine-independent.
 //   - rise: a rise of more than -max-regress percent fails.
 //   - exact: any difference fails. These are event counts of a
 //     deterministic history, or a rival's own model, which no change to

@@ -129,15 +129,16 @@ func docSlot(d *dataset.Dataset) int {
 	return slot
 }
 
-// cpuBaselineQPS returns the Fig 7 CPU-Real throughput for this workload:
-// BQ dataset loading at paper size amortized over queryBatch queries,
-// plus the per-query BQ scan of `candidates` full-scale candidates.
-func cpuBaselineQPS(b *host.Baseline, w *workload, candidates float64, coarse float64) float64 {
+// cpuBaselineQPS returns the Fig 7 CPU-Real throughput for this workload
+// and its No-I/O variant: BQ dataset loading at paper size amortized
+// over queryBatch queries (none for No-I/O), plus the per-query BQ scan
+// of `candidates` full-scale candidates.
+func cpuBaselineQPS(w *workload, candidates, coarse float64) (qps, noIO float64) {
 	bytes := host.DatasetBytesBQ(int(w.paperN()), w.Data.Dim, w.Desc.DocBytes)
-	load := b.LoadSeconds(bytes, true)
-	search := b.ScanSecondsBQ(int(candidates), w.Data.Dim, 100) +
-		b.ScanSecondsF32(int(coarse), w.Data.Dim)
-	return b.QPS(queryBatch, load, search)
+	load := host.LoadSeconds(bytes, true)
+	search := host.ScanSecondsBQ(int(candidates), w.Data.Dim, 100) +
+		host.ScanSecondsF32(int(coarse), w.Data.Dim)
+	return host.QPS(queryBatch, load, search), host.QPS(queryBatch, 0, search)
 }
 
 // rivalCoarse returns the paper-scale centroid count a CPU or ICE scores

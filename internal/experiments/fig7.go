@@ -34,13 +34,9 @@ func RunFig7(scale int, datasets []string) ([]Fig7Row, error) {
 	if datasets == nil {
 		datasets = fig7Datasets
 	}
-	cpu := host.NewBaseline(host.CPUReal())
-	noio := host.NewBaseline(host.CPUReal())
-	noio.NoIO = true
-
 	var rows []Fig7Row
 	for _, name := range datasets {
-		dsRows, err := fig7Rows(loadWorkload(name, scale), cpu, noio)
+		dsRows, err := fig7Rows(loadWorkload(name, scale))
 		if err != nil {
 			return nil, err
 		}
@@ -51,7 +47,7 @@ func RunFig7(scale int, datasets []string) ([]Fig7Row, error) {
 
 // fig7Rows holds both devices at once: every row compares them on one
 // command, REIS-SSD2 at the nprobe REIS-SSD1 calibrated.
-func fig7Rows(w *workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
+func fig7Rows(w *workload) ([]Fig7Row, error) {
 	s1, err := newSetup(paperSSDs[0], 1, w, reis.AllOptions())
 	if err != nil {
 		return nil, err
@@ -72,7 +68,7 @@ func fig7Rows(w *workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []Fig7Row{makeRow(w, "BF", w.BF, cpu, noio, b1, b2, st1)}
+	rows := []Fig7Row{makeRow(w, "BF", w.BF, b1, b2, st1)}
 
 	// IVF at each recall target.
 	for _, target := range recallTargets {
@@ -88,20 +84,19 @@ func fig7Rows(w *workload, cpu, noio *host.Baseline) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, makeRow(w, fmt.Sprintf("IVF@%.2f", target), w.IVF, cpu, noio, b1, b2, st))
+		rows = append(rows, makeRow(w, fmt.Sprintf("IVF@%.2f", target), w.IVF, b1, b2, st))
 	}
 	return rows, nil
 }
 
-func makeRow(w *workload, mode string, sc reis.Scale, cpu, noio *host.Baseline, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
+func makeRow(w *workload, mode string, sc reis.Scale, b1, b2 reis.Breakdown, st reis.QueryStats) Fig7Row {
 	fineCands := fineCandidates(st, sc)
 	coarse := rivalCoarse(w, st)
-	cpuQPS := cpuBaselineQPS(cpu, w, fineCands, coarse)
-	noioQPS := cpuBaselineQPS(noio, w, fineCands, coarse)
+	cpuQPS, noioQPS := cpuBaselineQPS(w, fineCands, coarse)
 
 	q1 := 1 / b1.Total.Seconds()
 	q2 := 1 / b2.Total.Seconds()
-	cpuQPSW := cpuQPS / cpu.CPU.ActiveWatts
+	cpuQPSW := cpuQPS / host.ActiveWatts
 	return Fig7Row{
 		Dataset:  w.Name,
 		Mode:     mode,

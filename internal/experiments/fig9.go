@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"reis/internal/host"
 	"reis/internal/reis"
 )
 
@@ -28,7 +27,6 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 		recalls = fig9Recalls
 	}
 	w := loadWorkload("wiki_full", scale)
-	cpu := host.NewBaseline(host.CPUReal())
 
 	// The optimization stacks, each with the column it fills. One stack
 	// is deployed at a time, on each device in turn, and fills its column
@@ -54,7 +52,7 @@ func RunFig9(scale int, recalls []float64) ([]Fig9Row, error) {
 				if err != nil {
 					return nil, err
 				}
-				cpuQPS := cpuBaselineQPS(cpu, w, fineCandidates(st, w.IVF), rivalCoarse(w, st))
+				cpuQPS, _ := cpuBaselineQPS(w, fineCandidates(st, w.IVF), rivalCoarse(w, st))
 				row := &rows[next]
 				next++
 				row.SSD, row.Recall = s.Cfg.Name, target

@@ -7,7 +7,6 @@ import (
 
 	"reis/internal/ann"
 	"reis/internal/dataset"
-	"reis/internal/host"
 	"reis/internal/reis"
 	"reis/internal/rivals"
 	"reis/internal/ssd"
@@ -19,7 +18,7 @@ import (
 // over the same corpus the flash engine deploys; the identical query
 // set runs through every system; recall is measured functionally and
 // latency is costed at paper scale — rivals through the DRAM models
-// of internal/rivals on the calibrated host baseline, the flash
+// of internal/rivals on the fixed CPU-Real host, the flash
 // engine through its occupancy timing model (pruned, and pruned with
 // the DRAM caching tier enabled).
 //
@@ -53,14 +52,13 @@ type FrontierRow struct {
 	Param   string `gate:"id"`
 	// Recall is Recall@10 measured functionally on the shared corpus
 	// and query set.
-	Recall float64 `gate:"report"`
+	Recall float64 `gate:"drop"`
 	// ServeMs is the modeled per-query latency at paper scale with
-	// the dataset resident (DRAM rivals) or on flash (REIS rows). The
-	// rivals' read host.Calibrate, so it is report-only.
-	ServeMs float64 `gate:"report"`
+	// the dataset resident (DRAM rivals) or on flash (REIS rows).
+	ServeMs float64 `gate:"rise"`
 	// TotalMs adds the queryBatch-amortized dataset load for DRAM
 	// rivals; for REIS rows it equals ServeMs.
-	TotalMs float64 `gate:"report"`
+	TotalMs float64 `gate:"rise"`
 }
 
 // RunFrontier builds the frontier over wiki_en at the given scale
@@ -74,7 +72,7 @@ func RunFrontier(scale int) ([]FrontierRow, error) {
 	w := loadWorkload("wiki_en", scale)
 	d := w.Data
 	const k = 10
-	dram := rivals.DRAMANN{B: host.NewBaseline(host.CPUReal()), Dim: d.Dim}
+	dram := rivals.DRAMANN{Dim: d.Dim}
 	loadSec := dram.LoadSecondsPerQuery(w.paperN(), queryBatch)
 
 	var rows []FrontierRow

@@ -25,7 +25,6 @@ const ragBatch = 64
 // breakdowns for the CPU flat-index system, the CPU+BQ system, and
 // REIS, on HotpotQA and wiki_en (Fig 2/3) at full scale.
 func RunRAGBreakdown(scale int) ([]RAGRow, error) {
-	cpu := host.NewBaseline(host.CPUReal())
 	var rows []RAGRow
 	for _, name := range []string{"HotpotQA", "wiki_en"} {
 		w := loadWorkload(name, scale)
@@ -35,14 +34,14 @@ func RunRAGBreakdown(scale int) ([]RAGRow, error) {
 
 		// Fig 2: flat FP32 index, exhaustive search over the session's
 		// queryBatch queries.
-		searchFlat := cpu.ScanSecondsF32(n, dim) * float64(ragBatch)
+		searchFlat := host.ScanSecondsF32(n, dim) * float64(ragBatch)
 		rows = append(rows, RAGRow{name, "CPU flat",
-			ragpipe.CPUPipeline(cpu, n, dim, doc, false, searchFlat)})
+			ragpipe.CPUPipeline(n, dim, doc, false, searchFlat)})
 
 		// Fig 3: BQ index + rerank.
-		searchBQ := cpu.ScanSecondsBQ(n, dim, 100) * float64(ragBatch)
+		searchBQ := host.ScanSecondsBQ(n, dim, 100) * float64(ragBatch)
 		rows = append(rows, RAGRow{name, "CPU+BQ",
-			ragpipe.CPUPipeline(cpu, n, dim, doc, true, searchBQ)})
+			ragpipe.CPUPipeline(n, dim, doc, true, searchBQ)})
 
 		// Table 4: REIS (search + document retrieval in storage).
 		for s, err := range setups(w, reis.AllOptions(), paperSSDs[:1], 1) {

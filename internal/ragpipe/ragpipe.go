@@ -59,7 +59,7 @@ func (s StageSeconds) Fractions() StageSeconds {
 // dataset of n entries with the given embedding dimensionality and
 // document chunk size. bq selects the Fig 3 (binary-quantized)
 // variant; searchSeconds is the measured/modelled search stage.
-func CPUPipeline(b *host.Baseline, n, dim, docBytes int, bq bool, searchSeconds float64) StageSeconds {
+func CPUPipeline(n, dim, docBytes int, bq bool, searchSeconds float64) StageSeconds {
 	var bytes int64
 	if bq {
 		bytes = host.DatasetBytesBQ(n, dim, docBytes)
@@ -69,7 +69,7 @@ func CPUPipeline(b *host.Baseline, n, dim, docBytes int, bq bool, searchSeconds 
 	return StageSeconds{
 		EmbModelLoad: embModelLoadSeconds,
 		Encode:       encodeSeconds,
-		DatasetLoad:  b.LoadSeconds(bytes, bq),
+		DatasetLoad:  host.LoadSeconds(bytes, bq),
 		Search:       searchSeconds,
 		GenModelLoad: genModelLoadSeconds,
 		Generation:   generationSeconds,

@@ -3,17 +3,12 @@ package ragpipe
 import (
 	"math"
 	"testing"
-
-	"reis/internal/host"
 )
-
-func baseline() *host.Baseline { return host.NewBaseline(host.CPUReal()) }
 
 func TestFig2ShapeDatasetLoadingDominates(t *testing.T) {
 	// Fig 2: at full wiki_en scale (41.5M entries, FP32 flat index)
 	// dataset loading must account for ~84% of the pipeline.
-	b := baseline()
-	s := CPUPipeline(b, 41_488_110, 1024, 1024, false, 1.0)
+	s := CPUPipeline(41_488_110, 1024, 1024, false, 1.0)
 	f := s.Fractions()
 	if f.DatasetLoad < 0.70 || f.DatasetLoad > 0.95 {
 		t.Fatalf("wiki_en dataset-loading fraction = %.2f, paper reports 0.84", f.DatasetLoad)
@@ -23,9 +18,8 @@ func TestFig2ShapeDatasetLoadingDominates(t *testing.T) {
 
 func TestFig2SmallerDatasetSmallerFraction(t *testing.T) {
 	// HotpotQA (5.3M) must show a smaller loading fraction (paper: 46%).
-	b := baseline()
-	hq := CPUPipeline(b, 5_233_329, 1024, 1024, false, 0.3).Fractions()
-	we := CPUPipeline(b, 41_488_110, 1024, 1024, false, 1.0).Fractions()
+	hq := CPUPipeline(5_233_329, 1024, 1024, false, 0.3).Fractions()
+	we := CPUPipeline(41_488_110, 1024, 1024, false, 1.0).Fractions()
 	if hq.DatasetLoad >= we.DatasetLoad {
 		t.Fatalf("HotpotQA load fraction %.2f >= wiki_en %.2f", hq.DatasetLoad, we.DatasetLoad)
 	}
@@ -36,9 +30,8 @@ func TestFig2SmallerDatasetSmallerFraction(t *testing.T) {
 
 func TestFig3BQReducesButKeepsBottleneck(t *testing.T) {
 	// Fig 3: BQ cuts loading, but wiki_en remains loading-bound (67%).
-	b := baseline()
-	flat := CPUPipeline(b, 41_488_110, 1024, 1024, false, 1.0)
-	bq := CPUPipeline(b, 41_488_110, 1024, 1024, true, 1.0)
+	flat := CPUPipeline(41_488_110, 1024, 1024, false, 1.0)
+	bq := CPUPipeline(41_488_110, 1024, 1024, true, 1.0)
 	if bq.DatasetLoad >= flat.DatasetLoad {
 		t.Fatal("BQ did not reduce loading")
 	}
@@ -67,10 +60,9 @@ func TestTable4REISEliminatesLoading(t *testing.T) {
 func TestTable4EndToEndSpeedups(t *testing.T) {
 	// Paper: REIS reduces end-to-end latency 1.25x on HotpotQA and
 	// 3.24x on NQ/wiki_en-class datasets versus CPU+BQ.
-	b := baseline()
 	reis := REISPipeline(0.01).Total()
-	hotpot := CPUPipeline(b, 5_233_329, 1024, 1024, true, 0.07).Total()
-	wiki := CPUPipeline(b, 41_488_110, 1024, 1024, true, 1.23).Total()
+	hotpot := CPUPipeline(5_233_329, 1024, 1024, true, 0.07).Total()
+	wiki := CPUPipeline(41_488_110, 1024, 1024, true, 1.23).Total()
 	sHot := hotpot / reis
 	sWiki := wiki / reis
 	if sHot < 1.05 || sHot > 2.0 {
@@ -83,8 +75,7 @@ func TestTable4EndToEndSpeedups(t *testing.T) {
 }
 
 func TestFractionsSumToOne(t *testing.T) {
-	b := baseline()
-	s := CPUPipeline(b, 1_000_000, 1024, 1024, true, 0.5)
+	s := CPUPipeline(1_000_000, 1024, 1024, true, 0.5)
 	f := s.Fractions()
 	sum := f.EmbModelLoad + f.Encode + f.DatasetLoad + f.Search + f.GenModelLoad + f.Generation
 	if math.Abs(sum-1) > 1e-9 {

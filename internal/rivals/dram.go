@@ -14,8 +14,8 @@ import (
 // (internal/experiments, RunFrontier) runs the real index structures
 // from internal/ann over the functional corpus to measure recall and
 // per-query work (hops, candidates), then costs that work at paper
-// scale through these models, built on the same calibrated
-// host.Baseline as the CPU-Real comparisons of Fig 7.
+// scale through these models, built on the same fixed CPU-Real host
+// (internal/host) as the comparisons of Fig 7.
 //
 // The central asymmetry the models capture is Sec 3.2's: flat scans
 // parallelize across cores and are bounded by DRAM streaming
@@ -27,17 +27,10 @@ import (
 // traversal and the per-table floor of hash probing.
 const dramRandomAccessNs = 100.0
 
-// DRAMANN costs DRAM-resident ANN queries on a calibrated host
-// baseline over vectors of the given dimensionality.
+// DRAMANN costs DRAM-resident ANN queries on the CPU-Real host over
+// vectors of the given dimensionality.
 type DRAMANN struct {
-	B   *host.Baseline
 	Dim int
-}
-
-// parallelism mirrors host.Baseline's whole-system kernel rate
-// divisor for the scan-shaped stages.
-func (d DRAMANN) parallelism() float64 {
-	return float64(d.B.CPU.Cores) * d.B.CPU.Efficiency
 }
 
 // HNSWSeconds models one HNSW query that evaluated the given number
@@ -48,7 +41,7 @@ func (d DRAMANN) parallelism() float64 {
 // parallelism and no streaming bandwidth; this is why graph indexes
 // lose their single-query latency advantage at scale (Sec 3.2).
 func (d DRAMANN) HNSWSeconds(hops float64) float64 {
-	perHop := float64(d.Dim)*d.B.Cal.F32NsPerDim + dramRandomAccessNs
+	perHop := float64(d.Dim)*host.F32NsPerDim + dramRandomAccessNs
 	return hops * perHop / 1e9
 }
 
@@ -58,7 +51,7 @@ func (d DRAMANN) HNSWSeconds(hops float64) float64 {
 // streaming bandwidth.
 func (d DRAMANN) LSHSeconds(candidates float64, tables int) float64 {
 	probe := float64(tables) * dramRandomAccessNs / 1e9
-	return probe + d.B.ScanSecondsF32(int(math.Ceil(candidates)), d.Dim)
+	return probe + host.ScanSecondsF32(int(math.Ceil(candidates)), d.Dim)
 }
 
 // PQSeconds models one PQ-IVF query: a full-precision coarse scan over
@@ -67,11 +60,11 @@ func (d DRAMANN) LSHSeconds(candidates float64, tables int) float64 {
 // the probed lists' codes: candidates × m one-byte lookup-adds,
 // parallel across cores and bounded by streaming the codes.
 func (d DRAMANN) PQSeconds(candidates float64, m, ks, nlist int) float64 {
-	coarse := d.B.ScanSecondsF32(nlist, d.Dim)
-	table := d.B.ScanSecondsF32(ks, d.Dim)
+	coarse := host.ScanSecondsF32(nlist, d.Dim)
+	table := host.ScanSecondsF32(ks, d.Dim)
 	codeBytes := candidates * float64(m)
-	compute := codeBytes * d.B.Cal.Int8NsPerDim / d.parallelism() / 1e9
-	stream := codeBytes / d.B.CPU.MemBandwidth
+	compute := codeBytes * host.Int8NsPerDim / host.Parallelism / 1e9
+	stream := codeBytes / host.MemBandwidth
 	return coarse + table + math.Max(compute, stream)
 }
 
@@ -81,5 +74,5 @@ func (d DRAMANN) PQSeconds(candidates float64, m, ks, nlist int) float64 {
 // load is amortized over (a sweep's query batch).
 func (d DRAMANN) LoadSecondsPerQuery(n int64, batch int) float64 {
 	bytes := host.DatasetBytesF32(int(n), d.Dim, 0)
-	return d.B.LoadSeconds(bytes, false) / float64(batch)
+	return host.LoadSeconds(bytes, false) / float64(batch)
 }

@@ -6,14 +6,10 @@ import (
 	"reis/internal/host"
 )
 
-func testDRAM() DRAMANN {
-	return DRAMANN{B: host.NewBaseline(host.CPUReal()), Dim: 1024}
-}
-
 // TestDRAMCostsPositiveAndMonotone pins the shape of each rival model:
 // all costs are positive and grow with the work term.
 func TestDRAMCostsPositiveAndMonotone(t *testing.T) {
-	d := testDRAM()
+	d := DRAMANN{Dim: 1024}
 	if h1, h2 := d.HNSWSeconds(100), d.HNSWSeconds(1000); h1 <= 0 || h2 <= h1 {
 		t.Fatalf("HNSWSeconds not positive-monotone: %v %v", h1, h2)
 	}
@@ -29,10 +25,10 @@ func TestDRAMCostsPositiveAndMonotone(t *testing.T) {
 // the sequential graph walk costs more than the data-parallel flat
 // scan of the same number of vectors.
 func TestHNSWSequentialPenalty(t *testing.T) {
-	d := testDRAM()
+	d := DRAMANN{Dim: 1024}
 	const vecs = 10_000
 	hop := d.HNSWSeconds(vecs)
-	scan := d.B.ScanSecondsF32(vecs, d.Dim)
+	scan := host.ScanSecondsF32(vecs, d.Dim)
 	if hop <= scan {
 		t.Fatalf("sequential hops (%v) should cost more than a parallel scan (%v) over the same %d vectors",
 			hop, scan, vecs)
@@ -42,7 +38,7 @@ func TestHNSWSequentialPenalty(t *testing.T) {
 // TestLoadAmortization pins that the per-query load cost scales with
 // dataset size and amortizes with batch length.
 func TestLoadAmortization(t *testing.T) {
-	d := testDRAM()
+	d := DRAMANN{Dim: 1024}
 	small := d.LoadSecondsPerQuery(1_000_000, 1000)
 	big := d.LoadSecondsPerQuery(40_000_000, 1000)
 	if small <= 0 || big <= small {
