@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"reis/internal/host"
 	"reis/internal/reis"
 	"reis/internal/ssd"
 )
@@ -142,6 +144,21 @@ func TestFig7RivalIgnoresCoarseReissue(t *testing.T) {
 	}
 	if c := rivalCoarse(w, reis.QueryStats{EntriesScanned: 500}); c != 0 {
 		t.Fatalf("a flat query scores %v centroids on the CPU, want 0", c)
+	}
+}
+
+// TestCPUBaselineNoIODropsOnlyTheLoad: the No-I/O rival is CPU-Real
+// with the paper-scale BQ dataset load taken out, so the two differ in
+// per-query time by exactly that load amortized over the batch.
+func TestCPUBaselineNoIODropsOnlyTheLoad(t *testing.T) {
+	w := loadWorkload("NQ", testScale)
+	qps, noIO := cpuBaselineQPS(w, 1e6, float64(len(w.Centroids)))
+	if qps <= 0 || noIO <= qps {
+		t.Fatalf("CPU-Real %v QPS, No-I/O %v QPS: want 0 < CPU-Real < No-I/O", qps, noIO)
+	}
+	load := host.LoadSeconds(host.DatasetBytesBQ(int(w.paperN()), w.Data.Dim, w.Desc.DocBytes), true)
+	if got, want := 1/qps-1/noIO, load/queryBatch; math.Abs(got-want) > 1e-9*want {
+		t.Fatalf("CPU-Real pays %vs more per query than No-I/O, want the %vs amortized load", got, want)
 	}
 }
 

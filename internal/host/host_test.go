@@ -84,3 +84,19 @@ func TestCPURealConfig(t *testing.T) {
 		t.Fatalf("BQ scan %vs is compute-bound, not the %vs stream", ScanSecondsBQ(n, dim, 0), stream)
 	}
 }
+
+// TestRerankIsComputeBound pins the other side of the max in
+// ScanSecondsBQ: at CPU-Real's INT8 rate the rerank kernel costs more
+// than streaming its bytes, so a rerank-only scan is priced at the
+// kernel rate over all cores, not at the DRAM floor.
+func TestRerankIsComputeBound(t *testing.T) {
+	const dim, rerank = 1024, 10_000
+	compute := float64(rerank*dim) * Int8NsPerDim / Parallelism / 1e9
+	stream := float64(rerank*dim) / MemBandwidth
+	if compute <= stream {
+		t.Fatalf("rerank compute %vs does not exceed its %vs stream", compute, stream)
+	}
+	if got := ScanSecondsBQ(0, dim, rerank); got != compute {
+		t.Fatalf("rerank-only BQ scan = %vs, want the %vs kernel time", got, compute)
+	}
+}

@@ -1,6 +1,7 @@
 package rivals
 
 import (
+	"math"
 	"testing"
 
 	"reis/internal/host"
@@ -47,5 +48,28 @@ func TestLoadAmortization(t *testing.T) {
 	longer := d.LoadSecondsPerQuery(40_000_000, 10_000)
 	if longer >= big {
 		t.Fatalf("longer batch should amortize the load: %v vs %v", longer, big)
+	}
+}
+
+// TestDRAMRivalsPriceOnHostRates pins that the DRAM rivals run on the
+// same CPU-Real machine as Fig 7: a hop costs one float distance at the
+// host's per-core rate, LSH with no tables is the host's flat scan, and
+// the PQ ADC scan divides by the host's parallelism.
+func TestDRAMRivalsPriceOnHostRates(t *testing.T) {
+	d := DRAMANN{Dim: 1024}
+	if got, want := d.HNSWSeconds(1), (float64(d.Dim)*host.F32NsPerDim+dramRandomAccessNs)/1e9; got != want {
+		t.Fatalf("one HNSW hop = %vs, want %vs", got, want)
+	}
+	if got, want := d.LSHSeconds(5000, 0), host.ScanSecondsF32(5000, d.Dim); got != want {
+		t.Fatalf("LSH with no tables = %vs, want the host flat scan %vs", got, want)
+	}
+	const cands, m, ks, nlist = 1e6, 16, 64, 1024
+	adc := d.PQSeconds(cands, m, ks, nlist) - host.ScanSecondsF32(nlist, d.Dim) - host.ScanSecondsF32(ks, d.Dim)
+	compute := cands * m * host.Int8NsPerDim / host.Parallelism / 1e9
+	if stream := cands * m / host.MemBandwidth; compute <= stream {
+		t.Fatalf("ADC compute %vs does not exceed its %vs stream", compute, stream)
+	}
+	if math.Abs(adc-compute) > 1e-12 {
+		t.Fatalf("PQ ADC scan = %vs, want %vs at the host's INT8 rate", adc, compute)
 	}
 }
