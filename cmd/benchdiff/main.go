@@ -1,7 +1,6 @@
 // Command benchdiff is the CI benchmark regression gate: it compares a
 // freshly generated `reisbench -json` report against the committed
-// BENCH_*.json baseline and fails (exit 1) when a deterministic metric
-// regressed.
+// BENCH_*.json baseline and fails (exit 1) when a gated cell moved.
 //
 // What a column means is its role. Each experiment's row type names it
 // once, in the field's `gate` tag (internal/experiments), and reisbench
@@ -10,29 +9,37 @@
 //
 //   - id: part of the row's identity. Rows are matched on the
 //     experiment id plus every id column.
-//   - drop: a fall of more than -max-regress percent fails. The model
-//     clock's columns are pure functions of the bit-identical device
-//     stats and of CPU-Real's fixed rates, so they are
-//     machine-independent.
-//   - rise: a rise of more than -max-regress percent fails.
-//   - exact: any difference fails. These are event counts of a
-//     deterministic history, or a rival's own model, which no change to
-//     the flash engine may move.
-//   - allocs: a rise of more than -allocs-slack fails. It is compared
+//   - exact: any difference fails, in either direction. These are the
+//     model clock's columns (QPS, modeled tails, the paper figures'
+//     ratios, recall) and event counts of a deterministic history.
+//   - allocs: a rise of more than allocsSlack fails. It is compared
 //     only between reports generated at the same GOMAXPROCS: the pools
 //     behind it are per-P, and a report at another setting fails
 //     instead.
-//   - wall: a wall-clock column. A fall past -max-regress fails only
-//     under -wall (shared CI runners make it noisy); otherwise it is a
-//     note.
 //   - busy: report-only, with a note when a value exceeds 1: the batch
 //     model's makespan clamp let the row finish before that resource did.
-//   - report: never compared.
+//   - report: never compared. Wall-clock columns are here: shared
+//     runners make them noise.
+//
+// Why the model clock is gated exactly: its columns are pure functions
+// of the bit-identical device stats and of CPU-Real's constant kernel
+// rates, and nothing in the float arithmetic behind them depends on the
+// CPU on amd64. Go 1.24 compiles x*y+z there to a multiply and a
+// separate add (MULSD+ADDSD) even at GOAMD64=v3, so the compiler fuses
+// no multiply-add. The one amd64 routine that picks an FMA path at run
+// time is math.Exp; model code never calls it, and xrand.Zipf reaches
+// it only through math.Pow while building its CDF, where a draw changes
+// only if it lands inside a one-ulp gap. Measured on a 2-vCPU
+// AVX2+FMA host with Go 1.24.0, every CI sweep read no difference from
+// its baseline at GOMAXPROCS 1 and 2, built at GOAMD64=v1 and v3. So
+// any model change, faster or slower, fails until it ships a new
+// baseline. On arm64, which fuses x*y+z, and after a toolchain bump
+// that moves a digit, the baseline must be regenerated too.
 //
 // For every section it compares, benchdiff prints how many gated
-// scalars it compared (the numeric cells of matched rows under drop,
-// rise, exact and allocs) and how many of them differ at all, within
-// their bound or not: "0 differ" is the claim a refactor makes.
+// scalars it compared (the numeric cells of matched rows under exact
+// and allocs) and how many of them differ at all: "0 differ" is the
+// claim a refactor makes.
 //
 // A section is compared only with a baseline section that carries the
 // same roles and was generated at the same -scale. A baseline section
@@ -42,7 +49,7 @@
 // Usage:
 //
 //	go run ./cmd/reisbench -exp throughput -json /tmp/bench.json
-//	go run ./cmd/benchdiff -baseline BENCH_2026-10-17b.json -current /tmp/bench.json
+//	go run ./cmd/benchdiff -baseline "$(ls BENCH_*.json | sort | tail -1)" -current /tmp/bench.json
 //
 // Experiments missing from the current report are skipped, so a partial
 // CI run gates only what it measured — but an experiment both reports
@@ -107,25 +114,24 @@ func reroled(base, cur map[string]string) []string {
 // tally counts the gated scalars one section compared, by role, and
 // how many of them differ at all.
 type tally struct {
-	id                        string
-	drop, rise, exact, allocs int
-	differ                    int
+	id            string
+	exact, allocs int
+	differ        int
 }
 
 func (t tally) String() string {
-	return fmt.Sprintf("%s: %d gated scalars compared (drop %d, rise %d, exact %d, allocs %d), %d differ",
-		t.id, t.drop+t.rise+t.exact+t.allocs, t.drop, t.rise, t.exact, t.allocs, t.differ)
+	return fmt.Sprintf("%s: %d gated scalars compared (exact %d, allocs %d), %d differ",
+		t.id, t.exact+t.allocs, t.exact, t.allocs, t.differ)
 }
 
-type options struct {
-	maxRegressPct float64
-	allocsSlack   float64
-	gateWall      bool
-}
+// allocsSlack is how far an allocs column may rise: under one
+// allocation per query, and above the sub-1.0 run-to-run jitter of the
+// runtime and the queue dispatcher.
+const allocsSlack = 0.9
 
-// diff returns the violations (enforced regressions), notes
-// (informational drift) and per-section tallies between the two reports.
-func diff(baseline, current *report, opt options) (violations, notes []string, tallies []tally) {
+// diff returns the violations (gated cells that moved), notes
+// (informational) and per-section tallies between the two reports.
+func diff(baseline, current *report) (violations, notes []string, tallies []tally) {
 	bases := make(map[string]*section)
 	for i := range baseline.Experiments {
 		bases[baseline.Experiments[i].ID] = &baseline.Experiments[i]
@@ -189,35 +195,28 @@ func diff(baseline, current *report, opt options) (violations, notes []string, t
 				if !ok1 || !ok2 {
 					continue
 				}
-				role := cur.Roles[col]
-				if n := t.count(role, baseline.GOMAXPROCS == current.GOMAXPROCS); n != nil {
-					*n++
+				switch role := cur.Roles[col]; {
+				case role == "exact":
+					t.exact++
 					if cv != bv {
-						t.differ++
+						violations = append(violations, fmt.Sprintf(
+							"%s: %s %v -> %v — an exact column: any difference is a behaviour change", key, col, bv, cv))
 					}
-				}
-				fall, rise := (bv-cv)/bv*100, (cv-bv)/bv*100
-				switch {
-				case role == "exact" && cv != bv:
-					violations = append(violations, fmt.Sprintf(
-						"%s: %s %v -> %v — an exact column: any difference is a behaviour change", key, col, bv, cv))
 				case role == "allocs" && baseline.GOMAXPROCS != current.GOMAXPROCS:
 					allocsRefused = true
-				case role == "allocs" && cv > bv+opt.allocsSlack:
-					violations = append(violations, fmt.Sprintf(
-						"%s: %s %.3f -> %.3f (+%.3f, slack %.3f) — zero-alloc path regression",
-						key, col, bv, cv, cv-bv, opt.allocsSlack))
-				case bv <= 0:
-				case (role == "drop" || role == "wall") && fall > opt.maxRegressPct:
-					msg := fmt.Sprintf("%s: %s %.4g -> %.4g (-%.1f%%, limit %.0f%%)", key, col, bv, cv, fall, opt.maxRegressPct)
-					if role == "drop" || opt.gateWall {
-						violations = append(violations, msg)
-					} else {
-						notes = append(notes, msg)
+					continue
+				case role == "allocs":
+					t.allocs++
+					if cv > bv+allocsSlack {
+						violations = append(violations, fmt.Sprintf(
+							"%s: %s %.3f -> %.3f (+%.3f, slack %.3f) — zero-alloc path regression",
+							key, col, bv, cv, cv-bv, allocsSlack))
 					}
-				case role == "rise" && rise > opt.maxRegressPct:
-					violations = append(violations, fmt.Sprintf(
-						"%s: %s %.4g -> %.4g (+%.1f%%, limit %.0f%%)", key, col, bv, cv, rise, opt.maxRegressPct))
+				default:
+					continue
+				}
+				if cv != bv {
+					t.differ++
 				}
 			}
 		}
@@ -245,25 +244,6 @@ func diff(baseline, current *report, opt options) (violations, notes []string, t
 	return violations, notes, tallies
 }
 
-// count returns the counter of a gated role, nil for a role that gates
-// nothing — or allocs, when the reports' GOMAXPROCS differ (sameProcs
-// false) and the column is refused instead.
-func (t *tally) count(role string, sameProcs bool) *int {
-	switch role {
-	case "drop":
-		return &t.drop
-	case "rise":
-		return &t.rise
-	case "exact":
-		return &t.exact
-	case "allocs":
-		if sameProcs {
-			return &t.allocs
-		}
-	}
-	return nil
-}
-
 func load(path string) (*report, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -279,9 +259,6 @@ func load(path string) (*report, error) {
 func main() {
 	baseline := flag.String("baseline", "", "committed BENCH_*.json baseline")
 	current := flag.String("current", "", "freshly generated reisbench -json report")
-	maxRegress := flag.Float64("max-regress", 25, "maximum allowed throughput regression, percent")
-	allocsSlack := flag.Float64("allocs-slack", 0, "maximum allowed allocs/op increase")
-	wall := flag.Bool("wall", false, "also gate wall-clock metrics (noisy on shared runners)")
 	flag.Parse()
 	if *baseline == "" || *current == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -baseline and -current are required")
@@ -297,11 +274,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		os.Exit(2)
 	}
-	violations, notes, tallies := diff(b, c, options{
-		maxRegressPct: *maxRegress,
-		allocsSlack:   *allocsSlack,
-		gateWall:      *wall,
-	})
+	violations, notes, tallies := diff(b, c)
 	for _, n := range notes {
 		fmt.Println("note:", n)
 	}
@@ -315,5 +288,5 @@ func main() {
 		fmt.Printf("benchdiff: %d failure(s) against %s\n", len(violations), *baseline)
 		os.Exit(1)
 	}
-	fmt.Printf("benchdiff: no regressions against %s\n", *baseline)
+	fmt.Printf("benchdiff: no failures against %s\n", *baseline)
 }

@@ -174,7 +174,7 @@ func of[R any](run func(scale int) ([]R, error), format func([]R) string) sweep 
 
 // gateRoles are the roles a row field's `gate` tag may name; what each
 // one gates is cmd/benchdiff's to say.
-var gateRoles = []string{"id", "drop", "rise", "exact", "allocs", "wall", "busy", "report"}
+var gateRoles = []string{"id", "exact", "allocs", "busy", "report"}
 
 // rolesOf maps each -json column of row type t to the role its field's
 // `gate` tag names, walking embedded structs. A field with no role or an
@@ -241,8 +241,8 @@ var experimentTable = []experiment{
 		of(func(int) ([]experiments.ChurnRow, error) { return experiments.RunChurn() }, experiments.FormatChurn)},
 	{"slo", nil, "modeled p50/p95/p99/p999 under Poisson arrivals: arrival rate x queue depth x shard count",
 		of(func(scale int) ([]experiments.SLORow, error) { return experiments.RunSLO(scale, nil, nil) }, experiments.FormatSLO)},
-	{"frontier", nil, "recall vs modeled latency: DRAM-side HNSW/LSH/PQ-IVF vs the flash engine, pruned and cached",
-		of(experiments.RunFrontier, experiments.FormatFrontier)},
+	{"frontier", nil, "recall vs modeled latency: DRAM-side HNSW/LSH/PQ-IVF vs the flash engine, pruned and cached (fixed corpus; -scale unused)",
+		of(func(int) ([]experiments.FrontierRow, error) { return experiments.RunFrontier() }, experiments.FormatFrontier)},
 }
 
 // formatFig7 is Fig 7's table plus the aggregates the paper quotes.

@@ -79,26 +79,31 @@ func TestEveryRowColumnHasOneRole(t *testing.T) {
 	}
 	type good struct {
 		Dataset string  `gate:"id"`
-		QPS     float64 `gate:"drop"`
+		QPS     float64 `gate:"exact"`
 		embedded
 	}
 	roles, err := rolesOf(reflect.TypeFor[good]())
-	if want := map[string]string{"Dataset": "id", "QPS": "drop", "Share": "busy"}; err != nil || !maps.Equal(roles, want) {
+	if want := map[string]string{"Dataset": "id", "QPS": "exact", "Share": "busy"}; err != nil || !maps.Equal(roles, want) {
 		t.Errorf("rolesOf(good) = %v, %v; want %v", roles, err, want)
 	}
 	type untagged struct {
 		Dataset string `gate:"id"`
 		QPS     float64
 	}
-	type unknown struct {
-		Dataset string  `gate:"id"`
-		QPS     float64 `gate:"gated"`
-	}
 	type renamed struct {
 		Dataset string  `gate:"id"`
-		QPS     float64 `gate:"drop" json:"qps"`
+		QPS     float64 `gate:"exact" json:"qps"`
 	}
-	for _, typ := range []reflect.Type{reflect.TypeFor[untagged](), reflect.TypeFor[unknown](), reflect.TypeFor[renamed]()} {
+	refused := []reflect.Type{reflect.TypeFor[untagged](), reflect.TypeFor[renamed]()}
+	// An unknown role, and the three retired ones: the model clock is
+	// exact, the wall clock report-only.
+	for _, role := range []string{"gated", "drop", "rise", "wall"} {
+		refused = append(refused, reflect.StructOf([]reflect.StructField{
+			{Name: "Dataset", Type: reflect.TypeFor[string](), Tag: `gate:"id"`},
+			{Name: "QPS", Type: reflect.TypeFor[float64](), Tag: reflect.StructTag(`gate:"` + role + `"`)},
+		}))
+	}
+	for _, typ := range refused {
 		if roles, err := rolesOf(typ); err == nil {
 			t.Errorf("rolesOf(%s) = %v, want an error", typ, roles)
 		}

@@ -14,9 +14,9 @@
 // not absolute QPS.
 //
 // Every field of a row type carries a `gate` tag naming its role in the
-// benchmark gate, cmd/benchdiff: id (part of the row's identity), drop
-// (a fall fails), rise (a rise fails), exact (any difference fails),
-// allocs, wall, busy or report. cmd/reisbench writes the roles beside
+// benchmark gate, cmd/benchdiff: id (part of the row's identity), exact
+// (any difference fails: every model-clock column and every event
+// count), allocs, busy or report. cmd/reisbench writes the roles beside
 // the rows, and benchdiff reads them from the baseline.
 package experiments
 

@@ -17,8 +17,8 @@ type Fig10Row struct {
 	Dataset       string  `gate:"id"`
 	Mode          string  `gate:"id"`
 	SSD           string  `gate:"id"`
-	SpeedupICE    float64 `gate:"drop"`
-	SpeedupICEESP float64 `gate:"drop"`
+	SpeedupICE    float64 `gate:"exact"`
+	SpeedupICEESP float64 `gate:"exact"`
 }
 
 // RunFig10 regenerates the Fig 10 comparison to ICE.
@@ -83,7 +83,7 @@ func FormatFig10(rows []Fig10Row) string {
 type Fig11Row struct {
 	Dataset   string  `gate:"id"`
 	Recall    float64 `gate:"id"`
-	SpeedupND float64 `gate:"drop"`
+	SpeedupND float64 `gate:"exact"`
 }
 
 // RunFig11 regenerates the Fig 11 comparison to NDSearch. NDSearch's

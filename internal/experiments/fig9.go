@@ -12,10 +12,10 @@ import (
 type Fig9Row struct {
 	SSD    string  `gate:"id"`
 	Recall float64 `gate:"id"`
-	NoOpt  float64 `gate:"drop"` // normalized to CPU-Real
-	DF     float64 `gate:"drop"` // +distance filtering
-	DFPL   float64 `gate:"drop"` // +pipelining
-	Full   float64 `gate:"drop"` // +MPIBC
+	NoOpt  float64 `gate:"exact"` // normalized to CPU-Real
+	DF     float64 `gate:"exact"` // +distance filtering
+	DFPL   float64 `gate:"exact"` // +pipelining
+	Full   float64 `gate:"exact"` // +MPIBC
 }
 
 // fig9Recalls are the sweep points of Fig 9.
@@ -81,7 +81,7 @@ type ASICRow struct {
 	Dataset  string  `gate:"id"`
 	SSD      string  `gate:"id"`
 	Recall   float64 `gate:"id"`
-	Slowdown float64 `gate:"drop"` // ASIC latency / REIS latency
+	Slowdown float64 `gate:"exact"` // ASIC latency / REIS latency
 }
 
 // RunASIC regenerates the Sec 6.3.1 REIS-ASIC comparison.

@@ -28,9 +28,8 @@ import (
 // FP32 dataset — the term Sec 3.2 shows dominating CPU serving and
 // the one the flash engine never pays.
 
-// frontierScale is the minimum workload scale divisor of the frontier
-// run: RunFrontier clamps smaller (= larger-corpus) requests up to it
-// so the index builds stay tractable in CI.
+// frontierScale is the workload scale divisor of the frontier run: a
+// fixed corpus small enough that the index builds stay tractable in CI.
 const frontierScale = 64
 
 // frontierCacheBudget is ssd.Config.CacheDRAMBytes for the cached
@@ -52,24 +51,20 @@ type FrontierRow struct {
 	Param   string `gate:"id"`
 	// Recall is Recall@10 measured functionally on the shared corpus
 	// and query set.
-	Recall float64 `gate:"drop"`
+	Recall float64 `gate:"exact"`
 	// ServeMs is the modeled per-query latency at paper scale with
 	// the dataset resident (DRAM rivals) or on flash (REIS rows).
-	ServeMs float64 `gate:"rise"`
+	ServeMs float64 `gate:"exact"`
 	// TotalMs adds the queryBatch-amortized dataset load for DRAM
 	// rivals; for REIS rows it equals ServeMs.
-	TotalMs float64 `gate:"rise"`
+	TotalMs float64 `gate:"exact"`
 }
 
-// RunFrontier builds the frontier over wiki_en at the given scale
-// divisor (clamped to at least frontierScale). Every system sweeps
-// its accuracy knob: HNSW the search beam ef, LSH the hash width,
-// PQ-IVF and the flash configurations nprobe.
-func RunFrontier(scale int) ([]FrontierRow, error) {
-	if scale < frontierScale {
-		scale = frontierScale
-	}
-	w := loadWorkload("wiki_en", scale)
+// RunFrontier builds the frontier over wiki_en at frontierScale. Every
+// system sweeps its accuracy knob: HNSW the search beam ef, LSH the
+// hash width, PQ-IVF and the flash configurations nprobe.
+func RunFrontier() ([]FrontierRow, error) {
+	w := loadWorkload("wiki_en", frontierScale)
 	d := w.Data
 	const k = 10
 	dram := rivals.DRAMANN{Dim: d.Dim}

@@ -12,7 +12,7 @@ import (
 // latencies positive, and the DRAM rivals paying a load term the
 // flash rows don't.
 func TestRunFrontierShape(t *testing.T) {
-	rows, err := RunFrontier(testScale)
+	rows, err := RunFrontier()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,10 +21,10 @@ type PruneRow struct {
 	K       int    `gate:"id"`
 	NProbe  int    `gate:"id"`
 	// WallQPS is the functional simulation's wall-clock throughput.
-	WallQPS float64 `gate:"wall"`
+	WallQPS float64 `gate:"report"`
 	// ModelQPS is the modeled device throughput of the batch under the
 	// channel-occupancy overlap model at unit scale.
-	ModelQPS float64 `gate:"drop"`
+	ModelQPS float64 `gate:"exact"`
 	// FinePages / PrunedPages / AbortedWaves are mean per-query counts;
 	// FinePages counts sensed pages only, PrunedPages the pages aborts
 	// saved (the two sum to the base row's FinePages by construction).

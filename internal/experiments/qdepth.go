@@ -26,12 +26,12 @@ type QDepthRow struct {
 	// ModelQPS is the modeled saturation throughput at this depth
 	// (every command arrived at once, dispatcher coalescing up to the
 	// depth bound) — deterministic, unlike WallQPS.
-	ModelQPS float64 `gate:"drop"`
+	ModelQPS float64 `gate:"exact"`
 	// ModelP50Ms/P95/P99 are modeled per-command latency quantiles at
 	// loadUtilization of ModelQPS (see slo.go).
 	ModelP50Ms float64 `gate:"report"`
 	ModelP95Ms float64 `gate:"report"`
-	ModelP99Ms float64 `gate:"rise"`
+	ModelP99Ms float64 `gate:"exact"`
 	// ModelShares is priced at saturation: groups of Depth commands.
 	ModelShares
 }

@@ -136,7 +136,7 @@ func deploy(cfg ssd.Config, n int, opts reis.Options, dep reis.DeployConfig) (*s
 // and BytesPerOp are wall-clock nanoseconds, heap allocations and heap
 // bytes, the quantities the BENCH_*.json trajectory tracks.
 type HostCost struct {
-	WallQPS     float64 `gate:"wall"`
+	WallQPS     float64 `gate:"report"`
 	NsPerOp     float64 `gate:"report"`
 	AllocsPerOp float64 `gate:"allocs"`
 	BytesPerOp  float64 `gate:"report"`

@@ -21,7 +21,7 @@ type ShardRow struct {
 	HostCost
 	// ModelQPS is the modeled batch throughput of the sharded topology
 	// (per-shard occupancy bottleneck + the host's tail).
-	ModelQPS float64 `gate:"drop"`
+	ModelQPS float64 `gate:"exact"`
 	// ModelSpeedup is ModelQPS relative to the 1-shard row.
 	ModelSpeedup float64 `gate:"report"`
 	// ModelP50Ms/P95/P99 are modeled per-command latency quantiles at
@@ -29,7 +29,7 @@ type ShardRow struct {
 	// throughput of this topology (see slo.go).
 	ModelP50Ms float64 `gate:"report"`
 	ModelP95Ms float64 `gate:"report"`
-	ModelP99Ms float64 `gate:"rise"`
+	ModelP99Ms float64 `gate:"exact"`
 	ModelShares
 }
 

@@ -42,7 +42,7 @@ type SkewRow struct {
 	BaseFinePages float64 `gate:"report"`
 	// ModelQPS is queries / summed modeled batch makespan at unit
 	// scale; Speedup is ModelQPS over the budget-0 row (1.0 there).
-	ModelQPS float64 `gate:"drop"`
+	ModelQPS float64 `gate:"exact"`
 	Speedup  float64 `gate:"report"`
 	// PinsOnly and ResultsOnly are what each half of the tier is worth
 	// alone, as Speedup is for both together. ResultsOnly prices the same

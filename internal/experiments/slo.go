@@ -55,13 +55,13 @@ type SLORow struct {
 	// ModelQPS is the saturation throughput at this depth and shard
 	// count (every command arrived at once, full coalescing) — the
 	// ceiling the Load fraction is taken of.
-	ModelQPS float64 `gate:"drop"`
+	ModelQPS float64 `gate:"exact"`
 	// ModelP50Ms..ModelP999Ms are modeled per-command latency
 	// quantiles (completion minus arrival) under the schedule; p99 is
 	// the SLO.
 	ModelP50Ms  float64 `gate:"report"`
 	ModelP95Ms  float64 `gate:"report"`
-	ModelP99Ms  float64 `gate:"rise"`
+	ModelP99Ms  float64 `gate:"exact"`
 	ModelP999Ms float64 `gate:"report"`
 	// MeanBatch is the mean commands per dispatch the replay achieved;
 	// MaxBacklog is the peak arrived-but-unserved command count.

@@ -19,7 +19,7 @@ type ThroughputRow struct {
 	HostCost
 	// ModelQPS is the modeled device throughput of the batch under the
 	// channel-occupancy overlap model.
-	ModelQPS float64 `gate:"drop"`
+	ModelQPS float64 `gate:"exact"`
 	// ModelSerialQPS is the modeled throughput of one-at-a-time
 	// admission (1 / mean standalone latency).
 	ModelSerialQPS float64 `gate:"report"`
