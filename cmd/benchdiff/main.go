@@ -42,7 +42,8 @@
 // claim a refactor makes.
 //
 // A section is compared only with a baseline section that carries the
-// same roles and was generated at the same -scale. A baseline section
+// same roles and was generated at the same -scale (0 for a sweep of a
+// fixed corpus, whatever -scale it ran at). A baseline section
 // without roles, a re-roled column and a cross-scale section each fail
 // with one message.
 //

@@ -16,7 +16,8 @@
 //
 // The -json report carries every experiment's rows (for throughput:
 // QPS, ns/op and allocs/op per batch size), the -scale they were
-// generated at, and each column's gate role, read from the row type's
+// generated at (0 for a sweep of a fixed corpus, which ignores -scale),
+// and each column's gate role, read from the row type's
 // `gate` tags: the repository's BENCH_*.json baselines, which
 // cmd/benchdiff gates against.
 package main
@@ -108,9 +109,13 @@ func realMain() error {
 			return fmt.Errorf("%s: %w", e.id, err)
 		}
 		elapsed := time.Since(start)
+		ran := *scale
+		if e.fixed {
+			ran = 0
+		}
 		report.Experiments = append(report.Experiments, jsonExperiment{
 			ID: e.id, ElapsedMS: float64(elapsed.Nanoseconds()) / 1e6,
-			Scale: *scale, Roles: e.roles, Rows: rows,
+			Scale: ran, Roles: e.roles, Rows: rows,
 		})
 		fmt.Printf("[%s completed in %v]\n\n", e.id, elapsed.Round(time.Millisecond))
 	}
@@ -151,11 +156,13 @@ type experiment struct {
 
 // sweep is an experiment's run, which prints its table and returns its
 // rows for the -json report, and the gate role of each row column. err
-// is set when a column has none: reisbench then refuses to run.
+// is set when a column has none: reisbench then refuses to run. fixed
+// marks a run of a fixed corpus, which ignores -scale.
 type sweep struct {
 	run   func(scale int) (any, error)
 	roles map[string]string
 	err   error
+	fixed bool
 }
 
 // of builds a sweep from its runner and its formatter, and the roles
@@ -169,7 +176,16 @@ func of[R any](run func(scale int) ([]R, error), format func([]R) string) sweep 
 		}
 		fmt.Print(format(rows))
 		return rows, nil
-	}, roles, err}
+	}, roles, err, false}
+}
+
+// fixedOf builds the sweep of a fixed corpus from its runner and its
+// formatter: its section records scale 0, so it compares whatever -scale
+// it ran at.
+func fixedOf[R any](run func() ([]R, error), format func([]R) string) sweep {
+	s := of(func(int) ([]R, error) { return run() }, format)
+	s.fixed = true
+	return s
 }
 
 // gateRoles are the roles a row field's `gate` tag may name; what each
@@ -234,15 +250,15 @@ var experimentTable = []experiment{
 	{"shards", nil, "throughput and modeled tails vs device count",
 		of(experiments.RunShards, experiments.FormatShards)},
 	{"prune", nil, "threshold-propagated top-k pruning vs the unpruned scan (fixed corpus; -scale unused)",
-		of(func(int) ([]experiments.PruneRow, error) { return experiments.RunPrune() }, experiments.FormatPrune)},
+		fixedOf(experiments.RunPrune, experiments.FormatPrune)},
 	{"skew", nil, "the DRAM caching tier under Zipfian query skew and bursty churn (fixed corpus)",
-		of(func(int) ([]experiments.SkewRow, error) { return experiments.RunSkew(nil, nil) }, experiments.FormatSkew)},
+		fixedOf(func() ([]experiments.SkewRow, error) { return experiments.RunSkew(nil, nil) }, experiments.FormatSkew)},
 	{"churn", nil, "GC wear under append/delete/compact: wear-leveled vs first-fit placement (fixed corpus)",
-		of(func(int) ([]experiments.ChurnRow, error) { return experiments.RunChurn() }, experiments.FormatChurn)},
+		fixedOf(experiments.RunChurn, experiments.FormatChurn)},
 	{"slo", nil, "modeled p50/p95/p99/p999 under Poisson arrivals: arrival rate x queue depth x shard count",
 		of(func(scale int) ([]experiments.SLORow, error) { return experiments.RunSLO(scale, nil, nil) }, experiments.FormatSLO)},
 	{"frontier", nil, "recall vs modeled latency: DRAM-side HNSW/LSH/PQ-IVF vs the flash engine, pruned and cached (fixed corpus; -scale unused)",
-		of(func(int) ([]experiments.FrontierRow, error) { return experiments.RunFrontier() }, experiments.FormatFrontier)},
+		fixedOf(experiments.RunFrontier, experiments.FormatFrontier)},
 }
 
 // formatFig7 is Fig 7's table plus the aggregates the paper quotes.

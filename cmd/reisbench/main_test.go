@@ -4,12 +4,14 @@ import (
 	"maps"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
 // TestResolve pins the one table every id list is derived from: `all`
 // is the table itself, every id and alias resolves to its own row, no
-// name is claimed twice, a list names each experiment once, and a
+// name is claimed twice, a sweep records scale 0 iff its help line says
+// it runs a fixed corpus, a list names each experiment once, and a
 // removed experiment is an error before anything runs.
 func TestResolve(t *testing.T) {
 	all, err := resolve("all")
@@ -23,6 +25,9 @@ func TestResolve(t *testing.T) {
 		}
 		if e.run == nil || e.about == "" {
 			t.Errorf("%s: missing run or help line", e.id)
+		}
+		if e.fixed != strings.Contains(e.about, "fixed corpus") {
+			t.Errorf("%s: fixed %v, but the help line is %q", e.id, e.fixed, e.about)
 		}
 		for _, name := range append([]string{e.id}, e.aliases...) {
 			if seen[name] {

@@ -6,14 +6,14 @@ import "fmt"
 // with its full-scale properties and the scaled-down synthetic
 // parameters used in this reproduction.
 type Descriptor struct {
-	// Name as used in the paper's figures.
-	Name string
+	// name as used in the paper's figures.
+	name string
 	// PaperEntries is the dataset size reported or implied by the
 	// paper (documents/embeddings at full scale).
 	PaperEntries int64
-	// Dim is the embedding dimensionality (Cohere embed v3 = 1024 for
+	// dim is the embedding dimensionality (Cohere embed v3 = 1024 for
 	// the text datasets; SIFT = 128, DEEP = 96).
-	Dim int
+	dim int
 	// DocBytes is the per-chunk document size modeled for the dataset
 	// (text datasets only; SIFT/DEEP are pure ANNS benchmarks).
 	DocBytes int
@@ -21,8 +21,8 @@ type Descriptor struct {
 	scaledEntries int
 	// Clusters controls the topic structure of the generator.
 	Clusters int
-	// Queries is the evaluation query count at scale factor 1.
-	Queries int
+	// queries is the evaluation query count at scale factor 1.
+	queries int
 }
 
 // Catalog lists the datasets used across the paper's experiments.
@@ -30,12 +30,12 @@ type Descriptor struct {
 // (NQ < HotpotQA < wiki_en < wiki_full) so crossover behaviour is
 // preserved while staying tractable in CI.
 var Catalog = map[string]Descriptor{
-	"NQ":        {Name: "NQ", PaperEntries: 2_681_468, Dim: 1024, DocBytes: 1024, scaledEntries: 12_288, Clusters: 96, Queries: 64},
-	"HotpotQA":  {Name: "HotpotQA", PaperEntries: 5_233_329, Dim: 1024, DocBytes: 1024, scaledEntries: 24_576, Clusters: 128, Queries: 64},
-	"wiki_en":   {Name: "wiki_en", PaperEntries: 41_488_110, Dim: 1024, DocBytes: 1024, scaledEntries: 49_152, Clusters: 192, Queries: 64},
-	"wiki_full": {Name: "wiki_full", PaperEntries: 247_154_006, Dim: 1024, DocBytes: 1024, scaledEntries: 98_304, Clusters: 256, Queries: 64},
-	"SIFT":      {Name: "SIFT", PaperEntries: 1_000_000_000, Dim: 128, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, Queries: 64},
-	"DEEP":      {Name: "DEEP", PaperEntries: 1_000_000_000, Dim: 96, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, Queries: 64},
+	"NQ":        {name: "NQ", PaperEntries: 2_681_468, dim: 1024, DocBytes: 1024, scaledEntries: 12_288, Clusters: 96, queries: 64},
+	"HotpotQA":  {name: "HotpotQA", PaperEntries: 5_233_329, dim: 1024, DocBytes: 1024, scaledEntries: 24_576, Clusters: 128, queries: 64},
+	"wiki_en":   {name: "wiki_en", PaperEntries: 41_488_110, dim: 1024, DocBytes: 1024, scaledEntries: 49_152, Clusters: 192, queries: 64},
+	"wiki_full": {name: "wiki_full", PaperEntries: 247_154_006, dim: 1024, DocBytes: 1024, scaledEntries: 98_304, Clusters: 256, queries: 64},
+	"SIFT":      {name: "SIFT", PaperEntries: 1_000_000_000, dim: 128, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, queries: 64},
+	"DEEP":      {name: "DEEP", PaperEntries: 1_000_000_000, dim: 96, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, queries: 64},
 }
 
 // Load generates the named catalog dataset at the given scale factor.
@@ -51,16 +51,16 @@ func Load(name string, scale int) *Dataset {
 		panic(fmt.Sprintf("dataset: invalid scale %d", scale))
 	}
 	n := max(256, desc.scaledEntries/scale)
-	queries := max(8, desc.Queries/scale)
+	queries := max(8, desc.queries/scale)
 	clusters := max(8, desc.Clusters/scale)
 	docBytes := desc.DocBytes
 	if docBytes == 0 {
 		docBytes = 64 // SIFT/DEEP still need a payload for linkage tests
 	}
 	return Generate(Config{
-		Name:     desc.Name,
+		Name:     desc.name,
 		N:        n,
-		Dim:      desc.Dim,
+		Dim:      desc.dim,
 		Clusters: clusters,
 		Queries:  queries,
 		DocBytes: docBytes,
@@ -69,7 +69,7 @@ func Load(name string, scale int) *Dataset {
 		// probing several IVF cells — the regime the paper's recall
 		// sweeps (0.90-0.98) operate in.
 		QueryNoise: 0.5,
-		Seed:       seedFor(desc.Name),
+		Seed:       seedFor(desc.name),
 	})
 }
 

@@ -391,8 +391,8 @@ func TestCatalogLoad(t *testing.T) {
 		if d.Name != name {
 			t.Errorf("%s: name %q", name, d.Name)
 		}
-		if d.Dim != Catalog[name].Dim {
-			t.Errorf("%s: dim %d want %d", name, d.Dim, Catalog[name].Dim)
+		if d.Dim != Catalog[name].dim {
+			t.Errorf("%s: dim %d want %d", name, d.Dim, Catalog[name].dim)
 		}
 	}
 }
@@ -403,10 +403,10 @@ func TestCatalogOrdering(t *testing.T) {
 	for i := 1; i < len(order); i++ {
 		a, b := Catalog[order[i-1]], Catalog[order[i]]
 		if a.scaledEntries >= b.scaledEntries {
-			t.Errorf("scaled ordering violated: %s(%d) >= %s(%d)", a.Name, a.scaledEntries, b.Name, b.scaledEntries)
+			t.Errorf("scaled ordering violated: %s(%d) >= %s(%d)", a.name, a.scaledEntries, b.name, b.scaledEntries)
 		}
 		if a.PaperEntries >= b.PaperEntries {
-			t.Errorf("paper ordering violated: %s >= %s", a.Name, b.Name)
+			t.Errorf("paper ordering violated: %s >= %s", a.name, b.name)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"reis/internal/vecmath"
-	"reis/internal/xrand"
 )
 
 // Stats accumulates device event counts; the SSD and REIS layers turn
@@ -40,12 +39,6 @@ type Stats struct {
 	// BytesIn counts bytes transferred into dies (programs, IBC), per
 	// channel.
 	BytesIn []atomic.Int64
-	// BitErrorsInjected counts raw bit flips applied on non-ESP reads
-	// without ECC.
-	BitErrorsInjected atomic.Int64
-	// ECCCorrections counts raw flips fixed by the controller ECC on
-	// the conventional read path.
-	ECCCorrections atomic.Int64
 }
 
 // TotalBytesOut sums the per-channel outbound byte counts.
@@ -62,17 +55,18 @@ func (s *Stats) TotalBytesOut() int64 {
 // issues — IBC (LoadCache, LoadCacheDie), GEN_DIST_PAGE (GenDistPage,
 // Table 2's XOR and GEN_DIST fused into one page-granular wave) and
 // RD_TTL (ReadTTL). The die control logic is a state machine (Sec
-// 4.4.2); its one ordering rule, that GEN_DIST_PAGE reads two latches
-// an IBC and a page read have filled, is checked on the plane that
-// holds them. Operations that touch a single plane (reads, latch ops,
-// OOB access) are safe to run concurrently on *different* planes: each
-// plane carries its own lock, and the shared counters are atomic.
+// 4.4.2) with two rules: a page read senses only SLC-ESP blocks, the
+// zero-BER cells that computation without ECC needs (Sec 4.1.2), and
+// GEN_DIST_PAGE reads two latches an IBC and a page read have filled,
+// checked on the plane that holds them. Operations that touch a single
+// plane (reads, latch ops, OOB access) are safe to run concurrently on
+// *different* planes: each plane carries its own lock, the shared
+// counters are atomic, and the device holds no lock of its own.
 // Operations on the same plane must be externally ordered — the REIS
 // engine guarantees this by dispatching at most one scan task per plane
 // at a time.
 type Device struct {
-	geo    Geometry
-	params Params
+	geo Geometry
 
 	planes []*Plane
 	// blockMode[planeIdx][block] is the cell mode each block was last
@@ -86,15 +80,6 @@ type Device struct {
 	eraseCount [][]atomic.Int64
 
 	Stats Stats
-	// rng drives raw-bit-error injection; rngMu serializes draws so
-	// concurrent TLC reads on different planes stay race-free. flipSet (one
-	// bit per latch bit, all clear between senses) and flipBits (the
-	// positions drawn) are injectErrors' pooled scratch, guarded by the
-	// same mutex.
-	rng      *xrand.RNG
-	rngMu    sync.Mutex
-	flipSet  []uint64
-	flipBits []int
 
 	// erased is what an erased page senses as (all ones) and zero what a
 	// latch holds before its first load (all zeros): one of each per
@@ -124,12 +109,8 @@ type Plane struct {
 	pages map[int]programmed
 
 	// sensing is the sensing latch: a programmed page's own bytes (read
-	// only), the device's erased or zero page, or noisy.
+	// only), or the device's erased or zero page.
 	sensing programmed
-	// noisy holds a sense with raw bit errors (a nonzero-BER cell
-	// mode): the page copied and its flips applied. Allocated on the
-	// first such sense.
-	noisy []byte
 	// sensed records that a ReadPage has filled the sensing latch; the
 	// cache latch's slot > 0 records the same of a broadcast.
 	sensed bool
@@ -277,21 +258,19 @@ func (p *Plane) latches() (sensing, cache []byte) {
 	return sensing, cache
 }
 
-// NewDevice allocates a device with the given geometry and parameters.
-func NewDevice(geo Geometry, params Params) (*Device, error) {
+// NewDevice allocates a device with the given geometry. The device counts
+// events and holds no timing: callers price its Stats with Params.
+func NewDevice(geo Geometry) (*Device, error) {
 	if err := geo.validate(); err != nil {
 		return nil, err
 	}
 	d := &Device{
 		geo:    geo,
-		params: params,
 		planes: make([]*Plane, geo.Planes()),
-		rng:    xrand.New(0xf1a5),
 	}
 	d.Stats.BytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.ReadBytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.BytesIn = make([]atomic.Int64, geo.Channels)
-	d.flipSet = make([]uint64, ((geo.PageBytes+geo.OOBBytes)*8+63)/64)
 	d.zero = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
 	d.erased = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
 	fillWith(d.erased.data, 0xFF)
@@ -412,44 +391,30 @@ func (d *Device) MaxEraseCount() int64 {
 }
 
 // ReadPage senses a page (user data + OOB) into the plane's sensing
-// latch. If the block's cell mode has a nonzero raw BER, errors are
-// injected into the latch contents, modeling what in-plane computation
-// would see without controller ECC. Otherwise the latch is a view of the
-// page's programmed bytes, or of the device's erased page: nothing is
-// copied.
+// latch, for in-plane computation. The latch has no ECC, so the die
+// senses only SLC-ESP blocks, whose raw bit error rate is zero (Sec
+// 4.1.2): a block in another cell mode is refused before anything is
+// counted or latched, and is read through the controller's ECC instead
+// (ReadPageInto, ReadSlots). The latch becomes a view of the page's
+// programmed bytes, or of the device's erased page: nothing is copied.
 func (d *Device) ReadPage(a Address) error {
 	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: ReadPage invalid address %v", a)
 	}
+	if m := d.BlockMode(a); m != ModeSLCESP {
+		return fmt.Errorf("flash: ReadPage of %v: a %v block is read through ECC, not sensed for in-plane computation", a, m)
+	}
 	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
 	page, ok := pl.pages[a.pageIndex(d.geo)]
-	switch ber := d.params.RawBER(d.BlockMode(a)); {
-	case !ok:
-		pl.sensing = d.erased
-	case ber <= 0:
-		pl.sensing = page
-	default:
-		pl.senseNoisy(page)
-		d.injectErrors(pl.noisy, ber)
+	if !ok {
+		page = d.erased
 	}
+	pl.sensing = page
 	pl.sensed = true
 	d.countRead(a, pl)
 	pl.mu.Unlock()
 	return nil
-}
-
-// senseNoisy copies page, fill included, into the plane's private
-// sensing buffer and makes the sensing latch a view of it, for the
-// caller to flip bits in.
-func (p *Plane) senseNoisy(page programmed) {
-	n := p.geo.PageBytes
-	if p.noisy == nil {
-		p.noisy = make([]byte, n+p.geo.OOBBytes)
-	}
-	readRegion(p.noisy[:n], page.data, page.dataFill, 0)
-	readRegion(p.noisy[n:], page.oob, page.oobFill, 0)
-	p.sensing = programmed{data: p.noisy[:n:n], oob: p.noisy[n:]}
 }
 
 // countRead counts a sense of a on its plane pl, whose lock the caller
@@ -461,78 +426,20 @@ func (d *Device) countRead(a Address, pl *Plane) {
 	pl.senses[mode]++
 }
 
-// rawErrors draws the raw bit errors of one conventional sense of a
-// programmed page in a's block, if its cell mode has any, and returns
-// how many bits they leave wrong (see injectErrors).
-func (d *Device) rawErrors(a Address) int {
-	ber := d.params.RawBER(d.BlockMode(a))
-	if ber <= 0 {
-		return 0
-	}
-	return d.injectErrors(nil, ber)
-}
-
-// injectErrors draws one sense's raw bit errors: ⌊λ⌋ flips plus one
-// Bernoulli draw for λ's fraction, λ = ber × latch bits, each at a
-// uniform position of the latch. It returns the number of bits that end
-// up differing from the programmed content — a bit hit an even number
-// of times cancels physically — counted by toggling a pooled bitset
-// that is then cleared through the position list. A non-nil latch (the
-// sensing latch, for in-plane computation) has the flips applied; the
-// conventional path passes nil, because its ECC restores the programmed
-// content and needs only the count.
-func (d *Device) injectErrors(latch []byte, ber float64) int {
-	bitsTotal := (d.geo.PageBytes + d.geo.OOBBytes) * 8
-	expected := ber * float64(bitsTotal)
-	d.rngMu.Lock()
-	n := int(expected)
-	if d.rng.Float64() < expected-float64(n) {
-		n++
-	}
-	pos, set := d.flipBits[:0], d.flipSet
-	flipped := 0
-	for i := 0; i < n; i++ {
-		bit := d.rng.Intn(bitsTotal)
-		pos = append(pos, bit)
-		w, m := bit>>6, uint64(1)<<uint(bit&63)
-		set[w] ^= m
-		if set[w]&m != 0 {
-			flipped++
-		} else {
-			flipped--
-		}
-		if latch != nil {
-			latch[bit>>3] ^= 1 << uint(bit&7)
-		}
-	}
-	for _, bit := range pos {
-		set[bit>>6] = 0
-	}
-	d.flipBits = pos
-	d.rngMu.Unlock()
-	d.Stats.BitErrorsInjected.Add(int64(n))
-	return flipped
-}
-
 // senseCorrected is the array sense of the conventional controller path
 // (Sec 2.3): the page streams over the channel and is ECC-corrected with
-// its OOB parity, so raw bit errors never reach the caller — unlike the
-// in-latch computation path (ReadPage + latch ops), which is why REIS
-// needs the zero-BER SLC-ESP partition for embeddings. It counts the read
-// and the flips the decoder fixed (Stats.ECCCorrections) and returns the
-// programmed content, the device's erased page for a page never
-// programmed. What the ECC hands over is that content, so the caller
-// copies straight from it; the plane's latches are left as they were
-// (in-plane computation always senses with ReadPage first, which
-// GenDistPage enforces). The caller holds pl.mu and must not keep the
-// slices past it.
+// its OOB parity, so a block in any cell mode reads back as programmed —
+// unlike the in-latch computation path (ReadPage + GEN_DIST_PAGE), which
+// has no ECC and so senses only the zero-BER SLC-ESP partition that holds
+// the embeddings. It counts the read and returns the programmed content,
+// the device's erased page for a page never programmed. What the ECC
+// hands over is that content, so the caller copies straight from it; the
+// plane's latches are left as they were (in-plane computation always
+// senses with ReadPage first, which GenDistPage enforces). The caller
+// holds pl.mu and must not keep the slices past it.
 func (d *Device) senseCorrected(a Address, pl *Plane) programmed {
 	page, ok := pl.pages[a.pageIndex(d.geo)]
-	if ok {
-		if flips := d.rawErrors(a); flips > 0 {
-			d.Stats.ECCCorrections.Add(int64(flips))
-		}
-	} else {
+	if !ok {
 		page = d.erased
 	}
 	d.countRead(a, pl)
@@ -824,6 +731,4 @@ func (d *Device) ResetStats() {
 		pl.distWaves = 0
 		pl.mu.Unlock()
 	}
-	d.Stats.BitErrorsInjected.Store(0)
-	d.Stats.ECCCorrections.Store(0)
 }

@@ -106,7 +106,7 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 	if w := (statsSnapshot{latchXORs: 1, bitCounts: int64(nSlots)}); delta != w {
 		t.Fatalf("one wave counted %+v, want %+v", delta, w)
 	}
-	p := d.params
+	p := DefaultParams()
 	if e, w := energyOf(delta, p), p.EnergyLatchXOR+float64(nSlots)*p.EnergyBitCount; e != w {
 		t.Fatalf("one wave costs %g J, want one latch XOR and %d bit counts, %g J", e, nSlots, w)
 	}
@@ -130,6 +130,7 @@ func TestGenDistPageMatchesPerSlot(t *testing.T) {
 func TestGenDistPageProtocol(t *testing.T) {
 	d := testDevice(t)
 	a := Address{Block: 0, Page: 0}
+	must(t, d.SetBlockMode(a, ModeSLCESP))
 	plane := a.PlaneIndex(d.geo)
 	dists := make([]int, 8)
 	refused := func(what string, nSlots int) {
@@ -169,8 +170,9 @@ func TestGenDistPageNeedsItsPlaneSensed(t *testing.T) {
 	if pa == pb {
 		t.Fatalf("addresses %v and %v share plane %d", a, b, pa)
 	}
-	for _, p := range []int{pa, pb} {
-		must(t, d.LoadCache(p, []byte{0xFF, 0xFF, 0xFF, 0xFF}, 4))
+	for _, x := range []Address{a, b} {
+		must(t, d.SetBlockMode(x, ModeSLCESP))
+		must(t, d.LoadCache(x.PlaneIndex(d.geo), []byte{0xFF, 0xFF, 0xFF, 0xFF}, 4))
 	}
 	dists := make([]int, 1)
 	wave := func(p int) error { return d.GenDistPage(p, 4, 0, 1, dists, 0) }
@@ -205,7 +207,7 @@ func TestGenDistPageNeedsItsPlaneSensed(t *testing.T) {
 func BenchmarkGenDistPage(b *testing.B) {
 	geo := testGeo()
 	geo.PageBytes, geo.OOBBytes = 16384, 2208
-	d, err := NewDevice(geo, DefaultParams())
+	d, err := NewDevice(geo)
 	if err != nil {
 		b.Fatal(err)
 	}

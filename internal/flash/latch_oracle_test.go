@@ -17,32 +17,29 @@ import (
 // latches into the data latch, OOB copied through, and counts the bits
 // of each slot there. It keeps the die's protocol state apart from the
 // latches, one loaded and one sensed flag per plane, and refuses a wave
-// on a plane missing either. It draws raw bit errors from an RNG seeded
-// as the device's, in the same order, and keeps its counters in a Stats
-// of its own, so a differential run can hold the device to it byte for
-// byte and count for count.
+// on a plane missing either, and a sense of a block that is not
+// SLC-ESP. It keeps its counters in a Stats of its own, so a
+// differential run can hold the device to it byte for byte and count for
+// count.
 type refDevice struct {
 	geo                  Geometry
-	params               Params
 	mode                 [][]CellMode     // [plane][block]
 	pages                []map[int][]byte // [plane][page]: data, then OOB
 	sensing, data, cache [][]byte         // [plane]
 	loaded, sensed       []bool           // [plane]: an IBC, a ReadPage has filled the latch
 	senses               [][3]int64
 	distWaves            []int64
-	rng                  *xrand.RNG
 	stats                Stats
 }
 
-func newRefDevice(geo Geometry, params Params) *refDevice {
+func newRefDevice(geo Geometry) *refDevice {
 	n := geo.Planes()
 	r := &refDevice{
-		geo: geo, params: params,
+		geo:  geo,
 		mode: make([][]CellMode, n), pages: make([]map[int][]byte, n),
 		sensing: make([][]byte, n), data: make([][]byte, n), cache: make([][]byte, n),
 		loaded: make([]bool, n), sensed: make([]bool, n),
 		senses: make([][3]int64, n), distWaves: make([]int64, n),
-		rng: xrand.New(0xf1a5),
 	}
 	r.stats.BytesOut = make([]atomic.Int64, geo.Channels)
 	r.stats.ReadBytesOut = make([]atomic.Int64, geo.Channels)
@@ -92,63 +89,36 @@ func (r *refDevice) eraseBlock(a Address) error {
 }
 
 // readPage senses a into the plane's sensing latch: a copy of the page,
-// with the raw bit errors of its cell mode flipped in, or all ones for an
-// erased page.
+// or all ones for an erased one. A block that is not SLC-ESP is refused
+// and nothing changes.
 func (r *refDevice) readPage(a Address) error {
 	if !a.Valid(r.geo) {
 		return fmt.Errorf("bad read")
 	}
 	p := a.PlaneIndex(r.geo)
+	if r.mode[p][a.Block] != ModeSLCESP {
+		return fmt.Errorf("sense of a non-ESP block")
+	}
 	if page, ok := r.pages[p][a.pageIndex(r.geo)]; ok {
 		copy(r.sensing[p], page)
-		if ber := r.params.RawBER(r.mode[p][a.Block]); ber > 0 {
-			r.injectErrors(r.sensing[p], ber)
-		}
 	} else {
 		fillWith(r.sensing[p], 0xFF)
 	}
-	m := r.mode[p][a.Block]
 	r.stats.PageReads.Add(1)
-	r.stats.PageReadsByMode[m].Add(1)
-	r.senses[p][m]++
+	r.stats.PageReadsByMode[ModeSLCESP].Add(1)
+	r.senses[p][ModeSLCESP]++
 	r.sensed[p] = true
 	return nil
 }
 
-// injectErrors flips ⌊λ⌋ uniform latch bits plus one more with
-// probability λ's fraction, λ = ber × latch bits.
-func (r *refDevice) injectErrors(latch []byte, ber float64) {
-	total := len(latch) * 8
-	expected := ber * float64(total)
-	n := int(expected)
-	if r.rng.Float64() < expected-float64(n) {
-		n++
-	}
-	for range n {
-		bit := r.rng.Intn(total)
-		latch[bit>>3] ^= 1 << uint(bit&7)
-	}
-	r.stats.BitErrorsInjected.Add(int64(n))
-}
-
-// conventional is the sense of the conventional controller path: the
-// programmed page, or all ones for an erased one, whatever raw errors
-// the sense drew — the ECC fixes them and counts the bits they left
-// wrong.
+// conventional is the sense of the conventional controller path, in any
+// cell mode: the programmed page, or all ones for an erased one.
 func (r *refDevice) conventional(a Address) []byte {
 	p, m := a.PlaneIndex(r.geo), r.mode[a.PlaneIndex(r.geo)][a.Block]
 	page, ok := r.pages[p][a.pageIndex(r.geo)]
 	if !ok {
 		page = make([]byte, r.latchLen())
 		fillWith(page, 0xFF)
-	} else if ber := r.params.RawBER(m); ber > 0 {
-		noisy := bytes.Clone(page)
-		r.injectErrors(noisy, ber)
-		flips := 0
-		for i := range noisy {
-			flips += bits.OnesCount8(noisy[i] ^ page[i])
-		}
-		r.stats.ECCCorrections.Add(int64(flips))
 	}
 	r.stats.PageReads.Add(1)
 	r.stats.PageReadsByMode[m].Add(1)
@@ -267,29 +237,22 @@ type latchRun struct {
 	// latch that aliased the caller's bytes would change under it.
 	pattern []byte
 	dists   [2][]int
-	// waves counts the wave steps run, refused those the device refused.
-	waves, refused int
+	// waves counts the wave steps run, refused those the device refused;
+	// senses the sense steps run, unsensed those it refused.
+	waves, refused, senses, unsensed int
 }
 
-// latchParams are the default parameters with a raw TLC BER high enough
-// that a sense of a testGeo page flips about 87 bits.
-func latchParams() Params {
-	p := DefaultParams()
-	p.rawBERTLC = 5e-3
-	return p
-}
-
-// newLatchRun sets up a run on the default blocks — block 0 SLC-ESP (no
-// raw errors), 1 and 3 TLC, 2 SLC, on every plane — or with esp set, on
-// SLC-ESP blocks only.
+// newLatchRun sets up a run on the default blocks — block 0 SLC-ESP, 1
+// and 3 TLC, 2 SLC, on every plane, so that most senses are refused — or
+// with esp set, on SLC-ESP blocks only.
 func newLatchRun(t *testing.T, seed uint64, esp bool) *latchRun {
 	geo := testGeo()
-	dev, err := NewDevice(geo, latchParams())
+	dev, err := NewDevice(geo)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lr := &latchRun{
-		t: t, rng: xrand.New(seed), dev: dev, ref: newRefDevice(geo, latchParams()),
+		t: t, rng: xrand.New(seed), dev: dev, ref: newRefDevice(geo),
 		pattern: make([]byte, 0, 128),
 		dists:   [2][]int{make([]int, geo.PageBytes), make([]int, geo.PageBytes)},
 	}
@@ -365,10 +328,15 @@ func (lr *latchRun) do() {
 		lr.sameErr(lr.dev.EraseBlock(a), lr.ref.eraseBlock(a))
 		data := lr.randBytes(g.PageBytes)
 		lr.sameErr(lr.dev.Program(a, data, nil), lr.ref.program(a, data, nil))
-	case 3, 4: // sense: SLC-ESP, TLC with raw errors, SLC, or erased
+	case 3, 4: // sense: SLC-ESP or erased, or a TLC or SLC block, refused
 		a := lr.addr()
 		lr.what = fmt.Sprintf("ReadPage(%v)", a)
-		lr.sameErr(lr.dev.ReadPage(a), lr.ref.readPage(a))
+		err := lr.dev.ReadPage(a)
+		lr.sameErr(err, lr.ref.readPage(a))
+		lr.senses++
+		if err != nil {
+			lr.unsensed++
+		}
 	case 5: // IBC into one plane
 		sb := slotWidths[r.Intn(len(slotWidths))]
 		pat := lr.drawPattern(sb)
@@ -468,15 +436,16 @@ func (lr *latchRun) run(steps int) {
 // TestLatchesMatchEagerReference is the differential latch oracle: the
 // device, whose latches hold no page buffers, and the eager
 // three-buffer reference run the same seeded random command sequences —
-// programs, erases with a reprogram, senses of SLC-ESP, noisy TLC, SLC
-// and erased pages, single-plane and die broadcasts (held or not, partial
-// masks) from one reused pattern buffer, waves at the broadcast's slot
-// width and others, pruned or not, and OOB reads — and after every step
-// every plane's materialized latches, the returned distances and OOB,
-// and every counter must equal the reference's. A wave on a plane no
-// broadcast or sense has filled must be refused by both, as must one
-// past the page; the log reports the refused share. One sequence runs
-// on SLC-ESP blocks only, where no sense draws a raw error.
+// programs, erases with a reprogram, senses of SLC-ESP and erased pages
+// and of TLC and SLC pages, single-plane and die broadcasts (held or
+// not, partial masks) from one reused pattern buffer, waves at the
+// broadcast's slot width and others, pruned or not, and OOB reads — and
+// after every step every plane's materialized latches, the returned
+// distances and OOB, and every counter must equal the reference's. A
+// sense of a TLC or SLC block must be refused by both, and so must a
+// wave on a plane no broadcast or sense has filled, or one past the
+// page; the log reports the refused shares. One sequence runs on SLC-ESP
+// blocks only, where no sense is refused.
 func TestLatchesMatchEagerReference(t *testing.T) {
 	for _, c := range []struct {
 		seed uint64
@@ -485,12 +454,12 @@ func TestLatchesMatchEagerReference(t *testing.T) {
 		t.Run(fmt.Sprintf("seed=%d/esp=%v", c.seed, c.esp), func(t *testing.T) {
 			lr := newLatchRun(t, c.seed, c.esp)
 			lr.run(1500)
-			t.Logf("%d of %d wave steps refused", lr.refused, lr.waves)
+			t.Logf("%d of %d wave steps refused, %d of %d sense steps", lr.refused, lr.waves, lr.unsensed, lr.senses)
 			if lr.dev.Stats.LatchXORs.Load() == 0 || lr.dev.Stats.PrunedSlots.Load() == 0 || lr.dev.Stats.PagePrograms.Load() == 0 {
 				t.Fatal("the sequence ran no wave, pruned nothing or programmed nothing")
 			}
-			if noisy := lr.dev.Stats.BitErrorsInjected.Load() > 0; noisy == c.esp {
-				t.Fatalf("esp %v: %d raw bit errors injected", c.esp, lr.dev.Stats.BitErrorsInjected.Load())
+			if (lr.unsensed > 0) == c.esp || lr.unsensed == lr.senses {
+				t.Fatalf("esp %v: %d of %d senses refused", c.esp, lr.unsensed, lr.senses)
 			}
 		})
 	}
@@ -529,11 +498,13 @@ func (lr *latchRun) equal(what string, got, want []byte) {
 
 // FuzzTrimmedPageReads programs one page whose data and OOB end in runs
 // of 0x00 or 0xFF — lengths, run lengths and fill bytes fuzzed — on an
-// SLC-ESP block and on a TLC block, whose senses draw raw bit errors,
-// and holds every read of it to the eager full-page reference byte for
-// byte and count for count: the sensing latch after a sense, distances
-// over every slot at the broadcast's width (fuzzed) and at another, the
-// OOB in the latch, a whole-page read and a read of every slot record.
+// SLC-ESP block and on a TLC block, and holds every read of it to the
+// eager full-page reference byte for byte and count for count. On the
+// SLC-ESP block: the sensing latch after a sense, distances over every
+// slot at the broadcast's width (fuzzed) and at another, and the OOB in
+// the latch. On the TLC block, the sense is refused and leaves the
+// latches as they were. On both: a whole-page read and a read of every
+// slot record.
 // The committed seeds cover empty writes, all-zero and all-ones pages,
 // pages that end in no run, and prefixes that end inside a slot of a
 // width that does not divide the page.
@@ -569,24 +540,30 @@ func FuzzTrimmedPageReads(f *testing.F) {
 			lr.what = fmt.Sprintf("Program(%v, %dB, %dB OOB)", a, len(data), len(oob))
 			lr.sameErr(lr.dev.Program(a, data, oob), lr.ref.program(a, data, oob))
 			lr.what = fmt.Sprintf("ReadPage(%v)", a)
-			lr.sameErr(lr.dev.ReadPage(a), lr.ref.readPage(a))
+			err := lr.dev.ReadPage(a)
+			lr.sameErr(err, lr.ref.readPage(a))
+			if (err == nil) != (block == 0) {
+				t.Fatalf("%s: error %v on block %d", lr.what, err, block)
+			}
 			lr.check()
 
-			pat := lr.drawPattern(sb)
-			lr.sameErr(lr.dev.LoadCache(plane, pat, sb), lr.ref.loadCache(plane, pat, sb))
-			for _, w := range []int{sb, other} {
-				n := g.PageBytes / w
-				got, want := lr.dists[0][:n], lr.dists[1][:n]
-				lr.what = fmt.Sprintf("GenDistPage(%d, %d, 0, %d) over %v", plane, w, n, a)
-				lr.sameErr(lr.dev.GenDistPage(plane, w, 0, n, got, 0), lr.ref.genDistPage(plane, w, 0, n, want, 0))
-				if !slices.Equal(got, want) {
-					t.Fatalf("%s: distances %v, reference %v", lr.what, got, want)
+			if block == 0 {
+				pat := lr.drawPattern(sb)
+				lr.sameErr(lr.dev.LoadCache(plane, pat, sb), lr.ref.loadCache(plane, pat, sb))
+				for _, w := range []int{sb, other} {
+					n := g.PageBytes / w
+					got, want := lr.dists[0][:n], lr.dists[1][:n]
+					lr.what = fmt.Sprintf("GenDistPage(%d, %d, 0, %d) over %v", plane, w, n, a)
+					lr.sameErr(lr.dev.GenDistPage(plane, w, 0, n, got, 0), lr.ref.genDistPage(plane, w, 0, n, want, 0))
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: distances %v, reference %v", lr.what, got, want)
+					}
 				}
+				gotOOB, err := lr.dev.ReadOOB(plane, nil)
+				wantOOB, wantErr := lr.ref.readOOB(plane)
+				lr.sameErr(err, wantErr)
+				lr.equal(fmt.Sprintf("ReadOOB(%d) of %v", plane, a), gotOOB, wantOOB)
 			}
-			gotOOB, err := lr.dev.ReadOOB(plane, nil)
-			wantOOB, wantErr := lr.ref.readOOB(plane)
-			lr.sameErr(err, wantErr)
-			lr.equal(fmt.Sprintf("ReadOOB(%d) of %v", plane, a), gotOOB, wantOOB)
 
 			gotData, gotOOB, err := lr.dev.ReadPageInto(a, nil, nil)
 			if err != nil {
@@ -601,9 +578,6 @@ func FuzzTrimmedPageReads(f *testing.F) {
 			}
 			lr.equal(fmt.Sprintf("ReadSlots(%v, %d, all %d)", a, sb, len(all)), recs, lr.ref.readSlots(a, sb, all))
 			lr.check()
-		}
-		if lr.dev.Stats.BitErrorsInjected.Load() == 0 {
-			t.Fatal("the TLC senses drew no raw bit error")
 		}
 	})
 }

@@ -28,7 +28,7 @@ func TestDeviceResidentMemory(t *testing.T) {
 		PageBytes: 16 * 1024, OOBBytes: 2208, ChannelBandwidth: 1.2e9,
 	}
 	before := liveHeap()
-	d, err := NewDevice(geo, DefaultParams())
+	d, err := NewDevice(geo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestProgrammedPageMemory(t *testing.T) {
 		BlocksPerPlane: 16, PagesPerBlock: 16,
 		PageBytes: 16 * 1024, OOBBytes: 2208, ChannelBandwidth: 1.2e9,
 	}
-	d, err := NewDevice(geo, DefaultParams())
+	d, err := NewDevice(geo)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,12 +64,6 @@ type Params struct {
 	// the channel rate on the modeled parts.
 	DieInputBandwidth float64
 
-	// RawBER is the raw bit error rate per cell mode when read without
-	// ECC. ModeSLCESP must be 0 per the paper's premise.
-	rawBERSLCESP float64
-	rawBERSLC    float64
-	rawBERTLC    float64
-
 	// Energy per event, in joules.
 	EnergyReadPage    float64 // array sense, per page
 	EnergyLatchXOR    float64 // per page
@@ -91,10 +85,6 @@ func DefaultParams() Params {
 		PassFailCheck: 500 * time.Nanosecond,
 
 		DieInputBandwidth: 1.2e9,
-
-		rawBERSLCESP: 0,
-		rawBERSLC:    1e-9,
-		rawBERTLC:    5e-4,
 
 		EnergyReadPage:    18e-6, // 18 uJ per 16KiB page sense
 		EnergyLatchXOR:    0.8e-6,
@@ -121,16 +111,4 @@ func (p Params) ProgramLatency(m CellMode) time.Duration {
 		return p.programTLC
 	}
 	return p.programSLC
-}
-
-// RawBER returns the no-ECC bit error rate for the given mode.
-func (p Params) RawBER(m CellMode) float64 {
-	switch m {
-	case ModeSLCESP:
-		return p.rawBERSLCESP
-	case ModeSLC:
-		return p.rawBERSLC
-	default:
-		return p.rawBERTLC
-	}
 }

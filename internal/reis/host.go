@@ -286,8 +286,7 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 	switch cmd.Opcode {
 	case OpcodeDBDeploy, OpcodeIVFDeploy:
-		err := c.deploy(*cmd.Deploy, cmd.Opcode == OpcodeIVFDeploy)
-		return HostResponse{Done: err == nil}, err
+		return HostResponse{}, c.deploy(*cmd.Deploy, cmd.Opcode == OpcodeIVFDeploy)
 	case OpcodeAppend, OpcodeDelete:
 		db, err := c.lockDB(cmd.DBID)
 		if err != nil {
@@ -295,7 +294,7 @@ func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 		}
 		defer c.execMu.Unlock()
 		t := mutTarget{c, db}
-		resp := HostResponse{Done: true}
+		var resp HostResponse
 		if cmd.Opcode == OpcodeAppend {
 			resp.AppendedIDs, resp.Wear, err = mutAppend(db.mut, t, cmd.Append)
 		} else if err = mutDelete(db.mut, cmd.Del.IDs); err == nil {
@@ -365,7 +364,7 @@ func (c *hostCore) gcFinish(cmd *HostCommand, acc *WearStats) (HostResponse, err
 	db.mut.fillWear(acc, mutTarget{c, db})
 	c.jl.logCompact(cmd.DBID, cmd.Compact.MinLiveRatio)
 	w := *acc
-	return HostResponse{Done: true, Wear: &w}, nil
+	return HostResponse{Wear: &w}, nil
 }
 
 // JournalBytes returns a copy of the mutation journal: the byte-exact
@@ -662,8 +661,7 @@ func (c *hostCore) readPage(db *rdbEntry, region regionOf, page int, data, oob [
 // into buf, an arena buffer of the cache's: the page's data, then its
 // OOB. The SLC-ESP partition has zero raw bit-error rate, so the pinned
 // copy is bit-identical to what the sensing latch would hold — and to
-// the reference device's page — and the read consumes no error-injection
-// randomness.
+// the reference device's page — and the read changes no latch.
 func (c *hostCore) fetchPin(db *rdbEntry, page int, buf []byte) error {
 	n := db.lay.pageBytes
 	_, _, err := c.readPage(db, embRegion, page, buf[:0:n], buf[n:n])

@@ -796,9 +796,8 @@ func latticeServe(t *testing.T, h *ShardedEngine, cmds []HostCommand, entry int)
 		coalesced = int64(q.Stats().Coalesced)
 	}
 	for _, cmd := range cmds {
-		r := HostResponse{Done: true, PerShard: make([][]QueryStats, h.Shards())}
+		r := HostResponse{PerShard: make([][]QueryStats, h.Shards())}
 		for _, one := range got[:len(cmd.Queries)] {
-			r.Done = r.Done && one.Done
 			r.Results = append(r.Results, one.Results[0])
 			r.QueryStats = append(r.QueryStats, one.QueryStats[0])
 			r.Stats.Add(one.QueryStats[0])
@@ -1061,14 +1060,14 @@ func checkPerShard(t *testing.T, cmd, n int, r HostResponse) {
 }
 
 // respDiff describes the first difference between two responses to the
-// same command — done flag, results (ids, distances, document bytes),
+// same command — results (ids, distances, document bytes),
 // per-query and aggregate stats with the moved fields zeroed on both
 // sides, appended ids and wear — or returns "" if there is none.
 // PerShard is left out: its shape is the topology's.
 func respDiff(want, got HostResponse, moved ...string) string {
-	if got.Done != want.Done || len(got.Results) != len(want.Results) || len(got.QueryStats) != len(want.QueryStats) {
-		return fmt.Sprintf("done %v with %d results and %d stats rows, want done %v with %d and %d",
-			got.Done, len(got.Results), len(got.QueryStats), want.Done, len(want.Results), len(want.QueryStats))
+	if len(got.Results) != len(want.Results) || len(got.QueryStats) != len(want.QueryStats) {
+		return fmt.Sprintf("%d results and %d stats rows, want %d and %d",
+			len(got.Results), len(got.QueryStats), len(want.Results), len(want.QueryStats))
 	}
 	for qi := range want.Results {
 		if !reflect.DeepEqual(got.Results[qi], want.Results[qi]) {

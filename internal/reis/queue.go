@@ -795,7 +795,6 @@ func (q *Queue) execSearch(live []qcmd) {
 		qc := &live[i]
 		n := len(qc.cmd.Queries)
 		resp := HostResponse{
-			Done:       true,
 			Results:    results[off : off+n : off+n],
 			QueryStats: sts[off : off+n : off+n],
 			PerShard:   perShard,

@@ -76,9 +76,6 @@ func (s *LatencySketch) bucket(ns int64) int {
 	return int(math.Ceil(math.Log(float64(ns)) / s.lnGamma))
 }
 
-// Count returns the number of observed samples.
-func (s *LatencySketch) Count() int64 { return s.n }
-
 // Merge folds another sketch of the same accuracy into s. Merging is
 // exact: the merged sketch answers as if it had observed both streams.
 func (s *LatencySketch) Merge(o *LatencySketch) error {

@@ -32,8 +32,8 @@ func assertSketchWithin(t *testing.T, label string, samples []time.Duration, alp
 	for _, d := range samples {
 		s.Observe(d)
 	}
-	if s.Count() != int64(len(samples)) {
-		t.Fatalf("%s: count %d, want %d", label, s.Count(), len(samples))
+	if s.n != int64(len(samples)) {
+		t.Fatalf("%s: count %d, want %d", label, s.n, len(samples))
 	}
 	sorted := append([]time.Duration(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })

@@ -181,14 +181,15 @@ func (d *device) joinRound(r *sharedRound, pages float64) {
 // it). The round's busiest plane drops from q·W·wave to W·tR +
 // q·W·(wave − tR), and its busiest channel takes the loads of every wave,
 // not of the round. Page-major is chosen iff the round's max(plane,
-// channel) is strictly lower under it, so a lone query never changes; and
-// only where a sense draws no raw bit errors (SLC-ESP), so one sense
-// leaves the latch q senses would and results cannot move. dPlane and
+// channel) is strictly lower under it, so a lone query never changes.
+// The die senses only SLC-ESP pages, whose raw bit error rate is zero
+// (flash.Device.ReadPage refuses any other), so one sense leaves the
+// latch q senses would and results cannot move. dPlane and
 // dChannel are the round's change in plane and channel occupancy, and
 // dJoules in energy: the senses saved, the loads added.
 func (d *device) pageMajor(r sharedRound) (ok bool, dPlane, dChannel time.Duration, dJoules float64) {
 	p := d.SSD.Cfg.Flash
-	if r.q < 2 || p.RawBER(flash.ModeSLCESP) > 0 {
+	if r.q < 2 {
 		return false, 0, 0, 0
 	}
 	tR, wave := p.ReadLatency(flash.ModeSLCESP), planeWaveTime(p)

@@ -191,7 +191,7 @@ func respsEqual(t *testing.T, got, want []reis.HostResponse, resultsOnly bool) {
 		}
 		// Field by field: a search response also points to its dispatch's
 		// output record, which is no part of the answer.
-		if g.Done != w.Done || !reflect.DeepEqual(g.Results, w.Results) || !reflect.DeepEqual(g.QueryStats, w.QueryStats) ||
+		if !reflect.DeepEqual(g.Results, w.Results) || !reflect.DeepEqual(g.QueryStats, w.QueryStats) ||
 			g.Stats != w.Stats || !reflect.DeepEqual(g.PerShard, w.PerShard) ||
 			!reflect.DeepEqual(g.AppendedIDs, w.AppendedIDs) || !reflect.DeepEqual(g.Wear, w.Wear) {
 			t.Fatalf("response %d differs from single-replica reference\ngot:  %+v\nwant: %+v", i, g, w)

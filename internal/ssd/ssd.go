@@ -34,7 +34,7 @@ func New(cfg Config, capacityHint int64) (*SSD, error) {
 	if capacityHint > 0 {
 		cfg = cfg.withCapacityFor(capacityHint)
 	}
-	dev, err := flash.NewDevice(cfg.Geo, cfg.Flash)
+	dev, err := flash.NewDevice(cfg.Geo)
 	if err != nil {
 		return nil, err
 	}
