@@ -2,6 +2,7 @@ package flash
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"reis/internal/xrand"
@@ -82,6 +83,127 @@ func TestReadPageSensesOnlySLCESP(t *testing.T) {
 	}
 	if got := d.Stats.PageReadsByMode[ModeSLCESP].Load(); got != 1 {
 		t.Fatalf("%d SLC-ESP senses, want the one accepted", got)
+	}
+}
+
+// TestReadPathGolden pins which reads the device counts, in which cell
+// mode and with how many bytes moved, after a fixed script of 1 000 reads
+// — read i is of addrs[i%5], a sense for i%3 = 0, a whole-page read for
+// 1 and a read of three 64-byte slots for 2 — over a programmed SLC-ESP
+// page, two TLC pages, an SLC page and an erased SLC-ESP page. Each
+// address is read 200 times; its senses are the i < 1000 with i ≡ r (mod
+// 15) for one r, 67 of them for r < 10 and 66 for r ≥ 10 (the second TLC
+// page, r = 12). So the SLC-ESP addresses sense 134 times, the TLC and
+// SLC ones are refused 200 times, and every one of the 333 whole-page
+// and 333 slot reads is counted.
+func TestReadPathGolden(t *testing.T) {
+	d := testDevice(t)
+	r := xrand.New(7)
+	addrs := []Address{
+		{Channel: 0, Die: 0, Plane: 0, Block: 0, Page: 0}, // SLC-ESP
+		{Channel: 1, Die: 1, Plane: 1, Block: 1, Page: 3}, // TLC
+		{Channel: 0, Die: 1, Plane: 0, Block: 2, Page: 5}, // TLC
+		{Channel: 1, Die: 0, Plane: 1, Block: 3, Page: 7}, // SLC
+		{Channel: 0, Die: 0, Plane: 1, Block: 3, Page: 1}, // SLC-ESP, erased
+	}
+	for a, m := range map[Address]CellMode{addrs[0]: ModeSLCESP, addrs[3]: ModeSLC, addrs[4]: ModeSLCESP} {
+		must(t, d.SetBlockMode(a, m))
+	}
+	for _, a := range addrs[:4] {
+		randomPage(t, d, r, a)
+	}
+	var data, oob []byte
+	var err error
+	rec := make([]byte, 3*64)
+	refused := 0
+	for i := 0; i < 1000; i++ {
+		a := addrs[i%len(addrs)]
+		switch i % 3 {
+		case 0:
+			if d.ReadPage(a) != nil {
+				refused++
+			}
+		case 1:
+			data, oob, err = d.ReadPageInto(a, data, oob)
+		case 2:
+			err = d.ReadSlots(a, 64, []int{i % 32, 5, 31}, rec)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	pageOut := int64(d.geo.PageBytes + d.geo.OOBBytes)
+	for _, c := range []struct {
+		name      string
+		got, want int64
+	}{
+		{"refused senses", int64(refused), 67 + 66 + 67},
+		{"PageReads", d.Stats.PageReads.Load(), 134 + 333 + 333},
+		{"PageReadsByMode[SLC-ESP]", d.Stats.PageReadsByMode[ModeSLCESP].Load(), 200 + 200},
+		{"PageReadsByMode[SLC]", d.Stats.PageReadsByMode[ModeSLC].Load(), 200 - 67},
+		{"PageReadsByMode[TLC]", d.Stats.PageReadsByMode[ModeTLC].Load(), 200 - 67 + 200 - 66},
+		{"TotalBytesOut", d.Stats.TotalBytesOut(), 333*pageOut + 333*3*64},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d after the script, want %d", c.name, c.got, c.want)
+		}
+	}
+}
+
+// TestConventionalReadsLeaveLatches: the controller's ECC path and the
+// sensing latch are apart. Between a sense of an SLC-ESP page and its
+// wave, whole-page and slot reads of a TLC, an SLC and another SLC-ESP
+// page on the same plane, and a refused sense of the TLC one, leave the
+// sensing latch, its OOB and the wave's distances as they were.
+func TestConventionalReadsLeaveLatches(t *testing.T) {
+	d := testDevice(t)
+	r := xrand.New(9)
+	esp := Address{Channel: 1, Die: 1, Plane: 0, Block: 0, Page: 3}
+	others := []Address{
+		{Channel: 1, Die: 1, Plane: 0, Block: 1, Page: 2}, // TLC
+		{Channel: 1, Die: 1, Plane: 0, Block: 2, Page: 6}, // SLC
+		{Channel: 1, Die: 1, Plane: 0, Block: 0, Page: 5}, // SLC-ESP
+	}
+	must(t, d.SetBlockMode(esp, ModeSLCESP))
+	must(t, d.SetBlockMode(others[1], ModeSLC))
+	page := randomPage(t, d, r, esp)
+	for _, a := range others {
+		randomPage(t, d, r, a)
+	}
+	plane := esp.PlaneIndex(d.geo)
+	nSlots := d.geo.PageBytes / 64
+	must(t, d.ReadPage(esp))
+	must(t, d.LoadCache(plane, page[64:128], 64))
+	want := make([]int, nSlots)
+	must(t, d.GenDistPage(plane, 64, 0, nSlots, want, 0))
+
+	rec := make([]byte, 2*64)
+	for _, a := range others {
+		if _, _, err := d.ReadPageInto(a, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+		must(t, d.ReadSlots(a, 64, []int{1, 30}, rec))
+	}
+	if err := d.ReadPage(others[0]); err == nil {
+		t.Fatalf("ReadPage of TLC %v accepted", others[0])
+	}
+	if sensing, _ := d.Plane(plane).latches(); !bytes.Equal(sensing, page) {
+		t.Fatal("conventional reads changed the sensing latch")
+	}
+	oob, err := d.ReadOOB(plane, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(oob, page[d.geo.PageBytes:]) {
+		t.Fatal("the latch's OOB is not the sensed page's after conventional reads")
+	}
+	got := make([]int, nSlots)
+	must(t, d.GenDistPage(plane, 64, 0, nSlots, got, 0))
+	if !slices.Equal(got, want) {
+		t.Fatalf("wave after conventional reads %v, before %v", got, want)
+	}
+	if want[1] != 0 {
+		t.Fatalf("slot 1 against its own bytes has distance %d", want[1])
 	}
 }
 

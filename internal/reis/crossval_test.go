@@ -1,6 +1,8 @@
 package reis
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -118,5 +120,71 @@ func TestRepeatedSearchesDeterministic(t *testing.T) {
 		if a[i].ID != b[i].ID || a[i].Dist != b[i].Dist {
 			t.Fatalf("result %d differs across identical searches", i)
 		}
+	}
+}
+
+// TestDocumentReadsGoThroughController: the documents a search returns
+// are read from TLC pages through the controller's ECC, never sensed into
+// a latch. The same query on two fresh engines, with documents and with
+// SkipDocs, senses the same SLC-ESP pages, reads no SLC page, and reads
+// strictly more TLC pages when it fetches documents than its INT8 rerank
+// alone does.
+func TestDocumentReadsGoThroughController(t *testing.T) {
+	var reads [2][3]int64 // [SkipDocs][SLC-ESP, SLC, TLC]
+	for i, skip := range []bool{false, true} {
+		e := newEngine(t, AllOptions())
+		deployFlat(t, e, 1)
+		e.SSD.Dev.ResetStats()
+		res, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[3], 10, SearchOptions{SkipDocs: skip})
+		for _, r := range res {
+			if (r.Doc == nil) != skip {
+				t.Fatalf("SkipDocs %v: result %d carries document %q", skip, r.ID, r.Doc)
+			}
+		}
+		st := &e.SSD.Dev.Stats.PageReadsByMode
+		reads[i] = [3]int64{st[flash.ModeSLCESP].Load(), st[flash.ModeSLC].Load(), st[flash.ModeTLC].Load()}
+	}
+	docs, skip := reads[0], reads[1]
+	if docs[0] == 0 || docs[0] != skip[0] || docs[1] != 0 || skip[1] != 0 || skip[2] == 0 || docs[2] <= skip[2] {
+		t.Fatalf("page reads [SLC-ESP SLC TLC] with documents %v, with SkipDocs %v", docs, skip)
+	}
+}
+
+// TestSearchRefusesNonESPScan: a scan computes only on SLC-ESP pages. With
+// the blocks of an IVF database's embedding or centroid region marked
+// TLC, the die refuses the scan's senses and the search fails rather than
+// computing on pages the latch would read without ECC; with the blocks
+// marked SLC-ESP again, the same search returns what it did before.
+func TestSearchRefusesNonESPScan(t *testing.T) {
+	for _, region := range []string{"embeddings", "centroids"} {
+		t.Run(region, func(t *testing.T) {
+			e := newEngine(t, AllOptions())
+			db := deployIVF(t, e, 1, 16)
+			cmd := HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: testData.Queries[:4], K: 10, Opt: SearchOptions{NProbe: 4}}
+			want := mustSubmit(t, e, cmd).Results
+			r := db.rec.Embeddings
+			if region == "centroids" {
+				r = db.rec.Centroids
+			}
+			mark := func(m flash.CellMode) {
+				for p := 0; p < r.PageCount; p++ {
+					a, err := r.AddressOf(e.SSD.Cfg.Geo, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := e.SSD.Dev.SetBlockMode(a, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			mark(flash.ModeTLC)
+			if _, err := e.Submit(cmd); err == nil || !strings.Contains(err.Error(), "read through ECC") {
+				t.Fatalf("search over TLC %s: error %v, want the die's refusal", region, err)
+			}
+			mark(flash.ModeSLCESP)
+			if got := mustSubmit(t, e, cmd).Results; !reflect.DeepEqual(got, want) {
+				t.Fatalf("search after the refusal returned other results")
+			}
+		})
 	}
 }
