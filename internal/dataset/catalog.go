@@ -19,8 +19,9 @@ type Descriptor struct {
 	DocBytes int
 	// scaledEntries is the synthetic size generated at scale factor 1.
 	scaledEntries int
-	// Clusters controls the topic structure of the generator.
-	Clusters int
+	// clusters controls the topic structure of the generator at scale
+	// factor 1 (Topics).
+	clusters int
 	// queries is the evaluation query count at scale factor 1.
 	queries int
 }
@@ -30,13 +31,16 @@ type Descriptor struct {
 // (NQ < HotpotQA < wiki_en < wiki_full) so crossover behaviour is
 // preserved while staying tractable in CI.
 var Catalog = map[string]Descriptor{
-	"NQ":        {name: "NQ", PaperEntries: 2_681_468, dim: 1024, DocBytes: 1024, scaledEntries: 12_288, Clusters: 96, queries: 64},
-	"HotpotQA":  {name: "HotpotQA", PaperEntries: 5_233_329, dim: 1024, DocBytes: 1024, scaledEntries: 24_576, Clusters: 128, queries: 64},
-	"wiki_en":   {name: "wiki_en", PaperEntries: 41_488_110, dim: 1024, DocBytes: 1024, scaledEntries: 49_152, Clusters: 192, queries: 64},
-	"wiki_full": {name: "wiki_full", PaperEntries: 247_154_006, dim: 1024, DocBytes: 1024, scaledEntries: 98_304, Clusters: 256, queries: 64},
-	"SIFT":      {name: "SIFT", PaperEntries: 1_000_000_000, dim: 128, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, queries: 64},
-	"DEEP":      {name: "DEEP", PaperEntries: 1_000_000_000, dim: 96, DocBytes: 0, scaledEntries: 65_536, Clusters: 256, queries: 64},
+	"NQ":        {name: "NQ", PaperEntries: 2_681_468, dim: 1024, DocBytes: 1024, scaledEntries: 12_288, clusters: 96, queries: 64},
+	"HotpotQA":  {name: "HotpotQA", PaperEntries: 5_233_329, dim: 1024, DocBytes: 1024, scaledEntries: 24_576, clusters: 128, queries: 64},
+	"wiki_en":   {name: "wiki_en", PaperEntries: 41_488_110, dim: 1024, DocBytes: 1024, scaledEntries: 49_152, clusters: 192, queries: 64},
+	"wiki_full": {name: "wiki_full", PaperEntries: 247_154_006, dim: 1024, DocBytes: 1024, scaledEntries: 98_304, clusters: 256, queries: 64},
+	"SIFT":      {name: "SIFT", PaperEntries: 1_000_000_000, dim: 128, DocBytes: 0, scaledEntries: 65_536, clusters: 256, queries: 64},
+	"DEEP":      {name: "DEEP", PaperEntries: 1_000_000_000, dim: 96, DocBytes: 0, scaledEntries: 65_536, clusters: 256, queries: 64},
 }
+
+// Topics is the generator's topic count at the given scale factor.
+func (d Descriptor) Topics(scale int) int { return max(8, d.clusters/scale) }
 
 // Load generates the named catalog dataset at the given scale factor.
 // scale divides the entry and query counts (scale=1 is the full scaled
@@ -52,7 +56,6 @@ func Load(name string, scale int) *Dataset {
 	}
 	n := max(256, desc.scaledEntries/scale)
 	queries := max(8, desc.queries/scale)
-	clusters := max(8, desc.Clusters/scale)
 	docBytes := desc.DocBytes
 	if docBytes == 0 {
 		docBytes = 64 // SIFT/DEEP still need a payload for linkage tests
@@ -61,7 +64,7 @@ func Load(name string, scale int) *Dataset {
 		Name:     desc.name,
 		N:        n,
 		Dim:      desc.dim,
-		Clusters: clusters,
+		Clusters: desc.Topics(scale),
 		Queries:  queries,
 		DocBytes: docBytes,
 		// Harder queries than the unit-test default: real retrieval

@@ -72,7 +72,7 @@ func loadWorkload(name string, scale int) *workload {
 	// nlist follows the generator's topic count but never drops below
 	// sqrt(N): tiny cluster counts would force near-full scans at any
 	// recall target, which no full-scale deployment would use.
-	nlist := max(8, max(desc.Clusters/scale, isqrt(data.Len())))
+	nlist := max(desc.Topics(scale), isqrt(data.Len()))
 	cents, assign := ann.KMeans(data.Vectors, ann.KMeansConfig{
 		K: nlist, Seed: 0x1df, SampleLimit: 8192,
 	})

@@ -176,14 +176,10 @@ func trim(b []byte, size int) (int, byte) {
 	return n, fill
 }
 
-// readRegion copies bytes [off, off+len(dst)) of a region into dst: the
+// readRegion copies the first len(dst) bytes of a region into dst: the
 // stored bytes, then the fill byte.
-func readRegion(dst, stored []byte, fill byte, off int) {
-	n := 0
-	if off < len(stored) {
-		n = copy(dst, stored[off:])
-	}
-	fillWith(dst[n:], fill)
+func readRegion(dst, stored []byte, fill byte) {
+	fillWith(dst[copy(dst, stored):], fill)
 }
 
 // cacheLatch is the cache latch as a broadcast leaves it: slot-aligned
@@ -252,8 +248,8 @@ func (p *Plane) latches() (sensing, cache []byte) {
 	defer p.mu.Unlock()
 	n := p.geo.PageBytes
 	sensing, cache = make([]byte, n+p.geo.OOBBytes), make([]byte, n+p.geo.OOBBytes)
-	readRegion(sensing[:n], p.sensing.data, p.sensing.dataFill, 0)
-	readRegion(sensing[n:], p.sensing.oob, p.sensing.oobFill, 0)
+	readRegion(sensing[:n], p.sensing.data, p.sensing.dataFill)
+	readRegion(sensing[n:], p.sensing.oob, p.sensing.oobFill)
 	p.cache.fill(cache, n)
 	return sensing, cache
 }
@@ -433,10 +429,11 @@ func (d *Device) countRead(a Address, pl *Plane) {
 // has no ECC and so senses only the zero-BER SLC-ESP partition that holds
 // the embeddings. It counts the read and returns the programmed content,
 // the device's erased page for a page never programmed. What the ECC
-// hands over is that content, so the caller copies straight from it; the
+// hands over is that content, so the caller reads straight from it; the
 // plane's latches are left as they were (in-plane computation always
 // senses with ReadPage first, which GenDistPage enforces). The caller
-// holds pl.mu and must not keep the slices past it.
+// holds pl.mu. The content's bytes never change, so the caller may keep
+// views of them past the lock, read-only.
 func (d *Device) senseCorrected(a Address, pl *Plane) programmed {
 	page, ok := pl.pages[a.pageIndex(d.geo)]
 	if !ok {
@@ -477,8 +474,8 @@ func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, erro
 	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
 	page := d.senseCorrected(a, pl)
-	readRegion(data, page.data, page.dataFill, 0)
-	readRegion(oob, page.oob, page.oobFill, 0)
+	readRegion(data, page.data, page.dataFill)
+	readRegion(oob, page.oob, page.oobFill)
 	pl.mu.Unlock()
 	d.Stats.BytesOut[a.Channel].Add(int64(n + d.geo.OOBBytes))
 	d.Stats.ReadBytesOut[a.Channel].Add(int64(n + d.geo.OOBBytes))
@@ -486,33 +483,54 @@ func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, erro
 }
 
 // ReadSlots reads records of a page's user data through the conventional
-// controller path (senseCorrected): record i is slot slots[i] of the page
-// cut into slotBytes-wide slots, copied to dst[i*slotBytes:]. The page is
-// sensed once whatever the record count, and only the records cross the
-// channel — what a controller that wants a few INT8 embeddings or
-// document chunks of a page moves, and what Stats.BytesOut counts.
-func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, dst []byte) error {
+// controller path (senseCorrected): record i, slot slots[i] of the page
+// cut into slotBytes-wide slots, is appended to views. The page is sensed
+// once whatever the record count, and only the records cross the channel,
+// which is what Stats.BytesOut counts; the simulator copies none of them.
+// A programmed page's bytes never change (Program stores new ones,
+// EraseBlock only drops them), so each record is a read-only,
+// capacity-bounded view that stays valid for as long as anyone holds it
+// and must never be written: of the page's stored prefix, of the device's
+// shared page of the fill byte past it, or — for the one slot the prefix
+// ends inside — of the bytes it is materialized as, appended to spill.
+// ReadSlots returns views and spill.
+func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, views [][]byte, spill []byte) ([][]byte, []byte, error) {
 	if !a.Valid(d.geo) {
-		return fmt.Errorf("flash: ReadSlots invalid address %v", a)
+		return views, spill, fmt.Errorf("flash: ReadSlots invalid address %v", a)
 	}
-	if slotBytes <= 0 || len(dst) < len(slots)*slotBytes {
-		return fmt.Errorf("flash: ReadSlots buffer %dB short of %d slots of %dB", len(dst), len(slots), slotBytes)
+	if slotBytes <= 0 {
+		return views, spill, fmt.Errorf("flash: ReadSlots slot width %dB", slotBytes)
 	}
 	for _, s := range slots {
 		if s < 0 || (s+1)*slotBytes > d.geo.PageBytes {
-			return fmt.Errorf("flash: ReadSlots slot %d of %dB out of page", s, slotBytes)
+			return views, spill, fmt.Errorf("flash: ReadSlots slot %d of %dB out of page", s, slotBytes)
 		}
 	}
 	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
 	page := d.senseCorrected(a, pl)
-	for i, s := range slots {
-		readRegion(dst[i*slotBytes:(i+1)*slotBytes], page.data, page.dataFill, s*slotBytes)
-	}
 	pl.mu.Unlock()
+	fill := d.zero.data
+	if page.dataFill != 0 {
+		fill = d.erased.data
+	}
+	stored := len(page.data)
+	for _, s := range slots {
+		lo, hi := s*slotBytes, (s+1)*slotBytes
+		switch {
+		case hi <= stored:
+			views = append(views, page.data[lo:hi:hi])
+		case lo >= stored:
+			views = append(views, fill[lo:hi:hi])
+		default:
+			n := len(spill)
+			spill = append(append(spill, page.data[lo:]...), fill[stored:hi]...)
+			views = append(views, spill[n:n+slotBytes:n+slotBytes])
+		}
+	}
 	d.Stats.BytesOut[a.Channel].Add(int64(len(slots) * slotBytes))
 	d.Stats.ReadBytesOut[a.Channel].Add(int64(len(slots) * slotBytes))
-	return nil
+	return views, spill, nil
 }
 
 // LoadCache performs Input Broadcasting (IBC) into one plane: a load of
@@ -685,7 +703,7 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 	buf = buf[:d.geo.OOBBytes]
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	readRegion(buf, pl.sensing.oob, pl.sensing.oobFill, 0)
+	readRegion(buf, pl.sensing.oob, pl.sensing.oobFill)
 	pl.mu.Unlock()
 	return buf, nil
 }

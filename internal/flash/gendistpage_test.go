@@ -180,7 +180,9 @@ func TestGenDistPageNeedsItsPlaneSensed(t *testing.T) {
 	if _, _, err := d.ReadPageInto(a, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	must(t, d.ReadSlots(a, 4, []int{0}, make([]byte, 4)))
+	if _, _, err := d.ReadSlots(a, 4, []int{0}, nil, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := wave(pa); err == nil {
 		t.Fatal("GEN_DIST_PAGE accepted after only conventional reads of its plane")
 	}

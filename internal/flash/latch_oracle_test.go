@@ -496,6 +496,61 @@ func (lr *latchRun) equal(what string, got, want []byte) {
 	}
 }
 
+// viewsEqual reads slots of the page at a into views and spill, which
+// have room for them, and holds every record to the reference's bytes
+// and each view to where it must point — a slot the page's stored prefix
+// ends inside to the bytes appended after spill's; a read then allocates
+// nothing.
+func (lr *latchRun) viewsEqual(a Address, sb int, slots []int, views [][]byte, spill []byte) {
+	what := fmt.Sprintf("ReadSlots(%v, %d, %d slots)", a, sb, len(slots))
+	got, sp, err := lr.dev.ReadSlots(a, sb, slots, views, spill)
+	if err != nil {
+		lr.t.Fatal(err)
+	}
+	want := lr.ref.readSlots(a, sb, slots)
+	pl := lr.dev.planes[a.PlaneIndex(lr.dev.geo)]
+	page, ok := pl.pages[a.pageIndex(lr.dev.geo)]
+	if !ok {
+		page = lr.dev.erased
+	}
+	fill := lr.dev.zero.data
+	if page.dataFill != 0 {
+		fill = lr.dev.erased.data
+	}
+	for i, s := range slots {
+		v, lo, hi := got[i], s*sb, (s+1)*sb
+		lr.equal(fmt.Sprintf("%s record %d (slot %d)", what, i, s), v, want[i*sb:(i+1)*sb])
+		var at *byte
+		switch {
+		case hi <= len(page.data):
+			at = &page.data[lo]
+		case lo >= len(page.data):
+			at = &fill[lo]
+		default:
+			at = &sp[len(spill)]
+		}
+		if cap(v) != sb || &v[0] != at {
+			lr.t.Fatalf("%s: record %d (slot %d of a %dB prefix) is not a %dB view of its bytes (cap %d)", what, i, s, len(page.data), sb, cap(v))
+		}
+	}
+	if len(sp) > len(spill)+sb {
+		lr.t.Fatalf("%s: %d bytes spilled, more than one slot", what, len(sp)-len(spill))
+	}
+	n := 0
+	if allocs := testing.AllocsPerRun(2, func() {
+		n++
+		if _, _, err := lr.dev.ReadSlots(a, sb, slots, views, spill); err != nil {
+			lr.t.Fatal(err)
+		}
+	}); allocs != 0 {
+		lr.t.Fatalf("%s into buffers with room: %.0f allocations", what, allocs)
+	}
+	for range n {
+		lr.ref.readSlots(a, sb, slots)
+	}
+	lr.what = what
+}
+
 // FuzzTrimmedPageReads programs one page whose data and OOB end in runs
 // of 0x00 or 0xFF — lengths, run lengths and fill bytes fuzzed — on an
 // SLC-ESP block and on a TLC block, and holds every read of it to the
@@ -504,10 +559,13 @@ func (lr *latchRun) equal(what string, got, want []byte) {
 // slot at the broadcast's width (fuzzed) and at another, and the OOB in
 // the latch. On the TLC block, the sense is refused and leaves the
 // latches as they were. On both: a whole-page read and a read of every
-// slot record.
+// slot record, each record a view one slot wide of the stored prefix, of
+// the device's shared page of the fill byte, or — for the one slot the
+// prefix ends inside — of the spill; a read into buffers with room
+// allocates nothing.
 // The committed seeds cover empty writes, all-zero and all-ones pages,
 // pages that end in no run, and prefixes that end inside a slot of a
-// width that does not divide the page.
+// width that does not divide the page, before a run of either fill byte.
 func FuzzTrimmedPageReads(f *testing.F) {
 	// seed, data length and run, OOB length and run, fills (bit 0: the
 	// data run is 0xFF, bit 1: the OOB run), slot width - 1
@@ -517,6 +575,7 @@ func FuzzTrimmedPageReads(f *testing.F) {
 	f.Add(uint64(4), uint16(2048), uint16(0), uint16(128), uint16(0), uint8(1), uint8(63))
 	f.Add(uint64(5), uint16(2048), uint16(1000), uint16(128), uint16(40), uint8(2), uint8(99))
 	f.Add(uint64(6), uint16(1500), uint16(300), uint16(60), uint16(60), uint8(1), uint8(23))
+	f.Add(uint64(7), uint16(1500), uint16(300), uint16(60), uint16(60), uint8(1), uint8(63))
 	f.Fuzz(func(t *testing.T, seed uint64, dataLen, dataRun, oobLen, oobRun uint16, fills, slot uint8) {
 		lr := newLatchRun(t, seed, false)
 		g := lr.dev.geo
@@ -532,7 +591,7 @@ func FuzzTrimmedPageReads(f *testing.F) {
 		for s := range all {
 			all[s] = s
 		}
-		recs := make([]byte, len(all)*sb)
+		views, spill := make([][]byte, 0, len(all)), make([]byte, 1, 1+sb)
 		for _, block := range []int{0, 1} { // SLC-ESP, then TLC
 			a := AddressFromLinear(g, int(seed%uint64(g.Planes()*g.BlocksPerPlane*g.PagesPerBlock)))
 			a.Block = block
@@ -573,10 +632,7 @@ func FuzzTrimmedPageReads(f *testing.F) {
 			lr.equal(fmt.Sprintf("ReadPageInto(%v) data", a), gotData, wantData)
 			lr.equal(fmt.Sprintf("ReadPageInto(%v) OOB", a), gotOOB, wantOOB)
 
-			if err := lr.dev.ReadSlots(a, sb, all, recs); err != nil {
-				t.Fatal(err)
-			}
-			lr.equal(fmt.Sprintf("ReadSlots(%v, %d, all %d)", a, sb, len(all)), recs, lr.ref.readSlots(a, sb, all))
+			lr.viewsEqual(a, sb, all, views[:0], spill)
 			lr.check()
 		}
 	})

@@ -72,9 +72,11 @@ func TestReadPageSensesOnlySLCESP(t *testing.T) {
 		if !bytes.Equal(data, page[:d.geo.PageBytes]) || !bytes.Equal(oob, page[d.geo.PageBytes:]) {
 			t.Fatalf("%v: ReadPageInto of a %v page is not the programmed bytes", c.a, c.mode)
 		}
-		rec := make([]byte, 2*64)
-		must(t, d.ReadSlots(c.a, 64, []int{31, 4}, rec))
-		if !bytes.Equal(rec[:64], page[31*64:32*64]) || !bytes.Equal(rec[64:], page[4*64:5*64]) {
+		rec, _, err := d.ReadSlots(c.a, 64, []int{31, 4}, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(rec[0], page[31*64:32*64]) || !bytes.Equal(rec[1], page[4*64:5*64]) {
 			t.Fatalf("%v: ReadSlots of a %v page is not the programmed bytes", c.a, c.mode)
 		}
 		if got := pl.Senses(c.mode); got != 2 {
@@ -112,9 +114,9 @@ func TestReadPathGolden(t *testing.T) {
 	for _, a := range addrs[:4] {
 		randomPage(t, d, r, a)
 	}
-	var data, oob []byte
+	var data, oob, spill []byte
+	var rec [][]byte
 	var err error
-	rec := make([]byte, 3*64)
 	refused := 0
 	for i := 0; i < 1000; i++ {
 		a := addrs[i%len(addrs)]
@@ -126,7 +128,7 @@ func TestReadPathGolden(t *testing.T) {
 		case 1:
 			data, oob, err = d.ReadPageInto(a, data, oob)
 		case 2:
-			err = d.ReadSlots(a, 64, []int{i % 32, 5, 31}, rec)
+			rec, spill, err = d.ReadSlots(a, 64, []int{i % 32, 5, 31}, rec[:0], spill[:0])
 		}
 		if err != nil {
 			t.Fatal(err)
@@ -177,12 +179,13 @@ func TestConventionalReadsLeaveLatches(t *testing.T) {
 	want := make([]int, nSlots)
 	must(t, d.GenDistPage(plane, 64, 0, nSlots, want, 0))
 
-	rec := make([]byte, 2*64)
 	for _, a := range others {
 		if _, _, err := d.ReadPageInto(a, nil, nil); err != nil {
 			t.Fatal(err)
 		}
-		must(t, d.ReadSlots(a, 64, []int{1, 30}, rec))
+		if _, _, err := d.ReadSlots(a, 64, []int{1, 30}, nil, nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := d.ReadPage(others[0]); err == nil {
 		t.Fatalf("ReadPage of TLC %v accepted", others[0])
@@ -208,11 +211,11 @@ func TestConventionalReadsLeaveLatches(t *testing.T) {
 }
 
 // TestReadSlotsReturnsProgrammedBytes: a slot read hands back exactly the
-// programmed bytes — for every slot of a TLC page and of an SLC-ESP page,
-// read one at a
-// time and all at once in scrambled order, and for an erased page (all
-// ones) — counts one page read and only the record bytes as moved, and
-// rejects slots outside the page and short buffers.
+// programmed bytes, each record a view one slot wide — for every slot of
+// a TLC page and of an SLC-ESP page, read one at a time and all at once
+// in scrambled order, and for an erased page (all ones) — counts one page
+// read and only the record bytes as moved, and rejects slots outside the
+// page and a slot width of zero.
 func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 	const slotBytes = 96 // 21 slots and a 32-byte remainder in a 2048-byte page
 	for _, mode := range []CellMode{ModeTLC, ModeSLCESP} {
@@ -223,49 +226,51 @@ func TestReadSlotsReturnsProgrammedBytes(t *testing.T) {
 		}
 		page := randomPage(t, d, xrand.New(5), a)
 		nSlots := d.geo.PageBytes / slotBytes
-		rec := make([]byte, slotBytes)
 		for s := 0; s < nSlots; s++ {
-			if err := d.ReadSlots(a, slotBytes, []int{s}, rec); err != nil {
+			rec, _, err := d.ReadSlots(a, slotBytes, []int{s}, nil, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(rec, page[s*slotBytes:(s+1)*slotBytes]) {
-				t.Fatalf("%v: slot %d is not the programmed bytes", mode, s)
+			if len(rec) != 1 || cap(rec[0]) != slotBytes || !bytes.Equal(rec[0], page[s*slotBytes:(s+1)*slotBytes]) {
+				t.Fatalf("%v: slot %d is not a %dB view of the programmed bytes", mode, s, slotBytes)
 			}
 		}
 		slots := make([]int, 0, nSlots)
 		for s := 0; s < nSlots; s++ {
 			slots = append(slots, (s*8)%nSlots) // a permutation: 8 and 21 are coprime
 		}
-		all := make([]byte, nSlots*slotBytes)
 		d.ResetStats()
-		if err := d.ReadSlots(a, slotBytes, slots, all); err != nil {
+		all, _, err := d.ReadSlots(a, slotBytes, slots, nil, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for i, s := range slots {
-			if !bytes.Equal(all[i*slotBytes:(i+1)*slotBytes], page[s*slotBytes:(s+1)*slotBytes]) {
+			if !bytes.Equal(all[i], page[s*slotBytes:(s+1)*slotBytes]) {
 				t.Fatalf("%v: record %d (slot %d) is not the programmed bytes", mode, i, s)
 			}
 		}
-		if reads, out := d.Stats.PageReads.Load(), d.Stats.TotalBytesOut(); reads != 1 || out != int64(len(all)) {
-			t.Fatalf("%v: %d page reads and %d bytes out for one read of %d record bytes", mode, reads, out, len(all))
+		if reads, out := d.Stats.PageReads.Load(), d.Stats.TotalBytesOut(); reads != 1 || out != int64(nSlots*slotBytes) {
+			t.Fatalf("%v: %d page reads and %d bytes out for one read of %d record bytes", mode, reads, out, nSlots*slotBytes)
 		}
 
 		erased := Address{Block: 3, Page: 1}
-		if err := d.ReadSlots(erased, slotBytes, []int{0, nSlots - 1}, all); err != nil {
+		all, _, err = d.ReadSlots(erased, slotBytes, []int{0, nSlots - 1}, all[:0], nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		for _, b := range all[:2*slotBytes] {
-			if b != 0xFF {
-				t.Fatal("erased page's slots not all-ones")
-			}
+		if len(all) != 2 || !bytes.Equal(all[0], bytes.Repeat([]byte{0xFF}, slotBytes)) || !bytes.Equal(all[1], all[0]) {
+			t.Fatal("erased page's slots not all-ones")
 		}
 
+		readErr := func(a Address, slotBytes int, slots []int) error {
+			_, _, err := d.ReadSlots(a, slotBytes, slots, nil, nil)
+			return err
+		}
 		for name, err := range map[string]error{
-			"slot past the page": d.ReadSlots(a, slotBytes, []int{nSlots}, all),
-			"negative slot":      d.ReadSlots(a, slotBytes, []int{-1}, all),
-			"short buffer":       d.ReadSlots(a, slotBytes, []int{0, 1}, all[:slotBytes]),
-			"zero slot width":    d.ReadSlots(a, 0, []int{0}, all),
-			"invalid address":    d.ReadSlots(Address{Channel: 99}, slotBytes, []int{0}, all),
+			"slot past the page": readErr(a, slotBytes, []int{nSlots}),
+			"negative slot":      readErr(a, slotBytes, []int{-1}),
+			"zero slot width":    readErr(a, 0, []int{0}),
+			"invalid address":    readErr(Address{Channel: 99}, slotBytes, []int{0}),
 		} {
 			if err == nil {
 				t.Errorf("%s accepted", name)
@@ -304,15 +309,17 @@ func BenchmarkReadPageIntoTLC(b *testing.B) {
 }
 
 // BenchmarkTailPageRead is the controller tail's read of a TLC page: the
-// same sense, and only the records wanted copied out — here two INT8
+// same sense, and a view of each record wanted — here two INT8
 // embeddings of 128 B (rag_uniform reranks 100 candidates off 70 pages).
 func BenchmarkTailPageRead(b *testing.B) {
 	d, a := benchTLCPage(b)
 	slots := []int{17, 100}
-	rec := make([]byte, len(slots)*128)
+	var views [][]byte
+	var spill []byte
+	var err error
 	b.ReportAllocs()
 	for b.Loop() {
-		if err := d.ReadSlots(a, 128, slots, rec); err != nil {
+		if views, spill, err = d.ReadSlots(a, 128, slots, views[:0], spill[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -318,12 +318,14 @@ type HostResponse struct {
 
 // Release hands a search response's output blocks back for reuse by
 // later commands, and clears Results, QueryStats and PerShard, which
-// must not be read afterwards (nor any copy of them, documents
-// included). The blocks are reused once every member of the response's
-// coalesced dispatch has been released. Release is for the caller that
-// has finished with a response; one that never calls it keeps its blocks,
-// and a second call, or a call on a response that is not a search's, does
-// nothing.
+// must not be read afterwards (nor any copy of their headers). The
+// documents are not the blocks': each is a read-only view of flash,
+// which a caller that copied a result's Doc slice may keep reading after
+// Release, and nobody may write. The blocks are reused once every member
+// of the response's coalesced dispatch has been released. Release is
+// for the caller that has finished with a response; one that never calls
+// it keeps its blocks, and a second call, or a call on a response that
+// is not a search's, does nothing.
 func (r *HostResponse) Release() {
 	if r.Results == nil {
 		return

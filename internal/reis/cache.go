@@ -89,34 +89,30 @@ type pinnedCluster struct {
 }
 
 // resEntry is one result-cache record on the LRU list. Its results'
-// documents are capacity-bounded windows of its one document block; the
-// key bytes, the results and the documents are rewritten in place when
-// an insert recycles the record. chain links the records whose keys share
-// a hash (dbCache.res).
+// documents are the read-only views of flash the tail returned, shared
+// with every response that served them; the key bytes and the results
+// are rewritten in place when an insert recycles the record. chain links
+// the records whose keys share a hash (dbCache.res).
 type resEntry struct {
 	key        []byte
 	hash       uint64
 	res        []DocResult
-	docs       []byte
 	bytes      int64
 	prev, next *resEntry
 	chain      *resEntry
 }
 
-// set deep-copies res into the record, in the buffers it already holds
-// where they are large enough. The contents are overwritten, so a short
-// buffer is replaced, not grown (growTo's append idiom also allocates
-// its temporary under the race detector).
+// set copies res's records into the record, in the buffer it already
+// holds where that is large enough; the documents are not copied. The
+// contents are overwritten, so a short buffer is replaced, not grown
+// (growTo's append idiom also allocates its temporary under the race
+// detector).
 func (en *resEntry) set(res []DocResult) {
 	if cap(en.res) < len(res) {
 		en.res = make([]DocResult, len(res))
 	}
-	n := docBytes(res)
-	if cap(en.docs) < n {
-		en.docs = make([]byte, n)
-	}
-	en.res, en.docs = en.res[:len(res)], en.docs[:n]
-	copyResultsInto(en.res, en.docs, res)
+	en.res = en.res[:len(res)]
+	copy(en.res, res)
 }
 
 // CacheStats is the caching tier's state and the history of its
@@ -686,18 +682,4 @@ func docBytes(res []DocResult) (n int) {
 		n += len(r.Doc)
 	}
 	return n
-}
-
-// copyResultsInto deep-copies res into dst, of len(res) records, and
-// docs, of docBytes(res) bytes: each copied document is a
-// capacity-bounded window of docs, so appending to one never writes over
-// another.
-func copyResultsInto(dst []DocResult, docs []byte, res []DocResult) {
-	copy(dst, res)
-	for i, r := range res {
-		if r.Doc != nil {
-			m := copy(docs, r.Doc)
-			dst[i].Doc, docs = docs[:m:m], docs[m:]
-		}
-	}
 }

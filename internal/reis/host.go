@@ -671,20 +671,21 @@ func (c *hostCore) fetchPin(db *rdbEntry, page int, buf []byte) error {
 // readTailSlots reads, for the controller tail, the records of one page
 // of the INT8 (rerank) or document region: the run of groups starting at
 // gi that shares groups[gi].page — groups is sorted by page — one
-// recBytes-wide record each, copied in run order to dst. The page is
-// sensed once and only the records move (flash.Device.ReadSlots). It
-// returns the end of the run.
-func (c *hostCore) readTailSlots(db *rdbEntry, region regionOf, groups []pageIdx, gi, recBytes int, dst []byte) (int, error) {
-	page := groups[gi].page
-	slots := c.scr.tail.slots[:0]
-	end := gi
-	for ; end < len(groups) && groups[end].page == page; end++ {
+// recBytes-wide record each. It returns their read-only views of the
+// page in run order, in the tail scratch; a record the page's stored
+// bytes end inside is appended to *spill (flash.Device.ReadSlots). The
+// page is sensed once, and only the records move.
+func (c *hostCore) readTailSlots(db *rdbEntry, region regionOf, groups []pageIdx, gi, recBytes int, spill *[]byte) ([][]byte, error) {
+	ts, page := &c.scr.tail, groups[gi].page
+	slots := ts.slots[:0]
+	for end := gi; end < len(groups) && groups[end].page == page; end++ {
 		slots = append(slots, groups[end].slot)
 	}
-	c.scr.tail.slots = slots
+	ts.slots = slots
 	dev, addr, err := c.pageAddr(db, region, page)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return end, dev.ReadSlots(addr, recBytes, slots, dst)
+	ts.views, *spill, err = dev.ReadSlots(addr, recBytes, slots, ts.views[:0], *spill)
+	return ts.views, err
 }

@@ -146,7 +146,11 @@ type DocResult struct {
 	ID int
 	// Dist is the reranked INT8 squared-L2 distance.
 	Dist float32
-	// Doc is the document chunk content.
+	// Doc is the document chunk content: a read-only view of the flash
+	// page it was read from, one slot wide, shared with the result cache
+	// and with every response that served it. It stays valid after the
+	// response's Release, and must never be written; appending to it
+	// reallocates.
 	Doc []byte
 }
 

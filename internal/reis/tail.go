@@ -17,17 +17,24 @@ import (
 
 // tailScratch holds the tail's pooled working sets. Exactly one
 // goroutine owns a tailScratch at a time (the host core's execution
-// lock holder); everything handed back to the caller is carved from the
-// command's output blocks (outBlocks), never from scratch.
+// lock holder); the results handed back to the caller are carved from
+// the command's output blocks (outBlocks), never from scratch, and
+// their documents are views of flash.
 type tailScratch struct {
 	q8         []int8
 	reranked   []rankedCand
 	groups     []pageIdx
 	planePages []int
-	// One page's read: the slots wanted of it and, for the rerank, the
-	// INT8 records they hold.
+	// One page's read: the slots wanted of it, the views of their
+	// records (flash.Device.ReadSlots), and, for the rerank, the INT8
+	// record the page's stored bytes end inside.
 	slots []int
+	views [][]byte
 	recs  []byte
+	// docSpill holds the documents the page's stored bytes end inside,
+	// which the caller keeps: a read only appends to it, and a block of
+	// 16 documents replaces it when it has no room for one more.
+	docSpill []byte
 }
 
 // rankedCand is one reranked candidate: its result and the slot of its
@@ -82,20 +89,21 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []ttlEntry, k int
 
 	planePages := resizeInts(ts.planePages, planes)
 	ts.planePages = planePages
-	ts.recs = growTo(ts.recs, len(groups)*f.int8Bytes)
 	reranked := ts.reranked[:0]
 	for gi := 0; gi < len(groups); {
 		page := groups[gi].page
-		end, err := c.readTailSlots(db, int8Region, groups, gi, f.int8Bytes, ts.recs)
+		ts.recs = ts.recs[:0]
+		recs, err := c.readTailSlots(db, int8Region, groups, gi, f.int8Bytes, &ts.recs)
 		if err != nil {
 			return nil, err
 		}
 		st.RerankPages++
 		planePages[page%planes]++
-		for rec := ts.recs; gi < end; gi, rec = gi+1, rec[f.int8Bytes:] {
+		for _, rec := range recs {
 			c := cands[groups[gi].idx]
-			d := vecmath.L2SquaredInt8Bytes(q8, rec[:f.int8Bytes])
+			d := vecmath.L2SquaredInt8Bytes(q8, rec)
 			reranked = append(reranked, rankedCand{DocResult{ID: int(c.DADR), Dist: float32(d)}, c.RADR})
+			gi++
 		}
 	}
 	ts.reranked = reranked
@@ -127,10 +135,8 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []ttlEntry, k int
 	// result's document from its RADR — documents sit in the slots their
 	// INT8 copies do, so a query's documents share pages as its copies
 	// do — and group them by page with the same sorted pooled grouping.
-	// The documents land in one window of the run's document block, in
-	// page order — each read copies a page's records from flash straight
-	// to their final place — and every result gets its own
-	// capacity-bounded window of it.
+	// Every result's document is the read's view of its page: nothing is
+	// copied, and the view outlives the response.
 	groups = groups[:0]
 	for i := range out {
 		d := db.mut.docSlot(reranked[i].radr)
@@ -138,17 +144,19 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []ttlEntry, k int
 	}
 	slices.SortFunc(groups, cmpPageIdx)
 	ts.groups = groups
-	docs := window(&dst.docs, n*f.docBytes, dst.waiting)
 	for gi := 0; gi < len(groups); {
-		end, err := c.readTailSlots(db, docRegion, groups, gi, f.docBytes, docs[gi*f.docBytes:])
+		if cap(ts.docSpill)-len(ts.docSpill) < f.docBytes {
+			ts.docSpill = make([]byte, 0, 16*f.docBytes)
+		}
+		docs, err := c.readTailSlots(db, docRegion, groups, gi, f.docBytes, &ts.docSpill)
 		if err != nil {
 			return nil, err
 		}
 		st.DocPages++
-		for ; gi < end; gi++ {
-			lo, hi := gi*f.docBytes, (gi+1)*f.docBytes
-			out[groups[gi].idx].Doc = docs[lo:hi:hi]
+		for _, doc := range docs {
+			out[groups[gi].idx].Doc = doc
 			st.DocBytes += int64(f.docBytes)
+			gi++
 		}
 	}
 	return out, nil
@@ -157,17 +165,16 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []ttlEntry, k int
 // outBlocks is a search command's output: the results header, the
 // QueryStats, the [device][query] PerShard rows and their block (nil
 // unless the host reports them), a coalesced group's per-member PerShard
-// headers, and the blocks every query's results and documents are
-// windows of. Each query's results are a window of one []DocResult block
-// and its documents a window of one []byte block. A block is replaced
-// when a query's share does not fit what is left of it, by one sized for
-// what the command took of the old block plus that share times the
-// queries still waiting for their tail or their hit's copy (waiting, this
-// one included) — so a command whose queries return equally many results
-// fills one block of each, whatever its query count and its mix of hits
-// and misses, and a recycled block too short for its command grows to
-// the command's shape at once. Every window is capacity-bounded:
-// appending to one query's results, or to one result's document,
+// headers, and the block every query's results are a window of. (The
+// documents are no block's: each is a read-only view of flash.) The
+// results block is replaced when a query's share does not fit what is
+// left of it, by one sized for what the command took of the old block
+// plus that share times the queries still waiting for their tail or
+// their hit's copy (waiting, this one included) — so a command whose
+// queries return equally many results fills one block, whatever its
+// query count and its mix of hits and misses, and a recycled block too
+// short for its command grows to the command's shape at once. Every
+// window is capacity-bounded: appending to one query's results
 // reallocates instead of writing over a neighbour's.
 //
 // The blocks of a command's record (outRecord) are handed back by
@@ -182,7 +189,6 @@ type outBlocks struct {
 	rowBlk  []QueryStats
 	hdrs    [][]QueryStats
 	res     []DocResult
-	docs    []byte
 	waiting int
 }
 
@@ -214,7 +220,7 @@ var (
 
 // reset sizes the blocks for a command of nq queries on devs devices,
 // keeping their capacity: every header and every stats row is zeroed,
-// and the result and document blocks are emptied. PerShard rows are
+// and the results block is emptied. PerShard rows are
 // carved, one capacity-bounded window of rowBlk per device, only when
 // perShard is set; otherwise rows is nil (an Engine's responses carry
 // none).
@@ -230,7 +236,7 @@ func (o *outBlocks) reset(nq, devs int, perShard bool) {
 			o.rows[s] = o.rowBlk[s*nq : (s+1)*nq : (s+1)*nq]
 		}
 	}
-	o.res, o.docs = o.res[:0], o.docs[:0]
+	o.res = o.res[:0]
 }
 
 // reuse returns s resized to n zeroed elements, in its own array when
@@ -256,16 +262,12 @@ func window[T any](blk *[]T, n, waiting int) []T {
 	return b[len(b) : len(b)+n : len(b)+n]
 }
 
-// serve deep-copies a result-cache hit into windows of the blocks: its
-// records, and their documents in one window of the document block,
-// each result a capacity-bounded window of it — the shape tail builds.
+// serve copies a result-cache hit's records into a window of the
+// results block — the shape tail builds. Their documents are shared:
+// views of flash, which nobody writes.
 func (o *outBlocks) serve(res []DocResult) []DocResult {
 	out := window(&o.res, len(res), o.waiting)
-	var docs []byte
-	if n := docBytes(res); n > 0 {
-		docs = window(&o.docs, n, o.waiting)
-	}
-	copyResultsInto(out, docs, res)
+	copy(out, res)
 	return out
 }
 
