@@ -43,7 +43,7 @@ func TestFlatResultsSorted(t *testing.T) {
 	f := NewFlat(testData.Vectors)
 	rs := f.Search(testData.Queries[0], 20)
 	for i := 1; i < len(rs); i++ {
-		if rs[i].Dist < rs[i-1].Dist {
+		if rs[i].dist < rs[i-1].dist {
 			t.Fatal("results not sorted")
 		}
 	}
@@ -458,7 +458,7 @@ func TestSearchersReturnKResults(t *testing.T) {
 			t.Errorf("%s returned no results", name)
 		}
 		for i := 1; i < len(rs); i++ {
-			if rs[i].Dist < rs[i-1].Dist {
+			if rs[i].dist < rs[i-1].dist {
 				t.Errorf("%s results not sorted", name)
 			}
 		}

@@ -37,7 +37,7 @@ func (f *Flat) Search(query []float32, k int) []Result {
 	}
 	rs := make([]Result, len(f.vectors))
 	for i, v := range f.vectors {
-		rs[i] = Result{ID: i, Dist: vecmath.L2Squared(query, v)}
+		rs[i] = Result{ID: i, dist: vecmath.L2Squared(query, v)}
 	}
 	return topK(rs, k)
 }
@@ -88,7 +88,7 @@ func (b *BinaryFlat) Search(query []float32, k int) []Result {
 	qCode := vecmath.BinaryQuantize(query, nil)
 	rs := make([]Result, len(b.codes))
 	for i, c := range b.codes {
-		rs[i] = Result{ID: i, Dist: float32(vecmath.Hamming(qCode, c))}
+		rs[i] = Result{ID: i, dist: float32(vecmath.Hamming(qCode, c))}
 	}
 	cut := k * b.factor
 	if cut > len(rs) {
@@ -104,7 +104,7 @@ func (b *BinaryFlat) rerank(query []float32, cands []Result, k int) []Result {
 	q8 := b.params.Int8Quantize(query, nil)
 	out := make([]Result, len(cands))
 	for i, c := range cands {
-		out[i] = Result{ID: c.ID, Dist: float32(vecmath.L2SquaredInt8(q8, b.int8s[c.ID]))}
+		out[i] = Result{ID: c.ID, dist: float32(vecmath.L2SquaredInt8(q8, b.int8s[c.ID]))}
 	}
 	return topK(out, k)
 }

@@ -25,7 +25,7 @@ func FuzzTopKMerge(f *testing.F) {
 		stream := make([]Result, len(data))
 		for i, b := range data {
 			// Few distinct distances => many ties at every cut line.
-			stream[i] = Result{ID: i, Dist: float32(b % 7)}
+			stream[i] = Result{ID: i, dist: float32(b % 7)}
 		}
 		lists := make([][]Result, np)
 		for i, r := range stream {

@@ -189,15 +189,15 @@ func (h *HNSW) searchLayer(query []float32, qCode []uint64, start, ef, layer int
 	visited := map[int]struct{}{start: {}}
 	best := newBoundedList(ef)
 	startDist := h.dist(query, qCode, start)
-	best.push(Result{ID: start, Dist: startDist})
+	best.push(Result{ID: start, dist: startDist})
 	// frontier: min-heap approximated with a sorted slice; sizes are
 	// small (<= ef) so linear insertion is fine.
-	frontier := []Result{{ID: start, Dist: startDist}}
+	frontier := []Result{{ID: start, dist: startDist}}
 	for len(frontier) > 0 {
 		// Pop closest.
 		c := frontier[0]
 		frontier = frontier[1:]
-		if w, ok := best.worst(); ok && c.Dist > w.Dist {
+		if w, ok := best.worst(); ok && c.dist > w.dist {
 			break
 		}
 		for _, nb := range h.neighbors[layer][c.ID] {
@@ -208,9 +208,9 @@ func (h *HNSW) searchLayer(query []float32, qCode []uint64, start, ef, layer int
 			visited[n] = struct{}{}
 			h.HopCount++
 			d := h.dist(query, qCode, n)
-			if w, ok := best.worst(); !ok || d < w.Dist {
-				best.push(Result{ID: n, Dist: d})
-				frontier = insertSorted(frontier, Result{ID: n, Dist: d})
+			if w, ok := best.worst(); !ok || d < w.dist {
+				best.push(Result{ID: n, dist: d})
+				frontier = insertSorted(frontier, Result{ID: n, dist: d})
 			}
 		}
 	}
@@ -221,7 +221,7 @@ func insertSorted(rs []Result, r Result) []Result {
 	lo, hi := 0, len(rs)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if rs[mid].Dist < r.Dist {
+		if rs[mid].dist < r.dist {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -249,7 +249,7 @@ func (h *HNSW) selectNeighbors(cands []Result, m int) []Result {
 		}
 		keep := true
 		for _, s := range selected {
-			if h.nodesCloser(c.ID, s.ID, c.Dist) {
+			if h.nodesCloser(c.ID, s.ID, c.dist) {
 				keep = false
 				break
 			}
@@ -281,7 +281,7 @@ func (h *HNSW) pruneNeighbors(layer, id, m int) {
 	ns := h.neighbors[layer][id]
 	rs := make([]Result, len(ns))
 	for i, n := range ns {
-		rs[i] = Result{ID: int(n), Dist: h.distNodes(id, int(n))}
+		rs[i] = Result{ID: int(n), dist: h.distNodes(id, int(n))}
 	}
 	top := topK(rs, m)
 	pruned := make([]int32, len(top))
@@ -320,7 +320,7 @@ func (h *HNSW) Search(query []float32, k int) []Result {
 		// INT8 rerank, mirroring the BQ+rescore recipe.
 		q8 := h.params.Int8Quantize(query, nil)
 		for i := range cands {
-			cands[i].Dist = float32(vecmath.L2SquaredInt8(q8, h.int8s[cands[i].ID]))
+			cands[i].dist = float32(vecmath.L2SquaredInt8(q8, h.int8s[cands[i].ID]))
 		}
 	}
 	return topK(cands, k)

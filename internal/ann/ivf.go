@@ -114,7 +114,7 @@ func (idx *IVF) SearchNProbe(query []float32, k, nprobe int) []Result {
 func (idx *IVF) coarseSearch(query []float32, nprobe int) []int {
 	rs := make([]Result, len(idx.centroids))
 	for c, cent := range idx.centroids {
-		rs[c] = Result{ID: c, Dist: vecmath.L2Squared(query, cent)}
+		rs[c] = Result{ID: c, dist: vecmath.L2Squared(query, cent)}
 	}
 	top := topK(rs, nprobe)
 	out := make([]int, len(top))
@@ -128,7 +128,7 @@ func (idx *IVF) fineFloat(query []float32, probes []int, k int) []Result {
 	var rs []Result
 	for _, c := range probes {
 		for _, id := range idx.lists[c] {
-			rs = append(rs, Result{ID: id, Dist: vecmath.L2Squared(query, idx.vectors[id])})
+			rs = append(rs, Result{ID: id, dist: vecmath.L2Squared(query, idx.vectors[id])})
 		}
 	}
 	return topK(rs, k)
@@ -139,7 +139,7 @@ func (idx *IVF) fineBinary(query []float32, probes []int, k int) []Result {
 	var rs []Result
 	for _, c := range probes {
 		for _, id := range idx.lists[c] {
-			rs = append(rs, Result{ID: id, Dist: float32(vecmath.Hamming(qCode, idx.codes[id]))})
+			rs = append(rs, Result{ID: id, dist: float32(vecmath.Hamming(qCode, idx.codes[id]))})
 		}
 	}
 	cut := k * rerankFactor
@@ -150,7 +150,7 @@ func (idx *IVF) fineBinary(query []float32, probes []int, k int) []Result {
 	q8 := idx.params.Int8Quantize(query, nil)
 	out := make([]Result, len(cands))
 	for i, c := range cands {
-		out[i] = Result{ID: c.ID, Dist: float32(vecmath.L2SquaredInt8(q8, idx.int8s[c.ID]))}
+		out[i] = Result{ID: c.ID, dist: float32(vecmath.L2SquaredInt8(q8, idx.int8s[c.ID]))}
 	}
 	return topK(out, k)
 }

@@ -88,7 +88,7 @@ func (l *LSH) Search(query []float32, k int) []Result {
 	seen := l.candidates(query)
 	rs := make([]Result, 0, len(seen))
 	for id := range seen {
-		rs = append(rs, Result{ID: int(id), Dist: vecmath.L2Squared(query, l.vectors[id])})
+		rs = append(rs, Result{ID: int(id), dist: vecmath.L2Squared(query, l.vectors[id])})
 	}
 	return topK(rs, k)
 }

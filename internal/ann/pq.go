@@ -103,7 +103,7 @@ func (p *productQuantizer) Search(query []float32, k int) []Result {
 		for m, c := range code {
 			d += table[m][c]
 		}
-		rs[i] = Result{ID: i, Dist: d}
+		rs[i] = Result{ID: i, dist: d}
 	}
 	return topK(rs, k)
 }
@@ -118,7 +118,7 @@ func (p *productQuantizer) searchSubset(query []float32, ids []int, k int) []Res
 		for m, c := range p.codes[id] {
 			d += table[m][c]
 		}
-		rs[i] = Result{ID: id, Dist: d}
+		rs[i] = Result{ID: id, dist: d}
 	}
 	return topK(rs, k)
 }

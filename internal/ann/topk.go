@@ -18,15 +18,15 @@ package ann
 
 import "sort"
 
-// Result is a single search hit. Dist is the distance in whatever
+// Result is a single search hit. dist is the distance in whatever
 // metric the producing index uses (lower is better).
 type Result struct {
 	ID   int
-	Dist float32
+	dist float32
 }
 
 // quickselect partially sorts rs so that the k smallest results under
-// the (Dist, ID) total order occupy rs[:k] (in arbitrary order within
+// the (dist, ID) total order occupy rs[:k] (in arbitrary order within
 // the prefix), using Hoare's FIND with median-of-three pivoting. It
 // runs in O(n) expected time and is the selection kernel modeled for
 // the SSD embedded cores. Selecting under the total order — not
@@ -96,11 +96,11 @@ func topK(rs []Result, k int) []Result {
 	return out
 }
 
-// lessResult is the (Dist, ID) total order shared by quickselect and
+// lessResult is the (dist, ID) total order shared by quickselect and
 // sortResults.
 func lessResult(a, b Result) bool {
-	if a.Dist != b.Dist {
-		return a.Dist < b.Dist
+	if a.dist != b.dist {
+		return a.dist < b.dist
 	}
 	return a.ID < b.ID
 }
@@ -117,7 +117,7 @@ func sortResults(rs []Result) {
 // The zero value is not usable; construct with newBoundedList.
 type boundedList struct {
 	k    int
-	heap []Result // max-heap by Dist
+	heap []Result // max-heap by dist
 }
 
 // newBoundedList returns a list that retains the k best results.
@@ -135,7 +135,7 @@ func (b *boundedList) push(r Result) {
 		b.up(len(b.heap) - 1)
 		return
 	}
-	if r.Dist >= b.heap[0].Dist {
+	if r.dist >= b.heap[0].dist {
 		return
 	}
 	b.heap[0] = r
@@ -162,7 +162,7 @@ func (b *boundedList) results() []Result {
 func (b *boundedList) up(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if b.heap[parent].Dist >= b.heap[i].Dist {
+		if b.heap[parent].dist >= b.heap[i].dist {
 			return
 		}
 		b.heap[parent], b.heap[i] = b.heap[i], b.heap[parent]
@@ -175,10 +175,10 @@ func (b *boundedList) down(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && b.heap[l].Dist > b.heap[largest].Dist {
+		if l < n && b.heap[l].dist > b.heap[largest].dist {
 			largest = l
 		}
-		if r < n && b.heap[r].Dist > b.heap[largest].Dist {
+		if r < n && b.heap[r].dist > b.heap[largest].dist {
 			largest = r
 		}
 		if largest == i {

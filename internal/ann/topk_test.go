@@ -10,7 +10,7 @@ import (
 func randResults(r *xrand.RNG, n int) []Result {
 	rs := make([]Result, n)
 	for i := range rs {
-		rs[i] = Result{ID: i, Dist: r.Float32()}
+		rs[i] = Result{ID: i, dist: r.Float32()}
 	}
 	return rs
 }
@@ -26,13 +26,13 @@ func TestQuickselectPartitions(t *testing.T) {
 			quickselect(rs, k)
 			var maxLeft, minRight float32 = -1, 2
 			for i := 0; i < k; i++ {
-				if rs[i].Dist > maxLeft {
-					maxLeft = rs[i].Dist
+				if rs[i].dist > maxLeft {
+					maxLeft = rs[i].dist
 				}
 			}
 			for i := k; i < n; i++ {
-				if rs[i].Dist < minRight {
-					minRight = rs[i].Dist
+				if rs[i].dist < minRight {
+					minRight = rs[i].dist
 				}
 			}
 			if n > k && maxLeft > minRight {
@@ -47,12 +47,12 @@ func TestQuickselectPreservesMultiset(t *testing.T) {
 	rs := randResults(r, 500)
 	var before float64
 	for _, x := range rs {
-		before += float64(x.Dist)
+		before += float64(x.dist)
 	}
 	quickselect(rs, 100)
 	var after float64
 	for _, x := range rs {
-		after += float64(x.Dist)
+		after += float64(x.dist)
 	}
 	if before != after {
 		t.Fatalf("multiset changed: %v != %v", before, after)
@@ -62,12 +62,12 @@ func TestQuickselectPreservesMultiset(t *testing.T) {
 func TestQuickselectSortedInput(t *testing.T) {
 	rs := make([]Result, 1000)
 	for i := range rs {
-		rs[i] = Result{ID: i, Dist: float32(i)}
+		rs[i] = Result{ID: i, dist: float32(i)}
 	}
 	quickselect(rs, 10)
 	for i := 0; i < 10; i++ {
-		if rs[i].Dist >= 10 {
-			t.Fatalf("sorted input: element %d has dist %v", i, rs[i].Dist)
+		if rs[i].dist >= 10 {
+			t.Fatalf("sorted input: element %d has dist %v", i, rs[i].dist)
 		}
 	}
 }
@@ -75,12 +75,12 @@ func TestQuickselectSortedInput(t *testing.T) {
 func TestQuickselectDuplicates(t *testing.T) {
 	rs := make([]Result, 100)
 	for i := range rs {
-		rs[i] = Result{ID: i, Dist: float32(i % 3)}
+		rs[i] = Result{ID: i, dist: float32(i % 3)}
 	}
 	quickselect(rs, 40)
 	for i := 0; i < 34; i++ { // 34 zeros exist
-		if rs[i].Dist > 1 {
-			t.Fatalf("duplicate handling: pos %d dist %v", i, rs[i].Dist)
+		if rs[i].dist > 1 {
+			t.Fatalf("duplicate handling: pos %d dist %v", i, rs[i].dist)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestTopKSorted(t *testing.T) {
 		t.Fatalf("len = %d", len(top))
 	}
 	for i := 1; i < len(top); i++ {
-		if top[i].Dist < top[i-1].Dist {
+		if top[i].dist < top[i-1].dist {
 			t.Fatalf("not sorted at %d", i)
 		}
 	}
@@ -147,7 +147,7 @@ func TestSortResultsTieBreak(t *testing.T) {
 func TestBoundedListKeepsBest(t *testing.T) {
 	b := newBoundedList(3)
 	for i := 10; i > 0; i-- {
-		b.push(Result{ID: i, Dist: float32(i)})
+		b.push(Result{ID: i, dist: float32(i)})
 	}
 	got := b.results()
 	if len(got) != 3 || got[0].ID != 1 || got[1].ID != 2 || got[2].ID != 3 {
@@ -163,12 +163,12 @@ func TestBoundedListWorst(t *testing.T) {
 	b.push(Result{1, 1})
 	b.push(Result{2, 2})
 	w, ok := b.worst()
-	if !ok || w.Dist != 2 {
+	if !ok || w.dist != 2 {
 		t.Fatalf("Worst = %v ok=%v", w, ok)
 	}
 	b.push(Result{3, 0.5})
 	w, _ = b.worst()
-	if w.Dist != 1 {
+	if w.dist != 1 {
 		t.Fatalf("Worst after push = %v", w)
 	}
 }

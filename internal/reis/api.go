@@ -121,6 +121,9 @@ func (cmd *HostCommand) validate() error {
 		if a == nil {
 			return fmt.Errorf("%w (opcode %#x)", errMissingPayload, cmd.Opcode)
 		}
+		if a.rec != nil {
+			return nil
+		}
 		if len(a.Vectors) == 0 {
 			return errNoItems
 		}

@@ -37,8 +37,8 @@ func TestBatchLatencyOverlap(t *testing.T) {
 	db := deployIVF(t, e, 1, 16)
 	_, sts := search(t, e, OpcodeIVFSearch, 1, testData.Queries, 10, SearchOptions{NProbe: 4})
 	b := e.BatchLatency(db, sts, UnitScale())
-	if b.Queries != len(sts) {
-		t.Fatalf("Queries = %d", b.Queries)
+	if b.queries != len(sts) {
+		t.Fatalf("Queries = %d", b.queries)
 	}
 	if b.Makespan <= 0 || b.Serial <= 0 {
 		t.Fatalf("non-positive times: %+v", b)
@@ -54,7 +54,7 @@ func TestBatchLatencyOverlap(t *testing.T) {
 			t.Fatalf("%s busy exceeds makespan: %+v", busy.name, b)
 		}
 	}
-	serialQPS := float64(b.Queries) / b.Serial.Seconds()
+	serialQPS := float64(b.queries) / b.Serial.Seconds()
 	if b.QPS < serialQPS {
 		t.Fatalf("batch QPS %.1f below serial %.1f", b.QPS, serialQPS)
 	}

@@ -266,8 +266,8 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 		pages  int
 		render func(page, oob []byte, g int)
 	}{
-		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderDocs(page, g, docs, 0) }},
-		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderInt8(page, g, int8s, 0) }},
+		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderTLC(page, g, lo.docBytes, docs, 0) }},
+		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderTLC(page, g, lo.int8Bytes, int8s, 0) }},
 		{embRegion, lo.embPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, bin) }},
 		{centRegion, lo.centPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }},
 	} {
@@ -295,17 +295,27 @@ func (c *hostCore) execCmd(cmd *HostCommand) (HostResponse, error) {
 		defer c.execMu.Unlock()
 		t := mutTarget{c, db}
 		var resp HostResponse
-		if cmd.Opcode == OpcodeAppend {
-			resp.AppendedIDs, resp.Wear, err = mutAppend(db.mut, t, cmd.Append)
-		} else if err = mutDelete(db.mut, cmd.Del.IDs); err == nil {
+		if cmd.Opcode == OpcodeDelete {
+			if err := mutDelete(db.mut, cmd.Del.IDs); err != nil {
+				return HostResponse{}, err
+			}
 			resp.Wear = &WearStats{}
 			db.mut.fillWear(resp.Wear, t)
-		}
-		if err != nil {
-			return HostResponse{}, err
+			c.jl.logDelete(cmd.DBID, cmd.Del.IDs)
+		} else {
+			// A live append is encoded here; a replayed one arrives encoded.
+			rec := cmd.Append.rec
+			if rec == nil {
+				if rec, err = encodeAppend(db.lay, cmd.Append); err != nil {
+					return HostResponse{}, err
+				}
+			}
+			if resp.AppendedIDs, resp.Wear, err = mutAppend(db.mut, t, rec); err != nil {
+				return HostResponse{}, err
+			}
+			c.jl.logAppend(cmd.DBID, rec)
 		}
 		c.committed(db)
-		c.jl.logCmd(cmd)
 		return resp, nil
 	default:
 		return HostResponse{}, fmt.Errorf("%w %#x", errUnknownOpcode, cmd.Opcode)
@@ -406,15 +416,32 @@ func (c *hostCore) CacheStats(dbID int) (CacheStats, error) {
 // the same deploy configuration as the journaling host's; replayed
 // mutations are journaled again, so the rebuilt host's journal continues
 // where the prefix ended.
+//
+// Every frame is decoded and checked before the first is applied: a
+// journal with a bad frame, a record for a database this host lacks, or
+// an append that does not fit its database (another dim or other code or
+// INT8 widths fail with errQueryDims) changes nothing. Appends are
+// applied as the encoded records the journal carries.
 func (c *hostCore) ReplayJournal(data []byte) error {
-	r := &journalReader{data: data}
-	for r.pos < len(data) {
+	var cmds []HostCommand
+	var offs []int
+	for r := (&journalReader{data: data}); r.pos < len(data); {
 		cmd, err := r.next()
 		if err != nil {
 			return err
 		}
+		db, err := c.hostDB(cmd.DBID)
+		if err == nil && cmd.Opcode == OpcodeAppend {
+			err = cmd.Append.rec.check(db.lay)
+		}
+		if err != nil {
+			return fmt.Errorf("reis: journal record ending at offset %d: %w", r.pos, err)
+		}
+		cmds, offs = append(cmds, cmd), append(offs, r.pos)
+	}
+	for i, cmd := range cmds {
 		if _, err := c.Submit(cmd); err != nil {
-			return fmt.Errorf("reis: journal replay at offset %d: %w", r.pos, err)
+			return fmt.Errorf("reis: journal replay at offset %d: %w", offs[i], err)
 		}
 	}
 	return nil

@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"math"
 	"slices"
+
+	"reis/internal/vecmath"
 )
 
 // The mutation journal is the durability half of online mutability: an
@@ -24,21 +26,38 @@ import (
 //
 //	frame   := version:u8 len:u32 record[len] crc:u32
 //	record  := opcode:u8 dbid:uvarint body
-//	append  := n:uvarint dim:uvarint vec[n*dim]:f32bits
+//	append  := n:uvarint dim:uvarint codes[n*w] int8s[n*dim]
 //	           { doclen:uvarint docbytes }*n
 //	           nassign:uvarint { cluster:uvarint }*nassign
-//	           tags:u8 { tag:u8 }*n        (tags=1 iff MetaTags present)
+//	           tags:u8 { tag:u8 }*n        (tags=1 iff the items are tagged)
 //	delete  := nids:uvarint { id:uvarint }*nids
 //	compact := minLiveRatio:f64bits
+//
+// An append carries its encoded record (appendRecord), the bytes the
+// device stores and nothing else: item i's packed binary code, w =
+// 8·⌈dim/64⌉ bytes, and its INT8 rerank copy, dim bytes, each run of
+// items back to back, then the documents, cluster assignments and tags.
+// No float32 vector is logged: the device never keeps one (DESIGN.md,
+// "database layout"), and replay programs the logged bytes through the
+// same apply path as the live append, so it is bit-exact by
+// construction. Replay refuses a record whose dim or widths are not its
+// database's before it applies anything (ReplayJournal).
 //
 // version is journalVersion, and crc the CRC-32C (Castagnoli) of the
 // frame's version, len and record bytes, so a replay refuses a frame of
 // another format and a frame any bit of which flipped — a record that
-// decodes is not enough, since a flipped bit inside an append's vectors
-// or documents still decodes, into a different corpus. Any prefix of the
-// log that ends on a frame boundary is a valid journal — the
-// crash-recovery oracle cuts at every boundary (see journalOffsets) and
-// replays the prefix on a fresh deploy.
+// decodes is not enough, since a flipped bit inside an append's codes,
+// INT8 copies or documents still decodes, into a different corpus. Any
+// prefix of the log that ends on a frame boundary is a valid journal —
+// the crash-recovery oracle cuts at every boundary (see journalOffsets)
+// and replays the prefix on a fresh deploy.
+//
+// Version 2 replaced version 1, whose appends carried the float32
+// vectors instead (two thirds of a 256-dim append's frame). No version-1
+// decoder is kept: the host keeps its journal in memory and this module
+// persists none (the fuzz corpora are op scripts, not logs), and the
+// version byte refuses a version-1 frame with an error that names both
+// versions.
 //
 // The log is kept in chunks of journalChunk bytes, every one full but
 // the last, so it grows without copying what it holds; a frame may span
@@ -51,7 +70,7 @@ type journal struct {
 }
 
 // journalVersion is the frame format this package writes and replays.
-const journalVersion = 1
+const journalVersion = 2
 
 // journalChunk is the size of a journal chunk.
 const journalChunk = 64 << 10
@@ -100,39 +119,21 @@ func (j *journal) bytes() []byte {
 
 func (j *journal) u8(v uint8)       { j.frame = append(j.frame, v) }
 func (j *journal) uvarint(v uint64) { j.frame = binary.AppendUvarint(j.frame, v) }
-func (j *journal) f32(v float32) {
-	j.frame = binary.LittleEndian.AppendUint32(j.frame, math.Float32bits(v))
-}
 func (j *journal) f64(v float64) {
 	j.frame = binary.LittleEndian.AppendUint64(j.frame, math.Float64bits(v))
 }
 
-// logCmd records one committed mutation command. The caller holds the
-// host's execution lock and has already applied the command.
-func (j *journal) logCmd(cmd *HostCommand) {
-	switch cmd.Opcode {
-	case OpcodeAppend:
-		j.logAppend(cmd.DBID, cmd.Append)
-	case OpcodeDelete:
-		j.logDelete(cmd.DBID, cmd.Del.IDs)
-	case OpcodeCompact:
-		j.logCompact(cmd.DBID, cmd.Compact.MinLiveRatio)
-	}
-}
-
-func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
-	n := len(cfg.Vectors)
-	dim := 0
-	if n > 0 {
-		dim = len(cfg.Vectors[0])
-	}
+// logAppend records one committed append, in the encoded form it was
+// applied in. The caller holds the host's execution lock.
+func (j *journal) logAppend(dbID int, rec *appendRecord) {
+	n := len(rec.docs)
 	// Reserve the whole frame up front — version, length, opcode, tag
-	// byte and checksum, at most 4 + n + nassign varints, the vectors,
-	// documents and tags: a scratch grown value by value would allocate
-	// several times its size the first time an append is larger than any
-	// before it.
-	size := 11 + (4+len(cfg.Docs)+len(cfg.Assign))*binary.MaxVarintLen64 + n*dim*4 + len(cfg.MetaTags)
-	for _, d := range cfg.Docs {
+	// byte and checksum, at most 4 + n + nassign varints, the codes, INT8
+	// copies, documents and tags: a scratch grown value by value would
+	// allocate several times its size the first time an append is larger
+	// than any before it.
+	size := 11 + (4+n+len(rec.assign))*binary.MaxVarintLen64 + len(rec.codes) + len(rec.int8s) + len(rec.tags)
+	for _, d := range rec.docs {
 		size += len(d)
 	}
 	j.open()
@@ -141,23 +142,20 @@ func (j *journal) logAppend(dbID int, cfg *AppendConfig) {
 	j.u8(OpcodeAppend)
 	j.uvarint(uint64(dbID))
 	j.uvarint(uint64(n))
-	j.uvarint(uint64(dim))
-	for _, v := range cfg.Vectors {
-		for _, x := range v {
-			j.f32(x)
-		}
-	}
-	for _, d := range cfg.Docs {
+	j.uvarint(uint64(rec.dim))
+	j.frame = append(j.frame, rec.codes...)
+	j.frame = append(j.frame, rec.int8s...)
+	for _, d := range rec.docs {
 		j.uvarint(uint64(len(d)))
 		j.frame = append(j.frame, d...)
 	}
-	j.uvarint(uint64(len(cfg.Assign)))
-	for _, c := range cfg.Assign {
+	j.uvarint(uint64(len(rec.assign)))
+	for _, c := range rec.assign {
 		j.uvarint(uint64(c))
 	}
-	if cfg.MetaTags != nil {
+	if rec.tags != nil {
 		j.u8(1)
-		j.frame = append(j.frame, cfg.MetaTags...)
+		j.frame = append(j.frame, rec.tags...)
 	} else {
 		j.u8(0)
 	}
@@ -216,8 +214,9 @@ func (r *journalReader) bytes(n int) ([]byte, error) {
 }
 
 // next checks the frame starting at the reader's position and decodes
-// its record. The returned command aliases the journal bytes (documents,
-// tags); the mutation path copies what it stores.
+// its record. The returned command aliases the journal bytes (an
+// append's codes, INT8 copies, documents and tags); the mutation path
+// copies what it stores.
 func (r *journalReader) next() (HostCommand, error) {
 	start := r.pos
 	version, err := r.u8()
@@ -263,59 +262,11 @@ func (r *journalReader) record() (HostCommand, error) {
 	cmd := HostCommand{Opcode: op, DBID: int(dbID)}
 	switch op {
 	case OpcodeAppend:
-		n, err := r.uvarint()
+		rec, err := r.appendRecord()
 		if err != nil {
 			return HostCommand{}, err
 		}
-		dim, err := r.uvarint()
-		if err != nil {
-			return HostCommand{}, err
-		}
-		cfg := &AppendConfig{Vectors: make([][]float32, n), Docs: make([][]byte, n)}
-		for i := range cfg.Vectors {
-			raw, err := r.bytes(int(dim) * 4)
-			if err != nil {
-				return HostCommand{}, err
-			}
-			v := make([]float32, dim)
-			for d := range v {
-				v[d] = math.Float32frombits(binary.LittleEndian.Uint32(raw[d*4:]))
-			}
-			cfg.Vectors[i] = v
-		}
-		for i := range cfg.Docs {
-			dl, err := r.uvarint()
-			if err != nil {
-				return HostCommand{}, err
-			}
-			if cfg.Docs[i], err = r.bytes(int(dl)); err != nil {
-				return HostCommand{}, err
-			}
-		}
-		nassign, err := r.uvarint()
-		if err != nil {
-			return HostCommand{}, err
-		}
-		if nassign > 0 {
-			cfg.Assign = make([]int, nassign)
-			for i := range cfg.Assign {
-				c, err := r.uvarint()
-				if err != nil {
-					return HostCommand{}, err
-				}
-				cfg.Assign[i] = int(c)
-			}
-		}
-		tagged, err := r.u8()
-		if err != nil {
-			return HostCommand{}, err
-		}
-		if tagged != 0 {
-			if cfg.MetaTags, err = r.bytes(int(n)); err != nil {
-				return HostCommand{}, err
-			}
-		}
-		cmd.Append = cfg
+		cmd.Append = &AppendConfig{rec: rec}
 	case OpcodeDelete:
 		nids, err := r.uvarint()
 		if err != nil {
@@ -340,6 +291,68 @@ func (r *journalReader) record() (HostCommand, error) {
 		return HostCommand{}, fmt.Errorf("reis: unknown journal opcode %#x at offset %d", op, r.pos-1)
 	}
 	return cmd, nil
+}
+
+// appendRecord decodes an append's body. The record aliases the journal
+// bytes; mutAppend copies what it stores.
+func (r *journalReader) appendRecord() (*appendRecord, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	dim, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	// Every item holds at least a byte (its document length) and, with
+	// n > 0, dim bytes of INT8 copy: larger counts overrun the frame,
+	// and bounding them keeps the widths below from overflowing.
+	if rem := uint64(len(r.data) - r.pos); n > rem || dim > math.MaxInt32 || (n > 0 && dim > rem) {
+		return nil, fmt.Errorf("reis: journal append of %d items of dim %d overruns its frame at offset %d", n, dim, r.pos)
+	}
+	rec := &appendRecord{dim: int(dim), docs: make([][]byte, n)}
+	if rec.codes, err = r.bytes(int(n) * vecmath.WordsPerVector(rec.dim) * 8); err != nil {
+		return nil, err
+	}
+	if rec.int8s, err = r.bytes(int(n) * rec.dim); err != nil {
+		return nil, err
+	}
+	for i := range rec.docs {
+		dl, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if rec.docs[i], err = r.bytes(int(dl)); err != nil {
+			return nil, err
+		}
+	}
+	nassign, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nassign > uint64(len(r.data)-r.pos) {
+		return nil, fmt.Errorf("reis: journal append of %d assignments overruns its frame at offset %d", nassign, r.pos)
+	}
+	if nassign > 0 {
+		rec.assign = make([]int, nassign)
+		for i := range rec.assign {
+			c, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			rec.assign[i] = int(c)
+		}
+	}
+	tagged, err := r.u8()
+	if err != nil {
+		return nil, err
+	}
+	if tagged != 0 {
+		if rec.tags, err = r.bytes(int(n)); err != nil {
+			return nil, err
+		}
+	}
+	return rec, nil
 }
 
 // journalOffsets returns every valid prefix length of a journal: 0,

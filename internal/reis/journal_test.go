@@ -2,10 +2,15 @@ package reis
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
+
+	"reis/internal/dataset"
+	"reis/internal/vecmath"
 )
 
 // journalHost is the surface the recovery tests drive: command
@@ -168,8 +173,8 @@ func frameOpcode(jl []byte, off int) uint8 { return jl[off+5] }
 // checksum, or with any single bit of a frame flipped is rejected by
 // both the offset scan and replay, instead of silently rebuilding a
 // wrong state. The flips cover a bit of every byte of the first
-// append's frame and every bit of its header — its vectors and
-// documents decode whatever they hold, so only the checksum tells — and
+// append's frame and every bit of its header — its codes, INT8 copies
+// and documents decode whatever they hold, so only the checksum tells — and
 // one bit in the middle of every other frame.
 func TestJournalCorruptionDetected(t *testing.T) {
 	c := newMutCorpus()
@@ -244,9 +249,9 @@ func TestJournalCorruptionDetected(t *testing.T) {
 			frame[i] ^= 1 << uint(b)
 		}
 	}
-	// Replay too refuses a flip inside the append's vectors, the bytes
+	// Replay too refuses a flip inside the append's binary codes, bytes
 	// that decode into a different corpus.
-	rejected("a flipped vector bit", flip(jl, (offs[first]+5+8)*8+3), true)
+	rejected("a flipped code bit", flip(jl, (offs[first]+5+8)*8+3), true)
 	for i := range offs[:len(offs)-1] {
 		rejected(fmt.Sprintf("a flipped bit in frame %d", i), flip(jl, (offs[i]+offs[i+1])/2*8+5), false)
 	}
@@ -438,24 +443,27 @@ func FuzzCrashRecovery(f *testing.F) {
 //
 // An input is a run of records, each a kind byte and its operands:
 //
-//	kind%3 == 0: append  n%4 dim%5 flags docLen:u24 (flags bit 0: cluster
-//	             assignments, bit 1: tags; docLen mod 3 chunks)
+//	kind%3 == 0: append  n%4 dim flags docLen:u24 (an encoded record of
+//	             n items, codes of 8·⌈dim/64⌉ bytes and INT8 copies of
+//	             dim bytes; flags bit 0: cluster assignments, bit 1:
+//	             tags; docLen mod 3 chunks)
 //	kind%3 == 1: delete  nids%16 stride
 //	kind%3 == 2: compact ratio (ratio/255)
 //
 // and the database id is kind/3 × 100.
 func FuzzJournalFrames(f *testing.F) {
-	// oneAppend is an append of one 1-dim vector and one docLen-byte
-	// document, on database 0: for a document of 16 KiB up to 2 MiB its
-	// frame is docLen + 22 bytes.
+	// oneAppend is an append of one 1-dim item (an 8-byte code and a
+	// 1-byte INT8 copy) and one docLen-byte document, on database 0: for
+	// a document of 16 KiB up to 2 MiB its frame is docLen + 27 bytes.
 	oneAppend := func(docLen int) []byte {
 		return []byte{0, 1, 1, 0, byte(docLen), byte(docLen >> 8), byte(docLen >> 16)}
 	}
 	compact := []byte{2, 128}
-	f.Add(append(oneAppend(journalChunk-22), compact...))    // ends exactly on a chunk boundary
-	f.Add(append(oneAppend(journalChunk-21), compact...))    // crosses it by one byte
+	f.Add(append(oneAppend(journalChunk-27), compact...))    // ends exactly on a chunk boundary
+	f.Add(append(oneAppend(journalChunk-26), compact...))    // crosses it by one byte
 	f.Add(append(oneAppend(2*journalChunk+977), compact...)) // longer than two chunks
 	f.Add([]byte{4, 5, 3, 0, 3, 3, 64, 0, 0, 8, 200, 1, 2, 0, 0xFF, 0xFF, 1, 11, 0, 0})
+	f.Add([]byte{3, 3, 255, 3, 9, 0, 0, 6, 2, 129, 1, 0, 0, 0}) // 255- and 129-dim appends: 32- and 24-byte codes
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var cmds []HostCommand
 		var j journal
@@ -469,34 +477,43 @@ func FuzzJournalFrames(f *testing.F) {
 				return 0
 			}
 			cmd := HostCommand{DBID: int(kind/3) * 100}
+			var log func(j *journal)
 			switch kind % 3 {
 			case 0:
-				n, dim, flags := arg(1)%4, arg(2)%5, arg(3)
+				n, dim, flags := arg(1)%4, arg(2), arg(3)
 				docLen := (arg(4) | arg(5)<<8 | arg(6)<<16) % (3 * journalChunk)
-				cfg := &AppendConfig{Vectors: make([][]float32, n), Docs: make([][]byte, n)}
+				rec := &appendRecord{
+					dim:   dim,
+					codes: make([]byte, n*vecmath.WordsPerVector(dim)*8),
+					int8s: make([]byte, n*dim),
+					docs:  make([][]byte, n),
+				}
+				for k := range rec.codes {
+					rec.codes[k] = byte(len(cmds)*31 + k*7)
+				}
+				for k := range rec.int8s {
+					rec.int8s[k] = byte(len(cmds)*17 - k*3)
+				}
 				for i := range n {
-					cfg.Vectors[i] = make([]float32, dim)
-					for d := range dim {
-						cfg.Vectors[i][d] = float32(len(cmds)*31+i*7+d) / 8
-					}
-					cfg.Docs[i] = make([]byte, docLen)
-					for k := range cfg.Docs[i] {
-						cfg.Docs[i][k] = byte(k + i)
+					rec.docs[i] = make([]byte, docLen)
+					for k := range rec.docs[i] {
+						rec.docs[i][k] = byte(k + i)
 					}
 				}
 				if flags&1 != 0 && n > 0 {
-					cfg.Assign = make([]int, n)
-					for i := range cfg.Assign {
-						cfg.Assign[i] = (i + 1) * 150
+					rec.assign = make([]int, n)
+					for i := range rec.assign {
+						rec.assign[i] = (i + 1) * 150
 					}
 				}
 				if flags&2 != 0 {
-					cfg.MetaTags = make([]byte, n)
-					for i := range cfg.MetaTags {
-						cfg.MetaTags[i] = byte(flags + i)
+					rec.tags = make([]byte, n)
+					for i := range rec.tags {
+						rec.tags[i] = byte(flags + i)
 					}
 				}
-				cmd.Opcode, cmd.Append = OpcodeAppend, cfg
+				cmd.Opcode, cmd.Append = OpcodeAppend, &AppendConfig{rec: rec}
+				log = func(j *journal) { j.logAppend(cmd.DBID, rec) }
 				r += 7
 			case 1:
 				ids := make([]int, arg(1)%16)
@@ -504,15 +521,17 @@ func FuzzJournalFrames(f *testing.F) {
 					ids[i] = i * arg(2) * 997
 				}
 				cmd.Opcode, cmd.Del = OpcodeDelete, &DeleteConfig{IDs: ids}
+				log = func(j *journal) { j.logDelete(cmd.DBID, ids) }
 				r += 3
 			case 2:
 				cmd.Opcode, cmd.Compact = OpcodeCompact, &CompactConfig{MinLiveRatio: float64(arg(1)) / 255}
+				log = func(j *journal) { j.logCompact(cmd.DBID, cmd.Compact.MinLiveRatio) }
 				r += 2
 			}
 			cmds = append(cmds, cmd)
-			j.logCmd(&cmd)
+			log(&j)
 			var alone journal
-			alone.logCmd(&cmd)
+			log(&alone)
 			want = append(want, alone.bytes()...)
 		}
 
@@ -546,28 +565,213 @@ func FuzzJournalFrames(f *testing.F) {
 	})
 }
 
+// churnSize is a corpus of churn_mixed's entry size — 256 dimensions
+// and 512-byte documents — for the journal's frame, replay and benchmark
+// cases: the first churnSizeBase rows are deployed and the rest appended
+// in churnSizeBurst-item bursts, cycling, under the generator topic as
+// cluster (the topics' means are the centroids).
+var churnSize = sync.OnceValue(func() *dataset.Dataset {
+	return dataset.Generate(dataset.Config{
+		Name: "reis-journal", N: churnSizeBase + 256, Dim: 256, Clusters: 8, Queries: 8, K: 10,
+		DocBytes: 512, Seed: 57,
+	})
+})
+
+const churnSizeBase, churnSizeBurst = 2048, 16
+
+// churnSizeDeploy is the IVF deploy of the churn-size corpus' base rows.
+func churnSizeDeploy() HostCommand {
+	d := churnSize()
+	cents := make([][]float32, 8)
+	for c := range cents {
+		cents[c] = make([]float32, d.Dim)
+	}
+	for i, v := range d.Vectors[:churnSizeBase] {
+		for k, x := range v {
+			cents[d.ClusterOf[i]][k] += x
+		}
+	}
+	return HostCommand{Opcode: OpcodeIVFDeploy, Deploy: &DeployConfig{
+		ID: 1, Vectors: d.Vectors[:churnSizeBase], Docs: d.Docs[:churnSizeBase], DocSlotBytes: 512,
+		Centroids: cents, Assign: d.ClusterOf[:churnSizeBase],
+	}}
+}
+
+// churnSizeAppend is round r's append: the next burst of pool rows,
+// filed under two clusters as one ingested text's chunks would be.
+func churnSizeAppend(r int) HostCommand {
+	d := churnSize()
+	cfg := &AppendConfig{}
+	for k := range churnSizeBurst {
+		i := churnSizeBase + (r*churnSizeBurst+k)%(len(d.Vectors)-churnSizeBase)
+		cfg.Vectors = append(cfg.Vectors, d.Vectors[i])
+		cfg.Docs = append(cfg.Docs, d.Docs[i])
+		cfg.Assign = append(cfg.Assign, (r+k%2)%8)
+	}
+	return HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: cfg}
+}
+
+// newChurnSizeHost is a deployed single-device host for the churn-size
+// corpus on churn_mixed's device shape — two-page blocks, 200 %
+// overprovisioning — with the append headroom of 160 churn rounds.
+func newChurnSizeHost(tb testing.TB) *Engine {
+	tb.Helper()
+	cfg := testCfg()
+	cfg.Geo.PagesPerBlock = 2
+	cfg.Geo.BlocksPerPlane = 256
+	cfg.OverprovisionPct = 200
+	e, err := New(cfg, 0, AllOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mustSubmit(tb, e, churnSizeDeploy())
+	return e
+}
+
+// runChurnRounds applies churn_mixed's rounds to h: append a burst,
+// delete the burst of two rounds back, and every eighth round compact at
+// live ratio 0.5.
+func runChurnRounds(tb testing.TB, h submitter, rounds int) {
+	tb.Helper()
+	ids := map[int][]int{}
+	for r := range rounds {
+		ids[r] = mustSubmit(tb, h, churnSizeAppend(r)).AppendedIDs
+		if old, ok := ids[r-2]; ok {
+			mustSubmit(tb, h, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: old}})
+			delete(ids, r-2)
+		}
+		if r%8 == 7 {
+			mustSubmit(tb, h, HostCommand{Opcode: OpcodeCompact, DBID: 1, Compact: &CompactConfig{MinLiveRatio: 0.5}})
+		}
+	}
+}
+
+// TestJournalFramesTheEncodedAppend: a churn-size append (16 items of 256
+// dimensions with 512-byte documents) frames to exactly its header plus
+// n × (32 + 256 + 2 + 512) bytes — each item's packed binary code, INT8
+// copy, document length and document, and no float32 vector.
+func TestJournalFramesTheEncodedAppend(t *testing.T) {
+	e := newChurnSizeHost(t)
+	t.Cleanup(func() { e.Close() })
+	cmd := churnSizeAppend(0)
+	mustSubmit(t, e, cmd)
+	// version, length, opcode, database id, n, dim (two varint bytes),
+	// nassign, one byte per cluster below 128, the tag flag, checksum.
+	header := 1 + 4 + 1 + 1 + 1 + 2 + 1 + churnSizeBurst + 1 + 4
+	if got, want := len(e.JournalBytes()), header+churnSizeBurst*(32+256+2+512); got != want {
+		t.Fatalf("a churn-size append frames to %d bytes, want %d", got, want)
+	}
+}
+
+// TestReplayRefusesRecordOfAnotherDim: a journal of a dim-256 database —
+// a delete, then an append — replayed onto a dim-128 deploy is refused
+// with errQueryDims, the sentinel a live append of the wrong dim gets,
+// before anything is applied: the delete, which alone would apply, is
+// not, and the host's search results and journal stay as they were.
+func TestReplayRefusesRecordOfAnotherDim(t *testing.T) {
+	src := newChurnSizeHost(t)
+	t.Cleanup(func() { src.Close() })
+	mustSubmit(t, src, HostCommand{Opcode: OpcodeDelete, DBID: 1, Del: &DeleteConfig{IDs: []int{3}}})
+	mustSubmit(t, src, churnSizeAppend(0))
+	jl := src.JournalBytes()
+
+	h := newJournalHost(t, 1)
+	t.Cleanup(func() { h.Close() })
+	runMutScript(t, h, newMutCorpus(), true, 0.9)
+	before := mustSubmit(t, h, mutSearchCmd(true)).Results
+	journal := h.JournalBytes()
+	err := h.ReplayJournal(jl)
+	if !errors.Is(err, errQueryDims) {
+		t.Fatalf("replaying a dim-256 journal onto a dim-128 database: %v, want errQueryDims", err)
+	}
+	if got := mustSubmit(t, h, mutSearchCmd(true)).Results; !reflect.DeepEqual(got, before) {
+		t.Fatal("a refused replay changed the search results")
+	}
+	if !bytes.Equal(h.JournalBytes(), journal) {
+		t.Fatal("a refused replay changed the journal")
+	}
+}
+
+// BenchmarkJournal times the journal layer on churn_mixed's shapes.
+// append logs one churn-size append frame per op into a log restarted
+// every 1,024 frames, so B/op is the log's growth per frame; replay
+// replays a 160-round churn journal onto a fresh deploy per op (the
+// deploy untimed). Both report the frame size in B/frame.
+func BenchmarkJournal(b *testing.B) {
+	b.Run("append", func(b *testing.B) {
+		e := newChurnSizeHost(b)
+		defer e.Close()
+		db, err := e.hostDB(1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec, err := encodeAppend(db.lay, churnSizeAppend(0).Append)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var j journal
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := range b.N {
+			if i%1024 == 0 {
+				j = journal{frame: j.frame}
+			}
+			j.logAppend(1, rec)
+		}
+		b.ReportMetric(float64(len(j.frame)), "B/frame")
+	})
+	b.Run("replay", func(b *testing.B) {
+		const rounds = 160
+		src := newChurnSizeHost(b)
+		runChurnRounds(b, src, rounds)
+		jl := src.JournalBytes()
+		src.Close()
+		offs, err := journalOffsets(jl)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for range b.N {
+			b.StopTimer()
+			e := newChurnSizeHost(b)
+			b.StartTimer()
+			if err := e.ReplayJournal(jl); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			e.Close()
+			b.StartTimer()
+		}
+		b.ReportMetric(float64(len(jl))/float64(len(offs)-1), "B/frame")
+	})
+}
+
 // TestJournalAllocatesWhatItKeeps: logging 1,000 appends of a
-// churn_mixed round's size (16 entries of 256 float32 dimensions and a
-// 512-byte document, about 24 KiB a frame) allocates no more than the
-// log holds, plus its last chunk's unused room, a chunk of slack and
-// the scratch frame. A log that regrows one slice copies itself on every
+// churn_mixed round's size (16 encoded entries of 256 dimensions — a
+// 32-byte binary code and a 256-byte INT8 copy each — and a 512-byte
+// document, about 12.6 KiB a frame) allocates no more than the log
+// holds, plus its last chunk's unused room, a chunk of slack and the
+// scratch frame. A log that regrows one slice copies itself on every
 // regrowth and allocates several times its length.
 func TestJournalAllocatesWhatItKeeps(t *testing.T) {
 	const n, dim, docBytes, appends = 16, 256, 512, 1000
-	cfg := &AppendConfig{Vectors: make([][]float32, n), Docs: make([][]byte, n), Assign: make([]int, n)}
+	rec := &appendRecord{dim: dim, codes: make([]byte, n*dim/8), int8s: make([]byte, n*dim), docs: make([][]byte, n), assign: make([]int, n)}
+	for k := range rec.codes {
+		rec.codes[k] = byte(k * 7)
+	}
+	for k := range rec.int8s {
+		rec.int8s[k] = byte(k * 3)
+	}
 	for i := range n {
-		cfg.Vectors[i] = make([]float32, dim)
-		for d := range dim {
-			cfg.Vectors[i][d] = float32(i*dim+d) / 64
-		}
-		cfg.Docs[i] = bytes.Repeat([]byte{byte(i)}, docBytes)
-		cfg.Assign[i] = i
+		rec.docs[i] = bytes.Repeat([]byte{byte(i)}, docBytes)
+		rec.assign[i] = i
 	}
 	var j journal
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range appends {
-		j.logAppend(1, cfg)
+		j.logAppend(1, rec)
 	}
 	runtime.ReadMemStats(&after)
 	got := after.TotalAlloc - before.TotalAlloc

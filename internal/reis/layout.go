@@ -94,27 +94,17 @@ func (f *pageFormat) code(page []byte, s int) []byte {
 	return page[s*f.slotBytes : (s+1)*f.slotBytes]
 }
 
-// renderInt8 renders global page g of the INT8 region, in which vecs[i]
-// occupies slot first+i quantized under the deployment's parameters;
-// every other slot of the page stays zero.
-func (f *pageFormat) renderInt8(page []byte, g int, vecs [][]float32, first int) {
+// renderTLC renders global page g of the INT8 or the document region,
+// whose slots are width bytes: items[i] occupies slot first+i,
+// zero-padded to the slot, and every other slot of the page stays zero.
+// An INT8 item is a packed copy (vecmath.PackInt8Bytes) quantized under
+// the deployment's parameters.
+func (f *pageFormat) renderTLC(page []byte, g, width int, items [][]byte, first int) {
 	clear(page)
-	var q8 []int8
-	for s := 0; s < f.int8PerPage; s++ {
-		if i := g*f.int8PerPage + s - first; i >= 0 && i < len(vecs) {
-			q8 = f.params.Int8Quantize(vecs[i], q8)
-			vecmath.PackInt8Bytes(q8, page[s*f.int8Bytes:(s+1)*f.int8Bytes])
-		}
-	}
-}
-
-// renderDocs renders global page g of the document region, in which
-// docs[i] occupies slot first+i (zero-padded to the slot size).
-func (f *pageFormat) renderDocs(page []byte, g int, docs [][]byte, first int) {
-	clear(page)
-	for s := 0; s < f.docsPerPage; s++ {
-		if i := g*f.docsPerPage + s - first; i >= 0 && i < len(docs) {
-			copy(page[s*f.docBytes:(s+1)*f.docBytes], docs[i])
+	perPage := f.pageBytes / width
+	for s := range perPage {
+		if i := g*perPage + s - first; i >= 0 && i < len(items) {
+			copy(page[s*width:(s+1)*width], items[i])
 		}
 	}
 }
@@ -293,8 +283,8 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 // deploySlots is the deployed database as the renderers read it. bin is
 // the binary region for renderBin: position pos holds the binary code of
 // vectors[order[pos]], or padding. int8s and docs are the INT8 and
-// document regions for renderInt8 and renderDocs from slot 0: the
-// vectors and documents in placement order without its padding, so a
+// document regions for renderTLC from slot 0: the vectors' packed INT8
+// copies and the documents in placement order without its padding, so a
 // cluster's rerank copies and documents sit together and a query's
 // candidates — drawn from a few clusters — share a few TLC pages of each.
 // Each binary slot links its INT8 copy by that copy's slot (RADR), which
@@ -302,14 +292,18 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 // what a result reports and tombstones index), and carries tags[id] (nil
 // tags: all zero). Positions past the plan keep an all-zero record: no
 // scan plan reaches them.
-func (lo *dbLayout) deploySlots(vectors [][]float32, docs [][]byte, tags []uint8) (bin func(pos int, code []byte) (slotLink, bool), int8s [][]float32, rankDocs [][]byte) {
-	int8s = make([][]float32, 0, lo.n)
+func (lo *dbLayout) deploySlots(vectors [][]float32, docs [][]byte, tags []uint8) (bin func(pos int, code []byte) (slotLink, bool), int8s, rankDocs [][]byte) {
+	int8s = make([][]byte, 0, lo.n)
 	rankDocs = make([][]byte, 0, lo.n)
+	copies := make([]byte, lo.n*lo.int8Bytes)
 	radr := make([]uint32, len(lo.order))
+	var q8 []int8
 	for pos, id := range lo.order {
 		if id >= 0 {
-			radr[pos] = uint32(len(int8s))
-			int8s = append(int8s, vectors[id])
+			k := len(int8s)
+			radr[pos] = uint32(k)
+			q8 = lo.params.Int8Quantize(vectors[id], q8)
+			int8s = append(int8s, vecmath.PackInt8Bytes(q8, copies[k*lo.int8Bytes:(k+1)*lo.int8Bytes]))
 			rankDocs = append(rankDocs, docs[id])
 		}
 	}

@@ -78,6 +78,11 @@ type AppendConfig struct {
 	Assign []int
 	// MetaTags optionally tags each item for metadata filtering.
 	MetaTags []uint8
+
+	// rec is the append already encoded, set in place of the fields
+	// above: what ReplayJournal submits, decoded from the journal and
+	// checked against its database.
+	rec *appendRecord
 }
 
 // DeleteConfig is the payload of an OpcodeDelete command.
@@ -483,38 +488,101 @@ func (m *mutState) prunedRounds() [][]slotRange {
 	return m.flatRounds
 }
 
-// mutAppend executes one append: placement and metadata are computed
-// from the geometry-independent state, then the fresh pages are
-// programmed through the target. The whole command is validated before
-// any write, so a failed append leaves the database untouched.
-func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, error) {
-	lay := m.lay
-	n, nlist := len(cfg.Vectors), lay.nlist()
-	for i, v := range cfg.Vectors {
-		if len(v) != lay.dim {
-			return nil, nil, fmt.Errorf("%w (append vector %d has dim %d, database dim %d)",
-				errQueryDims, i, len(v), lay.dim)
-		}
+// appendRecord is one append in the form the device stores it, with no
+// float32 left: what encodeAppend builds from an AppendConfig, what
+// mutAppend programs and what the journal logs and replays. Item i's
+// packed binary code is codes[i*w:(i+1)*w], w = 8·⌈dim/64⌉ (the
+// database's slotBytes), its INT8 rerank copy int8s[i*dim:(i+1)*dim],
+// its document docs[i], its cluster assign[i] (none on a flat database)
+// and its metadata tag tags[i] (nil: untagged). A record aliases the
+// command or journal bytes it came from; mutAppend copies what it
+// stores.
+type appendRecord struct {
+	dim          int
+	codes, int8s []byte
+	docs         [][]byte
+	assign       []int
+	tags         []uint8
+}
+
+// check refuses a record that does not fit the database: no items,
+// another dim or other code or INT8 widths (errQueryDims, as a live
+// append of the wrong dim gets), a document larger than its slot, or
+// cluster assignments the database cannot take. A live append and a
+// replayed one pass the same check before anything is applied.
+func (rec *appendRecord) check(lay *dbLayout) error {
+	n := len(rec.docs)
+	if n == 0 {
+		return errNoItems
 	}
-	for i, d := range cfg.Docs {
+	if rec.dim != lay.dim || len(rec.codes) != n*lay.slotBytes || len(rec.int8s) != n*lay.int8Bytes {
+		return fmt.Errorf("%w (append of %d items of dim %d with %d code and %d INT8 bytes, database dim %d holds %d and %d)",
+			errQueryDims, n, rec.dim, len(rec.codes), len(rec.int8s), lay.dim, n*lay.slotBytes, n*lay.int8Bytes)
+	}
+	for i, d := range rec.docs {
 		if len(d) > lay.docBytes {
-			return nil, nil, fmt.Errorf("reis: append doc %d is %dB > slot %dB", i, len(d), lay.docBytes)
+			return fmt.Errorf("reis: append doc %d is %dB > slot %dB", i, len(d), lay.docBytes)
 		}
 	}
 	if lay.flat() {
-		if len(cfg.Assign) != 0 {
-			return nil, nil, fmt.Errorf("%w (cluster assignment for a flat database)", errBadAssign)
+		if len(rec.assign) != 0 {
+			return fmt.Errorf("%w (cluster assignment for a flat database)", errBadAssign)
 		}
-	} else {
-		if len(cfg.Assign) != n {
-			return nil, nil, fmt.Errorf("%w (%d assignments for %d vectors)", errBadAssign, len(cfg.Assign), n)
-		}
-		for i, c := range cfg.Assign {
-			if c < 0 || c >= nlist {
-				return nil, nil, fmt.Errorf("%w (item %d assigned to cluster %d of %d)", errBadAssign, i, c, nlist)
-			}
+		return nil
+	}
+	if len(rec.assign) != n {
+		return fmt.Errorf("%w (%d assignments for %d vectors)", errBadAssign, len(rec.assign), n)
+	}
+	for i, c := range rec.assign {
+		if c < 0 || c >= lay.nlist() {
+			return fmt.Errorf("%w (item %d assigned to cluster %d of %d)", errBadAssign, i, c, lay.nlist())
 		}
 	}
+	return nil
+}
+
+// encodeAppend validates an append against its database and encodes it:
+// each vector's packed binary code and its INT8 copy under the
+// deployment's quantization parameters — the bytes the device stores.
+// Documents, assignments and tags are the command's own slices.
+func encodeAppend(lay *dbLayout, cfg *AppendConfig) (*appendRecord, error) {
+	for i, v := range cfg.Vectors {
+		if len(v) != lay.dim {
+			return nil, fmt.Errorf("%w (append vector %d has dim %d, database dim %d)",
+				errQueryDims, i, len(v), lay.dim)
+		}
+	}
+	n := len(cfg.Vectors)
+	rec := &appendRecord{
+		dim:    lay.dim,
+		codes:  make([]byte, n*lay.slotBytes),
+		int8s:  make([]byte, n*lay.int8Bytes),
+		docs:   cfg.Docs,
+		assign: cfg.Assign,
+		tags:   cfg.MetaTags,
+	}
+	if err := rec.check(lay); err != nil {
+		return nil, err
+	}
+	var bits []uint64
+	var q8 []int8
+	for i, v := range cfg.Vectors {
+		bits = vecmath.BinaryQuantize(v, bits)
+		vecmath.PackBinaryBytes(bits, rec.codes[i*lay.slotBytes:(i+1)*lay.slotBytes])
+		q8 = lay.params.Int8Quantize(v, q8)
+		vecmath.PackInt8Bytes(q8, rec.int8s[i*lay.int8Bytes:(i+1)*lay.int8Bytes])
+	}
+	return rec, nil
+}
+
+// mutAppend applies one encoded append, which has passed check:
+// placement and metadata are computed from the geometry-independent
+// state, then the fresh pages are programmed through the target. The
+// region capacities are checked before any write, so a failed append
+// leaves the database untouched.
+func mutAppend(m *mutState, t mutTarget, rec *appendRecord) ([]int, *WearStats, error) {
+	lay := m.lay
+	n := len(rec.docs)
 
 	// Ids continue the document region's slot addressing, page-aligned
 	// so the batch's doc and INT8 slots land on fresh pages. The aux
@@ -544,29 +612,27 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		ids[i], order[i] = idStart+i, i
 	}
 	if !lay.flat() {
-		slices.SortStableFunc(order, func(a, b int) int { return cfg.Assign[a] - cfg.Assign[b] })
+		slices.SortStableFunc(order, func(a, b int) int { return rec.assign[a] - rec.assign[b] })
 	}
 	entries := make([]slotEntry, n)
-	int8s := make([][]float32, n)
+	int8s := make([][]byte, n)
 	docs := make([][]byte, n)
-	codes := make([]byte, n*lay.slotBytes)
 	var bits []uint64
 	var runs []tailRun
 	var radius []int
 	for j, i := range order {
-		int8s[j], docs[j] = cfg.Vectors[i], cfg.Docs[i]
-		bits = vecmath.BinaryQuantize(cfg.Vectors[i], bits)
+		int8s[j], docs[j] = rec.int8s[i*lay.int8Bytes:(i+1)*lay.int8Bytes], rec.docs[i]
 		e := slotEntry{
 			slotLink: slotLink{dadr: uint32(idStart + i), radr: uint32(rStart + j)},
-			code:     vecmath.PackBinaryBytes(bits, codes[j*lay.slotBytes:(j+1)*lay.slotBytes]),
+			code:     rec.codes[i*lay.slotBytes : (i+1)*lay.slotBytes],
 		}
-		if cfg.MetaTags != nil {
-			e.tag = cfg.MetaTags[i]
+		if rec.tags != nil {
+			e.tag = rec.tags[i]
 		}
 		entries[j] = e
 		c := 0
 		if !lay.flat() {
-			c = cfg.Assign[i]
+			c = rec.assign[i]
 		}
 		if len(runs) == 0 || runs[len(runs)-1].bucket != c {
 			runs = append(runs, tailRun{bucket: c, entries: entries[j:j]})
@@ -575,6 +641,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 		r := len(runs) - 1
 		runs[r].entries = runs[r].entries[:len(runs[r].entries)+1]
 		if !lay.flat() {
+			bits = vecmath.UnpackBinaryBytes(e.code, bits)
 			radius[r] = max(radius[r], vecmath.Hamming(lay.centCodes[c], bits))
 		}
 	}
@@ -589,10 +656,10 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	}
 	// Appended document and INT8 pages are programmed without an OOB.
 	err = m.program(t, wear, docRegion, int(m.tlc.docPages.Load()), newDocPages, false,
-		func(page, _ []byte, g int) { lay.renderDocs(page, g, docs, idStart) })
+		func(page, _ []byte, g int) { lay.renderTLC(page, g, lay.docBytes, docs, idStart) })
 	if err == nil {
 		err = m.program(t, wear, int8Region, int(m.tlc.int8Pages.Load()), newInt8Pages, false,
-			func(page, _ []byte, g int) { lay.renderInt8(page, g, int8s, rStart) })
+			func(page, _ []byte, g int) { lay.renderTLC(page, g, lay.int8Bytes, int8s, rStart) })
 	}
 	if err != nil {
 		return nil, nil, err
@@ -616,7 +683,7 @@ func mutAppend(m *mutState, t mutTarget, cfg *AppendConfig) ([]int, *WearStats, 
 	m.tlc.docPages.Store(int64(newDocPages))
 	m.docRuns = append(m.docRuns, docRun{radr: rStart, doc: idStart})
 	m.live += n
-	for _, d := range cfg.Docs {
+	for _, d := range rec.docs {
 		m.bytesUser += int64(len(d))
 	}
 	m.bytesUser += int64(n) * int64(lay.slotBytes+lay.int8Bytes)

@@ -522,7 +522,8 @@ func regionPlanes(geo flash.Geometry, pages int) float64 {
 // batch service time is bounded by the busiest resource plus one
 // pipeline fill, not by the sum of standalone latencies.
 type BatchBreakdown struct {
-	Queries int
+	// queries is the batch's query count.
+	queries int
 	// Serial is the sum of standalone per-query latencies — what
 	// one-at-a-time admission would cost.
 	Serial time.Duration
@@ -536,7 +537,7 @@ type BatchBreakdown struct {
 	CoreBusy    time.Duration
 	// Makespan is the modeled completion time of the whole batch.
 	Makespan time.Duration
-	// QPS is Queries / Makespan.
+	// QPS is the query count / Makespan.
 	QPS float64
 	// EnergyJ is the batch energy: per-event energy of every query
 	// plus background power over the makespan (idle draw is paid once,
@@ -587,7 +588,7 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 			return BatchBreakdown{}, fmt.Errorf("reis: shard %d has stats for %d of %d queries", s, len(row), len(sts))
 		}
 	}
-	b := BatchBreakdown{Queries: len(sts)}
+	b := BatchBreakdown{queries: len(sts)}
 	var fill time.Duration
 	// col is query i's column of perDev and scan[s] device s's occupancy
 	// over the batch; a few devices' worth stays off the heap, so pricing
@@ -636,7 +637,7 @@ func (c *hostCore) batchLatency(db *Database, sts []QueryStats, perDev [][]Query
 	// Idle draw is paid once over the makespan, by every device.
 	b.EnergyJ += float64(n) * c.cfg.IdlePower * b.Makespan.Seconds()
 	if b.Makespan > 0 {
-		b.QPS = float64(b.Queries) / b.Makespan.Seconds()
+		b.QPS = float64(b.queries) / b.Makespan.Seconds()
 	}
 	return b, nil
 }

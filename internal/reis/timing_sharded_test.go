@@ -228,8 +228,8 @@ func TestShardedTimingTable(t *testing.T) {
 			if want, ok := shardedTimingGolden[key]; !ok || !sameTiming(got, want) {
 				t.Errorf("%s: model moved\n got %+v\nwant %+v", key, got, want)
 			}
-			if bb.Queries != len(resp.QueryStats) || bb.QPS != float64(bb.Queries)/bb.Makespan.Seconds() {
-				t.Errorf("%s: batch of %d reports %d queries at %v QPS over %v", key, len(resp.QueryStats), bb.Queries, bb.QPS, bb.Makespan)
+			if bb.queries != len(resp.QueryStats) || bb.QPS != float64(bb.queries)/bb.Makespan.Seconds() {
+				t.Errorf("%s: batch of %d reports %d queries at %v QPS over %v", key, len(resp.QueryStats), bb.queries, bb.QPS, bb.Makespan)
 			}
 			if b.AvgWatts != b.EnergyJ/b.Total.Seconds() {
 				t.Errorf("%s: AvgWatts %v is not EnergyJ/Total", key, b.AvgWatts)
