@@ -82,6 +82,10 @@ func RunShards(scale int) ([]ShardRow, error) {
 	return rows, nil
 }
 
+// shardRepeats is how many times shardRow's host-clock bracket serves
+// the command.
+const shardRepeats = 8
+
 // shardRow serves the whole query set as one batched host command and
 // models the batch, and the loaded queue's tail, on the setup's topology.
 func shardRow(s *setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
@@ -96,13 +100,25 @@ func shardRow(s *setup, cmd reis.HostCommand, sc reis.Scale) (ShardRow, error) {
 	// the heap near its trigger, and a cycle that lands inside the
 	// measured command is charged to it. Measured without this line, the
 	// BF rows read 28 and ~26 allocs/op at 2 and 4 shards instead of 13.25
-	// and 14.875, and moved with what the process had run before; with it
-	// every row repeats to ±0.25.
+	// and 14.875, and moved with what the process had run before. What is
+	// left is a pooled buffer the collector may empty inside the window
+	// and the next command allocates again — one allocation, a whole
+	// 0.125 of an 8-query command's allocs/op — so the bracket holds
+	// shardRepeats repeats of the command and charges each query its
+	// share of all of them.
 	if _, err := s.Submit(cmd); err != nil {
 		return ShardRow{}, err
 	}
 	runtime.GC()
-	resp, cost, err := s.serve(cmd)
+	var resp reis.HostResponse
+	cost, err := measure(shardRepeats*len(cmd.Queries), func() (err error) {
+		for range shardRepeats {
+			if resp, err = s.Submit(cmd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		return ShardRow{}, err
 	}

@@ -2,9 +2,14 @@ package flash
 
 import (
 	"fmt"
+	"hash/maphash"
 	"math/bits"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
+	"weak"
 
 	"reis/internal/vecmath"
 )
@@ -82,10 +87,12 @@ type Device struct {
 	Stats Stats
 
 	// erased is what an erased page senses as (all ones) and zero what a
-	// latch holds before its first load (all zeros): one of each per
-	// device, shared read-only by every plane's latch views. Their user
-	// data also stands in for the fill of every programmed page past its
-	// stored prefix, which GenDistPage reads at the same offsets.
+	// latch holds before its first load (all zeros), stored whole and
+	// shared read-only by every plane's latch views — and, through the
+	// store programmed pages share, by every device of the same page and
+	// OOB sizes. Their user data also stands in for the fill of every
+	// programmed page past its stored prefix, which GenDistPage reads at
+	// the same offsets.
 	erased, zero programmed
 }
 
@@ -144,21 +151,101 @@ func (p *Plane) DistWaves() int64 {
 // written, data or oob, and the fill byte of the rest, dataFill or
 // oobFill: 0xFF (erased cells) or 0x00 (padding the writer left). A
 // region that is stored whole has no rest, and its fill byte is moot.
+//
+// The prefixes are shared by content across every device in the process:
+// key is the one canonical copy of those bytes (see intern), so replicas
+// that program the same pages hold their bytes once, and each page keeps
+// only the pointer and its fill bytes.
 type programmed struct {
-	data, oob         []byte
+	key               *pageKey
 	dataFill, oobFill byte
 }
 
-// trimmed is the programmed form of a page written with data and oob, in
-// one allocation: each region, padded with 0xFF to its size (PageBytes,
-// OOBBytes), keeps only what precedes its trailing run of 0x00 or 0xFF.
+// data and oob are read-only views of the page's stored prefixes.
+func (p programmed) data() []byte { return bytesView(p.key.data) }
+
+func (p programmed) oob() []byte { return bytesView(p.key.oob) }
+
+// pageKey is a programmed page's stored prefixes: the canonical copy of
+// some content, shared by every page that holds it.
+type pageKey struct{ data, oob string }
+
+// store is the process-wide set of programmed bytes: each distinct
+// content once, held weakly and filed under a hash of its bytes. A
+// canonical copy lives while some page or latch points at it; once none
+// does, a cleanup (drop) removes its entry, and the collector frees its
+// bytes once no view read from them is left either. (unique.Make keeps
+// such a set too, but in Go 1.24 its cleanup walks every entry with
+// weak.Pointer.Value while a collection marks, which revives the dead
+// ones, so a dead page's bytes could outlive it by any number of
+// cycles; and it hashes the content again for each insert and delete.)
+var store = struct {
+	sync.Mutex
+	seed maphash.Seed
+	m    map[uint64][]weak.Pointer[pageKey]
+}{seed: maphash.MakeSeed(), m: map[uint64][]weak.Pointer[pageKey]{}}
+
+// storeEntry names one canonical copy's entry for its cleanup.
+type storeEntry struct {
+	hash uint64
+	key  weak.Pointer[pageKey]
+}
+
+// intern returns the store's canonical copy of the prefixes data and
+// oob. They are copied only when no page in the process holds the same
+// bytes yet; otherwise the caller shares the copy that page holds.
+func intern(data, oob []byte) *pageKey {
+	sum := pageHash(data, oob)
+	store.Lock()
+	defer store.Unlock()
+	for _, w := range store.m[sum] {
+		if key := w.Value(); key != nil && key.data == string(data) && key.oob == string(oob) {
+			return key
+		}
+	}
+	key := &pageKey{string(data), string(oob)}
+	w := weak.Make(key)
+	store.m[sum] = append(store.m[sum], w)
+	runtime.AddCleanup(key, drop, storeEntry{sum, w})
+	return key
+}
+
+// pageHash is the store's hash of the content data, oob: the runtime's
+// map hash of both regions, each in one pass.
+func pageHash(data, oob []byte) uint64 {
+	return maphash.Comparable(store.seed, pageKey{stringView(data), stringView(oob)})
+}
+
+// drop removes a canonical copy no page or latch points at any more from
+// the store.
+func drop(e storeEntry) {
+	store.Lock()
+	defer store.Unlock()
+	if ws := slices.DeleteFunc(store.m[e.hash], func(w weak.Pointer[pageKey]) bool { return w == e.key }); len(ws) > 0 {
+		store.m[e.hash] = ws
+	} else {
+		delete(store.m, e.hash)
+	}
+}
+
+// stringView and bytesView are the simulator's only unsafe conversions,
+// and both rest on one invariant: the bytes of a programmed page are
+// never written. stringView lends a caller's bytes to pageHash, which
+// only reads them. bytesView turns a canonical copy back into the slice
+// every read serves views of; a write through any such view would change
+// the page on every device that holds the same content.
+func stringView(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+func bytesView(s string) []byte { return unsafe.Slice(unsafe.StringData(s), len(s)) }
+
+// trimmed is the programmed form of a page written with data and oob:
+// each region, padded with 0xFF to its size (PageBytes, OOBBytes), keeps
+// only what precedes its trailing run of 0x00 or 0xFF, and that prefix is
+// shared with every page of the process that stores the same bytes.
 func trimmed(data, oob []byte, geo Geometry) programmed {
 	dn, dataFill := trim(data, geo.PageBytes)
 	on, oobFill := trim(oob, geo.OOBBytes)
-	buf := make([]byte, dn+on)
-	copy(buf, data[:dn])
-	copy(buf[dn:], oob[:on])
-	return programmed{data: buf[:dn:dn], oob: buf[dn:], dataFill: dataFill, oobFill: oobFill}
+	return programmed{key: intern(data[:dn], oob[:on]), dataFill: dataFill, oobFill: oobFill}
 }
 
 // trim takes the size-byte region that b padded with 0xFF makes and
@@ -226,7 +313,7 @@ func (c *cacheLatch) xorCount(data []byte, pageBytes, lo, hi int) int {
 // page of the prefix's fill byte) at the same offsets. Popcounts add
 // over bytes, so a slot the prefix ends inside splits there.
 func (p *Plane) xorCount(tail []byte, lo, hi int) int {
-	data, n := p.sensing.data, p.geo.PageBytes
+	data, n := p.sensing.data(), p.geo.PageBytes
 	return p.cache.xorCount(data, n, lo, min(hi, len(data))) + p.cache.xorCount(tail, n, max(lo, len(data)), hi)
 }
 
@@ -248,8 +335,8 @@ func (p *Plane) latches() (sensing, cache []byte) {
 	defer p.mu.Unlock()
 	n := p.geo.PageBytes
 	sensing, cache = make([]byte, n+p.geo.OOBBytes), make([]byte, n+p.geo.OOBBytes)
-	readRegion(sensing[:n], p.sensing.data, p.sensing.dataFill)
-	readRegion(sensing[n:], p.sensing.oob, p.sensing.oobFill)
+	readRegion(sensing[:n], p.sensing.data(), p.sensing.dataFill)
+	readRegion(sensing[n:], p.sensing.oob(), p.sensing.oobFill)
 	p.cache.fill(cache, n)
 	return sensing, cache
 }
@@ -267,10 +354,10 @@ func NewDevice(geo Geometry) (*Device, error) {
 	d.Stats.BytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.ReadBytesOut = make([]atomic.Int64, geo.Channels)
 	d.Stats.BytesIn = make([]atomic.Int64, geo.Channels)
-	d.zero = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
-	d.erased = programmed{data: make([]byte, geo.PageBytes), oob: make([]byte, geo.OOBBytes)}
-	fillWith(d.erased.data, 0xFF)
-	fillWith(d.erased.oob, 0xFF)
+	page := make([]byte, max(geo.PageBytes, geo.OOBBytes))
+	d.zero = programmed{key: intern(page[:geo.PageBytes], page[:geo.OOBBytes])}
+	fillWith(page, 0xFF)
+	d.erased = programmed{key: intern(page[:geo.PageBytes], page[:geo.OOBBytes]), dataFill: 0xFF, oobFill: 0xFF}
 	for i := range d.planes {
 		d.planes[i] = &Plane{
 			geo:     geo,
@@ -315,8 +402,9 @@ func (d *Device) BlockMode(a Address) CellMode {
 // Program writes user data and OOB bytes to a page. Either may be
 // shorter than its region; the rest reads back as 0xFF (erased cells).
 // The page keeps only the bytes before each region's trailing run of
-// 0x00 or 0xFF (see trimmed); every read serves that run from its fill
-// byte.
+// 0x00 or 0xFF (see trimmed), and keeps them in the store every device of
+// the process shares: a page whose bytes some page already holds adds no
+// copy of them. Every read serves the run from its fill byte.
 func (d *Device) Program(a Address, data, oob []byte) error {
 	if !a.Valid(d.geo) {
 		return fmt.Errorf("flash: Program invalid address %v", a)
@@ -433,7 +521,8 @@ func (d *Device) countRead(a Address, pl *Plane) {
 // plane's latches are left as they were (in-plane computation always
 // senses with ReadPage first, which GenDistPage enforces). The caller
 // holds pl.mu. The content's bytes never change, so the caller may keep
-// views of them past the lock, read-only.
+// views of them past the lock, read-only: they are shared with every page
+// of every device that holds the same content.
 func (d *Device) senseCorrected(a Address, pl *Plane) programmed {
 	page, ok := pl.pages[a.pageIndex(d.geo)]
 	if !ok {
@@ -474,8 +563,8 @@ func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, erro
 	pl := d.planes[a.PlaneIndex(d.geo)]
 	pl.mu.Lock()
 	page := d.senseCorrected(a, pl)
-	readRegion(data, page.data, page.dataFill)
-	readRegion(oob, page.oob, page.oobFill)
+	readRegion(data, page.data(), page.dataFill)
+	readRegion(oob, page.oob(), page.oobFill)
 	pl.mu.Unlock()
 	d.Stats.BytesOut[a.Channel].Add(int64(n + d.geo.OOBBytes))
 	d.Stats.ReadBytesOut[a.Channel].Add(int64(n + d.geo.OOBBytes))
@@ -489,10 +578,12 @@ func (d *Device) ReadPageInto(a Address, data, oob []byte) ([]byte, []byte, erro
 // which is what Stats.BytesOut counts; the simulator copies none of them.
 // A programmed page's bytes never change (Program stores new ones,
 // EraseBlock only drops them), so each record is a read-only,
-// capacity-bounded view that stays valid for as long as anyone holds it
-// and must never be written: of the page's stored prefix, of the device's
-// shared page of the fill byte past it, or — for the one slot the prefix
-// ends inside — of the bytes it is materialized as, appended to spill.
+// capacity-bounded view that stays valid for as long as anyone holds it,
+// past the block's erase too: of the page's stored prefix, of the
+// device's shared page of the fill byte past it, or — for the one slot
+// the prefix ends inside — of the bytes it is materialized as, appended
+// to spill. The first two are shared by every device in the process that
+// holds the same bytes, so a write through one would corrupt them all.
 // ReadSlots returns views and spill.
 func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, views [][]byte, spill []byte) ([][]byte, []byte, error) {
 	if !a.Valid(d.geo) {
@@ -510,21 +601,22 @@ func (d *Device) ReadSlots(a Address, slotBytes int, slots []int, views [][]byte
 	pl.mu.Lock()
 	page := d.senseCorrected(a, pl)
 	pl.mu.Unlock()
-	fill := d.zero.data
+	fill := d.zero.data()
 	if page.dataFill != 0 {
-		fill = d.erased.data
+		fill = d.erased.data()
 	}
-	stored := len(page.data)
+	data := page.data()
+	stored := len(data)
 	for _, s := range slots {
 		lo, hi := s*slotBytes, (s+1)*slotBytes
 		switch {
 		case hi <= stored:
-			views = append(views, page.data[lo:hi:hi])
+			views = append(views, data[lo:hi:hi])
 		case lo >= stored:
 			views = append(views, fill[lo:hi:hi])
 		default:
 			n := len(spill)
-			spill = append(append(spill, page.data[lo:]...), fill[stored:hi]...)
+			spill = append(append(spill, data[lo:]...), fill[stored:hi]...)
 			views = append(views, spill[n:n+slotBytes:n+slotBytes])
 		}
 	}
@@ -639,17 +731,18 @@ func (d *Device) GenDistPage(planeIdx, slotBytes, firstSlot, nSlots int, dists [
 	}
 	// The sensed page stores a prefix of its user data; its fill is read
 	// at the same offsets of the device's shared page of the fill byte.
-	tail := d.zero.data
+	tail := d.zero.data()
 	if pl.sensing.dataFill != 0 {
-		tail = d.erased.data
+		tail = d.erased.data()
 	}
-	if stored := len(pl.sensing.data); pl.cache.slot == slotBytes {
+	if sensed := pl.sensing.data(); pl.cache.slot == slotBytes {
 		// The slots wholly in the prefix, the one the prefix ends inside,
 		// and the slots wholly in the fill.
+		stored := len(sensed)
 		in := min(nSlots, max(0, stored/slotBytes-firstSlot))
 		past := min(nSlots, max(in, (stored+slotBytes-1)/slotBytes-firstSlot))
 		if in > 0 {
-			vecmath.XorPopCountPattern(pl.sensing.data, pl.cache.pat, slotBytes, firstSlot, in, dists)
+			vecmath.XorPopCountPattern(sensed, pl.cache.pat, slotBytes, firstSlot, in, dists)
 		}
 		if past > in {
 			dists[in] = pl.xorCount(tail, lo+in*slotBytes, lo+past*slotBytes)
@@ -703,7 +796,7 @@ func (d *Device) ReadOOB(planeIdx int, buf []byte) ([]byte, error) {
 	buf = buf[:d.geo.OOBBytes]
 	pl := d.planes[planeIdx]
 	pl.mu.Lock()
-	readRegion(buf, pl.sensing.oob, pl.sensing.oobFill)
+	readRegion(buf, pl.sensing.oob(), pl.sensing.oobFill)
 	pl.mu.Unlock()
 	return buf, nil
 }

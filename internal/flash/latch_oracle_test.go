@@ -513,24 +513,25 @@ func (lr *latchRun) viewsEqual(a Address, sb int, slots []int, views [][]byte, s
 	if !ok {
 		page = lr.dev.erased
 	}
-	fill := lr.dev.zero.data
+	fill := lr.dev.zero.data()
 	if page.dataFill != 0 {
-		fill = lr.dev.erased.data
+		fill = lr.dev.erased.data()
 	}
+	data := page.data()
 	for i, s := range slots {
 		v, lo, hi := got[i], s*sb, (s+1)*sb
 		lr.equal(fmt.Sprintf("%s record %d (slot %d)", what, i, s), v, want[i*sb:(i+1)*sb])
 		var at *byte
 		switch {
-		case hi <= len(page.data):
-			at = &page.data[lo]
-		case lo >= len(page.data):
+		case hi <= len(data):
+			at = &data[lo]
+		case lo >= len(data):
 			at = &fill[lo]
 		default:
 			at = &sp[len(spill)]
 		}
 		if cap(v) != sb || &v[0] != at {
-			lr.t.Fatalf("%s: record %d (slot %d of a %dB prefix) is not a %dB view of its bytes (cap %d)", what, i, s, len(page.data), sb, cap(v))
+			lr.t.Fatalf("%s: record %d (slot %d of a %dB prefix) is not a %dB view of its bytes (cap %d)", what, i, s, len(data), sb, cap(v))
 		}
 	}
 	if len(sp) > len(spill)+sb {
@@ -562,7 +563,10 @@ func (lr *latchRun) viewsEqual(a Address, sb int, slots []int, views [][]byte, s
 // slot record, each record a view one slot wide of the stored prefix, of
 // the device's shared page of the fill byte, or — for the one slot the
 // prefix ends inside — of the spill; a read into buffers with room
-// allocates nothing.
+// allocates nothing. A second device programs the same page, so the two
+// share its bytes; the first device's block is then erased, and every
+// read of both devices is held to its own reference again: the second
+// still reads the page as programmed, the first reads it erased.
 // The committed seeds cover empty writes, all-zero and all-ones pages,
 // pages that end in no run, and prefixes that end inside a slot of a
 // width that does not divide the page, before a run of either fill byte.
@@ -577,7 +581,7 @@ func FuzzTrimmedPageReads(f *testing.F) {
 	f.Add(uint64(6), uint16(1500), uint16(300), uint16(60), uint16(60), uint8(1), uint8(23))
 	f.Add(uint64(7), uint16(1500), uint16(300), uint16(60), uint16(60), uint8(1), uint8(63))
 	f.Fuzz(func(t *testing.T, seed uint64, dataLen, dataRun, oobLen, oobRun uint16, fills, slot uint8) {
-		lr := newLatchRun(t, seed, false)
+		lr, twin := newLatchRun(t, seed, false), newLatchRun(t, seed, false)
 		g := lr.dev.geo
 		fill := func(bit uint8) byte { return -(fills >> bit & 1) } // 0xFF where the bit is set
 		data := lr.writeWithRun(int(dataLen)%(g.PageBytes+1), int(dataRun), fill(0))
@@ -592,21 +596,19 @@ func FuzzTrimmedPageReads(f *testing.F) {
 			all[s] = s
 		}
 		views, spill := make([][]byte, 0, len(all)), make([]byte, 1, 1+sb)
-		for _, block := range []int{0, 1} { // SLC-ESP, then TLC
-			a := AddressFromLinear(g, int(seed%uint64(g.Planes()*g.BlocksPerPlane*g.PagesPerBlock)))
-			a.Block = block
+		// reads runs every read of the page at a on lr's device and its
+		// reference.
+		reads := func(lr *latchRun, a Address) {
 			plane := a.PlaneIndex(g)
-			lr.what = fmt.Sprintf("Program(%v, %dB, %dB OOB)", a, len(data), len(oob))
-			lr.sameErr(lr.dev.Program(a, data, oob), lr.ref.program(a, data, oob))
 			lr.what = fmt.Sprintf("ReadPage(%v)", a)
 			err := lr.dev.ReadPage(a)
 			lr.sameErr(err, lr.ref.readPage(a))
-			if (err == nil) != (block == 0) {
-				t.Fatalf("%s: error %v on block %d", lr.what, err, block)
+			if (err == nil) != (a.Block == 0) {
+				t.Fatalf("%s: error %v on block %d", lr.what, err, a.Block)
 			}
 			lr.check()
 
-			if block == 0 {
+			if a.Block == 0 {
 				pat := lr.drawPattern(sb)
 				lr.sameErr(lr.dev.LoadCache(plane, pat, sb), lr.ref.loadCache(plane, pat, sb))
 				for _, w := range []int{sb, other} {
@@ -634,6 +636,19 @@ func FuzzTrimmedPageReads(f *testing.F) {
 
 			lr.viewsEqual(a, sb, all, views[:0], spill)
 			lr.check()
+		}
+		for _, block := range []int{0, 1} { // SLC-ESP, then TLC
+			a := AddressFromLinear(g, int(seed%uint64(g.Planes()*g.BlocksPerPlane*g.PagesPerBlock)))
+			a.Block = block
+			for _, r := range []*latchRun{lr, twin} {
+				r.what = fmt.Sprintf("Program(%v, %dB, %dB OOB)", a, len(data), len(oob))
+				r.sameErr(r.dev.Program(a, data, oob), r.ref.program(a, data, oob))
+			}
+			reads(lr, a)
+			lr.what = fmt.Sprintf("EraseBlock(%v)", a)
+			lr.sameErr(lr.dev.EraseBlock(a), lr.ref.eraseBlock(a))
+			reads(twin, a)
+			reads(lr, a)
 		}
 	})
 }
