@@ -27,11 +27,11 @@ import (
 // dataset.
 const benchScale = 16
 
-// throughputSetup deploys the quickstart-scale workload (2000 x
-// 256-dim, full REIS-SSD1 plane parallelism) used by the batched-vs-
-// sequential throughput benchmarks.
-func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
-	b.Helper()
+// benchCorpus is the quickstart-scale workload (2000 x 256-dim, 20
+// topics, 64 queries) with its k-means clustering, and the REIS-SSD1
+// configuration the host benchmarks deploy it on: full plane
+// parallelism, 8 blocks of 16 pages per plane.
+func benchCorpus() (*dataset.Dataset, *reis.DeployConfig, ssd.Config) {
 	data := dataset.Generate(dataset.Config{
 		Name: "throughput", N: 2000, Dim: 256, Clusters: 20,
 		Queries: 64, DocBytes: 512, Seed: 7,
@@ -40,14 +40,22 @@ func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
 	cfg := ssd.SSD1()
 	cfg.Geo.BlocksPerPlane = 8
 	cfg.Geo.PagesPerBlock = 16
+	return data, &reis.DeployConfig{
+		ID: 1, Vectors: data.Vectors, Docs: data.Docs, DocSlotBytes: 512,
+		Centroids: cents, Assign: assign,
+	}, cfg
+}
+
+// throughputSetup deploys benchCorpus as one IVF database on one device,
+// for the batched-vs-sequential throughput benchmarks.
+func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
+	b.Helper()
+	data, deploy, cfg := benchCorpus()
 	engine, err := reis.New(cfg, 256<<20, reis.AllOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := engine.Submit(reis.HostCommand{Opcode: reis.OpcodeIVFDeploy, Deploy: &reis.DeployConfig{
-		ID: 1, Vectors: data.Vectors, Docs: data.Docs, DocSlotBytes: 512,
-		Centroids: cents, Assign: assign,
-	}}); err != nil {
+	if _, err := engine.Submit(reis.HostCommand{Opcode: reis.OpcodeIVFDeploy, Deploy: deploy}); err != nil {
 		b.Fatal(err)
 	}
 	db, err := engine.DB(1)
@@ -55,6 +63,54 @@ func throughputSetup(b *testing.B) (*reis.Engine, *reis.Database, [][]float32) {
 		b.Fatal(err)
 	}
 	return engine, db, data.Queries
+}
+
+// BenchmarkShardedSearch times the cross-device round and fold: one
+// 8-query command per op on a 4-device host (NewSharded) over
+// benchCorpus, a flat command on its flat deployment and an IVF command
+// (nprobe 4) on its IVF one. Every device's die workers scan their share
+// of a round and the controller folds the four streams into each query's
+// before the tail. The response is released, so its output blocks
+// recycle; no queue or gateway is in the path.
+func BenchmarkShardedSearch(b *testing.B) {
+	data, deploy, cfg := benchCorpus()
+	host, err := reis.NewSharded(cfg, 4, 256<<20, reis.AllOptions())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer host.Close()
+	flat := *deploy
+	flat.ID, flat.Centroids, flat.Assign = 2, nil, nil
+	for _, cmd := range []reis.HostCommand{
+		{Opcode: reis.OpcodeIVFDeploy, Deploy: deploy},
+		{Opcode: reis.OpcodeDBDeploy, Deploy: &flat},
+	} {
+		if _, err := host.Submit(cmd); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, bc := range []struct {
+		name string
+		cmd  reis.HostCommand
+	}{
+		{"flat", reis.HostCommand{Opcode: reis.OpcodeSearch, DBID: 2, K: 10}},
+		{"ivf", reis.HostCommand{Opcode: reis.OpcodeIVFSearch, DBID: 1, K: 10, Opt: reis.SearchOptions{NProbe: 4}}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			cmd := bc.cmd
+			b.ReportAllocs()
+			for i := 0; b.Loop(); i++ {
+				// Rotate through the query set eight at a time.
+				lo := i * 8 % len(data.Queries)
+				cmd.Queries = data.Queries[lo : lo+8]
+				resp, err := host.Submit(cmd)
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp.Release()
+			}
+		})
+	}
 }
 
 // BenchmarkSearchThroughput sweeps the admission batch size and

@@ -51,14 +51,15 @@ type BinaryFlat struct {
 	int8s  [][]int8
 	params vecmath.Int8Params
 	// factor is the multiple of k fetched from the binary stage before
-	// INT8 rescoring (rerankFactor; tests narrow it).
+	// INT8 rescoring (RerankFactor; tests narrow it).
 	factor int
 }
 
-// rerankFactor is the multiple of k a binary scan keeps for INT8
+// RerankFactor is the multiple of k a binary scan keeps for INT8
 // rescoring. The paper selects the 10k closest binary candidates before
-// reranking (Sec 4.3.2 step 6), i.e. a factor of 10.
-const rerankFactor = 10
+// reranking (Sec 4.3.2 step 6), i.e. a factor of 10. The REIS engine's
+// rerank pool (internal/reis) uses the same constant.
+const RerankFactor = 10
 
 // NewBinaryFlat quantizes vectors to binary codes and INT8 rerank
 // copies.
@@ -71,7 +72,7 @@ func NewBinaryFlat(vectors [][]float32) *BinaryFlat {
 		codes:  make([][]uint64, len(vectors)),
 		int8s:  make([][]int8, len(vectors)),
 		params: vecmath.ComputeInt8Params(vectors),
-		factor: rerankFactor,
+		factor: RerankFactor,
 	}
 	for i, v := range vectors {
 		b.codes[i] = vecmath.BinaryQuantize(v, nil)

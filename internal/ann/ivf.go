@@ -142,7 +142,7 @@ func (idx *IVF) fineBinary(query []float32, probes []int, k int) []Result {
 			rs = append(rs, Result{ID: id, dist: float32(vecmath.Hamming(qCode, idx.codes[id]))})
 		}
 	}
-	cut := k * rerankFactor
+	cut := k * RerankFactor
 	if cut > len(rs) {
 		cut = len(rs)
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"reis/internal/ann"
 )
 
 // The NVM command set reserves opcodes 80h-FFh for vendor-specific
@@ -212,9 +214,9 @@ func (cfg *DeployConfig) validate(ivf bool) error {
 }
 
 // maxK bounds the K operand: more results per query than any device has
-// slots, and small enough that the rerank pool K × rerankFactor fits an
-// int on every platform.
-const maxK = math.MaxInt32 / rerankFactor
+// slots, and small enough that the rerank pool K × ann.RerankFactor fits
+// an int on every platform.
+const maxK = math.MaxInt32 / ann.RerankFactor
 
 // checkK validates a K operand: at submission (validate) for every
 // command, and for CalibrateNProbe, which is not one.

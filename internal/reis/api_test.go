@@ -79,7 +79,7 @@ func TestHostCommandValidationSentinels(t *testing.T) {
 		{"search-bad-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries}, errBadK},
 		{"search-negative-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: -3}, errBadK},
 		{"ivf-search-bad-k", HostCommand{Opcode: OpcodeIVFSearch, DBID: 1, Queries: queries, K: 0}, errBadK},
-		// K × rerankFactor overflows: this used to reach the tail (and,
+		// K × ann.RerankFactor overflows: this used to reach the tail (and,
 		// pruned, the bound tracker) and panic on the dispatcher goroutine.
 		{"search-huge-k", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581}, errBadK},
 		{"search-huge-k-pruned", HostCommand{Opcode: OpcodeSearch, DBID: 1, Queries: queries, K: 922337203685477581,

@@ -450,7 +450,7 @@ func (c *dbCache) scanPinned(pr *pinnedRange, packed []byte, f *pageFormat, p ca
 				continue
 			}
 			dst = append(dst, ttlEntry{
-				Dist: dist, Pos: pg*f.embPerPage + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
+				Dist: int32(dist), Pos: int32(pg*f.embPerPage + s), DADR: l.dadr, RADR: l.radr,
 			})
 		}
 	}

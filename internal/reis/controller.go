@@ -219,8 +219,9 @@ func (c *controller) selectClusters(qi int, cents []ttlEntry, nprobe int, st *Qu
 	sel := c.scr.sel[qi][:0]
 	probePages := 0
 	for _, cn := range cents[:min(nprobe, len(cents))] {
-		probePages += cache.probe(cn.Pos, mut.buckets[cn.Pos])
-		sel = append(sel, prunedCluster{cluster: cn.Pos, lb: clusterLB(cn.Dist, mut.radius[cn.Pos])})
+		cl := int(cn.Pos)
+		probePages += cache.probe(cl, mut.buckets[cl])
+		sel = append(sel, prunedCluster{cluster: cl, lb: clusterLB(int(cn.Dist), mut.radius[cl])})
 	}
 	// The widest probe of this command opens or shuts the next command's
 	// pin admission (dbCache.refresh).

@@ -584,10 +584,10 @@ func TestEmbeddingsLandInSLCESPBlocks(t *testing.T) {
 func TestQuickselectTTL(t *testing.T) {
 	es := make([]ttlEntry, 100)
 	for i := range es {
-		es[i] = ttlEntry{Dist: (i * 37) % 101, Pos: i}
+		es[i] = ttlEntry{Dist: int32((i * 37) % 101), Pos: int32(i)}
 	}
 	quickselectTTL(es, 10)
-	max10 := 0
+	max10 := int32(0)
 	for i := 0; i < 10; i++ {
 		if es[i].Dist > max10 {
 			max10 = es[i].Dist

@@ -3,6 +3,7 @@ package reis
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"reis/internal/flash"
@@ -270,6 +271,13 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 		if minCap := (ceilDiv(lo.embPages, lo.rowPages) + 1) * lo.rowPages; lo.embCap < minCap {
 			lo.embCap = minCap
 		}
+	}
+	// A TTL entry carries its slot position as an int32 (ttlEntry.Pos), so
+	// a binary region with more positions than that addresses is refused
+	// here, before a device, ledger or cache is sized for it.
+	if int64(lo.embCap)*int64(lo.embPerPage) > math.MaxInt32+1 {
+		return nil, nil, nil, fmt.Errorf("reis: binary region of %d pages x %d slots exceeds the 2^31 slot positions a TTL entry addresses",
+			lo.embCap, lo.embPerPage)
 	}
 	codes := calibrationSample(cfg.Vectors)
 	if !lo.flat() {

@@ -4,7 +4,7 @@ package reis
 // (SearchOptions.Prune) the controller (controller.go) is built from:
 // the scan runs in controller-driven rounds, and after each round the
 // controller tightens a per-query distance bound — the pool-th smallest
-// live distance seen so far (pool = k × rerankFactor, the rerank-pool
+// live distance seen so far (pool = k × ann.RerankFactor, the rerank-pool
 // size) — that the next round's GEN_DIST_PAGE commands carry. Planes
 // drop the TTL transfer of any slot whose distance is strictly above
 // the bound, and whole segments whose proven lower bound exceeds it are
@@ -36,6 +36,8 @@ package reis
 // distances: a tombstoned entry's distance could tighten the bound past
 // D*, which would prune true pool members. See DESIGN.md, "Threshold
 // propagation and pruning".
+
+import "reis/internal/ann"
 
 // boundTracker maintains one query's running top-k pruning threshold: a
 // bounded max-heap over the smallest `capacity` live distances seen so
@@ -99,7 +101,7 @@ func (t *boundTracker) bound() int {
 func feedTracker(t *boundTracker, entries []ttlEntry, tomb []uint64) {
 	for i := range entries {
 		if tomb == nil || !bitsetGet(tomb, int(entries[i].DADR)) {
-			t.add(entries[i].Dist)
+			t.add(int(entries[i].Dist))
 		}
 	}
 }
@@ -107,7 +109,7 @@ func feedTracker(t *boundTracker, entries []ttlEntry, tomb []uint64) {
 // rerankPool is the selection-pool size of one query — the tracker
 // capacity threshold pruning pins its bound to. Every search path bounds
 // k by maxK (checkK), so the product cannot overflow.
-func rerankPool(k int) int { return k * rerankFactor }
+func rerankPool(k int) int { return k * ann.RerankFactor }
 
 // chunkFlatRounds splits a brute-force scan plan into rounds of
 // geometrically growing page budgets: planes pages (one full wave)

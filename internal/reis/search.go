@@ -1,13 +1,20 @@
 package reis
 
 import (
+	"cmp"
+
 	"reis/internal/flash"
 	"reis/internal/ssd"
 )
 
 // ttlEntry is one Temporal Top List record (Sec 4.2.1, structure C in
-// Fig 4): the distance, the embedding's mini-page position, and the
-// linkage addresses picked up from the OOB area during the scan.
+// Fig 4) as controller DRAM holds it: the distance, the embedding's
+// mini-page position (EADR), and the linkage addresses picked up from the
+// OOB area during the scan. It is 16 bytes — the wire's address widths,
+// with DIST widened from 2 to 4 bytes and no TAG: the die filters on the
+// tag before the transfer and nothing downstream reads it. A position is
+// an int32, so a deploy refuses a binary region of more than 2^31 slots
+// (planLayout). ttlEntryBytes prices the on-channel format.
 //
 // Candidate selection ranks TTL entries under the (Dist, DADR) total
 // order: Hamming distance first, the document's id (DADR) as the
@@ -16,11 +23,10 @@ import (
 // boundary, pruning decision and final result — is deterministic
 // across scan topologies, queue schedules and GC interleavings.
 type ttlEntry struct {
-	Dist int
-	Pos  int // embedding position in the binary region (mini-page address)
+	Dist int32
+	Pos  int32 // embedding position in the binary region (mini-page address)
 	DADR uint32
 	RADR uint32
-	Tag  uint8
 }
 
 // QueryStats counts the device events of one query; the timing and
@@ -154,11 +160,6 @@ type DocResult struct {
 	Doc []byte
 }
 
-// rerankFactor is the candidate-widening multiple before INT8
-// rescoring: the paper selects the "10k embeddings closest to the
-// query" before reranking to top-k (Sec 4.3.2 step 6).
-const rerankFactor = 10
-
 // SearchOptions modify a single query.
 type SearchOptions struct {
 	// NProbe is the number of IVF clusters scanned (IVF_Search only).
@@ -216,9 +217,9 @@ func cmpPageIdx(a, b pageIdx) int {
 // deterministic.
 func cmpTTLDistPos(a, b ttlEntry) int {
 	if a.Dist != b.Dist {
-		return a.Dist - b.Dist
+		return cmp.Compare(a.Dist, b.Dist)
 	}
-	return a.Pos - b.Pos
+	return cmp.Compare(a.Pos, b.Pos)
 }
 
 // cmpDocResult orders reranked results by distance, id breaking ties —
@@ -332,7 +333,7 @@ func (r *scanRound) dist(sc *workerScratch, ps *planeScan, arena *[]ttlEntry, it
 		}
 		kept++
 		*arena = append(*arena, ttlEntry{
-			Dist: dist, Pos: basePos + s, DADR: l.dadr, RADR: l.radr, Tag: l.tag,
+			Dist: int32(dist), Pos: int32(basePos + s), DADR: l.dadr, RADR: l.radr,
 		})
 	}
 	if checks > 0 {

@@ -42,11 +42,11 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 			continue // padding
 		}
 		dist := vecmath.Hamming(qbits, vecmath.BinaryQuantize(testData.Vectors[l.dadr], nil))
-		fine = append(fine, ttlEntry{Dist: dist, Pos: pos, DADR: l.dadr, RADR: l.radr, Tag: l.tag})
+		fine = append(fine, ttlEntry{Dist: int32(dist), Pos: int32(pos), DADR: l.dadr, RADR: l.radr})
 	}
 	var coarse []ttlEntry
 	for c, cc := range db.lay.centCodes {
-		coarse = append(coarse, ttlEntry{Dist: vecmath.Hamming(qbits, cc), Pos: c})
+		coarse = append(coarse, ttlEntry{Dist: int32(vecmath.Hamming(qbits, cc)), Pos: int32(c)})
 	}
 
 	type outcome struct {

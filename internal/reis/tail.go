@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"reis/internal/ann"
 	"reis/internal/vecmath"
 )
 
@@ -65,10 +66,10 @@ func (c *hostCore) tail(db *rdbEntry, query []float32, entries []ttlEntry, k int
 		entries = filterTombstoned(entries, db.mut.tomb)
 	}
 	st.SelectInput += len(entries)
-	// min(k × rerankFactor, len(entries)): the product is formed only
-	// when it fits the stream, so no k can overflow it.
+	// min(k × ann.RerankFactor, len(entries)): the product is formed
+	// only when it fits the stream, so no k can overflow it.
 	pool := len(entries)
-	if k <= pool/rerankFactor {
+	if k <= pool/ann.RerankFactor {
 		pool = rerankPool(k)
 	}
 	quickselectTTL(entries, pool)
