@@ -194,45 +194,27 @@ type storeEntry struct {
 
 // intern returns the store's canonical copy of the prefixes data and
 // oob. They are copied only when no page in the process holds the same
-// bytes yet; otherwise the caller shares the copy that page holds. A
-// miss copies both prefixes into one allocation, outside the store's
-// lock so that devices programming at once do not queue behind the copy,
-// and looks again before it inserts: another caller may have stored the
-// same bytes meanwhile.
+// bytes yet, both into one allocation; otherwise the caller shares the
+// copy that page holds.
 func intern(data, oob []byte) *pageKey {
 	sum := pageHash(data, oob)
 	store.Lock()
-	key := lookup(sum, data, oob)
-	store.Unlock()
-	if key != nil {
-		return key
+	defer store.Unlock()
+	for _, w := range store.m[sum] {
+		if key := w.Value(); key != nil && key.data == string(data) && key.oob == string(oob) {
+			return key
+		}
 	}
 	var b strings.Builder
 	b.Grow(len(data) + len(oob))
 	b.Write(data)
 	b.Write(oob)
 	both := b.String()
-	fresh := &pageKey{both[:len(data)], both[len(data):]}
-	store.Lock()
-	defer store.Unlock()
-	if key := lookup(sum, data, oob); key != nil {
-		return key
-	}
-	w := weak.Make(fresh)
+	key := &pageKey{both[:len(data)], both[len(data):]}
+	w := weak.Make(key)
 	store.m[sum] = append(store.m[sum], w)
-	runtime.AddCleanup(fresh, drop, storeEntry{sum, w})
-	return fresh
-}
-
-// lookup returns the canonical copy of data, oob filed under their hash
-// sum, or nil if the store holds none. The caller holds the store's lock.
-func lookup(sum uint64, data, oob []byte) *pageKey {
-	for _, w := range store.m[sum] {
-		if key := w.Value(); key != nil && key.data == string(data) && key.oob == string(oob) {
-			return key
-		}
-	}
-	return nil
+	runtime.AddCleanup(key, drop, storeEntry{sum, w})
+	return key
 }
 
 // pageHash is the store's hash of the content data, oob: the runtime's

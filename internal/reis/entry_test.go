@@ -1,10 +1,15 @@
 package reis
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
+
+	"reis/internal/ssd"
+	"reis/internal/vecmath"
 )
 
 // TestTTLEntrySize pins the in-memory TTL entry at the wire's address
@@ -18,55 +23,98 @@ func TestTTLEntrySize(t *testing.T) {
 	}
 }
 
-// TestDeployRefusesPositionsPastInt32: a TTL entry carries its slot
-// position as an int32, so a deploy whose binary region, headroom
-// included, has more than 2^31 slot positions is refused with an error
-// before any region is reserved. The region gets that wide from the
-// geometry alone: an overprovisioned binary region reserves one GC row
-// (Planes × PagesPerBlock pages) past its extent, so a few vectors on
-// long blocks cross the bound, and nothing of the region's size is ever
-// allocated.
-func TestDeployRefusesPositionsPastInt32(t *testing.T) {
-	cfg := testCfg()
-	cfg.OverprovisionPct = 100
-	deploy := DeployConfig{ID: 1, Vectors: testData.Vectors[:64], Docs: testData.Docs[:64], DocSlotBytes: 256}
-	plan := func(ppb int) (*dbLayout, error) {
-		geo, d := cfg.Geo, deploy
-		geo.PagesPerBlock = ppb
-		lo, _, _, err := planLayout(&d, geo, cfg.OverprovisionPct)
-		return lo, err
+// TestPlacementRefusesPositionsPastInt32: a binary slot position is held
+// as an int32, so a deploy whose placement runs past 2^31 positions is
+// refused with ssd.ErrRegionFull before its order is sized. The test
+// builds that placement from geometry alone — pages of 2^30 slots, so an
+// IVF deploy's third cluster, padded to a fresh page, starts at 2^31 —
+// and only plans it, so no page or order of that size is allocated. What
+// is bounded is the positions placed, not the capacity reserved: a few
+// vectors on blocks long enough that the headroom alone spans more than
+// 2^31 positions plan as before.
+func TestPlacementRefusesPositionsPastInt32(t *testing.T) {
+	const perPage = 1 << 30
+	geo := testCfg().Geo
+	geo.PageBytes, geo.OOBBytes = perPage*vecmath.WordsPerVector(testData.Dim)*8, perPage*oobBytesPerSlot
+	vecs := testData.Vectors[:6]
+	ivf := func(clusters int) DeployConfig {
+		d := DeployConfig{ID: 1, Vectors: vecs, Docs: testData.Docs[:6], DocSlotBytes: 256,
+			Centroids: vecs[:clusters], Assign: make([]int, len(vecs))}
+		for i := range d.Assign {
+			d.Assign[i] = i % clusters
+		}
+		return d
 	}
-	lo, err := plan(cfg.Geo.PagesPerBlock)
-	if err != nil {
-		t.Fatal(err)
+	// Two clusters place up to 2^30 + 3 positions, which fit; only the
+	// count is checked, as planning them would size an order of 2^30.
+	two := ivf(2)
+	if end := placedSlots(&two, perPage); end != perPage+3 || checkSlotPositions(end) != nil {
+		t.Fatalf("two clusters place %d positions (want %d): %v", end, perPage+3, checkSlotPositions(end))
 	}
-	if lo.embPages != 1 {
-		t.Fatalf("binary region of %d pages, want 1: the region is then two GC rows", lo.embPages)
+	three := ivf(3)
+	if end := placedSlots(&three, perPage); end != maxSlotPositions+2 {
+		t.Fatalf("three clusters place %d positions, want 2^31 + 2", end)
 	}
-	// The longest block whose two rows of positions still fit an int32.
-	fit := (math.MaxInt32 + 1) / (2 * cfg.Geo.Planes() * lo.embPerPage)
-	if lo, err := plan(fit); err != nil {
-		t.Fatalf("%d pages per block refused: %v", fit, err)
-	} else if n := int64(lo.embCap) * int64(lo.embPerPage); n > math.MaxInt32+1 {
-		t.Fatalf("%d pages per block plan %d positions, accepted", fit, n)
+	lo, _, _, err := planLayout(&three, geo, 0)
+	if !errors.Is(err, ssd.ErrRegionFull) || !strings.Contains(err.Error(), "2^31") {
+		t.Fatalf("three clusters (positions up to 2^31 + 2): %v", err)
 	}
-	if _, err := plan(fit + 1); err == nil {
-		t.Fatalf("%d pages per block (more than 2^31 positions) accepted", fit+1)
+	if lo != nil {
+		t.Fatal("refused placement returned a layout")
 	}
 
-	// Through a host's deploy command: refused, and nothing deployed.
-	cfg.Geo.PagesPerBlock, cfg.Geo.BlocksPerPlane = fit+1, 4
+	geo = testCfg().Geo
+	geo.PagesPerBlock = math.MaxInt32 / geo.Planes()
+	d := DeployConfig{ID: 1, Vectors: testData.Vectors[:64], Docs: testData.Docs[:64], DocSlotBytes: 256}
+	lo, _, _, err = planLayout(&d, geo, 100)
+	if err != nil {
+		t.Fatalf("64 vectors on blocks of %d pages: %v", geo.PagesPerBlock, err)
+	}
+	if n := int64(lo.embCap) * int64(lo.embPerPage); n <= maxSlotPositions {
+		t.Fatalf("reserved %d positions; the case wants more than 2^31", n)
+	}
+}
+
+// TestTailRefusesPositionsPastInt32: logical positions keep growing
+// after deploy — appends and copy-forward take fresh page-aligned runs
+// from the tail while GC recycles physical rows — so the tail allocator
+// refuses a run that would end past 2^31 positions, and the refused
+// append changes nothing. The tail is moved next to the bound rather
+// than grown there: an append of k items whose run ends exactly at 2^31
+// passes the position check (the row gate then refuses it, as this
+// deploy has no rows that far), and one item more does not.
+func TestTailRefusesPositionsPastInt32(t *testing.T) {
+	cfg := testCfg()
+	cfg.OverprovisionPct = 50
 	e, err := New(cfg, 0, AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
-	_, err = e.Submit(HostCommand{Opcode: OpcodeDBDeploy, Deploy: &deploy})
-	if err == nil || !strings.Contains(err.Error(), "2^31") {
-		t.Fatalf("deploy past 2^31 positions: %v", err)
+	deployFlat(t, e, 1)
+	db, _ := e.hostDB(1)
+	per := db.lay.embPerPage
+	tail := (maxSlotPositions - 1) / per * per
+	k := maxSlotPositions - tail
+	db.mut.tailSlots = tail
+	before, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 5, SearchOptions{})
+	appendN := func(n int) error {
+		_, err := e.Submit(HostCommand{Opcode: OpcodeAppend, DBID: 1,
+			Append: &AppendConfig{Vectors: testData.Vectors[:n], Docs: testData.Docs[:n]}})
+		return err
 	}
-	if _, err := e.DB(1); err == nil {
-		t.Fatal("refused deploy left a database behind")
+	if err := appendN(k); !errors.Is(err, ssd.ErrRegionFull) || strings.Contains(err.Error(), "2^31") {
+		t.Fatalf("append of %d items ending at slot 2^31: %v, want the row gate's refusal", k, err)
+	}
+	if err := appendN(k + 1); !errors.Is(err, ssd.ErrRegionFull) || !strings.Contains(err.Error(), "2^31") {
+		t.Fatalf("append of %d items ending past slot 2^31: %v", k+1, err)
+	}
+	if db.mut.tailSlots != tail {
+		t.Fatalf("refused appends moved the tail from %d to %d", tail, db.mut.tailSlots)
+	}
+	after, _ := searchOne(t, e, OpcodeSearch, 1, testData.Queries[0], 5, SearchOptions{})
+	if !reflect.DeepEqual(before, after) {
+		t.Fatal("refused appends changed search results")
 	}
 }
 

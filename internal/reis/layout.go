@@ -3,7 +3,6 @@ package reis
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"reis/internal/flash"
@@ -208,7 +207,12 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 	// Placement order: cluster-sorted for IVF, identity for flat.
 	// Padding slots (-1) are inserted so every cluster starts on a
 	// fresh page (a cluster's fine scan then never senses a page for
-	// another cluster's slots).
+	// another cluster's slots). The positions it will take are counted
+	// first, so a placement past the last int32 position is refused
+	// before the order is sized.
+	if err := checkSlotPositions(placedSlots(cfg, lo.embPerPage)); err != nil {
+		return nil, nil, nil, err
+	}
 	var order []int
 	if len(cfg.Centroids) > 0 {
 		lo.centCodes = make([][]uint64, len(cfg.Centroids))
@@ -272,13 +276,6 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 			lo.embCap = minCap
 		}
 	}
-	// A TTL entry carries its slot position as an int32 (ttlEntry.Pos), so
-	// a binary region with more positions than that addresses is refused
-	// here, before a device, ledger or cache is sized for it.
-	if int64(lo.embCap)*int64(lo.embPerPage) > math.MaxInt32+1 {
-		return nil, nil, nil, fmt.Errorf("reis: binary region of %d pages x %d slots exceeds the 2^31 slot positions a TTL entry addresses",
-			lo.embCap, lo.embPerPage)
-	}
 	codes := calibrationSample(cfg.Vectors)
 	if !lo.flat() {
 		lo.centPages = ceilDiv(lo.nlist(), lo.embPerPage)
@@ -286,6 +283,26 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 	}
 	lo.filterThreshold = calibrateFilter(codes)
 	return lo, buckets, radius, nil
+}
+
+// placedSlots is the length of a deploy's placement order: the vectors
+// for a flat database; for an IVF one, each cluster's members after the
+// padding that starts the cluster on a fresh page.
+func placedSlots(cfg *DeployConfig, perPage int) int {
+	if len(cfg.Centroids) == 0 {
+		return len(cfg.Vectors)
+	}
+	members := make([]int, len(cfg.Centroids))
+	for _, c := range cfg.Assign {
+		members[c]++
+	}
+	end := 0
+	for _, m := range members {
+		if m > 0 {
+			end = alignUp(end, perPage) + m
+		}
+	}
+	return end
 }
 
 // deploySlots is the deployed database as the renderers read it. bin is

@@ -2,6 +2,7 @@ package reis
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync/atomic"
 
@@ -314,6 +315,24 @@ func newMutState(lo *dbLayout, buckets [][]slotRange, radius []int, firstFit boo
 	return m
 }
 
+// maxSlotPositions is how many binary slot positions a database hands
+// out over its life. A position is held as an int32, in the id map
+// (posOf) and in a TTL entry (ttlEntry.Pos), so 2^31 − 1 is the last.
+// Logical positions only grow — appends and copy-forward take fresh runs
+// from the tail while GC recycles physical rows — so the bound is checked
+// where positions are handed out: the deploy's placement (planLayout) and
+// the tail allocator (writeTail).
+const maxSlotPositions = math.MaxInt32 + 1
+
+// checkSlotPositions refuses a placement whose positions run up to end
+// (exclusive) past maxSlotPositions.
+func checkSlotPositions(end int) error {
+	if int64(end) > maxSlotPositions {
+		return fmt.Errorf("%w (embedding region: slot positions up to %d, past the 2^31 an int32 position addresses)", ssd.ErrRegionFull, end)
+	}
+	return nil
+}
+
 // rowOf returns the GC row of a binary slot position.
 func (m *mutState) rowOf(pos int) int { return pos / m.lay.embPerPage / m.lay.rowPages }
 
@@ -423,6 +442,9 @@ func (m *mutState) writeTail(t mutTarget, runs []tailRun, cursor int, wear *Wear
 	for i := range runs {
 		runs[i].start = alignUp(cursor, lay.embPerPage)
 		cursor = runs[i].start + len(runs[i].entries)
+	}
+	if err := checkSlotPositions(cursor); err != nil {
+		return 0, err
 	}
 	binPages := ceilDiv(cursor, lay.embPerPage)
 	growth := ceilDiv(binPages, lay.rowPages) - len(m.rowPhys)

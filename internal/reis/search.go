@@ -12,9 +12,12 @@ import (
 // mini-page position (EADR), and the linkage addresses picked up from the
 // OOB area during the scan. It is 16 bytes — the wire's address widths,
 // with DIST widened from 2 to 4 bytes and no TAG: the die filters on the
-// tag before the transfer and nothing downstream reads it. A position is
-// an int32, so a deploy refuses a binary region of more than 2^31 slots
-// (planLayout). ttlEntryBytes prices the on-channel format.
+// tag before the transfer and nothing downstream reads it. Pos is read
+// only on a centroid entry, where it is the cluster index (cmpTTLDistPos,
+// selectClusters); a fine entry is ranked by (Dist, DADR) and reranked
+// from RADR. A position is an int32, as in the id map, so the database
+// hands out no more than 2^31 of them (maxSlotPositions). ttlEntryBytes
+// prices the on-channel format.
 //
 // Candidate selection ranks TTL entries under the (Dist, DADR) total
 // order: Hamming distance first, the document's id (DADR) as the
