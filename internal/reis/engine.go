@@ -232,13 +232,16 @@ type DeployConfig struct {
 	MetaTags []uint8
 }
 
-// install allocates regions for the pages of a globally planned layout
+// install reserves regions for the pages of a globally planned layout
 // that device (start, stride) owns and returns the device's slice with
 // its R-DB record; the host programs the pages and then enters the slice
 // in its table (hostCore.deploy). Every region holds the global pages
 // g ≡ start (mod stride) as local pages g / stride — (0, 1) is the whole
 // layout — which reproduces, plane for plane, the placement of one device
-// with stride times the channels (shard.go, "Partitioning scheme").
+// with stride times the channels (shard.go, "Partitioning scheme"). The
+// centroid pages are live from the start; the binary, INT8 and document
+// regions start empty, with an empty row map, and the deploy's append
+// grows them as it grows any append's.
 func (d *device) install(id int, lo *dbLayout, start, stride int) (*Database, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -249,12 +252,11 @@ func (d *device) install(id int, lo *dbLayout, start, stride int) (*Database, er
 	// local planes × stride).
 	localPlanes := d.SSD.Cfg.Geo.Planes()
 	alloc := func(pages, capPages int, mode flash.CellMode, what string) (ssd.Region, error) {
-		n := shardPages(pages, start, stride)
 		localCap := ceilDiv(capPages, localPlanes*stride) * localPlanes
-		if n == 0 && localCap == 0 {
+		if localCap == 0 {
 			return ssd.Region{}, nil
 		}
-		r, err := d.SSD.AllocateRegion(n, localCap, mode)
+		r, err := d.SSD.AllocateRegion(shardPages(pages, start, stride), localCap, mode)
 		if err != nil {
 			return ssd.Region{}, fmt.Errorf("reis: %s region: %w", what, err)
 		}
@@ -262,23 +264,21 @@ func (d *device) install(id int, lo *dbLayout, start, stride int) (*Database, er
 	}
 	var err error
 	var embR, int8R, docR, centR ssd.Region
-	if embR, err = alloc(lo.embPages, lo.embCap, flash.ModeSLCESP, "embedding"); err != nil {
+	if embR, err = alloc(0, lo.embCap, flash.ModeSLCESP, "embedding"); err != nil {
 		return nil, err
 	}
-	// The binary region is row-mapped from birth: GC reclaims its
-	// erase rows (one block per plane, on every shard the same block
-	// index) back into the append free pool. The initial map is the
-	// identity over the deployed rows; the row count is driven by the
-	// global layout so every shard's map stays identical.
-	embR.EnableRowMap(d.SSD.Cfg.Geo.PagesPerBlock,
-		ceilDiv(lo.embPages, localPlanes*stride*lo.ppb))
+	// The binary region is row-mapped from birth: GC reclaims its erase
+	// rows (one block per plane, on every shard the same block index)
+	// back into the append free pool, from which appends — the deploy's
+	// first — bind them.
+	embR.EnableRowMap(d.SSD.Cfg.Geo.PagesPerBlock, 0)
 	if centR, err = alloc(lo.centPages, lo.centPages, flash.ModeSLCESP, "centroid"); err != nil {
 		return nil, err
 	}
-	if int8R, err = alloc(lo.int8Pages, lo.int8Cap, flash.ModeTLC, "INT8"); err != nil {
+	if int8R, err = alloc(0, lo.int8Cap, flash.ModeTLC, "INT8"); err != nil {
 		return nil, err
 	}
-	if docR, err = alloc(lo.docPages, lo.docCap, flash.ModeTLC, "document"); err != nil {
+	if docR, err = alloc(0, lo.docCap, flash.ModeTLC, "document"); err != nil {
 		return nil, err
 	}
 	db.rec = ssd.DBRecord{

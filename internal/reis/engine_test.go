@@ -145,8 +145,9 @@ func recallOf(t *testing.T, search func(q []float32) []DocResult) float64 {
 func TestDeployLayout(t *testing.T) {
 	e := newEngine(t, AllOptions())
 	db := deployFlat(t, e, 1)
-	if db.n != testData.Len() || db.dim != 128 {
-		t.Fatalf("db shape %d/%d", db.n, db.dim)
+	entry, _ := e.hostDB(1)
+	if entry.mut.live != testData.Len() || db.dim != 128 {
+		t.Fatalf("db shape %d/%d", entry.mut.live, db.dim)
 	}
 	rec := db.Record()
 	if rec.Embeddings.PageCount == 0 || rec.Documents.PageCount == 0 || rec.Int8s.PageCount == 0 {

@@ -25,10 +25,11 @@ func TestTTLEntrySize(t *testing.T) {
 
 // TestPlacementRefusesPositionsPastInt32: a binary slot position is held
 // as an int32, so a deploy whose placement runs past 2^31 positions is
-// refused with ssd.ErrRegionFull before its order is sized. The test
-// builds that placement from geometry alone — pages of 2^30 slots, so an
-// IVF deploy's third cluster, padded to a fresh page, starts at 2^31 —
-// and only plans it, so no page or order of that size is allocated. What
+// refused with ssd.ErrRegionFull by planLayout, before any region is
+// reserved. The test builds that placement from geometry alone — pages
+// of 2^30 slots, so an IVF deploy's third cluster, padded to a fresh
+// page, starts at 2^31 — and only plans it: planning counts positions
+// and sizes nothing by them, so two clusters plan into two pages. What
 // is bounded is the positions placed, not the capacity reserved: a few
 // vectors on blocks long enough that the headroom alone spans more than
 // 2^31 positions plan as before.
@@ -45,17 +46,23 @@ func TestPlacementRefusesPositionsPastInt32(t *testing.T) {
 		}
 		return d
 	}
-	// Two clusters place up to 2^30 + 3 positions, which fit; only the
-	// count is checked, as planning them would size an order of 2^30.
+	// Two clusters place up to 2^30 + 3 positions, which fit.
 	two := ivf(2)
 	if end := placedSlots(&two, perPage); end != perPage+3 || checkSlotPositions(end) != nil {
 		t.Fatalf("two clusters place %d positions (want %d): %v", end, perPage+3, checkSlotPositions(end))
+	}
+	lo, err := planLayout(&two, geo, 0)
+	if err != nil {
+		t.Fatalf("two clusters (positions up to 2^30 + 3): %v", err)
+	}
+	if lo.embPages != 2 {
+		t.Fatalf("two clusters plan %d binary pages, want 2", lo.embPages)
 	}
 	three := ivf(3)
 	if end := placedSlots(&three, perPage); end != maxSlotPositions+2 {
 		t.Fatalf("three clusters place %d positions, want 2^31 + 2", end)
 	}
-	lo, _, _, err := planLayout(&three, geo, 0)
+	lo, err = planLayout(&three, geo, 0)
 	if !errors.Is(err, ssd.ErrRegionFull) || !strings.Contains(err.Error(), "2^31") {
 		t.Fatalf("three clusters (positions up to 2^31 + 2): %v", err)
 	}
@@ -66,7 +73,7 @@ func TestPlacementRefusesPositionsPastInt32(t *testing.T) {
 	geo = testCfg().Geo
 	geo.PagesPerBlock = math.MaxInt32 / geo.Planes()
 	d := DeployConfig{ID: 1, Vectors: testData.Vectors[:64], Docs: testData.Docs[:64], DocSlotBytes: 256}
-	lo, _, _, err = planLayout(&d, geo, 100)
+	lo, err = planLayout(&d, geo, 100)
 	if err != nil {
 		t.Fatalf("64 vectors on blocks of %d pages: %v", geo.PagesPerBlock, err)
 	}

@@ -219,16 +219,18 @@ func (c *hostCore) Close() error {
 }
 
 // deploy plans the layout globally — exactly as one device with N times
-// the channels would (planLayout: same placement order, padding, page
-// counts) — has every device reserve its page-stride share (s, N), then
-// renders each global page once and programs it on its owner through the
-// one page writer mutations use. Only then does the database enter the
-// R-DB (c.dbs): a deploy that fails on the way leaves no entry anywhere,
-// so its id stays free for a retry (the bump-cursor allocator does not
-// reclaim the stripes it reserved). ivf selects IVF_Deploy
-// (cluster-sorted placement plus the R-IVF table, which stays in the
-// host's controller DRAM) over DB_Deploy. The payload's shape was
-// checked at submission (DeployConfig.validate).
+// the channels would (planLayout: same page counts and capacities) — has
+// every device reserve its page-stride share (s, N), programs the
+// centroid pages, and then places and programs the vectors as the empty
+// database's first append, through the tail allocator and the one page
+// writer every mutation uses: cluster-sorted, each cluster on a fresh
+// page. Only then does the database enter the R-DB (c.dbs): a deploy that
+// fails on the way leaves no entry anywhere, so its id stays free for a
+// retry (the bump-cursor allocator does not reclaim the stripes it
+// reserved). ivf selects IVF_Deploy (cluster-sorted placement plus the
+// R-IVF table, which stays in the host's controller DRAM) over DB_Deploy.
+// The payload's shape was checked at submission (DeployConfig.validate),
+// and its encoding is checked before any region is reserved.
 func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if !ivf {
 		cfg.Centroids, cfg.Assign = nil, nil
@@ -240,11 +242,15 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 	if _, ok := c.dbs[cfg.ID]; ok {
 		return fmt.Errorf("reis: database %d already deployed", cfg.ID)
 	}
-	lo, buckets, radius, err := planLayout(&cfg, c.cfg.Geo, c.cfg.OverprovisionPct)
+	lo, err := planLayout(&cfg, c.cfg.Geo, c.cfg.OverprovisionPct)
 	if err != nil {
 		return err
 	}
-	db := &rdbEntry{id: cfg.ID, lay: lo, mut: newMutState(lo, buckets, radius, c.devs[0].Opts.FirstFitPlacement)}
+	rec, err := encodeAppend(lo, &AppendConfig{Vectors: cfg.Vectors, Docs: cfg.Docs, Assign: cfg.Assign, MetaTags: cfg.MetaTags})
+	if err != nil {
+		return err
+	}
+	db := &rdbEntry{id: cfg.ID, lay: lo, mut: newMutState(lo, c.devs[0].Opts.FirstFitPlacement)}
 	if c.cfg.CacheDRAMBytes > 0 {
 		db.cache = newDBCache(c.cfg, &lo.pageFormat, lo.nlist())
 	}
@@ -256,25 +262,15 @@ func (c *hostCore) deploy(cfg DeployConfig, ivf bool) error {
 		local.tlc = &db.mut.tlc
 		db.locals = append(db.locals, local)
 	}
-	// Documents and INT8 copies sit in placement order, both from slot 0;
-	// their pages, like the centroids', are programmed under a zeroed OOB.
-	// Binary pages carry the linkage.
 	t := mutTarget{c, db}
-	bin, int8s, docs := lo.deploySlots(cfg.Vectors, cfg.Docs, cfg.MetaTags)
-	for _, w := range []struct {
-		region regionOf
-		pages  int
-		render func(page, oob []byte, g int)
-	}{
-		{docRegion, lo.docPages, func(page, _ []byte, g int) { lo.renderTLC(page, g, lo.docBytes, docs, 0) }},
-		{int8Region, lo.int8Pages, func(page, _ []byte, g int) { lo.renderTLC(page, g, lo.int8Bytes, int8s, 0) }},
-		{embRegion, lo.embPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, bin) }},
-		{centRegion, lo.centPages, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }},
-	} {
-		if err := t.writePages(w.region, 0, w.pages, true, w.render); err != nil {
-			return err
-		}
+	if err := t.writePages(centRegion, 0, lo.centPages, true, func(page, oob []byte, g int) { lo.renderBin(page, oob, g, lo.centSlots) }); err != nil {
+		return err
 	}
+	if _, _, err := mutAppend(db.mut, t, rec); err != nil {
+		return err
+	}
+	// Write amplification counts from the deploy on.
+	db.mut.bytesFlash, db.mut.bytesUser = 0, 0
 	c.dbs[cfg.ID] = db
 	return nil
 }

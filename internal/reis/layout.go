@@ -3,7 +3,6 @@ package reis
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"reis/internal/flash"
 	"reis/internal/vecmath"
@@ -14,10 +13,11 @@ import (
 // will hold it. pageFormat is the slot geometry plus the only code that
 // renders a binary, INT8 or document page from slots and the only code
 // that parses one back (see DESIGN.md, "Page format"); planLayout
-// resolves the Sec 4.1 layout — that geometry, cluster-sorted placement
-// order with page-alignment padding, region page counts, INT8
-// quantization parameters and the distance-filter threshold — and seeds
-// the R-IVF table the mutable-state ledger keeps (mutState.buckets).
+// resolves the Sec 4.1 layout's plan — that geometry, region page counts
+// and capacities, INT8 quantization parameters and the distance-filter
+// threshold. The placement — cluster-sorted with page-alignment padding —
+// and the R-IVF table (mutState.buckets) are the deploy's append's, made
+// by the tail allocator every append and GC step runs (mutate.go).
 //
 // Every topology consumes the same plan and the same rendered pages: the
 // host programs global page g on device g mod N with unmodified bytes,
@@ -112,15 +112,12 @@ func (f *pageFormat) renderTLC(page []byte, g, width int, items [][]byte, first 
 // dbLayout is the device-independent placement plan of one database.
 type dbLayout struct {
 	dim int
-	n   int
 
 	pageFormat
 
-	// order[pos] is the original id at region position pos, or -1 for
-	// cluster-alignment padding.
-	order []int
-
-	// Region sizes in pages.
+	// Region sizes in pages: the deploy's extents, which its append fills
+	// and the capacities below are planned from, and the centroid
+	// region's whole extent.
 	embPages, int8Pages, docPages, centPages int
 
 	// Planned region capacities in pages: the live plan plus the
@@ -157,29 +154,25 @@ func (lo *dbLayout) nlist() int { return len(lo.centCodes) }
 // flat reports whether the database has no IVF structure.
 func (lo *dbLayout) flat() bool { return lo.nlist() == 0 }
 
-// planLayout validates the deployment and computes its placement plan
+// planLayout validates the deployment and computes its layout plan
 // under the given flash geometry; overprovisionPct reserves append/GC
 // headroom per mutable region. cfg.DocSlotBytes is defaulted in place.
-// For an IVF deployment it also seeds the R-IVF table the mutable-state
-// ledger adopts (newMutState): buckets[c] is cluster c's posting list —
-// one range over its members in placement order, empty for a cluster
-// without members — and radius[c] the maximum Hamming distance from
-// centroid code c to a member's binary code, the triangle-inequality
-// bound threshold pruning uses (a cluster's best possible distance to a
-// query is coarse distance minus radius). Both are nil for a flat one.
-func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo *dbLayout, buckets [][]slotRange, radius []int, err error) {
+// The plan sizes the regions; the placement itself is the deploy's
+// append (hostCore.deploy), which lays the vectors out cluster-sorted
+// and page-aligned exactly as placedSlots counts them.
+func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (*dbLayout, error) {
 	n := len(cfg.Vectors)
 	if n == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: deploy of empty database")
+		return nil, fmt.Errorf("reis: deploy of empty database")
 	}
 	if len(cfg.Docs) != n {
-		return nil, nil, nil, fmt.Errorf("reis: %d docs for %d vectors", len(cfg.Docs), n)
+		return nil, fmt.Errorf("reis: %d docs for %d vectors", len(cfg.Docs), n)
 	}
 	if cfg.DocSlotBytes == 0 {
 		cfg.DocSlotBytes = 4096
 	}
 	dim := len(cfg.Vectors[0])
-	lo = &dbLayout{dim: dim, n: n, pageFormat: pageFormat{
+	lo := &dbLayout{dim: dim, pageFormat: pageFormat{
 		slotBytes: vecmath.WordsPerVector(dim) * 8,
 		int8Bytes: dim,
 		docBytes:  cfg.DocSlotBytes,
@@ -195,67 +188,24 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 	lo.int8PerPage = geo.PageBytes / lo.int8Bytes
 	lo.docsPerPage = geo.PageBytes / lo.docBytes
 	if lo.embPerPage == 0 || lo.int8PerPage == 0 || lo.docsPerPage == 0 {
-		return nil, nil, nil, fmt.Errorf("reis: page size %d too small for dim %d / doc %d",
+		return nil, fmt.Errorf("reis: page size %d too small for dim %d / doc %d",
 			geo.PageBytes, dim, cfg.DocSlotBytes)
 	}
-	for i, doc := range cfg.Docs {
-		if len(doc) > cfg.DocSlotBytes {
-			return nil, nil, nil, fmt.Errorf("reis: doc %d is %dB > slot %dB", i, len(doc), cfg.DocSlotBytes)
-		}
-	}
 
-	// Placement order: cluster-sorted for IVF, identity for flat.
-	// Padding slots (-1) are inserted so every cluster starts on a
-	// fresh page (a cluster's fine scan then never senses a page for
-	// another cluster's slots). The positions it will take are counted
-	// first, so a placement past the last int32 position is refused
-	// before the order is sized.
-	if err := checkSlotPositions(placedSlots(cfg, lo.embPerPage)); err != nil {
-		return nil, nil, nil, err
+	// The binary region's extent is counted, not laid out, so a
+	// placement past the last int32 position is refused before anything
+	// is sized or reserved.
+	placed := placedSlots(cfg, lo.embPerPage)
+	if err := checkSlotPositions(placed); err != nil {
+		return nil, err
 	}
-	var order []int
 	if len(cfg.Centroids) > 0 {
 		lo.centCodes = make([][]uint64, len(cfg.Centroids))
 		for c, v := range cfg.Centroids {
 			lo.centCodes[c] = vecmath.BinaryQuantize(v, nil)
 		}
-		buckets = make([][]slotRange, len(cfg.Centroids))
-		radius = make([]int, len(cfg.Centroids))
-		sorted := make([]int, n)
-		for i := range sorted {
-			sorted[i] = i
-		}
-		sort.SliceStable(sorted, func(a, b int) bool {
-			if cfg.Assign[sorted[a]] != cfg.Assign[sorted[b]] {
-				return cfg.Assign[sorted[a]] < cfg.Assign[sorted[b]]
-			}
-			return sorted[a] < sorted[b]
-		})
-		prevCluster := -1
-		var bits []uint64
-		for _, id := range sorted {
-			c := cfg.Assign[id]
-			if c != prevCluster {
-				for len(order)%lo.embPerPage != 0 {
-					order = append(order, -1)
-				}
-				prevCluster = c
-				buckets[c] = []slotRange{{First: len(order)}}
-			}
-			buckets[c][0].Last = len(order)
-			order = append(order, id)
-			bits = vecmath.BinaryQuantize(cfg.Vectors[id], bits)
-			radius[c] = max(radius[c], vecmath.Hamming(lo.centCodes[c], bits))
-		}
-	} else {
-		order = make([]int, n)
-		for i := range order {
-			order[i] = i
-		}
 	}
-	lo.order = order
-
-	lo.embPages = ceilDiv(len(order), lo.embPerPage)
+	lo.embPages = ceilDiv(placed, lo.embPerPage)
 	lo.int8Pages = ceilDiv(n, lo.int8PerPage)
 	lo.docPages = ceilDiv(n, lo.docsPerPage)
 	lo.embCap = withHeadroom(lo.embPages, overprovisionPct)
@@ -282,12 +232,13 @@ func planLayout(cfg *DeployConfig, geo flash.Geometry, overprovisionPct int) (lo
 		lo.coarseCut = calibrateCoarseCut(codes, lo.centCodes)
 	}
 	lo.filterThreshold = calibrateFilter(codes)
-	return lo, buckets, radius, nil
+	return lo, nil
 }
 
-// placedSlots is the length of a deploy's placement order: the vectors
+// placedSlots is the binary slot positions a deploy places: the vectors
 // for a flat database; for an IVF one, each cluster's members after the
-// padding that starts the cluster on a fresh page.
+// padding that starts the cluster on a fresh page, as the tail allocator
+// lays them out (writeTail).
 func placedSlots(cfg *DeployConfig, perPage int) int {
 	if len(cfg.Centroids) == 0 {
 		return len(cfg.Vectors)
@@ -303,53 +254,6 @@ func placedSlots(cfg *DeployConfig, perPage int) int {
 		}
 	}
 	return end
-}
-
-// deploySlots is the deployed database as the renderers read it. bin is
-// the binary region for renderBin: position pos holds the binary code of
-// vectors[order[pos]], or padding. int8s and docs are the INT8 and
-// document regions for renderTLC from slot 0: the vectors' packed INT8
-// copies and the documents in placement order without its padding, so a
-// cluster's rerank copies and documents sit together and a query's
-// candidates — drawn from a few clusters — share a few TLC pages of each.
-// Each binary slot links its INT8 copy by that copy's slot (RADR), which
-// is also its document's slot, and its document by id (DADR: the id is
-// what a result reports and tombstones index), and carries tags[id] (nil
-// tags: all zero). Positions past the plan keep an all-zero record: no
-// scan plan reaches them.
-func (lo *dbLayout) deploySlots(vectors [][]float32, docs [][]byte, tags []uint8) (bin func(pos int, code []byte) (slotLink, bool), int8s, rankDocs [][]byte) {
-	int8s = make([][]byte, 0, lo.n)
-	rankDocs = make([][]byte, 0, lo.n)
-	copies := make([]byte, lo.n*lo.int8Bytes)
-	radr := make([]uint32, len(lo.order))
-	var q8 []int8
-	for pos, id := range lo.order {
-		if id >= 0 {
-			k := len(int8s)
-			radr[pos] = uint32(k)
-			q8 = lo.params.Int8Quantize(vectors[id], q8)
-			int8s = append(int8s, vecmath.PackInt8Bytes(q8, copies[k*lo.int8Bytes:(k+1)*lo.int8Bytes]))
-			rankDocs = append(rankDocs, docs[id])
-		}
-	}
-	var bits []uint64
-	bin = func(pos int, code []byte) (slotLink, bool) {
-		if pos >= len(lo.order) {
-			return slotLink{}, true
-		}
-		id := lo.order[pos]
-		if id < 0 {
-			return slotLink{}, false
-		}
-		bits = vecmath.BinaryQuantize(vectors[id], bits)
-		vecmath.PackBinaryBytes(bits, code)
-		l := slotLink{dadr: uint32(id), radr: radr[pos]}
-		if tags != nil {
-			l.tag = tags[id]
-		}
-		return l, true
-	}
-	return bin, int8s, rankDocs
 }
 
 // centSlots is the centroid region: cluster c's code at position c under

@@ -9,7 +9,6 @@ import (
 
 	"reis/internal/ann"
 	"reis/internal/dataset"
-	"reis/internal/ssd"
 	"reis/internal/vecmath"
 )
 
@@ -186,13 +185,19 @@ func readPlacement(t *testing.T, h *hostCore, db *rdbEntry) []placedLink {
 	return out
 }
 
-// TestSeededPostingLists pins the R-IVF table as deploy seeds it and an
-// append extends it, read back from flash. On an IVF deploy of testData
-// whose middle cluster has no members:
+// TestSeededPostingLists pins the scan plan as a deploy lays it down and
+// an append extends it, read back from flash, for a flat deploy and an
+// IVF deploy of testData whose middle cluster has no members, on 1 and 2
+// devices. A flat database's plan is its brute-force plan, one list:
 //   - each cluster's posting list is one range starting on a page
 //     boundary whose slots hold exactly the cluster's members, ascending,
 //     and the rest of its last page, up to the region's tail, is padding;
 //   - the empty cluster's list is empty;
+//   - every slot of the last binary page past the tail holds a padding
+//     record, as an append's last page does;
+//   - the deploy moved (binary + centroid pages) × (page + OOB bytes) and
+//     (INT8 + document pages) × page bytes into the dies: the INT8 and
+//     document pages carry no OOB;
 //   - after one append, each appended run is the last range of its
 //     cluster's list, after the deployed one, and holds exactly the ids
 //     appended to that cluster.
@@ -208,23 +213,56 @@ func TestSeededPostingLists(t *testing.T) {
 			assign[i] = c + 1
 		}
 	}
-	e, err := New(mutTestCfg(), 64<<20, AllOptions())
-	if err != nil {
-		t.Fatal(err)
+	for _, ivf := range []bool{false, true} {
+		for _, n := range []int{1, 2} {
+			name := fmt.Sprintf("flat/%d", n)
+			if ivf {
+				name = fmt.Sprintf("ivf/%d", n)
+			}
+			t.Run(name, func(t *testing.T) {
+				h, err := NewSharded(mutTestCfg(), n, 64<<20, AllOptions())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { h.Close() })
+				cfg := DeployConfig{ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256}
+				op, clusters := OpcodeDBDeploy, 1
+				if ivf {
+					cfg.Centroids, cfg.Assign = cents, assign
+					op, clusters = OpcodeIVFDeploy, nlist+1
+				}
+				mustSubmit(t, h, HostCommand{Opcode: op, Deploy: &cfg})
+				checkSeededPlan(t, &h.hostCore, clusters, assign, empty)
+			})
+		}
 	}
-	t.Cleanup(func() { e.Close() })
-	deployOn(t, e, OpcodeIVFDeploy, DeployConfig{
-		ID: 1, Vectors: testData.Vectors, Docs: testData.Docs, DocSlotBytes: 256,
-		Centroids: cents, Assign: assign,
-	})
-	db, _ := e.hostDB(1)
-	per := db.lay.embPerPage
+}
+
+// checkSeededPlan is TestSeededPostingLists on one deployed host: clusters
+// posting lists (1: a flat database's brute-force plan) under the IVF
+// assignment assign, cluster empty among them without members.
+func checkSeededPlan(t *testing.T, h *hostCore, clusters int, assign []int, empty int) {
+	t.Helper()
+	db, _ := h.hostDB(1)
+	lay, per := db.lay, db.lay.embPerPage
+	lists := func() [][]slotRange {
+		if lay.flat() {
+			return [][]slotRange{db.mut.flatPlan}
+		}
+		return db.mut.buckets
+	}
+	clusterOf := func(i int) int {
+		if lay.flat() {
+			return 0
+		}
+		return assign[i]
+	}
 	// slots reads the records of slots [first, last] back from flash:
 	// each entry's id, -1 for padding.
 	slots := func(first, last int) []int {
 		var ids []int
 		for pos := first; pos <= last; pos++ {
-			_, oob, err := e.readPage(db, embRegion, pos/per, nil, nil)
+			_, oob, err := h.readPage(db, embRegion, pos/per, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,15 +274,17 @@ func TestSeededPostingLists(t *testing.T) {
 		}
 		return ids
 	}
-	members := make([][]int, nlist+1)
-	for id, c := range assign {
-		members[c] = append(members[c], id)
+	members := make([][]int, clusters)
+	for id := range testData.Vectors {
+		members[clusterOf(id)] = append(members[clusterOf(id)], id)
 	}
-	buckets := db.mut.buckets
-	if len(buckets) != nlist+1 {
-		t.Fatalf("%d posting lists for %d clusters", len(buckets), nlist+1)
+	deployed := lists()
+	if len(deployed) != clusters {
+		t.Fatalf("%d posting lists for %d clusters", len(deployed), clusters)
 	}
-	for c, list := range buckets {
+	deployed = slices.Clone(deployed)
+	for c, list := range deployed {
+		deployed[c] = slices.Clone(list)
 		if len(members[c]) == 0 {
 			if len(list) != 0 {
 				t.Fatalf("cluster %d has no members but posting list %+v", c, list)
@@ -264,22 +304,47 @@ func TestSeededPostingLists(t *testing.T) {
 			}
 		}
 	}
+	tail := db.mut.tailSlots
+	if tail%per == 0 {
+		t.Fatalf("the deploy's tail %d ends its last page; the case wants padding past it", tail)
+	}
+	lastPage := tail / per
+	for s, id := range slots(lastPage*per, lastPage*per+per-1) {
+		if live := s < tail%per; live != (id >= 0) {
+			t.Fatalf("last binary page %d, slot %d (tail at slot %d): id %d", lastPage, s, tail%per, id)
+		}
+	}
+	var in int64
+	for _, d := range h.devs {
+		for ch := range d.SSD.Dev.Stats.BytesIn {
+			in += d.SSD.Dev.Stats.BytesIn[ch].Load()
+		}
+	}
+	want := int64(lay.embPages+lay.centPages)*int64(lay.pageBytes+lay.oobBytes) +
+		int64(lay.int8Pages+lay.docPages)*int64(lay.pageBytes)
+	if in != want {
+		t.Fatalf("the deploy moved %d B into the dies, want %d", in, want)
+	}
 
 	// One append over two clusters, the empty one among them.
 	add := []int{1, empty, 1, 6, 1}
-	ids := mustSubmit(t, e, HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: &AppendConfig{
-		Vectors: testData.Queries[:len(add)], Docs: testData.Docs[:len(add)], Assign: add,
-	}}).AppendedIDs
-	for _, c := range []int{1, empty, 6} {
+	cmd := &AppendConfig{Vectors: testData.Queries[:len(add)], Docs: testData.Docs[:len(add)]}
+	if !lay.flat() {
+		cmd.Assign = add
+	} else {
+		add = make([]int, len(add))
+	}
+	ids := mustSubmit(t, h, HostCommand{Opcode: OpcodeAppend, DBID: 1, Append: cmd}).AppendedIDs
+	for _, c := range slices.Compact(slices.Sorted(slices.Values(add))) {
 		var want []int
 		for i, ac := range add {
 			if ac == c {
 				want = append(want, ids[i])
 			}
 		}
-		list := db.mut.buckets[c]
-		if len(list) != min(len(members[c]), 1)+1 || (len(members[c]) > 0 && list[0] != buckets[c][0]) {
-			t.Fatalf("cluster %d after the append: posting list %+v, was %+v", c, list, buckets[c])
+		list := lists()[c]
+		if len(list) != min(len(members[c]), 1)+1 || (len(members[c]) > 0 && list[0] != deployed[c][0]) {
+			t.Fatalf("cluster %d after the append: posting list %+v, was %+v", c, list, deployed[c])
 		}
 		last := list[len(list)-1]
 		if got := slots(last.First, last.Last); !slices.Equal(got, want) {
@@ -484,22 +549,14 @@ func TestRerankCopiesFollowPlacement(t *testing.T) {
 	}
 }
 
-// benchShapeSearch deploys a corpus of the repo benchmark's shape (N
-// 8192, dim 256, 64 clusters, 512-byte documents, one SSD1 with 16 KiB
-// pages) and serves its 64 queries as one nprobe-8 command of k 10.
+// benchShapeSearch deploys the benchmark-shaped corpus (benchShape) and
+// serves its 64 queries as one nprobe-8 command of k 10.
 func benchShapeSearch(t *testing.T, skipDocs bool) (*dataset.Dataset, HostResponse) {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("builds an 8192-vector corpus")
 	}
-	data := dataset.Generate(dataset.Config{
-		Name: "bench-shape", N: 8192, Dim: 256, Clusters: 64, Queries: 64, K: 10,
-		DocBytes: 512, QueryNoise: 0.5, Seed: 3,
-	})
-	cents, assign := ann.KMeans(data.Vectors, ann.KMeansConfig{K: 64, Seed: 5, SampleLimit: 4096})
-	cfg := ssd.SSD1()
-	cfg.Geo.BlocksPerPlane = 8
-	cfg.Geo.PagesPerBlock = 16
+	data, cents, assign, cfg := benchShape()
 	e, err := New(cfg, 0, AllOptions())
 	if err != nil {
 		t.Fatal(err)

@@ -30,10 +30,11 @@ import (
 // on every shard of a sharded deployment, keeping wear accounting
 // bit-identical across topologies.
 //
-// Two-level split, mirroring planLayout/install. Appends and
-// copy-forward steps place and program their entries through one tail
-// allocator (writeTail / commitTail), and every page either of them
-// programs is rendered by the page format's owner (layout.go):
+// Two-level split, mirroring planLayout/install. The deploy (its first
+// append), later appends and copy-forward steps place and program their
+// entries through one tail allocator (writeTail / commitTail), and every
+// page any of them programs is rendered by the page format's owner
+// (layout.go):
 //
 //   - mutState is the geometry-independent half: per-cluster segment
 //     lists (the scan plan), the tombstone bitmap, the id→position
@@ -162,21 +163,21 @@ type mutState struct {
 
 	// buckets is the R-IVF table (Sec 4.2.1): buckets[c] is cluster c's
 	// posting list, the binary-region slot ranges scanned for the
-	// cluster, in scan order — seeded at deploy (planLayout), extended by
-	// appends and remapped by GC. Nil for flat databases.
+	// cluster, in scan order — one range per cluster from the deploy,
+	// extended by appends and remapped by GC. Nil for flat databases.
 	buckets [][]slotRange
 
 	// radius[c] is cluster c's current binary covering radius (max
 	// Hamming distance from its centroid code, lay.centCodes[c], to any
 	// member, deployed or appended) — the lower-bound input of threshold
-	// pruning. Deploy computes it (planLayout), appends only grow it;
+	// pruning. The deploy and later appends only grow it;
 	// compaction keeps it (conservative: a stale-large radius weakens
 	// pruning but never threatens correctness). Nil for flat databases.
 	radius []int
 
 	// flatPlan is the brute-force scan plan: the live slot ranges of
-	// the whole binary region in position order — the deployed extent
-	// plus one range per append batch or GC relocation (ranges bridge
+	// the whole binary region in position order — one range per append
+	// batch (the deploy's first) or GC relocation (ranges bridge
 	// the page-padding gaps between clusters, which scan as skipped
 	// invalid-DADR slots). Both flat and IVF databases keep one: a
 	// Search command on an IVF database scans everything. flatRounds is
@@ -200,16 +201,15 @@ type mutState struct {
 	// and document regions, each continuing page-aligned after the last
 	// batch, and tlc their live extents. Ids continue the document slots;
 	// a batch's INT8 copies and documents both follow its binary runs'
-	// order, as deploy's follow the placement order.
+	// order.
 	int8Slots, docSlots int
 	tlc                 tlcExtent
 
-	// docRuns locates documents by RADR: one pair per batch — the
-	// deploy's (0, 0), then each append's first INT8 and document slots —
-	// ascending in both. A batch's copy slots and document slots advance
-	// together, so the document of RADR r sits at doc + (r − radr) of the
-	// last pair with radr ≤ r (docSlot). On a flat database that is the
-	// id.
+	// docRuns locates documents by RADR: one pair per batch, its first
+	// INT8 and document slots — the deploy's (0, 0) — ascending in both.
+	// A batch's copy slots and document slots advance together, so the
+	// document of RADR r sits at doc + (r − radr) of the last pair with
+	// radr ≤ r (docSlot). On a flat database that is the id.
 	docRuns []docRun
 
 	// tomb is the tombstone bitmap, indexed by id; posOf maps ids to
@@ -270,47 +270,19 @@ func (m *mutState) docSlot(radr uint32) int {
 	return r.doc + int(radr) - r.radr
 }
 
-// newMutState derives the initial mutable metadata from a layout plan
-// (planned under the global, single-device-equivalent geometry) and
-// adopts the R-IVF table and covering radii planLayout seeded.
-func newMutState(lo *dbLayout, buckets [][]slotRange, radius []int, firstFit bool) *mutState {
-	m := &mutState{
-		lay:       lo,
-		buckets:   buckets,
-		radius:    radius,
-		tailSlots: len(lo.order),
-		binPages:  lo.embPages,
-		int8Slots: lo.n,
-		docSlots:  lo.n,
-		docRuns:   []docRun{{0, 0}},
-		firstFit:  firstFit,
-		live:      lo.n,
+// newMutState is an empty database's mutable metadata: no live entries,
+// empty posting lists and a free pool holding every physical row of the
+// binary region's reserved extent — a pure function of the plan and the
+// global geometry, so every topology starts with the same pool. The
+// deploy is its first append (hostCore.deploy).
+func newMutState(lo *dbLayout, firstFit bool) *mutState {
+	m := &mutState{lay: lo, firstFit: firstFit}
+	if !lo.flat() {
+		m.buckets = make([][]slotRange, lo.nlist())
+		m.radius = make([]int, lo.nlist())
 	}
-	m.tlc.int8Pages.Store(int64(lo.int8Pages))
-	m.tlc.docPages.Store(int64(lo.docPages))
-	m.setFlatPlan([]slotRange{{First: 0, Last: len(lo.order) - 1}})
-	// Deployed rows are identity-mapped; the rest of the reserved
-	// extent is the free pool. Both counts are pure functions of the
-	// plan and the global geometry, so every topology starts with the
-	// same pool.
-	initRows := ceilDiv(lo.embPages, lo.rowPages)
-	physRows := ceilDiv(lo.embCap, lo.rowPages)
-	m.rowLive = make([]int, initRows)
-	m.rowDead = make([]int, initRows)
-	m.rowPhys = make([]int, initRows)
-	for r := range m.rowPhys {
-		m.rowPhys[r] = r
-	}
-	for p := initRows; p < physRows; p++ {
+	for p := range ceilDiv(lo.embCap, lo.rowPages) {
 		m.freeRows = append(m.freeRows, p)
-	}
-	m.posOf = make([]int32, lo.n)
-	for pos, id := range lo.order {
-		if id < 0 {
-			continue
-		}
-		m.posOf[id] = int32(pos)
-		m.rowLive[m.rowOf(pos)]++
 	}
 	return m
 }
@@ -318,10 +290,11 @@ func newMutState(lo *dbLayout, buckets [][]slotRange, radius []int, firstFit boo
 // maxSlotPositions is how many binary slot positions a database hands
 // out over its life. A position is held as an int32, in the id map
 // (posOf) and in a TTL entry (ttlEntry.Pos), so 2^31 − 1 is the last.
-// Logical positions only grow — appends and copy-forward take fresh runs
-// from the tail while GC recycles physical rows — so the bound is checked
-// where positions are handed out: the deploy's placement (planLayout) and
-// the tail allocator (writeTail).
+// Logical positions only grow — the deploy's and later appends and
+// copy-forward take fresh runs from the tail while GC recycles physical
+// rows — so the bound is checked where positions are handed out, by the
+// tail allocator (writeTail), and first by planLayout, which counts the
+// deploy's positions before any region is reserved.
 const maxSlotPositions = math.MaxInt32 + 1
 
 // checkSlotPositions refuses a placement whose positions run up to end
@@ -543,7 +516,7 @@ func (rec *appendRecord) check(lay *dbLayout) error {
 	}
 	for i, d := range rec.docs {
 		if len(d) > lay.docBytes {
-			return fmt.Errorf("reis: append doc %d is %dB > slot %dB", i, len(d), lay.docBytes)
+			return fmt.Errorf("reis: doc %d is %dB > slot %dB", i, len(d), lay.docBytes)
 		}
 	}
 	if lay.flat() {

@@ -12,8 +12,9 @@ import (
 // to the global ranges it is asked to scan.
 //
 // Partitioning scheme. The host core plans the database layout exactly
-// as a single device would (planLayout: same placement order, padding,
-// page counts) and then stripes the planned pages round-robin across
+// as a single device would (planLayout: same page counts; the deploy's
+// append places the corpus from the global state alone, with the same
+// padding) and then stripes the pages round-robin across
 // the shards: global page g lives on shard g mod N as local page
 // g / N. Each shard is a device built verbatim from the shared
 // config, so with region striping (page i → plane i mod planes) the

@@ -13,8 +13,9 @@ import (
 // on: a query's entry stream is a set, so the order the devices and
 // planes hand it over in cannot move a result or a counter. One query's
 // fine stream is built from a deployed IVF database the way the planes
-// produce it — every linked binary slot, its DADR/RADR/tag from
-// deploySlots and its real Hamming distance to the query — and its
+// produce it — every linked binary slot of the posting lists, its
+// DADR/RADR read back from the programmed pages and its code's Hamming
+// distance to the query — and its
 // coarse stream from the centroid codes. Each consumer then takes the
 // position-ordered stream and seeded permutations of it, before and
 // after a delete tombstones some of the query's best documents:
@@ -34,15 +35,25 @@ func TestStreamConsumersOrderFree(t *testing.T) {
 	qbits := vecmath.BinaryQuantize(query, nil)
 
 	var fine []ttlEntry
-	bin, _, _ := db.lay.deploySlots(testData.Vectors, testData.Docs, nil)
-	code := make([]byte, db.lay.slotBytes)
-	for pos := range db.lay.order {
-		l, ok := bin(pos, code)
-		if !ok {
-			continue // padding
+	var bits []uint64
+	per := db.lay.embPerPage
+	for _, list := range db.mut.buckets {
+		for _, sr := range list {
+			for g := sr.First / per; g <= sr.Last/per; g++ {
+				data, oob, err := e.readPage(db, embRegion, g, nil, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pos := max(sr.First, g*per); pos <= min(sr.Last, (g+1)*per-1); pos++ {
+					l, ok := parseLink(oob, pos%per)
+					if !ok {
+						continue // padding
+					}
+					bits = vecmath.UnpackBinaryBytes(db.lay.code(data, pos%per), bits)
+					fine = append(fine, ttlEntry{Dist: int32(vecmath.Hamming(qbits, bits)), Pos: int32(pos), DADR: l.dadr, RADR: l.radr})
+				}
+			}
 		}
-		dist := vecmath.Hamming(qbits, vecmath.BinaryQuantize(testData.Vectors[l.dadr], nil))
-		fine = append(fine, ttlEntry{Dist: int32(dist), Pos: int32(pos), DADR: l.dadr, RADR: l.radr})
 	}
 	var coarse []ttlEntry
 	for c, cc := range db.lay.centCodes {
